@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-short benchdiff microbench repro examples clean
+.PHONY: all build test race bench microbench repro examples clean
 
 all: build test
 
@@ -15,28 +15,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark trajectory: throughput, p50/p99 latency, read fan-out, cache
-# hit ratio, allocation cost, and GC write amplification per Table-1
-# workload, plus the super-vertex full-adjacency-scan pair (packed CSR
-# edge blocks on/off) and the replicated write-heavy group-commit
-# scenarios (serial, pipelined, and
-# pipelined-with-pinned-snapshot-readers), the sharded-insert write
-# scaling series (1/4/16 hash-partitioned shards, one WAL stream and
-# group committer each), and the sharded-txn series (the same stream as
-# two-shard 2PC batches, quantifying the cross-shard transaction
-# premium), written to BENCH_PR10.json for diffing across PRs.
+# The repo's benchmark (BENCHMARK.json): five steady-state workloads,
+# six gated end-to-end metrics and the per-layer trace; see
+# benchmark/README.md for collect/compare.
 bench:
-	$(GO) run ./cmd/bg3-benchjson -out BENCH_PR10.json
-
-# Reduced scale for CI; writes a separate file so the checked-in
-# full-scale baselines are never clobbered.
-bench-short:
-	$(GO) run ./cmd/bg3-benchjson -short -out BENCH_SHORT.json
-
-# Compare the two checked-in full-scale trajectories; fails on a >20%
-# throughput regression.
-benchdiff:
-	$(GO) run ./cmd/bg3-benchdiff BENCH_PR9.json BENCH_PR10.json
+	bash benchmark/run.sh
 
 # One benchmark per paper table/figure, plus ablations and micro-benches.
 microbench:

@@ -275,7 +275,7 @@ func (db *DB) Degree(src VertexID, typ EdgeType) (int, error) {
 func (db *DB) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
 	s := db.Snapshot()
 	defer s.Close()
-	return graph.KHop(s.view, start, typ, hops, perVertexLimit)
+	return s.KHop(start, typ, hops, perVertexLimit)
 }
 
 // Pattern is a small query graph for MatchPattern; see pattern.Pattern.
@@ -289,7 +289,7 @@ type PatternEdge = pattern.PEdge
 func (db *DB) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]VertexID, error) {
 	s := db.Snapshot()
 	defer s.Close()
-	return pattern.Match(s.view, p, seeds, maxMatches)
+	return s.MatchPattern(p, seeds, maxMatches)
 }
 
 // FindCycles returns simple cycles through start of length 2..maxLen —
@@ -297,7 +297,7 @@ func (db *DB) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]Ver
 func (db *DB) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
 	s := db.Snapshot()
 	defer s.Close()
-	return pattern.FindCycles(s.view, start, typ, maxLen, maxCycles)
+	return s.FindCycles(start, typ, maxLen, maxCycles)
 }
 
 // RunGC triggers one synchronous space-reclamation cycle (batch extents

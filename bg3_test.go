@@ -228,61 +228,150 @@ func TestAutoSnapshotLoop(t *testing.T) {
 	}
 }
 
-func TestClusterDB(t *testing.T) {
-	c, err := OpenCluster(3, &Options{ReplicaPollInterval: time.Millisecond})
+func openSharded(t *testing.T, opts *Options) *ShardedDB {
+	t.Helper()
+	db, err := OpenSharded(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if c.Shards() != 3 {
-		t.Fatalf("shards = %d", c.Shards())
-	}
-	for i := 0; i < 90; i++ {
-		if err := c.AddEdge(Edge{Src: VertexID(i % 9), Dst: VertexID(100 + i), Type: ETypeTransfer}); err != nil {
-			t.Fatal(err)
+	t.Cleanup(db.Close)
+	return db
+}
+
+// TestShardedDBReadView covers the follower read path of a sharded
+// deployment: one follower per shard, reads routed by the group's hash.
+func TestShardedDBReadView(t *testing.T) {
+	// sumDegrees adds up the view's out-degrees over sources [0, srcs).
+	sumDegrees := func(t *testing.T, view *ReadView, srcs int, typ EdgeType) int {
+		t.Helper()
+		total := 0
+		for src := 0; src < srcs; src++ {
+			d, err := view.Degree(VertexID(src), typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += d
 		}
+		return total
 	}
-	if err := c.AddVertex(Vertex{ID: 4, Type: VTypeUser}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := c.GetVertex(4, VTypeUser); !ok {
-		t.Fatal("vertex lost")
-	}
-	view, err := c.OpenReadView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := view.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for src := 0; src < 9; src++ {
-		d, err := view.Degree(VertexID(src), ETypeTransfer)
+
+	t.Run("tails acked writes", func(t *testing.T) {
+		db := openSharded(t, &Options{Shards: 3, ReplicaPollInterval: time.Millisecond})
+		if db.Shards() != 3 {
+			t.Fatalf("shards = %d", db.Shards())
+		}
+		// Opened before the writes: everything arrives by WAL tailing.
+		view, err := db.OpenReadView()
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += d
-	}
-	if total != 90 {
-		t.Fatalf("view total = %d", total)
-	}
-	// Cross-shard traversal and pattern matching on followers.
-	if err := c.AddEdge(Edge{Src: 200, Dst: 201, Type: ETypeTransfer}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddEdge(Edge{Src: 201, Dst: 200, Type: ETypeTransfer}); err != nil {
-		t.Fatal(err)
-	}
-	if err := view.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	cycles, err := view.FindCycles(200, ETypeTransfer, 3, 0)
-	if err != nil || len(cycles) != 1 {
-		t.Fatalf("cycles = %v %v", cycles, err)
-	}
-	if _, err := view.KHop(200, ETypeTransfer, 2, 0); err != nil {
-		t.Fatal(err)
-	}
+		for i := 0; i < 90; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(i % 9), Dst: VertexID(100 + i), Type: ETypeTransfer}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AddVertex(Vertex{ID: 4, Type: VTypeUser}); err != nil {
+			t.Fatal(err)
+		}
+		// Every shard received a share (Fibonacci hashing over sequential IDs).
+		for i, lsn := range db.Stats().LastLSNs {
+			if lsn == 0 {
+				t.Fatalf("shard %d received no writes", i)
+			}
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := view.GetVertex(4, VTypeUser); !ok {
+			t.Fatal("vertex missing on the view")
+		}
+		for src := 0; src < 9; src++ {
+			got, err := view.Degree(VertexID(src), ETypeTransfer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.Degree(VertexID(src), ETypeTransfer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("src %d: view %d vs leaders %d", src, got, want)
+			}
+		}
+		if total := sumDegrees(t, view, 9, ETypeTransfer); total != 90 {
+			t.Fatalf("view total = %d", total)
+		}
+		// Cross-shard traversal and pattern matching on followers.
+		if err := db.AddEdge(Edge{Src: 200, Dst: 201, Type: ETypeTransfer}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.AddEdge(Edge{Src: 201, Dst: 200, Type: ETypeTransfer}); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		cycles, err := view.FindCycles(200, ETypeTransfer, 3, 0)
+		if err != nil || len(cycles) != 1 {
+			t.Fatalf("cycles = %v %v", cycles, err)
+		}
+		matches, err := view.MatchPattern(Pattern{N: 2, Edges: []PatternEdge{{From: 0, To: 1, Type: ETypeTransfer}}},
+			[]VertexID{200}, 0)
+		if err != nil || len(matches) != 1 {
+			t.Fatalf("matches = %v %v", matches, err)
+		}
+	})
+
+	t.Run("cross-shard traversal", func(t *testing.T) {
+		db := openSharded(t, &Options{Shards: 4, ReplicaPollInterval: time.Millisecond})
+		// A chain whose hops land on different shards.
+		for i := 0; i < 12; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(i), Dst: VertexID(i + 1), Type: ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view, err := db.OpenReadView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		reached, err := view.KHop(0, ETypeFollow, 12, 0)
+		if err != nil || len(reached) != 12 {
+			t.Fatalf("cross-shard traversal reached %d, %v, want 12", len(reached), err)
+		}
+	})
+
+	t.Run("bootstraps from snapshots", func(t *testing.T) {
+		db := openSharded(t, &Options{Shards: 2, ReplicaPollInterval: time.Millisecond})
+		for i := 0; i < 100; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(i % 6), Dst: VertexID(i), Type: ETypeLike}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < db.Shards(); i++ {
+			leader := db.Group().Leader(i)
+			if _, err := leader.WriteSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			leader.TrimWAL()
+		}
+		// Views opened after snapshot+trim bootstrap from the snapshots.
+		view, err := db.OpenReadView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if total := sumDegrees(t, view, 6, ETypeLike); total != 100 {
+			t.Fatalf("total = %d, want 100", total)
+		}
+	})
 }
 
 func TestGCOnReplicatedDBKeepsReplicasConsistent(t *testing.T) {

@@ -1,10 +1,6 @@
 package bg3
 
-import (
-	"time"
-
-	"bg3/internal/replication"
-)
+import "bg3/internal/replication"
 
 // Failover deposes the current leader and promotes a fresh follower over
 // the same shared store — the recovery path for a crashed or hung RW node,
@@ -34,26 +30,18 @@ func (db *DB) Failover() error {
 	if old == nil {
 		return ErrNotReplicated
 	}
-	// Best-effort bootstrap point: a dead or already-fenced leader fails
-	// this harmlessly and the last periodic snapshot is used instead.
-	_, _ = old.WriteSnapshot()
-
-	// The transient follower exists only to be promoted; Promote stops its
-	// poll loop immediately, so the interval never fires.
-	ro, err := replication.NewRONodeFromSnapshot(db.store, time.Hour, 0)
+	err := replication.Failover(db.store, old, func(rw *replication.RWNode) bool {
+		if !db.rw.CompareAndSwap(old, rw) {
+			return false
+		}
+		db.engine.Store(rw.Engine())
+		db.registerReplicationMetrics(rw.Engine().Metrics())
+		db.failovers.Add(1)
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	rw, err := replication.Promote(ro, db.opts.rwOptions())
-	if err != nil {
-		return err
-	}
-
-	db.rw.Store(rw)
-	db.engine.Store(rw.Engine())
-	db.registerReplicationMetrics(rw.Engine().Metrics())
-	db.failovers.Add(1)
-	old.Stop()
 
 	// The promoted leader replayed into a fresh physical page-ID space and
 	// published a new snapshot; replicas attached to the deposed leader
@@ -81,15 +69,3 @@ func (db *DB) Epoch() uint64 {
 
 // Failovers returns how many times this DB has promoted a new leader.
 func (db *DB) Failovers() int64 { return db.failovers.Load() }
-
-// Failover deposes the leader of one shard and promotes a follower in its
-// place; see DB.Failover for the sequence and guarantees. Writes routed to
-// the shard during the switch fail with fencing errors rather than being
-// silently dropped.
-func (c *ClusterDB) Failover(shard int) error { return c.cluster.Failover(shard) }
-
-// Failovers returns how many shard leaders this cluster has replaced.
-func (c *ClusterDB) Failovers() int64 { return c.cluster.Failovers() }
-
-// ShardEpoch returns the WAL fence epoch of one shard's current leader.
-func (c *ClusterDB) ShardEpoch(shard int) uint64 { return c.cluster.ShardEpoch(shard) }

@@ -1,74 +1,194 @@
 package bg3
 
 import (
-	"fmt"
 	"testing"
 	"time"
+
+	"bg3/internal/graph"
+	"bg3/internal/storage"
 )
 
-// TestDBFailover exercises the public failover surface: a replicated DB
-// promotes a new leader in place, every acknowledged write survives, new
-// writes land under the bumped epoch, attached replicas re-bootstrap onto
-// the new leader, and the epoch/failover counters surface in Stats.
-func TestDBFailover(t *testing.T) {
-	db := openDB(t, &Options{Replicated: true, ReplicaPollInterval: time.Millisecond})
-	for i := 0; i < 30; i++ {
-		if err := db.AddEdge(Edge{Src: 1, Dst: VertexID(100 + i), Type: ETypeFollow,
-			Props: Properties{{Name: "n", Value: []byte(fmt.Sprint(i))}}}); err != nil {
-			t.Fatal(err)
+// failoverTarget is one deployment shape's handle on the single failover
+// sequence (replication.Failover): what to write through, how to depose a
+// leader, and where its fence epoch and failover count surface.
+type failoverTarget struct {
+	store    graph.Store
+	failover func() error
+	// kill fences the leader failover() replaces, as a crash would leave
+	// it: its writes and its best-effort snapshot fail from here on.
+	kill       func() error
+	checkpoint func() error
+	epoch      func() uint64 // fence epoch of the leader failover() replaces
+	failovers  func() int64
+	// untouched lists the fence epochs of leaders failover() must leave
+	// alone (the other shards).
+	untouched func() []uint64
+	// follower opens a read handle on follower nodes and returns it with
+	// its Sync.
+	follower func(t *testing.T) (graph.Reader, func() error)
+}
+
+func fence(st *storage.Store) error {
+	_, err := st.AdvanceStreamEpoch(storage.StreamWAL)
+	return err
+}
+
+func dbFailoverTarget(t *testing.T) failoverTarget {
+	db := openDB(t, &Options{Replicated: true, ReplicaPollInterval: time.Millisecond, MaxPageEntries: 8})
+	return failoverTarget{
+		store:      db,
+		failover:   db.Failover,
+		kill:       func() error { return fence(db.store) },
+		checkpoint: db.Checkpoint,
+		epoch: func() uint64 {
+			// The counters surface identically in Stats.
+			if st := db.Stats().Replication; st.Epoch != db.Epoch() || st.Failovers != db.Failovers() {
+				t.Fatalf("Stats replication = %+v, want epoch %d failovers %d", st, db.Epoch(), db.Failovers())
+			}
+			return db.Epoch()
+		},
+		failovers: db.Failovers,
+		untouched: func() []uint64 { return nil },
+		follower: func(t *testing.T) (graph.Reader, func() error) {
+			rep, err := db.OpenReplica()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep, rep.Sync
+		},
+	}
+}
+
+func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
+	return func(t *testing.T) failoverTarget {
+		db := openSharded(t, &Options{Shards: shards, ReplicaPollInterval: time.Millisecond, MaxPageEntries: 8})
+		if err := db.Failover(shards + 3); err == nil {
+			t.Fatal("failover of a nonexistent shard succeeded")
+		}
+		return failoverTarget{
+			store:      db,
+			failover:   func() error { return db.Failover(victim) },
+			kill:       func() error { return fence(db.Group().Store(victim)) },
+			checkpoint: db.Checkpoint,
+			epoch:      func() uint64 { return db.Group().Leader(victim).Epoch() },
+			failovers:  func() int64 { return db.Stats().Failovers },
+			untouched: func() []uint64 {
+				var out []uint64
+				for i := 0; i < shards; i++ {
+					if i != victim {
+						out = append(out, db.Group().Leader(i).Epoch())
+					}
+				}
+				return out
+			},
+			follower: func(t *testing.T) (graph.Reader, func() error) {
+				view, err := db.OpenReadView()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return view, view.Sync
+			},
 		}
 	}
-	rep, err := db.OpenReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	if err := db.Failover(); err != nil {
-		t.Fatalf("failover: %v", err)
+// TestFailover drives the one promotion sequence through every public
+// entry point — DB.Failover and ShardedDB.Failover(i) (shard.Group) — and
+// holds each to the same contract: the deposed leader's fence epoch bumps
+// and nobody else's, every acknowledged write survives with its value,
+// new writes land on the promoted leader, a follower handle opened before
+// the failover serves every acked edge after it, and a second failover —
+// of a leader that died, so the promotion replays a WAL suffix its
+// followers tailed under the old leader's page IDs — stacks on the first.
+func TestFailover(t *testing.T) {
+	cases := []struct {
+		name string
+		open func(t *testing.T) failoverTarget
+	}{
+		{"DB", dbFailoverTarget},
+		{"ShardedDB/shard0of2", shardFailoverTarget(2, 0)},
+		{"ShardedDB/shard1of2", shardFailoverTarget(2, 1)},
+		{"ShardedDB/shard2of4", shardFailoverTarget(4, 2)},
 	}
-	if got := db.Epoch(); got != 1 {
-		t.Fatalf("Epoch = %d, want 1", got)
-	}
-	if got := db.Failovers(); got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt := tc.open(t)
+			// Sources 1..40 spread over every shard of a sharded target;
+			// edge i carries its own index so lost updates are visible.
+			acked := 0
+			write := func(n int) {
+				t.Helper()
+				for ; n > 0; n-- {
+					acked++
+					if err := tgt.store.AddEdge(Edge{Src: VertexID(acked%40 + 1), Dst: VertexID(acked), Type: ETypeFollow,
+						Props: Properties{{Name: "n", Value: []byte{byte(acked)}}}}); err != nil {
+						t.Fatalf("write %d: %v", acked, err)
+					}
+				}
+			}
+			reader, sync := tgt.follower(t)
+			// Leaders and the follower handle opened before any failover
+			// (one sync later) agree on every acked edge.
+			check := func(when string) {
+				t.Helper()
+				if err := sync(); err != nil {
+					t.Fatal(err)
+				}
+				for name, r := range map[string]graph.Reader{"leader": tgt.store, "follower": reader} {
+					for i := 1; i <= acked; i++ {
+						e, ok, err := r.GetEdge(VertexID(i%40+1), ETypeFollow, VertexID(i))
+						if err != nil || !ok {
+							t.Fatalf("%s, %s: edge %d: ok=%v err=%v", when, name, i, ok, err)
+						}
+						if v, _ := e.Props.Get("n"); len(v) != 1 || v[0] != byte(i) {
+							t.Fatalf("%s, %s: edge %d = %x", when, name, i, v)
+						}
+					}
+				}
+			}
 
-	for i := 0; i < 30; i++ {
-		e, ok, err := db.GetEdge(1, ETypeFollow, VertexID(100+i))
-		if err != nil || !ok {
-			t.Fatalf("edge %d after failover: ok=%v err=%v", i, ok, err)
-		}
-		if v, _ := e.Props.Get("n"); string(v) != fmt.Sprint(i) {
-			t.Fatalf("edge %d = %q", i, v)
-		}
-	}
-	if err := db.AddEdge(Edge{Src: 2, Dst: 200, Type: ETypeFollow}); err != nil {
-		t.Fatalf("write on promoted leader: %v", err)
-	}
+			write(40)
+			if err := tgt.failover(); err != nil {
+				t.Fatalf("failover: %v", err)
+			}
+			if got := tgt.epoch(); got != 1 {
+				t.Fatalf("fence epoch = %d, want 1", got)
+			}
+			if got := tgt.failovers(); got != 1 {
+				t.Fatalf("failovers = %d, want 1", got)
+			}
+			// Enough post-promotion writes to split pages on every shard,
+			// flushed so the WAL suffix carries page locations too.
+			write(400)
+			if err := tgt.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check("after failover")
 
-	// The replica re-bootstrapped during Failover; one sync later it serves
-	// the post-failover write.
-	if err := rep.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := rep.GetEdge(2, ETypeFollow, 200); err != nil || !ok {
-		t.Fatalf("post-failover write on replica: ok=%v err=%v", ok, err)
-	}
-
-	st := db.Stats()
-	if st.Replication.Epoch != 1 || st.Replication.Failovers != 1 {
-		t.Fatalf("Stats replication = %+v", st.Replication)
-	}
-
-	// A second failover stacks: epochs are monotonic across promotions.
-	if err := db.Failover(); err != nil {
-		t.Fatalf("second failover: %v", err)
-	}
-	if got := db.Epoch(); got != 2 {
-		t.Fatalf("Epoch after second failover = %d, want 2", got)
-	}
-	if _, ok, _ := db.GetEdge(2, ETypeFollow, 200); !ok {
-		t.Fatal("write lost across second failover")
+			if err := tgt.kill(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tgt.failover(); err != nil {
+				t.Fatalf("failover of a dead leader: %v", err)
+			}
+			// Monotonic across promotions: the crash's fence, then the claim.
+			if got := tgt.epoch(); got != 3 {
+				t.Fatalf("fence epoch after second failover = %d, want 3", got)
+			}
+			if got := tgt.failovers(); got != 2 {
+				t.Fatalf("failovers = %d, want 2", got)
+			}
+			for _, e := range tgt.untouched() {
+				if e != 0 {
+					t.Fatalf("untouched leader epochs = %v, want all 0", tgt.untouched())
+				}
+			}
+			write(100)
+			if err := tgt.checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			check("after failover of a dead leader")
+		})
 	}
 }
 
@@ -81,46 +201,5 @@ func TestDBFailoverNotReplicated(t *testing.T) {
 	}
 	if db.Epoch() != 0 || db.Failovers() != 0 {
 		t.Fatal("non-replicated DB reports failover state")
-	}
-}
-
-// TestClusterDBFailover promotes one shard's leader through the public
-// cluster API: the shard keeps serving routed reads and writes, the other
-// shards are untouched, and the counters advance.
-func TestClusterDBFailover(t *testing.T) {
-	c, err := OpenCluster(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	for i := 1; i <= 40; i++ {
-		if err := c.AddEdge(Edge{Src: VertexID(i), Dst: 1, Type: ETypeFollow,
-			Props: Properties{{Name: "n", Value: []byte{byte(i)}}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Failover(0); err != nil {
-		t.Fatalf("failover: %v", err)
-	}
-	if got := c.Failovers(); got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
-	if c.ShardEpoch(0) != 1 {
-		t.Fatalf("ShardEpoch(0) = %d, want 1", c.ShardEpoch(0))
-	}
-	for i := 1; i <= 40; i++ {
-		e, ok, err := c.GetEdge(VertexID(i), ETypeFollow, 1)
-		if err != nil || !ok {
-			t.Fatalf("edge %d after shard failover: ok=%v err=%v", i, ok, err)
-		}
-		if v, _ := e.Props.Get("n"); len(v) != 1 || v[0] != byte(i) {
-			t.Fatalf("edge %d = %x", i, v)
-		}
-	}
-	for i := 41; i <= 60; i++ {
-		if err := c.AddEdge(Edge{Src: VertexID(i), Dst: 2, Type: ETypeFollow}); err != nil {
-			t.Fatalf("post-failover write %d: %v", i, err)
-		}
 	}
 }

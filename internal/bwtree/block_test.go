@@ -4,12 +4,27 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bg3/internal/gc"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
+
+// mustBuildBlock forces a build covering everything written so far. A
+// sync tree's write path spawns background builds once it is past the
+// threshold; the in-flight one is waited out first, or it would hold the
+// build lock and turn TryBuildEdgeBlock into a no-op.
+func mustBuildBlock(t *testing.T, tr *Tree) {
+	t.Helper()
+	for tr.blocks.buildSpawned.Load() {
+		runtime.Gosched()
+	}
+	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
+		t.Fatalf("build = %v, %v", built, err)
+	}
+}
 
 func blockEntries(n int) []kv {
 	out := make([]kv, n)
@@ -152,9 +167,7 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		put(fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d", i))
 	}
-	if built, err := blocked.TryBuildEdgeBlock(); err != nil || !built {
-		t.Fatalf("build = %v, %v", built, err)
-	}
+	mustBuildBlock(t, blocked)
 	info, ok := blocked.EdgeBlock()
 	if !ok || info.Entries != 200 {
 		t.Fatalf("block info = %+v ok=%v, want 200 entries", info, ok)
@@ -198,9 +211,7 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	check("overlaid")
 
 	// Rebuild folds the overlay into a fresh block.
-	if built, err := blocked.TryBuildEdgeBlock(); err != nil || !built {
-		t.Fatalf("rebuild = %v, %v", built, err)
-	}
+	mustBuildBlock(t, blocked)
 	if info, ok = blocked.EdgeBlock(); !ok || info.Entries != 200 {
 		t.Fatalf("rebuilt block info = %+v ok=%v, want 200 entries", info, ok)
 	}
@@ -317,9 +328,7 @@ func TestEdgeBlockGCPinning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
-		t.Fatalf("build = %v, %v", built, err)
-	}
+	mustBuildBlock(t, tr)
 	pinned := tr.m.BlockExtents(storage.StreamBase)
 	if len(pinned) == 0 {
 		t.Fatal("no pinned extents for a live block")

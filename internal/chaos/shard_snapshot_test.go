@@ -221,7 +221,7 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	if got := g.Cluster().Failovers(); got != 2 {
+	if got := g.Metrics().Snapshot()["shard.failovers"].Value; got != 2 {
 		t.Fatalf("failovers = %d, want 2", got)
 	}
 

@@ -87,34 +87,4 @@ func (r *Replica) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	return n, err
 }
 
-// readOnlyStore adapts a Replica to graph.Store for traversal helpers and
-// pattern matching; write methods fail.
-type readOnlyStore struct{ r *Replica }
-
-// AsStore returns a graph.Store view whose write methods return
-// graph.ErrCorrupt-free explicit errors (replicas are read-only).
-func (r *Replica) AsStore() graph.Store { return readOnlyStore{r} }
-
-func (s readOnlyStore) AddVertex(graph.Vertex) error { return errReadOnly }
-func (s readOnlyStore) AddEdge(graph.Edge) error     { return errReadOnly }
-func (s readOnlyStore) DeleteEdge(graph.VertexID, graph.EdgeType, graph.VertexID) error {
-	return errReadOnly
-}
-func (s readOnlyStore) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	return s.r.GetVertex(id, typ)
-}
-func (s readOnlyStore) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	return s.r.GetEdge(src, typ, dst)
-}
-func (s readOnlyStore) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	return s.r.Neighbors(src, typ, limit, fn)
-}
-func (s readOnlyStore) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	return s.r.Degree(src, typ)
-}
-
-type roError string
-
-func (e roError) Error() string { return string(e) }
-
-const errReadOnly = roError("core: replica is read-only")
+var _ graph.Reader = (*Replica)(nil)

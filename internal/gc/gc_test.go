@@ -189,6 +189,46 @@ func TestReclaimerTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestReclaimerTTLBypassClockAfterUsage: an extent invalidated between
+// RunOnce's first clock read and its usage snapshot has LastUpdate ahead
+// of that read. With TTLBypassMargin = TTL (Table 2's +TTL row) every
+// extent is "about to expire", so nothing may move; handing the stale
+// read to the policy made exactly these extents look far from expiry.
+func TestReclaimerTTLBypassClockAfterUsage(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	st := storage.Open(&storage.Options{ExtentSize: 64, Now: func() time.Time { return t0.Add(time.Millisecond) }})
+	var locs []storage.Loc
+	for i := 0; i < 16; i++ {
+		loc, err := st.Append(storage.StreamBase, uint64(i), []byte("12345678"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, loc)
+	}
+	for i := 0; i < 8; i += 2 {
+		st.Invalidate(locs[i])
+	}
+	const ttl = 10 * time.Second
+	r := NewReclaimer(st, storage.StreamBase, WorkloadAware{TTL: ttl, TTLBypassMargin: ttl},
+		func(uint64, storage.Loc, storage.Loc) bool { return true })
+	r.TTL = ttl
+	reads := 0
+	r.Now = func() time.Time {
+		reads++
+		if reads == 1 {
+			return t0 // before the invalidations above
+		}
+		return t0.Add(2 * time.Millisecond)
+	}
+	moved, err := r.RunOnce(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved != 0 {
+		t.Fatalf("TTL-doomed extents relocated: moved %d bytes, want 0", moved)
+	}
+}
+
 func TestReclaimerBackground(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 64})
 	var locs []storage.Loc

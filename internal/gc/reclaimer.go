@@ -120,7 +120,10 @@ func (r *Reclaimer) RunOnce(n int) (int64, error) {
 			}
 		}
 	}
-	ids := r.policy.Pick(usage, n, now)
+	// The policy's clock is read after the usage snapshot: an extent
+	// invalidated since the first read has LastUpdate > now, which a
+	// TTL-aware policy would take for "far from expiry" and relocate.
+	ids := r.policy.Pick(usage, n, r.now())
 	var moved int64
 	for _, id := range ids {
 		m, err := r.store.Reclaim(r.stream, id, r.relocate)

@@ -55,59 +55,35 @@ func Promote(ro *RONode, opts RWOptions) (*RWNode, error) {
 	return rw, nil
 }
 
-// Failover deposes the shard's current leader and installs a freshly
-// promoted one on the same store: best-effort snapshot (so the promotion
-// has a bootstrap point even if none was ever written — skipped when the
-// old leader is already dead or fenced), attach a transient follower,
-// Promote it, stop the old leader, swap. Writes routed to the shard during
-// the switch fail with errors wrapping storage.ErrFenced or
-// wal.ErrWriterFailed rather than being silently dropped; the caller
-// retries against the new leader.
-func (c *Cluster) Failover(shard int) error {
-	c.mu.RLock()
-	if shard < 0 || shard >= len(c.shards) {
-		c.mu.RUnlock()
-		return fmt.Errorf("replication: failover: no shard %d", shard)
-	}
-	old := c.shards[shard]
-	st := c.stores[shard]
-	c.mu.RUnlock()
-
+// Failover deposes old and installs a freshly promoted leader on the same
+// store — the one promotion sequence every deployment shape runs:
+// best-effort snapshot through the old leader (so the promotion has a
+// bootstrap point even if none was ever written; a dead or already-fenced
+// leader fails this harmlessly and the last snapshot is used), attach a
+// transient follower, Promote it, hand the new leader to swap, stop the
+// old one. swap publishes the promoted leader wherever the owner routes
+// from and reports false when old is no longer the owner's leader (the
+// owner closed, or another failover won); the promoted node is then
+// stopped and the error wraps storage.ErrFenced. Writes issued during the
+// switch either commit durably before the fence or fail with errors
+// wrapping storage.ErrFenced / wal.ErrWriterFailed — never silent loss;
+// the caller retries against the new leader.
+func Failover(st *storage.Store, old *RWNode, swap func(promoted *RWNode) bool) error {
 	_, _ = old.WriteSnapshot()
+	// The transient follower exists only to be promoted; Promote stops its
+	// poll loop immediately, so the interval never fires.
 	ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
 	if err != nil {
-		return fmt.Errorf("replication: failover shard %d: %w", shard, err)
+		return fmt.Errorf("replication: failover: %w", err)
 	}
 	rw, err := Promote(ro, old.opts)
 	if err != nil {
-		return fmt.Errorf("replication: failover shard %d: %w", shard, err)
+		return fmt.Errorf("replication: failover: %w", err)
 	}
-
-	c.mu.Lock()
-	if c.shards == nil || c.shards[shard] != old {
-		// The cluster stopped or another failover won the shard meanwhile;
-		// this leader has been fenced out already.
-		c.mu.Unlock()
+	if !swap(rw) {
 		rw.Stop()
-		return fmt.Errorf("replication: failover shard %d: %w", shard, storage.ErrFenced)
+		return fmt.Errorf("replication: failover: %w", storage.ErrFenced)
 	}
-	c.shards[shard] = rw
-	c.mu.Unlock()
 	old.Stop()
-	c.failovers.Add(1)
 	return nil
-}
-
-// Failovers returns how many shard leaders have been replaced.
-func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
-
-// ShardEpoch returns the WAL fence epoch the shard's current leader
-// appends under.
-func (c *Cluster) ShardEpoch(shard int) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if shard < 0 || shard >= len(c.shards) {
-		return 0
-	}
-	return c.shards[shard].Epoch()
 }

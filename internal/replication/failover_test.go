@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,56 +110,96 @@ func TestPromoteNilFollower(t *testing.T) {
 	}
 }
 
-// TestClusterFailover swaps one shard's leader in place: writes routed to
-// the shard keep working after the failover, the other shards are
-// untouched, and the epoch/failover counters advance.
-func TestClusterFailover(t *testing.T) {
-	c, err := NewCluster(2, nil, testRWOpts())
+// TestFailoverSwapRefused: when the owner no longer routes to old (it
+// closed, or another failover won the swap) the promoted node is stopped
+// and the caller sees a fencing error; a later failover still succeeds and
+// serves everything acknowledged.
+func TestFailoverSwapRefused(t *testing.T) {
+	st := storage.Open(nil)
+	defer st.Close()
+	old, err := NewRWNode(st, testRWOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Stop()
-
-	// Write through the routing layer so both shards hold data.
-	for i := 1; i <= 40; i++ {
-		e := graph.Edge{Src: graph.VertexID(i), Dst: 1, Type: graph.ETypeFollow,
-			Props: graph.Properties{{Name: "p", Value: []byte{byte(i)}}}}
-		if err := c.AddEdge(e); err != nil {
-			t.Fatal(err)
-		}
+	defer old.Stop()
+	if err := old.AddEdge(graph.Edge{Src: 1, Dst: 2, Type: graph.ETypeFollow}); err != nil {
+		t.Fatal(err)
 	}
 
-	if err := c.Failover(1); err != nil {
-		t.Fatalf("failover: %v", err)
+	var refused *RWNode
+	err = Failover(st, old, func(rw *RWNode) bool { refused = rw; return false })
+	if !errors.Is(err, storage.ErrFenced) {
+		t.Fatalf("refused swap: err = %v, want ErrFenced", err)
 	}
-	if got := c.Failovers(); got != 1 {
-		t.Fatalf("Failovers = %d, want 1", got)
-	}
-	if got := c.ShardEpoch(1); got != 1 {
-		t.Fatalf("ShardEpoch(1) = %d, want 1", got)
-	}
-	if got := c.ShardEpoch(0); got != 0 {
-		t.Fatalf("ShardEpoch(0) = %d, want 0 (untouched shard)", got)
+	if err := refused.AddEdge(graph.Edge{Src: 1, Dst: 3, Type: graph.ETypeFollow}); err == nil {
+		t.Fatal("refused candidate still accepts writes")
 	}
 
-	// Every pre-failover write is still readable through the router, and
-	// new writes land on whichever leader now owns the shard.
-	for i := 1; i <= 40; i++ {
-		e, ok, err := c.GetEdge(graph.VertexID(i), graph.ETypeFollow, 1)
-		if err != nil || !ok {
-			t.Fatalf("edge %d after failover: ok=%v err=%v", i, ok, err)
-		}
-		if v, _ := e.Props.Get("p"); len(v) != 1 || v[0] != byte(i) {
-			t.Fatalf("edge %d = %x", i, v)
-		}
+	var next *RWNode
+	if err := Failover(st, old, func(rw *RWNode) bool { next = rw; return true }); err != nil {
+		t.Fatalf("failover after a refused one: %v", err)
 	}
-	for i := 41; i <= 60; i++ {
-		if err := c.AddEdge(graph.Edge{Src: graph.VertexID(i), Dst: 2, Type: graph.ETypeFollow}); err != nil {
-			t.Fatalf("post-failover write %d: %v", i, err)
-		}
+	defer next.Stop()
+	if _, ok, err := next.GetEdge(1, graph.ETypeFollow, 2); err != nil || !ok {
+		t.Fatalf("acked edge after failover: ok=%v err=%v", ok, err)
 	}
+	if err := old.AddEdge(graph.Edge{Src: 1, Dst: 4, Type: graph.ETypeFollow}); !errors.Is(err, storage.ErrFenced) &&
+		!errors.Is(err, wal.ErrWriterFailed) && !errors.Is(err, wal.ErrCommitterStopped) {
+		t.Fatalf("deposed leader write err = %v, want a fencing error", err)
+	}
+}
 
-	if err := c.Failover(5); err == nil {
-		t.Fatal("failover of a nonexistent shard succeeded")
+// TestFailoverKeepsAckedWritesPastBarrierBypassingRecords: records logged
+// straight through the committer (the 2PC control records) bypass the
+// apply barrier, so they keep landing while WriteSnapshot holds it. The
+// snapshot's WAL cursor must not pass any record above its horizon, or
+// the promotion reads a hole at horizon+1 and discards every acked group
+// behind it as fence debris.
+func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
+	st := storage.Open(nil)
+	defer st.Close()
+	opts := testRWOpts()
+	opts.PipelineDepth = 8
+	leader, err := NewRWNode(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { leader.Stop() }()
+
+	acked := 0
+	for round := 0; round < 8; round++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func(node *RWNode) {
+			defer wg.Done()
+			for n := uint64(1); ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Fencing errors once the promotion starts are expected.
+				_, _ = node.Logger().Log(&wal.Record{Type: wal.RecordTxnAbort, TreeID: n})
+			}
+		}(leader)
+		for i := 0; i < 50; i++ {
+			acked++
+			if err := leader.AddEdge(graph.Edge{Src: graph.VertexID(acked % 7), Dst: graph.VertexID(acked), Type: graph.ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old := leader
+		err := Failover(st, old, func(rw *RWNode) bool { leader = rw; return true })
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for i := 1; i <= acked; i++ {
+			if _, ok, err := leader.GetEdge(graph.VertexID(i%7), graph.ETypeFollow, graph.VertexID(i)); err != nil || !ok {
+				t.Fatalf("round %d: acked edge %d after failover: ok=%v err=%v", round, i, ok, err)
+			}
+		}
 	}
 }

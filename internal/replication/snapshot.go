@@ -225,6 +225,12 @@ func (n *RWNode) WriteSnapshot() (wal.LSN, error) {
 	// Quiesce: with the barrier held exclusively, every assigned LSN is
 	// applied, and FlushDirty makes the durable state equal memory.
 	n.applyBarrier.Lock()
+	// The cursor is sampled before the horizon: records that bypass the
+	// barrier (2PC control records) keep being assigned LSNs and landing
+	// while it is held, and recovery resumes at the cursor expecting
+	// horizon+1 — a record above the horizon that landed before the cursor
+	// would read as a hole and strand every acked group after it.
+	cursor := n.store.TailCursor(storage.StreamWAL)
 	horizon := n.logger.LastLSN()
 	updates, err := n.engine.FlushDirty()
 	if err != nil {
@@ -232,7 +238,6 @@ func (n *RWNode) WriteSnapshot() (wal.LSN, error) {
 		return 0, err
 	}
 	state := n.engine.SnapshotState()
-	cursor := n.store.TailCursor(storage.StreamWAL)
 	n.applyBarrier.Unlock()
 
 	// Publish the flush to existing replicas as a normal checkpoint.

@@ -43,11 +43,7 @@ func FuzzShardSnapshotVector(f *testing.F) {
 		}
 
 		// Exact released horizon: always valid.
-		released := make([]uint64, len(v))
-		for i, e := range v {
-			released[i] = uint64(e)
-		}
-		if err := v.ValidateAgainst(released); err != nil {
+		if err := v.ValidateAgainst(v); err != nil {
 			t.Fatalf("vector rejected against its own horizon: %v", err)
 		}
 
@@ -60,13 +56,13 @@ func FuzzShardSnapshotVector(f *testing.F) {
 			}
 		}
 		if ahead {
-			if err := v.ValidateAgainst(make([]uint64, len(v))); !errors.Is(err, mvcc.ErrFutureEpoch) {
+			if err := v.ValidateAgainst(make(Vector, len(v))); !errors.Is(err, mvcc.ErrFutureEpoch) {
 				t.Fatalf("component ahead of horizon: err = %v, want ErrFutureEpoch", err)
 			}
 		}
 
 		// Shard-count mismatch rejects regardless of values.
-		if err := v.ValidateAgainst(make([]uint64, len(v)+1)); err == nil {
+		if err := v.ValidateAgainst(make(Vector, len(v)+1)); err == nil {
 			t.Fatal("wrong-length horizon accepted")
 		}
 	})

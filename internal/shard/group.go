@@ -25,14 +25,19 @@ import (
 // on the owning shard's leader; consistent cross-shard reads go through
 // Snapshot / SnapshotAt.
 type Group struct {
-	router  *Router
-	cluster *replication.Cluster
+	router *Router
+	// leaders[i] is shard i's current leader; Failover swaps it in place
+	// while routed writes keep arriving, Close clears it. stores is
+	// immutable after Open: a promoted leader reopens the same volume.
+	leaders []atomic.Pointer[replication.RWNode]
+	stores  []*storage.Store
 	reg     *metrics.Registry
 
 	txnSeq    atomic.Uint64 // transaction id counter, randomly salted
 	mgr       *txnManager
 	stageHook func(stage TxnStage, txn uint64, parts []int) // test fault injection
 
+	failovers   metrics.Counter // shard leaders replaced
 	batches     metrics.Counter // ApplyBatch calls routed
 	fanout      metrics.IntHistogram
 	scatterHops metrics.Counter // scatter-gather hop rounds issued
@@ -50,11 +55,28 @@ type Group struct {
 // Open creates a group of n shards with identical options. storageOpts
 // may be nil for defaults; each shard opens its own store.
 func Open(n int, storageOpts *storage.Options, rw replication.RWOptions) (*Group, error) {
-	c, err := replication.NewCluster(n, storageOpts, rw)
-	if err != nil {
-		return nil, err
+	router := NewRouter(n)
+	n = router.Shards()
+	g := &Group{
+		router:  router,
+		leaders: make([]atomic.Pointer[replication.RWNode], n),
+		stores:  make([]*storage.Store, n),
+		reg:     metrics.NewRegistry(),
+		mgr:     newTxnManager(),
 	}
-	g := &Group{router: NewRouter(n), cluster: c, reg: metrics.NewRegistry(), mgr: newTxnManager()}
+	for i := range g.stores {
+		var so storage.Options
+		if storageOpts != nil {
+			so = *storageOpts
+		}
+		g.stores[i] = storage.Open(&so)
+		node, err := replication.NewRWNode(g.stores[i], rw)
+		if err != nil {
+			g.Close()
+			return nil, err
+		}
+		g.leaders[i].Store(node)
+	}
 	g.txnSeq.Store(newTxnSalt())
 	g.registerMetrics()
 	return g, nil
@@ -73,7 +95,7 @@ func (g *Group) registerMetrics() {
 	r.RegisterCounter("shard.txn_aborts", &g.txnAborts)
 	r.RegisterCounter("shard.txn_indoubt_resolved", &g.txnResolved)
 	r.RegisterCounter("shard.txn_resolve_reapplied", &g.txnReapply)
-	r.CounterFunc("shard.failovers", g.cluster.Failovers)
+	r.RegisterCounter("shard.failovers", &g.failovers)
 	r.GaugeFunc("shard.shards", func() int64 { return int64(g.router.Shards()) })
 }
 
@@ -84,38 +106,68 @@ func (g *Group) Metrics() *metrics.Registry { return g.reg }
 // Router returns the vertex → shard mapping.
 func (g *Group) Router() *Router { return g.router }
 
-// Cluster returns the underlying replication cluster (per-shard leaders,
-// stores, and failover).
-func (g *Group) Cluster() *replication.Cluster { return g.cluster }
-
 // Shards returns the shard count.
 func (g *Group) Shards() int { return g.router.Shards() }
 
-// Leader returns shard i's current leader.
-func (g *Group) Leader(i int) *replication.RWNode { return g.cluster.Leader(i) }
+// Leader returns shard i's current leader (nil once the group is
+// closed). Failover may replace it at any moment; callers that need a
+// stable leader for a sequence of operations take it once and accept
+// storage.ErrFenced from a deposed one.
+func (g *Group) Leader(i int) *replication.RWNode { return g.leaders[i].Load() }
 
-// Store returns shard i's shared-storage volume.
-func (g *Group) Store(i int) *storage.Store { return g.cluster.Store(i) }
+// Store returns shard i's shared-storage volume — the stable handle for
+// WAL replay and chaos oracles across failovers.
+func (g *Group) Store(i int) *storage.Store { return g.stores[i] }
 
 // Failover fences shard i's leader and promotes a replacement built
-// from the shard's durable state; other shards are untouched. After the
-// promotion an in-doubt resolution pass settles every durable prepare on
-// the shard with no local outcome marker: transactions whose coordinator
-// holds a durable commit are re-applied (idempotently) and marked
-// applied, all others abort (presumed abort).
+// from the shard's durable state (replication.Failover); other shards
+// are untouched. After the promotion an in-doubt resolution pass settles
+// every durable prepare on the shard with no local outcome marker:
+// transactions whose coordinator holds a durable commit are re-applied
+// (idempotently) and marked applied, all others abort (presumed abort).
 func (g *Group) Failover(i int) error {
-	if err := g.cluster.Failover(i); err != nil {
-		return err
+	if i < 0 || i >= g.Shards() {
+		return fmt.Errorf("shard: failover: no shard %d", i)
 	}
+	old := g.Leader(i)
+	if old == nil {
+		return fmt.Errorf("shard %d: failover: group closed", i)
+	}
+	err := replication.Failover(g.stores[i], old, func(rw *replication.RWNode) bool {
+		return g.leaders[i].CompareAndSwap(old, rw)
+	})
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", i, err)
+	}
+	g.failovers.Inc()
 	return g.resolveInDoubt(i)
 }
 
-// Close stops every shard.
-func (g *Group) Close() { g.cluster.Stop() }
+// Close stops every shard's leader and closes its store.
+func (g *Group) Close() {
+	for i := range g.leaders {
+		if node := g.leaders[i].Swap(nil); node != nil {
+			node.Stop()
+		}
+		if st := g.stores[i]; st != nil {
+			st.Close()
+		}
+	}
+}
+
+// Checkpoint flushes and checkpoints every shard.
+func (g *Group) Checkpoint() error {
+	for i := range g.leaders {
+		if err := g.Leader(i).Checkpoint(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // owner returns the leader currently owning id.
 func (g *Group) owner(id graph.VertexID) *replication.RWNode {
-	return g.cluster.Leader(g.router.Owner(id))
+	return g.Leader(g.router.Owner(id))
 }
 
 // AddVertex implements graph.Store on the owning shard.
@@ -335,7 +387,7 @@ func isFenceErr(err error) bool {
 }
 
 func (g *Group) applyShard(i int, part []graph.Mutation) error {
-	return g.cluster.Leader(i).ApplyBatch(part)
+	return g.Leader(i).ApplyBatch(part)
 }
 
 // applyTxn runs the cross-shard 2PC protocol for a batch split across
@@ -375,7 +427,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			node := g.cluster.Leader(i)
+			node := g.Leader(i)
 			ps := &prepState{node: node, hold: node.Engine().Epochs().Hold()}
 			payload := EncodePrepare(&TxnPayload{
 				Txn:   txn,
@@ -423,7 +475,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	if cause == nil {
 		if !g.mgr.tryDecide(txn) {
 			cause = fmt.Errorf("txn %d: %w", txn, ErrTxnAborted)
-		} else if _, err := g.cluster.Leader(coord).Logger().Log(&wal.Record{
+		} else if _, err := g.Leader(coord).Logger().Log(&wal.Record{
 			Type:   wal.RecordTxnCommit,
 			TreeID: txn,
 			PageID: uint64(coord),
@@ -503,7 +555,7 @@ func (g *Group) applyDecided(i int, part []graph.Mutation, txn uint64, coord int
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 2 * time.Millisecond)
 		}
-		node := g.cluster.Leader(i)
+		node := g.Leader(i)
 		hold := node.Engine().Epochs().Hold()
 		err := node.ApplyBatch(part)
 		if err == nil {
@@ -531,7 +583,7 @@ func (g *Group) applyDecided(i int, part []graph.Mutation, txn uint64, coord int
 // mid-decision), then the coordinator's durable WAL prefix — a durable
 // commit means commit, anything else aborts (presumed abort).
 func (g *Group) resolveInDoubt(i int) error {
-	state, err := scanShardTxns(g.cluster.Store(i))
+	state, err := scanShardTxns(g.Store(i))
 	if err != nil {
 		return err
 	}
@@ -543,14 +595,14 @@ func (g *Group) resolveInDoubt(i int) error {
 		if !known {
 			cs := coordScans[p.Coord]
 			if cs == nil {
-				if cs, err = scanShardTxns(g.cluster.Store(p.Coord)); err != nil {
+				if cs, err = scanShardTxns(g.Store(p.Coord)); err != nil {
 					return err
 				}
 				coordScans[p.Coord] = cs
 			}
 			committed = cs.commits[txn]
 		}
-		node := g.cluster.Leader(i)
+		node := g.Leader(i)
 		if committed {
 			hold := node.Engine().Epochs().Hold()
 			aerr := node.ApplyBatch(p.Muts)
@@ -585,12 +637,14 @@ func (g *Group) ObserveScatter(st ScatterStats) {
 	g.shardReads.Add(int64(st.ShardReads))
 }
 
-// ReadEpochs samples every shard's released read epoch as a Vector.
+// ReadEpochs samples every shard's released read epoch as a Vector. The
+// components are sampled one shard at a time — consistency of the vector
+// comes from each component being a released group boundary of its own
+// WAL stream, not from cross-shard atomicity.
 func (g *Group) ReadEpochs() Vector {
-	raw := g.cluster.ReadEpochs()
-	v := make(Vector, len(raw))
-	for i, e := range raw {
-		v[i] = mvcc.Epoch(e)
+	v := make(Vector, g.Shards())
+	for i := range v {
+		v[i] = g.Leader(i).Engine().ReadEpoch()
 	}
 	return v
 }
@@ -606,7 +660,7 @@ func (g *Group) ReadEpochs() Vector {
 func (g *Group) Snapshot() *Snapshot {
 	views := make([]*core.ReadView, g.Shards())
 	for i := range views {
-		views[i] = g.cluster.Leader(i).Engine().View()
+		views[i] = g.Leader(i).Engine().View()
 	}
 	g.snapshots.Inc()
 	return &Snapshot{router: g.router, views: views}
@@ -618,13 +672,13 @@ func (g *Group) Snapshot() *Snapshot {
 // history has been folded past the retention floor, or one naming a
 // mid-group LSN all reject the whole cut with no pins leaked.
 func (g *Group) SnapshotAt(v Vector) (*Snapshot, error) {
-	if err := v.ValidateAgainst(g.cluster.ReadEpochs()); err != nil {
+	if err := v.ValidateAgainst(g.ReadEpochs()); err != nil {
 		g.pinRejects.Inc()
 		return nil, err
 	}
 	views := make([]*core.ReadView, len(v))
 	for i, e := range v {
-		view, err := g.cluster.Leader(i).Engine().ViewAt(e)
+		view, err := g.Leader(i).Engine().ViewAt(e)
 		if err != nil {
 			for _, pinned := range views[:i] {
 				pinned.Close()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -118,20 +119,68 @@ func TestGroupFanOutAndRoutedReads(t *testing.T) {
 	}
 }
 
-// TestScatterGatherMatchesSerial is the traversal-equivalence oracle:
-// KHop, MatchPattern, and FindCycles over the cut must return exactly
-// what the serial helpers return when run over the same snapshot as a
-// plain graph.Reader — shard count must be unobservable.
-func TestScatterGatherMatchesSerial(t *testing.T) {
+// refGraph is the trivially correct model traversals are checked
+// against: the seeded ETypeFollow edge set as sorted adjacency lists.
+type refGraph map[graph.VertexID][]graph.VertexID
+
+func newRefGraph(edges map[[2]graph.VertexID]struct{}) refGraph {
+	ref := refGraph{}
+	for e := range edges {
+		ref[e[0]] = append(ref[e[0]], e[1])
+	}
+	for _, dsts := range ref {
+		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	}
+	return ref
+}
+
+func (r refGraph) GetVertex(graph.VertexID, graph.VertexType) (graph.Vertex, bool, error) {
+	return graph.Vertex{}, false, nil
+}
+
+func (r refGraph) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
+	dsts := r[src]
+	i := sort.Search(len(dsts), func(i int) bool { return dsts[i] >= dst })
+	if typ != graph.ETypeFollow || i == len(dsts) || dsts[i] != dst {
+		return graph.Edge{}, false, nil
+	}
+	return graph.Edge{Src: src, Dst: dst, Type: typ}, true, nil
+}
+
+func (r refGraph) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
+	if typ != graph.ETypeFollow {
+		return nil
+	}
+	for i, dst := range r[src] {
+		if (limit > 0 && i >= limit) || !fn(dst, nil) {
+			break
+		}
+	}
+	return nil
+}
+
+func (r refGraph) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
+	if typ != graph.ETypeFollow {
+		return 0, nil
+	}
+	return len(r[src]), nil
+}
+
+// TestTraversalsMatchReferenceModel is the traversal-equivalence oracle:
+// the scatter-gather KHop, and pattern.Match / pattern.FindCycles over
+// the cut as a plain graph.Reader, must return exactly what the same
+// helpers return over the reference model — shard count must be
+// unobservable.
+func TestTraversalsMatchReferenceModel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		g := openTestGroup(t, shards)
-		seedRandomGraph(t, g, 7, 48, 400)
+		ref := newRefGraph(seedRandomGraph(t, g, 7, 48, 400))
 
 		snap := g.Snapshot()
 		for _, start := range []graph.VertexID{1, 7, 23, 48} {
 			for _, hops := range []int{1, 2, 3, 5} {
 				for _, limit := range []int{0, 3} {
-					want, err := graph.KHop(snap, start, graph.ETypeFollow, hops, limit)
+					want, err := graph.KHop(ref, start, graph.ETypeFollow, hops, limit)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,7 +190,7 @@ func TestScatterGatherMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d KHop(%d,%d,%d): scatter %d vertices, serial %d",
+						t.Fatalf("shards=%d KHop(%d,%d,%d): scatter %d vertices, reference %d",
 							shards, start, hops, limit, len(got), len(want))
 					}
 					if len(want) > 0 && stats.Hops == 0 {
@@ -160,31 +209,31 @@ func TestScatterGatherMatchesSerial(t *testing.T) {
 			seeds = append(seeds, v)
 		}
 		for _, max := range []int{0, 1, 17} {
-			want, err := pattern.Match(snap, p, seeds, max)
+			want, err := pattern.Match(ref, p, seeds, max)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := snap.MatchPattern(p, seeds, max)
+			got, err := pattern.Match(snap, p, seeds, max)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d MatchPattern(max=%d): scatter %d, serial %d", shards, max, len(got), len(want))
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d Match(max=%d): cut %d, reference %d", shards, max, len(got), len(want))
 			}
 		}
 
 		for _, start := range []graph.VertexID{1, 23} {
 			for _, max := range []int{0, 5} {
-				want, err := pattern.FindCycles(snap, start, graph.ETypeFollow, 4, max)
+				want, err := pattern.FindCycles(ref, start, graph.ETypeFollow, 4, max)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := snap.FindCycles(start, graph.ETypeFollow, 4, max)
+				got, err := pattern.FindCycles(snap, start, graph.ETypeFollow, 4, max)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d FindCycles(%d,max=%d): scatter %d, serial %d",
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("shards=%d FindCycles(%d,max=%d): cut %d, reference %d",
 						shards, start, max, len(got), len(want))
 				}
 			}
@@ -231,7 +280,7 @@ func TestSnapshotVectorRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.KHop(start, graph.ETypeFollow, 3, 0)
+		got, err := re.KHopScatter(start, graph.ETypeFollow, 3, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,20 @@
 // Package shard partitions the vertex space across N shard groups, each
 // with its own WAL stream, group committer, MVCC epoch clock, and
 // leader/follower set (BG3 §3.1 multi-RW deployments). A Router maps
-// every vertex to exactly one shard; a Group fans batched writes out as
-// per-shard commit groups; a Snapshot pins one released read epoch per
-// shard (a consistent cut) and runs KHop/MatchPattern/FindCycles as
-// scatter-gather over the pinned vector — each hop resolves the
-// frontier's owners, issues per-shard reads in parallel, and merges
-// results with perVertexLimit pushdown intact.
+// every vertex to exactly one shard; a Group owns the per-shard leaders
+// and stores, fans batched writes out as per-shard commit groups and
+// fails shards over one at a time; a Snapshot pins one released read
+// epoch per shard (a consistent cut) that every graph.Reader traversal
+// runs over, with KHop additionally available scatter-gather — each hop
+// resolves the frontier's owners, issues per-shard reads in parallel,
+// and merges results with perVertexLimit pushdown intact.
 package shard
 
 import "bg3/internal/graph"
 
-// fibMul is the 64-bit Fibonacci-hashing multiplier (2^64 / φ, odd). The
-// same constant routes writes in the replication cluster and the Fig. 8
-// simulation cluster, so a vertex written through any path lands on the
-// same shard.
+// fibMul is the 64-bit Fibonacci-hashing multiplier (2^64 / φ, odd).
+// Router is the only vertex → shard hash: shard groups and the Fig. 8
+// simulation cluster (internal/cluster) both route through it.
 const fibMul = 0x9E3779B97F4A7C15
 
 // Router maps vertices to shards by Fibonacci hashing. Routing is total

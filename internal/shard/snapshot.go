@@ -9,7 +9,6 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/mvcc"
-	"bg3/internal/pattern"
 )
 
 // Vector is a pinned cross-shard epoch vector: component i is the
@@ -106,12 +105,12 @@ func DecodeVector(buf []byte) (Vector, error) {
 // the future is forged or misrouted). Epochs at or behind the horizon
 // still fail closed at pin time if their history has been folded
 // (mvcc.ErrRetiredEpoch) or they are not group boundaries.
-func (v Vector) ValidateAgainst(released []uint64) error {
+func (v Vector) ValidateAgainst(released Vector) error {
 	if len(v) != len(released) {
 		return fmt.Errorf("%w: vector has %d shards, group has %d", ErrBadVector, len(v), len(released))
 	}
 	for i, e := range v {
-		if uint64(e) > released[i] {
+		if e > released[i] {
 			return fmt.Errorf("%w: shard %d epoch %d ahead of released horizon %d: %w",
 				ErrBadVector, i, e, released[i], mvcc.ErrFutureEpoch)
 		}
@@ -121,10 +120,10 @@ func (v Vector) ValidateAgainst(released []uint64) error {
 
 // Snapshot is a consistent cross-shard cut: one pinned ReadView per
 // shard, every read routed to the owner and evaluated at that shard's
-// pinned horizon. It implements graph.Reader, so single-threaded
-// traversal helpers run against it unchanged; KHop/MatchPattern/
-// FindCycles on the snapshot itself run scatter-gather (traverse.go)
-// and return exactly what the serial helpers would.
+// pinned horizon. It implements graph.Reader, so graph.KHop,
+// pattern.Match and pattern.FindCycles run against it unchanged;
+// KHopScatter (traverse.go) is the frontier-batched KHop and returns
+// exactly what the serial helper would.
 //
 // A Snapshot holds every shard's retention floor down until closed;
 // close it promptly. Safe for concurrent readers; Close is idempotent.
@@ -184,19 +183,4 @@ func (s *Snapshot) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, 
 // Degree implements graph.Reader at the source owner's pinned horizon.
 func (s *Snapshot) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	return s.view(src).Degree(src, typ)
-}
-
-// MatchPattern runs the backtracking matcher over the cut, scattering
-// independent seeds across workers (traverse.go). Results are identical
-// to pattern.Match over this snapshot as a plain Reader.
-func (s *Snapshot) MatchPattern(p pattern.Pattern, seeds []graph.VertexID, maxMatches int) ([][]graph.VertexID, error) {
-	return s.matchScatter(p, seeds, maxMatches)
-}
-
-// FindCycles enumerates simple cycles through start over the cut,
-// scattering independent first-hop branches across workers
-// (traverse.go). Results are identical to pattern.FindCycles over this
-// snapshot as a plain Reader.
-func (s *Snapshot) FindCycles(start graph.VertexID, typ graph.EdgeType, maxLen, maxCycles int) ([][]graph.VertexID, error) {
-	return s.cyclesScatter(start, typ, maxLen, maxCycles)
 }

@@ -1,41 +1,10 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
 
 	"bg3/internal/graph"
-	"bg3/internal/pattern"
 )
-
-// Scatter-gather traversal over a pinned cut.
-//
-// Every primitive here returns exactly what its serial counterpart
-// (graph.KHop / pattern.Match / pattern.FindCycles over the Snapshot as
-// a plain graph.Reader) would return:
-//
-//   - KHop's reached set depends only on the frontier *sets* and each
-//     vertex's first perVertexLimit neighbors (delivered in key order by
-//     the forest scan), not on frontier iteration order — dedup against
-//     `visited` only skips re-adding a vertex, it never consumes limit.
-//     So gathering per-shard edge lists in parallel and merging them
-//     serially is order-insensitive.
-//   - Match's per-seed result lists are independent (seed order only
-//     decides concatenation), so seeds scatter across workers, each
-//     capped at maxMatches, and the gather concatenates in seed order
-//     and truncates — the serial output is exactly that prefix.
-//   - FindCycles' first-hop branches are independent simple-cycle
-//     enumerations (every cycle through start passes through exactly one
-//     first hop), so branches scatter the same way.
-
-// KHop runs breadth-first expansion over the cut: each hop splits the
-// frontier by owner, issues one batched per-shard read per owner in
-// parallel (ReadView.NeighborsMany, perVertexLimit pushed down into each
-// shard's scan), and merges the per-shard edge lists into the next
-// frontier.
-func (s *Snapshot) KHop(start graph.VertexID, typ graph.EdgeType, hops, perVertexLimit int) (map[graph.VertexID]struct{}, error) {
-	return s.KHopScatter(start, typ, hops, perVertexLimit, nil)
-}
 
 // ScatterStats accumulates scatter-gather observations for one
 // traversal: hop rounds expanded and parallel per-shard reads issued.
@@ -44,8 +13,21 @@ type ScatterStats struct {
 	ShardReads int // parallel per-shard batched reads issued
 }
 
-// KHopScatter is KHop with an observation hook: when stats is non-nil it
-// accumulates the hop rounds and per-shard reads the expansion issued.
+// KHopScatter runs breadth-first expansion over the cut, the one
+// traversal whose parallelism follows the shards: each hop splits the
+// frontier by owner, issues one batched per-shard read per owner in
+// parallel (ReadView.NeighborsMany, perVertexLimit pushed down into each
+// shard's scan), and merges the per-shard edge lists into the next
+// frontier. When stats is non-nil it accumulates the hop rounds and
+// per-shard reads the expansion issued.
+//
+// The reached set is exactly graph.KHop's over the Snapshot as a plain
+// graph.Reader: it depends only on the frontier *sets* and each vertex's
+// first perVertexLimit neighbors (delivered in key order by the forest
+// scan), not on frontier iteration order — dedup against `visited` only
+// skips re-adding a vertex, it never consumes limit. Pattern matching
+// and cycle enumeration have no per-shard structure to exploit and run
+// pattern.Match / pattern.FindCycles over the Snapshot directly.
 func (s *Snapshot) KHopScatter(start graph.VertexID, typ graph.EdgeType, hops, perVertexLimit int, stats *ScatterStats) (map[graph.VertexID]struct{}, error) {
 	visited := map[graph.VertexID]struct{}{start: {}}
 	frontier := []graph.VertexID{start}
@@ -97,153 +79,4 @@ func (s *Snapshot) KHopScatter(start graph.VertexID, typ graph.EdgeType, hops, p
 		frontier = next
 	}
 	return reached, nil
-}
-
-// scatterWorkers bounds traversal fan-out concurrency.
-func scatterWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// matchScatter runs pattern.Match seed-by-seed across workers. Each
-// seed's sub-search is capped at maxMatches (a seed can never contribute
-// more), results concatenate in seed order and truncate to maxMatches —
-// byte-for-byte the serial matcher's output.
-func (s *Snapshot) matchScatter(p pattern.Pattern, seeds []graph.VertexID, maxMatches int) ([][]graph.VertexID, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(seeds) <= 1 {
-		return pattern.Match(s, p, seeds, maxMatches)
-	}
-	type seedResult struct {
-		matches [][]graph.VertexID
-		err     error
-	}
-	results := make([]seedResult, len(seeds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, scatterWorkers(len(seeds)))
-	for i, seed := range seeds {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, seed graph.VertexID) {
-			defer func() { <-sem; wg.Done() }()
-			r := &results[i]
-			r.matches, r.err = pattern.Match(s, p, []graph.VertexID{seed}, maxMatches)
-		}(i, seed)
-	}
-	wg.Wait()
-	var out [][]graph.VertexID
-	for i := range results {
-		out = append(out, results[i].matches...)
-		if maxMatches > 0 && len(out) >= maxMatches {
-			return out[:maxMatches], nil
-		}
-		if results[i].err != nil {
-			return out, results[i].err
-		}
-	}
-	return out, nil
-}
-
-// cyclesScatter enumerates simple cycles through start by scattering the
-// independent first-hop branches across workers; gather concatenates in
-// branch order and truncates to maxCycles — exactly the serial DFS
-// output.
-func (s *Snapshot) cyclesScatter(start graph.VertexID, typ graph.EdgeType, maxLen, maxCycles int) ([][]graph.VertexID, error) {
-	if maxLen < 2 {
-		return nil, nil
-	}
-	var branches []graph.VertexID
-	if err := s.Neighbors(start, typ, 0, func(dst graph.VertexID, _ graph.Properties) bool {
-		if dst != start { // self-loops are not simple cycles here
-			branches = append(branches, dst)
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if len(branches) <= 1 {
-		return pattern.FindCycles(s, start, typ, maxLen, maxCycles)
-	}
-	type branchResult struct {
-		cycles [][]graph.VertexID
-		err    error
-	}
-	results := make([]branchResult, len(branches))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, scatterWorkers(len(branches)))
-	for i, first := range branches {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, first graph.VertexID) {
-			defer func() { <-sem; wg.Done() }()
-			r := &results[i]
-			r.cycles, r.err = s.cyclesFrom(start, first, typ, maxLen, maxCycles)
-		}(i, first)
-	}
-	wg.Wait()
-	var out [][]graph.VertexID
-	for i := range results {
-		out = append(out, results[i].cycles...)
-		if maxCycles > 0 && len(out) >= maxCycles {
-			return out[:maxCycles], nil
-		}
-		if results[i].err != nil {
-			return out, results[i].err
-		}
-	}
-	return out, nil
-}
-
-// cyclesFrom enumerates simple cycles start → first → ... → start, the
-// per-branch unit of cyclesScatter. The DFS mirrors pattern.FindCycles
-// exactly, seeded with a two-vertex path.
-func (s *Snapshot) cyclesFrom(start, first graph.VertexID, typ graph.EdgeType, maxLen, maxCycles int) ([][]graph.VertexID, error) {
-	var out [][]graph.VertexID
-	path := []graph.VertexID{start, first}
-	onPath := map[graph.VertexID]bool{start: true, first: true}
-	var dfs func(cur graph.VertexID) error
-	dfs = func(cur graph.VertexID) error {
-		if maxCycles > 0 && len(out) >= maxCycles {
-			return nil
-		}
-		var nexts []graph.VertexID
-		if err := s.Neighbors(cur, typ, 0, func(dst graph.VertexID, _ graph.Properties) bool {
-			nexts = append(nexts, dst)
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, nxt := range nexts {
-			if nxt == start && len(path) >= 2 {
-				out = append(out, append([]graph.VertexID(nil), path...))
-				if maxCycles > 0 && len(out) >= maxCycles {
-					return nil
-				}
-				continue
-			}
-			if onPath[nxt] || len(path) >= maxLen {
-				continue
-			}
-			path = append(path, nxt)
-			onPath[nxt] = true
-			if err := dfs(nxt); err != nil {
-				return err
-			}
-			onPath[nxt] = false
-			path = path[:len(path)-1]
-		}
-		return nil
-	}
-	if err := dfs(first); err != nil {
-		return out, err
-	}
-	return out, nil
 }

@@ -187,11 +187,15 @@ func (p *FaultPlan) ScheduleCrash(n int64) {
 }
 
 // ClearCrash lifts the crash state and disarms the crash point — the
-// recovering node attaches to the surviving shared store.
+// recovering node attaches to the surviving shared store. A forced tear
+// the crash pre-empted (the crash check runs first and leaves TearNext
+// armed) dies with the crashed node instead of hitting recovery's first
+// append.
 func (p *FaultPlan) ClearCrash() {
 	p.mu.Lock()
 	p.crashed = false
 	p.cfg.CrashAfterAppends = 0
+	p.tearNext = false
 	p.mu.Unlock()
 }
 

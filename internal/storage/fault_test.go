@@ -68,6 +68,9 @@ func TestFaultCrashPoint(t *testing.T) {
 	}
 	loc, _ := s.Append(StreamBase, 1, []byte("pre-crash durable"))
 	_ = loc
+	// A forced tear armed for the append the crash takes instead must not
+	// outlive the crashed node (checked after ClearCrash below).
+	plan.TearNext()
 	if _, err := s.Append(StreamWAL, 0, []byte("crashing")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash append err = %v, want ErrCrashed", err)
 	}

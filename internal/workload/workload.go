@@ -27,9 +27,6 @@ const (
 	OpAddEdge OpKind = iota
 	OpNeighbors
 	OpKHop
-	// OpBatchInsert applies Batch edge upserts as one atomic mutation batch
-	// (one WAL commit group on a replicated store).
-	OpBatchInsert
 )
 
 // Op is one generated operation.
@@ -41,8 +38,6 @@ type Op struct {
 	Hops int
 	// Limit bounds result size for read ops.
 	Limit int
-	// Batch is the mutation count for OpBatchInsert.
-	Batch int
 }
 
 // Generator produces a stream of operations. Implementations must be safe
@@ -173,139 +168,6 @@ func (w *Recommendation) Next() Op {
 	return Op{Kind: OpKHop, Src: w.zipf.draw(), Type: graph.ETypeFollow, Hops: hops, Limit: 32}
 }
 
-// InsertOnly is a pure write workload: every op is a single-edge upsert.
-// It exists to measure the write path in isolation — in particular as the
-// single-append baseline the group-commit scenarios are compared against.
-type InsertOnly struct {
-	rng   *rand.Rand
-	users int
-	zipf  zipfSource
-}
-
-// NewInsertOnly creates the workload over a universe of users.
-func NewInsertOnly(users int, seed int64) *InsertOnly {
-	rng := rand.New(rand.NewSource(seed))
-	return &InsertOnly{rng: rng, users: users, zipf: newZipfSource(rng, users, 1.2)}
-}
-
-// Name implements Generator.
-func (w *InsertOnly) Name() string { return "insert-only" }
-
-// Clone implements Generator.
-func (w *InsertOnly) Clone(seed int64) Generator { return NewInsertOnly(w.users, seed) }
-
-// Next implements Generator.
-func (w *InsertOnly) Next() Op {
-	return Op{Kind: OpAddEdge, Src: w.zipf.draw(), Dst: graph.VertexID(w.rng.Intn(w.users)), Type: graph.ETypeFollow}
-}
-
-// BatchInsert is the bulk-ingest workload: every op is an atomic batch of
-// edge upserts (ApplyBatch), modeling importers and write-behind caches
-// that hand the store pre-grouped mutations.
-type BatchInsert struct {
-	rng   *rand.Rand
-	users int
-	batch int
-	zipf  zipfSource
-}
-
-// NewBatchInsert creates the workload; batch is the mutations per op
-// (default 16 when <= 0).
-func NewBatchInsert(users int, batch int, seed int64) *BatchInsert {
-	if batch <= 0 {
-		batch = 16
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &BatchInsert{rng: rng, users: users, batch: batch, zipf: newZipfSource(rng, users, 1.2)}
-}
-
-// Name implements Generator.
-func (w *BatchInsert) Name() string { return "batch-insert" }
-
-// Clone implements Generator.
-func (w *BatchInsert) Clone(seed int64) Generator { return NewBatchInsert(w.users, w.batch, seed) }
-
-// Next implements Generator.
-func (w *BatchInsert) Next() Op {
-	return Op{
-		Kind: OpBatchInsert, Src: w.zipf.draw(),
-		Dst: graph.VertexID(w.rng.Intn(w.users)), Type: graph.ETypeFollow,
-		Batch: w.batch,
-	}
-}
-
-// MixedReadWrite is a strict 50/50 mix of single-edge upserts and one-hop
-// neighbor reads — the write-heavy serving pattern where group commit must
-// amortize write latency without starving readers.
-type MixedReadWrite struct {
-	rng   *rand.Rand
-	users int
-	zipf  zipfSource
-	flip  bool
-}
-
-// NewMixedReadWrite creates the workload over a universe of users.
-func NewMixedReadWrite(users int, seed int64) *MixedReadWrite {
-	rng := rand.New(rand.NewSource(seed))
-	return &MixedReadWrite{rng: rng, users: users, zipf: newZipfSource(rng, users, 1.2)}
-}
-
-// Name implements Generator.
-func (w *MixedReadWrite) Name() string { return "mixed-50-50" }
-
-// Clone implements Generator.
-func (w *MixedReadWrite) Clone(seed int64) Generator { return NewMixedReadWrite(w.users, seed) }
-
-// Next implements Generator: alternate write and read for a strict 1:1 mix.
-func (w *MixedReadWrite) Next() Op {
-	w.flip = !w.flip
-	if w.flip {
-		return Op{Kind: OpAddEdge, Src: w.zipf.draw(), Dst: graph.VertexID(w.rng.Intn(w.users)), Type: graph.ETypeFollow}
-	}
-	return Op{Kind: OpNeighbors, Src: w.zipf.draw(), Type: graph.ETypeFollow, Limit: 64}
-}
-
-// FullAdjacencyScan is the super-vertex serving workload: unbounded
-// full-adjacency neighbor scans, with slightly over half the queries
-// aimed at a handful of designated super-vertices (IDs 1..Supers, loaded
-// with ~100k edges each by the bench harness) and the rest zipfian over
-// the ordinary user universe. It isolates the sequential-scan path the
-// packed CSR edge blocks accelerate.
-type FullAdjacencyScan struct {
-	rng    *rand.Rand
-	users  int
-	supers int
-	zipf   zipfSource
-}
-
-// NewFullAdjacencyScan creates the workload; supers is the count of
-// designated super-vertices (default 2 when <= 0), occupying vertex IDs
-// 1..supers.
-func NewFullAdjacencyScan(users, supers int, seed int64) *FullAdjacencyScan {
-	if supers <= 0 {
-		supers = 2
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &FullAdjacencyScan{rng: rng, users: users, supers: supers, zipf: newZipfSource(rng, users, 1.2)}
-}
-
-// Name implements Generator.
-func (w *FullAdjacencyScan) Name() string { return "full-adjacency-scan" }
-
-// Clone implements Generator.
-func (w *FullAdjacencyScan) Clone(seed int64) Generator {
-	return NewFullAdjacencyScan(w.users, w.supers, seed)
-}
-
-// Next implements Generator.
-func (w *FullAdjacencyScan) Next() Op {
-	if w.rng.Intn(100) < 55 {
-		// Full scan of one super-vertex's adjacency (limit 0: unbounded).
-		return Op{Kind: OpNeighbors, Src: graph.VertexID(1 + w.rng.Intn(w.supers)), Type: graph.ETypeFollow}
-	}
-	return Op{Kind: OpNeighbors, Src: w.zipf.draw(), Type: graph.ETypeFollow}
-}
-
 // PreloadSpec describes the initial graph built before measurement.
 type PreloadSpec struct {
 	Vertices int
@@ -357,21 +219,6 @@ func Apply(store graph.Store, op Op) error {
 		// stays bounded so deep probes touch a thin path, not the graph.
 		_, err := graph.KHopBudget(store, op.Src, op.Type, op.Hops, 16, op.Limit)
 		return err
-	case OpBatchInsert:
-		n := op.Batch
-		if n <= 0 {
-			n = 1
-		}
-		muts := make([]graph.Mutation, n)
-		for i := 0; i < n; i++ {
-			muts[i] = graph.AddEdgeMut(graph.Edge{
-				Src: op.Src, Dst: op.Dst + graph.VertexID(i), Type: op.Type,
-				Props: graph.Properties{{Name: "ts", Value: []byte{0, 0, 0, 0}}},
-			})
-		}
-		// Dispatches through BatchStore.ApplyBatch when the store supports
-		// it, so the whole batch rides one WAL commit group.
-		return graph.ApplyMutations(store, muts)
 	default:
 		return fmt.Errorf("workload: unknown op kind %d", op.Kind)
 	}

@@ -135,64 +135,6 @@ func TestGeneratorClonesIndependent(t *testing.T) {
 	}
 }
 
-func TestBatchInsertApplies(t *testing.T) {
-	s := newStore(t)
-	g := NewBatchInsert(100, 8, 1)
-	for i := 0; i < 50; i++ {
-		op := g.Next()
-		if op.Kind != OpBatchInsert || op.Batch != 8 {
-			t.Fatalf("op = %+v, want OpBatchInsert with Batch=8", op)
-		}
-		if err := Apply(s, op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	for v := 0; v < 100; v++ {
-		d, err := s.Degree(graph.VertexID(v), graph.ETypeFollow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += d
-	}
-	// 50 batches x 8 mutations, minus (src,dst) upsert collisions.
-	if total < 100 || total > 400 {
-		t.Fatalf("total edges = %d after 400 batched upserts", total)
-	}
-}
-
-func TestMixedReadWriteStrictRatio(t *testing.T) {
-	g := NewMixedReadWrite(100, 3)
-	writes, reads := 0, 0
-	for i := 0; i < 1000; i++ {
-		switch op := g.Next(); op.Kind {
-		case OpAddEdge:
-			writes++
-		case OpNeighbors:
-			reads++
-		default:
-			t.Fatalf("unexpected op kind %d", op.Kind)
-		}
-	}
-	if writes != reads {
-		t.Fatalf("writes=%d reads=%d, want strict 1:1", writes, reads)
-	}
-}
-
-func TestInsertOnlyIsPureWrites(t *testing.T) {
-	g := NewInsertOnly(100, 5)
-	for i := 0; i < 500; i++ {
-		if op := g.Next(); op.Kind != OpAddEdge {
-			t.Fatalf("op kind %d, want OpAddEdge only", op.Kind)
-		}
-	}
-	s := newStore(t)
-	res := Run(s, g, 4, 100, 9)
-	if res.Errors != 0 || res.Ops != 400 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
 func TestPreloadParallel(t *testing.T) {
 	s := newStore(t)
 	if err := PreloadParallel(s, PreloadSpec{Vertices: 100, Edges: 4000, Type: graph.ETypeFollow, Seed: 2}, 16); err != nil {

@@ -207,9 +207,9 @@ func (o Options) coreOptions() core.Options {
 	}
 }
 
-// rwOptions builds the replication.RWOptions a leader runs with — used at
-// Open and again by Failover, so a promoted leader inherits exactly the
-// configuration of the one it replaces.
+// rwOptions builds the replication.RWOptions a leader runs with. A
+// promoted leader inherits them from the one it replaces
+// (replication.Failover).
 func (o Options) rwOptions() replication.RWOptions {
 	fi := o.FlushInterval
 	if fi <= 0 {

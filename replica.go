@@ -1,11 +1,9 @@
 package bg3
 
 import (
-	"time"
-
-	"bg3/internal/graph"
-	"bg3/internal/pattern"
 	"bg3/internal/replication"
+	"bg3/internal/shard"
+	"bg3/internal/storage"
 )
 
 // WriteSnapshot persists a snapshot of the database's durable shape so
@@ -36,7 +34,8 @@ func (db *DB) TrimWAL() int {
 // replica within the WAL shipping delay, with no data loss regardless of
 // network conditions (§3.4).
 type Replica struct {
-	ro *replication.RONode
+	reads // the scale-out read path: every read and traversal runs on the replica
+	ro    *replication.RONode
 }
 
 // OpenReplica attaches a new read-only replica. The DB must have been
@@ -45,17 +44,11 @@ func (db *DB) OpenReplica() (*Replica, error) {
 	if db.leader() == nil {
 		return nil, ErrNotReplicated
 	}
-	interval := db.opts.ReplicaPollInterval
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
-	}
-	// Bootstrap from the latest snapshot when one exists (falls back to a
-	// full WAL replay otherwise).
-	ro, err := replication.NewRONodeFromSnapshot(db.store, interval, db.opts.ReplicaCacheCapacity)
+	f, err := openFollowers(shard.NewRouter(1), []*storage.Store{db.store}, db.opts)
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{ro: ro}
+	r := &Replica{reads: reads{f}, ro: f.ros[0]}
 	db.mu.Lock()
 	db.replicas = append(db.replicas, r)
 	db.mu.Unlock()
@@ -75,39 +68,3 @@ func (r *Replica) Resyncs() int64 { return r.ro.Resyncs() }
 // Sync synchronously drains the WAL so subsequent reads reflect every
 // write the DB has acknowledged so far.
 func (r *Replica) Sync() error { return r.ro.Poll() }
-
-// GetVertex fetches a vertex.
-func (r *Replica) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return r.ro.Replica().GetVertex(id, typ)
-}
-
-// GetEdge fetches one edge.
-func (r *Replica) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return r.ro.Replica().GetEdge(src, typ, dst)
-}
-
-// Neighbors streams src's out-neighbors, like DB.Neighbors.
-func (r *Replica) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return r.ro.Replica().Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns src's out-degree for the given edge type.
-func (r *Replica) Degree(src VertexID, typ EdgeType) (int, error) {
-	return r.ro.Replica().Degree(src, typ)
-}
-
-// KHop expands hops levels of out-neighbors from start on the replica.
-func (r *Replica) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
-	return graph.KHop(r.ro.Replica().AsStore(), start, typ, hops, perVertexLimit)
-}
-
-// MatchPattern runs subgraph matching on the replica — the scale-out
-// read path of the financial-risk-control workload.
-func (r *Replica) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]VertexID, error) {
-	return pattern.Match(r.ro.Replica().AsStore(), p, seeds, maxMatches)
-}
-
-// FindCycles runs loop detection on the replica.
-func (r *Replica) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
-	return pattern.FindCycles(r.ro.Replica().AsStore(), start, typ, maxLen, maxCycles)
-}

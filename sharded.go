@@ -2,10 +2,12 @@ package bg3
 
 import (
 	"fmt"
+	"sync"
 
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 	"bg3/internal/shard"
+	"bg3/internal/storage"
 )
 
 // ShardedDB is a horizontally partitioned BG3 deployment (§3.1): the
@@ -14,12 +16,16 @@ import (
 // stream, group committer, MVCC epoch clock, and failover machinery.
 // Writes route to the owning shard (batches fan out as per-shard commit
 // groups); consistent cross-shard reads pin a per-shard epoch vector (a
-// consistent cut) and traversals run scatter-gather over it.
+// consistent cut) and traversals run over it. Attach ReadView instances
+// to scale strongly consistent reads across follower nodes.
 //
 // All methods are safe for concurrent use.
 type ShardedDB struct {
 	opts  Options
 	group *shard.Group
+
+	mu    sync.Mutex // guards views
+	views []*ReadView
 }
 
 var (
@@ -44,8 +50,18 @@ func OpenSharded(opts *Options) (*ShardedDB, error) {
 	return &ShardedDB{opts: o, group: g}, nil
 }
 
-// Close stops every shard's committer, flusher, and engine.
-func (db *ShardedDB) Close() { db.group.Close() }
+// Close stops every attached read view and every shard's committer,
+// flusher, and engine.
+func (db *ShardedDB) Close() {
+	db.mu.Lock()
+	views := db.views
+	db.views = nil
+	db.mu.Unlock()
+	for _, v := range views {
+		v.Stop()
+	}
+	db.group.Close()
+}
 
 // Shards returns the shard count.
 func (db *ShardedDB) Shards() int { return db.group.Shards() }
@@ -121,17 +137,20 @@ func (db *ShardedDB) ApplyBatchEx(muts []Mutation) ([]ShardOutcome, error) {
 // It holds every shard's MVCC retention floor down until closed; close
 // it promptly. Safe for concurrent readers; Close is idempotent.
 type ShardSnapshot struct {
-	snap *shard.Snapshot
-	db   *ShardedDB
+	reads // every read routes to its owner's pinned horizon
+	snap  *shard.Snapshot
+	db    *ShardedDB
 }
 
 var _ graph.Reader = (*ShardSnapshot)(nil)
 
+func (db *ShardedDB) newSnapshot(snap *shard.Snapshot) *ShardSnapshot {
+	return &ShardSnapshot{reads: reads{snap}, snap: snap, db: db}
+}
+
 // Snapshot pins each shard's current released read epoch and returns the
 // cut. The caller must Close it.
-func (db *ShardedDB) Snapshot() *ShardSnapshot {
-	return &ShardSnapshot{snap: db.group.Snapshot(), db: db}
-}
+func (db *ShardedDB) Snapshot() *ShardSnapshot { return db.newSnapshot(db.group.Snapshot()) }
 
 // SnapshotAt re-attaches a cut from an encoded epoch vector (see
 // ShardSnapshot.Vector). It fails closed: truncated or corrupt vectors,
@@ -148,7 +167,7 @@ func (db *ShardedDB) SnapshotAt(vector []byte) (*ShardSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShardSnapshot{snap: snap, db: db}, nil
+	return db.newSnapshot(snap), nil
 }
 
 // Epochs returns the pinned epoch vector: component i is shard i's
@@ -169,26 +188,6 @@ func (s *ShardSnapshot) Vector() []byte { return s.snap.Epochs().Encode() }
 // Close releases every shard's pin. Idempotent.
 func (s *ShardSnapshot) Close() { s.snap.Close() }
 
-// GetVertex reads the vertex at its owner's pinned horizon.
-func (s *ShardSnapshot) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return s.snap.GetVertex(id, typ)
-}
-
-// GetEdge reads one edge at its source owner's pinned horizon.
-func (s *ShardSnapshot) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return s.snap.GetEdge(src, typ, dst)
-}
-
-// Neighbors streams src's out-neighbors at its owner's pinned horizon.
-func (s *ShardSnapshot) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return s.snap.Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns src's out-degree at its owner's pinned horizon.
-func (s *ShardSnapshot) Degree(src VertexID, typ EdgeType) (int, error) {
-	return s.snap.Degree(src, typ)
-}
-
 // KHop expands hops levels from start over the cut, scatter-gather: each
 // hop splits the frontier by owner, issues batched per-shard reads in
 // parallel (perVertexLimit pushed down into each shard's scan), and
@@ -199,18 +198,6 @@ func (s *ShardSnapshot) KHop(start VertexID, typ EdgeType, hops, perVertexLimit 
 	reached, err := s.snap.KHopScatter(start, typ, hops, perVertexLimit, &st)
 	s.db.group.ObserveScatter(st)
 	return reached, err
-}
-
-// MatchPattern finds embeddings of p anchored at the seeds over the cut,
-// scattering independent seeds across workers.
-func (s *ShardSnapshot) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]VertexID, error) {
-	return s.snap.MatchPattern(p, seeds, maxMatches)
-}
-
-// FindCycles enumerates simple cycles through start over the cut,
-// scattering independent first-hop branches across workers.
-func (s *ShardSnapshot) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
-	return s.snap.FindCycles(start, typ, maxLen, maxCycles)
 }
 
 // KHop is the one-shot traversal: it pins a cut, runs the scatter-gather
@@ -237,15 +224,62 @@ func (db *ShardedDB) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles 
 }
 
 // Failover fences shard i's leader and promotes a replacement rebuilt
-// from the shard's durable state. Other shards keep serving; snapshots
-// pinned on the deposed leader stay exact (their horizons exclude
-// anything the fence cut off).
+// from the shard's durable state; see DB.Failover for the sequence and
+// guarantees. Other shards keep serving; snapshots pinned on the deposed
+// leader stay exact (their horizons exclude anything the fence cut off),
+// and attached read views re-bootstrap shard i's follower onto the
+// promoted leader's snapshot.
 func (db *ShardedDB) Failover(i int) error {
-	if i < 0 || i >= db.group.Shards() {
-		return fmt.Errorf("bg3: failover: shard %d out of range [0,%d)", i, db.group.Shards())
+	if err := db.group.Failover(i); err != nil {
+		return err
 	}
-	return db.group.Failover(i)
+	db.mu.Lock()
+	views := append([]*ReadView(nil), db.views...)
+	db.mu.Unlock()
+	for _, v := range views {
+		if err := v.f.ros[i].Resync(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// Checkpoint flushes dirty pages and publishes a WAL checkpoint on every
+// shard.
+func (db *ShardedDB) Checkpoint() error { return db.group.Checkpoint() }
+
+// ReadView is a strongly consistent, read-only view of a ShardedDB: one
+// follower node per shard tailing that shard's WAL, reads routed by the
+// group's vertex hash. Multiple views scale read throughput.
+type ReadView struct {
+	reads
+	f *followers
+}
+
+// OpenReadView attaches one follower node per shard.
+func (db *ShardedDB) OpenReadView() (*ReadView, error) {
+	g := db.group
+	stores := make([]*storage.Store, g.Shards())
+	for i := range stores {
+		stores[i] = g.Store(i)
+	}
+	f, err := openFollowers(g.Router(), stores, db.opts)
+	if err != nil {
+		return nil, err
+	}
+	v := &ReadView{reads: reads{f}, f: f}
+	db.mu.Lock()
+	db.views = append(db.views, v)
+	db.mu.Unlock()
+	return v, nil
+}
+
+// Stop detaches the view's followers.
+func (v *ReadView) Stop() { v.f.stop() }
+
+// Sync drains every shard's WAL so subsequent reads observe everything
+// acknowledged so far.
+func (v *ReadView) Sync() error { return v.f.sync() }
 
 // ShardedStats is a point-in-time summary of a sharded deployment.
 type ShardedStats struct {
@@ -287,11 +321,12 @@ func (db *ShardedDB) Stats() ShardedStats {
 	snap := g.Metrics().Snapshot()
 	st := ShardedStats{
 		Shards:   g.Shards(),
-		Epochs:   make([]uint64, 0, g.Shards()),
-		LastLSNs: g.Cluster().LastLSNs(),
+		Epochs:   make([]uint64, g.Shards()),
+		LastLSNs: make([]uint64, g.Shards()),
 	}
-	for _, e := range g.ReadEpochs() {
-		st.Epochs = append(st.Epochs, uint64(e))
+	for i, e := range g.ReadEpochs() {
+		st.Epochs[i] = uint64(e)
+		st.LastLSNs[i] = uint64(g.Leader(i).LastLSN())
 	}
 	st.Failovers = snap["shard.failovers"].Value
 	st.BatchesRouted = snap["shard.batches_routed"].Value

@@ -3,7 +3,6 @@ package bg3
 import (
 	"bg3/internal/core"
 	"bg3/internal/graph"
-	"bg3/internal/pattern"
 )
 
 // Snapshot is a snapshot-isolated read handle: every read through it
@@ -22,7 +21,8 @@ import (
 // closed; close it promptly. Safe for concurrent use by multiple readers;
 // Close is idempotent.
 type Snapshot struct {
-	view *core.ReadView
+	reads // every read and traversal evaluates at the pinned epoch
+	view  *core.ReadView
 }
 
 var _ graph.Reader = (*Snapshot)(nil)
@@ -30,7 +30,8 @@ var _ graph.Reader = (*Snapshot)(nil)
 // Snapshot pins the current read epoch and returns a consistent read
 // handle. The caller must Close it.
 func (db *DB) Snapshot() *Snapshot {
-	return &Snapshot{view: db.eng().View()}
+	view := db.eng().View()
+	return &Snapshot{reads: reads{view}, view: view}
 }
 
 // Epoch returns the pinned group-commit boundary (the WAL LSN of the last
@@ -40,39 +41,3 @@ func (s *Snapshot) Epoch() uint64 { return uint64(s.view.Epoch()) }
 
 // Close releases the snapshot's epoch pin. Idempotent.
 func (s *Snapshot) Close() { s.view.Close() }
-
-// GetVertex fetches a vertex as of the snapshot.
-func (s *Snapshot) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return s.view.GetVertex(id, typ)
-}
-
-// GetEdge fetches one edge as of the snapshot.
-func (s *Snapshot) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return s.view.GetEdge(src, typ, dst)
-}
-
-// Neighbors streams src's out-neighbors as of the snapshot, with
-// DB.Neighbors' callback-scoped Properties validity.
-func (s *Snapshot) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return s.view.Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns src's out-degree as of the snapshot.
-func (s *Snapshot) Degree(src VertexID, typ EdgeType) (int, error) {
-	return s.view.Degree(src, typ)
-}
-
-// KHop is DB.KHop evaluated entirely at the snapshot's epoch.
-func (s *Snapshot) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
-	return graph.KHop(s.view, start, typ, hops, perVertexLimit)
-}
-
-// MatchPattern is DB.MatchPattern evaluated at the snapshot's epoch.
-func (s *Snapshot) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]VertexID, error) {
-	return pattern.Match(s.view, p, seeds, maxMatches)
-}
-
-// FindCycles is DB.FindCycles evaluated at the snapshot's epoch.
-func (s *Snapshot) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
-	return pattern.FindCycles(s.view, start, typ, maxLen, maxCycles)
-}
