@@ -123,7 +123,7 @@ func BenchmarkAblationCommitWindow(b *testing.B) {
 				WriteLatency: time.Millisecond,
 			})
 			w := wal.NewWriter(st)
-			l := replication.NewGroupCommitLogger(w, window, 0)
+			l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{MaxDelay: window})
 			defer l.Stop()
 			const writers = 32
 			b.ResetTimer()

@@ -24,8 +24,6 @@ package bg3
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bg3/internal/core"
@@ -85,32 +83,43 @@ const (
 // Options.Replicated.
 var ErrNotReplicated = errors.New("bg3: database opened without replication")
 
-// DB is a BG3 database handle (the read-write node in replicated mode).
-// All methods are safe for concurrent use.
+// DB is a BG3 database handle: a bare engine, or with Options.Replicated a
+// one-shard leader set — the same leader, WAL, failover and follower
+// machinery a ShardedDB runs per shard. All methods are safe for
+// concurrent use.
+//
+// GetVertex, GetEdge, Neighbors and Degree (the embedded reads) see the
+// latest state, on the current leader in replicated mode.
 type DB struct {
-	opts  Options
-	store *storage.Store
+	reads
+	// writes is the engine, or in replicated mode the one-shard group, so
+	// the leader's apply barrier and WAL are engaged and a failover
+	// re-routes writes in place.
+	writes graph.BatchStore
+	store  *storage.Store
 
-	// engine and rw are atomic pointers because Failover swaps the leader
-	// in place while reads and writes keep flowing; rw is nil outside
-	// replicated mode. Every access goes through eng()/leader().
-	engine atomic.Pointer[core.Engine]
-	rw     atomic.Pointer[replication.RWNode]
-
-	mu       sync.Mutex // guards replicas
-	replicas []*Replica
-
-	failovers atomic.Int64
+	engine *core.Engine // unreplicated mode
+	ls     *leaderSet   // replicated mode
 
 	snapStop chan struct{}
 	snapDone chan struct{}
 }
 
-// eng returns the current engine (the leader's in replicated mode).
-func (db *DB) eng() *core.Engine { return db.engine.Load() }
-
 // leader returns the current RW node, nil outside replicated mode.
-func (db *DB) leader() *replication.RWNode { return db.rw.Load() }
+func (db *DB) leader() *replication.RWNode {
+	if db.ls == nil {
+		return nil
+	}
+	return db.ls.group.Leader(0)
+}
+
+// eng returns the current engine (the leader's in replicated mode).
+func (db *DB) eng() *core.Engine {
+	if rw := db.leader(); rw != nil {
+		return rw.Engine()
+	}
+	return db.engine
+}
 
 var _ graph.Store = (*DB)(nil)
 
@@ -120,50 +129,37 @@ func Open(opts *Options) (*DB, error) {
 	if opts != nil {
 		o = *opts
 	}
-	db := &DB{opts: o}
-	if o.Replicated {
-		fi := o.FlushInterval
-		if fi <= 0 {
-			fi = 50 * time.Millisecond
-		}
-		so := o.storageOptions()
-		// Replicas keep reading old page versions until a checkpoint ships
-		// relocated locations, so reclaimed extents must linger past a few
-		// flush + poll cycles before their memory is released.
-		so.ReclaimGrace = time.Second + 8*fi
-		db.store = storage.Open(so)
-		rw, err := replication.NewRWNode(db.store, o.rwOptions())
+	cfg := o.layers()
+	if !o.Replicated {
+		co := cfg.rw.Engine
+		co.Storage = &cfg.storage
+		engine, err := core.New(co)
 		if err != nil {
-			db.store.Close()
 			return nil, err
 		}
-		db.rw.Store(rw)
-		db.engine.Store(rw.Engine())
-		db.registerReplicationMetrics(db.eng().Metrics())
-		if o.SnapshotInterval > 0 {
-			db.snapStop = make(chan struct{})
-			db.snapDone = make(chan struct{})
-			go db.snapshotLoop(o.SnapshotInterval)
-		}
-		return db, nil
+		return &DB{reads: reads{engine}, writes: engine, store: engine.Store(), engine: engine}, nil
 	}
-	engine, err := core.New(o.coreOptions())
+	// Replicas keep reading old page versions until a checkpoint ships
+	// relocated locations, so reclaimed extents must linger past a few
+	// flush + poll cycles before their memory is released. OpenSharded
+	// does not set this: see ROADMAP "Fix first".
+	cfg.storage.ReclaimGrace = time.Second + 8*cfg.rw.FlushInterval
+	// One registry for the DB's lifetime: a promoted leader registers its
+	// engine and WAL instruments over its predecessor's, next to the
+	// follower gauges registered here once.
+	cfg.rw.Engine.Metrics = metrics.NewRegistry()
+	ls, err := openLeaderSet(1, cfg)
 	if err != nil {
 		return nil, err
 	}
-	db.engine.Store(engine)
-	db.store = engine.Store()
+	ls.registerMetrics(cfg.rw.Engine.Metrics)
+	db := &DB{reads: reads{ls.group}, writes: ls.group, store: ls.group.Store(0), ls: ls}
+	if o.SnapshotInterval > 0 {
+		db.snapStop = make(chan struct{})
+		db.snapDone = make(chan struct{})
+		go db.snapshotLoop(o.SnapshotInterval)
+	}
 	return db, nil
-}
-
-// registerReplicationMetrics wires the DB-level replication gauges into a
-// registry. Called at Open and again after a failover: the promoted leader
-// carries a fresh engine and registry, which would otherwise lose these.
-func (db *DB) registerReplicationMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("replication.replicas", func() int64 { return int64(db.replicaCount()) })
-	reg.GaugeFunc("replication.applied_lsn_lag", func() int64 { return int64(db.replicationLag()) })
-	reg.CounterFunc("replication.resyncs", db.replicaResyncs)
-	reg.CounterFunc("replication.failovers", db.failovers.Load)
 }
 
 // snapshotLoop periodically snapshots the durable state and trims the WAL.
@@ -191,49 +187,22 @@ func (db *DB) Close() {
 		<-db.snapDone
 		db.snapStop = nil
 	}
-	db.mu.Lock()
-	replicas := db.replicas
-	db.replicas = nil
-	db.mu.Unlock()
-	for _, r := range replicas {
-		r.Stop()
-	}
-	if db.leader() != nil {
-		db.leader().Stop()
-		db.store.Close()
+	if db.ls != nil {
+		db.ls.close()
 		return
 	}
-	db.eng().Close()
-}
-
-// writeStore returns the graph.Store handling writes (the RW node in
-// replicated mode, so the apply barrier and WAL are engaged).
-func (db *DB) writeStore() graph.Store {
-	if rw := db.leader(); rw != nil {
-		return rw
-	}
-	return db.eng()
+	db.engine.Close()
 }
 
 // AddVertex upserts a vertex.
-func (db *DB) AddVertex(v Vertex) error { return db.writeStore().AddVertex(v) }
-
-// GetVertex fetches a vertex.
-func (db *DB) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return db.eng().GetVertex(id, typ)
-}
+func (db *DB) AddVertex(v Vertex) error { return db.writes.AddVertex(v) }
 
 // AddEdge upserts a directed edge.
-func (db *DB) AddEdge(e Edge) error { return db.writeStore().AddEdge(e) }
-
-// GetEdge fetches one edge.
-func (db *DB) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return db.eng().GetEdge(src, typ, dst)
-}
+func (db *DB) AddEdge(e Edge) error { return db.writes.AddEdge(e) }
 
 // DeleteEdge removes one edge.
 func (db *DB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
-	return db.writeStore().DeleteEdge(src, typ, dst)
+	return db.writes.DeleteEdge(src, typ, dst)
 }
 
 // ApplyBatch applies a group of mutations in order and commits them as
@@ -244,25 +213,7 @@ func (db *DB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
 // the batch's WAL records are durable; on error, mutations after the
 // failing one are not applied. In non-replicated mode (no WAL) the batch
 // degrades to ordered in-memory applies.
-func (db *DB) ApplyBatch(muts []Mutation) error {
-	if db.leader() != nil {
-		return db.leader().ApplyBatch(muts)
-	}
-	return db.eng().ApplyBatch(muts)
-}
-
-// Neighbors streams src's out-neighbors of the given edge type in
-// destination order until fn returns false or limit edges are delivered
-// (limit <= 0: unlimited). The Properties passed to fn are only valid for
-// the duration of the callback; copy values to retain them.
-func (db *DB) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return db.eng().Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns src's out-degree for the given edge type.
-func (db *DB) Degree(src VertexID, typ EdgeType) (int, error) {
-	return db.eng().Degree(src, typ)
-}
+func (db *DB) ApplyBatch(muts []Mutation) error { return db.writes.ApplyBatch(muts) }
 
 // KHop expands hops levels of out-neighbors from start, returning the set
 // of vertices reached (excluding start). perVertexLimit bounds per-vertex
@@ -369,9 +320,8 @@ type WALStats struct {
 	// GroupStall is the backpressure writers paid on a full commit queue.
 	GroupStall HistogramStats `json:"group_stall"`
 	// InflightGroups is the number of sealed WAL group appends in flight at
-	// the instant of the stats snapshot; PipelineDepth is the committer's
-	// current effective depth (adaptive sizing may hold it below the
-	// configured CommitPipelineDepth).
+	// the instant of the stats snapshot; PipelineDepth is how many the
+	// committer allows (Options.CommitPipelineDepth; 1 when unset).
 	InflightGroups int `json:"inflight_groups"`
 	PipelineDepth  int `json:"pipeline_depth"`
 	// AckReorder is how long durable groups waited for their predecessors
@@ -602,51 +552,15 @@ func (db *DB) Stats() Stats {
 			Checkpoints:         rw.Checkpoints(),
 		}
 		s.Replication = ReplicationStats{
-			Replicas:      db.replicaCount(),
-			AppliedLSNLag: db.replicationLag(),
-			Resyncs:       db.replicaResyncs(),
+			Replicas:      len(db.ls.followers()),
+			AppliedLSNLag: db.ls.lag(),
+			Resyncs:       db.ls.resyncs(),
 			Epoch:         rw.Epoch(),
-			Failovers:     db.failovers.Load(),
+			Failovers:     db.Failovers(),
 			FencedAppends: ss.FencedAppends,
 		}
 	}
 	return s
-}
-
-func (db *DB) replicaCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.replicas)
-}
-
-// replicationLag returns the worst applied-LSN lag across the attached
-// replicas relative to the leader's last assigned LSN.
-func (db *DB) replicationLag() uint64 {
-	if db.leader() == nil {
-		return 0
-	}
-	last := uint64(db.leader().LastLSN())
-	db.mu.Lock()
-	replicas := append([]*Replica(nil), db.replicas...)
-	db.mu.Unlock()
-	var worst uint64
-	for _, r := range replicas {
-		applied := r.AppliedLSN()
-		if applied < last && last-applied > worst {
-			worst = last - applied
-		}
-	}
-	return worst
-}
-
-func (db *DB) replicaResyncs() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var n int64
-	for _, r := range db.replicas {
-		n += r.Resyncs()
-	}
-	return n
 }
 
 // Metrics exposes the database's metrics registry: every subsystem

@@ -1,7 +1,5 @@
 package bg3
 
-import "bg3/internal/replication"
-
 // Failover deposes the current leader and promotes a fresh follower over
 // the same shared store — the recovery path for a crashed or hung RW node,
 // and a drill for practicing it (§3.4's single-writer architecture made
@@ -26,35 +24,10 @@ import "bg3/internal/replication"
 // still healthy. On a DB opened without Options.Replicated it returns
 // ErrNotReplicated.
 func (db *DB) Failover() error {
-	old := db.leader()
-	if old == nil {
+	if db.ls == nil {
 		return ErrNotReplicated
 	}
-	err := replication.Failover(db.store, old, func(rw *replication.RWNode) bool {
-		if !db.rw.CompareAndSwap(old, rw) {
-			return false
-		}
-		db.engine.Store(rw.Engine())
-		db.registerReplicationMetrics(rw.Engine().Metrics())
-		db.failovers.Add(1)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-
-	// The promoted leader replayed into a fresh physical page-ID space and
-	// published a new snapshot; replicas attached to the deposed leader
-	// re-bootstrap from it so they keep serving consistent reads.
-	db.mu.Lock()
-	replicas := append([]*Replica(nil), db.replicas...)
-	db.mu.Unlock()
-	for _, r := range replicas {
-		if err := r.ro.Resync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.ls.failover(0)
 }
 
 // Epoch returns the WAL fence epoch the current leader appends under: 0
@@ -68,4 +41,9 @@ func (db *DB) Epoch() uint64 {
 }
 
 // Failovers returns how many times this DB has promoted a new leader.
-func (db *DB) Failovers() int64 { return db.failovers.Load() }
+func (db *DB) Failovers() int64 {
+	if db.ls == nil {
+		return 0
+	}
+	return db.ls.group.Failovers()
+}

@@ -203,3 +203,59 @@ func TestDBFailoverNotReplicated(t *testing.T) {
 		t.Fatal("non-replicated DB reports failover state")
 	}
 }
+
+// TestDBFailoverOnTrimmedWAL promotes a leader on a store whose WAL prefix
+// is gone: the promotion must bootstrap from the snapshot (there is no
+// LSN 1 to replay from), and every acked edge — written before the
+// snapshot, between trim and failover, and after the promotion — stays
+// readable on the leader and on a replica opened before any of it.
+func TestDBFailoverOnTrimmedWAL(t *testing.T) {
+	db := openDB(t, &Options{Replicated: true, ExtentSize: 4 << 10, MaxPageEntries: 8, ReplicaPollInterval: time.Millisecond})
+	rep, err := db.OpenReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	write := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			acked++
+			if err := db.AddEdge(Edge{Src: VertexID(acked%40 + 1), Dst: VertexID(acked), Type: ETypeFollow,
+				Props: Properties{{Name: "n", Value: []byte{byte(acked)}}}}); err != nil {
+				t.Fatalf("write %d: %v", acked, err)
+			}
+		}
+	}
+	write(400)
+	if err := db.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if db.TrimWAL() == 0 {
+		t.Fatal("TrimWAL freed no extent: the WAL this test fails over on is not trimmed")
+	}
+	write(100)
+	if err := db.Failover(); err != nil {
+		t.Fatalf("failover on a trimmed WAL: %v", err)
+	}
+	if db.Epoch() != 1 || db.Failovers() != 1 {
+		t.Fatalf("epoch %d failovers %d after one failover", db.Epoch(), db.Failovers())
+	}
+	write(50)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]graph.Reader{"leader": db, "replica": rep} {
+		for i := 1; i <= acked; i++ {
+			e, ok, err := r.GetEdge(VertexID(i%40+1), ETypeFollow, VertexID(i))
+			if err != nil || !ok {
+				t.Fatalf("%s: edge %d: ok=%v err=%v", name, i, ok, err)
+			}
+			if v, _ := e.Props.Get("n"); len(v) != 1 || v[0] != byte(i) {
+				t.Fatalf("%s: edge %d = %x", name, i, v)
+			}
+		}
+	}
+}

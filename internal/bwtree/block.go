@@ -446,9 +446,10 @@ func (t *Tree) maybeBuildEdgeBlock() {
 	_, _ = t.TryBuildEdgeBlock()
 }
 
-// maybeSpawnEdgeBlockBuild is the write-path trigger (the only one a
-// sync-flushed tree has): when the thresholds say a build is due, it
-// spawns at most one background build goroutine.
+// maybeSpawnEdgeBlockBuild is the write-path trigger. It fires on every
+// tree — async-flushed ones too, beside their flush-time trigger; a
+// sync-flushed tree has no other: when the thresholds say a build is due,
+// it spawns at most one background build goroutine.
 func (t *Tree) maybeSpawnEdgeBlockBuild() {
 	if !t.edgeBlockWanted() {
 		return

@@ -12,15 +12,20 @@ import (
 	"bg3/internal/wal"
 )
 
-// mustBuildBlock forces a build covering everything written so far. A
-// sync tree's write path spawns background builds once it is past the
-// threshold; the in-flight one is waited out first, or it would hold the
-// build lock and turn TryBuildEdgeBlock into a no-op.
-func mustBuildBlock(t *testing.T, tr *Tree) {
-	t.Helper()
+// awaitSpawnedBuild waits out a background build the write path spawned
+// (any tree past its threshold gets one): while in flight it holds the
+// build lock, turning TryBuildEdgeBlock into a no-op, and its outcome —
+// a block, or a recorded skip — is not yet visible.
+func awaitSpawnedBuild(tr *Tree) {
 	for tr.blocks.buildSpawned.Load() {
 		runtime.Gosched()
 	}
+}
+
+// mustBuildBlock forces a build covering everything written so far.
+func mustBuildBlock(t *testing.T, tr *Tree) {
+	t.Helper()
+	awaitSpawnedBuild(tr)
 	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
 	}
@@ -222,7 +227,10 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 // checks the pinned view reads the pre-block history exactly, while the
 // head sees the latest state through the overlay.
 func TestEdgeBlockMVCCSnapshot(t *testing.T) {
-	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 4, EdgeBlockRebuildOps: 64})
+	// The threshold is above anything the test writes, so the write path
+	// never spawns a build of its own: one installed before the pin would
+	// seal below it.
+	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 64, EdgeBlockRebuildOps: 64})
 	for i := 0; i < 20; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
 			t.Fatal(err)
@@ -246,9 +254,7 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 
 	// The pin holds the floor at h, so the build seals there and the three
 	// mutations land in the overlay.
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
-		t.Fatalf("build = %v, %v", built, err)
-	}
+	mustBuildBlock(t, tr)
 	info, ok := tr.EdgeBlock()
 	if !ok {
 		t.Fatal("no block after build")
@@ -283,7 +289,10 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 // it: the build must refuse (the overlay would immediately exceed the
 // rebuild threshold) and record the skip.
 func TestEdgeBlockSkipOnOldPins(t *testing.T) {
-	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 4, EdgeBlockRebuildOps: 8})
+	// The threshold is crossed only well past the pin (write 24 of 30), so
+	// no write-path build can install a block before the pin, and any it
+	// spawns afterwards already has >= 8 ops above the pin and skips too.
+	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 24, EdgeBlockRebuildOps: 8})
 	for i := 0; i < 10; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -296,6 +305,7 @@ func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	awaitSpawnedBuild(tr)
 	if built, err := tr.TryBuildEdgeBlock(); err != nil || built {
 		t.Fatalf("build = %v, %v; want a pin skip", built, err)
 	}
@@ -314,9 +324,7 @@ func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 	if err := tr.Put([]byte("zz"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
-		t.Fatalf("post-release build = %v, %v", built, err)
-	}
+	mustBuildBlock(t, tr)
 }
 
 // TestEdgeBlockGCPinning checks GC treats the block's extents as pinned

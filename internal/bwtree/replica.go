@@ -573,16 +573,19 @@ func EncodeMappingUpdates(ups []MappingUpdate) []byte {
 	for _, up := range ups {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Tree))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Page))
-		buf = appendLoc(buf, up.Base)
+		buf = AppendLoc(buf, up.Base)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(up.Deltas)))
 		for _, d := range up.Deltas {
-			buf = appendLoc(buf, d)
+			buf = AppendLoc(buf, d)
 		}
 	}
 	return buf
 }
 
-func appendLoc(buf []byte, l storage.Loc) []byte {
+// AppendLoc appends l's 17-byte wire form (stream[1] extent[8] offset[4]
+// length[4], little-endian) — shared by checkpoint mapping updates and
+// snapshot records, which both ship durable page locations.
+func AppendLoc(buf []byte, l storage.Loc) []byte {
 	buf = append(buf, byte(l.Stream))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Extent))
 	buf = binary.LittleEndian.AppendUint32(buf, l.Offset)
@@ -590,7 +593,9 @@ func appendLoc(buf []byte, l storage.Loc) []byte {
 	return buf
 }
 
-func readLoc(buf []byte) (storage.Loc, []byte, error) {
+// ReadLoc parses one AppendLoc-encoded location off the front of buf and
+// returns the remainder.
+func ReadLoc(buf []byte) (storage.Loc, []byte, error) {
 	if len(buf) < 17 {
 		return storage.Loc{}, nil, fmt.Errorf("%w: truncated loc", ErrCorruptPage)
 	}
@@ -621,7 +626,7 @@ func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
 		}
 		buf = buf[16:]
 		var err error
-		up.Base, buf, err = readLoc(buf)
+		up.Base, buf, err = ReadLoc(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -632,7 +637,7 @@ func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
 		buf = buf[2:]
 		for j := uint16(0); j < nd; j++ {
 			var d storage.Loc
-			d, buf, err = readLoc(buf)
+			d, buf, err = ReadLoc(buf)
 			if err != nil {
 				return nil, err
 			}

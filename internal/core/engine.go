@@ -83,8 +83,10 @@ type Options struct {
 }
 
 // Engine is a BG3 storage engine instance (the RW-node role when a Logger
-// is attached). It implements graph.Store.
+// is attached). It implements graph.Store; its reads are latest-state.
 type Engine struct {
+	graphReads // over the forest at horizon ∞
+
 	store      *storage.Store
 	ownedStore bool
 	mapping    *bwtree.Mapping
@@ -132,7 +134,7 @@ func NewWithStore(st *storage.Store, opts Options) (*Engine, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	e := &Engine{store: st, mapping: m, edges: f, opts: opts, reg: reg}
+	e := &Engine{graphReads: graphReads{forest: f, horizon: latest}, store: st, mapping: m, edges: f, opts: opts, reg: reg}
 	policy := opts.GCPolicy
 	if policy == nil {
 		policy = gc.WorkloadAware{TTL: opts.TTL}
@@ -199,38 +201,12 @@ func (e *Engine) AddVertex(v graph.Vertex) error {
 	return e.edges.Put(forest.OwnerID(v.ID), vertexKey(v.Type), graph.EncodeProps(v.Props))
 }
 
-// GetVertex implements graph.Store.
-func (e *Engine) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	val, ok, err := e.edges.Get(forest.OwnerID(id), vertexKey(typ))
-	if err != nil || !ok {
-		return graph.Vertex{}, false, err
-	}
-	props, err := graph.DecodeProps(val)
-	if err != nil {
-		return graph.Vertex{}, false, err
-	}
-	return graph.Vertex{ID: id, Type: typ, Props: props}, true, nil
-}
-
 // AddEdge implements graph.Store.
 func (e *Engine) AddEdge(ed graph.Edge) error {
 	if ed.Type == vertexPrefix {
-		return fmt.Errorf("core: edge type %d is reserved", uint16(vertexPrefix))
+		return errReservedEdgeType
 	}
 	return e.edges.Put(forest.OwnerID(ed.Src), graph.EdgeKey(ed.Type, ed.Dst), graph.EncodeProps(ed.Props))
-}
-
-// GetEdge implements graph.Store.
-func (e *Engine) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	val, ok, err := e.edges.Get(forest.OwnerID(src), graph.EdgeKey(typ, dst))
-	if err != nil || !ok {
-		return graph.Edge{}, false, err
-	}
-	props, err := graph.DecodeProps(val)
-	if err != nil {
-		return graph.Edge{}, false, err
-	}
-	return graph.Edge{Src: src, Dst: dst, Type: typ, Props: props}, true, nil
 }
 
 // DeleteEdge implements graph.Store.
@@ -256,7 +232,7 @@ func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
 				vertexKey(m.Vertex.Type), graph.EncodeProps(m.Vertex.Props), &waits)
 		case graph.MutAddEdge:
 			if m.Edge.Type == vertexPrefix {
-				applyErr = fmt.Errorf("core: edge type %d is reserved", uint16(vertexPrefix))
+				applyErr = errReservedEdgeType
 			} else {
 				applyErr = e.edges.PutDeferred(forest.OwnerID(m.Edge.Src),
 					graph.EdgeKey(m.Edge.Type, m.Edge.Dst), graph.EncodeProps(m.Edge.Props), &waits)
@@ -278,32 +254,6 @@ func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
 		}
 	}
 	return err
-}
-
-// Neighbors implements graph.Store. The Properties passed to fn are valid
-// only for the duration of the callback (one decoder is reused across the
-// scan); copy values to retain them.
-func (e *Engine) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	lo, hi := graph.EdgeTypeBounds(typ)
-	var dec graph.PropDecoder
-	return e.edges.Scan(forest.OwnerID(src), lo, hi, limit, func(k, v []byte) bool {
-		_, dst, err := graph.DecodeEdgeKey(k)
-		if err != nil {
-			return true // skip foreign records defensively
-		}
-		props, err := dec.Decode(v)
-		if err != nil {
-			return true
-		}
-		return fn(dst, props)
-	})
-}
-
-// Degree implements graph.Store.
-func (e *Engine) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	n := 0
-	err := e.Neighbors(src, typ, 0, func(graph.VertexID, graph.Properties) bool { n++; return true })
-	return n, err
 }
 
 // RunGC triggers one synchronous reclamation cycle over both data streams

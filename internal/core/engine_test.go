@@ -66,10 +66,52 @@ func TestEdgeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReservedEdgeType pins the reserved type's rejection on the write
+// side and — identically through every reader the one graph codec backs —
+// on the read side (its keyspace holds vertex records, not edges).
 func TestReservedEdgeType(t *testing.T) {
-	e := newEngine(t, Options{})
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	w := wal.NewWriter(st)
+	e, err := NewWithStore(st, Options{
+		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync},
+		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := e.AddEdge(graph.Edge{Src: 1, Dst: 2, Type: 0xFFFF}); err == nil {
 		t.Fatal("reserved edge type accepted")
+	}
+	if err := e.ApplyBatch([]graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: 1, Dst: 2, Type: 0xFFFF})}); err == nil {
+		t.Fatal("reserved edge type accepted in a batch")
+	}
+	if err := e.AddVertex(graph.Vertex{ID: 1, Type: graph.VTypeUser}); err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplica(st, 0)
+	recs, err := wal.NewReader(st).Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.ApplyAll(recs); err != nil {
+		t.Fatal(err)
+	}
+	view := e.View()
+	defer view.Close()
+	var want string
+	for _, tc := range []struct {
+		name string
+		r    graph.Reader
+	}{{"Engine", e}, {"ReadView", view}, {"Replica", rep}} {
+		_, ok, err := tc.r.GetEdge(1, 0xFFFF, 2)
+		if ok || err == nil {
+			t.Fatalf("%s.GetEdge(reserved type) = ok %v, err %v; want a rejection", tc.name, ok, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("%s rejects with %q, others with %q", tc.name, err, want)
+		}
 	}
 }
 

@@ -1,0 +1,105 @@
+package core
+
+import (
+	"fmt"
+
+	"bg3/internal/forest"
+	"bg3/internal/graph"
+	"bg3/internal/mvcc"
+	"bg3/internal/wal"
+)
+
+// latest is the horizon of an unpinned read: every committed op is visible.
+const latest = wal.LSN(mvcc.HorizonAll)
+
+// graphReads is graph.Reader decoded once, over an owner-keyed Get/Scan
+// pair: the forest as of a horizon (Engine reads at horizon ∞, ReadView at
+// its pin) or, when replica is set, an RO node's forest replica. The pair
+// is a closed choice rather than an interface so the calls below stay
+// static — keys, scan bounds and the property decoder never escape to the
+// heap. It is built with its holder; a read allocates nothing for it.
+type graphReads struct {
+	forest  *forest.Forest
+	horizon wal.LSN
+	replica *forest.Replica
+}
+
+func (g graphReads) get(owner graph.VertexID, key []byte) ([]byte, bool, error) {
+	if g.replica != nil {
+		return g.replica.Get(forest.OwnerID(owner), key)
+	}
+	return g.forest.GetAt(forest.OwnerID(owner), key, g.horizon)
+}
+
+func (g graphReads) scan(owner graph.VertexID, from, to []byte, limit int, fn func(key, value []byte) bool) error {
+	if g.replica != nil {
+		return g.replica.Scan(forest.OwnerID(owner), from, to, limit, fn)
+	}
+	return g.forest.ScanAt(forest.OwnerID(owner), from, to, limit, g.horizon, fn)
+}
+
+// props fetches and decodes the property record stored under owner/key.
+func (g graphReads) props(owner graph.VertexID, key []byte) (graph.Properties, bool, error) {
+	val, ok, err := g.get(owner, key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	props, err := graph.DecodeProps(val)
+	return props, err == nil, err
+}
+
+// GetVertex implements graph.Reader.
+func (g graphReads) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
+	props, ok, err := g.props(id, vertexKey(typ))
+	if !ok {
+		return graph.Vertex{}, false, err
+	}
+	return graph.Vertex{ID: id, Type: typ, Props: props}, true, nil
+}
+
+// GetEdge implements graph.Reader. The reserved type is rejected rather
+// than looked up: its keyspace holds vertex records, not edges.
+func (g graphReads) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
+	if typ == vertexPrefix {
+		return graph.Edge{}, false, errReservedEdgeType
+	}
+	props, ok, err := g.props(src, graph.EdgeKey(typ, dst))
+	if !ok {
+		return graph.Edge{}, false, err
+	}
+	return graph.Edge{Src: src, Dst: dst, Type: typ, Props: props}, true, nil
+}
+
+// Neighbors implements graph.Reader. The Properties passed to fn are valid
+// only for the duration of the callback (one decoder is reused across the
+// scan); copy values to retain them.
+func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
+	lo, hi := graph.EdgeTypeBounds(typ)
+	var dec graph.PropDecoder
+	return g.scan(src, lo, hi, limit, func(k, v []byte) bool {
+		dst, props, ok := decodeEdge(&dec, k, v)
+		return !ok || fn(dst, props)
+	})
+}
+
+// Degree implements graph.Reader.
+func (g graphReads) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
+	n := 0
+	err := g.Neighbors(src, typ, 0, func(graph.VertexID, graph.Properties) bool { n++; return true })
+	return n, err
+}
+
+// decodeEdge decodes one scanned adjacency entry; ok is false for foreign
+// or undecodable records, which scans skip defensively.
+func decodeEdge(dec *graph.PropDecoder, k, v []byte) (dst graph.VertexID, props graph.Properties, ok bool) {
+	_, dst, err := graph.DecodeEdgeKey(k)
+	if err != nil {
+		return 0, nil, false
+	}
+	props, err = dec.Decode(v)
+	return dst, props, err == nil
+}
+
+// errReservedEdgeType rejects the edge type whose keyspace holds vertex
+// records.
+var errReservedEdgeType = fmt.Errorf("core: edge type %d is reserved", uint16(vertexPrefix))

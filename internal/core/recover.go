@@ -63,7 +63,7 @@ func RecoverWithStore(st *storage.Store, opts Options, state SnapshotState) (*En
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	e := &Engine{store: st, mapping: m, edges: f, opts: opts, reg: reg}
+	e := &Engine{graphReads: graphReads{forest: f, horizon: latest}, store: st, mapping: m, edges: f, opts: opts, reg: reg}
 	policy := opts.GCPolicy
 	if policy == nil {
 		policy = gc.WorkloadAware{TTL: opts.TTL}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/mvcc"
@@ -23,20 +21,27 @@ import (
 // A ReadView holds the MVCC retention floor down while open: close it
 // promptly, or consolidation and GC back up behind the pin.
 type ReadView struct {
-	e   *Engine
-	pin *mvcc.Pin // nil without an epoch clock
+	graphReads           // over the forest as of the pinned horizon
+	pin        *mvcc.Pin // nil without an epoch clock
 }
 
 var _ graph.Reader = (*ReadView)(nil)
 
+// newView builds the read handle for pin (nil: unpinned latest state).
+func (e *Engine) newView(pin *mvcc.Pin) *ReadView {
+	return &ReadView{
+		graphReads: graphReads{forest: e.edges, horizon: wal.LSN(pin.ReadHorizon())},
+		pin:        pin,
+	}
+}
+
 // View pins the current read epoch and returns a snapshot read handle.
 // The caller must Close it.
 func (e *Engine) View() *ReadView {
-	v := &ReadView{e: e}
-	if e.opts.Epochs != nil {
-		v.pin = e.opts.Epochs.Pin()
+	if e.opts.Epochs == nil {
+		return e.newView(nil)
 	}
-	return v
+	return e.newView(e.opts.Epochs.Pin())
 }
 
 // ReadEpoch returns the engine's current released read epoch (0 without
@@ -59,13 +64,13 @@ func (e *Engine) ViewAt(epoch mvcc.Epoch) (*ReadView, error) {
 		if epoch != 0 {
 			return nil, mvcc.ErrFutureEpoch
 		}
-		return &ReadView{e: e}, nil
+		return e.newView(nil), nil
 	}
 	pin, err := e.opts.Epochs.PinAt(epoch)
 	if err != nil {
 		return nil, err
 	}
-	return &ReadView{e: e, pin: pin}, nil
+	return e.newView(pin), nil
 }
 
 // Epoch returns the pinned group-commit boundary (0 when the engine has no
@@ -86,59 +91,6 @@ func (v *ReadView) Close() {
 	v.pin.Close() // nil-safe, idempotent
 }
 
-// horizon is the visibility cutoff forest reads filter by.
-func (v *ReadView) horizon() wal.LSN {
-	return wal.LSN(v.pin.ReadHorizon()) // nil pin → HorizonAll
-}
-
-// GetVertex implements graph.Reader at the pinned epoch.
-func (v *ReadView) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	val, ok, err := v.e.edges.GetAt(forest.OwnerID(id), vertexKey(typ), v.horizon())
-	if err != nil || !ok {
-		return graph.Vertex{}, false, err
-	}
-	props, err := graph.DecodeProps(val)
-	if err != nil {
-		return graph.Vertex{}, false, err
-	}
-	return graph.Vertex{ID: id, Type: typ, Props: props}, true, nil
-}
-
-// GetEdge implements graph.Reader at the pinned epoch.
-func (v *ReadView) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	if typ == vertexPrefix {
-		return graph.Edge{}, false, fmt.Errorf("core: edge type %d is reserved", uint16(vertexPrefix))
-	}
-	val, ok, err := v.e.edges.GetAt(forest.OwnerID(src), graph.EdgeKey(typ, dst), v.horizon())
-	if err != nil || !ok {
-		return graph.Edge{}, false, err
-	}
-	props, err := graph.DecodeProps(val)
-	if err != nil {
-		return graph.Edge{}, false, err
-	}
-	return graph.Edge{Src: src, Dst: dst, Type: typ, Props: props}, true, nil
-}
-
-// Neighbors implements graph.Reader at the pinned epoch. The Properties
-// passed to fn are valid only for the duration of the callback (one
-// decoder is reused across the scan); copy values to retain them.
-func (v *ReadView) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	lo, hi := graph.EdgeTypeBounds(typ)
-	var dec graph.PropDecoder
-	return v.e.edges.ScanAt(forest.OwnerID(src), lo, hi, limit, v.horizon(), func(k, val []byte) bool {
-		_, dst, err := graph.DecodeEdgeKey(k)
-		if err != nil {
-			return true // skip foreign records defensively
-		}
-		props, err := dec.Decode(val)
-		if err != nil {
-			return true
-		}
-		return fn(dst, props)
-	})
-}
-
 // NeighborsMany streams the out-neighbors of each src in order, all at
 // the pinned epoch, sharing one property decoder across the whole
 // frontier — the per-shard read unit of a scatter-gather hop. limit
@@ -152,22 +104,8 @@ func (v *ReadView) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limi
 		owners[i] = forest.OwnerID(s)
 	}
 	var dec graph.PropDecoder
-	return v.e.edges.ScanManyAt(owners, lo, hi, limit, v.horizon(), func(owner forest.OwnerID, k, val []byte) bool {
-		_, dst, err := graph.DecodeEdgeKey(k)
-		if err != nil {
-			return true // skip foreign records defensively
-		}
-		props, err := dec.Decode(val)
-		if err != nil {
-			return true
-		}
-		return fn(graph.VertexID(owner), dst, props)
+	return v.forest.ScanManyAt(owners, lo, hi, limit, v.horizon, func(owner forest.OwnerID, k, val []byte) bool {
+		dst, props, ok := decodeEdge(&dec, k, val)
+		return !ok || fn(graph.VertexID(owner), dst, props)
 	})
-}
-
-// Degree implements graph.Reader at the pinned epoch.
-func (v *ReadView) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	n := 0
-	err := v.Neighbors(src, typ, 0, func(graph.VertexID, graph.Properties) bool { n++; return true })
-	return n, err
 }

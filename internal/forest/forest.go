@@ -151,6 +151,16 @@ func ownerUpperBound(owner OwnerID) []byte {
 	return buf
 }
 
+// ownerRange maps [from, to) in an owner's key space (nil: unbounded) to
+// the composite-key range holding it in the INIT tree.
+func ownerRange(owner OwnerID, from, to []byte) (lo, hi []byte) {
+	lo = compositeKey(owner, from)
+	if to != nil {
+		return lo, compositeKey(owner, to)
+	}
+	return lo, ownerUpperBound(owner)
+}
+
 // lookupOwner returns the owner's state or nil.
 func (f *Forest) lookupOwner(owner OwnerID) *ownerState {
 	f.mu.RLock()
@@ -268,14 +278,9 @@ func (f *Forest) putWith(owner OwnerID, key, value []byte, waits *[]func() error
 	return f.migrate(f.largestInitOwner())
 }
 
-// Get returns the value of key under owner.
+// Get returns the latest value of key under owner.
 func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
-	if st := f.lookupOwner(owner); st != nil {
-		if tree := st.tree.Load(); tree != nil {
-			return tree.Get(key)
-		}
-	}
-	return f.init.Get(compositeKey(owner, key))
+	return f.GetAt(owner, key, horizonAll)
 }
 
 // Delete removes key under owner. Counts shrink only when the key was
@@ -312,24 +317,10 @@ func (f *Forest) deleteWith(owner OwnerID, key []byte, waits *[]func() error) er
 	return err
 }
 
-// Scan iterates owner's keys in [from, to) in order. from/to are in the
-// owner's (shortened) key space; nil means unbounded.
+// Scan iterates owner's latest keys in [from, to) in order. from/to are
+// in the owner's (shortened) key space; nil means unbounded.
 func (f *Forest) Scan(owner OwnerID, from, to []byte, limit int, fn func(key, value []byte) bool) error {
-	if st := f.lookupOwner(owner); st != nil {
-		if tree := st.tree.Load(); tree != nil {
-			return tree.Scan(from, to, limit, fn)
-		}
-	}
-	lo := compositeKey(owner, from)
-	var hi []byte
-	if to != nil {
-		hi = compositeKey(owner, to)
-	} else {
-		hi = ownerUpperBound(owner)
-	}
-	return f.init.Scan(lo, hi, limit, func(k, v []byte) bool {
-		return fn(k[8:], v) // strip the owner prefix
-	})
+	return f.ScanAt(owner, from, to, limit, horizonAll, fn)
 }
 
 // largestInitOwner returns the INIT-resident owner with the most keys.
@@ -372,8 +363,7 @@ func (f *Forest) migrate(owner OwnerID) error {
 	// a migration; it is intentionally visible in the storage metrics.
 	type pair struct{ k, v []byte }
 	var pairs []pair
-	lo := compositeKey(owner, nil)
-	hi := ownerUpperBound(owner)
+	lo, hi := ownerRange(owner, nil, nil)
 	err = f.init.Scan(lo, hi, 0, func(k, v []byte) bool {
 		pairs = append(pairs, pair{
 			k: append([]byte(nil), k[8:]...),

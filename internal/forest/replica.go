@@ -126,13 +126,7 @@ func (r *Replica) Scan(owner OwnerID, from, to []byte, limit int, fn func(key, v
 	if !isInit {
 		return r.rep.Scan(tree, from, to, limit, fn)
 	}
-	lo := compositeKey(owner, from)
-	var hi []byte
-	if to != nil {
-		hi = compositeKey(owner, to)
-	} else {
-		hi = ownerUpperBound(owner)
-	}
+	lo, hi := ownerRange(owner, from, to)
 	return r.rep.Scan(tree, lo, hi, limit, func(k, v []byte) bool {
 		return fn(k[8:], v)
 	})

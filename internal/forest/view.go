@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 
+	"bg3/internal/bwtree"
 	"bg3/internal/wal"
 )
 
@@ -53,30 +54,18 @@ func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, erro
 // ScanAt iterates owner's keys in [from, to) as of horizon h, in order.
 // from/to are in the owner's (shortened) key space; nil means unbounded.
 func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
-	lo := compositeKey(owner, from)
-	var hi []byte
-	if to != nil {
-		hi = compositeKey(owner, to)
-	} else {
-		hi = ownerUpperBound(owner)
-	}
-
-	var tree interface {
-		ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error
-	}
+	var tree *bwtree.Tree
 	if st := f.lookupOwner(owner); st != nil {
-		if t := st.tree.Load(); t != nil {
-			tree = t
-		}
+		tree = st.tree.Load()
 	}
+	if tree != nil && h == horizonAll {
+		return tree.ScanAt(from, to, limit, h, fn)
+	}
+	lo, hi := ownerRange(owner, from, to)
 	if tree == nil {
 		return f.init.ScanAt(lo, hi, limit, h, func(k, v []byte) bool {
 			return fn(k[8:], v) // strip the owner prefix
 		})
-	}
-
-	if h == horizonAll {
-		return tree.ScanAt(from, to, limit, h, fn)
 	}
 
 	// Dedicated tree: merge with whatever of the owner's keys is still

@@ -1,3 +1,17 @@
+// Package replication implements BG3's I/O-efficient leader–follower
+// synchronization (§3.4) and the legacy command-forwarding mechanism of
+// the previous-generation ByteGraph, which it is compared against in the
+// Fig. 12–14 experiments.
+//
+// The BG3 path: the RW node writes every modification to a WAL on shared
+// storage through a group committer (one storage round trip covers a
+// whole batch of records); RO nodes tail the WAL and lazily replay it,
+// one commit group at a time. Dirty pages are flushed by a background
+// thread and announced through checkpoint records carrying mapping-table
+// updates, after which RO nodes discard the replayed WAL prefix. Because
+// the WAL lives on strongly consistent shared storage, an RO node never
+// misses a write — unlike the legacy path, which forwards commands over a
+// lossy network.
 package replication
 
 import (
@@ -28,19 +42,10 @@ type RWOptions struct {
 	// cuts a flush before the window elapses (0: 64).
 	MaxBatch int
 
-	// QueueDepth bounds the committer's pending queue; writers beyond it
-	// block until a flush makes room (0: 4096).
-	QueueDepth int
-
 	// PipelineDepth is how many sealed WAL group appends the committer
 	// keeps in flight concurrently; acks still release strictly in LSN
 	// order (0 or 1: serial, one append at a time).
 	PipelineDepth int
-
-	// AdaptivePipeline lets the committer resize its effective depth and
-	// window between 1 and PipelineDepth based on queue-stall pressure and
-	// group fill.
-	AdaptivePipeline bool
 
 	// FlushInterval drives the background dirty-page flusher; 0 disables
 	// the background thread (call Checkpoint manually).
@@ -52,17 +57,37 @@ type RWOptions struct {
 	FlushThreshold int
 }
 
+// engineOptions is the engine configuration every leader runs with: async
+// flush (the node's flusher persists pages and publishes checkpoints), the
+// node's epoch clock, and the committer as the WAL hook (nil while a
+// recovery replays, attached afterwards).
+func (o RWOptions) engineOptions(src *mvcc.Source, logger bwtree.WALLogger) core.Options {
+	eo := o.Engine
+	eo.Tree.FlushMode = bwtree.FlushAsync
+	eo.Epochs = src
+	eo.Logger = logger
+	return eo
+}
+
 // RWNode is BG3's read-write node: a core.Engine in async-flush mode whose
 // every modification is group-committed to the WAL, plus the background
 // flusher that persists dirty pages and publishes checkpoints. Writes go
 // through the node (not the engine directly) so checkpoint LSNs are
-// computed against a quiesced write pipeline.
+// computed against a quiesced write pipeline; reads are the engine's own
+// (the RW node serves them from its memory).
 type RWNode struct {
+	graph.Reader // the engine's latest-state reads
+
 	engine *core.Engine
 	store  *storage.Store
 	writer *wal.Writer
-	logger *GroupCommitLogger
+	logger *wal.GroupCommitter
 	opts   RWOptions
+
+	// flushMu serializes flush cycles (flushCycle): the background
+	// flusher, manual Checkpoints and WriteSnapshot each run horizon →
+	// flush → publish as one unit. Lock order: flushMu, then applyBarrier.
+	flushMu sync.Mutex
 
 	// applyBarrier serializes checkpoint horizon computation against
 	// in-flight writes: writers hold it shared across (WAL log + memory
@@ -83,29 +108,39 @@ type RWNode struct {
 
 // NewRWNode creates the RW node on a shared store.
 func NewRWNode(st *storage.Store, opts RWOptions) (*RWNode, error) {
-	writer := wal.NewWriter(st)
+	src := mvcc.NewSource(0)
+	return assembleRWNode(st, opts, wal.NewWriter(st), src, func(logger *wal.GroupCommitter) (*core.Engine, error) {
+		return core.NewWithStore(st, opts.engineOptions(src, logger))
+	})
+}
+
+// assembleRWNode is the one place a leader is put together, fresh or
+// recovered: the group committer over writer whose ack releases advance
+// src, the engine engineFor yields once that committer exists (a new
+// engine logs through it from its first record; a recovered one attaches
+// it after replay), metric registration, and the background flusher.
+func assembleRWNode(st *storage.Store, opts RWOptions, writer *wal.Writer, src *mvcc.Source,
+	engineFor func(*wal.GroupCommitter) (*core.Engine, error)) (*RWNode, error) {
 	// The epoch clock advances at each group's ack release, so a writer
 	// that saw its commit return can immediately pin an epoch covering its
 	// own write.
-	src := mvcc.NewSource(0)
 	logger := wal.NewGroupCommitter(writer, wal.GroupCommitterOptions{
 		MaxDelay:      opts.CommitWindow,
 		MaxBatch:      opts.MaxBatch,
-		QueueDepth:    opts.QueueDepth,
 		PipelineDepth: opts.PipelineDepth,
-		AdaptiveDepth: opts.AdaptivePipeline,
 		OnRelease:     func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) },
 	})
+	// Everything below the writer's first LSN is released by definition
+	// (nothing on a fresh store, the replayed durable horizon after a
+	// recovery): seed the clock there so the first pin sees it all.
 	src.Advance(mvcc.Epoch(logger.LastLSN()))
-	opts.Engine.Tree.FlushMode = bwtree.FlushAsync
-	opts.Engine.Logger = logger
-	opts.Engine.Epochs = src
-	engine, err := core.NewWithStore(st, opts.Engine)
+	engine, err := engineFor(logger)
 	if err != nil {
 		logger.Stop()
 		return nil, err
 	}
 	n := &RWNode{
+		Reader: engine,
 		engine: engine,
 		store:  st,
 		writer: writer,
@@ -140,7 +175,7 @@ func (n *RWNode) Engine() *core.Engine { return n.engine }
 func (n *RWNode) Writer() *wal.Writer { return n.writer }
 
 // Logger exposes the group-commit logger (stats, experiments).
-func (n *RWNode) Logger() *GroupCommitLogger { return n.logger }
+func (n *RWNode) Logger() *wal.GroupCommitter { return n.logger }
 
 // LastLSN returns the most recently assigned WAL LSN — the horizon an RO
 // node must reach to observe every write acknowledged so far.
@@ -190,32 +225,68 @@ func (n *RWNode) flushLoop() {
 // declaring the flushed horizon (§3.4 steps 7–8). Safe to call manually
 // when no background flusher runs.
 func (n *RWNode) Checkpoint() error {
+	_, _, err := n.flushCycle(nil)
+	return err
+}
+
+// flushCycle is the one horizon → flush → publish sequence: it samples the
+// checkpoint horizon against a quiesced write pipeline, flushes every
+// dirty page, and publishes a checkpoint record carrying the new page
+// locations. Cycles never overlap (flushMu): Tree.FlushDirty takes pages
+// out of the dirty set before it writes them, so a second cycle starting
+// meanwhile would sample a later horizon, find those pages clean, and
+// publish that horizon without their new locations — a follower applying
+// it drops its buffered records up to the horizon and materializes the
+// pages from the stale locations, losing acked writes.
+//
+// A nil capture is a checkpoint: writers resume as soon as the horizon is
+// sampled and the flush runs beside them. A non-nil capture is a snapshot:
+// writers stay quiesced across the flush, so the durable state equals
+// memory at exactly the horizon when capture runs (still under the
+// barrier). cursor is the WAL tail position sampled with the horizon.
+func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cursor, err error) {
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
+
 	// Quiesce in-flight writes so "assigned LSN" implies "applied and
 	// dirty-marked" (writers hold the barrier shared across LSN
 	// assignment + memory apply + dirty-marking).
 	n.applyBarrier.Lock()
-	ckptLSN := n.logger.LastLSN()
-	n.applyBarrier.Unlock()
-
+	// The cursor is sampled before the horizon: records that bypass the
+	// barrier (2PC control records) keep being assigned LSNs and landing
+	// while it is held, and recovery resumes at the cursor expecting
+	// horizon+1 — a record above the horizon that landed before the cursor
+	// would read as a hole and strand every acked group after it.
+	cursor = n.store.TailCursor(storage.StreamWAL)
+	horizon = n.logger.LastLSN()
+	if capture == nil {
+		n.applyBarrier.Unlock()
+	}
 	updates, err := n.engine.FlushDirty()
+	if capture != nil {
+		if err == nil {
+			capture()
+		}
+		n.applyBarrier.Unlock()
+	}
 	if err != nil {
-		return err
+		return 0, cursor, err
 	}
 	// Pages GC relocated since the last checkpoint must also reach the
 	// replicas, or their old locations would dangle once the condemned
 	// extents are released.
 	updates = append(updates, n.engine.Mapping().TakeRelocated()...)
-	if len(updates) == 0 && ckptLSN == n.lastCheckpoint() {
-		return nil // nothing new
+	if capture == nil && len(updates) == 0 && horizon == n.lastCheckpoint() {
+		return horizon, cursor, nil // nothing new
 	}
-	if err := n.appendCheckpoint(ckptLSN, updates); err != nil {
-		return err
+	if err := n.appendCheckpoint(horizon, updates); err != nil {
+		return 0, cursor, err
 	}
 	n.mu.Lock()
 	n.checkpoints++
-	n.lastCkpt = ckptLSN
+	n.lastCkpt = horizon
 	n.mu.Unlock()
-	return nil
+	return horizon, cursor, nil
 }
 
 // appendCheckpoint publishes a checkpoint, chunking the mapping updates so
@@ -292,29 +363,6 @@ func (n *RWNode) ApplyBatch(muts []graph.Mutation) error {
 	n.applyBarrier.RLock()
 	defer n.applyBarrier.RUnlock()
 	return n.engine.ApplyBatch(muts)
-}
-
-// Read methods delegate to the engine directly (the RW node serves reads
-// from its own memory).
-
-// GetVertex reads a vertex.
-func (n *RWNode) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	return n.engine.GetVertex(id, typ)
-}
-
-// GetEdge reads an edge.
-func (n *RWNode) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	return n.engine.GetEdge(src, typ, dst)
-}
-
-// Neighbors streams out-neighbors.
-func (n *RWNode) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	return n.engine.Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns out-degree.
-func (n *RWNode) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	return n.engine.Degree(src, typ)
 }
 
 var _ graph.Store = (*RWNode)(nil)

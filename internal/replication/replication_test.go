@@ -16,7 +16,7 @@ import (
 func TestGroupCommitAssignsAllLSNs(t *testing.T) {
 	st := storage.Open(nil)
 	w := wal.NewWriter(st)
-	l := NewGroupCommitLogger(w, 0, 0)
+	l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{})
 	defer l.Stop()
 
 	var wg sync.WaitGroup
@@ -66,7 +66,7 @@ func TestGroupCommitAssignsAllLSNs(t *testing.T) {
 func TestGroupCommitBatches(t *testing.T) {
 	st := storage.Open(&storage.Options{WriteLatency: 2 * time.Millisecond})
 	w := wal.NewWriter(st)
-	l := NewGroupCommitLogger(w, 0, 0)
+	l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{})
 	defer l.Stop()
 
 	var wg sync.WaitGroup
@@ -433,7 +433,7 @@ func TestGroupCommitWindowBatches(t *testing.T) {
 	// one batch.
 	st := storage.Open(nil)
 	w := wal.NewWriter(st)
-	l := NewGroupCommitLogger(w, 5*time.Millisecond, 0)
+	l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{MaxDelay: 5 * time.Millisecond})
 	defer l.Stop()
 
 	var wg sync.WaitGroup
@@ -460,7 +460,7 @@ func TestGroupCommitWindowBatches(t *testing.T) {
 func TestGroupCommitStopFailsPending(t *testing.T) {
 	st := storage.Open(&storage.Options{WriteLatency: 50 * time.Millisecond})
 	w := wal.NewWriter(st)
-	l := NewGroupCommitLogger(w, 20*time.Millisecond, 0)
+	l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{MaxDelay: 20 * time.Millisecond})
 
 	errc := make(chan error, 1)
 	go func() {
@@ -473,7 +473,7 @@ func TestGroupCommitStopFailsPending(t *testing.T) {
 	case err := <-errc:
 		// Either the record committed before Stop or it failed with the
 		// shutdown error — it must not hang.
-		if err != nil && err != ErrLoggerStopped {
+		if err != nil && err != wal.ErrCommitterStopped {
 			t.Fatalf("unexpected error %v", err)
 		}
 	case <-time.After(2 * time.Second):

@@ -77,27 +77,6 @@ type snapshotMeta struct {
 	walCursor  storage.Cursor
 }
 
-func appendLoc(buf []byte, l storage.Loc) []byte {
-	buf = append(buf, byte(l.Stream))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Extent))
-	buf = binary.LittleEndian.AppendUint32(buf, l.Offset)
-	buf = binary.LittleEndian.AppendUint32(buf, l.Length)
-	return buf
-}
-
-func readLoc(buf []byte) (storage.Loc, []byte, error) {
-	if len(buf) < 17 {
-		return storage.Loc{}, nil, fmt.Errorf("replication: truncated loc in snapshot")
-	}
-	l := storage.Loc{
-		Stream: storage.StreamID(buf[0]),
-		Extent: storage.ExtentID(binary.LittleEndian.Uint64(buf[1:])),
-		Offset: binary.LittleEndian.Uint32(buf[9:]),
-		Length: binary.LittleEndian.Uint32(buf[13:]),
-	}
-	return l, buf[17:], nil
-}
-
 // encodeTreeSnapshot: kind[1] gen[8] tree[8] hasOwner[1] owner[8] init[1]
 // nleaves[4] { loLen[2] lo base[17] nd[2] deltas[17]* }*
 func encodeTreeSnapshot(gen uint64, ts core.TreeSnapshot, isInit bool) []byte {
@@ -119,10 +98,10 @@ func encodeTreeSnapshot(gen uint64, ts core.TreeSnapshot, isInit bool) []byte {
 	for _, lf := range ts.Leaves {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lf.Lo)))
 		buf = append(buf, lf.Lo...)
-		buf = appendLoc(buf, lf.Base)
+		buf = bwtree.AppendLoc(buf, lf.Base)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lf.Deltas)))
 		for _, d := range lf.Deltas {
-			buf = appendLoc(buf, d)
+			buf = bwtree.AppendLoc(buf, d)
 		}
 	}
 	return buf
@@ -153,7 +132,7 @@ func decodeTreeSnapshot(buf []byte) (gen uint64, ts core.TreeSnapshot, isInit bo
 			lf.Lo = append([]byte(nil), buf[:loLen]...)
 		}
 		buf = buf[loLen:]
-		lf.Base, buf, err = readLoc(buf)
+		lf.Base, buf, err = bwtree.ReadLoc(buf)
 		if err != nil {
 			return 0, ts, false, err
 		}
@@ -164,7 +143,7 @@ func decodeTreeSnapshot(buf []byte) (gen uint64, ts core.TreeSnapshot, isInit bo
 		buf = buf[2:]
 		for j := uint16(0); j < nd; j++ {
 			var d storage.Loc
-			d, buf, err = readLoc(buf)
+			d, buf, err = bwtree.ReadLoc(buf)
 			if err != nil {
 				return 0, ts, false, err
 			}
@@ -213,7 +192,6 @@ type snapshotState struct {
 	lastGen    uint64
 	lastMeta   snapshotMeta
 	hasSnap    bool
-	snapCount  int64
 }
 
 // WriteSnapshot quiesces writes, flushes dirty pages, and persists a full
@@ -222,26 +200,12 @@ type snapshotState struct {
 // NewRONodeFromSnapshot bootstrap from the latest snapshot; TrimWAL can
 // afterwards drop the WAL prefix it covers.
 func (n *RWNode) WriteSnapshot() (wal.LSN, error) {
-	// Quiesce: with the barrier held exclusively, every assigned LSN is
-	// applied, and FlushDirty makes the durable state equal memory.
-	n.applyBarrier.Lock()
-	// The cursor is sampled before the horizon: records that bypass the
-	// barrier (2PC control records) keep being assigned LSNs and landing
-	// while it is held, and recovery resumes at the cursor expecting
-	// horizon+1 — a record above the horizon that landed before the cursor
-	// would read as a hole and strand every acked group after it.
-	cursor := n.store.TailCursor(storage.StreamWAL)
-	horizon := n.logger.LastLSN()
-	updates, err := n.engine.FlushDirty()
+	// One flush cycle with writers quiesced throughout: every assigned LSN
+	// is applied and flushed when the state is captured, and the cycle's
+	// checkpoint record publishes the flush to existing replicas.
+	var state core.SnapshotState
+	horizon, cursor, err := n.flushCycle(func() { state = n.engine.SnapshotState() })
 	if err != nil {
-		n.applyBarrier.Unlock()
-		return 0, err
-	}
-	state := n.engine.SnapshotState()
-	n.applyBarrier.Unlock()
-
-	// Publish the flush to existing replicas as a normal checkpoint.
-	if err := n.appendCheckpoint(horizon, updates); err != nil {
 		return 0, err
 	}
 
@@ -289,7 +253,6 @@ func (n *RWNode) WriteSnapshot() (wal.LSN, error) {
 	n.snap.lastGen = gen
 	n.snap.lastMeta = meta
 	n.snap.hasSnap = true
-	n.snap.snapCount++
 	n.snap.mu.Unlock()
 	return horizon, nil
 }
@@ -485,12 +448,8 @@ func recoverRWNodeAtEpoch(st *storage.Store, opts RWOptions, epoch uint64) (*RWN
 	if !found {
 		return nil, fmt.Errorf("replication: recover: no snapshot on store")
 	}
-	opts.Engine.Tree.FlushMode = bwtree.FlushAsync
 	src := mvcc.NewSource(0)
-	engineOpts := opts.Engine
-	engineOpts.Logger = nil
-	engineOpts.Epochs = src
-	engine, err := core.RecoverWithStore(st, engineOpts, state)
+	engine, err := core.RecoverWithStore(st, opts.engineOptions(src, nil), state)
 	if err != nil {
 		return nil, err
 	}
@@ -516,38 +475,21 @@ func recoverRWNodeAtEpoch(st *storage.Store, opts RWOptions, epoch uint64) (*RWN
 		}
 	}
 
-	writer := wal.NewWriterFromEpoch(st, maxLSN+1, epoch)
-	logger := wal.NewGroupCommitter(writer, wal.GroupCommitterOptions{
-		MaxDelay:      opts.CommitWindow,
-		MaxBatch:      opts.MaxBatch,
-		QueueDepth:    opts.QueueDepth,
-		PipelineDepth: opts.PipelineDepth,
-		AdaptiveDepth: opts.AdaptivePipeline,
-		OnRelease:     func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) },
-	})
-	// Everything replayed is released by definition: seed the clock at the
-	// recovered durable horizon so the first pinned snapshot sees it all.
-	src.Advance(mvcc.Epoch(maxLSN))
-	engine.AttachLogger(logger)
-
-	n := &RWNode{
-		engine: engine,
-		store:  st,
-		writer: writer,
-		logger: logger,
-		opts:   opts,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+	// The writer resumes at maxLSN+1, so assembly seeds the epoch clock at
+	// the recovered durable horizon.
+	n, err := assembleRWNode(st, opts, wal.NewWriterFromEpoch(st, maxLSN+1, epoch), src,
+		func(logger *wal.GroupCommitter) (*core.Engine, error) {
+			engine.AttachLogger(logger)
+			return engine, nil
+		})
+	if err != nil {
+		return nil, err
 	}
+	n.snap.mu.Lock()
 	n.snap.lastMeta = meta
 	n.snap.lastGen = meta.generation
 	n.snap.hasSnap = true
-	n.registerMetrics(engine.Metrics())
-	if opts.FlushInterval > 0 {
-		go n.flushLoop()
-	} else {
-		close(n.done)
-	}
+	n.snap.mu.Unlock()
 	// The replayed engine has fresh page IDs; old WAL records reference
 	// the pre-crash ones. A new snapshot makes the recovered state the
 	// bootstrap point, so replicas attached from here (always via

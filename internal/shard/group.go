@@ -25,7 +25,8 @@ import (
 // on the owning shard's leader; consistent cross-shard reads go through
 // Snapshot / SnapshotAt.
 type Group struct {
-	router *Router
+	routed // latest-state reads, each on the owning shard's current leader
+
 	// leaders[i] is shard i's current leader; Failover swaps it in place
 	// while routed writes keep arriving, Close clears it. stores is
 	// immutable after Open: a promoted leader reopens the same volume.
@@ -58,12 +59,12 @@ func Open(n int, storageOpts *storage.Options, rw replication.RWOptions) (*Group
 	router := NewRouter(n)
 	n = router.Shards()
 	g := &Group{
-		router:  router,
 		leaders: make([]atomic.Pointer[replication.RWNode], n),
 		stores:  make([]*storage.Store, n),
 		reg:     metrics.NewRegistry(),
 		mgr:     newTxnManager(),
 	}
+	g.routed = routed{router, func(i int) graph.Reader { return g.Leader(i) }}
 	for i := range g.stores {
 		var so storage.Options
 		if storageOpts != nil {
@@ -140,8 +141,16 @@ func (g *Group) Failover(i int) error {
 		return fmt.Errorf("shard %d: %w", i, err)
 	}
 	g.failovers.Inc()
+	if g.Shards() == 1 {
+		// Every batch has one owner, so no 2PC record was ever logged and
+		// the in-doubt scan (a full WAL read) has nothing to find.
+		return nil
+	}
 	return g.resolveInDoubt(i)
 }
+
+// Failovers returns how many shard leaders the group has replaced.
+func (g *Group) Failovers() int64 { return g.failovers.Load() }
 
 // Close stops every shard's leader and closes its store.
 func (g *Group) Close() {
@@ -173,32 +182,12 @@ func (g *Group) owner(id graph.VertexID) *replication.RWNode {
 // AddVertex implements graph.Store on the owning shard.
 func (g *Group) AddVertex(v graph.Vertex) error { return g.owner(v.ID).AddVertex(v) }
 
-// GetVertex implements graph.Store on the owning shard.
-func (g *Group) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	return g.owner(id).GetVertex(id, typ)
-}
-
 // AddEdge implements graph.Store on the source's owning shard.
 func (g *Group) AddEdge(e graph.Edge) error { return g.owner(e.Src).AddEdge(e) }
-
-// GetEdge implements graph.Store on the source's owning shard.
-func (g *Group) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	return g.owner(src).GetEdge(src, typ, dst)
-}
 
 // DeleteEdge implements graph.Store on the source's owning shard.
 func (g *Group) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) error {
 	return g.owner(src).DeleteEdge(src, typ, dst)
-}
-
-// Neighbors implements graph.Store on the source's owning shard.
-func (g *Group) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	return g.owner(src).Neighbors(src, typ, limit, fn)
-}
-
-// Degree implements graph.Store on the source's owning shard.
-func (g *Group) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	return g.owner(src).Degree(src, typ)
 }
 
 var (
@@ -663,7 +652,7 @@ func (g *Group) Snapshot() *Snapshot {
 		views[i] = g.Leader(i).Engine().View()
 	}
 	g.snapshots.Inc()
-	return &Snapshot{router: g.router, views: views}
+	return newSnapshot(g.router, views)
 }
 
 // SnapshotAt re-attaches a previously sampled cut, pinning each shard at
@@ -689,5 +678,5 @@ func (g *Group) SnapshotAt(v Vector) (*Snapshot, error) {
 		views[i] = view
 	}
 	g.snapshots.Inc()
-	return &Snapshot{router: g.router, views: views}, nil
+	return newSnapshot(g.router, views), nil
 }

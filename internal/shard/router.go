@@ -46,6 +46,35 @@ func (r *Router) Owner(id graph.VertexID) int {
 	return int((uint64(id) * fibMul) % uint64(r.Shards()))
 }
 
+// routed is graph.Reader over a sharded vertex space: every read runs on
+// the reader of the shard owning the vertex it is keyed by (an edge lives
+// with its source). at is consulted per read, so a reader replaced behind
+// it — a promoted leader, a resynced follower — is picked up at once.
+type routed struct {
+	router *Router
+	at     func(shard int) graph.Reader
+}
+
+// Reader returns the owner-routed graph.Reader over one reader per shard.
+func (r *Router) Reader(at func(shard int) graph.Reader) graph.Reader { return routed{r, at} }
+
+func (r routed) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
+	return r.at(r.router.Owner(id)).GetVertex(id, typ)
+}
+
+func (r routed) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
+	return r.at(r.router.Owner(src)).GetEdge(src, typ, dst)
+}
+
+// Neighbors keeps the shard reader's callback-scoped Properties validity.
+func (r routed) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
+	return r.at(r.router.Owner(src)).Neighbors(src, typ, limit, fn)
+}
+
+func (r routed) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
+	return r.at(r.router.Owner(src)).Degree(src, typ)
+}
+
 // routeKey returns the vertex whose owner decides where a mutation
 // lives: vertices route by their own ID, edges by their source (edges
 // are stored in the source vertex's adjacency, so the edge and its

@@ -128,11 +128,18 @@ func (v Vector) ValidateAgainst(released Vector) error {
 // A Snapshot holds every shard's retention floor down until closed;
 // close it promptly. Safe for concurrent readers; Close is idempotent.
 type Snapshot struct {
-	router *Router
+	routed // every read at its owner's pinned horizon
 	views  []*core.ReadView
 }
 
 var _ graph.Reader = (*Snapshot)(nil)
+
+func newSnapshot(router *Router, views []*core.ReadView) *Snapshot {
+	return &Snapshot{
+		routed: routed{router, func(i int) graph.Reader { return views[i] }},
+		views:  views,
+	}
+}
 
 // Epochs returns the pinned epoch vector (component i = shard i's
 // group-commit boundary).
@@ -158,29 +165,4 @@ func (s *Snapshot) Close() {
 	for _, v := range s.views {
 		v.Close()
 	}
-}
-
-func (s *Snapshot) view(id graph.VertexID) *core.ReadView {
-	return s.views[s.router.Owner(id)]
-}
-
-// GetVertex implements graph.Reader at the owner's pinned horizon.
-func (s *Snapshot) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	return s.view(id).GetVertex(id, typ)
-}
-
-// GetEdge implements graph.Reader at the source owner's pinned horizon.
-func (s *Snapshot) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	return s.view(src).GetEdge(src, typ, dst)
-}
-
-// Neighbors implements graph.Reader at the source owner's pinned
-// horizon, with callback-scoped Properties validity.
-func (s *Snapshot) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	return s.view(src).Neighbors(src, typ, limit, fn)
-}
-
-// Degree implements graph.Reader at the source owner's pinned horizon.
-func (s *Snapshot) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	return s.view(src).Degree(src, typ)
 }

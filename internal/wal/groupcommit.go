@@ -34,10 +34,6 @@ type GroupCommitterOptions struct {
 	// earlier group is durable too. <= 1 preserves the serial
 	// one-append-at-a-time behaviour.
 	PipelineDepth int
-	// AdaptiveDepth lets the committer resize its effective depth and
-	// accumulation window between 1 and PipelineDepth, widening under
-	// queue-stall pressure and narrowing when groups run near-empty.
-	AdaptiveDepth bool
 	// OnRelease, when set, is invoked with the last LSN of each group just
 	// before that group's writers are acked. Because flights retire from
 	// the FIFO strictly in LSN order, successive calls carry strictly
@@ -95,10 +91,6 @@ type flight struct {
 	doneAt time.Time // when the storage append completed
 }
 
-// adaptEvery is how many released groups pass between adaptive-depth
-// reassessments.
-const adaptEvery = 16
-
 // GroupCommitter batches WAL records into shared storage appends and is the
 // node's LSN authority — the paper's §3.4 write-side amortization: many
 // logical writes share one ms-latency storage round trip. It sits between
@@ -135,23 +127,15 @@ type GroupCommitter struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	// fmu guards the flight FIFO and the pipeline's adaptive state. Lock
-	// order is fmu -> mu -> statsMu; never the reverse.
-	fmu       sync.Mutex
-	slot      sync.Cond // signaled when a flight completes (slot frees)
-	flights   []*flight // dispatched, not yet released, FIFO in LSN order
-	inflight  int       // dispatched flights whose append has not completed
-	effDepth  int       // current pipeline depth (adaptive)
-	effWindow time.Duration
-	pipeDead  bool
-	pipeErr   error
-	wg        sync.WaitGroup
-
-	// adaptive sampling state, guarded by fmu
-	sinceAdapt   int
-	lastStalls   int64
-	adaptRecords int64
-	adaptFlushes int64
+	// fmu guards the flight FIFO. Lock order is fmu -> mu -> statsMu;
+	// never the reverse.
+	fmu      sync.Mutex
+	slot     sync.Cond // signaled when a flight completes (slot frees)
+	flights  []*flight // dispatched, not yet released, FIFO in LSN order
+	inflight int       // dispatched flights whose append has not completed
+	pipeDead bool
+	pipeErr  error
+	wg       sync.WaitGroup
 
 	statsMu sync.Mutex
 	batches int64
@@ -175,22 +159,13 @@ func NewGroupCommitter(w *Writer, opts GroupCommitterOptions) *GroupCommitter {
 func newGroupCommitterFor(a sealedAppender, opts GroupCommitterOptions) *GroupCommitter {
 	opts = opts.withDefaults()
 	c := &GroupCommitter{
-		a:         a,
-		opts:      opts,
-		nextLSN:   a.NextLSN(),
-		wake:      make(chan struct{}, 1),
-		full:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		effDepth:  opts.PipelineDepth,
-		effWindow: opts.MaxDelay,
-	}
-	if opts.AdaptiveDepth && opts.PipelineDepth > 1 {
-		// Adaptive sizing starts serial and earns its depth: it widens only
-		// when queue stalls show the single in-flight append is the
-		// bottleneck, so an idle stream keeps the serial committer's
-		// amortization.
-		c.effDepth = 1
+		a:       a,
+		opts:    opts,
+		nextLSN: a.NextLSN(),
+		wake:    make(chan struct{}, 1),
+		full:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	c.space.L = &c.mu
 	c.slot.L = &c.fmu
@@ -260,13 +235,6 @@ func (c *GroupCommitter) LastLSN() LSN {
 	return c.nextLSN - 1
 }
 
-// window returns the current accumulation window (adaptive).
-func (c *GroupCommitter) window() time.Duration {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.effWindow
-}
-
 func (c *GroupCommitter) run() {
 	defer close(c.done)
 	defer func() {
@@ -284,7 +252,7 @@ func (c *GroupCommitter) run() {
 		}
 		// Let a group accumulate for the window — or until the size trigger
 		// fires — then drain in MaxBatch flushes until the queue is empty.
-		if d := c.window(); d > 0 {
+		if d := c.opts.MaxDelay; d > 0 {
 			timer := time.NewTimer(d)
 			select {
 			case <-timer.C:
@@ -365,7 +333,7 @@ func (c *GroupCommitter) run() {
 // free slot cannot be stolen in between).
 func (c *GroupCommitter) waitSlot() {
 	c.fmu.Lock()
-	for c.inflight >= c.effDepth && !c.pipeDead {
+	for c.inflight >= c.opts.PipelineDepth && !c.pipeDead {
 		c.slot.Wait()
 	}
 	c.fmu.Unlock()
@@ -377,7 +345,7 @@ func (c *GroupCommitter) waitSlot() {
 // failed here).
 func (c *GroupCommitter) dispatch(f *flight) error {
 	c.fmu.Lock()
-	for c.inflight >= c.effDepth && !c.pipeDead {
+	for c.inflight >= c.opts.PipelineDepth && !c.pipeDead {
 		c.slot.Wait()
 	}
 	if c.pipeDead {
@@ -464,53 +432,6 @@ func (c *GroupCommitter) releaseLocked() {
 		c.batches++
 		c.records += int64(len(f.reqs))
 		c.statsMu.Unlock()
-		c.adaptRecords += int64(len(f.reqs))
-		c.adaptFlushes++
-		c.maybeAdaptLocked()
-	}
-}
-
-// maybeAdaptLocked reassesses the pipeline's effective depth and window
-// every adaptEvery released groups: queue stalls (writers blocked on a full
-// queue) mean the pipeline is the bottleneck — widen it and shorten the
-// accumulation window; near-empty groups with no stalls mean depth is
-// wasted — narrow it and let groups accumulate longer, recovering the
-// serial committer's amortization. Caller holds c.fmu.
-func (c *GroupCommitter) maybeAdaptLocked() {
-	if !c.opts.AdaptiveDepth || c.opts.PipelineDepth <= 1 {
-		return
-	}
-	c.sinceAdapt++
-	if c.sinceAdapt < adaptEvery {
-		return
-	}
-	c.sinceAdapt = 0
-	stalls := c.stallLat.Count()
-	stallsDelta := stalls - c.lastStalls
-	c.lastStalls = stalls
-	avgGroup := float64(c.adaptRecords) / float64(c.adaptFlushes)
-	c.adaptRecords, c.adaptFlushes = 0, 0
-	switch {
-	case stallsDelta > 0 && c.effDepth < c.opts.PipelineDepth:
-		c.effDepth *= 2
-		if c.effDepth > c.opts.PipelineDepth {
-			c.effDepth = c.opts.PipelineDepth
-		}
-		if c.opts.MaxDelay > 0 {
-			c.effWindow /= 2
-			if min := c.opts.MaxDelay / 8; c.effWindow < min {
-				c.effWindow = min
-			}
-		}
-		c.slot.Broadcast()
-	case stallsDelta == 0 && c.effDepth > 1 && avgGroup*4 < float64(c.opts.MaxBatch):
-		c.effDepth--
-		if c.opts.MaxDelay > 0 {
-			c.effWindow += c.opts.MaxDelay / 8
-			if c.effWindow > c.opts.MaxDelay {
-				c.effWindow = c.opts.MaxDelay
-			}
-		}
 	}
 }
 
@@ -577,13 +498,9 @@ func (c *GroupCommitter) InflightGroups() int {
 	return c.inflight
 }
 
-// PipelineDepth returns the committer's current effective depth (equal to
-// the configured depth unless adaptive sizing resized it).
-func (c *GroupCommitter) PipelineDepth() int {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.effDepth
-}
+// PipelineDepth returns how many sealed group appends the committer keeps
+// in flight at once.
+func (c *GroupCommitter) PipelineDepth() int { return c.opts.PipelineDepth }
 
 // RegisterMetrics exposes the committer's accounting under the "wal."
 // prefix, next to the writer's per-append metrics.

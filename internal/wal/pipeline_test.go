@@ -318,58 +318,3 @@ func TestPipelineUtilizationOverlapsAppends(t *testing.T) {
 		}
 	}
 }
-
-// TestAdaptiveDepthResizes pins the adaptive controller: sustained queue
-// stalls widen the pipeline from its serial start, a calm serial phase
-// decays it back to 1, and the effective depth never leaves
-// [1, PipelineDepth].
-func TestAdaptiveDepthResizes(t *testing.T) {
-	st := storage.Open(&storage.Options{WriteLatency: 2 * time.Millisecond})
-	defer st.Close()
-	w := NewWriter(st)
-	c := NewGroupCommitter(w, GroupCommitterOptions{
-		PipelineDepth: 8,
-		AdaptiveDepth: true,
-		MaxBatch:      8,
-		QueueDepth:    8,
-	})
-	if d := c.PipelineDepth(); d != 1 {
-		t.Fatalf("adaptive committer starts at depth %d, want 1", d)
-	}
-
-	// Pressure phase: 32 writers against an 8-deep queue force stalls,
-	// which the controller must answer by widening.
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				if _, err := c.Log(&Record{Type: RecordPut, Key: []byte{byte(i), byte(j)}}); err != nil {
-					t.Errorf("writer %d: %v", i, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	grown := c.PipelineDepth()
-	if grown < 2 {
-		t.Errorf("depth after sustained stalls = %d, want > 1", grown)
-	}
-	if grown > 8 {
-		t.Errorf("depth %d exceeds the configured bound 8", grown)
-	}
-
-	// Calm phase: a single serial writer produces near-empty groups and no
-	// stalls; the controller must hand the depth back.
-	for j := 0; j < 160; j++ {
-		if _, err := c.Log(&Record{Type: RecordPut, Key: []byte{byte(j)}}); err != nil {
-			t.Fatalf("serial op %d: %v", j, err)
-		}
-	}
-	if d := c.PipelineDepth(); d != 1 {
-		t.Errorf("depth after calm serial phase = %d, want decay back to 1", d)
-	}
-	c.Stop()
-}

@@ -1,0 +1,144 @@
+package bg3
+
+import (
+	"sync"
+
+	"bg3/internal/graph"
+	"bg3/internal/metrics"
+	"bg3/internal/replication"
+	"bg3/internal/shard"
+)
+
+// leaderSet is the replicated deployment under both root types: a shard
+// group (one leader, store and WAL per shard) plus the follower sets
+// attached to it. A replicated DB is the one-shard case; a ShardedDB is
+// the same thing with Options.Shards of them.
+type leaderSet struct {
+	group *shard.Group
+	cfg   layers // attach reads the follower settings
+
+	mu       sync.Mutex // guards attached
+	attached []*followers
+}
+
+func openLeaderSet(shards int, cfg layers) (*leaderSet, error) {
+	g, err := shard.Open(shards, &cfg.storage, cfg.rw)
+	if err != nil {
+		return nil, err
+	}
+	return &leaderSet{group: g, cfg: cfg}, nil
+}
+
+// close stops every attached follower, then every shard's committer,
+// flusher, engine and store.
+func (ls *leaderSet) close() {
+	ls.mu.Lock()
+	attached := ls.attached
+	ls.attached = nil
+	ls.mu.Unlock()
+	for _, f := range attached {
+		f.stop()
+	}
+	ls.group.Close()
+}
+
+// failover promotes a replacement for shard i's leader (Group.Failover).
+// The promoted leader replayed into a fresh physical page-ID space and
+// published a new snapshot; followers attached to the deposed leader
+// re-bootstrap shard i from it so they keep serving consistent reads.
+func (ls *leaderSet) failover(i int) error {
+	if err := ls.group.Failover(i); err != nil {
+		return err
+	}
+	for _, f := range ls.followers() {
+		if err := f.ros[i].Resync(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ls *leaderSet) followers() []*followers {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return append([]*followers(nil), ls.attached...)
+}
+
+// followers is a graph.Reader over one read-only node per shard, routed
+// like the group's writes; a DB's Replica is the one-shard case. Each
+// read re-fetches the owning node's replica, because a resync (WAL trim,
+// failover) replaces it wholesale.
+type followers struct {
+	graph.Reader
+	ros []*replication.RONode
+}
+
+// attach opens one follower per shard, bootstrapped from the shard
+// store's latest snapshot when one exists (full WAL replay otherwise).
+func (ls *leaderSet) attach() (*followers, error) {
+	f := &followers{}
+	f.Reader = ls.group.Router().Reader(func(i int) graph.Reader { return f.ros[i].Replica() })
+	for i := 0; i < ls.group.Shards(); i++ {
+		ro, err := replication.NewRONodeFromSnapshot(ls.group.Store(i), ls.cfg.followerPoll, ls.cfg.followerCache)
+		if err != nil {
+			f.stop()
+			return nil, err
+		}
+		f.ros = append(f.ros, ro)
+	}
+	ls.mu.Lock()
+	ls.attached = append(ls.attached, f)
+	ls.mu.Unlock()
+	return f, nil
+}
+
+func (f *followers) stop() {
+	for _, ro := range f.ros {
+		ro.Stop()
+	}
+}
+
+// sync drains every shard's WAL so subsequent reads observe everything
+// acknowledged so far.
+func (f *followers) sync() error {
+	for _, ro := range f.ros {
+		if err := ro.Poll(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// lag returns the worst applied-LSN lag of any attached follower node
+// behind its shard leader's last assigned LSN.
+func (ls *leaderSet) lag() uint64 {
+	var worst uint64
+	for _, f := range ls.followers() {
+		for i, ro := range f.ros {
+			last, applied := uint64(ls.group.Leader(i).LastLSN()), uint64(ro.AppliedLSN())
+			if applied < last && last-applied > worst {
+				worst = last - applied
+			}
+		}
+	}
+	return worst
+}
+
+// resyncs counts snapshot re-bootstraps across the attached followers.
+func (ls *leaderSet) resyncs() int64 {
+	var n int64
+	for _, f := range ls.followers() {
+		for _, ro := range f.ros {
+			n += ro.Resyncs()
+		}
+	}
+	return n
+}
+
+// registerMetrics wires the follower and failover gauges into reg.
+func (ls *leaderSet) registerMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("replication.replicas", func() int64 { return int64(len(ls.followers())) })
+	reg.GaugeFunc("replication.applied_lsn_lag", func() int64 { return int64(ls.lag()) })
+	reg.CounterFunc("replication.resyncs", ls.resyncs)
+	reg.CounterFunc("replication.failovers", ls.group.Failovers)
+}

@@ -115,22 +115,12 @@ type Options struct {
 	// mode; 0: 64).
 	CommitMaxBatch int
 
-	// CommitQueueDepth bounds the group committer's pending queue; writers
-	// beyond it block until a flush makes room (replicated mode; 0: 4096).
-	CommitQueueDepth int
-
 	// CommitPipelineDepth keeps up to this many WAL group appends in
 	// flight concurrently (BtrLog-style commit pipelining). Storage
 	// completions may land out of order, but commit acks always release in
 	// LSN order (replicated mode; 0 or 1: serial appends, today's
 	// behaviour).
 	CommitPipelineDepth int
-
-	// CommitAdaptivePipeline lets the committer resize its effective
-	// pipeline depth and accumulation window between 1 and
-	// CommitPipelineDepth, driven by queue-stall pressure and group fill
-	// (replicated mode).
-	CommitAdaptivePipeline bool
 
 	// FlushInterval drives the background dirty-page flusher (replicated
 	// mode; default 50ms). FlushThreshold additionally triggers a flush at
@@ -153,7 +143,21 @@ type Options struct {
 	SnapshotInterval time.Duration
 }
 
-func (o Options) treeConfig() bwtree.Config {
+// layers is Options translated for the layers below the root API. Every
+// deployment shape opens from it — an unreplicated DB builds its engine
+// from rw.Engine over storage, a replicated DB and a ShardedDB hand
+// storage and rw to the shard group — so each knob is mapped, and each
+// default stated, exactly once.
+type layers struct {
+	storage storage.Options
+	rw      replication.RWOptions
+
+	// followerPoll and followerCache configure attached read-only nodes.
+	followerPoll  time.Duration
+	followerCache int
+}
+
+func (o Options) layers() layers {
 	policy := bwtree.ReadOptimized
 	if o.DeltaPolicy == Traditional {
 		policy = bwtree.Traditional
@@ -165,66 +169,53 @@ func (o Options) treeConfig() bwtree.Config {
 	if blockMin < 0 {
 		blockMin = 0 // disabled
 	}
-	return bwtree.Config{
-		Policy:              policy,
-		ConsolidateNum:      o.ConsolidateNum,
-		MaxPageEntries:      o.MaxPageEntries,
-		CacheCapacity:       o.CacheCapacity,
-		CacheShards:         o.CacheShards,
-		EdgeBlockMinEntries: blockMin,
-	}
-}
-
-func (o Options) gcPolicy() gc.Policy {
+	var gcPolicy gc.Policy
 	switch o.GC {
 	case GCDirtyRatio:
-		return gc.DirtyRatio{}
+		gcPolicy = gc.DirtyRatio{}
 	case GCFIFO:
-		return gc.FIFO{}
+		gcPolicy = gc.FIFO{}
 	default:
-		return gc.WorkloadAware{TTL: o.TTL}
+		gcPolicy = gc.WorkloadAware{TTL: o.TTL}
 	}
-}
-
-func (o Options) storageOptions() *storage.Options {
-	return &storage.Options{
-		ExtentSize:   o.ExtentSize,
-		ReadLatency:  o.StorageReadLatency,
-		WriteLatency: o.StorageWriteLatency,
+	flush := o.FlushInterval
+	if flush <= 0 {
+		flush = 50 * time.Millisecond
 	}
-}
-
-func (o Options) coreOptions() core.Options {
-	return core.Options{
-		Storage:           o.storageOptions(),
-		Tree:              o.treeConfig(),
-		SplitThreshold:    o.ForestSplitThreshold,
-		InitSizeThreshold: o.ForestInitSizeThreshold,
-		GCPolicy:          o.gcPolicy(),
-		TTL:               o.TTL,
-		GCInterval:        o.GCInterval,
-		GCBatch:           o.GCBatch,
+	poll := o.ReplicaPollInterval
+	if poll <= 0 {
+		poll = 5 * time.Millisecond
 	}
-}
-
-// rwOptions builds the replication.RWOptions a leader runs with. A
-// promoted leader inherits them from the one it replaces
-// (replication.Failover).
-func (o Options) rwOptions() replication.RWOptions {
-	fi := o.FlushInterval
-	if fi <= 0 {
-		fi = 50 * time.Millisecond
-	}
-	co := o.coreOptions()
-	co.Storage = nil
-	return replication.RWOptions{
-		Engine:           co,
-		CommitWindow:     o.CommitWindow,
-		MaxBatch:         o.CommitMaxBatch,
-		QueueDepth:       o.CommitQueueDepth,
-		PipelineDepth:    o.CommitPipelineDepth,
-		AdaptivePipeline: o.CommitAdaptivePipeline,
-		FlushInterval:    fi,
-		FlushThreshold:   o.FlushThreshold,
+	return layers{
+		storage: storage.Options{
+			ExtentSize:   o.ExtentSize,
+			ReadLatency:  o.StorageReadLatency,
+			WriteLatency: o.StorageWriteLatency,
+		},
+		rw: replication.RWOptions{
+			Engine: core.Options{
+				Tree: bwtree.Config{
+					Policy:              policy,
+					ConsolidateNum:      o.ConsolidateNum,
+					MaxPageEntries:      o.MaxPageEntries,
+					CacheCapacity:       o.CacheCapacity,
+					CacheShards:         o.CacheShards,
+					EdgeBlockMinEntries: blockMin,
+				},
+				SplitThreshold:    o.ForestSplitThreshold,
+				InitSizeThreshold: o.ForestInitSizeThreshold,
+				GCPolicy:          gcPolicy,
+				TTL:               o.TTL,
+				GCInterval:        o.GCInterval,
+				GCBatch:           o.GCBatch,
+			},
+			CommitWindow:   o.CommitWindow,
+			MaxBatch:       o.CommitMaxBatch,
+			PipelineDepth:  o.CommitPipelineDepth,
+			FlushInterval:  flush,
+			FlushThreshold: o.FlushThreshold,
+		},
+		followerPoll:  poll,
+		followerCache: o.ReplicaCacheCapacity,
 	}
 }

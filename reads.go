@@ -1,22 +1,18 @@
 package bg3
 
 import (
-	"time"
-
-	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/pattern"
-	"bg3/internal/replication"
-	"bg3/internal/shard"
-	"bg3/internal/storage"
 )
 
-// reads is the read surface every read-only handle shares: point and
+// reads is the read surface every root handle shares: point and
 // adjacency reads forward to the graph.Reader, traversals run the one
 // graph.KHop / pattern.Match / pattern.FindCycles over it. Snapshot,
-// Replica, ReadView and ShardSnapshot embed it; what differs between
-// them is only the Reader they hand in (a pinned view, a follower set, a
-// cross-shard cut).
+// Replica, ReadView and ShardSnapshot embed it whole; DB and ShardedDB
+// embed it for latest-state point and adjacency reads and override the
+// traversals to pin a snapshot first. What differs between them is only
+// the Reader they hand in (an engine, a leader set, a pinned view, a
+// follower set, a cross-shard cut).
 type reads struct{ r graph.Reader }
 
 // GetVertex fetches a vertex.
@@ -29,8 +25,10 @@ func (s reads) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, er
 	return s.r.GetEdge(src, typ, dst)
 }
 
-// Neighbors streams src's out-neighbors like DB.Neighbors, with the same
-// callback-scoped Properties validity.
+// Neighbors streams src's out-neighbors of the given edge type in
+// destination order until fn returns false or limit edges are delivered
+// (limit <= 0: unlimited). The Properties passed to fn are only valid for
+// the duration of the callback; copy values to retain them.
 func (s reads) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
 	return s.r.Neighbors(src, typ, limit, fn)
 }
@@ -55,69 +53,4 @@ func (s reads) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]Ve
 // like DB.FindCycles.
 func (s reads) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
 	return pattern.FindCycles(s.r, start, typ, maxLen, maxCycles)
-}
-
-// followers is a graph.Reader over one read-only node per shard, routed
-// by the shard router; a DB's Replica is the one-shard case. Each read
-// re-fetches the owning node's replica, because a resync (WAL trim,
-// failover) replaces it wholesale.
-type followers struct {
-	router *shard.Router
-	ros    []*replication.RONode
-}
-
-// openFollowers attaches one follower to each store, bootstrapped from
-// the store's latest snapshot when one exists (full WAL replay otherwise).
-func openFollowers(router *shard.Router, stores []*storage.Store, o Options) (*followers, error) {
-	interval := o.ReplicaPollInterval
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
-	}
-	f := &followers{router: router}
-	for _, st := range stores {
-		ro, err := replication.NewRONodeFromSnapshot(st, interval, o.ReplicaCacheCapacity)
-		if err != nil {
-			f.stop()
-			return nil, err
-		}
-		f.ros = append(f.ros, ro)
-	}
-	return f, nil
-}
-
-func (f *followers) stop() {
-	for _, ro := range f.ros {
-		ro.Stop()
-	}
-}
-
-// sync drains every shard's WAL so subsequent reads observe everything
-// acknowledged so far.
-func (f *followers) sync() error {
-	for _, ro := range f.ros {
-		if err := ro.Poll(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *followers) replica(id VertexID) *core.Replica {
-	return f.ros[f.router.Owner(id)].Replica()
-}
-
-func (f *followers) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return f.replica(id).GetVertex(id, typ)
-}
-
-func (f *followers) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return f.replica(src).GetEdge(src, typ, dst)
-}
-
-func (f *followers) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return f.replica(src).Neighbors(src, typ, limit, fn)
-}
-
-func (f *followers) Degree(src VertexID, typ EdgeType) (int, error) {
-	return f.replica(src).Degree(src, typ)
 }

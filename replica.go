@@ -1,11 +1,5 @@
 package bg3
 
-import (
-	"bg3/internal/replication"
-	"bg3/internal/shard"
-	"bg3/internal/storage"
-)
-
 // WriteSnapshot persists a snapshot of the database's durable shape so
 // that future replicas bootstrap without replaying the whole WAL, and so
 // TrimWAL can drop the covered WAL prefix. Only valid on a replicated DB.
@@ -34,37 +28,33 @@ func (db *DB) TrimWAL() int {
 // replica within the WAL shipping delay, with no data loss regardless of
 // network conditions (§3.4).
 type Replica struct {
-	reads // the scale-out read path: every read and traversal runs on the replica
-	ro    *replication.RONode
+	reads            // the scale-out read path: every read and traversal runs on the replica
+	f     *followers // the one-shard follower set
 }
 
 // OpenReplica attaches a new read-only replica. The DB must have been
 // opened with Options.Replicated.
 func (db *DB) OpenReplica() (*Replica, error) {
-	if db.leader() == nil {
+	if db.ls == nil {
 		return nil, ErrNotReplicated
 	}
-	f, err := openFollowers(shard.NewRouter(1), []*storage.Store{db.store}, db.opts)
+	f, err := db.ls.attach()
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{reads: reads{f}, ro: f.ros[0]}
-	db.mu.Lock()
-	db.replicas = append(db.replicas, r)
-	db.mu.Unlock()
-	return r, nil
+	return &Replica{reads: reads{f}, f: f}, nil
 }
 
 // Stop detaches the replica and halts its WAL tailing.
-func (r *Replica) Stop() { r.ro.Stop() }
+func (r *Replica) Stop() { r.f.stop() }
 
 // AppliedLSN returns the highest WAL LSN this replica has applied.
-func (r *Replica) AppliedLSN() uint64 { return uint64(r.ro.AppliedLSN()) }
+func (r *Replica) AppliedLSN() uint64 { return uint64(r.f.ros[0].AppliedLSN()) }
 
 // Resyncs returns how many times the replica re-bootstrapped from a
 // snapshot after a WAL trim or lost extent outran its tailing.
-func (r *Replica) Resyncs() int64 { return r.ro.Resyncs() }
+func (r *Replica) Resyncs() int64 { return r.f.ros[0].Resyncs() }
 
 // Sync synchronously drains the WAL so subsequent reads reflect every
 // write the DB has acknowledged so far.
-func (r *Replica) Sync() error { return r.ro.Poll() }
+func (r *Replica) Sync() error { return r.f.sync() }

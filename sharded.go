@@ -2,12 +2,10 @@ package bg3
 
 import (
 	"fmt"
-	"sync"
 
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 	"bg3/internal/shard"
-	"bg3/internal/storage"
 )
 
 // ShardedDB is a horizontally partitioned BG3 deployment (§3.1): the
@@ -19,13 +17,14 @@ import (
 // consistent cut) and traversals run over it. Attach ReadView instances
 // to scale strongly consistent reads across follower nodes.
 //
+// GetVertex, GetEdge, Neighbors and Degree (the embedded reads) see the
+// latest state on the owning shard's current leader; edges live with
+// their source.
+//
 // All methods are safe for concurrent use.
 type ShardedDB struct {
-	opts  Options
-	group *shard.Group
-
-	mu    sync.Mutex // guards views
-	views []*ReadView
+	reads
+	*leaderSet
 }
 
 var (
@@ -42,26 +41,16 @@ func OpenSharded(opts *Options) (*ShardedDB, error) {
 	if opts != nil {
 		o = *opts
 	}
-	o.Replicated = true
-	g, err := shard.Open(o.Shards, o.storageOptions(), o.rwOptions())
+	ls, err := openLeaderSet(o.Shards, o.layers())
 	if err != nil {
 		return nil, fmt.Errorf("bg3: open sharded: %w", err)
 	}
-	return &ShardedDB{opts: o, group: g}, nil
+	return &ShardedDB{reads: reads{ls.group}, leaderSet: ls}, nil
 }
 
 // Close stops every attached read view and every shard's committer,
 // flusher, and engine.
-func (db *ShardedDB) Close() {
-	db.mu.Lock()
-	views := db.views
-	db.views = nil
-	db.mu.Unlock()
-	for _, v := range views {
-		v.Stop()
-	}
-	db.group.Close()
-}
+func (db *ShardedDB) Close() { db.close() }
 
 // Shards returns the shard count.
 func (db *ShardedDB) Shards() int { return db.group.Shards() }
@@ -76,33 +65,12 @@ func (db *ShardedDB) Metrics() *metrics.Registry { return db.group.Metrics() }
 // AddVertex writes the vertex on its owning shard.
 func (db *ShardedDB) AddVertex(v Vertex) error { return db.group.AddVertex(v) }
 
-// GetVertex reads the vertex from its owning shard (latest state).
-func (db *ShardedDB) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	return db.group.GetVertex(id, typ)
-}
-
 // AddEdge writes the edge on its source's owning shard.
 func (db *ShardedDB) AddEdge(e Edge) error { return db.group.AddEdge(e) }
-
-// GetEdge reads one edge from its source's owning shard (latest state).
-func (db *ShardedDB) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	return db.group.GetEdge(src, typ, dst)
-}
 
 // DeleteEdge removes the edge on its source's owning shard.
 func (db *ShardedDB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
 	return db.group.DeleteEdge(src, typ, dst)
-}
-
-// Neighbors streams src's out-neighbors from its owning shard (latest
-// state), with callback-scoped Properties validity.
-func (db *ShardedDB) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	return db.group.Neighbors(src, typ, limit, fn)
-}
-
-// Degree returns src's out-degree on its owning shard.
-func (db *ShardedDB) Degree(src VertexID, typ EdgeType) (int, error) {
-	return db.group.Degree(src, typ)
 }
 
 // ApplyBatch commits the batch atomically — across shards. A batch
@@ -229,20 +197,7 @@ func (db *ShardedDB) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles 
 // leader stay exact (their horizons exclude anything the fence cut off),
 // and attached read views re-bootstrap shard i's follower onto the
 // promoted leader's snapshot.
-func (db *ShardedDB) Failover(i int) error {
-	if err := db.group.Failover(i); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	views := append([]*ReadView(nil), db.views...)
-	db.mu.Unlock()
-	for _, v := range views {
-		if err := v.f.ros[i].Resync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (db *ShardedDB) Failover(i int) error { return db.failover(i) }
 
 // Checkpoint flushes dirty pages and publishes a WAL checkpoint on every
 // shard.
@@ -258,20 +213,11 @@ type ReadView struct {
 
 // OpenReadView attaches one follower node per shard.
 func (db *ShardedDB) OpenReadView() (*ReadView, error) {
-	g := db.group
-	stores := make([]*storage.Store, g.Shards())
-	for i := range stores {
-		stores[i] = g.Store(i)
-	}
-	f, err := openFollowers(g.Router(), stores, db.opts)
+	f, err := db.attach()
 	if err != nil {
 		return nil, err
 	}
-	v := &ReadView{reads: reads{f}, f: f}
-	db.mu.Lock()
-	db.views = append(db.views, v)
-	db.mu.Unlock()
-	return v, nil
+	return &ReadView{reads: reads{f}, f: f}, nil
 }
 
 // Stop detaches the view's followers.
