@@ -32,16 +32,16 @@ import (
 //
 //   - Seal S = retention floor at build time. Every live pin's horizon is
 //     >= the floor, so pinned readers never fall below the block; reads at
-//     h < S (defensive) fall back to the legacy merged path.
+//     h < S (defensive) walk the leaves instead (page.go).
 //   - The overlay holds every op with LSN > S. The first build turns on
 //     capture, drains writers that entered before capture (preGate), and
 //     seeds the overlay from the leaf chains' retained history above S;
 //     rebuilds inherit the continuously captured overlay, filtered to the
 //     new seal.
 //   - A writer between LSN assignment and its overlay append is counted
-//     in blockWriters; readers observing a nonzero count fall back to the
-//     merged path, so an op can never be visible at a released epoch
-//     without being in the overlay.
+//     in blockWriters; readers observing a nonzero count walk the leaves
+//     instead, so an op can never be visible at a released epoch without
+//     being in the overlay.
 //   - During a build, consolidation is clamped to fold nothing above S
 //     (buildClamp), so the content scan at S stays reconstructible even
 //     if every pin is released mid-build.
@@ -197,9 +197,8 @@ func splitEdgeBlockParts(entries []kv, seal wal.LSN, maxPart int) ([][]byte, err
 }
 
 // blockView returns the packed block and the key-sorted overlay snapshot
-// serving horizon h, or ok=false when the read must take the legacy
-// merged path: no block, a writer mid-capture, or a (defensive) horizon
-// below the seal.
+// serving horizon h, or ok=false when the read must walk the leaves: no
+// block, a writer mid-capture, or a (defensive) horizon below the seal.
 func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
 	if t.blocks.block.Load() == nil {
 		return nil, nil, false
@@ -256,6 +255,14 @@ func (t *Tree) sortedOverlayLocked() []op {
 	merged = append(merged, tail[j:]...)
 	st.sorted, st.sortedN = merged, n
 	return merged
+}
+
+// searchKV binary-searches sorted entries for key.
+func searchKV(entries []kv, key []byte) (int, bool) {
+	idx := sort.Search(len(entries), func(i int) bool {
+		return bytes.Compare(entries[i].key, key) >= 0
+	})
+	return idx, idx < len(entries) && bytes.Equal(entries[idx].key, key)
 }
 
 // scanEdgeBlock is ScanAt over the packed array: binary-search the entry
@@ -397,8 +404,7 @@ func (t *Tree) blockWriteExit(gate int, o op, applied bool) {
 
 // collectRetainedAbove walks the leaf chain (left to right, per-leaf
 // latch, structure read-locked like LeafDirectory) collecting every
-// retained op with LSN above seal, clipped to each leaf's key range so
-// split-seeded history duplicates drop out.
+// overlay op with LSN above seal.
 func (t *Tree) collectRetainedAbove(seal wal.LSN) []op {
 	t.structMu.RLock()
 	defer t.structMu.RUnlock()
@@ -424,11 +430,9 @@ func (t *Tree) collectRetainedAbove(seal wal.LSN) []op {
 			break
 		}
 		e.mu.Lock()
-		for _, ops := range [2][]op{e.deltaOps, e.pending} {
-			for _, o := range ops {
-				if o.lsn > seal && e.covers(o.key) {
-					out = append(out, o)
-				}
+		for _, o := range e.overlay {
+			if o.lsn > seal {
+				out = append(out, o)
 			}
 		}
 		id = e.next
@@ -499,15 +503,27 @@ func (t *Tree) edgeBlockWanted() bool {
 }
 
 // TryBuildEdgeBlock builds (or rebuilds) the tree's packed edge block if
-// no other build is in flight. It returns whether a block was installed.
-// Safe to call on any tree; trees with blocks disabled return false.
+// no other build is in flight — the background triggers' entry point. It
+// returns whether a block was installed. Safe to call on any tree; trees
+// with blocks disabled return false.
 func (t *Tree) TryBuildEdgeBlock() (bool, error) {
+	if t.cfg.EdgeBlockMinEntries <= 0 || !t.blocks.blockBuildMu.TryLock() {
+		return false, nil
+	}
+	defer t.blocks.blockBuildMu.Unlock()
+	return t.buildEdgeBlockLocked()
+}
+
+// BuildEdgeBlock is the explicit (operator, bulk-load) build: it waits out
+// a build in flight — the one the write path spawns at the threshold seals
+// before the latest writes — instead of skipping the tree and leaving that
+// older block under everything written since, so the caller's first call
+// packs all of it.
+func (t *Tree) BuildEdgeBlock() (bool, error) {
 	if t.cfg.EdgeBlockMinEntries <= 0 {
 		return false, nil
 	}
-	if !t.blocks.blockBuildMu.TryLock() {
-		return false, nil
-	}
+	t.blocks.blockBuildMu.Lock()
 	defer t.blocks.blockBuildMu.Unlock()
 	return t.buildEdgeBlockLocked()
 }

@@ -1,92 +1,113 @@
 package bwtree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"bg3/internal/wal"
 )
 
-// kv is one key-value pair in a materialized page.
+// kv is one key-value pair of a packed edge block.
 type kv struct {
 	key []byte
 	val []byte
 }
 
-// op is one logical update carried by a delta record. lsn is the WAL LSN
-// the update committed under (0 on trees without a logger): snapshot reads
-// at horizon H reconstruct a page's content by applying only ops with
-// lsn <= H on top of the stable base image.
+// op is one logical update of a page's overlay. lsn is the WAL LSN the
+// update committed under (0 on trees without a logger): a read at horizon
+// H sees, per key, the newest op with lsn <= H over the base image.
+// pending marks an op no durable delta record carries yet (async mode).
 type op struct {
-	del bool
-	key []byte
-	val []byte
-	lsn wal.LSN
+	del     bool
+	pending bool
+	key     []byte
+	val     []byte
+	lsn     wal.LSN
 }
+
+// opOverhead is an op's resident cost beyond its key and value bytes.
+const opOverhead = 64
 
 // ErrCorruptPage is returned when a durable page image fails to decode.
 var ErrCorruptPage = errors.New("bwtree: corrupt page image")
 
-// encodeLeaf serializes a materialized leaf page:
+// leafImage is a leaf page as storage holds it, read in place:
 //
-//	count[4] { klen[4] vlen[4] key val }*
-func encodeLeaf(entries []kv) []byte {
-	size := 4
-	for _, e := range entries {
-		size += 8 + len(e.key) + len(e.val)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.val)))
-		buf = append(buf, e.key...)
-		buf = append(buf, e.val...)
-	}
-	return buf
+//	count[4] { off[4] klen[4] }*count  { key val }*count
+//
+// off is the absolute offset of entry i's key; its value runs from the end
+// of the key to the next entry's off (the image's end for the last one), so
+// the table costs the 8 bytes per entry the two length words used to.
+// Entries are strictly key-ascending. An image is immutable once built:
+// readers walk it without the page latch and sub-slices are capacity-capped.
+// nil means "not resident"; an empty page is emptyLeaf.
+type leafImage []byte
+
+var emptyLeaf = leafImage{0, 0, 0, 0}
+
+func (p leafImage) count() int { return int(binary.LittleEndian.Uint32(p)) }
+
+func (p leafImage) key(i int) []byte {
+	s := p[4+8*i:]
+	off, end := binary.LittleEndian.Uint32(s), binary.LittleEndian.Uint32(s)+binary.LittleEndian.Uint32(s[4:])
+	return p[off:end:end]
 }
 
-// decodeLeaf parses a leaf image. The returned entries alias buf rather
-// than copying each key and value: decode is the hottest allocation site of
-// the read path, page content is never mutated in place (updates replace
-// slice headers), and every storage read hands back a freshly owned buffer,
-// so aliasing is safe. Callers that decode from a shared or reused buffer
-// must copy first. Sub-slices are capacity-capped so an append through one
-// can never bleed into its neighbor.
-func decodeLeaf(buf []byte) ([]kv, error) {
+func (p leafImage) val(i int) []byte {
+	s := p[4+8*i:]
+	off, end := binary.LittleEndian.Uint32(s)+binary.LittleEndian.Uint32(s[4:]), uint32(len(p))
+	if i+1 < p.count() {
+		end = binary.LittleEndian.Uint32(s[8:])
+	}
+	return p[off:end:end]
+}
+
+// bound returns the index of the first entry at or after to; nil is open.
+func (p leafImage) bound(to []byte) int {
+	if to == nil {
+		return p.count()
+	}
+	return p.search(to)
+}
+
+// search returns the index of the first entry at or after key.
+func (p leafImage) search(key []byte) int {
+	return sort.Search(p.count(), func(i int) bool { return bytes.Compare(p.key(i), key) >= 0 })
+}
+
+// decodeLeaf validates buf as a leaf image and returns it aliased, never
+// copied: every offset is checked in 64 bits against its neighbours and the
+// record's end and keys must ascend, so the accessors above cannot panic or
+// reach outside buf, and a valid image re-encodes byte-identically.
+func decodeLeaf(buf []byte) (leafImage, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("%w: short leaf", ErrCorruptPage)
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	entries := make([]kv, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("%w: truncated leaf entry %d", ErrCorruptPage, i)
-		}
-		klen := binary.LittleEndian.Uint32(buf)
-		vlen := binary.LittleEndian.Uint32(buf[4:])
-		buf = buf[8:]
-		if uint32(len(buf)) < klen+vlen {
-			return nil, fmt.Errorf("%w: truncated leaf payload %d", ErrCorruptPage, i)
-		}
-		entries = append(entries, kv{
-			key: buf[:klen:klen],
-			val: buf[klen : klen+vlen : klen+vlen],
-		})
-		buf = buf[klen+vlen:]
+	n := uint64(binary.LittleEndian.Uint32(buf))
+	min := 4 + 8*n // entry i's key starts at or after entry i-1's key end
+	if min > uint64(len(buf)) || (n == 0 && len(buf) != 4) {
+		return nil, fmt.Errorf("%w: leaf table of %d entries in %d bytes", ErrCorruptPage, n, len(buf))
 	}
-	return entries, nil
+	p := leafImage(buf)
+	for i := uint64(0); i < n; i++ {
+		s := buf[4+8*i:]
+		off, klen := uint64(binary.LittleEndian.Uint32(s)), uint64(binary.LittleEndian.Uint32(s[4:]))
+		if off < min || (i == 0 && off != min) || off+klen > uint64(len(buf)) {
+			return nil, fmt.Errorf("%w: leaf entry %d out of bounds", ErrCorruptPage, i)
+		}
+		min = off + klen
+		if i > 0 && bytes.Compare(p.key(int(i-1)), p.key(int(i))) >= 0 {
+			return nil, fmt.Errorf("%w: leaf keys out of order at %d", ErrCorruptPage, i)
+		}
+	}
+	return p, nil
 }
 
-// stampedOpsFlag marks the LSN-stamped delta format in the count word.
-// Legacy records (count without the flag) decode with every stamp zero,
-// i.e. visible at any snapshot horizon.
-const stampedOpsFlag = 0x8000_0000
-
 // encodeOps serializes a delta record (one op for the traditional policy,
-// the whole merged history for the read-optimized policy):
+// the page's whole overlay for the read-optimized policy):
 //
 //	count[4]|flag { del[1] lsn[8] klen[4] vlen[4] key val }*
 //
@@ -95,7 +116,7 @@ const stampedOpsFlag = 0x8000_0000
 func encodeOps(ops []op) []byte {
 	size := 4
 	for _, o := range ops {
-		size += 17 + len(o.key) + len(o.val)
+		size += opHeader + len(o.key) + len(o.val)
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ops))|stampedOpsFlag)
@@ -114,44 +135,51 @@ func encodeOps(ops []op) []byte {
 	return buf
 }
 
+// stampedOpsFlag marks the delta format in the count word; opHeader is the
+// fixed part of one encoded op.
+const (
+	stampedOpsFlag = 0x8000_0000
+	opHeader       = 17
+)
+
+// decodeOps parses a delta record. Ops alias buf (delta payloads are
+// applied, never edited, and readers own the buffer they decode from).
+// Lengths are checked per field in 64 bits, the del byte must be 0 or 1 and
+// nothing may trail the last op, so a valid record re-encodes
+// byte-identically and a corrupt one fails closed.
 func decodeOps(buf []byte) ([]op, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("%w: short delta", ErrCorruptPage)
 	}
 	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
-	stamped := n&stampedOpsFlag != 0
+	if n&stampedOpsFlag == 0 {
+		return nil, fmt.Errorf("%w: unstamped delta", ErrCorruptPage)
+	}
 	n &^= stampedOpsFlag
-	hdr := uint32(9)
-	if stamped {
-		hdr = 17
+	if uint64(n)*opHeader > uint64(len(buf)) {
+		return nil, fmt.Errorf("%w: delta of %d ops in %d bytes", ErrCorruptPage, n, len(buf))
 	}
 	ops := make([]op, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if uint32(len(buf)) < hdr {
+		if len(buf) < opHeader || buf[0] > 1 {
 			return nil, fmt.Errorf("%w: truncated delta op %d", ErrCorruptPage, i)
 		}
-		del := buf[0] == 1
-		var lsn wal.LSN
-		rest := buf[1:]
-		if stamped {
-			lsn = wal.LSN(binary.LittleEndian.Uint64(rest))
-			rest = rest[8:]
-		}
-		klen := binary.LittleEndian.Uint32(rest)
-		vlen := binary.LittleEndian.Uint32(rest[4:])
-		buf = buf[hdr:]
-		if uint32(len(buf)) < klen+vlen {
+		klen, vlen := uint64(binary.LittleEndian.Uint32(buf[9:])), uint64(binary.LittleEndian.Uint32(buf[13:]))
+		o := op{del: buf[0] == 1, lsn: wal.LSN(binary.LittleEndian.Uint64(buf[1:]))}
+		buf = buf[opHeader:]
+		if klen > uint64(len(buf)) || vlen > uint64(len(buf))-klen {
 			return nil, fmt.Errorf("%w: truncated delta payload %d", ErrCorruptPage, i)
 		}
-		// Like decodeLeaf, ops alias buf: delta payloads are applied, never
-		// edited, and readers own the buffer they decode from.
-		o := op{del: del, key: buf[:klen:klen], lsn: lsn}
+		o.key = buf[:klen:klen]
 		if vlen > 0 {
 			o.val = buf[klen : klen+vlen : klen+vlen]
 		}
 		ops = append(ops, o)
 		buf = buf[klen+vlen:]
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes trail the delta", ErrCorruptPage, len(buf))
 	}
 	return ops, nil
 }

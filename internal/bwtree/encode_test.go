@@ -8,29 +8,53 @@ import (
 	"bg3/internal/storage"
 )
 
+// imageOf builds a flat leaf image holding the given pairs (any order;
+// the last value of a repeated key wins).
+func imageOf(pairs ...kv) leafImage {
+	var ov []op
+	for _, p := range pairs {
+		ov = insertOp(ov, op{key: p.key, val: p.val})
+	}
+	return mergeEncode(emptyLeaf, ov, nil, nil, horizonAll)
+}
+
+// TestLeafEncodeDecodeRoundTrip: an encoded image validates, reads back
+// every pair in key order through the in-place accessors and the binary
+// search, and is no larger than the former length-prefixed layout
+// (4 + Σ(8 + klen + vlen)).
 func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(keys [][]byte, vals [][]byte) bool {
-		var entries []kv
+		want := map[string][]byte{}
+		var pairs []kv
 		for i, k := range keys {
 			var v []byte
 			if i < len(vals) {
 				v = vals[i]
 			}
-			entries = append(entries, kv{key: k, val: v})
+			pairs = append(pairs, kv{key: k, val: v})
+			want[string(k)] = v
 		}
-		out, err := decodeLeaf(encodeLeaf(entries))
-		if err != nil {
+		img := imageOf(pairs...)
+		size := 4
+		for k, v := range want {
+			size += 8 + len(k) + len(v)
+		}
+		out, err := decodeLeaf(img)
+		if err != nil || out.count() != len(want) || len(img) > size {
 			return false
 		}
-		if len(out) != len(entries) {
-			return false
-		}
-		for i := range entries {
-			if !bytes.Equal(out[i].key, entries[i].key) || !bytes.Equal(out[i].val, entries[i].val) {
+		for i := 0; i < out.count(); i++ {
+			if v, ok := want[string(out.key(i))]; !ok || !bytes.Equal(out.val(i), v) {
+				return false
+			}
+			if i > 0 && bytes.Compare(out.key(i-1), out.key(i)) >= 0 {
+				return false
+			}
+			if out.search(out.key(i)) != i {
 				return false
 			}
 		}
-		return true
+		return bytes.Equal(mergeEncode(out, nil, nil, nil, horizonAll), img)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -88,11 +112,13 @@ func TestDecodeCorruptImages(t *testing.T) {
 	leafCases := [][]byte{
 		nil,
 		{1, 2},
-		{5, 0, 0, 0},                    // claims 5 entries, no payload
-		{1, 0, 0, 0, 10, 0, 0, 0, 0, 0}, // truncated lengths
-		append(encodeLeaf([]kv{{key: []byte("k"), val: []byte("v")}}), 0xFF), // trailing... still decodes first entry
+		{5, 0, 0, 0},                    // claims 5 entries, no table
+		{1, 0, 0, 0, 10, 0, 0, 0, 0, 0}, // truncated table
+		{0, 0, 0, 0, 0xFF},              // bytes trail an empty page
+		{1, 0, 0, 0, 12, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 'k'}, // klen wraps a 32-bit sum
+		{1, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 'k'},             // first key not at the table's end
 	}
-	for i, buf := range leafCases[:4] {
+	for i, buf := range leafCases {
 		if _, err := decodeLeaf(buf); err == nil {
 			t.Fatalf("leaf case %d decoded", i)
 		}
@@ -101,6 +127,10 @@ func TestDecodeCorruptImages(t *testing.T) {
 		nil,
 		{9, 0, 0, 0},
 		{1, 0, 0, 0, 1, 5, 0, 0, 0},
+		{1, 0, 0, 0x80, 1, 5, 0, 0, 0}, // truncated header
+		// klen = 0xFFFFFFFF, vlen = 1: the sum wraps in 32 bits.
+		{1, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 'k'},
+		append(encodeOps([]op{{key: []byte("k")}}), 0), // trailing byte
 	}
 	for i, buf := range opCases {
 		if _, err := decodeOps(buf); err == nil {

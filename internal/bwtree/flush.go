@@ -59,21 +59,46 @@ func (t *Tree) FlushDirty() ([]MappingUpdate, error) {
 	if t.cfg.FlushMode != FlushAsync {
 		return nil, nil
 	}
+	updates, err := t.flushPages(t.takeDirty())
+	if err != nil {
+		return updates, err
+	}
+	// Consolidation time is also edge-block time: a dedicated tree that
+	// outgrew the block threshold (or whose overlay outgrew the rebuild
+	// threshold) is packed here, on the flusher's goroutine.
+	t.maybeBuildEdgeBlock()
+	return updates, nil
+}
+
+// takeDirty empties the dirty set and returns the pages that were in it.
+func (t *Tree) takeDirty() []PageID {
 	t.dirtyMu.Lock()
+	defer t.dirtyMu.Unlock()
 	ids := make([]PageID, 0, len(t.dirtySet))
 	for id := range t.dirtySet {
 		ids = append(ids, id)
 	}
 	clear(t.dirtySet)
-	t.dirtyMu.Unlock()
+	return ids
+}
 
+func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 	updates := make([]MappingUpdate, 0, len(ids))
-	for i, id := range ids {
-		e := t.m.get(id)
+	for i := 0; i < len(ids); i++ {
+		e := t.m.get(ids[i])
 		if e == nil {
 			continue
 		}
 		e.mu.Lock()
+		if e.splitPending && e.next != 0 {
+			// This flush narrows the page's durable image to its own range,
+			// and replicas read the sibling it split off through that image
+			// until the sibling has one of its own. A sibling split off
+			// after ids was taken is not in this cycle: flush it with its
+			// parent (a no-op if it is clean or comes up anyway), or the
+			// checkpoint takes its range away from replicas for a cycle.
+			ids = append(ids, e.next)
+		}
 		up, err := t.flushPageLocked(e)
 		e.mu.Unlock()
 		if err != nil {
@@ -85,146 +110,136 @@ func (t *Tree) FlushDirty() ([]MappingUpdate, error) {
 				t.dirtySet[rid] = struct{}{}
 			}
 			t.dirtyMu.Unlock()
-			return updates, fmt.Errorf("bwtree: flush page %d: %w", id, err)
+			return updates, fmt.Errorf("bwtree: flush page %d: %w", ids[i], err)
 		}
 		if up != nil {
 			updates = append(updates, *up)
 		}
 	}
-	// Consolidation time is also edge-block time: a dedicated tree that
-	// outgrew the block threshold (or whose overlay outgrew the rebuild
-	// threshold) is packed here, on the flusher's goroutine.
-	t.maybeBuildEdgeBlock()
 	return updates, nil
+}
+
+// appendDeltas persists ops (overlay order) as the fewest delta records
+// that each fit one extent — almost always one; a long-pinned page's
+// retained history can need several — and returns their locations, oldest
+// first. Records already written are orphaned when a later one fails.
+func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
+	var locs []storage.Loc
+	for max := t.store.ExtentSize(); len(ops) > 0; {
+		n, size := 0, 4
+		for n < len(ops) && (n == 0 || size+opHeader+len(ops[n].key)+len(ops[n].val) <= max) {
+			size += opHeader + len(ops[n].key) + len(ops[n].val)
+			n++
+		}
+		loc, err := t.flushAppend(storage.StreamDelta, uint64(id), encodeOps(ops[:n]))
+		if err != nil {
+			for _, l := range locs {
+				t.store.Invalidate(l)
+			}
+			return nil, err
+		}
+		locs, ops = append(locs, loc), ops[n:]
+	}
+	return locs, nil
+}
+
+// persistBase writes img as e's new base record and ops (overlay order,
+// all durable after this) as its whole delta chain, retires the records
+// they replace and installs both in memory. An image too large for one
+// extent (splits disabled, or huge values) keeps the leading entries that
+// fit and spills the rest into the chain as LSN-0 puts, which every
+// horizon sees. e.mu must be held; on error nothing changed.
+func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
+	if max := t.store.ExtentSize(); len(img) > max {
+		n := 0
+		for size := 4; size+8+len(img.key(n))+len(img.val(n)) <= max; n++ {
+			size += 8 + len(img.key(n)) + len(img.val(n))
+		}
+		spill := make([]op, 0, img.count()-n+len(ops))
+		for i := n; i < img.count(); i++ {
+			spill = append(spill, op{key: img.key(i), val: img.val(i)})
+		}
+		img, ops = mergeEncode(img, nil, nil, img.key(n), horizonAll), sortOps(append(spill, ops...))
+	}
+	loc, err := t.flushAppend(storage.StreamBase, uint64(e.id), img)
+	if err != nil {
+		return err
+	}
+	dlocs, err := t.appendDeltas(e.id, ops)
+	if err != nil {
+		t.store.Invalidate(loc) // orphan the just-written base
+		return err
+	}
+	if !e.baseLoc.IsZero() {
+		t.store.Invalidate(e.baseLoc)
+	}
+	for _, old := range e.deltaLocs {
+		t.store.Invalidate(old)
+	}
+	e.baseLoc, e.deltaLocs, e.base, e.overlay = loc, dlocs, img, ops
+	return nil
 }
 
 // flushPageLocked persists one dirty page. e.mu must be held.
 //
-// Consolidation respects the MVCC retention floor: only history ops at or
+// Consolidation respects the MVCC retention floor: only overlay ops at or
 // below the oldest pinned epoch may be folded into the new base; newer
 // ("retained") ops stay on the delta chain, stamps intact, so pinned
 // snapshots can keep reconstructing the versions between the floor and
 // the head. Without an epoch clock the floor is +inf and the whole
-// history folds, exactly as before.
+// overlay folds. The dirty flag clears only once every record landed.
 func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 	if !e.dirty {
 		return nil, nil
 	}
-	if e.cached == nil {
+	if e.base == nil {
 		return nil, fmt.Errorf("bwtree: dirty page %d lost its content", e.id)
 	}
 	floor := t.retentionFloor()
-	histLen := len(e.deltaOps) + len(e.pending)
-	// After a split the left half's history still covers the full
-	// pre-split range; the right sibling carries its own copies
-	// (seedRightHistory / rightContent). The durable delta written here
-	// must hold only in-range ops: an out-of-range op that reaches
-	// storage would be resurrected as a phantom key beyond e.hi by a
-	// cache reload or a snapshot rebuild, and a later split of that
-	// content could pick a separator at or past e.hi — an empty-range
-	// sibling that corrupts the leaf chain.
-	retained := opsInRange(histRetained(e, floor), e.lo, e.hi)
-	rewriteBase := e.splitPending ||
-		e.baseLoc.IsZero() ||
-		(histLen > t.cfg.ConsolidateNum && len(retained) < histLen)
-
-	if rewriteBase {
-		base := e.cached
-		if len(retained) == 0 {
-			// The whole history folds, so the cached content is the new
-			// stable image — but it must be detached from e.cached, whose
-			// backing array later writes mutate in place (stableCopy is a
-			// no-op without an epoch clock).
-			base = t.stableCopy(base)
-		} else {
-			// Fold only the releasable prefix of history into the base;
-			// the stable image plus the foldable ops, clipped to the
-			// page's current range (post-split pages carry wider images).
-			stable, err := t.stableLocked(e)
-			if err != nil {
-				return nil, err
-			}
-			foldable := make([]op, 0, histLen-len(retained))
-			for _, o := range e.deltaOps {
-				if o.lsn <= floor {
-					foldable = append(foldable, o)
-				}
-			}
-			for _, o := range e.pending {
-				if o.lsn <= floor {
-					foldable = append(foldable, o)
-				}
-			}
-			base = clipRangeView(mergeOpsCopy(stable, foldable), e.lo, e.hi)
-			base = append([]kv(nil), base...)
-		}
-		loc, err := t.flushAppend(storage.StreamBase, uint64(e.id), encodeLeaf(base))
-		if err != nil {
+	retained := opsAbove(e.overlay, floor)
+	switch {
+	case e.splitPending || e.baseLoc.IsZero() ||
+		(len(e.overlay) > t.cfg.ConsolidateNum && len(retained) < len(e.overlay)):
+		// One merge-encode pass emits the next base: the storage record and
+		// the cached image at once. The retained suffix must be durable
+		// alongside it, or a crash would roll the page back past released
+		// commits.
+		img := mergeEncode(e.base, e.overlay, e.lo, e.hi, floor)
+		if err := t.persistBase(e, img, retained); err != nil {
 			return nil, err
-		}
-		var dloc storage.Loc
-		if len(retained) > 0 {
-			// The retained suffix must be durable alongside the new base,
-			// or a crash would roll the page back past released commits.
-			dloc, err = t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps(retained))
-			if err != nil {
-				t.store.Invalidate(loc) // orphan the just-written base
-				return nil, err
-			}
-		}
-		if !e.baseLoc.IsZero() {
-			t.store.Invalidate(e.baseLoc)
-		}
-		for _, old := range e.deltaLocs {
-			t.store.Invalidate(old)
-		}
-		e.baseLoc = loc
-		e.deltaLocs = nil
-		e.deltaOps = nil
-		e.stable = base
-		if len(retained) > 0 {
-			e.deltaLocs = []storage.Loc{dloc}
-			e.deltaOps = retained
 		}
 		if !e.splitPending {
 			t.consolidations.Add(1)
 		}
-	} else if t.cfg.Policy == ReadOptimized {
-		merged := make([]op, 0, len(e.deltaOps)+len(e.pending))
-		merged = append(merged, e.deltaOps...)
-		merged = append(merged, e.pending...)
-		merged = opsInRange(merged, e.lo, e.hi) // see retained above
-		loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps(merged))
+	case t.cfg.Policy == ReadOptimized:
+		locs, err := t.appendDeltas(e.id, e.overlay)
 		if err != nil {
 			return nil, err
 		}
 		for _, old := range e.deltaLocs {
 			t.store.Invalidate(old)
 		}
-		e.deltaLocs = e.deltaLocs[:0]
-		e.deltaLocs = append(e.deltaLocs, loc)
-		e.deltaOps = merged
-	} else {
+		e.deltaLocs = locs
+		for i := range e.overlay {
+			e.overlay[i].pending = false
+		}
+	default:
 		// Traditional policy under async flushing: one delta per pending op.
-		// Ops already persisted are shifted out of pending as we go, so a
-		// mid-loop failure leaves exactly the unflushed suffix for retry.
-		for len(e.pending) > 0 {
-			o := e.pending[0]
-			if !keyInRange(o.key, e.lo, e.hi) {
-				e.pending = e.pending[1:] // split debris; see retained above
+		// Each op turns durable as it lands, so a mid-loop failure leaves
+		// exactly the unflushed ones for retry.
+		for i := range e.overlay {
+			if !e.overlay[i].pending {
 				continue
 			}
-			loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps([]op{o}))
+			loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps(e.overlay[i:i+1]))
 			if err != nil {
 				return nil, err
 			}
-			e.pending = e.pending[1:]
+			e.overlay[i].pending = false
 			e.deltaLocs = append(e.deltaLocs, loc)
-			e.deltaOps = append(e.deltaOps, o)
 		}
 	}
 
-	e.pending = nil
 	e.dirty = false
 	e.splitPending = false
 	up := &MappingUpdate{

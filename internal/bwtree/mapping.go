@@ -42,24 +42,20 @@ type pageEntry struct {
 	// Durable state (leaf pages).
 	baseLoc   storage.Loc
 	deltaLocs []storage.Loc // oldest first
-	deltaOps  []op          // ops carried by the durable deltas, oldest first
 
-	// Volatile state (leaf pages).
-	cached       []kv // fully applied content; nil when evicted
-	pending      []op // applied in memory, not yet durable (async mode)
+	// Content (leaf pages, page.go): base is the immutable flat image at
+	// baseLoc — or, until the first flush of a fresh page or split half,
+	// the image it was created from — and nil when evicted. overlay holds
+	// every op base does not: the ops the durable deltas carry plus the
+	// pending ones, key-sorted. It stays resident across evictions (the
+	// write path re-merges it into the next delta without a read).
+	base    leafImage
+	overlay []op
+	live    int // live keys at horizon ∞ inside [lo, hi); -1 = not counted
+
 	dirty        bool // has non-durable changes (async mode)
 	splitPending bool // the page split in memory; next flush must rewrite its base
 	prefetched   bool // content was installed by scan read-ahead, not a demand miss
-
-	// stable is the page's content at its last base fold point — the image
-	// snapshot reads rebuild old views from by replaying only history ops
-	// at or below their horizon. When nil it is lazily re-derived by
-	// decoding baseLoc (the two are equivalent by construction: every base
-	// rewrite installs the folded content here). The one exception is the
-	// right half of an in-memory split, whose baseLoc is still zero: its
-	// stable is seeded from the parent's and pinned in memory by the dirty
-	// flag until the first flush writes a real base.
-	stable []kv
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf
 	next   PageID // right sibling, 0 at the rightmost leaf
@@ -79,9 +75,9 @@ type flight struct {
 	deltas []storage.Loc
 
 	// Results, valid once done is closed.
-	entries []kv
-	reads   int
-	err     error
+	image leafImage
+	reads int
+	err   error
 }
 
 // cacheShard is one lock stripe of the leaf-content cache. Hashing pages
@@ -110,7 +106,7 @@ type Mapping struct {
 	nextTree atomic.Uint64
 
 	// Leaf-content cache, lock-striped by page ID. Entries hold their
-	// content in pageEntry.cached; the shards only track recency and
+	// content in pageEntry.base; the shards only track recency and
 	// in-flight loads.
 	shards    []*cacheShard
 	shardMask uint64
@@ -462,7 +458,7 @@ type BlockStats struct {
 	Builds      int64 // blocks built or rebuilt
 	SkippedPins int64 // builds skipped because pins held the floor too low
 	Hits        int64 // scans served from a packed block
-	Fallbacks   int64 // block-backed scans that fell back to the merged path
+	Fallbacks   int64 // block-backed scans that walked the leaves instead
 	Entries     int64 // live packed entries
 	Bytes       int64 // live encoded bytes
 	Parts       int64 // live durable parts
@@ -487,7 +483,7 @@ func (m *Mapping) BlockStatsSnapshot() BlockStats {
 // skipping busy or dirty pages.
 func (m *Mapping) noteCached(e *pageEntry) {
 	if m.disabled {
-		e.cached = nil // caller materialized transiently; drop content
+		e.base, e.live = nil, -1 // caller materialized transiently; drop content
 		return
 	}
 	s := m.shard(e.id)
@@ -520,13 +516,11 @@ func (m *Mapping) noteCached(e *pageEntry) {
 		}
 		if victim.mu.TryLock() {
 			if !victim.dirty {
-				victim.cached = nil
+				// A clean page's image is the record at its base location.
+				// (Dirty pages — including unflushed split halves whose
+				// image is not yet durable — are never evicted.)
+				victim.base, victim.live = nil, -1
 				victim.prefetched = false
-				// A clean page's stable image is re-derivable from its
-				// base location, so eviction may drop it too. (Dirty
-				// pages — including unflushed split halves whose stable
-				// is not yet durable — are never evicted.)
-				victim.stable = nil
 				m.evictions.Add(1)
 			} else {
 				// Dirty pages are pinned; re-insert at the front so they
@@ -662,14 +656,9 @@ func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
 	var total int64
 	for _, e := range pages {
 		e.mu.Lock()
-		for _, o := range e.deltaOps {
+		for _, o := range e.overlay {
 			if o.lsn > h {
-				total += int64(len(o.key) + len(o.val) + 33)
-			}
-		}
-		for _, o := range e.pending {
-			if o.lsn > h {
-				total += int64(len(o.key) + len(o.val) + 33)
+				total += int64(len(o.key)+len(o.val)) + opOverhead
 			}
 		}
 		e.mu.Unlock()
@@ -677,8 +666,10 @@ func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
 	return total
 }
 
-// MemoryUsage estimates the resident bytes of the mapping table and all
-// cached page content — the space measurement of the Fig. 11 experiment.
+// MemoryUsage sums the resident bytes of the mapping table and all cached
+// page content — each resident base image as stored (offset table
+// included) plus the overlay ops — the space measurement of the Fig. 11
+// experiment.
 func (m *Mapping) MemoryUsage() int64 {
 	const entryOverhead = 160 // struct, map slot, latch
 	// Same lock-order discipline as RetainedBytes: never hold m.mu across
@@ -694,17 +685,9 @@ func (m *Mapping) MemoryUsage() int64 {
 	for _, e := range pages {
 		total += entryOverhead
 		e.mu.Lock()
-		for _, p := range e.cached {
-			total += int64(len(p.key) + len(p.val) + 32)
-		}
-		for _, o := range e.deltaOps {
-			total += int64(len(o.key) + len(o.val) + 33)
-		}
-		for _, o := range e.pending {
-			total += int64(len(o.key) + len(o.val) + 33)
-		}
-		for _, p := range e.stable {
-			total += int64(len(p.key) + len(p.val) + 32)
+		total += int64(len(e.base))
+		for _, o := range e.overlay {
+			total += int64(len(o.key)+len(o.val)) + opOverhead
 		}
 		total += int64(len(e.lo) + len(e.hi) + 16*len(e.deltaLocs))
 		if e.inner != nil {

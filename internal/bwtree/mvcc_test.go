@@ -75,58 +75,6 @@ func TestEpochsRequireAsyncFlush(t *testing.T) {
 	}
 }
 
-func TestGetAtScanAtSnapshot(t *testing.T) {
-	tr, src, _ := newEpochTree(t, Config{})
-	for i, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"c", "3"}} {
-		if err := tr.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
-			t.Fatal(err)
-		}
-		_ = i
-	}
-	p := src.Pin()
-	defer p.Close()
-	h := wal.LSN(p.Epoch())
-
-	// Mutate past the pin: overwrite, insert, delete.
-	if err := tr.Put([]byte("b"), []byte("2-new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put([]byte("d"), []byte("4")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Delete([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-
-	if v, ok, _ := tr.GetAt([]byte("b"), h); !ok || string(v) != "2" {
-		t.Fatalf("GetAt(b, %d) = %q %v, want 2", h, v, ok)
-	}
-	if v, ok, _ := tr.GetAt([]byte("a"), h); !ok || string(v) != "1" {
-		t.Fatalf("GetAt(a, %d) = %q %v, want 1 (deleted after pin)", h, v, ok)
-	}
-	if _, ok, _ := tr.GetAt([]byte("d"), h); ok {
-		t.Fatal("GetAt(d) visible below its commit epoch")
-	}
-	got := collectAt(t, tr, h)
-	want := map[string]string{"a": "1", "b": "2", "c": "3"}
-	if len(got) != len(want) {
-		t.Fatalf("ScanAt view = %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("ScanAt view[%q] = %q, want %q", k, got[k], v)
-		}
-	}
-
-	// The unpinned present sees everything.
-	if v, ok, _ := tr.Get([]byte("b")); !ok || string(v) != "2-new" {
-		t.Fatalf("Get(b) = %q %v, want 2-new", v, ok)
-	}
-	if _, ok, _ := tr.Get([]byte("a")); ok {
-		t.Fatal("Get(a) should be deleted at the head")
-	}
-}
-
 func TestFlushRetainsPinnedHistory(t *testing.T) {
 	tr, src, _ := newEpochTree(t, Config{ConsolidateNum: 4, DisableSplit: true})
 	for i := 0; i < 5; i++ {
@@ -178,49 +126,6 @@ func TestFlushRetainsPinnedHistory(t *testing.T) {
 	}
 }
 
-func TestSplitPreservesPinnedView(t *testing.T) {
-	tr, src, _ := newEpochTree(t, Config{MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4})
-	for i := 0; i < 6; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("pre")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := src.Pin()
-	defer p.Close()
-	h := wal.LSN(p.Epoch())
-
-	// Drive repeated splits (and flushes mid-way) past the pin.
-	for i := 0; i < 60; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i+6)), []byte("post")); err != nil {
-			t.Fatal(err)
-		}
-		if i%17 == 0 {
-			if _, err := tr.FlushDirty(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if tr.Stats().Splits == 0 {
-		t.Fatal("test expected splits to occur")
-	}
-	got := collectAt(t, tr, h)
-	if len(got) != 6 {
-		t.Fatalf("pinned view has %d keys across splits, want 6: %v", len(got), got)
-	}
-	for i := 0; i < 6; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		if got[k] != "pre" {
-			t.Fatalf("pinned view[%s] = %q, want pre", k, got[k])
-		}
-		if v, ok, _ := tr.GetAt([]byte(k), h); !ok || string(v) != "pre" {
-			t.Fatalf("GetAt(%s) = %q %v across splits", k, v, ok)
-		}
-	}
-	if n, _ := tr.Len(); n != 66 {
-		t.Fatalf("head Len = %d, want 66", n)
-	}
-}
-
 // TestScanRestartsAfterUnmap reproduces the torn-scan bug: the right
 // sibling disappears from the mapping between leaves (as a concurrent
 // structural change retiring the page would do) and the scan must re-route
@@ -250,9 +155,9 @@ func TestScanRestartsAfterUnmap(t *testing.T) {
 			id: tr.m.allocPageID(), tree: tr, isLeaf: true,
 			baseLoc:   old.baseLoc,
 			deltaLocs: append([]storage.Loc(nil), old.deltaLocs...),
-			deltaOps:  append([]op(nil), old.deltaOps...),
-			cached:    old.cached,
-			lo:        old.lo, hi: old.hi, next: old.next,
+			overlay:   append([]op(nil), old.overlay...),
+			base:      old.base, live: -1,
+			lo: old.lo, hi: old.hi, next: old.next,
 		}
 		tr.m.register(clone)
 		tr.m.remove(victim)

@@ -1,0 +1,216 @@
+package bwtree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"sort"
+
+	"bg3/internal/wal"
+)
+
+// A resident leaf is what the Bw-tree is on storage: an immutable base
+// image (the durable base record itself, aliased from the buffer storage
+// returned or the flush just encoded) plus one overlay of the ops not
+// folded into it — key-sorted, each key's ops in arrival (= LSN) order.
+// "Base + history = content" is the layout, so every read, latest or
+// pinned, is one bounded merge of the two at a horizon.
+
+// horizonAll is the horizon of an unpinned read: every op is visible.
+const horizonAll = wal.LSN(math.MaxUint64)
+
+// retentionFloor returns the LSN at or below which history may be folded
+// into page bases: the oldest pinned epoch of the tree's clock, or
+// everything when no clock is wired (single-node / sync trees). An edge
+// block build in flight clamps the floor to its seal so the content scan
+// at the seal stays reconstructible even if every pin closes mid-build.
+func (t *Tree) retentionFloor() wal.LSN {
+	if t.cfg.Epochs == nil {
+		return horizonAll
+	}
+	f := wal.LSN(t.cfg.Epochs.Floor())
+	if c := t.blocks.buildClamp.Load(); c != 0 && wal.LSN(c-1) < f {
+		f = wal.LSN(c - 1)
+	}
+	return f
+}
+
+// searchOps returns the index of the first overlay op at or after key.
+func searchOps(ov []op, key []byte) int {
+	return sort.Search(len(ov), func(i int) bool { return bytes.Compare(ov[i].key, key) >= 0 })
+}
+
+// insertOp places o behind every op of its key, keeping the overlay
+// key-sorted with each key's ops in arrival order. It edits ov in place.
+func insertOp(ov []op, o op) []op {
+	i := sort.Search(len(ov), func(i int) bool { return bytes.Compare(ov[i].key, o.key) > 0 })
+	ov = append(ov, op{})
+	copy(ov[i+1:], ov[i:])
+	ov[i] = o
+	return ov
+}
+
+// withOp is insertOp into a copy: the caller installs it only once the
+// record carrying it is durable.
+func withOp(ov []op, o op) []op {
+	return insertOp(append(make([]op, 0, len(ov)+1), ov...), o)
+}
+
+// sortOps orders ops (oldest first) into overlay order; the stable sort
+// keeps each key's ops in their given order.
+func sortOps(ops []op) []op {
+	sort.SliceStable(ops, func(i, j int) bool { return bytes.Compare(ops[i].key, ops[j].key) < 0 })
+	return ops
+}
+
+// decodeDeltas decodes a delta chain's records (oldest first) into one
+// overlay.
+func decodeDeltas(bufs [][]byte) ([]op, error) {
+	var ops []op
+	for _, buf := range bufs {
+		rec, err := decodeOps(buf)
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, rec...)
+	}
+	return sortOps(ops), nil
+}
+
+// opsInRange returns the ops of the key-sorted overlay inside [lo, hi);
+// nil bounds are open. The result is a capacity-capped sub-slice.
+func opsInRange(ov []op, lo, hi []byte) []op {
+	i, j := 0, len(ov)
+	if lo != nil {
+		i = searchOps(ov, lo)
+	}
+	if hi != nil {
+		j = i + searchOps(ov[i:], hi)
+	}
+	return ov[i:j:j]
+}
+
+// opsAbove returns a copy of the ops stamped above floor, marked durable —
+// the history a consolidation at floor must keep on the delta chain.
+func opsAbove(ov []op, floor wal.LSN) []op {
+	var out []op
+	for _, o := range ov {
+		if o.lsn > floor {
+			o.pending = false
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// clipBounds intersects the scan range [from, to) with the page range
+// [lo, hi); nil upper bounds are open, a nil lo is −∞.
+func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
+	if lo != nil && bytes.Compare(lo, from) > 0 {
+		from = lo
+	}
+	if hi != nil && (to == nil || bytes.Compare(hi, to) < 0) {
+		to = hi
+	}
+	return from, to
+}
+
+// scanPage is the one leaf read. It merges base with ov as of horizon h —
+// per key, the newest overlay op stamped at or below h decides, else the
+// base entry stands — over keys in [from, to) (after skips a key equal to
+// from; a nil to is open), calling fn for each live pair until it returns
+// false or limit pairs (limit <= 0: unlimited) went out. It returns how
+// many pairs were delivered and whether fn stopped the walk. Nothing is
+// materialized; base may be walked unlatched, ov must not change meanwhile.
+func scanPage(base leafImage, ov []op, from []byte, after bool, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
+	i, n := base.search(from), base.bound(to)
+	ov = opsInRange(ov, from, to)
+	j := 0
+	if after {
+		if i < n && bytes.Equal(base.key(i), from) {
+			i++
+		}
+		for j < len(ov) && bytes.Equal(ov[j].key, from) {
+			j++
+		}
+	}
+	delivered := 0
+	for i < n || j < len(ov) {
+		var k, v []byte
+		c := 1 // base key vs overlay key: the smaller goes next
+		if i < n {
+			k, c = base.key(i), -1
+			if j < len(ov) {
+				c = bytes.Compare(k, ov[j].key)
+			}
+		}
+		if c < 0 {
+			v = base.val(i)
+			i++
+		} else {
+			// The overlay's key is due: collapse its run to the newest op
+			// visible at h. With none visible the base entry, if any, stands.
+			vis, r := -1, j
+			for ; r < len(ov) && bytes.Equal(ov[r].key, ov[j].key); r++ {
+				if ov[r].lsn <= h {
+					vis = r
+				}
+			}
+			j = r
+			live := vis >= 0 && !ov[vis].del
+			if live {
+				k, v = ov[vis].key, ov[vis].val
+			} else if vis < 0 && c == 0 {
+				v, live = base.val(i), true
+			}
+			if c == 0 {
+				i++
+			}
+			if !live {
+				continue
+			}
+		}
+		delivered++
+		if !fn(k, v) {
+			return delivered, true
+		}
+		if delivered == limit {
+			break
+		}
+	}
+	return delivered, false
+}
+
+// lookup returns key's value in base ⊕ ov as of h, aliasing page memory.
+func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool) {
+	var buf [64]byte
+	succ := append(append(buf[:0], key...), 0) // [key, key\x00) holds key alone
+	scanPage(base, ov, key, false, succ, 1, h, func(_, v []byte) bool {
+		val, ok = v, true
+		return false
+	})
+	return val, ok
+}
+
+// mergeEncode folds the ops of ov stamped at or below floor into base,
+// clipped to [lo, hi), and returns the result as a fresh flat image — the
+// next durable base record and the next cached base in one.
+func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImage {
+	n, size := 0, 0
+	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
+		n++
+		size += len(k) + len(v)
+		return true
+	})
+	img := make([]byte, 4+8*n, 4+8*n+size)
+	binary.LittleEndian.PutUint32(img, uint32(n))
+	slot := 4
+	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
+		binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)))
+		binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
+		slot += 8
+		img = append(append(img, k...), v...)
+		return true
+	})
+	return img
+}

@@ -1,0 +1,542 @@
+package bwtree
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"bg3/internal/mvcc"
+	"bg3/internal/storage"
+	"bg3/internal/wal"
+)
+
+// version is one write in the reference model: the map-of-versions every
+// read path is compared against.
+type version struct {
+	lsn wal.LSN
+	val string
+	del bool
+}
+
+type refModel map[string][]version
+
+func (m refModel) at(key string, h wal.LSN) (string, bool) {
+	vs := m[key]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].lsn <= h {
+			return vs[i].val, !vs[i].del
+		}
+	}
+	return "", false
+}
+
+// scan lists "key=value" for the live keys in [from, to) at h, at most
+// limit of them (limit <= 0: all).
+func (m refModel) scan(from, to string, limit int, h wal.LSN) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		if k >= from && (to == "" || k < to) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []string
+	for _, k := range keys {
+		if v, ok := m.at(k, h); ok {
+			out = append(out, k+"="+v)
+			if len(out) == limit {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestScanPageMatchesNaiveMerge drives the one leaf iterator over random
+// images and overlays — repeated keys, deletes, stamps on both sides of the
+// horizon — against a brute-force replay, for every combination of lower
+// bound (inclusive and exclusive), upper bound, limit and horizon.
+func TestScanPageMatchesNaiveMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+	for round := 0; round < 300; round++ {
+		ref := refModel{}
+		var pairs []kv
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			k, v := key(), fmt.Sprintf("b%d", i)
+			pairs = append(pairs, kv{key: []byte(k), val: []byte(v)})
+			ref[k] = []version{{val: v}}
+		}
+		base := imageOf(pairs...)
+		var ov []op
+		for i, n := 0, rng.Intn(25); i < n; i++ {
+			k, lsn := key(), wal.LSN(i+1)
+			o := op{key: []byte(k), lsn: lsn, del: rng.Intn(4) == 0}
+			if !o.del {
+				o.val = []byte(fmt.Sprintf("o%d", i))
+			}
+			ov = insertOp(ov, o)
+			ref[k] = append(ref[k], version{lsn: lsn, val: string(o.val), del: o.del})
+		}
+		for trial := 0; trial < 20; trial++ {
+			from, to, limit := key(), "", rng.Intn(12)
+			if rng.Intn(3) > 0 {
+				to = key()
+			}
+			h := wal.LSN(rng.Intn(28))
+			if rng.Intn(3) == 0 {
+				h = horizonAll
+			}
+			after := rng.Intn(2) == 0
+			want := ref.scan(from, to, 0, h)
+			if after && len(want) > 0 && want[0][:3] == from {
+				want = want[1:]
+			}
+			if limit > 0 && len(want) > limit {
+				want = want[:limit]
+			}
+			var toB []byte
+			if to != "" {
+				toB = []byte(to)
+			}
+			var got []string
+			n, stopped := scanPage(base, ov, []byte(from), after, toB, limit, h, func(k, v []byte) bool {
+				got = append(got, string(k)+"="+string(v))
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) || n != len(got) || stopped {
+				t.Fatalf("round %d: scan [%s%v, %q) limit %d h %d = %v (n=%d stopped=%v), want %v",
+					round, from, after, to, limit, h, got, n, stopped, want)
+			}
+		}
+		// A fold at a floor is the same view, re-encoded and valid.
+		floor := wal.LSN(rng.Intn(28))
+		img, err := decodeLeaf(mergeEncode(base, ov, []byte("k10"), []byte("k30"), floor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		scanPage(img, nil, nil, false, nil, 0, horizonAll, func(k, v []byte) bool {
+			got = append(got, string(k)+"="+string(v))
+			return true
+		})
+		if want := ref.scan("k10", "k30", 0, floor); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: fold at %d = %v, want %v", round, floor, got, want)
+		}
+	}
+}
+
+// clockedPipe logs to a real WAL (so a Replica can be fed the same records)
+// and advances the epoch clock at every append, the way the RW node's
+// committer does at ack release. lastData is the stamp of the newest put or
+// delete — structural records a write triggers get later LSNs.
+type clockedPipe struct {
+	w        *wal.Writer
+	src      *mvcc.Source
+	last     wal.LSN
+	lastData wal.LSN
+}
+
+func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
+	lsn, err := p.w.Append(rec)
+	if err != nil {
+		return 0, err
+	}
+	p.last = lsn
+	if rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete {
+		p.lastData = lsn
+	}
+	if p.src != nil {
+		p.src.Advance(mvcc.Epoch(lsn))
+	}
+	return lsn, nil
+}
+
+// TestDifferentialAgainstVersionMap is the one read-semantics oracle of the
+// package: a seeded stream of put / overwrite / delete (splits follow from
+// 8-entry pages) / flush+checkpoint / evict / pin / unpin / GC-relocate
+// against a map-of-versions reference, comparing GetAt and ScanAt — full,
+// bounded and limited — at every live pinned horizon and at ∞ after every
+// step that moves state between base, overlay and storage; in sync and
+// async flush mode, under both delta policies, on the RW tree and on a
+// Replica fed the same WAL. Extents are 2 KiB, so retained history under a
+// long pin regularly outgrows one delta record.
+func TestDifferentialAgainstVersionMap(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		flush  FlushMode
+		policy DeltaPolicy
+	}{
+		{"sync/read-optimized", FlushSync, ReadOptimized},
+		{"sync/traditional", FlushSync, Traditional},
+		{"async/read-optimized", FlushAsync, ReadOptimized},
+		{"async/traditional", FlushAsync, Traditional},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			mode, seed := mode, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
+				runDifferential(t, mode.flush, mode.policy, seed)
+			})
+		}
+	}
+}
+
+func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int64) {
+	const keySpace = 160
+	steps := 2500
+	if testing.Short() {
+		steps = 800
+	}
+	rng := rand.New(rand.NewSource(seed))
+	extent := 2 << 10
+	if policy == Traditional {
+		// One delta record per op: a pinned page's chain (17 bytes per
+		// location in its checkpoint record) needs the headroom.
+		extent = 4 << 10
+	}
+	st := storage.Open(&storage.Options{ExtentSize: extent})
+	pipe := &clockedPipe{w: wal.NewWriter(st)}
+	cfg := Config{FlushMode: flush, Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4}
+	if flush == FlushAsync {
+		pipe.src = mvcc.NewSource(0)
+		cfg.Epochs = pipe.src
+	}
+	m := NewMapping(6, false)
+	tr, err := New(m, st, cfg, pipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, rd := NewReplica(st, 4), wal.NewReader(st)
+	ref := refModel{}
+	var pins []*mvcc.Pin
+	var ckpt wal.LSN // horizon of the last published checkpoint
+
+	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(keySpace)) }
+	publish := func(h wal.LSN, ups []MappingUpdate) {
+		t.Helper()
+		ups = append(ups, m.TakeRelocated()...)
+		for i := 0; i == 0 || i < len(ups); i++ { // one update per record: records must fit an extent
+			if _, err := pipe.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups[i:min(i+1, len(ups))])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ckpt = h
+	}
+	checkpoint := func() {
+		t.Helper()
+		h := pipe.last
+		if flush == FlushAsync {
+			ups, err := tr.FlushDirty()
+			if err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			publish(h, ups)
+			return
+		}
+		// A sync tree is durable at every LSN: its whole leaf directory is
+		// the checkpoint.
+		var ups []MappingUpdate
+		for _, lf := range tr.LeafDirectory() {
+			ups = append(ups, MappingUpdate{Tree: tr.ID(), Page: lf.Page, Base: lf.Base, Deltas: lf.Deltas})
+		}
+		publish(h, ups)
+	}
+	same := func(what string, got, want []string) {
+		t.Helper()
+		for i := 0; i < len(got) || i < len(want); i++ {
+			if i >= len(got) || i >= len(want) || got[i] != want[i] {
+				t.Fatalf("%s: %d got / %d want pairs, first difference at %d: got %q, want %q",
+					what, len(got), len(want), i, append(got, "<end>")[i], append(want, "<end>")[i])
+			}
+		}
+	}
+	check := func(step int) {
+		t.Helper()
+		horizons := []wal.LSN{horizonAll}
+		for _, p := range pins {
+			horizons = append(horizons, wal.LSN(p.Epoch()))
+		}
+		collect := func(dst *[]string) func(k, v []byte) bool {
+			return func(k, v []byte) bool { *dst = append(*dst, string(k)+"="+string(v)); return true }
+		}
+		from, to, limit := key(), key(), 1+rng.Intn(20)
+		if from > to {
+			from, to = to, from
+		}
+		for _, h := range horizons {
+			var all, part []string
+			if err := tr.ScanAt(nil, nil, 0, h, collect(&all)); err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("step %d: ScanAt(all, h=%d)", step, h), all, ref.scan("", "", 0, h))
+			if err := tr.ScanAt([]byte(from), []byte(to), limit, h, collect(&part)); err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("step %d: ScanAt([%s,%s) limit %d, h=%d)", step, from, to, limit, h), part, ref.scan(from, to, limit, h))
+			for i := 0; i < 6; i++ {
+				k := key()
+				v, ok, err := tr.GetAt([]byte(k), h)
+				if want, wok := ref.at(k, h); err != nil || ok != wok || string(v) != want {
+					t.Fatalf("step %d: GetAt(%s, h=%d) = %q %v %v, want %q %v", step, k, h, v, ok, err, want, wok)
+				}
+			}
+		}
+		recs, err := rd.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.ApplyAll(recs); err != nil {
+			t.Fatal(err)
+		}
+		var all, part []string
+		if err := rep.Scan(tr.ID(), nil, nil, 0, collect(&all)); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("step %d: replica Scan(all)", step), all, ref.scan("", "", 0, horizonAll))
+		if err := rep.Scan(tr.ID(), []byte(from), []byte(to), limit, collect(&part)); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("step %d: replica Scan([%s,%s) limit %d)", step, from, to, limit), part, ref.scan(from, to, limit, horizonAll))
+		for i := 0; i < 6; i++ {
+			k := key()
+			v, ok, err := rep.Get(tr.ID(), []byte(k))
+			if want, wok := ref.at(k, horizonAll); err != nil || ok != wok || string(v) != want {
+				t.Fatalf("step %d: replica Get(%s) = %q %v %v, want %q %v", step, k, v, ok, err, want, wok)
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 55:
+			k, v := key(), fmt.Sprintf("v%d-%s", step, bytes.Repeat([]byte{'x'}, rng.Intn(40)))
+			_, wasLive := ref.at(k, horizonAll)
+			existed, err := tr.PutEx([]byte(k), []byte(v))
+			if err != nil || existed != wasLive {
+				t.Fatalf("step %d: PutEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
+			}
+			ref[k] = append(ref[k], version{lsn: pipe.lastData, val: v})
+			continue
+		case r < 70:
+			k := key()
+			_, wasLive := ref.at(k, horizonAll)
+			existed, err := tr.DeleteEx([]byte(k))
+			if err != nil || existed != wasLive {
+				t.Fatalf("step %d: DeleteEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
+			}
+			ref[k] = append(ref[k], version{lsn: pipe.lastData, del: true})
+			continue
+		case r < 76:
+			checkpoint()
+		case r < 80: // evict every clean page, beyond what the 6-page cache does on its own
+			m.mu.RLock()
+			for _, e := range m.pages {
+				e.mu.Lock()
+				if e.isLeaf && !e.dirty {
+					e.base, e.live = nil, -1
+				}
+				e.mu.Unlock()
+			}
+			m.mu.RUnlock()
+		case r < 85:
+			if pipe.src != nil && len(pins) < 4 {
+				pins = append(pins, pipe.src.Pin())
+			}
+		case r < 90:
+			if len(pins) > 0 {
+				i := rng.Intn(len(pins))
+				pins[i].Close()
+				pins = append(pins[:i], pins[i+1:]...)
+			}
+		case r < 93: // GC: relocate every sealed base and delta extent
+			for _, sid := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
+				for _, u := range st.Usage(sid) {
+					if u.Sealed {
+						if _, err := st.Reclaim(sid, u.Extent, m.Relocate); err != nil {
+							t.Fatalf("step %d: reclaim: %v", step, err)
+						}
+					}
+				}
+			}
+			// The old extents are gone: replicas must repoint before they
+			// read. An async tree's durable records only move at a flush
+			// or here; a sync tree rewrites them at every write.
+			if flush == FlushAsync {
+				publish(ckpt, nil)
+			} else {
+				checkpoint()
+			}
+		}
+		check(step)
+	}
+	for _, p := range pins {
+		p.Close()
+	}
+	pins = nil
+	checkpoint()
+	check(steps)
+	if s := tr.Stats(); s.Splits == 0 || s.Consolidations == 0 {
+		t.Fatalf("stream never split or consolidated: %+v", s)
+	}
+}
+
+// TestFlushSplitsOversizedRetainedDelta is the regression for the flush
+// that failed with "record larger than extent size": under a long-held pin
+// the retained history of one page outgrows an 8 KiB extent, and the flush
+// must write it as several delta records instead of failing and leaving the
+// page dirty forever. The chain must read back — through the cache, after
+// eviction and after a recovery rebuild — at the pinned and the latest
+// horizon.
+func TestFlushSplitsOversizedRetainedDelta(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 8 << 10})
+	src := mvcc.NewSource(0)
+	m := NewMapping(0, false)
+	cfg := Config{FlushMode: FlushAsync, Epochs: src, ConsolidateNum: 4}
+	tr, err := New(m, st, cfg, &stubAsyncLogger{src: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte("pinned")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pin := src.Pin()
+	defer pin.Close()
+	h := wal.LSN(pin.Epoch())
+	val := bytes.Repeat([]byte{'v'}, 100)
+	for i := 0; m.RetainedBytes(h) < 16<<10; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%d", i%8)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups, err := tr.FlushDirty()
+	if err != nil {
+		t.Fatalf("flush of a page with %d retained bytes: %v", m.RetainedBytes(h), err)
+	}
+	if tr.DirtyCount() != 0 || len(ups) != 1 || len(ups[0].Deltas) < 2 {
+		t.Fatalf("dirty=%d updates=%+v, want one clean page with a multi-record delta chain", tr.DirtyCount(), ups)
+	}
+	for _, d := range ups[0].Deltas {
+		if int(d.Length) > st.ExtentSize() {
+			t.Fatalf("delta record of %d bytes exceeds the extent", d.Length)
+		}
+	}
+	verify := func(what string, tr *Tree) {
+		t.Helper()
+		old, head := collectAt(t, tr, h), collectAt(t, tr, horizonAll)
+		for i := 0; i < 8; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if old[k] != "pinned" || head[k] != string(val) || len(old) != 8 || len(head) != 8 {
+				t.Fatalf("%s: %s = %q at the pin, %.8q at the head (%d/%d keys)", what, k, old[k], head[k], len(old), len(head))
+			}
+		}
+	}
+	verify("resident", tr)
+	e := tr.m.get(ups[0].Page)
+	e.mu.Lock()
+	e.base, e.live = nil, -1
+	e.mu.Unlock()
+	verify("evicted and reloaded", tr)
+
+	m2 := NewMapping(0, false)
+	m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
+	rebuilt, err := Rebuild(m2, st, cfg, nil, tr.ID(), tr.LeafDirectory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify("rebuilt from the leaf directory", rebuilt)
+}
+
+// TestOversizedImageSpillsIntoDeltaChain: a page that cannot split (or
+// holds huge values) and outgrows one extent keeps the entries that fit in
+// its base record and carries the rest on the delta chain, in both flush
+// modes, instead of failing the write or the flush.
+func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
+	for _, flush := range []FlushMode{FlushSync, FlushAsync} {
+		st := storage.Open(&storage.Options{ExtentSize: 1 << 10})
+		m := NewMapping(0, false)
+		tr, err := New(m, st, Config{FlushMode: flush, DisableSplit: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte{'v'}, 50)
+		for i := 0; i < 60; i++ { // ~4 KiB of content in one leaf
+			if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), val); err != nil {
+				t.Fatalf("mode %d: put %d: %v", flush, i, err)
+			}
+		}
+		if _, err := tr.FlushDirty(); err != nil {
+			t.Fatalf("mode %d: flush: %v", flush, err)
+		}
+		leaves := tr.LeafDirectory()
+		if len(leaves) != 1 || int(leaves[0].Base.Length) > st.ExtentSize() || len(leaves[0].Deltas) < 2 {
+			t.Fatalf("mode %d: leaf directory %+v, want one leaf spilled over several delta records", flush, leaves)
+		}
+		e := m.get(leaves[0].Page)
+		e.mu.Lock()
+		e.base, e.live = nil, -1
+		e.mu.Unlock()
+		if n, err := tr.Len(); err != nil || n != 60 {
+			t.Fatalf("mode %d: Len after reload = %d %v, want 60", flush, n, err)
+		}
+		m2 := NewMapping(0, false)
+		m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
+		rebuilt, err := Rebuild(m2, st, Config{FlushMode: flush, DisableSplit: true}, nil, tr.ID(), leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := rebuilt.Len(); err != nil || n != 60 {
+			t.Fatalf("mode %d: Len after rebuild = %d %v, want 60", flush, n, err)
+		}
+	}
+}
+
+// TestExplicitBuildWaitsForSpawnedBuild: the explicit BuildEdgeBlock used
+// to TryLock like the background triggers, so when the build the write
+// path spawns at the threshold was still in flight it returned at once and
+// left that build's older block under everything written since. It now
+// waits the spawned build out and folds the rest: packed == live, overlay
+// empty, on the first call, whoever wins the race.
+func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
+	for round := 0; round < 30; round++ {
+		tr, _ := newTestTree(t, Config{EdgeBlockMinEntries: 64, MaxPageEntries: 16})
+		const n = 400
+		for i := 0; i < n; i++ { // crosses the threshold at 64: the write path spawns a build
+			if err := tr.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tr.BuildEdgeBlock(); err != nil {
+			t.Fatal(err)
+		}
+		awaitSpawnedBuild(tr)
+		info, ok := tr.EdgeBlock()
+		if !ok || info.Entries != n || info.Overlay != 0 {
+			t.Fatalf("round %d: block %+v ok=%v after the explicit build, want %d packed entries and an empty overlay", round, info, ok, n)
+		}
+	}
+}
+
+// TestMemoryUsageCountsResidentBytes: bwtree.memory_bytes is the bytes
+// actually resident — each cached base image as stored plus the overlay —
+// so evicting a page's image takes exactly its length off the gauge.
+func TestMemoryUsageCountsResidentBytes(t *testing.T) {
+	tr, _ := newTestTree(t, Config{})
+	for i := 0; i < 100; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tr.m.MemoryUsage()
+	e := tr.m.get(tr.LeafDirectory()[0].Page)
+	e.mu.Lock()
+	img := len(e.base)
+	e.base, e.live = nil, -1
+	e.mu.Unlock()
+	if img < 100*(8+4+5) || before-tr.m.MemoryUsage() != int64(img) {
+		t.Fatalf("evicting a %d-byte image moved memory_bytes by %d", img, before-tr.m.MemoryUsage())
+	}
+}

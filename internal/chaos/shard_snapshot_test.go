@@ -117,6 +117,7 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 
 	var (
 		stop     = make(chan struct{})
+		stopOnce sync.Once
 		writerWG sync.WaitGroup
 		auxWG    sync.WaitGroup
 		obsMu    sync.Mutex
@@ -147,7 +148,11 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("still fenced after failover: %w", err)
 			}
-			time.Sleep(200 * time.Microsecond)
+			select {
+			case <-stop:
+				return nil // the test is already failing; just get out
+			case <-time.After(200 * time.Microsecond):
+			}
 		}
 	}
 
@@ -157,6 +162,11 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 			defer writerWG.Done()
 			src := graph.VertexID(w + 1)
 			for n := 0; n < rounds; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
 				ver := []byte(strconv.Itoa(n))
 				muts := make([]graph.Mutation, 0, edgesPer)
 				for d := 0; d < edgesPer; d++ {
@@ -205,19 +215,27 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 		}()
 	}
 
-	// Two per-shard failovers racing the storm, on different shards.
-	time.Sleep(2 * time.Millisecond)
-	if err := g.Failover(1); err != nil {
-		t.Fatalf("failover shard 1: %v", err)
+	// quiesce stops and joins every writer and reader. A failing test must
+	// do so before t.Fatalf runs the deferred g.Close(): closing the group
+	// under running writers panics them on the cleared leader slot, and the
+	// panic would replace the failure's own message.
+	quiesce := func() {
+		stopOnce.Do(func() { close(stop) })
+		writerWG.Wait()
+		auxWG.Wait()
 	}
-	time.Sleep(2 * time.Millisecond)
-	if err := g.Failover(3); err != nil {
-		t.Fatalf("failover shard 3: %v", err)
+
+	// Two per-shard failovers racing the storm, on different shards.
+	for _, i := range []int{1, 3} {
+		time.Sleep(2 * time.Millisecond)
+		if err := g.Failover(i); err != nil {
+			quiesce()
+			t.Fatalf("failover shard %d: %v", i, err)
+		}
 	}
 
 	writerWG.Wait()
-	close(stop)
-	auxWG.Wait()
+	quiesce()
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}

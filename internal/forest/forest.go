@@ -117,7 +117,7 @@ func (f *Forest) BuildEdgeBlocks() (int, error) {
 		if t == f.init {
 			return true
 		}
-		ok, err := t.TryBuildEdgeBlock()
+		ok, err := t.BuildEdgeBlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
