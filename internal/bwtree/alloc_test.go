@@ -103,3 +103,51 @@ func TestHitScanAllocatesConstant(t *testing.T) {
 		t.Fatalf("scans delivered %d pairs, want a multiple of 100", n)
 	}
 }
+
+// TestBatchLoadedImagesDoNotPinTheirGroup: a hop-wide ReadBatch returns the
+// records of one extent group by group. Were a group one allocation handed
+// out as sub-slices, each image the cache keeps would pin the whole group's
+// buffer — 128 leaves of one extent loaded through an 8-page cache would
+// leave all 128 images live instead of 8. Every record is its own
+// allocation, so the live heap grows by about what the cache holds.
+func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 4 << 20})
+	m := NewMapping(8, false)
+	tr, leaves := leafTree(t, st, m, 128*12)
+	if len(leaves) < 128 {
+		t.Fatalf("fixture: %d leaves, want >= 128", len(leaves))
+	}
+	leaves = leaves[:128]
+	var images int64
+	for _, e := range leaves {
+		if e.baseLoc.Extent != leaves[0].baseLoc.Extent {
+			t.Fatalf("fixture: leaves span extents %d and %d", leaves[0].baseLoc.Extent, e.baseLoc.Extent)
+		}
+		images += int64(e.baseLoc.Length)
+	}
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	n := 0
+	if err := m.ScanManyAt(oneScanPerLeaf(tr, leaves), 0, horizonAll, func(int, []byte, []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	grew := liveHeap() - before
+	resident := 0
+	for _, e := range leaves {
+		if e.base != nil {
+			resident++
+		}
+	}
+	if n == 0 || resident == 0 || resident > 8 {
+		t.Fatalf("fixture: %d pairs delivered, %d of 128 leaves resident in an 8-page cache", n, resident)
+	}
+	if budget := images / 128 * 24; grew > budget {
+		t.Fatalf("live heap grew %d B loading 128 leaves (%d B of images) into an 8-page cache, want <= %d (about 8 images, not 128)", grew, images, budget)
+	}
+}

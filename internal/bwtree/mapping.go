@@ -129,8 +129,12 @@ type Mapping struct {
 
 	// materializeLat records the wall time of every Get/Scan-path cache
 	// miss, flight waits included — the latency a reader actually paid for
-	// a cold page.
+	// a cold page — and of every multi-leaf load of ScanManyAt, once.
 	materializeLat metrics.Histogram
+
+	// batchLoadPages records the distinct cold leaves each multi-leaf load
+	// of ScanManyAt fetched in its one storage round.
+	batchLoadPages metrics.IntHistogram
 
 	// relocated tracks pages whose durable locations GC moved since the
 	// last TakeRelocated call; checkpoints ship them to replicas.
@@ -380,6 +384,7 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bwtree.readahead_rejected", m.readaheadRejected.Load)
 	r.CounterFunc("bwtree.scan_restarts", m.scanRestarts.Load)
 	r.RegisterIntHistogram("bwtree.read_fanout", &m.fanout)
+	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
 	r.RegisterHistogram("bwtree.materialize_us", &m.materializeLat)
 	r.GaugeFunc("bwtree.pages", func() int64 { return int64(m.PageCount()) })
 	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)

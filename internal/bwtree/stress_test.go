@@ -89,6 +89,25 @@ func TestStressParallelReadersWritersGC(t *testing.T) {
 						t.Errorf("reader scan: %v", err)
 						return
 					}
+					// The batched multi-scan over every writer's range, racing
+					// the splits and relocations: each scan's keys stay inside
+					// its range and strictly ascend.
+					scans := make([]RangeScan, writers)
+					for w := range scans {
+						scans[w] = RangeScan{Tree: tr, From: key(w, 0), To: key(w, keysPerW)}
+					}
+					last := make([]string, writers)
+					if err := m.ScanManyAt(scans, 0, horizonAll, func(i int, k, _ []byte) bool {
+						if s := string(k); s < string(scans[i].From) || s >= string(scans[i].To) || s <= last[i] {
+							t.Errorf("multi-scan %d delivered %s after %q", i, k, last[i])
+							return false
+						}
+						last[i] = string(k)
+						return true
+					}); err != nil {
+						t.Errorf("reader multi-scan: %v", err)
+						return
+					}
 				}
 			}
 		}(r)

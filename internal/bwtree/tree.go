@@ -3,6 +3,7 @@ package bwtree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ type AsyncWALLogger interface {
 type Stats struct {
 	Puts           int64
 	Gets           int64
+	Scans          int64 // range reads: ScanAt calls plus the scans of a Mapping.ScanManyAt
 	Deletes        int64
 	Consolidations int64
 	Splits         int64
@@ -55,6 +57,7 @@ type Tree struct {
 
 	puts           atomic.Int64
 	gets           atomic.Int64
+	scans          atomic.Int64
 	deletes        atomic.Int64
 	consolidations atomic.Int64
 	splits         atomic.Int64
@@ -124,6 +127,7 @@ func (t *Tree) Stats() Stats {
 	return Stats{
 		Puts:           t.puts.Load(),
 		Gets:           t.gets.Load(),
+		Scans:          t.scans.Load(),
 		Deletes:        t.deletes.Load(),
 		Consolidations: t.consolidations.Load(),
 		Splits:         t.splits.Load(),
@@ -214,12 +218,7 @@ func (t *Tree) loadDurable(pageID PageID, base storage.Loc, deltas []storage.Loc
 	if nlocs == 0 {
 		return emptyLeaf, 0, nil
 	}
-	locs := make([]storage.Loc, 0, nlocs)
-	if !base.IsZero() {
-		locs = append(locs, base)
-	}
-	locs = append(locs, deltas...)
-	bufs, err := t.store.ReadBatch(locs)
+	bufs, err := t.store.ReadBatch(appendPageLocs(make([]storage.Loc, 0, nlocs), base, deltas))
 	if err != nil {
 		return nil, nlocs, fmt.Errorf("bwtree: read page %d: %w", pageID, err)
 	}
@@ -318,7 +317,7 @@ func (t *Tree) materializeShared(e *pageEntry) (leafImage, int, error) {
 				// latched fallback below.
 				continue
 			}
-			if e.baseLoc != f.base || !locsEqual(e.deltaLocs, f.deltas) {
+			if !e.sitsAt(f.base, f.deltas) {
 				continue // durable state moved on; the flight's image is stale
 			}
 			reads := 0
@@ -338,16 +337,12 @@ func (t *Tree) materializeShared(e *pageEntry) (leafImage, int, error) {
 	return t.install(e, img), reads, nil
 }
 
-func locsEqual(a, b []storage.Loc) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sitsAt reports whether the page's durable records are still exactly the
+// ones at (base, deltas) — the rule by which an image read unlatched at
+// those locations may be installed or used once the latch is back. e.mu
+// must be held.
+func (e *pageEntry) sitsAt(base storage.Loc, deltas []storage.Loc) bool {
+	return e.baseLoc == base && slices.Equal(e.deltaLocs, deltas)
 }
 
 // Get returns the value stored under key.
@@ -660,6 +655,7 @@ func (t *Tree) Scan(from, to []byte, limit int, fn func(key, value []byte) bool)
 // page was retired by a concurrent structural change), the scan re-routes
 // from the last delivered key instead of silently truncating.
 func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
+	t.scans.Add(1)
 	if from == nil {
 		from = []byte{}
 	}
@@ -686,18 +682,9 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 			e.prefetched = false
 			t.m.readaheadHits.Add(1)
 		}
-		lo, hi := clipBounds(cursor, to, e.lo, e.hi)
+		lo, hi, ov, ended := e.cut(base, cursor, to, limit-delivered)
 		after := started && bytes.Equal(lo, cursor) // cursor itself was already delivered
-		ov := append([]op(nil), opsInRange(e.overlay, lo, hi)...)
 		next := e.next
-		// The scan ends in this leaf when its bound does — or, as far as can
-		// be told without walking, when the limit will: the base entries in
-		// range outnumber what is still owed even if every overlay op in
-		// range deleted one.
-		ended := next == 0 || (to != nil && bytes.Equal(hi, to))
-		if !ended && limit > 0 {
-			ended = base.bound(hi)-base.search(lo)-len(ov) > limit-delivered
-		}
 		e.mu.Unlock()
 
 		// Read-ahead: warm the right sibling while this leaf's callbacks

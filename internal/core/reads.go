@@ -82,6 +82,25 @@ func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int,
 	})
 }
 
+// NeighborsMany implements graph.FrontierReader. Over the forest the whole
+// frontier is one ScanManyAt — every cold leaf it starts on is fetched in
+// one storage round; a forest replica has no batched read path yet and
+// expands per vertex. The walk decodes edge keys only.
+func (g graphReads) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
+	if g.replica != nil {
+		return graph.NeighborsEach(g, srcs, typ, limit, fn)
+	}
+	lo, hi := graph.EdgeTypeBounds(typ)
+	owners := make([]forest.OwnerID, len(srcs))
+	for i, s := range srcs {
+		owners[i] = forest.OwnerID(s)
+	}
+	return g.forest.ScanManyAt(owners, lo, hi, limit, g.horizon, func(owner forest.OwnerID, k, _ []byte) bool {
+		_, dst, err := graph.DecodeEdgeKey(k)
+		return err != nil || fn(graph.VertexID(owner), dst)
+	})
+}
+
 // Degree implements graph.Reader.
 func (g graphReads) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	n := 0

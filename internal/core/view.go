@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/mvcc"
 	"bg3/internal/wal"
@@ -89,23 +88,4 @@ func (v *ReadView) Close() {
 		return
 	}
 	v.pin.Close() // nil-safe, idempotent
-}
-
-// NeighborsMany streams the out-neighbors of each src in order, all at
-// the pinned epoch, sharing one property decoder across the whole
-// frontier — the per-shard read unit of a scatter-gather hop. limit
-// applies per source vertex (perVertexLimit pushdown); fn returning false
-// stops the entire multi-scan. Properties are callback-scoped, exactly as
-// in Neighbors.
-func (v *ReadView) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID, props graph.Properties) bool) error {
-	lo, hi := graph.EdgeTypeBounds(typ)
-	owners := make([]forest.OwnerID, len(srcs))
-	for i, s := range srcs {
-		owners[i] = forest.OwnerID(s)
-	}
-	var dec graph.PropDecoder
-	return v.forest.ScanManyAt(owners, lo, hi, limit, v.horizon, func(owner forest.OwnerID, k, val []byte) bool {
-		dst, props, ok := decodeEdge(&dec, k, val)
-		return !ok || fn(graph.VertexID(owner), dst, props)
-	})
 }

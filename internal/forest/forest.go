@@ -58,6 +58,13 @@ type ownerState struct {
 	mu    sync.RWMutex
 	tree  atomic.Pointer[bwtree.Tree] // nil while the owner lives in INIT
 	count atomic.Int64
+
+	// since is the LSN of the owner-assignment record: tree holds the
+	// owner's complete state at every horizon from it on, INIT at every
+	// horizon below (view.go). Written before tree is published, never
+	// after; 0 without a WAL and for assignments recovered from one, which
+	// no surviving pin can predate.
+	since wal.LSN
 }
 
 // Forest is the RW-side Bw-tree forest. It is safe for concurrent use.
@@ -382,7 +389,7 @@ func (f *Forest) migrate(owner OwnerID) error {
 	if f.logger != nil {
 		ownerKey := make([]byte, 8)
 		binary.BigEndian.PutUint64(ownerKey, uint64(owner))
-		if _, err := f.logger.Log(&wal.Record{
+		if st.since, err = f.logger.Log(&wal.Record{
 			Type: wal.RecordOwnerAssign, TreeID: uint64(tree.ID()), Key: ownerKey,
 		}); err != nil {
 			return err

@@ -1,52 +1,56 @@
 package forest
 
 import (
-	"bytes"
 	"math"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/wal"
 )
 
-// horizonAll marks an unpinned read: every committed op is visible. At
-// this horizon a dedicated owner can have no INIT residue (migration
-// deletes the originals before releasing the owner latch), so the
-// fallback/merge paths below are skipped and reads cost exactly what
-// they did before MVCC horizons existed.
+// horizonAll marks an unpinned read: every committed op is visible.
 const horizonAll = wal.LSN(math.MaxUint64)
 
 // Snapshot reads.
 //
 // A pinned read at horizon h must see the forest as of group-commit
 // boundary h even when an owner migrated (INIT → dedicated tree) around
-// the pin. Migration order matters here: the owner's keys are copied into
-// the dedicated tree, the assignment is published, and only then are the
-// INIT originals deleted — all while the owner's per-owner latch is held
-// exclusively, so no user write to the dedicated tree can be stamped
-// before the INIT deletes. Two consequences:
+// the pin. Migration order decides which tree that is: the owner's keys
+// are copied into the dedicated tree, the owner-assignment record is
+// logged at LSN A, the assignment is published, and only then are the INIT
+// originals deleted — all while the owner's per-owner latch is held
+// exclusively, so no user write to the owner lands between the copy scan
+// and the last INIT delete. Every copy is stamped below A and every INIT
+// delete above it, hence:
 //
-//   - A key visible in both views at h (copied but not yet deleted at h)
-//     carries the same value on both sides, so preferring the dedicated
-//     copy is always correct.
-//   - A key visible only in INIT at h (deleted above h, or never copied
-//     because the pin predates the migration) must come from INIT.
+//   - at h < A the INIT tree holds the owner's complete state (no delete
+//     is visible yet), and whatever copies the dedicated tree shows are
+//     duplicates of it;
+//   - at h >= A the dedicated tree holds the owner's complete state (every
+//     copy is visible, every later write went there), and whatever INIT
+//     still shows are originals awaiting their delete.
 //
-// GetAt therefore falls back to INIT on a dedicated miss, and ScanAt
-// merges the dedicated stream with the owner's INIT residue at h. The
-// residue is bounded by the owner's pre-migration size (at most the split
-// threshold plus in-flight writes), so materializing it is cheap.
+// So one tree answers at any horizon, ownerState.since (= A) picks it, and
+// no read ever merges the two. treeAt is that decision, made once for
+// GetAt, ScanAt and ScanManyAt.
+
+// treeAt returns the dedicated tree holding owner's keys as of horizon h,
+// or nil when the INIT tree holds them (under owner-prefixed keys).
+func (f *Forest) treeAt(owner OwnerID, h wal.LSN) *bwtree.Tree {
+	st := f.lookupOwner(owner)
+	if st == nil {
+		return nil
+	}
+	tree := st.tree.Load()
+	if tree != nil && h < st.since {
+		return nil // the pin predates the owner's assignment record
+	}
+	return tree
+}
 
 // GetAt returns the value of key under owner as of horizon h.
 func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, error) {
-	if st := f.lookupOwner(owner); st != nil {
-		if tree := st.tree.Load(); tree != nil {
-			v, ok, err := tree.GetAt(key, h)
-			if err != nil || ok || h == horizonAll {
-				return v, ok, err
-			}
-			// Miss in the dedicated view: the pin may predate the
-			// migration's INIT cleanup (or the migration itself).
-		}
+	if tree := f.treeAt(owner, h); tree != nil {
+		return tree.GetAt(key, h)
 	}
 	return f.init.GetAt(compositeKey(owner, key), h)
 }
@@ -54,104 +58,38 @@ func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, erro
 // ScanAt iterates owner's keys in [from, to) as of horizon h, in order.
 // from/to are in the owner's (shortened) key space; nil means unbounded.
 func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
-	var tree *bwtree.Tree
-	if st := f.lookupOwner(owner); st != nil {
-		tree = st.tree.Load()
-	}
-	if tree != nil && h == horizonAll {
+	if tree := f.treeAt(owner, h); tree != nil {
 		return tree.ScanAt(from, to, limit, h, fn)
 	}
 	lo, hi := ownerRange(owner, from, to)
-	if tree == nil {
-		return f.init.ScanAt(lo, hi, limit, h, func(k, v []byte) bool {
-			return fn(k[8:], v) // strip the owner prefix
-		})
-	}
-
-	// Dedicated tree: merge with whatever of the owner's keys is still
-	// visible in INIT at h (a migration after h deleted them above the
-	// horizon). Bounded by the owner's pre-migration size.
-	// Each side needs at most the caller's limit: the merge delivers the
-	// first `limit` keys of the union, which can only come from the first
-	// `limit` of either side — bounded hops stop decoding past the limit.
-	type pair struct{ k, v []byte }
-	var residue []pair
-	err := f.init.ScanAt(lo, hi, limit, h, func(k, v []byte) bool {
-		residue = append(residue, pair{
-			k: append([]byte(nil), k[8:]...),
-			v: append([]byte(nil), v...),
-		})
-		return true
+	return f.init.ScanAt(lo, hi, limit, h, func(k, v []byte) bool {
+		return fn(k[8:], v) // strip the owner prefix
 	})
-	if err != nil {
-		return err
-	}
-	if len(residue) == 0 {
-		return tree.ScanAt(from, to, limit, h, fn)
-	}
-
-	// Sorted merge, dedicated side preferred on equal keys (the values are
-	// identical by the migration ordering argument above; preferring one
-	// side just deduplicates).
-	delivered := 0
-	stopped := false
-	deliver := func(k, v []byte) bool {
-		if stopped {
-			return false
-		}
-		delivered++
-		if !fn(k, v) || (limit > 0 && delivered >= limit) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	i := 0
-	err = tree.ScanAt(from, to, limit, h, func(k, v []byte) bool {
-		for i < len(residue) && bytes.Compare(residue[i].k, k) < 0 {
-			if !deliver(residue[i].k, residue[i].v) {
-				return false
-			}
-			i++
-		}
-		if i < len(residue) && bytes.Equal(residue[i].k, k) {
-			i++ // duplicate: dedicated copy wins
-		}
-		return deliver(k, v)
-	})
-	if err != nil || stopped {
-		return err
-	}
-	for ; i < len(residue); i++ {
-		if !deliver(residue[i].k, residue[i].v) {
-			break
-		}
-	}
-	return nil
 }
 
-// ScanManyAt runs ScanAt for each owner in order at one horizon — the
-// batched frontier read behind scatter-gather traversal. limit applies
-// per owner (perVertexLimit pushdown into each owner's scan); fn
-// returning false stops the whole multi-scan. Owner latching, dedicated
-// tree lookup, and INIT-residue merging are exactly ScanAt's, per owner.
+// ScanManyAt is ScanAt for a whole traversal frontier at one horizon, with
+// the frontier — not the owner — as the unit of storage I/O: every owner
+// is resolved to the one tree holding it at h, and the Bw-tree layer
+// fetches all the cold leaves those scans start on in a single
+// storage.ReadBatch per round (bwtree.Mapping.ScanManyAt; continuations
+// past a first leaf ride the next round). limit applies per owner; fn
+// returning false stops the whole multi-scan. Each owner's keys arrive in
+// order and a duplicate owner is scanned once per mention, but owners
+// interleave: cross-owner order is unspecified.
 func (f *Forest) ScanManyAt(owners []OwnerID, from, to []byte, limit int, h wal.LSN, fn func(owner OwnerID, key, value []byte) bool) error {
-	stopped := false
-	for _, owner := range owners {
-		o := owner
-		err := f.ScanAt(o, from, to, limit, h, func(k, v []byte) bool {
-			if !fn(o, k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
+	scans := make([]bwtree.RangeScan, len(owners))
+	for i, owner := range owners {
+		if tree := f.treeAt(owner, h); tree != nil {
+			scans[i] = bwtree.RangeScan{Tree: tree, From: from, To: to}
+			continue
 		}
-		if stopped {
-			return nil
-		}
+		lo, hi := ownerRange(owner, from, to)
+		scans[i] = bwtree.RangeScan{Tree: f.init, From: lo, To: hi}
 	}
-	return nil
+	return f.m.ScanManyAt(scans, limit, h, func(i int, k, v []byte) bool {
+		if scans[i].Tree == f.init {
+			k = k[8:] // strip the owner prefix
+		}
+		return fn(owners[i], k, v)
+	})
 }

@@ -318,6 +318,45 @@ func ApplyMutations(s Store, muts []Mutation) error {
 	return nil
 }
 
+// FrontierReader is an optional Reader capability: the out-neighbors of a
+// whole traversal frontier in one call, so a store can make the hop — not
+// the vertex — its unit of I/O (the Bw-tree forest fetches every cold page
+// of the frontier in one storage round; a sharded reader scatters the
+// frontier to its shards in parallel). limit applies per source vertex; fn
+// returning false stops the whole read. Each source's neighbors arrive in
+// destination order, but sources interleave: cross-source order is
+// unspecified. The walk is ids-only — edge properties are not decoded.
+type FrontierReader interface {
+	NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error
+}
+
+// NeighborsMany expands a frontier over s: through its FrontierReader
+// capability when it has one, one Neighbors call per source otherwise.
+func NeighborsMany(s Reader, srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
+	if fr, ok := s.(FrontierReader); ok {
+		return fr.NeighborsMany(srcs, typ, limit, fn)
+	}
+	return NeighborsEach(s, srcs, typ, limit, fn)
+}
+
+// NeighborsEach is the per-vertex frontier expansion: one Neighbors call
+// per source, in order — what a reader without a batched read path runs,
+// and what a FrontierReader falls back to for the part of itself that has
+// none.
+func NeighborsEach(s Reader, srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
+	for _, src := range srcs {
+		more := true
+		err := s.Neighbors(src, typ, limit, func(dst VertexID, _ Properties) bool {
+			more = fn(src, dst)
+			return more
+		})
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
 // KHop expands hops levels of out-neighbors from start over edges of the
 // given type, returning the set of vertices reached (excluding start).
 // perVertexLimit bounds the neighbors expanded per vertex (<= 0:
@@ -331,25 +370,38 @@ func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map
 // budget vertices have been reached (<= 0: unlimited). The risk-control
 // workload of Table 1 reads "10 hops and 100 edges" — a deep but bounded
 // neighborhood probe.
+//
+// It is the one breadth-first loop: every hop is one NeighborsMany over
+// the frontier, so the reader decides how a hop reaches storage. Under a
+// budget a hop is fed in slices no larger than the budget still open (a
+// source contributes at least one new vertex in the common case), so a
+// batching reader does not fetch a whole frontier it will not expand.
 func KHopBudget(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) (map[VertexID]struct{}, error) {
 	visited := map[VertexID]struct{}{start: {}}
 	frontier := []VertexID{start}
 	reached := make(map[VertexID]struct{})
+	var next []VertexID
+	visit := func(_, dst VertexID) bool {
+		if _, seen := visited[dst]; !seen {
+			visited[dst] = struct{}{}
+			reached[dst] = struct{}{}
+			next = append(next, dst)
+		}
+		return budget <= 0 || len(reached) < budget
+	}
 	for h := 0; h < hops && len(frontier) > 0; h++ {
-		var next []VertexID
-		for _, v := range frontier {
-			if budget > 0 && len(reached) >= budget {
-				return reached, nil
-			}
-			err := s.Neighbors(v, typ, perVertexLimit, func(dst VertexID, _ Properties) bool {
-				if _, seen := visited[dst]; !seen {
-					visited[dst] = struct{}{}
-					reached[dst] = struct{}{}
-					next = append(next, dst)
+		next = nil
+		for len(frontier) > 0 {
+			part := frontier
+			if budget > 0 {
+				open := budget - len(reached)
+				if open <= 0 {
+					return reached, nil
 				}
-				return budget <= 0 || len(reached) < budget
-			})
-			if err != nil {
+				part = frontier[:min(open, len(frontier))]
+			}
+			frontier = frontier[len(part):]
+			if err := NeighborsMany(s, part, typ, perVertexLimit, visit); err != nil {
 				return reached, err
 			}
 		}

@@ -258,3 +258,55 @@ func TestKHopBudget(t *testing.T) {
 		t.Fatalf("unbudgeted khop reached %d, want 40", len(reached))
 	}
 }
+
+// frontierStore is memStore with the FrontierReader capability, recording
+// the size of every frontier it is handed.
+type frontierStore struct {
+	*memStore
+	frontiers []int
+}
+
+func (f *frontierStore) NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
+	f.frontiers = append(f.frontiers, len(srcs))
+	return NeighborsEach(f.memStore, srcs, typ, limit, fn)
+}
+
+// TestKHopBudgetFeedsFrontierReaderInBudgetSlices: over a FrontierReader
+// every hop is a NeighborsMany call, a budgeted hop is fed in slices no
+// larger than the budget still open, nothing is requested once the budget
+// is spent, and the reached set is the per-vertex expansion's.
+func TestKHopBudgetFeedsFrontierReaderInBudgetSlices(t *testing.T) {
+	mem := newMemStore()
+	for i := 2; i <= 21; i++ { // star 1 -> 2..21, each with a two-edge tail
+		for _, e := range []Edge{{Src: 1, Dst: VertexID(i), Type: 1}, {Src: VertexID(i), Dst: VertexID(i + 100), Type: 1}, {Src: VertexID(i + 100), Dst: VertexID(i + 200), Type: 1}} {
+			if err := mem.AddEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		budget    int
+		frontiers []int
+	}{
+		{0, []int{1, 20, 20, 20}}, // unbudgeted: the whole frontier per hop, the last hop finds nothing
+		{7, []int{1}},             // spent inside the first hop
+		{30, []int{1, 10}},        // 20 reached, 10 open: half the second frontier
+		{45, []int{1, 20, 5}},     // 40 reached after two hops, 5 open
+	} {
+		fs := &frontierStore{memStore: mem}
+		got, err := KHopBudget(fs, 1, 1, 4, 0, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := KHopBudget(mem, 1, 1, 4, 0, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || (tc.budget > 0 && len(got) != tc.budget) {
+			t.Fatalf("budget %d: reached %d vertices over the FrontierReader, %d per vertex", tc.budget, len(got), len(want))
+		}
+		if !reflect.DeepEqual(fs.frontiers, tc.frontiers) {
+			t.Fatalf("budget %d: NeighborsMany saw frontiers %v, want %v", tc.budget, fs.frontiers, tc.frontiers)
+		}
+	}
+}

@@ -168,6 +168,12 @@ func (n *RWNode) registerMetrics(r *metrics.Registry) {
 	r.GaugeFunc("replication.epoch", func() int64 { return int64(n.writer.Epoch()) })
 }
 
+// NeighborsMany implements graph.FrontierReader with the engine's batched
+// frontier read, beside the embedded latest-state reads.
+func (n *RWNode) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
+	return n.engine.NeighborsMany(srcs, typ, limit, fn)
+}
+
 // Engine exposes the underlying engine (stats, GC).
 func (n *RWNode) Engine() *core.Engine { return n.engine }
 

@@ -38,13 +38,11 @@ type Group struct {
 	mgr       *txnManager
 	stageHook func(stage TxnStage, txn uint64, parts []int) // test fault injection
 
-	failovers   metrics.Counter // shard leaders replaced
-	batches     metrics.Counter // ApplyBatch calls routed
-	fanout      metrics.IntHistogram
-	scatterHops metrics.Counter // scatter-gather hop rounds issued
-	shardReads  metrics.Counter // per-shard parallel reads issued
-	snapshots   metrics.Counter // consistent cuts taken
-	pinRejects  metrics.Counter // SnapshotAt vectors refused (fail closed)
+	failovers  metrics.Counter // shard leaders replaced
+	batches    metrics.Counter // ApplyBatch calls routed
+	fanout     metrics.IntHistogram
+	snapshots  metrics.Counter // consistent cuts taken
+	pinRejects metrics.Counter // SnapshotAt vectors refused (fail closed)
 
 	txns        metrics.Counter // multi-shard 2PC transactions started
 	txnCommits  metrics.Counter // transactions decided commit
@@ -87,8 +85,8 @@ func (g *Group) registerMetrics() {
 	r := g.reg
 	r.RegisterCounter("shard.batches_routed", &g.batches)
 	r.RegisterIntHistogram("shard.batch_fanout", &g.fanout)
-	r.RegisterCounter("shard.scatter_hops", &g.scatterHops)
-	r.RegisterCounter("shard.scatter_shard_reads", &g.shardReads)
+	r.RegisterCounter("shard.scatter_hops", &g.router.scatterHops)
+	r.RegisterCounter("shard.scatter_shard_reads", &g.router.shardReads)
 	r.RegisterCounter("shard.snapshots", &g.snapshots)
 	r.RegisterCounter("shard.snapshot_rejects", &g.pinRejects)
 	r.RegisterCounter("shard.txns", &g.txns)
@@ -617,13 +615,6 @@ func (g *Group) resolveInDoubt(i int) error {
 		g.txnResolved.Inc()
 	}
 	return nil
-}
-
-// ObserveScatter folds one traversal's scatter-gather counts into the
-// group's metrics.
-func (g *Group) ObserveScatter(st ScatterStats) {
-	g.scatterHops.Add(int64(st.Hops))
-	g.shardReads.Add(int64(st.ShardReads))
 }
 
 // ReadEpochs samples every shard's released read epoch as a Vector. The

@@ -166,17 +166,36 @@ func (r refGraph) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	return len(r[src]), nil
 }
 
+// followerView attaches one read-only node per shard, drained to the
+// leaders' acked state, behind the group's router — what the root
+// package's read views are made of.
+func followerView(t *testing.T, g *Group) graph.Reader {
+	t.Helper()
+	ros := make([]*replication.RONode, g.Shards())
+	for i := range ros {
+		ros[i] = replication.NewRONode(g.Store(i), time.Hour, 0)
+		t.Cleanup(ros[i].Stop)
+		if err := ros[i].Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g.Router().Reader(func(i int) graph.Reader { return ros[i].Replica() })
+}
+
 // TestTraversalsMatchReferenceModel is the traversal-equivalence oracle:
-// the scatter-gather KHop, and pattern.Match / pattern.FindCycles over
-// the cut as a plain graph.Reader, must return exactly what the same
-// helpers return over the reference model — shard count must be
-// unobservable.
+// the one graph.KHop over the cut, over the group's leaders and over a
+// follower view (each hop a routed.NeighborsMany scatter), and
+// pattern.Match / pattern.FindCycles over the cut as a plain graph.Reader,
+// must return exactly what the same helpers return over the reference
+// model — shard count must be unobservable.
 func TestTraversalsMatchReferenceModel(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		g := openTestGroup(t, shards)
 		ref := newRefGraph(seedRandomGraph(t, g, 7, 48, 400))
 
 		snap := g.Snapshot()
+		readers := map[string]graph.Reader{"snapshot": snap, "group": g, "followers": followerView(t, g)}
+		before := g.Metrics().Snapshot()
 		for _, start := range []graph.VertexID{1, 7, 23, 48} {
 			for _, hops := range []int{1, 2, 3, 5} {
 				for _, limit := range []int{0, 3} {
@@ -184,20 +203,27 @@ func TestTraversalsMatchReferenceModel(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var stats ScatterStats
-					got, err := snap.KHopScatter(start, graph.ETypeFollow, hops, limit, &stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("shards=%d KHop(%d,%d,%d): scatter %d vertices, reference %d",
-							shards, start, hops, limit, len(got), len(want))
-					}
-					if len(want) > 0 && stats.Hops == 0 {
-						t.Fatal("scatter stats recorded no hops")
+					for name, r := range readers {
+						got, err := graph.KHop(r, start, graph.ETypeFollow, hops, limit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("shards=%d KHop(%d,%d,%d) over %s: %d vertices, reference %d",
+								shards, start, hops, limit, name, len(got), len(want))
+						}
 					}
 				}
 			}
+		}
+		after := g.Metrics().Snapshot()
+		hopsIssued := after["shard.scatter_hops"].Value - before["shard.scatter_hops"].Value
+		shardReads := after["shard.scatter_shard_reads"].Value - before["shard.scatter_shard_reads"].Value
+		if hopsIssued == 0 || shardReads < hopsIssued {
+			t.Fatalf("shards=%d: scatter_hops moved %d, scatter_shard_reads %d", shards, hopsIssued, shardReads)
+		}
+		if shards > 1 && shardReads == hopsIssued {
+			t.Fatalf("shards=%d: no hop touched more than one shard (%d hops, %d shard reads)", shards, hopsIssued, shardReads)
 		}
 
 		p := pattern.Pattern{N: 3, Edges: []pattern.PEdge{
@@ -280,7 +306,7 @@ func TestSnapshotVectorRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.KHopScatter(start, graph.ETypeFollow, 3, 0, nil)
+		got, err := graph.KHop(re, start, graph.ETypeFollow, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,12 +5,19 @@
 // and stores, fans batched writes out as per-shard commit groups and
 // fails shards over one at a time; a Snapshot pins one released read
 // epoch per shard (a consistent cut) that every graph.Reader traversal
-// runs over, with KHop additionally available scatter-gather — each hop
-// resolves the frontier's owners, issues per-shard reads in parallel,
-// and merges results with perVertexLimit pushdown intact.
+// runs over. There is no sharded traversal: the routed reader under Group
+// and Snapshot implements graph.FrontierReader, so each hop of the one
+// graph.KHop splits its frontier by owner, reads the touched shards in
+// parallel (perVertexLimit pushed down into each shard's batched read) and
+// merges — scatter-gather is a property of the reader.
 package shard
 
-import "bg3/internal/graph"
+import (
+	"sync"
+
+	"bg3/internal/graph"
+	"bg3/internal/metrics"
+)
 
 // fibMul is the 64-bit Fibonacci-hashing multiplier (2^64 / φ, odd).
 // Router is the only vertex → shard hash: shard groups and the Fig. 8
@@ -23,6 +30,11 @@ const fibMul = 0x9E3779B97F4A7C15
 // 0; use NewRouter.
 type Router struct {
 	n int
+
+	// Scatter accounting of the routed readers over this router: frontier
+	// reads split by owner, and the per-shard reads they issued.
+	scatterHops metrics.Counter
+	shardReads  metrics.Counter
 }
 
 // NewRouter returns a router over n shards (n < 1 is clamped to 1).
@@ -73,6 +85,58 @@ func (r routed) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn 
 
 func (r routed) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	return r.at(r.router.Owner(src)).Degree(src, typ)
+}
+
+// NeighborsMany implements graph.FrontierReader — the scatter-gather hop.
+// The frontier is split by owner and every touched shard expands its part
+// through its own reader's batched read (graph.NeighborsMany), in parallel
+// when more than one shard is touched; the per-shard edge lists are then
+// handed to fn shard by shard. A frontier on one shard streams straight
+// through.
+func (r routed) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
+	r.router.scatterHops.Inc()
+	parts := r.router.SplitFrontier(srcs)
+	touched, last := 0, 0
+	for i, part := range parts {
+		if len(part) > 0 {
+			touched, last = touched+1, i
+		}
+	}
+	r.router.shardReads.Add(int64(touched))
+	if touched == 1 {
+		return graph.NeighborsMany(r.at(last), parts[last], typ, limit, fn)
+	}
+	type shardEdges struct {
+		edges [][2]graph.VertexID // src, dst
+		err   error
+	}
+	results := make([]shardEdges, len(parts))
+	var wg sync.WaitGroup
+	for i, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(res *shardEdges, reader graph.Reader, part []graph.VertexID) {
+			defer wg.Done()
+			res.err = graph.NeighborsMany(reader, part, typ, limit, func(src, dst graph.VertexID) bool {
+				res.edges = append(res.edges, [2]graph.VertexID{src, dst})
+				return true
+			})
+		}(&results[i], r.at(i), part)
+	}
+	wg.Wait()
+	for i := range results {
+		if results[i].err != nil {
+			return results[i].err
+		}
+		for _, e := range results[i].edges {
+			if !fn(e[0], e[1]) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // routeKey returns the vertex whose owner decides where a mutation

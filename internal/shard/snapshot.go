@@ -121,9 +121,9 @@ func (v Vector) ValidateAgainst(released Vector) error {
 // Snapshot is a consistent cross-shard cut: one pinned ReadView per
 // shard, every read routed to the owner and evaluated at that shard's
 // pinned horizon. It implements graph.Reader, so graph.KHop,
-// pattern.Match and pattern.FindCycles run against it unchanged;
-// KHopScatter (traverse.go) is the frontier-batched KHop and returns
-// exactly what the serial helper would.
+// pattern.Match and pattern.FindCycles run against it unchanged, and
+// graph.FrontierReader (routed.NeighborsMany), so every KHop hop over it
+// is one parallel scatter to the shards the frontier touches.
 //
 // A Snapshot holds every shard's retention floor down until closed;
 // close it promptly. Safe for concurrent readers; Close is idempotent.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -132,5 +133,92 @@ func TestSortLocs(t *testing.T) {
 		if locs[i] != want[i] {
 			t.Fatalf("locs[%d] = %+v, want %+v", i, locs[i], want[i])
 		}
+	}
+}
+
+// TestReadBatchEachFailsOnlyTheReclaimedGroup: a hop-wide batch whose
+// locations were snapshotted before one of its extents was reclaimed loses
+// only the records of that extent — on the sequential and on the
+// goroutine-per-group path — while ReadBatch still fails as a whole with
+// the same error.
+func TestReadBatchEachFailsOnlyTheReclaimedGroup(t *testing.T) {
+	for _, latency := range []time.Duration{0, 100 * time.Microsecond} {
+		s := Open(&Options{ExtentSize: 64, ReadLatency: latency})
+		var locs []Loc
+		var want [][]byte
+		for i := 0; i < 12; i++ {
+			data := []byte(fmt.Sprintf("hop-record-%02d-padding", i))
+			loc, err := s.Append(StreamBase, uint64(i), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locs, want = append(locs, loc), append(want, data)
+		}
+		victim := locs[5].Extent
+		if _, err := s.Reclaim(StreamBase, victim, nil); err != nil {
+			t.Fatal(err)
+		}
+		bufs, errs := s.ReadBatchEach(locs)
+		if len(bufs) != len(locs) || len(errs) != len(locs) {
+			t.Fatalf("latency %v: %d bufs, %d errs for %d locs", latency, len(bufs), len(errs), len(locs))
+		}
+		lost := 0
+		for i, l := range locs {
+			switch {
+			case l.Extent == victim:
+				lost++
+				if !errors.Is(errs[i], ErrReclaimed) || bufs[i] != nil {
+					t.Fatalf("latency %v: loc %d in the reclaimed extent = %q, %v", latency, i, bufs[i], errs[i])
+				}
+			case errs[i] != nil || !bytes.Equal(bufs[i], want[i]):
+				t.Fatalf("latency %v: loc %d outside the reclaimed extent = %q, %v", latency, i, bufs[i], errs[i])
+			}
+		}
+		if lost == 0 || lost == len(locs) {
+			t.Fatalf("fixture: %d of %d records in the reclaimed extent", lost, len(locs))
+		}
+		if _, err := s.ReadBatch(locs); !errors.Is(err, ErrReclaimed) {
+			t.Fatalf("latency %v: ReadBatch over a reclaimed extent = %v, want ErrReclaimed", latency, err)
+		}
+		// No failure, no error slice.
+		if _, errs := s.ReadBatchEach(locs[:1]); errs != nil {
+			t.Fatalf("latency %v: clean batch reported %v", latency, errs)
+		}
+	}
+}
+
+// TestGroupLocsKeepsFirstAppearanceOrder checks the grouping contract at
+// hop size: groups in order of first appearance, input order within each.
+func TestGroupLocsKeepsFirstAppearanceOrder(t *testing.T) {
+	var locs []Loc
+	for i := 0; i < 400; i++ {
+		locs = append(locs, Loc{Stream: StreamID(i % 2), Extent: ExtentID((i * 7) % 13), Offset: uint32(i)})
+	}
+	groups := groupLocs(locs)
+	if len(groups) != 26 {
+		t.Fatalf("%d groups, want 26", len(groups))
+	}
+	seen, next := map[[2]uint64]bool{}, 0
+	for _, l := range locs { // replay first appearances
+		k := [2]uint64{uint64(l.Stream), uint64(l.Extent)}
+		if !seen[k] {
+			seen[k] = true
+			if g := groups[next]; g.stream != l.Stream || g.extent != l.Extent {
+				t.Fatalf("group %d = (%v, %d), want (%v, %d)", next, g.stream, g.extent, l.Stream, l.Extent)
+			}
+			next++
+		}
+	}
+	total := 0
+	for _, g := range groups {
+		total += len(g.idx)
+		for j, i := range g.idx {
+			if locs[i].Stream != g.stream || locs[i].Extent != g.extent || (j > 0 && g.idx[j-1] >= i) {
+				t.Fatalf("group (%v, %d) idx %v misplaces loc %d", g.stream, g.extent, g.idx, i)
+			}
+		}
+	}
+	if total != len(locs) {
+		t.Fatalf("groups cover %d locs, want %d", total, len(locs))
 	}
 }

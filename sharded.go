@@ -107,18 +107,17 @@ func (db *ShardedDB) ApplyBatchEx(muts []Mutation) ([]ShardOutcome, error) {
 type ShardSnapshot struct {
 	reads // every read routes to its owner's pinned horizon
 	snap  *shard.Snapshot
-	db    *ShardedDB
 }
 
 var _ graph.Reader = (*ShardSnapshot)(nil)
 
-func (db *ShardedDB) newSnapshot(snap *shard.Snapshot) *ShardSnapshot {
-	return &ShardSnapshot{reads: reads{snap}, snap: snap, db: db}
+func newShardSnapshot(snap *shard.Snapshot) *ShardSnapshot {
+	return &ShardSnapshot{reads: reads{snap}, snap: snap}
 }
 
 // Snapshot pins each shard's current released read epoch and returns the
 // cut. The caller must Close it.
-func (db *ShardedDB) Snapshot() *ShardSnapshot { return db.newSnapshot(db.group.Snapshot()) }
+func (db *ShardedDB) Snapshot() *ShardSnapshot { return newShardSnapshot(db.group.Snapshot()) }
 
 // SnapshotAt re-attaches a cut from an encoded epoch vector (see
 // ShardSnapshot.Vector). It fails closed: truncated or corrupt vectors,
@@ -135,7 +134,7 @@ func (db *ShardedDB) SnapshotAt(vector []byte) (*ShardSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.newSnapshot(snap), nil
+	return newShardSnapshot(snap), nil
 }
 
 // Epochs returns the pinned epoch vector: component i is shard i's
@@ -156,20 +155,9 @@ func (s *ShardSnapshot) Vector() []byte { return s.snap.Epochs().Encode() }
 // Close releases every shard's pin. Idempotent.
 func (s *ShardSnapshot) Close() { s.snap.Close() }
 
-// KHop expands hops levels from start over the cut, scatter-gather: each
-// hop splits the frontier by owner, issues batched per-shard reads in
-// parallel (perVertexLimit pushed down into each shard's scan), and
-// merges. The reached set is exactly what the serial traversal over this
-// snapshot would return.
-func (s *ShardSnapshot) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
-	var st shard.ScatterStats
-	reached, err := s.snap.KHopScatter(start, typ, hops, perVertexLimit, &st)
-	s.db.group.ObserveScatter(st)
-	return reached, err
-}
-
-// KHop is the one-shot traversal: it pins a cut, runs the scatter-gather
-// expansion, and releases the cut — one traversal, one consistent
+// KHop is the one-shot traversal: it pins a cut, expands over it — each
+// hop splits the frontier by owner and reads the touched shards in
+// parallel — and releases the cut: one traversal, one consistent
 // cross-shard boundary vector.
 func (db *ShardedDB) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
 	s := db.Snapshot()

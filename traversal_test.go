@@ -1,0 +1,264 @@
+package bg3
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"bg3/internal/graph"
+)
+
+// perVertex hides a reader's graph.FrontierReader capability, so graph.KHop
+// expands it one Neighbors call per frontier vertex — the traversal every
+// reader ran before the hop became the unit of I/O.
+type perVertex struct{ graph.Reader }
+
+// fanOut is the per-vertex fan-out of fanOutDB's first two levels.
+const fanOut = 18
+
+// fanOutDB loads a three-level fan-out: vertex 1 follows 18 vertices, each
+// of which follows 18 more (324 distinct), each of which has 70 followees
+// of its own — past the forest split threshold, so every third-hop frontier
+// vertex sits in a dedicated tree, one leaf apiece: a 3-hop read at limit 18
+// needs 324 distinct leaves in its last hop alone, five times the cache and
+// more than one batched load holds.
+func fanOutDB(t *testing.T) *DB {
+	t.Helper()
+	db := openDB(t, &Options{ForestSplitThreshold: 64, CacheCapacity: 64})
+	add := func(src, dst VertexID) {
+		t.Helper()
+		if err := db.AddEdge(Edge{Src: src, Dst: dst, Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < fanOut; i++ {
+		a := VertexID(100 + i)
+		add(1, a)
+		for j := 0; j < fanOut; j++ {
+			b := VertexID(1000 + fanOut*i + j)
+			add(a, b)
+			for k := 0; k < 70; k++ {
+				add(b, VertexID(100000+100*int(b)+k))
+			}
+		}
+	}
+	return db
+}
+
+// TestKHopIssuesOneStorageRoundPerHop pins the gain of the batched hop by
+// counters, no wall clock: a cold 3-hop KHop over more than 200 distinct
+// leaves waits on at most 2 x hops serial storage rounds (plain reads plus
+// ReadBatch calls) where the per-vertex expansion of the same traversal on
+// an identically loaded DB waits on one per page; it reads no more records
+// than that expansion does, reaches the same vertices, and every cold page
+// still costs at most its base + delta records (Fig. 9).
+func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
+	const hops = 3
+	type cost struct{ rounds, records, extentAccesses int64 }
+	run := func(batched bool) (map[VertexID]struct{}, cost, *DB) {
+		db := fanOutDB(t)
+		before := db.Metrics().Snapshot()
+		var reached map[VertexID]struct{}
+		var err error
+		if batched {
+			reached, err = db.KHop(1, ETypeFollow, hops, fanOut)
+		} else {
+			s := db.Snapshot()
+			reached, err = graph.KHop(perVertex{s.r}, 1, ETypeFollow, hops, fanOut)
+			s.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := db.Metrics().Snapshot()
+		d := func(name string) int64 { return after[name].Value - before[name].Value }
+		return reached, cost{
+			rounds:         d("storage.read_ops") - d("storage.batch_locs") + d("storage.batch_reads"),
+			records:        d("storage.read_ops"),
+			extentAccesses: d("storage.read_ops") - d("storage.batch_locs") + d("storage.batch_round_trips"),
+		}, db
+	}
+	wantReached, serial, _ := run(false)
+	reached, batched, db := run(true)
+
+	if want := fanOut + fanOut*fanOut + fanOut*fanOut*fanOut; len(reached) != want || !reflect.DeepEqual(reached, wantReached) {
+		t.Fatalf("batched KHop reached %d vertices, per-vertex %d, want %d", len(reached), len(wantReached), want)
+	}
+	if serial.rounds < 200 {
+		t.Fatalf("fixture: the per-vertex traversal waited on %d storage rounds, want >= 200 cold pages", serial.rounds)
+	}
+	if batched.rounds > 2*hops {
+		t.Fatalf("batched KHop waited on %d serial storage rounds, want <= %d (per-vertex: %d)", batched.rounds, 2*hops, serial.rounds)
+	}
+	if batched.records > serial.records {
+		t.Fatalf("batched KHop read %d records, the per-vertex traversal %d", batched.records, serial.records)
+	}
+	if batched.extentAccesses*2 > serial.extentAccesses {
+		t.Fatalf("batched KHop made %d extent accesses, per-vertex %d: same-extent pages did not coalesce", batched.extentAccesses, serial.extentAccesses)
+	}
+	snap := db.Metrics().Snapshot()
+	if f := snap["bwtree.read_fanout"].IntHistogram; f == nil || f.Max > 2 {
+		t.Fatalf("bwtree.read_fanout = %+v, want at most base + delta per page", f)
+	}
+	if b := snap["bwtree.batch_load_pages"].IntHistogram; b == nil || b.Max < 200 {
+		t.Fatalf("bwtree.batch_load_pages = %+v, want one load of >= 200 pages", b)
+	}
+}
+
+// TestPinnedReadSkipsInitAfterMigration: a dedicated owner's pinned reads
+// touch the INIT tree only when the pin predates the owner's assignment —
+// a pin taken after the migration adds nothing to INIT's scan and get
+// counters, and a pin taken before it still sees the pre-migration
+// adjacency exactly while the owner is rewritten in its dedicated tree.
+func TestPinnedReadSkipsInitAfterMigration(t *testing.T) {
+	db := openDB(t, &Options{Replicated: true, ForestSplitThreshold: 32})
+	const hub = VertexID(7)
+	for i := 0; i < 20; i++ {
+		if err := db.AddEdge(Edge{Src: hub, Dst: VertexID(100 + i), Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := db.Snapshot() // the hub still lives in INIT
+	defer before.Close()
+	for i := 20; i < 60; i++ { // crosses the threshold: the hub migrates
+		if err := db.AddEdge(Edge{Src: hub, Dst: VertexID(100 + i), Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.DeleteEdge(hub, ETypeFollow, 100); err != nil {
+		t.Fatal(err)
+	}
+	forest := db.eng().Forest()
+	if forest.Stats().Migrations != 1 {
+		t.Fatalf("migrations = %d, want 1", forest.Stats().Migrations)
+	}
+	after := db.Snapshot()
+	defer after.Close()
+
+	neighbors := func(s *Snapshot) []VertexID {
+		t.Helper()
+		var out []VertexID
+		if err := s.Neighbors(hub, ETypeFollow, 0, func(dst VertexID, _ Properties) bool {
+			out = append(out, dst)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	init := forest.TreeByID(forest.InitTreeID())
+	was := init.Stats()
+	if got := neighbors(after); len(got) != 59 || got[0] != 101 {
+		t.Fatalf("pin after the migration sees %d neighbors starting at %v, want 59 from 101", len(got), got[:1])
+	}
+	if reached, err := after.KHop(hub, ETypeFollow, 1, 0); err != nil || len(reached) != 59 {
+		t.Fatalf("pinned KHop = %d vertices, %v", len(reached), err)
+	}
+	if _, ok, err := after.GetEdge(hub, ETypeFollow, 100); err != nil || ok {
+		t.Fatalf("deleted edge visible at the later pin: %v %v", ok, err)
+	}
+	now := init.Stats()
+	if scans, gets := now.Scans-was.Scans, now.Gets-was.Gets; scans != 0 || gets != 0 {
+		t.Fatalf("pinned reads of a dedicated owner cost the INIT tree %d scans and %d gets, want 0", scans, gets)
+	}
+
+	got := neighbors(before)
+	if len(got) != 20 || got[0] != 100 || got[19] != 119 {
+		t.Fatalf("pin before the migration sees %v, want 100..119", got)
+	}
+	if _, ok, err := before.GetEdge(hub, ETypeFollow, 100); err != nil || !ok {
+		t.Fatalf("pre-migration edge at the earlier pin: %v %v", ok, err)
+	}
+	if _, ok, err := before.GetEdge(hub, ETypeFollow, 130); err != nil || ok {
+		t.Fatalf("post-pin edge visible at the earlier pin: %v %v", ok, err)
+	}
+}
+
+// TestShardedKHopMatchesReference: the one graph.KHop reaches exactly the
+// reference BFS through every sharded root handle — ShardedDB (pins a
+// cut), an open ShardSnapshot and a follower ReadView — at 1, 2 and 4
+// shards, and the hops over the cut are counted as scatter reads.
+func TestShardedKHopMatchesReference(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		db := openSharded(t, &Options{Shards: shards, ReplicaPollInterval: time.Millisecond})
+		rng := rand.New(rand.NewSource(int64(shards)))
+		adj := map[VertexID][]VertexID{}
+		var muts []Mutation
+		for len(muts) < 500 {
+			src, dst := VertexID(1+rng.Intn(60)), VertexID(1+rng.Intn(60))
+			adj[src] = append(adj[src], dst)
+			muts = append(muts, AddEdgeMut(Edge{Src: src, Dst: dst, Type: ETypeFollow}))
+		}
+		if err := db.ApplyBatch(muts); err != nil {
+			t.Fatal(err)
+		}
+		// reference BFS over sorted, de-duplicated adjacency lists.
+		for src, dsts := range adj {
+			sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+			uniq := dsts[:0]
+			for i, d := range dsts {
+				if i == 0 || d != dsts[i-1] {
+					uniq = append(uniq, d)
+				}
+			}
+			adj[src] = uniq
+		}
+		reference := func(start VertexID, hops, limit int) map[VertexID]struct{} {
+			visited, reached := map[VertexID]struct{}{start: {}}, map[VertexID]struct{}{}
+			frontier := []VertexID{start}
+			for h := 0; h < hops; h++ {
+				var next []VertexID
+				for _, v := range frontier {
+					for i, d := range adj[v] {
+						if limit > 0 && i >= limit {
+							break
+						}
+						if _, seen := visited[d]; !seen {
+							visited[d], reached[d] = struct{}{}, struct{}{}
+							next = append(next, d)
+						}
+					}
+				}
+				frontier = next
+			}
+			return reached
+		}
+
+		view, err := db.OpenReadView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		type khop func(VertexID, EdgeType, int, int) (map[VertexID]struct{}, error)
+		handles := map[string]khop{"ShardedDB": db.KHop, "ShardSnapshot": snap.KHop, "ReadView": view.KHop}
+		was := db.Stats()
+		for _, start := range []VertexID{1, 17, 60} {
+			for _, hops := range []int{1, 3} {
+				for _, limit := range []int{0, 2} {
+					want := reference(start, hops, limit)
+					for name, kh := range handles {
+						got, err := kh(start, ETypeFollow, hops, limit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("shards=%d %s.KHop(%d, hops %d, limit %d) reached %d vertices, reference %d",
+								shards, name, start, hops, limit, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+		snap.Close()
+		now := db.Stats()
+		if now.ScatterHops == was.ScatterHops || now.ScatterShardReads-was.ScatterShardReads < now.ScatterHops-was.ScatterHops {
+			t.Fatalf("shards=%d: ScatterHops %d -> %d, ScatterShardReads %d -> %d",
+				shards, was.ScatterHops, now.ScatterHops, was.ScatterShardReads, now.ScatterShardReads)
+		}
+	}
+}
