@@ -1,8 +1,9 @@
 package bg3_test
 
 // Ablation benchmarks for the design choices DESIGN.md §3 calls out:
-// forest splitting on/off, GC policy, group-commit window, and replica
-// cache size. Each reports the quantity the choice trades off.
+// forest splitting on/off, GC policy, group-commit window, replica cache
+// size, and the packed edge block. Each reports the quantity the choice
+// trades off.
 
 import (
 	"fmt"
@@ -198,5 +199,65 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(st.Stats().ReadOps)/float64(b.N), "storage-reads/query")
 		})
+	}
+}
+
+// BenchmarkAblationEdgeBlock prices the packed edge block (DESIGN §13): a
+// full Neighbors scan of one 100k-edge vertex, 2% of whose edges were
+// written after the block was sealed, with the block (default threshold)
+// and with the leaves alone (threshold -1), under an unlimited and a
+// 1,024-page cache — the leaf walk's pages do not fit the bounded one, the
+// block is resident whatever the cache holds.
+func BenchmarkAblationEdgeBlock(b *testing.B) {
+	const hub, edges = bg3.VertexID(1), 100_000
+	for _, cache := range []struct {
+		name  string
+		pages int
+	}{{"unlimited", 0}, {"1024", 1024}} {
+		for _, mode := range []struct {
+			name      string
+			threshold int
+		}{{"block", 0}, {"leaves", -1}} {
+			b.Run(mode.name+"/cache-"+cache.name, func(b *testing.B) {
+				db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64, EdgeBlockThreshold: mode.threshold, CacheCapacity: cache.pages})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+				batch := make([]bg3.Mutation, 0, 1024)
+				for d := 0; d < edges; d++ {
+					batch = append(batch, bg3.AddEdgeMut(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}))
+					if len(batch) == cap(batch) || d == edges-1 {
+						if err := db.ApplyBatch(batch); err != nil {
+							b.Fatal(err)
+						}
+						batch = batch[:0]
+					}
+				}
+				if _, err := db.BuildEdgeBlocks(); err != nil {
+					b.Fatal(err)
+				}
+				for d := edges; d < edges+edges/50; d++ {
+					if err := db.AddEdge(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				scan := func() {
+					n := 0
+					if err := db.Neighbors(hub, bg3.ETypeFollow, 0, func(bg3.VertexID, bg3.Properties) bool { n++; return true }); err != nil || n != edges+edges/50 {
+						b.Fatalf("scan delivered %d edges, %v", n, err)
+					}
+				}
+				scan() // the first scan of a block sorts its overlay snapshot
+				reads := db.Stats().Storage.ReadOps
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					scan()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(db.Stats().Storage.ReadOps-reads)/float64(b.N), "storage-reads/scan")
+			})
+		}
 	}
 }

@@ -104,6 +104,49 @@ func TestHitScanAllocatesConstant(t *testing.T) {
 	}
 }
 
+// TestBlockScanAllocatesConstant: a full scan of a 2,000-entry edge block
+// under a 200-op overlay — overwrites inside the image and inserts past its
+// end — allocates O(1): the block is read where it lies by the merge the
+// leaves use, and the key-sorted overlay snapshot is reused until the next
+// write.
+func TestBlockScanAllocatesConstant(t *testing.T) {
+	tr, _ := newTestTree(t, Config{EdgeBlockMinEntries: 64})
+	put := func(i int, v string) {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		put(i, "packed")
+	}
+	mustBuildBlock(t, tr)
+	for i := 0; i < 200; i++ {
+		put(i*10+i%2*2000, "late") // even i overwrites a packed key, odd i lands past the image
+	}
+	if info, ok := tr.EdgeBlock(); !ok || info.Entries != 2000 || info.Overlay != 200 {
+		t.Fatalf("fixture: block %+v ok=%v, want 2000 packed entries under 200 overlay ops", info, ok)
+	}
+	n := 0
+	scan := func() {
+		if err := tr.Scan(nil, nil, 0, func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // sorts the overlay snapshot
+	if n != 2100 {
+		t.Fatalf("scan delivered %d pairs, want 2000 packed + 100 past the image", n)
+	}
+	if allocs := testing.AllocsPerRun(100, scan); allocs > 2 {
+		t.Fatalf("block-served 2100-entry scan makes %.0f allocations, want <= 2", allocs)
+	}
+	if got := bytesPerRun(200, scan); got > 256 {
+		t.Fatalf("block-served 2100-entry scan allocates %d B, want <= 256", got)
+	}
+	if hits := tr.m.BlockStatsSnapshot(); hits.Fallbacks != 0 || hits.Hits < 300 {
+		t.Fatalf("scans were not served by the block: %+v", hits)
+	}
+}
+
 // TestBatchLoadedImagesDoNotPinTheirGroup: a hop-wide ReadBatch returns the
 // records of one extent group by group. Were a group one allocation handed
 // out as sub-slices, each image the cache keeps would pin the whole group's

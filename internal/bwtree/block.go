@@ -2,73 +2,64 @@ package bwtree
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"log"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
 // Packed edge blocks (ISSUE 8): the sequential-adjacency layout for
 // super-vertex dedicated trees. Once a tree's adjacency outgrows
 // EdgeBlockMinEntries, its whole content as of a sealed LSN (the MVCC
-// retention floor) is materialized into one immutable, sorted, packed
-// array — scanned with a binary-search entry and a branch-free linear
-// walk instead of page-at-a-time delta-chain reconstruction. Writes since
-// the seal accumulate in a small overlay patched over the block at read
-// time; when the overlay outgrows EdgeBlockRebuildOps the block is
-// rebuilt at a newer seal. The encoded block is persisted to the base
-// stream as CRC-framed parts whose extents GC treats as pinned until the
-// block is superseded.
+// retention floor) is held as one resident leaf image (encode.go) — the
+// format of every leaf, only as large as the tree — and read by the one
+// merge every leaf is read by (scanPage): a binary-search entry and a
+// sequential walk instead of page-at-a-time routing, latching and cache
+// traffic. Writes since the seal accumulate in a small overlay patched over
+// the image at read time; when the overlay outgrows EdgeBlockRebuildOps the
+// block is consolidated like a leaf: the overlay is folded into the next
+// image at a newer seal (mergeEncode).
 //
 // Correctness protocol (MVCC, PR 7 semantics preserved exactly):
 //
 //   - Seal S = retention floor at build time. Every live pin's horizon is
 //     >= the floor, so pinned readers never fall below the block; reads at
-//     h < S (defensive) walk the leaves instead (page.go).
+//     h < S (defensive) walk the leaves instead (page.go). A tree without
+//     an epoch clock has no pins and folds every op into its leaves whatever
+//     its stamp: its floor, and so its seal, is "everything applied".
 //   - The overlay holds every op with LSN > S. The first build turns on
 //     capture, drains writers that entered before capture (preGate), and
 //     seeds the overlay from the leaf chains' retained history above S;
 //     rebuilds inherit the continuously captured overlay, filtered to the
 //     new seal.
 //   - A writer between LSN assignment and its overlay append is counted
-//     in blockWriters; readers observing a nonzero count walk the leaves
-//     instead, so an op can never be visible at a released epoch without
-//     being in the overlay.
-//   - During a build, consolidation is clamped to fold nothing above S
-//     (buildClamp), so the content scan at S stays reconstructible even
-//     if every pin is released mid-build.
+//     in blockWriters; a read at a pinned horizon observing a nonzero count
+//     walks the leaves instead, so an op can never be visible at a released
+//     epoch without being in the overlay (the committer may release the
+//     epoch before the writer reaches the overlay). A latest read (h = ∞)
+//     does not honour the gate. It owes the caller only the writes that
+//     were acknowledged before it began, and a writer appends to the
+//     overlay before it waits for its acknowledgement; an in-flight op it
+//     misses linearizes after it. Nor can it contradict a read that saw the
+//     op through a leaf: the writer holds the page latch until after its
+//     overlay append, so whoever found the op in a leaf took the latch when
+//     the op was already in the overlay.
+//   - During the first build, consolidation is clamped to fold nothing
+//     above S (buildClamp), so the content scan at S stays reconstructible
+//     even if every pin is released mid-build. A rebuild reads no leaf.
 //
-// Blocks are an RW-node read-path acceleration: they are rebuilt lazily
-// after recovery rather than restored, and replicas (which apply WAL
-// records through their own page structures) never build them.
+// Blocks are an RW-node read-path acceleration held in memory only: nothing
+// reads a block back from storage, so nothing is written there; after
+// recovery they are rebuilt lazily from the thresholds, and replicas (which
+// apply WAL records through their own page structures) never build them.
 
-// ErrCorruptBlock reports an undecodable edge-block part. Decoding is
-// fail-stop: a truncated or bit-flipped part yields this error and the
-// reader stays on the delta path — never a wrong scan.
-var ErrCorruptBlock = errors.New("bwtree: corrupt edge block")
-
-// edgeBlockMagic heads every encoded part ("EBK2": edge block, v2 frame).
-var edgeBlockMagic = [4]byte{'E', 'B', 'K', '2'}
-
-// edgeBlockHeaderSize = magic[4] crc[4] seal[8] part[4] nparts[4] count[4].
-const edgeBlockHeaderSize = 28
-
-// edgeBlock is an immutable packed snapshot of a tree's full content at
-// the sealed LSN. entries are sorted and private to the block; readers
-// iterate them with no per-entry decode or branching.
+// edgeBlock is a tree's full content at the sealed LSN as one immutable
+// leaf image, private to the block.
 type edgeBlock struct {
-	seal    wal.LSN
-	entries []kv
-	tags    []uint64 // storage tags of the durable parts (PageID space)
-	bytes   int64    // total encoded size of all parts
+	seal  wal.LSN
+	image leafImage
 }
 
 // blockState is the per-tree edge-block machinery embedded in Tree.
@@ -79,132 +70,33 @@ type blockState struct {
 	blockWriters atomic.Int64 // capturing writers between LSN assignment and overlay append
 
 	overlayMu  sync.Mutex
-	overlay    []op // append order; rebuilds rely on indices (scanStart)
+	overlay    []op // append order; rebuilds rely on indices (cut)
 	overlayLen atomic.Int64
 
-	// sorted is a read-side snapshot of overlay stably sorted by key
-	// (per-key append order preserved), refreshed lazily in blockView so
-	// scans binary-search their range instead of filtering and sorting
-	// the whole overlay per read. sortedN is the overlay length it covers;
-	// -1 forces a full rebuild after the overlay is structurally replaced.
+	// sorted is a read-side snapshot of overlay[:sortedN] in leaf-overlay
+	// order (key-sorted, per-key append order preserved), refreshed lazily in
+	// blockView so scans binary-search their range instead of filtering and
+	// sorting the whole overlay per read. Whoever replaces overlay
+	// structurally resets both.
 	sorted  []op
 	sortedN int
 
 	blockBuildMu sync.Mutex    // serializes builds (TryLock)
 	buildSpawned atomic.Bool   // one background build goroutine at a time
-	buildClamp   atomic.Uint64 // seal+1 while a build is in flight (0 = none)
+	buildClamp   atomic.Uint64 // seal+1 while a first build is in flight (0 = none)
 	lastSkipSeal atomic.Uint64 // seal+1 of the last pin-skipped build (0 = none)
 }
 
-// encodeEdgeBlockPart encodes one part:
-//
-//	magic[4] crc[4] seal[8] part[4] nparts[4] count[4] { klen[4] vlen[4] key val }*
-//
-// crc is IEEE over everything after the crc field, so a flip anywhere —
-// header or payload — is caught.
-func encodeEdgeBlockPart(entries []kv, seal wal.LSN, part, nparts uint32) []byte {
-	size := edgeBlockHeaderSize
-	for _, e := range entries {
-		size += 8 + len(e.key) + len(e.val)
-	}
-	buf := make([]byte, 8, size)
-	copy(buf, edgeBlockMagic[:])
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seal))
-	buf = binary.LittleEndian.AppendUint32(buf, part)
-	buf = binary.LittleEndian.AppendUint32(buf, nparts)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.key)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.val)))
-		buf = append(buf, e.key...)
-		buf = append(buf, e.val...)
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	return buf
-}
-
-// decodeEdgeBlockPart is the fail-stop inverse: any framing violation —
-// short buffer, bad magic, CRC mismatch, inconsistent count, trailing
-// garbage, unsorted keys — returns ErrCorruptBlock.
-func decodeEdgeBlockPart(buf []byte) (entries []kv, seal wal.LSN, part, nparts uint32, err error) {
-	fail := func(what string) ([]kv, wal.LSN, uint32, uint32, error) {
-		return nil, 0, 0, 0, fmt.Errorf("%w: %s", ErrCorruptBlock, what)
-	}
-	if len(buf) < edgeBlockHeaderSize {
-		return fail("short header")
-	}
-	if !bytes.Equal(buf[:4], edgeBlockMagic[:]) {
-		return fail("bad magic")
-	}
-	if crc32.ChecksumIEEE(buf[8:]) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return fail("crc mismatch")
-	}
-	seal = wal.LSN(binary.LittleEndian.Uint64(buf[8:16]))
-	part = binary.LittleEndian.Uint32(buf[16:20])
-	nparts = binary.LittleEndian.Uint32(buf[20:24])
-	count := binary.LittleEndian.Uint32(buf[24:28])
-	if nparts == 0 || part >= nparts {
-		return fail("part index out of range")
-	}
-	rest := buf[edgeBlockHeaderSize:]
-	entries = make([]kv, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 8 {
-			return fail("truncated entry header")
-		}
-		klen := binary.LittleEndian.Uint32(rest)
-		vlen := binary.LittleEndian.Uint32(rest[4:])
-		rest = rest[8:]
-		if uint64(len(rest)) < uint64(klen)+uint64(vlen) {
-			return fail("truncated entry body")
-		}
-		key := append([]byte(nil), rest[:klen]...)
-		val := append([]byte(nil), rest[klen:klen+vlen]...)
-		rest = rest[klen+vlen:]
-		if len(entries) > 0 && bytes.Compare(entries[len(entries)-1].key, key) >= 0 {
-			return fail("keys out of order")
-		}
-		entries = append(entries, kv{key: key, val: val})
-	}
-	if len(rest) != 0 {
-		return fail("trailing bytes")
-	}
-	return entries, seal, part, nparts, nil
-}
-
-// splitEdgeBlockParts greedily packs entries into encoded parts no larger
-// than maxPart bytes each, so every part fits one storage extent.
-func splitEdgeBlockParts(entries []kv, seal wal.LSN, maxPart int) ([][]byte, error) {
-	var ranges [][]kv
-	start, size := 0, edgeBlockHeaderSize
-	for i, e := range entries {
-		es := 8 + len(e.key) + len(e.val)
-		if edgeBlockHeaderSize+es > maxPart {
-			return nil, fmt.Errorf("bwtree: edge block entry of %d bytes exceeds extent size %d", es, maxPart)
-		}
-		if size+es > maxPart {
-			ranges = append(ranges, entries[start:i])
-			start, size = i, edgeBlockHeaderSize
-		}
-		size += es
-	}
-	ranges = append(ranges, entries[start:]) // possibly empty: a block always has >= 1 part
-	parts := make([][]byte, len(ranges))
-	for i, r := range ranges {
-		parts[i] = encodeEdgeBlockPart(r, seal, uint32(i), uint32(len(ranges)))
-	}
-	return parts, nil
-}
-
-// blockView returns the packed block and the key-sorted overlay snapshot
-// serving horizon h, or ok=false when the read must walk the leaves: no
-// block, a writer mid-capture, or a (defensive) horizon below the seal.
+// blockView returns the block and the key-sorted overlay snapshot serving
+// horizon h — scanPage(blk.image, ov, ...) is the read — or ok=false when
+// the read must walk the leaves: no block, a pinned horizon with a writer
+// mid-capture, or a (defensive) horizon below the seal.
 func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
 	if t.blocks.block.Load() == nil {
 		return nil, nil, false
 	}
 	t.blocks.overlayMu.Lock()
-	if t.blocks.blockWriters.Load() != 0 {
+	if h != horizonAll && t.blocks.blockWriters.Load() != 0 {
 		t.blocks.overlayMu.Unlock()
 		t.m.blockFallbacks.Add(1)
 		return nil, nil, false
@@ -223,7 +115,7 @@ func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
 	return blk, ov, true
 }
 
-// sortedOverlayLocked returns the overlay stably sorted by key, refreshing
+// sortedOverlayLocked returns the overlay in leaf-overlay order, refreshing
 // the cached snapshot incrementally: the unsorted tail since the last
 // refresh is sorted and merged into the previous snapshot (equal keys keep
 // the old ops first, preserving per-key append = LSN order). Must be
@@ -235,11 +127,7 @@ func (t *Tree) sortedOverlayLocked() []op {
 	if st.sortedN == n {
 		return st.sorted
 	}
-	if st.sortedN < 0 || st.sortedN > n {
-		st.sorted, st.sortedN = nil, 0
-	}
-	tail := append([]op(nil), st.overlay[st.sortedN:]...)
-	sort.SliceStable(tail, func(i, j int) bool { return bytes.Compare(tail[i].key, tail[j].key) < 0 })
+	tail := sortOps(append([]op(nil), st.overlay[st.sortedN:]...))
 	merged := make([]op, 0, len(st.sorted)+len(tail))
 	i, j := 0, 0
 	for i < len(st.sorted) && j < len(tail) {
@@ -255,117 +143,6 @@ func (t *Tree) sortedOverlayLocked() []op {
 	merged = append(merged, tail[j:]...)
 	st.sorted, st.sortedN = merged, n
 	return merged
-}
-
-// searchKV binary-searches sorted entries for key.
-func searchKV(entries []kv, key []byte) (int, bool) {
-	idx := sort.Search(len(entries), func(i int) bool {
-		return bytes.Compare(entries[i].key, key) >= 0
-	})
-	return idx, idx < len(entries) && bytes.Equal(entries[idx].key, key)
-}
-
-// scanEdgeBlock is ScanAt over the packed array: binary-search the entry
-// point, then a linear walk. With an empty overlay range (the common case
-// for a sealed super-vertex) the loop touches each entry with no
-// per-entry branching beyond the callback; otherwise it streams a
-// two-pointer merge of block and key-sorted overlay, collapsing each
-// overlay key run to its last op visible at h (per-key order is LSN
-// order) on the fly — nothing is materialized, and a limited read stops
-// after limit entries no matter how large the overlay is.
-func (t *Tree) scanEdgeBlock(blk *edgeBlock, ov []op, from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
-	entries := blk.entries
-	start := 0
-	if len(from) > 0 {
-		start, _ = searchKV(entries, from)
-	}
-	end := len(entries)
-	if to != nil {
-		if i, _ := searchKV(entries, to); i < end {
-			end = i
-		}
-	}
-	lo := 0
-	if len(from) > 0 {
-		lo = sort.Search(len(ov), func(i int) bool { return bytes.Compare(ov[i].key, from) >= 0 })
-	}
-	hi := len(ov)
-	if to != nil {
-		hi = lo + sort.Search(len(ov)-lo, func(i int) bool { return bytes.Compare(ov[lo+i].key, to) >= 0 })
-	}
-	if lo == hi {
-		if limit > 0 && end-start > limit {
-			end = start + limit
-		}
-		for _, e := range entries[start:end] {
-			if !fn(e.key, e.val) {
-				return nil
-			}
-		}
-		return nil
-	}
-	// cur is the next overlay patch op: the last instance visible at h of
-	// the key run starting at j. Runs with no visible instance drop out.
-	j := lo
-	var cur op
-	curOK := false
-	advance := func() {
-		curOK = false
-		for j < hi && !curOK {
-			k, last := j, -1
-			for ; k < hi && bytes.Equal(ov[k].key, ov[j].key); k++ {
-				if ov[k].lsn <= h {
-					last = k
-				}
-			}
-			if last >= 0 {
-				cur = ov[last]
-				curOK = true
-			}
-			j = k
-		}
-	}
-	advance()
-	delivered := 0
-	emit := func(k, v []byte) bool {
-		delivered++
-		if !fn(k, v) {
-			return false
-		}
-		return limit <= 0 || delivered < limit
-	}
-	i := start
-	for i < end && curOK {
-		switch c := bytes.Compare(entries[i].key, cur.key); {
-		case c < 0:
-			if !emit(entries[i].key, entries[i].val) {
-				return nil
-			}
-			i++
-		case c == 0:
-			if !cur.del && !emit(cur.key, cur.val) {
-				return nil
-			}
-			i++
-			advance()
-		default:
-			if !cur.del && !emit(cur.key, cur.val) {
-				return nil
-			}
-			advance()
-		}
-	}
-	for ; i < end; i++ {
-		if !emit(entries[i].key, entries[i].val) {
-			return nil
-		}
-	}
-	for ; curOK; advance() {
-		if !cur.del && !emit(cur.key, cur.val) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // blockWriteEnter is called by applyWrite before the op's WAL record is
@@ -499,7 +276,7 @@ func (t *Tree) edgeBlockWanted() bool {
 		}
 		return true
 	}
-	return t.blocks.overlayLen.Load() >= int64(t.blockRebuildThreshold(len(blk.entries)))
+	return t.blocks.overlayLen.Load() >= int64(t.blockRebuildThreshold(blk.image.count()))
 }
 
 // TryBuildEdgeBlock builds (or rebuilds) the tree's packed edge block if
@@ -530,24 +307,25 @@ func (t *Tree) BuildEdgeBlock() (bool, error) {
 
 func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	old := t.blocks.block.Load()
-	first := old == nil
 
-	// Seal at the retention floor and clamp consolidation there for the
-	// duration of the build: the content scan at the seal must stay
-	// reconstructible even if every pin is released mid-build. Sync trees
-	// (no epoch clock) stamp every op LSN 0 and seal at 0.
-	var seal wal.LSN
-	if t.cfg.Epochs != nil {
-		seal = wal.LSN(t.cfg.Epochs.Floor())
-		t.blocks.buildClamp.Store(uint64(seal) + 1)
-		defer t.blocks.buildClamp.Store(0)
-	}
+	// Seal at the retention floor: the oldest pinned epoch, or — on a tree
+	// without an epoch clock, whose leaves fold every op whatever its stamp —
+	// everything applied.
+	seal := t.retentionFloor()
 	if old != nil && seal < old.seal {
 		seal = old.seal
 	}
 
-	var scanStart int
-	if first {
+	var img leafImage
+	cut := 0 // overlay ops before this index are in img if stamped at or below the seal
+	if old == nil {
+		// Clamp consolidation at the seal for the duration of the build: the
+		// content scan at the seal must stay reconstructible even if every
+		// pin is released mid-build.
+		if t.cfg.Epochs != nil {
+			t.blocks.buildClamp.Store(uint64(seal) + 1)
+			defer t.blocks.buildClamp.Store(0)
+		}
 		// Clear debris from any previously aborted capture, then turn
 		// capture on and drain the writers that entered before they could
 		// see it; from here every applied op lands in the overlay.
@@ -562,114 +340,84 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 		}
 		// Seed the overlay with history already applied above the seal.
 		seeded := t.collectRetainedAbove(seal)
-		if len(seeded) >= t.blockRebuildThreshold(int(t.puts.Load()-t.deletes.Load())) {
+		estimate := int(max(0, t.puts.Load()-t.deletes.Load())) // of the live entries
+		if len(seeded) >= t.blockRebuildThreshold(estimate) {
 			t.blocks.blockCapture.Store(false)
 			t.noteBlockSkip(seal, len(seeded))
 			return false, nil
 		}
-		if len(seeded) > 0 {
-			t.blocks.overlayMu.Lock()
-			t.blocks.overlay = append(seeded, t.blocks.overlay...)
-			t.blocks.overlayLen.Store(int64(len(t.blocks.overlay)))
-			t.blocks.sorted, t.blocks.sortedN = nil, -1 // indices shifted
-			t.blocks.overlayMu.Unlock()
+		t.blocks.overlayMu.Lock()
+		t.blocks.overlay = append(seeded, t.blocks.overlay...)
+		t.blocks.overlayMu.Unlock()
+
+		// Content scan at the seal. MVCC makes this a consistent cut for
+		// epoch trees; for sync trees any op racing the scan is captured in
+		// the overlay, and replaying it over the block is idempotent. The
+		// pairs alias page memory, which is immutable, until the encode
+		// below has copied them.
+		content := make([]op, 0, estimate)
+		err := t.ScanAt(nil, nil, 0, seal, func(k, v []byte) bool {
+			content = append(content, op{key: k, val: v})
+			return true
+		})
+		if err == nil {
+			img, err = mergeEncode(emptyLeaf, content, nil, nil, horizonAll)
+		}
+		if err != nil {
+			t.blocks.blockCapture.Store(false)
+			return false, err
 		}
 	} else {
+		// A rebuild is the block's consolidation: the old image with the
+		// overlay folded in at the new seal — exactly the content readers at
+		// that seal are being served already, so no leaf is read. An op
+		// appended after this snapshot stays in the overlay whatever its
+		// stamp (its writer may have been mid-capture).
+		t.blocks.overlayMu.Lock()
+		cut = len(t.blocks.overlay)
+		ov := t.sortedOverlayLocked()
+		t.blocks.overlayMu.Unlock()
 		// A rebuild that cannot shrink the overlay below the rebuild
 		// threshold (pins holding the floor down) would retrigger forever;
 		// skip it until the floor moves.
 		above := 0
-		t.blocks.overlayMu.Lock()
-		for _, o := range t.blocks.overlay {
+		for _, o := range ov {
 			if o.lsn > seal {
 				above++
 			}
 		}
-		t.blocks.overlayMu.Unlock()
-		if above >= t.blockRebuildThreshold(len(old.entries)) {
+		if above >= t.blockRebuildThreshold(old.image.count()) {
 			t.noteBlockSkip(seal, above)
 			return false, nil
 		}
-	}
-
-	abort := func() {
-		if first {
-			t.blocks.blockCapture.Store(false)
-		}
-	}
-
-	// Content scan at the seal. MVCC makes this a consistent cut for
-	// epoch trees; for sync trees any op racing the scan is captured in
-	// the overlay, and replaying it over the block is idempotent.
-	t.blocks.overlayMu.Lock()
-	scanStart = len(t.blocks.overlay)
-	t.blocks.overlayMu.Unlock()
-	var entries []kv
-	err := t.ScanAt(nil, nil, 0, seal, func(k, v []byte) bool {
-		entries = append(entries, kv{
-			key: append([]byte(nil), k...),
-			val: append([]byte(nil), v...),
-		})
-		return true
-	})
-	if err != nil {
-		abort()
-		return false, err
-	}
-
-	// Persist the packed layout: CRC-framed parts, one extent each at
-	// most, tagged from the page-ID space so GC relocation can find them.
-	parts, err := splitEdgeBlockParts(entries, seal, t.store.ExtentSize())
-	if err != nil {
-		abort()
-		return false, err
-	}
-	tags := make([]uint64, len(parts))
-	locs := make([]storage.Loc, len(parts))
-	var total int64
-	for i, p := range parts {
-		tags[i] = uint64(t.m.allocPageID())
-		loc, err := t.flushAppend(storage.StreamBase, tags[i], p)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				t.store.Invalidate(locs[j])
-			}
-			abort()
+		var err error
+		if img, err = mergeEncode(old.image, ov, nil, nil, seal); err != nil {
 			return false, err
 		}
-		locs[i] = loc
-		total += int64(len(p))
 	}
-	t.m.registerBlockParts(tags, locs)
 
 	// Install: swap the block in and cut the overlay down to the ops the
 	// new seal still needs — everything above it, plus everything that
-	// arrived once the content scan was underway (a racing writer's op
-	// may or may not be in the scan; replaying it is idempotent). The old
-	// slice may be referenced by in-flight readers, so build a fresh one.
-	blk := &edgeBlock{seal: seal, entries: entries, tags: tags, bytes: total}
+	// arrived once the image's content was taken (replaying one the image
+	// already has is idempotent). The old slice may be referenced by
+	// in-flight readers, so build a fresh one.
 	t.blocks.overlayMu.Lock()
-	if !first {
-		kept := make([]op, 0, len(t.blocks.overlay)-scanStart+8)
-		for i, o := range t.blocks.overlay {
-			if o.lsn > seal || i >= scanStart {
-				kept = append(kept, o)
-			}
+	kept := make([]op, 0, len(t.blocks.overlay)-cut+8)
+	for i, o := range t.blocks.overlay {
+		if o.lsn > seal || i >= cut {
+			kept = append(kept, o)
 		}
-		t.blocks.overlay = kept
-		t.blocks.sorted, t.blocks.sortedN = nil, -1 // indices shifted
 	}
-	t.blocks.overlayLen.Store(int64(len(t.blocks.overlay)))
-	t.blocks.block.Store(blk)
+	t.blocks.overlay = kept
+	t.blocks.sorted, t.blocks.sortedN = nil, 0
+	t.blocks.overlayLen.Store(int64(len(kept)))
+	t.blocks.block.Store(&edgeBlock{seal: seal, image: img})
 	t.blocks.overlayMu.Unlock()
 	t.blocks.lastSkipSeal.Store(0)
 
-	t.m.noteBlockBuilt(len(entries), total, len(tags))
+	t.m.noteBlockBuilt(img.count(), int64(len(img)))
 	if old != nil {
-		for _, loc := range t.m.dropBlockParts(old.tags) {
-			t.store.Invalidate(loc)
-		}
-		t.m.noteBlockDropped(len(old.entries), old.bytes, len(old.tags))
+		t.m.noteBlockDropped(old.image.count(), int64(len(old.image)))
 	}
 	return true, nil
 }
@@ -688,8 +436,7 @@ func (t *Tree) noteBlockSkip(seal wal.LSN, retained int) {
 type EdgeBlockInfo struct {
 	Seal    wal.LSN
 	Entries int
-	Parts   int
-	Bytes   int64
+	Bytes   int64 // resident size of the image
 	Overlay int
 }
 
@@ -702,9 +449,8 @@ func (t *Tree) EdgeBlock() (EdgeBlockInfo, bool) {
 	}
 	return EdgeBlockInfo{
 		Seal:    blk.seal,
-		Entries: len(blk.entries),
-		Parts:   len(blk.tags),
-		Bytes:   blk.bytes,
+		Entries: blk.image.count(),
+		Bytes:   int64(len(blk.image)),
 		Overlay: int(t.blocks.overlayLen.Load()),
 	}, true
 }

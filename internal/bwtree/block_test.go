@@ -1,14 +1,10 @@
 package bwtree
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
-	"bg3/internal/gc"
-	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
@@ -28,107 +24,6 @@ func mustBuildBlock(t *testing.T, tr *Tree) {
 	awaitSpawnedBuild(tr)
 	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
-	}
-}
-
-func blockEntries(n int) []kv {
-	out := make([]kv, n)
-	for i := range out {
-		out[i] = kv{
-			key: []byte(fmt.Sprintf("k%06d", i)),
-			val: []byte(fmt.Sprintf("value-%d", i)),
-		}
-	}
-	return out
-}
-
-func TestEdgeBlockEncodeDecodeRoundTrip(t *testing.T) {
-	entries := blockEntries(100)
-	buf := encodeEdgeBlockPart(entries, 42, 3, 7)
-	got, seal, part, nparts, err := decodeEdgeBlockPart(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seal != 42 || part != 3 || nparts != 7 {
-		t.Fatalf("header = (%d, %d, %d), want (42, 3, 7)", seal, part, nparts)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i].key, entries[i].key) || !bytes.Equal(got[i].val, entries[i].val) {
-			t.Fatalf("entry %d = %q=%q, want %q=%q", i, got[i].key, got[i].val, entries[i].key, entries[i].val)
-		}
-	}
-
-	// An empty part (a block over an empty tree) round-trips too.
-	buf = encodeEdgeBlockPart(nil, 0, 0, 1)
-	if got, _, _, _, err = decodeEdgeBlockPart(buf); err != nil || len(got) != 0 {
-		t.Fatalf("empty part decode = %v entries, err %v", len(got), err)
-	}
-}
-
-func TestEdgeBlockSplitParts(t *testing.T) {
-	entries := blockEntries(200)
-	parts, err := splitEdgeBlockParts(entries, 9, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) < 2 {
-		t.Fatalf("got %d parts, want a multi-part split", len(parts))
-	}
-	var all []kv
-	for i, p := range parts {
-		if len(p) > 512 {
-			t.Fatalf("part %d is %d bytes, exceeds the 512-byte cap", i, len(p))
-		}
-		got, seal, part, nparts, err := decodeEdgeBlockPart(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seal != 9 || part != uint32(i) || nparts != uint32(len(parts)) {
-			t.Fatalf("part %d header = (%d, %d, %d)", i, seal, part, nparts)
-		}
-		all = append(all, got...)
-	}
-	if len(all) != len(entries) {
-		t.Fatalf("parts union has %d entries, want %d", len(all), len(entries))
-	}
-	for i := range all {
-		if !bytes.Equal(all[i].key, entries[i].key) {
-			t.Fatalf("entry %d out of order after split", i)
-		}
-	}
-
-	// An entry too large for any part is a hard error, not silent truncation.
-	huge := []kv{{key: []byte("k"), val: make([]byte, 1024)}}
-	if _, err := splitEdgeBlockParts(huge, 0, 512); err == nil {
-		t.Fatal("oversized entry should fail the split")
-	}
-}
-
-func TestEdgeBlockDecodeCorrupt(t *testing.T) {
-	valid := encodeEdgeBlockPart(blockEntries(10), 5, 0, 1)
-	cases := map[string][]byte{
-		"empty":        {},
-		"short header": valid[:edgeBlockHeaderSize-1],
-		"truncated":    valid[:len(valid)-4],
-		"trailing":     append(append([]byte(nil), valid...), 0xAA),
-	}
-	// One bit flip in every byte position class: magic, crc, seal, counts,
-	// entry header, key, value.
-	for _, pos := range []int{0, 5, 9, 17, 21, 25, edgeBlockHeaderSize + 1, edgeBlockHeaderSize + 9, len(valid) - 1} {
-		flipped := append([]byte(nil), valid...)
-		flipped[pos] ^= 0x10
-		cases[fmt.Sprintf("bitflip@%d", pos)] = flipped
-	}
-	for name, buf := range cases {
-		if _, _, _, _, err := decodeEdgeBlockPart(buf); !errors.Is(err, ErrCorruptBlock) {
-			t.Fatalf("%s: err = %v, want ErrCorruptBlock", name, err)
-		}
-	}
-	if _, _, _, _, err := decodeEdgeBlockPart(valid); err != nil {
-		t.Fatalf("pristine part failed to decode: %v", err)
 	}
 }
 
@@ -325,28 +220,4 @@ func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustBuildBlock(t, tr)
-}
-
-// TestEdgeBlockGCPinning checks GC treats the block's extents as pinned
-// until the block is superseded.
-func TestEdgeBlockGCPinning(t *testing.T) {
-	tr, st := newTestTree(t, Config{EdgeBlockMinEntries: 16, EdgeBlockRebuildOps: 8})
-	for i := 0; i < 200; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%06d", i)), bytes.Repeat([]byte("v"), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustBuildBlock(t, tr)
-	pinned := tr.m.BlockExtents(storage.StreamBase)
-	if len(pinned) == 0 {
-		t.Fatal("no pinned extents for a live block")
-	}
-	r := gc.NewReclaimer(st, storage.StreamBase, gc.FIFO{}, tr.m.Relocate)
-	r.Blocks = tr.m
-	if _, err := r.RunOnce(4); err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats().BlockPinned == 0 {
-		t.Fatal("reclaimer did not defer the block's extents")
-	}
 }

@@ -5,16 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"bg3/internal/wal"
 )
-
-// kv is one key-value pair of a packed edge block.
-type kv struct {
-	key []byte
-	val []byte
-}
 
 // op is one logical update of a page's overlay. lsn is the WAL LSN the
 // update committed under (0 on trees without a logger): a read at horizon
@@ -57,12 +52,20 @@ func (p leafImage) key(i int) []byte {
 }
 
 func (p leafImage) val(i int) []byte {
-	s := p[4+8*i:]
-	off, end := binary.LittleEndian.Uint32(s)+binary.LittleEndian.Uint32(s[4:]), uint32(len(p))
-	if i+1 < p.count() {
-		end = binary.LittleEndian.Uint32(s[8:])
+	_, v := p.entry(i, p.count())
+	return v
+}
+
+// entry returns entry i's key and value from one read of its table slot; n
+// is p.count(), which a walk over many entries reads once.
+func (p leafImage) entry(i, n int) (k, v []byte) {
+	slot := binary.LittleEndian.Uint64(p[4+8*i:]) // off, klen
+	off, end := uint32(slot), uint32(len(p))
+	mid := off + uint32(slot>>32)
+	if i+1 < n {
+		end = binary.LittleEndian.Uint32(p[12+8*i:])
 	}
-	return p[off:end:end]
+	return p[off:mid:mid], p[mid:end:end]
 }
 
 // bound returns the index of the first entry at or after to; nil is open.
@@ -76,6 +79,43 @@ func (p leafImage) bound(to []byte) int {
 // search returns the index of the first entry at or after key.
 func (p leafImage) search(key []byte) int {
 	return sort.Search(p.count(), func(i int) bool { return bytes.Compare(p.key(i), key) >= 0 })
+}
+
+// gallop returns the index of the first entry in [i, n) at or after key, n
+// when there is none. It probes at doubling distances from i before it
+// bisects, so finding the end of a run of r entries costs O(log r) however
+// large the image is: a leaf-sized image and a 100k-entry edge block pay the
+// same for an overlay key that lands a few entries ahead. The bisection is
+// written out because this sits inside every scan's merge loop, where a
+// sort.Search closure call per probe costs more than the probe.
+func (p leafImage) gallop(i, n int, key []byte) int {
+	step := 1
+	for i+step <= n && bytes.Compare(p.key(i+step-1), key) < 0 {
+		i += step // sorted: everything up to the probe is below key too
+		step <<= 1
+	}
+	hi := min(i+step-1, n) // the probe that ended the loop, if any, is at or after key
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); bytes.Compare(p.key(mid), key) < 0 {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return i
+}
+
+// imageSize returns the encoded length of an image of n entries carrying
+// payload key and value bytes. Offsets in the table are uint32 (and a slice
+// length an int), so the sum is taken in 64 bits and an image they could not
+// address is an error — a leaf is bounded by its split threshold, an edge
+// block only by its tree.
+func imageSize(n, payload uint64) (int, error) {
+	const limit = min(math.MaxUint32, math.MaxInt)
+	if n > limit || payload > limit || 4+8*n+payload > limit {
+		return 0, fmt.Errorf("bwtree: image of %d entries and %d payload bytes exceeds the leaf format's 4 GiB", n, payload)
+	}
+	return int(4 + 8*n + payload), nil
 }
 
 // decodeLeaf validates buf as a leaf image and returns it aliased, never

@@ -2,20 +2,27 @@ package bwtree
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
-// imageOf builds a flat leaf image holding the given pairs (any order;
-// the last value of a repeated key wins).
-func imageOf(pairs ...kv) leafImage {
-	var ov []op
-	for _, p := range pairs {
-		ov = insertOp(ov, op{key: p.key, val: p.val})
+// imageOf builds a flat leaf image holding the given puts (any order; the
+// last value of a repeated key wins).
+func imageOf(puts ...op) leafImage {
+	return mustEncode(emptyLeaf, sortOps(puts), nil, nil, horizonAll)
+}
+
+// mustEncode is mergeEncode for inputs that cannot outgrow the format.
+func mustEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImage {
+	img, err := mergeEncode(base, ov, lo, hi, floor)
+	if err != nil {
+		panic(err)
 	}
-	return mergeEncode(emptyLeaf, ov, nil, nil, horizonAll)
+	return img
 }
 
 // TestLeafEncodeDecodeRoundTrip: an encoded image validates, reads back
@@ -25,13 +32,13 @@ func imageOf(pairs ...kv) leafImage {
 func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(keys [][]byte, vals [][]byte) bool {
 		want := map[string][]byte{}
-		var pairs []kv
+		var pairs []op
 		for i, k := range keys {
 			var v []byte
 			if i < len(vals) {
 				v = vals[i]
 			}
-			pairs = append(pairs, kv{key: k, val: v})
+			pairs = append(pairs, op{key: k, val: v})
 			want[string(k)] = v
 		}
 		img := imageOf(pairs...)
@@ -54,10 +61,33 @@ func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(mergeEncode(out, nil, nil, nil, horizonAll), img)
+		return bytes.Equal(mustEncode(out, nil, nil, nil, horizonAll), img)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestImageSizeLimit: the size of an image is summed in 64 bits and anything
+// its uint32 offsets could not address is refused before it is allocated —
+// including counts and payloads whose sum would wrap.
+func TestImageSizeLimit(t *testing.T) {
+	for _, c := range []struct {
+		n, payload uint64
+		want       int // 0: refused
+	}{
+		{0, 0, 4},
+		{3, 30, 4 + 24 + 30},
+		{1, math.MaxUint32 - 12, math.MaxUint32},
+		{1, math.MaxUint32 - 11, 0},
+		{1 << 29, 0, 0}, // the table alone is 4 GiB
+		{1 << 61, 0, 0}, // 8n wraps to 0
+		{2, math.MaxUint64 - 19, 0},
+		{math.MaxUint64, math.MaxUint64, 0},
+	} {
+		if got, err := imageSize(c.n, c.payload); got != c.want || (err == nil) != (c.want != 0) {
+			t.Fatalf("imageSize(%d, %d) = %d, %v; want %d", c.n, c.payload, got, err, c.want)
+		}
 	}
 }
 

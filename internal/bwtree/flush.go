@@ -159,7 +159,11 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 		for i := n; i < img.count(); i++ {
 			spill = append(spill, op{key: img.key(i), val: img.val(i)})
 		}
-		img, ops = mergeEncode(img, nil, nil, img.key(n), horizonAll), sortOps(append(spill, ops...))
+		var err error
+		if img, err = mergeEncode(img, nil, nil, img.key(n), horizonAll); err != nil {
+			return err
+		}
+		ops = sortOps(append(spill, ops...))
 	}
 	loc, err := t.flushAppend(storage.StreamBase, uint64(e.id), img)
 	if err != nil {
@@ -204,7 +208,10 @@ func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 		// the cached image at once. The retained suffix must be durable
 		// alongside it, or a crash would roll the page back past released
 		// commits.
-		img := mergeEncode(e.base, e.overlay, e.lo, e.hi, floor)
+		img, err := mergeEncode(e.base, e.overlay, e.lo, e.hi, floor)
+		if err != nil {
+			return nil, err
+		}
 		if err := t.persistBase(e, img, retained); err != nil {
 			return nil, err
 		}

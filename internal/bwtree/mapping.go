@@ -141,18 +141,14 @@ type Mapping struct {
 	relocMu   sync.Mutex
 	relocated map[PageID]struct{}
 
-	// Edge-block accounting (block.go): live part locations by tag (GC
-	// pins their extents and relocation repoints them) plus the block_*
-	// counters and gauges of the registry.
-	blockPartMu    sync.Mutex
-	blockParts     map[uint64]storage.Loc
+	// Edge-block accounting (block.go): the block_* counters and gauges of
+	// the registry.
 	blockBuilds    atomic.Int64
 	blockSkips     atomic.Int64 // builds skipped: pins held the floor too low
 	blockHits      atomic.Int64
 	blockFallbacks atomic.Int64
 	blockEntries   atomic.Int64 // live packed entries across all blocks
-	blockBytes     atomic.Int64 // live encoded bytes across all blocks
-	blockPartCount atomic.Int64 // live durable parts across all blocks
+	blockBytes     atomic.Int64 // resident image bytes across all blocks
 }
 
 // defaultShardCount derives the lock-stripe count from the host's
@@ -394,67 +390,17 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bwtree.block_fallbacks", m.blockFallbacks.Load)
 	r.GaugeFunc("bwtree.block_entries", m.blockEntries.Load)
 	r.GaugeFunc("bwtree.block_bytes", m.blockBytes.Load)
-	r.GaugeFunc("bwtree.block_parts", m.blockPartCount.Load)
 }
 
-// registerBlockParts records the durable locations of a freshly built
-// edge block so GC pins their extents and relocation can repoint them.
-func (m *Mapping) registerBlockParts(tags []uint64, locs []storage.Loc) {
-	m.blockPartMu.Lock()
-	defer m.blockPartMu.Unlock()
-	if m.blockParts == nil {
-		m.blockParts = make(map[uint64]storage.Loc)
-	}
-	for i, tag := range tags {
-		m.blockParts[tag] = locs[i]
-	}
-}
-
-// dropBlockParts unregisters a superseded block's parts and returns their
-// current locations for invalidation.
-func (m *Mapping) dropBlockParts(tags []uint64) []storage.Loc {
-	m.blockPartMu.Lock()
-	defer m.blockPartMu.Unlock()
-	locs := make([]storage.Loc, 0, len(tags))
-	for _, tag := range tags {
-		if loc, ok := m.blockParts[tag]; ok {
-			locs = append(locs, loc)
-			delete(m.blockParts, tag)
-		}
-	}
-	return locs
-}
-
-// BlockExtents returns the extents of one stream currently backing live
-// edge blocks. gc.Reclaimer treats them as pinned until superseded:
-// blocks are immutable, so moving their records buys nothing, and the
-// parts are invalidated wholesale on rebuild anyway.
-func (m *Mapping) BlockExtents(stream storage.StreamID) map[storage.ExtentID]struct{} {
-	m.blockPartMu.Lock()
-	defer m.blockPartMu.Unlock()
-	if len(m.blockParts) == 0 {
-		return nil
-	}
-	out := make(map[storage.ExtentID]struct{})
-	for _, loc := range m.blockParts {
-		if loc.Stream == stream {
-			out[loc.Extent] = struct{}{}
-		}
-	}
-	return out
-}
-
-func (m *Mapping) noteBlockBuilt(entries int, bytes int64, parts int) {
+func (m *Mapping) noteBlockBuilt(entries int, bytes int64) {
 	m.blockBuilds.Add(1)
 	m.blockEntries.Add(int64(entries))
 	m.blockBytes.Add(bytes)
-	m.blockPartCount.Add(int64(parts))
 }
 
-func (m *Mapping) noteBlockDropped(entries int, bytes int64, parts int) {
+func (m *Mapping) noteBlockDropped(entries int, bytes int64) {
 	m.blockEntries.Add(-int64(entries))
 	m.blockBytes.Add(-bytes)
-	m.blockPartCount.Add(-int64(parts))
 }
 
 // BlockStats is a snapshot of the edge-block counters shared by all trees
@@ -465,8 +411,7 @@ type BlockStats struct {
 	Hits        int64 // scans served from a packed block
 	Fallbacks   int64 // block-backed scans that walked the leaves instead
 	Entries     int64 // live packed entries
-	Bytes       int64 // live encoded bytes
-	Parts       int64 // live durable parts
+	Bytes       int64 // resident image bytes
 }
 
 // BlockStatsSnapshot returns the current edge-block counters.
@@ -478,7 +423,6 @@ func (m *Mapping) BlockStatsSnapshot() BlockStats {
 		Fallbacks:   m.blockFallbacks.Load(),
 		Entries:     m.blockEntries.Load(),
 		Bytes:       m.blockBytes.Load(),
-		Parts:       m.blockPartCount.Load(),
 	}
 }
 
@@ -563,19 +507,6 @@ func (m *Mapping) touch(e *pageEntry) {
 // the page no longer references old (the record went stale mid-move).
 // Relocated leaf pages are remembered for TakeRelocated.
 func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
-	// Edge-block parts share the page-ID tag space but live in their own
-	// registry; repoint them here so a manual Reclaim of a block extent
-	// stays safe even though GC normally pins those extents.
-	m.blockPartMu.Lock()
-	if cur, ok := m.blockParts[tag]; ok {
-		moved := cur == old
-		if moved {
-			m.blockParts[tag] = new
-		}
-		m.blockPartMu.Unlock()
-		return moved
-	}
-	m.blockPartMu.Unlock()
 	e := m.get(PageID(tag))
 	if e == nil {
 		return false

@@ -22,8 +22,8 @@ const horizonAll = wal.LSN(math.MaxUint64)
 // retentionFloor returns the LSN at or below which history may be folded
 // into page bases: the oldest pinned epoch of the tree's clock, or
 // everything when no clock is wired (single-node / sync trees). An edge
-// block build in flight clamps the floor to its seal so the content scan
-// at the seal stays reconstructible even if every pin closes mid-build.
+// block's first build in flight clamps the floor to its seal so the content
+// scan at the seal stays reconstructible even if every pin closes mid-build.
 func (t *Tree) retentionFloor() wal.LSN {
 	if t.cfg.Epochs == nil {
 		return horizonAll
@@ -34,6 +34,10 @@ func (t *Tree) retentionFloor() wal.LSN {
 	}
 	return f
 }
+
+// gallopAfter is how many consecutive base entries scanPage compares with
+// the overlay's next key before it searches for the end of the run instead.
+const gallopAfter = 8
 
 // searchOps returns the index of the first overlay op at or after key.
 func searchOps(ov []op, key []byte) int {
@@ -115,14 +119,24 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 	return from, to
 }
 
-// scanPage is the one leaf read. It merges base with ov as of horizon h —
-// per key, the newest overlay op stamped at or below h decides, else the
-// base entry stands — over keys in [from, to) (after skips a key equal to
-// from; a nil to is open), calling fn for each live pair until it returns
-// false or limit pairs (limit <= 0: unlimited) went out. It returns how
-// many pairs were delivered and whether fn stopped the walk. Nothing is
-// materialized; base may be walked unlatched, ov must not change meanwhile.
+// scanPage is the one read of an image under an overlay — a leaf's, or an
+// edge block's. It merges base with ov as of horizon h — per key, the newest
+// overlay op stamped at or below h decides, else the base entry stands —
+// over keys in [from, to) (after skips a key equal to from; a nil to is
+// open), calling fn for each live pair until it returns false or limit pairs
+// (limit <= 0: unlimited) went out. It returns how many pairs were delivered
+// and whether fn stopped the walk. Nothing is materialized; base may be
+// walked unlatched, ov must not change meanwhile.
+//
+// The base entries below the overlay's next key go out as one run, each
+// entry one table read. A short run ends at the first key that compares at or
+// above the overlay's (a leaf, or a block whose overlay is dense where the
+// scan is: the keys going out are compared, nothing else is touched); a run
+// that outlasts gallopAfter entries finds its end by a galloping search and
+// goes out uncompared (a block under late writes: a comparison per overlay
+// key, not per base entry).
 func scanPage(base leafImage, ov []op, from []byte, after bool, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
+	count := base.count()
 	i, n := base.search(from), base.bound(to)
 	ov = opsInRange(ov, from, to)
 	j := 0
@@ -135,50 +149,64 @@ func scanPage(base leafImage, ov []op, from []byte, after bool, to []byte, limit
 		}
 	}
 	delivered := 0
-	for i < n || j < len(ov) {
-		var k, v []byte
-		c := 1 // base key vs overlay key: the smaller goes next
-		if i < n {
-			k, c = base.key(i), -1
-			if j < len(ov) {
-				c = bytes.Compare(k, ov[j].key)
-			}
+	for {
+		end := n
+		if limit > 0 && end-i > limit-delivered {
+			end = i + limit - delivered
 		}
-		if c < 0 {
-			v = base.val(i)
-			i++
-		} else {
-			// The overlay's key is due: collapse its run to the newest op
-			// visible at h. With none visible the base entry, if any, stands.
-			vis, r := -1, j
-			for ; r < len(ov) && bytes.Equal(ov[r].key, ov[j].key); r++ {
-				if ov[r].lsn <= h {
-					vis = r
+		var next []byte // the overlay's next key
+		below := end    // entries before this index are known to lie below it
+		if j < len(ov) {
+			next, below = ov[j].key, i
+		}
+		for checked := 0; i < end; i++ {
+			k, v := base.entry(i, count)
+			if i >= below {
+				if bytes.Compare(k, next) >= 0 {
+					break
+				}
+				if checked++; checked == gallopAfter {
+					below = base.gallop(i+1, end, next)
 				}
 			}
-			j = r
-			live := vis >= 0 && !ov[vis].del
-			if live {
-				k, v = ov[vis].key, ov[vis].val
-			} else if vis < 0 && c == 0 {
-				v, live = base.val(i), true
-			}
-			if c == 0 {
-				i++
-			}
-			if !live {
-				continue
+			delivered++
+			if !fn(k, v) {
+				return delivered, true
 			}
 		}
-		delivered++
-		if !fn(k, v) {
-			return delivered, true
+		if j == len(ov) || (limit > 0 && delivered >= limit) {
+			return delivered, false
 		}
-		if delivered == limit {
-			break
+		// The overlay's key is due: collapse its run to the newest op
+		// visible at h. With none visible the base entry, if any, stands.
+		k, vis := ov[j].key, -1
+		for ; j < len(ov) && bytes.Equal(ov[j].key, k); j++ {
+			if ov[j].lsn <= h {
+				vis = j
+			}
+		}
+		var v []byte
+		same := i < n && bytes.Equal(base.key(i), k)
+		live := vis >= 0 && !ov[vis].del
+		if live {
+			v = ov[vis].val
+		} else if vis < 0 && same {
+			k, v = base.entry(i, count)
+			live = true
+		}
+		if same {
+			i++
+		}
+		if live {
+			delivered++
+			if !fn(k, v) {
+				return delivered, true
+			}
+			if delivered == limit {
+				return delivered, false
+			}
 		}
 	}
-	return delivered, false
 }
 
 // lookup returns key's value in base ⊕ ov as of h, aliasing page memory.
@@ -194,15 +222,21 @@ func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool
 
 // mergeEncode folds the ops of ov stamped at or below floor into base,
 // clipped to [lo, hi), and returns the result as a fresh flat image — the
-// next durable base record and the next cached base in one.
-func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImage {
-	n, size := 0, 0
+// next durable base record and the next cached base in one, or the next
+// edge block. It is the only writer of the leaf layout, and fails only when
+// the result would outgrow the format (imageSize).
+func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
+	var n, payload uint64
 	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
 		n++
-		size += len(k) + len(v)
+		payload += uint64(len(k) + len(v))
 		return true
 	})
-	img := make([]byte, 4+8*n, 4+8*n+size)
+	size, err := imageSize(n, payload)
+	if err != nil {
+		return nil, err
+	}
+	img := make([]byte, 4+8*n, size)
 	binary.LittleEndian.PutUint32(img, uint32(n))
 	slot := 4
 	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
@@ -212,5 +246,5 @@ func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImag
 		img = append(append(img, k...), v...)
 		return true
 	})
-	return img
+	return img, nil
 }

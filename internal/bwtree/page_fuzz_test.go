@@ -14,7 +14,7 @@ import (
 // (the layout is canonical: table, then entries, no slack) — never a panic,
 // never an alias outside buf.
 func FuzzDecodeLeafPage(f *testing.F) {
-	f.Add([]byte(imageOf(kv{key: []byte("a"), val: []byte("1")}, kv{key: []byte("b")})))
+	f.Add([]byte(imageOf(op{key: []byte("a"), val: []byte("1")}, op{key: []byte("b")})))
 	f.Add([]byte(emptyLeaf))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeLeaf(data)
@@ -33,7 +33,7 @@ func FuzzDecodeLeafPage(f *testing.F) {
 				t.Fatalf("entry %d: search = %d, key cap %d/%d, val cap %d/%d", i, img.search(k), cap(k), len(k), cap(v), len(v))
 			}
 		}
-		if again := mergeEncode(img, nil, nil, nil, horizonAll); !bytes.Equal(again, data) {
+		if again := mustEncode(img, nil, nil, nil, horizonAll); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(again))
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"bg3/internal/mvcc"
@@ -54,25 +55,43 @@ func (m refModel) scan(from, to string, limit int, h wal.LSN) []string {
 	return out
 }
 
-// TestScanPageMatchesNaiveMerge drives the one leaf iterator over random
+// TestScanPageMatchesNaiveMerge drives the one image iterator over random
 // images and overlays — repeated keys, deletes, stamps on both sides of the
 // horizon — against a brute-force replay, for every combination of lower
-// bound (inclusive and exclusive), upper bound, limit and horizon.
+// bound (inclusive and exclusive), upper bound, limit and horizon. Beside the
+// leaf shape (base and overlay of like size over the same keys) it draws the
+// shapes an edge block has: a base far larger than its overlay (long runs
+// between overlay keys), and an overlay entirely past or entirely before
+// the base.
 func TestScanPageMatchesNaiveMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
-	for round := 0; round < 300; round++ {
+	keyIn := func(lo, hi int) string { return fmt.Sprintf("k%03d", lo+rng.Intn(hi-lo)) }
+	for round := 0; round < 400; round++ {
+		// The key space, and within it the key ranges [lo, hi) and the sizes
+		// of the base and of the overlay.
+		space, baseN, ovN := 40, rng.Intn(30), rng.Intn(25)
+		baseLo, baseHi, ovLo, ovHi := 0, space, 0, space
+		switch round % 4 {
+		case 1: // base ≫ overlay
+			space, baseN, ovN = 600, 200+rng.Intn(400), rng.Intn(6)
+			baseHi, ovHi = space, space
+		case 2: // overlay entirely past the base
+			baseHi, ovLo = 20, 20
+		case 3: // overlay entirely before the base
+			baseLo, ovHi = 20, 20
+		}
+		key := func() string { return keyIn(0, space) }
 		ref := refModel{}
-		var pairs []kv
-		for i, n := 0, rng.Intn(30); i < n; i++ {
-			k, v := key(), fmt.Sprintf("b%d", i)
-			pairs = append(pairs, kv{key: []byte(k), val: []byte(v)})
+		var pairs []op
+		for i := 0; i < baseN; i++ {
+			k, v := keyIn(baseLo, baseHi), fmt.Sprintf("b%d", i)
+			pairs = append(pairs, op{key: []byte(k), val: []byte(v)})
 			ref[k] = []version{{val: v}}
 		}
 		base := imageOf(pairs...)
 		var ov []op
-		for i, n := 0, rng.Intn(25); i < n; i++ {
-			k, lsn := key(), wal.LSN(i+1)
+		for i := 0; i < ovN; i++ {
+			k, lsn := keyIn(ovLo, ovHi), wal.LSN(i+1)
 			o := op{key: []byte(k), lsn: lsn, del: rng.Intn(4) == 0}
 			if !o.del {
 				o.val = []byte(fmt.Sprintf("o%d", i))
@@ -91,7 +110,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			}
 			after := rng.Intn(2) == 0
 			want := ref.scan(from, to, 0, h)
-			if after && len(want) > 0 && want[0][:3] == from {
+			if after && len(want) > 0 && strings.HasPrefix(want[0], from+"=") {
 				want = want[1:]
 			}
 			if limit > 0 && len(want) > limit {
@@ -101,19 +120,24 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			if to != "" {
 				toB = []byte(to)
 			}
+			stopAt := 0 // the callback ends the walk at this pair (0: never)
+			if len(want) > 0 && rng.Intn(4) == 0 {
+				stopAt = 1 + rng.Intn(len(want))
+				want = want[:stopAt]
+			}
 			var got []string
 			n, stopped := scanPage(base, ov, []byte(from), after, toB, limit, h, func(k, v []byte) bool {
 				got = append(got, string(k)+"="+string(v))
-				return true
+				return len(got) != stopAt
 			})
-			if fmt.Sprint(got) != fmt.Sprint(want) || n != len(got) || stopped {
-				t.Fatalf("round %d: scan [%s%v, %q) limit %d h %d = %v (n=%d stopped=%v), want %v",
-					round, from, after, to, limit, h, got, n, stopped, want)
+			if fmt.Sprint(got) != fmt.Sprint(want) || n != len(got) || stopped != (stopAt > 0) {
+				t.Fatalf("round %d: scan [%s%v, %q) limit %d h %d stop at %d = %v (n=%d stopped=%v), want %v",
+					round, from, after, to, limit, h, stopAt, got, n, stopped, want)
 			}
 		}
 		// A fold at a floor is the same view, re-encoded and valid.
 		floor := wal.LSN(rng.Intn(28))
-		img, err := decodeLeaf(mergeEncode(base, ov, []byte("k10"), []byte("k30"), floor))
+		img, err := decodeLeaf(mustEncode(base, ov, []byte("k010"), []byte("k030"), floor))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +146,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			got = append(got, string(k)+"="+string(v))
 			return true
 		})
-		if want := ref.scan("k10", "k30", 0, floor); fmt.Sprint(got) != fmt.Sprint(want) {
+		if want := ref.scan("k010", "k030", 0, floor); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("round %d: fold at %d = %v, want %v", round, floor, got, want)
 		}
 	}
@@ -156,13 +180,16 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 
 // TestDifferentialAgainstVersionMap is the one read-semantics oracle of the
 // package: a seeded stream of put / overwrite / delete (splits follow from
-// 8-entry pages) / flush+checkpoint / evict / pin / unpin / GC-relocate
-// against a map-of-versions reference, comparing GetAt and ScanAt — full,
-// bounded and limited — at every live pinned horizon and at ∞ after every
-// step that moves state between base, overlay and storage; in sync and
-// async flush mode, under both delta policies, on the RW tree and on a
-// Replica fed the same WAL. Extents are 2 KiB, so retained history under a
-// long pin regularly outgrows one delta record.
+// 8-entry pages) / flush+checkpoint / evict / pin / unpin / GC-relocate /
+// edge-block rebuild against a map-of-versions reference, comparing GetAt
+// and ScanAt — full, bounded and limited — at every live pinned horizon and
+// at ∞ after every step that moves state between base, overlay and storage;
+// in sync and async flush mode, under both delta policies, on the RW tree
+// and on a Replica fed the same WAL. Extents are 2 KiB, so retained history
+// under a long pin regularly outgrows one delta record. The edge-block
+// threshold is crossed about half way: until then every scan walks the
+// leaves, from then on it reads the block under its overlay, across the
+// rebuilds that fold the one into the other.
 func TestDifferentialAgainstVersionMap(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -198,7 +225,11 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	}
 	st := storage.Open(&storage.Options{ExtentSize: extent})
 	pipe := &clockedPipe{w: wal.NewWriter(st)}
-	cfg := Config{FlushMode: flush, Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4}
+	cfg := Config{FlushMode: flush, Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
+		// Puts outnumber deletes by 2 in 5 steps, so the write path's own
+		// trigger builds the block near step steps/2; a rebuild is due every
+		// 24 overlay ops.
+		EdgeBlockMinEntries: steps / 5, EdgeBlockRebuildOps: 24}
 	if flush == FlushAsync {
 		pipe.src = mvcc.NewSource(0)
 		cfg.Epochs = pipe.src
@@ -318,6 +349,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 				t.Fatalf("step %d: PutEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
 			ref[k] = append(ref[k], version{lsn: pipe.lastData, val: v})
+			awaitSpawnedBuild(tr) // the stream stays deterministic
 			continue
 		case r < 70:
 			k := key()
@@ -327,6 +359,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 				t.Fatalf("step %d: DeleteEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
 			ref[k] = append(ref[k], version{lsn: pipe.lastData, del: true})
+			awaitSpawnedBuild(tr)
 			continue
 		case r < 76:
 			checkpoint()
@@ -368,6 +401,12 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 			} else {
 				checkpoint()
 			}
+		case r < 97: // rebuild the edge block at the current floor, whatever its overlay holds
+			if _, ok := tr.EdgeBlock(); ok {
+				if _, err := tr.BuildEdgeBlock(); err != nil {
+					t.Fatalf("step %d: rebuild edge block: %v", step, err)
+				}
+			}
 		}
 		check(step)
 	}
@@ -379,6 +418,9 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	check(steps)
 	if s := tr.Stats(); s.Splits == 0 || s.Consolidations == 0 {
 		t.Fatalf("stream never split or consolidated: %+v", s)
+	}
+	if bs := m.BlockStatsSnapshot(); bs.Builds < 3 || bs.Hits == 0 || bs.Fallbacks != 0 {
+		t.Fatalf("stream never rebuilt its edge block or read from it: %+v", bs)
 	}
 }
 
@@ -538,5 +580,28 @@ func TestMemoryUsageCountsResidentBytes(t *testing.T) {
 	e.mu.Unlock()
 	if img < 100*(8+4+5) || before-tr.m.MemoryUsage() != int64(img) {
 		t.Fatalf("evicting a %d-byte image moved memory_bytes by %d", img, before-tr.m.MemoryUsage())
+	}
+}
+
+// BenchmarkScanPageLargeImage is the walk an edge-block scan is: one full
+// scanPage over a 100k-entry image (13-byte keys, 14-byte values) under
+// 2,000 overlay ops past the last key.
+func BenchmarkScanPageLargeImage(b *testing.B) {
+	puts := make([]op, 100_000)
+	for i := range puts {
+		puts[i] = op{key: []byte(fmt.Sprintf("k%012d", i)), val: []byte(fmt.Sprintf("v%013d", i))}
+	}
+	img := imageOf(puts...)
+	var ov []op
+	for i := 0; i < 2000; i++ {
+		ov = append(ov, op{key: []byte(fmt.Sprintf("z%012d", i)), val: []byte(fmt.Sprintf("w%013d", i)), lsn: wal.LSN(i + 1)})
+	}
+	n := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanPage(img, ov, []byte{}, false, nil, 0, horizonAll, func(k, v []byte) bool { n += len(k) + len(v); return true })
+	}
+	if n != b.N*102_000*27 {
+		b.Fatalf("scans delivered %d bytes, want %d", n, b.N*102_000*27)
 	}
 }

@@ -278,7 +278,12 @@ func (r *Replica) applyCheckpoint(rec *wal.Record) error {
 		p.mu.Lock()
 		if keep := opsAbove(p.overlay, rec.CkptLSN); len(keep) < len(p.overlay) {
 			if p.image != nil {
-				p.image = mergeEncode(p.image, p.overlay, p.lo, p.hi, rec.CkptLSN)
+				img, err := mergeEncode(p.image, p.overlay, p.lo, p.hi, rec.CkptLSN)
+				if err != nil {
+					p.mu.Unlock()
+					return err
+				}
+				p.image = img
 			}
 			p.overlay = keep
 		}
@@ -378,7 +383,9 @@ func (r *Replica) load(p *replicaPage) (leafImage, error) {
 		return nil, err
 	}
 	if len(ops) > 0 {
-		img = mergeEncode(img, ops, p.lo, p.hi, horizonAll)
+		if img, err = mergeEncode(img, ops, p.lo, p.hi, horizonAll); err != nil {
+			return nil, err
+		}
 	}
 	p.image = img
 	r.noteCachedPage(p)

@@ -96,8 +96,8 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			s, t := &state[cur], scans[cur].Tree
 			// A packed super-vertex tree answers from memory.
 			if blk, ov, ok := t.blockView(h); ok {
-				if err := t.scanEdgeBlock(blk, ov, s.from, scans[cur].To, limit-s.delivered, h, emit); err != nil || stopped {
-					return err
+				if scanPage(blk.image, ov, s.from, false, scans[cur].To, limit-s.delivered, h, emit); stopped {
+					return nil
 				}
 				continue
 			}

@@ -3,7 +3,9 @@ package bwtree
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,5 +229,140 @@ func TestStressConcurrentFlushAsync(t *testing.T) {
 				t.Fatalf("%s missing after flush race (err=%v)", k, err)
 			}
 		}
+	}
+}
+
+// TestStressLatestBlockReadsDoNotFallBack: latest (h = ∞) scans of a
+// block-served tree racing writers are all answered by the block. They used
+// to honour the capture gate pinned reads need, so a scan that met a writer
+// mid-capture walked every leaf of the tree instead — under a bounded cache
+// a storm of cold reads that evicted everything else (ROADMAP "Fix first",
+// supernode-scan). The scans must still see every write acknowledged before
+// they began: each writer writes its own keys in order and publishes the
+// index of its last acknowledged one, so a scan has to deliver a gapless
+// prefix of each writer's keys reaching at least the index it read first.
+func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
+	const (
+		preload = 4000 // 16-entry pages: ~400 leaves behind a 16-page cache
+		writers = 3
+		perW    = 400
+	)
+	for _, mode := range []string{"sync", "epochs"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{CacheCapacity: 16, MaxPageEntries: 16, EdgeBlockMinEntries: 64}
+			var tr *Tree
+			var st *storage.Store
+			if mode == "epochs" {
+				tr, _, st = newEpochTree(t, cfg)
+			} else {
+				tr, st = newTestTree(t, cfg)
+			}
+			for i := 0; i < preload; i++ {
+				if err := tr.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.FlushDirty(); err != nil { // clean pages are evictable: the cache bound holds
+				t.Fatal(err)
+			}
+			if _, err := tr.BuildEdgeBlock(); err != nil {
+				t.Fatal(err)
+			}
+			leaves := int64(len(tr.LeafDirectory()))
+			before, reads := tr.m.BlockStatsSnapshot(), st.Stats().ReadOps
+
+			var acked [writers]atomic.Int64
+			var wg, bg sync.WaitGroup
+			for w := range acked {
+				acked[w].Store(-1)
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perW; i++ {
+						if err := tr.Put([]byte(fmt.Sprintf("w%d-%06d", w, i)), []byte("v")); err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+						acked[w].Store(int64(i))
+					}
+				}(w)
+			}
+			stop := make(chan struct{})
+			if mode == "epochs" {
+				bg.Add(1)
+				go func() { // the flusher keeps pages clean, so the cache stays bounded
+					defer bg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						case <-time.After(200 * time.Microsecond):
+						}
+						if _, err := tr.FlushDirty(); err != nil {
+							t.Errorf("flush: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			var scans atomic.Int64
+			for r := 0; r < 2; r++ {
+				bg.Add(1)
+				go func() {
+					defer bg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var owed, next [writers]int64
+						for w := range acked {
+							owed[w] = acked[w].Load()
+						}
+						base := 0
+						if err := tr.Scan(nil, nil, 0, func(k, _ []byte) bool {
+							if k[0] == 'k' {
+								base++
+								return true
+							}
+							w := int(k[1] - '0')
+							if i, _ := strconv.ParseInt(string(k[3:]), 10, 64); i != next[w] {
+								t.Errorf("scan delivered %s where writer %d's key %d was due", k, w, next[w])
+								return false
+							}
+							next[w]++
+							return true
+						}); err != nil {
+							t.Errorf("scan: %v", err)
+							return
+						}
+						scans.Add(1)
+						for w := range owed {
+							if base != preload || next[w] <= owed[w] {
+								t.Errorf("scan saw %d preloaded keys and %d of writer %d's, which had %d acknowledged before it began",
+									base, next[w], w, owed[w]+1)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			bg.Wait()
+
+			after, n := tr.m.BlockStatsSnapshot(), scans.Load()
+			reads = st.Stats().ReadOps - reads
+			if after.Fallbacks != before.Fallbacks || after.Hits-before.Hits < n {
+				t.Fatalf("%d latest scans: block fallbacks %d -> %d, hits %d -> %d", n, before.Fallbacks, after.Fallbacks, before.Hits, after.Hits)
+			}
+			// Storage reads per scan stay O(1): the writers' own cold pages are
+			// all that is read, fewer over the whole run than a single walk of
+			// the leaves would have cost.
+			if n == 0 || reads >= leaves {
+				t.Fatalf("%d scans beside %d writes read storage %d times; the tree has %d leaves", n, writers*perW, reads, leaves)
+			}
+		})
 	}
 }

@@ -566,7 +566,11 @@ func (t *Tree) applyWriteSync(e *pageEntry, o op, track bool) (bool, bool, error
 		if track {
 			_, existed = lookup(base, e.overlay, o.key, horizonAll)
 		}
-		needSplit, err := t.writeBaseLocked(e, mergeEncode(base, withOp(e.overlay, o), e.lo, e.hi, horizonAll))
+		img, err := mergeEncode(base, withOp(e.overlay, o), e.lo, e.hi, horizonAll)
+		if err != nil {
+			return false, existed, err
+		}
+		needSplit, err := t.writeBaseLocked(e, img)
 		return needSplit, existed, err
 	}
 	if track {
@@ -660,9 +664,10 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 		from = []byte{}
 	}
 	// Block fast path: a packed super-vertex tree serves the whole scan
-	// from its immutable sorted array plus the overlay patch (block.go).
+	// from its one immutable image plus the overlay patch (block.go).
 	if blk, ov, ok := t.blockView(h); ok {
-		return t.scanEdgeBlock(blk, ov, from, to, limit, h, fn)
+		scanPage(blk.image, ov, from, false, to, limit, h, fn)
+		return nil
 	}
 	// cursor is the resume point: the first key still owed to the caller
 	// is the first key >= cursor (> cursor once started, because cursor
@@ -851,10 +856,18 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	if t.cfg.FlushMode == FlushSync {
 		// Persist both halves as fresh base pages immediately: a sync split
 		// folds everything, so neither half keeps an overlay.
-		if err := t.persistBase(right, mergeEncode(base, e.overlay, sep, e.hi, horizonAll), nil); err != nil {
+		rimg, err := mergeEncode(base, e.overlay, sep, e.hi, horizonAll)
+		if err != nil {
 			return err
 		}
-		if err := t.persistBase(e, mergeEncode(base, e.overlay, e.lo, sep, horizonAll), nil); err != nil {
+		limg, err := mergeEncode(base, e.overlay, e.lo, sep, horizonAll)
+		if err != nil {
+			return err
+		}
+		if err := t.persistBase(right, rimg, nil); err != nil {
+			return err
+		}
+		if err := t.persistBase(e, limg, nil); err != nil {
 			return err
 		}
 	} else {

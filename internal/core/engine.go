@@ -142,7 +142,6 @@ func NewWithStore(st *storage.Store, opts Options) (*Engine, error) {
 	for _, stream := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
 		r := gc.NewReclaimer(st, stream, policy, m.Relocate)
 		r.TTL = opts.TTL
-		r.Blocks = m
 		if opts.Epochs != nil {
 			r.Pins = opts.Epochs
 		}
@@ -279,7 +278,6 @@ func (e *Engine) GCStats() gc.ReclaimerStats {
 		out.Runs += s.Runs
 		out.ExtentsExpired += s.ExtentsExpired
 		out.PinDeferred += s.PinDeferred
-		out.BlockPinned += s.BlockPinned
 	}
 	return out
 }
