@@ -339,18 +339,15 @@ type WALStats struct {
 // CacheStats is the page cache's hit accounting plus the per-read storage
 // fan-out distribution (Fig. 9: at most 2 under the read-optimized policy).
 type CacheStats struct {
-	Hits            int64          `json:"hits"`
-	Misses          int64          `json:"misses"`
-	CoalescedMisses int64          `json:"coalesced_misses"`
-	HitRatio        float64        `json:"hit_ratio"`
-	Shards          int            `json:"shards"`
-	Evictions       int64          `json:"evictions"`
-	ReadaheadIssued int64          `json:"readahead_issued"`
-	ReadaheadHits   int64          `json:"readahead_hits"`
-	ReadFanout      FanoutStats    `json:"read_fanout"`
-	MaterializeLat  HistogramStats `json:"materialize_latency"`
-	Pages           int64          `json:"pages"`
-	MemoryBytes     int64          `json:"memory_bytes"`
+	Hits           int64          `json:"hits"`
+	Misses         int64          `json:"misses"`
+	HitRatio       float64        `json:"hit_ratio"`
+	Shards         int            `json:"shards"`
+	Evictions      int64          `json:"evictions"`
+	ReadFanout     FanoutStats    `json:"read_fanout"`
+	MaterializeLat HistogramStats `json:"materialize_latency"`
+	Pages          int64          `json:"pages"`
+	MemoryBytes    int64          `json:"memory_bytes"`
 }
 
 // ForestStats is the Bw-tree forest's shape (Fig. 11).
@@ -458,7 +455,6 @@ func (db *DB) Stats() Stats {
 	fs := db.eng().Forest().Stats()
 	m := db.eng().Mapping()
 	hits, misses := m.CacheStats()
-	raIssued, raHits := m.ReadaheadStats()
 	var ratio float64
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
@@ -481,18 +477,15 @@ func (db *DB) Stats() Stats {
 			FaultRecoveries: metrics.Faults.Recoveries.Load(),
 		},
 		Cache: CacheStats{
-			Hits:            hits,
-			Misses:          misses,
-			CoalescedMisses: m.CoalescedMisses(),
-			HitRatio:        ratio,
-			Shards:          m.ShardCount(),
-			Evictions:       m.Evictions(),
-			ReadaheadIssued: raIssued,
-			ReadaheadHits:   raHits,
-			ReadFanout:      fanoutStats(m.ReadFanout().Summary()),
-			MaterializeLat:  histogramStats(m.MaterializeLatency().Summary()),
-			Pages:           int64(m.PageCount()),
-			MemoryBytes:     fs.MemoryBytes,
+			Hits:           hits,
+			Misses:         misses,
+			HitRatio:       ratio,
+			Shards:         m.ShardCount(),
+			Evictions:      m.Evictions(),
+			ReadFanout:     fanoutStats(m.ReadFanout().Summary()),
+			MaterializeLat: histogramStats(m.MaterializeLatency().Summary()),
+			Pages:          int64(m.PageCount()),
+			MemoryBytes:    fs.MemoryBytes,
 		},
 		Forest: ForestStats{
 			Trees:      fs.Trees,

@@ -10,40 +10,6 @@ import (
 	"bg3/internal/storage"
 )
 
-// TestRemoveClearsRelocated is a regression test: remove() used to drop a
-// page from the mapping table and LRU but leave its entry in m.relocated, so
-// the next checkpoint drain carried a note for a page that no longer exists.
-func TestRemoveClearsRelocated(t *testing.T) {
-	m := NewMapping(0, false)
-	id := m.allocPageID()
-	old := storage.Loc{Stream: storage.StreamBase, Extent: 1, Offset: 0, Length: 8}
-	e := &pageEntry{id: id, isLeaf: true, baseLoc: old}
-	m.register(e)
-
-	moved := storage.Loc{Stream: storage.StreamBase, Extent: 2, Offset: 0, Length: 8}
-	if !m.Relocate(uint64(id), old, moved) {
-		t.Fatal("Relocate refused a live base location")
-	}
-	m.relocMu.Lock()
-	_, noted := m.relocated[id]
-	m.relocMu.Unlock()
-	if !noted {
-		t.Fatal("Relocate did not note the page for checkpointing")
-	}
-
-	m.remove(id)
-
-	m.relocMu.Lock()
-	_, stale := m.relocated[id]
-	m.relocMu.Unlock()
-	if stale {
-		t.Fatal("remove left a stale relocated entry behind")
-	}
-	if ups := m.TakeRelocated(); len(ups) != 0 {
-		t.Fatalf("TakeRelocated returned %d updates for a removed page", len(ups))
-	}
-}
-
 // TestStressShardedCache hammers the lock-striped page cache with concurrent
 // point reads, writes, deletes, async flushes, LRU evictions (capacity far
 // below the working set), and GC relocations. Run with -race. After the
@@ -213,8 +179,7 @@ func TestStressShardedCache(t *testing.T) {
 	}
 
 	// Quiesced read-only phase: with no structural changes racing, every Get
-	// is accounted exactly once as a hit or a miss — even with concurrent
-	// readers sharing miss-coalescing flights.
+	// is accounted exactly once as a hit or a miss.
 	h0, ms0 := m.CacheStats()
 	const roReaders, roGets = 4, 300
 	var ro sync.WaitGroup

@@ -95,13 +95,6 @@ type Config struct {
 	// controlled experiments.
 	DisableSplit bool
 
-	// ReadaheadLimit bounds the scan read-ahead goroutines in flight per
-	// tree; launches beyond it are dropped (counted in
-	// bwtree.readahead_rejected) rather than queued, so a long scan over a
-	// cold tree cannot pile unbounded prefetchers onto shared storage.
-	// Default 4.
-	ReadaheadLimit int
-
 	// Epochs, when set, is the MVCC read-epoch clock the tree serves
 	// snapshot reads against: ops are stamped with their WAL LSN, ScanAt /
 	// GetAt filter history by a pinned horizon, and consolidation folds
@@ -134,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInnerEntries <= 0 {
 		c.MaxInnerEntries = 128
-	}
-	if c.ReadaheadLimit <= 0 {
-		c.ReadaheadLimit = 4
 	}
 	if c.EdgeBlockMinEntries > 0 && c.EdgeBlockRebuildOps <= 0 {
 		c.EdgeBlockRebuildOps = c.EdgeBlockMinEntries / 4

@@ -55,29 +55,11 @@ type pageEntry struct {
 
 	dirty        bool // has non-durable changes (async mode)
 	splitPending bool // the page split in memory; next flush must rewrite its base
-	prefetched   bool // content was installed by scan read-ahead, not a demand miss
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf
 	next   PageID // right sibling, 0 at the rightmost leaf
 
 	lsn wal.LSN // LSN of the newest update applied to this page
-}
-
-// flight is one in-progress cold-page load shared by every reader that
-// misses on the same page while it runs (miss coalescing). The loc fields
-// snapshot the page's durable state at flight creation; members validate
-// their page against that snapshot before installing the result, so a
-// flight whose page changed mid-load (writer appended a delta, GC
-// relocated a record) is simply discarded and retried.
-type flight struct {
-	done   chan struct{}
-	base   storage.Loc
-	deltas []storage.Loc
-
-	// Results, valid once done is closed.
-	image leafImage
-	reads int
-	err   error
 }
 
 // cacheShard is one lock stripe of the leaf-content cache. Hashing pages
@@ -89,10 +71,6 @@ type cacheShard struct {
 	lru      *list.List               // front = most recent
 	lruIndex map[PageID]*list.Element // page -> element
 	capacity int                      // per-shard slice of the budget; 0 = unlimited
-
-	// In-progress cold loads for pages hashing to this shard, keyed by
-	// page. Striped together with the LRU so coalescing adds no global lock.
-	flights map[PageID]*flight
 }
 
 // Mapping is the shared mapping table: PageID -> page entry. A forest of
@@ -106,21 +84,14 @@ type Mapping struct {
 	nextTree atomic.Uint64
 
 	// Leaf-content cache, lock-striped by page ID. Entries hold their
-	// content in pageEntry.base; the shards only track recency and
-	// in-flight loads.
+	// content in pageEntry.base; the shards only track recency.
 	shards    []*cacheShard
 	shardMask uint64
 	disabled  bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	coalesced atomic.Int64 // misses that piggybacked on another reader's flight
 	evictions atomic.Int64
-
-	readaheadIssued   atomic.Int64
-	readaheadHits     atomic.Int64
-	readaheadRejected atomic.Int64 // launches dropped by the per-tree in-flight cap
-	scanRestarts      atomic.Int64 // scans re-routed after an unmapped right sibling
 
 	// fanout records the storage reads each Get paid to materialize its
 	// leaf — Fig. 9's per-read I/O: 0 on a cache hit, 1 + chain length on
@@ -128,8 +99,8 @@ type Mapping struct {
 	fanout metrics.IntHistogram
 
 	// materializeLat records the wall time of every Get/Scan-path cache
-	// miss, flight waits included — the latency a reader actually paid for
-	// a cold page — and of every multi-leaf load of ScanManyAt, once.
+	// miss — the load a reader ran under the page latch — and of every
+	// multi-leaf load of ScanManyAt, once.
 	materializeLat metrics.Histogram
 
 	// batchLoadPages records the distinct cold leaves each multi-leaf load
@@ -213,7 +184,6 @@ func NewMappingShards(capacity int, disabled bool, shards int) *Mapping {
 			lru:      list.New(),
 			lruIndex: make(map[PageID]*list.Element),
 			capacity: perShard,
-			flights:  make(map[PageID]*flight),
 		}
 	}
 	return m
@@ -253,52 +223,6 @@ func (m *Mapping) get(id PageID) *pageEntry {
 	return e
 }
 
-func (m *Mapping) remove(id PageID) {
-	m.mu.Lock()
-	delete(m.pages, id)
-	m.mu.Unlock()
-	s := m.shard(id)
-	s.mu.Lock()
-	if el, ok := s.lruIndex[id]; ok {
-		s.lru.Remove(el)
-		delete(s.lruIndex, id)
-	}
-	s.mu.Unlock()
-	// Drop any pending relocation note: shipping a relocation record for a
-	// page that no longer exists would have checkpoints advertise dangling
-	// locations to replicas.
-	m.relocMu.Lock()
-	delete(m.relocated, id)
-	m.relocMu.Unlock()
-}
-
-// joinFlight returns the in-progress load for page id, creating one from
-// the given durable-state snapshot if none exists. leader is true for the
-// creator, who must perform the load and call finishFlight; everyone else
-// waits on f.done.
-func (m *Mapping) joinFlight(id PageID, base storage.Loc, deltas []storage.Loc) (f *flight, leader bool) {
-	s := m.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.flights[id]; ok {
-		return f, false
-	}
-	f = &flight{done: make(chan struct{}), base: base, deltas: deltas}
-	s.flights[id] = f
-	return f, true
-}
-
-// finishFlight publishes the flight's results: it is unlinked first so a
-// reader missing after this point starts a fresh load rather than adopting
-// a result that may already be stale.
-func (m *Mapping) finishFlight(id PageID, f *flight) {
-	s := m.shard(id)
-	s.mu.Lock()
-	delete(s.flights, id)
-	s.mu.Unlock()
-	close(f.done)
-}
-
 // PageCount returns the number of registered pages.
 func (m *Mapping) PageCount() int {
 	m.mu.RLock()
@@ -310,25 +234,6 @@ func (m *Mapping) PageCount() int {
 func (m *Mapping) CacheStats() (hits, misses int64) {
 	return m.hits.Load(), m.misses.Load()
 }
-
-// CoalescedMisses returns how many cache misses were served by another
-// reader's in-flight load instead of their own storage reads.
-func (m *Mapping) CoalescedMisses() int64 { return m.coalesced.Load() }
-
-// ReadaheadStats returns how many scan read-ahead loads were issued and how
-// many scans subsequently arrived at a leaf the read-ahead had populated.
-func (m *Mapping) ReadaheadStats() (issued, hits int64) {
-	return m.readaheadIssued.Load(), m.readaheadHits.Load()
-}
-
-// ReadaheadRejected returns how many read-ahead launches were dropped
-// because the owning tree already had its full quota of prefetchers in
-// flight.
-func (m *Mapping) ReadaheadRejected() int64 { return m.readaheadRejected.Load() }
-
-// ScanRestarts returns how many times a scan re-routed from its cursor
-// after finding its right sibling unmapped mid-scan.
-func (m *Mapping) ScanRestarts() int64 { return m.scanRestarts.Load() }
 
 // Evictions returns how many cached pages the LRU sweeps have dropped.
 func (m *Mapping) Evictions() int64 { return m.evictions.Load() }
@@ -363,7 +268,6 @@ func (m *Mapping) shardEntrySpread() (min, max int64) {
 func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bwtree.cache_hits", m.hits.Load)
 	r.CounterFunc("bwtree.cache_misses", m.misses.Load)
-	r.CounterFunc("bwtree.cache_coalesced_misses", m.coalesced.Load)
 	r.CounterFunc("bwtree.cache_evictions", m.evictions.Load)
 	r.RatioFunc("bwtree.cache_hit_ratio", func() float64 {
 		h, ms := m.CacheStats()
@@ -375,10 +279,6 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("bwtree.cache_shard_count", func() int64 { return int64(len(m.shards)) })
 	r.GaugeFunc("bwtree.cache_shard_entries_min", func() int64 { min, _ := m.shardEntrySpread(); return min })
 	r.GaugeFunc("bwtree.cache_shard_entries_max", func() int64 { _, max := m.shardEntrySpread(); return max })
-	r.CounterFunc("bwtree.readahead_issued", m.readaheadIssued.Load)
-	r.CounterFunc("bwtree.readahead_hits", m.readaheadHits.Load)
-	r.CounterFunc("bwtree.readahead_rejected", m.readaheadRejected.Load)
-	r.CounterFunc("bwtree.scan_restarts", m.scanRestarts.Load)
 	r.RegisterIntHistogram("bwtree.read_fanout", &m.fanout)
 	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
 	r.RegisterHistogram("bwtree.materialize_us", &m.materializeLat)
@@ -469,7 +369,6 @@ func (m *Mapping) noteCached(e *pageEntry) {
 				// (Dirty pages — including unflushed split halves whose
 				// image is not yet durable — are never evicted.)
 				victim.base, victim.live = nil, -1
-				victim.prefetched = false
 				m.evictions.Add(1)
 			} else {
 				// Dirty pages are pinned; re-insert at the front so they

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"bg3/internal/mvcc"
 	"bg3/internal/storage"
@@ -123,102 +122,6 @@ func TestFlushRetainsPinnedHistory(t *testing.T) {
 	}
 	if n, _ := tr.Len(); n != 21 {
 		t.Fatalf("Len = %d after fold, want 21", n)
-	}
-}
-
-// TestScanRestartsAfterUnmap reproduces the torn-scan bug: the right
-// sibling disappears from the mapping between leaves (as a concurrent
-// structural change retiring the page would do) and the scan must re-route
-// from its cursor instead of silently ending early.
-func TestScanRestartsAfterUnmap(t *testing.T) {
-	tr, _ := newTestTree(t, Config{MaxPageEntries: 8, MaxInnerEntries: 4})
-	const n = 40
-	for i := 0; i < n; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leaves := tr.LeafDirectory()
-	if len(leaves) < 3 {
-		t.Fatalf("need >= 3 leaves, got %d", len(leaves))
-	}
-
-	// While the scan is delivering the first leaf, retire the second leaf:
-	// clone it under a fresh page ID, swap the sibling link, and unmap the
-	// original — the scan's captured next pointer now dangles.
-	victim := leaves[1].Page
-	sabotaged := false
-	sabotage := func() {
-		old := tr.m.get(victim)
-		old.mu.Lock()
-		clone := &pageEntry{
-			id: tr.m.allocPageID(), tree: tr, isLeaf: true,
-			baseLoc:   old.baseLoc,
-			deltaLocs: append([]storage.Loc(nil), old.deltaLocs...),
-			overlay:   append([]op(nil), old.overlay...),
-			base:      old.base, live: -1,
-			lo: old.lo, hi: old.hi, next: old.next,
-		}
-		tr.m.register(clone)
-		tr.m.remove(victim)
-		old.mu.Unlock()
-		first := tr.m.get(leaves[0].Page)
-		first.mu.Lock()
-		first.next = clone.id
-		first.mu.Unlock()
-	}
-
-	before := tr.m.ScanRestarts()
-	var got []string
-	err := tr.Scan(nil, nil, 0, func(k, v []byte) bool {
-		got = append(got, string(k))
-		if !sabotaged && len(got) == 1 {
-			sabotage()
-			sabotaged = true
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("scan delivered %d keys, want %d (truncated at the unmapped sibling)", len(got), n)
-	}
-	for i, k := range got {
-		if want := fmt.Sprintf("k%03d", i); k != want {
-			t.Fatalf("scan[%d] = %s, want %s", i, k, want)
-		}
-	}
-	if tr.m.ScanRestarts() == before {
-		t.Fatal("scan did not record a restart")
-	}
-}
-
-// TestPrefetchBounded pins the read-ahead cap: launches beyond the
-// in-flight budget are dropped and counted, never queued or spawned.
-func TestPrefetchBounded(t *testing.T) {
-	tr, _ := newTestTree(t, Config{ReadaheadLimit: 2})
-	// Saturate the in-flight budget.
-	tr.prefetchSem <- struct{}{}
-	tr.prefetchSem <- struct{}{}
-	tr.launchPrefetch(PageID(1))
-	tr.launchPrefetch(PageID(1))
-	if got := tr.m.ReadaheadRejected(); got != 2 {
-		t.Fatalf("readahead rejected = %d, want 2", got)
-	}
-	// Free the budget: launches go through again and return their token.
-	<-tr.prefetchSem
-	<-tr.prefetchSem
-	tr.launchPrefetch(PageID(1 << 60)) // unknown page: prefetch exits at once
-	deadline := time.Now().Add(2 * time.Second)
-	for len(tr.prefetchSem) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch token never returned")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := tr.m.ReadaheadRejected(); got != 2 {
-		t.Fatalf("readahead rejected moved to %d, want 2", got)
 	}
 }
 

@@ -122,11 +122,11 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 // scanPage is the one read of an image under an overlay — a leaf's, or an
 // edge block's. It merges base with ov as of horizon h — per key, the newest
 // overlay op stamped at or below h decides, else the base entry stands —
-// over keys in [from, to) (after skips a key equal to from; a nil to is
-// open), calling fn for each live pair until it returns false or limit pairs
-// (limit <= 0: unlimited) went out. It returns how many pairs were delivered
-// and whether fn stopped the walk. Nothing is materialized; base may be
-// walked unlatched, ov must not change meanwhile.
+// over keys in [from, to) (a nil to is open), calling fn for each live pair
+// until it returns false or limit pairs (limit <= 0: unlimited) went out. It
+// returns how many pairs were delivered and whether fn stopped the walk.
+// Nothing is materialized; base may be walked unlatched, ov must not change
+// meanwhile.
 //
 // The base entries below the overlay's next key go out as one run, each
 // entry one table read. A short run ends at the first key that compares at or
@@ -135,20 +135,11 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 // that outlasts gallopAfter entries finds its end by a galloping search and
 // goes out uncompared (a block under late writes: a comparison per overlay
 // key, not per base entry).
-func scanPage(base leafImage, ov []op, from []byte, after bool, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
+func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
 	count := base.count()
 	i, n := base.search(from), base.bound(to)
 	ov = opsInRange(ov, from, to)
-	j := 0
-	if after {
-		if i < n && bytes.Equal(base.key(i), from) {
-			i++
-		}
-		for j < len(ov) && bytes.Equal(ov[j].key, from) {
-			j++
-		}
-	}
-	delivered := 0
+	j, delivered := 0, 0
 	for {
 		end := n
 		if limit > 0 && end-i > limit-delivered {
@@ -213,7 +204,7 @@ func scanPage(base leafImage, ov []op, from []byte, after bool, to []byte, limit
 func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool) {
 	var buf [64]byte
 	succ := append(append(buf[:0], key...), 0) // [key, key\x00) holds key alone
-	scanPage(base, ov, key, false, succ, 1, h, func(_, v []byte) bool {
+	scanPage(base, ov, key, succ, 1, h, func(_, v []byte) bool {
 		val, ok = v, true
 		return false
 	})
@@ -227,7 +218,7 @@ func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool
 // the result would outgrow the format (imageSize).
 func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
 	var n, payload uint64
-	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
+	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
 		n++
 		payload += uint64(len(k) + len(v))
 		return true
@@ -239,7 +230,7 @@ func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafIma
 	img := make([]byte, 4+8*n, size)
 	binary.LittleEndian.PutUint32(img, uint32(n))
 	slot := 4
-	scanPage(base, ov, lo, false, hi, 0, floor, func(k, v []byte) bool {
+	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
 		binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)))
 		binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
 		slot += 8

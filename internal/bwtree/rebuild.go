@@ -37,12 +37,11 @@ func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id 
 	}
 	cfg = cfg.withDefaults()
 	t := &Tree{
-		id:          id,
-		store:       store,
-		m:           m,
-		cfg:         cfg,
-		logger:      logger,
-		prefetchSem: make(chan struct{}, cfg.ReadaheadLimit),
+		id:     id,
+		store:  store,
+		m:      m,
+		cfg:    cfg,
+		logger: logger,
 	}
 	if cfg.FlushMode == FlushAsync {
 		t.dirtySet = make(map[PageID]struct{})
@@ -138,11 +137,10 @@ func (t *Tree) SetLogger(l WALLogger) { t.logger = l }
 func NewEmptyWithID(m *Mapping, store *storage.Store, cfg Config, id TreeID) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	t := &Tree{
-		id:          id,
-		store:       store,
-		m:           m,
-		cfg:         cfg,
-		prefetchSem: make(chan struct{}, cfg.ReadaheadLimit),
+		id:    id,
+		store: store,
+		m:     m,
+		cfg:   cfg,
 	}
 	if cfg.FlushMode == FlushAsync {
 		if cfg.NoCache {

@@ -450,7 +450,7 @@ func (r *Replica) Scan(tree TreeID, from, to []byte, limit int, fn func(key, val
 		next := p.hi
 		p.mu.Unlock()
 
-		n, stopped := scanPage(img, ov, lo, false, hi, limit-delivered, horizonAll, fn)
+		n, stopped := scanPage(img, ov, lo, hi, limit-delivered, horizonAll, fn)
 		delivered += n
 		if stopped || next == nil || (to != nil && bytes.Compare(next, to) >= 0) || (limit > 0 && delivered >= limit) {
 			return nil

@@ -49,7 +49,8 @@ type manyScan struct {
 // page — the unit of storage I/O: each round resolves the pending scans to
 // the leaves covering their resume keys (one latch at a time, never two
 // held), de-duplicates them, fetches every non-resident leaf in ONE
-// storage.ReadBatch, and walks each scan over the images the round holds;
+// storage.ReadBatch, and walks each scan over the images the round holds
+// with the same per-leaf step ScanAt takes (scanLeaf);
 // a scan whose range continues past its leaf joins the next round. A
 // traversal hop over N cold pages therefore waits on one overlapped
 // storage round (plus one per continuation depth) instead of N serial ones.
@@ -96,7 +97,7 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			s, t := &state[cur], scans[cur].Tree
 			// A packed super-vertex tree answers from memory.
 			if blk, ov, ok := t.blockView(h); ok {
-				if scanPage(blk.image, ov, s.from, false, scans[cur].To, limit-s.delivered, h, emit); stopped {
+				if scanPage(blk.image, ov, s.from, scans[cur].To, limit-s.delivered, h, emit); stopped {
 					return nil
 				}
 				continue
@@ -109,7 +110,8 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 				arena = append(arena, e.deltaLocs...)
 				leaves = append(leaves, heldLeaf{e: e, img: e.base, base: e.baseLoc, deltas: arena[start:len(arena):len(arena)]})
 				// One cache lookup per distinct leaf: several scans on one
-				// leaf are one lookup, because that is what happens.
+				// leaf are one lookup, because that is what happens, and a
+				// leaf whose fetched image cannot be used is still this one.
 				if e.base == nil {
 					m.misses.Add(1)
 				} else {
@@ -144,10 +146,13 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 
 // loadHeld fetches the durable records of every cold leaf among leaves
 // (the ones resolved without an image) in one storage.ReadBatchEach and
-// decodes the base images. A leaf whose round trip failed (its extent was
-// reclaimed between the snapshot and the read) or whose image does not
-// decode is left without one: scanHeld sends that page alone down the
-// single-page path, which retries and reports.
+// decodes the base images. It is the one load that runs unlatched — a hop
+// cannot hold every page's latch across its round trip — so what it fetched
+// counts for a page only while the page still sits where it was read
+// (pageEntry.sitsAt, checked under the latch by scanLeaf). A leaf whose round
+// trip failed (its extent was reclaimed between the snapshot and the read) or
+// whose image does not decode is left without one: scanLeaf materializes
+// that page alone, which reads under the latch and reports.
 func (m *Mapping) loadHeld(leaves []heldLeaf) {
 	var locs []storage.Loc
 	var store *storage.Store
@@ -198,12 +203,6 @@ func (m *Mapping) loadHeld(leaves []heldLeaf) {
 
 // scanHeld walks one scan over its leaf of the current load and reports
 // whether the scan continues past it (s.from then names the resume key).
-// The page is re-latched to take its overlay; its image is the resident one
-// if there is one, else the load's own — installed on first use, and used
-// from the load's hands after the cache evicted it again — provided the page
-// still sits at the locations the image was read at. A page that moved, or
-// whose extent was reclaimed under the read, alone takes the single-page
-// path (materializeShared: three validated attempts, then the latched load).
 func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.LSN, emit func(k, v []byte) bool) (more bool, err error) {
 	e := hl.e
 	e.mu.Lock()
@@ -212,37 +211,9 @@ func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.L
 		e.mu.Unlock()
 		return true, nil
 	}
-	img := e.base
-	switch {
-	case img != nil:
-	case hl.img != nil && e.sitsAt(hl.base, hl.deltas):
-		img = hl.img
-		if hl.fresh {
-			hl.fresh = false
-			t.install(e, img)
-		}
-	default:
-		var reads int
-		if img, reads, err = t.materializeShared(e); err != nil {
-			e.mu.Unlock()
-			return false, err
-		}
-		t.m.fanout.Observe(int64(reads))
-		if !e.covers(s.from) {
-			e.mu.Unlock()
-			return true, nil
-		}
-	}
-	lo, hi, ov, ended := e.cut(img, s.from, to, limit-s.delivered)
-	e.mu.Unlock()
-
-	n, _ := scanPage(img, ov, lo, false, hi, limit-s.delivered, h, emit)
-	s.delivered += n
-	if ended || (limit > 0 && s.delivered >= limit) {
-		return false, nil
-	}
-	s.from = hi
-	return true, nil
+	n, resume, done, err := t.scanLeaf(e, hl, s.from, to, limit-s.delivered, h, emit)
+	s.from, s.delivered = resume, s.delivered+n
+	return !done, err
 }
 
 // cut is what a scan takes from a latched leaf before walking it unlatched:

@@ -54,7 +54,8 @@ func oneScanPerLeaf(tr *Tree, leaves []*pageEntry) []RangeScan {
 // unreplicated store has no reclaim grace: the extent is gone at once).
 // Only the pages that sat in that extent are retried, one by one through
 // the single-page path; the rest of the batch stands, every key is
-// delivered exactly once and the caller sees no error.
+// delivered exactly once, the caller sees no error, and a retried page is
+// still the one cache lookup the round made of it.
 func TestScanManyAtRetriesOnlyReclaimedMembers(t *testing.T) {
 	// The read latency is the window the reclaim lands in: ReadBatch counts
 	// the call, then waits this long before it touches an extent.
@@ -74,6 +75,7 @@ func TestScanManyAtRetriesOnlyReclaimedMembers(t *testing.T) {
 	}
 
 	before := st.Stats()
+	hits0, misses0 := m.CacheStats()
 	reclaimed := make(chan error, 1)
 	go func() {
 		for st.Stats().BatchReads == before.BatchReads {
@@ -106,6 +108,9 @@ func TestScanManyAtRetriesOnlyReclaimedMembers(t *testing.T) {
 	}
 	if after.ExtentsReclaimed-before.ExtentsReclaimed != 1 {
 		t.Fatalf("extents reclaimed = %d, want 1", after.ExtentsReclaimed-before.ExtentsReclaimed)
+	}
+	if hits, misses := m.CacheStats(); hits+misses-hits0-misses0 != int64(len(leaves)) {
+		t.Fatalf("the round counted %d hits + %d misses over %d distinct leaves", hits-hits0, misses-misses0, len(leaves))
 	}
 }
 

@@ -66,11 +66,6 @@ type Tree struct {
 	dirtyMu  sync.Mutex
 	dirtySet map[PageID]struct{}
 
-	// prefetchSem bounds scan read-ahead goroutines in flight for this
-	// tree (cap = cfg.ReadaheadLimit); launches that would exceed it are
-	// dropped and counted in readahead_rejected.
-	prefetchSem chan struct{}
-
 	// blocks is the packed edge-block state (block.go); inert unless
 	// cfg.EdgeBlockMinEntries is set.
 	blocks blockState
@@ -80,12 +75,11 @@ type Tree struct {
 func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	t := &Tree{
-		id:          m.allocTreeID(),
-		store:       store,
-		m:           m,
-		cfg:         cfg,
-		logger:      logger,
-		prefetchSem: make(chan struct{}, cfg.ReadaheadLimit),
+		id:     m.allocTreeID(),
+		store:  store,
+		m:      m,
+		cfg:    cfg,
+		logger: logger,
 	}
 	if cfg.FlushMode == FlushAsync {
 		if cfg.NoCache {
@@ -199,36 +193,6 @@ func (t *Tree) latchLeaf(key []byte) *pageEntry {
 	}
 }
 
-// loadDurable fetches a page's durable records — the base page plus the
-// delta chain at the given locations — through one batched storage call, so
-// the base and delta round trips overlap instead of paying ReadLatency
-// sequentially (base and delta live in different streams and therefore
-// different extents), and returns the base record as the page's image,
-// validated and aliased, never copied. The delta records are what a cold
-// read costs (Fig. 9) and are fetched for that reason; their ops are the
-// ones the resident overlay already mirrors, so they are not decoded. The
-// returned read count is the logical fan-out Fig. 9 measures: one per Loc —
-// the traditional policy pays 1+n, the read-optimized policy at most 2 —
-// regardless of how many round trips the batch coalesced them into.
-func (t *Tree) loadDurable(pageID PageID, base storage.Loc, deltas []storage.Loc) (leafImage, int, error) {
-	nlocs := len(deltas)
-	if !base.IsZero() {
-		nlocs++
-	}
-	if nlocs == 0 {
-		return emptyLeaf, 0, nil
-	}
-	bufs, err := t.store.ReadBatch(appendPageLocs(make([]storage.Loc, 0, nlocs), base, deltas))
-	if err != nil {
-		return nil, nlocs, fmt.Errorf("bwtree: read page %d: %w", pageID, err)
-	}
-	if base.IsZero() {
-		return emptyLeaf, nlocs, nil
-	}
-	img, err := decodeLeaf(bufs[0])
-	return img, nlocs, err
-}
-
 // install makes img the page's resident base. e.mu must be held.
 func (t *Tree) install(e *pageEntry, img leafImage) leafImage {
 	e.base, e.live = img, -1
@@ -240,101 +204,78 @@ func (t *Tree) install(e *pageEntry, img leafImage) leafImage {
 // page's range, counting once per residency and tracking writes after that.
 func (e *pageEntry) countLive(base leafImage) int {
 	if e.live < 0 {
-		e.live, _ = scanPage(base, e.overlay, e.lo, false, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
+		e.live, _ = scanPage(base, e.overlay, e.lo, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
 	}
 	return e.live
 }
 
-// materialize returns the page's base image, reading the base page and
-// durable delta records from storage on a cache miss, plus the number of
-// storage reads issued (0 on a cache hit). e.mu must be held for the whole
-// call; the write path and splits use it because they cannot let go of the
-// latch mid-update. Readers use materializeShared instead, which drops the
-// latch during the storage round trip. The image is resident in the cache
-// unless the cache is disabled, in which case it is transient and owned by
-// the caller. The page's content is the image merged with e.overlay.
-func (t *Tree) materialize(e *pageEntry) (leafImage, int, error) {
-	if e.base != nil {
-		t.m.hits.Add(1)
-		t.m.touch(e)
-		return e.base, 0, nil
-	}
-	t.m.misses.Add(1)
-	img, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
-	if err != nil {
-		return nil, reads, err
-	}
-	return t.install(e, img), reads, nil
-}
-
-// materializeShared is the Get/Scan-path materialization: on a cache miss
-// it releases the page latch for the duration of the storage round trip and
-// coalesces with every other reader missing on the same page, so N
-// concurrent cold reads of one page cost one set of storage reads instead
-// of N serialized behind the latch.
+// materialize returns the page's base image and the storage reads it cost:
+// none when the image is resident, else one per durable record — the base
+// page plus the delta chain, fetched through one batched storage call so
+// their round trips overlap instead of paying ReadLatency in sequence (base
+// and delta live in different streams and therefore different extents). That
+// count is the logical fan-out Fig. 9 measures — the traditional policy pays
+// 1+n, the read-optimized policy at most 2 — however many round trips the
+// batch coalesced them into. The base record is validated and aliased as the
+// image, never copied; the delta records are what a cold read costs and are
+// fetched for that reason, but their ops are the ones the resident overlay
+// already mirrors, so they are not decoded.
 //
-// e.mu is held on entry and on return, but NOT across the load, so the
-// entry's range may change while the flight runs — callers must re-validate
-// anything derived from the entry beforehand (Get re-checks key coverage).
-// Correctness of the install is guarded by snapshot validation: the flight
-// records the (base, deltas) locations it read, and a member only installs
-// the result if the entry still carries exactly those locations when it
-// re-latches; otherwise it retries with a fresh snapshot, falling back to a
-// fully latched load after a few failed rounds so progress is guaranteed.
-func (t *Tree) materializeShared(e *pageEntry) (leafImage, int, error) {
+// e.mu must be held and stays held across the load. This is the only way a
+// single page is loaded — by writers and splits, which cannot let go of the
+// latch mid-update, and by readers alike — and the latch is what makes it
+// simple: nothing can move the page's records (Relocate takes the same
+// latch) or narrow its range under the read, so there is nothing to validate
+// afterwards, and whoever else wants the page meanwhile queues on e.mu and
+// finds the image resident, so concurrent misses on one page cost one load.
+// The image is resident in the cache afterwards unless the cache is
+// disabled, in which case it is transient and owned by the caller. The
+// page's content is the image merged with e.overlay.
+//
+// Each call is one page lookup and counts one hit or one miss. counted marks
+// a miss already counted: a ScanManyAt round counts each of its leaves when
+// it resolves them, and one that has to come back here is still that lookup.
+func (t *Tree) materialize(e *pageEntry, counted bool) (leafImage, int, error) {
 	if e.base != nil {
 		t.m.hits.Add(1)
 		t.m.touch(e)
 		return e.base, 0, nil
 	}
-	t.m.misses.Add(1)
-	start := time.Now()
-	defer func() { t.m.materializeLat.Observe(time.Since(start)) }()
-	if !t.m.disabled {
-		for attempt := 0; attempt < 3; attempt++ {
-			base := e.baseLoc
-			deltas := append([]storage.Loc(nil), e.deltaLocs...)
-			e.mu.Unlock()
-			f, leader := t.m.joinFlight(e.id, base, deltas)
-			if leader {
-				f.image, f.reads, f.err = t.loadDurable(e.id, f.base, f.deltas)
-				t.m.finishFlight(e.id, f)
-			} else {
-				t.m.coalesced.Add(1)
-				<-f.done
+	if !counted {
+		t.m.misses.Add(1)
+	}
+	img, nlocs := emptyLeaf, len(e.deltaLocs)
+	if !e.baseLoc.IsZero() {
+		nlocs++
+	}
+	if nlocs > 0 {
+		bufs, err := t.store.ReadBatch(appendPageLocs(make([]storage.Loc, 0, nlocs), e.baseLoc, e.deltaLocs))
+		if err != nil {
+			return nil, nlocs, fmt.Errorf("bwtree: read page %d: %w", e.id, err)
+		}
+		if !e.baseLoc.IsZero() {
+			if img, err = decodeLeaf(bufs[0]); err != nil {
+				return nil, nlocs, err
 			}
-			e.mu.Lock()
-			if e.base != nil {
-				// Another flight member (or a writer) installed content
-				// while we were away; our storage reads, if any, are moot.
-				t.m.touch(e)
-				return e.base, 0, nil
-			}
-			if f.err != nil {
-				// Transient by design: a GC relocation can invalidate the
-				// snapshot's locations mid-flight. Retry against the
-				// repointed entry; a persistent error surfaces through the
-				// latched fallback below.
-				continue
-			}
-			if !e.sitsAt(f.base, f.deltas) {
-				continue // durable state moved on; the flight's image is stale
-			}
-			reads := 0
-			if leader {
-				reads = f.reads
-			}
-			return t.install(e, f.image), reads, nil
 		}
 	}
-	// Latched load: no coalescing, but no snapshot to invalidate either.
-	// This is the only path when the cache is disabled (a flight would be
-	// pointless — nothing gets installed for others to reuse).
-	img, reads, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
-	if err != nil {
-		return nil, reads, err
+	return t.install(e, img), nlocs, nil
+}
+
+// materializeRead is materialize on behalf of a reader — GetAt and the scans'
+// per-leaf step — with the two measurements that describe reads alone: the
+// lookup's storage fan-out and, on a miss, how long the reader waited for the
+// page. A writer's miss enters neither, so bwtree.read_fanout and
+// bwtree.materialize_us keep meaning what a read paid.
+func (t *Tree) materializeRead(e *pageEntry, counted bool) (leafImage, error) {
+	if e.base == nil {
+		defer func(start time.Time) { t.m.materializeLat.Observe(time.Since(start)) }(time.Now())
 	}
-	return t.install(e, img), reads, nil
+	img, reads, err := t.materialize(e, counted)
+	if err == nil {
+		t.m.fanout.Observe(int64(reads))
+	}
+	return img, err
 }
 
 // sitsAt reports whether the page's durable records are still exactly the
@@ -354,27 +295,17 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // every op committed at or below h and nothing newer.
 func (t *Tree) GetAt(key []byte, h wal.LSN) ([]byte, bool, error) {
 	t.gets.Add(1)
-	for {
-		e := t.latchLeaf(key)
-		base, reads, err := t.materializeShared(e)
-		if err != nil {
-			e.mu.Unlock()
-			return nil, false, err
-		}
-		if !e.covers(key) {
-			// A split narrowed the leaf while the latch was dropped for the
-			// shared load; re-route from the top.
-			e.mu.Unlock()
-			continue
-		}
-		t.m.fanout.Observe(int64(reads))
-		v, found := lookup(base, e.overlay, key, h)
-		if found {
-			v = append([]byte(nil), v...)
-		}
-		e.mu.Unlock()
-		return v, found, nil
+	e := t.latchLeaf(key)
+	defer e.mu.Unlock()
+	base, err := t.materializeRead(e, false)
+	if err != nil {
+		return nil, false, err
 	}
+	v, found := lookup(base, e.overlay, key, h)
+	if found {
+		v = append([]byte(nil), v...)
+	}
+	return v, found, nil
 }
 
 // Put upserts a key-value pair.
@@ -525,7 +456,7 @@ func (t *Tree) applyWrite(e *pageEntry, o op, track bool) (needSplit, existed bo
 // applyWriteAsync applies the op in memory and defers persistence to the
 // background flusher (group commit).
 func (t *Tree) applyWriteAsync(e *pageEntry, o op) (bool, bool, error) {
-	base, _, err := t.materialize(e)
+	base, _, err := t.materialize(e, false)
 	if err != nil {
 		return false, false, err
 	}
@@ -556,7 +487,7 @@ func (t *Tree) applyWriteSync(e *pageEntry, o op, track bool) (bool, bool, error
 		base := e.base
 		if !fresh {
 			var err error
-			if base, _, err = t.materialize(e); err != nil {
+			if base, _, err = t.materialize(e, false); err != nil {
 				return false, false, err
 			}
 			t.consolidations.Add(1)
@@ -583,7 +514,7 @@ func (t *Tree) applyWriteSync(e *pageEntry, o op, track bool) (bool, bool, error
 			base := e.base
 			if base == nil {
 				var err error
-				if base, _, err = t.materialize(e); err != nil {
+				if base, _, err = t.materialize(e, false); err != nil {
 					return false, false, err
 				}
 			}
@@ -655,9 +586,7 @@ func (t *Tree) Scan(from, to []byte, limit int, fn func(key, value []byte) bool)
 
 // ScanAt is Scan as of horizon h: every leaf's content is reconstructed
 // at the same commit point, so the whole iteration observes one
-// group-commit boundary. If a right sibling is unmapped mid-scan (its
-// page was retired by a concurrent structural change), the scan re-routes
-// from the last delivered key instead of silently truncating.
+// group-commit boundary.
 func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
 	t.scans.Add(1)
 	if from == nil {
@@ -666,106 +595,57 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 	// Block fast path: a packed super-vertex tree serves the whole scan
 	// from its one immutable image plus the overlay patch (block.go).
 	if blk, ov, ok := t.blockView(h); ok {
-		scanPage(blk.image, ov, from, false, to, limit, h, fn)
+		scanPage(blk.image, ov, from, to, limit, h, fn)
 		return nil
 	}
-	// cursor is the resume point: the first key still owed to the caller
-	// is the first key >= cursor (> cursor once started, because cursor
-	// then names the last key already delivered).
-	cursor := from
-	started := false
-	e := t.latchLeaf(cursor)
-	delivered := 0
-	for {
-		base, reads, err := t.materializeShared(e)
-		if err != nil {
-			e.mu.Unlock()
+	for delivered := 0; ; {
+		n, resume, done, err := t.scanLeaf(t.latchLeaf(from), nil, from, to, limit-delivered, h, fn)
+		if done || err != nil {
 			return err
 		}
-		t.m.fanout.Observe(int64(reads))
-		if e.prefetched {
-			e.prefetched = false
-			t.m.readaheadHits.Add(1)
-		}
-		lo, hi, ov, ended := e.cut(base, cursor, to, limit-delivered)
-		after := started && bytes.Equal(lo, cursor) // cursor itself was already delivered
-		next := e.next
-		e.mu.Unlock()
-
-		// Read-ahead: warm the right sibling while this leaf's callbacks
-		// run, overlapping the next cold materialization with consumption —
-		// but only when the scan will actually get there.
-		if !ended {
-			t.launchPrefetch(next)
-		}
-
-		n, stopped := scanPage(base, ov, lo, after, hi, limit-delivered, h, func(k, v []byte) bool {
-			cursor = k
-			return fn(k, v)
-		})
-		started = started || n > 0
-		delivered += n
-		if stopped || ended || (limit > 0 && delivered >= limit) {
-			return nil
-		}
-		ne := t.m.get(next)
-		if ne == nil {
-			// The right sibling was unmapped while the latch was down.
-			// Earlier the scan silently ended here, truncating results;
-			// re-route from the cursor instead — every key at or below it
-			// was already delivered, so the restart is exactly-once.
-			t.m.scanRestarts.Add(1)
-			e = t.latchLeaf(cursor)
-			continue
-		}
-		ne.mu.Lock()
-		e = ne
+		from, delivered = resume, delivered+n
 	}
 }
 
-// launchPrefetch starts a read-ahead goroutine for page id unless the
-// per-tree in-flight cap is already saturated, in which case the launch is
-// dropped (and counted): scan speed never creates unbounded goroutine
-// pileups against cold storage.
-func (t *Tree) launchPrefetch(id PageID) {
-	select {
-	case t.prefetchSem <- struct{}{}:
-		go func() {
-			defer func() { <-t.prefetchSem }()
-			t.prefetch(id)
-		}()
+// scanLeaf is the per-leaf step of every range read, ScanAt's and
+// ScanManyAt's: deliver the pairs of [from, to) that latched leaf e holds, at
+// most owed of them (<= 0: unlimited), and report the key to resume from and
+// whether the scan is done — fn stopped it, its bound or its limit was
+// reached, or e is the last leaf. e covers from and is unlatched on return:
+// the image and a copy of the overlay ops in range are taken under the latch,
+// fn runs without it.
+//
+// hl is the leaf's slot in a ScanManyAt round, nil for a single-page reader,
+// which simply materializes. The round looked the page up when it resolved
+// it and fetched it unlatched, so its step takes the resident image if there
+// is one, else the round's own — installed on first use, and used from the
+// round's hands after the cache evicted it again — provided the page still
+// sits at the locations that image was read at. A page that moved, or whose
+// extent was reclaimed under the round's read, alone is materialized here.
+func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h wal.LSN, fn func(k, v []byte) bool) (n int, resume []byte, done bool, err error) {
+	img := e.base
+	switch {
+	case hl == nil:
+		img, err = t.materializeRead(e, false)
+	case img != nil:
+	case hl.img != nil && e.sitsAt(hl.base, hl.deltas):
+		img = hl.img
+		if hl.fresh {
+			hl.fresh = false
+			t.install(e, img)
+		}
 	default:
-		t.m.readaheadRejected.Add(1)
+		img, err = t.materializeRead(e, true)
 	}
-}
-
-// prefetch warms the cache with leaf id's content ahead of a scan. Best
-// effort on every axis: it gives up rather than contend for the latch, and
-// it skips pages that are already resident. Read-ahead loads count in the
-// readahead_* metrics but never in the hit/miss statistics — those track
-// demand traffic only, so speculative loads cannot flatter the hit ratio.
-func (t *Tree) prefetch(id PageID) {
-	if t.m.disabled {
-		return
-	}
-	e := t.m.get(id)
-	if e == nil || !e.isLeaf {
-		return
-	}
-	if !e.mu.TryLock() {
-		return
-	}
-	defer e.mu.Unlock()
-	if e.base != nil {
-		return
-	}
-	t.m.readaheadIssued.Add(1)
-	img, _, err := t.loadDurable(e.id, e.baseLoc, e.deltaLocs)
 	if err != nil {
-		return
+		e.mu.Unlock()
+		return 0, nil, true, err
 	}
-	e.prefetched = true
-	t.install(e, img)
+	lo, hi, ov, ended := e.cut(img, from, to, owed)
+	e.mu.Unlock()
+
+	n, stopped := scanPage(img, ov, lo, hi, owed, h, fn)
+	return n, hi, stopped || ended || (owed > 0 && n >= owed), nil
 }
 
 // logStructural appends a structural WAL record, deferring the durability
@@ -810,7 +690,7 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	base, _, err := t.materialize(e)
+	base, _, err := t.materialize(e, false)
 	if err != nil {
 		return err
 	}
@@ -821,7 +701,7 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 
 	// The separator is the middle live key of the page's latest content.
 	var sep []byte
-	scanPage(base, e.overlay, e.lo, false, e.hi, n/2+1, horizonAll, func(k, _ []byte) bool {
+	scanPage(base, e.overlay, e.lo, e.hi, n/2+1, horizonAll, func(k, _ []byte) bool {
 		sep = k
 		return true
 	})

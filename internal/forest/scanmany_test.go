@@ -95,7 +95,10 @@ func sortPairs(ps []pair) []pair {
 // migration, under an unlimited cache, a 4-page cache and no cache —
 // ScanManyAt delivers the same (owner, key, value) multiset as the
 // per-owner ScanAt loop it replaced, each owner's keys in order, and both
-// equal the reference model as of the horizon.
+// equal the reference model as of the horizon. The model is the independent
+// oracle: ScanAt and ScanManyAt walk a leaf with the same step
+// (bwtree scanLeaf), so their agreeing with each other checks only the
+// routing, batching and hold-past-eviction around it.
 func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 	type cacheCfg struct {
 		name     string
