@@ -2,8 +2,8 @@ package bg3_test
 
 // Ablation benchmarks for the design choices DESIGN.md §3 calls out:
 // forest splitting on/off, GC policy, group-commit window, replica cache
-// size, the packed edge block, and the page cache's lock stripes. Each
-// reports the quantity the choice trades off.
+// size, the packed edge block, the page cache's lock stripes, and the leaf
+// run of a batched write. Each reports the quantity the choice trades off.
 
 import (
 	"fmt"
@@ -322,5 +322,61 @@ func BenchmarkAblationCacheShards(b *testing.B) {
 			b.ReportMetric(float64(snap["bwtree.cache_shard_entries_max"].Value), "shard-entries-max")
 			b.ReportMetric(snap["bwtree.cache_hit_ratio"].Ratio, "hit-ratio")
 		})
+	}
+}
+
+// BenchmarkAblationBatchApply prices the leaf run (DESIGN §9) with the one
+// switch it has, the size of the batch: the benchmark's two load streams —
+// 200k edges from Zipf(1.2) sources to uniform destinations, and two
+// vertices taking 100k ascending edges each — go through ApplyBatch one
+// mutation at a time and 1,024 at a time on a sync engine. A batch of one is
+// a run of one, i.e. the single-write path; 1,024 sorted mutations are a run
+// per leaf they touch. Reported per edge: bytes and appends that reached
+// storage, and what the load left resident there (no GC runs). ns/op is one
+// whole load; run with -benchtime 1x.
+func BenchmarkAblationBatchApply(b *testing.B) {
+	const vertices, edges = 20_000, 200_000
+	streams := []struct {
+		name string
+		edge func(i int, rng *rand.Rand, zipf *rand.Zipf) (src, dst bg3.VertexID)
+	}{
+		{"zipf", func(_ int, rng *rand.Rand, zipf *rand.Zipf) (bg3.VertexID, bg3.VertexID) {
+			return bg3.VertexID(zipf.Uint64()), bg3.VertexID(rng.Intn(vertices))
+		}},
+		{"ascending", func(i int, _ *rand.Rand, _ *rand.Zipf) (bg3.VertexID, bg3.VertexID) {
+			return bg3.VertexID(vertices + i/(edges/2)), bg3.VertexID(i % (edges / 2))
+		}},
+	}
+	for _, stream := range streams {
+		for _, size := range []int{1, 1024} {
+			b.Run(fmt.Sprintf("%s/batch-%d", stream.name, size), func(b *testing.B) {
+				var st bg3.StorageStats
+				for n := 0; n < b.N; n++ {
+					db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64})
+					if err != nil {
+						b.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(1))
+					zipf := rand.NewZipf(rng, 1.2, 1, vertices-1)
+					batch := make([]bg3.Mutation, 0, size)
+					for i := 0; i < edges; i++ {
+						src, dst := stream.edge(i, rng, zipf)
+						batch = append(batch, bg3.AddEdgeMut(bg3.Edge{Src: src, Dst: dst, Type: bg3.ETypeFollow,
+							Props: bg3.Properties{{Name: "ts", Value: []byte("12345678")}}}))
+						if len(batch) == cap(batch) || i == edges-1 {
+							if err := db.ApplyBatch(batch); err != nil {
+								b.Fatal(err)
+							}
+							batch = batch[:0]
+						}
+					}
+					st = db.Stats().Storage
+					db.Close()
+				}
+				b.ReportMetric(float64(st.BytesWritten)/edges, "bytes-written/edge")
+				b.ReportMetric(float64(st.WriteOps)/edges, "appends/edge")
+				b.ReportMetric(float64(st.TotalBytes)/(1<<20), "resident-MB")
+			})
+		}
 	}
 }

@@ -1,0 +1,71 @@
+package bg3
+
+import "testing"
+
+// TestBatchPersistsEachLeafOnce pins the leaf run by storage counters, no
+// wall clock. On a sync engine every write reaches storage before it
+// returns, so 1,024 ascending edges of one vertex written one AddEdge at a
+// time cost an append apiece, and the base rewrites those force; the same
+// edges in one ApplyBatch land as a run per leaf — one latch, one append —
+// and must cost at most an eighth of the appends and half of the bytes on an
+// identically loaded DB. The other side of the claim: a batch whose keys all
+// land in distinct leaves has nothing to group, and costs exactly what the
+// single writes cost.
+func TestBatchPersistsEachLeafOnce(t *testing.T) {
+	const hub = VertexID(7)
+	type cost struct{ appends, bytes int64 }
+	// The hub holds 4,096 edges at dsts 16 apart: a dedicated tree of leaves
+	// of 64..128 entries, each spanning at most 2,048 dsts.
+	run := func(edges []Edge, batched bool) cost {
+		t.Helper()
+		db := openDB(t, &Options{ForestSplitThreshold: 64})
+		for i := 0; i < 4096; i++ {
+			if err := db.AddEdge(Edge{Src: hub, Dst: VertexID(16 * i), Type: ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := db.Metrics().Snapshot()
+		if batched {
+			muts := make([]Mutation, len(edges))
+			for i, e := range edges {
+				muts[i] = AddEdgeMut(e)
+			}
+			if err := db.ApplyBatch(muts); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, e := range edges {
+				if err := db.AddEdge(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		after := db.Metrics().Snapshot()
+		if n, err := db.Degree(hub, ETypeFollow); err != nil || n != 4096+len(edges) {
+			t.Fatalf("degree %d %v, want %d", n, err, 4096+len(edges))
+		}
+		d := func(name string) int64 { return after[name].Value - before[name].Value }
+		return cost{d("storage.write_ops"), d("storage.bytes_written")}
+	}
+	props := Properties{{Name: "ts", Value: []byte("12345678")}}
+
+	ascending := make([]Edge, 1024)
+	for i := range ascending {
+		ascending[i] = Edge{Src: hub, Dst: VertexID(1<<20 + i), Type: ETypeFollow, Props: props}
+	}
+	single, batch := run(ascending, false), run(ascending, true)
+	if single.appends < 1024 {
+		t.Fatalf("fixture: 1,024 single writes cost %d appends, want one each at least", single.appends)
+	}
+	if batch.appends*8 > single.appends || batch.bytes*2 > single.bytes {
+		t.Fatalf("one batch of 1,024 ascending edges cost %+v, the same edges one by one %+v: want <= 1/8 of the appends and <= 1/2 of the bytes", batch, single)
+	}
+
+	scattered := make([]Edge, 16)
+	for i := range scattered {
+		scattered[i] = Edge{Src: hub, Dst: VertexID(4096*i + 1), Type: ETypeFollow, Props: props}
+	}
+	if single, batch := run(scattered, false), run(scattered, true); batch != single || single.appends != int64(len(scattered)) {
+		t.Fatalf("a batch of one key per leaf cost %+v, the single writes %+v: want the same, an append per key", batch, single)
+	}
+}

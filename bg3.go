@@ -205,14 +205,17 @@ func (db *DB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
 	return db.writes.DeleteEdge(src, typ, dst)
 }
 
-// ApplyBatch applies a group of mutations in order and commits them as
-// shared WAL groups: every record is enqueued on the group committer
-// before the first durability wait starts, so the whole batch pays for a
-// handful of storage round trips instead of one per mutation. Replicas
-// replay each commit group as a unit. No mutation is acknowledged before
-// the batch's WAL records are durable; on error, mutations after the
-// failing one are not applied. In non-replicated mode (no WAL) the batch
-// degrades to ordered in-memory applies.
+// ApplyBatch applies a group of mutations under the graph.BatchStore
+// contract — mutations of one key in call order, everything else in
+// (owner, key) order, so every page the batch touches is latched and written
+// once; a failed batch may have applied any subset — and commits them as
+// shared WAL groups: every record is enqueued on the group committer before
+// the first durability wait starts, so the whole batch pays for a handful of
+// storage round trips instead of one per mutation. Replicas replay each
+// commit group as a unit. No mutation is acknowledged before the batch's WAL
+// records are durable. It is the bulk-load path in non-replicated mode too:
+// there is no WAL to share, but each leaf still reaches storage once per
+// batch instead of once per mutation.
 func (db *DB) ApplyBatch(muts []Mutation) error { return db.writes.ApplyBatch(muts) }
 
 // KHop expands hops levels of out-neighbors from start, returning the set

@@ -145,9 +145,11 @@ func (t *Tree) sortedOverlayLocked() []op {
 	return merged
 }
 
-// blockWriteEnter is called by applyWrite before the op's WAL record is
-// logged (before its LSN exists). It returns which gate the writer holds:
-// 0 = none (blocks disabled), 1 = preGate, 2 = capturing.
+// blockWriteEnter is called by applyRun before the run's first WAL record is
+// logged (before any of its LSNs exists). It returns which gate the writer
+// holds: 0 = none (blocks disabled), 1 = preGate, 2 = capturing. A run holds
+// one gate however many ops it carries: both counters are only ever compared
+// with zero.
 func (t *Tree) blockWriteEnter() int {
 	if t.cfg.EdgeBlockMinEntries <= 0 {
 		return 0
@@ -160,18 +162,18 @@ func (t *Tree) blockWriteEnter() int {
 	return 1
 }
 
-// blockWriteExit completes the capture protocol after the op was applied
-// (applied=false on error paths: the gate is released, nothing captured).
-// Called with the page latch still held, so per-key overlay order is
-// per-key latch order — LSN order.
-func (t *Tree) blockWriteExit(gate int, o op, applied bool) {
+// blockWriteExit completes the capture protocol with the ops the run applied
+// to its leaf (none on error paths: the gate is released, nothing captured).
+// Called with the page latch still held, so per-key overlay order is per-key
+// latch order — LSN order.
+func (t *Tree) blockWriteExit(gate int, applied []op) {
 	switch gate {
 	case 1:
 		t.blocks.preGate.Add(-1)
 	case 2:
-		if applied {
+		if len(applied) > 0 {
 			t.blocks.overlayMu.Lock()
-			t.blocks.overlay = append(t.blocks.overlay, o)
+			t.blocks.overlay = append(t.blocks.overlay, applied...)
 			t.blocks.overlayLen.Store(int64(len(t.blocks.overlay)))
 			t.blocks.overlayMu.Unlock()
 		}

@@ -51,15 +51,13 @@ type pageEntry struct {
 	// write path re-merges it into the next delta without a read).
 	base    leafImage
 	overlay []op
-	live    int // live keys at horizon ∞ inside [lo, hi); -1 = not counted
+	live    int // live keys at horizon ∞ inside [lo, hi), resident or not; -1 = not counted
 
 	dirty        bool // has non-durable changes (async mode)
 	splitPending bool // the page split in memory; next flush must rewrite its base
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf
 	next   PageID // right sibling, 0 at the rightmost leaf
-
-	lsn wal.LSN // LSN of the newest update applied to this page
 }
 
 // cacheShard is one lock stripe of the leaf-content cache. Hashing pages
@@ -106,6 +104,10 @@ type Mapping struct {
 	// batchLoadPages records the distinct cold leaves each multi-leaf load
 	// of ScanManyAt fetched in its one storage round.
 	batchLoadPages metrics.IntHistogram
+
+	// writeRunOps records the ops each leaf run applied under its one latch
+	// and one persist (Tree.applyRun) — the grouping factor writes get.
+	writeRunOps metrics.IntHistogram
 
 	// relocated tracks pages whose durable locations GC moved since the
 	// last TakeRelocated call; checkpoints ship them to replicas.
@@ -281,6 +283,7 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("bwtree.cache_shard_entries_max", func() int64 { _, max := m.shardEntrySpread(); return max })
 	r.RegisterIntHistogram("bwtree.read_fanout", &m.fanout)
 	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
+	r.RegisterIntHistogram("bwtree.write_run_ops", &m.writeRunOps)
 	r.RegisterHistogram("bwtree.materialize_us", &m.materializeLat)
 	r.GaugeFunc("bwtree.pages", func() int64 { return int64(m.PageCount()) })
 	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)
@@ -332,7 +335,7 @@ func (m *Mapping) BlockStatsSnapshot() BlockStats {
 // skipping busy or dirty pages.
 func (m *Mapping) noteCached(e *pageEntry) {
 	if m.disabled {
-		e.base, e.live = nil, -1 // caller materialized transiently; drop content
+		e.base = nil // caller materialized transiently; drop content
 		return
 	}
 	s := m.shard(e.id)
@@ -368,7 +371,7 @@ func (m *Mapping) noteCached(e *pageEntry) {
 				// A clean page's image is the record at its base location.
 				// (Dirty pages — including unflushed split halves whose
 				// image is not yet durable — are never evicted.)
-				victim.base, victim.live = nil, -1
+				victim.base = nil
 				m.evictions.Add(1)
 			} else {
 				// Dirty pages are pinned; re-insert at the front so they

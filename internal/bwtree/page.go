@@ -44,20 +44,28 @@ func searchOps(ov []op, key []byte) int {
 	return sort.Search(len(ov), func(i int) bool { return bytes.Compare(ov[i].key, key) >= 0 })
 }
 
-// insertOp places o behind every op of its key, keeping the overlay
-// key-sorted with each key's ops in arrival order. It edits ov in place.
-func insertOp(ov []op, o op) []op {
-	i := sort.Search(len(ov), func(i int) bool { return bytes.Compare(ov[i].key, o.key) > 0 })
-	ov = append(ov, op{})
-	copy(ov[i+1:], ov[i:])
-	ov[i] = o
+// insertOps merges run — key-sorted, each key's ops in arrival order — into
+// the overlay, every op behind the ops of its key already there, so the
+// overlay stays key-sorted with each key's ops in arrival order. It edits ov
+// in place, from the back: each op of the overlay moves at most once.
+func insertOps(ov, run []op) []op {
+	i := len(ov) // ov[:i] is still to be placed, and ends at k
+	ov = append(ov, run...)
+	k := len(ov)
+	for j := len(run) - 1; j >= 0; j-- {
+		key := run[j].key
+		p := sort.Search(i, func(x int) bool { return bytes.Compare(ov[x].key, key) > 0 })
+		k -= i - p
+		copy(ov[k:], ov[p:i])
+		i, k = p, k-1
+		ov[k] = run[j]
+	}
 	return ov
 }
 
-// withOp is insertOp into a copy: the caller installs it only once the
-// record carrying it is durable.
-func withOp(ov []op, o op) []op {
-	return insertOp(append(make([]op, 0, len(ov)+1), ov...), o)
+// insertOp is insertOps of one op.
+func insertOp(ov []op, o op) []op {
+	return insertOps(ov, []op{o})
 }
 
 // sortOps orders ops (oldest first) into overlay order; the stable sort

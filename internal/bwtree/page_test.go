@@ -150,12 +150,14 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 // clockedPipe logs to a real WAL (so a Replica can be fed the same records)
 // and advances the epoch clock at every append, the way the RW node's
 // committer does at ack release. lastData is the stamp of the newest put or
-// delete — structural records a write triggers get later LSNs.
+// delete — structural records a write triggers get later LSNs — and data
+// collects the stamps of all of them since the caller last emptied it.
 type clockedPipe struct {
 	w        *wal.Writer
 	src      *mvcc.Source
 	last     wal.LSN
 	lastData wal.LSN
+	data     []wal.LSN
 }
 
 func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
@@ -166,6 +168,7 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 	p.last = lsn
 	if rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete {
 		p.lastData = lsn
+		p.data = append(p.data, lsn)
 	}
 	if p.src != nil {
 		p.src.Advance(mvcc.Epoch(lsn))
@@ -175,7 +178,9 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 
 // TestDifferentialAgainstVersionMap is the one read-semantics oracle of the
 // package: a seeded stream of put / overwrite / delete (splits follow from
-// 8-entry pages) / flush+checkpoint / evict / pin / unpin / GC-relocate /
+// 8-entry pages) / key-sorted batch of 2–64 puts and deletes (a run per leaf
+// touched, most crossing leaf boundaries, the clustered ones overfilling a
+// leaf so that a split cuts the run) / flush+checkpoint / evict / pin / unpin / GC-relocate /
 // edge-block rebuild against a map-of-versions reference, comparing GetAt
 // and ScanAt — full, bounded and limited — at every live pinned horizon and
 // at ∞ after every step that moves state between base, overlay and storage;
@@ -336,6 +341,32 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 
 	for step := 0; step < steps; step++ {
 		switch r := rng.Intn(100); {
+		case r < 8:
+			// Every other batch draws its keys from a 24-key window: three
+			// leaves' worth, so the runs into them overfill and are cut.
+			lo, width := 0, keySpace
+			if rng.Intn(2) == 0 {
+				lo, width = rng.Intn(keySpace-24), 24
+			}
+			ws := make([]Write, 2+rng.Intn(63))
+			for i := range ws {
+				ws[i] = Write{Key: []byte(fmt.Sprintf("k%04d", lo+rng.Intn(width))), Delete: rng.Intn(4) == 0}
+				if !ws[i].Delete {
+					ws[i].Value = []byte(fmt.Sprintf("v%d.%d-%s", step, i, bytes.Repeat([]byte{'y'}, rng.Intn(40))))
+				}
+			}
+			sort.SliceStable(ws, func(i, j int) bool { return bytes.Compare(ws[i].Key, ws[j].Key) < 0 })
+			pipe.data = pipe.data[:0]
+			if n, err := tr.Apply(ws, nil); err != nil || n != len(ws) || len(pipe.data) != len(ws) {
+				t.Fatalf("step %d: Apply(%d writes) = %d %v, %d data records", step, len(ws), n, err, len(pipe.data))
+			}
+			for i, w := range ws {
+				if _, wasLive := ref.at(string(w.Key), horizonAll); w.Existed != wasLive {
+					t.Fatalf("step %d: batch write %d (%s, delete=%v): existed=%v, want %v", step, i, w.Key, w.Delete, w.Existed, wasLive)
+				}
+				ref[string(w.Key)] = append(ref[string(w.Key)], version{lsn: pipe.data[i], val: string(w.Value), del: w.Delete})
+			}
+			awaitSpawnedBuild(tr)
 		case r < 55:
 			k, v := key(), fmt.Sprintf("v%d-%s", step, bytes.Repeat([]byte{'x'}, rng.Intn(40)))
 			_, wasLive := ref.at(k, horizonAll)
@@ -413,6 +444,9 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	check(steps)
 	if s := tr.Stats(); s.Splits == 0 || s.Consolidations == 0 {
 		t.Fatalf("stream never split or consolidated: %+v", s)
+	}
+	if runs := &m.writeRunOps; runs.Max() < 3 || runs.Count() < int64(steps)/2 {
+		t.Fatalf("stream never grouped a batch into leaf runs: %d runs, longest %d", runs.Count(), runs.Max())
 	}
 	if bs := m.BlockStatsSnapshot(); bs.Builds < 3 || bs.Hits == 0 || bs.Fallbacks != 0 {
 		t.Fatalf("stream never rebuilt its edge block or read from it: %+v", bs)

@@ -3,6 +3,7 @@ package bwtree
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -195,13 +196,14 @@ func (t *Tree) latchLeaf(key []byte) *pageEntry {
 
 // install makes img the page's resident base. e.mu must be held.
 func (t *Tree) install(e *pageEntry, img leafImage) leafImage {
-	e.base, e.live = img, -1
+	e.base = img
 	t.m.noteCached(e) // clears e.base again when the cache is disabled
 	return img
 }
 
 // countLive returns the number of live keys of base ⊕ overlay inside the
-// page's range, counting once per residency and tracking writes after that.
+// page's range: counted once, tracked by every write and split after that,
+// and unaffected by eviction, which drops the image and not the content.
 func (e *pageEntry) countLive(base leafImage) int {
 	if e.live < 0 {
 		e.live, _ = scanPage(base, e.overlay, e.lo, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
@@ -308,253 +310,228 @@ func (t *Tree) GetAt(key []byte, h wal.LSN) ([]byte, bool, error) {
 	return v, found, nil
 }
 
+// Write is one mutation handed to Tree.Apply: an upsert of Key=Value, or the
+// removal of Key when Delete is set. The tree owns Key and Value from the call
+// on — they become the overlay op and the WAL record without a copy — and
+// answers in Existed whether the key was live when the write applied: callers
+// that keep size accounting (the forest) must not count an upsert as growth
+// nor the delete of an absent key as shrinkage.
+type Write struct {
+	Key, Value []byte
+	Delete     bool
+	Existed    bool
+}
+
 // Put upserts a key-value pair.
 func (t *Tree) Put(key, value []byte) error {
-	t.puts.Add(1)
-	_, err := t.write(op{key: append([]byte(nil), key...), val: append([]byte(nil), value...)}, false)
+	_, err := t.PutEx(key, value)
 	return err
 }
 
-// PutEx upserts a key-value pair and reports whether the key already
-// existed — callers that maintain size accounting (the forest) must not
-// count an upsert as growth.
+// PutEx upserts a key-value pair and reports whether the key already existed.
 func (t *Tree) PutEx(key, value []byte) (existed bool, err error) {
-	t.puts.Add(1)
-	return t.write(op{key: append([]byte(nil), key...), val: append([]byte(nil), value...)}, true)
+	return t.applyOne(Write{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)})
 }
 
 // Delete removes key. Deleting an absent key is not an error.
 func (t *Tree) Delete(key []byte) error {
-	t.deletes.Add(1)
-	_, err := t.write(op{del: true, key: append([]byte(nil), key...)}, false)
+	_, err := t.DeleteEx(key)
 	return err
 }
 
 // DeleteEx removes key and reports whether it was present.
 func (t *Tree) DeleteEx(key []byte) (existed bool, err error) {
-	t.deletes.Add(1)
-	return t.write(op{del: true, key: append([]byte(nil), key...)}, true)
+	return t.applyOne(Write{Key: append([]byte(nil), key...), Delete: true})
 }
 
-// PutExDeferred upserts like PutEx but, when the logger commits
-// asynchronously, appends the record's durability wait to waits instead of
-// blocking — the batched-mutation path. The caller applies a whole group of
-// writes back to back and drains the waits once, so every record is already
-// enqueued before the first wait starts and the group shares storage
-// appends. The write is NOT durable until its wait returns nil.
-func (t *Tree) PutExDeferred(key, value []byte, waits *[]func() error) (existed bool, err error) {
-	t.puts.Add(1)
-	return t.writeWith(op{key: append([]byte(nil), key...), val: append([]byte(nil), value...)}, true, waits)
+// applyOne is Apply of a run of one.
+func (t *Tree) applyOne(w Write) (existed bool, err error) {
+	ws := [1]Write{w}
+	_, err = t.Apply(ws[:], nil)
+	return ws[0].Existed, err
 }
 
-// DeleteExDeferred removes like DeleteEx with PutExDeferred's deferred
-// durability contract.
-func (t *Tree) DeleteExDeferred(key []byte, waits *[]func() error) (existed bool, err error) {
-	t.deletes.Add(1)
-	return t.writeWith(op{del: true, key: append([]byte(nil), key...)}, true, waits)
-}
-
-func (t *Tree) write(o op, track bool) (existed bool, err error) {
-	return t.writeWith(o, track, nil)
-}
-
-func (t *Tree) writeWith(o op, track bool, waits *[]func() error) (existed bool, err error) {
-	e := t.latchLeaf(o.key)
-	needSplit, existed, wait, err := t.applyWrite(e, o, track)
-	id := e.id
-	e.mu.Unlock()
-	if err != nil {
-		return existed, err
+// Apply applies ws in order and returns how many took effect in memory:
+// ws[:n] carry their Existed, ws[n:] were not attempted, and n < len(ws) only
+// beside an error. The unit of work is the leaf run — the longest stretch of
+// ws in ascending key order (writes of one key stay in the order given) that
+// lands in one leaf — which is latched, materialized, logged and persisted
+// once (applyRun). A caller that sorts its batch by key therefore pays per
+// leaf touched, not per write; an unsorted batch degrades to shorter runs,
+// never to a different result.
+//
+// When the logger commits asynchronously every record's durability wait is
+// appended to waits instead of blocking — the batched-mutation path: the
+// caller drains them once, so every record is enqueued before the first wait
+// starts and the group shares storage appends. Nothing is durable until its
+// wait returned nil. A nil waits drains them here, after the last latch was
+// released, so concurrent writers of one page still share a commit round trip.
+func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
+	var own []func() error
+	if waits == nil {
+		waits = &own
 	}
-	if wait != nil {
-		if waits != nil {
-			// Deferred durability: the caller collects waits across a batch
-			// and drains them together.
-			*waits = append(*waits, wait)
-		} else if err := wait(); err != nil {
-			// Group commit: block for WAL durability only after releasing the
-			// page latch so concurrent same-page writers batch together.
-			return existed, err
+	for n < len(ws) && err == nil {
+		e := t.latchLeaf(ws[n].Key)
+		k, needSplit, rerr := t.applyRun(e, ws[n:], waits)
+		id := e.id
+		e.mu.Unlock()
+		n, err = n+k, rerr
+		if err == nil && needSplit {
+			// Splits take the structure lock, so one runs between two runs,
+			// and the rest of ws is routed through the halves.
+			err = t.splitPage(id)
 		}
 	}
-	if needSplit {
-		if err := t.splitPage(id); err != nil {
-			return existed, err
+	for _, wait := range own {
+		if werr := wait(); werr != nil && err == nil {
+			err = werr
 		}
 	}
 	t.maybeSpawnEdgeBlockBuild()
-	return existed, nil
+	return n, err
 }
 
-// newestOp returns the newest overlay op for key; ok is false when the
-// overlay never mentions the key and the base page decides.
-func newestOp(ov []op, key []byte) (o op, ok bool) {
-	for i := searchOps(ov, key); i < len(ov) && bytes.Equal(ov[i].key, key); i++ {
-		o, ok = ov[i], true
-	}
-	return o, ok
-}
-
-// applyWrite performs Algorithm 1 on a latched leaf. It returns true when
-// the page outgrew MaxPageEntries and should split (the caller performs the
-// split after releasing the latch, since splits take the structure lock),
-// whether the key existed before the write (only resolved when track is
-// set — resolution can cost a page materialization), plus a non-nil
-// durability wait when the logger commits asynchronously.
-func (t *Tree) applyWrite(e *pageEntry, o op, track bool) (needSplit, existed bool, wait func() error, err error) {
-	// Edge-block capture gate: must open before the LSN is assigned so a
-	// block reader seeing no writer in flight knows every released op has
-	// reached the overlay (block.go).
-	gate := t.blockWriteEnter()
-
-	// Write-ahead: the record enters the WAL (and receives its LSN) before
-	// any page state changes (§3.4 step 2).
-	if t.logger != nil {
-		typ := wal.RecordPut
-		if o.del {
-			typ = wal.RecordDelete
-		}
-		rec := &wal.Record{
-			Type: typ, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val,
-		}
-		if async, ok := t.logger.(AsyncWALLogger); ok {
-			lsn, w := async.LogAsync(rec)
-			if lsn == 0 {
-				// Admission failed (stopped or poisoned committer, or an
-				// oversized record): no LSN exists and nothing was enqueued,
-				// so the write must fail before any page state changes. An
-				// op stamped 0 would otherwise sit below every snapshot
-				// horizon and leak an unlogged write into pinned reads.
-				t.blockWriteExit(gate, o, false)
-				return false, false, nil, w()
-			}
-			e.lsn = lsn
-			o.lsn = lsn
-			wait = w
-		} else {
-			lsn, err := t.logger.Log(rec)
-			if err != nil {
-				t.blockWriteExit(gate, o, false)
-				return false, false, nil, err
-			}
-			e.lsn = lsn
-			o.lsn = lsn
-		}
-	}
-
-	if t.cfg.FlushMode == FlushAsync {
-		needSplit, existed, err = t.applyWriteAsync(e, o)
-	} else {
-		needSplit, existed, err = t.applyWriteSync(e, o, track)
-	}
-	// Still under the page latch: the overlay append (when capturing)
-	// keeps per-key LSN order, and the gate closes only after it.
-	t.blockWriteExit(gate, o, err == nil)
-	return needSplit, existed, wait, err
-}
-
-// applyWriteAsync applies the op in memory and defers persistence to the
-// background flusher (group commit).
-func (t *Tree) applyWriteAsync(e *pageEntry, o op) (bool, bool, error) {
+// applyRun is Algorithm 1 on a latched leaf, for a run instead of an op. It
+// takes ws[:n]: the writes that follow each other in ascending key order
+// inside the leaf's range, until the leaf's live count passes MaxPageEntries —
+// but at least one, or a leaf already past the limit would never be written,
+// and only a write gets it split. They are applied under this one latch with
+// one materialization and one count of the live keys: each op gets its WAL
+// record and LSN, in run order, and its Existed; then the run is merged into
+// the overlay and the page marked dirty once (async flushing), or made durable
+// by one storage write (sync flushing, persistRun). needSplit reports a leaf
+// past MaxPageEntries; the caller splits it once the latch is released.
+//
+// An error leaves ws[:n] applied when the log refused the op after them, and
+// nothing applied (n = 0, the page unchanged) when the sync write failed.
+func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int, needSplit bool, err error) {
 	base, _, err := t.materialize(e, false)
 	if err != nil {
-		return false, false, err
+		return 0, false, err
 	}
-	n := e.countLive(base)
-	_, existed := lookup(base, e.overlay, o.key, horizonAll)
-	if existed && o.del {
-		n--
-	} else if !existed && !o.del {
-		n++
+	live, limit := e.countLive(base), t.cfg.MaxPageEntries
+	if t.cfg.DisableSplit {
+		limit = math.MaxInt
 	}
-	o.pending = true
-	e.overlay, e.live = insertOp(e.overlay, o), n
-	e.dirty = true
-	t.dirtyMu.Lock()
-	t.dirtySet[e.id] = struct{}{}
-	t.dirtyMu.Unlock()
-	return !t.cfg.DisableSplit && n > t.cfg.MaxPageEntries, existed, nil
+	async := t.cfg.FlushMode == FlushAsync
+
+	// Edge-block capture gate: it opens before the run's first LSN exists, so
+	// a block reader seeing no writer in flight knows every released op has
+	// reached the block's overlay, and closes after the leaf's overlay has the
+	// run, still under the page latch (block.go).
+	gate := t.blockWriteEnter()
+	var buf [8]op
+	run, dels := buf[:0], 0
+	for n < len(ws) && (n == 0 || live <= limit) {
+		w, order := &ws[n], -1
+		if n > 0 {
+			order = bytes.Compare(run[n-1].key, w.Key)
+			if order > 0 || (order < 0 && e.hi != nil && bytes.Compare(w.Key, e.hi) >= 0) {
+				break
+			}
+		}
+		o := op{del: w.Delete, pending: async, key: w.Key, val: w.Value}
+		if t.logger != nil {
+			// Write-ahead: the record enters the WAL (and receives its LSN)
+			// before any page state changes (§3.4 step 2).
+			typ := wal.RecordPut
+			if o.del {
+				typ = wal.RecordDelete
+			}
+			if o.lsn, err = t.log(&wal.Record{
+				Type: typ, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val,
+			}, waits); err != nil {
+				break
+			}
+		}
+		if order == 0 {
+			w.Existed = !run[n-1].del // the run's previous op decided this key
+		} else {
+			_, w.Existed = lookup(base, e.overlay, o.key, horizonAll)
+		}
+		if o.del {
+			dels++
+		}
+		if w.Existed && o.del {
+			live--
+		} else if !w.Existed && !o.del {
+			live++
+		}
+		run, n = append(run, o), n+1
+	}
+
+	switch {
+	case n == 0:
+	case async:
+		// Applied in memory; persistence is the background flusher's (group
+		// commit).
+		e.overlay, e.live, e.dirty = insertOps(e.overlay, run), live, true
+		t.dirtyMu.Lock()
+		t.dirtySet[e.id] = struct{}{}
+		t.dirtyMu.Unlock()
+	default:
+		if perr := t.persistRun(e, base, run, live); perr != nil {
+			n, err = 0, perr
+		}
+	}
+	t.blockWriteExit(gate, run[:n])
+	if n == 0 {
+		return 0, false, err
+	}
+	t.m.writeRunOps.Observe(int64(n))
+	t.puts.Add(int64(n - dels))
+	t.deletes.Add(int64(dels))
+	return n, live > limit, err
 }
 
-// applyWriteSync is Algorithm 1 with inline flushes.
-func (t *Tree) applyWriteSync(e *pageEntry, o op, track bool) (bool, bool, error) {
-	existed := false
+// persistRun makes a sync leaf's run durable with one write and installs it —
+// Algorithm 1's inline flush, for a run: a page with no durable image yet is
+// written whole as a fresh (small) base (lines 2–8); a chain the run fills up
+// is consolidated, base + overlay + run, into a fresh base (lines 21–27);
+// anything else is one more delta. live is the leaf's live-key count with the
+// run applied. e.mu must be held; on error nothing changed.
+func (t *Tree) persistRun(e *pageEntry, base leafImage, run []op, live int) error {
+	// The merge goes into a copy: it is installed only once the record
+	// carrying it is durable.
+	merged := insertOps(append(make([]op, 0, len(e.overlay)+len(run)), e.overlay...), run)
 	fresh := e.baseLoc.IsZero() && len(e.overlay) == 0
-	if fresh || len(e.overlay)+1 > t.cfg.ConsolidateNum {
-		// Lines 2–8: the page has no durable image yet — write the whole
-		// (small) page as a fresh base. Lines 21–27: the chain is full —
-		// consolidate base+deltas+new op into a fresh base page.
-		base := e.base
-		if !fresh {
-			var err error
-			if base, _, err = t.materialize(e, false); err != nil {
-				return false, false, err
-			}
-			t.consolidations.Add(1)
-		} else if base == nil {
-			base = emptyLeaf
-		}
-		if track {
-			_, existed = lookup(base, e.overlay, o.key, horizonAll)
-		}
-		img, err := mergeEncode(base, withOp(e.overlay, o), e.lo, e.hi, horizonAll)
+	if fresh || len(merged) > t.cfg.ConsolidateNum {
+		img, err := mergeEncode(base, merged, e.lo, e.hi, horizonAll)
 		if err != nil {
-			return false, existed, err
+			return err
 		}
-		needSplit, err := t.writeBaseLocked(e, img)
-		return needSplit, existed, err
-	}
-	if track {
-		// Resolve existence as cheaply as possible: the overlay (newest op
-		// wins), then the resident image, and only if neither is at hand a
-		// full materialization.
-		if prev, ok := newestOp(e.overlay, o.key); ok {
-			existed = !prev.del
-		} else {
-			base := e.base
-			if base == nil {
-				var err error
-				if base, _, err = t.materialize(e, false); err != nil {
-					return false, false, err
-				}
-			}
-			_, existed = lookup(base, nil, o.key, horizonAll)
+		if err := t.persistBase(e, img, nil); err != nil {
+			return err
 		}
+		if !fresh {
+			t.consolidations.Add(1)
+		}
+		e.live = live
+		t.m.noteCached(e)
+		return nil
 	}
 	if t.cfg.Policy == ReadOptimized {
-		// Lines 19–31 (read-optimized): merge the existing delta with the
-		// new op into a single delta record.
-		merged := withOp(e.overlay, o)
+		// Lines 19–31 (read-optimized): the existing delta and the run merge
+		// into a single delta record.
 		locs, err := t.appendDeltas(e.id, merged)
 		if err != nil {
-			return false, existed, err
+			return err
 		}
 		for _, old := range e.deltaLocs {
 			t.store.Invalidate(old)
 		}
-		e.deltaLocs, e.overlay = locs, merged
+		e.deltaLocs = locs
 	} else {
-		// Traditional: append one more delta to the chain.
-		loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps([]op{o}))
+		// Traditional: the run is one more delta on the chain.
+		locs, err := t.appendDeltas(e.id, run)
 		if err != nil {
-			return false, existed, err
+			return err
 		}
-		e.deltaLocs = append(e.deltaLocs, loc)
-		e.overlay = insertOp(e.overlay, o)
+		e.deltaLocs = append(e.deltaLocs, locs...)
 	}
-	e.live = -1
-	return false, existed, nil
-}
-
-// writeBaseLocked persists img as e's new base page, invalidates the old
-// base and delta records, and resets the chain. e.mu must be held.
-func (t *Tree) writeBaseLocked(e *pageEntry, img leafImage) (bool, error) {
-	if err := t.persistBase(e, img, nil); err != nil {
-		return false, err
-	}
-	e.live = img.count()
-	t.m.noteCached(e)
-	return !t.cfg.DisableSplit && img.count() > t.cfg.MaxPageEntries, nil
+	e.overlay, e.live = merged, live
+	return nil
 }
 
 // Len returns the total number of live keys (walks every leaf; intended
@@ -648,16 +625,19 @@ func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h
 	return n, hi, stopped || ended || (owed > 0 && n >= owed), nil
 }
 
-// logStructural appends a structural WAL record, deferring the durability
-// wait into waits when the logger supports group commit — the structure
-// lock is released before the caller blocks, so splits do not stall the
-// whole tree for a commit round trip.
-func (t *Tree) logStructural(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
+// log appends a WAL record and returns its LSN, deferring the durability wait
+// into waits when the logger supports group commit — the page latch or the
+// structure lock is released before anyone blocks, so neither same-page
+// writers nor splits stall for a commit round trip.
+func (t *Tree) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
 	if async, ok := t.logger.(AsyncWALLogger); ok {
 		lsn, w := async.LogAsync(rec)
 		if lsn == 0 {
-			// Admission failed: surface the rejection now, before the
-			// structural change mutates any in-memory state.
+			// Admission failed (stopped or poisoned committer, or an oversized
+			// record): no LSN exists and nothing was enqueued, so the caller
+			// must fail before any in-memory state changes. An op stamped 0
+			// would otherwise sit below every snapshot horizon and leak an
+			// unlogged write into pinned reads.
 			return 0, w()
 		}
 		*waits = append(*waits, w)
@@ -717,20 +697,17 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	}
 
 	if t.logger != nil {
-		if _, err := t.logStructural(&wal.Record{
+		if _, err := t.log(&wal.Record{
 			Type: wal.RecordNewPage, TreeID: uint64(t.id), PageID: uint64(right.id),
 		}, waits); err != nil {
 			return err
 		}
-		lsn, err := t.logStructural(&wal.Record{
+		if _, err := t.log(&wal.Record{
 			Type: wal.RecordSplit, TreeID: uint64(t.id),
 			PageID: uint64(e.id), AuxPage: uint64(right.id), Key: sep,
-		}, waits)
-		if err != nil {
+		}, waits); err != nil {
 			return err
 		}
-		e.lsn = lsn
-		right.lsn = lsn
 	}
 
 	if t.cfg.FlushMode == FlushSync {
@@ -809,7 +786,7 @@ func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func
 		t.m.register(newRoot)
 		t.root = newRoot.id
 		if t.logger != nil {
-			if _, err := t.logStructural(&wal.Record{
+			if _, err := t.log(&wal.Record{
 				Type: wal.RecordNewRoot, TreeID: uint64(t.id),
 				PageID: uint64(left), AuxPage: uint64(newRoot.id),
 			}, waits); err != nil {

@@ -781,3 +781,75 @@ func TestReadFanoutHistogram(t *testing.T) {
 		t.Fatalf("cached fanout p50 = %d, want 0", p50)
 	}
 }
+
+// leafSizes returns every leaf's live-key count, left to right.
+func leafSizes(t *testing.T, tr *Tree) []int {
+	t.Helper()
+	var sizes []int
+	for _, lf := range tr.LeafDirectory() {
+		e := tr.m.get(lf.Page)
+		e.mu.Lock()
+		base, _, err := tr.materialize(e, false)
+		if err != nil {
+			e.mu.Unlock()
+			t.Fatal(err)
+		}
+		sizes = append(sizes, e.countLive(base))
+		e.mu.Unlock()
+	}
+	return sizes
+}
+
+// TestRunIntoOversizedLeafMakesProgress pins the two rules that keep a leaf
+// run from spinning or from leaving an oversized leaf behind. A leaf already
+// past MaxPageEntries (here: written under a larger limit; in production, a
+// leaf whose split failed) still takes an op per run — a run that waited for
+// room would never write it, and only a write gets it split. And a run stops
+// the moment the leaf's live count passes the limit, whatever the flush mode
+// and however short the delta chain, and the leaf is split before the next
+// run is routed. So a batch of any size terminates, keeps per-op existence
+// exact, and leaves every leaf within the limit, the one it found oversized
+// included.
+func TestRunIntoOversizedLeafMakesProgress(t *testing.T) {
+	for _, flush := range []FlushMode{FlushSync, FlushAsync} {
+		t.Run(fmt.Sprint("flush=", flush), func(t *testing.T) {
+			const limit = 8
+			tr, _ := newTestTree(t, Config{FlushMode: flush, MaxPageEntries: 2 * limit, ConsolidateNum: 64})
+			for i := 0; i < limit+3; i++ {
+				if err := tr.Put([]byte(fmt.Sprintf("k%03d", 10*i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.cfg.MaxPageEntries = limit // the one leaf now holds limit+3
+			if sizes := leafSizes(t, tr); len(sizes) != 1 || sizes[0] != limit+3 {
+				t.Fatalf("fixture: leaves %v, want one of %d entries", sizes, limit+3)
+			}
+
+			ws := make([]Write, 200)
+			for i := range ws {
+				ws[i] = Write{Key: []byte(fmt.Sprintf("k%03d", i)), Value: []byte("w")}
+			}
+			if n, err := tr.Apply(ws, nil); err != nil || n != len(ws) {
+				t.Fatalf("Apply = %d %v, want all %d applied", n, err, len(ws))
+			}
+			for i, w := range ws {
+				if want := i%10 == 0 && i < 10*(limit+3); w.Existed != want {
+					t.Fatalf("write %d: existed=%v, want %v", i, w.Existed, want)
+				}
+			}
+			total := 0
+			for _, n := range leafSizes(t, tr) {
+				if n > limit {
+					t.Fatalf("leaf sizes %v: a leaf holds more than %d entries", leafSizes(t, tr), limit)
+				}
+				total += n
+			}
+			if n, err := tr.Len(); err != nil || n != len(ws) || total != n {
+				t.Fatalf("Len = %d %v, leaves hold %d, want %d", n, err, total, len(ws))
+			}
+			if runs := &tr.m.writeRunOps; runs.Max() > limit+1 || runs.Count() >= int64(len(ws)) {
+				t.Fatalf("%d runs, longest %d: want runs of several ops, none past the split limit", runs.Count(), runs.Max())
+			}
+		})
+	}
+}

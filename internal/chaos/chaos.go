@@ -248,8 +248,9 @@ func Run(cfg Config) (*Report, error) {
 			if err := rw.ApplyBatch(muts); err != nil {
 				rep.Failed++
 				logf("chaos: batch %d (op %d, %d mutations) failed: %v", rep.BatchOps, i, n, err)
-				// Whole-group-or-none: any prefix of the batch may have
-				// become durable, so every mutation is individually
+				// Whole-group-or-none, and a batch is logged in (owner, key)
+				// order over as many groups as it takes: any part of it may
+				// have become durable, so every mutation is individually
 				// uncertain until a later acknowledged op overwrites it.
 				for _, op := range ops {
 					if op.del {

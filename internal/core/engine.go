@@ -10,8 +10,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"bg3/internal/bwtree"
@@ -197,7 +200,7 @@ func (e *Engine) Close() {
 
 // AddVertex implements graph.Store.
 func (e *Engine) AddVertex(v graph.Vertex) error {
-	return e.edges.Put(forest.OwnerID(v.ID), vertexKey(v.Type), graph.EncodeProps(v.Props))
+	return e.edges.Apply([]forest.Write{vertexWrite(v)}, nil)
 }
 
 // AddEdge implements graph.Store.
@@ -205,48 +208,68 @@ func (e *Engine) AddEdge(ed graph.Edge) error {
 	if ed.Type == vertexPrefix {
 		return errReservedEdgeType
 	}
-	return e.edges.Put(forest.OwnerID(ed.Src), graph.EdgeKey(ed.Type, ed.Dst), graph.EncodeProps(ed.Props))
+	return e.edges.Apply([]forest.Write{edgeWrite(ed, false)}, nil)
 }
 
 // DeleteEdge implements graph.Store.
 func (e *Engine) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) error {
-	return e.edges.Delete(forest.OwnerID(src), graph.EdgeKey(typ, dst))
+	return e.edges.Apply([]forest.Write{edgeWrite(graph.Edge{Src: src, Type: typ, Dst: dst}, true)}, nil)
 }
 
-// ApplyBatch implements graph.BatchStore: mutations apply to the forest in
-// order with deferred WAL durability, then every record's wait is drained
-// at once. Because all records are enqueued on the group committer before
-// the first wait begins, the whole batch coalesces into shared commit
-// groups — one storage round trip covers many mutations instead of one
-// each. Mutations after a failed apply are skipped, but waits already
-// collected are still drained so no enqueued record is abandoned; the
-// first error (apply or durability) is returned.
+// vertexWrite and edgeWrite encode a mutation as the forest write it is. The
+// key and value buffers are built here once and handed down: forest and tree
+// own them from then on, nothing below copies them.
+func vertexWrite(v graph.Vertex) forest.Write {
+	return forest.Write{Owner: forest.OwnerID(v.ID), Key: vertexKey(v.Type), Value: graph.EncodeProps(v.Props)}
+}
+
+func edgeWrite(ed graph.Edge, del bool) forest.Write {
+	w := forest.Write{Owner: forest.OwnerID(ed.Src), Key: graph.EdgeKey(ed.Type, ed.Dst), Delete: del}
+	if !del {
+		w.Value = graph.EncodeProps(ed.Props)
+	}
+	return w
+}
+
+// ApplyBatch implements graph.BatchStore, whose contract states the order
+// and failure semantics; this is where the order is made. The batch is
+// checked whole — an unknown kind or the reserved edge type fails it before
+// anything is applied — and stable-sorted by (owner, key), so the forest
+// hands each owner's writes to its tree together and the tree applies every
+// leaf run — the writes that land in one leaf — under one latch, with one
+// materialization and one persist (bwtree.Tree.Apply): a bulk load pays per
+// leaf touched, not per mutation.
+//
+// Records are logged with deferred WAL durability and every wait is drained
+// at the end: all records are enqueued on the group committer before the
+// first wait begins, so the batch coalesces into shared commit groups — one
+// storage round trip covers many mutations instead of one each — and no
+// enqueued record is abandoned when the apply fails midway.
 func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
-	var waits []func() error
-	var applyErr error
+	ws := make([]forest.Write, len(muts))
 	for i, m := range muts {
 		switch m.Kind {
 		case graph.MutAddVertex:
-			applyErr = e.edges.PutDeferred(forest.OwnerID(m.Vertex.ID),
-				vertexKey(m.Vertex.Type), graph.EncodeProps(m.Vertex.Props), &waits)
+			ws[i] = vertexWrite(m.Vertex)
 		case graph.MutAddEdge:
 			if m.Edge.Type == vertexPrefix {
-				applyErr = errReservedEdgeType
-			} else {
-				applyErr = e.edges.PutDeferred(forest.OwnerID(m.Edge.Src),
-					graph.EdgeKey(m.Edge.Type, m.Edge.Dst), graph.EncodeProps(m.Edge.Props), &waits)
+				return errReservedEdgeType
 			}
+			ws[i] = edgeWrite(m.Edge, false)
 		case graph.MutDeleteEdge:
-			applyErr = e.edges.DeleteDeferred(forest.OwnerID(m.Edge.Src),
-				graph.EdgeKey(m.Edge.Type, m.Edge.Dst), &waits)
+			ws[i] = edgeWrite(m.Edge, true)
 		default:
-			applyErr = fmt.Errorf("core: batch mutation %d: unknown kind %d", i, m.Kind)
-		}
-		if applyErr != nil {
-			break
+			return fmt.Errorf("core: batch mutation %d: unknown kind %d", i, m.Kind)
 		}
 	}
-	err := applyErr
+	slices.SortStableFunc(ws, func(a, b forest.Write) int {
+		if c := cmp.Compare(a.Owner, b.Owner); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Key, b.Key)
+	})
+	var waits []func() error
+	err := e.edges.Apply(ws, &waits)
 	for _, wait := range waits {
 		if werr := wait(); werr != nil && err == nil {
 			err = werr

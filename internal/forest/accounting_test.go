@@ -217,6 +217,56 @@ func TestForestMigrationPreservesCounts(t *testing.T) {
 	}
 }
 
+// TestForestRunCrossingSplitThreshold: an owner's writes arrive as one run
+// that takes it across the split threshold midway. The counts settle once, on
+// what the whole run left behind — upserts, a delete of an absent key and an
+// add-then-delete pair move nothing — the migration fires once, after the run,
+// and hands the INIT keys over without counting any of them twice.
+func TestForestRunCrossingSplitThreshold(t *testing.T) {
+	f, _ := newTestForest(t, Config{SplitThreshold: 8})
+	for i := 0; i < 5; i++ {
+		if err := f.Put(5, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := f.Put(6, []byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(k string) Write { return Write{Owner: 5, Key: []byte(k), Value: []byte("v2")} }
+	del := func(k string) Write { return Write{Owner: 5, Key: []byte(k), Delete: true} }
+	run := []Write{
+		del("absent"),
+		put("k00"),                                     // upsert
+		del("k01"),                                     // real removal: 4
+		put("k03"),                                     // upsert
+		put("k10"), put("k11"), put("k12"), put("k13"), // 8: at the threshold
+		put("k14"), del("k14"), // a pair
+		put("k15"), put("k16"), // 10: past it
+	}
+	if err := f.Apply(run, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := f.Stats()
+	if s.Migrations != 1 || s.Trees != 2 {
+		t.Fatalf("migrations %d trees %d, want one migration into one dedicated tree", s.Migrations, s.Trees)
+	}
+	if got, actual := f.OwnerCount(5), scanCount(t, f, 5); got != 10 || actual != 10 {
+		t.Fatalf("owner 5: count %d, %d keys scanned, want 10", got, actual)
+	}
+	if s.InitKeys != 3 || f.OwnerCount(6) != 3 {
+		t.Fatalf("init keys %d, owner 6 count %d, want 3 and 3: only owner 6 is left in INIT", s.InitKeys, f.OwnerCount(6))
+	}
+	// The next run lands in the dedicated tree and leaves INIT's count alone.
+	if err := f.Apply([]Write{put("k00"), put("k20"), del("k15")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, actual, init := f.OwnerCount(5), scanCount(t, f, 5), f.Stats().InitKeys; got != 10 || actual != 10 || init != 3 {
+		t.Fatalf("after a run into the dedicated tree: count %d, %d keys scanned, init keys %d, want 10, 10, 3", got, actual, init)
+	}
+}
+
 func TestForestRegisterMetrics(t *testing.T) {
 	f, _ := newTestForest(t, Config{SplitThreshold: 3})
 	r := metrics.NewRegistry()

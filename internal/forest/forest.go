@@ -191,79 +191,121 @@ func (f *Forest) ownerStateFor(owner OwnerID) *ownerState {
 	return st
 }
 
-// decToFloor atomically decrements v unless it is already at (or somehow
-// below) zero — the check and the decrement are one CAS, so concurrent
-// decrementers cannot drive the value negative the way a load-then-add
-// would.
-func decToFloor(v *atomic.Int64) {
+// addToFloor atomically adds d to v, clamping at zero, and returns the new
+// value — the check and the update are one CAS, so concurrent deleters
+// cannot drive a count negative the way a load-then-add would.
+func addToFloor(v *atomic.Int64, d int64) int64 {
 	for {
 		cur := v.Load()
-		if cur <= 0 {
-			return
-		}
-		if v.CompareAndSwap(cur, cur-1) {
-			return
+		next := max(cur+d, 0)
+		if v.CompareAndSwap(cur, next) {
+			return next
 		}
 	}
 }
 
-// subToFloor atomically subtracts n from v, clamping at zero.
-func subToFloor(v *atomic.Int64, n int64) {
-	for {
-		cur := v.Load()
-		next := cur - n
-		if next < 0 {
-			next = 0
-		}
-		if v.CompareAndSwap(cur, next) {
-			return
-		}
-	}
+// Write is one mutation handed to Forest.Apply: an upsert of Key=Value under
+// Owner, or the removal of Key when Delete is set. The forest owns Key and
+// Value from the call on (bwtree.Write).
+type Write struct {
+	Owner      OwnerID
+	Key, Value []byte
+	Delete     bool
 }
 
 // Put upserts key=value under owner, migrating the owner to a dedicated
-// tree when it crosses the split threshold. Only real inserts adjust the
-// owner and INIT counts — an upsert of an existing key must not, or the
-// counts drift above true owner size and trigger premature migrations.
+// tree when it crosses the split threshold.
 func (f *Forest) Put(owner OwnerID, key, value []byte) error {
-	return f.putWith(owner, key, value, nil)
+	return f.Apply([]Write{{Owner: owner, Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)}}, nil)
 }
 
-// PutDeferred is Put with deferred WAL durability: the record's wait
-// function is appended to waits instead of being drained inline, so a batch
-// of writes shares commit groups (see bwtree.PutExDeferred). Migrations
-// triggered by the write still commit synchronously — they are rare and
-// structural, and replicas must never route to a tree whose copy is not
-// durable.
-func (f *Forest) PutDeferred(owner OwnerID, key, value []byte, waits *[]func() error) error {
-	return f.putWith(owner, key, value, waits)
+// Delete removes key under owner. Deleting an absent key is not an error.
+func (f *Forest) Delete(owner OwnerID, key []byte) error {
+	return f.Apply([]Write{{Owner: owner, Key: append([]byte(nil), key...), Delete: true}}, nil)
 }
 
-func (f *Forest) putWith(owner OwnerID, key, value []byte, waits *[]func() error) error {
+// Get returns the latest value of key under owner.
+func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
+	return f.GetAt(owner, key, horizonAll)
+}
+
+// Apply applies ws in order: every stretch of consecutive writes of one owner
+// goes to the tree holding that owner as one bwtree.Apply — composite-keyed
+// when that is the INIT tree — so a batch sorted by (owner, key) costs one
+// latch, one materialization and one persist per leaf it touches. It stops at
+// the first error; the writes before it are applied. waits collects the WAL
+// durability waits for the caller to drain once (nil: each tree drains its
+// own before returning, see bwtree.Tree.Apply). Migrations a write triggers
+// still commit synchronously — they are rare and structural, and replicas
+// must never route to a tree whose copy is not durable.
+func (f *Forest) Apply(ws []Write, waits *[]func() error) error {
+	for len(ws) > 0 {
+		n := 1
+		for n < len(ws) && ws[n].Owner == ws[0].Owner {
+			n++
+		}
+		if err := f.applyOwner(ws[0].Owner, ws[:n], waits); err != nil {
+			return err
+		}
+		ws = ws[n:]
+	}
+	return nil
+}
+
+// applyOwner applies one owner's writes to its tree and settles the owner
+// and INIT counts once for all of them. Only real inserts and real removals
+// move a count — an upsert of an existing key must not, or the counts drift
+// above true owner size and trigger premature migrations — and the
+// thresholds are checked after the writes: a migration fires at most once,
+// on the counts all of them left behind.
+func (f *Forest) applyOwner(owner OwnerID, ws []Write, waits *[]func() error) error {
 	st := f.ownerStateFor(owner)
 	st.mu.RLock()
 	tree := st.tree.Load()
 	inInit := tree == nil
-	var existed bool
-	var err error
-	if tree != nil {
-		existed, err = tree.PutExDeferred(key, value, waits)
-	} else {
-		existed, err = f.init.PutExDeferred(compositeKey(owner, key), value, waits)
+	var buf [4]bwtree.Write // keeps a short run off the heap
+	run := buf[:min(len(ws), len(buf))]
+	if len(ws) > len(buf) {
+		run = make([]bwtree.Write, len(ws))
 	}
+	if inInit {
+		tree = f.init
+		size := 0
+		for _, w := range ws {
+			size += 8 + len(w.Key)
+		}
+		keys := make([]byte, 0, size) // one arena for the run's composite keys
+		for i, w := range ws {
+			keys = append(binary.BigEndian.AppendUint64(keys, uint64(owner)), w.Key...)
+			run[i] = bwtree.Write{Key: keys[len(keys)-8-len(w.Key) : len(keys) : len(keys)], Value: w.Value, Delete: w.Delete}
+		}
+	} else {
+		for i, w := range ws {
+			run[i] = bwtree.Write{Key: w.Key, Value: w.Value, Delete: w.Delete}
+		}
+	}
+	n, err := tree.Apply(run, waits)
 	// Count adjustments happen before the owner latch is released: a
 	// migration (which rewrites both counts under the exclusive latch)
 	// cannot interleave with them, and the captured tree pointer stays
-	// authoritative for where the write landed.
+	// authoritative for where the writes landed.
+	var grown int64
+	for _, w := range run[:n] {
+		if w.Delete && w.Existed {
+			grown--
+		} else if !w.Delete && !w.Existed {
+			grown++
+		}
+	}
 	var count, initKeys int64
-	if err == nil && !existed {
-		count = st.count.Add(1)
+	if grown != 0 {
+		count = addToFloor(&st.count, grown)
 		if inInit {
-			initKeys = f.initKeys.Add(1)
+			initKeys = addToFloor(&f.initKeys, grown)
 		}
 	}
 	st.mu.RUnlock()
-	if err != nil || existed {
+	if err != nil || grown <= 0 {
 		return err
 	}
 
@@ -283,45 +325,6 @@ func (f *Forest) putWith(owner OwnerID, key, value []byte, waits *[]func() error
 		return nil
 	}
 	return f.migrate(f.largestInitOwner())
-}
-
-// Get returns the latest value of key under owner.
-func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
-	return f.GetAt(owner, key, horizonAll)
-}
-
-// Delete removes key under owner. Counts shrink only when the key was
-// actually present, via CAS decrements that floor at zero — the old
-// load-then-add pattern let concurrent deleters (or deletes of absent
-// keys) drive counts negative.
-func (f *Forest) Delete(owner OwnerID, key []byte) error {
-	return f.deleteWith(owner, key, nil)
-}
-
-// DeleteDeferred is Delete with PutDeferred's deferred durability contract.
-func (f *Forest) DeleteDeferred(owner OwnerID, key []byte, waits *[]func() error) error {
-	return f.deleteWith(owner, key, waits)
-}
-
-func (f *Forest) deleteWith(owner OwnerID, key []byte, waits *[]func() error) error {
-	st := f.ownerStateFor(owner)
-	st.mu.RLock()
-	tree := st.tree.Load()
-	var existed bool
-	var err error
-	if tree != nil {
-		existed, err = tree.DeleteExDeferred(key, waits)
-	} else {
-		existed, err = f.init.DeleteExDeferred(compositeKey(owner, key), waits)
-	}
-	if err == nil && existed {
-		decToFloor(&st.count)
-		if tree == nil {
-			decToFloor(&f.initKeys)
-		}
-	}
-	st.mu.RUnlock()
-	return err
 }
 
 // Scan iterates owner's latest keys in [from, to) in order. from/to are
@@ -366,46 +369,44 @@ func (f *Forest) migrate(owner OwnerID) error {
 	f.trees[tree.ID()] = tree
 	f.mu.Unlock()
 
-	// Copy the owner's keys out of INIT. The copy is the real I/O cost of
-	// a migration; it is intentionally visible in the storage metrics.
-	type pair struct{ k, v []byte }
-	var pairs []pair
+	// Copy the owner's keys out of INIT: one put-run into the new tree, and,
+	// once the assignment is published, one delete-run out of INIT. The copy
+	// is the real I/O cost of a migration; it is intentionally visible in the
+	// storage metrics. Each INIT key is copied once and serves both runs, the
+	// dedicated tree's key being the composite one without its owner prefix.
+	var puts, dels []bwtree.Write
 	lo, hi := ownerRange(owner, nil, nil)
 	err = f.init.Scan(lo, hi, 0, func(k, v []byte) bool {
-		pairs = append(pairs, pair{
-			k: append([]byte(nil), k[8:]...),
-			v: append([]byte(nil), v...),
-		})
+		k = append([]byte(nil), k...)
+		puts = append(puts, bwtree.Write{Key: k[8:], Value: append([]byte(nil), v...)})
+		dels = append(dels, bwtree.Write{Key: k, Delete: true})
 		return true
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = tree.Apply(puts, nil)
 	}
-	for _, p := range pairs {
-		if err := tree.Put(p.k, p.v); err != nil {
-			return err
-		}
-	}
-	if f.logger != nil {
-		ownerKey := make([]byte, 8)
-		binary.BigEndian.PutUint64(ownerKey, uint64(owner))
-		if st.since, err = f.logger.Log(&wal.Record{
+	if err == nil && f.logger != nil {
+		ownerKey := binary.BigEndian.AppendUint64(nil, uint64(owner))
+		st.since, err = f.logger.Log(&wal.Record{
 			Type: wal.RecordOwnerAssign, TreeID: uint64(tree.ID()), Key: ownerKey,
-		}); err != nil {
-			return err
-		}
+		})
+	}
+	if err != nil {
+		// The owner stays in INIT, complete: forget the half-built tree, or
+		// the retry's tree would sit beside an orphan that Trees, FlushDirty
+		// and BuildEdgeBlocks walk for the life of the forest.
+		f.mu.Lock()
+		delete(f.trees, tree.ID())
+		f.mu.Unlock()
+		return err
 	}
 	// Publish the assignment, then clean INIT.
 	st.tree.Store(tree)
-	st.count.Store(int64(len(pairs)))
-	subToFloor(&f.initKeys, int64(len(pairs)))
-	for _, p := range pairs {
-		if err := f.init.Delete(compositeKey(owner, p.k)); err != nil {
-			return err
-		}
-	}
+	st.count.Store(int64(len(puts)))
+	addToFloor(&f.initKeys, -int64(len(puts)))
 	f.migrations.Add(1)
-	return nil
+	_, err = f.init.Apply(dels, nil)
+	return err
 }
 
 // Stats reports forest-level shape metrics (the Fig. 11 measurements).

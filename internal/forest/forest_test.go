@@ -431,3 +431,48 @@ func TestDedicate(t *testing.T) {
 		t.Fatal("write to pre-dedicated owner lost")
 	}
 }
+
+// TestFailedMigrationForgetsItsTree is the regression for the half-built
+// tree a failed migration used to leave registered: the copy's append fails,
+// the migration returns the error, and the forest is as it was — one tree,
+// the owner complete in INIT — so the retry builds the only dedicated tree
+// there is instead of a second one beside an orphan that every Trees walk,
+// flush and block build would visit for the life of the forest.
+func TestFailedMigrationForgetsItsTree(t *testing.T) {
+	plan := storage.NewFaultPlan(storage.FaultConfig{})
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16, Faults: plan})
+	f, err := New(bwtree.NewMapping(0, false), st, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := f.Put(3, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served := func(where string) {
+		t.Helper()
+		n := 0
+		if err := f.Scan(3, nil, nil, 0, func(k, v []byte) bool { n++; return true }); err != nil || n != 10 {
+			t.Fatalf("%s: owner scan = %d keys, %v, want 10", where, n, err)
+		}
+	}
+
+	plan.ScheduleCrash(1) // the next append is the copy run's base write
+	if err := f.Dedicate(3); err == nil {
+		t.Fatal("migration succeeded over a failed append")
+	}
+	if s := f.Stats(); s.Trees != 1 || s.Migrations != 0 || s.InitKeys != 10 || len(f.OwnerAssignments()) != 0 {
+		t.Fatalf("after a failed migration: %+v, assignments %v; want the forest as it was", s, f.OwnerAssignments())
+	}
+	served("after a failed migration")
+
+	plan.ClearCrash()
+	if err := f.Dedicate(3); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if s := f.Stats(); s.Trees != 2 || s.Migrations != 1 || s.InitKeys != 0 || f.OwnerCount(3) != 10 {
+		t.Fatalf("after the retry: %+v, owner count %d; want INIT and one dedicated tree", s, f.OwnerCount(3))
+	}
+	served("after the retry")
+}

@@ -123,14 +123,15 @@ func DecodeProps(buf []byte) (Properties, error) {
 
 // PropDecoder decodes property lists for a scan without per-record
 // allocation: the Properties slice, the value bytes (copied into an
-// internal arena), and the interned name strings are all reused across
-// Decode calls. The returned Properties are valid only until the next
-// Decode — scan paths hand them to a callback and must document that the
-// callback copies anything it retains. The zero value is ready to use.
+// internal arena), and the name strings are all reused across Decode calls —
+// a name is interned against the previous record's name at the same
+// position, which is the same string for every record of one schema. The
+// returned Properties are valid only until the next Decode — scan paths hand
+// them to a callback and must document that the callback copies anything it
+// retains. The zero value is ready to use.
 type PropDecoder struct {
 	scratch Properties
 	arena   []byte
-	names   map[string]string
 }
 
 // Decode parses a property list with the same validation as DecodeProps.
@@ -145,7 +146,7 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	ps := d.scratch[:0]
+	ps, prev := d.scratch[:0], d.scratch[:cap(d.scratch)]
 	d.arena = d.arena[:0]
 	for i := uint16(0); i < n; i++ {
 		if len(buf) < 1 {
@@ -156,13 +157,13 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 		if len(buf) < nlen+4 {
 			return nil, fmt.Errorf("%w: truncated property name %d", ErrCorrupt, i)
 		}
-		name, ok := d.names[string(buf[:nlen])]
-		if !ok {
+		// prev[i] is read before the append below overwrites it; the
+		// comparison converts without allocating.
+		var name string
+		if int(i) < len(prev) && prev[i].Name == string(buf[:nlen]) {
+			name = prev[i].Name
+		} else {
 			name = string(buf[:nlen])
-			if d.names == nil {
-				d.names = make(map[string]string, 4)
-			}
-			d.names[name] = name
 		}
 		buf = buf[nlen:]
 		vlen := binary.LittleEndian.Uint32(buf)
@@ -286,10 +287,16 @@ func DeleteEdgeMut(src VertexID, typ EdgeType, dst VertexID) Mutation {
 // as one WAL commit group — many logical writes, one storage round trip.
 type BatchStore interface {
 	Store
-	// ApplyBatch applies mutations in order. It returns the first error;
-	// mutations after a failed one are not applied. Durability is
-	// all-at-once: no mutation is acknowledged before the whole batch's
-	// WAL records are durable.
+	// ApplyBatch applies the mutations of one key — one vertex record, one
+	// edge — in call order, and everything else in (owner, key) order: the
+	// order in which a store writes every page the batch touches once. No
+	// reader can tell the difference from call order, because a read sees,
+	// per key, the newest mutation at its horizon and nothing of how keys
+	// interleaved. It returns the first error. A failed batch may have
+	// applied any subset of its mutations — each is as uncertain as a failed
+	// single write — and every durability wait already collected is still
+	// drained. Durability is all-at-once: no mutation is acknowledged before
+	// the whole batch's WAL records are durable.
 	ApplyBatch(muts []Mutation) error
 }
 

@@ -90,6 +90,51 @@ func TestPropDecoderReuse(t *testing.T) {
 	}
 }
 
+// TestPropDecoderInternsByPosition pins what a scan pays for property names:
+// a thousand records of one schema cost the decoder's three buffers (the
+// Properties slice, the value arena, the one name string) and nothing per
+// record or per decoder beyond them, and a schema change mid-scan — other
+// names, more properties, fewer again — still decodes every record exactly.
+func TestPropDecoderInternsByPosition(t *testing.T) {
+	recs := make([][]byte, 1000)
+	for i := range recs {
+		recs[i] = EncodeProps(Properties{{Name: "ts", Value: []byte{byte(i), byte(i >> 8), 0, 0, 0, 0, 0, 0}}})
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		var dec PropDecoder
+		for _, rec := range recs {
+			if ps, err := dec.Decode(rec); err != nil || len(ps) != 1 || ps[0].Name != "ts" {
+				panic(fmt.Sprint(ps, err))
+			}
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decoding 1000 same-schema records allocated %.0f times, want <= 3", allocs)
+	}
+
+	schemas := []Properties{
+		{{Name: "ts", Value: []byte("1")}},
+		{{Name: "ts", Value: []byte("2")}},
+		{{Name: "w", Value: []byte("3")}, {Name: "ts", Value: []byte("4")}, {Name: "note", Value: nil}},
+		{{Name: "ts", Value: []byte("5")}, {Name: "w", Value: []byte("6")}},
+		{{Name: "t", Value: []byte("7")}},
+		nil,
+		{{Name: "ts", Value: []byte("8")}},
+	}
+	var dec PropDecoder
+	for i, want := range schemas {
+		got, err := dec.Decode(EncodeProps(want))
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("record %d: %d props, err %v; want %d", i, len(got), err, len(want))
+		}
+		for j := range want {
+			if got[j].Name != want[j].Name || !bytes.Equal(got[j].Value, want[j].Value) {
+				t.Fatalf("record %d prop %d: got %q=%q want %q=%q", i, j, got[j].Name, got[j].Value, want[j].Name, want[j].Value)
+			}
+		}
+	}
+}
+
 func BenchmarkDecodeProps(b *testing.B) {
 	buf := EncodeProps(Properties{{Name: "ts", Value: []byte{0, 0, 0, 0}}})
 	b.Run("alloc", func(b *testing.B) {

@@ -81,7 +81,9 @@ func (db *ShardedDB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error 
 // never observe half a batch at any pinned cut and recovery resolves
 // in-doubt prepares from the coordinator's durable prefix. An error
 // wrapping shard.ErrTxnAborted means the transaction aborted cleanly
-// (nothing applied anywhere) and the batch can simply be retried.
+// (nothing applied anywhere) and the batch can simply be retried. Within a
+// shard the sub-batch applies under the graph.BatchStore contract: mutations
+// of one key in call order, everything else in (owner, key) order.
 func (db *ShardedDB) ApplyBatch(muts []Mutation) error { return db.group.ApplyBatch(muts) }
 
 // ShardOutcome reports one shard's fate in a batch: committed, aborted,
