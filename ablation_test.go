@@ -189,6 +189,7 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 			}
 			rng := rand.New(rand.NewSource(3))
 			st.ResetIOStats()
+			before := ro.Metrics().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := bg3.VertexID(rng.Intn(sources))
@@ -199,6 +200,11 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(st.Stats().ReadOps)/float64(b.N), "storage-reads/query")
+			// The follower's own page-table accounting, over the queries alone.
+			after := ro.Metrics().Snapshot()
+			hits := after["bwtree.cache_hits"].Value - before["bwtree.cache_hits"].Value
+			misses := after["bwtree.cache_misses"].Value - before["bwtree.cache_misses"].Value
+			b.ReportMetric(float64(hits)/float64(hits+misses), "bwtree.cache_hit_ratio")
 		})
 	}
 }

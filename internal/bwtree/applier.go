@@ -1,0 +1,226 @@
+package bwtree
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"bg3/internal/storage"
+	"bg3/internal/wal"
+)
+
+// The applier role: the RO node of §3.4 is the leader's own page table —
+// pageEntry, Mapping, its cache, materialize, loadHeld, scanLeaf — written by
+// WAL records instead of Tree.Apply. The invariant is that an applier's entry,
+// once the records up to LSN L are in, reads at horizon L as the leader's did
+// at L:
+//
+//   - Structural records are applied eagerly, they are tiny: a new tree
+//     registers its root leaf, a split is the leader's async split with the
+//     record's separator and sibling ID (halve, adopt, insertParent).
+//   - Data records are one insertOp into the named page's overlay under its
+//     latch — the paper's "lazy replay": stamped with their LSN, merged over
+//     the page's image by scanPage at read time, never replayed into a copy,
+//     and kept across eviction.
+//   - A cold page loads the *old* durable version through the mapping it has
+//     (§3.4 steps 5–6). A split sibling with no records of its own yet reads
+//     its origin's through its own range (pageEntry.locs), and the delta chain
+//     is folded into the image (Mapping.mirrorsChain) — the two things an
+//     applier's load does that a leader's does not.
+//   - A checkpoint record carries the new durable locations (§3.4 step 8):
+//     the named pages adopt them, and every overlay drops the ops at or below
+//     the checkpoint LSN, folding them into a resident image first.
+//
+// An applier has no logger and no flusher, never marks a page dirty, and never
+// appends to the shared store (flushInner). Its inner nodes are its own: it
+// allocates their IDs from applierPageBase up, out of the way of the leaf IDs
+// the leader's records carry.
+const applierPageBase = 1 << 62
+
+// NewApplierMapping returns the page table of an RO node. capacity bounds the
+// leaf pages with resident content (0 = unlimited).
+func NewApplierMapping(capacity int) *Mapping {
+	m := NewMapping(capacity, false)
+	m.applier = true
+	m.nextPage.Store(applierPageBase)
+	return m
+}
+
+// NewApplierTree registers what a RecordNewTree names: tree id, rooted at the
+// empty leaf root. The leaf starts cold, like every page an applier is told
+// of; it has no records, so its first read costs no I/O.
+func NewApplierTree(m *Mapping, store *storage.Store, id TreeID, root PageID) *Tree {
+	t := &Tree{id: id, store: store, m: m, cfg: Config{}.withDefaults(), root: root}
+	m.register(&pageEntry{id: root, tree: t, isLeaf: true, live: -1})
+	return t
+}
+
+// ApplyRecord incorporates one WAL record that addresses pages. Records must
+// arrive in LSN order. Tree creation and owner assignment belong to whoever
+// keeps the tree directory (forest.Forest.ApplyGroup).
+func (m *Mapping) ApplyRecord(rec *wal.Record) error {
+	switch rec.Type {
+	case wal.RecordPut, wal.RecordDelete, wal.RecordSplit:
+		e := m.get(PageID(rec.PageID))
+		if e == nil || !e.isLeaf {
+			return fmt.Errorf("bwtree: apply: %v record for unknown page %d", rec.Type, rec.PageID)
+		}
+		if rec.Type == wal.RecordSplit {
+			return e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
+		}
+		e.mu.Lock()
+		e.overlay = insertOp(e.overlay, op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+		e.mu.Unlock()
+		return nil
+	case wal.RecordCheckpoint:
+		return m.applyCheckpoint(rec)
+	case wal.RecordNewPage, wal.RecordNewRoot:
+		// The split record that follows names the sibling; the applier grows
+		// its own roots.
+		return nil
+	case wal.RecordTxnPrepare, wal.RecordTxnCommit, wal.RecordTxnAbort, wal.RecordTxnApplied:
+		// Cross-shard transaction control records: decided payloads are
+		// re-logged as ordinary data records, so appliers track nothing here.
+		return nil
+	default:
+		return fmt.Errorf("bwtree: apply: unexpected record type %v", rec.Type)
+	}
+}
+
+// applySplit is splitPageLocked for a split the leader already decided: no
+// materialization (the separator comes with the record, the halves stay as
+// resident as the page was), no live counts, nothing dirty. The sibling reads
+// e's records until a checkpoint gives it its own.
+func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) error {
+	t.structMu.Lock()
+	defer t.structMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	right := e.halve(sep, rightID)
+	right.origin = e.id
+	e.live = -1
+	t.adopt(e, right)
+	return t.insertParent(e.id, sep, rightID, nil)
+}
+
+// applyCheckpoint moves the named pages to their new durable records and
+// drops from every overlay the ops the durable state now covers: a page that
+// was clean when the leader sampled the checkpoint LSN had everything at or
+// below it flushed by an earlier cycle. A resident image predates those ops,
+// so they fold into it first; an evicted page reloads them from the records.
+func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
+	updates, err := DecodeMappingUpdates(rec.Value)
+	if err != nil {
+		return err
+	}
+	for _, up := range updates {
+		// A page this applier was never told of cannot be routed to either.
+		if e := m.get(up.Page); e != nil && e.isLeaf {
+			e.mu.Lock()
+			e.baseLoc, e.deltaLocs, e.origin = up.Base, up.Deltas, 0
+			e.mu.Unlock()
+		}
+	}
+	for _, e := range m.leaves() {
+		e.mu.Lock()
+		if keep := opsAbove(e.overlay, rec.CkptLSN); len(keep) < len(e.overlay) {
+			if e.base != nil {
+				img, err := mergeEncode(e.base, e.overlay, e.lo, e.hi, rec.CkptLSN)
+				if err != nil {
+					e.mu.Unlock()
+					return err
+				}
+				e.base = img
+			}
+			e.overlay = keep
+		}
+		e.mu.Unlock()
+	}
+	return nil
+}
+
+// EncodeMappingUpdates serializes mapping updates for a checkpoint record:
+//
+//	count[4] { tree[8] page[8] base[17] ndeltas[2] deltas[17]* }
+//
+// where a Loc is stream[1] extent[8] offset[4] length[4].
+func EncodeMappingUpdates(ups []MappingUpdate) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(ups)))
+	for _, up := range ups {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Tree))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Page))
+		buf = AppendLoc(buf, up.Base)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(up.Deltas)))
+		for _, d := range up.Deltas {
+			buf = AppendLoc(buf, d)
+		}
+	}
+	return buf
+}
+
+// AppendLoc appends l's 17-byte wire form (stream[1] extent[8] offset[4]
+// length[4], little-endian) — shared by checkpoint mapping updates and
+// snapshot records, which both ship durable page locations.
+func AppendLoc(buf []byte, l storage.Loc) []byte {
+	buf = append(buf, byte(l.Stream))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Extent))
+	buf = binary.LittleEndian.AppendUint32(buf, l.Offset)
+	buf = binary.LittleEndian.AppendUint32(buf, l.Length)
+	return buf
+}
+
+// ReadLoc parses one AppendLoc-encoded location off the front of buf and
+// returns the remainder.
+func ReadLoc(buf []byte) (storage.Loc, []byte, error) {
+	if len(buf) < 17 {
+		return storage.Loc{}, nil, fmt.Errorf("%w: truncated loc", ErrCorruptPage)
+	}
+	l := storage.Loc{
+		Stream: storage.StreamID(buf[0]),
+		Extent: storage.ExtentID(binary.LittleEndian.Uint64(buf[1:])),
+		Offset: binary.LittleEndian.Uint32(buf[9:]),
+		Length: binary.LittleEndian.Uint32(buf[13:]),
+	}
+	return l, buf[17:], nil
+}
+
+// DecodeMappingUpdates parses the payload of a checkpoint record.
+func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("%w: truncated mapping updates", ErrCorruptPage)
+	}
+	n := binary.LittleEndian.Uint32(buf)
+	buf = buf[4:]
+	// The count is off the wire: preallocate for no more updates than the
+	// bytes behind it can hold (ids, base loc and delta count, 35 at least).
+	ups := make([]MappingUpdate, 0, min(int(n), len(buf)/35))
+	for i := uint32(0); i < n; i++ {
+		if len(buf) < 16 {
+			return nil, fmt.Errorf("%w: truncated mapping update %d", ErrCorruptPage, i)
+		}
+		up := MappingUpdate{
+			Tree: TreeID(binary.LittleEndian.Uint64(buf)),
+			Page: PageID(binary.LittleEndian.Uint64(buf[8:])),
+		}
+		buf = buf[16:]
+		var err error
+		up.Base, buf, err = ReadLoc(buf)
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) < 2 {
+			return nil, fmt.Errorf("%w: truncated delta count %d", ErrCorruptPage, i)
+		}
+		nd := binary.LittleEndian.Uint16(buf)
+		buf = buf[2:]
+		for j := uint16(0); j < nd; j++ {
+			var d storage.Loc
+			d, buf, err = ReadLoc(buf)
+			if err != nil {
+				return nil, err
+			}
+			up.Deltas = append(up.Deltas, d)
+		}
+		ups = append(ups, up)
+	}
+	return ups, nil
+}

@@ -58,6 +58,11 @@ type pageEntry struct {
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf
 	next   PageID // right sibling, 0 at the rightmost leaf
+
+	// origin is set on an applier only (applier.go), on a split sibling no
+	// checkpoint has given durable records yet: the page it split off from,
+	// whose records it reads through its own range (locs).
+	origin PageID
 }
 
 // cacheShard is one lock stripe of the leaf-content cache. Hashing pages
@@ -86,6 +91,11 @@ type Mapping struct {
 	shards    []*cacheShard
 	shardMask uint64
 	disabled  bool
+
+	// applier marks the page table of an RO node (applier.go): its entries
+	// are written by WAL records instead of Tree.Apply, and nothing in it
+	// ever appends to the shared store.
+	applier bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -476,23 +486,28 @@ func (m *Mapping) TakeRelocated() []MappingUpdate {
 	return out
 }
 
-// RetainedBytes sums the bytes of history ops stamped above h — the delta
-// memory the retention floor is holding back from consolidation for the
-// benefit of pinned snapshots. O(pages); intended for metrics snapshots.
-func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
-	// Snapshot the page list before taking any page latch: a splitter
-	// holds its page latch while registering the new sibling (which needs
-	// m.mu), so holding m.mu across e.mu here would deadlock against it.
+// leaves snapshots the registered leaf entries. Whoever walks the table
+// takes page latches only after letting go of m.mu: a splitter holds its
+// page latch while registering the new sibling (which needs m.mu), so holding
+// m.mu across e.mu would deadlock against it.
+func (m *Mapping) leaves() []*pageEntry {
 	m.mu.RLock()
+	defer m.mu.RUnlock()
 	pages := make([]*pageEntry, 0, len(m.pages))
 	for _, e := range m.pages {
 		if e.isLeaf {
 			pages = append(pages, e)
 		}
 	}
-	m.mu.RUnlock()
+	return pages
+}
+
+// RetainedBytes sums the bytes of history ops stamped above h — the delta
+// memory the retention floor is holding back from consolidation for the
+// benefit of pinned snapshots. O(pages); intended for metrics snapshots.
+func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
 	var total int64
-	for _, e := range pages {
+	for _, e := range m.leaves() {
 		e.mu.Lock()
 		for _, o := range e.overlay {
 			if o.lsn > h {
@@ -504,15 +519,26 @@ func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
 	return total
 }
 
+// OverlayOps counts the ops in every leaf's overlay. On an applier that is
+// the lazy-replay backlog — the WAL records no checkpoint has covered yet,
+// the memory §3.4's checkpoint exists to bound. O(pages).
+func (m *Mapping) OverlayOps() int {
+	n := 0
+	for _, e := range m.leaves() {
+		e.mu.Lock()
+		n += len(e.overlay)
+		e.mu.Unlock()
+	}
+	return n
+}
+
 // MemoryUsage sums the resident bytes of the mapping table and all cached
 // page content — each resident base image as stored (offset table
 // included) plus the overlay ops — the space measurement of the Fig. 11
 // experiment.
 func (m *Mapping) MemoryUsage() int64 {
 	const entryOverhead = 160 // struct, map slot, latch
-	// Same lock-order discipline as RetainedBytes: never hold m.mu across
-	// a page latch, or a splitter (page latch held, registering its new
-	// sibling under m.mu) deadlocks against this walk.
+	// Same lock-order discipline as leaves: never m.mu across a page latch.
 	m.mu.RLock()
 	pages := make([]*pageEntry, 0, len(m.pages))
 	for _, e := range m.pages {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"bg3/internal/storage"
 )
 
 // FuzzDecodeLeafPage drives the leaf-image validator with arbitrary bytes
@@ -54,6 +56,44 @@ func FuzzDecodeOps(f *testing.F) {
 		}
 		if again := encodeOps(ops); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(again))
+		}
+	})
+}
+
+// FuzzDecodeMappingUpdates drives the checkpoint payload decoder — the one
+// durable format only a follower decodes — with arbitrary bytes: a round trip
+// of EncodeMappingUpdates, its truncations, a count of 2^32-1 over no body.
+// Every input either fails with ErrCorruptPage or yields updates that
+// re-encode to the bytes they were read from; never a panic, and never room
+// for more updates than the input could hold (the count is off the wire).
+func FuzzDecodeMappingUpdates(f *testing.F) {
+	loc := func(s storage.StreamID, n uint32) storage.Loc {
+		return storage.Loc{Stream: s, Extent: storage.ExtentID(n), Offset: n + 1, Length: n + 2}
+	}
+	valid := EncodeMappingUpdates([]MappingUpdate{
+		{Tree: 1, Page: 2, Base: loc(storage.StreamBase, 3)},
+		{Tree: 1, Page: 7, Base: loc(storage.StreamBase, 8), Deltas: []storage.Loc{loc(storage.StreamDelta, 11), loc(storage.StreamDelta, 14)}},
+	})
+	f.Add(valid)
+	f.Add(EncodeMappingUpdates(nil))
+	for _, cut := range []int{2, 4, 12, 20, 38, 40, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, valid[4:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ups, err := DecodeMappingUpdates(data)
+		if cap(ups)*35 > len(data) {
+			t.Fatalf("%d input bytes made room for %d updates", len(data), cap(ups))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("decode error %v is not ErrCorruptPage", err)
+			}
+			return
+		}
+		if again := EncodeMappingUpdates(ups); !bytes.HasPrefix(data, again) {
+			t.Fatalf("decode/encode is not the input's prefix: %d bytes in, %d out", len(data), len(again))
 		}
 	})
 }

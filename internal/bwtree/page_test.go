@@ -239,7 +239,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, rd := NewReplica(st, 4), wal.NewReader(st)
+	rep, rd := newFollower(st, 4), wal.NewReader(st)
 	ref := refModel{}
 	var pins []*mvcc.Pin
 	var ckpt wal.LSN // horizon of the last published checkpoint

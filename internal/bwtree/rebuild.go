@@ -26,10 +26,11 @@ func (m *Mapping) EnsureIDsBeyond(page PageID, tree TreeID) {
 
 // Rebuild reconstructs a tree from a snapshot's leaf directory: leaf page
 // entries keep their snapshot IDs and durable locations (content loads
-// lazily from storage), the delta mirrors are read back eagerly so the
-// read-optimized merge path stays correct, and fresh inner nodes are built
-// bottom-up over the directory. The tree keeps its snapshot ID so
-// subsequent WAL records stay routable. The caller must have called
+// lazily from storage), a leader's delta mirrors are read back eagerly so
+// the read-optimized merge path stays correct (Mapping.mirrorsChain: an
+// applier reads nothing here), and fresh inner nodes are built bottom-up
+// over the directory. The tree keeps its snapshot ID so subsequent WAL
+// records stay routable. On a leader's mapping the caller must have called
 // EnsureIDsBeyond over every snapshot ID first.
 func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id TreeID, leaves []LeafInfo) (*Tree, error) {
 	if len(leaves) == 0 {
@@ -68,21 +69,24 @@ func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id 
 		if len(e.hi) == 0 {
 			e.hi = nil
 		}
-		// Restore the overlay from the delta chain; Algorithm 1's merge path
-		// and every read depend on it. Clip to the leaf's directory range:
-		// the left half of a split keeps the pre-split delta records (ops
-		// beyond hi included) until its next flush, and replaying those
-		// here would plant phantom out-of-range keys in the rebuilt tree.
-		bufs, err := store.ReadBatch(lf.Deltas)
-		if err != nil {
-			return nil, fmt.Errorf("bwtree: rebuild tree %d: read deltas of page %d: %w", id, lf.Page, err)
-		}
-		ops, err := decodeDeltas(bufs)
-		if err != nil {
-			return nil, err
-		}
 		e.deltaLocs = append(e.deltaLocs, lf.Deltas...)
-		e.overlay = opsInRange(ops, e.lo, e.hi)
+		if m.mirrorsChain() {
+			// Restore the overlay from the delta chain; Algorithm 1's merge
+			// path and every read depend on it. Clip to the leaf's directory
+			// range: the left half of a split keeps the pre-split delta
+			// records (ops beyond hi included) until its next flush, and
+			// replaying those here would plant phantom out-of-range keys in
+			// the rebuilt tree.
+			bufs, err := store.ReadBatch(lf.Deltas)
+			if err != nil {
+				return nil, fmt.Errorf("bwtree: rebuild tree %d: read deltas of page %d: %w", id, lf.Page, err)
+			}
+			ops, err := decodeDeltas(bufs)
+			if err != nil {
+				return nil, err
+			}
+			e.overlay = opsInRange(ops, e.lo, e.hi)
+		}
 		m.register(e)
 		entries[i] = e
 	}

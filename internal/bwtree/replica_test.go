@@ -19,7 +19,45 @@ type walPipe struct {
 
 func (p *walPipe) Log(rec *wal.Record) (wal.LSN, error) { return p.w.Append(rec) }
 
-func newReplicatedTree(t *testing.T, cfg Config) (*Tree, *Replica, *wal.Reader, *storage.Store, *wal.Writer) {
+// follower is the RO node at the scale of this package: an applier page
+// table, the trees its log created, and the LSN applied so far — the tree
+// directory and read horizon that forest.Forest keeps in the product. Reads
+// are the leader's Tree.GetAt / ScanAt at the applied LSN.
+type follower struct {
+	m       *Mapping
+	st      *storage.Store
+	trees   map[TreeID]*Tree
+	applied wal.LSN
+}
+
+func newFollower(st *storage.Store, capacity int) *follower {
+	return &follower{m: NewApplierMapping(capacity), st: st, trees: map[TreeID]*Tree{}}
+}
+
+// ApplyAll incorporates records in order, each one visible once it is in.
+func (f *follower) ApplyAll(recs []*wal.Record) error {
+	for _, rec := range recs {
+		if rec.Type == wal.RecordNewTree {
+			f.trees[TreeID(rec.TreeID)] = NewApplierTree(f.m, f.st, TreeID(rec.TreeID), PageID(rec.AuxPage))
+		} else if err := f.m.ApplyRecord(rec); err != nil {
+			return err
+		}
+		f.applied = rec.LSN
+	}
+	return nil
+}
+
+func (f *follower) Get(tree TreeID, key []byte) ([]byte, bool, error) {
+	return f.trees[tree].GetAt(key, f.applied)
+}
+
+func (f *follower) Scan(tree TreeID, from, to []byte, limit int, fn func(k, v []byte) bool) error {
+	return f.trees[tree].ScanAt(from, to, limit, f.applied, fn)
+}
+
+func (f *follower) BufferedRecords() int { return f.m.OverlayOps() }
+
+func newReplicatedTree(t *testing.T, cfg Config) (*Tree, *follower, *wal.Reader, *storage.Store, *wal.Writer) {
 	t.Helper()
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
@@ -28,11 +66,11 @@ func newReplicatedTree(t *testing.T, cfg Config) (*Tree, *Replica, *wal.Reader, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, NewReplica(st, 0), wal.NewReader(st), st, w
+	return tr, newFollower(st, 0), wal.NewReader(st), st, w
 }
 
 // sync drains the WAL into the replica.
-func syncReplica(t *testing.T, rep *Replica, rd *wal.Reader) {
+func syncReplica(t *testing.T, rep *follower, rd *wal.Reader) {
 	t.Helper()
 	recs, err := rd.Poll()
 	if err != nil {
@@ -227,7 +265,7 @@ func TestReplicaCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReplica(st, 2) // tiny replica cache
+	rep := newFollower(st, 2) // tiny replica cache
 	rd := wal.NewReader(st)
 
 	for i := 0; i < 64; i++ {
@@ -300,22 +338,6 @@ func TestMappingUpdatesEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeMappingUpdates([]byte{1, 2}); err == nil {
 		t.Fatal("truncated input decoded")
-	}
-}
-
-func TestReplicaHighLSN(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync})
-	if rep.HighLSN() != 0 {
-		t.Fatal("fresh replica has nonzero LSN")
-	}
-	for i := 0; i < 5; i++ {
-		if err := tr.Put([]byte{byte(i)}, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	syncReplica(t, rep, rd)
-	if got := rep.HighLSN(); got < 5 {
-		t.Fatalf("HighLSN = %d, want >= 5", got)
 	}
 }
 
@@ -430,7 +452,7 @@ func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, rd := NewReplica(st, 2), wal.NewReader(st)
+	rep, rd := newFollower(st, 2), wal.NewReader(st)
 	for i := 0; i < 32; i++ {
 		tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
@@ -445,5 +467,105 @@ func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 	}
 	if v, _, _ := rep.Get(tr.ID(), []byte("k000")); string(v) != "new" {
 		t.Fatalf("replica k000 = %q after eviction, want new", v)
+	}
+}
+
+// TestEvictedSiblingReloadsThroughEvictedOrigin: a split sibling no checkpoint
+// has given records yet reads its origin's records through its own range —
+// also when both have been evicted, and also when the sibling's own origin is
+// a sibling still waiting (a chain) — through the single-page load and through
+// a ScanManyAt round, which fetches the origin's records once for every page
+// reading through them and accepts what it fetched (sitsAt resolves the same
+// origin), so nothing is read twice.
+func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
+	tr, rep, rd, st, w := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 8})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
+	for i := 0; i < 8; i++ {
+		if err := tr.Put(key(i), []byte("durable")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups, err := tr.FlushDirty()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1, Value: EncodeMappingUpdates(ups)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 24; i++ { // unflushed: the one durable leaf splits, and its sibling splits again
+		if err := tr.Put(key(i), []byte("replayed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncReplica(t, rep, rd)
+	ftr := rep.trees[tr.ID()]
+	leaves := rep.m.leaves()
+	if len(leaves) < 3 {
+		t.Fatalf("fixture: %d leaves, want a chain of splits", len(leaves))
+	}
+	evictAll := func() {
+		chained := false
+		for _, e := range leaves {
+			e.mu.Lock()
+			e.base = nil
+			if e.origin != 0 {
+				o := rep.m.get(e.origin)
+				chained = chained || o.origin != 0
+			}
+			e.mu.Unlock()
+		}
+		if !chained {
+			t.Fatal("fixture: no sibling's origin is itself a waiting sibling")
+		}
+	}
+	check := func(got map[string]string) {
+		t.Helper()
+		for i := 0; i < 24; i++ {
+			want := "replayed"
+			if i < 8 {
+				want = "durable"
+			}
+			if got[string(key(i))] != want {
+				t.Fatalf("%s = %q, want %q (%d keys read)", key(i), got[string(key(i))], want, len(got))
+			}
+		}
+	}
+
+	// Single-page loads: every leaf reads the origin's base record.
+	evictAll()
+	reads := st.Stats().ReadOps
+	got := map[string]string{}
+	for i := 0; i < 24; i++ {
+		v, ok, err := rep.Get(tr.ID(), key(i))
+		if err != nil || !ok {
+			t.Fatalf("%s = %v %v", key(i), ok, err)
+		}
+		got[string(key(i))] = string(v)
+	}
+	check(got)
+	if d := st.Stats().ReadOps - reads; d != int64(len(leaves)) {
+		t.Fatalf("%d leaves cost %d record reads one by one, want the origin's base once each", len(leaves), d)
+	}
+
+	// One ScanManyAt round over a scan per leaf.
+	evictAll()
+	reads = st.Stats().ReadOps
+	scans := make([]RangeScan, len(leaves))
+	for i, e := range leaves {
+		scans[i] = RangeScan{Tree: ftr, From: e.lo, To: e.hi}
+	}
+	got = map[string]string{}
+	if err := rep.m.ScanManyAt(scans, 0, rep.applied, func(_ int, k, v []byte) bool {
+		got[string(k)] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check(got)
+	if d := st.Stats().ReadOps - reads; d != int64(len(leaves)) {
+		t.Fatalf("a round over %d leaves read %d records, want the origin's base once per leaf and none again", len(leaves), d)
+	}
+	if b := &rep.m.batchLoadPages; b.Max() != int64(len(leaves)) {
+		t.Fatalf("batch_load_pages max = %d, want one load of all %d leaves", b.Max(), len(leaves))
 	}
 }

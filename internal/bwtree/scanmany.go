@@ -47,8 +47,8 @@ type manyScan struct {
 
 // ScanManyAt runs every scan as of horizon h, making the batch — not the
 // page — the unit of storage I/O: each round resolves the pending scans to
-// the leaves covering their resume keys (one latch at a time, never two
-// held), de-duplicates them, fetches every non-resident leaf in ONE
+// the leaves covering their resume keys (one leaf latched at a time, never
+// two), de-duplicates them, fetches every non-resident leaf in ONE
 // storage.ReadBatch, and walks each scan over the images the round holds
 // with the same per-leaf step ScanAt takes (scanLeaf);
 // a scan whose range continues past its leaf joins the next round. A
@@ -106,9 +106,10 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			li, seen := index[e]
 			if !seen {
 				li, index[e] = len(leaves), len(leaves)
+				base, deltas := e.locs()
 				start := len(arena)
-				arena = append(arena, e.deltaLocs...)
-				leaves = append(leaves, heldLeaf{e: e, img: e.base, base: e.baseLoc, deltas: arena[start:len(arena):len(arena)]})
+				arena = append(arena, deltas...)
+				leaves = append(leaves, heldLeaf{e: e, img: e.base, base: base, deltas: arena[start:len(arena):len(arena)]})
 				// One cache lookup per distinct leaf: several scans on one
 				// leaf are one lookup, because that is what happens, and a
 				// leaf whose fetched image cannot be used is still this one.
@@ -146,13 +147,13 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 
 // loadHeld fetches the durable records of every cold leaf among leaves
 // (the ones resolved without an image) in one storage.ReadBatchEach and
-// decodes the base images. It is the one load that runs unlatched — a hop
-// cannot hold every page's latch across its round trip — so what it fetched
-// counts for a page only while the page still sits where it was read
-// (pageEntry.sitsAt, checked under the latch by scanLeaf). A leaf whose round
-// trip failed (its extent was reclaimed between the snapshot and the read) or
-// whose image does not decode is left without one: scanLeaf materializes
-// that page alone, which reads under the latch and reports.
+// turns them into images (Mapping.image). It is the one load that runs
+// unlatched — a hop cannot hold every page's latch across its round trip —
+// so what it fetched counts for a page only while the page still sits where
+// it was read (pageEntry.sitsAt, checked under the latch by scanLeaf). A leaf
+// whose round trip failed (its extent was reclaimed between the snapshot and
+// the read) or whose image does not decode is left without one: scanLeaf
+// materializes that page alone, which reads under the latch and reports.
 func (m *Mapping) loadHeld(leaves []heldLeaf) {
 	var locs []storage.Loc
 	var store *storage.Store
@@ -187,12 +188,8 @@ func (m *Mapping) loadHeld(leaves []heldLeaf) {
 				failed = failed || err != nil
 			}
 		}
-		switch {
-		case failed:
-		case h.base.IsZero():
-			h.img, h.fresh = emptyLeaf, true
-		default:
-			if img, err := decodeLeaf(bufs[off]); err == nil {
+		if !failed {
+			if img, err := m.image(bufs[off:off+n], !h.base.IsZero()); err == nil {
 				h.img, h.fresh = img, true
 			}
 		}

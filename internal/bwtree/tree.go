@@ -218,10 +218,8 @@ func (e *pageEntry) countLive(base leafImage) int {
 // and delta live in different streams and therefore different extents). That
 // count is the logical fan-out Fig. 9 measures — the traditional policy pays
 // 1+n, the read-optimized policy at most 2 — however many round trips the
-// batch coalesced them into. The base record is validated and aliased as the
-// image, never copied; the delta records are what a cold read costs and are
-// fetched for that reason, but their ops are the ones the resident overlay
-// already mirrors, so they are not decoded.
+// batch coalesced them into. Which records those are is locs', what becomes of
+// them image's.
 //
 // e.mu must be held and stays held across the load. This is the only way a
 // single page is loaded — by writers and splits, which cannot let go of the
@@ -246,22 +244,77 @@ func (t *Tree) materialize(e *pageEntry, counted bool) (leafImage, int, error) {
 	if !counted {
 		t.m.misses.Add(1)
 	}
-	img, nlocs := emptyLeaf, len(e.deltaLocs)
-	if !e.baseLoc.IsZero() {
+	base, deltas := e.locs()
+	img, nlocs := emptyLeaf, len(deltas)
+	if !base.IsZero() {
 		nlocs++
 	}
 	if nlocs > 0 {
-		bufs, err := t.store.ReadBatch(appendPageLocs(make([]storage.Loc, 0, nlocs), e.baseLoc, e.deltaLocs))
+		bufs, err := t.store.ReadBatch(appendPageLocs(make([]storage.Loc, 0, nlocs), base, deltas))
 		if err != nil {
 			return nil, nlocs, fmt.Errorf("bwtree: read page %d: %w", e.id, err)
 		}
-		if !e.baseLoc.IsZero() {
-			if img, err = decodeLeaf(bufs[0]); err != nil {
-				return nil, nlocs, err
-			}
+		if img, err = t.m.image(bufs, !base.IsZero()); err != nil {
+			return nil, nlocs, err
 		}
 	}
 	return t.install(e, img), nlocs, nil
+}
+
+// locs returns the durable records the page's content is read from: its own
+// — except, on an applier, a split sibling no checkpoint has given records
+// yet, which reads those of the page it split off from through its own range
+// (the shared store holds the pre-split version until the leader's next
+// flush). That page may itself still be waiting (chained splits), so the
+// chase follows origins to the first page that has records. e.mu must be
+// held; each origin is latched alone, for the copy. Origins are strictly
+// older pages, and the only one to latch an older page before a newer one is
+// the split creating the newer one, which no reader can reach yet.
+func (e *pageEntry) locs() (storage.Loc, []storage.Loc) {
+	base, deltas := e.baseLoc, e.deltaLocs
+	for id := e.origin; base.IsZero() && id != 0; {
+		o := e.tree.m.get(id)
+		if o == nil {
+			break
+		}
+		o.mu.Lock()
+		base, deltas, id = o.baseLoc, slices.Clone(o.deltaLocs), o.origin
+		o.mu.Unlock()
+	}
+	return base, deltas
+}
+
+// mirrorsChain is the one rule of a cold load that differs by role. A leader's
+// overlay mirrors its delta chain — every op on the chain is also in the
+// overlay, which survives eviction and is restored by Rebuild — so a load
+// fetches the chain, because that is what a cold read costs (Fig. 9), and does
+// not decode it. An applier's overlay is the replay log above the last
+// checkpoint: the ops at or below it were cut when the checkpoint arrived, and
+// those of them the leader left on the chain exist nowhere else, so its load
+// folds the chain into the image (and Rebuild restores nothing).
+func (m *Mapping) mirrorsChain() bool { return !m.applier }
+
+// image is the one "records to image" step of a cold load, single-page
+// (materialize) and batched (loadHeld): bufs are the page's records as
+// appendPageLocs orders them. The base record is validated and aliased as the
+// image, never copied. A fold of the chain is not clipped to the page's range:
+// loadHeld runs unlatched, and every reader clips.
+func (m *Mapping) image(bufs [][]byte, hasBase bool) (img leafImage, err error) {
+	img = emptyLeaf
+	if hasBase {
+		if img, err = decodeLeaf(bufs[0]); err != nil {
+			return nil, err
+		}
+		bufs = bufs[1:]
+	}
+	if m.mirrorsChain() || len(bufs) == 0 {
+		return img, nil
+	}
+	ops, err := decodeDeltas(bufs)
+	if err != nil {
+		return nil, err
+	}
+	return mergeEncode(img, ops, nil, nil, horizonAll)
 }
 
 // materializeRead is materialize on behalf of a reader — GetAt and the scans'
@@ -285,7 +338,8 @@ func (t *Tree) materializeRead(e *pageEntry, counted bool) (leafImage, error) {
 // those locations may be installed or used once the latch is back. e.mu
 // must be held.
 func (e *pageEntry) sitsAt(base storage.Loc, deltas []storage.Loc) bool {
-	return e.baseLoc == base && slices.Equal(e.deltaLocs, deltas)
+	b, d := e.locs()
+	return b == base && slices.Equal(d, deltas)
 }
 
 // Get returns the value stored under key.
@@ -686,30 +740,23 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		return true
 	})
 	sep = append([]byte(nil), sep...)
-	right := &pageEntry{
-		id:     t.m.allocPageID(),
-		tree:   t,
-		isLeaf: true,
-		lo:     sep,
-		hi:     e.hi,
-		next:   e.next,
-		live:   n - n/2,
-	}
+	rightID := t.m.allocPageID()
 
 	if t.logger != nil {
 		if _, err := t.log(&wal.Record{
-			Type: wal.RecordNewPage, TreeID: uint64(t.id), PageID: uint64(right.id),
+			Type: wal.RecordNewPage, TreeID: uint64(t.id), PageID: uint64(rightID),
 		}, waits); err != nil {
 			return err
 		}
 		if _, err := t.log(&wal.Record{
 			Type: wal.RecordSplit, TreeID: uint64(t.id),
-			PageID: uint64(e.id), AuxPage: uint64(right.id), Key: sep,
+			PageID: uint64(e.id), AuxPage: uint64(rightID), Key: sep,
 		}, waits); err != nil {
 			return err
 		}
 	}
 
+	var right *pageEntry
 	if t.cfg.FlushMode == FlushSync {
 		// Persist both halves as fresh base pages immediately: a sync split
 		// folds everything, so neither half keeps an overlay.
@@ -721,6 +768,7 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		if err != nil {
 			return err
 		}
+		right = &pageEntry{id: rightID, tree: t, isLeaf: true, lo: sep, hi: e.hi, next: e.next}
 		if err := t.persistBase(right, rimg, nil); err != nil {
 			return err
 		}
@@ -728,13 +776,9 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 			return err
 		}
 	} else {
-		// Both halves share the parent's immutable image, each reading it
-		// through its own key range, and the overlay — stamps intact, so
-		// pinned snapshots still reconstruct pre-split versions of keys
-		// that migrate right — is cut at the separator. Dirty pages; the
-		// flusher rewrites both bases at the next group commit (§3.4 step 7).
-		cut := searchOps(e.overlay, sep)
-		right.base, right.overlay, e.overlay = base, e.overlay[cut:], e.overlay[:cut:cut]
+		// Dirty pages; the flusher rewrites both bases at the next group
+		// commit (§3.4 step 7).
+		right = e.halve(sep, rightID)
 		e.dirty = true
 		e.splitPending = true
 		right.dirty = true
@@ -744,16 +788,38 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		t.dirtySet[right.id] = struct{}{}
 		t.dirtyMu.Unlock()
 	}
-
-	e.live = n / 2
-	e.hi = sep
-	e.next = right.id
-	t.m.register(right)
-	t.m.noteCached(e)
-	t.m.noteCached(right)
-	t.splits.Add(1)
-
+	e.live, right.live = n/2, n-n/2
+	t.adopt(e, right)
 	return t.insertParent(e.id, sep, right.id, waits)
+}
+
+// halve is the in-memory body of a split that folds nothing — a leader's
+// under async flushing, and an applier's of a RecordSplit: the right half
+// shares the page's immutable image (nil when the page is not resident),
+// each half reading it through its own key range, and the overlay — stamps
+// intact, so a horizon still reconstructs pre-split versions of keys that
+// move right — is cut at the separator. The sibling is not linked in yet
+// (adopt). e.mu must be held.
+func (e *pageEntry) halve(sep []byte, id PageID) *pageEntry {
+	cut := searchOps(e.overlay, sep)
+	right := &pageEntry{
+		id: id, tree: e.tree, isLeaf: true, lo: sep, hi: e.hi, next: e.next, live: -1,
+		base: e.base, overlay: e.overlay[cut:],
+	}
+	e.overlay = e.overlay[:cut:cut]
+	return right
+}
+
+// adopt links right in as the sibling e split off at right.lo and registers
+// it. e.mu and structMu must be held.
+func (t *Tree) adopt(e, right *pageEntry) {
+	e.hi, e.next = right.lo, right.id
+	t.m.register(right)
+	if e.base != nil {
+		t.m.noteCached(e)
+		t.m.noteCached(right)
+	}
+	t.splits.Add(1)
 }
 
 // insertParent inserts the separator (sep -> right) into the parent of
@@ -846,10 +912,10 @@ func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func
 			t.m.register(newRoot)
 			t.root = newRoot.id
 			if t.logger != nil {
-				if _, err := t.logger.Log(&wal.Record{
+				if _, err := t.log(&wal.Record{
 					Type: wal.RecordNewRoot, TreeID: uint64(t.id),
 					PageID: uint64(parent.id), AuxPage: uint64(newRoot.id),
-				}); err != nil {
+				}, waits); err != nil {
 					return err
 				}
 			}
@@ -860,8 +926,14 @@ func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func
 }
 
 // flushInner persists an inner node's image. Inner nodes change only
-// during splits, so they are flushed synchronously in both flush modes.
+// during splits, so they are flushed synchronously in both flush modes — on
+// the leader. An applier's inner nodes are its own index over the leaves the
+// log names, rebuilt from the log or a snapshot's leaf directory: nothing
+// reads them from storage, and an applier never appends to the shared store.
 func (t *Tree) flushInner(e *pageEntry) error {
+	if t.m.applier {
+		return nil
+	}
 	loc, err := t.store.Append(storage.StreamBase, uint64(e.id), encodeInner(e.inner))
 	if err != nil {
 		return err

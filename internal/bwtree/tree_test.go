@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
 func newTestTree(t *testing.T, cfg Config) (*Tree, *storage.Store) {
@@ -851,5 +854,90 @@ func TestRunIntoOversizedLeafMakesProgress(t *testing.T) {
 				t.Fatalf("%d runs, longest %d: want runs of several ops, none past the split limit", runs.Count(), runs.Max())
 			}
 		})
+	}
+}
+
+// gatedLogger is an AsyncWALLogger whose RecordNewRoot waits, once armed,
+// announce themselves on started and block until release is closed — a group
+// committer's commit round trip, held open.
+type gatedLogger struct {
+	stubAsyncLogger
+	armed   atomic.Bool
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func (l *gatedLogger) Log(rec *wal.Record) (wal.LSN, error) {
+	lsn, w := l.LogAsync(rec)
+	return lsn, w()
+}
+
+func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
+	lsn, w := l.stubAsyncLogger.LogAsync(rec)
+	if rec.Type != wal.RecordNewRoot || !l.armed.Load() {
+		return lsn, w
+	}
+	return lsn, func() error {
+		l.once.Do(func() { close(l.started) })
+		<-l.release
+		return w()
+	}
+}
+
+// TestInnerRootSplitDoesNotWaitUnderStructMu: the RecordNewRoot of a split
+// that grows a root above an inner node is logged like the split's other
+// structural records — LSN now, durability wait after splitPage has let go of
+// the structure lock and the leaf latch — so a reader routes through the tree
+// while that wait is still blocked on its commit round trip.
+func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	logger := &gatedLogger{started: make(chan struct{}), release: make(chan struct{})}
+	tr, err := New(NewMapping(0, false), st, Config{FlushMode: FlushAsync, MaxPageEntries: 2, MaxInnerEntries: 4}, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(i int) error { return tr.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")) }
+	i := 0
+	for ; tr.Height() < 2; i++ {
+		if err := put(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logger.armed.Store(true) // the next root grows above an inner node
+	done := make(chan error, 1)
+	go func() {
+		for ; tr.Height() < 3; i++ {
+			if err := put(i); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case <-logger.started:
+	case err := <-done:
+		t.Fatalf("the tree reached height %d without a RecordNewRoot wait (%v)", tr.Height(), err)
+	}
+	routed := make(chan error, 1)
+	go func() {
+		_, _, err := tr.Get([]byte("k0000"))
+		routed <- err
+	}()
+	select {
+	case err := <-routed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a Get is stuck behind a RecordNewRoot durability wait: the wait runs under structMu")
+	}
+	close(logger.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height = %d, want 3", tr.Height())
 	}
 }

@@ -125,14 +125,20 @@ func New(opts Options) (*Engine, error) {
 func NewWithStore(st *storage.Store, opts Options) (*Engine, error) {
 	opts.Tree.Epochs = opts.Epochs
 	m := bwtree.NewMappingShards(opts.Tree.CacheCapacity, opts.Tree.NoCache, opts.Tree.CacheShards)
-	f, err := forest.New(m, st, forest.Config{
-		Tree:              opts.Tree,
-		SplitThreshold:    opts.SplitThreshold,
-		InitSizeThreshold: opts.InitSizeThreshold,
-	}, opts.Logger)
+	f, err := forest.New(m, st, opts.forestConfig(), opts.Logger)
 	if err != nil {
 		return nil, fmt.Errorf("core: create forest: %w", err)
 	}
+	return assemble(st, m, f, opts), nil
+}
+
+func (o Options) forestConfig() forest.Config {
+	return forest.Config{Tree: o.Tree, SplitThreshold: o.SplitThreshold, InitSizeThreshold: o.InitSizeThreshold}
+}
+
+// assemble puts an engine together around a forest, new or recovered: the
+// registry, and a reclaimer per data stream relocating through the mapping.
+func assemble(st *storage.Store, m *bwtree.Mapping, f *forest.Forest, opts Options) *Engine {
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -161,7 +167,7 @@ func NewWithStore(st *storage.Store, opts Options) (*Engine, error) {
 		}
 	}
 	e.registerMetrics(reg)
-	return e, nil
+	return e
 }
 
 // registerMetrics wires every subsystem into the engine's registry.

@@ -502,8 +502,8 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 		t.Fatal("dedicated owner missing from snapshot state")
 	}
 	// Load into a fresh replica; all data readable without WAL replay.
-	rep := NewReplica(st, 0)
-	if err := rep.LoadSnapshot(state, 1<<40); err != nil {
+	rep, err := NewReplicaFromSnapshot(st, 0, state, 1<<40)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if deg, err := rep.Degree(3, graph.ETypeLike); err != nil || deg != 60 {

@@ -12,29 +12,21 @@ import (
 // latest is the horizon of an unpinned read: every committed op is visible.
 const latest = wal.LSN(mvcc.HorizonAll)
 
-// graphReads is graph.Reader decoded once, over an owner-keyed Get/Scan
-// pair: the forest as of a horizon (Engine reads at horizon ∞, ReadView at
-// its pin) or, when replica is set, an RO node's forest replica. The pair
-// is a closed choice rather than an interface so the calls below stay
-// static — keys, scan bounds and the property decoder never escape to the
-// heap. It is built with its holder; a read allocates nothing for it.
+// graphReads is graph.Reader decoded once, over the forest as of a horizon:
+// Engine reads at horizon ∞, ReadView at its pin, Replica at its forest's
+// applied LSN. It is a struct rather than an interface so the calls below
+// stay static — keys, scan bounds and the property decoder never escape to
+// the heap. It is built with its holder; a read allocates nothing for it.
 type graphReads struct {
 	forest  *forest.Forest
 	horizon wal.LSN
-	replica *forest.Replica
 }
 
 func (g graphReads) get(owner graph.VertexID, key []byte) ([]byte, bool, error) {
-	if g.replica != nil {
-		return g.replica.Get(forest.OwnerID(owner), key)
-	}
 	return g.forest.GetAt(forest.OwnerID(owner), key, g.horizon)
 }
 
 func (g graphReads) scan(owner graph.VertexID, from, to []byte, limit int, fn func(key, value []byte) bool) error {
-	if g.replica != nil {
-		return g.replica.Scan(forest.OwnerID(owner), from, to, limit, fn)
-	}
 	return g.forest.ScanAt(forest.OwnerID(owner), from, to, limit, g.horizon, fn)
 }
 
@@ -82,14 +74,10 @@ func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int,
 	})
 }
 
-// NeighborsMany implements graph.FrontierReader. Over the forest the whole
-// frontier is one ScanManyAt — every cold leaf it starts on is fetched in
-// one storage round; a forest replica has no batched read path yet and
-// expands per vertex. The walk decodes edge keys only.
+// NeighborsMany implements graph.FrontierReader: the whole frontier is one
+// ScanManyAt — every cold leaf it starts on is fetched in one storage round.
+// The walk decodes edge keys only.
 func (g graphReads) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
-	if g.replica != nil {
-		return graph.NeighborsEach(g, srcs, typ, limit, fn)
-	}
 	lo, hi := graph.EdgeTypeBounds(typ)
 	owners := make([]forest.OwnerID, len(srcs))
 	for i, s := range srcs {

@@ -5,8 +5,6 @@ import (
 
 	"bg3/internal/bwtree"
 	"bg3/internal/forest"
-	"bg3/internal/gc"
-	"bg3/internal/metrics"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -23,21 +21,28 @@ func RecoverWithStore(st *storage.Store, opts Options, state SnapshotState) (*En
 	var maxPage bwtree.PageID
 	var maxTree bwtree.TreeID
 	for _, ts := range state.Trees {
-		if ts.Tree > maxTree {
-			maxTree = ts.Tree
-		}
+		maxTree = max(maxTree, ts.Tree)
 		for _, lf := range ts.Leaves {
-			if lf.Page > maxPage {
-				maxPage = lf.Page
-			}
+			maxPage = max(maxPage, lf.Page)
 		}
 	}
 	m.EnsureIDsBeyond(maxPage, maxTree)
+	f, err := rebuildForest(m, st, opts.forestConfig(), state)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(st, m, f, opts), nil
+}
 
+// rebuildForest is the Mapping-and-trees half of a bootstrap from a snapshot,
+// a recovering leader's and a follower's (NewReplicaFromSnapshot) alike:
+// every tree rebuilt over its leaf directory under its snapshot ID, and the
+// forest over them with the owner assignments restored.
+func rebuildForest(m *bwtree.Mapping, st *storage.Store, cfg forest.Config, state SnapshotState) (*forest.Forest, error) {
 	var init *bwtree.Tree
 	dedicated := make(map[forest.OwnerID]*bwtree.Tree)
 	for _, ts := range state.Trees {
-		t, err := bwtree.Rebuild(m, st, opts.Tree, nil, ts.Tree, ts.Leaves)
+		t, err := bwtree.Rebuild(m, st, cfg.Tree, nil, ts.Tree, ts.Leaves)
 		if err != nil {
 			return nil, fmt.Errorf("core: recover tree %d: %w", ts.Tree, err)
 		}
@@ -53,41 +58,7 @@ func RecoverWithStore(st *storage.Store, opts Options, state SnapshotState) (*En
 	if init == nil {
 		return nil, fmt.Errorf("core: recover: snapshot has no INIT tree")
 	}
-	f := forest.Rebuild(m, st, forest.Config{
-		Tree:              opts.Tree,
-		SplitThreshold:    opts.SplitThreshold,
-		InitSizeThreshold: opts.InitSizeThreshold,
-	}, init, dedicated)
-
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	e := &Engine{graphReads: graphReads{forest: f, horizon: latest}, store: st, mapping: m, edges: f, opts: opts, reg: reg}
-	policy := opts.GCPolicy
-	if policy == nil {
-		policy = gc.WorkloadAware{TTL: opts.TTL}
-	}
-	for _, stream := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
-		r := gc.NewReclaimer(st, stream, policy, m.Relocate)
-		r.TTL = opts.TTL
-		if opts.Epochs != nil {
-			r.Pins = opts.Epochs
-		}
-		if opts.Now != nil {
-			r.Now = opts.Now
-		}
-		e.reclaimers = append(e.reclaimers, r)
-		if opts.GCInterval > 0 {
-			batch := opts.GCBatch
-			if batch <= 0 {
-				batch = 1
-			}
-			r.Start(opts.GCInterval, batch)
-		}
-	}
-	e.registerMetrics(reg)
-	return e, nil
+	return forest.Rebuild(m, st, cfg, init, dedicated), nil
 }
 
 // ReplayRecord applies one WAL-suffix record to a recovering engine. Data
@@ -110,7 +81,7 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 			return fmt.Errorf("core: replay: malformed owner assignment")
 		}
 		owner := forest.OwnerID(beUint64(rec.Key))
-		return e.edges.BindOwner(owner, bwtree.TreeID(rec.TreeID))
+		return e.edges.BindOwner(owner, bwtree.TreeID(rec.TreeID), 0)
 	case wal.RecordPut, wal.RecordDelete:
 		t := e.edges.TreeByID(bwtree.TreeID(rec.TreeID))
 		if t == nil {

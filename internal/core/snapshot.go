@@ -3,7 +3,6 @@ package core
 import (
 	"bg3/internal/bwtree"
 	"bg3/internal/forest"
-	"bg3/internal/wal"
 )
 
 // TreeSnapshot captures one Bw-tree's durable shape for a snapshot: its
@@ -43,24 +42,4 @@ func (e *Engine) SnapshotState() SnapshotState {
 		return true
 	})
 	return state
-}
-
-// LoadSnapshot bootstraps the replica from a snapshot: directories, owner
-// assignments, and per-tree page state, with the WAL horizon the snapshot
-// reflects.
-func (r *Replica) LoadSnapshot(state SnapshotState, horizon wal.LSN) error {
-	var assigns []forest.OwnerAssignment
-	for _, ts := range state.Trees {
-		if ts.HasOwner {
-			assigns = append(assigns, forest.OwnerAssignment{Owner: ts.Owner, Tree: ts.Tree})
-		}
-	}
-	r.rep.LoadSnapshot(state.Init, assigns)
-	for _, ts := range state.Trees {
-		if err := r.rep.LoadTreeSnapshot(ts.Tree, ts.Leaves); err != nil {
-			return err
-		}
-	}
-	r.rep.SetHighLSN(horizon)
-	return nil
 }

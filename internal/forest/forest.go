@@ -67,7 +67,9 @@ type ownerState struct {
 	since wal.LSN
 }
 
-// Forest is the RW-side Bw-tree forest. It is safe for concurrent use.
+// Forest is the Bw-tree forest: the RW node's, written through Apply, and in
+// the applier role (applier.go) an RO node's, written by the leader's WAL. It
+// is safe for concurrent use.
 type Forest struct {
 	store  *storage.Store
 	m      *bwtree.Mapping
@@ -85,6 +87,8 @@ type Forest struct {
 	init       *bwtree.Tree
 	initKeys   atomic.Int64
 	migrations atomic.Int64
+
+	applied atomic.Uint64 // applier role only (applier.go): the published read horizon
 }
 
 // New creates a forest with a fresh INIT tree.
@@ -568,17 +572,17 @@ func (f *Forest) TreeByID(id bwtree.TreeID) *bwtree.Tree {
 	return f.trees[id]
 }
 
-// BindOwner points owner at an existing forest tree (replaying an
-// owner-assignment record during recovery).
-func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID) error {
-	f.mu.RLock()
-	tree := f.trees[id]
-	f.mu.RUnlock()
+// BindOwner points owner at an existing forest tree — an owner-assignment
+// record replayed. since is the record's LSN where reads at horizons below it
+// can still arrive (an applier), 0 where none can (recovery).
+func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID, since wal.LSN) error {
+	tree := f.TreeByID(id)
 	if tree == nil {
 		return fmt.Errorf("forest: bind owner %d: unknown tree %d", owner, id)
 	}
 	st := f.ownerStateFor(owner)
 	st.mu.Lock()
+	st.since = since
 	st.tree.Store(tree)
 	st.mu.Unlock()
 	return nil

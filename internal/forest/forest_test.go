@@ -317,7 +317,7 @@ func TestForestReplicaFollowsMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReplica(st, 0)
+	rep := NewApplier(bwtree.NewApplierMapping(0), st)
 	rd := wal.NewReader(st)
 
 	// Owner 9 crosses the threshold and migrates; owner 1 stays cold.
@@ -333,24 +333,45 @@ func TestForestReplicaFollowsMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.ApplyAll(recs); err != nil {
-		t.Fatal(err)
+	// Record by record, each its own group: at every applied LSN — before the
+	// copy, between copy and assignment, between assignment and the INIT
+	// deletes — treeAt picks the one tree holding owner 9 whole, so the
+	// owner's key count only ever grows, by one per user write.
+	prev := 0
+	for _, rec := range recs {
+		if err := rep.ApplyGroup([]*wal.Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if rep.AppliedLSN() != rec.LSN {
+			t.Fatalf("applied LSN %d after record %d", rep.AppliedLSN(), rec.LSN)
+		}
+		n := 0
+		if err := rep.ScanAt(9, nil, nil, 0, rep.AppliedLSN(), func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n < prev || n > prev+1 {
+			t.Fatalf("owner 9 went from %d to %d keys at LSN %d (%v)", prev, n, rec.LSN, rec.Type)
+		}
+		prev = n
 	}
 	for i := 0; i < 12; i++ {
-		v, ok, err := rep.Get(9, []byte(fmt.Sprintf("k%02d", i)))
+		v, ok, err := rep.GetAt(9, []byte(fmt.Sprintf("k%02d", i)), rep.AppliedLSN())
 		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("replica owner 9 k%02d = %q %v %v", i, v, ok, err)
 		}
 	}
-	if v, ok, _ := rep.Get(1, []byte("cold")); !ok || string(v) != "c" {
+	if v, ok, _ := rep.GetAt(1, []byte("cold"), rep.AppliedLSN()); !ok || string(v) != "c" {
 		t.Fatal("replica lost cold owner")
+	}
+	if rep.Stats().Trees != 2 {
+		t.Fatalf("applier holds %d trees, want INIT and owner 9's", rep.Stats().Trees)
 	}
 	// Replica scans match the forest.
 	var a, b []string
 	if err := fo.Scan(9, nil, nil, 0, func(k, v []byte) bool { a = append(a, string(k)); return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Scan(9, nil, nil, 0, func(k, v []byte) bool { b = append(b, string(k)); return true }); err != nil {
+	if err := rep.ScanAt(9, nil, nil, 0, rep.AppliedLSN(), func(k, v []byte) bool { b = append(b, string(k)); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(a) != len(b) || len(a) != 12 {
@@ -360,6 +381,46 @@ func TestForestReplicaFollowsMigration(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("scan mismatch at %d: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestApplierPublishesLSNAtGroupEnd: a fresh applier reads as the empty
+// forest the log describes at LSN 0, and the applied LSN — the horizon its
+// reads run at — moves only at the end of a group, to the group's last LSN.
+func TestApplierPublishesLSNAtGroupEnd(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	w := wal.NewWriter(st)
+	logger := walLoggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) })
+	fo, err := New(bwtree.NewMapping(0, false), st, Config{Tree: bwtree.Config{FlushMode: bwtree.FlushAsync}}, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewApplier(bwtree.NewApplierMapping(0), st)
+	if _, ok, err := rep.GetAt(3, []byte("a"), rep.AppliedLSN()); rep.AppliedLSN() != 0 || ok || err != nil {
+		t.Fatalf("fresh applier: LSN %d, found %v, %v", rep.AppliedLSN(), ok, err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := fo.Put(3, []byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := wal.NewReader(st).Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.ApplyGroup(recs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.AppliedLSN(), recs[len(recs)-1].LSN; got != want || rep.m.OverlayOps() != 3 {
+		t.Fatalf("applied LSN %d, want %d; %d records buffered, want 3", got, want, rep.m.OverlayOps())
+	}
+	// The same ops are there for a reader of the group's last LSN and not
+	// for one of the LSN before it.
+	if _, ok, _ := rep.GetAt(3, []byte("c"), rep.AppliedLSN()); !ok {
+		t.Fatal("c missing at the applied LSN")
+	}
+	if _, ok, _ := rep.GetAt(3, []byte("c"), rep.AppliedLSN()-1); ok {
+		t.Fatal("c visible below its LSN")
 	}
 }
 

@@ -347,9 +347,8 @@ func NeighborsMany(s Reader, srcs []VertexID, typ EdgeType, limit int, fn func(s
 }
 
 // NeighborsEach is the per-vertex frontier expansion: one Neighbors call
-// per source, in order — what a reader without a batched read path runs,
-// and what a FrontierReader falls back to for the part of itself that has
-// none.
+// per source, in order — what a reader without a batched read path runs
+// (the paper-comparison baselines).
 func NeighborsEach(s Reader, srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
 	for _, src := range srcs {
 		more := true

@@ -382,6 +382,11 @@ type RONode struct {
 	store    *storage.Store
 	cacheCap int
 
+	// reg is the node's registry for its whole life: the replica's page-table
+	// accounting (the leader's bwtree.* read metrics, measured here) plus the
+	// replication.* gauges below. A resync re-registers the fresh replica.
+	reg *metrics.Registry
+
 	// reader and minLSN are touched only under pollMu; minLSN skips records
 	// a snapshot bootstrap already covers.
 	reader *wal.Reader
@@ -402,20 +407,58 @@ type RONode struct {
 	resyncs int64
 }
 
-// NewRONode attaches a replica to the shared store, polling the WAL every
-// interval. cacheCapacity bounds the replica's page cache (0 = unlimited).
+// NewRONode attaches a replica to the shared store, replaying the WAL from
+// its beginning and polling it every interval. cacheCapacity bounds the
+// replica's page cache (0 = unlimited).
 func NewRONode(st *storage.Store, interval time.Duration, cacheCapacity int) *RONode {
-	n := &RONode{
-		store:    st,
-		cacheCap: cacheCapacity,
-		replica:  core.NewReplica(st, cacheCapacity),
-		reader:   wal.NewReader(st),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	n := newRONode(st, cacheCapacity)
+	n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), 0)
 	go n.pollLoop(interval)
 	return n
 }
+
+func newRONode(st *storage.Store, cacheCapacity int) *RONode {
+	n := &RONode{
+		store:    st,
+		cacheCap: cacheCapacity,
+		reg:      metrics.NewRegistry(),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	n.reg.GaugeFunc("replication.applied_lsn", func() int64 { return int64(n.AppliedLSN()) })
+	n.reg.GaugeFunc("replication.buffered_records", func() int64 { return int64(n.Replica().BufferedRecords()) })
+	return n
+}
+
+// install makes replica, fed by reader from beyond minLSN, the node's state.
+// Caller holds pollMu, or is still constructing the node.
+func (n *RONode) install(replica *core.Replica, reader *wal.Reader, minLSN wal.LSN) {
+	replica.RegisterMetrics(n.reg)
+	n.reader, n.minLSN = reader, minLSN
+	n.mu.Lock()
+	n.replica = replica
+	n.mu.Unlock()
+}
+
+// bootstrap installs the latest snapshot on the store, if there is one: a
+// fresh replica holding its state, a fresh reader at its WAL cursor.
+func (n *RONode) bootstrap() (found bool, err error) {
+	state, meta, found, err := LoadLatestSnapshot(n.store)
+	if err != nil || !found {
+		return false, err
+	}
+	replica, err := core.NewReplicaFromSnapshot(n.store, n.cacheCap, state, meta.horizon)
+	if err != nil {
+		return false, err
+	}
+	reader := wal.NewReaderAt(n.store, meta.walCursor)
+	reader.SetBase(meta.horizon)
+	n.install(replica, reader, meta.horizon)
+	return true, nil
+}
+
+// Metrics returns the node's registry.
+func (n *RONode) Metrics() *metrics.Registry { return n.reg }
 
 func (n *RONode) pollLoop(interval time.Duration) {
 	defer close(n.done)
@@ -488,26 +531,17 @@ func (n *RONode) Resync() error {
 	return n.resyncLocked()
 }
 
-// resyncLocked re-bootstraps the follower from the latest snapshot: fresh
-// replica, fresh reader at the snapshot's WAL cursor. Caller holds pollMu.
+// resyncLocked re-bootstraps the follower from the latest snapshot. Caller
+// holds pollMu.
 func (n *RONode) resyncLocked() error {
-	state, meta, found, err := LoadLatestSnapshot(n.store)
+	found, err := n.bootstrap()
 	if err != nil {
 		return err
 	}
 	if !found {
 		return fmt.Errorf("replication: resync: no snapshot on store")
 	}
-	replica := core.NewReplica(n.store, n.cacheCap)
-	if err := replica.LoadSnapshot(state, meta.horizon); err != nil {
-		return err
-	}
-	reader := wal.NewReaderAt(n.store, meta.walCursor)
-	reader.SetBase(meta.horizon)
-	n.reader = reader
-	n.minLSN = meta.horizon
 	n.mu.Lock()
-	n.replica = replica
 	n.resyncs++
 	n.mu.Unlock()
 	metrics.Faults.Recoveries.Inc()

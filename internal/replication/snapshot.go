@@ -397,27 +397,13 @@ func recoverLeafPageIDs(buf []byte, ts *core.TreeSnapshot) error {
 // snapshot's cursor, skipping records the snapshot already reflects. If no
 // snapshot exists it behaves like NewRONode (full WAL replay).
 func NewRONodeFromSnapshot(st *storage.Store, interval time.Duration, cacheCapacity int) (*RONode, error) {
-	state, meta, found, err := LoadLatestSnapshot(st)
+	n := newRONode(st, cacheCapacity)
+	found, err := n.bootstrap()
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		return NewRONode(st, interval, cacheCapacity), nil
-	}
-	replica := core.NewReplica(st, cacheCapacity)
-	if err := replica.LoadSnapshot(state, meta.horizon); err != nil {
-		return nil, err
-	}
-	reader := wal.NewReaderAt(st, meta.walCursor)
-	reader.SetBase(meta.horizon)
-	n := &RONode{
-		store:    st,
-		cacheCap: cacheCapacity,
-		replica:  replica,
-		reader:   reader,
-		minLSN:   meta.horizon,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), 0)
 	}
 	go n.pollLoop(interval)
 	return n, nil

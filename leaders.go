@@ -64,20 +64,22 @@ func (ls *leaderSet) followers() []*followers {
 	return append([]*followers(nil), ls.attached...)
 }
 
-// followers is a graph.Reader over one read-only node per shard, routed
-// like the group's writes; a DB's Replica is the one-shard case. Each
+// followers is one read-only node per shard and the reader over them,
+// routed like the group's writes; a DB's Replica is the one-shard case. Each
 // read re-fetches the owning node's replica, because a resync (WAL trim,
-// failover) replaces it wholesale.
+// failover) replaces it wholesale. reader is handed out as the value it is —
+// not embedded as a graph.Reader, whose method set would hide the router's
+// graph.FrontierReader and make every hop expand per vertex.
 type followers struct {
-	graph.Reader
-	ros []*replication.RONode
+	reader graph.Reader
+	ros    []*replication.RONode
 }
 
 // attach opens one follower per shard, bootstrapped from the shard
 // store's latest snapshot when one exists (full WAL replay otherwise).
 func (ls *leaderSet) attach() (*followers, error) {
 	f := &followers{}
-	f.Reader = ls.group.Router().Reader(func(i int) graph.Reader { return f.ros[i].Replica() })
+	f.reader = ls.group.Router().Reader(func(i int) graph.Reader { return f.ros[i].Replica() })
 	for i := 0; i < ls.group.Shards(); i++ {
 		ro, err := replication.NewRONodeFromSnapshot(ls.group.Store(i), ls.cfg.followerPoll, ls.cfg.followerCache)
 		if err != nil {

@@ -42,7 +42,7 @@ func (db *DB) OpenReplica() (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{reads: reads{f}, f: f}, nil
+	return &Replica{reads: reads{f.reader}, f: f}, nil
 }
 
 // Stop detaches the replica and halts its WAL tailing.

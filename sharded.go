@@ -207,7 +207,7 @@ func (db *ShardedDB) OpenReadView() (*ReadView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReadView{reads: reads{f}, f: f}, nil
+	return &ReadView{reads: reads{f.reader}, f: f}, nil
 }
 
 // Stop detaches the view's followers.

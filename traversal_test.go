@@ -26,7 +26,11 @@ const fanOut = 18
 // more than one batched load holds.
 func fanOutDB(t *testing.T) *DB {
 	t.Helper()
-	db := openDB(t, &Options{ForestSplitThreshold: 64, CacheCapacity: 64})
+	return loadFanOut(t, openDB(t, &Options{ForestSplitThreshold: 64, CacheCapacity: 64}))
+}
+
+func loadFanOut(t *testing.T, db *DB) *DB {
+	t.Helper()
 	add := func(src, dst VertexID) {
 		t.Helper()
 		if err := db.AddEdge(Edge{Src: src, Dst: dst, Type: ETypeFollow}); err != nil {
@@ -104,6 +108,123 @@ func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	}
 	if b := snap["bwtree.batch_load_pages"].IntHistogram; b == nil || b.Max < 200 {
 		t.Fatalf("bwtree.batch_load_pages = %+v, want one load of >= 200 pages", b)
+	}
+}
+
+// TestFollowerKHopIssuesOneStorageRoundPerHop is the same pin on the scale-out
+// read path: a follower is the leader's page table applying the WAL, so a cold
+// 3-hop KHop through a freshly attached replica reaches what the leader's
+// does, waits on at most 2 x hops serial storage rounds of the shared store
+// (one per page before followers batched a hop), reads no more records than
+// the per-vertex expansion through a second cold replica, and a page costs at
+// most base + delta. The fan-out is read from the follower node's own
+// registry.
+func TestFollowerKHopIssuesOneStorageRoundPerHop(t *testing.T) {
+	const hops = 3
+	// The counters below are the shared store's, and the leader's flusher and
+	// a follower's tailing loop use that store too (an idle leader still
+	// appends a checkpoint record per flush interval, which every follower
+	// then reads): both are driven by hand here, Checkpoint and Sync.
+	db := loadFanOut(t, openDB(t, &Options{
+		Replicated: true, ForestSplitThreshold: 64, CacheCapacity: 64, ReplicaCacheCapacity: 64,
+		FlushInterval: time.Hour, ReplicaPollInterval: time.Hour,
+	}))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.KHop(1, ETypeFollow, hops, fanOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cost struct{ rounds, records int64 }
+	run := func(batched bool) (map[VertexID]struct{}, cost, *Replica) {
+		rep, err := db.OpenReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rep.Stop)
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Metrics().Snapshot() // the leader's registry counts the shared store
+		var reached map[VertexID]struct{}
+		if batched {
+			reached, err = rep.KHop(1, ETypeFollow, hops, fanOut)
+		} else {
+			reached, err = graph.KHop(perVertex{rep.r}, 1, ETypeFollow, hops, fanOut)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := db.Metrics().Snapshot()
+		d := func(name string) int64 { return after[name].Value - before[name].Value }
+		return reached, cost{
+			rounds:  d("storage.read_ops") - d("storage.batch_locs") + d("storage.batch_reads"),
+			records: d("storage.read_ops"),
+		}, rep
+	}
+	wantReached, serial, _ := run(false)
+	reached, batched, rep := run(true)
+	t.Logf("per-vertex %+v, batched %+v", serial, batched)
+	if !reflect.DeepEqual(reached, want) || !reflect.DeepEqual(wantReached, want) {
+		t.Fatalf("follower KHop reached %d vertices, per-vertex %d, the leader %d", len(reached), len(wantReached), len(want))
+	}
+	if serial.rounds < 200 {
+		t.Fatalf("fixture: the per-vertex traversal waited on %d storage rounds, want >= 200 cold pages", serial.rounds)
+	}
+	if batched.rounds > 2*hops {
+		t.Fatalf("follower KHop waited on %d serial storage rounds, want <= %d (per-vertex: %d)", batched.rounds, 2*hops, serial.rounds)
+	}
+	if batched.records > serial.records {
+		t.Fatalf("follower KHop read %d records, the per-vertex traversal %d", batched.records, serial.records)
+	}
+	snap := rep.f.ros[0].Metrics().Snapshot()
+	if f := snap["bwtree.read_fanout"].IntHistogram; f == nil || f.Count == 0 || f.Max > 2 {
+		t.Fatalf("follower bwtree.read_fanout = %+v, want at most base + delta per page", f)
+	}
+	if b := snap["bwtree.batch_load_pages"].IntHistogram; b == nil || b.Max < 200 {
+		t.Fatalf("follower bwtree.batch_load_pages = %+v, want one load of >= 200 pages", b)
+	}
+	if got, want := snap["replication.applied_lsn"].Value, int64(rep.AppliedLSN()); got != want || got == 0 {
+		t.Fatalf("replication.applied_lsn = %d, AppliedLSN %d", got, want)
+	}
+}
+
+// TestReadViewKHopScattersEachHop: a multi-shard follower view hands a hop to
+// the router as one frontier — one scatter per hop, each shard's part batched
+// by its follower — instead of expanding it vertex by vertex.
+func TestReadViewKHopScattersEachHop(t *testing.T) {
+	db := openSharded(t, &Options{Shards: 2})
+	var muts []Mutation
+	for a := 0; a < 6; a++ {
+		muts = append(muts, AddEdgeMut(Edge{Src: 1, Dst: VertexID(10 + a), Type: ETypeFollow}))
+		for b := 0; b < 6; b++ {
+			muts = append(muts, AddEdgeMut(Edge{Src: VertexID(10 + a), Dst: VertexID(100 + 10*a + b), Type: ETypeFollow}))
+		}
+	}
+	if err := db.ApplyBatch(muts); err != nil {
+		t.Fatal(err)
+	}
+	view, err := db.OpenReadView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.Stop()
+	if err := view.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for hops := 1; hops <= 3; hops++ {
+		was := db.Stats().ScatterHops
+		reached, err := view.KHop(1, ETypeFollow, hops, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 6, 42, 42}[hops]; len(reached) != want {
+			t.Fatalf("%d-hop view KHop reached %d vertices, want %d", hops, len(reached), want)
+		}
+		if got := db.Stats().ScatterHops - was; got != int64(hops) {
+			t.Fatalf("%d-hop view KHop moved shard.scatter_hops by %d, want one per hop", hops, got)
+		}
 	}
 }
 
