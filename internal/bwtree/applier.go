@@ -24,8 +24,9 @@ import (
 //   - A cold page loads the *old* durable version through the mapping it has
 //     (§3.4 steps 5–6). A split sibling with no records of its own yet reads
 //     its origin's through its own range (pageEntry.locs), and the delta chain
-//     is folded into the image (Mapping.mirrorsChain) — the two things an
-//     applier's load does that a leader's does not.
+//     is read and folded into the image, which a leader's overlay spares it
+//     (tree.go) — the two things an applier's load does that a leader's does
+//     not.
 //   - A checkpoint record carries the new durable locations (§3.4 step 8):
 //     the named pages adopt them, and every overlay drops the ops at or below
 //     the checkpoint LSN, folding them into a resident image first.

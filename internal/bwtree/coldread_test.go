@@ -9,8 +9,8 @@ import (
 	"bg3/internal/storage"
 )
 
-// durableRecords is what loading the leaves costs: one storage read per base
-// page and per delta record (Fig. 9).
+// durableRecords counts the leaves' durable records, one per base page and per
+// delta record: what loading them costs a node that holds nothing (Fig. 9).
 func durableRecords(leaves ...*pageEntry) int64 {
 	var n int64
 	for _, e := range leaves {
@@ -25,25 +25,53 @@ func durableRecords(leaves ...*pageEntry) int64 {
 }
 
 // TestColdScanReadsEachRecordOnce: a scan over cold leaves through a cache
-// far smaller than its range reads every durable record of every leaf it
-// crosses exactly once — under storage latency too, which is where a
-// speculative second loader used to read each leaf again. It counts storage
+// far smaller than its range reads exactly the records a load of each leaf it
+// crosses needs, once — under storage latency too, which is where a
+// speculative second loader used to read each leaf again. Which records those
+// are depends on what the node holds (Mapping.mirrorsChain), so the pin is
+// stated per kind of node over one set of records, a third of whose leaves
+// carry a delta record: a caching leader, whose overlays mirror the chains
+// across eviction, reads one record per cold leaf, the base page (it read base
+// + chain, 106 records over the full scan's 79 leaves, until the chain stopped
+// being fetched only to be dropped undecoded); a cache-disabled node and an
+// applier hold no mirror and read every durable record. It counts storage
 // reads, not time.
 func TestColdScanReadsEachRecordOnce(t *testing.T) {
 	st := storage.Open(&storage.Options{ReadLatency: 200 * time.Microsecond})
 	m := NewMapping(8, false)
 	const keys = 16 * 40
-	tr, leaves := leafTree(t, st, m, keys)
+	leader, leaves := leafTree(t, st, m, keys)
 	if len(leaves) < 40 {
 		t.Fatalf("fixture: %d leaves, want >= 40", len(leaves))
 	}
 	// Give every third leaf a delta record beside its base page.
 	for i := 1; i < len(leaves); i += 3 {
-		if err := tr.Put(leaves[i].lo, []byte("rewritten")); err != nil {
+		if err := leader.Put(leaves[i].lo, []byte("rewritten")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+
+	// The other two kinds of node open the same records from the leader's leaf
+	// directory, the way a recovery and a follower's bootstrap do.
+	reopen := func(m *Mapping, cfg Config) *Tree {
+		tr, err := Rebuild(m, st, cfg, nil, leader.ID(), leader.LeafDirectory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	uncached := NewMapping(0, true)
+	uncached.EnsureIDsBeyond(PageID(m.nextPage.Load()), leader.ID())
+	roles := []struct {
+		name  string
+		tr    *Tree
+		chain bool // a cold load reads the delta chain
+	}{
+		{"leader", leader, false},
+		{"cache-disabled", reopen(uncached, Config{MaxPageEntries: 16, NoCache: true}), true},
+		{"applier", reopen(newFollower(st, 8).m, Config{MaxPageEntries: 16}), true},
+	}
 
 	for _, tc := range []struct {
 		name     string
@@ -55,44 +83,109 @@ func TestColdScanReadsEachRecordOnce(t *testing.T) {
 		{"limit-ends-it", 200, 400, 29},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			evict(leaves)
-			var from, to []byte
-			if tc.from > 0 {
-				from = key(tc.from)
+			for _, role := range roles {
+				t.Run(role.name, func(t *testing.T) {
+					tr := role.tr
+					evict(leavesOf(tr))
+					var from, to []byte
+					if tc.from > 0 {
+						from = key(tc.from)
+					}
+					want := keys - tc.from
+					if tc.to >= 0 {
+						to, want = key(tc.to), tc.to-tc.from
+					}
+					if tc.limit > 0 && tc.limit < want {
+						want = tc.limit
+					}
+					before := st.Stats().ReadOps
+					crossed := make(map[*pageEntry]bool)
+					got := 0
+					err := tr.ScanAt(from, to, tc.limit, horizonAll, func(k, _ []byte) bool {
+						if string(k) != string(key(tc.from+got)) {
+							t.Fatalf("pair %d is %s, want %s", got, k, key(tc.from+got))
+						}
+						got++
+						crossed[tr.route(k)] = true
+						return true
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("delivered %d pairs, want %d", got, want)
+					}
+					if tc.limit > 0 && len(crossed) < 3 {
+						t.Fatalf("fixture: the scan crossed %d leaves, want >= 3", len(crossed))
+					}
+					var cold []*pageEntry
+					for e := range crossed {
+						cold = append(cold, e)
+					}
+					reads, records := st.Stats().ReadOps-before, durableRecords(cold...)
+					if records <= int64(len(cold)) {
+						t.Fatalf("fixture: %d cold leaves hold %d durable records, want some delta records", len(cold), records)
+					}
+					wantReads := int64(len(cold)) // every leaf has a base page
+					if role.chain {
+						wantReads = records
+					}
+					if reads != wantReads {
+						t.Fatalf("%d storage reads over %d cold leaves holding %d durable records, want %d",
+							reads, len(cold), records, wantReads)
+					}
+				})
 			}
-			want := keys - tc.from
-			if tc.to >= 0 {
-				to, want = key(tc.to), tc.to-tc.from
-			}
-			if tc.limit > 0 && tc.limit < want {
-				want = tc.limit
-			}
-			before := st.Stats().ReadOps
-			crossed := make(map[*pageEntry]bool)
-			got := 0
-			err := tr.ScanAt(from, to, tc.limit, horizonAll, func(k, _ []byte) bool {
-				if string(k) != string(key(tc.from+got)) {
-					t.Fatalf("pair %d is %s, want %s", got, k, key(tc.from+got))
-				}
-				got++
-				crossed[tr.route(k)] = true
-				return true
-			})
+		})
+	}
+}
+
+// TestLeaderColdLoadReadsBaseOnly is Fig. 9's count on both kinds of node. A
+// page with a 5-delta Traditional chain and a page with one merged
+// Read-Optimized delta each cost a caching leader one storage read per cold
+// Get — its overlay kept the delta ops across the eviction — and cost a
+// cache-disabled node, which stands for one that holds nothing, 1+5 and 1+1;
+// the value only the chain carries is returned either way.
+func TestLeaderColdLoadReadsBaseOnly(t *testing.T) {
+	for _, tc := range []struct {
+		policy   DeltaPolicy
+		noCache  bool
+		deltas   int
+		wantRead int64
+	}{
+		{Traditional, false, 5, 1},
+		{Traditional, true, 5, 6},
+		{ReadOptimized, false, 1, 1},
+		{ReadOptimized, true, 1, 2},
+	} {
+		t.Run(fmt.Sprintf("%v/nocache=%v", tc.policy, tc.noCache), func(t *testing.T) {
+			st := storage.Open(nil)
+			m := NewMapping(0, tc.noCache)
+			tr, err := New(m, st, Config{Policy: tc.policy, NoCache: tc.noCache, ConsolidateNum: 10}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("delivered %d pairs, want %d", got, want)
+			// The first write persists the fresh page as a base; five more are
+			// five deltas, or one merged five times.
+			for i := 0; i <= 5; i++ {
+				if err := tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if tc.limit > 0 && len(crossed) < 3 {
-				t.Fatalf("fixture: the scan crossed %d leaves, want >= 3", len(crossed))
+			e := m.get(tr.root)
+			if e.baseLoc.IsZero() || len(e.deltaLocs) != tc.deltas {
+				t.Fatalf("fixture: base %v, %d delta records, want a base and %d", e.baseLoc, len(e.deltaLocs), tc.deltas)
 			}
-			var cold []*pageEntry
-			for e := range crossed {
-				cold = append(cold, e)
+			evict([]*pageEntry{e})
+			before := st.Stats().ReadOps
+			if v, ok, err := tr.Get([]byte("k5")); err != nil || !ok || string(v) != "v5" {
+				t.Fatalf("Get(k5) = %q %v %v, want the value the chain carries", v, ok, err)
 			}
-			if reads, records := st.Stats().ReadOps-before, durableRecords(cold...); reads != records {
-				t.Fatalf("%d storage reads over %d cold leaves holding %d durable records", reads, len(cold), records)
+			if reads := st.Stats().ReadOps - before; reads != tc.wantRead {
+				t.Fatalf("a cold Get cost %d storage reads, want %d", reads, tc.wantRead)
+			}
+			if f := m.ReadFanout(); f.Max() != tc.wantRead {
+				t.Fatalf("bwtree.read_fanout max %d, want %d", f.Max(), tc.wantRead)
 			}
 		})
 	}
@@ -170,4 +263,99 @@ func TestConcurrentColdReadersLoadOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// mirrorFixture is a read-optimized leaf with a base record and one merged
+// delta record carrying k1..k3, evicted.
+func mirrorFixture(t *testing.T, st *storage.Store, m *Mapping) (*Tree, *pageEntry) {
+	t.Helper()
+	tr, err := New(m, st, Config{ConsolidateNum: 10}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 3; i++ { // k0 is the fresh page's base
+		if err := tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := m.get(tr.root)
+	if e.baseLoc.IsZero() || len(e.deltaLocs) != 1 || len(e.overlay) != 3 {
+		t.Fatalf("fixture: base %v, %d delta records, %d overlay ops, want a base, 1 and 3", e.baseLoc, len(e.deltaLocs), len(e.overlay))
+	}
+	evict([]*pageEntry{e})
+	return tr, e
+}
+
+// TestEvictedPageWriteCarriesTheChain: the overlay is the chain's mirror
+// across eviction and relocation — that is why a leader's load may skip the
+// chain. A write to an evicted page whose delta record GC has moved meanwhile
+// reads the base record and nothing of the delta stream, and the delta record
+// it writes holds the old chain's ops plus its own.
+func TestEvictedPageWriteCarriesTheChain(t *testing.T) {
+	st := storage.Open(nil)
+	m := NewMapping(0, false)
+	tr, e := mirrorFixture(t, st, m)
+	old := e.deltaLocs[0]
+	if _, err := st.Reclaim(storage.StreamDelta, old.Extent, m.Relocate); err != nil {
+		t.Fatal(err)
+	}
+	if e.deltaLocs[0] == old {
+		t.Fatal("fixture: the delta record did not move")
+	}
+	before := st.Stats()
+	if err := tr.Put([]byte("k4"), []byte("v4")); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Stats()
+	if reads, bytes := after.ReadOps-before.ReadOps, after.BytesRead-before.BytesRead; reads != 1 || bytes != int64(e.baseLoc.Length) {
+		t.Fatalf("the write read %d records, %d bytes; want the base record's %d bytes alone", reads, bytes, e.baseLoc.Length)
+	}
+	if len(e.deltaLocs) != 1 {
+		t.Fatalf("%d delta records, want one merged", len(e.deltaLocs))
+	}
+	buf, err := st.Read(e.deltaLocs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := decodeOps(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, o := range ops {
+		got = append(got, string(o.key)+"="+string(o.val))
+	}
+	if want := "[k1=v1 k2=v2 k3=v3 k4=v4]"; fmt.Sprint(got) != want {
+		t.Fatalf("the new delta record holds %v, want %s", got, want)
+	}
+	if err := mirrorGap(st, e); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRebuildRestoresMirror: a leader rebuilt from a leaf directory reads its
+// delta chains back into the overlays, so its cold loads skip the chain from
+// the first one on: a Get of a key only the chain holds costs the base read
+// and finds it.
+func TestRebuildRestoresMirror(t *testing.T) {
+	st := storage.Open(nil)
+	m := NewMapping(0, false)
+	tr, _ := mirrorFixture(t, st, m)
+	m2 := NewMapping(0, false)
+	m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
+	rebuilt, err := Rebuild(m2, st, tr.Config(), nil, tr.ID(), tr.LeafDirectory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := m2.get(rebuilt.root)
+	if err := mirrorGap(st, e); err != nil || len(e.overlay) != 3 {
+		t.Fatalf("rebuilt overlay has %d ops, want the chain's 3: %v", len(e.overlay), err)
+	}
+	before := st.Stats().ReadOps
+	if v, ok, err := rebuilt.Get([]byte("k2")); err != nil || !ok || string(v) != "v2" {
+		t.Fatalf("Get(k2) = %q %v %v, want the value the chain carries", v, ok, err)
+	}
+	if reads := st.Stats().ReadOps - before; reads != 1 {
+		t.Fatalf("a cold Get on the rebuilt leader cost %d storage reads, want 1", reads)
+	}
 }

@@ -12,6 +12,11 @@
 //     costs at most two storage reads, at the price of slightly more bytes
 //     written (the delta is rewritten on every update).
 //
+// Those read counts are what a node that holds nothing pays: an applier (RO
+// node) or a tree with the cache disabled (Fig. 9's configuration). A caching
+// leader keeps every leaf's delta ops resident across eviction, so its cache
+// miss reads the base record alone under either policy.
+//
 // Concurrency follows the paper: classic lightweight latches (one per
 // mapping-table entry) rather than lock-free CAS chains, plus a tree-level
 // RW latch protecting the inner-node structure during splits.

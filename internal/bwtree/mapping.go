@@ -101,9 +101,10 @@ type Mapping struct {
 	misses    atomic.Int64
 	evictions atomic.Int64
 
-	// fanout records the storage reads each Get paid to materialize its
-	// leaf — Fig. 9's per-read I/O: 0 on a cache hit, 1 + chain length on
-	// a miss (at most 2 under the read-optimized delta policy).
+	// fanout records the storage reads each read paid to materialize a leaf:
+	// 0 on a cache hit, on a miss 1 on a leader (mirrorsChain) and, Fig. 9's
+	// per-read I/O, 1 + chain length on an applier or with the cache disabled
+	// (at most 2 under the read-optimized delta policy).
 	fanout metrics.IntHistogram
 
 	// materializeLat records the wall time of every Get/Scan-path cache

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -189,7 +190,10 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 // under a long pin regularly outgrows one delta record. The edge-block
 // threshold is crossed about half way: until then every scan walks the
 // leaves, from then on it reads the block under its overlay, across the
-// rebuilds that fold the one into the other.
+// rebuilds that fold the one into the other. After each of those steps one
+// leader leaf, a different one each time, is checked for the invariant its
+// cold load rests on: what its delta records hold, its overlay holds
+// (mirrorGap).
 func TestDifferentialAgainstVersionMap(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -313,6 +317,12 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 					t.Fatalf("step %d: GetAt(%s, h=%d) = %q %v %v, want %q %v", step, k, h, v, ok, err, want, wok)
 				}
 			}
+		}
+		// The leader's cold load reads no delta record (Mapping.mirrorsChain):
+		// what the chain holds of the page's range must be in the overlay.
+		dir := tr.LeafDirectory()
+		if err := mirrorGap(st, m.get(dir[step%len(dir)].Page)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		recs, err := rd.Poll()
 		if err != nil {
@@ -451,6 +461,33 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	if bs := m.BlockStatsSnapshot(); bs.Builds < 3 || bs.Hits == 0 || bs.Fallbacks != 0 {
 		t.Fatalf("stream never rebuilt its edge block or read from it: %+v", bs)
 	}
+}
+
+// mirrorGap checks the invariant a leader's cold load rests on when it skips
+// the delta chain: every op of the leaf's range that its durable delta records
+// carry is in its overlay, under the same stamp, and durable (not pending). It
+// returns the first op that is not. (The left half of an unflushed split keeps
+// the pre-split records, ops beyond its range included; every reader clips.)
+func mirrorGap(st *storage.Store, e *pageEntry) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	bufs, err := st.ReadBatch(e.deltaLocs)
+	if err != nil {
+		return err
+	}
+	chain, err := decodeDeltas(bufs)
+	if err != nil {
+		return err
+	}
+	for _, o := range opsInRange(chain, e.lo, e.hi) {
+		if !slices.ContainsFunc(e.overlay, func(m op) bool {
+			return !m.pending && m.lsn == o.lsn && m.del == o.del && bytes.Equal(m.key, o.key) && bytes.Equal(m.val, o.val)
+		}) {
+			return fmt.Errorf("page %d: op {%s lsn %d del %v} is on the delta chain and not durable in the overlay (%d ops)",
+				e.id, o.key, o.lsn, o.del, len(e.overlay))
+		}
+	}
+	return nil
 }
 
 // TestFlushSplitsOversizedRetainedDelta is the regression for the flush

@@ -27,8 +27,9 @@ func (m *Mapping) EnsureIDsBeyond(page PageID, tree TreeID) {
 // Rebuild reconstructs a tree from a snapshot's leaf directory: leaf page
 // entries keep their snapshot IDs and durable locations (content loads
 // lazily from storage), a leader's delta mirrors are read back eagerly so
-// the read-optimized merge path stays correct (Mapping.mirrorsChain: an
-// applier reads nothing here), and fresh inner nodes are built bottom-up
+// the read-optimized merge path stays correct and a cold load may go on
+// skipping the chain (an applier keeps no mirror and reads nothing here), and
+// fresh inner nodes are built bottom-up
 // over the directory. The tree keeps its snapshot ID so subsequent WAL
 // records stay routable. On a leader's mapping the caller must have called
 // EnsureIDsBeyond over every snapshot ID first.
@@ -70,7 +71,7 @@ func Rebuild(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, id 
 			e.hi = nil
 		}
 		e.deltaLocs = append(e.deltaLocs, lf.Deltas...)
-		if m.mirrorsChain() {
+		if !m.applier {
 			// Restore the overlay from the delta chain; Algorithm 1's merge
 			// path and every read depend on it. Clip to the leaf's directory
 			// range: the left half of a split keeps the pre-split delta

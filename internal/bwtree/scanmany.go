@@ -28,12 +28,12 @@ const maxBatchLeaves = 256
 // itself: with a cache smaller than the hop, an installed image is evicted
 // again before the scans that need it are reached, so the hop — not the
 // cache — holds what it fetched until its scans have run. img stays valid
-// for the page exactly as long as the page still sits at the durable
-// locations it was snapshotted under.
+// for the page exactly as long as the records a load reads (pageEntry.locs)
+// are still the ones it was snapshotted under.
 type heldLeaf struct {
 	e      *pageEntry
 	img    leafImage     // resident at resolve time, or fetched by this load; nil: neither
-	base   storage.Loc   // durable locations snapshotted under the latch
+	base   storage.Loc   // the records to read, snapshotted under the latch
 	deltas []storage.Loc // (sub-slice of the load's loc arena)
 	fresh  bool          // fetched by this load and not yet offered to the cache
 }
@@ -54,8 +54,8 @@ type manyScan struct {
 // a scan whose range continues past its leaf joins the next round. A
 // traversal hop over N cold pages therefore waits on one overlapped
 // storage round (plus one per continuation depth) instead of N serial ones.
-// The records read per cold page are exactly the single-page path's (base
-// + delta chain, Fig. 9).
+// The records read per cold page are exactly the single-page path's
+// (pageEntry.locs).
 //
 // fn receives the index of the scan a pair belongs to. Each scan's pairs
 // arrive in key order and limit (<= 0: unlimited) applies per scan, but
@@ -145,7 +145,7 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 	return nil
 }
 
-// loadHeld fetches the durable records of every cold leaf among leaves
+// loadHeld fetches the records locs named for every cold leaf among leaves
 // (the ones resolved without an image) in one storage.ReadBatchEach and
 // turns them into images (Mapping.image). It is the one load that runs
 // unlatched — a hop cannot hold every page's latch across its round trip —

@@ -23,12 +23,18 @@ func leafTree(t *testing.T, st *storage.Store, m *Mapping, keys int) (*Tree, []*
 			t.Fatal(err)
 		}
 	}
-	var leaves []*pageEntry
-	for _, lf := range tr.LeafDirectory() {
-		leaves = append(leaves, m.get(lf.Page))
-	}
+	leaves := leavesOf(tr)
 	evict(leaves)
 	return tr, leaves
+}
+
+// leavesOf returns the tree's leaves in key order.
+func leavesOf(tr *Tree) []*pageEntry {
+	var leaves []*pageEntry
+	for _, lf := range tr.LeafDirectory() {
+		leaves = append(leaves, tr.m.get(lf.Page))
+	}
+	return leaves
 }
 
 // evict drops the resident image of every leaf.

@@ -212,14 +212,14 @@ func (e *pageEntry) countLive(base leafImage) int {
 }
 
 // materialize returns the page's base image and the storage reads it cost:
-// none when the image is resident, else one per durable record — the base
-// page plus the delta chain, fetched through one batched storage call so
-// their round trips overlap instead of paying ReadLatency in sequence (base
-// and delta live in different streams and therefore different extents). That
-// count is the logical fan-out Fig. 9 measures — the traditional policy pays
-// 1+n, the read-optimized policy at most 2 — however many round trips the
-// batch coalesced them into. Which records those are is locs', what becomes of
-// them image's.
+// none when the image is resident, else one per record locs names — the base
+// page and, where no overlay mirrors it, the delta chain, fetched through one
+// batched storage call so their round trips overlap instead of paying
+// ReadLatency in sequence (base and delta live in different streams and
+// therefore different extents). With the chain that count is the logical
+// fan-out Fig. 9 measures — the traditional policy pays 1+n, the read-optimized
+// policy at most 2 — however many round trips the batch coalesced them into.
+// What becomes of the records is image's.
 //
 // e.mu must be held and stays held across the load. This is the only way a
 // single page is loaded — by writers and splits, which cannot let go of the
@@ -261,16 +261,31 @@ func (t *Tree) materialize(e *pageEntry, counted bool) (leafImage, int, error) {
 	return t.install(e, img), nlocs, nil
 }
 
-// locs returns the durable records the page's content is read from: its own
-// — except, on an applier, a split sibling no checkpoint has given records
-// yet, which reads those of the page it split off from through its own range
-// (the shared store holds the pre-split version until the leader's next
-// flush). That page may itself still be waiting (chained splits), so the
-// chase follows origins to the first page that has records. e.mu must be
-// held; each origin is latched alone, for the copy. Origins are strictly
-// older pages, and the only one to latch an older page before a newer one is
-// the split creating the newer one, which no reader can reach yet.
+// mirrorsChain is the one rule of a cold load that differs by role. A leader's
+// overlay mirrors its delta chain — every op of the page's range on the chain
+// is also in the overlay, durable and under the same stamp; the overlay
+// survives eviction and is restored by Rebuild — so a leader's load reads the
+// base record alone. An applier's overlay is the replay log above the last
+// checkpoint: the ops at or below it were cut when the checkpoint arrived, and
+// those of them the leader left on the chain exist nowhere else, so its load
+// reads and folds the chain. So does a cache-disabled node's, which stands
+// for one that holds nothing (Fig. 9's configuration).
+func (m *Mapping) mirrorsChain() bool { return !m.applier && !m.disabled }
+
+// locs returns the durable records a load of the page reads: the base record
+// and, unless the overlay mirrors it (mirrorsChain), the delta chain. They are
+// the page's own — except, on an applier, a split sibling no checkpoint has
+// given records yet, which reads those of the page it split off from through
+// its own range (the shared store holds the pre-split version until the
+// leader's next flush). That page may itself still be waiting (chained
+// splits), so the chase follows origins to the first page that has records.
+// e.mu must be held; each origin is latched alone, for the copy. Origins are
+// strictly older pages, and the only one to latch an older page before a newer
+// one is the split creating the newer one, which no reader can reach yet.
 func (e *pageEntry) locs() (storage.Loc, []storage.Loc) {
+	if e.tree.m.mirrorsChain() {
+		return e.baseLoc, nil
+	}
 	base, deltas := e.baseLoc, e.deltaLocs
 	for id := e.origin; base.IsZero() && id != 0; {
 		o := e.tree.m.get(id)
@@ -284,21 +299,11 @@ func (e *pageEntry) locs() (storage.Loc, []storage.Loc) {
 	return base, deltas
 }
 
-// mirrorsChain is the one rule of a cold load that differs by role. A leader's
-// overlay mirrors its delta chain — every op on the chain is also in the
-// overlay, which survives eviction and is restored by Rebuild — so a load
-// fetches the chain, because that is what a cold read costs (Fig. 9), and does
-// not decode it. An applier's overlay is the replay log above the last
-// checkpoint: the ops at or below it were cut when the checkpoint arrived, and
-// those of them the leader left on the chain exist nowhere else, so its load
-// folds the chain into the image (and Rebuild restores nothing).
-func (m *Mapping) mirrorsChain() bool { return !m.applier }
-
 // image is the one "records to image" step of a cold load, single-page
 // (materialize) and batched (loadHeld): bufs are the page's records as
 // appendPageLocs orders them. The base record is validated and aliased as the
-// image, never copied. A fold of the chain is not clipped to the page's range:
-// loadHeld runs unlatched, and every reader clips.
+// image, never copied; a chain — read only where no overlay mirrorsChain — is
+// folded into it, unclipped: loadHeld runs unlatched, and every reader clips.
 func (m *Mapping) image(bufs [][]byte, hasBase bool) (img leafImage, err error) {
 	img = emptyLeaf
 	if hasBase {
@@ -307,7 +312,7 @@ func (m *Mapping) image(bufs [][]byte, hasBase bool) (img leafImage, err error) 
 		}
 		bufs = bufs[1:]
 	}
-	if m.mirrorsChain() || len(bufs) == 0 {
+	if len(bufs) == 0 {
 		return img, nil
 	}
 	ops, err := decodeDeltas(bufs)
@@ -333,10 +338,11 @@ func (t *Tree) materializeRead(e *pageEntry, counted bool) (leafImage, error) {
 	return img, err
 }
 
-// sitsAt reports whether the page's durable records are still exactly the
-// ones at (base, deltas) — the rule by which an image read unlatched at
-// those locations may be installed or used once the latch is back. e.mu
-// must be held.
+// sitsAt reports whether the records a load of the page reads (locs) are still
+// exactly the ones at (base, deltas) — the rule by which an image read
+// unlatched at those locations may be installed or used once the latch is
+// back; on a leader a write that only replaced the delta leaves it valid.
+// e.mu must be held.
 func (e *pageEntry) sitsAt(base storage.Loc, deltas []storage.Loc) bool {
 	b, d := e.locs()
 	return b == base && slices.Equal(d, deltas)

@@ -383,13 +383,11 @@ func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map
 // source contributes at least one new vertex in the common case), so a
 // batching reader does not fetch a whole frontier it will not expand.
 func KHopBudget(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) (map[VertexID]struct{}, error) {
-	visited := map[VertexID]struct{}{start: {}}
 	frontier := []VertexID{start}
-	reached := make(map[VertexID]struct{})
+	reached := make(map[VertexID]struct{}) // the visited set is this plus start
 	var next []VertexID
 	visit := func(_, dst VertexID) bool {
-		if _, seen := visited[dst]; !seen {
-			visited[dst] = struct{}{}
+		if _, seen := reached[dst]; !seen && dst != start {
 			reached[dst] = struct{}{}
 			next = append(next, dst)
 		}

@@ -259,6 +259,36 @@ func TestKHopBudget(t *testing.T) {
 	}
 }
 
+// TestKHopCycleBackToStart: the result is the vertices reached excluding
+// start, also when a cycle (or a self-loop) leads back to it — start is
+// visited, never reached, and is not expanded a second time.
+func TestKHopCycleBackToStart(t *testing.T) {
+	s := newMemStore()
+	for _, e := range [][2]VertexID{{1, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}} {
+		if err := s.AddEdge(Edge{Src: e[0], Dst: e[1], Type: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []Reader{s, &frontierStore{memStore: s}} {
+		for _, budget := range []int{0, 3} {
+			reached, err := KHopBudget(r, 1, 1, 10, 0, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := keys(reached); len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
+				t.Fatalf("budget %d: reached %v, want [2 3 4]", budget, got)
+			}
+		}
+	}
+	fs := &frontierStore{memStore: s}
+	if _, err := KHopBudget(fs, 1, 1, 10, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 1, 1, 1}; !reflect.DeepEqual(fs.frontiers, want) {
+		t.Fatalf("frontiers %v, want %v: start was expanded again", fs.frontiers, want)
+	}
+}
+
 // frontierStore is memStore with the FrontierReader capability, recording
 // the size of every frontier it is handed.
 type frontierStore struct {

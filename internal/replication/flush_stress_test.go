@@ -7,6 +7,8 @@ import (
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
 	"bg3/internal/graph"
+	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
 // TestStressFlushCyclesDoNotOverlap is the regression for a synced replica
@@ -55,5 +57,71 @@ func TestStressFlushCyclesDoNotOverlap(t *testing.T) {
 		}
 		ro.Stop()
 		rw.Stop()
+	}
+}
+
+// TestIdleLeaderStopsCheckpointing: a flush cycle with nothing to flush and
+// nothing logged since the last checkpoint record publishes nothing. The
+// cycle used to compare its horizon with the horizon the last checkpoint
+// declared, which that checkpoint's own record had already moved the log past,
+// so an idle leader appended a checkpoint of its last checkpoint every
+// FlushInterval, forever, and every follower walked its page table for each.
+// The flusher and the follower are driven by hand: nothing here waits on time.
+func TestIdleLeaderStopsCheckpointing(t *testing.T) {
+	rw, ro, st := newPair(t, RWOptions{FlushInterval: time.Hour}, time.Hour)
+	add := func(dst graph.VertexID) {
+		t.Helper()
+		if err := rw.AddEdge(graph.Edge{Src: 1, Dst: dst, Type: graph.ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		t.Helper()
+		if err := rw.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type walState struct {
+		checkpoints int64
+		tail        storage.Cursor
+		last        wal.LSN
+	}
+	state := func() walState {
+		return walState{rw.Checkpoints(), st.TailCursor(storage.StreamWAL), rw.LastLSN()}
+	}
+
+	add(10)
+	before := state()
+	cycle()
+	published := state()
+	if published.checkpoints != before.checkpoints+1 || published.last == before.last {
+		t.Fatalf("the cycle after a write published nothing: %+v -> %+v", before, published)
+	}
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if idle := state(); idle != published {
+		t.Fatalf("20 idle cycles moved the log: %+v -> %+v", published, idle)
+	}
+
+	add(11)
+	written := state()
+	cycle()
+	if got := state(); got.checkpoints != published.checkpoints+1 || got.last == written.last {
+		t.Fatalf("the cycle after a later write published nothing: %+v -> %+v", written, got)
+	}
+	cycle()
+	if got := state(); got.checkpoints != published.checkpoints+1 {
+		t.Fatalf("an idle cycle published checkpoint %d", got.checkpoints)
+	}
+
+	if err := ro.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ro.AppliedLSN(), rw.LastLSN(); got != want {
+		t.Fatalf("follower applied LSN %d, the leader logged %d", got, want)
+	}
+	if deg, err := ro.Replica().Degree(1, graph.ETypeFollow); err != nil || deg != 2 {
+		t.Fatalf("follower degree = %d %v, want 2", deg, err)
 	}
 }

@@ -87,7 +87,8 @@ type RWNode struct {
 	// flushMu serializes flush cycles (flushCycle): the background
 	// flusher, manual Checkpoints and WriteSnapshot each run horizon →
 	// flush → publish as one unit. Lock order: flushMu, then applyBarrier.
-	flushMu sync.Mutex
+	flushMu  sync.Mutex
+	ckptTail wal.LSN // LSN of the last checkpoint record logged; under flushMu
 
 	// applyBarrier serializes checkpoint horizon computation against
 	// in-flight writes: writers hold it shared across (WAL log + memory
@@ -282,10 +283,14 @@ func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cur
 	// replicas, or their old locations would dangle once the condemned
 	// extents are released.
 	updates = append(updates, n.engine.Mapping().TakeRelocated()...)
-	if capture == nil && len(updates) == 0 && horizon == n.lastCheckpoint() {
-		return horizon, cursor, nil // nothing new
+	// Nothing is new when no page moved and the last record logged is the
+	// last checkpoint itself. (Its declared horizon is no test for that: the
+	// checkpoint record advanced the log past it, and an idle leader would
+	// checkpoint its own checkpoints forever.)
+	if capture == nil && len(updates) == 0 && horizon == n.ckptTail {
+		return horizon, cursor, nil
 	}
-	if err := n.appendCheckpoint(horizon, updates); err != nil {
+	if n.ckptTail, err = n.appendCheckpoint(horizon, updates); err != nil {
 		return 0, cursor, err
 	}
 	n.mu.Lock()
@@ -297,8 +302,9 @@ func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cur
 
 // appendCheckpoint publishes a checkpoint, chunking the mapping updates so
 // each WAL record fits an extent. Replicas apply repeated checkpoint
-// records with the same horizon idempotently.
-func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdate) error {
+// records with the same horizon idempotently. It returns the LSN of the last
+// record it logged.
+func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdate) (wal.LSN, error) {
 	// Rough per-update encoded size: ids(16) + base loc(17) + delta count
 	// and a handful of delta locs. Cap chunks well under the extent size.
 	maxPer := (n.store.ExtentSize() - 512) / 64
@@ -311,15 +317,13 @@ func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdat
 			end = len(updates)
 		}
 		chunk := updates[start:end]
-		if _, err := n.logger.Log(&wal.Record{
+		lsn, err := n.logger.Log(&wal.Record{
 			Type:    wal.RecordCheckpoint,
 			CkptLSN: ckptLSN,
 			Value:   bwtree.EncodeMappingUpdates(chunk),
-		}); err != nil {
-			return err
-		}
-		if end >= len(updates) {
-			return nil
+		})
+		if err != nil || end >= len(updates) {
+			return lsn, err
 		}
 	}
 }

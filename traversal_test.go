@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bg3/internal/bwtree"
 	"bg3/internal/graph"
 )
 
@@ -56,8 +57,9 @@ func loadFanOut(t *testing.T, db *DB) *DB {
 // leaves waits on at most 2 x hops serial storage rounds (plain reads plus
 // ReadBatch calls) where the per-vertex expansion of the same traversal on
 // an identically loaded DB waits on one per page; it reads no more records
-// than that expansion does, reaches the same vertices, and every cold page
-// still costs at most its base + delta records (Fig. 9).
+// than that expansion does, reaches the same vertices, and no cold page costs
+// more than its base + delta records (TestLeaderHopReadsOneRecordPerColdLeaf
+// has the leader's exact count).
 func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	const hops = 3
 	type cost struct{ rounds, records, extentAccesses int64 }
@@ -111,6 +113,45 @@ func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	}
 }
 
+// TestLeaderHopReadsOneRecordPerColdLeaf pins what the hop's batched load reads
+// on a leader: a leaf's delta ops stay resident in its overlay across eviction,
+// so a cold frontier of N leaves puts N locations in the hop's ReadBatch calls —
+// the base records — although nearly every one of those leaves has a delta
+// record beside its base, and bwtree.read_fanout never exceeds 1. (An applier's
+// overlay is cut at each checkpoint: the follower pin below still allows base +
+// delta.)
+func TestLeaderHopReadsOneRecordPerColdLeaf(t *testing.T) {
+	db := fanOutDB(t)
+	leaves, withDelta := 0, 0
+	db.eng().Forest().Trees(func(tr *bwtree.Tree) bool {
+		for _, lf := range tr.LeafDirectory() {
+			if leaves++; len(lf.Deltas) > 0 {
+				withDelta++
+			}
+		}
+		return true
+	})
+	if withDelta < 300 {
+		t.Fatalf("fixture: %d of %d leaves have a delta record, want >= 300", withDelta, leaves)
+	}
+	before := db.Metrics().Snapshot()
+	if _, err := db.KHop(1, ETypeFollow, 3, fanOut); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Metrics().Snapshot()
+	d := func(name string) int64 { return after[name].Value - before[name].Value }
+	cold := d("bwtree.cache_misses")
+	if cold < 300 {
+		t.Fatalf("fixture: the traversal missed on %d leaves, want >= 300", cold)
+	}
+	if locs, reads := d("storage.batch_locs"), d("storage.read_ops"); locs != cold || reads != cold {
+		t.Fatalf("%d cold leaves: storage.batch_locs moved by %d and storage.read_ops by %d, want one base record each", cold, locs, reads)
+	}
+	if f := after["bwtree.read_fanout"].IntHistogram; f == nil || f.Count == 0 || f.Max != 1 {
+		t.Fatalf("bwtree.read_fanout = %+v, want max 1", f)
+	}
+}
+
 // TestFollowerKHopIssuesOneStorageRoundPerHop is the same pin on the scale-out
 // read path: a follower is the leader's page table applying the WAL, so a cold
 // 3-hop KHop through a freshly attached replica reaches what the leader's
@@ -122,9 +163,8 @@ func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 func TestFollowerKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	const hops = 3
 	// The counters below are the shared store's, and the leader's flusher and
-	// a follower's tailing loop use that store too (an idle leader still
-	// appends a checkpoint record per flush interval, which every follower
-	// then reads): both are driven by hand here, Checkpoint and Sync.
+	// a follower's tailing loop use that store too: both are driven by hand
+	// here, Checkpoint and Sync.
 	db := loadFanOut(t, openDB(t, &Options{
 		Replicated: true, ForestSplitThreshold: 64, CacheCapacity: 64, ReplicaCacheCapacity: 64,
 		FlushInterval: time.Hour, ReplicaPollInterval: time.Hour,
