@@ -215,8 +215,41 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 // and with the leaves alone (threshold -1), under an unlimited and a
 // 1,024-page cache — the leaf walk's pages do not fit the bounded one, the
 // block is resident whatever the cache holds.
+//
+// The write-then-scan cases price a write into the packed tree by what the
+// next read pays for it: one AddEdge onto the vertex followed by one
+// Neighbors — limit 128, or the whole adjacency — under an overlay of 2k and
+// of 20k late edges. Run them with -benchtime 2000x: every iteration adds an
+// overlay op, and at 25k the block is rebuilt and the overlay starts over.
 func BenchmarkAblationEdgeBlock(b *testing.B) {
 	const hub, edges = bg3.VertexID(1), 100_000
+	// open loads the hub's edges, packs them and writes late more past the seal.
+	open := func(b *testing.B, threshold, pages, late int) *bg3.DB {
+		db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64, EdgeBlockThreshold: threshold, CacheCapacity: pages})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { db.Close() })
+		batch := make([]bg3.Mutation, 0, 1024)
+		for d := 0; d < edges; d++ {
+			batch = append(batch, bg3.AddEdgeMut(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}))
+			if len(batch) == cap(batch) || d == edges-1 {
+				if err := db.ApplyBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+		if _, err := db.BuildEdgeBlocks(); err != nil {
+			b.Fatal(err)
+		}
+		for d := edges; d < edges+late; d++ {
+			if err := db.AddEdge(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db
+	}
 	for _, cache := range []struct {
 		name  string
 		pages int
@@ -226,36 +259,14 @@ func BenchmarkAblationEdgeBlock(b *testing.B) {
 			threshold int
 		}{{"block", 0}, {"leaves", -1}} {
 			b.Run(mode.name+"/cache-"+cache.name, func(b *testing.B) {
-				db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64, EdgeBlockThreshold: mode.threshold, CacheCapacity: cache.pages})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				batch := make([]bg3.Mutation, 0, 1024)
-				for d := 0; d < edges; d++ {
-					batch = append(batch, bg3.AddEdgeMut(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}))
-					if len(batch) == cap(batch) || d == edges-1 {
-						if err := db.ApplyBatch(batch); err != nil {
-							b.Fatal(err)
-						}
-						batch = batch[:0]
-					}
-				}
-				if _, err := db.BuildEdgeBlocks(); err != nil {
-					b.Fatal(err)
-				}
-				for d := edges; d < edges+edges/50; d++ {
-					if err := db.AddEdge(bg3.Edge{Src: hub, Dst: bg3.VertexID(d), Type: bg3.ETypeFollow}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				db := open(b, mode.threshold, cache.pages, edges/50)
 				scan := func() {
 					n := 0
 					if err := db.Neighbors(hub, bg3.ETypeFollow, 0, func(bg3.VertexID, bg3.Properties) bool { n++; return true }); err != nil || n != edges+edges/50 {
 						b.Fatalf("scan delivered %d edges, %v", n, err)
 					}
 				}
-				scan() // the first scan of a block sorts its overlay snapshot
+				scan()
 				reads := db.Stats().Storage.ReadOps
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -264,6 +275,34 @@ func BenchmarkAblationEdgeBlock(b *testing.B) {
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(db.Stats().Storage.ReadOps-reads)/float64(b.N), "storage-reads/scan")
+			})
+		}
+	}
+	for _, late := range []int{2_000, 20_000} {
+		for _, read := range []struct {
+			name  string
+			limit int
+		}{{"limit-128", 128}, {"full", 0}} {
+			b.Run(fmt.Sprintf("write-then-scan/overlay-%dk/%s", late/1000, read.name), func(b *testing.B) {
+				db := open(b, 0, 0, late)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := db.AddEdge(bg3.Edge{Src: hub, Dst: bg3.VertexID(edges + late + i), Type: bg3.ETypeFollow}); err != nil {
+						b.Fatal(err)
+					}
+					n, want := 0, edges+late+i+1
+					if read.limit > 0 {
+						want = read.limit
+					}
+					if err := db.Neighbors(hub, bg3.ETypeFollow, read.limit, func(bg3.VertexID, bg3.Properties) bool { n++; return true }); err != nil || n != want {
+						b.Fatalf("scan delivered %d edges, %v, want %d", n, err, want)
+					}
+				}
+				b.StopTimer()
+				if s := db.Stats().EdgeBlocks; s.Fallbacks != 0 {
+					b.Fatalf("scans fell back to the leaves: %+v", s)
+				}
 			})
 		}
 	}

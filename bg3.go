@@ -363,8 +363,9 @@ type ForestStats struct {
 
 // EdgeBlockStats is the packed CSR edge-block accounting (§3.2.1
 // super-vertices): blocks built, scans served from a block (hits) versus
-// forced back to the merged delta path (fallbacks), and the resident
-// footprint of the live blocks.
+// forced back to the merged delta path (fallbacks), the resident footprint
+// of the live blocks, and the ops written since they were sealed: an overlay
+// that stays large says a rebuild is being held back (an old pin).
 type EdgeBlockStats struct {
 	Builds      int64 `json:"builds"`
 	SkippedPins int64 `json:"skipped_pins"`
@@ -372,6 +373,7 @@ type EdgeBlockStats struct {
 	Fallbacks   int64 `json:"fallbacks"`
 	Entries     int64 `json:"entries"`
 	Bytes       int64 `json:"bytes"`
+	OverlayOps  int64 `json:"overlay_ops"`
 }
 
 // GCStats is the space-reclamation accounting. WriteAmp is bytes moved per
@@ -505,6 +507,7 @@ func (db *DB) Stats() Stats {
 				Fallbacks:   bs.Fallbacks,
 				Entries:     bs.Entries,
 				Bytes:       bs.Bytes,
+				OverlayOps:  bs.OverlayOps,
 			}
 		}(),
 		GC: GCStats{

@@ -504,7 +504,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{`"storage"`, `"wal"`, `"cache"`, `"forest"`, `"gc"`, `"replication"`,
-		`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`} {
+		`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`, `"overlay_ops"`} {
 		if !strings.Contains(string(buf), key) {
 			t.Fatalf("Stats JSON missing %s:\n%s", key, buf)
 		}
@@ -520,7 +520,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 		t.Fatalf("StatsJSON is not valid JSON: %v", err)
 	}
 	for _, name := range []string{"storage.read_ops", "wal.commit_us", "bwtree.read_fanout",
-		"forest.trees", "gc.write_amp", "replication.applied_lsn_lag", "replication.replicas"} {
+		"forest.trees", "gc.write_amp", "replication.applied_lsn_lag", "replication.replicas", "bwtree.block_overlay_ops"} {
 		if _, ok := snap[name]; !ok {
 			t.Fatalf("registry snapshot missing %q", name)
 		}

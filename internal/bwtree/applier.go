@@ -27,9 +27,10 @@ import (
 //     is read and folded into the image, which a leader's overlay spares it
 //     (tree.go) — the two things an applier's load does that a leader's does
 //     not.
-//   - A checkpoint record carries the new durable locations (§3.4 step 8):
-//     the named pages adopt them, and every overlay drops the ops at or below
-//     the checkpoint LSN, folding them into a resident image first.
+//   - A checkpoint carries the new durable locations (§3.4 step 8), in one
+//     record or several: with its last record the named pages adopt them and
+//     every overlay drops the ops at or below the checkpoint LSN, folding them
+//     into a resident image first.
 //
 // An applier has no logger and no flusher, never marks a page dirty, and never
 // appends to the shared store (flushInner). Its inner nodes are its own: it
@@ -69,7 +70,7 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 			return e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
 		}
 		e.mu.Lock()
-		e.overlay = insertOp(e.overlay, op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+		e.overlay = insertOp(e.ownOverlay(1), op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
 		e.mu.Unlock()
 		return nil
 	case wal.RecordCheckpoint:
@@ -108,12 +109,22 @@ func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) error {
 // was clean when the leader sampled the checkpoint LSN had everything at or
 // below it flushed by an earlier cycle. A resident image predates those ops,
 // so they fold into it first; an evicted page reloads them from the records.
+//
+// A checkpoint too large for one record arrives as several, each but the last
+// counting in TreeID the records still to come, and takes effect as one, with
+// the last. Moved a record at a time, a page would narrow to its own range
+// while the sibling split off it, named by a later record, still read through
+// it (locs); cut a record early, a page named later would reload from records
+// without the ops it just dropped.
 func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 	updates, err := DecodeMappingUpdates(rec.Value)
 	if err != nil {
 		return err
 	}
-	for _, up := range updates {
+	if m.ckptUpdates = append(m.ckptUpdates, updates...); rec.TreeID != 0 {
+		return nil
+	}
+	for _, up := range m.ckptUpdates {
 		// A page this applier was never told of cannot be routed to either.
 		if e := m.get(up.Page); e != nil && e.isLeaf {
 			e.mu.Lock()
@@ -121,6 +132,7 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 			e.mu.Unlock()
 		}
 	}
+	m.ckptUpdates = nil
 	for _, e := range m.leaves() {
 		e.mu.Lock()
 		if keep := opsAbove(e.overlay, rec.CkptLSN); len(keep) < len(e.overlay) {
@@ -132,7 +144,7 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 				}
 				e.base = img
 			}
-			e.overlay = keep
+			e.overlay, e.shared = keep, false
 		}
 		e.mu.Unlock()
 	}

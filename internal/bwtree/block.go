@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"log"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -17,10 +19,38 @@ import (
 // format of every leaf, only as large as the tree — and read by the one
 // merge every leaf is read by (scanPage): a binary-search entry and a
 // sequential walk instead of page-at-a-time routing, latching and cache
-// traffic. Writes since the seal accumulate in a small overlay patched over
-// the image at read time; when the overlay outgrows EdgeBlockRebuildOps the
-// block is consolidated like a leaf: the overlay is folded into the next
-// image at a newer seal (mergeEncode).
+// traffic. Writes since the seal accumulate in an overlay patched over the
+// image at read time; when the overlay outgrows EdgeBlockRebuildOps the block
+// is consolidated like a leaf: the overlay is folded into the next image at a
+// newer seal (mergeEncode).
+//
+// The overlay is read by reference; the writer pays for the copy, and only for
+// the part it touches:
+//
+//   - Invariant: the ops stand in a directory of runs (never empty; only run
+//     0 may be), each a leaf-overlay-shaped []op — key-sorted, a key's ops in
+//     arrival = LSN order — of at most blockRunOps ops, ascending, no key in
+//     two of them: run i owns the keys from its first key up to run i+1's, run
+//     0 everything below run 1's. Nothing a reader may hold is ever edited:
+//     not a run built before the last take of the directory, nor a directory
+//     that was taken.
+//   - Mechanism: a write (captureLocked) merges the ops of its leaf run into
+//     the run(s) that own them — into a fresh copy of a run if a directory
+//     holding it was taken since it was built (born), in place otherwise (a
+//     load nobody reads copies nothing) — and swaps the result into the
+//     directory, itself copied first if it was taken since the last write. A
+//     read (blockView) takes the directory as it stands, O(1), and reads the
+//     image under one run after the other (edgeBlock.scan).
+//   - Rebuild: there is no second, arrival-ordered copy. A rebuild copies the
+//     runs out flat, folds that into the next image, and keeps exactly the ops
+//     stamped above the new seal or arrived since the copy (their writers may
+//     have been mid-capture): a key's later ops stand behind its earlier ones,
+//     so walking the runs as they are then beside the copy tells the two
+//     apart. The runs are cut afresh from what it kept.
+//   - Pinned by blockRunsGap after every step of
+//     TestDifferentialAgainstVersionMap, TestBlockRunDirectoryMatchesFlatOverlay,
+//     TestStressOverlayReadersRaceWriters (-race) and
+//     TestBlockWriteThenScanAllocatesBounded.
 //
 // Correctness protocol (MVCC, PR 7 semantics preserved exactly):
 //
@@ -70,16 +100,10 @@ type blockState struct {
 	blockWriters atomic.Int64 // capturing writers between LSN assignment and overlay append
 
 	overlayMu  sync.Mutex
-	overlay    []op // append order; rebuilds rely on indices (cut)
+	runs       []blockRun // the overlay: a directory of key-sorted runs (above)
+	takes      uint64     // times a reader was handed the directory, to hold for good
+	runsBorn   uint64     // takes when the directory's array was built
 	overlayLen atomic.Int64
-
-	// sorted is a read-side snapshot of overlay[:sortedN] in leaf-overlay
-	// order (key-sorted, per-key append order preserved), refreshed lazily in
-	// blockView so scans binary-search their range instead of filtering and
-	// sorting the whole overlay per read. Whoever replaces overlay
-	// structurally resets both.
-	sorted  []op
-	sortedN int
 
 	blockBuildMu sync.Mutex    // serializes builds (TryLock)
 	buildSpawned atomic.Bool   // one background build goroutine at a time
@@ -87,11 +111,26 @@ type blockState struct {
 	lastSkipSeal atomic.Uint64 // seal+1 of the last pin-skipped build (0 = none)
 }
 
-// blockView returns the block and the key-sorted overlay snapshot serving
-// horizon h — scanPage(blk.image, ov, ...) is the read — or ok=false when
-// the read must walk the leaves: no block, a pinned horizon with a writer
-// mid-capture, or a (defensive) horizon below the seal.
-func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
+// blockRun is one run of the overlay directory. born is blockState.takes when
+// its array was built: while that stands no reader can hold the run, and a
+// write may edit it in place.
+type blockRun struct {
+	ops  []op
+	born uint64
+}
+
+// blockRunOps is the most ops a run of the overlay directory is cut to (a
+// single key's ops alone take one past it), so what a write into a packed tree
+// copies: 8 KiB. A constant, not a Config field: a smaller run costs a full
+// scan two more binary searches per run, a larger one every write its copy,
+// and no caller knows a better trade.
+const blockRunOps = 128
+
+// blockView returns the block and the overlay's run directory serving horizon
+// h — blk.scan(runs, ...) is the read — or ok=false when the read must walk
+// the leaves: no block, a pinned horizon with a writer mid-capture, or a
+// (defensive) horizon below the seal.
+func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []blockRun, bool) {
 	if t.blocks.block.Load() == nil {
 		return nil, nil, false
 	}
@@ -102,7 +141,8 @@ func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
 		return nil, nil, false
 	}
 	blk := t.blocks.block.Load()
-	ov := t.sortedOverlayLocked()
+	runs := t.blocks.runs
+	t.blocks.takes++
 	t.blocks.overlayMu.Unlock()
 	if blk == nil {
 		return nil, nil, false
@@ -112,37 +152,84 @@ func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []op, bool) {
 		return nil, nil, false
 	}
 	t.m.blockHits.Add(1)
-	return blk, ov, true
+	return blk, runs, true
 }
 
-// sortedOverlayLocked returns the overlay in leaf-overlay order, refreshing
-// the cached snapshot incrementally: the unsorted tail since the last
-// refresh is sorted and merged into the previous snapshot (equal keys keep
-// the old ops first, preserving per-key append = LSN order). Must be
-// called with overlayMu held. A fresh slice is built on every refresh —
-// the previous one may still be walked by in-flight readers.
-func (t *Tree) sortedOverlayLocked() []op {
-	st := &t.blocks
-	n := len(st.overlay)
-	if st.sortedN == n {
-		return st.sorted
+// scan is the read of a block under a run directory: scanPage over the image
+// one run at a time, each over the keys the run owns, with the limit and fn's
+// stop carried from run to run.
+func (b *edgeBlock) scan(runs []blockRun, from, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) {
+	i, j := runOf(runs, from), len(runs)-1
+	if to != nil {
+		j = runOf(runs, to)
 	}
-	tail := sortOps(append([]op(nil), st.overlay[st.sortedN:]...))
-	merged := make([]op, 0, len(st.sorted)+len(tail))
-	i, j := 0, 0
-	for i < len(st.sorted) && j < len(tail) {
-		if bytes.Compare(st.sorted[i].key, tail[j].key) <= 0 {
-			merged = append(merged, st.sorted[i])
-			i++
-		} else {
-			merged = append(merged, tail[j])
-			j++
+	for ; ; i++ {
+		hi := to
+		if i < j {
+			hi = runs[i+1].ops[0].key
 		}
+		n, stopped := scanPage(b.image, runs[i].ops, from, hi, limit, h, fn)
+		if stopped || i >= j || (limit > 0 && n >= limit) {
+			return
+		}
+		from, limit = hi, limit-n
 	}
-	merged = append(merged, st.sorted[i:]...)
-	merged = append(merged, tail[j:]...)
-	st.sorted, st.sortedN = merged, n
-	return merged
+}
+
+// runOf returns the index of the run that owns key: the last one whose first
+// key is at or below it, run 0 for a key below them all.
+func runOf(runs []blockRun, key []byte) int {
+	return sort.Search(len(runs)-1, func(i int) bool { return bytes.Compare(runs[i+1].ops[0].key, key) > 0 })
+}
+
+// cutRuns appends ops — key-sorted, each key's ops in arrival order — to dst
+// as the fewest runs of at most blockRunOps ops, evenly sized, each ending
+// where a key ends (no ops: one empty run). The runs alias ops, whose array
+// was built at born; the last keeps its spare room, for writes in place.
+func cutRuns(dst []blockRun, ops []op, born uint64) []blockRun {
+	for pieces := max(1, (len(ops)+blockRunOps-1)/blockRunOps); ; pieces-- {
+		n := (len(ops) + pieces - 1) / pieces
+		for n < len(ops) && bytes.Equal(ops[n].key, ops[n-1].key) {
+			n++
+		}
+		if n == len(ops) {
+			return append(dst, blockRun{ops, born})
+		}
+		dst, ops = append(dst, blockRun{ops[:n:n], born}), ops[n:]
+	}
+}
+
+// flatten returns the ops of runs as one overlay.
+func flatten(runs []blockRun) []op {
+	ops := make([]op, 0, len(runs)*blockRunOps/2)
+	for _, r := range runs {
+		ops = append(ops, r.ops...)
+	}
+	return ops
+}
+
+// captureLocked adds the ops a leaf run applied — key-sorted, each key's in
+// arrival order — to the overlay: each stretch that one run owns is merged
+// into that run (insertOps, the leaf overlay's own merge) — a copy of it if a
+// reader may hold it — and the result, cut in two if it outgrew blockRunOps,
+// takes its place. overlayMu must be held.
+func (st *blockState) captureLocked(applied []op) {
+	if st.runsBorn != st.takes {
+		st.runs, st.runsBorn = slices.Clone(st.runs), st.takes
+	}
+	for len(applied) > 0 {
+		i, n := runOf(st.runs, applied[0].key), len(applied)
+		if i+1 < len(st.runs) {
+			n = searchOps(applied, st.runs[i+1].ops[0].key)
+		}
+		run := st.runs[i].ops
+		if st.runs[i].born != st.takes {
+			run = append(make([]op, 0, len(run)+n), run...)
+		}
+		var pieces [2]blockRun
+		st.runs = slices.Replace(st.runs, i, i+1, cutRuns(pieces[:0], insertOps(run, applied[:n]), st.takes)...)
+		applied = applied[n:]
+	}
 }
 
 // blockWriteEnter is called by applyRun before the run's first WAL record is
@@ -173,8 +260,8 @@ func (t *Tree) blockWriteExit(gate int, applied []op) {
 	case 2:
 		if len(applied) > 0 {
 			t.blocks.overlayMu.Lock()
-			t.blocks.overlay = append(t.blocks.overlay, applied...)
-			t.blocks.overlayLen.Store(int64(len(t.blocks.overlay)))
+			t.blocks.captureLocked(applied)
+			t.addOverlayLen(int64(len(applied)))
 			t.blocks.overlayMu.Unlock()
 		}
 		t.blocks.blockWriters.Add(-1)
@@ -319,7 +406,7 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	}
 
 	var img leafImage
-	cut := 0 // overlay ops before this index are in img if stamped at or below the seal
+	var ov []op // the overlay as a rebuild copied it: the ops in img if stamped at or below the seal
 	if old == nil {
 		// Clamp consolidation at the seal for the duration of the build: the
 		// content scan at the seal must stay reconstructible even if every
@@ -332,9 +419,8 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 		// capture on and drain the writers that entered before they could
 		// see it; from here every applied op lands in the overlay.
 		t.blocks.overlayMu.Lock()
-		t.blocks.overlay = nil
-		t.blocks.overlayLen.Store(0)
-		t.blocks.sorted, t.blocks.sortedN = nil, 0
+		t.blocks.runs = make([]blockRun, 1)
+		t.addOverlayLen(-t.blocks.overlayLen.Load())
 		t.blocks.overlayMu.Unlock()
 		t.blocks.blockCapture.Store(true)
 		for t.blocks.preGate.Load() != 0 {
@@ -349,7 +435,7 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 			return false, nil
 		}
 		t.blocks.overlayMu.Lock()
-		t.blocks.overlay = append(seeded, t.blocks.overlay...)
+		t.blocks.runs = cutRuns(nil, sortOps(append(seeded, flatten(t.blocks.runs)...)), t.blocks.takes)
 		t.blocks.overlayMu.Unlock()
 
 		// Content scan at the seal. MVCC makes this a consistent cut for
@@ -373,11 +459,10 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 		// A rebuild is the block's consolidation: the old image with the
 		// overlay folded in at the new seal — exactly the content readers at
 		// that seal are being served already, so no leaf is read. An op
-		// appended after this snapshot stays in the overlay whatever its
-		// stamp (its writer may have been mid-capture).
+		// captured after this copy stays in the overlay whatever its stamp
+		// (its writer may have been mid-capture).
 		t.blocks.overlayMu.Lock()
-		cut = len(t.blocks.overlay)
-		ov := t.sortedOverlayLocked()
+		ov = flatten(t.blocks.runs)
 		t.blocks.overlayMu.Unlock()
 		// A rebuild that cannot shrink the overlay below the rebuild
 		// threshold (pins holding the floor down) would retrigger forever;
@@ -401,18 +486,24 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	// Install: swap the block in and cut the overlay down to the ops the
 	// new seal still needs — everything above it, plus everything that
 	// arrived once the image's content was taken (replaying one the image
-	// already has is idempotent). The old slice may be referenced by
-	// in-flight readers, so build a fresh one.
+	// already has is idempotent). The runs hold ov's ops in ov's order with
+	// the later arrivals of a key behind them, so an op is one of ov's exactly
+	// when ov's next is of its key. The runs are cut afresh from what is kept:
+	// readers may hold the old ones.
 	t.blocks.overlayMu.Lock()
-	kept := make([]op, 0, len(t.blocks.overlay)-cut+8)
-	for i, o := range t.blocks.overlay {
-		if o.lsn > seal || i >= cut {
+	var kept []op
+	for _, run := range t.blocks.runs {
+		for _, o := range run.ops {
+			if len(ov) > 0 && bytes.Equal(ov[0].key, o.key) {
+				if ov = ov[1:]; o.lsn <= seal {
+					continue
+				}
+			}
 			kept = append(kept, o)
 		}
 	}
-	t.blocks.overlay = kept
-	t.blocks.sorted, t.blocks.sortedN = nil, 0
-	t.blocks.overlayLen.Store(int64(len(kept)))
+	t.blocks.runs, t.blocks.runsBorn = cutRuns(nil, kept, t.blocks.takes), t.blocks.takes
+	t.addOverlayLen(int64(len(kept)) - t.blocks.overlayLen.Load())
 	t.blocks.block.Store(&edgeBlock{seal: seal, image: img})
 	t.blocks.overlayMu.Unlock()
 	t.blocks.lastSkipSeal.Store(0)
@@ -422,6 +513,13 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 		t.m.noteBlockDropped(old.image.count(), int64(len(old.image)))
 	}
 	return true, nil
+}
+
+// addOverlayLen moves the overlay's published size — what the build triggers
+// read without overlayMu — and with it the mapping's gauge over all trees.
+func (t *Tree) addOverlayLen(d int64) {
+	t.blocks.overlayLen.Add(d)
+	t.m.blockOverlay.Add(d)
 }
 
 // noteBlockSkip records a pin-skipped build: the metric always, the log

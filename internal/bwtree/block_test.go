@@ -1,8 +1,11 @@
 package bwtree
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bg3/internal/wal"
@@ -109,11 +112,17 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	del("k000100")
 	del("a-before-all")
 	check("overlaid")
+	if got := blocked.m.BlockStatsSnapshot().OverlayOps; got != 5 {
+		t.Fatalf("overlay ops gauge = %d, want the 5 writes since the seal", got)
+	}
 
 	// Rebuild folds the overlay into a fresh block.
 	mustBuildBlock(t, blocked)
 	if info, ok = blocked.EdgeBlock(); !ok || info.Entries != 200 {
 		t.Fatalf("rebuilt block info = %+v ok=%v, want 200 entries", info, ok)
+	}
+	if got := blocked.m.BlockStatsSnapshot().OverlayOps; got != 0 {
+		t.Fatalf("overlay ops gauge = %d after a rebuild folded everything", got)
 	}
 	check("rebuilt")
 }
@@ -220,4 +229,110 @@ func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustBuildBlock(t, tr)
+}
+
+// TestBlockRunDirectoryMatchesFlatOverlay drives the overlay's run directory
+// alone: seeded batches of 1–200 key-sorted ops — repeated keys, deletes, one
+// key overwritten far past a run's size — are captured one after the other,
+// a reader's take of the directory after three batches in four, and after each
+// batch the directory holds the invariant blockRunsGap names and a read through it
+// (edgeBlock.scan) equals scanPage over the same ops as one flat overlay, for
+// random ranges, limits and horizons. A directory a reader took is never
+// changed afterwards.
+func TestBlockRunDirectoryMatchesFlatOverlay(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var content []op
+		for i := 0; i < 3000; i += 1 + rng.Intn(3) {
+			content = append(content, op{key: []byte(fmt.Sprintf("k%05d", i)), val: []byte("packed")})
+		}
+		img, err := mergeEncode(emptyLeaf, content, nil, nil, horizonAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &Tree{m: NewMapping(0, false)}
+		tr.blocks.block.Store(&edgeBlock{image: img})
+		tr.blocks.runs = make([]blockRun, 1)
+		blk, lsn := tr.blocks.block.Load(), wal.LSN(0)
+		var all []op // every op captured, in arrival order
+		var taken []blockRun
+		var takenOps [][]op
+		for batch := 0; batch < 120; batch++ {
+			ws := make([]op, 1+rng.Intn(200)>>uint(rng.Intn(6)))
+			for i := range ws {
+				k := rng.Intn(3400) - 200 // before, inside and past the image
+				if rng.Intn(8) == 0 {
+					k = 1500 // the hot key
+				}
+				ws[i] = op{key: []byte(fmt.Sprintf("k%05d", k)), val: []byte(fmt.Sprintf("v%d.%d", batch, i)), del: rng.Intn(5) == 0}
+			}
+			sortOps(ws)
+			for i := range ws {
+				lsn++
+				ws[i].lsn = lsn
+			}
+			all = append(all, ws...)
+			tr.blocks.overlayMu.Lock()
+			tr.blocks.captureLocked(ws)
+			tr.addOverlayLen(int64(len(ws)))
+			tr.blocks.overlayMu.Unlock()
+			if err := blockRunsGap(tr, sortOps(slices.Clone(all))); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			}
+			for i, run := range taken {
+				if !slices.EqualFunc(run.ops, takenOps[i], func(a, b op) bool { return a.lsn == b.lsn && bytes.Equal(a.key, b.key) }) {
+					t.Fatalf("seed %d batch %d: run %d of a directory a reader holds was edited", seed, batch, i)
+				}
+			}
+			if batch%4 == 3 { // unread: the next batch edits the runs this one built in place
+				continue
+			}
+			_, runs, ok := tr.blockView(horizonAll)
+			if !ok {
+				t.Fatal("no block view")
+			}
+			if batch%3 == 0 { // this reader keeps its directory across the next writes
+				taken, takenOps = runs, nil
+				for _, run := range runs {
+					takenOps = append(takenOps, slices.Clone(run.ops))
+				}
+			}
+			flat := flatten(runs)
+			for probe := 0; probe < 8; probe++ {
+				var from, to []byte
+				if rng.Intn(4) > 0 {
+					from = []byte(fmt.Sprintf("k%05d", rng.Intn(3400)-200))
+				} else {
+					from = []byte{}
+				}
+				if rng.Intn(3) > 0 {
+					to = []byte(fmt.Sprintf("k%05d", rng.Intn(3400)-200))
+				}
+				limit, h := rng.Intn(3)*rng.Intn(300), horizonAll
+				if rng.Intn(2) == 0 {
+					h = wal.LSN(rng.Int63n(int64(lsn) + 1))
+				}
+				stopAt := -1
+				if rng.Intn(4) == 0 {
+					stopAt = rng.Intn(100)
+				}
+				collect := func(dst *[]string) func(k, v []byte) bool {
+					return func(k, v []byte) bool {
+						*dst = append(*dst, string(k)+"="+string(v))
+						return len(*dst) != stopAt
+					}
+				}
+				var got, want []string
+				blk.scan(runs, from, to, limit, h, collect(&got))
+				scanPage(img, flat, from, to, limit, h, collect(&want))
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d batch %d: scan([%s,%s) limit %d h %d stop %d) through %d runs = %d pairs, over the flat overlay %d",
+						seed, batch, from, to, limit, h, stopAt, len(runs), len(got), len(want))
+				}
+			}
+		}
+		if n := len(tr.blocks.runs); n < 20 {
+			t.Fatalf("seed %d: the directory ended with %d runs, want a populated one", seed, n)
+		}
+	}
 }

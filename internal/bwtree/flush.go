@@ -180,7 +180,7 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	for _, old := range e.deltaLocs {
 		t.store.Invalidate(old)
 	}
-	e.baseLoc, e.deltaLocs, e.base, e.overlay = loc, dlocs, img, ops
+	e.baseLoc, e.deltaLocs, e.base, e.overlay, e.shared = loc, dlocs, img, ops, false
 	return nil
 }
 
@@ -227,14 +227,14 @@ func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 			t.store.Invalidate(old)
 		}
 		e.deltaLocs = locs
-		for i := range e.overlay {
+		for i := range e.ownOverlay(0) {
 			e.overlay[i].pending = false
 		}
 	default:
 		// Traditional policy under async flushing: one delta per pending op.
 		// Each op turns durable as it lands, so a mid-loop failure leaves
 		// exactly the unflushed ones for retry.
-		for i := range e.overlay {
+		for i := range e.ownOverlay(0) {
 			if !e.overlay[i].pending {
 				continue
 			}

@@ -48,9 +48,13 @@ type pageEntry struct {
 	// the image it was created from — and nil when evicted. overlay holds
 	// every op base does not: the ops the durable deltas carry plus the
 	// pending ones, key-sorted. It stays resident across evictions (the
-	// write path re-merges it into the next delta without a read).
+	// write path re-merges it into the next delta without a read). shared
+	// marks an overlay whose array a scan walks unlatched (cut): it is edited
+	// in place only through ownOverlay, which copies it first; installing a
+	// fresh slice clears the mark, halve hands it to both halves.
 	base    leafImage
 	overlay []op
+	shared  bool
 	live    int // live keys at horizon ∞ inside [lo, hi), resident or not; -1 = not counted
 
 	dirty        bool // has non-durable changes (async mode)
@@ -94,8 +98,11 @@ type Mapping struct {
 
 	// applier marks the page table of an RO node (applier.go): its entries
 	// are written by WAL records instead of Tree.Apply, and nothing in it
-	// ever appends to the shared store.
-	applier bool
+	// ever appends to the shared store. ckptUpdates holds the mapping updates
+	// of a checkpoint whose last record is still to come (applyCheckpoint);
+	// the goroutine applying the log is its only user.
+	applier     bool
+	ckptUpdates []MappingUpdate
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -133,6 +140,7 @@ type Mapping struct {
 	blockFallbacks atomic.Int64
 	blockEntries   atomic.Int64 // live packed entries across all blocks
 	blockBytes     atomic.Int64 // resident image bytes across all blocks
+	blockOverlay   atomic.Int64 // overlay ops above the seals across all blocks
 }
 
 // defaultShardCount derives the lock-stripe count from the host's
@@ -304,6 +312,7 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bwtree.block_fallbacks", m.blockFallbacks.Load)
 	r.GaugeFunc("bwtree.block_entries", m.blockEntries.Load)
 	r.GaugeFunc("bwtree.block_bytes", m.blockBytes.Load)
+	r.GaugeFunc("bwtree.block_overlay_ops", m.blockOverlay.Load)
 }
 
 func (m *Mapping) noteBlockBuilt(entries int, bytes int64) {
@@ -326,6 +335,7 @@ type BlockStats struct {
 	Fallbacks   int64 // block-backed scans that walked the leaves instead
 	Entries     int64 // live packed entries
 	Bytes       int64 // resident image bytes
+	OverlayOps  int64 // ops above the seals: large for long, a rebuild is being held back
 }
 
 // BlockStatsSnapshot returns the current edge-block counters.
@@ -337,6 +347,7 @@ func (m *Mapping) BlockStatsSnapshot() BlockStats {
 		Fallbacks:   m.blockFallbacks.Load(),
 		Entries:     m.blockEntries.Load(),
 		Bytes:       m.blockBytes.Load(),
+		OverlayOps:  m.blockOverlay.Load(),
 	}
 }
 

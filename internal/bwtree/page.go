@@ -47,10 +47,14 @@ func searchOps(ov []op, key []byte) int {
 // insertOps merges run — key-sorted, each key's ops in arrival order — into
 // the overlay, every op behind the ops of its key already there, so the
 // overlay stays key-sorted with each key's ops in arrival order. It edits ov
-// in place, from the back: each op of the overlay moves at most once.
+// in place, from the back: each op of the overlay moves at most once, and a run
+// past the overlay's last key (an ascending load) none.
 func insertOps(ov, run []op) []op {
 	i := len(ov) // ov[:i] is still to be placed, and ends at k
 	ov = append(ov, run...)
+	if i == 0 || bytes.Compare(ov[i-1].key, run[0].key) <= 0 {
+		return ov
+	}
 	k := len(ov)
 	for j := len(run) - 1; j >= 0; j-- {
 		key := run[j].key
@@ -61,6 +65,16 @@ func insertOps(ov, run []op) []op {
 		ov[k] = run[j]
 	}
 	return ov
+}
+
+// ownOverlay returns the overlay for an edit in place: as it is, or — when a
+// scan walks its array unlatched (shared) — a copy with room for extra more
+// ops, which replaces it. e.mu must be held.
+func (e *pageEntry) ownOverlay(extra int) []op {
+	if e.shared {
+		e.overlay, e.shared = append(make([]op, 0, len(e.overlay)+extra), e.overlay...), false
+	}
+	return e.overlay
 }
 
 // insertOp is insertOps of one op.

@@ -249,11 +249,42 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	var ckpt wal.LSN // horizon of the last published checkpoint
 
 	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(keySpace)) }
+	// The block's overlay owes its readers every op above the seal and, on a
+	// sync tree, whose seal is "everything applied", every op since the last
+	// build. Nothing here writes during a build, so that is all it may hold:
+	// noteBuilds, called between any two writes, finds the LSN below which the
+	// newest block has everything, and owedOverlay lists the versions above it.
+	var builds int64
+	var folded wal.LSN
+	noteBuilds := func() {
+		if n := m.BlockStatsSnapshot().Builds; n != builds {
+			info, _ := tr.EdgeBlock()
+			builds, folded = n, min(info.Seal, pipe.last)
+		}
+	}
+	owedOverlay := func() []op {
+		want := []op{}
+		for k, vs := range ref {
+			for _, v := range vs {
+				if v.lsn > folded {
+					want = append(want, op{key: []byte(k), val: []byte(v.val), del: v.del, lsn: v.lsn})
+				}
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if c := bytes.Compare(want[i].key, want[j].key); c != 0 {
+				return c < 0
+			}
+			return want[i].lsn < want[j].lsn
+		})
+		return want
+	}
 	publish := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
 		ups = append(ups, m.TakeRelocated()...)
 		for i := 0; i == 0 || i < len(ups); i++ { // one update per record: records must fit an extent
-			if _, err := pipe.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups[i:min(i+1, len(ups))])}); err != nil {
+			left := uint64(max(len(ups)-1-i, 0)) // the checkpoint's records still to come
+			if _, err := pipe.Log(&wal.Record{Type: wal.RecordCheckpoint, TreeID: left, CkptLSN: h, Value: EncodeMappingUpdates(ups[i:min(i+1, len(ups))])}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -324,6 +355,10 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 		if err := mirrorGap(st, m.get(dir[step%len(dir)].Page)); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		noteBuilds()
+		if err := blockRunsGap(tr, owedOverlay()); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		recs, err := rd.Poll()
 		if err != nil {
 			t.Fatal(err)
@@ -350,6 +385,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	}
 
 	for step := 0; step < steps; step++ {
+		noteBuilds()
 		switch r := rng.Intn(100); {
 		case r < 8:
 			// Every other batch draws its keys from a 24-key window: three
@@ -485,6 +521,57 @@ func mirrorGap(st *storage.Store, e *pageEntry) error {
 		}) {
 			return fmt.Errorf("page %d: op {%s lsn %d del %v} is on the delta chain and not durable in the overlay (%d ops)",
 				e.id, o.key, o.lsn, o.del, len(e.overlay))
+		}
+	}
+	return nil
+}
+
+// blockRunsGap checks the invariant a block read rests on when it takes the
+// overlay's run directory as it stands: there is a run, none but the first is
+// empty, none is larger than blockRunOps but for one key's ops, they are
+// key-sorted with each key's ops in LSN order, no key is in two runs, and
+// together they are exactly want — the ops the overlay owes its readers, in
+// overlay order (nil: not checked). It returns the first violation. A tree
+// with no block has no readers of its runs.
+func blockRunsGap(tr *Tree, want []op) error {
+	st := &tr.blocks
+	if st.block.Load() == nil {
+		return nil
+	}
+	st.overlayMu.Lock()
+	defer st.overlayMu.Unlock()
+	if len(st.runs) == 0 {
+		return fmt.Errorf("block has an empty run directory")
+	}
+	for i, r := range st.runs {
+		if run := r.ops; (len(run) == 0 && i > 0) || (len(run) > blockRunOps && !bytes.Equal(run[blockRunOps-1].key, run[len(run)-1].key)) {
+			return fmt.Errorf("block run %d of %d holds %d ops", i, len(st.runs), len(run))
+		}
+	}
+	flat := flatten(st.runs)
+	for i := 1; i < len(flat); i++ {
+		if c := bytes.Compare(flat[i-1].key, flat[i].key); c > 0 || (c == 0 && flat[i-1].lsn > flat[i].lsn) {
+			return fmt.Errorf("block runs: op %d {%s lsn %d} follows {%s lsn %d}", i, flat[i].key, flat[i].lsn, flat[i-1].key, flat[i-1].lsn)
+		}
+	}
+	for i := 1; i < len(st.runs); i++ {
+		if prev := st.runs[i-1].ops; len(prev) > 0 && bytes.Equal(prev[len(prev)-1].key, st.runs[i].ops[0].key) {
+			return fmt.Errorf("block runs %d and %d share key %s", i-1, i, st.runs[i].ops[0].key)
+		}
+	}
+	if int64(len(flat)) != st.overlayLen.Load() {
+		return fmt.Errorf("block runs hold %d ops, %d published", len(flat), st.overlayLen.Load())
+	}
+	for i := 0; want != nil && (i < len(flat) || i < len(want)); i++ {
+		if i >= len(flat) || i >= len(want) || flat[i].lsn != want[i].lsn || flat[i].del != want[i].del ||
+			!bytes.Equal(flat[i].key, want[i].key) || !bytes.Equal(flat[i].val, want[i].val) {
+			stamp := func(ops []op) string {
+				if i >= len(ops) {
+					return "<end>"
+				}
+				return fmt.Sprintf("%s@%d", ops[i].key, ops[i].lsn)
+			}
+			return fmt.Errorf("block runs hold %d ops, owed %d: op %d is %s, owed %s", len(flat), len(want), i, stamp(flat), stamp(want))
 		}
 	}
 	return nil

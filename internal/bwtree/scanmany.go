@@ -96,8 +96,8 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			cur = queue[n]
 			s, t := &state[cur], scans[cur].Tree
 			// A packed super-vertex tree answers from memory.
-			if blk, ov, ok := t.blockView(h); ok {
-				if scanPage(blk.image, ov, s.from, scans[cur].To, limit-s.delivered, h, emit); stopped {
+			if blk, runs, ok := t.blockView(h); ok {
+				if blk.scan(runs, s.from, scans[cur].To, limit-s.delivered, h, emit); stopped {
 					return nil
 				}
 				continue
@@ -214,14 +214,15 @@ func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.L
 }
 
 // cut is what a scan takes from a latched leaf before walking it unlatched:
-// the range [from, to) clipped to the page, a private copy of the overlay
-// ops inside it, and whether the scan ends in this leaf — its bound does,
-// or, as far as can be told without walking, the limit will: the base
-// entries in range outnumber the owed pairs (<= 0: unlimited) even if every
-// overlay op in range deleted one.
+// the range [from, to) clipped to the page, the overlay ops inside it — the
+// overlay itself, by reference: the page is marked shared, and whoever edits
+// the overlay in place next takes a copy first (ownOverlay) — and whether the
+// scan ends in this leaf — its bound does, or, as far as can be told without
+// walking, the limit will: the base entries in range outnumber the owed pairs
+// (<= 0: unlimited) even if every overlay op in range deleted one.
 func (e *pageEntry) cut(base leafImage, from, to []byte, owed int) (lo, hi []byte, ov []op, ended bool) {
 	lo, hi = clipBounds(from, to, e.lo, e.hi)
-	ov = append([]op(nil), opsInRange(e.overlay, lo, hi)...)
+	ov, e.shared = opsInRange(e.overlay, lo, hi), true
 	ended = e.next == 0 || (to != nil && bytes.Equal(hi, to))
 	if !ended && owed > 0 {
 		ended = base.bound(hi)-base.search(lo)-len(ov) > owed

@@ -1,15 +1,24 @@
 package bwtree
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"log"
+	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bg3/internal/mvcc"
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
 // TestStressParallelReadersWritersGC hammers one tree with concurrent
@@ -362,6 +371,269 @@ func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
 			// the leaves would have cost.
 			if n == 0 || reads >= leaves {
 				t.Fatalf("%d scans beside %d writes read storage %d times; the tree has %d leaves", n, writers*perW, reads, leaves)
+			}
+		})
+	}
+}
+
+// versionLog is a WAL logger that is also the version map of a concurrent
+// test: every put and delete is recorded under the LSN it is assigned, in one
+// critical section, so whoever reads an LSN — an epoch, or last — finds every
+// version at or below it recorded. With a clock it commits like the RW node's
+// committer (the epoch advances when the wait runs, after the op is in its
+// leaf); without one it is a plain sync logger.
+type versionLog struct {
+	mu  sync.Mutex
+	lsn wal.LSN
+	ref refModel
+	src *mvcc.Source
+}
+
+func (l *versionLog) Log(rec *wal.Record) (wal.LSN, error) {
+	lsn, w := l.LogAsync(rec)
+	return lsn, w()
+}
+
+func (l *versionLog) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
+	l.mu.Lock()
+	l.lsn++
+	lsn := l.lsn
+	if rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete {
+		l.ref[string(rec.Key)] = append(l.ref[string(rec.Key)], version{lsn: lsn, val: string(rec.Value), del: rec.Type == wal.RecordDelete})
+	}
+	l.mu.Unlock()
+	return lsn, func() error {
+		if l.src != nil {
+			l.src.Advance(mvcc.Epoch(lsn))
+		}
+		return nil
+	}
+}
+
+func (l *versionLog) last() wal.LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lsn
+}
+
+// explain returns why got is not a scan of [from, to) at some horizon in
+// [h0, h1], key by key: each key's delivered state must be the one some
+// horizon of the window gives it. With h0 == h1 that is equality with the
+// version map at that horizon.
+func (l *versionLog) explain(got map[string]string, from, to string, h0, h1 wal.LSN) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k := range got {
+		if _, known := l.ref[k]; !known || k < from || (to != "" && k >= to) {
+			return fmt.Errorf("delivered %s, which is not a key of [%s, %s)", k, from, to)
+		}
+	}
+	for k, vs := range l.ref {
+		if k < from || (to != "" && k >= to) {
+			continue
+		}
+		v, live := got[k]
+		wv, wlive := l.ref.at(k, h0)
+		ok := live == wlive && v == wv
+		for _, ver := range vs {
+			if ver.lsn > h0 && ver.lsn <= h1 && live == !ver.del && (ver.del || v == ver.val) {
+				ok = true
+			}
+		}
+		if !ok {
+			return fmt.Errorf("%s = %q (live %v); at %d the version map has %q (live %v), and no version in (%d, %d] matches: %+v", k, v, live, h0, wv, wlive, h0, h1, vs)
+		}
+	}
+	return nil
+}
+
+// TestStressOverlayReadersRaceWriters: an overlay is read by reference, so
+// the readers here hold on to what they took. Scanners stall inside their
+// callback — on the first pair of a scan, until the writers have moved on —
+// holding a leaf's aliased overlay or a block's run directory while writers
+// put, delete and apply key-sorted runs into the same leaves, leaves split
+// (halve), the flusher flips pending bits and consolidates, and the write path
+// builds the edge block mid-way and rebuilds it every 48 overlay ops, on an
+// async tree (epoch clock, background flusher, three writers) and on a sync
+// tree (one writer). A pinned scan — the async tree's every other one — must
+// equal the version map at its epoch. A latest scan is not one instant, and
+// owes its caller the writes finished before it began: every key it delivers
+// or omits must be in the state some horizon gives it between the newest LSN
+// below which every write had finished when it began and the newest assigned
+// when it ended. Run with -race: a writer editing what a reader holds is a
+// data race before it is a wrong answer.
+func TestStressOverlayReadersRaceWriters(t *testing.T) {
+	const keySpace, scanners = 600, 3
+	perWriter := 1500
+	if testing.Short() {
+		perWriter = 500
+	}
+	for _, mode := range []struct {
+		name    string
+		async   bool
+		writers int
+	}{{"async", true, 3}, {"sync", false, 1}} {
+		t.Run(mode.name, func(t *testing.T) {
+			log.SetOutput(io.Discard) // pinned scanners stall: builds skipped for their pins are expected
+			defer log.SetOutput(os.Stderr)
+			cfg := Config{MaxPageEntries: 8, MaxInnerEntries: 8, ConsolidateNum: 6, EdgeBlockMinEntries: 200, EdgeBlockRebuildOps: 48}
+			vl := &versionLog{ref: refModel{}}
+			if mode.async {
+				vl.src = mvcc.NewSource(0)
+				cfg.FlushMode, cfg.Epochs = FlushAsync, vl.src
+			}
+			st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+			tr, err := New(NewMapping(0, false), st, cfg, vl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+			for i := 0; i < keySpace; i += 6 { // a sixth of the keys: the rest arrive under the race, splitting leaves
+				if err := tr.Put(key(i), []byte("preload")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// begun[w] is the newest LSN assigned when writer w began the op it is
+			// in: its earlier ops, all stamped at or below it, have finished.
+			var written atomic.Int64
+			begun := make([]atomic.Uint64, mode.writers)
+			finished := func() wal.LSN {
+				f := uint64(math.MaxUint64)
+				for w := range begun {
+					f = min(f, begun[w].Load())
+				}
+				return wal.LSN(f)
+			}
+			stop := make(chan struct{})
+			var wg, bg sync.WaitGroup
+			for w := 0; w < mode.writers; w++ {
+				begun[w].Store(uint64(vl.last()))
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					defer begun[w].Store(math.MaxUint64)
+					rng := rand.New(rand.NewSource(int64(w + 1)))
+					for i := 0; i < perWriter; i++ {
+						begun[w].Store(uint64(vl.last()))
+						written.Add(1)
+						var err error
+						switch r := rng.Intn(10); {
+						case r < 2: // a key-sorted run into a few neighbouring leaves
+							ws := make([]Write, 2+rng.Intn(12))
+							lo := rng.Intn(keySpace - 24)
+							for j := range ws {
+								ws[j] = Write{Key: key(lo + rng.Intn(24)), Delete: rng.Intn(4) == 0}
+								if !ws[j].Delete {
+									ws[j].Value = []byte(fmt.Sprintf("w%d.%d.%d", w, i, j))
+								}
+							}
+							sort.SliceStable(ws, func(a, b int) bool { return bytes.Compare(ws[a].Key, ws[b].Key) < 0 })
+							_, err = tr.Apply(ws, nil)
+						case r < 4:
+							err = tr.Delete(key(rng.Intn(keySpace)))
+						default:
+							err = tr.Put(key(rng.Intn(keySpace)), []byte(fmt.Sprintf("w%d.%d", w, i)))
+						}
+						if err != nil {
+							t.Errorf("writer %d: %v", w, err)
+							return
+						}
+					}
+				}(w)
+			}
+			if mode.async {
+				bg.Add(1)
+				go func() {
+					defer bg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := tr.FlushDirty(); err != nil {
+							t.Errorf("flush: %v", err)
+							return
+						}
+						runtime.Gosched()
+					}
+				}()
+			}
+			var scans atomic.Int64
+			for r := 0; r < scanners; r++ {
+				bg.Add(1)
+				go func(r int) {
+					defer bg.Done()
+					rng := rand.New(rand.NewSource(int64(100 + r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						from, to := "", ""
+						if rng.Intn(2) == 0 {
+							lo := rng.Intn(keySpace)
+							from, to = string(key(lo)), string(key(lo+1+rng.Intn(80)))
+						}
+						h, h0, h1 := horizonAll, finished(), wal.LSN(0)
+						var pin *mvcc.Pin
+						if mode.async && rng.Intn(2) == 0 {
+							pin = vl.src.Pin()
+							h = wal.LSN(pin.Epoch())
+							h0, h1 = h, h
+						}
+						var bound []byte // nil: open
+						if to != "" {
+							bound = []byte(to)
+						}
+						got, seen := map[string]string{}, written.Load()
+						err := tr.ScanAt([]byte(from), bound, 0, h, func(k, v []byte) bool {
+							// Stall on what this scan holds until writers have run past it.
+							for stalled := len(got) == 0; stalled && written.Load() < seen+4; {
+								select {
+								case <-stop:
+									stalled = false
+								default:
+									runtime.Gosched()
+								}
+							}
+							got[string(k)] = string(v)
+							return true
+						})
+						if pin != nil {
+							pin.Close()
+						} else {
+							h1 = vl.last()
+						}
+						if err == nil {
+							err = vl.explain(got, from, to, h0, h1)
+						}
+						if err != nil {
+							t.Errorf("scan [%s, %s) at %d: %v", from, to, h, err)
+							return
+						}
+						scans.Add(1)
+					}
+				}(r)
+			}
+			wg.Wait()
+			close(stop)
+			bg.Wait()
+			awaitSpawnedBuild(tr)
+			// (Writers racing a first build can be captured and seeded both: a
+			// replay reads the same, and is not LSN-ordered.)
+			if err := blockRunsGap(tr, nil); err != nil && mode.writers == 1 {
+				t.Fatal(err)
+			}
+			bs, s := tr.m.BlockStatsSnapshot(), tr.Stats()
+			t.Logf("%d scans, stats %+v, block %+v", scans.Load(), s, bs)
+			if scans.Load() < 20 || s.Splits < 20 || bs.Builds < 3 || bs.Hits == 0 {
+				t.Fatalf("the race never happened: %d scans, %d splits, block stats %+v", scans.Load(), s.Splits, bs)
+			}
+			if mode.async && s.Consolidations == 0 {
+				t.Fatalf("the flusher never consolidated: %+v", s)
 			}
 		})
 	}

@@ -526,7 +526,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 	case async:
 		// Applied in memory; persistence is the background flusher's (group
 		// commit).
-		e.overlay, e.live, e.dirty = insertOps(e.overlay, run), live, true
+		e.overlay, e.live, e.dirty = insertOps(e.ownOverlay(len(run)), run), live, true
 		t.dirtyMu.Lock()
 		t.dirtySet[e.id] = struct{}{}
 		t.dirtyMu.Unlock()
@@ -590,7 +590,7 @@ func (t *Tree) persistRun(e *pageEntry, base leafImage, run []op, live int) erro
 		}
 		e.deltaLocs = append(e.deltaLocs, locs...)
 	}
-	e.overlay, e.live = merged, live
+	e.overlay, e.shared, e.live = merged, false, live
 	return nil
 }
 
@@ -631,8 +631,8 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 	}
 	// Block fast path: a packed super-vertex tree serves the whole scan
 	// from its one immutable image plus the overlay patch (block.go).
-	if blk, ov, ok := t.blockView(h); ok {
-		scanPage(blk.image, ov, from, to, limit, h, fn)
+	if blk, runs, ok := t.blockView(h); ok {
+		blk.scan(runs, from, to, limit, h, fn)
 		return nil
 	}
 	for delivered := 0; ; {
@@ -804,13 +804,14 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 // shares the page's immutable image (nil when the page is not resident),
 // each half reading it through its own key range, and the overlay — stamps
 // intact, so a horizon still reconstructs pre-split versions of keys that
-// move right — is cut at the separator. The sibling is not linked in yet
-// (adopt). e.mu must be held.
+// move right — is cut at the separator: the halves alias one array, so a scan
+// that holds it (shared) holds both. The sibling is not linked in yet (adopt).
+// e.mu must be held.
 func (e *pageEntry) halve(sep []byte, id PageID) *pageEntry {
 	cut := searchOps(e.overlay, sep)
 	right := &pageEntry{
 		id: id, tree: e.tree, isLeaf: true, lo: sep, hi: e.hi, next: e.next, live: -1,
-		base: e.base, overlay: e.overlay[cut:],
+		base: e.base, overlay: e.overlay[cut:], shared: e.shared,
 	}
 	e.overlay = e.overlay[:cut:cut]
 	return right

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -153,5 +154,80 @@ func TestFollowerNeverAppends(t *testing.T) {
 	}
 	if got := st.Stats().WriteOps; got != writes {
 		t.Fatalf("followers appended %d records to the shared store", got-writes)
+	}
+}
+
+// TestChunkedCheckpointCutsOverlaysOnLastRecord: a checkpoint too large for
+// one WAL record (4 KiB extents: 56 mapping updates a record) is several
+// records, and a follower may stop between any two of them. It must read every
+// edge at its latest state after each one: the overlays are cut at the
+// checkpoint's horizon only by the last record, once every page has moved —
+// cut by the first, an evicted page named by a later record reloads from
+// records that never held the ops it just dropped. No sleeping: the records
+// are applied by hand, one at a time, behind a 2-page cache.
+func TestChunkedCheckpointCutsOverlaysOnLastRecord(t *testing.T) {
+	const sources, perRound = 300, 3
+	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
+	rw, err := NewRWNode(st, RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Stop()
+	rep, rd := core.NewReplica(st, 2), wal.NewReader(st)
+	round := func(r int) {
+		t.Helper()
+		for i := 0; i < sources*perRound; i++ {
+			if err := rw.AddEdge(graph.Edge{Src: graph.VertexID(i % sources), Dst: graph.VertexID(r*sources*perRound + i), Type: graph.ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	current := func(when string) {
+		t.Helper()
+		for src := 0; src < sources; src++ {
+			want, _ := rw.Degree(graph.VertexID(src), graph.ETypeFollow)
+			if got, err := rep.Degree(graph.VertexID(src), graph.ETypeFollow); err != nil || got != want {
+				t.Fatalf("%s: follower degree(%d) = %d %v, leader %d", when, src, got, err, want)
+			}
+		}
+	}
+	round(0)
+	if err := rw.Checkpoint(); err != nil { // every page has durable records; round 1 dirties them again
+		t.Fatal(err)
+	}
+	round(1)
+	if err := rw.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := rd.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, last := 0, len(recs)-1
+	for last >= 0 && recs[last].Type != wal.RecordCheckpoint {
+		last--
+	}
+	for i, rec := range recs {
+		ofLast := rec.Type == wal.RecordCheckpoint && rec.CkptLSN == recs[last].CkptLSN
+		if ofLast && chunks == 0 {
+			current("before the checkpoint") // and loads and evicts every page
+		}
+		if err := rep.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+		if !ofLast {
+			continue
+		}
+		chunks++
+		if left := uint64(last - i); rec.TreeID != left {
+			t.Fatalf("checkpoint record %d carries %d records to come, want %d", chunks, rec.TreeID, left)
+		}
+		current(fmt.Sprintf("after checkpoint record %d", chunks))
+		if buffered := rep.BufferedRecords(); (buffered == 0) != (i == last) {
+			t.Fatalf("after checkpoint record %d (%d to come): %d replayed ops buffered", chunks, last-i, buffered)
+		}
+	}
+	if chunks < 2 {
+		t.Fatalf("the checkpoint took %d records, want several", chunks)
 	}
 }

@@ -301,9 +301,10 @@ func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cur
 }
 
 // appendCheckpoint publishes a checkpoint, chunking the mapping updates so
-// each WAL record fits an extent. Replicas apply repeated checkpoint
-// records with the same horizon idempotently. It returns the LSN of the last
-// record it logged.
+// each WAL record fits an extent. Every record but the last carries in TreeID
+// how many are still to come, so a follower applies them as one checkpoint,
+// with the last (bwtree applyCheckpoint); a checkpoint of one record reads as
+// it always did. It returns the LSN of the last record it logged.
 func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdate) (wal.LSN, error) {
 	// Rough per-update encoded size: ids(16) + base loc(17) + delta count
 	// and a handful of delta locs. Cap chunks well under the extent size.
@@ -311,18 +312,14 @@ func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdat
 	if maxPer < 8 {
 		maxPer = 8
 	}
-	for start := 0; ; start += maxPer {
-		end := start + maxPer
-		if end > len(updates) {
-			end = len(updates)
-		}
-		chunk := updates[start:end]
+	for start, left := 0, max(0, len(updates)-1)/maxPer; ; start, left = start+maxPer, left-1 {
 		lsn, err := n.logger.Log(&wal.Record{
 			Type:    wal.RecordCheckpoint,
+			TreeID:  uint64(left),
 			CkptLSN: ckptLSN,
-			Value:   bwtree.EncodeMappingUpdates(chunk),
+			Value:   bwtree.EncodeMappingUpdates(updates[start:min(start+maxPer, len(updates))]),
 		})
-		if err != nil || end >= len(updates) {
+		if err != nil || left == 0 {
 			return lsn, err
 		}
 	}

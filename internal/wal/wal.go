@@ -44,7 +44,9 @@ const (
 	RecordNewRoot
 	// RecordCheckpoint declares that shared storage (pages + mapping table)
 	// reflects every modification with LSN <= CheckpointLSN. RO nodes drop
-	// buffered records up to that point.
+	// buffered records up to that point. A checkpoint split over several
+	// records counts in TreeID the records of it still to come: the
+	// declaration holds once the one carrying 0 is in.
 	RecordCheckpoint
 	// RecordNewTree logs creation of a Bw-tree (forest growth): TreeID is
 	// the new tree, AuxPage its root page.
