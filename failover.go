@@ -1,28 +1,30 @@
 package bg3
 
-// Failover deposes the current leader and promotes a fresh follower over
-// the same shared store — the recovery path for a crashed or hung RW node,
-// and a drill for practicing it (§3.4's single-writer architecture made
-// survivable). The sequence:
+// Failover deposes the current leader and promotes a follower over the same
+// shared store — the recovery path for a crashed or hung RW node, and a drill
+// for practicing it (§3.4's single-writer architecture made survivable). The
+// sequence:
 //
-//  1. A new fence epoch is claimed on the WAL stream. From that instant
+//  1. Fence: a new epoch is claimed on the WAL stream. From that instant
 //     every append still carried by the old leader fails with an error
 //     wrapping storage.ErrFenced: in-flight writes surface the failure to
 //     their callers instead of being silently lost, and the old leader's
 //     writer fail-stops.
-//  2. A follower bootstraps from the latest snapshot, drains the durable
-//     WAL tail (every write acknowledged before the fence), and is rebuilt
-//     into a live RW engine appending at the new epoch.
-//  3. The DB atomically routes subsequent reads and writes to the promoted
-//     leader, and attached replicas re-bootstrap onto its fresh snapshot.
+//  2. Drain: a follower attached from the latest snapshot (or the start of
+//     the log) applies the durable WAL tail, every write acknowledged before
+//     the fence, the way every replica does.
+//  3. Take over: that follower's page table becomes the leader's, in place,
+//     appending at the new epoch. Nothing is rewritten and no snapshot is
+//     taken; pages keep their IDs.
 //
-// Writes issued concurrently with Failover either commit durably (they beat
-// the fence and the promoted leader replays them) or fail with ErrFenced /
-// wal.ErrWriterFailed — never silent loss. Like crash recovery, promotion
-// needs at least one snapshot on the store; Failover writes one through the
-// old leader on a best-effort basis, which succeeds whenever that leader is
-// still healthy. On a DB opened without Options.Replicated it returns
-// ErrNotReplicated.
+// The DB routes subsequent reads and writes to the promoted leader. Attached
+// replicas are not disturbed: they keep tailing the same log and need no
+// resync. Writes issued concurrently with Failover either commit durably (they
+// beat the fence and the drain carries them over) or fail with ErrFenced /
+// wal.ErrWriterFailed — never silent loss. A hole in the log beyond the
+// snapshot (a lost extent) fails the promotion rather than start a leader
+// that is missing acknowledged writes. On a DB opened without
+// Options.Replicated it returns ErrNotReplicated.
 func (db *DB) Failover() error {
 	if db.ls == nil {
 		return ErrNotReplicated

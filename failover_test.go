@@ -15,7 +15,7 @@ type failoverTarget struct {
 	store    graph.Store
 	failover func() error
 	// kill fences the leader failover() replaces, as a crash would leave
-	// it: its writes and its best-effort snapshot fail from here on.
+	// it: its writes fail from here on.
 	kill       func() error
 	checkpoint func() error
 	epoch      func() uint64 // fence epoch of the leader failover() replaces
@@ -26,6 +26,8 @@ type failoverTarget struct {
 	// follower opens a read handle on follower nodes and returns it with
 	// its Sync.
 	follower func(t *testing.T) (graph.Reader, func() error)
+	// resyncs counts the snapshot re-bootstraps of every attached follower.
+	resyncs func() int64
 }
 
 func fence(st *storage.Store) error {
@@ -56,6 +58,7 @@ func dbFailoverTarget(t *testing.T) failoverTarget {
 			}
 			return rep, rep.Sync
 		},
+		resyncs: func() int64 { return db.Stats().Replication.Resyncs },
 	}
 }
 
@@ -88,6 +91,7 @@ func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
 				}
 				return view, view.Sync
 			},
+			resyncs: db.resyncs,
 		}
 	}
 }
@@ -97,9 +101,10 @@ func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
 // holds each to the same contract: the deposed leader's fence epoch bumps
 // and nobody else's, every acknowledged write survives with its value,
 // new writes land on the promoted leader, a follower handle opened before
-// the failover serves every acked edge after it, and a second failover —
-// of a leader that died, so the promotion replays a WAL suffix its
-// followers tailed under the old leader's page IDs — stacks on the first.
+// the failover serves every acked edge after it without ever resyncing —
+// it tails one log, whose records name the same pages under every leader —
+// and a second failover, of a leader that died, so the promotion drains a
+// WAL suffix with splits and checkpoints in it, stacks on the first.
 func TestFailover(t *testing.T) {
 	cases := []struct {
 		name string
@@ -188,6 +193,9 @@ func TestFailover(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("after failover of a dead leader")
+			if n := tgt.resyncs(); n != 0 {
+				t.Fatalf("followers resynced %d times across two failovers, want to have tailed through", n)
+			}
 		})
 	}
 }
@@ -244,8 +252,16 @@ func TestDBFailoverOnTrimmedWAL(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Sync(); err != nil {
-		t.Fatal(err)
+	// The failover resyncs nobody. A replica the trim outran is on its own:
+	// its reader takes the hole for an append still in flight at first, and
+	// after a few polls without progress the node resyncs from the snapshot.
+	for polls := 0; rep.AppliedLSN() < uint64(db.leader().LastLSN()); polls++ {
+		if polls == 32 {
+			t.Fatalf("replica stuck at LSN %d of %d after %d polls (%d resyncs)", rep.AppliedLSN(), db.leader().LastLSN(), polls, rep.Resyncs())
+		}
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, r := range map[string]graph.Reader{"leader": db, "replica": rep} {
 		for i := 1; i <= acked; i++ {
@@ -255,6 +271,113 @@ func TestDBFailoverOnTrimmedWAL(t *testing.T) {
 			}
 			if v, _ := e.Props.Get("n"); len(v) != 1 || v[0] != byte(i) {
 				t.Fatalf("%s: edge %d = %x", name, i, v)
+			}
+		}
+	}
+}
+
+// TestFailoverReadsNoBasePage pins what a promotion costs, on a leader whose
+// pages do not fit its cache (CacheCapacity 64), a snapshot, a WAL suffix of
+// overwrites behind it and one attached replica: the delta records of the
+// pages, read once to restore the overlays' mirror of them, two log scans,
+// and nothing else. No base page is read (every page read goes through
+// storage.ReadBatch, which fetched exactly the delta records), nothing is
+// appended before the first user write — no snapshot, no inner node, no page
+// rewritten — and the replica keeps its pages and goes on from the LSN it
+// had: it is not resynced. Rebuilding the leader from the snapshot used to
+// read every base page and write a snapshot after (at 100k edges / 1,576
+// pages and a 5,000-record suffix: 1,569 reads, 1,582 appends, one resync).
+// Flusher and tailing loop are driven by hand (intervals of an hour): both
+// use the store the counters are on.
+func TestFailoverReadsNoBasePage(t *testing.T) {
+	const sources, perSource, suffix = 300, 100, 1000
+	db := openDB(t, &Options{Replicated: true, CacheCapacity: 64, FlushInterval: time.Hour, ReplicaPollInterval: time.Hour})
+	edge := func(i int, v byte) Edge {
+		return Edge{Src: VertexID(1 + i%sources), Dst: VertexID(i), Type: ETypeFollow, Props: Properties{{Name: "v", Value: []byte{v}}}}
+	}
+	var batch []Mutation
+	for i := 0; i < sources*perSource; i++ {
+		if batch = append(batch, AddEdgeMut(edge(i, 0))); len(batch) == 1000 {
+			if err := db.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	// Flushed once as base pages, then — an edge of every source rewritten —
+	// once more as the delta records the snapshot finds beside them.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sources; i++ {
+		if err := db.AddEdge(edge(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := db.OpenReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	for i := 0; i < suffix; i++ { // overwrites: the suffix splits no page
+		if err := db.AddEdge(edge(i*7, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rep.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var pages, chains int64
+	for _, ts := range db.eng().SnapshotState().Trees {
+		for _, lf := range ts.Leaves {
+			pages, chains = pages+1, chains+int64(len(lf.Deltas))
+		}
+	}
+	if pages < 4*64 || chains == 0 {
+		t.Fatalf("fixture: %d pages, %d delta records; want pages well past the cache and some delta records", pages, chains)
+	}
+	replicaPages := func() int64 { return rep.f.ros[0].Metrics().Snapshot()["bwtree.pages"].Value }
+	applied, held := rep.AppliedLSN(), replicaPages()
+
+	before := db.store.Stats()
+	if err := db.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.store.Stats()
+	if got := after.BatchLocs - before.BatchLocs; got != chains {
+		t.Errorf("the failover read %d page records, want the %d delta records and no base page", got, chains)
+	}
+	if scans := after.ReadOps - before.ReadOps - chains; scans < 0 || scans > 3 {
+		t.Errorf("the failover made %d storage reads beside the %d delta records, want the snapshot and log scans", scans, chains)
+	}
+	if got := after.WriteOps - before.WriteOps; got != 0 {
+		t.Errorf("the failover appended %d records before the first write, want none", got)
+	}
+
+	if err := db.AddEdge(edge(sources*perSource, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resyncs() != 0 || rep.AppliedLSN() != applied+1 || replicaPages() != held {
+		t.Errorf("replica after the failover and one write: %d resyncs, LSN %d, %d pages; want 0, %d, %d",
+			rep.Resyncs(), rep.AppliedLSN(), replicaPages(), applied+1, held)
+	}
+	for name, r := range map[string]graph.Reader{"leader": db, "replica": rep} {
+		for i := 0; i <= sources*perSource; i += 37 {
+			want := byte(0)
+			if i == sources*perSource {
+				want = 2
+			} else if i%7 == 0 && i/7 < suffix {
+				want = 1
+			}
+			e, ok, err := r.GetEdge(VertexID(1+i%sources), ETypeFollow, VertexID(i))
+			if v, _ := e.Props.Get("v"); err != nil || !ok || len(v) != 1 || v[0] != want {
+				t.Fatalf("%s: edge %d = %x ok=%v err=%v, want %x", name, i, v, ok, err, want)
 			}
 		}
 	}

@@ -32,18 +32,17 @@ import (
 //     every overlay drops the ops at or below the checkpoint LSN, folding them
 //     into a resident image first.
 //
-// An applier has no logger and no flusher, never marks a page dirty, and never
-// appends to the shared store (flushInner). Its inner nodes are its own: it
-// allocates their IDs from applierPageBase up, out of the way of the leaf IDs
-// the leader's records carry.
-const applierPageBase = 1 << 62
+// An applier has no logger and no flusher, never marks a page dirty, never
+// allocates a leaf or tree ID and never appends to the shared store — until it
+// is handed the leader's role (TakeOver, takeover.go), which is how a leader
+// recovers and how a follower is promoted: the log is turned into pages here
+// and nowhere else.
 
 // NewApplierMapping returns the page table of an RO node. capacity bounds the
 // leaf pages with resident content (0 = unlimited).
 func NewApplierMapping(capacity int) *Mapping {
 	m := NewMapping(capacity, false)
 	m.applier = true
-	m.nextPage.Store(applierPageBase)
 	return m
 }
 
@@ -67,7 +66,8 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 			return fmt.Errorf("bwtree: apply: %v record for unknown page %d", rec.Type, rec.PageID)
 		}
 		if rec.Type == wal.RecordSplit {
-			return e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
+			e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
+			return nil
 		}
 		e.mu.Lock()
 		e.overlay = insertOp(e.ownOverlay(1), op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
@@ -75,10 +75,6 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 		return nil
 	case wal.RecordCheckpoint:
 		return m.applyCheckpoint(rec)
-	case wal.RecordNewPage, wal.RecordNewRoot:
-		// The split record that follows names the sibling; the applier grows
-		// its own roots.
-		return nil
 	case wal.RecordTxnPrepare, wal.RecordTxnCommit, wal.RecordTxnAbort, wal.RecordTxnApplied:
 		// Cross-shard transaction control records: decided payloads are
 		// re-logged as ordinary data records, so appliers track nothing here.
@@ -92,7 +88,7 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 // materialization (the separator comes with the record, the halves stay as
 // resident as the page was), no live counts, nothing dirty. The sibling reads
 // e's records until a checkpoint gives it its own.
-func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) error {
+func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	e.mu.Lock()
@@ -101,7 +97,7 @@ func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) error {
 	right.origin = e.id
 	e.live = -1
 	t.adopt(e, right)
-	return t.insertParent(e.id, sep, rightID, nil)
+	t.insertParent(e.id, sep, rightID)
 }
 
 // applyCheckpoint moves the named pages to their new durable records and
@@ -115,11 +111,16 @@ func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) error {
 // the last. Moved a record at a time, a page would narrow to its own range
 // while the sibling split off it, named by a later record, still read through
 // it (locs); cut a record early, a page named later would reload from records
-// without the ops it just dropped.
+// without the ops it just dropped. The leading records of a checkpoint whose
+// leader died before the last are dropped when the next leader's first arrives
+// under its higher fence epoch.
 func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 	updates, err := DecodeMappingUpdates(rec.Value)
 	if err != nil {
 		return err
+	}
+	if rec.Epoch != m.ckptEpoch {
+		m.ckptUpdates, m.ckptEpoch = nil, rec.Epoch
 	}
 	if m.ckptUpdates = append(m.ckptUpdates, updates...); rec.TreeID != 0 {
 		return nil

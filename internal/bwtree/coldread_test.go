@@ -53,24 +53,22 @@ func TestColdScanReadsEachRecordOnce(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 
 	// The other two kinds of node open the same records from the leader's leaf
-	// directory, the way a recovery and a follower's bootstrap do.
-	reopen := func(m *Mapping, cfg Config) *Tree {
-		tr, err := Rebuild(m, st, cfg, nil, leader.ID(), leader.LeafDirectory())
+	// directory, the way a follower's bootstrap does, and only read.
+	reopen := func(m *Mapping) *Tree {
+		tr, err := Rebuild(m, st, leader.ID(), leader.LeafDirectory())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}
-	uncached := NewMapping(0, true)
-	uncached.EnsureIDsBeyond(PageID(m.nextPage.Load()), leader.ID())
 	roles := []struct {
 		name  string
 		tr    *Tree
 		chain bool // a cold load reads the delta chain
 	}{
 		{"leader", leader, false},
-		{"cache-disabled", reopen(uncached, Config{MaxPageEntries: 16, NoCache: true}), true},
-		{"applier", reopen(newFollower(st, 8).m, Config{MaxPageEntries: 16}), true},
+		{"cache-disabled", reopen(NewMapping(0, true)), true},
+		{"applier", reopen(newFollower(st, 8).m), true},
 	}
 
 	for _, tc := range []struct {
@@ -286,6 +284,22 @@ func mirrorFixture(t *testing.T, st *storage.Store, m *Mapping) (*Tree, *pageEnt
 	return tr, e
 }
 
+// reopenLeader is a second leader over tr's durable records, the way a recovery
+// gets one: an applier's table rebuilt from the leaf directory, handed the
+// leader's role under cfg.
+func reopenLeader(t *testing.T, st *storage.Store, tr *Tree, cfg Config) *Tree {
+	t.Helper()
+	m := NewApplierMapping(0)
+	rebuilt, err := Rebuild(m, st, tr.ID(), tr.LeafDirectory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+		t.Fatal(err)
+	}
+	return rebuilt
+}
+
 // TestEvictedPageWriteCarriesTheChain: the overlay is the chain's mirror
 // across eviction and relocation — that is why a leader's load may skip the
 // chain. A write to an evicted page whose delta record GC has moved meanwhile
@@ -333,29 +347,32 @@ func TestEvictedPageWriteCarriesTheChain(t *testing.T) {
 	}
 }
 
-// TestRebuildRestoresMirror: a leader rebuilt from a leaf directory reads its
-// delta chains back into the overlays, so its cold loads skip the chain from
-// the first one on: a Get of a key only the chain holds costs the base read
-// and finds it.
+// TestRebuildRestoresMirror: a table rebuilt from a leaf directory holds no
+// mirror until it is handed the leader's role — TakeOver reads the delta chains
+// back into the overlays, durable, dirtying nothing — so the new leader's cold
+// loads skip the chain from the first one on: a Get of a key only the chain
+// holds costs the base read and finds it.
 func TestRebuildRestoresMirror(t *testing.T) {
 	st := storage.Open(nil)
-	m := NewMapping(0, false)
-	tr, _ := mirrorFixture(t, st, m)
-	m2 := NewMapping(0, false)
-	m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
-	rebuilt, err := Rebuild(m2, st, tr.Config(), nil, tr.ID(), tr.LeafDirectory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := m2.get(rebuilt.root)
-	if err := mirrorGap(st, e); err != nil || len(e.overlay) != 3 {
-		t.Fatalf("rebuilt overlay has %d ops, want the chain's 3: %v", len(e.overlay), err)
-	}
+	tr, _ := mirrorFixture(t, st, NewMapping(0, false))
 	before := st.Stats().ReadOps
+	rebuilt := reopenLeader(t, st, tr, tr.Config())
+	if reads := st.Stats().ReadOps - before; reads != 1 {
+		t.Fatalf("the hand-over cost %d storage reads, want the one delta record", reads)
+	}
+	m2 := rebuilt.m
+	e := m2.get(rebuilt.root)
+	if err := mirrorGap(st, e); err != nil || len(e.overlay) != 3 || e.dirty {
+		t.Fatalf("overlay has %d ops (dirty=%v), want the chain's 3, clean: %v", len(e.overlay), e.dirty, err)
+	}
+	before = st.Stats().ReadOps
 	if v, ok, err := rebuilt.Get([]byte("k2")); err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("Get(k2) = %q %v %v, want the value the chain carries", v, ok, err)
 	}
 	if reads := st.Stats().ReadOps - before; reads != 1 {
-		t.Fatalf("a cold Get on the rebuilt leader cost %d storage reads, want 1", reads)
+		t.Fatalf("a cold Get on the new leader cost %d storage reads, want 1", reads)
+	}
+	if id := m2.allocPageID(); id <= e.id {
+		t.Fatalf("the new leader allocates page %d, at or below a page it holds (%d)", id, e.id)
 	}
 }

@@ -223,52 +223,3 @@ func decodeOps(buf []byte) ([]op, error) {
 	}
 	return ops, nil
 }
-
-// encodeInner serializes an inner node:
-//
-//	nchildren[4] { child[8] }* { klen[4] key }*   (nkeys = nchildren-1)
-func encodeInner(n *innerNode) []byte {
-	size := 4 + 8*len(n.children)
-	for _, k := range n.keys {
-		size += 4 + len(k)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(n.children)))
-	for _, c := range n.children {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	for _, k := range n.keys {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-	}
-	return buf
-}
-
-func decodeInner(buf []byte) (*innerNode, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("%w: short inner", ErrCorruptPage)
-	}
-	nc := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if nc == 0 || uint32(len(buf)) < nc*8 {
-		return nil, fmt.Errorf("%w: truncated inner children", ErrCorruptPage)
-	}
-	n := &innerNode{children: make([]PageID, nc), keys: make([][]byte, 0, nc-1)}
-	for i := range n.children {
-		n.children[i] = PageID(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-	}
-	for i := uint32(0); i+1 < nc; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("%w: truncated inner key %d", ErrCorruptPage, i)
-		}
-		klen := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		if uint32(len(buf)) < klen {
-			return nil, fmt.Errorf("%w: truncated inner key payload %d", ErrCorruptPage, i)
-		}
-		n.keys = append(n.keys, append([]byte(nil), buf[:klen]...))
-		buf = buf[klen:]
-	}
-	return n, nil
-}

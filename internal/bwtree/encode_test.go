@@ -121,23 +121,6 @@ func TestOpsEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInnerEncodeDecodeRoundTrip(t *testing.T) {
-	in := &innerNode{
-		keys:     [][]byte{[]byte("m"), []byte("t")},
-		children: []PageID{1, 2, 3},
-	}
-	out, err := decodeInner(encodeInner(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.children) != 3 || out.children[2] != 3 {
-		t.Fatalf("children = %v", out.children)
-	}
-	if len(out.keys) != 2 || string(out.keys[0]) != "m" || string(out.keys[1]) != "t" {
-		t.Fatalf("keys = %q", out.keys)
-	}
-}
-
 func TestDecodeCorruptImages(t *testing.T) {
 	leafCases := [][]byte{
 		nil,
@@ -165,16 +148,6 @@ func TestDecodeCorruptImages(t *testing.T) {
 	for i, buf := range opCases {
 		if _, err := decodeOps(buf); err == nil {
 			t.Fatalf("ops case %d decoded", i)
-		}
-	}
-	innerCases := [][]byte{
-		nil,
-		{0, 0, 0, 0},          // zero children
-		{2, 0, 0, 0, 1, 2, 3}, // truncated children
-	}
-	for i, buf := range innerCases {
-		if _, err := decodeInner(buf); err == nil {
-			t.Fatalf("inner case %d decoded", i)
 		}
 	}
 }

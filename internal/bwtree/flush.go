@@ -196,7 +196,7 @@ func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 	if !e.dirty {
 		return nil, nil
 	}
-	if e.base == nil {
+	if e.base == nil && e.baseLoc.IsZero() {
 		return nil, fmt.Errorf("bwtree: dirty page %d lost its content", e.id)
 	}
 	floor := t.retentionFloor()
@@ -207,8 +207,15 @@ func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 		// One merge-encode pass emits the next base: the storage record and
 		// the cached image at once. The retained suffix must be durable
 		// alongside it, or a crash would roll the page back past released
-		// commits.
-		img, err := mergeEncode(e.base, e.overlay, e.lo, e.hi, floor)
+		// commits. A page handed over dirty (TakeOver) may not be resident.
+		base := e.base
+		if base == nil {
+			var err error
+			if base, _, err = t.materialize(e, false); err != nil {
+				return nil, err
+			}
+		}
+		img, err := mergeEncode(base, e.overlay, e.lo, e.hi, floor)
 		if err != nil {
 			return nil, err
 		}

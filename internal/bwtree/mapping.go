@@ -3,6 +3,7 @@ package bwtree
 import (
 	"container/list"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,13 +19,20 @@ type PageID uint64
 // TreeID identifies a Bw-tree within a forest. 0 is never assigned.
 type TreeID uint64
 
-// innerNode is the always-resident content of an inner (index) page:
-// children[i] routes keys in [keys[i-1], keys[i]).
+// innerNode is the content of an inner (index) page: children[i] routes keys
+// in [keys[i-1], keys[i]). Inner nodes are memory, on every node: an index over
+// the leaves the log names, grown by the splits a node makes or applies and
+// rebuilt from a snapshot's leaf directory (Rebuild). Nothing stores them.
 type innerNode struct {
 	keys     [][]byte
 	children []PageID
-	loc      storage.Loc // durable image in the base stream
 }
+
+// innerPageBase is where inner pages' IDs start. They come from a counter of
+// their own (allocInnerID), out of the way of the leaf IDs the leader allocates
+// and its log carries: an applier grows its own index beside the leaves it is
+// told of, and a hand-over (TakeOver) has one ID space to carry on, not two.
+const innerPageBase = 1 << 62
 
 // pageEntry is one slot of the Bw-tree mapping table. The per-entry mutex
 // is the paper's "classic lightweight locking mechanism": writers latch the
@@ -87,8 +95,9 @@ type Mapping struct {
 	mu    sync.RWMutex
 	pages map[PageID]*pageEntry
 
-	nextPage atomic.Uint64
-	nextTree atomic.Uint64
+	nextPage  atomic.Uint64 // leaf IDs
+	nextInner atomic.Uint64 // inner IDs, above innerPageBase
+	nextTree  atomic.Uint64
 
 	// Leaf-content cache, lock-striped by page ID. Entries hold their
 	// content in pageEntry.base; the shards only track recency.
@@ -98,11 +107,13 @@ type Mapping struct {
 
 	// applier marks the page table of an RO node (applier.go): its entries
 	// are written by WAL records instead of Tree.Apply, and nothing in it
-	// ever appends to the shared store. ckptUpdates holds the mapping updates
-	// of a checkpoint whose last record is still to come (applyCheckpoint);
-	// the goroutine applying the log is its only user.
+	// ever appends to the shared store, until TakeOver clears the mark.
+	// ckptUpdates holds the mapping updates of a checkpoint whose last record
+	// is still to come, written under fence epoch ckptEpoch (applyCheckpoint);
+	// the goroutine applying the log is their only user.
 	applier     bool
 	ckptUpdates []MappingUpdate
+	ckptEpoch   uint64
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -221,9 +232,14 @@ func (m *Mapping) shard(id PageID) *cacheShard {
 // ShardCount returns the number of cache lock stripes.
 func (m *Mapping) ShardCount() int { return len(m.shards) }
 
-// allocPageID reserves a fresh page ID.
+// allocPageID reserves a fresh leaf page ID.
 func (m *Mapping) allocPageID() PageID {
 	return PageID(m.nextPage.Add(1))
+}
+
+// allocInnerID reserves a fresh inner page ID.
+func (m *Mapping) allocInnerID() PageID {
+	return PageID(innerPageBase + m.nextInner.Add(1))
 }
 
 // allocTreeID reserves a fresh tree ID.
@@ -427,42 +443,27 @@ func (m *Mapping) touch(e *pageEntry) {
 }
 
 // Relocate is the storage.RelocateFunc for GC: it repoints the durable
-// location tag -> old to new in the owning page entry. It returns false if
+// location tag -> old to new in the owning leaf's entry. It returns false if
 // the page no longer references old (the record went stale mid-move).
-// Relocated leaf pages are remembered for TakeRelocated.
+// Relocated pages are remembered for TakeRelocated.
 func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
 	e := m.get(PageID(tag))
-	if e == nil {
+	if e == nil || !e.isLeaf {
 		return false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.isLeaf {
-		moved := false
-		if e.baseLoc == old {
-			e.baseLoc = new
-			moved = true
-		} else {
-			for i, l := range e.deltaLocs {
-				if l == old {
-					e.deltaLocs[i] = new
-					moved = true
-					break
-				}
-			}
-		}
-		if moved {
-			m.relocMu.Lock()
-			m.relocated[e.id] = struct{}{}
-			m.relocMu.Unlock()
-		}
-		return moved
+	if e.baseLoc == old {
+		e.baseLoc = new
+	} else if i := slices.Index(e.deltaLocs, old); i >= 0 {
+		e.deltaLocs[i] = new
+	} else {
+		return false
 	}
-	if e.inner != nil && e.inner.loc == old {
-		e.inner.loc = new
-		return true
-	}
-	return false
+	m.relocMu.Lock()
+	m.relocated[e.id] = struct{}{}
+	m.relocMu.Unlock()
+	return true
 }
 
 // TakeRelocated drains the set of pages GC has moved since the last call

@@ -193,7 +193,11 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 // rebuilds that fold the one into the other. After each of those steps one
 // leader leaf, a different one each time, is checked for the invariant its
 // cold load rests on: what its delta records hold, its overlay holds
-// (mirrorGap).
+// (mirrorGap). Between an eighth and a quarter of the way the leader dies: the
+// follower, fed its log to the end, takes over (Mapping.TakeOver) — every leaf
+// of the promoted table passes mirrorGap, its content at ∞ is the leader's —
+// and the rest of the stream is written to it against the same map, read back
+// by a second follower that replays both tenures from the start of the log.
 func TestDifferentialAgainstVersionMap(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -221,6 +225,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 		steps = 800
 	}
 	rng := rand.New(rand.NewSource(seed))
+	handOver := steps/8 + rng.Intn(steps/8)
 	extent := 2 << 10
 	if policy == Traditional {
 		// One delta record per op: a pinned page's chain (17 bytes per
@@ -384,7 +389,42 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 		}
 	}
 
+	takeOver := func() {
+		t.Helper()
+		if flush == FlushSync {
+			// A sync leader's records run ahead of every checkpoint, and the
+			// ones a checkpoint named are garbage to the store once rewritten:
+			// only what a checkpoint just named is safe to adopt.
+			checkpoint()
+		}
+		for _, p := range pins { // pins die with the leader that served them
+			p.Close()
+		}
+		pins = nil
+		syncReplica(t, rep, rd)
+		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+			t.Fatalf("take over: %v", err)
+		}
+		next := rep.trees[tr.ID()]
+		next.SetLogger(pipe)
+		for _, lf := range next.LeafDirectory() {
+			if err := mirrorGap(st, rep.m.get(lf.Page)); err != nil {
+				t.Fatalf("after the hand-over: %v", err)
+			}
+		}
+		var got []string
+		if err := next.Scan(nil, nil, 0, func(k, v []byte) bool { got = append(got, string(k)+"="+string(v)); return true }); err != nil {
+			t.Fatal(err)
+		}
+		same("promoted table at ∞", got, ref.scan("", "", 0, horizonAll))
+		tr, m, builds, folded = next, rep.m, 0, 0
+		rep, rd = newFollower(st, 4), wal.NewReader(st)
+	}
+
 	for step := 0; step < steps; step++ {
+		if step == handOver {
+			takeOver()
+		}
 		noteBuilds()
 		switch r := rng.Intn(100); {
 		case r < 8:
@@ -636,13 +676,7 @@ func TestFlushSplitsOversizedRetainedDelta(t *testing.T) {
 	e.mu.Unlock()
 	verify("evicted and reloaded", tr)
 
-	m2 := NewMapping(0, false)
-	m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
-	rebuilt, err := Rebuild(m2, st, cfg, nil, tr.ID(), tr.LeafDirectory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify("rebuilt from the leaf directory", rebuilt)
+	verify("rebuilt from the leaf directory", reopenLeader(t, st, tr, cfg))
 }
 
 // TestOversizedImageSpillsIntoDeltaChain: a page that cannot split (or
@@ -677,13 +711,7 @@ func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
 		if n, err := tr.Len(); err != nil || n != 60 {
 			t.Fatalf("mode %d: Len after reload = %d %v, want 60", flush, n, err)
 		}
-		m2 := NewMapping(0, false)
-		m2.EnsureIDsBeyond(PageID(m.nextPage.Load()), tr.ID())
-		rebuilt, err := Rebuild(m2, st, Config{FlushMode: flush, DisableSplit: true}, nil, tr.ID(), leaves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := rebuilt.Len(); err != nil || n != 60 {
+		if n, err := reopenLeader(t, st, tr, tr.Config()).Len(); err != nil || n != 60 {
 			t.Fatalf("mode %d: Len after rebuild = %d %v, want 60", flush, n, err)
 		}
 	}

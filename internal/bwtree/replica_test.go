@@ -569,3 +569,67 @@ func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
 		t.Fatalf("batch_load_pages max = %d, want one load of all %d leaves", b.Max(), len(leaves))
 	}
 }
+
+// TestSyncTakeOverPersistsWhatTheLogHeld: under sync flushing there is no
+// flusher to leave the handed-over ops to, so the hand-over writes them itself
+// — here everything, no checkpoint ever reached the follower: the root has no
+// record of its own and every sibling reads through it. A third table rebuilt
+// from the new leader's leaf directory alone reads it all.
+func TestSyncTakeOverPersistsWhatTheLogHeld(t *testing.T) {
+	for _, policy := range []DeltaPolicy{ReadOptimized, Traditional} {
+		cfg := Config{MaxPageEntries: 8, Policy: policy}
+		tr, rep, rd, st, _ := newReplicatedTree(t, cfg)
+		for i := 0; i < 50; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("k%03d", i*7%50)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		syncReplica(t, rep, rd)
+		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+			t.Fatal(err)
+		}
+		next := rep.trees[tr.ID()]
+		for _, e := range leavesOf(next) {
+			if e.dirty || e.baseLoc.IsZero() || e.origin != 0 {
+				t.Fatalf("%v: page %d after the hand-over: dirty=%v base=%v origin=%d", policy, e.id, e.dirty, e.baseLoc, e.origin)
+			}
+		}
+		if n, err := reopenLeader(t, st, next, cfg).Len(); err != nil || n != 50 {
+			t.Fatalf("%v: a table rebuilt from the new leader's records holds %d keys (%v), want 50", policy, n, err)
+		}
+		if err := next.Put([]byte("k999"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStaleCheckpointChunkIsDroppedAtTheNextEpoch: a leader that dies between
+// the records of a chunked checkpoint leaves its leading records in the log.
+// They never took effect and must not ride along with the next leader's first
+// checkpoint, which arrives under a higher fence epoch: the page they named
+// has moved on (here the stale chunk points it at nothing).
+func TestStaleCheckpointChunkIsDroppedAtTheNextEpoch(t *testing.T) {
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync})
+	for i := 0; i < 5; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ups, err := tr.FlushDirty()
+	if err != nil || len(ups) != 1 {
+		t.Fatalf("flush: %d updates, %v", len(ups), err)
+	}
+	syncReplica(t, rep, rd)
+	h := rep.applied
+	stale := MappingUpdate{Tree: tr.ID(), Page: ups[0].Page}
+	if err := rep.ApplyAll([]*wal.Record{
+		{LSN: h + 1, Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)},
+		{LSN: h + 2, Type: wal.RecordCheckpoint, CkptLSN: h, TreeID: 1, Value: EncodeMappingUpdates([]MappingUpdate{stale})},
+		{LSN: h + 3, Type: wal.RecordCheckpoint, CkptLSN: h, Epoch: 1, Value: EncodeMappingUpdates(nil)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := rep.Get(tr.ID(), []byte("k3")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("Get(k3) after the next leader's checkpoint = %q %v %v: the dead leader's chunk took effect", v, ok, err)
+	}
+}

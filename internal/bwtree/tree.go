@@ -74,24 +74,9 @@ type Tree struct {
 
 // New creates an empty tree registered in m, persisting to store.
 func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree, error) {
-	cfg = cfg.withDefaults()
-	t := &Tree{
-		id:     m.allocTreeID(),
-		store:  store,
-		m:      m,
-		cfg:    cfg,
-		logger: logger,
-	}
-	if cfg.FlushMode == FlushAsync {
-		if cfg.NoCache {
-			return nil, fmt.Errorf("bwtree: async flushing requires the page cache")
-		}
-		t.dirtySet = make(map[PageID]struct{})
-	} else if cfg.Epochs != nil {
-		// Sync flushing folds every op into a base inline, which cannot
-		// honor a retention floor; the epoch clock rides the group-commit
-		// (async) pipeline only.
-		return nil, fmt.Errorf("bwtree: epoch clock requires async flushing")
+	t := &Tree{id: m.allocTreeID(), store: store, m: m, logger: logger}
+	if err := t.lead(cfg); err != nil {
+		return nil, err
 	}
 	rootEntry := &pageEntry{
 		id:     m.allocPageID(),
@@ -110,6 +95,29 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 	}
 	return t, nil
 }
+
+// lead gives the tree a leader's configuration and, under async flushing, its
+// dirty set — at creation (New), or when an applier's tree takes over
+// (Mapping.TakeOver).
+func (t *Tree) lead(cfg Config) error {
+	cfg = cfg.withDefaults()
+	switch {
+	case cfg.FlushMode == FlushAsync && cfg.NoCache:
+		return fmt.Errorf("bwtree: async flushing requires the page cache")
+	case cfg.FlushMode == FlushSync && cfg.Epochs != nil:
+		// Sync flushing folds every op into a base inline, which cannot
+		// honor a retention floor; the epoch clock rides the group-commit
+		// (async) pipeline only.
+		return fmt.Errorf("bwtree: epoch clock requires async flushing")
+	}
+	if t.cfg = cfg; cfg.FlushMode == FlushAsync {
+		t.dirtySet = make(map[PageID]struct{})
+	}
+	return nil
+}
+
+// SetLogger attaches (or replaces) the tree's WAL logger.
+func (t *Tree) SetLogger(l WALLogger) { t.logger = l }
 
 // ID returns the tree's identifier.
 func (t *Tree) ID() TreeID { return t.id }
@@ -264,8 +272,8 @@ func (t *Tree) materialize(e *pageEntry, counted bool) (leafImage, int, error) {
 // mirrorsChain is the one rule of a cold load that differs by role. A leader's
 // overlay mirrors its delta chain — every op of the page's range on the chain
 // is also in the overlay, durable and under the same stamp; the overlay
-// survives eviction and is restored by Rebuild — so a leader's load reads the
-// base record alone. An applier's overlay is the replay log above the last
+// survives eviction, and the hand-over that makes an applier a leader restores
+// it first (TakeOver) — so a leader's load reads the base record alone. An applier's overlay is the replay log above the last
 // checkpoint: the ops at or below it were cut when the checkpoint arrived, and
 // those of them the leader left on the chain exist nowhere else, so its load
 // reads and folds the chain. So does a cache-disabled node's, which stands
@@ -749,11 +757,8 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	rightID := t.m.allocPageID()
 
 	if t.logger != nil {
-		if _, err := t.log(&wal.Record{
-			Type: wal.RecordNewPage, TreeID: uint64(t.id), PageID: uint64(rightID),
-		}, waits); err != nil {
-			return err
-		}
+		// The one record of a split: it names the sibling, and an applier
+		// grows its own parents from it (applySplit).
 		if _, err := t.log(&wal.Record{
 			Type: wal.RecordSplit, TreeID: uint64(t.id),
 			PageID: uint64(e.id), AuxPage: uint64(rightID), Key: sep,
@@ -796,7 +801,8 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 	}
 	e.live, right.live = n/2, n-n/2
 	t.adopt(e, right)
-	return t.insertParent(e.id, sep, right.id, waits)
+	t.insertParent(e.id, sep, right.id)
+	return nil
 }
 
 // halve is the in-memory body of a split that folds nothing — a leader's
@@ -830,9 +836,10 @@ func (t *Tree) adopt(e, right *pageEntry) {
 }
 
 // insertParent inserts the separator (sep -> right) into the parent of
-// leaf/inner page left, splitting inner nodes upward as needed. Caller
-// holds structMu exclusively.
-func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func() error) error {
+// leaf/inner page left, splitting inner nodes upward as needed and growing a
+// new root above a root that split. Memory only (innerNode). Caller holds
+// structMu exclusively.
+func (t *Tree) insertParent(left PageID, sep []byte, right PageID) {
 	// Collect the path from root to the node `left` by routing on sep;
 	// before the parent is updated, sep still routes into `left`'s subtree.
 	var path []*pageEntry
@@ -845,115 +852,38 @@ func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func
 		path = append(path, e)
 		id = e.inner.children[e.inner.childIndex(sep)]
 	}
-
-	if len(path) == 0 {
-		// left is the root: grow a new root.
-		newRoot := &pageEntry{
-			id:   t.m.allocPageID(),
-			tree: t,
-			inner: &innerNode{
-				keys:     [][]byte{sep},
-				children: []PageID{left, right},
-			},
-		}
-		t.m.register(newRoot)
-		t.root = newRoot.id
-		if t.logger != nil {
-			if _, err := t.log(&wal.Record{
-				Type: wal.RecordNewRoot, TreeID: uint64(t.id),
-				PageID: uint64(left), AuxPage: uint64(newRoot.id),
-			}, waits); err != nil {
-				return err
-			}
-		}
-		return t.flushInner(newRoot)
-	}
-
 	for lvl := len(path) - 1; lvl >= 0; lvl-- {
-		parent := path[lvl]
-		n := parent.inner
+		n := path[lvl].inner
 		idx := n.childIndex(sep)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[idx+1:], n.keys[idx:])
-		n.keys[idx] = sep
-		n.children = append(n.children, 0)
-		copy(n.children[idx+2:], n.children[idx+1:])
-		n.children[idx+1] = right
-		if err := t.flushInner(parent); err != nil {
-			return err
-		}
+		n.keys = slices.Insert(n.keys, idx, sep)
+		n.children = slices.Insert(n.children, idx+1, right)
 		if len(n.children) <= t.cfg.MaxInnerEntries {
-			return nil
+			return
 		}
 		// Split the inner node and continue upward with the promoted key.
 		mid := len(n.keys) / 2
-		promoted := n.keys[mid]
 		rightInner := &pageEntry{
-			id:   t.m.allocPageID(),
+			id:   t.m.allocInnerID(),
 			tree: t,
 			inner: &innerNode{
 				keys:     append([][]byte(nil), n.keys[mid+1:]...),
 				children: append([]PageID(nil), n.children[mid+1:]...),
 			},
 		}
+		left, sep, right = path[lvl].id, n.keys[mid], rightInner.id
 		n.keys = n.keys[:mid]
 		n.children = n.children[:mid+1]
 		t.m.register(rightInner)
-		if err := t.flushInner(parent); err != nil {
-			return err
-		}
-		if err := t.flushInner(rightInner); err != nil {
-			return err
-		}
-		sep, right = promoted, rightInner.id
-		if lvl == 0 {
-			// The root inner node split: grow a new root above it.
-			newRoot := &pageEntry{
-				id:   t.m.allocPageID(),
-				tree: t,
-				inner: &innerNode{
-					keys:     [][]byte{sep},
-					children: []PageID{parent.id, right},
-				},
-			}
-			t.m.register(newRoot)
-			t.root = newRoot.id
-			if t.logger != nil {
-				if _, err := t.log(&wal.Record{
-					Type: wal.RecordNewRoot, TreeID: uint64(t.id),
-					PageID: uint64(parent.id), AuxPage: uint64(newRoot.id),
-				}, waits); err != nil {
-					return err
-				}
-			}
-			return t.flushInner(newRoot)
-		}
 	}
-	return nil
-}
-
-// flushInner persists an inner node's image. Inner nodes change only
-// during splits, so they are flushed synchronously in both flush modes — on
-// the leader. An applier's inner nodes are its own index over the leaves the
-// log names, rebuilt from the log or a snapshot's leaf directory: nothing
-// reads them from storage, and an applier never appends to the shared store.
-func (t *Tree) flushInner(e *pageEntry) error {
-	if t.m.applier {
-		return nil
+	// left is the root, a leaf or an inner node that just split: grow a new
+	// root above it.
+	newRoot := &pageEntry{
+		id:    t.m.allocInnerID(),
+		tree:  t,
+		inner: &innerNode{keys: [][]byte{sep}, children: []PageID{left, right}},
 	}
-	loc, err := t.store.Append(storage.StreamBase, uint64(e.id), encodeInner(e.inner))
-	if err != nil {
-		return err
-	}
-	// GC's Relocate repoints inner.loc under the page latch, not structMu.
-	e.mu.Lock()
-	old := e.inner.loc
-	e.inner.loc = loc
-	e.mu.Unlock()
-	if !old.IsZero() {
-		t.store.Invalidate(old)
-	}
-	return nil
+	t.m.register(newRoot)
+	t.root = newRoot.id
 }
 
 // Height returns the number of levels in the tree (1 = a single leaf).

@@ -857,7 +857,7 @@ func TestRunIntoOversizedLeafMakesProgress(t *testing.T) {
 	}
 }
 
-// gatedLogger is an AsyncWALLogger whose RecordNewRoot waits, once armed,
+// gatedLogger is an AsyncWALLogger whose RecordSplit waits, once armed,
 // announce themselves on started and block until release is closed — a group
 // committer's commit round trip, held open.
 type gatedLogger struct {
@@ -875,7 +875,7 @@ func (l *gatedLogger) Log(rec *wal.Record) (wal.LSN, error) {
 
 func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 	lsn, w := l.stubAsyncLogger.LogAsync(rec)
-	if rec.Type != wal.RecordNewRoot || !l.armed.Load() {
+	if rec.Type != wal.RecordSplit || !l.armed.Load() {
 		return lsn, w
 	}
 	return lsn, func() error {
@@ -885,11 +885,11 @@ func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 	}
 }
 
-// TestInnerRootSplitDoesNotWaitUnderStructMu: the RecordNewRoot of a split
-// that grows a root above an inner node is logged like the split's other
-// structural records — LSN now, durability wait after splitPage has let go of
-// the structure lock and the leaf latch — so a reader routes through the tree
-// while that wait is still blocked on its commit round trip.
+// TestInnerRootSplitDoesNotWaitUnderStructMu: a split's one record, however
+// far up the split reaches — here it grows a root above an inner node — gets
+// its LSN under the structure lock and its durability wait after splitPage has
+// let go of that lock and the leaf latch, so a reader routes through the tree
+// while the wait is still blocked on its commit round trip.
 func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	logger := &gatedLogger{started: make(chan struct{}), release: make(chan struct{})}
@@ -904,7 +904,7 @@ func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	logger.armed.Store(true) // the next root grows above an inner node
+	logger.armed.Store(true) // from here on every split's wait blocks; the next root grows above an inner node
 	done := make(chan error, 1)
 	go func() {
 		for ; tr.Height() < 3; i++ {
@@ -918,7 +918,7 @@ func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 	select {
 	case <-logger.started:
 	case err := <-done:
-		t.Fatalf("the tree reached height %d without a RecordNewRoot wait (%v)", tr.Height(), err)
+		t.Fatalf("the tree reached height %d without a RecordSplit wait (%v)", tr.Height(), err)
 	}
 	routed := make(chan error, 1)
 	go func() {
@@ -931,7 +931,7 @@ func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Error("a Get is stuck behind a RecordNewRoot durability wait: the wait runs under structMu")
+		t.Error("a Get is stuck behind a RecordSplit durability wait: the wait runs under structMu")
 	}
 	close(logger.release)
 	if err := <-done; err != nil {

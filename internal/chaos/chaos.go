@@ -186,11 +186,6 @@ func Run(cfg Config) (*Report, error) {
 			rw.Stop()
 		}
 	}()
-	// RecoverRWNode needs a snapshot to exist; write the empty baseline.
-	if _, err := rw.WriteSnapshot(); err != nil {
-		return rep, fmt.Errorf("chaos: baseline snapshot: %w", err)
-	}
-
 	crashGap := func() int64 {
 		return cfg.CrashAppends/2 + rng.Int63n(cfg.CrashAppends+1)
 	}
@@ -364,7 +359,8 @@ func Run(cfg Config) (*Report, error) {
 		return rep, fmt.Errorf("chaos: final recovered verify: %w", err)
 	}
 
-	// A follower bootstrapped from the recovery snapshot must agree.
+	// A follower bootstrapped from the latest snapshot, tailing the log of
+	// every tenure since, must agree.
 	ro, err := replication.NewRONodeFromSnapshot(st, time.Millisecond, 0)
 	if err != nil {
 		return rep, fmt.Errorf("chaos: follower bootstrap: %w", err)

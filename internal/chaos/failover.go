@@ -114,7 +114,9 @@ type FailoverReport struct {
 // which must be rejected by the epoch fence rather than silently lost or,
 // worse, silently applied. The oracle then verifies the promoted leader:
 // every acknowledged write survives, failed writes obey maybe-semantics,
-// and no zombie value is visible anywhere.
+// and no zombie value is visible anywhere. It verifies one follower beside
+// it, attached before the first deposition and never resynced: page and tree
+// IDs survive a promotion, so it tails the log across all of them.
 func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Logf
@@ -157,9 +159,8 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			n.Stop()
 		}
 	}()
-	if _, err := rw.WriteSnapshot(); err != nil {
-		return rep, fmt.Errorf("chaos: baseline snapshot: %w", err)
-	}
+	tail := replication.NewRONode(st, time.Hour, 0) // polled by hand, after each promotion
+	defer tail.Stop()
 
 	drawKey := func() EdgeKey {
 		return EdgeKey{
@@ -191,6 +192,19 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			rep.Acked++
 			oracle.CommitPut(k, val)
 		}
+	}
+
+	verifyTail := func(when string) error {
+		if err := tail.Poll(); err != nil {
+			return fmt.Errorf("chaos: %s: tailing follower: %w", when, err)
+		}
+		if n := tail.Resyncs(); n != 0 {
+			return fmt.Errorf("chaos: %s: tailing follower resynced %d times", when, n)
+		}
+		if err := oracle.Verify(tail.Replica()); err != nil {
+			return fmt.Errorf("chaos: %s: tailing follower: %w", when, err)
+		}
+		return nil
 	}
 
 	// depose fences the current leader out by promoting a fresh follower,
@@ -336,12 +350,25 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		if err := oracle.Verify(rw.Engine()); err != nil {
 			return fmt.Errorf("chaos: round %d: after promotion: %w", round, err)
 		}
-		return nil
+		return verifyTail(fmt.Sprintf("round %d", round))
 	}
 
 	segment := cfg.Ops / (cfg.Rounds + 1)
 	for i := 0; i < cfg.Ops; i++ {
 		workOne(i)
+		// Flushes and the odd snapshot, so that a promotion hands over pages
+		// with durable records under a log suffix — not only a log — and the
+		// tailing follower applies checkpoints of every tenure.
+		switch {
+		case i%331 == 330:
+			if _, err := rw.WriteSnapshot(); err != nil {
+				return rep, fmt.Errorf("chaos: snapshot at op %d: %w", i, err)
+			}
+		case i%53 == 52:
+			if err := rw.Checkpoint(); err != nil {
+				return rep, fmt.Errorf("chaos: checkpoint at op %d: %w", i, err)
+			}
+		}
 		if round := i / segment; round >= 1 && round <= cfg.Rounds && i%segment == 0 {
 			if err := depose(round, round%2 == 1); err != nil {
 				return rep, err
@@ -352,10 +379,13 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	if err := oracle.Verify(rw.Engine()); err != nil {
 		return rep, fmt.Errorf("chaos: final leader verify: %w", err)
 	}
+	if err := verifyTail("final"); err != nil {
+		return rep, err
+	}
 
-	// A follower bootstrapped after the last failover must agree too: the
-	// promoted leader's snapshot plus the post-fence WAL tail reconstructs
-	// the same graph, with every stale-epoch record skipped.
+	// A follower attached after the last failover must agree too: the log
+	// of every tenure reconstructs the same graph, with every stale-epoch
+	// record skipped.
 	ro, err := replication.NewRONodeFromSnapshot(st, time.Millisecond, 0)
 	if err != nil {
 		return rep, fmt.Errorf("chaos: final follower bootstrap: %w", err)

@@ -136,8 +136,9 @@ func (o Options) forestConfig() forest.Config {
 	return forest.Config{Tree: o.Tree, SplitThreshold: o.SplitThreshold, InitSizeThreshold: o.InitSizeThreshold}
 }
 
-// assemble puts an engine together around a forest, new or recovered: the
-// registry, and a reclaimer per data stream relocating through the mapping.
+// assemble puts an engine together around a forest, new or taken over from
+// a replica: the registry, and a reclaimer per data stream relocating through
+// the mapping.
 func assemble(st *storage.Store, m *bwtree.Mapping, f *forest.Forest, opts Options) *Engine {
 	reg := opts.Metrics
 	if reg == nil {
@@ -187,6 +188,12 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 		})
 	}
 	metrics.Faults.Register(reg)
+}
+
+// AttachLogger makes l the WAL logger of the forest and every tree in it.
+func (e *Engine) AttachLogger(l bwtree.WALLogger) {
+	e.opts.Logger = l
+	e.edges.SetLogger(l)
 }
 
 // Metrics returns the engine's registry.

@@ -12,9 +12,10 @@ import (
 
 // Torn-write recovery table: a node writes a durable base (flushed pages +
 // snapshot state), keeps appending WAL records, and dies with the log tail
-// in a per-case condition. Recovery must rebuild the base, replay exactly
-// the acknowledged suffix, and absorb whatever garbage the death left at
-// the tail of the log.
+// in a per-case condition. Recovery — a replica of the snapshot drained to
+// the end of the log, then handed the leader's role — must hold exactly the
+// acknowledged suffix and absorb whatever garbage the death left at the tail
+// of the log, and go on as a leader: write, flush, and be bootstrapped from.
 func TestRecoverTornWALTable(t *testing.T) {
 	const (
 		src  = graph.VertexID(1)
@@ -36,6 +37,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 		wantAbsent   []int   // dsts that must not exist after recovery
 		wantMaxDelta wal.LSN // durable WAL records beyond the snapshot horizon
 		wantTorn     int64   // torn WAL entries the recovery reader must absorb
+		wantDirty    int     // pages the hand-over leaves to the first flush
 	}{
 		{
 			name: "clean tail",
@@ -88,6 +90,26 @@ func TestRecoverTornWALTable(t *testing.T) {
 			wantMaxDelta: 3,
 			wantTorn:     1,
 		},
+		{
+			// The leader dies between a RecordSplit and the next checkpoint:
+			// the sibling has no record of its own and reads the pre-split
+			// page's through its range. The hand-over materializes it and
+			// owes it a base; both halves read back, before and after.
+			name: "split after the last checkpoint",
+			suffix: func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan) {
+				for dst := base + 1; dst <= base+6; dst++ { // the 9th entry splits the 8-entry leaf
+					if err := e.AddEdge(edge(dst)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if e.Mapping().PageCount() != 3 {
+					t.Fatalf("fixture: %d pages, want two leaves under a root", e.Mapping().PageCount())
+				}
+			},
+			wantPresent:  []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+			wantMaxDelta: 7, // six puts and the split
+			wantDirty:    1, // the sibling; every put since landed right of the separator
+		},
 	}
 
 	for _, tc := range cases {
@@ -120,50 +142,83 @@ func TestRecoverTornWALTable(t *testing.T) {
 			tc.suffix(t, e, w, plan)
 			e.Close() // the node dies; shared storage survives
 
-			recovered, err := RecoverWithStore(st, Options{
-				Tree: bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
-			}, state)
+			rep, err := NewReplicaFromSnapshot(st, 0, state, horizon)
 			if err != nil {
-				t.Fatalf("RecoverWithStore: %v", err)
+				t.Fatal(err)
 			}
-			defer recovered.Close()
 			reader := wal.NewReader(st)
-			maxLSN, err := recovered.ReplayWAL(reader, horizon)
-			if err != nil {
-				t.Fatalf("ReplayWAL: %v", err)
+			reader.SetBase(horizon)
+			if err := rep.Drain(reader); err != nil {
+				t.Fatalf("Drain: %v", err)
 			}
-			if want := horizon + tc.wantMaxDelta; maxLSN != want {
-				t.Errorf("maxLSN = %d, want %d", maxLSN, want)
+			if want := horizon + tc.wantMaxDelta; reader.LastLSN() != want || rep.HighLSN() != want {
+				t.Errorf("drained to LSN %d (applied %d), want %d", reader.LastLSN(), rep.HighLSN(), want)
 			}
 			if torn, _ := reader.Stats(); torn != tc.wantTorn {
 				t.Errorf("torn entries = %d, want %d", torn, tc.wantTorn)
 			}
-			for _, dst := range tc.wantPresent {
-				ed, ok, err := recovered.GetEdge(src, typ, graph.VertexID(dst))
-				if err != nil || !ok {
-					t.Fatalf("edge %d missing after recovery (err=%v)", dst, err)
+			next := wal.NewWriterFrom(st, reader.LastLSN()+1)
+			recovered, err := rep.TakeOver(st, Options{
+				Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
+				Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return next.Append(rec) }),
+			})
+			if err != nil {
+				t.Fatalf("TakeOver: %v", err)
+			}
+			defer recovered.Close()
+			verify := func(what string, r graph.Reader) {
+				t.Helper()
+				for _, dst := range tc.wantPresent {
+					ed, ok, err := r.GetEdge(src, typ, graph.VertexID(dst))
+					if err != nil || !ok {
+						t.Fatalf("%s: edge %d missing (err=%v)", what, dst, err)
+					}
+					if v, _ := ed.Props.Get("v"); len(v) != 1 || v[0] != byte(dst) {
+						t.Errorf("%s: edge %d value = %v", what, dst, v)
+					}
 				}
-				if v, _ := ed.Props.Get("v"); len(v) != 1 || v[0] != byte(dst) {
-					t.Errorf("edge %d value = %v", dst, v)
+				for _, dst := range tc.wantAbsent {
+					if _, ok, _ := r.GetEdge(src, typ, graph.VertexID(dst)); ok {
+						t.Errorf("%s: unacknowledged edge %d resurrected by recovery", what, dst)
+					}
 				}
 			}
-			for _, dst := range tc.wantAbsent {
-				if _, ok, _ := recovered.GetEdge(src, typ, graph.VertexID(dst)); ok {
-					t.Errorf("unacknowledged edge %d resurrected by recovery", dst)
-				}
+			verify("after recovery", recovered)
+			if tc.wantDirty > 0 && recovered.DirtyCount() != tc.wantDirty {
+				t.Errorf("%d dirty pages after the hand-over, want %d", recovered.DirtyCount(), tc.wantDirty)
+			}
+
+			// The recovered engine is a leader like any other: it writes,
+			// flushes what the hand-over left dirty, and a replica of its
+			// durable shape alone reads the same.
+			if err := recovered.AddEdge(edge(100)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := recovered.FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := NewReplicaFromSnapshot(st, 0, recovered.SnapshotState(), next.NextLSN()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify("a replica of the recovered engine's pages", cold)
+			if _, ok, err := cold.GetEdge(src, typ, 100); err != nil || !ok {
+				t.Fatalf("the edge written after recovery is not in its pages: ok=%v err=%v", ok, err)
 			}
 		})
 	}
 }
 
-// A hole in the replayed suffix means either acknowledged records vanished
-// from the log (trim raced recovery, an extent was destroyed) or a
-// pipelined commit failed mid-flight, leaving never-acknowledged debris
-// past the gapless prefix. Replay must stop exactly at the prefix and
-// surface the parked debris so recovery can fence it — and with reordering
-// disabled, refuse to proceed outright.
-func TestReplayWALGapAborts(t *testing.T) {
-	st := storage.Open(nil)
+// A hole in the suffix beyond the snapshot means either acknowledged records
+// vanished from the log (trim raced recovery, an extent was destroyed) or a
+// pipelined commit failed mid-flight, leaving never-acknowledged debris past
+// the gapless prefix. The drain a recovery or promotion runs must stop exactly
+// at the prefix and surface the parked debris so the new leader can fence it —
+// and where the hole is certain (reordering disabled, a lost extent), refuse
+// to proceed: a follower would resync and carry on, a leader-to-be must not.
+func TestDrainAbortsOnLogHole(t *testing.T) {
+	plan := storage.NewFaultPlan(storage.FaultConfig{})
+	st := storage.Open(&storage.Options{Faults: plan})
 	w := wal.NewWriter(st)
 	opts := Options{
 		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
@@ -180,46 +235,50 @@ func TestReplayWALGapAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := e.SnapshotState()
+	root := state.Trees[0].Leaves[0].Page
 	e.Close()
 
-	// Forge a suffix with a hole: LSN 2 exists, LSN 3 is missing, LSN 4
+	// Forge a suffix with a hole: LSN 3 exists, LSN 4 is missing, LSN 5
 	// present. (A real writer can never do this — it fails stop — so this
 	// models external log damage.)
-	for _, lsn := range []wal.LSN{2, 4} {
-		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(state.Init), Key: []byte("k")}
+	for _, lsn := range []wal.LSN{3, 5} {
+		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(state.Init), PageID: uint64(root), Key: []byte("k")}
 		if err := wal.NewWriterFrom(st, lsn).AppendAssigned([]*wal.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	drain := func(rd *wal.Reader) (*Replica, error) {
+		t.Helper()
+		rep, err := NewReplicaFromSnapshot(st, 0, state, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.SetBase(2)
+		return rep, rep.Drain(rd)
+	}
 
-	recovered, err := RecoverWithStore(st, Options{Tree: bwtree.Config{FlushMode: bwtree.FlushAsync}}, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
 	r := wal.NewReader(st)
-	maxLSN, err := recovered.ReplayWAL(r, 1)
+	rep, err := drain(r)
 	if err != nil {
-		t.Fatalf("ReplayWAL: %v", err)
+		t.Fatalf("Drain: %v", err)
 	}
-	if maxLSN != 2 {
-		t.Fatalf("replay advanced to LSN %d, want the gapless prefix 2", maxLSN)
+	if rep.HighLSN() != 3 || r.LastLSN() != 3 {
+		t.Fatalf("drain advanced to LSN %d (reader %d), want the gapless prefix 3", rep.HighLSN(), r.LastLSN())
 	}
 	if r.PendingGroups() != 1 {
-		t.Fatalf("pending groups after replay = %d, want the post-hole group parked", r.PendingGroups())
+		t.Fatalf("pending groups after the drain = %d, want the post-hole group parked", r.PendingGroups())
 	}
 
-	// With reordering disabled (strict depth-1 semantics) the hole aborts
-	// the recovery loudly.
-	recovered2, err := RecoverWithStore(st, Options{Tree: bwtree.Config{FlushMode: bwtree.FlushAsync}}, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered2.Close()
+	// With reordering disabled (strict depth-1 semantics) the hole aborts the
+	// drain loudly, and so does an extent of the suffix that storage lost.
 	strict := wal.NewReader(st)
 	strict.SetReorderWindow(0)
 	var gap *wal.GapError
-	if _, err := recovered2.ReplayWAL(strict, 1); !errors.As(err, &gap) {
-		t.Fatalf("strict ReplayWAL with a hole returned %v, want *GapError", err)
+	if _, err := drain(strict); !errors.As(err, &gap) {
+		t.Fatalf("strict drain over a hole returned %v, want *GapError", err)
+	}
+	plan.LoseExtent(storage.StreamWAL, st.Usage(storage.StreamWAL)[0].Extent)
+	if _, err := drain(wal.NewReader(st)); !errors.Is(err, storage.ErrExtentLost) {
+		t.Fatalf("drain over a lost extent returned %v, want ErrExtentLost", err)
 	}
 }

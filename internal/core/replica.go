@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"bg3/internal/bwtree"
 	"bg3/internal/forest"
 	"bg3/internal/graph"
@@ -31,12 +33,44 @@ func NewReplica(st *storage.Store, capacity int) *Replica {
 // read — to be fed the log beyond horizon, the WAL LSN the snapshot reflects.
 func NewReplicaFromSnapshot(st *storage.Store, capacity int, state SnapshotState, horizon wal.LSN) (*Replica, error) {
 	m := bwtree.NewApplierMapping(capacity)
-	f, err := rebuildForest(m, st, forest.Config{}, state)
-	if err != nil {
-		return nil, err
+	var init *bwtree.Tree
+	dedicated := make(map[forest.OwnerID]*bwtree.Tree)
+	for _, ts := range state.Trees {
+		t, err := bwtree.Rebuild(m, st, ts.Tree, ts.Leaves)
+		if err != nil {
+			return nil, fmt.Errorf("core: snapshot tree %d: %w", ts.Tree, err)
+		}
+		switch {
+		case ts.Tree == state.Init:
+			init = t
+		case ts.HasOwner:
+			dedicated[ts.Owner] = t
+		default:
+			return nil, fmt.Errorf("core: snapshot tree %d is neither INIT nor owned", ts.Tree)
+		}
 	}
+	if init == nil {
+		return nil, fmt.Errorf("core: snapshot has no INIT tree")
+	}
+	f := forest.Rebuild(m, st, init, dedicated)
 	f.Publish(horizon)
 	return &Replica{forest: f, mapping: m}, nil
+}
+
+// TakeOver makes the replica the leader's engine under opts, in place: the
+// hand-over by which a leader recovers and a follower is promoted. The caller
+// has applied the log to its durable end (Drain) and applies nothing after; the
+// page table and forest change hands (forest.Forest.TakeOver) and the engine is put
+// together around them as around a new forest, logging through opts.Logger.
+// Reads through the replica see the engine's latest state from then on.
+func (r *Replica) TakeOver(st *storage.Store, opts Options) (*Engine, error) {
+	opts.Tree.Epochs = opts.Epochs
+	if err := r.forest.TakeOver(opts.forestConfig()); err != nil {
+		return nil, fmt.Errorf("core: take over: %w", err)
+	}
+	e := assemble(st, r.mapping, r.forest, opts)
+	e.AttachLogger(opts.Logger)
+	return e, nil
 }
 
 // Apply incorporates one WAL record.
@@ -55,6 +89,40 @@ func (r *Replica) ApplyAll(recs []*wal.Record) error {
 // ApplyGroup incorporates one commit group as a unit: none of it is visible
 // to a read until all of it is in (forest.Forest.ApplyGroup).
 func (r *Replica) ApplyGroup(recs []*wal.Record) error { return r.forest.ApplyGroup(recs) }
+
+// ApplyFrom applies the commit groups rd yields beyond its cursor, each as a
+// unit, and reports how many there were. Torn entries and retry duplicates
+// are the reader's to absorb; a hole in the log (*wal.GapError, a lost
+// extent) comes back with what preceded it applied, for the caller to judge:
+// a follower resyncs from a snapshot, a drain aborts.
+func (r *Replica) ApplyFrom(rd *wal.Reader) (groups int, err error) {
+	grps, err := rd.PollGroups()
+	for _, grp := range grps {
+		if aerr := r.ApplyGroup(grp); aerr != nil {
+			return len(grps), aerr
+		}
+	}
+	return len(grps), err
+}
+
+// Drain applies the log to its durable end, which is what a replica does
+// before it takes over. It is strict where a follower's poll is forgiving: a
+// hole beyond what the replica holds means acknowledged writes are gone, and a
+// leader that starts into silent data loss is worse than one that does not
+// start. Groups parked behind a hole the reader still hopes to see filled
+// (rd.PendingGroups) are the debris of a failed pipelined commit, never
+// acknowledged, and stay unapplied.
+func (r *Replica) Drain(rd *wal.Reader) error {
+	for {
+		n, err := r.ApplyFrom(rd)
+		if err != nil {
+			return fmt.Errorf("core: drain the WAL beyond lsn %d: %w", r.HighLSN(), err)
+		}
+		if n == 0 {
+			return nil
+		}
+	}
+}
 
 // HighLSN reports the applied LSN: the end of the newest commit group
 // incorporated, and the horizon reads run at.

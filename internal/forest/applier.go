@@ -25,7 +25,28 @@ const firstID = 1
 // beginning. One bootstrapped from a snapshot is Rebuild over the snapshot's
 // trees (bwtree.Rebuild), then Publish of the snapshot's horizon.
 func NewApplier(m *bwtree.Mapping, store *storage.Store) *Forest {
-	return Rebuild(m, store, Config{}, bwtree.NewApplierTree(m, store, firstID, firstID), nil)
+	return Rebuild(m, store, bwtree.NewApplierTree(m, store, firstID, firstID), nil)
+}
+
+// TakeOver hands the applier the leader's role under cfg, once the log has
+// been applied to its durable end: the page table changes hands in place
+// (bwtree.Mapping.TakeOver), the forest starts enforcing cfg's thresholds and
+// writes through Apply from here on. Owner counts go on from zero, so a
+// migration or an edge block waits for that many new writes, as after any
+// bootstrap from a snapshot. Reads through the applied LSN see the leader's
+// latest state from now on. The logger is attached afterwards (SetLogger).
+func (f *Forest) TakeOver(cfg Config) error {
+	f.cfg = cfg
+	err := f.m.TakeOver(func(id bwtree.TreeID) bwtree.Config {
+		if id == f.init.ID() {
+			return cfg.initTree()
+		}
+		return cfg.Tree
+	})
+	if err == nil {
+		f.applied.Store(uint64(horizonAll))
+	}
+	return err
 }
 
 // AppliedLSN returns the published read horizon of an applier: the last LSN

@@ -48,6 +48,15 @@ type Config struct {
 	InitSizeThreshold int
 }
 
+// initTree is the configuration of the shared INIT tree, which never gets a
+// packed edge block: it holds many owners' composite keys and churns through
+// migrations, while blocks target large single-owner dedicated trees.
+func (c Config) initTree() bwtree.Config {
+	t := c.Tree
+	t.EdgeBlockMinEntries, t.EdgeBlockRebuildOps = 0, 0
+	return t
+}
+
 // ownerState tracks one owner's tree assignment and approximate key count.
 // Counts are maintained by Put/Delete deltas; in the insert-dominated
 // workloads the forest targets (§3.2.1), this tracks edge count closely.
@@ -62,7 +71,7 @@ type ownerState struct {
 	// since is the LSN of the owner-assignment record: tree holds the
 	// owner's complete state at every horizon from it on, INIT at every
 	// horizon below (view.go). Written before tree is published, never
-	// after; 0 without a WAL and for assignments recovered from one, which
+	// after; 0 without a WAL and for assignments a snapshot carried, which
 	// no surviving pin can predate.
 	since wal.LSN
 }
@@ -101,13 +110,7 @@ func New(m *bwtree.Mapping, store *storage.Store, cfg Config, logger bwtree.WALL
 		owners: make(map[OwnerID]*ownerState),
 		trees:  make(map[bwtree.TreeID]*bwtree.Tree),
 	}
-	// The shared INIT tree never gets a packed edge block: it holds many
-	// owners' composite keys and churns through migrations, while blocks
-	// target large single-owner dedicated trees.
-	initCfg := cfg.Tree
-	initCfg.EdgeBlockMinEntries = 0
-	initCfg.EdgeBlockRebuildOps = 0
-	init, err := bwtree.New(m, store, initCfg, logger)
+	init, err := bwtree.New(m, store, cfg.initTree(), logger)
 	if err != nil {
 		return nil, err
 	}
@@ -533,20 +536,18 @@ func (f *Forest) Dedicate(owner OwnerID) error {
 	return f.migrate(owner)
 }
 
-// Rebuild reconstructs a forest from recovered trees: init is the INIT
-// tree, dedicated maps each owner to its recovered tree. Owner counts are
-// approximate after recovery (they re-accumulate from zero), which only
-// affects future threshold decisions, not correctness.
-func Rebuild(m *bwtree.Mapping, store *storage.Store, cfg Config, init *bwtree.Tree, dedicated map[OwnerID]*bwtree.Tree) *Forest {
+// Rebuild puts a forest together over trees rebuilt from a snapshot
+// (bwtree.Rebuild): init is the INIT tree, dedicated maps each owner to its
+// tree. Owner counts start from zero — they are estimates that only feed
+// future threshold decisions — as they do on every applier.
+func Rebuild(m *bwtree.Mapping, store *storage.Store, init *bwtree.Tree, dedicated map[OwnerID]*bwtree.Tree) *Forest {
 	f := &Forest{
 		store:  store,
 		m:      m,
-		cfg:    cfg,
 		owners: make(map[OwnerID]*ownerState),
-		trees:  make(map[bwtree.TreeID]*bwtree.Tree),
+		trees:  map[bwtree.TreeID]*bwtree.Tree{init.ID(): init},
+		init:   init,
 	}
-	f.init = init
-	f.trees[init.ID()] = init
 	for owner, tree := range dedicated {
 		st := &ownerState{}
 		st.tree.Store(tree)
@@ -556,16 +557,15 @@ func Rebuild(m *bwtree.Mapping, store *storage.Store, cfg Config, init *bwtree.T
 	return f
 }
 
-// AdoptTree registers a tree created during WAL-suffix replay (a
-// RecordNewTree after the snapshot) so a later owner assignment can bind
-// it.
+// AdoptTree registers the tree a RecordNewTree created, so a later owner
+// assignment can bind it.
 func (f *Forest) AdoptTree(t *bwtree.Tree) {
 	f.mu.Lock()
 	f.trees[t.ID()] = t
 	f.mu.Unlock()
 }
 
-// TreeByID returns a forest tree by ID (replay routing).
+// TreeByID returns a forest tree by ID.
 func (f *Forest) TreeByID(id bwtree.TreeID) *bwtree.Tree {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -573,8 +573,8 @@ func (f *Forest) TreeByID(id bwtree.TreeID) *bwtree.Tree {
 }
 
 // BindOwner points owner at an existing forest tree — an owner-assignment
-// record replayed. since is the record's LSN where reads at horizons below it
-// can still arrive (an applier), 0 where none can (recovery).
+// record applied. since is the record's LSN: reads at horizons below it can
+// still arrive.
 func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID, since wal.LSN) error {
 	tree := f.TreeByID(id)
 	if tree == nil {
@@ -588,8 +588,7 @@ func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID, since wal.LSN) error
 	return nil
 }
 
-// SetLogger attaches the WAL logger to the forest and every tree —
-// recovery replays with no logger, then attaches the real one.
+// SetLogger attaches the WAL logger to the forest and every tree.
 func (f *Forest) SetLogger(l bwtree.WALLogger) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -22,7 +22,8 @@ func testRWOpts() RWOptions {
 // promotion fences the leader out and the successor serves everything the
 // old leader acknowledged — including the WAL tail past the snapshot — and
 // accepts new writes under the bumped epoch while the deposed leader's
-// writes fail explicitly.
+// writes fail explicitly. The promoted follower polls no more; another one,
+// attached under the old leader, tails the new one without a resync.
 func TestPromote(t *testing.T) {
 	st := storage.Open(nil)
 	defer st.Close()
@@ -51,6 +52,11 @@ func TestPromote(t *testing.T) {
 		}
 	}
 
+	bystander := NewRONode(st, time.Hour, 0)
+	defer bystander.Stop()
+	if err := bystander.Poll(); err != nil {
+		t.Fatal(err)
+	}
 	ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +66,9 @@ func TestPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer next.Stop()
+	if err := ro.Poll(); err == nil {
+		t.Fatal("the promoted follower still polls the log its own leader writes")
+	}
 
 	if next.Epoch() != 1 {
 		t.Fatalf("promoted epoch = %d, want 1", next.Epoch())
@@ -87,9 +96,15 @@ func TestPromote(t *testing.T) {
 	if _, ok, _ := next.GetEdge(1, graph.ETypeFollow, 99); ok {
 		t.Fatal("zombie write visible on the promoted leader")
 	}
+	if err := bystander.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := bystander.Replica().GetEdge(1, graph.ETypeFollow, 20); err != nil || !ok || bystander.Resyncs() != 0 {
+		t.Fatalf("follower of the old leader after the promotion: post-failover write ok=%v err=%v, %d resyncs", ok, err, bystander.Resyncs())
+	}
 
-	// A follower bootstrapped after the promotion (new snapshot, new
-	// page-ID space) agrees with the new leader.
+	// A follower attached after the promotion (same snapshot, the log of
+	// both tenures) agrees with the new leader.
 	tail, err := NewRONodeFromSnapshot(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +168,8 @@ func TestFailoverSwapRefused(t *testing.T) {
 // straight through the committer (the 2PC control records) bypass the
 // apply barrier, so they keep landing while WriteSnapshot holds it. The
 // snapshot's WAL cursor must not pass any record above its horizon, or
-// the promotion reads a hole at horizon+1 and discards every acked group
-// behind it as fence debris.
+// the promotion that bootstraps from it reads a hole at horizon+1 and
+// discards every acked group behind it as fence debris.
 func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
 	st := storage.Open(nil)
 	defer st.Close()
@@ -190,6 +205,9 @@ func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
 			}
 		}
 		old := leader
+		if _, err := old.WriteSnapshot(); err != nil {
+			t.Fatalf("round %d: snapshot: %v", round, err)
+		}
 		err := Failover(st, old, func(rw *RWNode) bool { leader = rw; return true })
 		close(stop)
 		wg.Wait()

@@ -59,8 +59,7 @@ type RWOptions struct {
 
 // engineOptions is the engine configuration every leader runs with: async
 // flush (the node's flusher persists pages and publishes checkpoints), the
-// node's epoch clock, and the committer as the WAL hook (nil while a
-// recovery replays, attached afterwards).
+// node's epoch clock, and the committer as the WAL hook.
 func (o RWOptions) engineOptions(src *mvcc.Source, logger bwtree.WALLogger) core.Options {
 	eo := o.Engine
 	eo.Tree.FlushMode = bwtree.FlushAsync
@@ -115,11 +114,11 @@ func NewRWNode(st *storage.Store, opts RWOptions) (*RWNode, error) {
 	})
 }
 
-// assembleRWNode is the one place a leader is put together, fresh or
-// recovered: the group committer over writer whose ack releases advance
-// src, the engine engineFor yields once that committer exists (a new
-// engine logs through it from its first record; a recovered one attaches
-// it after replay), metric registration, and the background flusher.
+// assembleRWNode is the one place a leader is put together, fresh or from
+// a follower: the group committer over writer whose ack releases advance
+// src, the engine engineFor yields once that committer exists (a new one,
+// or a follower's replica taking over, RONode.lead), metric registration,
+// and the background flusher.
 func assembleRWNode(st *storage.Store, opts RWOptions, writer *wal.Writer, src *mvcc.Source,
 	engineFor func(*wal.GroupCommitter) (*core.Engine, error)) (*RWNode, error) {
 	// The epoch clock advances at each group's ack release, so a writer
@@ -132,8 +131,8 @@ func assembleRWNode(st *storage.Store, opts RWOptions, writer *wal.Writer, src *
 		OnRelease:     func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) },
 	})
 	// Everything below the writer's first LSN is released by definition
-	// (nothing on a fresh store, the replayed durable horizon after a
-	// recovery): seed the clock there so the first pin sees it all.
+	// (nothing on a fresh store, the drained durable horizon after a
+	// hand-over): seed the clock there so the first pin sees it all.
 	src.Advance(mvcc.Epoch(logger.LastLSN()))
 	engine, err := engineFor(logger)
 	if err != nil {
@@ -378,7 +377,8 @@ var _ graph.Store = (*RWNode)(nil)
 // When tailing hits a hole — an LSN gap after a WAL trim outran this
 // follower, or a lost WAL extent — the node resynchronizes by
 // re-bootstrapping from the latest snapshot instead of serving a view with
-// missing writes.
+// missing writes. It is also what every leader but a store's first starts
+// out as (lead).
 type RONode struct {
 	store    *storage.Store
 	cacheCap int
@@ -388,10 +388,11 @@ type RONode struct {
 	// replication.* gauges below. A resync re-registers the fresh replica.
 	reg *metrics.Registry
 
-	// reader and minLSN are touched only under pollMu; minLSN skips records
-	// a snapshot bootstrap already covers.
+	// reader is touched only under pollMu, and nil once the node was handed
+	// the leader's role. snap is the snapshot the node last bootstrapped
+	// from (zero: none, it replays the log from its start).
 	reader *wal.Reader
-	minLSN wal.LSN
+	snap   snapshotMeta
 
 	// pollMu serializes WAL polls: the background loop and manual Poll
 	// calls share one reader cursor and must apply records in LSN order.
@@ -413,7 +414,7 @@ type RONode struct {
 // replica's page cache (0 = unlimited).
 func NewRONode(st *storage.Store, interval time.Duration, cacheCapacity int) *RONode {
 	n := newRONode(st, cacheCapacity)
-	n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), 0)
+	n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), snapshotMeta{})
 	go n.pollLoop(interval)
 	return n
 }
@@ -431,11 +432,16 @@ func newRONode(st *storage.Store, cacheCapacity int) *RONode {
 	return n
 }
 
-// install makes replica, fed by reader from beyond minLSN, the node's state.
-// Caller holds pollMu, or is still constructing the node.
-func (n *RONode) install(replica *core.Replica, reader *wal.Reader, minLSN wal.LSN) {
+// install makes replica, bootstrapped from snap and fed by reader, the node's
+// state. The reader is told where the replica stands: it drops what the
+// snapshot covers (a group can straddle its horizon), and a log whose next
+// record is gone — trimmed before this node got to it — is a hole to resync
+// over, never a later start to adopt. Caller holds pollMu, or is still
+// constructing the node.
+func (n *RONode) install(replica *core.Replica, reader *wal.Reader, snap snapshotMeta) {
 	replica.RegisterMetrics(n.reg)
-	n.reader, n.minLSN = reader, minLSN
+	reader.SetBase(snap.horizon)
+	n.reader, n.snap = reader, snap
 	n.mu.Lock()
 	n.replica = replica
 	n.mu.Unlock()
@@ -452,9 +458,7 @@ func (n *RONode) bootstrap() (found bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	reader := wal.NewReaderAt(n.store, meta.walCursor)
-	reader.SetBase(meta.horizon)
-	n.install(replica, reader, meta.horizon)
+	n.install(replica, wal.NewReaderAt(n.store, meta.walCursor), meta)
 	return true, nil
 }
 
@@ -488,44 +492,26 @@ func (n *RONode) pollLoop(interval time.Duration) {
 func (n *RONode) Poll() error {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()
-	groups, err := n.reader.PollGroups()
-	rep := n.Replica()
-	for _, grp := range groups {
-		if n.minLSN > 0 {
-			// A group can straddle the snapshot horizon; replay only the
-			// suffix the snapshot does not cover.
-			filtered := grp[:0]
-			for _, r := range grp {
-				if r.LSN > n.minLSN {
-					filtered = append(filtered, r)
-				}
-			}
-			if grp = filtered; len(grp) == 0 {
-				continue
-			}
-		}
-		if aerr := rep.ApplyGroup(grp); aerr != nil {
-			return aerr
-		}
+	if n.reader == nil {
+		return errPromoted
 	}
-	if err != nil {
-		var gap *wal.GapError
-		if errors.As(err, &gap) || errors.Is(err, storage.ErrExtentLost) {
-			if rerr := n.resyncLocked(); rerr != nil {
-				return fmt.Errorf("replication: follower hit %v and resync failed: %w", err, rerr)
-			}
-			return nil
+	_, err := n.Replica().ApplyFrom(n.reader)
+	var gap *wal.GapError
+	if errors.As(err, &gap) || errors.Is(err, storage.ErrExtentLost) {
+		if rerr := n.resyncLocked(); rerr != nil {
+			return fmt.Errorf("replication: follower hit %v and resync failed: %w", err, rerr)
 		}
-		return err
+		return nil
 	}
-	return nil
+	return err
 }
 
-// Resync re-bootstraps the follower from the latest snapshot. A failover
-// publishes a new snapshot whose physical page-ID space differs from the
-// deposed leader's, so followers attached before the failover call this to
-// switch onto the new leader's bootstrap point instead of tailing records
-// that reference pages they never mapped.
+var errPromoted = errors.New("replication: follower was handed the leader's role")
+
+// Resync re-bootstraps the follower from the latest snapshot, dropping what
+// it holds — what Poll does on its own when the log has a hole. A failover
+// does not call for it: page and tree IDs survive a promotion, and a follower
+// goes on tailing the new leader's records.
 func (n *RONode) Resync() error {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()

@@ -11,7 +11,6 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/forest"
 	"bg3/internal/metrics"
-	"bg3/internal/mvcc"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -397,92 +396,24 @@ func recoverLeafPageIDs(buf []byte, ts *core.TreeSnapshot) error {
 // snapshot's cursor, skipping records the snapshot already reflects. If no
 // snapshot exists it behaves like NewRONode (full WAL replay).
 func NewRONodeFromSnapshot(st *storage.Store, interval time.Duration, cacheCapacity int) (*RONode, error) {
+	n, err := attach(st, cacheCapacity)
+	if err != nil {
+		return nil, err
+	}
+	go n.pollLoop(interval)
+	return n, nil
+}
+
+// attach is NewRONodeFromSnapshot without the tailing loop: a follower that
+// applies the log when told to (Poll) — or once, to its end, to lead.
+func attach(st *storage.Store, cacheCapacity int) (*RONode, error) {
 	n := newRONode(st, cacheCapacity)
 	found, err := n.bootstrap()
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), 0)
-	}
-	go n.pollLoop(interval)
-	return n, nil
-}
-
-// RecoverRWNode reconstructs a read-write node on an existing store after
-// a restart: the engine rebuilds from the latest snapshot, the WAL suffix
-// beyond the snapshot replays logically, the WAL writer resumes past the
-// highest existing LSN, a fresh snapshot is written (the recovered engine
-// has a new physical page-ID space, so replicas must bootstrap from it —
-// use NewRONodeFromSnapshot), and the node then serves reads and writes as
-// usual. An error is returned when the store holds no snapshot (a fresh
-// store should use NewRWNode).
-func RecoverRWNode(st *storage.Store, opts RWOptions) (*RWNode, error) {
-	return recoverRWNodeAtEpoch(st, opts, st.StreamEpoch(storage.StreamWAL))
-}
-
-// recoverRWNodeAtEpoch is RecoverRWNode with an explicit WAL fence token.
-// Plain recovery passes the stream's current epoch; a promotion passes the
-// epoch it claimed when it fenced, so a candidate that lost a concurrent
-// promotion race fails ErrFenced on its first append instead of silently
-// adopting the winner's token.
-func recoverRWNodeAtEpoch(st *storage.Store, opts RWOptions, epoch uint64) (*RWNode, error) {
-	state, meta, found, err := LoadLatestSnapshot(st)
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, fmt.Errorf("replication: recover: no snapshot on store")
-	}
-	src := mvcc.NewSource(0)
-	engine, err := core.RecoverWithStore(st, opts.engineOptions(src, nil), state)
-	if err != nil {
-		return nil, err
-	}
-
-	// Replay the WAL suffix (records the snapshot does not cover). Torn
-	// tails and retry duplicates are tolerated; an LSN gap aborts the
-	// recovery — it would mean acknowledged writes are missing.
-	reader := wal.NewReaderAt(st, meta.walCursor)
-	maxLSN, err := engine.ReplayWAL(reader, meta.horizon)
-	if err != nil {
-		return nil, err
-	}
-	if reader.PendingGroups() > 0 {
-		// The log tail holds debris from a failed pipelined commit: durable
-		// groups past the gapless prefix whose writers were never
-		// acknowledged. The new tenure reuses their LSNs, so bump the fence
-		// epoch once more — readers then order the debris before the first
-		// new-epoch append and discard it wholesale, instead of resurrecting
-		// never-acked records or mistaking the reused LSNs for duplicates.
-		epoch, err = st.AdvanceStreamEpoch(storage.StreamWAL)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// The writer resumes at maxLSN+1, so assembly seeds the epoch clock at
-	// the recovered durable horizon.
-	n, err := assembleRWNode(st, opts, wal.NewWriterFromEpoch(st, maxLSN+1, epoch), src,
-		func(logger *wal.GroupCommitter) (*core.Engine, error) {
-			engine.AttachLogger(logger)
-			return engine, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	n.snap.mu.Lock()
-	n.snap.lastMeta = meta
-	n.snap.lastGen = meta.generation
-	n.snap.hasSnap = true
-	n.snap.mu.Unlock()
-	// The replayed engine has fresh page IDs; old WAL records reference
-	// the pre-crash ones. A new snapshot makes the recovered state the
-	// bootstrap point, so replicas attached from here (always via
-	// NewRONodeFromSnapshot after a recovery) see one coherent ID space.
-	if _, err := n.WriteSnapshot(); err != nil {
-		n.Stop()
-		return nil, err
+		n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), snapshotMeta{})
 	}
 	return n, nil
 }

@@ -341,13 +341,17 @@ func TestRecoverRWNode(t *testing.T) {
 	if err := rec.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// A follower replaying the log from its start applies both tenures'
+	// records: the recovered node kept the page and tree IDs of the one that
+	// died.
 	ro := NewRONode(st, time.Millisecond, 0)
 	defer ro.Stop()
 	if !ro.WaitVisible(rec.LastLSN(), 2*time.Second) {
 		t.Fatal("replica lagging behind recovered node")
 	}
-	// NOTE: a full-replay replica would replay pre-crash records too; the
-	// degree check below therefore uses a fresh snapshot bootstrap.
+	if deg, err := ro.Replica().Degree(5, graph.ETypeLike); err != nil || deg != 139 {
+		t.Fatalf("full-replay replica degree(5) = %d %v, want 139", deg, err)
+	}
 	if _, err := rec.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +368,33 @@ func TestRecoverRWNode(t *testing.T) {
 	}
 }
 
-func TestRecoverWithoutSnapshotFails(t *testing.T) {
+// TestRecoverWithoutSnapshotReplaysTheLog: a store that never took a snapshot
+// recovers like any follower attaches to it, from LSN 1.
+func TestRecoverWithoutSnapshotReplaysTheLog(t *testing.T) {
 	st := storage.Open(nil)
-	if _, err := RecoverRWNode(st, RWOptions{}); err == nil {
-		t.Fatal("recovery without a snapshot succeeded")
+	rw, err := NewRWNode(st, testRWOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ { // splits, no checkpoint
+		if err := rw.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i), Type: graph.ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := rw.LastLSN()
+	rw.Stop()
+	rec, err := RecoverRWNode(st, testRWOpts())
+	if err != nil {
+		t.Fatalf("recovery without a snapshot: %v", err)
+	}
+	defer rec.Stop()
+	if deg, err := rec.Degree(1, graph.ETypeFollow); err != nil || deg != 100 {
+		t.Fatalf("recovered degree = %d %v, want 100", deg, err)
+	}
+	if err := rec.AddEdge(graph.Edge{Src: 1, Dst: 100, Type: graph.ETypeFollow}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.LastLSN(); got != last+1 {
+		t.Fatalf("the recovered node's first record got LSN %d, want %d", got, last+1)
 	}
 }

@@ -118,9 +118,9 @@ func (g *Group) Leader(i int) *replication.RWNode { return g.leaders[i].Load() }
 // WAL replay and chaos oracles across failovers.
 func (g *Group) Store(i int) *storage.Store { return g.stores[i] }
 
-// Failover fences shard i's leader and promotes a replacement built
-// from the shard's durable state (replication.Failover); other shards
-// are untouched. After the promotion an in-doubt resolution pass settles
+// Failover fences shard i's leader and promotes a follower of the
+// shard's log in its place (replication.Failover); other shards are
+// untouched. After the promotion an in-doubt resolution pass settles
 // every durable prepare on the shard with no local outcome marker:
 // transactions whose coordinator holds a durable commit are re-applied
 // (idempotently) and marked applied, all others abort (presumed abort).

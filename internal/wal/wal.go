@@ -37,10 +37,11 @@ const (
 	// RecordSplit logs a structural split: page PageID moved all keys >=
 	// Key to the new page AuxPage.
 	RecordSplit
-	// RecordNewPage logs the creation of a page that does not exist in the
-	// durable mapping table yet; RO nodes materialize it directly in memory.
+	// RecordNewPage and RecordNewRoot are reserved: nothing writes them and
+	// no applier accepts them. A split is its RecordSplit alone — it names the
+	// sibling, and every node grows its own inner nodes. The two values stay
+	// taken so that every other type keeps its number.
 	RecordNewPage
-	// RecordNewRoot logs a root change for a tree: AuxPage is the new root.
 	RecordNewRoot
 	// RecordCheckpoint declares that shared storage (pages + mapping table)
 	// reflects every modification with LSN <= CheckpointLSN. RO nodes drop

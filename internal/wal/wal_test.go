@@ -225,7 +225,7 @@ func TestNewReaderAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot bootstrap: the cursor says where to scan, the base says
-	// where the LSN sequence resumes (ReplayWAL always declares it).
+	// where the LSN sequence resumes (every follower declares it).
 	r := NewReaderAt(st, cur)
 	r.SetBase(5)
 	recs, err := r.Poll()

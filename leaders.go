@@ -43,20 +43,9 @@ func (ls *leaderSet) close() {
 }
 
 // failover promotes a replacement for shard i's leader (Group.Failover).
-// The promoted leader replayed into a fresh physical page-ID space and
-// published a new snapshot; followers attached to the deposed leader
-// re-bootstrap shard i from it so they keep serving consistent reads.
-func (ls *leaderSet) failover(i int) error {
-	if err := ls.group.Failover(i); err != nil {
-		return err
-	}
-	for _, f := range ls.followers() {
-		if err := f.ros[i].Resync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Page and tree IDs survive a promotion, so the followers attached to the
+// deposed leader need nothing: they go on tailing the shard's log.
+func (ls *leaderSet) failover(i int) error { return ls.group.Failover(i) }
 
 func (ls *leaderSet) followers() []*followers {
 	ls.mu.Lock()
@@ -66,8 +55,8 @@ func (ls *leaderSet) followers() []*followers {
 
 // followers is one read-only node per shard and the reader over them,
 // routed like the group's writes; a DB's Replica is the one-shard case. Each
-// read re-fetches the owning node's replica, because a resync (WAL trim,
-// failover) replaces it wholesale. reader is handed out as the value it is —
+// read re-fetches the owning node's replica, because a resync (a WAL trim that
+// outran the node) replaces it wholesale. reader is handed out as the value it is —
 // not embedded as a graph.Reader, whose method set would hide the router's
 // graph.FrontierReader and make every hop expand per vertex.
 type followers struct {

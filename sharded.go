@@ -181,12 +181,11 @@ func (db *ShardedDB) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles 
 	return s.FindCycles(start, typ, maxLen, maxCycles)
 }
 
-// Failover fences shard i's leader and promotes a replacement rebuilt
-// from the shard's durable state; see DB.Failover for the sequence and
-// guarantees. Other shards keep serving; snapshots pinned on the deposed
-// leader stay exact (their horizons exclude anything the fence cut off),
-// and attached read views re-bootstrap shard i's follower onto the
-// promoted leader's snapshot.
+// Failover fences shard i's leader and promotes a follower of the shard's
+// log in its place; see DB.Failover for the sequence and guarantees. Other
+// shards keep serving; snapshots pinned on the deposed leader stay exact
+// (their horizons exclude anything the fence cut off), and attached read
+// views go on tailing shard i's log.
 func (db *ShardedDB) Failover(i int) error { return db.failover(i) }
 
 // Checkpoint flushes dirty pages and publishes a WAL checkpoint on every
