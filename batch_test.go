@@ -11,6 +11,11 @@ import "testing"
 // identically loaded DB. The other side of the claim: a batch whose keys all
 // land in distinct leaves has nothing to group, and costs exactly what the
 // single writes cost.
+//
+// On top of the ratios, each run's exact cost is pinned to what it was when a
+// sync write still had a persistence routine of its own, before it became the
+// flush of the page it dirtied: the records a sync tree writes are the
+// flush's to change, not a refactor's.
 func TestBatchPersistsEachLeafOnce(t *testing.T) {
 	const hub = VertexID(7)
 	type cost struct{ appends, bytes int64 }
@@ -60,6 +65,12 @@ func TestBatchPersistsEachLeafOnce(t *testing.T) {
 	if batch.appends*8 > single.appends || batch.bytes*2 > single.bytes {
 		t.Fatalf("one batch of 1,024 ascending edges cost %+v, the same edges one by one %+v: want <= 1/8 of the appends and <= 1/2 of the bytes", batch, single)
 	}
+	if want := (cost{1056, 568344}); single != want {
+		t.Fatalf("1,024 ascending single writes cost %+v, want exactly %+v", single, want)
+	}
+	if want := (cost{49, 141077}); batch != want {
+		t.Fatalf("one batch of 1,024 ascending edges cost %+v, want exactly %+v", batch, want)
+	}
 
 	scattered := make([]Edge, 16)
 	for i := range scattered {
@@ -67,5 +78,7 @@ func TestBatchPersistsEachLeafOnce(t *testing.T) {
 	}
 	if single, batch := run(scattered, false), run(scattered, true); batch != single || single.appends != int64(len(scattered)) {
 		t.Fatalf("a batch of one key per leaf cost %+v, the single writes %+v: want the same, an append per key", batch, single)
+	} else if want := (cost{16, 768}); single != want {
+		t.Fatalf("16 scattered writes cost %+v, want exactly %+v", single, want)
 	}
 }

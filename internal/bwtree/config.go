@@ -4,13 +4,14 @@
 //
 // Two delta policies are provided:
 //
-//   - Traditional: the classic Bw-tree (and SLED) behaviour. Every update
-//     appends one delta record to the page's chain; a page with n deltas
-//     costs 1+n random storage reads to materialize on a cache miss.
+//   - Traditional: the classic Bw-tree (and SLED) behaviour. Every flush
+//     appends one delta record of the updates since the last to the page's
+//     chain; a page with n deltas costs 1+n random storage reads to
+//     materialize on a cache miss.
 //   - ReadOptimized: BG3's Algorithm 1. Updates are merged with the page's
 //     existing delta so each page carries at most one delta; a cache miss
 //     costs at most two storage reads, at the price of slightly more bytes
-//     written (the delta is rewritten on every update).
+//     written (the delta is rewritten on every flush).
 //
 // Those read counts are what a node that holds nothing pays: an applier (RO
 // node) or a tree with the cache disabled (Fig. 9's configuration). A caching
@@ -31,7 +32,7 @@ const (
 	// ReadOptimized keeps at most one (merged) delta per page — BG3's
 	// policy (§3.2.2, Algorithm 1).
 	ReadOptimized DeltaPolicy = iota
-	// Traditional chains one delta per update, consolidating after
+	// Traditional chains one delta per flush, consolidating after
 	// ConsolidateNum deltas — the SLED-like baseline.
 	Traditional
 )
@@ -44,17 +45,18 @@ func (p DeltaPolicy) String() string {
 	return "read-optimized"
 }
 
-// FlushMode selects when page modifications reach storage.
+// FlushMode selects when a dirty page reaches storage, not how: under either
+// mode the page's one flush (flushPageLocked) writes it.
 type FlushMode int
 
 const (
-	// FlushSync persists every update before Put returns (Algorithm 1's
-	// inline Flush calls). Used by standalone trees and the
-	// micro-benchmarks.
+	// FlushSync flushes a page under the latch of the write or split that
+	// dirtied it, before Put returns (Algorithm 1's inline Flush calls).
+	// Used by standalone trees and the micro-benchmarks.
 	FlushSync FlushMode = iota
-	// FlushAsync applies updates in memory and lets a background flusher
-	// (group commit, §3.4 "I/O Efficiency") persist dirty pages. Used by
-	// the replicated RW node; requires the WAL for durability.
+	// FlushAsync leaves dirty pages to a background flusher (group commit,
+	// §3.4 "I/O Efficiency"). Used by the replicated RW node; requires the
+	// WAL for durability.
 	FlushAsync
 )
 
@@ -64,7 +66,7 @@ type Config struct {
 	// Policy is the delta policy (default ReadOptimized).
 	Policy DeltaPolicy
 
-	// FlushMode selects sync or async persistence (default FlushSync).
+	// FlushMode selects when dirty pages are flushed (default FlushSync).
 	FlushMode FlushMode
 
 	// ConsolidateNum is the delta count that triggers consolidation into a

@@ -14,7 +14,7 @@ import (
 // op is one logical update of a page's overlay. lsn is the WAL LSN the
 // update committed under (0 on trees without a logger): a read at horizon
 // H sees, per key, the newest op with lsn <= H over the base image.
-// pending marks an op no durable delta record carries yet (async mode).
+// pending marks an op no durable delta record carries yet.
 type op struct {
 	del     bool
 	pending bool

@@ -36,14 +36,8 @@ type MappingUpdate struct {
 	Deltas []storage.Loc
 }
 
-// DirtyCount returns the number of pages awaiting a flush. Only meaningful
-// in FlushAsync mode. The mode check (immutable after construction) gates
-// entry; the map itself is only touched under dirtyMu and is never
-// replaced, so concurrent flushers cannot race on its header.
+// DirtyCount returns the number of pages awaiting a flush.
 func (t *Tree) DirtyCount() int {
-	if t.cfg.FlushMode != FlushAsync {
-		return 0
-	}
 	t.dirtyMu.Lock()
 	defer t.dirtyMu.Unlock()
 	return len(t.dirtySet)
@@ -52,13 +46,9 @@ func (t *Tree) DirtyCount() int {
 // FlushDirty persists every dirty page (the group commit of §3.4: "dirty
 // pages are flushed by a background thread once they reach a threshold")
 // and returns the mapping updates describing the new durable locations.
-// Only meaningful in FlushAsync mode; in sync mode it returns nil. Safe
-// for concurrent callers (the background flusher and a manual checkpoint
-// or snapshot may overlap).
+// Safe for concurrent callers (the background flusher and a manual
+// checkpoint or snapshot may overlap).
 func (t *Tree) FlushDirty() ([]MappingUpdate, error) {
-	if t.cfg.FlushMode != FlushAsync {
-		return nil, nil
-	}
 	updates, err := t.flushPages(t.takeDirty())
 	if err != nil {
 		return updates, err
@@ -87,7 +77,7 @@ func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 	for i := 0; i < len(ids); i++ {
 		e := t.m.get(ids[i])
 		if e == nil {
-			continue
+			continue // a sibling not linked in yet: its page's flush chases it
 		}
 		e.mu.Lock()
 		if e.splitPending && e.next != 0 {
@@ -99,7 +89,13 @@ func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 			// checkpoint takes its range away from replicas for a cycle.
 			ids = append(ids, e.next)
 		}
-		up, err := t.flushPageLocked(e)
+		flushed, err := t.flushPageLocked(e, nil)
+		if flushed {
+			updates = append(updates, MappingUpdate{
+				Tree: t.id, Page: e.id, Base: e.baseLoc,
+				Deltas: append([]storage.Loc(nil), e.deltaLocs...),
+			})
+		}
 		e.mu.Unlock()
 		if err != nil {
 			// Put the failed page and every page not yet attempted back in
@@ -112,11 +108,44 @@ func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 			t.dirtyMu.Unlock()
 			return updates, fmt.Errorf("bwtree: flush page %d: %w", ids[i], err)
 		}
-		if up != nil {
-			updates = append(updates, *up)
-		}
 	}
 	return updates, nil
+}
+
+// dirtied is the one way a leaf changed under its latch heads for storage —
+// a write run (applyRun), either half of a split, a page handed over
+// (TakeOver): it is marked dirty, and FlushMode decides only when
+// flushPageLocked writes it. An async tree leaves it in the dirty set for the
+// flusher. A sync tree flushes it now, under the latch, from base — the image
+// the change was made over, which a cache-disabled tree keeps nowhere else
+// (nil: the page's own) — and caches a base it wrote as a load would
+// (noteCached). A failed sync flush leaves e dirty and out of the dirty set:
+// the caller undoes the change or files the page (markDirty).
+func (t *Tree) dirtied(e *pageEntry, base leafImage) error {
+	filed := e.dirty
+	e.dirty = true
+	if t.cfg.FlushMode == FlushAsync {
+		t.markDirty(e.id)
+		return nil
+	}
+	old := e.baseLoc
+	_, err := t.flushPageLocked(e, base)
+	if e.baseLoc != old {
+		t.m.noteCached(e)
+	}
+	if filed && err == nil {
+		t.dirtyMu.Lock()
+		delete(t.dirtySet, e.id)
+		t.dirtyMu.Unlock()
+	}
+	return err
+}
+
+// markDirty files page id in the dirty set.
+func (t *Tree) markDirty(id PageID) {
+	t.dirtyMu.Lock()
+	t.dirtySet[id] = struct{}{}
+	t.dirtyMu.Unlock()
 }
 
 // appendDeltas persists ops (overlay order) as the fewest delta records
@@ -184,7 +213,15 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	return nil
 }
 
-// flushPageLocked persists one dirty page. e.mu must be held.
+// flushPageLocked persists one dirty page and reports whether it did — BG3's
+// Algorithm 1, and the only code that writes a leaf to storage, whenever
+// FlushMode has it run (dirtied): a page with no durable image yet, or a split
+// half, is written whole as a fresh base (lines 2–8); an overlay past
+// ConsolidateNum is consolidated into one (lines 21–27); anything else becomes
+// one merged delta (read-optimized, lines 19–31) or one more delta holding the
+// pending ops (traditional). base is the image the page's content is over
+// when the caller holds one, else nil: e's resident image, or a load. e.mu
+// must be held; on error nothing changed.
 //
 // Consolidation respects the MVCC retention floor: only overlay ops at or
 // below the oldest pinned epoch may be folded into the new base; newer
@@ -192,12 +229,15 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 // snapshots can keep reconstructing the versions between the floor and
 // the head. Without an epoch clock the floor is +inf and the whole
 // overlay folds. The dirty flag clears only once every record landed.
-func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
+func (t *Tree) flushPageLocked(e *pageEntry, base leafImage) (bool, error) {
 	if !e.dirty {
-		return nil, nil
+		return false, nil
 	}
-	if e.base == nil && e.baseLoc.IsZero() {
-		return nil, fmt.Errorf("bwtree: dirty page %d lost its content", e.id)
+	if base == nil {
+		base = e.base
+	}
+	if base == nil && e.baseLoc.IsZero() {
+		return false, fmt.Errorf("bwtree: dirty page %d lost its content", e.id)
 	}
 	floor := t.retentionFloor()
 	retained := opsAbove(e.overlay, floor)
@@ -208,59 +248,51 @@ func (t *Tree) flushPageLocked(e *pageEntry) (*MappingUpdate, error) {
 		// the cached image at once. The retained suffix must be durable
 		// alongside it, or a crash would roll the page back past released
 		// commits. A page handed over dirty (TakeOver) may not be resident.
-		base := e.base
 		if base == nil {
 			var err error
 			if base, _, err = t.materialize(e, false); err != nil {
-				return nil, err
+				return false, err
 			}
 		}
 		img, err := mergeEncode(base, e.overlay, e.lo, e.hi, floor)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
+		rewrite := !e.splitPending && !e.baseLoc.IsZero()
 		if err := t.persistBase(e, img, retained); err != nil {
-			return nil, err
+			return false, err
 		}
-		if !e.splitPending {
+		if rewrite {
 			t.consolidations.Add(1)
 		}
 	case t.cfg.Policy == ReadOptimized:
 		locs, err := t.appendDeltas(e.id, e.overlay)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		for _, old := range e.deltaLocs {
 			t.store.Invalidate(old)
 		}
 		e.deltaLocs = locs
-		for i := range e.ownOverlay(0) {
-			e.overlay[i].pending = false
-		}
 	default:
-		// Traditional policy under async flushing: one delta per pending op.
-		// Each op turns durable as it lands, so a mid-loop failure leaves
-		// exactly the unflushed ones for retry.
-		for i := range e.ownOverlay(0) {
-			if !e.overlay[i].pending {
-				continue
+		var pending []op
+		for _, o := range e.overlay {
+			if o.pending {
+				pending = append(pending, o)
 			}
-			loc, err := t.flushAppend(storage.StreamDelta, uint64(e.id), encodeOps(e.overlay[i:i+1]))
-			if err != nil {
-				return nil, err
-			}
-			e.overlay[i].pending = false
-			e.deltaLocs = append(e.deltaLocs, loc)
 		}
+		locs, err := t.appendDeltas(e.id, pending)
+		if err != nil {
+			return false, err
+		}
+		e.deltaLocs = append(e.deltaLocs, locs...)
 	}
-
+	for i := range e.ownOverlay(0) {
+		e.overlay[i].pending = false
+	}
 	e.dirty = false
 	e.splitPending = false
-	up := &MappingUpdate{
-		Tree: t.id, Page: e.id, Base: e.baseLoc,
-		Deltas: append([]storage.Loc(nil), e.deltaLocs...),
-	}
-	return up, nil
+	return true, nil
 }
 
 // LeafDirectory returns every leaf's (lowKey, pageID) pair in key order —

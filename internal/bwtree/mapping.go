@@ -65,7 +65,7 @@ type pageEntry struct {
 	shared  bool
 	live    int // live keys at horizon ∞ inside [lo, hi), resident or not; -1 = not counted
 
-	dirty        bool // has non-durable changes (async mode)
+	dirty        bool // has changes no durable record holds yet (dirtied)
 	splitPending bool // the page split in memory; next flush must rewrite its base
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf

@@ -38,8 +38,8 @@ import (
 // records of a checkpoint whose last record never came are dropped, and the
 // allocators move past every leaf and tree ID the log named. The role flips
 // last: until then a load still folds the chain, under an overlay that may
-// already mirror it, which reads the same. Under sync flushing there is no
-// flusher to leave the dirty pages to, so the hand-over persists them itself.
+// already mirror it, which reads the same. Dirty pages go where any leader's
+// go (dirtied): to the flusher, or under sync flushing to storage now.
 func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 	leaves := m.leaves()
 	var maxPage PageID
@@ -104,7 +104,6 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 // takeOver is steps 2 and 3 of TakeOver for one leaf; chain holds its delta
 // records. e.mu must be held.
 func (e *pageEntry) takeOver(chain [][]byte) error {
-	t := e.tree
 	durable, err := decodeDeltas(chain)
 	if err != nil {
 		return err
@@ -136,15 +135,8 @@ func (e *pageEntry) takeOver(chain [][]byte) error {
 		e.overlay = append(merged, ov[j:]...)
 	}
 	e.origin = 0
-	if e.dirty = e.dirty || pending > 0; !e.dirty {
+	if !e.dirty && pending == 0 {
 		return nil
 	}
-	if t.cfg.FlushMode == FlushSync {
-		_, err = t.flushPageLocked(e)
-		return err
-	}
-	t.dirtyMu.Lock()
-	t.dirtySet[e.id] = struct{}{}
-	t.dirtyMu.Unlock()
-	return nil
+	return e.tree.dirtied(e, nil)
 }

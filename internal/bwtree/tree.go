@@ -63,7 +63,8 @@ type Tree struct {
 	consolidations atomic.Int64
 	splits         atomic.Int64
 
-	// dirty pages awaiting the async flusher; nil in sync mode.
+	// dirty pages awaiting the flusher (dirtied): a sync tree's only while a
+	// flush of theirs failed.
 	dirtyMu  sync.Mutex
 	dirtySet map[PageID]struct{}
 
@@ -96,23 +97,18 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 	return t, nil
 }
 
-// lead gives the tree a leader's configuration and, under async flushing, its
-// dirty set — at creation (New), or when an applier's tree takes over
-// (Mapping.TakeOver).
+// lead gives the tree a leader's configuration and its dirty set — at creation
+// (New), or when an applier's tree takes over (Mapping.TakeOver).
 func (t *Tree) lead(cfg Config) error {
 	cfg = cfg.withDefaults()
 	switch {
 	case cfg.FlushMode == FlushAsync && cfg.NoCache:
 		return fmt.Errorf("bwtree: async flushing requires the page cache")
 	case cfg.FlushMode == FlushSync && cfg.Epochs != nil:
-		// Sync flushing folds every op into a base inline, which cannot
-		// honor a retention floor; the epoch clock rides the group-commit
-		// (async) pipeline only.
+		// The epoch clock rides the group-commit (async) pipeline only.
 		return fmt.Errorf("bwtree: epoch clock requires async flushing")
 	}
-	if t.cfg = cfg; cfg.FlushMode == FlushAsync {
-		t.dirtySet = make(map[PageID]struct{})
-	}
+	t.cfg, t.dirtySet = cfg, make(map[PageID]struct{})
 	return nil
 }
 
@@ -467,12 +463,12 @@ func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
 // and only a write gets it split. They are applied under this one latch with
 // one materialization and one count of the live keys: each op gets its WAL
 // record and LSN, in run order, and its Existed; then the run is merged into
-// the overlay and the page marked dirty once (async flushing), or made durable
-// by one storage write (sync flushing, persistRun). needSplit reports a leaf
-// past MaxPageEntries; the caller splits it once the latch is released.
+// the overlay as pending ops and the page dirtied once — which, on a sync tree,
+// is one flush of it (dirtied). needSplit reports a leaf past MaxPageEntries;
+// the caller splits it once the latch is released.
 //
 // An error leaves ws[:n] applied when the log refused the op after them, and
-// nothing applied (n = 0, the page unchanged) when the sync write failed.
+// nothing applied (n = 0, the page unchanged) when the sync flush failed.
 func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int, needSplit bool, err error) {
 	base, _, err := t.materialize(e, false)
 	if err != nil {
@@ -482,7 +478,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 	if t.cfg.DisableSplit {
 		limit = math.MaxInt
 	}
-	async := t.cfg.FlushMode == FlushAsync
+	wasLive, wasDirty := live, e.dirty
 
 	// Edge-block capture gate: it opens before the run's first LSN exists, so
 	// a block reader seeing no writer in flight knows every released op has
@@ -499,7 +495,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 				break
 			}
 		}
-		o := op{del: w.Delete, pending: async, key: w.Key, val: w.Value}
+		o := op{del: w.Delete, pending: true, key: w.Key, val: w.Value}
 		if t.logger != nil {
 			// Write-ahead: the record enters the WAL (and receives its LSN)
 			// before any page state changes (§3.4 step 2).
@@ -529,18 +525,13 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 		run, n = append(run, o), n+1
 	}
 
-	switch {
-	case n == 0:
-	case async:
-		// Applied in memory; persistence is the background flusher's (group
-		// commit).
-		e.overlay, e.live, e.dirty = insertOps(e.ownOverlay(len(run)), run), live, true
-		t.dirtyMu.Lock()
-		t.dirtySet[e.id] = struct{}{}
-		t.dirtyMu.Unlock()
-	default:
-		if perr := t.persistRun(e, base, run, live); perr != nil {
-			n, err = 0, perr
+	if n > 0 {
+		e.overlay, e.live = insertOps(e.ownOverlay(len(run)), run), live
+		if ferr := t.dirtied(e, base); ferr != nil {
+			// Only a sync flush fails here, and a sync tree's pending ops are
+			// this run's: dropping them puts the page back as it was.
+			e.overlay = slices.DeleteFunc(e.overlay, func(o op) bool { return o.pending })
+			e.live, e.dirty, n, err = wasLive, wasDirty, 0, ferr
 		}
 	}
 	t.blockWriteExit(gate, run[:n])
@@ -551,55 +542,6 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 	t.puts.Add(int64(n - dels))
 	t.deletes.Add(int64(dels))
 	return n, live > limit, err
-}
-
-// persistRun makes a sync leaf's run durable with one write and installs it —
-// Algorithm 1's inline flush, for a run: a page with no durable image yet is
-// written whole as a fresh (small) base (lines 2–8); a chain the run fills up
-// is consolidated, base + overlay + run, into a fresh base (lines 21–27);
-// anything else is one more delta. live is the leaf's live-key count with the
-// run applied. e.mu must be held; on error nothing changed.
-func (t *Tree) persistRun(e *pageEntry, base leafImage, run []op, live int) error {
-	// The merge goes into a copy: it is installed only once the record
-	// carrying it is durable.
-	merged := insertOps(append(make([]op, 0, len(e.overlay)+len(run)), e.overlay...), run)
-	fresh := e.baseLoc.IsZero() && len(e.overlay) == 0
-	if fresh || len(merged) > t.cfg.ConsolidateNum {
-		img, err := mergeEncode(base, merged, e.lo, e.hi, horizonAll)
-		if err != nil {
-			return err
-		}
-		if err := t.persistBase(e, img, nil); err != nil {
-			return err
-		}
-		if !fresh {
-			t.consolidations.Add(1)
-		}
-		e.live = live
-		t.m.noteCached(e)
-		return nil
-	}
-	if t.cfg.Policy == ReadOptimized {
-		// Lines 19–31 (read-optimized): the existing delta and the run merge
-		// into a single delta record.
-		locs, err := t.appendDeltas(e.id, merged)
-		if err != nil {
-			return err
-		}
-		for _, old := range e.deltaLocs {
-			t.store.Invalidate(old)
-		}
-		e.deltaLocs = locs
-	} else {
-		// Traditional: the run is one more delta on the chain.
-		locs, err := t.appendDeltas(e.id, run)
-		if err != nil {
-			return err
-		}
-		e.deltaLocs = append(e.deltaLocs, locs...)
-	}
-	e.overlay, e.shared, e.live = merged, false, live
-	return nil
 }
 
 // Len returns the total number of live keys (walks every leaf; intended
@@ -767,46 +709,32 @@ func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
 		}
 	}
 
-	var right *pageEntry
-	if t.cfg.FlushMode == FlushSync {
-		// Persist both halves as fresh base pages immediately: a sync split
-		// folds everything, so neither half keeps an overlay.
-		rimg, err := mergeEncode(base, e.overlay, sep, e.hi, horizonAll)
-		if err != nil {
-			return err
-		}
-		limg, err := mergeEncode(base, e.overlay, e.lo, sep, horizonAll)
-		if err != nil {
-			return err
-		}
-		right = &pageEntry{id: rightID, tree: t, isLeaf: true, lo: sep, hi: e.hi, next: e.next}
-		if err := t.persistBase(right, rimg, nil); err != nil {
-			return err
-		}
-		if err := t.persistBase(e, limg, nil); err != nil {
-			return err
-		}
-	} else {
-		// Dirty pages; the flusher rewrites both bases at the next group
-		// commit (§3.4 step 7).
-		right = e.halve(sep, rightID)
-		e.dirty = true
-		e.splitPending = true
-		right.dirty = true
-		right.splitPending = true
-		t.dirtyMu.Lock()
-		t.dirtySet[e.id] = struct{}{}
-		t.dirtySet[right.id] = struct{}{}
-		t.dirtyMu.Unlock()
+	// Both halves are dirtied splitPending: their next flush writes each its
+	// own base (§3.4 step 7). On a sync tree that is now, from the image the
+	// split read, and the sibling's first, before anyone can reach it: a
+	// failure there leaves the leaf unsplit.
+	ov := e.overlay
+	right := e.halve(sep, rightID)
+	right.splitPending = true
+	if err := t.dirtied(right, base); err != nil {
+		e.overlay = ov
+		return err
 	}
 	e.live, right.live = n/2, n-n/2
 	t.adopt(e, right)
 	t.insertParent(e.id, sep, right.id)
+	e.splitPending = true
+	if err := t.dirtied(e, base); err != nil {
+		// Split, and dirty until its next flush: meanwhile its old records
+		// still cover its range, and every reader clips them to it.
+		t.markDirty(e.id)
+		return err
+	}
 	return nil
 }
 
-// halve is the in-memory body of a split that folds nothing — a leader's
-// under async flushing, and an applier's of a RecordSplit: the right half
+// halve is the in-memory body of every split — a leader's, whose flushes then
+// fold the halves, and an applier's of a RecordSplit: the right half
 // shares the page's immutable image (nil when the page is not resident),
 // each half reading it through its own key range, and the overlay — stamps
 // intact, so a horizon still reconstructs pre-split versions of keys that

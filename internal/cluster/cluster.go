@@ -25,9 +25,6 @@ func New(nodes ...graph.Store) *Cluster {
 	return &Cluster{nodes: nodes, router: shard.NewRouter(len(nodes))}
 }
 
-// Nodes returns the member count.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // route picks the node owning a vertex — the same Fibonacci-hash router
 // the sharded engine uses, so the simulation places vertices exactly
 // where a real shard group would.

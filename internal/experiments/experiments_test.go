@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"bg3/internal/bwtree"
+	"bg3/internal/storage"
 )
 
 // The experiment smoke tests run every harness at Small scale and assert
@@ -42,6 +45,36 @@ func TestFig10Shape(t *testing.T) {
 	ratio := float64(bg3.BytesWritten) / float64(sled.BytesWritten)
 	if ratio > 3.0 {
 		t.Fatalf("write overhead ratio = %.2f, unreasonably large", ratio)
+	}
+}
+
+// TestFig9Fig10StorageCounts pins, exactly, the storage traffic of the Fig. 9
+// tree (cache disabled, splitting, then power-law updates) and the Fig. 10
+// tree (write-only power law) at Small under both policies — the counts of
+// when a sync write still had a persistence routine of its own beside the
+// flush. Every sync write is now the flush of the page it dirtied: the same
+// records, the same order, and no second load on the cache-disabled tree.
+func TestFig9Fig10StorageCounts(t *testing.T) {
+	type io struct{ writes, bytes, reads int64 }
+	for _, c := range []struct {
+		policy      bwtree.DeltaPolicy
+		fig9, fig10 io
+	}{
+		{bwtree.Traditional, io{12246, 2697903, 71366}, io{10004, 25051133, 0}},
+		{bwtree.ReadOptimized, io{12246, 5475798, 23076}, io{10004, 28688652, 0}},
+	} {
+		_, st9 := fig9TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 8_000, 0, 0), 42)
+		st10 := fig10TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 10_000, 0, 0))
+		for _, f := range []struct {
+			name string
+			st   *storage.Store
+			want io
+		}{{"fig9", st9, c.fig9}, {"fig10", st10, c.fig10}} {
+			s := f.st.Stats()
+			if got := (io{s.WriteOps, s.BytesWritten, s.ReadOps}); got != f.want {
+				t.Errorf("%s %v: {writes bytes reads} = %v, want %v", f.name, c.policy, got, f.want)
+			}
+		}
 	}
 }
 

@@ -113,6 +113,30 @@ type Fig10Result struct {
 	BytesWritten int64
 }
 
+// fig10TreeSetup runs the write-only power-law load of Fig. 10 into a fresh
+// tree and returns its store.
+func fig10TreeSetup(policy bwtree.DeltaPolicy, keys, writes int) *storage.Store {
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 20})
+	m := bwtree.NewMapping(0, false)
+	tr, err := bwtree.New(m, st, bwtree.Config{
+		Policy:         policy,
+		ConsolidateNum: 10,
+		MaxPageEntries: 512,
+	}, nil)
+	if err != nil {
+		panic(err)
+	}
+	val := make([]byte, 64)
+	rng := rand.New(rand.NewSource(21))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
+	for i := 0; i < writes; i++ {
+		if err := tr.Put(key64(zipf.Uint64()), val); err != nil {
+			panic(err)
+		}
+	}
+	return st
+}
+
 // Fig10WriteBandwidth runs the write-only power-law benchmark on both
 // policies and reports total bytes appended to storage. Page geometry
 // matches the paper's description — "the leaf nodes of a single Bw-tree
@@ -124,25 +148,7 @@ func Fig10WriteBandwidth(s Scale, out io.Writer) []Fig10Result {
 	writes := pick(s, 10_000, 100_000, 500_000)
 
 	run := func(name string, policy bwtree.DeltaPolicy) Fig10Result {
-		st := storage.Open(&storage.Options{ExtentSize: 1 << 20})
-		m := bwtree.NewMapping(0, false)
-		tr, err := bwtree.New(m, st, bwtree.Config{
-			Policy:         policy,
-			ConsolidateNum: 10,
-			MaxPageEntries: 512,
-		}, nil)
-		if err != nil {
-			panic(err)
-		}
-		val := make([]byte, 64)
-		rng := rand.New(rand.NewSource(21))
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
-		for i := 0; i < writes; i++ {
-			if err := tr.Put(key64(zipf.Uint64()), val); err != nil {
-				panic(err)
-			}
-		}
-		return Fig10Result{System: name, BytesWritten: st.Stats().BytesWritten}
+		return Fig10Result{System: name, BytesWritten: fig10TreeSetup(policy, keys, writes).Stats().BytesWritten}
 	}
 	results := []Fig10Result{
 		run("SLED (traditional Bw-tree)", bwtree.Traditional),

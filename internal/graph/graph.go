@@ -184,15 +184,6 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 	return ps, nil
 }
 
-// VertexKey encodes the KV key of a vertex: 'v' id[8] type[2].
-func VertexKey(id VertexID, typ VertexType) []byte {
-	buf := make([]byte, 11)
-	buf[0] = 'v'
-	binary.BigEndian.PutUint64(buf[1:], uint64(id))
-	binary.BigEndian.PutUint16(buf[9:], uint16(typ))
-	return buf
-}
-
 // EdgeKey encodes an edge's key within its source vertex's adjacency
 // space: etype[2] dst[8]. Big-endian keeps edges of one type contiguous
 // and ordered by destination.

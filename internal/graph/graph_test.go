@@ -111,19 +111,6 @@ func TestEdgeKeyOrdering(t *testing.T) {
 	}
 }
 
-func TestVertexKeyDistinct(t *testing.T) {
-	seen := map[string]bool{}
-	for id := VertexID(0); id < 50; id++ {
-		for _, typ := range []VertexType{VTypeUser, VTypeVideo} {
-			k := string(VertexKey(id, typ))
-			if seen[k] {
-				t.Fatalf("vertex key collision for id=%d typ=%d", id, typ)
-			}
-			seen[k] = true
-		}
-	}
-}
-
 // memStore is a trivial in-memory Store used to test the traversal
 // helpers independent of any engine.
 type memStore struct {

@@ -1,6 +1,6 @@
 // Package metrics provides lightweight, allocation-free instrumentation
-// primitives shared by every BG3 subsystem: atomic counters, fixed-bucket
-// latency histograms and windowed rate meters.
+// primitives shared by every BG3 subsystem: atomic counters and fixed-bucket
+// latency histograms.
 //
 // All types are safe for concurrent use.
 package metrics
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -286,36 +285,3 @@ func (c *FaultCounters) Snapshot() string {
 // Faults is the process-wide fault accounting instance. Counters are
 // monotonic, so concurrent tests sharing it stay correct.
 var Faults FaultCounters
-
-// Meter measures event throughput over its lifetime.
-type Meter struct {
-	start time.Time
-	n     atomic.Int64
-	mu    sync.Mutex
-}
-
-// NewMeter returns a meter whose clock starts now.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) { m.n.Add(n) }
-
-// Count returns the number of recorded events.
-func (m *Meter) Count() int64 { return m.n.Load() }
-
-// Rate returns events per second since the meter was created.
-func (m *Meter) Rate() float64 {
-	elapsed := time.Since(m.start).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.n.Load()) / elapsed
-}
-
-// Reset zeroes the meter and restarts its clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.n.Store(0)
-	m.start = time.Now()
-}

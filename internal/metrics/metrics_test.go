@@ -130,22 +130,6 @@ func TestHistogramQuantileClamping(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	m := NewMeter()
-	m.Mark(10)
-	if got := m.Count(); got != 10 {
-		t.Fatalf("count = %d, want 10", got)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if r := m.Rate(); r <= 0 {
-		t.Fatalf("rate = %f, want > 0", r)
-	}
-	m.Reset()
-	if got := m.Count(); got != 0 {
-		t.Fatalf("count after reset = %d, want 0", got)
-	}
-}
-
 func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -57,9 +57,6 @@ func (c *ForwardingCluster) AddVertex(v graph.Vertex) error {
 // Leader returns the leader store.
 func (c *ForwardingCluster) Leader() graph.Store { return c.leader }
 
-// Follower returns follower i.
-func (c *ForwardingCluster) Follower(i int) graph.Store { return c.followers[i] }
-
 // LinkStats aggregates the links' loss accounting.
 func (c *ForwardingCluster) LinkStats() netsim.LinkStats {
 	var out netsim.LinkStats

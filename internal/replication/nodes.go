@@ -487,8 +487,10 @@ func (n *RONode) pollLoop(interval time.Duration) {
 // a time: each group is applied as a unit before the replica's high LSN
 // advances past it, so a reader gated on WaitVisible never observes part
 // of a leader batch. Torn entries and retry duplicates are absorbed by the
-// reader; on a log hole (LSN gap or lost WAL extent) the node applies what
-// it read and then resyncs from the latest snapshot.
+// reader; on a log hole (LSN gap, trimmed or lost WAL extent) the node
+// applies what it read, resyncs from the latest snapshot and drains the log
+// past it, so one Poll catches up either way. A hole past the snapshot too is
+// returned.
 func (n *RONode) Poll() error {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()
@@ -501,24 +503,16 @@ func (n *RONode) Poll() error {
 		if rerr := n.resyncLocked(); rerr != nil {
 			return fmt.Errorf("replication: follower hit %v and resync failed: %w", err, rerr)
 		}
-		return nil
+		_, err = n.Replica().ApplyFrom(n.reader)
 	}
 	return err
 }
 
 var errPromoted = errors.New("replication: follower was handed the leader's role")
 
-// Resync re-bootstraps the follower from the latest snapshot, dropping what
-// it holds — what Poll does on its own when the log has a hole. A failover
-// does not call for it: page and tree IDs survive a promotion, and a follower
-// goes on tailing the new leader's records.
-func (n *RONode) Resync() error {
-	n.pollMu.Lock()
-	defer n.pollMu.Unlock()
-	return n.resyncLocked()
-}
-
-// resyncLocked re-bootstraps the follower from the latest snapshot. Caller
+// resyncLocked re-bootstraps the follower from the latest snapshot, dropping
+// what it holds. A failover does not call for it: page and tree IDs survive a
+// promotion, and a follower goes on tailing the new leader's records. Caller
 // holds pollMu.
 func (n *RONode) resyncLocked() error {
 	found, err := n.bootstrap()

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // batchGroup is the unit of one storage round trip inside a ReadBatch: all
 // requested records that live in the same extent of the same stream. The
@@ -181,19 +178,4 @@ func (s *stream) readMulti(locs []Loc, idx []int, out [][]byte, total *int64) er
 		*total += int64(loc.Length)
 	}
 	return nil
-}
-
-// SortLocs orders locs by (stream, extent, offset) — read-ahead callers use
-// it so extent grouping sees adjacent records together. Order of results
-// from ReadBatch always follows the (possibly sorted) input slice.
-func SortLocs(locs []Loc) {
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Stream != locs[j].Stream {
-			return locs[i].Stream < locs[j].Stream
-		}
-		if locs[i].Extent != locs[j].Extent {
-			return locs[i].Extent < locs[j].Extent
-		}
-		return locs[i].Offset < locs[j].Offset
-	})
 }

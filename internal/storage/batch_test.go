@@ -114,28 +114,6 @@ func TestReadBatchEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestSortLocs checks the (stream, extent, offset) ordering contract.
-func TestSortLocs(t *testing.T) {
-	locs := []Loc{
-		{Stream: StreamDelta, Extent: 1, Offset: 0},
-		{Stream: StreamBase, Extent: 2, Offset: 8},
-		{Stream: StreamBase, Extent: 1, Offset: 16},
-		{Stream: StreamBase, Extent: 1, Offset: 4},
-	}
-	SortLocs(locs)
-	want := []Loc{
-		{Stream: StreamBase, Extent: 1, Offset: 4},
-		{Stream: StreamBase, Extent: 1, Offset: 16},
-		{Stream: StreamBase, Extent: 2, Offset: 8},
-		{Stream: StreamDelta, Extent: 1, Offset: 0},
-	}
-	for i := range want {
-		if locs[i] != want[i] {
-			t.Fatalf("locs[%d] = %+v, want %+v", i, locs[i], want[i])
-		}
-	}
-}
-
 // TestReadBatchEachFailsOnlyTheReclaimedGroup: a hop-wide batch whose
 // locations were snapshotted before one of its extents was reclaimed loses
 // only the records of that extent — on the sequential and on the

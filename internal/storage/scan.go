@@ -5,7 +5,7 @@ import "fmt"
 // Cursor marks a position in a stream for sequential tailing. The zero
 // Cursor points at the beginning of the stream. Cursors remain valid across
 // extent reclamation and TTL expiry: scanning simply resumes at the next
-// surviving extent.
+// surviving extent. A trim (DropBefore) is a hole instead: see ErrTrimmed.
 type Cursor struct {
 	Extent ExtentID
 	Index  int // record index within the extent
@@ -77,8 +77,9 @@ func (s *Store) TailCursor(id StreamID) Cursor {
 }
 
 // DropBefore removes every sealed extent of the stream with ID below
-// bound — WAL truncation once a snapshot covers the prefix. It returns the
-// dropped extent IDs.
+// bound — WAL truncation once a snapshot covers the prefix — and returns the
+// dropped extent IDs. A later Scan from a cursor short of the end of one of
+// them fails with ErrTrimmed.
 func (s *Store) DropBefore(id StreamID, bound ExtentID) []ExtentID {
 	st, err := s.stream(id)
 	if err != nil {
@@ -93,7 +94,7 @@ func (s *Store) DropBefore(id StreamID, bound ExtentID) []ExtentID {
 		if e != nil && e.sealed && eid < bound {
 			delete(st.extents, eid)
 			dropped = append(dropped, eid)
-			st.extentsExpired++
+			st.trimmed = Cursor{Extent: eid, Index: len(e.records)}
 			continue
 		}
 		remaining = append(remaining, eid)
@@ -105,10 +106,14 @@ func (s *Store) DropBefore(id StreamID, bound ExtentID) []ExtentID {
 // scan collects records at or after cur. lost, when non-nil, reports
 // extents the fault plan has destroyed: hitting one aborts the scan with
 // ErrExtentLost and a cursor parked on the lost extent, so the caller can
-// surface the gap (a tailing follower resyncs from a snapshot).
+// surface the gap (a tailing follower resyncs from a snapshot). A cursor
+// short of the end of a trimmed extent fails the same way, with ErrTrimmed.
 func (s *stream) scan(cur Cursor, max int, lost func(ExtentID) bool) ([]Entry, Cursor, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if t := s.trimmed; cur.Extent < t.Extent || (cur.Extent == t.Extent && cur.Index < t.Index) {
+		return nil, cur, fmt.Errorf("storage: scan %v at %d/%d: %w", s.id, cur.Extent, cur.Index, ErrTrimmed)
+	}
 	var out []Entry
 	for _, id := range s.order {
 		if id < cur.Extent {

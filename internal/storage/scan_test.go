@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -154,6 +155,22 @@ func TestDropBefore(t *testing.T) {
 	// Records at/after the bound survive.
 	if _, err := s.Read(lastLoc); err != nil {
 		t.Fatalf("read after DropBefore: %v", err)
+	}
+	// A trim is not TTL expiry.
+	if n := s.Stats().ExtentsExpired; n != 0 {
+		t.Fatalf("ExtentsExpired = %d after DropBefore, want 0", n)
+	}
+	// A scan from before the end of a dropped extent has lost records; one
+	// from the end of the newest dropped extent has not.
+	last := dropped[len(dropped)-1]
+	for _, c := range []struct {
+		cur  Cursor
+		hole bool
+	}{{Cursor{}, true}, {Cursor{Extent: last, Index: 1}, true}, {Cursor{Extent: last, Index: 2}, false}, {Cursor{Extent: last + 1}, false}} {
+		entries, next, err := s.Scan(StreamWAL, c.cur, 0)
+		if c.hole != errors.Is(err, ErrTrimmed) || (c.hole && (len(entries) != 0 || next != c.cur)) {
+			t.Fatalf("scan from %+v = %d entries, next %+v, %v; want a trimmed hole: %v", c.cur, len(entries), next, err, c.hole)
+		}
 	}
 	// The active extent is never dropped even below the bound.
 	s2 := Open(&Options{ExtentSize: 1 << 16})

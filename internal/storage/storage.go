@@ -80,6 +80,9 @@ var (
 	ErrRecordStale = errors.New("storage: record invalidated")
 	ErrTooLarge    = errors.New("storage: record larger than extent size")
 	ErrClosed      = errors.New("storage: store closed")
+	// ErrTrimmed fails a Scan whose cursor has not reached the end of an
+	// extent DropBefore removed: records it never read are gone for good.
+	ErrTrimmed = errors.New("storage: scan behind a trimmed prefix")
 	// ErrFenced rejects an append whose epoch token is not the stream's
 	// current epoch. It is permanent for the holder of the stale token —
 	// retrying cannot help, a newer epoch has been opened — so IsTransient

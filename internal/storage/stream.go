@@ -127,6 +127,10 @@ type stream struct {
 	// condemned extents stay readable until the grace period lapses.
 	condemned map[ExtentID]time.Time
 
+	// trimmed is the end of the newest extent DropBefore removed: a scan
+	// from before it has lost records (ErrTrimmed).
+	trimmed Cursor
+
 	gcBytesMoved     int64
 	gcBytesReclaimed int64
 	gcRecordsMoved   int64

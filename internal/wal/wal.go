@@ -633,7 +633,7 @@ func (w *Writer) RegisterMetrics(r *metrics.Registry) {
 // (crash recovery).
 type GapError struct {
 	Expected LSN // the LSN the sequence required next
-	Got      LSN // the LSN actually observed
+	Got      LSN // the LSN actually observed; 0 behind a trimmed prefix
 }
 
 func (e *GapError) Error() string {
@@ -669,10 +669,11 @@ type pendingGroup struct {
 // storage completion order may differ from LSN order: a group whose first
 // LSN runs ahead of the delivered prefix is held in a bounded reorder
 // window until its predecessors land. Only a hole that persists — the
-// window overflows, or enough polls pass without progress — is surfaced as
-// *GapError, which means acknowledged records are genuinely missing
-// (trimmed or lost WAL extent) and the consumer must resynchronize from a
-// snapshot (followers) or abort (crash recovery).
+// window overflows, or enough polls pass without progress — or a cursor
+// behind a trimmed prefix (storage.ErrTrimmed, on the first poll) is
+// surfaced as *GapError, which means acknowledged records are genuinely
+// missing and the consumer must resynchronize from a snapshot (followers)
+// or abort (crash recovery).
 type Reader struct {
 	store *storage.Store
 	cur   storage.Cursor
@@ -826,6 +827,11 @@ func (r *Reader) deliver(recs []*Record) ([]*Record, error) {
 // duplicates) are filtered from their group; groups left empty are elided.
 func (r *Reader) PollGroups() ([][]*Record, error) {
 	entries, next, err := r.store.Scan(storage.StreamWAL, r.cur, 0)
+	if errors.Is(err, storage.ErrTrimmed) {
+		// Records the reader never read were trimmed: a hole for certain,
+		// whatever the reorder window would wait for.
+		return nil, &GapError{Expected: r.last + 1}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: poll at extent %d: %w", r.cur.Extent, err)
 	}

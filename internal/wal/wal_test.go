@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -209,6 +210,44 @@ func TestAppendAssignedSplitsOversizedBatches(t *testing.T) {
 		if r.LSN != LSN(i+1) {
 			t.Fatalf("record %d LSN = %d", i, r.LSN)
 		}
+	}
+}
+
+// TestTrimmedPrefixIsAGapAtOnce covers both readers of a trimmed WAL: one
+// whose cursor is short of a trimmed extent fails its first poll with a
+// *GapError (no waiting for the hole to fill), and one that had read that
+// extent to its end goes on tailing.
+func TestTrimmedPrefixIsAGapAtOnce(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 256})
+	w := NewWriter(st)
+	appendOne := func() {
+		t.Helper()
+		if _, err := w.Append(&Record{Type: RecordPut, Key: bytes.Repeat([]byte("k"), 40)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	behind, read := NewReader(st), NewReader(st)
+	// read polls the first extent to its end while it is the active one; the
+	// append after its last poll opens the next extent.
+	appendOne()
+	first := st.TailCursor(storage.StreamWAL).Extent
+	for st.TailCursor(storage.StreamWAL).Extent == first {
+		if _, err := read.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		appendOne()
+	}
+	if dropped := st.DropBefore(storage.StreamWAL, first+1); len(dropped) != 1 {
+		t.Fatalf("trim dropped %v, want extent %d", dropped, first)
+	}
+
+	var gap *GapError
+	if recs, err := behind.Poll(); !errors.As(err, &gap) || gap.Expected != 1 || len(recs) != 0 {
+		t.Fatalf("first poll behind the trim = %d records, %v; want a gap at lsn 1", len(recs), err)
+	}
+	recs, err := read.Poll()
+	if err != nil || len(recs) != 1 || recs[0].LSN != read.LastLSN() {
+		t.Fatalf("poll after reading the trimmed extent to its end = %d records, %v; want the one after it", len(recs), err)
 	}
 }
 
