@@ -182,7 +182,10 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 			if err := rw.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
-			ro := replication.NewRONode(st, time.Millisecond, cache)
+			ro, err := replication.NewRONode(st, time.Millisecond, cache)
+			if err != nil {
+				b.Fatal(err)
+			}
 			defer ro.Stop()
 			if !ro.WaitVisible(rw.LastLSN(), 10*time.Second) {
 				b.Fatal("replica lagging")

@@ -100,9 +100,6 @@ type DB struct {
 
 	engine *core.Engine // unreplicated mode
 	ls     *leaderSet   // replicated mode
-
-	snapStop chan struct{}
-	snapDone chan struct{}
 }
 
 // leader returns the current RW node, nil outside replicated mode.
@@ -153,40 +150,11 @@ func Open(opts *Options) (*DB, error) {
 		return nil, err
 	}
 	ls.registerMetrics(cfg.rw.Engine.Metrics)
-	db := &DB{reads: reads{ls.group}, writes: ls.group, store: ls.group.Store(0), ls: ls}
-	if o.SnapshotInterval > 0 {
-		db.snapStop = make(chan struct{})
-		db.snapDone = make(chan struct{})
-		go db.snapshotLoop(o.SnapshotInterval)
-	}
-	return db, nil
-}
-
-// snapshotLoop periodically snapshots the durable state and trims the WAL.
-func (db *DB) snapshotLoop(interval time.Duration) {
-	defer close(db.snapDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.snapStop:
-			return
-		case <-ticker.C:
-			// Errors mean the store is closing; keep ticking until stopped.
-			if _, err := db.leader().WriteSnapshot(); err == nil {
-				db.leader().TrimWAL()
-			}
-		}
-	}
+	return &DB{reads: reads{ls.group}, writes: ls.group, store: ls.group.Store(0), ls: ls}, nil
 }
 
 // Close stops background work and releases the database.
 func (db *DB) Close() {
-	if db.snapStop != nil {
-		close(db.snapStop)
-		<-db.snapDone
-		db.snapStop = nil
-	}
 	if db.ls != nil {
 		db.ls.close()
 		return

@@ -10,19 +10,18 @@ package bg3
 //     wrapping storage.ErrFenced: in-flight writes surface the failure to
 //     their callers instead of being silently lost, and the old leader's
 //     writer fail-stops.
-//  2. Drain: a follower attached from the latest snapshot (or the start of
-//     the log) applies the durable WAL tail, every write acknowledged before
-//     the fence, the way every replica does.
+//  2. Drain: a follower attached from the retained head of the log applies
+//     the durable WAL tail, every write acknowledged before the fence, the
+//     way every replica does.
 //  3. Take over: that follower's page table becomes the leader's, in place,
-//     appending at the new epoch. Nothing is rewritten and no snapshot is
-//     taken; pages keep their IDs.
+//     appending at the new epoch. Nothing is rewritten; pages keep their IDs.
 //
 // The DB routes subsequent reads and writes to the promoted leader. Attached
 // replicas are not disturbed: they keep tailing the same log and need no
 // resync. Writes issued concurrently with Failover either commit durably (they
 // beat the fence and the drain carries them over) or fail with ErrFenced /
-// wal.ErrWriterFailed — never silent loss. A hole in the log beyond the
-// snapshot (a lost extent) fails the promotion rather than start a leader
+// wal.ErrWriterFailed — never silent loss. A hole in the retained log (a
+// lost extent) fails the promotion rather than start a leader
 // that is missing acknowledged writes. On a DB opened without
 // Options.Replicated it returns ErrNotReplicated.
 func (db *DB) Failover() error {

@@ -26,8 +26,23 @@ type failoverTarget struct {
 	// follower opens a read handle on follower nodes and returns it with
 	// its Sync.
 	follower func(t *testing.T) (graph.Reader, func() error)
-	// resyncs counts the snapshot re-bootstraps of every attached follower.
+	// resyncs counts the re-attaches of every attached follower, and lag is
+	// the worst of their applied LSNs behind their leader's last.
 	resyncs func() int64
+	lag     func() uint64
+	// rotate completes a checkpoint rotation on every leader, and trimmed
+	// reports whether every leader's WAL has lost a prefix.
+	rotate  func() error
+	trimmed func() bool
+}
+
+func trimmed(stores ...*storage.Store) bool {
+	for _, st := range stores {
+		if _, horizon := st.Head(storage.StreamWAL); horizon == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func fence(st *storage.Store) error {
@@ -35,8 +50,14 @@ func fence(st *storage.Store) error {
 	return err
 }
 
-func dbFailoverTarget(t *testing.T) failoverTarget {
-	db := openDB(t, &Options{Replicated: true, ReplicaPollInterval: time.Millisecond, MaxPageEntries: 8})
+func dbFailoverTarget(o Options) func(t *testing.T) failoverTarget {
+	return func(t *testing.T) failoverTarget {
+		o.Replicated = true
+		return dbTarget(t, openDB(t, &o))
+	}
+}
+
+func dbTarget(t *testing.T, db *DB) failoverTarget {
 	return failoverTarget{
 		store:      db,
 		failover:   db.Failover,
@@ -59,12 +80,16 @@ func dbFailoverTarget(t *testing.T) failoverTarget {
 			return rep, rep.Sync
 		},
 		resyncs: func() int64 { return db.Stats().Replication.Resyncs },
+		lag:     db.ls.lag,
+		rotate:  db.WriteSnapshot,
+		trimmed: func() bool { return trimmed(db.store) },
 	}
 }
 
-func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
+func shardFailoverTarget(o Options, victim int) func(t *testing.T) failoverTarget {
 	return func(t *testing.T) failoverTarget {
-		db := openSharded(t, &Options{Shards: shards, ReplicaPollInterval: time.Millisecond, MaxPageEntries: 8})
+		shards := o.Shards
+		db := openSharded(t, &o)
 		if err := db.Failover(shards + 3); err == nil {
 			t.Fatal("failover of a nonexistent shard succeeded")
 		}
@@ -92,6 +117,22 @@ func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
 				return view, view.Sync
 			},
 			resyncs: db.resyncs,
+			lag:     db.lag,
+			rotate: func() error {
+				for i := 0; i < shards; i++ {
+					if _, err := db.Group().Leader(i).WriteSnapshot(); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			trimmed: func() bool {
+				stores := make([]*storage.Store, shards)
+				for i := range stores {
+					stores[i] = db.Group().Store(i)
+				}
+				return trimmed(stores...)
+			},
 		}
 	}
 }
@@ -105,15 +146,23 @@ func shardFailoverTarget(shards, victim int) func(t *testing.T) failoverTarget {
 // it tails one log, whose records name the same pages under every leader —
 // and a second failover, of a leader that died, so the promotion drains a
 // WAL suffix with splits and checkpoints in it, stacks on the first.
+var failoverOpts = Options{ReplicaPollInterval: time.Millisecond, MaxPageEntries: 8}
+
+func shardOpts(shards int) Options {
+	o := failoverOpts
+	o.Shards = shards
+	return o
+}
+
 func TestFailover(t *testing.T) {
 	cases := []struct {
 		name string
 		open func(t *testing.T) failoverTarget
 	}{
-		{"DB", dbFailoverTarget},
-		{"ShardedDB/shard0of2", shardFailoverTarget(2, 0)},
-		{"ShardedDB/shard1of2", shardFailoverTarget(2, 1)},
-		{"ShardedDB/shard2of4", shardFailoverTarget(4, 2)},
+		{"DB", dbFailoverTarget(failoverOpts)},
+		{"ShardedDB/shard0of2", shardFailoverTarget(shardOpts(2), 0)},
+		{"ShardedDB/shard1of2", shardFailoverTarget(shardOpts(2), 1)},
+		{"ShardedDB/shard2of4", shardFailoverTarget(shardOpts(4), 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,56 +262,68 @@ func TestDBFailoverNotReplicated(t *testing.T) {
 }
 
 // TestDBFailoverOnTrimmedWAL promotes a leader on a store whose WAL prefix
-// is gone: the promotion must bootstrap from the snapshot (there is no
-// LSN 1 to replay from), and every acked edge — written before the
-// snapshot, between trim and failover, and after the promotion — stays
-// readable on the leader and on a replica opened before any of it.
+// is gone: the promotion attaches from the retained head (there is no LSN 1
+// to replay from) — the checkpoint rotation past the trim names every page —
+// and every acked edge — written before the trim, between trim and failover,
+// and after the promotion — stays readable on the leader and on a replica
+// opened before any of it, which one Sync brings to the leader's last LSN.
+// TestShardedFailoverOnTrimmedWAL is its twin on every shard of a
+// ShardedDB, through a ReadView.
 func TestDBFailoverOnTrimmedWAL(t *testing.T) {
-	db := openDB(t, &Options{Replicated: true, ExtentSize: 4 << 10, MaxPageEntries: 8, ReplicaPollInterval: time.Millisecond})
-	rep, err := db.OpenReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
+	failoverOnTrimmedWAL(t, dbFailoverTarget(trimmedOpts)(t))
+}
+
+func TestShardedFailoverOnTrimmedWAL(t *testing.T) {
+	o := trimmedOpts
+	o.Shards = 2
+	tgt := shardFailoverTarget(o, 1)(t)
+	failoverOnTrimmedWAL(t, tgt)
+}
+
+var trimmedOpts = Options{ExtentSize: 4 << 10, MaxPageEntries: 8, ReplicaPollInterval: time.Millisecond}
+
+func failoverOnTrimmedWAL(t *testing.T, tgt failoverTarget) {
+	reader, sync := tgt.follower(t)
 	acked := 0
 	write := func(n int) {
 		t.Helper()
 		for ; n > 0; n-- {
 			acked++
-			if err := db.AddEdge(Edge{Src: VertexID(acked%40 + 1), Dst: VertexID(acked), Type: ETypeFollow,
+			if err := tgt.store.AddEdge(Edge{Src: VertexID(acked%40 + 1), Dst: VertexID(acked), Type: ETypeFollow,
 				Props: Properties{{Name: "n", Value: []byte{byte(acked)}}}}); err != nil {
 				t.Fatalf("write %d: %v", acked, err)
 			}
 		}
 	}
-	write(400)
-	if err := db.WriteSnapshot(); err != nil {
+	write(800)
+	if err := tgt.rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if db.TrimWAL() == 0 {
-		t.Fatal("TrimWAL freed no extent: the WAL this test fails over on is not trimmed")
+	if !tgt.trimmed() {
+		t.Fatal("the WAL this test fails over on is not trimmed")
 	}
 	write(100)
-	if err := db.Failover(); err != nil {
+	if err := tgt.failover(); err != nil {
 		t.Fatalf("failover on a trimmed WAL: %v", err)
 	}
-	if db.Epoch() != 1 || db.Failovers() != 1 {
-		t.Fatalf("epoch %d failovers %d after one failover", db.Epoch(), db.Failovers())
+	if tgt.epoch() != 1 || tgt.failovers() != 1 {
+		t.Fatalf("epoch %d failovers %d after one failover", tgt.epoch(), tgt.failovers())
 	}
 	write(50)
-	if err := db.Checkpoint(); err != nil {
+	if err := tgt.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// The failover resyncs nobody. A replica the trim outran is on its own:
 	// its reader's cursor is short of a trimmed extent, a hole for certain on
-	// the first poll, so one Sync resyncs it from the snapshot and drains the
-	// log past it.
-	if err := rep.Sync(); err != nil {
+	// the first poll, so one Sync re-attaches it from the retained head and
+	// drains the log past it.
+	if err := sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rep.AppliedLSN(), uint64(db.leader().LastLSN()); got != want {
-		t.Fatalf("replica at LSN %d of %d after one Sync (%d resyncs)", got, want, rep.Resyncs())
+	if lag := tgt.lag(); lag != 0 {
+		t.Fatalf("replica %d LSNs behind its leader after one Sync (%d resyncs)", lag, tgt.resyncs())
 	}
-	for name, r := range map[string]graph.Reader{"leader": db, "replica": rep} {
+	for name, r := range map[string]graph.Reader{"leader": tgt.store, "replica": reader} {
 		for i := 1; i <= acked; i++ {
 			e, ok, err := r.GetEdge(VertexID(i%40+1), ETypeFollow, VertexID(i))
 			if err != nil || !ok {
@@ -276,14 +337,14 @@ func TestDBFailoverOnTrimmedWAL(t *testing.T) {
 }
 
 // TestFailoverReadsNoBasePage pins what a promotion costs, on a leader whose
-// pages do not fit its cache (CacheCapacity 64), a snapshot, a WAL suffix of
-// overwrites behind it and one attached replica: the delta records of the
+// pages do not fit its cache (CacheCapacity 64), a checkpoint rotation, a WAL
+// suffix of overwrites behind it and one attached replica: the delta records of the
 // pages, read once to restore the overlays' mirror of them, two log scans,
 // and nothing else. No base page is read (every page read goes through
 // storage.ReadBatch, which fetched exactly the delta records), nothing is
-// appended before the first user write — no snapshot, no inner node, no page
+// appended before the first user write — no checkpoint, no inner node, no page
 // rewritten — and the replica keeps its pages and goes on from the LSN it
-// had: it is not resynced. Rebuilding the leader from the snapshot used to
+// had: it is not resynced. Rebuilding the leader from a snapshot used to
 // read every base page and write a snapshot after (at 100k edges / 1,576
 // pages and a 5,000-record suffix: 1,569 reads, 1,582 appends, one resync).
 // Flusher and tailing loop are driven by hand (intervals of an hour): both
@@ -304,7 +365,7 @@ func TestFailoverReadsNoBasePage(t *testing.T) {
 		}
 	}
 	// Flushed once as base pages, then — an edge of every source rewritten —
-	// once more as the delta records the snapshot finds beside them.
+	// once more as the delta records the rotation names beside them.
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +391,8 @@ func TestFailoverReadsNoBasePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pages, chains int64
-	for _, ts := range db.eng().SnapshotState().Trees {
-		for _, lf := range ts.Leaves {
-			pages, chains = pages+1, chains+int64(len(lf.Deltas))
-		}
+	for _, lf := range db.eng().Mapping().NameLeaves(0, 1) {
+		pages, chains = pages+1, chains+int64(len(lf.Deltas))
 	}
 	if pages < 4*64 || chains == 0 {
 		t.Fatalf("fixture: %d pages, %d delta records; want pages well past the cache and some delta records", pages, chains)

@@ -48,12 +48,21 @@ func NewApplierMapping(capacity int) *Mapping {
 
 // NewApplierTree registers what a RecordNewTree names: tree id, rooted at the
 // empty leaf root. The leaf starts cold, like every page an applier is told
-// of; it has no records, so its first read costs no I/O.
+// of; it has no records, so its first read costs no I/O. It is known empty, so
+// its live count is kept from here on (ApplyRecord, applySplit): the counts a
+// hand-over seeds the leader's size estimates from (TakeOver).
 func NewApplierTree(m *Mapping, store *storage.Store, id TreeID, root PageID) *Tree {
 	t := &Tree{id: id, store: store, m: m, cfg: Config{}.withDefaults(), root: root}
-	m.register(&pageEntry{id: root, tree: t, isLeaf: true, live: -1})
+	m.register(&pageEntry{id: root, tree: t, isLeaf: true})
 	return t
 }
+
+// CutLSN returns the LSN of the last checkpoint record whose cut an applier
+// has made: the checkpoint is in, its ops are out of every overlay. A
+// checkpoint applies after its commit group is published (forest.ApplyGroup),
+// so the applied LSN reaching a checkpoint does not yet say it is in; this
+// does.
+func (m *Mapping) CutLSN() wal.LSN { return wal.LSN(m.cut.Load()) }
 
 // ApplyRecord incorporates one WAL record that addresses pages. Records must
 // arrive in LSN order. Tree creation and owner assignment belong to whoever
@@ -69,8 +78,18 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 			e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
 			return nil
 		}
+		del := rec.Type == wal.RecordDelete
 		e.mu.Lock()
-		e.overlay = insertOp(e.ownOverlay(1), op{del: rec.Type == wal.RecordDelete, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+		e.overlay = insertOp(e.ownOverlay(1), op{del: del, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+		// The live count moves as the leader's did: an insert of a new key up,
+		// the delete of a present one down.
+		if e.live >= 0 && (rec.AuxPage == existedKey) == del {
+			if del {
+				e.live--
+			} else {
+				e.live++
+			}
+		}
 		e.mu.Unlock()
 		return nil
 	case wal.RecordCheckpoint:
@@ -86,8 +105,9 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 
 // applySplit is splitPageLocked for a split the leader already decided: no
 // materialization (the separator comes with the record, the halves stay as
-// resident as the page was), no live counts, nothing dirty. The sibling reads
-// e's records until a checkpoint gives it its own.
+// resident as the page was), nothing dirty; a live count the applier kept is
+// halved as the leader halved it. The sibling reads e's records until a
+// checkpoint gives it its own.
 func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
@@ -95,7 +115,9 @@ func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) {
 	defer e.mu.Unlock()
 	right := e.halve(sep, rightID)
 	right.origin = e.id
-	e.live = -1
+	if n := e.live; n >= 0 { // the leader's separator is its middle live key
+		e.live, right.live = n/2, n-n/2
+	}
 	t.adopt(e, right)
 	t.insertParent(e.id, sep, rightID)
 }
@@ -149,17 +171,41 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 		}
 		e.mu.Unlock()
 	}
+	m.cut.Store(uint64(rec.LSN))
 	return nil
 }
 
+// Flags of an encoded mapping update.
+const (
+	updNamed = 1 << iota // a naming: the low key follows
+	updInit              // the tree is INIT
+	updOwned             // the tree is dedicated: the owner follows
+)
+
 // EncodeMappingUpdates serializes mapping updates for a checkpoint record:
 //
-//	count[4] { tree[8] page[8] base[17] ndeltas[2] deltas[17]* }
+//	count[4] { flags[1] tree[8] page[8] base[17] ndeltas[2] deltas[17]*
+//	           [owner[8] if owned] [lolen[2] lo if named] }
 //
 // where a Loc is stream[1] extent[8] offset[4] length[4].
 func EncodeMappingUpdates(ups []MappingUpdate) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(ups)))
+	size := 4
 	for _, up := range ups {
+		size += up.Size()
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ups)))
+	for _, up := range ups {
+		var flags byte
+		if up.Named {
+			flags |= updNamed
+		}
+		if up.Init {
+			flags |= updInit
+		}
+		if up.Owned {
+			flags |= updOwned
+		}
+		buf = append(buf, flags)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Tree))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Page))
 		buf = AppendLoc(buf, up.Base)
@@ -167,13 +213,31 @@ func EncodeMappingUpdates(ups []MappingUpdate) []byte {
 		for _, d := range up.Deltas {
 			buf = AppendLoc(buf, d)
 		}
+		if up.Owned {
+			buf = binary.LittleEndian.AppendUint64(buf, up.Owner)
+		}
+		if up.Named {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(up.Lo)))
+			buf = append(buf, up.Lo...)
+		}
 	}
 	return buf
 }
 
+// Size is the update's length in EncodeMappingUpdates' form.
+func (up MappingUpdate) Size() int {
+	n := 1 + 8 + 8 + 17 + 2 + 17*len(up.Deltas)
+	if up.Owned {
+		n += 8
+	}
+	if up.Named {
+		n += 2 + len(up.Lo)
+	}
+	return n
+}
+
 // AppendLoc appends l's 17-byte wire form (stream[1] extent[8] offset[4]
-// length[4], little-endian) — shared by checkpoint mapping updates and
-// snapshot records, which both ship durable page locations.
+// length[4], little-endian), the form checkpoints ship page locations in.
 func AppendLoc(buf []byte, l storage.Loc) []byte {
 	buf = append(buf, byte(l.Stream))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Extent))
@@ -205,17 +269,26 @@ func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
 	n := binary.LittleEndian.Uint32(buf)
 	buf = buf[4:]
 	// The count is off the wire: preallocate for no more updates than the
-	// bytes behind it can hold (ids, base loc and delta count, 35 at least).
-	ups := make([]MappingUpdate, 0, min(int(n), len(buf)/35))
+	// bytes behind it can hold (flags, ids, base loc and delta count, 36 at
+	// least).
+	ups := make([]MappingUpdate, 0, min(int(n), len(buf)/36))
 	for i := uint32(0); i < n; i++ {
-		if len(buf) < 16 {
+		if len(buf) < 17 {
 			return nil, fmt.Errorf("%w: truncated mapping update %d", ErrCorruptPage, i)
 		}
-		up := MappingUpdate{
-			Tree: TreeID(binary.LittleEndian.Uint64(buf)),
-			Page: PageID(binary.LittleEndian.Uint64(buf[8:])),
+		flags := buf[0]
+		if flags&^(updNamed|updInit|updOwned) != 0 || (flags&(updInit|updOwned) != 0 && flags&updNamed == 0) ||
+			flags&updInit != 0 && flags&updOwned != 0 {
+			return nil, fmt.Errorf("%w: mapping update %d flags %#x", ErrCorruptPage, i, flags)
 		}
-		buf = buf[16:]
+		up := MappingUpdate{
+			Tree:  TreeID(binary.LittleEndian.Uint64(buf[1:])),
+			Page:  PageID(binary.LittleEndian.Uint64(buf[9:])),
+			Named: flags&updNamed != 0,
+			Init:  flags&updInit != 0,
+			Owned: flags&updOwned != 0,
+		}
+		buf = buf[17:]
 		var err error
 		up.Base, buf, err = ReadLoc(buf)
 		if err != nil {
@@ -233,6 +306,22 @@ func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
 				return nil, err
 			}
 			up.Deltas = append(up.Deltas, d)
+		}
+		if up.Owned {
+			if len(buf) < 8 {
+				return nil, fmt.Errorf("%w: truncated owner %d", ErrCorruptPage, i)
+			}
+			up.Owner, buf = binary.LittleEndian.Uint64(buf), buf[8:]
+		}
+		if up.Named {
+			if len(buf) < 2 || len(buf)-2 < int(binary.LittleEndian.Uint16(buf)) {
+				return nil, fmt.Errorf("%w: truncated low key %d", ErrCorruptPage, i)
+			}
+			lo := int(binary.LittleEndian.Uint16(buf))
+			if lo > 0 {
+				up.Lo = buf[2 : 2+lo : 2+lo]
+			}
+			buf = buf[2+lo:]
 		}
 		ups = append(ups, up)
 	}

@@ -269,7 +269,7 @@ func (t *Tree) blockWriteExit(gate int, applied []op) {
 }
 
 // collectRetainedAbove walks the leaf chain (left to right, per-leaf
-// latch, structure read-locked like LeafDirectory) collecting every
+// latch, structure read-locked) collecting every
 // overlay op with LSN above seal.
 func (t *Tree) collectRetainedAbove(seal wal.LSN) []op {
 	t.structMu.RLock()

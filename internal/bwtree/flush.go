@@ -2,6 +2,7 @@ package bwtree
 
 import (
 	"fmt"
+	"slices"
 
 	"bg3/internal/metrics"
 	"bg3/internal/storage"
@@ -26,14 +27,53 @@ func (t *Tree) flushAppend(stream storage.StreamID, tag uint64, data []byte) (st
 	return loc, err
 }
 
-// MappingUpdate describes the new durable location of one page after a
-// group-commit flush. The RW node encodes these into the checkpoint WAL
-// record (§3.4 step 8) so RO nodes can advance their page tables.
+// MappingUpdate describes the durable records of one leaf — where a flush or
+// a GC move left them. The RW node encodes these into the checkpoint WAL
+// record (§3.4 step 8) so RO nodes can advance their page tables. A Named
+// update is the rolling checkpoint naming the leaf whole (NameLeaves): it
+// also carries the leaf's low key and its tree's role in the forest, which
+// is what a follower that never saw the leaf created places it by.
 type MappingUpdate struct {
 	Tree   TreeID
 	Page   PageID
 	Base   storage.Loc
 	Deltas []storage.Loc
+
+	Named bool
+	Lo    []byte // the leaf's low key; nil on its tree's leftmost leaf
+	Init  bool   // the tree is the forest's INIT tree
+	Owned bool   // the tree is Owner's dedicated tree
+	Owner uint64
+}
+
+// NameLeaves names every leaf whose page ID is bucket modulo k and that has
+// durable records: their locations and its low key, read under its latch
+// (the tree's role is the forest's to add). A leaf no flush has written yet
+// — a split half, or a new tree's root, before its first flush — has nothing
+// durable to name; the record that created it is what a follower learns it
+// from. Any k consecutive buckets name every leaf that existed before the
+// first of them and was flushed since.
+func (m *Mapping) NameLeaves(bucket, k int) []MappingUpdate {
+	m.mu.RLock()
+	var named []*pageEntry
+	for id, e := range m.pages {
+		if e.isLeaf && uint64(id)%uint64(k) == uint64(bucket) {
+			named = append(named, e)
+		}
+	}
+	m.mu.RUnlock()
+	out := make([]MappingUpdate, 0, len(named))
+	for _, e := range named {
+		e.mu.Lock()
+		if !e.baseLoc.IsZero() {
+			out = append(out, MappingUpdate{
+				Tree: e.tree.id, Page: e.id, Base: e.baseLoc,
+				Deltas: slices.Clone(e.deltaLocs), Named: true, Lo: e.lo,
+			})
+		}
+		e.mu.Unlock()
+	}
+	return out
 }
 
 // DirtyCount returns the number of pages awaiting a flush.
@@ -293,50 +333,4 @@ func (t *Tree) flushPageLocked(e *pageEntry, base leafImage) (bool, error) {
 	e.dirty = false
 	e.splitPending = false
 	return true, nil
-}
-
-// LeafDirectory returns every leaf's (lowKey, pageID) pair in key order —
-// the routing table a replica bootstraps from. The first leaf's low key is
-// nil (−∞).
-func (t *Tree) LeafDirectory() []LeafInfo {
-	t.structMu.RLock()
-	defer t.structMu.RUnlock()
-	// Descend to the leftmost leaf, then walk the sibling chain.
-	id := t.root
-	for {
-		e := t.m.get(id)
-		if e == nil {
-			return nil
-		}
-		if e.isLeaf {
-			break
-		}
-		id = e.inner.children[0]
-	}
-	var out []LeafInfo
-	for id != 0 {
-		e := t.m.get(id)
-		if e == nil {
-			break
-		}
-		e.mu.Lock()
-		out = append(out, LeafInfo{
-			Page: e.id,
-			Lo:   append([]byte(nil), e.lo...),
-			Base: e.baseLoc,
-			Deltas: append([]storage.Loc(nil),
-				e.deltaLocs...),
-		})
-		id = e.next
-		e.mu.Unlock()
-	}
-	return out
-}
-
-// LeafInfo describes one leaf for replica bootstrap.
-type LeafInfo struct {
-	Page   PageID
-	Lo     []byte // nil on the leftmost leaf
-	Base   storage.Loc
-	Deltas []storage.Loc
 }

@@ -114,6 +114,7 @@ type Mapping struct {
 	applier     bool
 	ckptUpdates []MappingUpdate
 	ckptEpoch   uint64
+	cut         atomic.Uint64 // CutLSN
 
 	hits      atomic.Int64
 	misses    atomic.Int64

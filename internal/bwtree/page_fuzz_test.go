@@ -73,17 +73,19 @@ func FuzzDecodeMappingUpdates(f *testing.F) {
 	valid := EncodeMappingUpdates([]MappingUpdate{
 		{Tree: 1, Page: 2, Base: loc(storage.StreamBase, 3)},
 		{Tree: 1, Page: 7, Base: loc(storage.StreamBase, 8), Deltas: []storage.Loc{loc(storage.StreamDelta, 11), loc(storage.StreamDelta, 14)}},
+		{Tree: 1, Page: 9, Base: loc(storage.StreamBase, 15), Named: true, Init: true},
+		{Tree: 4, Page: 12, Base: loc(storage.StreamBase, 16), Named: true, Owned: true, Owner: 77, Lo: []byte("k0100")},
 	})
 	f.Add(valid)
 	f.Add(EncodeMappingUpdates(nil))
-	for _, cut := range []int{2, 4, 12, 20, 38, 40, len(valid) - 1} {
+	for _, cut := range []int{2, 4, 12, 21, 39, 41, len(valid) - 8, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, valid[4:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ups, err := DecodeMappingUpdates(data)
-		if cap(ups)*35 > len(data) {
+		if cap(ups)*36 > len(data) {
 			t.Fatalf("%d input bytes made room for %d updates", len(data), cap(ups))
 		}
 		if err != nil {

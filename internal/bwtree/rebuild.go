@@ -6,12 +6,12 @@ import (
 	"bg3/internal/storage"
 )
 
-// Rebuild registers in applier mapping m the tree a snapshot describes: leaf
-// entries under their snapshot IDs, ranges, sibling links and durable
-// locations — cold, nothing is read — and fresh inner nodes built bottom-up
-// over the directory. The tree keeps its snapshot ID, so the WAL records
-// beyond the snapshot stay routable.
-func Rebuild(m *Mapping, store *storage.Store, id TreeID, leaves []LeafInfo) (*Tree, error) {
+// Rebuild registers in applier mapping m the tree its leaves describe, in key
+// order, as checkpoints name them (NameLeaves): leaf entries under their IDs,
+// ranges, sibling links and durable locations — cold, nothing is read, live
+// counts unknown — and fresh inner nodes built bottom-up over the directory.
+// The tree keeps its ID, so the WAL records that follow stay routable.
+func Rebuild(m *Mapping, store *storage.Store, id TreeID, leaves []MappingUpdate) (*Tree, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("bwtree: rebuild tree %d: empty leaf directory", id)
 	}
@@ -24,6 +24,9 @@ func Rebuild(m *Mapping, store *storage.Store, id TreeID, leaves []LeafInfo) (*T
 	}
 	level := make([]child, len(leaves))
 	for i, lf := range leaves {
+		if lf.Page == 0 || lf.Page >= innerPageBase {
+			return nil, fmt.Errorf("bwtree: rebuild tree %d: no leaf has page ID %d", id, lf.Page)
+		}
 		e := &pageEntry{
 			id: lf.Page, tree: t, isLeaf: true, live: -1,
 			baseLoc: lf.Base, deltaLocs: append([]storage.Loc(nil), lf.Deltas...),

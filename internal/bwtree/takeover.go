@@ -34,9 +34,12 @@ import (
 //     skips the chain (mirrorsChain); an op left on a chain below the last
 //     checkpoint and in no overlay would be gone.
 //
-// Live counts are unknown (-1) on every applier entry already. The leading
-// records of a checkpoint whose last record never came are dropped, and the
-// allocators move past every leaf and tree ID the log named. The role flips
+// Each tree's size estimate (puts − deletes, the edge-block trigger) starts at
+// the sum of its leaves' live counts, which an applier keeps from a tree's
+// creation on (ApplyRecord); a leaf it never saw created (a bootstrap from a
+// trimmed log) counts as unknown (-1), and is counted at its first write. The
+// leading records of a checkpoint whose last record never came are dropped,
+// and the allocators move past every leaf and tree ID the log named. The role flips
 // last: until then a load still folds the chain, under an overlay that may
 // already mirror it, which reads the same. Dirty pages go where any leader's
 // go (dirtied): to the flusher, or under sync flushing to storage now.
@@ -56,8 +59,12 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 	}
 
 	// (1), for every sibling before any origin is forgotten: origins chain.
+	sizes := make(map[*Tree]int64)
 	for _, e := range leaves {
 		e.mu.Lock()
+		if e.live > 0 {
+			sizes[e.tree] += int64(e.live)
+		}
 		if e.baseLoc.IsZero() {
 			if _, _, err := e.tree.materialize(e, false); err != nil {
 				e.mu.Unlock()
@@ -66,6 +73,10 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 			e.dirty, e.splitPending = e.origin != 0, e.origin != 0
 		}
 		e.mu.Unlock()
+	}
+	for t := range led {
+		t.puts.Store(sizes[t])
+		t.deletes.Store(0)
 	}
 
 	// (2) and (3), the chains of maxBatchLeaves leaves in one storage round.

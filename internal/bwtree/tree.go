@@ -21,6 +21,10 @@ type WALLogger interface {
 	Log(rec *wal.Record) (wal.LSN, error)
 }
 
+// existedKey is the AuxPage of a put or delete record whose key was live when
+// it applied.
+const existedKey = 1
+
 // AsyncWALLogger is an optional WALLogger extension for group commit: the
 // LSN is assigned immediately (so the caller's page latch is held only for
 // an instant) and the returned wait function blocks until the record is
@@ -496,24 +500,28 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 			}
 		}
 		o := op{del: w.Delete, pending: true, key: w.Key, val: w.Value}
+		existed := false
+		if order == 0 {
+			existed = !run[n-1].del // the run's previous op decided this key
+		} else {
+			_, existed = lookup(base, e.overlay, o.key, horizonAll)
+		}
 		if t.logger != nil {
 			// Write-ahead: the record enters the WAL (and receives its LSN)
-			// before any page state changes (§3.4 step 2).
-			typ := wal.RecordPut
+			// before any page state changes (§3.4 step 2). It says whether the
+			// key was live, so an applier counts live keys as this leaf does.
+			rec := &wal.Record{Type: wal.RecordPut, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val}
 			if o.del {
-				typ = wal.RecordDelete
+				rec.Type = wal.RecordDelete
 			}
-			if o.lsn, err = t.log(&wal.Record{
-				Type: typ, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val,
-			}, waits); err != nil {
+			if existed {
+				rec.AuxPage = existedKey
+			}
+			if o.lsn, err = t.log(rec, waits); err != nil {
 				break
 			}
 		}
-		if order == 0 {
-			w.Existed = !run[n-1].del // the run's previous op decided this key
-		} else {
-			_, w.Existed = lookup(base, e.overlay, o.key, horizonAll)
-		}
+		w.Existed = existed
 		if o.del {
 			dels++
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -940,4 +941,24 @@ func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 	if tr.Height() != 3 {
 		t.Fatalf("height = %d, want 3", tr.Height())
 	}
+}
+
+// LeafDirectory returns every leaf of the tree in key order, as a checkpoint
+// names it: page, low key (nil on the leftmost leaf) and durable records.
+func (t *Tree) LeafDirectory() []MappingUpdate {
+	t.structMu.RLock()
+	defer t.structMu.RUnlock()
+	id := t.root
+	for e := t.m.get(id); e != nil && !e.isLeaf; e = t.m.get(id) {
+		id = e.inner.children[0]
+	}
+	var out []MappingUpdate
+	for e := t.m.get(id); e != nil; e = t.m.get(id) {
+		e.mu.Lock()
+		out = append(out, MappingUpdate{Tree: t.id, Page: e.id, Lo: slices.Clone(e.lo),
+			Base: e.baseLoc, Deltas: slices.Clone(e.deltaLocs), Named: true})
+		id = e.next
+		e.mu.Unlock()
+	}
+	return out
 }

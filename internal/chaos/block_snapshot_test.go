@@ -116,6 +116,8 @@ func TestSnapshotTraversalAcrossBlockBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
+	// The oracle replays the log from LSN 1: the checkpoints must not trim it.
+	rw.SetLowWater(func() wal.LSN { return 1 })
 
 	// Seed the hub's full adjacency: every writer's edge range, so the seed
 	// batch alone pushes the hub past the migration threshold.

@@ -56,9 +56,9 @@ type Config struct {
 	CommitWindow   time.Duration
 	CommitMaxBatch int
 
-	// CheckpointEvery / SnapshotEvery run a manual checkpoint / full
-	// snapshot (plus WAL trim) every N ops (defaults 40 and 350; 0
-	// disables). GCEvery runs a synchronous reclamation cycle (default 0).
+	// CheckpointEvery / SnapshotEvery run a manual checkpoint / a whole
+	// checkpoint rotation (RWNode.WriteSnapshot, which trims the WAL) every
+	// N ops (defaults 40 and 350; 0 disables). GCEvery runs a synchronous reclamation cycle (default 0).
 	CheckpointEvery, SnapshotEvery, GCEvery int
 
 	// CrashAppends is the mean number of storage appends between injected
@@ -152,8 +152,8 @@ func Run(cfg Config) (*Report, error) {
 	plan.SetEnabled(false) // quiet while the node bootstraps
 	st := storage.Open(&storage.Options{
 		ExtentSize: cfg.ExtentSize,
-		// Keep reclaimed extents readable for the whole run: snapshots may
-		// reference pre-relocation locations until the next snapshot.
+		// Keep reclaimed extents readable for the whole run: a checkpoint's
+		// naming may reference pre-relocation locations until the next one.
 		ReclaimGrace: time.Hour,
 		Faults:       plan,
 	})
@@ -299,12 +299,9 @@ func Run(cfg Config) (*Report, error) {
 			_ = rw.Checkpoint() // a failed checkpoint just defers the flush
 		}
 		if cfg.SnapshotEvery > 0 && i%cfg.SnapshotEvery == cfg.SnapshotEvery-1 {
-			// A failed snapshot never publishes its footer, so the previous
-			// one stays authoritative; trimming is bounded by the last
-			// published footer either way.
-			if _, err := rw.WriteSnapshot(); err == nil {
-				rw.TrimWAL()
-			}
+			// A rotation trims the WAL as it goes; one cut short by a
+			// failed checkpoint trims only to what its predecessors named.
+			_, _ = rw.WriteSnapshot()
 		}
 		if cfg.GCEvery > 0 && i%cfg.GCEvery == cfg.GCEvery-1 {
 			_, _ = rw.Engine().RunGC(1)
@@ -338,7 +335,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// Final pass: quiesce faults, restart once more (a clean shutdown is
 	// still a crash from storage's point of view — the WAL suffix beyond
-	// the last snapshot must replay), and verify leader and a follower.
+	// the last checkpoint must replay), and verify leader and a follower.
 	plan.ClearCrash()
 	plan.SetEnabled(false)
 	rep.CertainKeys = oracle.Certain()
@@ -359,9 +356,9 @@ func Run(cfg Config) (*Report, error) {
 		return rep, fmt.Errorf("chaos: final recovered verify: %w", err)
 	}
 
-	// A follower bootstrapped from the latest snapshot, tailing the log of
-	// every tenure since, must agree.
-	ro, err := replication.NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	// A follower attached from the retained head, applying the log of every
+	// tenure since, must agree.
+	ro, err := replication.NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		return rep, fmt.Errorf("chaos: follower bootstrap: %w", err)
 	}

@@ -159,7 +159,10 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			n.Stop()
 		}
 	}()
-	tail := replication.NewRONode(st, time.Hour, 0) // polled by hand, after each promotion
+	tail, err := replication.NewRONode(st, time.Hour, 0) // polled by hand, after each promotion
+	if err != nil {
+		return rep, fmt.Errorf("chaos: tailing follower: %w", err)
+	}
 	defer tail.Stop()
 
 	drawKey := func() EdgeKey {
@@ -270,7 +273,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			rep.LiveKills++
 		}
 
-		ro, err := replication.NewRONodeFromSnapshot(st, time.Hour, 0)
+		ro, err := replication.NewRONode(st, time.Hour, 0)
 		if err != nil {
 			return fmt.Errorf("chaos: round %d: follower bootstrap: %w", round, err)
 		}
@@ -356,9 +359,17 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	segment := cfg.Ops / (cfg.Rounds + 1)
 	for i := 0; i < cfg.Ops; i++ {
 		workOne(i)
-		// Flushes and the odd snapshot, so that a promotion hands over pages
+		// Flushes and the odd rotation, so that a promotion hands over pages
 		// with durable records under a log suffix — not only a log — and the
-		// tailing follower applies checkpoints of every tenure.
+		// tailing follower applies checkpoints of every tenure. Each trims
+		// the WAL up to a checkpoint of its own or a later one, and a
+		// follower the trim outran would re-attach: the tail is kept ahead of
+		// them, so its resync count speaks for the failovers alone.
+		if i%331 == 330 || i%53 == 52 {
+			if err := tail.Poll(); err != nil {
+				return rep, fmt.Errorf("chaos: tailing follower at op %d: %w", i, err)
+			}
+		}
 		switch {
 		case i%331 == 330:
 			if _, err := rw.WriteSnapshot(); err != nil {
@@ -386,7 +397,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	// A follower attached after the last failover must agree too: the log
 	// of every tenure reconstructs the same graph, with every stale-epoch
 	// record skipped.
-	ro, err := replication.NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := replication.NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		return rep, fmt.Errorf("chaos: final follower bootstrap: %w", err)
 	}

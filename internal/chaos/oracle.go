@@ -1,8 +1,8 @@
 // Package chaos is BG3's crash-recovery test harness: it drives randomized
 // graph workloads against a store with a seeded fault plan (transient
 // append failures, torn tail-of-extent writes, crash points), "crashes"
-// the RW node at the injected points, reopens it from the latest snapshot
-// plus the WAL suffix, and verifies the recovered graph against an
+// the RW node at the injected points, reopens it from the retained WAL
+// (a checkpoint rotation plus the log after it), and verifies the recovered graph against an
 // in-memory oracle. The property it checks is the paper's durability
 // contract: an acknowledged write is never lost, no matter where in the
 // write pipeline the node died.
@@ -29,8 +29,8 @@ func (k EdgeKey) String() string {
 // maybeState records the uncertainty a failed operation leaves behind. A
 // write that was never acknowledged is allowed to be present after
 // recovery (the engine applies memory state before the WAL wait resolves,
-// and a later snapshot can make that state durable) or absent (its WAL
-// record never became durable and no snapshot captured it).
+// and a later checkpoint can make that state durable) or absent (its WAL
+// record never became durable and no checkpoint captured it).
 type maybeState struct {
 	values map[string]struct{} // values a failed put may have left behind
 	absent bool                // a failed delete may have removed the key

@@ -158,6 +158,8 @@ func TestSnapshotTraversalMatchesGroupBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
+	// The oracle replays the log from LSN 1: the checkpoints must not trim it.
+	rw.SetLowWater(func() wal.LSN { return 1 })
 
 	// Seed the hub's first hop: one edge to each writer's source vertex.
 	seed := make([]graph.Mutation, 0, writers)
@@ -349,6 +351,8 @@ func TestStressSnapshotReadersUnderWriteStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
+	// The oracle replays the log from LSN 1: the checkpoints must not trim it.
+	rw.SetLowWater(func() wal.LSN { return 1 })
 
 	var (
 		stop     = make(chan struct{})

@@ -457,7 +457,10 @@ func TestEngineMixedStress(t *testing.T) {
 	}
 }
 
-func TestSnapshotStateRoundTrip(t *testing.T) {
+// TestNamingRoundTrip: the leaves a checkpoint names — low key, records and
+// their tree's role — are the forest. A replica of them alone reads every edge
+// with no log replayed, the hot owner's from its dedicated tree.
+func TestNamingRoundTrip(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
@@ -482,36 +485,28 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	if _, err := e.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	state := e.SnapshotState()
-	if state.Init == 0 {
-		t.Fatal("no INIT tree in snapshot state")
-	}
-	if len(state.Trees) < 2 {
-		t.Fatalf("trees = %d, want INIT + dedicated", len(state.Trees))
-	}
-	var sawOwner bool
-	for _, ts := range state.Trees {
-		if len(ts.Leaves) == 0 {
-			t.Fatalf("tree %d snapshot has no leaves", ts.Tree)
+	named := e.Forest().NameLeaves(0, 1)
+	var inits, owned int
+	for _, up := range named {
+		if !up.Named || (up.Init == up.Owned) {
+			t.Fatalf("leaf %d named %+v, want a naming of an INIT or an owned tree", up.Page, up)
 		}
-		if ts.HasOwner && ts.Owner == 3 {
-			sawOwner = true
+		if up.Init {
+			inits++
+		} else if up.Owner == 3 {
+			owned++
 		}
 	}
-	if !sawOwner {
-		t.Fatal("dedicated owner missing from snapshot state")
+	if inits == 0 || owned < 2 {
+		t.Fatalf("%d INIT leaves and %d of owner 3's named, want both trees, the dedicated one split", inits, owned)
 	}
-	// Load into a fresh replica; all data readable without WAL replay.
-	rep, err := NewReplicaFromSnapshot(st, 0, state, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replicaOfPages(t, st, 1<<40, named)
 	if deg, err := rep.Degree(3, graph.ETypeLike); err != nil || deg != 60 {
 		t.Fatalf("replica degree = %d %v", deg, err)
 	}
 	for src := 10; src < 15; src++ {
 		if _, ok, _ := rep.GetEdge(graph.VertexID(src), graph.ETypeFollow, 1); !ok {
-			t.Fatalf("edge %d missing from snapshot-loaded replica", src)
+			t.Fatalf("edge %d missing from the replica of the named pages", src)
 		}
 	}
 	if rep.HighLSN() != 1<<40 {

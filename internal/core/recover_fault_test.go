@@ -10,17 +10,33 @@ import (
 	"bg3/internal/wal"
 )
 
-// Torn-write recovery table: a node writes a durable base (flushed pages +
-// snapshot state), keeps appending WAL records, and dies with the log tail
-// in a per-case condition. Recovery — a replica of the snapshot drained to
-// the end of the log, then handed the leader's role — must hold exactly the
-// acknowledged suffix and absorb whatever garbage the death left at the tail
-// of the log, and go on as a leader: write, flush, and be bootstrapped from.
+// replicaOfPages is what a follower attaching past a WAL trimmed at floor
+// starts from when a checkpoint names pages: the forest those pages make,
+// published at floor (bootstrap), before it applies the log above floor.
+func replicaOfPages(t *testing.T, st *storage.Store, floor wal.LSN, pages []bwtree.MappingUpdate) *Replica {
+	t.Helper()
+	rep, err := bootstrap(st, 0, floor, [][]*wal.Record{{{
+		Type: wal.RecordCheckpoint, LSN: floor, CkptLSN: floor, AuxPage: 1,
+		Value: bwtree.EncodeMappingUpdates(pages),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// Torn-write recovery table: a node writes a durable base (flushed pages,
+// named as a checkpoint names them), keeps appending WAL records, and dies
+// with the log tail in a per-case condition. Recovery — a replica of those
+// pages drained to the end of the log, then handed the leader's role — must
+// hold exactly the acknowledged suffix and absorb whatever garbage the death
+// left at the tail of the log, and go on as a leader: write, flush, and be
+// bootstrapped from.
 func TestRecoverTornWALTable(t *testing.T) {
 	const (
 		src  = graph.VertexID(1)
 		typ  = graph.ETypeFollow
-		base = 5 // edges written before the snapshot
+		base = 5 // edges written before the pages are named
 	)
 	edge := func(dst int) graph.Edge {
 		return graph.Edge{Src: src, Dst: graph.VertexID(dst), Type: typ,
@@ -35,7 +51,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 
 		wantPresent  []int   // dsts that must exist after recovery
 		wantAbsent   []int   // dsts that must not exist after recovery
-		wantMaxDelta wal.LSN // durable WAL records beyond the snapshot horizon
+		wantMaxDelta wal.LSN // durable WAL records beyond the named pages' horizon
 		wantTorn     int64   // torn WAL entries the recovery reader must absorb
 		wantDirty    int     // pages the hand-over leaves to the first flush
 	}{
@@ -136,16 +152,13 @@ func TestRecoverTornWALTable(t *testing.T) {
 			if _, err := e.FlushDirty(); err != nil {
 				t.Fatal(err)
 			}
-			state := e.SnapshotState()
+			pages := e.Forest().NameLeaves(0, 1)
 			horizon := w.NextLSN() - 1 // every record so far is covered by the flush
 
 			tc.suffix(t, e, w, plan)
 			e.Close() // the node dies; shared storage survives
 
-			rep, err := NewReplicaFromSnapshot(st, 0, state, horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep := replicaOfPages(t, st, horizon, pages)
 			reader := wal.NewReader(st)
 			reader.SetBase(horizon)
 			if err := rep.Drain(reader); err != nil {
@@ -197,10 +210,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 			if _, err := recovered.FlushDirty(); err != nil {
 				t.Fatal(err)
 			}
-			cold, err := NewReplicaFromSnapshot(st, 0, recovered.SnapshotState(), next.NextLSN()-1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold := replicaOfPages(t, st, next.NextLSN()-1, recovered.Forest().NameLeaves(0, 1))
 			verify("a replica of the recovered engine's pages", cold)
 			if _, ok, err := cold.GetEdge(src, typ, 100); err != nil || !ok {
 				t.Fatalf("the edge written after recovery is not in its pages: ok=%v err=%v", ok, err)
@@ -209,7 +219,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 	}
 }
 
-// A hole in the suffix beyond the snapshot means either acknowledged records
+// A hole in the suffix beyond the named pages means either acknowledged records
 // vanished from the log (trim raced recovery, an extent was destroyed) or a
 // pipelined commit failed mid-flight, leaving never-acknowledged debris past
 // the gapless prefix. The drain a recovery or promotion runs must stop exactly
@@ -234,25 +244,22 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 	if _, err := e.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	state := e.SnapshotState()
-	root := state.Trees[0].Leaves[0].Page
+	pages := e.Forest().NameLeaves(0, 1)
+	root := pages[0].Page
 	e.Close()
 
 	// Forge a suffix with a hole: LSN 3 exists, LSN 4 is missing, LSN 5
 	// present. (A real writer can never do this — it fails stop — so this
 	// models external log damage.)
 	for _, lsn := range []wal.LSN{3, 5} {
-		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(state.Init), PageID: uint64(root), Key: []byte("k")}
+		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(pages[0].Tree), PageID: uint64(root), Key: []byte("k")}
 		if err := wal.NewWriterFrom(st, lsn).AppendAssigned([]*wal.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	drain := func(rd *wal.Reader) (*Replica, error) {
 		t.Helper()
-		rep, err := NewReplicaFromSnapshot(st, 0, state, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := replicaOfPages(t, st, 2, pages)
 		rd.SetBase(2)
 		return rep, rep.Drain(rd)
 	}

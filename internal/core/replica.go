@@ -28,33 +28,47 @@ func NewReplica(st *storage.Store, capacity int) *Replica {
 	return &Replica{forest: forest.NewApplier(m, st), mapping: m}
 }
 
-// NewReplicaFromSnapshot creates a replica holding the snapshot's durable
-// shape — every tree's leaf directory and the owner assignments, no page
-// read — to be fed the log beyond horizon, the WAL LSN the snapshot reflects.
-func NewReplicaFromSnapshot(st *storage.Store, capacity int, state SnapshotState, horizon wal.LSN) (*Replica, error) {
-	m := bwtree.NewApplierMapping(capacity)
-	var init *bwtree.Tree
-	dedicated := make(map[forest.OwnerID]*bwtree.Tree)
-	for _, ts := range state.Trees {
-		t, err := bwtree.Rebuild(m, st, ts.Tree, ts.Leaves)
+// Bootstrap attaches a replica to the log rd reads from the retained head
+// (wal.NewReaderAtHead). A log never trimmed is replayed from LSN 1 by the
+// caller's polls, into NewReplica. Past a trimmed prefix, rd's base is the
+// trim's horizon: rd is read to the end of the log, the forest as it stood at
+// the horizon is registered from the leaves the checkpoints in it name
+// (forest.Bootstrap), and what was read is applied. The replica serves no read
+// before that: a log that does not yet name a whole rotation fails with
+// forest.ErrRotationIncomplete.
+func Bootstrap(st *storage.Store, capacity int, rd *wal.Reader) (*Replica, error) {
+	floor := rd.LastLSN()
+	if floor == 0 {
+		return NewReplica(st, capacity), nil
+	}
+	var groups [][]*wal.Record
+	for {
+		grps, err := rd.PollGroups()
 		if err != nil {
-			return nil, fmt.Errorf("core: snapshot tree %d: %w", ts.Tree, err)
+			return nil, fmt.Errorf("core: bootstrap past lsn %d: %w", floor, err)
 		}
-		switch {
-		case ts.Tree == state.Init:
-			init = t
-		case ts.HasOwner:
-			dedicated[ts.Owner] = t
-		default:
-			return nil, fmt.Errorf("core: snapshot tree %d is neither INIT nor owned", ts.Tree)
+		if len(grps) == 0 {
+			break
+		}
+		groups = append(groups, grps...)
+	}
+	return bootstrap(st, capacity, floor, groups)
+}
+
+// bootstrap is Bootstrap of the log past floor, groups.
+func bootstrap(st *storage.Store, capacity int, floor wal.LSN, groups [][]*wal.Record) (*Replica, error) {
+	m := bwtree.NewApplierMapping(capacity)
+	f, err := forest.Bootstrap(m, st, floor, groups)
+	if err != nil {
+		return nil, err
+	}
+	r := &Replica{forest: f, mapping: m}
+	for _, grp := range groups {
+		if err := r.ApplyGroup(grp); err != nil {
+			return nil, err
 		}
 	}
-	if init == nil {
-		return nil, fmt.Errorf("core: snapshot has no INIT tree")
-	}
-	f := forest.Rebuild(m, st, init, dedicated)
-	f.Publish(horizon)
-	return &Replica{forest: f, mapping: m}, nil
+	return r, nil
 }
 
 // TakeOver makes the replica the leader's engine under opts, in place: the
@@ -94,7 +108,7 @@ func (r *Replica) ApplyGroup(recs []*wal.Record) error { return r.forest.ApplyGr
 // unit, and reports how many there were. Torn entries and retry duplicates
 // are the reader's to absorb; a hole in the log (*wal.GapError, a lost
 // extent) comes back with what preceded it applied, for the caller to judge:
-// a follower resyncs from a snapshot, a drain aborts.
+// a follower re-attaches from the retained head, a drain aborts.
 func (r *Replica) ApplyFrom(rd *wal.Reader) (groups int, err error) {
 	grps, err := rd.PollGroups()
 	for _, grp := range grps {
@@ -127,6 +141,11 @@ func (r *Replica) Drain(rd *wal.Reader) error {
 // HighLSN reports the applied LSN: the end of the newest commit group
 // incorporated, and the horizon reads run at.
 func (r *Replica) HighLSN() wal.LSN { return r.forest.AppliedLSN() }
+
+// CutLSN reports the last checkpoint record whose overlay cut is in
+// (bwtree.Mapping.CutLSN): a checkpoint applies after its group is published,
+// so HighLSN reaching it does not yet say its cut was made.
+func (r *Replica) CutLSN() wal.LSN { return r.mapping.CutLSN() }
 
 // BufferedRecords reports the lazy-replay backlog: the applied records no
 // checkpoint has covered yet.

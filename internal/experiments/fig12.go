@@ -57,7 +57,10 @@ func Fig12Recall(s Scale, lossRates []float64, out io.Writer) []Fig12Row {
 		if err != nil {
 			panic(err)
 		}
-		ro := replication.NewRONode(st, time.Millisecond, 0)
+		ro, err := replication.NewRONode(st, time.Millisecond, 0)
+		if err != nil {
+			panic(err)
+		}
 		for _, e := range edges {
 			if err := rw.AddEdge(e); err != nil {
 				panic(err)

@@ -50,7 +50,9 @@ func (e syncEnv) open(roCount, roCache int) (*replication.RWNode, []*replication
 	}
 	ros := make([]*replication.RONode, roCount)
 	for i := range ros {
-		ros[i] = replication.NewRONode(st, e.pollInterval, roCache)
+		if ros[i], err = replication.NewRONode(st, e.pollInterval, roCache); err != nil {
+			panic(err)
+		}
 	}
 	return rw, ros
 }

@@ -85,10 +85,12 @@ type Forest struct {
 	logger bwtree.WALLogger
 	cfg    Config
 
-	// mu guards the owner and tree directories (map access only).
-	mu     sync.RWMutex
-	owners map[OwnerID]*ownerState
-	trees  map[bwtree.TreeID]*bwtree.Tree
+	// mu guards the owner and tree directories (map access only). ownerOf
+	// is the owner each dedicated tree is published for.
+	mu      sync.RWMutex
+	owners  map[OwnerID]*ownerState
+	trees   map[bwtree.TreeID]*bwtree.Tree
+	ownerOf map[bwtree.TreeID]OwnerID
 
 	// migrateMu serializes migrations (rare, heavyweight).
 	migrateMu sync.Mutex
@@ -103,12 +105,13 @@ type Forest struct {
 // New creates a forest with a fresh INIT tree.
 func New(m *bwtree.Mapping, store *storage.Store, cfg Config, logger bwtree.WALLogger) (*Forest, error) {
 	f := &Forest{
-		store:  store,
-		m:      m,
-		logger: logger,
-		cfg:    cfg,
-		owners: make(map[OwnerID]*ownerState),
-		trees:  make(map[bwtree.TreeID]*bwtree.Tree),
+		store:   store,
+		m:       m,
+		logger:  logger,
+		cfg:     cfg,
+		owners:  make(map[OwnerID]*ownerState),
+		trees:   make(map[bwtree.TreeID]*bwtree.Tree),
+		ownerOf: make(map[bwtree.TreeID]OwnerID),
 	}
 	init, err := bwtree.New(m, store, cfg.initTree(), logger)
 	if err != nil {
@@ -409,6 +412,9 @@ func (f *Forest) migrate(owner OwnerID) error {
 	}
 	// Publish the assignment, then clean INIT.
 	st.tree.Store(tree)
+	f.mu.Lock()
+	f.ownerOf[tree.ID()] = owner
+	f.mu.Unlock()
 	st.count.Store(int64(len(puts)))
 	addToFloor(&f.initKeys, -int64(len(puts)))
 	f.migrations.Add(1)
@@ -536,23 +542,24 @@ func (f *Forest) Dedicate(owner OwnerID) error {
 	return f.migrate(owner)
 }
 
-// Rebuild puts a forest together over trees rebuilt from a snapshot
-// (bwtree.Rebuild): init is the INIT tree, dedicated maps each owner to its
-// tree. Owner counts start from zero — they are estimates that only feed
-// future threshold decisions — as they do on every applier.
+// Rebuild puts an applier's forest together over its INIT tree and the
+// dedicated trees of dedicated's owners. Owner counts start from zero — they
+// are estimates that only feed future threshold decisions — as they do on
+// every applier.
 func Rebuild(m *bwtree.Mapping, store *storage.Store, init *bwtree.Tree, dedicated map[OwnerID]*bwtree.Tree) *Forest {
 	f := &Forest{
-		store:  store,
-		m:      m,
-		owners: make(map[OwnerID]*ownerState),
-		trees:  map[bwtree.TreeID]*bwtree.Tree{init.ID(): init},
-		init:   init,
+		store:   store,
+		m:       m,
+		owners:  make(map[OwnerID]*ownerState),
+		trees:   map[bwtree.TreeID]*bwtree.Tree{init.ID(): init},
+		ownerOf: make(map[bwtree.TreeID]OwnerID),
+		init:    init,
 	}
 	for owner, tree := range dedicated {
 		st := &ownerState{}
 		st.tree.Store(tree)
 		f.owners[owner] = st
-		f.trees[tree.ID()] = tree
+		f.trees[tree.ID()], f.ownerOf[tree.ID()] = tree, owner
 	}
 	return f
 }
@@ -585,6 +592,9 @@ func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID, since wal.LSN) error
 	st.since = since
 	st.tree.Store(tree)
 	st.mu.Unlock()
+	f.mu.Lock()
+	f.ownerOf[id] = owner
+	f.mu.Unlock()
 	return nil
 }
 

@@ -537,3 +537,39 @@ func TestFailedMigrationForgetsItsTree(t *testing.T) {
 	}
 	served("after the retry")
 }
+
+// TestBootstrapAdoptsATreeWithNoOwner: a checkpoint names a tree whose owner
+// assignment is not published — a migration in progress, or a failed one's
+// tree on a follower that saw it created — with no role. A follower attaching
+// past a trim registers it unbound, and binds it when the assignment record
+// past the trim arrives; with none, the owner stays in INIT.
+func TestBootstrapAdoptsATreeWithNoOwner(t *testing.T) {
+	loc := storage.Loc{Stream: storage.StreamBase, Extent: 1, Length: 64}
+	naming := &wal.Record{Type: wal.RecordCheckpoint, LSN: 11, CkptLSN: 10, AuxPage: 1,
+		Value: bwtree.EncodeMappingUpdates([]bwtree.MappingUpdate{
+			{Tree: firstID, Page: firstID, Base: loc, Named: true, Init: true},
+			{Tree: 5, Page: 9, Base: loc, Named: true},
+		})}
+	assign := &wal.Record{Type: wal.RecordOwnerAssign, LSN: 12, TreeID: 5, Key: binary.BigEndian.AppendUint64(nil, 77)}
+	for _, tc := range []struct {
+		name   string
+		groups [][]*wal.Record
+		want   []OwnerAssignment
+	}{
+		{"unpublished", [][]*wal.Record{{naming}}, []OwnerAssignment{}},
+		{"published past the trim", [][]*wal.Record{{naming}, {assign}}, []OwnerAssignment{{Owner: 77, Tree: 5}}},
+	} {
+		f, err := Bootstrap(bwtree.NewApplierMapping(0), storage.Open(nil), 10, tc.groups)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, grp := range tc.groups {
+			if err := f.ApplyGroup(grp); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if f.TreeByID(5) == nil || fmt.Sprint(f.OwnerAssignments()) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s: tree 5 known %v, assignments %v; want %v", tc.name, f.TreeByID(5) != nil, f.OwnerAssignments(), tc.want)
+		}
+	}
+}

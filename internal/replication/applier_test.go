@@ -27,7 +27,7 @@ func TestFollowerReplayBacklogBoundedByCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
-	ro := NewRONode(st, time.Hour, 2) // polled by hand
+	ro := newRO(t, st, time.Hour, 2) // polled by hand
 	defer ro.Stop()
 	gauge := func(name string) int64 { return ro.Metrics().Snapshot()[name].Value }
 
@@ -132,12 +132,12 @@ func TestFollowerNeverAppends(t *testing.T) {
 	}
 
 	writes := st.Stats().WriteOps
-	fromSnapshot, err := NewRONodeFromSnapshot(st, time.Hour, 4)
+	fromSnapshot, err := NewRONode(st, time.Hour, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fromSnapshot.Stop()
-	fromStart := NewRONode(st, time.Hour, 4)
+	fromStart := newRO(t, st, time.Hour, 4)
 	defer fromStart.Stop()
 	for name, ro := range map[string]*RONode{"snapshot": fromSnapshot, "log": fromStart} {
 		if err := ro.Poll(); err != nil {

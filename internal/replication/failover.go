@@ -14,9 +14,8 @@ import (
 // applies it (RONode.Poll), to its durable end, and is handed the leader's
 // role (lead). A restart after a crash is that with a follower attached for
 // the purpose (RecoverRWNode); a promotion is that behind a fence (Promote).
-// Page and tree IDs survive either, nothing is rewritten and no snapshot is
-// forced, so the followers of the old leader go on tailing the new one's
-// records.
+// Page and tree IDs survive either and nothing is rewritten, so the followers
+// of the old leader go on tailing the new one's records.
 
 // lead drains the follower to the end of the durable log and makes it the
 // leader appending under fence token epoch: the replica becomes the engine in
@@ -54,20 +53,14 @@ func (n *RONode) lead(opts RWOptions, epoch uint64) (*RWNode, error) {
 	writer := wal.NewWriterFromEpoch(n.store, n.reader.LastLSN()+1, epoch)
 	n.reader = nil // the leader's from here, or nobody's
 	src := mvcc.NewSource(0)
-	rw, err := assembleRWNode(n.store, opts, writer, src, func(logger *wal.GroupCommitter) (*core.Engine, error) {
+	return assembleRWNode(n.store, opts, writer, src, func(logger *wal.GroupCommitter) (*core.Engine, error) {
 		return n.Replica().TakeOver(n.store, opts.engineOptions(src, logger))
 	})
-	if err != nil {
-		return nil, err
-	}
-	rw.snap.lastMeta, rw.snap.lastGen, rw.snap.hasSnap = n.snap, n.snap.generation, n.snap.generation != 0
-	return rw, nil
 }
 
 // RecoverRWNode reopens the read-write node of an existing store after a
-// restart: a follower bootstrapped from the latest snapshot — or, without
-// one, from the start of the log — applies the WAL to its end and takes over
-// under the stream's current fence token. Followers of the node that died,
+// restart: a follower attached from the retained head of the log applies it
+// to its end and takes over under the stream's current fence token. Followers of the node that died,
 // and fresh ones, tail the recovered node as they did its predecessor.
 func RecoverRWNode(st *storage.Store, opts RWOptions) (*RWNode, error) {
 	ro, err := attach(st, opts.Engine.Tree.CacheCapacity)

@@ -52,12 +52,12 @@ func TestPromote(t *testing.T) {
 		}
 	}
 
-	bystander := NewRONode(st, time.Hour, 0)
+	bystander := newRO(t, st, time.Hour, 0)
 	defer bystander.Stop()
 	if err := bystander.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	ro, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPromote(t *testing.T) {
 
 	// A follower attached after the promotion (same snapshot, the log of
 	// both tenures) agrees with the new leader.
-	tail, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	tail, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,5 +219,67 @@ func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
 				t.Fatalf("round %d: acked edge %d after failover: ok=%v err=%v", round, i, ok, err)
 			}
 		}
+	}
+}
+
+// TestPromotedLeaderPacksAtFirstFlush: a tree's size survives a hand-over.
+// A follower keeps every leaf's live count from the records it applies (each
+// says whether its key was live), the promotion seeds the tree's puts −
+// deletes estimate and its owner's count from those counts, and a dedicated
+// tree already past EdgeBlockMinEntries packs its edge block at the promoted
+// leader's first flush, with no write since. The estimate used to start at 0
+// after a promotion: the block waited for that many new writes.
+func TestPromotedLeaderPacksAtFirstFlush(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	defer st.Close()
+	opts := RWOptions{Engine: core.Options{SplitThreshold: 32,
+		Tree: bwtree.Config{MaxPageEntries: 16, EdgeBlockMinEntries: 64}}}
+	old, err := NewRWNode(st, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Stop()
+	edge := func(dst int, v byte) graph.Edge {
+		return graph.Edge{Src: 5, Dst: graph.VertexID(dst), Type: graph.ETypeFollow, Props: graph.Properties{{Name: "v", Value: []byte{v}}}}
+	}
+	for i := 0; i < 200; i++ {
+		if err := old.AddEdge(edge(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ { // upserts: the key was live, nothing grows
+		if err := old.AddEdge(edge(i*3, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 15; i++ { // ten present, five absent
+		if err := old.DeleteEdge(5, graph.ETypeFollow, graph.VertexID(190+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ro := newRO(t, st, time.Hour, 0)
+	rw, err := Promote(ro, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Stop()
+	if got := rw.Engine().Forest().OwnerCount(5); got != 190 {
+		t.Fatalf("promoted owner count = %d, want the 190 live edges", got)
+	}
+	blocks := func() bwtree.BlockStats { return rw.Engine().Mapping().BlockStatsSnapshot() }
+	if b := blocks(); b.Builds != 0 {
+		t.Fatalf("fixture: %d blocks built before the first flush", b.Builds)
+	}
+	if err := rw.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if b := blocks(); b.Builds != 1 || b.Entries != 190 {
+		t.Fatalf("after the promoted leader's first flush: %d blocks, %d entries; want the 190 edges packed", b.Builds, b.Entries)
+	}
+	if deg, err := rw.Degree(5, graph.ETypeFollow); err != nil || deg != 190 {
+		t.Fatalf("degree = %d %v, want 190", deg, err)
 	}
 }

@@ -8,10 +8,12 @@
 // whole batch of records); RO nodes tail the WAL and lazily replay it,
 // one commit group at a time. Dirty pages are flushed by a background
 // thread and announced through checkpoint records carrying mapping-table
-// updates, after which RO nodes discard the replayed WAL prefix. Because
-// the WAL lives on strongly consistent shared storage, an RO node never
-// misses a write — unlike the legacy path, which forwards commands over a
-// lossy network.
+// updates, after which RO nodes discard the replayed WAL prefix. Each
+// checkpoint also names a bucket of the leaves whole, so a rotation of them
+// describes every page and the leader trims the WAL before it: a follower
+// attaches from the retained head. Because the WAL lives on strongly
+// consistent shared storage, an RO node never misses a write — unlike the
+// legacy path, which forwards commands over a lossy network.
 package replication
 
 import (
@@ -85,9 +87,21 @@ type RWNode struct {
 
 	// flushMu serializes flush cycles (flushCycle): the background
 	// flusher, manual Checkpoints and WriteSnapshot each run horizon →
-	// flush → publish as one unit. Lock order: flushMu, then applyBarrier.
+	// flush → name → publish → trim as one unit. Lock order: flushMu, then
+	// applyBarrier.
 	flushMu  sync.Mutex
 	ckptTail wal.LSN // LSN of the last checkpoint record logged; under flushMu
+	ckptAll  bool    // its horizon covers every record logged before it; under flushMu
+
+	// The rotation, under flushMu: named counts the checkpoints logged (the
+	// next names bucket named % rotation), points holds where they sampled
+	// their horizons since the last trim, oldest first — the first of the
+	// last rotation of them is the bootstrap point — and lowWater, once set,
+	// the oldest LSN a trim must keep.
+	named    int
+	points   []bootPoint
+	lowWater func() wal.LSN
+	trimmed  metrics.Counter // WAL extents dropped
 
 	// applyBarrier serializes checkpoint horizon computation against
 	// in-flight writes: writers hold it shared across (WAL log + memory
@@ -102,8 +116,21 @@ type RWNode struct {
 	mu          sync.Mutex
 	checkpoints int64
 	lastCkpt    wal.LSN
+}
 
-	snap snapshotState
+// rotation is how many checkpoints it takes to name every leaf: each names
+// the leaves whose page ID is its bucket modulo rotation. It sets the retained
+// WAL — the trim keeps a rotation of checkpoints and what they cover — and
+// what naming adds to each checkpoint, one rotation-th of the leaves. At 8,
+// naming is about 1.2% of the bytes a 4-shard ingest writes (0.6% at 16),
+// and a rotation is 0.4 s of WAL at the default flush interval.
+const rotation = 8
+
+// bootPoint is where a checkpoint sampled its horizon: the WAL tail cursor
+// and the LSN. Every record numbered above horizon landed past cursor.
+type bootPoint struct {
+	cursor  storage.Cursor
+	horizon wal.LSN
 }
 
 // NewRWNode creates the RW node on a shared store.
@@ -164,6 +191,7 @@ func (n *RWNode) registerMetrics(r *metrics.Registry) {
 	n.writer.RegisterMetrics(r)
 	n.logger.RegisterMetrics(r)
 	r.CounterFunc("wal.checkpoints", n.Checkpoints)
+	r.RegisterCounter("wal.extents_trimmed", &n.trimmed)
 	r.GaugeFunc("wal.last_checkpoint_lsn", func() int64 { return int64(n.lastCheckpoint()) })
 	r.GaugeFunc("replication.epoch", func() int64 { return int64(n.writer.Epoch()) })
 }
@@ -228,29 +256,65 @@ func (n *RWNode) flushLoop() {
 }
 
 // Checkpoint flushes all dirty pages and appends a checkpoint record
-// declaring the flushed horizon (§3.4 steps 7–8). Safe to call manually
-// when no background flusher runs.
+// declaring the flushed horizon (§3.4 steps 7–8), naming the next bucket of
+// leaves and trimming the WAL to the new bootstrap point. A cycle with nothing
+// to flush after a checkpoint appends nothing. Safe to call manually when no
+// background flusher runs.
 func (n *RWNode) Checkpoint() error {
-	_, _, err := n.flushCycle(nil)
+	_, err := n.flushCycle(false)
 	return err
 }
 
-// flushCycle is the one horizon → flush → publish sequence: it samples the
-// checkpoint horizon against a quiesced write pipeline, flushes every
-// dirty page, and publishes a checkpoint record carrying the new page
-// locations. Cycles never overlap (flushMu): Tree.FlushDirty takes pages
-// out of the dirty set before it writes them, so a second cycle starting
-// meanwhile would sample a later horizon, find those pages clean, and
-// publish that horizon without their new locations — a follower applying
-// it drops its buffered records up to the horizon and materializes the
-// pages from the stale locations, losing acked writes.
-//
-// A nil capture is a checkpoint: writers resume as soon as the horizon is
-// sampled and the flush runs beside them. A non-nil capture is a snapshot:
-// writers stay quiesced across the flush, so the durable state equals
-// memory at exactly the horizon when capture runs (still under the
-// barrier). cursor is the WAL tail position sampled with the horizon.
-func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cursor, err error) {
+// WriteSnapshot completes a rotation now: rotation checkpoints in a row, idle
+// or not, so that they name every leaf and the WAL before the first of them is
+// trimmed (unless a transaction still holds it, SetLowWater). It returns the
+// first one's horizon: the bootstrap point a follower attaching afterwards
+// reads the log from.
+func (n *RWNode) WriteSnapshot() (wal.LSN, error) {
+	var first wal.LSN
+	for i := 0; i < rotation; i++ {
+		h, err := n.flushCycle(true)
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 {
+			first = h
+		}
+	}
+	return first, nil
+}
+
+// TrimWAL trims the WAL to the bootstrap point now and returns how many
+// extents it dropped. Every checkpoint already trims, so this drops something
+// only after a transaction that held the trim back let go of it.
+func (n *RWNode) TrimWAL() int {
+	n.flushMu.Lock()
+	defer n.flushMu.Unlock()
+	return n.trimLocked()
+}
+
+// SetLowWater makes fn the oldest LSN a trim keeps: the records of the
+// transactions a shard group still holds (shard.Group). Nil keeps nothing.
+func (n *RWNode) SetLowWater(fn func() wal.LSN) {
+	n.flushMu.Lock()
+	n.lowWater = fn
+	n.flushMu.Unlock()
+}
+
+// flushCycle is the one horizon → flush → name → publish → trim sequence: it
+// samples the checkpoint horizon against a quiesced write pipeline, flushes
+// every dirty page, names the next bucket of leaves, publishes a checkpoint
+// record carrying the pages' new locations and the naming, and trims the WAL
+// before the rotation's first checkpoint. Cycles never overlap (flushMu):
+// Tree.FlushDirty takes pages out of the dirty set before it writes them, so
+// a second cycle starting meanwhile would sample a later horizon, find those
+// pages clean, and publish that horizon without their new locations — a
+// follower applying it drops its buffered records up to the horizon and
+// materializes the pages from the stale locations, losing acked writes.
+// Writers resume as soon as the horizon is sampled and the flush runs beside
+// them. An idle cycle — nothing flushed or moved, nothing logged since the
+// last checkpoint — publishes nothing unless forced.
+func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
 
@@ -260,68 +324,105 @@ func (n *RWNode) flushCycle(capture func()) (horizon wal.LSN, cursor storage.Cur
 	n.applyBarrier.Lock()
 	// The cursor is sampled before the horizon: records that bypass the
 	// barrier (2PC control records) keep being assigned LSNs and landing
-	// while it is held, and recovery resumes at the cursor expecting
-	// horizon+1 — a record above the horizon that landed before the cursor
-	// would read as a hole and strand every acked group after it.
-	cursor = n.store.TailCursor(storage.StreamWAL)
-	horizon = n.logger.LastLSN()
-	if capture == nil {
-		n.applyBarrier.Unlock()
-	}
+	// while it is held, and a trim at the cursor must keep every record
+	// above the horizon — one that landed before the cursor would be dropped.
+	cursor := n.store.TailCursor(storage.StreamWAL)
+	horizon := n.logger.LastLSN()
+	n.applyBarrier.Unlock()
 	updates, err := n.engine.FlushDirty()
-	if capture != nil {
-		if err == nil {
-			capture()
-		}
-		n.applyBarrier.Unlock()
-	}
 	if err != nil {
-		return 0, cursor, err
+		return 0, err
 	}
 	// Pages GC relocated since the last checkpoint must also reach the
 	// replicas, or their old locations would dangle once the condemned
 	// extents are released.
 	updates = append(updates, n.engine.Mapping().TakeRelocated()...)
-	// Nothing is new when no page moved and the last record logged is the
-	// last checkpoint itself. (Its declared horizon is no test for that: the
-	// checkpoint record advanced the log past it, and an idle leader would
-	// checkpoint its own checkpoints forever.)
-	if capture == nil && len(updates) == 0 && horizon == n.ckptTail {
-		return horizon, cursor, nil
+	// Nothing is new when no page moved, the last record logged is the last
+	// checkpoint itself, and that checkpoint's horizon covers every record
+	// before its own: followers have cut everything there is. (The horizon
+	// alone is no test: the checkpoint's records advanced the log past it, and
+	// an idle leader would checkpoint its own checkpoints forever. Writes that
+	// raced the last cycle's flush need one more, if only to declare them.)
+	if !force && len(updates) == 0 && horizon == n.ckptTail && n.ckptAll {
+		return horizon, nil
 	}
-	if n.ckptTail, err = n.appendCheckpoint(horizon, updates); err != nil {
-		return 0, cursor, err
+	// The naming goes last: a page flushed or moved this cycle is named as it
+	// stood after both, and a follower applies a checkpoint's updates in order.
+	bucket := n.named % rotation
+	records := 0
+	if n.ckptTail, records, err = n.appendCheckpoint(horizon, bucket, append(updates, n.engine.Forest().NameLeaves(bucket, rotation)...)); err != nil {
+		return 0, err
 	}
+	n.ckptAll = n.ckptTail-horizon == wal.LSN(records)
+	n.named++
+	n.points = append(n.points, bootPoint{cursor, horizon})
+	n.trimLocked()
 	n.mu.Lock()
 	n.checkpoints++
 	n.lastCkpt = horizon
 	n.mu.Unlock()
-	return horizon, cursor, nil
+	return horizon, nil
 }
 
-// appendCheckpoint publishes a checkpoint, chunking the mapping updates so
-// each WAL record fits an extent. Every record but the last carries in TreeID
-// how many are still to come, so a follower applies them as one checkpoint,
-// with the last (bwtree applyCheckpoint); a checkpoint of one record reads as
-// it always did. It returns the LSN of the last record it logged.
-func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, updates []bwtree.MappingUpdate) (wal.LSN, error) {
-	// Rough per-update encoded size: ids(16) + base loc(17) + delta count
-	// and a handful of delta locs. Cap chunks well under the extent size.
-	maxPer := (n.store.ExtentSize() - 512) / 64
-	if maxPer < 8 {
-		maxPer = 8
+// trimLocked drops the WAL extents wholly before the bootstrap point — the
+// cursor the last rotation's first checkpoint sampled with its horizon — and
+// declares that horizon the log's new floor (wal.NewReaderAtHead): every
+// record above it landed past the cursor, and the rotation that names every
+// leaf starts above it. While the group holds a transaction record at or below
+// that horizon (lowWater), the trim stops at the newest earlier checkpoint
+// below the record. Caller holds flushMu.
+func (n *RWNode) trimLocked() int {
+	i := len(n.points) - rotation
+	if i < 0 {
+		return 0
 	}
-	for start, left := 0, max(0, len(updates)-1)/maxPer; ; start, left = start+maxPer, left-1 {
-		lsn, err := n.logger.Log(&wal.Record{
-			Type:    wal.RecordCheckpoint,
-			TreeID:  uint64(left),
-			CkptLSN: ckptLSN,
-			Value:   bwtree.EncodeMappingUpdates(updates[start:min(start+maxPer, len(updates))]),
-		})
-		if err != nil || left == 0 {
-			return lsn, err
+	if n.lowWater != nil {
+		for low := n.lowWater(); i >= 0 && n.points[i].horizon >= low; i-- {
+		}
+		if i < 0 {
+			return 0
 		}
 	}
+	bp := n.points[i]
+	n.points = n.points[i:]
+	dropped := len(n.store.DropBefore(storage.StreamWAL, bp.cursor.Extent, uint64(bp.horizon)))
+	n.trimmed.Add(int64(dropped))
+	return dropped
+}
+
+// appendCheckpoint publishes a checkpoint naming bucket, chunking the mapping
+// updates so each WAL record fits an extent. Every record but the last carries
+// in TreeID how many are still to come, so a follower applies them as one
+// checkpoint, with the last (bwtree applyCheckpoint); a checkpoint of one
+// record reads as it always did. Every record carries the bucket (PageID) and
+// the rotation (AuxPage). It returns the LSN of the last record it logged and
+// how many it logged.
+func (n *RWNode) appendCheckpoint(ckptLSN wal.LSN, bucket int, updates []bwtree.MappingUpdate) (wal.LSN, int, error) {
+	budget := n.writer.MaxRecordSize() - 64 // the record's header and update count
+	var chunks [][]bwtree.MappingUpdate
+	start, size := 0, 0
+	for i, up := range updates {
+		if i > start && size+up.Size() > budget {
+			chunks, start, size = append(chunks, updates[start:i]), i, 0
+		}
+		size += up.Size()
+	}
+	chunks = append(chunks, updates[start:])
+	var lsn wal.LSN
+	for i, chunk := range chunks {
+		var err error
+		if lsn, err = n.logger.Log(&wal.Record{
+			Type:    wal.RecordCheckpoint,
+			TreeID:  uint64(len(chunks) - 1 - i),
+			PageID:  uint64(bucket),
+			AuxPage: rotation,
+			CkptLSN: ckptLSN,
+			Value:   bwtree.EncodeMappingUpdates(chunk),
+		}); err != nil {
+			return 0, 0, err
+		}
+	}
+	return lsn, len(chunks), nil
 }
 
 func (n *RWNode) lastCheckpoint() wal.LSN {
@@ -373,12 +474,12 @@ func (n *RWNode) ApplyBatch(muts []graph.Mutation) error {
 
 var _ graph.Store = (*RWNode)(nil)
 
-// RONode is a read-only node: a core.Replica fed by a WAL tailing loop.
-// When tailing hits a hole — an LSN gap after a WAL trim outran this
-// follower, or a lost WAL extent — the node resynchronizes by
-// re-bootstrapping from the latest snapshot instead of serving a view with
-// missing writes. It is also what every leader but a store's first starts
-// out as (lead).
+// RONode is a read-only node: a core.Replica fed by a WAL tailing loop. It
+// attaches from the retained head of the log (core.Bootstrap), and when
+// tailing hits a hole — an LSN gap after a WAL trim outran this follower, or a
+// lost WAL extent — it re-attaches the same way instead of serving a view with
+// missing writes. It is also what every leader but a store's first starts out
+// as (lead).
 type RONode struct {
 	store    *storage.Store
 	cacheCap int
@@ -389,10 +490,8 @@ type RONode struct {
 	reg *metrics.Registry
 
 	// reader is touched only under pollMu, and nil once the node was handed
-	// the leader's role. snap is the snapshot the node last bootstrapped
-	// from (zero: none, it replays the log from its start).
+	// the leader's role.
 	reader *wal.Reader
-	snap   snapshotMeta
 
 	// pollMu serializes WAL polls: the background loop and manual Poll
 	// calls share one reader cursor and must apply records in LSN order.
@@ -409,17 +508,22 @@ type RONode struct {
 	resyncs int64
 }
 
-// NewRONode attaches a replica to the shared store, replaying the WAL from
-// its beginning and polling it every interval. cacheCapacity bounds the
-// replica's page cache (0 = unlimited).
-func NewRONode(st *storage.Store, interval time.Duration, cacheCapacity int) *RONode {
-	n := newRONode(st, cacheCapacity)
-	n.install(core.NewReplica(st, cacheCapacity), wal.NewReader(st), snapshotMeta{})
+// NewRONode attaches a follower to the shared store (attach) and polls the
+// WAL every interval. cacheCapacity bounds the replica's page cache
+// (0 = unlimited).
+func NewRONode(st *storage.Store, interval time.Duration, cacheCapacity int) (*RONode, error) {
+	n, err := attach(st, cacheCapacity)
+	if err != nil {
+		return nil, err
+	}
 	go n.pollLoop(interval)
-	return n
+	return n, nil
 }
 
-func newRONode(st *storage.Store, cacheCapacity int) *RONode {
+// attach is NewRONode without the tailing loop: a follower of the log from its
+// retained head, which applies the rest when told to (Poll) — or once, to its
+// end, to lead.
+func attach(st *storage.Store, cacheCapacity int) (*RONode, error) {
 	n := &RONode{
 		store:    st,
 		cacheCap: cacheCapacity,
@@ -429,37 +533,34 @@ func newRONode(st *storage.Store, cacheCapacity int) *RONode {
 	}
 	n.reg.GaugeFunc("replication.applied_lsn", func() int64 { return int64(n.AppliedLSN()) })
 	n.reg.GaugeFunc("replication.buffered_records", func() int64 { return int64(n.Replica().BufferedRecords()) })
-	return n
+	if err := n.bootstrap(); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
-// install makes replica, bootstrapped from snap and fed by reader, the node's
-// state. The reader is told where the replica stands: it drops what the
-// snapshot covers (a group can straddle its horizon), and a log whose next
-// record is gone — trimmed before this node got to it — is a hole to resync
-// over, never a later start to adopt. Caller holds pollMu, or is still
+// bootstrap installs a fresh replica of the log from its retained head and
+// the reader that goes on where it stopped. A trim that raced the read is a
+// hole at the head the next try starts past. Caller holds pollMu, or is still
 // constructing the node.
-func (n *RONode) install(replica *core.Replica, reader *wal.Reader, snap snapshotMeta) {
-	replica.RegisterMetrics(n.reg)
-	reader.SetBase(snap.horizon)
-	n.reader, n.snap = reader, snap
-	n.mu.Lock()
-	n.replica = replica
-	n.mu.Unlock()
-}
-
-// bootstrap installs the latest snapshot on the store, if there is one: a
-// fresh replica holding its state, a fresh reader at its WAL cursor.
-func (n *RONode) bootstrap() (found bool, err error) {
-	state, meta, found, err := LoadLatestSnapshot(n.store)
-	if err != nil || !found {
-		return false, err
+func (n *RONode) bootstrap() error {
+	var err error
+	for try := 0; try < 3; try++ {
+		rd := wal.NewReaderAtHead(n.store)
+		var replica *core.Replica
+		if replica, err = core.Bootstrap(n.store, n.cacheCap, rd); err == nil {
+			replica.RegisterMetrics(n.reg)
+			n.reader = rd
+			n.mu.Lock()
+			n.replica = replica
+			n.mu.Unlock()
+			return nil
+		}
+		if gap := (*wal.GapError)(nil); !errors.As(err, &gap) {
+			break
+		}
 	}
-	replica, err := core.NewReplicaFromSnapshot(n.store, n.cacheCap, state, meta.horizon)
-	if err != nil {
-		return false, err
-	}
-	n.install(replica, wal.NewReaderAt(n.store, meta.walCursor), meta)
-	return true, nil
+	return fmt.Errorf("replication: attach: %w", err)
 }
 
 // Metrics returns the node's registry.
@@ -488,9 +589,8 @@ func (n *RONode) pollLoop(interval time.Duration) {
 // advances past it, so a reader gated on WaitVisible never observes part
 // of a leader batch. Torn entries and retry duplicates are absorbed by the
 // reader; on a log hole (LSN gap, trimmed or lost WAL extent) the node
-// applies what it read, resyncs from the latest snapshot and drains the log
-// past it, so one Poll catches up either way. A hole past the snapshot too is
-// returned.
+// applies what it read and re-attaches from the retained head, so one Poll
+// catches up either way.
 func (n *RONode) Poll() error {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()
@@ -510,17 +610,13 @@ func (n *RONode) Poll() error {
 
 var errPromoted = errors.New("replication: follower was handed the leader's role")
 
-// resyncLocked re-bootstraps the follower from the latest snapshot, dropping
-// what it holds. A failover does not call for it: page and tree IDs survive a
+// resyncLocked re-attaches the follower from the retained head, dropping what
+// it holds. A failover does not call for it: page and tree IDs survive a
 // promotion, and a follower goes on tailing the new leader's records. Caller
 // holds pollMu.
 func (n *RONode) resyncLocked() error {
-	found, err := n.bootstrap()
-	if err != nil {
+	if err := n.bootstrap(); err != nil {
 		return err
-	}
-	if !found {
-		return fmt.Errorf("replication: resync: no snapshot on store")
 	}
 	n.mu.Lock()
 	n.resyncs++
@@ -533,8 +629,8 @@ func (n *RONode) resyncLocked() error {
 // leader's LastLSN minus this is the replication lag (Fig. 13).
 func (n *RONode) AppliedLSN() wal.LSN { return n.Replica().HighLSN() }
 
-// Resyncs returns how many times the follower re-bootstrapped from a
-// snapshot after hitting a log hole.
+// Resyncs returns how many times the follower re-attached after hitting a
+// log hole.
 func (n *RONode) Resyncs() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -85,7 +85,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	// Let the pipeline fill, then promote a follower over the old leader
 	// while several group appends are in flight.
 	time.Sleep(10 * time.Millisecond)
-	ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	ro, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	// Model-oracle replay: a follower bootstraps from the promotion's
 	// snapshot and drains the post-failover WAL tail; its state must match
 	// the promoted leader's exactly.
-	follower, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	follower, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

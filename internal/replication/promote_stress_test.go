@@ -88,7 +88,7 @@ func TestStressPromotionFencesConcurrentWriters(t *testing.T) {
 
 	// Let the writers build up state, then promote a follower over them.
 	time.Sleep(5 * time.Millisecond)
-	ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	ro, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestStressPromotionFencesConcurrentWriters(t *testing.T) {
 	// snapshot (the same way every real RO node adopts a new leader) and
 	// drains the post-failover WAL tail; its state must match the promoted
 	// leader's exactly, for every writer's keyspace.
-	follower, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+	follower, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestStressConcurrentPromotions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ro, err := NewRONodeFromSnapshot(st, time.Hour, 0)
+			ro, err := NewRONode(st, time.Hour, 0)
 			if err != nil {
 				errs[i] = err
 				return

@@ -89,8 +89,8 @@ func TestPropertyReplicaEquivalence(t *testing.T) {
 			return true
 		}
 
-		full := NewRONode(st, time.Millisecond, 0)
-		snap, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+		full := newRO(t, st, time.Millisecond, 0)
+		snap, err := NewRONode(st, time.Millisecond, 0)
 		if err != nil {
 			return false
 		}
@@ -156,7 +156,7 @@ func TestROToleratesWALGap(t *testing.T) {
 		}
 		rw.TrimWAL()
 	}
-	ro, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,29 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
+// newRO attaches a follower (NewRONode), failing the test when it cannot.
+func newRO(t testing.TB, st *storage.Store, interval time.Duration, cacheCapacity int) *RONode {
+	t.Helper()
+	ro, err := NewRONode(st, interval, cacheCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ro
+}
+
+// waitCut waits until ro has made the cut of the checkpoint record at lsn
+// (core.Replica.CutLSN) or the timeout elapses. A checkpoint applies after its
+// commit group is published, so a follower reaching its LSN (WaitVisible)
+// may not have cut its overlays yet.
+func waitCut(ro *RONode, lsn wal.LSN, timeout time.Duration) bool {
+	for deadline := time.Now().Add(timeout); ro.Replica().CutLSN() < lsn; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 func newPair(t *testing.T, rwOpts RWOptions, pollInterval time.Duration) (*RWNode, *RONode, *storage.Store) {
 	t.Helper()
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
@@ -97,7 +120,7 @@ func newPair(t *testing.T, rwOpts RWOptions, pollInterval time.Duration) (*RWNod
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro := NewRONode(st, pollInterval, 0)
+	ro := newRO(t, st, pollInterval, 0)
 	t.Cleanup(func() {
 		ro.Stop()
 		rw.Stop()
@@ -147,8 +170,7 @@ func TestCheckpointTruncatesROBuffers(t *testing.T) {
 	if err := rw.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ckLSN := rw.LastLSN()
-	if !ro.WaitVisible(ckLSN, 2*time.Second) {
+	if !waitCut(ro, rw.LastLSN(), 2*time.Second) {
 		t.Fatal("RO missed checkpoint")
 	}
 	if got := ro.Replica().BufferedRecords(); got != 0 {
@@ -194,7 +216,7 @@ func TestMultipleROsStayConsistent(t *testing.T) {
 	defer rw.Stop()
 	var ros []*RONode
 	for i := 0; i < 3; i++ {
-		ro := NewRONode(st, time.Millisecond, 0)
+		ro := newRO(t, st, time.Millisecond, 0)
 		defer ro.Stop()
 		ros = append(ros, ro)
 	}
@@ -328,7 +350,7 @@ func TestSyncLatencyBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
-	ro := NewRONode(st, 2*time.Millisecond, 0)
+	ro := newRO(t, st, 2*time.Millisecond, 0)
 	defer ro.Stop()
 
 	var worst time.Duration
@@ -359,7 +381,7 @@ func TestROPageCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
-	ro := NewRONode(st, time.Millisecond, 4) // tiny RO cache
+	ro := newRO(t, st, time.Millisecond, 4) // tiny RO cache
 	defer ro.Stop()
 	for i := 0; i < 400; i++ {
 		if err := rw.AddEdge(graph.Edge{Src: graph.VertexID(i % 20), Dst: graph.VertexID(i), Type: graph.ETypeFollow}); err != nil {
@@ -412,8 +434,7 @@ func TestCheckpointHorizonNeverOverclaims(t *testing.T) {
 	if err := rw.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	lsn := rw.LastLSN()
-	if !ro.WaitVisible(lsn, 2*time.Second) {
+	if !waitCut(ro, rw.LastLSN(), 2*time.Second) {
 		t.Fatal("RO lagging")
 	}
 	for src := 0; src < 5; src++ {

@@ -2,72 +2,64 @@ package replication
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
 	"testing"
 
 	"bg3/internal/bwtree"
-	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
-// FuzzSnapshotRecord feeds arbitrary bytes through the path
-// LoadLatestSnapshot runs on every meta-stream entry: unseal, then decode
-// as a tree record (plus its trailing page IDs) or a footer. Nothing may
-// panic, whatever the input; a payload that does decode must survive
-// re-encoding and re-sealing unchanged, so a snapshot read back, rewritten
-// and read again names the same pages.
+// FuzzSnapshotRecord fuzzes the snapshot's one durable record: a checkpoint
+// naming leaves whole (rolling checkpoint), fed as the record that completes a
+// rotation through the path a follower attaching past a trimmed prefix runs —
+// decode the naming, register the forest it names (forest.Bootstrap), apply
+// the record. Nothing may panic, whatever the input; a payload that decodes
+// must re-encode to itself, so a naming read back and logged again names the
+// same leaves.
 func FuzzSnapshotRecord(f *testing.F) {
-	leaves := []bwtree.LeafInfo{
-		{Page: 3, Base: storage.Loc{Stream: storage.StreamBase, Extent: 7, Offset: 64, Length: 512}},
-		{Page: 9, Lo: []byte("k0100"), Base: storage.Loc{Stream: storage.StreamBase, Extent: 8, Length: 96},
-			Deltas: []storage.Loc{{Stream: storage.StreamDelta, Extent: 2, Offset: 10, Length: 20}}},
+	for _, seed := range namingSeeds() {
+		f.Add(seed)
 	}
-	tree := appendLeafPageIDs(encodeTreeSnapshot(41, core.TreeSnapshot{Tree: 5, Owner: 77, HasOwner: true, Leaves: leaves}, false), leaves)
-	footer := encodeFooter(snapshotMeta{generation: 41, horizon: 40, treeCount: 2, walCursor: storage.Cursor{Extent: 3, Index: 17}})
-	f.Add(sealSnapRecord(tree))
-	f.Add(sealSnapRecord(appendLeafPageIDs(encodeTreeSnapshot(41, core.TreeSnapshot{Tree: 1}, true), nil)))
-	f.Add(sealSnapRecord(footer))
 	// testdata/fuzz/FuzzSnapshotRecord holds the damaged variants.
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, ok := openSnapRecord(data)
-		if !ok {
-			// The CRC stops a mutated record here, as it stops a torn one.
-			// Decode the raw bytes anyway — as the payload of a record that
-			// was sealed after the damage — or the fuzzer never gets past
-			// the checksum to the decoders.
-			payload = data
+		ups, err := bwtree.DecodeMappingUpdates(data)
+		if err != nil {
+			if !errors.Is(err, bwtree.ErrCorruptPage) {
+				t.Fatalf("decode error %v is not ErrCorruptPage", err)
+			}
+		} else if again := bwtree.EncodeMappingUpdates(ups); !bytes.HasPrefix(data, again) {
+			t.Fatalf("naming of %d leaves does not re-encode to the bytes it was read from", len(ups))
 		}
-		if len(payload) == 0 {
-			return
-		}
-		if again, ok := openSnapRecord(sealSnapRecord(payload)); !ok || !bytes.Equal(again, payload) {
-			t.Fatalf("re-sealed payload does not open to itself")
-		}
-		switch payload[0] {
-		case snapRecFooter:
-			meta, err := decodeFooter(payload)
-			if err != nil {
-				return
-			}
-			if again, err := decodeFooter(encodeFooter(meta)); err != nil || again != meta {
-				t.Fatalf("footer %+v re-encodes to %+v, %v", meta, again, err)
-			}
-		case snapRecTree:
-			gen, ts, isInit, err := decodeTreeSnapshot(payload)
-			if err != nil || recoverLeafPageIDs(payload, &ts) != nil {
-				return
-			}
-			buf := appendLeafPageIDs(encodeTreeSnapshot(gen, ts, isInit), ts.Leaves)
-			gen2, ts2, isInit2, err := decodeTreeSnapshot(buf)
-			if err == nil {
-				err = recoverLeafPageIDs(buf, &ts2)
-			}
-			if err != nil || gen2 != gen || isInit2 != isInit || !reflect.DeepEqual(ts2, ts) {
-				t.Fatalf("tree record (gen %d, %d leaves) re-encodes to gen %d, %d leaves, %v",
-					gen, len(ts.Leaves), gen2, len(ts2.Leaves), err)
-			}
+		grp := []*wal.Record{{Type: wal.RecordCheckpoint, LSN: 2, CkptLSN: 1, AuxPage: 1, Value: data}}
+		fo, err := forest.Bootstrap(bwtree.NewApplierMapping(0), storage.Open(nil), 1, [][]*wal.Record{grp})
+		if err == nil {
+			_ = fo.ApplyGroup(grp)
 		}
 	})
+}
+
+// namingSeeds are well-formed payloads: the leaves of a dedicated tree, an
+// INIT tree's empty root, and a naming beside the updates of a flush.
+func namingSeeds() [][]byte {
+	loc := func(s storage.StreamID, n uint32) storage.Loc {
+		return storage.Loc{Stream: s, Extent: storage.ExtentID(n), Offset: 64 * n, Length: 96}
+	}
+	owned := bwtree.EncodeMappingUpdates([]bwtree.MappingUpdate{
+		{Tree: 1, Page: 1, Base: loc(storage.StreamBase, 1), Named: true, Init: true},
+		{Tree: 5, Page: 3, Base: loc(storage.StreamBase, 7), Named: true, Owned: true, Owner: 77},
+		{Tree: 5, Page: 9, Base: loc(storage.StreamBase, 8), Deltas: []storage.Loc{loc(storage.StreamDelta, 2)},
+			Named: true, Owned: true, Owner: 77, Lo: []byte("k0100")},
+	})
+	initRoot := bwtree.EncodeMappingUpdates([]bwtree.MappingUpdate{
+		{Tree: 1, Page: 1, Base: loc(storage.StreamBase, 3), Named: true, Init: true},
+	})
+	flushed := bwtree.EncodeMappingUpdates([]bwtree.MappingUpdate{
+		{Tree: 1, Page: 4, Base: loc(storage.StreamBase, 5), Deltas: []storage.Loc{loc(storage.StreamDelta, 6)}},
+		{Tree: 1, Page: 1, Base: loc(storage.StreamBase, 3), Named: true, Init: true},
+	})
+	return [][]byte{owned, initRoot, flushed}
 }

@@ -8,10 +8,16 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
+// TestSnapshotBootstrapMatchesFullReplay: the checkpoint rotation is the
+// snapshot. A follower attached after a rotation trimmed the WAL registers the
+// forest the rotation names and applies the log past the trim; one that tailed
+// the log from LSN 1 all along must agree with it on everything, a migration
+// before the trim included.
 func TestSnapshotBootstrapMatchesFullReplay(t *testing.T) {
-	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
 	rw, err := NewRWNode(st, RWOptions{
 		Engine: core.Options{SplitThreshold: 50, Tree: bwtree.Config{MaxPageEntries: 16}},
 	})
@@ -19,8 +25,10 @@ func TestSnapshotBootstrapMatchesFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rw.Stop()
+	fullRO := newRO(t, st, time.Hour, 0) // polled by hand
+	defer fullRO.Stop()
 
-	// Phase 1: data before the snapshot, including a forest migration.
+	// Phase 1: data before the rotation, including a forest migration.
 	for i := 0; i < 120; i++ {
 		if err := rw.AddEdge(graph.Edge{Src: 7, Dst: graph.VertexID(i), Type: graph.ETypeLike}); err != nil {
 			t.Fatal(err)
@@ -35,37 +43,34 @@ func TestSnapshotBootstrapMatchesFullReplay(t *testing.T) {
 		Props: graph.Properties{{Name: "n", Value: []byte("hot")}}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := fullRO.Poll(); err != nil {
+		t.Fatal(err)
+	}
 
 	horizon, err := rw.WriteSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if horizon == 0 {
-		t.Fatal("snapshot horizon is zero")
+	if _, floor := st.Head(storage.StreamWAL); horizon == 0 || floor != uint64(horizon) {
+		t.Fatalf("rotation from horizon %d left the WAL trimmed to %d", horizon, floor)
 	}
 
-	// Phase 2: more writes after the snapshot.
+	// Phase 2: more writes after the rotation.
 	for i := 120; i < 160; i++ {
 		if err := rw.AddEdge(graph.Edge{Src: 7, Dst: graph.VertexID(i), Type: graph.ETypeLike}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// A replica bootstrapped from the snapshot and one replaying the full
-	// WAL must agree on everything.
-	snapRO, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapRO := newRO(t, st, time.Hour, 0)
 	defer snapRO.Stop()
-	fullRO := NewRONode(st, time.Millisecond, 0)
-	defer fullRO.Stop()
-
-	lsn := rw.LastLSN()
-	if !snapRO.WaitVisible(lsn, 2*time.Second) || !fullRO.WaitVisible(lsn, 2*time.Second) {
-		t.Fatal("replicas lagging")
-	}
 	for _, ro := range []*RONode{snapRO, fullRO} {
+		if err := ro.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if ro.AppliedLSN() != rw.LastLSN() || ro.Resyncs() != 0 {
+			t.Fatalf("follower at LSN %d of %d, %d resyncs", ro.AppliedLSN(), rw.LastLSN(), ro.Resyncs())
+		}
 		if deg, err := ro.Replica().Degree(7, graph.ETypeLike); err != nil || deg != 160 {
 			t.Fatalf("degree = %d %v, want 160", deg, err)
 		}
@@ -92,7 +97,7 @@ func TestSnapshotWithoutSnapshotFallsBack(t *testing.T) {
 	if err := rw.AddEdge(graph.Edge{Src: 1, Dst: 2, Type: graph.ETypeFollow}); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +130,8 @@ func TestTrimWALAfterSnapshot(t *testing.T) {
 	if _, err := rw.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if rw.TrimWAL() == 0 {
-		t.Fatal("trim dropped nothing despite a covering snapshot")
+	if n := rw.trimmed.Load(); n == 0 || rw.TrimWAL() != 0 {
+		t.Fatalf("the rotation trimmed %d extents, and left the trim more: want it all done", n)
 	}
 	// Post-trim writes still replicate; a new snapshot-bootstrapped
 	// replica sees everything.
@@ -135,7 +140,7 @@ func TestTrimWALAfterSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ro, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestRepeatedSnapshots(t *testing.T) {
 		lastHorizon = uint64(h)
 	}
 	// The newest snapshot wins.
-	ro, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +256,7 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	close(stop)
 	total := <-done
 
-	ro, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	ro, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +349,7 @@ func TestRecoverRWNode(t *testing.T) {
 	// A follower replaying the log from its start applies both tenures'
 	// records: the recovered node kept the page and tree IDs of the one that
 	// died.
-	ro := NewRONode(st, time.Millisecond, 0)
+	ro := newRO(t, st, time.Millisecond, 0)
 	defer ro.Stop()
 	if !ro.WaitVisible(rec.LastLSN(), 2*time.Second) {
 		t.Fatal("replica lagging behind recovered node")
@@ -355,7 +360,7 @@ func TestRecoverRWNode(t *testing.T) {
 	if _, err := rec.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	snapRO, err := NewRONodeFromSnapshot(st, time.Millisecond, 0)
+	snapRO, err := NewRONode(st, time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,5 +401,101 @@ func TestRecoverWithoutSnapshotReplaysTheLog(t *testing.T) {
 	}
 	if got := rec.LastLSN(); got != last+1 {
 		t.Fatalf("the recovered node's first record got LSN %d, want %d", got, last+1)
+	}
+}
+
+// rotate writes n edges over 40 keys of source 1 — overwrites once they have
+// all been written, so the leaves stay the same — and checkpoints, rounds
+// times.
+func rotate(t *testing.T, rw *RWNode, rounds, n int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < n; i++ {
+			if err := rw.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i % 40), Type: graph.ETypeFollow,
+				Props: graph.Properties{{Name: "r", Value: []byte{byte(r)}}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rw.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAttachReadsOneRotation pins what a follower attaching to a trimmed log
+// reads: the records past the trim's horizon — the rotation of checkpoints
+// that names every leaf, at most rotation of them, and the suffix after it —
+// in one storage scan, and nothing from the meta stream, which nothing
+// writes. It applies all of it before it serves a read, and reads the
+// leader's state.
+func TestAttachReadsOneRotation(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
+	rw, err := NewRWNode(st, RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Stop()
+	rotate(t, rw, 3*rotation, 60)
+	for i := 40; i < 70; i++ { // the suffix: new keys, no checkpoint
+		if err := rw.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i), Type: graph.ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, floor := st.Head(storage.StreamWAL)
+	if floor == 0 {
+		t.Fatal("fixture: the WAL was never trimmed")
+	}
+	// What attaching reads: the log past the floor (wal.NewReaderAtHead).
+	recs, err := wal.NewReaderAtHead(st).Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	for _, rec := range recs {
+		if rec.Type == wal.RecordCheckpoint && rec.TreeID == 0 {
+			checkpoints++
+		}
+	}
+	if checkpoints > rotation || recs[0].LSN != wal.LSN(floor)+1 || recs[len(recs)-1].LSN != rw.LastLSN() {
+		t.Fatalf("past the floor at %d: %d checkpoints in records %d..%d of %d, want at most %d and the suffix",
+			floor, checkpoints, recs[0].LSN, recs[len(recs)-1].LSN, rw.LastLSN(), rotation)
+	}
+
+	before := st.Stats().ReadOps
+	ro := newRO(t, st, time.Hour, 0)
+	defer ro.Stop()
+	if reads := st.Stats().ReadOps - before; reads != 1 {
+		t.Fatalf("attaching took %d storage reads, want the one scan of the log", reads)
+	}
+	if meta := st.Usage(storage.StreamMeta); len(meta) != 0 {
+		t.Fatalf("the meta stream holds %d extents, want none", len(meta))
+	}
+	if ro.AppliedLSN() != rw.LastLSN() {
+		t.Fatalf("attached follower at LSN %d, the leader at %d", ro.AppliedLSN(), rw.LastLSN())
+	}
+	if deg, err := ro.Replica().Degree(1, graph.ETypeFollow); err != nil || deg != 70 {
+		t.Fatalf("attached follower degree = %d %v, want 70", deg, err)
+	}
+}
+
+// TestTrimBoundsTheLog: the trim rides the checkpoint cadence, so a leader
+// writing at a steady rate retains the same WAL after 4 and after 8 rotations
+// of checkpoints — one rotation and what the last checkpoint has not covered
+// — to within an extent.
+func TestTrimBoundsTheLog(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
+	rw, err := NewRWNode(st, RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Stop()
+	extents := func() int { return len(st.Usage(storage.StreamWAL)) }
+	rotate(t, rw, 4*rotation, 60)
+	at4 := extents()
+	rotate(t, rw, 4*rotation, 60)
+	at8 := extents()
+	t.Logf("WAL extents: %d after %d checkpoints, %d after %d", at4, 4*rotation, at8, 8*rotation)
+	if at8 > at4+1 || at8 < at4-1 || rw.trimmed.Load() == 0 {
+		t.Fatalf("WAL extents: %d after %d checkpoints, %d after %d (%d trimmed)", at4, 4*rotation, at8, 8*rotation, rw.trimmed.Load())
 	}
 }

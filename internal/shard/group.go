@@ -74,6 +74,7 @@ func Open(n int, storageOpts *storage.Options, rw replication.RWOptions) (*Group
 			g.Close()
 			return nil, err
 		}
+		g.holdTxns(i, node)
 		g.leaders[i].Store(node)
 	}
 	g.txnSeq.Store(newTxnSalt())
@@ -133,6 +134,7 @@ func (g *Group) Failover(i int) error {
 		return fmt.Errorf("shard %d: failover: group closed", i)
 	}
 	err := replication.Failover(g.stores[i], old, func(rw *replication.RWNode) bool {
+		g.holdTxns(i, rw)
 		return g.leaders[i].CompareAndSwap(old, rw)
 	})
 	if err != nil {
@@ -145,6 +147,12 @@ func (g *Group) Failover(i int) error {
 		return nil
 	}
 	return g.resolveInDoubt(i)
+}
+
+// holdTxns keeps shard i's leader from trimming the records of transactions
+// the group still holds (txnManager.lowWater).
+func (g *Group) holdTxns(i int, rw *replication.RWNode) {
+	rw.SetLowWater(func() wal.LSN { return g.mgr.lowWater(i) })
 }
 
 // Failovers returns how many shard leaders the group has replaced.
@@ -395,8 +403,15 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 		outcomes[i] = ShardOutcome{Shard: i, State: OutcomeSkipped}
 	}
 	g.txns.Inc()
-	g.mgr.begin(txn)
-	defer g.mgr.end(txn)
+	// Every record of the transaction is numbered above each participant's
+	// released horizon now, a new leader's included.
+	floor := make(map[int]wal.LSN, len(members))
+	for _, i := range members {
+		floor[i] = wal.LSN(g.Leader(i).Engine().ReadEpoch()) + 1
+	}
+	g.mgr.begin(txn, floor)
+	var owed []int // participants of a commit left for a resolution pass
+	defer func() { g.mgr.end(txn, owed) }()
 
 	// Phase 1 — prepare: log the sub-batch as a logical redo intent on
 	// every participant, in parallel, each riding its shard's ordinary
@@ -522,8 +537,11 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	wg.Wait()
 	cause = nil
 	for _, i := range members {
-		if err := outcomes[i].Err; err != nil && cause == nil {
-			cause = fmt.Errorf("shard %d apply: %w", i, err)
+		if err := outcomes[i].Err; err != nil {
+			owed = append(owed, i)
+			if cause == nil {
+				cause = fmt.Errorf("shard %d apply: %w", i, err)
+			}
 		}
 	}
 	if cause != nil {
@@ -612,6 +630,7 @@ func (g *Group) resolveInDoubt(i int) error {
 				PageID: uint64(p.Coord),
 			})
 		}
+		g.mgr.settle(txn, i)
 		g.txnResolved.Inc()
 	}
 	return nil

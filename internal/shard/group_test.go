@@ -173,7 +173,10 @@ func followerView(t *testing.T, g *Group) graph.Reader {
 	t.Helper()
 	ros := make([]*replication.RONode, g.Shards())
 	for i := range ros {
-		ros[i] = replication.NewRONode(g.Store(i), time.Hour, 0)
+		var err error
+		if ros[i], err = replication.NewRONode(g.Store(i), time.Hour, 0); err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(ros[i].Stop)
 		if err := ros[i].Poll(); err != nil {
 			t.Fatal(err)

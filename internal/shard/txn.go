@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"bg3/internal/graph"
@@ -43,6 +44,12 @@ import (
 // Only the gapless prefix counts: a commit record stranded past a
 // pipeline hole is never delivered by recovery, matching the committer's
 // maybe-semantics for unacknowledged appends.
+//
+// Every leader trims its WAL on its checkpoint cadence, and that evidence
+// must outlive the trim: the manager holds, per transaction, a floor on each
+// participant's log below every record of it (lowWater), from begin until the
+// transaction is settled on every shard — at its end, or for a committed one
+// a participant could not apply, once a resolution pass has applied it.
 
 // TxnPayload is the decoded TPC1 prepare payload: one participant's
 // sub-batch plus the transaction membership needed to resolve it.
@@ -310,22 +317,45 @@ const (
 
 // txnManager tracks in-flight cross-shard transactions so a concurrent
 // failover's resolution pass never guesses against a decision that is
-// being made on another goroutine.
+// being made on another goroutine, and holds their records against the trim.
 type txnManager struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	txns map[uint64]txnPhase
+	mu    sync.Mutex
+	cond  *sync.Cond
+	txns  map[uint64]txnPhase
+	holds map[uint64]*txnHold
+}
+
+// txnHold keeps a transaction's records in the participants' logs: floor[i]
+// is at or below every record of it on shard i. It is let go once the
+// transaction ended and a resolution pass settled every participant its end
+// left owed the apply of a commit.
+type txnHold struct {
+	floor   map[int]wal.LSN
+	ended   bool
+	owed    []int
+	settled map[int]bool
+}
+
+func (h *txnHold) done() bool {
+	for _, i := range h.owed {
+		if !h.settled[i] {
+			return false
+		}
+	}
+	return h.ended
 }
 
 func newTxnManager() *txnManager {
-	m := &txnManager{txns: make(map[uint64]txnPhase)}
+	m := &txnManager{txns: make(map[uint64]txnPhase), holds: make(map[uint64]*txnHold)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-func (m *txnManager) begin(txn uint64) {
+// begin registers txn and holds each participant's log from floor on.
+func (m *txnManager) begin(txn uint64, floor map[int]wal.LSN) {
 	m.mu.Lock()
 	m.txns[txn] = txnPreparing
+	m.holds[txn] = &txnHold{floor: floor, settled: make(map[int]bool)}
 	m.mu.Unlock()
 }
 
@@ -354,12 +384,44 @@ func (m *txnManager) decide(txn uint64, committed bool) {
 }
 
 // end forgets a finished transaction. After this, resolution falls back
-// to the coordinator's durable prefix — which is authoritative by then.
-func (m *txnManager) end(txn uint64) {
+// to the coordinator's durable prefix — which is authoritative by then, and
+// is held until the participants owed the apply of a commit have it
+// (settle).
+func (m *txnManager) end(txn uint64, owed []int) {
 	m.mu.Lock()
 	delete(m.txns, txn)
+	if h := m.holds[txn]; h != nil {
+		if h.ended, h.owed = true, owed; h.done() {
+			delete(m.holds, txn)
+		}
+	}
 	m.mu.Unlock()
 	m.cond.Broadcast()
+}
+
+// settle records that a resolution pass resolved txn on shard i.
+func (m *txnManager) settle(txn uint64, i int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h := m.holds[txn]; h != nil {
+		if h.settled[i] = true; h.done() {
+			delete(m.holds, txn)
+		}
+	}
+}
+
+// lowWater is the oldest LSN of shard i's log a held transaction may have a
+// record at: the trim keeps everything from it on (replication.RWNode).
+func (m *txnManager) lowWater(i int) wal.LSN {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	low := wal.LSN(math.MaxUint64)
+	for _, h := range m.holds {
+		if f, ok := h.floor[i]; ok {
+			low = min(low, f)
+		}
+	}
+	return low
 }
 
 // resolveLive resolves an in-doubt transaction against live state:
@@ -428,8 +490,9 @@ func (s *shardTxnState) inDoubt() []uint64 {
 	return ids
 }
 
-// scanShardTxns reads a shard's durable WAL prefix and extracts its
-// transaction control records. A pipeline hole ends the prefix: records
+// scanShardTxns reads a shard's durable WAL from its retained head and
+// extracts its transaction control records: the trim keeps every record of a
+// transaction the manager holds. A pipeline hole ends the prefix: records
 // stranded past it are never delivered by recovery (the reader bumps the
 // stream epoch over the debris), so they do not count as durable here
 // either. Undecodable prepare payloads are rejected fail-closed — the
@@ -440,7 +503,7 @@ func scanShardTxns(st *storage.Store) (*shardTxnState, error) {
 		resolved: make(map[uint64]bool),
 		commits:  make(map[uint64]bool),
 	}
-	reader := wal.NewReader(st)
+	reader := wal.NewReaderAtHead(st)
 	for {
 		groups, err := reader.PollGroups()
 		for _, grp := range groups {

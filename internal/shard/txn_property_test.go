@@ -113,7 +113,7 @@ func (h *pharness) startTxn() {
 		id: h.nextID, parts: parts, coord: parts[0],
 		holds: make(map[int]*mvcc.Hold), appliedBy: make(map[int]bool),
 	}
-	h.mgr.begin(t.id)
+	h.mgr.begin(t.id, nil)
 	h.txns[t.id] = t
 	h.active = append(h.active, t)
 }
@@ -185,7 +185,7 @@ func (h *pharness) finishTxn(t *ptxn) {
 	for _, hold := range t.holds {
 		hold.Release()
 	}
-	h.mgr.end(t.id)
+	h.mgr.end(t.id, nil)
 	t.done = true
 	for i, a := range h.active {
 		if a == t {

@@ -6,7 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"bg3/internal/bwtree"
+	"bg3/internal/core"
 	"bg3/internal/graph"
+	"bg3/internal/replication"
+	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
@@ -147,7 +151,7 @@ func TestTxnManagerResolution(t *testing.T) {
 		t.Fatal("unknown txn reported as known")
 	}
 	// Force-abort while preparing.
-	m.begin(2)
+	m.begin(2, nil)
 	committed, known := m.resolveLive(2)
 	if !known || committed {
 		t.Fatalf("resolveLive(preparing) = (%v,%v), want abort/known", committed, known)
@@ -155,9 +159,9 @@ func TestTxnManagerResolution(t *testing.T) {
 	if m.tryDecide(2) {
 		t.Fatal("tryDecide succeeded after force-abort")
 	}
-	m.end(2)
+	m.end(2, nil)
 	// Normal decide paths.
-	m.begin(3)
+	m.begin(3, nil)
 	if !m.tryDecide(3) {
 		t.Fatal("tryDecide failed on preparing txn")
 	}
@@ -165,9 +169,9 @@ func TestTxnManagerResolution(t *testing.T) {
 	if committed, known := m.resolveLive(3); !known || !committed {
 		t.Fatalf("resolveLive(committed) = (%v,%v)", committed, known)
 	}
-	m.end(3)
+	m.end(3, nil)
 	// A resolver hitting a mid-decision txn waits for the decision.
-	m.begin(4)
+	m.begin(4, nil)
 	if !m.tryDecide(4) {
 		t.Fatal("tryDecide failed")
 	}
@@ -401,5 +405,93 @@ func TestApplyBatchExOutcomes(t *testing.T) {
 		if o.State != want {
 			t.Fatalf("single-shard outcome[%d] = %v, want %v", i, o.State, want)
 		}
+	}
+}
+
+// TestTxnEvidenceSurvivesTrim: every leader trims its WAL on its checkpoint
+// cadence, and a transaction's records outlive the trim for as long as the
+// group holds the transaction. A coordinator is killed with the transaction in
+// doubt (StagePrepared) and, in a second group, decided (StageDecided); first,
+// every shard runs two rotations of checkpoints, which would trim its log past
+// where the transaction began and trim it as far as the transaction lets
+// them. The coordinator's retained log still holds its prepare and, decided,
+// its commit; the failover's resolution pass settles the prepare; and the
+// batch ends all-or-nothing.
+func TestTxnEvidenceSurvivesTrim(t *testing.T) {
+	for _, tc := range []struct {
+		stage  TxnStage
+		commit bool
+	}{{StagePrepared, false}, {StageDecided, true}} {
+		t.Run(fmt.Sprintf("stage=%d", tc.stage), func(t *testing.T) {
+			g, err := Open(2, &storage.Options{ExtentSize: 4 << 10},
+				replication.RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 16}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			a, b := findCrossShardPair(g.Router())
+			coord := g.Router().Owner(a)
+			write := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					if err := g.AddEdge(graph.Edge{Src: graph.VertexID(10 + i%50), Dst: graph.VertexID(i), Type: graph.ETypeLike}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			heads := make([]uint64, g.Shards())
+			for i := range heads {
+				write(300)
+				if _, err := g.Leader(i).WriteSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+				write(300)
+				if err := g.Leader(i).Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				_, heads[i] = g.Store(i).Head(storage.StreamWAL)
+			}
+			resolvedBefore := g.txnResolved.Load()
+			g.SetTxnStageHook(func(stage TxnStage, txn uint64, parts []int) {
+				if stage != tc.stage {
+					return
+				}
+				for i := 0; i < g.Shards(); i++ {
+					write(200)
+					for r := 0; r < 2; r++ {
+						if _, err := g.Leader(i).WriteSnapshot(); err != nil {
+							t.Error(err)
+						}
+					}
+					if _, horizon := g.Store(i).Head(storage.StreamWAL); horizon <= heads[i] {
+						t.Errorf("shard %d: two rotations left the trim at lsn %d", i, horizon)
+					}
+				}
+				st, err := scanShardTxns(g.Store(coord))
+				if err != nil {
+					t.Error(err)
+				}
+				if st.prepares[txn] == nil || st.commits[txn] != tc.commit {
+					t.Errorf("coordinator's retained log: prepare %v, commit %v; want the prepare, commit %v",
+						st.prepares[txn] != nil, st.commits[txn], tc.commit)
+				}
+				if err := g.Failover(coord); err != nil {
+					t.Errorf("failover: %v", err)
+				}
+			})
+			err = g.ApplyBatch(crossShardBatch(a, b, "held"))
+			g.SetTxnStageHook(nil)
+			if tc.commit != (err == nil) {
+				t.Fatalf("batch: %v, want committed %v", err, tc.commit)
+			}
+			if got := g.txnResolved.Load() - resolvedBefore; got != 1 {
+				t.Fatalf("the failover resolved %d in-doubt prepares, want the transaction's", got)
+			}
+			for _, id := range []graph.VertexID{a, b} {
+				if _, ok, err := g.GetEdge(id, graph.ETypeFollow, 1000); err != nil || ok != tc.commit {
+					t.Fatalf("edge of %d: present %v (%v), want %v on both owners", id, ok, err, tc.commit)
+				}
+			}
+		})
 	}
 }

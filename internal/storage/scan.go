@@ -77,10 +77,12 @@ func (s *Store) TailCursor(id StreamID) Cursor {
 }
 
 // DropBefore removes every sealed extent of the stream with ID below
-// bound — WAL truncation once a snapshot covers the prefix — and returns the
-// dropped extent IDs. A later Scan from a cursor short of the end of one of
-// them fails with ErrTrimmed.
-func (s *Store) DropBefore(id StreamID, bound ExtentID) []ExtentID {
+// bound — WAL truncation — and returns the dropped extent IDs. A later Scan
+// from a cursor short of the end of one of them fails with ErrTrimmed.
+// horizon is the caller's word on what survives, kept as stream metadata
+// beside the fence epoch (Head): every record the stream's owner numbers above
+// it is at or after the new head. It only moves forward, and only with a drop.
+func (s *Store) DropBefore(id StreamID, bound ExtentID, horizon uint64) []ExtentID {
 	st, err := s.stream(id)
 	if err != nil {
 		return nil
@@ -100,13 +102,29 @@ func (s *Store) DropBefore(id StreamID, bound ExtentID) []ExtentID {
 		remaining = append(remaining, eid)
 	}
 	st.order = remaining
+	if len(dropped) > 0 {
+		st.horizon = max(st.horizon, horizon)
+	}
 	return dropped
+}
+
+// Head returns the stream's retained head — the cursor a Scan of everything
+// still there starts from — and the horizon its last trim declared (0: never
+// trimmed).
+func (s *Store) Head(id StreamID) (Cursor, uint64) {
+	st, err := s.stream(id)
+	if err != nil {
+		return Cursor{}, 0
+	}
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.trimmed, st.horizon
 }
 
 // scan collects records at or after cur. lost, when non-nil, reports
 // extents the fault plan has destroyed: hitting one aborts the scan with
 // ErrExtentLost and a cursor parked on the lost extent, so the caller can
-// surface the gap (a tailing follower resyncs from a snapshot). A cursor
+// surface the gap (a tailing follower re-attaches from the head). A cursor
 // short of the end of a trimmed extent fails the same way, with ErrTrimmed.
 func (s *stream) scan(cur Cursor, max int, lost func(ExtentID) bool) ([]Entry, Cursor, error) {
 	s.mu.RLock()

@@ -143,9 +143,21 @@ func TestDropBefore(t *testing.T) {
 		}
 		lastLoc = loc
 	}
-	dropped := s.DropBefore(StreamWAL, lastLoc.Extent)
+	if head, h := s.Head(StreamWAL); head != (Cursor{}) || h != 0 {
+		t.Fatalf("untrimmed head = %+v, horizon %d", head, h)
+	}
+	dropped := s.DropBefore(StreamWAL, lastLoc.Extent, 7)
 	if len(dropped) == 0 {
 		t.Fatal("nothing dropped")
+	}
+	// The head is where a scan of everything retained starts, and the trim's
+	// horizon rides with it; a trim that drops nothing moves neither.
+	head, h := s.Head(StreamWAL)
+	if entries, _, err := s.Scan(StreamWAL, head, 0); err != nil || h != 7 || len(entries) == 0 || entries[0].Loc.Extent != dropped[len(dropped)-1]+1 {
+		t.Fatalf("scan from head %+v (horizon %d): %d entries, %v", head, h, len(entries), err)
+	}
+	if s.DropBefore(StreamWAL, lastLoc.Extent, 9); func() bool { _, h := s.Head(StreamWAL); return h != 7 }() {
+		t.Fatal("a trim that dropped nothing moved the horizon")
 	}
 	for _, id := range dropped {
 		if id >= lastLoc.Extent {
@@ -177,7 +189,7 @@ func TestDropBefore(t *testing.T) {
 	if _, err := s2.Append(StreamWAL, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.DropBefore(StreamWAL, 99); len(got) != 0 {
+	if got := s2.DropBefore(StreamWAL, 99, 1); len(got) != 0 {
 		t.Fatalf("active extent dropped: %v", got)
 	}
 }

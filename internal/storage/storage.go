@@ -3,7 +3,7 @@
 // service; see DESIGN.md §4 for the substitution).
 //
 // The store exposes several independent append-only streams (base pages,
-// delta pages, WAL, mapping table snapshots). Each stream is divided into
+// delta pages, WAL, and a meta stream nothing writes any more). Each stream is divided into
 // uniformly sized extents, mirroring ArkDB's layout, and every extent tracks
 // the usage statistics that workload-aware space reclamation needs: latest
 // update time, valid/invalid record counts, and the update-gradient samples

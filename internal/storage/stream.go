@@ -128,8 +128,10 @@ type stream struct {
 	condemned map[ExtentID]time.Time
 
 	// trimmed is the end of the newest extent DropBefore removed: a scan
-	// from before it has lost records (ErrTrimmed).
+	// from before it has lost records (ErrTrimmed). horizon is what the
+	// trims declared survives (DropBefore).
 	trimmed Cursor
+	horizon uint64
 
 	gcBytesMoved     int64
 	gcBytesReclaimed int64

@@ -47,7 +47,9 @@ const (
 	// reflects every modification with LSN <= CheckpointLSN. RO nodes drop
 	// buffered records up to that point. A checkpoint split over several
 	// records counts in TreeID the records of it still to come: the
-	// declaration holds once the one carrying 0 is in.
+	// declaration holds once the one carrying 0 is in. Each checkpoint also
+	// names one bucket of the leader's leaves whole — bucket PageID of
+	// AuxPage — so any AuxPage checkpoints in a row name every leaf.
 	RecordCheckpoint
 	// RecordNewTree logs creation of a Bw-tree (forest growth): TreeID is
 	// the new tree, AuxPage its root page.
@@ -629,7 +631,7 @@ func (w *Writer) RegisterMetrics(r *metrics.Registry) {
 // is not the successor of the last one seen and the hole did not fill
 // within the reader's reorder window. Gaps mean the reader's view of the
 // log is missing acknowledged records — a trimmed or lost WAL extent — and
-// the consumer must resynchronize from a snapshot (followers) or abort
+// the consumer must re-attach from the retained head (followers) or abort
 // (crash recovery).
 type GapError struct {
 	Expected LSN // the LSN the sequence required next
@@ -672,7 +674,7 @@ type pendingGroup struct {
 // window overflows, or enough polls pass without progress — or a cursor
 // behind a trimmed prefix (storage.ErrTrimmed, on the first poll) is
 // surfaced as *GapError, which means acknowledged records are genuinely
-// missing and the consumer must resynchronize from a snapshot (followers)
+// missing and the consumer must re-attach from the retained head (followers)
 // or abort (crash recovery).
 type Reader struct {
 	store *storage.Store
@@ -697,17 +699,29 @@ func NewReader(store *storage.Store) *Reader {
 	return &Reader{store: store, window: defaultReorderWindow, stuckLimit: defaultStuckPolls}
 }
 
-// NewReaderAt returns a reader positioned at the given cursor (snapshot
-// bootstrap: tail only the WAL suffix the snapshot does not cover).
+// NewReaderAt returns a reader positioned at the given cursor.
 func NewReaderAt(store *storage.Store, cur storage.Cursor) *Reader {
 	r := NewReader(store)
 	r.cur = cur
 	return r
 }
 
-// SetBase declares every LSN at or below lsn already consumed (by a
-// snapshot): such records are silently dropped and the sequence check
-// starts at lsn+1.
+// NewReaderAtHead returns a reader of everything the WAL retains: from its
+// beginning when it was never trimmed, else from the head past the trimmed
+// prefix with every LSN at or below the trim's horizon declared consumed
+// (SetBase). Every record above that horizon is still there; some below it
+// may not be, and only those may have landed in the extents dropped.
+func NewReaderAtHead(store *storage.Store) *Reader {
+	cur, horizon := store.Head(storage.StreamWAL)
+	r := NewReaderAt(store, cur)
+	if horizon > 0 {
+		r.SetBase(LSN(horizon))
+	}
+	return r
+}
+
+// SetBase declares every LSN at or below lsn already consumed: such records
+// are silently dropped and the sequence check starts at lsn+1.
 func (r *Reader) SetBase(lsn LSN) {
 	r.last = lsn
 	r.based = true
@@ -823,7 +837,7 @@ func (r *Reader) deliver(recs []*Record) ([]*Record, error) {
 // PollGroups is Poll preserving commit-group boundaries: each inner slice
 // holds the records one storage append sealed together, so a follower can
 // replay a whole group before publishing its high LSN and never expose a
-// half-applied batch. Records already consumed (snapshot base, retry
+// half-applied batch. Records already consumed (the base, retry
 // duplicates) are filtered from their group; groups left empty are elided.
 func (r *Reader) PollGroups() ([][]*Record, error) {
 	entries, next, err := r.store.Scan(storage.StreamWAL, r.cur, 0)

@@ -237,7 +237,7 @@ func TestTrimmedPrefixIsAGapAtOnce(t *testing.T) {
 		}
 		appendOne()
 	}
-	if dropped := st.DropBefore(storage.StreamWAL, first+1); len(dropped) != 1 {
+	if dropped := st.DropBefore(storage.StreamWAL, first+1, 0); len(dropped) != 1 {
 		t.Fatalf("trim dropped %v, want extent %d", dropped, first)
 	}
 

@@ -64,13 +64,14 @@ type followers struct {
 	ros    []*replication.RONode
 }
 
-// attach opens one follower per shard, bootstrapped from the shard
-// store's latest snapshot when one exists (full WAL replay otherwise).
+// attach opens one follower per shard, each attached from the retained head
+// of its shard's WAL: from LSN 1 on a log never trimmed, else the checkpoint
+// rotation past the trim and the log after it.
 func (ls *leaderSet) attach() (*followers, error) {
 	f := &followers{}
 	f.reader = ls.group.Router().Reader(func(i int) graph.Reader { return f.ros[i].Replica() })
 	for i := 0; i < ls.group.Shards(); i++ {
-		ro, err := replication.NewRONodeFromSnapshot(ls.group.Store(i), ls.cfg.followerPoll, ls.cfg.followerCache)
+		ro, err := replication.NewRONode(ls.group.Store(i), ls.cfg.followerPoll, ls.cfg.followerCache)
 		if err != nil {
 			f.stop()
 			return nil, err
@@ -115,7 +116,7 @@ func (ls *leaderSet) lag() uint64 {
 	return worst
 }
 
-// resyncs counts snapshot re-bootstraps across the attached followers.
+// resyncs counts re-attaches across the attached followers.
 func (ls *leaderSet) resyncs() int64 {
 	var n int64
 	for _, f := range ls.followers() {

@@ -124,7 +124,10 @@ type Options struct {
 
 	// FlushInterval drives the background dirty-page flusher (replicated
 	// mode; default 50ms). FlushThreshold additionally triggers a flush at
-	// that many dirty pages.
+	// that many dirty pages. Every flush publishes a checkpoint that also
+	// names a slice of the pages, and trims the WAL before the last rotation
+	// of them: that bounds both the log a new replica reads and the space the
+	// WAL occupies, with no snapshot to take.
 	FlushInterval  time.Duration
 	FlushThreshold int
 
@@ -135,12 +138,6 @@ type Options struct {
 	// ReplicaCacheCapacity bounds each replica's page cache
 	// (0 = unlimited).
 	ReplicaCacheCapacity int
-
-	// SnapshotInterval periodically persists a snapshot of the durable
-	// state and trims the covered WAL prefix (replicated mode; 0 disables).
-	// Snapshots bound both the WAL a new replica must replay and the
-	// shared-storage space the WAL occupies.
-	SnapshotInterval time.Duration
 }
 
 // layers is Options translated for the layers below the root API. Every

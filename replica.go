@@ -1,8 +1,9 @@
 package bg3
 
-// WriteSnapshot persists a snapshot of the database's durable shape so
-// that future replicas bootstrap without replaying the whole WAL, and so
-// TrimWAL can drop the covered WAL prefix. Only valid on a replicated DB.
+// WriteSnapshot completes a checkpoint rotation now: enough checkpoints in a
+// row that together they name every page, after which the WAL before the
+// first is trimmed and a replica opened afterwards reads the log from there.
+// The flusher does the same on its own cadence. Only valid on a replicated DB.
 func (db *DB) WriteSnapshot() error {
 	if db.leader() == nil {
 		return ErrNotReplicated
@@ -11,10 +12,9 @@ func (db *DB) WriteSnapshot() error {
 	return err
 }
 
-// TrimWAL drops the WAL prefix covered by the most recent snapshot,
-// returning the number of extents freed. Replicas attached before the
-// snapshot are unaffected; replicas opened afterwards bootstrap from the
-// snapshot automatically.
+// TrimWAL trims the WAL before the last checkpoint rotation now, returning
+// the number of extents freed. Every checkpoint already does; a replica the
+// trim outran re-attaches on its next Sync.
 func (db *DB) TrimWAL() int {
 	if db.leader() == nil {
 		return 0
@@ -51,8 +51,8 @@ func (r *Replica) Stop() { r.f.stop() }
 // AppliedLSN returns the highest WAL LSN this replica has applied.
 func (r *Replica) AppliedLSN() uint64 { return uint64(r.f.ros[0].AppliedLSN()) }
 
-// Resyncs returns how many times the replica re-bootstrapped from a
-// snapshot after a WAL trim or lost extent outran its tailing.
+// Resyncs returns how many times the replica re-attached after a WAL trim or
+// lost extent outran its tailing.
 func (r *Replica) Resyncs() int64 { return r.f.ros[0].Resyncs() }
 
 // Sync synchronously drains the WAL so subsequent reads reflect every
