@@ -24,7 +24,6 @@ package bg3
 
 import (
 	"errors"
-	"time"
 
 	"bg3/internal/core"
 	"bg3/internal/graph"
@@ -136,11 +135,6 @@ func Open(opts *Options) (*DB, error) {
 		}
 		return &DB{reads: reads{engine}, writes: engine, store: engine.Store(), engine: engine}, nil
 	}
-	// Replicas keep reading old page versions until a checkpoint ships
-	// relocated locations, so reclaimed extents must linger past a few
-	// flush + poll cycles before their memory is released. OpenSharded
-	// does not set this: see ROADMAP "Fix first".
-	cfg.storage.ReclaimGrace = time.Second + 8*cfg.rw.FlushInterval
 	// One registry for the DB's lifetime: a promoted leader registers its
 	// engine and WAL instruments over its predecessor's, next to the
 	// follower gauges registered here once.

@@ -12,6 +12,7 @@ import (
 // sequence (replication.Failover): what to write through, how to depose a
 // leader, and where its fence epoch and failover count surface.
 type failoverTarget struct {
+	ls       *leaderSet // the deployment under both root types
 	store    graph.Store
 	failover func() error
 	// kill fences the leader failover() replaces, as a crash would leave
@@ -24,8 +25,8 @@ type failoverTarget struct {
 	// alone (the other shards).
 	untouched func() []uint64
 	// follower opens a read handle on follower nodes and returns it with
-	// its Sync.
-	follower func(t *testing.T) (graph.Reader, func() error)
+	// its Sync and its Stop.
+	follower func(t *testing.T) (graph.Reader, func() error, func())
 	// resyncs counts the re-attaches of every attached follower, and lag is
 	// the worst of their applied LSNs behind their leader's last.
 	resyncs func() int64
@@ -34,6 +35,8 @@ type failoverTarget struct {
 	// reports whether every leader's WAL has lost a prefix.
 	rotate  func() error
 	trimmed func() bool
+	// runGC runs one GC pass of batch extents on every leader.
+	runGC func(batch int) error
 }
 
 func trimmed(stores ...*storage.Store) bool {
@@ -59,6 +62,7 @@ func dbFailoverTarget(o Options) func(t *testing.T) failoverTarget {
 
 func dbTarget(t *testing.T, db *DB) failoverTarget {
 	return failoverTarget{
+		ls:         db.ls,
 		store:      db,
 		failover:   db.Failover,
 		kill:       func() error { return fence(db.store) },
@@ -72,17 +76,21 @@ func dbTarget(t *testing.T, db *DB) failoverTarget {
 		},
 		failovers: db.Failovers,
 		untouched: func() []uint64 { return nil },
-		follower: func(t *testing.T) (graph.Reader, func() error) {
+		follower: func(t *testing.T) (graph.Reader, func() error, func()) {
 			rep, err := db.OpenReplica()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rep, rep.Sync
+			return rep, rep.Sync, rep.Stop
 		},
 		resyncs: func() int64 { return db.Stats().Replication.Resyncs },
 		lag:     db.ls.lag,
 		rotate:  db.WriteSnapshot,
 		trimmed: func() bool { return trimmed(db.store) },
+		runGC: func(batch int) error {
+			_, err := db.RunGC(batch)
+			return err
+		},
 	}
 }
 
@@ -94,6 +102,7 @@ func shardFailoverTarget(o Options, victim int) func(t *testing.T) failoverTarge
 			t.Fatal("failover of a nonexistent shard succeeded")
 		}
 		return failoverTarget{
+			ls:         db.leaderSet,
 			store:      db,
 			failover:   func() error { return db.Failover(victim) },
 			kill:       func() error { return fence(db.Group().Store(victim)) },
@@ -109,12 +118,12 @@ func shardFailoverTarget(o Options, victim int) func(t *testing.T) failoverTarge
 				}
 				return out
 			},
-			follower: func(t *testing.T) (graph.Reader, func() error) {
+			follower: func(t *testing.T) (graph.Reader, func() error, func()) {
 				view, err := db.OpenReadView()
 				if err != nil {
 					t.Fatal(err)
 				}
-				return view, view.Sync
+				return view, view.Sync, view.Stop
 			},
 			resyncs: db.resyncs,
 			lag:     db.lag,
@@ -132,6 +141,14 @@ func shardFailoverTarget(o Options, victim int) func(t *testing.T) failoverTarge
 					stores[i] = db.Group().Store(i)
 				}
 				return trimmed(stores...)
+			},
+			runGC: func(batch int) error {
+				for i := 0; i < shards; i++ {
+					if _, err := db.Group().Leader(i).Engine().RunGC(batch); err != nil {
+						return err
+					}
+				}
+				return nil
 			},
 		}
 	}
@@ -180,7 +197,7 @@ func TestFailover(t *testing.T) {
 					}
 				}
 			}
-			reader, sync := tgt.follower(t)
+			reader, sync, _ := tgt.follower(t)
 			// Leaders and the follower handle opened before any failover
 			// (one sync later) agree on every acked edge.
 			check := func(when string) {
@@ -283,7 +300,7 @@ func TestShardedFailoverOnTrimmedWAL(t *testing.T) {
 var trimmedOpts = Options{ExtentSize: 4 << 10, MaxPageEntries: 8, ReplicaPollInterval: time.Millisecond}
 
 func failoverOnTrimmedWAL(t *testing.T, tgt failoverTarget) {
-	reader, sync := tgt.follower(t)
+	reader, sync, _ := tgt.follower(t)
 	acked := 0
 	write := func(n int) {
 		t.Helper()

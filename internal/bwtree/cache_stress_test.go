@@ -20,7 +20,7 @@ func TestStressShardedCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
 	}
-	st := storage.Open(&storage.Options{ExtentSize: 1 << 12, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 12})
 	m := NewMappingShards(32, false, 8)
 	if m.ShardCount() != 8 {
 		t.Fatalf("shard count = %d, want 8", m.ShardCount())

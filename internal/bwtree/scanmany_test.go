@@ -57,7 +57,7 @@ func oneScanPerLeaf(tr *Tree, leaves []*pageEntry) []RangeScan {
 
 // TestScanManyAtRetriesOnlyReclaimedMembers: GC relocates and reclaims one
 // extent between a hop batch's location snapshot and its read (an
-// unreplicated store has no reclaim grace: the extent is gone at once).
+// store without a log releases a reclaimed extent at once).
 // Only the pages that sat in that extent are retried, one by one through
 // the single-page path; the rest of the batch stands, every key is
 // delivered exactly once, the caller sees no error, and a retried page is

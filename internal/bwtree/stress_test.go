@@ -24,12 +24,13 @@ import (
 // TestStressParallelReadersWritersGC hammers one tree with concurrent
 // writers (disjoint key ranges), readers (point gets and scans), and a GC
 // goroutine relocating sealed extents underneath them. Run with -race; the
-// grace period keeps superseded locations readable for in-flight readers.
+// store has no log, so a reclaimed extent is released at once, under readers
+// still holding its locations.
 func TestStressParallelReadersWritersGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
 	}
-	st := storage.Open(&storage.Options{ExtentSize: 1 << 10, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 10})
 	m := NewMapping(0, false)
 	tr, err := New(m, st, Config{MaxPageEntries: 16, ConsolidateNum: 4}, nil)
 	if err != nil {

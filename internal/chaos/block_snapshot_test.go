@@ -90,7 +90,7 @@ func TestSnapshotTraversalAcrossBlockBuilds(t *testing.T) {
 		edgesPer = 6
 		readers  = 4
 	)
-	st := storage.Open(&storage.Options{ExtentSize: 8 << 10, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 8 << 10})
 	defer st.Close()
 	rw, err := replication.NewRWNode(st, replication.RWOptions{
 		Engine: core.Options{

@@ -152,10 +152,7 @@ func Run(cfg Config) (*Report, error) {
 	plan.SetEnabled(false) // quiet while the node bootstraps
 	st := storage.Open(&storage.Options{
 		ExtentSize: cfg.ExtentSize,
-		// Keep reclaimed extents readable for the whole run: a checkpoint's
-		// naming may reference pre-relocation locations until the next one.
-		ReclaimGrace: time.Hour,
-		Faults:       plan,
+		Faults:     plan,
 	})
 	defer st.Close()
 

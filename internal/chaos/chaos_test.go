@@ -155,7 +155,8 @@ func TestChaosQuiet(t *testing.T) {
 
 // TestChaosGC layers synchronous GC cycles into the faulty workload: page
 // relocation concurrent with crash-recovery must not invalidate the
-// durability property (ReclaimGrace keeps superseded locations readable).
+// durability property (the release rule keeps superseded locations readable
+// until every follower has applied the checkpoint that names the new ones).
 func TestChaosGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gc chaos run skipped in short mode")

@@ -131,7 +131,6 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	plan.SetEnabled(false)
 	st := storage.Open(&storage.Options{
 		ExtentSize:   8 << 10,
-		ReclaimGrace: time.Hour,
 		WriteLatency: cfg.StorageWriteLatency,
 		Faults:       plan,
 	})

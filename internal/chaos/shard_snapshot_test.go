@@ -80,7 +80,7 @@ func TestShardSnapshotMatchesUnionOfPrefixes(t *testing.T) {
 		readers  = 4
 	)
 	g, err := shard.Open(shards,
-		&storage.Options{ExtentSize: 8 << 10, ReclaimGrace: time.Hour},
+		&storage.Options{ExtentSize: 8 << 10},
 		replication.RWOptions{
 			Engine: core.Options{
 				Tree: bwtree.Config{

@@ -137,7 +137,7 @@ func TestSnapshotTraversalMatchesGroupBoundary(t *testing.T) {
 		edgesPer = 6
 		readers  = 4
 	)
-	st := storage.Open(&storage.Options{ExtentSize: 8 << 10, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 8 << 10})
 	defer st.Close()
 	rw, err := replication.NewRWNode(st, replication.RWOptions{
 		Engine: core.Options{
@@ -332,7 +332,7 @@ func TestStressSnapshotReadersUnderWriteStorm(t *testing.T) {
 		edgesPer = 4
 		readers  = 4
 	)
-	st := storage.Open(&storage.Options{ExtentSize: 16 << 10, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 16 << 10})
 	defer st.Close()
 	rw, err := replication.NewRWNode(st, replication.RWOptions{
 		Engine: core.Options{

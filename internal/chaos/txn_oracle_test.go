@@ -38,7 +38,7 @@ func TestTxnLeaderKillAllOrNothing(t *testing.T) {
 		rounds  = 150 // writers*rounds = 1200 multi-shard batches
 	)
 	g, err := shard.Open(shards,
-		&storage.Options{ExtentSize: 32 << 10, ReclaimGrace: time.Hour},
+		&storage.Options{ExtentSize: 32 << 10},
 		replication.RWOptions{
 			Engine: core.Options{
 				Tree: bwtree.Config{

@@ -16,8 +16,8 @@ import (
 
 // TestStressHopBatchesRaceGCAndWriters races batched traversal hops against
 // writers overwriting the edges they read and a GC loop relocating and
-// reclaiming extents under them, on an unreplicated engine (no reclaim
-// grace: a reclaimed extent is gone at once) with an 8-page cache. The
+// reclaiming extents under them, on an unreplicated engine (no log: a
+// reclaimed extent is released at once) with an 8-page cache. The
 // edge set never changes — only property values do — so every traversal
 // must equal the reference BFS, and a relocation that invalidates part of a
 // hop's batch must never surface as an error. Run with -race.

@@ -19,7 +19,7 @@ func TestStressForestOwnersReadersGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
 	}
-	st := storage.Open(&storage.Options{ExtentSize: 1 << 11, ReclaimGrace: time.Hour})
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 11})
 	m := bwtree.NewMapping(0, false)
 	f, err := New(m, st, Config{
 		SplitThreshold: 40, // half the owners cross it and migrate mid-run

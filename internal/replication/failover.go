@@ -52,6 +52,11 @@ func (n *RONode) lead(opts RWOptions, epoch uint64) (*RWNode, error) {
 	// append instead of silently adopting the winner's.
 	writer := wal.NewWriterFromEpoch(n.store, n.reader.LastLSN()+1, epoch)
 	n.reader = nil // the leader's from here, or nobody's
+	// A leader holds no floor. It holds the last checkpoint's locations,
+	// though, and those may point into extents its predecessor condemned but
+	// never stamped: they become resident again, for its GC to reclaim.
+	n.floor.Leave()
+	n.store.Reinstate()
 	src := mvcc.NewSource(0)
 	return assembleRWNode(n.store, opts, writer, src, func(logger *wal.GroupCommitter) (*core.Engine, error) {
 		return n.Replica().TakeOver(n.store, opts.engineOptions(src, logger))

@@ -334,8 +334,13 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 		return 0, err
 	}
 	// Pages GC relocated since the last checkpoint must also reach the
-	// replicas, or their old locations would dangle once the condemned
-	// extents are released.
+	// replicas. A reclaim relocates before it condemns, so the live records of
+	// every extent condemned by mark are in what TakeRelocated returns now or
+	// returned before, and its dead ones were superseded by this cycle's flush
+	// or an earlier one. This cycle's checkpoint, or the last one when idle,
+	// names all of them: it is the LSN the extents are stamped with
+	// (storage.Store.Stamp).
+	mark := n.store.CondemnMark()
 	updates = append(updates, n.engine.Mapping().TakeRelocated()...)
 	// Nothing is new when no page moved, the last record logged is the last
 	// checkpoint itself, and that checkpoint's horizon covers every record
@@ -344,6 +349,7 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	// an idle leader would checkpoint its own checkpoints forever. Writes that
 	// raced the last cycle's flush need one more, if only to declare them.)
 	if !force && len(updates) == 0 && horizon == n.ckptTail && n.ckptAll {
+		n.store.Stamp(mark, uint64(n.ckptTail))
 		return horizon, nil
 	}
 	// The naming goes last: a page flushed or moved this cycle is named as it
@@ -354,6 +360,7 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 		return 0, err
 	}
 	n.ckptAll = n.ckptTail-horizon == wal.LSN(records)
+	n.store.Stamp(mark, uint64(n.ckptTail))
 	n.named++
 	n.points = append(n.points, bootPoint{cursor, horizon})
 	n.trimLocked()
@@ -484,6 +491,10 @@ type RONode struct {
 	store    *storage.Store
 	cacheCap int
 
+	// floor holds the store's condemned extents back until this node has
+	// applied the checkpoint that names their records' new locations.
+	floor *storage.Follower
+
 	// reg is the node's registry for its whole life: the replica's page-table
 	// accounting (the leader's bwtree.* read metrics, measured here) plus the
 	// replication.* gauges below. A resync re-registers the fresh replica.
@@ -522,11 +533,15 @@ func NewRONode(st *storage.Store, interval time.Duration, cacheCapacity int) (*R
 
 // attach is NewRONode without the tailing loop: a follower of the log from its
 // retained head, which applies the rest when told to (Poll) — or once, to its
-// end, to lead.
+// end, to lead. It registers with the store before it reads the head: an
+// extent released before that was stamped by a checkpoint already logged, which
+// the follower applies — or a later naming of the same pages — before it serves
+// a read.
 func attach(st *storage.Store, cacheCapacity int) (*RONode, error) {
 	n := &RONode{
 		store:    st,
 		cacheCap: cacheCapacity,
+		floor:    st.Follow(),
 		reg:      metrics.NewRegistry(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -534,6 +549,7 @@ func attach(st *storage.Store, cacheCapacity int) (*RONode, error) {
 	n.reg.GaugeFunc("replication.applied_lsn", func() int64 { return int64(n.AppliedLSN()) })
 	n.reg.GaugeFunc("replication.buffered_records", func() int64 { return int64(n.Replica().BufferedRecords()) })
 	if err := n.bootstrap(); err != nil {
+		n.floor.Leave()
 		return nil, err
 	}
 	return n, nil
@@ -554,6 +570,7 @@ func (n *RONode) bootstrap() error {
 			n.mu.Lock()
 			n.replica = replica
 			n.mu.Unlock()
+			n.floor.Applied(uint64(replica.HighLSN()))
 			return nil
 		}
 		if gap := (*wal.GapError)(nil); !errors.As(err, &gap) {
@@ -605,6 +622,8 @@ func (n *RONode) Poll() error {
 		}
 		_, err = n.Replica().ApplyFrom(n.reader)
 	}
+	// Whatever was applied, the checkpoints in it have repointed their pages.
+	n.floor.Applied(uint64(n.AppliedLSN()))
 	return err
 }
 
@@ -644,10 +663,12 @@ func (n *RONode) Err() error {
 	return n.lastErr
 }
 
-// Stop halts the polling loop.
+// Stop halts the polling loop and deregisters the node from the store's
+// release rule: it holds no condemned extent from here on.
 func (n *RONode) Stop() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	<-n.done
+	n.floor.Leave()
 }
 
 // Replica exposes the underlying replica for reads. The pointer is

@@ -23,7 +23,7 @@ import (
 func openTestGroup(t *testing.T, shards int) *Group {
 	t.Helper()
 	g, err := Open(shards,
-		&storage.Options{ExtentSize: 32 << 10, ReclaimGrace: time.Hour},
+		&storage.Options{ExtentSize: 32 << 10},
 		replication.RWOptions{
 			Engine: core.Options{
 				Tree: bwtree.Config{

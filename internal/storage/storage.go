@@ -113,14 +113,6 @@ type Options struct {
 	// Default 10s.
 	GradientDecay time.Duration
 
-	// ReclaimGrace keeps reclaimed extents readable (condemned, excluded
-	// from usage and space accounting) for this long before their memory
-	// is released. Replicated deployments need it: RO nodes keep reading
-	// old page versions until a checkpoint ships the relocated locations
-	// (§3.4), so the old extent must outlive that window. 0 frees
-	// immediately (single-node default).
-	ReclaimGrace time.Duration
-
 	// Faults, when non-nil, injects seeded faults (transient errors, torn
 	// writes, latency spikes, extent loss, crash points) into every
 	// operation. Nil disables injection with zero overhead on the hot path.
@@ -164,6 +156,7 @@ type Metrics struct {
 	LiveBytes        int64 // valid record bytes currently stored
 	TotalBytes       int64 // capacity of all resident extents
 	ExtentCount      int64
+	CondemnedExtents int64 // reclaimed, not yet released: readable, outside TotalBytes
 	FencedAppends    int64 // appends rejected with ErrFenced
 }
 
@@ -185,6 +178,12 @@ type Store struct {
 
 	mu     sync.Mutex
 	closed bool
+
+	// The release rule (release.go): condemnSeq numbers condemnations, relMu
+	// serializes stamps and release passes and guards followers.
+	condemnSeq atomic.Uint64
+	relMu      sync.Mutex
+	followers  map[*Follower]struct{}
 
 	// I/O accounting. Lock-free atomics: with the batched read path issuing
 	// overlapping round trips from many goroutines, a shared counter mutex
@@ -215,7 +214,7 @@ func pause(d time.Duration) {
 // Open creates an empty store.
 func Open(opts *Options) *Store {
 	o := opts.withDefaults()
-	s := &Store{opts: o}
+	s := &Store{opts: o, followers: make(map[*Follower]struct{})}
 	for i := range s.streams {
 		s.streams[i] = newStream(StreamID(i), o)
 	}
@@ -397,6 +396,7 @@ func (s *Store) Stats() Metrics {
 		m.LiveBytes += sm.LiveBytes
 		m.TotalBytes += sm.TotalBytes
 		m.ExtentCount += sm.ExtentCount
+		m.CondemnedExtents += sm.CondemnedExtents
 	}
 	return m
 }
@@ -431,7 +431,9 @@ func (s *Store) Usage(id StreamID) []ExtentUsage {
 type RelocateFunc func(tag uint64, old, new Loc) bool
 
 // Reclaim rewrites all still-valid records of the given extent to the tail
-// of its stream, then drops the extent. It returns the number of bytes
+// of its stream, then condemns the extent: it leaves usage and space
+// accounting at once and is released under the store's release rule
+// (release.go) — at once on a store without a log. It returns the number of bytes
 // relocated (the write amplification the GC experiments measure).
 func (s *Store) Reclaim(id StreamID, ext ExtentID, relocate RelocateFunc) (movedBytes int64, err error) {
 	st, errs := s.stream(id)

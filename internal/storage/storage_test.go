@@ -5,6 +5,7 @@ import (
 
 	"bg3/internal/metrics"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -419,44 +420,127 @@ func TestLocString(t *testing.T) {
 	}
 }
 
-func TestReclaimGraceKeepsCondemnedReadable(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	s := Open(&Options{ExtentSize: 64, Now: clock, ReclaimGrace: 10 * time.Second})
-	var locs []Loc
-	for i := 0; i < 17; i++ { // extents A and B sealed, third active
-		loc, _ := s.Append(StreamBase, uint64(i), bytes.Repeat([]byte{byte(i)}, 8))
-		locs = append(locs, loc)
+// TestReleaseRule pins when a reclaimed extent's memory goes: at reclaim on
+// a store without a log; otherwise it is condemned — readable, out of usage
+// and space accounting, not reclaimable twice — until a checkpoint stamps it
+// and every registered follower has applied that checkpoint. No clock is read.
+func TestReleaseRule(t *testing.T) {
+	open := func(logged bool) (*Store, []Loc) {
+		s := Open(&Options{ExtentSize: 64})
+		if logged {
+			if _, err := s.Append(StreamWAL, 0, []byte("log")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var locs []Loc
+		for i := 0; i < 33; i++ { // four sealed extents, a fifth active
+			loc, _ := s.Append(StreamBase, uint64(i), bytes.Repeat([]byte{byte(i)}, 8))
+			locs = append(locs, loc)
+		}
+		for _, loc := range locs[:24] { // the first three die: a reclaim moves nothing
+			s.Invalidate(loc)
+		}
+		return s, locs
 	}
-	ext := locs[0].Extent
-	s.Invalidate(locs[0])
-	s.Invalidate(locs[9]) // fragment extent B too
-	if _, err := s.Reclaim(StreamBase, ext, func(tag uint64, old, new Loc) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	// Old locations in the condemned extent remain readable during grace.
-	if _, err := s.Read(locs[1]); err != nil {
-		t.Fatalf("condemned read during grace: %v", err)
-	}
-	// Space accounting excludes the condemned extent.
-	for _, u := range s.Usage(StreamBase) {
-		if u.Extent == ext {
-			t.Fatal("condemned extent still in usage")
+	reclaim := func(t *testing.T, s *Store, ext ExtentID) {
+		t.Helper()
+		if _, err := s.Reclaim(StreamBase, ext, func(uint64, Loc, Loc) bool { return true }); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Re-reclaiming a condemned extent is rejected.
-	if _, err := s.Reclaim(StreamBase, ext, nil); err != ErrReclaimed {
-		t.Fatalf("double reclaim = %v, want ErrReclaimed", err)
+	readable := func(t *testing.T, s *Store, loc Loc, want bool) {
+		t.Helper()
+		_, err := s.Read(loc)
+		if want && err != nil {
+			t.Fatalf("condemned extent %d unreadable: %v", loc.Extent, err)
+		}
+		if !want && err != ErrReclaimed {
+			t.Fatalf("read of released extent %d = %v, want ErrReclaimed", loc.Extent, err)
+		}
 	}
-	// After the grace period (purged on the next reclaim cycle) the old
-	// locations finally die.
-	now = now.Add(time.Minute)
-	if _, err := s.Reclaim(StreamBase, locs[9].Extent, func(uint64, Loc, Loc) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(locs[1]); err != ErrReclaimed {
-		t.Fatalf("read after grace = %v, want ErrReclaimed", err)
-	}
+
+	t.Run("no log", func(t *testing.T) {
+		s, locs := open(false)
+		reclaim(t, s, locs[0].Extent)
+		readable(t, s, locs[0], false)
+	})
+
+	t.Run("logged", func(t *testing.T) {
+		s, locs := open(true)
+		before := s.Stats()
+		a, b, c := locs[0], locs[8], locs[16] // one record of each of three extents
+		f := s.Follow()
+		reclaim(t, s, a.Extent)
+		mark := s.CondemnMark()
+		reclaim(t, s, b.Extent) // condemned past the mark
+		for _, loc := range []Loc{a, b} {
+			readable(t, s, loc, true)
+			for _, u := range s.Usage(StreamBase) {
+				if u.Extent == loc.Extent {
+					t.Fatalf("condemned extent %d still in usage", loc.Extent)
+				}
+			}
+			if _, err := s.Reclaim(StreamBase, loc.Extent, nil); err != ErrReclaimed {
+				t.Fatalf("second reclaim of %d = %v, want ErrReclaimed", loc.Extent, err)
+			}
+		}
+		after := s.Stats()
+		if after.TotalBytes != before.TotalBytes-128 || after.ExtentCount != before.ExtentCount-2 {
+			t.Fatalf("space accounting %d bytes in %d extents, want %d in %d",
+				after.TotalBytes, after.ExtentCount, before.TotalBytes-128, before.ExtentCount-2)
+		}
+
+		// Stamped, but the follower has not applied the checkpoint.
+		s.Stamp(mark, 10)
+		f.Applied(9)
+		readable(t, s, a, true)
+		// Applied: a goes; b, condemned past the mark, is not stamped yet.
+		f.Applied(10)
+		readable(t, s, a, false)
+		readable(t, s, b, true)
+
+		// A second follower holds b from registration on, and the first
+		// leaving does not let it go.
+		g := s.Follow()
+		s.Stamp(s.CondemnMark(), 20)
+		f.Leave()
+		readable(t, s, b, true)
+		g.Applied(20)
+		readable(t, s, b, false)
+
+		// With no follower registered a stamp releases at once.
+		g.Leave()
+		reclaim(t, s, c.Extent)
+		readable(t, s, c, true)
+		s.Stamp(s.CondemnMark(), 30)
+		readable(t, s, c, false)
+		if got := s.Stats(); got.TotalBytes != after.TotalBytes-64 {
+			t.Fatalf("space accounting %d bytes, want %d: a release moved it", got.TotalBytes, after.TotalBytes-64)
+		}
+	})
+
+	t.Run("reinstate", func(t *testing.T) {
+		s, locs := open(true)
+		a, b := locs[0], locs[8]
+		reclaim(t, s, a.Extent)
+		s.Stamp(s.CondemnMark(), 10)
+		f := s.Follow() // holds a, stamped
+		reclaim(t, s, b.Extent)
+		s.Reinstate()
+		// The unstamped extent is resident again, and reclaimable; the
+		// stamped one stays condemned.
+		var ids []ExtentID
+		for _, u := range s.Usage(StreamBase) {
+			ids = append(ids, u.Extent)
+		}
+		if !slices.Contains(ids, b.Extent) || slices.Contains(ids, a.Extent) || !slices.IsSorted(ids) {
+			t.Fatalf("usage after reinstate lists extents %v (a=%d b=%d)", ids, a.Extent, b.Extent)
+		}
+		reclaim(t, s, b.Extent)
+		f.Applied(10)
+		readable(t, s, a, false)
+		readable(t, s, b, true)
+	})
 }
 
 func TestGCBytesReclaimedAccounting(t *testing.T) {

@@ -105,6 +105,7 @@ type streamStats struct {
 	LiveBytes        int64
 	TotalBytes       int64
 	ExtentCount      int64
+	CondemnedExtents int64
 }
 
 // stream is one append-only sequence of extents.
@@ -124,8 +125,9 @@ type stream struct {
 	// all streams start in, and plain Append carries token 0.
 	epoch uint64
 
-	// condemned extents stay readable until the grace period lapses.
-	condemned map[ExtentID]time.Time
+	// condemned extents are reclaimed but stay readable until released
+	// (release.go).
+	condemned map[ExtentID]condemnation
 
 	// trimmed is the end of the newest extent DropBefore removed: a scan
 	// from before it has lost records (ErrTrimmed). horizon is what the
@@ -145,7 +147,7 @@ func newStream(id StreamID, opts Options) *stream {
 		id:        id,
 		opts:      opts,
 		extents:   make(map[ExtentID]*extent),
-		condemned: make(map[ExtentID]time.Time),
+		condemned: make(map[ExtentID]condemnation),
 	}
 }
 
@@ -323,6 +325,7 @@ func (s *stream) stats() streamStats {
 		ExtentsReclaimed: s.extentsReclaimed,
 		ExtentsExpired:   s.extentsExpired,
 		ExtentCount:      int64(len(s.order)),
+		CondemnedExtents: int64(len(s.condemned)),
 	}
 	for _, id := range s.order {
 		if e, ok := s.extents[id]; ok {
@@ -386,10 +389,11 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 		moved += int64(len(lr.data))
 	}
 
-	// Phase 3: retire the extent. With a grace period it stays readable
-	// (condemned) so lagging readers holding old locations — RO replicas
-	// awaiting a checkpoint — do not break; its space no longer counts.
-	now := s.opts.Now()
+	// Phase 3: retire the extent. On a store with a log it stays readable
+	// (condemned) until the release rule lets it go, so followers holding
+	// old locations until a checkpoint names the new ones do not break; its
+	// space no longer counts.
+	held := store.logged()
 	s.mu.Lock()
 	for i, id := range s.order {
 		if id == ext {
@@ -397,12 +401,11 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 			break
 		}
 	}
-	if s.opts.ReclaimGrace > 0 {
-		s.condemned[ext] = now
+	if held {
+		s.condemned[ext] = store.condemn()
 	} else {
 		delete(s.extents, ext)
 	}
-	s.purgeCondemnedLocked(now)
 	s.gcBytesMoved += moved
 	if freed := int64(len(e.buf)) - moved; freed > 0 {
 		s.gcBytesReclaimed += freed
@@ -411,20 +414,6 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 	s.extentsReclaimed++
 	s.mu.Unlock()
 	return moved, nil
-}
-
-// purgeCondemnedLocked releases condemned extents older than the grace
-// period. Caller holds s.mu.
-func (s *stream) purgeCondemnedLocked(now time.Time) {
-	if len(s.condemned) == 0 {
-		return
-	}
-	for id, since := range s.condemned {
-		if now.Sub(since) >= s.opts.ReclaimGrace {
-			delete(s.condemned, id)
-			delete(s.extents, id)
-		}
-	}
 }
 
 func (s *stream) dropExpired(deadline time.Time) []ExtentID {

@@ -1,6 +1,7 @@
 package bg3
 
 import (
+	"slices"
 	"sync"
 
 	"bg3/internal/graph"
@@ -32,11 +33,7 @@ func openLeaderSet(shards int, cfg layers) (*leaderSet, error) {
 // close stops every attached follower, then every shard's committer,
 // flusher, engine and store.
 func (ls *leaderSet) close() {
-	ls.mu.Lock()
-	attached := ls.attached
-	ls.attached = nil
-	ls.mu.Unlock()
-	for _, f := range attached {
+	for _, f := range ls.followers() {
 		f.stop()
 	}
 	ls.group.Close()
@@ -60,6 +57,7 @@ func (ls *leaderSet) followers() []*followers {
 // not embedded as a graph.Reader, whose method set would hide the router's
 // graph.FrontierReader and make every hop expand per vertex.
 type followers struct {
+	ls     *leaderSet
 	reader graph.Reader
 	ros    []*replication.RONode
 }
@@ -68,7 +66,7 @@ type followers struct {
 // of its shard's WAL: from LSN 1 on a log never trimmed, else the checkpoint
 // rotation past the trim and the log after it.
 func (ls *leaderSet) attach() (*followers, error) {
-	f := &followers{}
+	f := &followers{ls: ls}
 	f.reader = ls.group.Router().Reader(func(i int) graph.Reader { return f.ros[i].Replica() })
 	for i := 0; i < ls.group.Shards(); i++ {
 		ro, err := replication.NewRONode(ls.group.Store(i), ls.cfg.followerPoll, ls.cfg.followerCache)
@@ -84,7 +82,12 @@ func (ls *leaderSet) attach() (*followers, error) {
 	return f, nil
 }
 
+// stop detaches the set: it leaves the attached ones, and each node stops
+// tailing and holds no condemned extent any more.
 func (f *followers) stop() {
+	f.ls.mu.Lock()
+	f.ls.attached = slices.DeleteFunc(f.ls.attached, func(g *followers) bool { return g == f })
+	f.ls.mu.Unlock()
 	for _, ro := range f.ros {
 		ro.Stop()
 	}
