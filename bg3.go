@@ -19,18 +19,22 @@
 // I/O-efficient leader-follower synchronization: every write is
 // group-committed to a write-ahead log on the shared store, and read-only
 // replicas attached with DB.OpenReplica tail that log, providing strongly
-// consistent reads that scale out (§3.4).
+// consistent reads that scale out (§3.4). Options.Shards splits the vertex
+// space across that many such leaders (§3.1), behind the same DB.
 package bg3
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"sync"
 
 	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 	"bg3/internal/pattern"
 	"bg3/internal/replication"
-	"bg3/internal/storage"
+	"bg3/internal/shard"
 )
 
 // Re-exported graph model types; see the graph package for details.
@@ -78,88 +82,136 @@ const (
 	ETypeTransfer = graph.ETypeTransfer
 )
 
-// ErrNotReplicated is returned by OpenReplica on a DB opened without
-// Options.Replicated.
+// ErrNotReplicated is returned by the calls that need a write-ahead log
+// (OpenReplica, Failover, WriteSnapshot, SnapshotAt, ApplyBatchEx) on a DB
+// that runs a bare engine.
 var ErrNotReplicated = errors.New("bg3: database opened without replication")
 
-// DB is a BG3 database handle: a bare engine, or with Options.Replicated a
-// one-shard leader set — the same leader, WAL, failover and follower
-// machinery a ShardedDB runs per shard. All methods are safe for
-// concurrent use.
+// DB is a BG3 database handle. Open builds one of two shapes behind it, and
+// every method serves both:
+//
+//   - a bare engine (Options.Replicated unset, Options.Shards <= 1): no WAL,
+//     every write persisted at once, reads at the latest state;
+//   - a leader set of Options.Shards shards (one if unset): the vertex space
+//     split by hash (§3.1), each shard a single-leader unit with its own
+//     shared-storage volume, WAL stream, group committer, MVCC epoch clock
+//     and failover, followed by the read-only replicas OpenReplica attaches
+//     (§3.4). Writes route to the owning shard, a batch over several shards
+//     commits by two-phase commit, and traversals pin a consistent cut.
+//
+// Per-shard calls (Failover, Epoch) take a shard index; a bare engine is
+// shard 0. Maintenance calls (RunGC, BuildEdgeBlocks, Checkpoint,
+// WriteSnapshot, TrimWAL) act on every shard.
 //
 // GetVertex, GetEdge, Neighbors and Degree (the embedded reads) see the
-// latest state, on the current leader in replicated mode.
+// latest state on the owning shard's current leader; edges live with their
+// source. All methods are safe for concurrent use.
 type DB struct {
 	reads
-	// writes is the engine, or in replicated mode the one-shard group, so
-	// the leader's apply barrier and WAL are engaged and a failover
-	// re-routes writes in place.
+	// writes is the engine or the shard group, so a leader's apply barrier
+	// and WAL are engaged and a failover re-routes writes in place.
 	writes graph.BatchStore
-	store  *storage.Store
+	reg    *metrics.Registry // what Metrics returns
 
-	engine *core.Engine // unreplicated mode
-	ls     *leaderSet   // replicated mode
+	engine *core.Engine // a bare engine; nil on a leader set
+	group  *shard.Group // a leader set; nil on a bare engine
+	cfg    layers       // OpenReplica reads the follower settings
+
+	mu       sync.Mutex // guards replicas
+	replicas []*Replica
 }
 
-// leader returns the current RW node, nil outside replicated mode.
-func (db *DB) leader() *replication.RWNode {
-	if db.ls == nil {
-		return nil
-	}
-	return db.ls.group.Leader(0)
-}
-
-// eng returns the current engine (the leader's in replicated mode).
-func (db *DB) eng() *core.Engine {
-	if rw := db.leader(); rw != nil {
-		return rw.Engine()
-	}
-	return db.engine
-}
-
-var _ graph.Store = (*DB)(nil)
+var (
+	_ graph.Store      = (*DB)(nil)
+	_ graph.BatchStore = (*DB)(nil)
+)
 
 // Open creates a new in-process BG3 database. A nil opts uses defaults.
 func Open(opts *Options) (*DB, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
+	o := *cmp.Or(opts, &Options{})
 	cfg := o.layers()
-	if !o.Replicated {
+	if !o.Replicated && o.Shards <= 1 {
 		co := cfg.rw.Engine
 		co.Storage = &cfg.storage
 		engine, err := core.New(co)
 		if err != nil {
 			return nil, err
 		}
-		return &DB{reads: reads{engine}, writes: engine, store: engine.Store(), engine: engine}, nil
+		return &DB{reads: reads{engine}, writes: engine, reg: engine.Metrics(), engine: engine}, nil
 	}
-	// One registry for the DB's lifetime: a promoted leader registers its
-	// engine and WAL instruments over its predecessor's, next to the
-	// follower gauges registered here once.
-	cfg.rw.Engine.Metrics = metrics.NewRegistry()
-	ls, err := openLeaderSet(1, cfg)
+	// One shard keeps one registry for the DB's life: a promoted leader
+	// registers its engine and WAL instruments over its predecessor's. More
+	// keep one per leader, and Metrics is the group's.
+	if o.Shards <= 1 {
+		cfg.rw.Engine.Metrics = metrics.NewRegistry()
+	}
+	g, err := shard.Open(max(o.Shards, 1), &cfg.storage, cfg.rw)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bg3: open: %w", err)
 	}
-	ls.registerMetrics(cfg.rw.Engine.Metrics)
-	return &DB{reads: reads{ls.group}, writes: ls.group, store: ls.group.Store(0), ls: ls}, nil
+	db := &DB{reads: reads{g}, writes: g, reg: cmp.Or(cfg.rw.Engine.Metrics, g.Metrics()), group: g, cfg: cfg}
+	db.registerMetrics()
+	return db, nil
 }
 
-// Close stops background work and releases the database.
+// ShardedDB is DB.
+//
+// Deprecated: Open serves every shape; use DB.
+type ShardedDB = DB
+
+// OpenSharded is Open with Options.Replicated set.
+//
+// Deprecated: use Open.
+func OpenSharded(opts *Options) (*DB, error) {
+	o := *cmp.Or(opts, &Options{})
+	o.Replicated = true
+	return Open(&o)
+}
+
+// Close stops every attached replica, then every shard's committer, flusher
+// and engine.
 func (db *DB) Close() {
-	if db.ls != nil {
-		db.ls.close()
+	if db.group == nil {
+		db.engine.Close()
 		return
 	}
-	db.engine.Close()
+	for _, r := range db.attached() {
+		r.Stop()
+	}
+	db.group.Close()
 }
 
-// AddVertex upserts a vertex.
+// leader returns shard i's current RW node, nil on a bare engine.
+func (db *DB) leader(i int) *replication.RWNode {
+	if db.group == nil {
+		return nil
+	}
+	return db.group.Leader(i)
+}
+
+// eng returns shard i's current engine.
+func (db *DB) eng(i int) *core.Engine {
+	if rw := db.leader(i); rw != nil {
+		return rw.Engine()
+	}
+	return db.engine
+}
+
+// Shards returns the shard count: 1 on a bare engine.
+func (db *DB) Shards() int {
+	if db.group == nil {
+		return 1
+	}
+	return db.group.Shards()
+}
+
+// Group exposes the shard group for tests and tooling; nil on a bare engine.
+func (db *DB) Group() *shard.Group { return db.group }
+
+// AddVertex upserts a vertex on its owning shard.
 func (db *DB) AddVertex(v Vertex) error { return db.writes.AddVertex(v) }
 
-// AddEdge upserts a directed edge.
+// AddEdge upserts a directed edge on its source's owning shard.
 func (db *DB) AddEdge(e Edge) error { return db.writes.AddEdge(e) }
 
 // DeleteEdge removes one edge.
@@ -175,19 +227,42 @@ func (db *DB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
 // the first durability wait starts, so the whole batch pays for a handful of
 // storage round trips instead of one per mutation. Replicas replay each
 // commit group as a unit. No mutation is acknowledged before the batch's WAL
-// records are durable. It is the bulk-load path in non-replicated mode too:
-// there is no WAL to share, but each leaf still reaches storage once per
-// batch instead of once per mutation.
+// records are durable. It is the bulk-load path on a bare engine too: there
+// is no WAL to share, but each leaf still reaches storage once per batch
+// instead of once per mutation.
+//
+// A batch over several shards commits atomically: a lightweight two-phase
+// commit over the per-shard group committers (prepare intents on every
+// participant, the decision on the coordinator's stream, then apply), so no
+// pinned cut observes half of it and recovery resolves in-doubt prepares
+// from the coordinator's durable prefix. An error wrapping
+// shard.ErrTxnAborted means it aborted cleanly (nothing applied anywhere)
+// and can simply be retried.
 func (db *DB) ApplyBatch(muts []Mutation) error { return db.writes.ApplyBatch(muts) }
+
+// ShardOutcome reports one shard's fate in a batch: committed, aborted,
+// fenced by a concurrent failover, skipped (not touched), or unknown.
+type ShardOutcome = shard.ShardOutcome
+
+// ApplyBatchEx is ApplyBatch with per-shard outcomes: one entry per shard,
+// index-aligned with the shard order, covering the fate of every participant
+// even when the batch fails partway (no silent partial fan-out). The error is
+// nil only when every touched shard committed.
+func (db *DB) ApplyBatchEx(muts []Mutation) ([]ShardOutcome, error) {
+	if db.group == nil {
+		return nil, ErrNotReplicated
+	}
+	return db.group.ApplyBatchEx(muts)
+}
 
 // KHop expands hops levels of out-neighbors from start, returning the set
 // of vertices reached (excluding start). perVertexLimit bounds per-vertex
 // fan-out (<= 0: unlimited).
 //
-// The whole traversal runs against one pinned read epoch: every hop sees
-// the graph as of the same group-commit boundary, so concurrent batches
-// can no longer tear a multi-hop read (observing a later hop's state from
-// after a commit the earlier hops predate).
+// The whole traversal runs against one Snapshot: every hop sees each shard
+// as of the same group-commit boundary, so concurrent batches cannot tear a
+// multi-hop read, and each hop reads the shards its frontier touches in
+// parallel.
 func (db *DB) KHop(start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
 	s := db.Snapshot()
 	defer s.Close()
@@ -201,7 +276,7 @@ type Pattern = pattern.Pattern
 type PatternEdge = pattern.PEdge
 
 // MatchPattern finds up to maxMatches embeddings of p anchored at the
-// seed vertices. Like KHop, the whole match runs at one pinned read epoch.
+// seed vertices. Like KHop, the whole match runs at one Snapshot.
 func (db *DB) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]VertexID, error) {
 	s := db.Snapshot()
 	defer s.Close()
@@ -209,16 +284,25 @@ func (db *DB) MatchPattern(p Pattern, seeds []VertexID, maxMatches int) ([][]Ver
 }
 
 // FindCycles returns simple cycles through start of length 2..maxLen —
-// the risk-control loop detection. Runs at one pinned read epoch.
+// the risk-control loop detection. Runs at one Snapshot.
 func (db *DB) FindCycles(start VertexID, typ EdgeType, maxLen, maxCycles int) ([][]VertexID, error) {
 	s := db.Snapshot()
 	defer s.Close()
 	return s.FindCycles(start, typ, maxLen, maxCycles)
 }
 
-// RunGC triggers one synchronous space-reclamation cycle (batch extents
-// per data stream) and returns the bytes moved.
-func (db *DB) RunGC(batch int) (int64, error) { return db.eng().RunGC(batch) }
+// RunGC triggers one synchronous space-reclamation cycle on every shard
+// (batch extents per data stream) and returns the bytes moved.
+func (db *DB) RunGC(batch int) (int64, error) {
+	var moved int64
+	for i := range db.Shards() {
+		n, err := db.eng(i).RunGC(batch)
+		if moved += n; err != nil {
+			return moved, err
+		}
+	}
+	return moved, nil
+}
 
 // BuildEdgeBlocks eagerly packs every dedicated tree that is past the
 // edge-block threshold (Options.EdgeBlockThreshold) into its CSR-style
@@ -226,308 +310,51 @@ func (db *DB) RunGC(batch int) (int64, error) { return db.eng().RunGC(batch) }
 // built opportunistically at flush/consolidation time; this forces the
 // work now — useful after a bulk load, before a read-heavy phase.
 func (db *DB) BuildEdgeBlocks() (int, error) {
-	return db.eng().Forest().BuildEdgeBlocks()
+	built := 0
+	for i := range db.Shards() {
+		n, err := db.eng(i).Forest().BuildEdgeBlocks()
+		if built += n; err != nil {
+			return built, err
+		}
+	}
+	return built, nil
 }
 
-// Checkpoint flushes dirty pages and publishes a WAL checkpoint
-// (replicated mode). In non-replicated mode it is a no-op.
+// Checkpoint flushes dirty pages and publishes a WAL checkpoint on every
+// shard. On a bare engine, which persists every write at once, it is a
+// no-op.
 func (db *DB) Checkpoint() error {
-	if db.leader() == nil {
+	if db.group == nil {
 		return nil
 	}
-	return db.leader().Checkpoint()
+	return db.group.Checkpoint()
 }
 
-// Stats summarizes the database's I/O, space, cache, WAL, and replication
-// accounting, grouped by subsystem. The struct marshals cleanly to JSON;
-// StatsJSON and StatsText render the full metrics registry instead (every
-// registered instrument, including ones not surfaced here).
-type Stats struct {
-	Storage     StorageStats     `json:"storage"`
-	WAL         WALStats         `json:"wal"`
-	Cache       CacheStats       `json:"cache"`
-	Forest      ForestStats      `json:"forest"`
-	EdgeBlocks  EdgeBlockStats   `json:"edge_blocks"`
-	GC          GCStats          `json:"gc"`
-	MVCC        MVCCStats        `json:"mvcc"`
-	Replication ReplicationStats `json:"replication"`
-}
+// Metrics exposes the database's metrics registry, for scraping or for
+// registering application gauges. On one shard every subsystem (storage,
+// WAL, cache, forest, GC, replication) registers its instruments here, for
+// the DB's whole life. On more it is the group's registry (routing,
+// scatter-gather, snapshots, transactions, failovers, replicas) and each
+// leader keeps its own, Group().Leader(i).Engine().Metrics().
+func (db *DB) Metrics() *metrics.Registry { return db.reg }
 
-// StorageStats is the shared store's I/O, space, and fault accounting.
-type StorageStats struct {
-	ReadOps         int64 `json:"read_ops"`
-	WriteOps        int64 `json:"write_ops"`
-	BytesRead       int64 `json:"bytes_read"`
-	BytesWritten    int64 `json:"bytes_written"`
-	BatchReads      int64 `json:"batch_reads"`
-	BatchLocs       int64 `json:"batch_locs"`
-	BatchRoundTrips int64 `json:"batch_round_trips"`
-	LiveBytes       int64 `json:"live_bytes"`
-	TotalBytes      int64 `json:"total_bytes"`
-	ExtentCount     int64 `json:"extent_count"`
-	FaultsInjected  int64 `json:"faults_injected"`
-	FaultRetries    int64 `json:"fault_retries"`
-	FaultRecoveries int64 `json:"fault_recoveries"`
-}
+// StatsJSON renders the full metrics registry as stable, sorted JSON: Metrics
+// and, on more than one shard, every leader's registry beside it, each name
+// suffixed with its shard ("storage.read_ops{shard=2}").
+func (db *DB) StatsJSON() ([]byte, error) { return db.snapshot().JSON() }
 
-// WALStats covers the append and group-commit pipelines. All zero on a DB
-// opened without Options.Replicated (no WAL runs).
-type WALStats struct {
-	Appends       int64          `json:"appends"`
-	AppendLatency HistogramStats `json:"append_latency"`
-	CommitBatches int64          `json:"commit_batches"`
-	CommitRecords int64          `json:"commit_records"`
-	CommitLatency HistogramStats `json:"commit_latency"`
-	// GroupSize is the records-per-flush distribution: its mean is the
-	// write-side amortization factor (records acked per storage round
-	// trip, §3.4).
-	GroupSize FanoutStats `json:"group_size"`
-	// GroupStall is the backpressure writers paid on a full commit queue.
-	GroupStall HistogramStats `json:"group_stall"`
-	// InflightGroups is the number of sealed WAL group appends in flight at
-	// the instant of the stats snapshot; PipelineDepth is how many the
-	// committer allows (Options.CommitPipelineDepth; 1 when unset).
-	InflightGroups int `json:"inflight_groups"`
-	PipelineDepth  int `json:"pipeline_depth"`
-	// AckReorder is how long durable groups waited for their predecessors
-	// before their acks could release in LSN order — the cost of in-order
-	// release under out-of-order pipelined completion.
-	AckReorder HistogramStats `json:"ack_reorder"`
-	// PipelineUtilization is the distribution of concurrently in-flight
-	// appends observed at each dispatch (mean > 1 means round trips
-	// actually overlap).
-	PipelineUtilization FanoutStats `json:"pipeline_utilization"`
-	LastLSN             uint64      `json:"last_lsn"`
-	Checkpoints         int64       `json:"checkpoints"`
-}
+// StatsText renders what StatsJSON does as sorted, aligned text.
+func (db *DB) StatsText() string { return db.snapshot().Text() }
 
-// CacheStats is the page cache's hit accounting plus the per-read storage
-// fan-out distribution (Fig. 9: at most 2 under the read-optimized policy).
-type CacheStats struct {
-	Hits           int64          `json:"hits"`
-	Misses         int64          `json:"misses"`
-	HitRatio       float64        `json:"hit_ratio"`
-	Shards         int            `json:"shards"`
-	Evictions      int64          `json:"evictions"`
-	ReadFanout     FanoutStats    `json:"read_fanout"`
-	MaterializeLat HistogramStats `json:"materialize_latency"`
-	Pages          int64          `json:"pages"`
-	MemoryBytes    int64          `json:"memory_bytes"`
-}
-
-// ForestStats is the Bw-tree forest's shape (Fig. 11).
-type ForestStats struct {
-	Trees      int `json:"trees"`
-	Owners     int `json:"owners"`
-	InitKeys   int `json:"init_keys"`
-	Migrations int `json:"migrations"`
-}
-
-// EdgeBlockStats is the packed CSR edge-block accounting (§3.2.1
-// super-vertices): blocks built, scans served from a block (hits) versus
-// forced back to the merged delta path (fallbacks), the resident footprint
-// of the live blocks, and the ops written since they were sealed: an overlay
-// that stays large says a rebuild is being held back (an old pin).
-type EdgeBlockStats struct {
-	Builds      int64 `json:"builds"`
-	SkippedPins int64 `json:"skipped_pins"`
-	Hits        int64 `json:"hits"`
-	Fallbacks   int64 `json:"fallbacks"`
-	Entries     int64 `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	OverlayOps  int64 `json:"overlay_ops"`
-}
-
-// GCStats is the space-reclamation accounting. WriteAmp is bytes moved per
-// byte freed — the cost metric the workload-aware policy of §3.3 minimizes.
-type GCStats struct {
-	BytesMoved       int64   `json:"bytes_moved"`
-	BytesReclaimed   int64   `json:"bytes_reclaimed"`
-	WriteAmp         float64 `json:"write_amp"`
-	Runs             int64   `json:"runs"`
-	ExtentsReclaimed int64   `json:"extents_reclaimed"`
-	ExtentsExpired   int64   `json:"extents_expired"`
-	// PinDeferred counts extent picks the reclaimer skipped because a
-	// pinned snapshot may still read their invalidated records.
-	PinDeferred int64 `json:"pin_deferred"`
-	// BlockPinned is always 0: packed edge blocks own no extents. The
-	// benchmark harness still reads the field.
-	BlockPinned int64 `json:"block_pinned"`
-}
-
-// MVCCStats is the read-epoch clock's accounting. All zero on a DB opened
-// without Options.Replicated (no WAL, no epochs: reads are latest-state).
-type MVCCStats struct {
-	// ReadEpoch is the current read epoch: the highest group-released WAL
-	// LSN. A snapshot pinned now observes exactly this boundary.
-	ReadEpoch uint64 `json:"read_epoch"`
-	// PinnedEpochs is the number of live snapshot pins.
-	PinnedEpochs int64 `json:"pinned_epochs"`
-	// EpochLag is ReadEpoch minus the oldest pinned epoch (LSN distance):
-	// how much history the oldest snapshot holds back from consolidation.
-	EpochLag uint64 `json:"epoch_lag"`
-	// PinsTotal counts snapshots taken over the DB's lifetime.
-	PinsTotal int64 `json:"pins_total"`
-	// RetainedBytes is the in-memory size of delta-chain history kept above
-	// the retention floor for pinned snapshots.
-	RetainedBytes int64 `json:"retained_bytes"`
-}
-
-// ReplicationStats covers the attached read-only replicas and leader
-// failover. AppliedLSNLag is the worst lag across replicas: the leader's
-// last assigned LSN minus the replica's applied LSN (Fig. 13). Epoch is the
-// WAL fence token the current leader appends under (0 until the first
-// failover); FencedAppends counts appends the shared store rejected with
-// storage.ErrFenced — each one a deposed leader's write that fencing kept
-// out of the log.
-type ReplicationStats struct {
-	Replicas      int    `json:"replicas"`
-	AppliedLSNLag uint64 `json:"applied_lsn_lag"`
-	Resyncs       int64  `json:"resyncs"`
-	Epoch         uint64 `json:"epoch"`
-	Failovers     int64  `json:"failovers"`
-	FencedAppends int64  `json:"fenced_appends"`
-}
-
-// HistogramStats summarizes a latency distribution in microseconds.
-type HistogramStats struct {
-	Count  int64 `json:"count"`
-	MeanUS int64 `json:"mean_us"`
-	P50US  int64 `json:"p50_us"`
-	P99US  int64 `json:"p99_us"`
-	MaxUS  int64 `json:"max_us"`
-}
-
-// FanoutStats summarizes a small-integer distribution (storage reads per
-// page materialization).
-type FanoutStats struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   int64   `json:"p50"`
-	P99   int64   `json:"p99"`
-	Max   int64   `json:"max"`
-}
-
-func histogramStats(s metrics.HistogramSnapshot) HistogramStats {
-	return HistogramStats{Count: s.Count, MeanUS: s.MeanUS, P50US: s.P50US, P99US: s.P99US, MaxUS: s.MaxUS}
-}
-
-func fanoutStats(s metrics.IntHistogramSnapshot) FanoutStats {
-	return FanoutStats{Count: s.Count, Mean: s.Mean, P50: s.P50, P99: s.P99, Max: s.Max}
-}
-
-// Stats returns a snapshot.
-func (db *DB) Stats() Stats {
-	ss := db.store.Stats()
-	fs := db.eng().Forest().Stats()
-	m := db.eng().Mapping()
-	hits, misses := m.CacheStats()
-	var ratio float64
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
+func (db *DB) snapshot() metrics.Snapshot {
+	snap := db.reg.Snapshot()
+	if db.Shards() == 1 {
+		return snap
 	}
-	gcs := db.eng().GCStats()
-	s := Stats{
-		Storage: StorageStats{
-			ReadOps:         ss.ReadOps,
-			WriteOps:        ss.WriteOps,
-			BytesRead:       ss.BytesRead,
-			BytesWritten:    ss.BytesWritten,
-			BatchReads:      ss.BatchReads,
-			BatchLocs:       ss.BatchLocs,
-			BatchRoundTrips: ss.BatchRoundTrips,
-			LiveBytes:       ss.LiveBytes,
-			TotalBytes:      ss.TotalBytes,
-			ExtentCount:     ss.ExtentCount,
-			FaultsInjected:  metrics.Faults.FaultsInjected.Load(),
-			FaultRetries:    metrics.Faults.Retries.Load(),
-			FaultRecoveries: metrics.Faults.Recoveries.Load(),
-		},
-		Cache: CacheStats{
-			Hits:           hits,
-			Misses:         misses,
-			HitRatio:       ratio,
-			Shards:         m.ShardCount(),
-			Evictions:      m.Evictions(),
-			ReadFanout:     fanoutStats(m.ReadFanout().Summary()),
-			MaterializeLat: histogramStats(m.MaterializeLatency().Summary()),
-			Pages:          int64(m.PageCount()),
-			MemoryBytes:    fs.MemoryBytes,
-		},
-		Forest: ForestStats{
-			Trees:      fs.Trees,
-			Owners:     fs.Owners,
-			InitKeys:   fs.InitKeys,
-			Migrations: fs.Migrations,
-		},
-		EdgeBlocks: func() EdgeBlockStats {
-			bs := m.BlockStatsSnapshot()
-			return EdgeBlockStats{
-				Builds:      bs.Builds,
-				SkippedPins: bs.SkippedPins,
-				Hits:        bs.Hits,
-				Fallbacks:   bs.Fallbacks,
-				Entries:     bs.Entries,
-				Bytes:       bs.Bytes,
-				OverlayOps:  bs.OverlayOps,
-			}
-		}(),
-		GC: GCStats{
-			BytesMoved:       ss.GCBytesMoved,
-			BytesReclaimed:   ss.GCBytesReclaimed,
-			WriteAmp:         ss.GCWriteAmp(),
-			Runs:             gcs.Runs,
-			ExtentsReclaimed: ss.ExtentsReclaimed,
-			ExtentsExpired:   ss.ExtentsExpired,
-			PinDeferred:      gcs.PinDeferred,
-		},
-	}
-	if src := db.eng().Epochs(); src != nil {
-		es := src.Stats()
-		s.MVCC = MVCCStats{
-			ReadEpoch:     uint64(es.Current),
-			PinnedEpochs:  es.Pinned,
-			EpochLag:      es.Lag,
-			PinsTotal:     es.PinsTotal,
-			RetainedBytes: db.eng().RetainedBytes(),
+	for i := range db.Shards() {
+		for name, v := range db.eng(i).Metrics().Snapshot() {
+			snap[fmt.Sprintf("%s{shard=%d}", name, i)] = v
 		}
 	}
-	if rw := db.leader(); rw != nil {
-		batches, records := rw.LoggerStats()
-		s.WAL = WALStats{
-			Appends:             rw.Writer().Appends(),
-			AppendLatency:       histogramStats(rw.Writer().AppendLatency().Summary()),
-			CommitBatches:       batches,
-			CommitRecords:       records,
-			CommitLatency:       histogramStats(rw.Logger().CommitLatency().Summary()),
-			GroupSize:           fanoutStats(rw.Logger().GroupSize().Summary()),
-			GroupStall:          histogramStats(rw.Logger().StallLatency().Summary()),
-			InflightGroups:      rw.Logger().InflightGroups(),
-			PipelineDepth:       rw.Logger().PipelineDepth(),
-			AckReorder:          histogramStats(rw.Logger().AckReorder().Summary()),
-			PipelineUtilization: fanoutStats(rw.Logger().InflightUtilization().Summary()),
-			LastLSN:             uint64(rw.LastLSN()),
-			Checkpoints:         rw.Checkpoints(),
-		}
-		s.Replication = ReplicationStats{
-			Replicas:      len(db.ls.followers()),
-			AppliedLSNLag: db.ls.lag(),
-			Resyncs:       db.ls.resyncs(),
-			Epoch:         rw.Epoch(),
-			Failovers:     db.Failovers(),
-			FencedAppends: ss.FencedAppends,
-		}
-	}
-	return s
+	return snap
 }
-
-// Metrics exposes the database's metrics registry: every subsystem
-// (storage, WAL, cache, forest, GC, replication) registers its instruments
-// here. Useful for scraping or registering additional application gauges.
-func (db *DB) Metrics() *metrics.Registry { return db.eng().Metrics() }
-
-// StatsJSON renders the full metrics registry as stable, sorted JSON.
-func (db *DB) StatsJSON() ([]byte, error) { return db.eng().Metrics().Snapshot().JSON() }
-
-// StatsText renders the full metrics registry as sorted, aligned text.
-func (db *DB) StatsText() string { return db.eng().Metrics().Snapshot().Text() }

@@ -3,6 +3,7 @@ package bg3
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,39 +130,60 @@ func TestOpenReplicaRequiresReplication(t *testing.T) {
 	}
 }
 
-func TestStatsSnapshot(t *testing.T) {
-	db := openDB(t, &Options{ForestSplitThreshold: 10})
-	for i := 0; i < 50; i++ {
-		if err := db.AddEdge(Edge{Src: 7, Dst: VertexID(i), Type: ETypeLike}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := db.Stats()
-	if s.Storage.WriteOps == 0 || s.Storage.BytesWritten == 0 {
-		t.Fatalf("stats missing write accounting: %+v", s)
-	}
-	if s.Forest.Trees < 2 {
-		t.Fatalf("trees = %d, want the hot vertex split out", s.Forest.Trees)
-	}
-	if s.Cache.MemoryBytes == 0 {
-		t.Fatal("memory estimate is zero")
+// forShards runs fn as one subtest per shard count, "shards=N".
+func forShards(t *testing.T, counts []int, fn func(t *testing.T, shards int)) {
+	for _, n := range counts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { fn(t, n) })
 	}
 }
 
+// TestStatsSnapshot: one shard is a bare engine, four a leader set, and Stats
+// sums every shard's accounting either way.
+func TestStatsSnapshot(t *testing.T) {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := openDB(t, &Options{Shards: shards, ForestSplitThreshold: 10})
+		for i := 0; i < 50; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(7 + i%shards), Dst: VertexID(i), Type: ETypeLike}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := db.Stats()
+		if s.Storage.WriteOps == 0 || s.Storage.BytesWritten == 0 {
+			t.Fatalf("stats missing write accounting: %+v", s)
+		}
+		if s.Forest.Trees < shards+1 {
+			t.Fatalf("trees = %d, want an INIT tree per shard and the hot vertex split out", s.Forest.Trees)
+		}
+		if s.Cache.MemoryBytes == 0 {
+			t.Fatal("memory estimate is zero")
+		}
+		if s.Shards.Count != shards || len(s.Shards.ReadEpochs) != shards || len(s.Shards.LastLSNs) != shards || len(s.Shards.Epochs) != shards {
+			t.Fatalf("shard axis = %+v, want %d shards", s.Shards, shards)
+		}
+	})
+}
+
 func TestTTLViaPublicAPI(t *testing.T) {
-	db := openDB(t, &Options{TTL: time.Millisecond, ExtentSize: 1 << 10, MaxPageEntries: 16})
-	for i := 0; i < 100; i++ {
-		if err := db.AddEdge(Edge{Src: 1, Dst: VertexID(i), Type: ETypeTransfer}); err != nil {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := openDB(t, &Options{Shards: shards, TTL: time.Millisecond, ExtentSize: 1 << 10, MaxPageEntries: 16})
+		for i := 0; i < 100*shards; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(1 + i%shards), Dst: VertexID(i), Type: ETypeTransfer}); err != nil {
+				t.Fatal(err)
+			}
+			if i%(10*shards) == 0 { // a leader writes its pages at a flush
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		if _, err := db.RunGC(8); err != nil {
 			t.Fatal(err)
 		}
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := db.RunGC(8); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stats().GC.ExtentsExpired == 0 {
-		t.Fatal("TTL expiry never happened")
-	}
+		if db.Stats().GC.ExtentsExpired == 0 {
+			t.Fatal("TTL expiry never happened")
+		}
+	})
 }
 
 func TestCheckpointNoopWithoutReplication(t *testing.T) {
@@ -216,7 +238,7 @@ func TestAutoSnapshotLoop(t *testing.T) {
 		ReplicaPollInterval: time.Millisecond,
 	})
 	n := 0
-	for deadline := time.Now().Add(20 * time.Second); n < 200 || !trimmed(db.store); n++ {
+	for deadline := time.Now().Add(20 * time.Second); n < 200 || !trimmed(db); n++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("the WAL was not trimmed after %d writes", n)
 		}
@@ -244,21 +266,11 @@ func TestAutoSnapshotLoop(t *testing.T) {
 	}
 }
 
-func openSharded(t *testing.T, opts *Options) *ShardedDB {
-	t.Helper()
-	db, err := OpenSharded(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(db.Close)
-	return db
-}
-
-// TestShardedDBReadView covers the follower read path of a sharded
-// deployment: one follower per shard, reads routed by the group's hash.
-func TestShardedDBReadView(t *testing.T) {
-	// sumDegrees adds up the view's out-degrees over sources [0, srcs).
-	sumDegrees := func(t *testing.T, view *ReadView, srcs int, typ EdgeType) int {
+// TestShardedReadView covers the replica read path of a sharded DB: one
+// follower per shard, reads routed by the group's hash.
+func TestShardedReadView(t *testing.T) {
+	// sumDegrees adds up the replica's out-degrees over sources [0, srcs).
+	sumDegrees := func(t *testing.T, view *Replica, srcs int, typ EdgeType) int {
 		t.Helper()
 		total := 0
 		for src := 0; src < srcs; src++ {
@@ -272,12 +284,12 @@ func TestShardedDBReadView(t *testing.T) {
 	}
 
 	t.Run("tails acked writes", func(t *testing.T) {
-		db := openSharded(t, &Options{Shards: 3, ReplicaPollInterval: time.Millisecond})
+		db := openDB(t, &Options{Shards: 3, ReplicaPollInterval: time.Millisecond})
 		if db.Shards() != 3 {
 			t.Fatalf("shards = %d", db.Shards())
 		}
 		// Opened before the writes: everything arrives by WAL tailing.
-		view, err := db.OpenReadView()
+		view, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +302,7 @@ func TestShardedDBReadView(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every shard received a share (Fibonacci hashing over sequential IDs).
-		for i, lsn := range db.Stats().LastLSNs {
+		for i, lsn := range db.Stats().Shards.LastLSNs {
 			if lsn == 0 {
 				t.Fatalf("shard %d received no writes", i)
 			}
@@ -342,14 +354,14 @@ func TestShardedDBReadView(t *testing.T) {
 	})
 
 	t.Run("cross-shard traversal", func(t *testing.T) {
-		db := openSharded(t, &Options{Shards: 4, ReplicaPollInterval: time.Millisecond})
+		db := openDB(t, &Options{Shards: 4, ReplicaPollInterval: time.Millisecond})
 		// A chain whose hops land on different shards.
 		for i := 0; i < 12; i++ {
 			if err := db.AddEdge(Edge{Src: VertexID(i), Dst: VertexID(i + 1), Type: ETypeFollow}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		view, err := db.OpenReadView()
+		view, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,21 +375,18 @@ func TestShardedDBReadView(t *testing.T) {
 	})
 
 	t.Run("bootstraps from snapshots", func(t *testing.T) {
-		db := openSharded(t, &Options{Shards: 2, ReplicaPollInterval: time.Millisecond})
+		db := openDB(t, &Options{Shards: 2, ReplicaPollInterval: time.Millisecond})
 		for i := 0; i < 100; i++ {
 			if err := db.AddEdge(Edge{Src: VertexID(i % 6), Dst: VertexID(i), Type: ETypeLike}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < db.Shards(); i++ {
-			leader := db.Group().Leader(i)
-			if _, err := leader.WriteSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-			leader.TrimWAL()
+		if err := db.WriteSnapshot(); err != nil {
+			t.Fatal(err)
 		}
-		// Views opened after snapshot+trim bootstrap from the snapshots.
-		view, err := db.OpenReadView()
+		db.TrimWAL()
+		// Replicas opened after snapshot+trim bootstrap from the snapshots.
+		view, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,47 +400,51 @@ func TestShardedDBReadView(t *testing.T) {
 }
 
 func TestGCOnReplicatedDBKeepsReplicasConsistent(t *testing.T) {
-	db := openDB(t, &Options{
-		Replicated:          true,
-		ExtentSize:          4 << 10,
-		MaxPageEntries:      16,
-		ConsolidateNum:      3,
-		FlushInterval:       5 * time.Millisecond,
-		ReplicaPollInterval: time.Millisecond,
-	})
-	rep, err := db.OpenReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Heavy overwrites build garbage; each round flushes (checkpoint),
-	// reclaims, and then verifies the replica still reads a consistent
-	// view through the relocations.
-	for round := 0; round < 15; round++ {
-		for i := 0; i < 40; i++ {
-			if err := db.AddEdge(Edge{Src: 1, Dst: VertexID(i), Type: ETypeLike,
-				Props: Properties{{Name: "r", Value: []byte{byte(round)}}}}); err != nil {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := replicatedDB(t, Options{
+			ExtentSize:          4 << 10,
+			MaxPageEntries:      16,
+			ConsolidateNum:      3,
+			FlushInterval:       5 * time.Millisecond,
+			ReplicaPollInterval: time.Millisecond,
+		}, shards)
+		rep, err := db.OpenReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Heavy overwrites build garbage; each round flushes (checkpoint),
+		// reclaims, and then verifies the replica still reads a consistent
+		// view through the relocations.
+		const sources = 8
+		for round := 0; round < 15; round++ {
+			for i := 0; i < 40*sources; i++ {
+				if err := db.AddEdge(Edge{Src: VertexID(1 + i%sources), Dst: VertexID(i / sources), Type: ETypeLike,
+					Props: Properties{{Name: "r", Value: []byte{byte(round)}}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := db.RunGC(8); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil { // ships GC relocations
+				t.Fatal(err)
+			}
+			if err := rep.Sync(); err != nil {
+				t.Fatalf("round %d: replica sync: %v", round, err)
+			}
+			for src := VertexID(1); src <= sources; src++ {
+				if deg, err := rep.Degree(src, ETypeLike); err != nil || deg != 40 {
+					t.Fatalf("round %d: replica degree of %d = %d %v", round, src, deg, err)
+				}
+			}
 		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
+		if db.Stats().GC.ExtentsReclaimed == 0 {
+			t.Fatal("GC never reclaimed an extent; the test exercised nothing")
 		}
-		if _, err := db.RunGC(8); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Checkpoint(); err != nil { // ships GC relocations
-			t.Fatal(err)
-		}
-		if err := rep.Sync(); err != nil {
-			t.Fatalf("round %d: replica sync: %v", round, err)
-		}
-		if deg, err := rep.Degree(1, ETypeLike); err != nil || deg != 40 {
-			t.Fatalf("round %d: replica degree = %d %v", round, deg, err)
-		}
-	}
-	if db.Stats().GC.ExtentsReclaimed == 0 {
-		t.Fatal("GC never reclaimed an extent; the test exercised nothing")
-	}
+	})
 }
 
 func TestConcurrentOpenReplica(t *testing.T) {
@@ -467,83 +480,182 @@ func TestConcurrentOpenReplica(t *testing.T) {
 	}
 }
 
+// TestStatsNestedAndJSON: Stats sums what every shard's leader and store
+// count, and the registry renderings carry every subsystem's instruments —
+// on more than one shard each leader's, suffixed with its shard.
 func TestStatsNestedAndJSON(t *testing.T) {
-	db := openDB(t, &Options{
-		Replicated:           true,
-		ForestSplitThreshold: 10,
-		ReplicaPollInterval:  time.Millisecond,
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := replicatedDB(t, Options{ForestSplitThreshold: 10, ReplicaPollInterval: time.Millisecond}, shards)
+		edge := func(i int) Edge { return Edge{Src: VertexID(9 + i%shards), Dst: VertexID(i), Type: ETypeLike} }
+		for i := 0; i < 60*shards; i++ {
+			if err := db.AddEdge(edge(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := db.OpenReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60*shards; i++ {
+			if _, _, err := db.GetEdge(edge(i).Src, ETypeLike, VertexID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.RunGC(4); err != nil {
+			t.Fatal(err)
+		}
+
+		s := db.Stats()
+		if s.Storage.WriteOps == 0 || s.Storage.BytesWritten == 0 {
+			t.Fatalf("storage accounting missing: %+v", s.Storage)
+		}
+		if s.WAL.Appends == 0 || s.WAL.CommitRecords == 0 {
+			t.Fatalf("WAL accounting missing: %+v", s.WAL)
+		}
+		if s.WAL.CommitLatency.Count == 0 {
+			t.Fatalf("commit latency histogram empty: %+v", s.WAL.CommitLatency)
+		}
+		if s.Cache.ReadFanout.Count == 0 {
+			t.Fatalf("read fan-out histogram empty: %+v", s.Cache.ReadFanout)
+		}
+		if s.Forest.Trees < 2*shards || s.Forest.Owners < shards {
+			t.Fatalf("forest accounting missing: %+v", s.Forest)
+		}
+		if s.Replication.Replicas != 1 {
+			t.Fatalf("replicas = %d, want 1", s.Replication.Replicas)
+		}
+		var appends int64
+		for i := range shards {
+			appends += db.leader(i).Writer().Appends()
+			if s.Shards.LastLSNs[i] == 0 || s.Shards.ReadEpochs[i] == 0 {
+				t.Fatalf("shard %d at LSN %d, read epoch %d after its writes", i, s.Shards.LastLSNs[i], s.Shards.ReadEpochs[i])
+			}
+		}
+		if s.WAL.Appends > appends {
+			t.Fatalf("Stats counts %d WAL appends, the leaders %d", s.WAL.Appends, appends)
+		}
+
+		// The nested struct must marshal cleanly with every subsystem present.
+		buf, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"storage"`, `"wal"`, `"cache"`, `"forest"`, `"gc"`, `"replication"`, `"shards"`,
+			`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`, `"overlay_ops"`, `"read_epochs"`} {
+			if !strings.Contains(string(buf), key) {
+				t.Fatalf("Stats JSON missing %s:\n%s", key, buf)
+			}
+		}
+
+		// The registry renderings must cover every subsystem's instruments.
+		reg, err := db.StatsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]any
+		if err := json.Unmarshal(reg, &snap); err != nil {
+			t.Fatalf("StatsJSON is not valid JSON: %v", err)
+		}
+		names := []string{"replication.applied_lsn_lag", "replication.replicas"}
+		for _, name := range []string{"storage.read_ops", "wal.commit_us", "bwtree.read_fanout",
+			"forest.trees", "gc.write_amp", "bwtree.block_overlay_ops"} {
+			if shards == 1 {
+				names = append(names, name)
+				continue
+			}
+			for i := range shards {
+				names = append(names, fmt.Sprintf("%s{shard=%d}", name, i))
+			}
+		}
+		for _, name := range names {
+			if _, ok := snap[name]; !ok {
+				t.Fatalf("registry snapshot missing %q", name)
+			}
+		}
+		text := db.StatsText()
+		if !strings.Contains(text, "bwtree.cache_hit_ratio") || !strings.Contains(text, "wal.appends") {
+			t.Fatalf("StatsText missing expected instruments:\n%s", text)
+		}
 	})
-	for i := 0; i < 60; i++ {
-		if err := db.AddEdge(Edge{Src: 9, Dst: VertexID(i), Type: ETypeLike}); err != nil {
+}
+
+// TestBuildEdgeBlocksOnEveryShard: BuildEdgeBlocks packs every shard's
+// super-vertices, Stats counts the blocks of all of them, and a scan of each
+// is served from its block.
+func TestBuildEdgeBlocksOnEveryShard(t *testing.T) {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		const supers, degree = 8, 200
+		db := openDB(t, &Options{Shards: shards, ForestSplitThreshold: 64, EdgeBlockThreshold: 128})
+		for v := VertexID(1); v <= supers; v++ {
+			var muts []Mutation
+			for j := 0; j < degree; j++ {
+				muts = append(muts, AddEdgeMut(Edge{Src: v, Dst: VertexID(1000 + j), Type: ETypeFollow}))
+			}
+			if err := db.ApplyBatch(muts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if built, err := db.BuildEdgeBlocks(); err != nil || built < supers {
+			t.Fatalf("built %d edge blocks (%v), want %d", built, err, supers)
+		}
+		before := db.Stats().EdgeBlocks
+		if before.Entries != supers*degree {
+			t.Fatalf("edge blocks hold %d entries, want %d", before.Entries, supers*degree)
+		}
+		for v := VertexID(1); v <= supers; v++ {
+			n := 0
+			if err := db.Neighbors(v, ETypeFollow, 0, func(VertexID, Properties) bool { n++; return true }); err != nil || n != degree {
+				t.Fatalf("vertex %d: %d neighbors (%v), want %d", v, n, err, degree)
+			}
+		}
+		if hits := db.Stats().EdgeBlocks.Hits - before.Hits; hits < supers {
+			t.Fatalf("%d scans served from an edge block, want %d", hits, supers)
+		}
+	})
+}
+
+// TestSnapshotVectorRoundTrips: a snapshot's vector re-pins the same cut on
+// any shard count, and a bare engine, which has no epochs to pin, refuses it
+// and the other calls that need a log.
+func TestSnapshotVectorRoundTrips(t *testing.T) {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := replicatedDB(t, Options{}, shards)
+		for i := 0; i < 40; i++ {
+			if err := db.AddEdge(Edge{Src: VertexID(i % 8), Dst: VertexID(i), Type: ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := db.Snapshot()
+		defer s.Close()
+		if err := db.AddEdge(Edge{Src: 0, Dst: 99, Type: ETypeFollow}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	rep, err := db.OpenReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if _, _, err := db.GetEdge(9, ETypeLike, VertexID(i)); err != nil {
+		again, err := db.SnapshotAt(s.Vector())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := db.RunGC(4); err != nil {
-		t.Fatal(err)
-	}
-
-	s := db.Stats()
-	if s.Storage.WriteOps == 0 || s.Storage.BytesWritten == 0 {
-		t.Fatalf("storage accounting missing: %+v", s.Storage)
-	}
-	if s.WAL.Appends == 0 || s.WAL.CommitRecords == 0 {
-		t.Fatalf("WAL accounting missing: %+v", s.WAL)
-	}
-	if s.WAL.CommitLatency.Count == 0 {
-		t.Fatalf("commit latency histogram empty: %+v", s.WAL.CommitLatency)
-	}
-	if s.Cache.ReadFanout.Count == 0 {
-		t.Fatalf("read fan-out histogram empty: %+v", s.Cache.ReadFanout)
-	}
-	if s.Forest.Trees == 0 || s.Forest.Owners == 0 {
-		t.Fatalf("forest accounting missing: %+v", s.Forest)
-	}
-	if s.Replication.Replicas != 1 {
-		t.Fatalf("replicas = %d, want 1", s.Replication.Replicas)
-	}
-
-	// The nested struct must marshal cleanly with every subsystem present.
-	buf, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"storage"`, `"wal"`, `"cache"`, `"forest"`, `"gc"`, `"replication"`,
-		`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`, `"overlay_ops"`} {
-		if !strings.Contains(string(buf), key) {
-			t.Fatalf("Stats JSON missing %s:\n%s", key, buf)
+		defer again.Close()
+		if !reflect.DeepEqual(again.Epochs(), s.Epochs()) || len(s.Epochs()) != shards {
+			t.Fatalf("re-pinned epochs %v, want %v", again.Epochs(), s.Epochs())
 		}
-	}
-
-	// The registry renderings must cover every subsystem's instruments.
-	reg, err := db.StatsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(reg, &snap); err != nil {
-		t.Fatalf("StatsJSON is not valid JSON: %v", err)
-	}
-	for _, name := range []string{"storage.read_ops", "wal.commit_us", "bwtree.read_fanout",
-		"forest.trees", "gc.write_amp", "replication.applied_lsn_lag", "replication.replicas", "bwtree.block_overlay_ops"} {
-		if _, ok := snap[name]; !ok {
-			t.Fatalf("registry snapshot missing %q", name)
+		if d, err := again.Degree(0, ETypeFollow); err != nil || d != 5 {
+			t.Fatalf("re-pinned cut sees degree %d (%v), want the 5 edges before it", d, err)
 		}
+	})
+	db := openDB(t, nil)
+	s := db.Snapshot()
+	defer s.Close()
+	if _, err := db.SnapshotAt(s.Vector()); err != ErrNotReplicated {
+		t.Fatalf("SnapshotAt on a bare engine: %v, want ErrNotReplicated", err)
 	}
-	text := db.StatsText()
-	if !strings.Contains(text, "bwtree.cache_hit_ratio") || !strings.Contains(text, "wal.appends") {
-		t.Fatalf("StatsText missing expected instruments:\n%s", text)
+	if _, err := db.ApplyBatchEx(nil); err != ErrNotReplicated {
+		t.Fatalf("ApplyBatchEx on a bare engine: %v, want ErrNotReplicated", err)
+	}
+	if db.Shards() != 1 || db.Group() != nil || !reflect.DeepEqual(s.Epochs(), []uint64{0}) {
+		t.Fatalf("bare engine: %d shards, group %v, epochs %v", db.Shards(), db.Group(), s.Epochs())
 	}
 }
 
@@ -564,7 +676,7 @@ func TestReplicationLagConverges(t *testing.T) {
 	if lag := db.Stats().Replication.AppliedLSNLag; lag != 0 {
 		t.Fatalf("applied-LSN lag after sync = %d, want 0", lag)
 	}
-	if rep.AppliedLSN() == 0 {
+	if rep.AppliedLSN(0) == 0 {
 		t.Fatal("replica applied LSN is zero after applying 30 writes")
 	}
 }

@@ -276,12 +276,12 @@ func dispatch(db *bg3.DB, f []string) error {
 		fmt.Printf("moved %d bytes\n", moved)
 		return nil
 	case "failover":
-		if err := db.Failover(); err != nil {
+		if err := db.Failover(0); err != nil {
 			return err
 		}
 		s := db.Stats()
 		fmt.Printf("promoted: epoch=%d failovers=%d fenced_appends=%d\n",
-			s.Replication.Epoch, s.Replication.Failovers, s.Replication.FencedAppends)
+			s.Shards.Epochs[0], s.Replication.Failovers, s.Replication.FencedAppends)
 		return nil
 	case "stats":
 		if len(f) > 1 {

@@ -80,6 +80,42 @@ func ExampleDB_OpenReplica() {
 	// Output: replica sees degree: 1
 }
 
+// ExampleOpen_sharded splits the vertex space over four shards behind the one
+// handle: a batch whose edges live on several shards commits atomically, a
+// traversal crosses shards at one consistent cut, and a replica follows every
+// shard.
+func ExampleOpen_sharded() {
+	db, err := bg3.Open(&bg3.Options{Shards: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+	var chain []bg3.Mutation
+	for v := bg3.VertexID(1); v < 8; v++ {
+		chain = append(chain, bg3.AddEdgeMut(bg3.Edge{Src: v, Dst: v + 1, Type: bg3.ETypeFollow}))
+	}
+	if err := db.ApplyBatch(chain); err != nil {
+		log.Fatal(err)
+	}
+	reached, _ := db.KHop(1, bg3.ETypeFollow, 7, 0)
+	s := db.Snapshot()
+	defer s.Close()
+	fmt.Println("shards:", db.Shards(), "pinned epochs:", len(s.Epochs()), "reached:", len(reached))
+
+	replica, err := db.OpenReplica()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := replica.Sync(); err != nil {
+		log.Fatal(err)
+	}
+	reached, _ = replica.KHop(1, bg3.ETypeFollow, 7, 0)
+	fmt.Println("replica reached:", len(reached))
+	// Output:
+	// shards: 4 pinned epochs: 4 reached: 7
+	// replica reached: 7
+}
+
 // ExampleDB_KHop shows bounded multi-hop expansion.
 func ExampleDB_KHop() {
 	db, _ := bg3.Open(nil)

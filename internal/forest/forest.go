@@ -487,17 +487,19 @@ func (f *Forest) Trees(fn func(*bwtree.Tree) bool) {
 }
 
 // FlushDirty flushes every tree's dirty pages (async mode), returning the
-// combined mapping updates.
+// combined mapping updates. On a failure it returns those of every page
+// written before it too: those pages are clean now, and no later flush names
+// them again.
 func (f *Forest) FlushDirty() ([]bwtree.MappingUpdate, error) {
 	var all []bwtree.MappingUpdate
 	var firstErr error
 	f.Trees(func(t *bwtree.Tree) bool {
 		ups, err := t.FlushDirty()
+		all = append(all, ups...)
 		if err != nil {
 			firstErr = fmt.Errorf("forest: flush tree %d: %w", t.ID(), err)
 			return false
 		}
-		all = append(all, ups...)
 		return true
 	})
 	return all, firstErr

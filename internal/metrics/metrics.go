@@ -147,6 +147,16 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
+// Merge adds o's observations to h, as if each had been observed on h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	h.max.Max(o.max.Load())
+}
+
 // Snapshot returns a human-readable one-line summary.
 func (h *Histogram) Snapshot() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
@@ -202,6 +212,16 @@ func (h *IntHistogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.max.Max(v)
+}
+
+// Merge adds o's observations to h, as if each had been observed on h.
+func (h *IntHistogram) Merge(o *IntHistogram) {
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	h.max.Max(o.max.Load())
 }
 
 // Count returns the number of observations.

@@ -215,6 +215,32 @@ func TestIntHistogram(t *testing.T) {
 	}
 }
 
+// TestMergeIsObservingOnOne: a merged histogram summarizes exactly like one
+// that saw every observation of its parts.
+func TestMergeIsObservingOnOne(t *testing.T) {
+	var a, b, all, merged Histogram
+	var ia, ib, iall, imerged IntHistogram
+	for i := 1; i <= 300; i++ {
+		d, v := time.Duration(i*i)*time.Microsecond, int64(i%23)
+		all.Observe(d)
+		iall.Observe(v)
+		if i%3 == 0 {
+			a.Observe(d)
+			ia.Observe(v)
+		} else {
+			b.Observe(d)
+			ib.Observe(v)
+		}
+	}
+	merged.Merge(&a)
+	merged.Merge(&b)
+	imerged.Merge(&ia)
+	imerged.Merge(&ib)
+	if merged.Summary() != all.Summary() || imerged.Summary() != iall.Summary() {
+		t.Fatalf("merged %+v %+v, observed on one %+v %+v", merged.Summary(), imerged.Summary(), all.Summary(), iall.Summary())
+	}
+}
+
 func TestIntHistogramOverflow(t *testing.T) {
 	var h IntHistogram
 	h.Observe(1000) // far past the exact range

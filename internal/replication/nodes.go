@@ -92,6 +92,9 @@ type RWNode struct {
 	flushMu  sync.Mutex
 	ckptTail wal.LSN // LSN of the last checkpoint record logged; under flushMu
 	ckptAll  bool    // its horizon covers every record logged before it; under flushMu
+	// carried holds the updates a failed cycle had already produced — pages
+	// it wrote, relocations it drained — for the next checkpoint; under flushMu.
+	carried []bwtree.MappingUpdate
 
 	// The rotation, under flushMu: named counts the checkpoints logged (the
 	// next names bucket named % rotation), points holds where they sampled
@@ -313,7 +316,9 @@ func (n *RWNode) SetLowWater(fn func() wal.LSN) {
 // materializes the pages from the stale locations, losing acked writes.
 // Writers resume as soon as the horizon is sampled and the flush runs beside
 // them. An idle cycle — nothing flushed or moved, nothing logged since the
-// last checkpoint — publishes nothing unless forced.
+// last checkpoint — publishes nothing unless forced. A cycle that fails keeps
+// the updates it produced for the next, ahead of that cycle's own: the pages
+// it wrote are clean, so no later flush names them.
 func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	n.flushMu.Lock()
 	defer n.flushMu.Unlock()
@@ -330,7 +335,9 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	horizon := n.logger.LastLSN()
 	n.applyBarrier.Unlock()
 	updates, err := n.engine.FlushDirty()
+	updates, n.carried = append(n.carried, updates...), nil
 	if err != nil {
+		n.carried = updates
 		return 0, err
 	}
 	// Pages GC relocated since the last checkpoint must also reach the
@@ -355,10 +362,12 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	// The naming goes last: a page flushed or moved this cycle is named as it
 	// stood after both, and a follower applies a checkpoint's updates in order.
 	bucket := n.named % rotation
-	records := 0
-	if n.ckptTail, records, err = n.appendCheckpoint(horizon, bucket, append(updates, n.engine.Forest().NameLeaves(bucket, rotation)...)); err != nil {
+	tail, records, err := n.appendCheckpoint(horizon, bucket, append(updates, n.engine.Forest().NameLeaves(bucket, rotation)...))
+	if err != nil {
+		n.carried = updates
 		return 0, err
 	}
+	n.ckptTail = tail
 	n.ckptAll = n.ckptTail-horizon == wal.LSN(records)
 	n.store.Stamp(mark, uint64(n.ckptTail))
 	n.named++

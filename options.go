@@ -95,15 +95,15 @@ type Options struct {
 
 	// Replicated enables the WAL pipeline so read-only replicas can be
 	// attached with DB.OpenReplica. Writes are group-committed to the WAL
-	// and pages are flushed in the background.
+	// and pages are flushed in the background. Unset with Shards <= 1, the
+	// DB is a bare engine that persists every write at once.
 	Replicated bool
 
-	// Shards partitions the vertex space across this many independent
-	// shard groups when the database is opened with OpenSharded — each
-	// shard gets its own shared-storage volume, WAL stream, group
-	// committer, MVCC epoch clock, and leader. 0 or 1 means a single
-	// shard. Ignored by Open. Sharded mode is always replicated (the WAL
-	// pipeline is what gives each shard its epoch clock).
+	// Shards partitions the vertex space by hash across this many shards,
+	// each with its own shared-storage volume, WAL stream, group committer,
+	// MVCC epoch clock, and leader. 0 or 1 means a single shard. More than
+	// one implies Replicated: the WAL pipeline is what gives each shard its
+	// epoch clock, and a batch over several shards its two-phase commit.
 	Shards int
 
 	// CommitWindow is the WAL group-commit accumulation window
@@ -140,11 +140,10 @@ type Options struct {
 	ReplicaCacheCapacity int
 }
 
-// layers is Options translated for the layers below the root API. Every
-// deployment shape opens from it — an unreplicated DB builds its engine
-// from rw.Engine over storage, a replicated DB and a ShardedDB hand
-// storage and rw to the shard group — so each knob is mapped, and each
-// default stated, exactly once.
+// layers is Options translated for the layers below the root API. Both
+// shapes Open builds start from it — a bare engine from rw.Engine over
+// storage, a leader set by handing storage and rw to the shard group — so
+// each knob is mapped, and each default stated, exactly once.
 type layers struct {
 	storage storage.Options
 	rw      replication.RWOptions

@@ -7,12 +7,11 @@ import (
 
 // reads is the read surface every root handle shares: point and
 // adjacency reads forward to the graph.Reader, traversals run the one
-// graph.KHop / pattern.Match / pattern.FindCycles over it. Snapshot,
-// Replica, ReadView and ShardSnapshot embed it whole; DB and ShardedDB
-// embed it for latest-state point and adjacency reads and override the
-// traversals to pin a snapshot first. What differs between them is only
-// the Reader they hand in (an engine, a leader set, a pinned view, a
-// follower set, a cross-shard cut).
+// graph.KHop / pattern.Match / pattern.FindCycles over it. Snapshot and
+// Replica embed it whole; DB embeds it for latest-state point and adjacency
+// reads and overrides the traversals to pin a snapshot first. What differs
+// between them is only the Reader they hand in (an engine or the shard
+// group, a pinned view or cut, the followers).
 type reads struct{ r graph.Reader }
 
 // GetVertex fetches a vertex.

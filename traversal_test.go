@@ -122,7 +122,7 @@ func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 func TestLeaderHopReadsOneRecordPerColdLeaf(t *testing.T) {
 	db := fanOutDB(t)
 	leaves, withDelta := 0, 0
-	for _, lf := range db.eng().Mapping().NameLeaves(0, 1) {
+	for _, lf := range db.eng(0).Mapping().NameLeaves(0, 1) {
 		if leaves++; len(lf.Deltas) > 0 {
 			withDelta++
 		}
@@ -214,23 +214,23 @@ func TestFollowerKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	if batched.records > serial.records {
 		t.Fatalf("follower KHop read %d records, the per-vertex traversal %d", batched.records, serial.records)
 	}
-	snap := rep.f.ros[0].Metrics().Snapshot()
+	snap := rep.ros[0].Metrics().Snapshot()
 	if f := snap["bwtree.read_fanout"].IntHistogram; f == nil || f.Count == 0 || f.Max > 2 {
 		t.Fatalf("follower bwtree.read_fanout = %+v, want at most base + delta per page", f)
 	}
 	if b := snap["bwtree.batch_load_pages"].IntHistogram; b == nil || b.Max < 200 {
 		t.Fatalf("follower bwtree.batch_load_pages = %+v, want one load of >= 200 pages", b)
 	}
-	if got, want := snap["replication.applied_lsn"].Value, int64(rep.AppliedLSN()); got != want || got == 0 {
+	if got, want := snap["replication.applied_lsn"].Value, int64(rep.AppliedLSN(0)); got != want || got == 0 {
 		t.Fatalf("replication.applied_lsn = %d, AppliedLSN %d", got, want)
 	}
 }
 
-// TestReadViewKHopScattersEachHop: a multi-shard follower view hands a hop to
-// the router as one frontier — one scatter per hop, each shard's part batched
-// by its follower — instead of expanding it vertex by vertex.
+// TestReadViewKHopScattersEachHop: a multi-shard replica hands a hop to the
+// router as one frontier — one scatter per hop, each shard's part batched by
+// its follower — instead of expanding it vertex by vertex.
 func TestReadViewKHopScattersEachHop(t *testing.T) {
-	db := openSharded(t, &Options{Shards: 2})
+	db := openDB(t, &Options{Shards: 2})
 	var muts []Mutation
 	for a := 0; a < 6; a++ {
 		muts = append(muts, AddEdgeMut(Edge{Src: 1, Dst: VertexID(10 + a), Type: ETypeFollow}))
@@ -241,25 +241,25 @@ func TestReadViewKHopScattersEachHop(t *testing.T) {
 	if err := db.ApplyBatch(muts); err != nil {
 		t.Fatal(err)
 	}
-	view, err := db.OpenReadView()
+	rep, err := db.OpenReplica()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer view.Stop()
-	if err := view.Sync(); err != nil {
+	defer rep.Stop()
+	if err := rep.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for hops := 1; hops <= 3; hops++ {
-		was := db.Stats().ScatterHops
-		reached, err := view.KHop(1, ETypeFollow, hops, 0)
+		was := db.Stats().Shards.ScatterHops
+		reached, err := rep.KHop(1, ETypeFollow, hops, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := []int{0, 6, 42, 42}[hops]; len(reached) != want {
-			t.Fatalf("%d-hop view KHop reached %d vertices, want %d", hops, len(reached), want)
+			t.Fatalf("%d-hop replica KHop reached %d vertices, want %d", hops, len(reached), want)
 		}
-		if got := db.Stats().ScatterHops - was; got != int64(hops) {
-			t.Fatalf("%d-hop view KHop moved shard.scatter_hops by %d, want one per hop", hops, got)
+		if got := db.Stats().Shards.ScatterHops - was; got != int64(hops) {
+			t.Fatalf("%d-hop replica KHop moved shard.scatter_hops by %d, want one per hop", hops, got)
 		}
 	}
 }
@@ -287,7 +287,7 @@ func TestPinnedReadSkipsInitAfterMigration(t *testing.T) {
 	if err := db.DeleteEdge(hub, ETypeFollow, 100); err != nil {
 		t.Fatal(err)
 	}
-	forest := db.eng().Forest()
+	forest := db.eng(0).Forest()
 	if forest.Stats().Migrations != 1 {
 		t.Fatalf("migrations = %d, want 1", forest.Stats().Migrations)
 	}
@@ -334,12 +334,12 @@ func TestPinnedReadSkipsInitAfterMigration(t *testing.T) {
 }
 
 // TestShardedKHopMatchesReference: the one graph.KHop reaches exactly the
-// reference BFS through every sharded root handle — ShardedDB (pins a
-// cut), an open ShardSnapshot and a follower ReadView — at 1, 2 and 4
-// shards, and the hops over the cut are counted as scatter reads.
+// reference BFS through every root handle — the DB (pins a cut), an open
+// Snapshot and a Replica — at 1, 2 and 4 shards, and the hops over the cut
+// are counted as scatter reads.
 func TestShardedKHopMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
-		db := openSharded(t, &Options{Shards: shards, ReplicaPollInterval: time.Millisecond})
+		db := replicatedDB(t, Options{ReplicaPollInterval: time.Millisecond}, shards)
 		rng := rand.New(rand.NewSource(int64(shards)))
 		adj := map[VertexID][]VertexID{}
 		var muts []Mutation
@@ -383,17 +383,17 @@ func TestShardedKHopMatchesReference(t *testing.T) {
 			return reached
 		}
 
-		view, err := db.OpenReadView()
+		rep, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := view.Sync(); err != nil {
+		if err := rep.Sync(); err != nil {
 			t.Fatal(err)
 		}
 		snap := db.Snapshot()
 		type khop func(VertexID, EdgeType, int, int) (map[VertexID]struct{}, error)
-		handles := map[string]khop{"ShardedDB": db.KHop, "ShardSnapshot": snap.KHop, "ReadView": view.KHop}
-		was := db.Stats()
+		handles := map[string]khop{"DB": db.KHop, "Snapshot": snap.KHop, "Replica": rep.KHop}
+		was := db.Stats().Shards
 		for _, start := range []VertexID{1, 17, 60} {
 			for _, hops := range []int{1, 3} {
 				for _, limit := range []int{0, 2} {
@@ -412,7 +412,7 @@ func TestShardedKHopMatchesReference(t *testing.T) {
 			}
 		}
 		snap.Close()
-		now := db.Stats()
+		now := db.Stats().Shards
 		if now.ScatterHops == was.ScatterHops || now.ScatterShardReads-was.ScatterShardReads < now.ScatterHops-was.ScatterHops {
 			t.Fatalf("shards=%d: ScatterHops %d -> %d, ScatterShardReads %d -> %d",
 				shards, was.ScatterHops, now.ScatterHops, was.ScatterShardReads, now.ScatterShardReads)
