@@ -129,7 +129,12 @@ var (
 // Open creates a new in-process BG3 database. A nil opts uses defaults.
 func Open(opts *Options) (*DB, error) {
 	o := *cmp.Or(opts, &Options{})
-	cfg := o.layers()
+	return open(o, o.layers())
+}
+
+// open builds the shape o names from cfg, o translated for the layers below.
+// Tests set what Options does not expose (cfg.storage.Faults) in between.
+func open(o Options, cfg layers) (*DB, error) {
 	if !o.Replicated && o.Shards <= 1 {
 		co := cfg.rw.Engine
 		co.Storage = &cfg.storage

@@ -17,7 +17,7 @@ func replicatedDB(t *testing.T, o Options, shards int) *DB {
 // trimmed reports whether every shard's WAL has lost a prefix.
 func trimmed(db *DB) bool {
 	for i := range db.Shards() {
-		if _, horizon := db.eng(i).Store().Head(storage.StreamWAL); horizon == 0 {
+		if _, horizon, _ := db.eng(i).Store().Head(storage.StreamWAL); horizon == 0 {
 			return false
 		}
 	}

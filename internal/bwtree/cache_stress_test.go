@@ -25,7 +25,7 @@ func TestStressShardedCache(t *testing.T) {
 	if m.ShardCount() != 8 {
 		t.Fatalf("shard count = %d, want 8", m.ShardCount())
 	}
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 8, ConsolidateNum: 4}, nil)
+	tr, err := New(m, st, Config{MaxPageEntries: 8, ConsolidateNum: 4}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
 	}

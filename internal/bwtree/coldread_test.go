@@ -294,7 +294,7 @@ func reopenLeader(t *testing.T, st *storage.Store, tr *Tree, cfg Config) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+	if err := m.TakeOver(func(TreeID) Config { return cfg }, tr.logger); err != nil {
 		t.Fatal(err)
 	}
 	return rebuilt

@@ -45,29 +45,14 @@ func (p DeltaPolicy) String() string {
 	return "read-optimized"
 }
 
-// FlushMode selects when a dirty page reaches storage, not how: under either
-// mode the page's one flush (flushPageLocked) writes it.
-type FlushMode int
-
-const (
-	// FlushSync flushes a page under the latch of the write or split that
-	// dirtied it, before Put returns (Algorithm 1's inline Flush calls).
-	// Used by standalone trees and the micro-benchmarks.
-	FlushSync FlushMode = iota
-	// FlushAsync leaves dirty pages to a background flusher (group commit,
-	// §3.4 "I/O Efficiency"). Used by the replicated RW node; requires the
-	// WAL for durability.
-	FlushAsync
-)
-
-// Config parameterizes a Tree. The zero value gives a read-optimized,
-// synchronously flushed tree with an unlimited cache.
+// Config parameterizes a Tree. The zero value gives a read-optimized tree
+// with an unlimited cache. When a dirty page reaches storage is the logger's
+// to say: a tree with one leaves it to a background flusher (§3.4 "I/O
+// Efficiency"), a tree without one flushes it under the latch of the write or
+// split that dirtied it (Algorithm 1's inline Flush calls).
 type Config struct {
 	// Policy is the delta policy (default ReadOptimized).
 	Policy DeltaPolicy
-
-	// FlushMode selects when dirty pages are flushed (default FlushSync).
-	FlushMode FlushMode
 
 	// ConsolidateNum is the delta count that triggers consolidation into a
 	// fresh base page. The paper's micro-benchmarks use 10. Default 10.

@@ -154,9 +154,9 @@ func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 
 // dirtied is the one way a leaf changed under its latch heads for storage —
 // a write run (applyRun), either half of a split, a page handed over
-// (TakeOver): it is marked dirty, and FlushMode decides only when
-// flushPageLocked writes it. An async tree leaves it in the dirty set for the
-// flusher. A sync tree flushes it now, under the latch, from base — the image
+// (TakeOver): it is marked dirty, and the logger decides only when
+// flushPageLocked writes it. A tree with one leaves it in the dirty set for the
+// flusher. A tree without one flushes it now, under the latch, from base — the image
 // the change was made over, which a cache-disabled tree keeps nowhere else
 // (nil: the page's own) — and caches a base it wrote as a load would
 // (noteCached). A failed sync flush leaves e dirty and out of the dirty set:
@@ -164,7 +164,7 @@ func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
 func (t *Tree) dirtied(e *pageEntry, base leafImage) error {
 	filed := e.dirty
 	e.dirty = true
-	if t.cfg.FlushMode == FlushAsync {
+	if t.logger != nil {
 		t.markDirty(e.id)
 		return nil
 	}
@@ -255,7 +255,7 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 
 // flushPageLocked persists one dirty page and reports whether it did — BG3's
 // Algorithm 1, and the only code that writes a leaf to storage, whenever
-// FlushMode has it run (dirtied): a page with no durable image yet, or a split
+// dirtied has it run: a page with no durable image yet, or a split
 // half, is written whole as a fresh base (lines 2–8); an overlay past
 // ConsolidateNum is consolidated into one (lines 21–27); anything else becomes
 // one merged delta (read-optimized, lines 19–31) or one more delta holding the

@@ -44,7 +44,6 @@ func newEpochTree(t *testing.T, cfg Config) (*Tree, *mvcc.Source, *storage.Store
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(cfg.CacheCapacity, false)
 	src := mvcc.NewSource(0)
-	cfg.FlushMode = FlushAsync
 	cfg.Epochs = src
 	tr, err := New(m, st, cfg, &stubAsyncLogger{src: src})
 	if err != nil {

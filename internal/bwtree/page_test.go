@@ -19,6 +19,7 @@ type version struct {
 	lsn wal.LSN
 	val string
 	del bool
+	seq int // the order writes were made in, where they carry no LSN
 }
 
 type refModel map[string][]version
@@ -185,15 +186,16 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 // edge-block rebuild against a map-of-versions reference, comparing GetAt
 // and ScanAt — full, bounded and limited — at every live pinned horizon and
 // at ∞ after every step that moves state between base, overlay and storage;
-// in sync and async flush mode, under both delta policies, on the RW tree
-// and on a Replica fed the same WAL. Extents are 2 KiB, so retained history
+// under both delta policies, on a tree without a logger, which flushes every
+// page it dirties at once, and on one with a logger, whose pages a flusher
+// writes and whose WAL feeds a Replica. Extents are 2 KiB, so retained history
 // under a long pin regularly outgrows one delta record. The edge-block
 // threshold is crossed about half way: until then every scan walks the
 // leaves, from then on it reads the block under its overlay, across the
 // rebuilds that fold the one into the other. After each of those steps one
 // leader leaf, a different one each time, is checked for the invariant its
 // cold load rests on: what its delta records hold, its overlay holds
-// (mirrorGap). Between an eighth and a quarter of the way the leader dies: the
+// (mirrorGap). With a logger, between an eighth and a quarter of the way the leader dies: the
 // follower, fed its log to the end, takes over (Mapping.TakeOver) — every leaf
 // of the promoted table passes mirrorGap, its content at ∞ is the leader's —
 // and the rest of the stream is written to it against the same map, read back
@@ -201,24 +203,24 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 func TestDifferentialAgainstVersionMap(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
-		flush  FlushMode
+		async  bool
 		policy DeltaPolicy
 	}{
-		{"sync/read-optimized", FlushSync, ReadOptimized},
-		{"sync/traditional", FlushSync, Traditional},
-		{"async/read-optimized", FlushAsync, ReadOptimized},
-		{"async/traditional", FlushAsync, Traditional},
+		{"sync/read-optimized", false, ReadOptimized},
+		{"sync/traditional", false, Traditional},
+		{"async/read-optimized", true, ReadOptimized},
+		{"async/traditional", true, Traditional},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			mode, seed := mode, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
-				runDifferential(t, mode.flush, mode.policy, seed)
+				runDifferential(t, mode.async, mode.policy, seed)
 			})
 		}
 	}
 }
 
-func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int64) {
+func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	const keySpace = 160
 	steps := 2500
 	if testing.Short() {
@@ -234,17 +236,18 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	}
 	st := storage.Open(&storage.Options{ExtentSize: extent})
 	pipe := &clockedPipe{w: wal.NewWriter(st)}
-	cfg := Config{FlushMode: flush, Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
+	cfg := Config{Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
 		// Puts outnumber deletes by 2 in 5 steps, so the write path's own
 		// trigger builds the block near step steps/2; a rebuild is due every
 		// 24 overlay ops.
 		EdgeBlockMinEntries: steps / 5, EdgeBlockRebuildOps: 24}
-	if flush == FlushAsync {
+	var logger WALLogger // none: no WAL, no follower, no hand-over
+	if async {
 		pipe.src = mvcc.NewSource(0)
-		cfg.Epochs = pipe.src
+		cfg.Epochs, logger = pipe.src, pipe
 	}
 	m := NewMapping(6, false)
-	tr, err := New(m, st, cfg, pipe)
+	tr, err := New(m, st, cfg, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,35 +257,51 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	var ckpt wal.LSN // horizon of the last published checkpoint
 
 	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(keySpace)) }
+	seq := 0 // versions made so far
+	write := func(k string, v version) {
+		seq++
+		v.seq = seq
+		ref[k] = append(ref[k], v)
+	}
 	// The block's overlay owes its readers every op above the seal and, on a
-	// sync tree, whose seal is "everything applied", every op since the last
-	// build. Nothing here writes during a build, so that is all it may hold:
-	// noteBuilds, called between any two writes, finds the LSN below which the
-	// newest block has everything, and owedOverlay lists the versions above it.
+	// tree without an epoch clock, whose seal is "everything applied", every op
+	// since the last build. Nothing here writes during a build, so that is all
+	// it may hold: noteBuilds, called between any two writes, finds the LSN
+	// (without a logger, the version) below which the newest block has
+	// everything, and owedOverlay lists the versions above it.
 	var builds int64
 	var folded wal.LSN
+	var foldedSeq int
 	noteBuilds := func() {
 		if n := m.BlockStatsSnapshot().Builds; n != builds {
 			info, _ := tr.EdgeBlock()
-			builds, folded = n, min(info.Seal, pipe.last)
+			builds, folded, foldedSeq = n, min(info.Seal, pipe.last), seq
 		}
 	}
 	owedOverlay := func() []op {
-		want := []op{}
+		type owed struct {
+			key string
+			v   version
+		}
+		var want []owed
 		for k, vs := range ref {
 			for _, v := range vs {
-				if v.lsn > folded {
-					want = append(want, op{key: []byte(k), val: []byte(v.val), del: v.del, lsn: v.lsn})
+				if (async && v.lsn > folded) || (!async && v.seq > foldedSeq) {
+					want = append(want, owed{k, v})
 				}
 			}
 		}
 		sort.Slice(want, func(i, j int) bool {
-			if c := bytes.Compare(want[i].key, want[j].key); c != 0 {
-				return c < 0
+			if want[i].key != want[j].key {
+				return want[i].key < want[j].key
 			}
-			return want[i].lsn < want[j].lsn
+			return want[i].v.seq < want[j].v.seq
 		})
-		return want
+		ops := []op{}
+		for _, o := range want {
+			ops = append(ops, op{key: []byte(o.key), val: []byte(o.v.val), del: o.v.del, lsn: o.v.lsn})
+		}
+		return ops
 	}
 	publish := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
@@ -298,21 +317,13 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	checkpoint := func() {
 		t.Helper()
 		h := pipe.last
-		if flush == FlushAsync {
-			ups, err := tr.FlushDirty()
-			if err != nil {
-				t.Fatalf("flush: %v", err)
-			}
+		ups, err := tr.FlushDirty()
+		if err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if async {
 			publish(h, ups)
-			return
 		}
-		// A sync tree is durable at every LSN: its whole leaf directory is
-		// the checkpoint.
-		var ups []MappingUpdate
-		for _, lf := range tr.LeafDirectory() {
-			ups = append(ups, MappingUpdate{Tree: tr.ID(), Page: lf.Page, Base: lf.Base, Deltas: lf.Deltas})
-		}
-		publish(h, ups)
 	}
 	same := func(what string, got, want []string) {
 		t.Helper()
@@ -364,6 +375,9 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 		if err := blockRunsGap(tr, owedOverlay()); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		if !async {
+			return
+		}
 		recs, err := rd.Poll()
 		if err != nil {
 			t.Fatal(err)
@@ -391,22 +405,15 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 
 	takeOver := func() {
 		t.Helper()
-		if flush == FlushSync {
-			// A sync leader's records run ahead of every checkpoint, and the
-			// ones a checkpoint named are garbage to the store once rewritten:
-			// only what a checkpoint just named is safe to adopt.
-			checkpoint()
-		}
 		for _, p := range pins { // pins die with the leader that served them
 			p.Close()
 		}
 		pins = nil
 		syncReplica(t, rep, rd)
-		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }, pipe); err != nil {
 			t.Fatalf("take over: %v", err)
 		}
 		next := rep.trees[tr.ID()]
-		next.SetLogger(pipe)
 		for _, lf := range next.LeafDirectory() {
 			if err := mirrorGap(st, rep.m.get(lf.Page)); err != nil {
 				t.Fatalf("after the hand-over: %v", err)
@@ -422,7 +429,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 	}
 
 	for step := 0; step < steps; step++ {
-		if step == handOver {
+		if step == handOver && async {
 			takeOver()
 		}
 		noteBuilds()
@@ -443,14 +450,18 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 			}
 			sort.SliceStable(ws, func(i, j int) bool { return bytes.Compare(ws[i].Key, ws[j].Key) < 0 })
 			pipe.data = pipe.data[:0]
-			if n, err := tr.Apply(ws, nil); err != nil || n != len(ws) || len(pipe.data) != len(ws) {
+			if n, err := tr.Apply(ws, nil); err != nil || n != len(ws) || (async && len(pipe.data) != len(ws)) {
 				t.Fatalf("step %d: Apply(%d writes) = %d %v, %d data records", step, len(ws), n, err, len(pipe.data))
 			}
 			for i, w := range ws {
 				if _, wasLive := ref.at(string(w.Key), horizonAll); w.Existed != wasLive {
 					t.Fatalf("step %d: batch write %d (%s, delete=%v): existed=%v, want %v", step, i, w.Key, w.Delete, w.Existed, wasLive)
 				}
-				ref[string(w.Key)] = append(ref[string(w.Key)], version{lsn: pipe.data[i], val: string(w.Value), del: w.Delete})
+				v := version{val: string(w.Value), del: w.Delete}
+				if async {
+					v.lsn = pipe.data[i]
+				}
+				write(string(w.Key), v)
 			}
 			awaitSpawnedBuild(tr)
 		case r < 55:
@@ -460,7 +471,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 			if err != nil || existed != wasLive {
 				t.Fatalf("step %d: PutEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
-			ref[k] = append(ref[k], version{lsn: pipe.lastData, val: v})
+			write(k, version{lsn: pipe.lastData, val: v})
 			awaitSpawnedBuild(tr) // the stream stays deterministic
 			continue
 		case r < 70:
@@ -470,7 +481,7 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 			if err != nil || existed != wasLive {
 				t.Fatalf("step %d: DeleteEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
-			ref[k] = append(ref[k], version{lsn: pipe.lastData, del: true})
+			write(k, version{lsn: pipe.lastData, del: true})
 			awaitSpawnedBuild(tr)
 			continue
 		case r < 76:
@@ -505,13 +516,10 @@ func runDifferential(t *testing.T, flush FlushMode, policy DeltaPolicy, seed int
 					}
 				}
 			}
-			// The old extents are gone: replicas must repoint before they
-			// read. An async tree's durable records only move at a flush
-			// or here; a sync tree rewrites them at every write.
-			if flush == FlushAsync {
+			// The old extents are gone: the follower must repoint before it
+			// reads.
+			if async {
 				publish(ckpt, nil)
-			} else {
-				checkpoint()
 			}
 		case r < 97: // rebuild the edge block at the current floor, whatever its overlay holds
 			if _, ok := tr.EdgeBlock(); ok {
@@ -628,7 +636,7 @@ func TestFlushSplitsOversizedRetainedDelta(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 8 << 10})
 	src := mvcc.NewSource(0)
 	m := NewMapping(0, false)
-	cfg := Config{FlushMode: FlushAsync, Epochs: src, ConsolidateNum: 4}
+	cfg := Config{Epochs: src, ConsolidateNum: 4}
 	tr, err := New(m, st, cfg, &stubAsyncLogger{src: src})
 	if err != nil {
 		t.Fatal(err)
@@ -681,13 +689,14 @@ func TestFlushSplitsOversizedRetainedDelta(t *testing.T) {
 
 // TestOversizedImageSpillsIntoDeltaChain: a page that cannot split (or
 // holds huge values) and outgrows one extent keeps the entries that fit in
-// its base record and carries the rest on the delta chain, in both flush
-// modes, instead of failing the write or the flush.
+// its base record and carries the rest on the delta chain, flushed inline
+// (mode 0) or by the flusher (mode 1), instead of failing the write or the
+// flush.
 func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
-	for _, flush := range []FlushMode{FlushSync, FlushAsync} {
+	for flush, logger := range []WALLogger{nil, &stubAsyncLogger{}} {
 		st := storage.Open(&storage.Options{ExtentSize: 1 << 10})
 		m := NewMapping(0, false)
-		tr, err := New(m, st, Config{FlushMode: flush, DisableSplit: true}, nil)
+		tr, err := New(m, st, Config{DisableSplit: true}, logger)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func syncReplica(t *testing.T, rep *follower, rd *wal.Reader) {
 }
 
 func TestReplicaSeesWrites(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{})
 	if err := tr.Put([]byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestReplicaSeesWrites(t *testing.T) {
 }
 
 func TestReplicaDelete(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{})
 	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReplicaDelete(t *testing.T) {
 // before any dirty page was flushed. The RO must reconstruct the new page
 // from the old durable image plus the WAL.
 func TestReplicaSplitScenario(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 4})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{MaxPageEntries: 4})
 
 	// Insert enough to persist a base page, then flush so a durable image
 	// exists (the "initial consistent state" of Figure 6).
@@ -151,7 +151,7 @@ func TestReplicaSplitScenario(t *testing.T) {
 }
 
 func TestReplicaCheckpointTruncatesBuffers(t *testing.T) {
-	tr, rep, rd, _, w := newReplicatedTree(t, Config{FlushMode: FlushAsync, DisableSplit: true})
+	tr, rep, rd, _, w := newReplicatedTree(t, Config{DisableSplit: true})
 	for i := 0; i < 10; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -186,7 +186,7 @@ func TestReplicaCheckpointTruncatesBuffers(t *testing.T) {
 }
 
 func TestReplicaLazyReplayOnlyOnRead(t *testing.T) {
-	tr, rep, rd, st, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync, DisableSplit: true})
+	tr, rep, rd, st, _ := newReplicatedTree(t, Config{DisableSplit: true})
 	for i := 0; i < 20; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestReplicaLazyReplayOnlyOnRead(t *testing.T) {
 }
 
 func TestReplicaScanMatchesTree(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 8})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{MaxPageEntries: 8})
 	for i := 0; i < 200; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestReplicaCacheEviction(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	m := NewMapping(0, false)
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 4}, &walPipe{w: w})
+	tr, err := New(m, st, Config{MaxPageEntries: 4}, &walPipe{w: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestReplicaCacheEviction(t *testing.T) {
 func TestReplicaChainedSplitOrigins(t *testing.T) {
 	// Multiple splits before any flush: new pages form an origin chain
 	// that the replica must follow to reconstruct content.
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 2})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{MaxPageEntries: 2})
 	for i := 0; i < 2; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -348,7 +348,7 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 	// contents.
 	for seed := int64(0); seed < 4; seed++ {
 		tr, rep, rd, _, w := newReplicatedTree(t, Config{
-			FlushMode: FlushAsync, MaxPageEntries: 4, MaxInnerEntries: 4,
+			MaxPageEntries: 4, MaxInnerEntries: 4,
 		})
 		rng := rand.New(rand.NewSource(seed))
 		model := map[string]string{}
@@ -399,7 +399,7 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 // whole range away from every replica that did not have the page resident.
 // The cycle now flushes R with L.
 func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
-	tr, rep, rd, _, w := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 8})
+	tr, rep, rd, _, w := newReplicatedTree(t, Config{MaxPageEntries: 8})
 	checkpoint := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
 		if _, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)}); err != nil {
@@ -448,7 +448,7 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
-	tr, err := New(NewMapping(0, false), st, Config{FlushMode: FlushAsync, MaxPageEntries: 4}, &walPipe{w: w})
+	tr, err := New(NewMapping(0, false), st, Config{MaxPageEntries: 4}, &walPipe{w: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 // reading through them and accepts what it fetched (sitsAt resolves the same
 // origin), so nothing is read twice.
 func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
-	tr, rep, rd, st, w := newReplicatedTree(t, Config{FlushMode: FlushAsync, MaxPageEntries: 8})
+	tr, rep, rd, st, w := newReplicatedTree(t, Config{MaxPageEntries: 8})
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", i)) }
 	for i := 0; i < 8; i++ {
 		if err := tr.Put(key(i), []byte("durable")); err != nil {
@@ -570,7 +570,7 @@ func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
 	}
 }
 
-// TestSyncTakeOverPersistsWhatTheLogHeld: under sync flushing there is no
+// TestSyncTakeOverPersistsWhatTheLogHeld: a hand-over with no logger has no
 // flusher to leave the handed-over ops to, so the hand-over writes them itself
 // — here everything, no checkpoint ever reached the follower: the root has no
 // record of its own and every sibling reads through it. A third table rebuilt
@@ -585,7 +585,7 @@ func TestSyncTakeOverPersistsWhatTheLogHeld(t *testing.T) {
 			}
 		}
 		syncReplica(t, rep, rd)
-		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }); err != nil {
+		if err := rep.m.TakeOver(func(TreeID) Config { return cfg }, nil); err != nil {
 			t.Fatal(err)
 		}
 		next := rep.trees[tr.ID()]
@@ -609,7 +609,7 @@ func TestSyncTakeOverPersistsWhatTheLogHeld(t *testing.T) {
 // checkpoint, which arrives under a higher fence epoch: the page they named
 // has moved on (here the stale chunk points it at nothing).
 func TestStaleCheckpointChunkIsDroppedAtTheNextEpoch(t *testing.T) {
-	tr, rep, rd, _, _ := newReplicatedTree(t, Config{FlushMode: FlushAsync})
+	tr, rep, rd, _, _ := newReplicatedTree(t, Config{})
 	for i := 0; i < 5; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -182,7 +182,7 @@ func TestStressConcurrentFlushAsync(t *testing.T) {
 	}
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 12})
 	m := NewMapping(0, false)
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 16}, nil)
+	tr, err := New(m, st, Config{MaxPageEntries: 16}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,8 @@ func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
 // critical section, so whoever reads an LSN — an epoch, or last — finds every
 // version at or below it recorded. With a clock it commits like the RW node's
 // committer (the epoch advances when the wait runs, after the op is in its
-// leaf); without one it is a plain sync logger.
+// leaf); without one it is the version map of a tree with no logger, noted by
+// its one writer.
 type versionLog struct {
 	mu  sync.Mutex
 	lsn wal.LSN
@@ -396,19 +397,25 @@ func (l *versionLog) Log(rec *wal.Record) (wal.LSN, error) {
 }
 
 func (l *versionLog) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
-	l.mu.Lock()
-	l.lsn++
-	lsn := l.lsn
-	if rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete {
-		l.ref[string(rec.Key)] = append(l.ref[string(rec.Key)], version{lsn: lsn, val: string(rec.Value), del: rec.Type == wal.RecordDelete})
-	}
-	l.mu.Unlock()
+	lsn := l.note(rec.Key, rec.Value, rec.Type == wal.RecordDelete, rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete)
 	return lsn, func() error {
 		if l.src != nil {
 			l.src.Advance(mvcc.Epoch(lsn))
 		}
 		return nil
 	}
+}
+
+// note numbers the next write and, for a put or delete, records its version.
+// A tree with no logger has its one writer note each op before applying it.
+func (l *versionLog) note(key, val []byte, del, data bool) wal.LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lsn++
+	if data {
+		l.ref[string(key)] = append(l.ref[string(key)], version{lsn: l.lsn, val: string(val), del: del})
+	}
+	return l.lsn
 }
 
 func (l *versionLog) last() wal.LSN {
@@ -479,17 +486,25 @@ func TestStressOverlayReadersRaceWriters(t *testing.T) {
 			defer log.SetOutput(os.Stderr)
 			cfg := Config{MaxPageEntries: 8, MaxInnerEntries: 8, ConsolidateNum: 6, EdgeBlockMinEntries: 200, EdgeBlockRebuildOps: 48}
 			vl := &versionLog{ref: refModel{}}
+			var logger WALLogger
 			if mode.async {
 				vl.src = mvcc.NewSource(0)
-				cfg.FlushMode, cfg.Epochs = FlushAsync, vl.src
+				cfg.Epochs, logger = vl.src, vl
+			}
+			// Without a logger the one writer notes its ops itself.
+			note := func(key, val []byte, del bool) {
+				if logger == nil {
+					vl.note(key, val, del, true)
+				}
 			}
 			st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-			tr, err := New(NewMapping(0, false), st, cfg, vl)
+			tr, err := New(NewMapping(0, false), st, cfg, logger)
 			if err != nil {
 				t.Fatal(err)
 			}
 			key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
 			for i := 0; i < keySpace; i += 6 { // a sixth of the keys: the rest arrive under the race, splitting leaves
+				note(key(i), []byte("preload"), false)
 				if err := tr.Put(key(i), []byte("preload")); err != nil {
 					t.Fatal(err)
 				}
@@ -539,11 +554,18 @@ func TestStressOverlayReadersRaceWriters(t *testing.T) {
 								}
 							}
 							sort.SliceStable(ws, func(a, b int) bool { return bytes.Compare(ws[a].Key, ws[b].Key) < 0 })
+							for _, x := range ws {
+								note(x.Key, x.Value, x.Delete)
+							}
 							_, err = tr.Apply(ws, nil)
 						case r < 4:
-							err = tr.Delete(key(rng.Intn(keySpace)))
+							k := key(rng.Intn(keySpace))
+							note(k, nil, true)
+							err = tr.Delete(k)
 						default:
-							err = tr.Put(key(rng.Intn(keySpace)), []byte(fmt.Sprintf("w%d.%d", w, i)))
+							k, v := key(rng.Intn(keySpace)), []byte(fmt.Sprintf("w%d.%d", w, i))
+							note(k, v, false)
+							err = tr.Put(k, v)
 						}
 						if err != nil {
 							t.Errorf("writer %d: %v", w, err)

@@ -12,13 +12,15 @@ import (
 // It is how a leader recovers and how a follower is promoted — the caller has
 // applied the log to its durable end, applies nothing more, and writes nothing
 // before TakeOver returns — so the applier is the one thing that turns WAL
-// records into pages. cfg yields each tree's leader configuration; loggers are
-// attached afterwards (Tree.SetLogger).
+// records into pages. cfg yields each tree's leader configuration, and logger
+// is every tree's from here on (nil: each flushes what it dirties at once).
 //
 // What a leader's entry promises and an applier's does not is settled per leaf,
 // under its latch:
 //
-//  1. A page no checkpoint gave records of its own is materialized now, as the
+//  1. The records the log names are live, whatever flush no checkpoint logged
+//     superseded them (storage.Store.Revalidate). A page no checkpoint gave
+//     records of its own is materialized now, as the
 //     dead leader held it: a fresh tree's root from nothing, and a split
 //     sibling from the records of the page it split off from (origin), which
 //     only an applier's load knows how to find. The sibling is marked dirty
@@ -42,15 +44,15 @@ import (
 // and the allocators move past every leaf and tree ID the log named. The role flips
 // last: until then a load still folds the chain, under an overlay that may
 // already mirror it, which reads the same. Dirty pages go where any leader's
-// go (dirtied): to the flusher, or under sync flushing to storage now.
-func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
+// go (dirtied): to the flusher, or with no logger to storage now.
+func (m *Mapping) TakeOver(cfg func(TreeID) Config, logger WALLogger) error {
 	leaves := m.leaves()
 	var maxPage PageID
 	var maxTree TreeID
 	led := make(map[*Tree]bool)
 	for _, e := range leaves {
 		if t := e.tree; !led[t] {
-			if err := t.lead(cfg(t.id)); err != nil {
+			if err := t.lead(cfg(t.id), logger); err != nil {
 				return err
 			}
 			led[t] = true
@@ -62,6 +64,10 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 	sizes := make(map[*Tree]int64)
 	for _, e := range leaves {
 		e.mu.Lock()
+		e.tree.store.Revalidate(e.baseLoc)
+		for _, l := range e.deltaLocs {
+			e.tree.store.Revalidate(l)
+		}
 		if e.live > 0 {
 			sizes[e.tree] += int64(e.live)
 		}
@@ -70,7 +76,8 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config) error {
 				e.mu.Unlock()
 				return fmt.Errorf("bwtree: take over: %w", err)
 			}
-			e.dirty, e.splitPending = e.origin != 0, e.origin != 0
+			// Dirty, so no eviction drops the image before (2) files it.
+			e.dirty, e.splitPending = e.origin != 0 || len(e.overlay) > 0, e.origin != 0
 		}
 		e.mu.Unlock()
 	}

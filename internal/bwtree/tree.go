@@ -16,7 +16,7 @@ import (
 
 // WALLogger receives the tree's write-ahead records. The RW node of §3.4
 // plugs a wal.Writer-backed implementation in; standalone trees leave it
-// nil.
+// nil, and flush every page they dirty at once.
 type WALLogger interface {
 	Log(rec *wal.Record) (wal.LSN, error)
 }
@@ -79,8 +79,8 @@ type Tree struct {
 
 // New creates an empty tree registered in m, persisting to store.
 func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree, error) {
-	t := &Tree{id: m.allocTreeID(), store: store, m: m, logger: logger}
-	if err := t.lead(cfg); err != nil {
+	t := &Tree{id: m.allocTreeID(), store: store, m: m}
+	if err := t.lead(cfg, logger); err != nil {
 		return nil, err
 	}
 	rootEntry := &pageEntry{
@@ -101,23 +101,23 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 	return t, nil
 }
 
-// lead gives the tree a leader's configuration and its dirty set — at creation
-// (New), or when an applier's tree takes over (Mapping.TakeOver).
-func (t *Tree) lead(cfg Config) error {
-	cfg = cfg.withDefaults()
-	switch {
-	case cfg.FlushMode == FlushAsync && cfg.NoCache:
-		return fmt.Errorf("bwtree: async flushing requires the page cache")
-	case cfg.FlushMode == FlushSync && cfg.Epochs != nil:
-		// The epoch clock rides the group-commit (async) pipeline only.
-		return fmt.Errorf("bwtree: epoch clock requires async flushing")
-	}
-	t.cfg, t.dirtySet = cfg, make(map[PageID]struct{})
-	return nil
+// lead gives the tree a leader's configuration, logger and dirty set — at
+// creation (New), or when an applier's tree takes over (Mapping.TakeOver).
+func (t *Tree) lead(cfg Config, logger WALLogger) error {
+	t.cfg, t.dirtySet = cfg.withDefaults(), make(map[PageID]struct{})
+	return t.SetLogger(logger)
 }
 
-// SetLogger attaches (or replaces) the tree's WAL logger.
-func (t *Tree) SetLogger(l WALLogger) { t.logger = l }
+// SetLogger makes l the tree's WAL logger. A tree with one leaves its dirty
+// pages to the flusher, so it needs the page cache to keep them, and only its
+// epoch clock can advance as the log commits.
+func (t *Tree) SetLogger(l WALLogger) error {
+	if async := l != nil; async && t.cfg.NoCache || !async && t.cfg.Epochs != nil {
+		return fmt.Errorf("bwtree: a logger defers flushes, which needs the page cache and is what an epoch clock rides")
+	}
+	t.logger = l
+	return nil
+}
 
 // ID returns the tree's identifier.
 func (t *Tree) ID() TreeID { return t.id }

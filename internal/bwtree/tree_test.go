@@ -448,7 +448,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestAsyncFlushCycle(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(0, false)
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 8}, nil)
+	tr, err := New(m, st, Config{MaxPageEntries: 8}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +498,8 @@ func TestAsyncFlushCycle(t *testing.T) {
 func TestAsyncRequiresCache(t *testing.T) {
 	st := storage.Open(nil)
 	m := NewMapping(0, true)
-	if _, err := New(m, st, Config{FlushMode: FlushAsync, NoCache: true}, nil); err == nil {
-		t.Fatal("async + no-cache should be rejected")
+	if _, err := New(m, st, Config{NoCache: true}, &stubAsyncLogger{}); err == nil {
+		t.Fatal("a logger + no-cache should be rejected")
 	}
 }
 
@@ -598,7 +598,7 @@ func TestScanReentrantCallback(t *testing.T) {
 func TestConcurrentFlushersAndWriters(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(0, false)
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 16}, nil)
+	tr, err := New(m, st, Config{MaxPageEntries: 16}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +662,7 @@ func TestConcurrentFlushersAndWriters(t *testing.T) {
 func TestCacheEvictionFullyPinned(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(2, false) // capacity far below the dirty page count
-	tr, err := New(m, st, Config{FlushMode: FlushAsync, MaxPageEntries: 4}, nil)
+	tr, err := New(m, st, Config{MaxPageEntries: 4}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,16 +809,20 @@ func leafSizes(t *testing.T, tr *Tree) []int {
 // past MaxPageEntries (here: written under a larger limit; in production, a
 // leaf whose split failed) still takes an op per run — a run that waited for
 // room would never write it, and only a write gets it split. And a run stops
-// the moment the leaf's live count passes the limit, whatever the flush mode
+// the moment the leaf's live count passes the limit, whoever flushes the leaf
 // and however short the delta chain, and the leaf is split before the next
 // run is routed. So a batch of any size terminates, keeps per-op existence
 // exact, and leaves every leaf within the limit, the one it found oversized
 // included.
 func TestRunIntoOversizedLeafMakesProgress(t *testing.T) {
-	for _, flush := range []FlushMode{FlushSync, FlushAsync} {
+	for flush, logger := range []WALLogger{nil, &stubAsyncLogger{}} { // flushed inline, then by the flusher
 		t.Run(fmt.Sprint("flush=", flush), func(t *testing.T) {
 			const limit = 8
-			tr, _ := newTestTree(t, Config{FlushMode: flush, MaxPageEntries: 2 * limit, ConsolidateNum: 64})
+			tr, err := New(NewMapping(0, false), storage.Open(&storage.Options{ExtentSize: 1 << 16}),
+				Config{MaxPageEntries: 2 * limit, ConsolidateNum: 64}, logger)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < limit+3; i++ {
 				if err := tr.Put([]byte(fmt.Sprintf("k%03d", 10*i)), []byte("v")); err != nil {
 					t.Fatal(err)
@@ -894,7 +898,7 @@ func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	logger := &gatedLogger{started: make(chan struct{}), release: make(chan struct{})}
-	tr, err := New(NewMapping(0, false), st, Config{FlushMode: FlushAsync, MaxPageEntries: 2, MaxInnerEntries: 4}, logger)
+	tr, err := New(NewMapping(0, false), st, Config{MaxPageEntries: 2, MaxInnerEntries: 4}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,6 @@ func TestApplyBatchEqualsSingleWrites(t *testing.T) {
 		want := imageOf(t, single, owners)
 
 		cfg := cfg
-		cfg.FlushMode = bwtree.FlushAsync
 		st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 		defer st.Close()
 		gc := wal.NewGroupCommitter(wal.NewWriter(st), wal.GroupCommitterOptions{})

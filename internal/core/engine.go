@@ -45,7 +45,7 @@ type Options struct {
 	// NewWithStore.
 	Storage *storage.Options
 
-	// Tree configures every Bw-tree (delta policy, flush mode, cache).
+	// Tree configures every Bw-tree (delta policy, cache).
 	Tree bwtree.Config
 
 	// SplitThreshold and InitSizeThreshold configure the Bw-tree forest
@@ -191,9 +191,9 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 }
 
 // AttachLogger makes l the WAL logger of the forest and every tree in it.
-func (e *Engine) AttachLogger(l bwtree.WALLogger) {
+func (e *Engine) AttachLogger(l bwtree.WALLogger) error {
 	e.opts.Logger = l
-	e.edges.SetLogger(l)
+	return e.edges.SetLogger(l)
 }
 
 // Metrics returns the engine's registry.

@@ -73,7 +73,7 @@ func TestReservedEdgeType(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
-		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync},
+		Tree:   bwtree.Config{},
 		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	})
 	if err != nil {
@@ -257,7 +257,7 @@ func TestEngineReplicaEndToEnd(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
-		Tree:           bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 16},
+		Tree:           bwtree.Config{MaxPageEntries: 16},
 		SplitThreshold: 32,
 		Logger:         loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	})
@@ -464,7 +464,7 @@ func TestNamingRoundTrip(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
-		Tree:           bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 16},
+		Tree:           bwtree.Config{MaxPageEntries: 16},
 		SplitThreshold: 20,
 		Logger:         loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	})
@@ -518,7 +518,7 @@ func TestReplicaReaderSurface(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
-		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync},
+		Tree:   bwtree.Config{},
 		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	})
 	if err != nil {

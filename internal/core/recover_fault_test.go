@@ -137,7 +137,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 			// died inside the write instead of one that got to retry it.
 			w.SetRetry(storage.RetryPolicy{MaxAttempts: 1})
 			opts := Options{
-				Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
+				Tree:   bwtree.Config{MaxPageEntries: 8},
 				Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 			}
 			e, err := NewWithStore(st, opts)
@@ -172,7 +172,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 			}
 			next := wal.NewWriterFrom(st, reader.LastLSN()+1)
 			recovered, err := rep.TakeOver(st, Options{
-				Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
+				Tree:   bwtree.Config{MaxPageEntries: 8},
 				Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return next.Append(rec) }),
 			})
 			if err != nil {
@@ -231,7 +231,7 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 	st := storage.Open(&storage.Options{Faults: plan})
 	w := wal.NewWriter(st)
 	opts := Options{
-		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
+		Tree:   bwtree.Config{MaxPageEntries: 8},
 		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	}
 	e, err := NewWithStore(st, opts)

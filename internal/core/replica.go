@@ -79,12 +79,10 @@ func bootstrap(st *storage.Store, capacity int, floor wal.LSN, groups [][]*wal.R
 // Reads through the replica see the engine's latest state from then on.
 func (r *Replica) TakeOver(st *storage.Store, opts Options) (*Engine, error) {
 	opts.Tree.Epochs = opts.Epochs
-	if err := r.forest.TakeOver(opts.forestConfig()); err != nil {
+	if err := r.forest.TakeOver(opts.forestConfig(), opts.Logger); err != nil {
 		return nil, fmt.Errorf("core: take over: %w", err)
 	}
-	e := assemble(st, r.mapping, r.forest, opts)
-	e.AttachLogger(opts.Logger)
-	return e, nil
+	return assemble(st, r.mapping, r.forest, opts), nil
 }
 
 // Apply incorporates one WAL record.

@@ -22,7 +22,7 @@ func TestStressReplicaGroupAtomicity(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 20})
 	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
-		Tree:   bwtree.Config{FlushMode: bwtree.FlushAsync, MaxPageEntries: 8},
+		Tree:   bwtree.Config{MaxPageEntries: 8},
 		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
 	})
 	if err != nil {

@@ -37,16 +37,15 @@ func NewApplier(m *bwtree.Mapping, store *storage.Store) *Forest {
 // INIT's key count go on from the tree sizes the hand-over seeded from the
 // leaves' live counts; an owner still in INIT counts from zero, for INIT's
 // leaves do not say whose keys they hold. Reads through the applied LSN see
-// the leader's latest state from now on. The logger is attached afterwards
-// (SetLogger).
-func (f *Forest) TakeOver(cfg Config) error {
-	f.cfg = cfg
+// the leader's latest state from now on, and every tree logs through logger.
+func (f *Forest) TakeOver(cfg Config, logger bwtree.WALLogger) error {
+	f.cfg, f.logger = cfg, logger
 	err := f.m.TakeOver(func(id bwtree.TreeID) bwtree.Config {
 		if id == f.init.ID() {
 			return cfg.initTree()
 		}
 		return cfg.Tree
-	})
+	}, logger)
 	if err != nil {
 		return err
 	}

@@ -445,6 +445,19 @@ func (f *Forest) Stats() Stats {
 	return s
 }
 
+// SetLogger makes l the WAL logger of the forest and every tree.
+func (f *Forest) SetLogger(l bwtree.WALLogger) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, t := range f.trees {
+		if err := t.SetLogger(l); err != nil {
+			return err
+		}
+	}
+	f.logger = l
+	return nil
+}
+
 // OwnerCount returns the forest's key-count estimate for owner.
 func (f *Forest) OwnerCount(owner OwnerID) int {
 	if st := f.lookupOwner(owner); st != nil {
@@ -598,14 +611,4 @@ func (f *Forest) BindOwner(owner OwnerID, id bwtree.TreeID, since wal.LSN) error
 	f.ownerOf[id] = owner
 	f.mu.Unlock()
 	return nil
-}
-
-// SetLogger attaches the WAL logger to the forest and every tree.
-func (f *Forest) SetLogger(l bwtree.WALLogger) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.logger = l
-	for _, t := range f.trees {
-		t.SetLogger(l)
-	}
 }

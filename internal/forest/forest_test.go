@@ -312,7 +312,7 @@ func TestForestReplicaFollowsMigration(t *testing.T) {
 	logger := walLoggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) })
 	fo, err := New(m, st, Config{
 		SplitThreshold: 5,
-		Tree:           bwtree.Config{FlushMode: bwtree.FlushAsync},
+		Tree:           bwtree.Config{},
 	}, logger)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestApplierPublishesLSNAtGroupEnd(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	w := wal.NewWriter(st)
 	logger := walLoggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) })
-	fo, err := New(bwtree.NewMapping(0, false), st, Config{Tree: bwtree.Config{FlushMode: bwtree.FlushAsync}}, logger)
+	fo, err := New(bwtree.NewMapping(0, false), st, Config{Tree: bwtree.Config{}}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}

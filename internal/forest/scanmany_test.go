@@ -123,7 +123,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			var logger bwtree.WALLogger
 			if !cc.disabled {
 				src = mvcc.NewSource(0)
-				cfg.Tree.FlushMode, cfg.Tree.Epochs = bwtree.FlushAsync, src
+				cfg.Tree.Epochs = src
 				logger = &clockLogger{src: src}
 			}
 			f, err := New(m, st, cfg, logger)

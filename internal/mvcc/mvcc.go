@@ -64,6 +64,7 @@ type Source struct {
 	bounds   []Epoch             // released group boundaries >= floor, ascending
 	holds    int                 // live epoch holds (cross-shard prepare windows)
 	deferred Epoch               // highest Advance deferred while held
+	unpinned []func()            // run when the last pin closes (WhenUnpinned)
 
 	// metrics
 	pinned     metrics.Gauge // live pin handles
@@ -307,6 +308,20 @@ func (s *Source) OldestPinTime() (time.Time, bool) {
 // PinnedCount returns the number of live pin handles.
 func (s *Source) PinnedCount() int64 { return s.pinned.Load() }
 
+// WhenUnpinned runs fn once no pin is live: now when none is, else when the
+// last one closes.
+func (s *Source) WhenUnpinned(fn func()) {
+	s.mu.Lock()
+	if len(s.pins) > 0 {
+		s.unpinned = append(s.unpinned, fn)
+		fn = nil
+	}
+	s.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
 func (s *Source) unpin(e Epoch) {
 	s.mu.Lock()
 	if st := s.pins[e]; st != nil {
@@ -315,9 +330,16 @@ func (s *Source) unpin(e Epoch) {
 			delete(s.pins, e)
 		}
 	}
+	var idle []func()
+	if len(s.pins) == 0 {
+		idle, s.unpinned = s.unpinned, nil
+	}
 	s.mu.Unlock()
 	s.pinned.Add(-1)
 	s.updateLag()
+	for _, fn := range idle {
+		fn()
+	}
 }
 
 func (s *Source) updateLag() {

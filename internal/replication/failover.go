@@ -120,7 +120,8 @@ func (n *RONode) promote(opts RWOptions) (*RWNode, error) {
 
 // Failover deposes old and installs a freshly promoted leader on the same
 // store — the one promotion sequence every deployment shape runs: attach a
-// follower, promote it, hand the new leader to swap, stop the old one. swap
+// follower, promote it, hand the new leader to swap, stop the old one, whose
+// open snapshots keep reading what it knew. swap
 // publishes the promoted leader wherever the owner routes from and reports
 // false when old is no longer the owner's leader (the owner closed, or
 // another failover won); the promoted node is then stopped and the error
@@ -141,6 +142,11 @@ func Failover(st *storage.Store, old *RWNode, swap func(promoted *RWNode) bool) 
 		rw.Stop()
 		return fmt.Errorf("replication: failover: %w", storage.ErrFenced)
 	}
+	// Until its last pin closes, old holds releases like a follower that
+	// applies nothing more: its snapshots read the locations it last knew.
+	held := st.Follow()
+	held.Applied(uint64(rw.LastLSN())) // the drained end: every new stamp is above it
+	old.engine.Epochs().WhenUnpinned(held.Leave)
 	old.Stop()
 	return nil
 }

@@ -33,8 +33,8 @@ import (
 
 // RWOptions configures a read-write node.
 type RWOptions struct {
-	// Engine options; FlushMode is forced to FlushAsync and the Logger is
-	// installed by NewRWNode.
+	// Engine options; the Logger (which defers page flushes to the node's
+	// flusher) and the epoch clock are installed by NewRWNode.
 	Engine core.Options
 
 	// CommitWindow is the group-commit accumulation window (0: immediate).
@@ -59,20 +59,19 @@ type RWOptions struct {
 	FlushThreshold int
 }
 
-// engineOptions is the engine configuration every leader runs with: async
-// flush (the node's flusher persists pages and publishes checkpoints), the
-// node's epoch clock, and the committer as the WAL hook.
+// engineOptions is the engine configuration every leader runs with: the
+// node's epoch clock, and the committer as the WAL hook, so the node's flusher
+// persists pages and publishes checkpoints.
 func (o RWOptions) engineOptions(src *mvcc.Source, logger bwtree.WALLogger) core.Options {
 	eo := o.Engine
-	eo.Tree.FlushMode = bwtree.FlushAsync
 	eo.Epochs = src
 	eo.Logger = logger
 	return eo
 }
 
-// RWNode is BG3's read-write node: a core.Engine in async-flush mode whose
-// every modification is group-committed to the WAL, plus the background
-// flusher that persists dirty pages and publishes checkpoints. Writes go
+// RWNode is BG3's read-write node: a core.Engine whose every modification is
+// group-committed to the WAL, which leaves its dirty pages to the background
+// flusher that persists them and publishes checkpoints. Writes go
 // through the node (not the engine directly) so checkpoint LSNs are
 // computed against a quiesced write pipeline; reads are the engine's own
 // (the RW node serves them from its memory).
@@ -401,7 +400,7 @@ func (n *RWNode) trimLocked() int {
 	}
 	bp := n.points[i]
 	n.points = n.points[i:]
-	dropped := len(n.store.DropBefore(storage.StreamWAL, bp.cursor.Extent, uint64(bp.horizon)))
+	dropped := len(n.store.DropBefore(storage.StreamWAL, bp.cursor.Extent, uint64(bp.horizon), n.writer.Epoch()))
 	n.trimmed.Add(int64(dropped))
 	return dropped
 }

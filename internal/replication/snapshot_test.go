@@ -51,7 +51,7 @@ func TestSnapshotBootstrapMatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, floor := st.Head(storage.StreamWAL); horizon == 0 || floor != uint64(horizon) {
+	if _, floor, _ := st.Head(storage.StreamWAL); horizon == 0 || floor != uint64(horizon) {
 		t.Fatalf("rotation from horizon %d left the WAL trimmed to %d", horizon, floor)
 	}
 
@@ -441,7 +441,7 @@ func TestAttachReadsOneRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, floor := st.Head(storage.StreamWAL)
+	_, floor, _ := st.Head(storage.StreamWAL)
 	if floor == 0 {
 		t.Fatal("fixture: the WAL was never trimmed")
 	}

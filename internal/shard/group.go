@@ -316,19 +316,9 @@ func (g *Group) ApplyBatch(muts []graph.Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	g.batches.Inc()
-	parts := g.router.SplitBatch(muts)
-	touched := 0
-	last := -1
-	for i, part := range parts {
-		if len(part) > 0 {
-			touched++
-			last = i
-		}
-	}
-	g.fanout.Observe(int64(touched))
-	if touched == 1 {
-		return g.applyShard(last, parts[last])
+	parts, only := g.route(muts)
+	if only >= 0 {
+		return g.applyShard(only, parts[only])
 	}
 	_, err := g.applyTxn(parts)
 	return err
@@ -337,30 +327,44 @@ func (g *Group) ApplyBatch(muts []graph.Mutation) error {
 // ApplyBatchEx is ApplyBatch returning per-shard outcomes (one entry per
 // shard, index-aligned) even on success.
 func (g *Group) ApplyBatchEx(muts []graph.Mutation) ([]ShardOutcome, error) {
-	outcomes := make([]ShardOutcome, g.Shards())
-	for i := range outcomes {
-		outcomes[i] = ShardOutcome{Shard: i, State: OutcomeSkipped}
-	}
 	if len(muts) == 0 {
-		return outcomes, nil
+		return skipped(g.Shards()), nil
 	}
+	parts, only := g.route(muts)
+	if only < 0 {
+		return g.applyTxn(parts)
+	}
+	outcomes := skipped(g.Shards())
+	err := g.applyShard(only, parts[only])
+	outcomes[only] = ShardOutcome{Shard: only, State: classifyShardErr(err), Err: err}
+	return outcomes, err
+}
+
+// route splits a batch by owner and counts it: the parts, and the one shard
+// they touch (-1: several).
+func (g *Group) route(muts []graph.Mutation) (parts [][]graph.Mutation, only int) {
 	g.batches.Inc()
-	parts := g.router.SplitBatch(muts)
+	parts, only = g.router.SplitBatch(muts), -1
 	touched := 0
-	last := -1
 	for i, part := range parts {
 		if len(part) > 0 {
-			touched++
-			last = i
+			touched, only = touched+1, i
 		}
 	}
 	g.fanout.Observe(int64(touched))
-	if touched == 1 {
-		err := g.applyShard(last, parts[last])
-		outcomes[last] = ShardOutcome{Shard: last, State: classifyShardErr(err), Err: err}
-		return outcomes, err
+	if touched > 1 {
+		only = -1
 	}
-	return g.applyTxn(parts)
+	return parts, only
+}
+
+// skipped is the outcomes of a batch that touched none of n shards.
+func skipped(n int) []ShardOutcome {
+	outcomes := make([]ShardOutcome, n)
+	for i := range outcomes {
+		outcomes[i].Shard = i
+	}
+	return outcomes
 }
 
 // classifyShardErr maps a single-shard apply error to an outcome state.
@@ -368,12 +372,10 @@ func classifyShardErr(err error) OutcomeState {
 	switch {
 	case err == nil:
 		return OutcomeCommitted
-	case errors.Is(err, storage.ErrFenced), errors.Is(err, wal.ErrWriterFailed),
-		errors.Is(err, wal.ErrCommitterStopped):
+	case isFenceErr(err):
 		return OutcomeFenced
-	default:
-		return OutcomeUnknown
 	}
+	return OutcomeUnknown
 }
 
 func isFenceErr(err error) bool {
@@ -398,10 +400,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 		}
 	}
 	coord := g.router.Coordinator(parts)
-	outcomes := make([]ShardOutcome, len(parts))
-	for i := range outcomes {
-		outcomes[i] = ShardOutcome{Shard: i, State: OutcomeSkipped}
-	}
+	outcomes := skipped(len(parts))
 	g.txns.Inc()
 	// Every record of the transaction is numbered above each participant's
 	// released horizon now, a new leader's included.

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/mvcc"
-	"bg3/internal/pattern"
 	"bg3/internal/replication"
 	"bg3/internal/storage"
 )
@@ -116,159 +114,6 @@ func TestGroupFanOutAndRoutedReads(t *testing.T) {
 	}
 	if h := st["shard.batch_fanout"].IntHistogram; h == nil || h.Max < 2 {
 		t.Fatalf("expected multi-shard fan-out, histogram: %+v", h)
-	}
-}
-
-// refGraph is the trivially correct model traversals are checked
-// against: the seeded ETypeFollow edge set as sorted adjacency lists.
-type refGraph map[graph.VertexID][]graph.VertexID
-
-func newRefGraph(edges map[[2]graph.VertexID]struct{}) refGraph {
-	ref := refGraph{}
-	for e := range edges {
-		ref[e[0]] = append(ref[e[0]], e[1])
-	}
-	for _, dsts := range ref {
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	}
-	return ref
-}
-
-func (r refGraph) GetVertex(graph.VertexID, graph.VertexType) (graph.Vertex, bool, error) {
-	return graph.Vertex{}, false, nil
-}
-
-func (r refGraph) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) (graph.Edge, bool, error) {
-	dsts := r[src]
-	i := sort.Search(len(dsts), func(i int) bool { return dsts[i] >= dst })
-	if typ != graph.ETypeFollow || i == len(dsts) || dsts[i] != dst {
-		return graph.Edge{}, false, nil
-	}
-	return graph.Edge{Src: src, Dst: dst, Type: typ}, true, nil
-}
-
-func (r refGraph) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
-	if typ != graph.ETypeFollow {
-		return nil
-	}
-	for i, dst := range r[src] {
-		if (limit > 0 && i >= limit) || !fn(dst, nil) {
-			break
-		}
-	}
-	return nil
-}
-
-func (r refGraph) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
-	if typ != graph.ETypeFollow {
-		return 0, nil
-	}
-	return len(r[src]), nil
-}
-
-// followerView attaches one read-only node per shard, drained to the
-// leaders' acked state, behind the group's router — what the root
-// package's read views are made of.
-func followerView(t *testing.T, g *Group) graph.Reader {
-	t.Helper()
-	ros := make([]*replication.RONode, g.Shards())
-	for i := range ros {
-		var err error
-		if ros[i], err = replication.NewRONode(g.Store(i), time.Hour, 0); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ros[i].Stop)
-		if err := ros[i].Poll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g.Router().Reader(func(i int) graph.Reader { return ros[i].Replica() })
-}
-
-// TestTraversalsMatchReferenceModel is the traversal-equivalence oracle:
-// the one graph.KHop over the cut, over the group's leaders and over a
-// follower view (each hop a routed.NeighborsMany scatter), and
-// pattern.Match / pattern.FindCycles over the cut as a plain graph.Reader,
-// must return exactly what the same helpers return over the reference
-// model — shard count must be unobservable.
-func TestTraversalsMatchReferenceModel(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		g := openTestGroup(t, shards)
-		ref := newRefGraph(seedRandomGraph(t, g, 7, 48, 400))
-
-		snap := g.Snapshot()
-		readers := map[string]graph.Reader{"snapshot": snap, "group": g, "followers": followerView(t, g)}
-		before := g.Metrics().Snapshot()
-		for _, start := range []graph.VertexID{1, 7, 23, 48} {
-			for _, hops := range []int{1, 2, 3, 5} {
-				for _, limit := range []int{0, 3} {
-					want, err := graph.KHop(ref, start, graph.ETypeFollow, hops, limit)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for name, r := range readers {
-						got, err := graph.KHop(r, start, graph.ETypeFollow, hops, limit)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d KHop(%d,%d,%d) over %s: %d vertices, reference %d",
-								shards, start, hops, limit, name, len(got), len(want))
-						}
-					}
-				}
-			}
-		}
-		after := g.Metrics().Snapshot()
-		hopsIssued := after["shard.scatter_hops"].Value - before["shard.scatter_hops"].Value
-		shardReads := after["shard.scatter_shard_reads"].Value - before["shard.scatter_shard_reads"].Value
-		if hopsIssued == 0 || shardReads < hopsIssued {
-			t.Fatalf("shards=%d: scatter_hops moved %d, scatter_shard_reads %d", shards, hopsIssued, shardReads)
-		}
-		if shards > 1 && shardReads == hopsIssued {
-			t.Fatalf("shards=%d: no hop touched more than one shard (%d hops, %d shard reads)", shards, hopsIssued, shardReads)
-		}
-
-		p := pattern.Pattern{N: 3, Edges: []pattern.PEdge{
-			{From: 0, To: 1, Type: graph.ETypeFollow},
-			{From: 1, To: 2, Type: graph.ETypeFollow},
-		}}
-		seeds := make([]graph.VertexID, 0, 48)
-		for v := graph.VertexID(1); v <= 48; v++ {
-			seeds = append(seeds, v)
-		}
-		for _, max := range []int{0, 1, 17} {
-			want, err := pattern.Match(ref, p, seeds, max)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := pattern.Match(snap, p, seeds, max)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d Match(max=%d): cut %d, reference %d", shards, max, len(got), len(want))
-			}
-		}
-
-		for _, start := range []graph.VertexID{1, 23} {
-			for _, max := range []int{0, 5} {
-				want, err := pattern.FindCycles(ref, start, graph.ETypeFollow, 4, max)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pattern.FindCycles(snap, start, graph.ETypeFollow, 4, max)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 || !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d FindCycles(%d,max=%d): cut %d, reference %d",
-						shards, start, max, len(got), len(want))
-				}
-			}
-		}
-		snap.Close()
-		g.Close()
 	}
 }
 

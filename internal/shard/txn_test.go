@@ -449,7 +449,7 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 				if err := g.Leader(i).Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
-				_, heads[i] = g.Store(i).Head(storage.StreamWAL)
+				_, heads[i], _ = g.Store(i).Head(storage.StreamWAL)
 			}
 			resolvedBefore := g.txnResolved.Load()
 			g.SetTxnStageHook(func(stage TxnStage, txn uint64, parts []int) {
@@ -463,7 +463,7 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 							t.Error(err)
 						}
 					}
-					if _, horizon := g.Store(i).Head(storage.StreamWAL); horizon <= heads[i] {
+					if _, horizon, _ := g.Store(i).Head(storage.StreamWAL); horizon <= heads[i] {
 						t.Errorf("shard %d: two rotations left the trim at lsn %d", i, horizon)
 					}
 				}

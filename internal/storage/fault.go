@@ -94,19 +94,6 @@ type FaultConfig struct {
 	// operation (append or read) with this probability.
 	SpikeProb    float64
 	SpikeLatency time.Duration
-
-	// SealLossProb is the probability that an extent, at the moment it is
-	// sealed, is declared permanently lost: subsequent reads and scans of it
-	// fail with ErrExtentLost. LossStreams restricts which streams it
-	// applies to (empty = all streams).
-	SealLossProb float64
-	LossStreams  []StreamID
-
-	// CrashAfterAppends, when > 0, arms a crash point: the Nth append
-	// (counted across streams, successful or not) persists a torn prefix
-	// and fails with ErrCrashed, and every later append fails with
-	// ErrCrashed until ClearCrash is called.
-	CrashAfterAppends int64
 }
 
 // FaultStats counts the faults a plan has injected.
@@ -117,12 +104,6 @@ type FaultStats struct {
 	LatencySpikes    int64
 	Crashes          int64
 	ExtentsLost      int64
-}
-
-// Total returns the total number of injected faults.
-func (s FaultStats) Total() int64 {
-	return s.TransientAppends + s.TransientReads + s.TornWrites +
-		s.LatencySpikes + s.Crashes + s.ExtentsLost
 }
 
 // extentKey identifies an extent across streams for the lost set.
@@ -146,6 +127,7 @@ type FaultPlan struct {
 	cfg      FaultConfig
 	enabled  bool
 	appends  int64
+	crashAt  int64 // the append the crash point takes (0: none armed)
 	crashed  bool
 	tearNext bool
 	lost     map[extentKey]struct{}
@@ -179,10 +161,12 @@ func (p *FaultPlan) TearNext() {
 	p.mu.Unlock()
 }
 
-// ScheduleCrash arms the crash point n appends from now (n >= 1).
+// ScheduleCrash arms the crash point n appends from now (n >= 1), counted
+// across streams, successful or not: that append persists a torn prefix and
+// fails with ErrCrashed, and so does every later one until ClearCrash.
 func (p *FaultPlan) ScheduleCrash(n int64) {
 	p.mu.Lock()
-	p.cfg.CrashAfterAppends = p.appends + n
+	p.crashAt = p.appends + n
 	p.mu.Unlock()
 }
 
@@ -194,16 +178,9 @@ func (p *FaultPlan) ScheduleCrash(n int64) {
 func (p *FaultPlan) ClearCrash() {
 	p.mu.Lock()
 	p.crashed = false
-	p.cfg.CrashAfterAppends = 0
+	p.crashAt = 0
 	p.tearNext = false
 	p.mu.Unlock()
-}
-
-// Crashed reports whether the crash point has fired.
-func (p *FaultPlan) Crashed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.crashed
 }
 
 // LoseExtent declares an extent permanently lost.
@@ -213,13 +190,6 @@ func (p *FaultPlan) LoseExtent(stream StreamID, ext ExtentID) {
 	p.stats.ExtentsLost++
 	p.mu.Unlock()
 	p.inject(FaultExtentLoss)
-}
-
-// RestoreExtent undoes LoseExtent (a repaired replica of the extent).
-func (p *FaultPlan) RestoreExtent(stream StreamID, ext ExtentID) {
-	p.mu.Lock()
-	delete(p.lost, extentKey{stream, ext})
-	p.mu.Unlock()
 }
 
 // Stats returns a snapshot of the injected-fault counters.
@@ -252,7 +222,7 @@ func (p *FaultPlan) appendDecision(stream StreamID, n int) appendOutcome {
 		p.mu.Unlock()
 		return appendOutcome{err: fmt.Errorf("storage: append %v: %w", stream, ErrCrashed)}
 	}
-	if p.cfg.CrashAfterAppends > 0 && p.appends >= p.cfg.CrashAfterAppends {
+	if p.crashAt > 0 && p.appends >= p.crashAt {
 		p.crashed = true
 		p.stats.Crashes++
 		p.stats.TornWrites++
@@ -335,31 +305,4 @@ func (p *FaultPlan) extentLost(stream StreamID, ext ExtentID) bool {
 	defer p.mu.Unlock()
 	_, dead := p.lost[extentKey{stream, ext}]
 	return dead
-}
-
-// noteSeal gives the plan a chance to lose an extent at the moment it
-// seals (SealLossProb), modelling a storage node dying with the extent.
-func (p *FaultPlan) noteSeal(stream StreamID, ext ExtentID) {
-	p.mu.Lock()
-	if !p.enabled || p.cfg.SealLossProb <= 0 || !p.streamEligibleLocked(stream) ||
-		p.rng.Float64() >= p.cfg.SealLossProb {
-		p.mu.Unlock()
-		return
-	}
-	p.lost[extentKey{stream, ext}] = struct{}{}
-	p.stats.ExtentsLost++
-	p.mu.Unlock()
-	p.inject(FaultExtentLoss)
-}
-
-func (p *FaultPlan) streamEligibleLocked(stream StreamID) bool {
-	if len(p.cfg.LossStreams) == 0 {
-		return true
-	}
-	for _, s := range p.cfg.LossStreams {
-		if s == stream {
-			return true
-		}
-	}
-	return false
 }

@@ -74,9 +74,6 @@ func TestFaultCrashPoint(t *testing.T) {
 	if _, err := s.Append(StreamWAL, 0, []byte("crashing")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash append err = %v, want ErrCrashed", err)
 	}
-	if !plan.Crashed() {
-		t.Fatal("plan not marked crashed")
-	}
 	// Every subsequent append fails; reads keep working (shared storage
 	// outlives the node).
 	if _, err := s.Append(StreamBase, 1, []byte("later")); !errors.Is(err, ErrCrashed) {
@@ -116,11 +113,6 @@ func TestFaultExtentLoss(t *testing.T) {
 	if _, _, err := s.Scan(StreamBase, Cursor{}, 0); !errors.Is(err, ErrExtentLost) {
 		t.Fatalf("scan err = %v, want ErrExtentLost", err)
 	}
-	plan.RestoreExtent(StreamBase, loc.Extent)
-	got, err := s.Read(loc)
-	if err != nil || string(got) != "doomed" {
-		t.Fatalf("read after restore = %q, %v", got, err)
-	}
 }
 
 func TestFaultScanReturnsPrefixBeforeLostExtent(t *testing.T) {
@@ -142,29 +134,6 @@ func TestFaultScanReturnsPrefixBeforeLostExtent(t *testing.T) {
 	}
 	if cur.Extent != l2.Extent {
 		t.Fatalf("cursor parked at extent %d, want the lost extent %d", cur.Extent, l2.Extent)
-	}
-}
-
-func TestFaultSealLossRespectsStreamFilter(t *testing.T) {
-	plan := NewFaultPlan(FaultConfig{
-		Seed:         11,
-		SealLossProb: 1,
-		LossStreams:  []StreamID{StreamWAL},
-	})
-	s := Open(&Options{ExtentSize: 8, Faults: plan})
-	// Sealing base extents must never be lost under the WAL-only filter.
-	for i := 0; i < 8; i++ {
-		if _, err := s.Append(StreamBase, 1, []byte("basebase")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := s.Scan(StreamBase, Cursor{}, 0); err != nil {
-		t.Fatalf("base stream lost despite filter: %v", err)
-	}
-	l1, _ := s.Append(StreamWAL, 0, []byte("walwalwa"))
-	_, _ = s.Append(StreamWAL, 0, []byte("walwalwa")) // seals l1's extent
-	if _, err := s.Read(l1); !errors.Is(err, ErrExtentLost) {
-		t.Fatalf("sealed WAL extent not lost at probability 1: %v", err)
 	}
 }
 
@@ -192,7 +161,7 @@ func TestFaultDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed, different faults:\n%+v\n%+v", a, b)
 	}
-	if a.Total() == 0 {
+	if a == (FaultStats{}) {
 		t.Fatal("no faults injected at these probabilities")
 	}
 }

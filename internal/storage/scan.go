@@ -81,8 +81,10 @@ func (s *Store) TailCursor(id StreamID) Cursor {
 // from a cursor short of the end of one of them fails with ErrTrimmed.
 // horizon is the caller's word on what survives, kept as stream metadata
 // beside the fence epoch (Head): every record the stream's owner numbers above
-// it is at or after the new head. It only moves forward, and only with a drop.
-func (s *Store) DropBefore(id StreamID, bound ExtentID, horizon uint64) []ExtentID {
+// it is at or after the new head, and epoch the fence epoch it is given under:
+// a record above it stamped lower is debris of a failed pipelined commit. Both
+// move forward only, and only with a drop.
+func (s *Store) DropBefore(id StreamID, bound ExtentID, horizon, epoch uint64) []ExtentID {
 	st, err := s.stream(id)
 	if err != nil {
 		return nil
@@ -102,23 +104,23 @@ func (s *Store) DropBefore(id StreamID, bound ExtentID, horizon uint64) []Extent
 		remaining = append(remaining, eid)
 	}
 	st.order = remaining
-	if len(dropped) > 0 {
-		st.horizon = max(st.horizon, horizon)
+	if len(dropped) > 0 && horizon > st.horizon {
+		st.horizon, st.headEpoch = horizon, epoch
 	}
 	return dropped
 }
 
 // Head returns the stream's retained head — the cursor a Scan of everything
-// still there starts from — and the horizon its last trim declared (0: never
-// trimmed).
-func (s *Store) Head(id StreamID) (Cursor, uint64) {
+// still there starts from — and the horizon its last trim declared with the
+// epoch it was declared under (0: never trimmed).
+func (s *Store) Head(id StreamID) (cur Cursor, horizon, epoch uint64) {
 	st, err := s.stream(id)
 	if err != nil {
-		return Cursor{}, 0
+		return Cursor{}, 0, 0
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.trimmed, st.horizon
+	return st.trimmed, st.horizon, st.headEpoch
 }
 
 // scan collects records at or after cur. lost, when non-nil, reports

@@ -371,7 +371,16 @@ func (s *Store) Invalidate(loc Loc) {
 	if err != nil {
 		return
 	}
-	st.invalidate(loc, s.opts.Now())
+	st.mark(loc, false, s.opts.Now())
+}
+
+// Revalidate marks the record at loc live again: a leader taking over holds
+// the locations the log names, which its predecessor may have superseded by a
+// flush no checkpoint logged, and GC must move such a record, not drop it.
+func (s *Store) Revalidate(loc Loc) {
+	if st, err := s.stream(loc.Stream); err == nil && !loc.IsZero() {
+		st.mark(loc, true, time.Time{})
+	}
 }
 
 // Stats returns a snapshot of the store's metrics.

@@ -131,9 +131,11 @@ type stream struct {
 
 	// trimmed is the end of the newest extent DropBefore removed: a scan
 	// from before it has lost records (ErrTrimmed). horizon is what the
-	// trims declared survives (DropBefore).
-	trimmed Cursor
-	horizon uint64
+	// trims declared survives, and headEpoch the fence epoch it was declared
+	// under (DropBefore).
+	trimmed   Cursor
+	horizon   uint64
+	headEpoch uint64
 
 	gcBytesMoved     int64
 	gcBytesReclaimed int64
@@ -221,9 +223,6 @@ func (s *stream) append(epoch, tag uint64, data []byte) (Loc, error) {
 	if e == nil || len(e.buf)+len(data) > s.opts.ExtentSize {
 		if e != nil {
 			e.sealed = true
-			if p := s.opts.Faults; p != nil {
-				p.noteSeal(s.id, e.id)
-			}
 		}
 		e = s.newExtentLocked()
 	}
@@ -272,7 +271,9 @@ func (e *extent) findRecord(off uint32) *record {
 	return nil
 }
 
-func (s *stream) invalidate(loc Loc, now time.Time) {
+// mark makes the record at loc dead (Store.Invalidate) or live again
+// (Store.Revalidate) in its extent's accounting.
+func (s *stream) mark(loc Loc, valid bool, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.extents[loc.Extent]
@@ -280,13 +281,15 @@ func (s *stream) invalidate(loc Loc, now time.Time) {
 		return
 	}
 	r := e.findRecord(loc.Offset)
-	if r == nil || !r.valid {
+	if r == nil || r.valid == valid {
 		return
 	}
-	r.valid = false
-	e.validCount--
-	e.invalidCount++
-	e.validBytes -= int64(r.len)
+	r.valid = valid
+	if valid {
+		e.validCount, e.invalidCount, e.validBytes = e.validCount+1, e.invalidCount-1, e.validBytes+int64(r.len)
+		return
+	}
+	e.validCount, e.invalidCount, e.validBytes = e.validCount-1, e.invalidCount+1, e.validBytes-int64(r.len)
 	e.noteUpdate(now)
 }
 
@@ -383,7 +386,7 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 		if relocate == nil || !relocate(lr.tag, oldLoc, newLoc) {
 			// Owner no longer references the record (it was superseded
 			// while we copied); the fresh copy is garbage already.
-			s.invalidate(newLoc, s.opts.Now())
+			s.mark(newLoc, false, s.opts.Now())
 			continue
 		}
 		moved += int64(len(lr.data))

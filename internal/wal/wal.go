@@ -710,12 +710,15 @@ func NewReaderAt(store *storage.Store, cur storage.Cursor) *Reader {
 // beginning when it was never trimmed, else from the head past the trimmed
 // prefix with every LSN at or below the trim's horizon declared consumed
 // (SetBase). Every record above that horizon is still there; some below it
-// may not be, and only those may have landed in the extents dropped.
+// may not be, and only those may have landed in the extents dropped. It starts
+// at the epoch the horizon was declared under, which fences debris of earlier
+// tenures past the horizon: the groups that did so may be gone with the prefix.
 func NewReaderAtHead(store *storage.Store) *Reader {
-	cur, horizon := store.Head(storage.StreamWAL)
+	cur, horizon, epoch := store.Head(storage.StreamWAL)
 	r := NewReaderAt(store, cur)
 	if horizon > 0 {
 		r.SetBase(LSN(horizon))
+		r.epoch = epoch
 	}
 	return r
 }

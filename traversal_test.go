@@ -1,9 +1,7 @@
 package bg3
 
 import (
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -330,92 +328,5 @@ func TestPinnedReadSkipsInitAfterMigration(t *testing.T) {
 	}
 	if _, ok, err := before.GetEdge(hub, ETypeFollow, 130); err != nil || ok {
 		t.Fatalf("post-pin edge visible at the earlier pin: %v %v", ok, err)
-	}
-}
-
-// TestShardedKHopMatchesReference: the one graph.KHop reaches exactly the
-// reference BFS through every root handle — the DB (pins a cut), an open
-// Snapshot and a Replica — at 1, 2 and 4 shards, and the hops over the cut
-// are counted as scatter reads.
-func TestShardedKHopMatchesReference(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		db := replicatedDB(t, Options{ReplicaPollInterval: time.Millisecond}, shards)
-		rng := rand.New(rand.NewSource(int64(shards)))
-		adj := map[VertexID][]VertexID{}
-		var muts []Mutation
-		for len(muts) < 500 {
-			src, dst := VertexID(1+rng.Intn(60)), VertexID(1+rng.Intn(60))
-			adj[src] = append(adj[src], dst)
-			muts = append(muts, AddEdgeMut(Edge{Src: src, Dst: dst, Type: ETypeFollow}))
-		}
-		if err := db.ApplyBatch(muts); err != nil {
-			t.Fatal(err)
-		}
-		// reference BFS over sorted, de-duplicated adjacency lists.
-		for src, dsts := range adj {
-			sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-			uniq := dsts[:0]
-			for i, d := range dsts {
-				if i == 0 || d != dsts[i-1] {
-					uniq = append(uniq, d)
-				}
-			}
-			adj[src] = uniq
-		}
-		reference := func(start VertexID, hops, limit int) map[VertexID]struct{} {
-			visited, reached := map[VertexID]struct{}{start: {}}, map[VertexID]struct{}{}
-			frontier := []VertexID{start}
-			for h := 0; h < hops; h++ {
-				var next []VertexID
-				for _, v := range frontier {
-					for i, d := range adj[v] {
-						if limit > 0 && i >= limit {
-							break
-						}
-						if _, seen := visited[d]; !seen {
-							visited[d], reached[d] = struct{}{}, struct{}{}
-							next = append(next, d)
-						}
-					}
-				}
-				frontier = next
-			}
-			return reached
-		}
-
-		rep, err := db.OpenReplica()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		snap := db.Snapshot()
-		type khop func(VertexID, EdgeType, int, int) (map[VertexID]struct{}, error)
-		handles := map[string]khop{"DB": db.KHop, "Snapshot": snap.KHop, "Replica": rep.KHop}
-		was := db.Stats().Shards
-		for _, start := range []VertexID{1, 17, 60} {
-			for _, hops := range []int{1, 3} {
-				for _, limit := range []int{0, 2} {
-					want := reference(start, hops, limit)
-					for name, kh := range handles {
-						got, err := kh(start, ETypeFollow, hops, limit)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d %s.KHop(%d, hops %d, limit %d) reached %d vertices, reference %d",
-								shards, name, start, hops, limit, len(got), len(want))
-						}
-					}
-				}
-			}
-		}
-		snap.Close()
-		now := db.Stats().Shards
-		if now.ScatterHops == was.ScatterHops || now.ScatterShardReads-was.ScatterShardReads < now.ScatterHops-was.ScatterHops {
-			t.Fatalf("shards=%d: ScatterHops %d -> %d, ScatterShardReads %d -> %d",
-				shards, was.ScatterHops, now.ScatterHops, was.ScatterShardReads, now.ScatterShardReads)
-		}
 	}
 }
