@@ -259,6 +259,21 @@ func edgeWrite(ed graph.Edge, del bool) forest.Write {
 // storage round trip covers many mutations instead of one each — and no
 // enqueued record is abandoned when the apply fails midway.
 func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
+	_, err := e.ApplyBatchBetween(nil, muts, nil)
+	return err
+}
+
+// ApplyBatchBetween is ApplyBatch between two records of the caller's own, as
+// one wave on the log: head is enqueued before the batch's records and tail
+// after them, once the whole batch applied, and the one drain at the end
+// covers all of them — a cross-shard transaction's decision, a participant's
+// part and its applied marker cost one commit round trip, not three. Either
+// record may be nil. headErr is head's own outcome, drained first: when it
+// failed nothing of the wave is durable (a group is durable whole or not at
+// all, and a failed group fails every record after it), and a head the log
+// refused leaves the batch unapplied. err is the wave's first failure, head's
+// included.
+func (e *Engine) ApplyBatchBetween(head *wal.Record, muts []graph.Mutation, tail *wal.Record) (headErr, err error) {
 	ws := make([]forest.Write, len(muts))
 	for i, m := range muts {
 		switch m.Kind {
@@ -266,13 +281,13 @@ func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
 			ws[i] = vertexWrite(m.Vertex)
 		case graph.MutAddEdge:
 			if m.Edge.Type == vertexPrefix {
-				return errReservedEdgeType
+				return nil, errReservedEdgeType
 			}
 			ws[i] = edgeWrite(m.Edge, false)
 		case graph.MutDeleteEdge:
 			ws[i] = edgeWrite(m.Edge, true)
 		default:
-			return fmt.Errorf("core: batch mutation %d: unknown kind %d", i, m.Kind)
+			return nil, fmt.Errorf("core: batch mutation %d: unknown kind %d", i, m.Kind)
 		}
 	}
 	slices.SortStableFunc(ws, func(a, b forest.Write) int {
@@ -282,13 +297,39 @@ func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
 		return bytes.Compare(a.Key, b.Key)
 	})
 	var waits []func() error
-	err := e.edges.Apply(ws, &waits)
-	for _, wait := range waits {
-		if werr := wait(); werr != nil && err == nil {
+	if head != nil {
+		if err := e.enqueue(head, &waits); err != nil {
+			return err, err
+		}
+	}
+	err = e.edges.Apply(ws, &waits)
+	if err == nil && tail != nil {
+		err = e.enqueue(tail, &waits)
+	}
+	for i, wait := range waits {
+		werr := wait()
+		if i == 0 && head != nil {
+			headErr = werr
+		}
+		if werr != nil && err == nil {
 			err = werr
 		}
 	}
-	return err
+	return headErr, err
+}
+
+// enqueue logs rec with its durability wait deferred into waits.
+func (e *Engine) enqueue(rec *wal.Record, waits *[]func() error) error {
+	async, ok := e.opts.Logger.(bwtree.AsyncWALLogger)
+	if !ok {
+		return fmt.Errorf("core: %v record without a group-commit logger", rec.Type)
+	}
+	lsn, wait := async.LogAsync(rec)
+	if lsn == 0 {
+		return wait() // refused: nothing was enqueued
+	}
+	*waits = append(*waits, wait)
+	return nil
 }
 
 // RunGC triggers one synchronous reclamation cycle over both data streams

@@ -86,6 +86,20 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.max.Max(us)
 }
 
+// Stopwatch times consecutive stages of one operation: each Lap observes the
+// time since the previous one, or since StartStopwatch, into a histogram.
+type Stopwatch struct{ last time.Time }
+
+// StartStopwatch starts a stopwatch now.
+func StartStopwatch() Stopwatch { return Stopwatch{last: time.Now()} }
+
+// Lap observes the time since the last lap into h and starts the next.
+func (s *Stopwatch) Lap(h *Histogram) {
+	now := time.Now()
+	h.Observe(now.Sub(s.last))
+	s.last = now
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

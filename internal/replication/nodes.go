@@ -478,13 +478,24 @@ func (n *RWNode) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 }
 
 // ApplyBatch applies a group of mutations through the replicated pipeline,
-// committed as shared WAL groups (see core.Engine.ApplyBatch). The whole
-// batch holds the apply barrier once, so a checkpoint horizon never cuts a
-// batch in half between LSN assignment and memory apply.
+// committed as shared WAL groups (see core.Engine.ApplyBatch).
 func (n *RWNode) ApplyBatch(muts []graph.Mutation) error {
+	_, err := n.ApplyWave(nil, muts, nil)
+	return err
+}
+
+// ApplyWave applies muts between two records of the caller's own — head
+// before the batch's records, tail after them — and waits once for all of
+// them (core.Engine.ApplyBatchBetween, whose results it returns). The wave
+// holds the apply barrier once, so a checkpoint horizon never cuts it in half
+// between LSN assignment and memory apply, and the committer stays quiet
+// while it is enqueued (wal.GroupCommitter.Quiet), so it goes out as one
+// group when nothing else is being written.
+func (n *RWNode) ApplyWave(head *wal.Record, muts []graph.Mutation, tail *wal.Record) (headErr, err error) {
 	n.applyBarrier.RLock()
 	defer n.applyBarrier.RUnlock()
-	return n.engine.ApplyBatch(muts)
+	defer n.logger.Quiet()()
+	return n.engine.ApplyBatchBetween(head, muts, tail)
 }
 
 var _ graph.Store = (*RWNode)(nil)

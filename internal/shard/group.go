@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bg3/internal/core"
 	"bg3/internal/graph"
@@ -38,6 +37,12 @@ type Group struct {
 	mgr       *txnManager
 	stageHook func(stage TxnStage, txn uint64, parts []int) // test fault injection
 
+	// failing[i] counts the failovers of shard i under way; failDone is
+	// broadcast as each ends (nextLeader).
+	failMu   sync.Mutex
+	failDone sync.Cond
+	failing  []int
+
 	failovers  metrics.Counter // shard leaders replaced
 	batches    metrics.Counter // ApplyBatch calls routed
 	fanout     metrics.IntHistogram
@@ -49,6 +54,11 @@ type Group struct {
 	txnAborts   metrics.Counter // transactions decided abort
 	txnResolved metrics.Counter // in-doubt prepares resolved after failover
 	txnReapply  metrics.Counter // resolutions that re-applied a committed payload
+
+	// Where a transaction's time went, stage by stage (TxnStage).
+	txnPrepareLat metrics.Histogram // begin to every prepare durable
+	txnCommitLat  metrics.Histogram // prepared to the coordinator's wave durable
+	txnApplyLat   metrics.Histogram // decided to every other participant applied
 }
 
 // Open creates a group of n shards with identical options. storageOpts
@@ -61,7 +71,9 @@ func Open(n int, storageOpts *storage.Options, rw replication.RWOptions) (*Group
 		stores:  make([]*storage.Store, n),
 		reg:     metrics.NewRegistry(),
 		mgr:     newTxnManager(),
+		failing: make([]int, n),
 	}
+	g.failDone.L = &g.failMu
 	g.routed = routed{router, func(i int) graph.Reader { return g.Leader(i) }}
 	for i := range g.stores {
 		var so storage.Options
@@ -95,6 +107,9 @@ func (g *Group) registerMetrics() {
 	r.RegisterCounter("shard.txn_aborts", &g.txnAborts)
 	r.RegisterCounter("shard.txn_indoubt_resolved", &g.txnResolved)
 	r.RegisterCounter("shard.txn_resolve_reapplied", &g.txnReapply)
+	r.RegisterHistogram("shard.txn_prepare_us", &g.txnPrepareLat)
+	r.RegisterHistogram("shard.txn_commit_us", &g.txnCommitLat)
+	r.RegisterHistogram("shard.txn_apply_us", &g.txnApplyLat)
 	r.RegisterCounter("shard.failovers", &g.failovers)
 	r.GaugeFunc("shard.shards", func() int64 { return int64(g.router.Shards()) })
 }
@@ -122,9 +137,10 @@ func (g *Group) Store(i int) *storage.Store { return g.stores[i] }
 // Failover fences shard i's leader and promotes a follower of the
 // shard's log in its place (replication.Failover); other shards are
 // untouched. After the promotion an in-doubt resolution pass settles
-// every durable prepare on the shard with no local outcome marker:
-// transactions whose coordinator holds a durable commit are re-applied
-// (idempotently) and marked applied, all others abort (presumed abort).
+// every durable part on the shard with no local outcome marker — a prepare,
+// or the coordinator's own part carried by its commit: transactions whose
+// coordinator holds a durable commit are re-applied (idempotently) and
+// marked applied, all others abort (presumed abort).
 func (g *Group) Failover(i int) error {
 	if i < 0 || i >= g.Shards() {
 		return fmt.Errorf("shard: failover: no shard %d", i)
@@ -133,6 +149,8 @@ func (g *Group) Failover(i int) error {
 	if old == nil {
 		return fmt.Errorf("shard %d: failover: group closed", i)
 	}
+	g.turnover(i, 1)
+	defer g.turnover(i, -1)
 	err := replication.Failover(g.stores[i], old, func(rw *replication.RWNode) bool {
 		g.holdTxns(i, rw)
 		return g.leaders[i].CompareAndSwap(old, rw)
@@ -147,6 +165,33 @@ func (g *Group) Failover(i int) error {
 		return nil
 	}
 	return g.resolveInDoubt(i)
+}
+
+// turnover counts a failover of shard i beginning (+1) or ending (-1), and
+// wakes whoever waits for one to end (nextLeader).
+func (g *Group) turnover(i, delta int) {
+	g.failMu.Lock()
+	g.failing[i] += delta
+	g.failMu.Unlock()
+	g.failDone.Broadcast()
+}
+
+// nextLeader returns shard i's leader once it is no longer node: at once when
+// a failover already replaced node, when the failover under way ends
+// otherwise. It returns nil when no failover of shard i is under way to
+// replace node, or the group closed.
+func (g *Group) nextLeader(i int, node *replication.RWNode) *replication.RWNode {
+	g.failMu.Lock()
+	defer g.failMu.Unlock()
+	for {
+		if next := g.Leader(i); next != node {
+			return next
+		}
+		if g.failing[i] == 0 {
+			return nil
+		}
+		g.failDone.Wait()
+	}
 }
 
 // holdTxns keeps shard i's leader from trimming the records of transactions
@@ -285,12 +330,13 @@ func (e *BatchError) Unwrap() error { return e.Cause }
 type TxnStage int
 
 const (
-	// StagePrepared: every participant's PREPARE is durable; the commit
-	// decision has not been logged yet. A leader killed here leaves the
-	// transaction in doubt.
+	// StagePrepared: every participant but the coordinator has a durable
+	// PREPARE; the commit decision has not been logged yet. A participant
+	// killed here leaves the transaction in doubt.
 	StagePrepared TxnStage = iota + 1
-	// StageDecided: the decision is settled (commit durable on the
-	// coordinator, or abort chosen); participants have not applied yet.
+	// StageDecided: the decision is settled — commit durable on the
+	// coordinator together with the coordinator's own part and its applied
+	// marker, or abort chosen; the other participants have not applied yet.
 	StageDecided
 )
 
@@ -304,10 +350,11 @@ func (g *Group) SetTxnStageHook(fn func(stage TxnStage, txn uint64, parts []int)
 
 // ApplyBatch commits the batch atomically across shards. Mutations are
 // decomposed by owner (SplitBatch); a batch touching one shard commits
-// as that shard's ordinary group-commit (the PR 9 fast path, no extra
-// records), while a multi-shard batch runs the 2PC protocol in txn.go:
-// prepare on every participant, commit decision on the coordinator's
-// stream, then per-shard apply — all riding the existing group-commit
+// as that shard's ordinary group-commit (no extra records), while a
+// multi-shard batch runs the 2PC protocol in txn.go: prepare on every
+// participant but the coordinator, the coordinator's commit wave (the
+// decision carrying its own part, the part, its marker), then one apply
+// wave per other participant — all riding the existing group-commit
 // envelopes. The batch is all-or-nothing across shards: after any crash
 // or failover, recovery resolves in-doubt prepares against the
 // coordinator's durable prefix, so no prefix of the shards can commit
@@ -402,130 +449,128 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	coord := g.router.Coordinator(parts)
 	outcomes := skipped(len(parts))
 	g.txns.Inc()
+	clock := metrics.StartStopwatch()
 	// Every record of the transaction is numbered above each participant's
-	// released horizon now, a new leader's included.
+	// released horizon now, a new leader's included. An epoch hold taken on
+	// every participant before anything is logged freezes its published read
+	// horizon until the transaction settles, so no reader ever pins an epoch
+	// inside the window.
+	nodes := make([]*replication.RWNode, len(parts))
 	floor := make(map[int]wal.LSN, len(members))
+	holds := make([]*mvcc.Hold, 0, len(members))
 	for _, i := range members {
-		floor[i] = wal.LSN(g.Leader(i).Engine().ReadEpoch()) + 1
+		nodes[i] = g.Leader(i)
+		floor[i] = wal.LSN(nodes[i].Engine().ReadEpoch()) + 1
+		holds = append(holds, nodes[i].Engine().Epochs().Hold())
 	}
+	defer func() {
+		for _, h := range holds {
+			h.Release()
+		}
+	}()
 	g.mgr.begin(txn, floor)
 	var owed []int // participants of a commit left for a resolution pass
 	defer func() { g.mgr.end(txn, owed) }()
-
-	// Phase 1 — prepare: log the sub-batch as a logical redo intent on
-	// every participant, in parallel, each riding its shard's ordinary
-	// group-commit pipeline. An epoch hold taken before the prepare
-	// freezes the shard's published read horizon until the transaction
-	// settles, so no reader ever pins an epoch inside the window.
-	type prepState struct {
-		node *replication.RWNode
-		hold *mvcc.Hold
-		err  error
+	payload := func(i int) *TxnPayload {
+		return &TxnPayload{Txn: txn, Fence: nodes[i].Epoch(), Coord: coord, Shard: i, Parts: members, Muts: parts[i]}
 	}
-	preps := make([]*prepState, len(parts))
+
+	// Phase 1 — prepare: every participant but the coordinator logs its
+	// sub-batch as a logical redo intent, in parallel, each riding its
+	// shard's ordinary group-commit pipeline. The coordinator's vote is its
+	// commit.
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for _, i := range members {
+		if i == coord {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			node := g.Leader(i)
-			ps := &prepState{node: node, hold: node.Engine().Epochs().Hold()}
-			payload := EncodePrepare(&TxnPayload{
-				Txn:   txn,
-				Fence: node.Epoch(),
-				Coord: coord,
-				Shard: i,
-				Parts: members,
-				Muts:  parts[i],
-			})
-			_, ps.err = node.Logger().Log(&wal.Record{
-				Type:   wal.RecordTxnPrepare,
-				TreeID: txn,
-				PageID: uint64(coord),
-				Value:  payload,
-			})
-			preps[i] = ps
+			_, errs[i] = nodes[i].Logger().Log(txnRecord(wal.RecordTxnPrepare, txn, coord, payload(i)))
 		}(i)
 	}
 	wg.Wait()
-	defer func() {
-		for _, ps := range preps {
-			if ps != nil {
-				ps.hold.Release()
-			}
-		}
-	}()
-
 	var cause error
 	for _, i := range members {
-		if err := preps[i].err; err != nil && cause == nil {
+		if err := errs[i]; err != nil && cause == nil {
 			cause = fmt.Errorf("shard %d prepare: %w", i, err)
 		}
 	}
+	clock.Lap(&g.txnPrepareLat)
 	if cause == nil && g.stageHook != nil {
 		g.stageHook(StagePrepared, txn, members)
 	}
 
-	// Phase 2 — decide. Prepare failures and a force-abort from a
-	// concurrent failover's resolution pass both decide abort; otherwise
-	// the coordinator logs the commit decision on its own stream. A
-	// failed commit append is an abort: fenced and torn appends are never
-	// durable, and a record stranded past a pipeline hole is outside the
-	// gapless prefix recovery delivers.
+	// Phase 2 — decide, and the coordinator's part with it. A failed prepare,
+	// a force-abort from a concurrent failover's resolution pass, and a
+	// failover of the coordinator (which prepared nothing a resolution pass
+	// could find) all decide abort. Otherwise the coordinator runs its commit
+	// wave: the commit record carrying its own part's payload, the part, its
+	// applied marker, one wait. The decision is the commit record's fate: a
+	// failed commit append is an abort — fenced and torn appends are never
+	// durable, a record stranded past a pipeline hole is outside the gapless
+	// prefix recovery delivers, and a failed group fails every record after
+	// it, so nothing of the wave is durable.
+	if cause == nil && (g.Leader(coord) != nodes[coord] || !g.mgr.tryDecide(txn)) {
+		cause = fmt.Errorf("txn %d: %w", txn, ErrTxnAborted)
+	}
 	committed := false
+	var coordErr error // the rest of the coordinator's wave, behind a durable commit
 	if cause == nil {
-		if !g.mgr.tryDecide(txn) {
-			cause = fmt.Errorf("txn %d: %w", txn, ErrTxnAborted)
-		} else if _, err := g.Leader(coord).Logger().Log(&wal.Record{
-			Type:   wal.RecordTxnCommit,
-			TreeID: txn,
-			PageID: uint64(coord),
-		}); err != nil {
-			cause = fmt.Errorf("shard %d commit decision: %w", coord, err)
-		} else {
-			committed = true
+		commit := txnRecord(wal.RecordTxnCommit, txn, coord, payload(coord))
+		errs[coord], coordErr = applyPart(nodes[coord], commit, txn, coord, parts[coord])
+		if errs[coord] != nil {
+			cause = fmt.Errorf("shard %d commit decision: %w", coord, errs[coord])
 		}
+		committed = cause == nil
 	}
 	g.mgr.decide(txn, committed)
+	clock.Lap(&g.txnCommitLat)
 	if g.stageHook != nil {
 		g.stageHook(StageDecided, txn, members)
 	}
 
 	if !committed {
 		g.txnAborts.Inc()
-		// Best-effort abort markers: the protocol is presumed-abort, so a
-		// lost marker only means a later resolution pass re-derives the
-		// same answer from the coordinator's prefix.
+		// Best-effort abort markers where a prepare landed: the protocol is
+		// presumed-abort, so a lost marker only means a later resolution pass
+		// re-derives the same answer from the coordinator's prefix, which holds
+		// nothing of the transaction.
 		for _, i := range members {
-			ps := preps[i]
 			outcomes[i] = ShardOutcome{Shard: i, State: OutcomeAborted}
-			if ps.err != nil {
-				outcomes[i].Err = ps.err
-				if isFenceErr(ps.err) {
+			if err := errs[i]; err != nil {
+				outcomes[i].Err = err
+				if isFenceErr(err) {
 					outcomes[i].State = OutcomeFenced
 				}
 				continue
 			}
-			_, _ = ps.node.Logger().Log(&wal.Record{
-				Type:   wal.RecordTxnAbort,
-				TreeID: txn,
-				PageID: uint64(coord),
-			})
+			if i != coord {
+				_, _ = nodes[i].Logger().Log(txnRecord(wal.RecordTxnAbort, txn, coord, nil))
+			}
 		}
 		return outcomes, &BatchError{Txn: txn, Outcomes: outcomes, Cause: cause}
 	}
 	g.txnCommits.Inc()
 
-	// Phase 3 — apply: each participant re-applies its sub-batch through
-	// the normal data path and logs a local applied marker. A fence here
-	// means a failover is racing us; its resolution pass re-applies the
-	// decided payload from the durable prepare, so retry against the new
-	// leader (replays are idempotent upserts/deletes).
+	// Phase 3 — apply: every other participant applies its sub-batch and logs
+	// its applied marker in one wave, in parallel; so does the coordinator
+	// again if a racing failover fenced the rest of its wave.
 	for _, i := range members {
+		node, last := g.Leader(i), error(nil)
+		if i == coord {
+			if coordErr == nil {
+				outcomes[i] = ShardOutcome{Shard: i, State: OutcomeCommitted}
+				continue
+			}
+			node, last = nodes[i], coordErr
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := g.applyDecided(i, parts[i], txn, coord)
+			err := g.applyDecided(i, node, last, txn, coord, parts[i])
 			state := OutcomeCommitted
 			if err != nil {
 				state = OutcomeUnknown
@@ -534,6 +579,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 		}(i)
 	}
 	wg.Wait()
+	clock.Lap(&g.txnApplyLat)
 	cause = nil
 	for _, i := range members {
 		if err := outcomes[i].Err; err != nil {
@@ -549,43 +595,59 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	return outcomes, nil
 }
 
-// applyDecided applies one participant's decided sub-batch and logs its
-// applied marker, retrying across a racing failover. Its own epoch hold
-// makes the apply atomic for readers even when the participant's leader
-// changed after prepare (the prepare hold pinned the old leader's clock).
-func (g *Group) applyDecided(i int, part []graph.Mutation, txn uint64, coord int) error {
-	var lastErr error
-	for attempt := 0; attempt < 6; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 2 * time.Millisecond)
-		}
-		node := g.Leader(i)
-		hold := node.Engine().Epochs().Hold()
-		err := node.ApplyBatch(part)
-		if err == nil {
-			_, err = node.Logger().Log(&wal.Record{
-				Type:   wal.RecordTxnApplied,
-				TreeID: txn,
-				PageID: uint64(coord),
-			})
-		}
-		hold.Release()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !isFenceErr(err) {
-			return err
-		}
+// txnRecord is a 2PC control record of txn: PageID names the coordinator, and
+// the Value of a prepare, or of the coordinator's commit, is the TPC1 payload
+// of the part it carries.
+func txnRecord(typ wal.RecordType, txn uint64, coord int, p *TxnPayload) *wal.Record {
+	rec := &wal.Record{Type: typ, TreeID: txn, PageID: uint64(coord)}
+	if p != nil {
+		rec.Value = EncodePrepare(p)
 	}
-	return lastErr
+	return rec
 }
 
-// resolveInDoubt settles every durable prepare on shard i that has no
-// local outcome marker. Authority order: the live transaction manager
-// first (force-aborting transactions still preparing, waiting out one
-// mid-decision), then the coordinator's durable WAL prefix — a durable
-// commit means commit, anything else aborts (presumed abort).
+// applyPart is the one way a committed part reaches a shard: one wave on
+// node (replication.RWNode.ApplyWave) — head, when given, then the part's
+// records, then its applied marker — under an epoch hold of its own, so a
+// reader pins all of it or none even when the wave takes several groups or
+// runs on a leader the transaction's first holds did not cover.
+func applyPart(node *replication.RWNode, head *wal.Record, txn uint64, coord int, muts []graph.Mutation) (headErr, err error) {
+	hold := node.Engine().Epochs().Hold()
+	defer hold.Release()
+	return node.ApplyWave(head, muts, txnRecord(wal.RecordTxnApplied, txn, coord, nil))
+}
+
+// applyDecided finishes shard i's part of committed txn (applyPart): err is
+// what the last attempt, on node, returned — nil when none was made yet. A
+// fence error means a failover may be racing it: it waits for that failover
+// to replace node (nextLeader) and applies on the new leader, whose
+// resolution pass may have applied the part already (applying it twice is
+// idempotent). With no failover under way a fence error is final, and the
+// part is left to the next one's resolution pass.
+func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uint64, coord int, muts []graph.Mutation) error {
+	for {
+		if err != nil {
+			if !isFenceErr(err) {
+				return err
+			}
+			next := g.nextLeader(i, node)
+			if next == nil {
+				return err
+			}
+			node = next
+		}
+		if _, err = applyPart(node, nil, txn, coord, muts); err == nil {
+			return nil
+		}
+	}
+}
+
+// resolveInDoubt settles every durable part on shard i that has no local
+// outcome marker: a prepare, or a commit carrying the coordinator's own part.
+// Authority order: the live transaction manager first (force-aborting
+// transactions still preparing, waiting out one mid-decision), then the
+// coordinator's durable WAL prefix — a durable commit means commit, anything
+// else aborts (presumed abort).
 func (g *Group) resolveInDoubt(i int) error {
 	state, err := scanShardTxns(g.Store(i))
 	if err != nil {
@@ -606,28 +668,13 @@ func (g *Group) resolveInDoubt(i int) error {
 			}
 			committed = cs.commits[txn]
 		}
-		node := g.Leader(i)
 		if committed {
-			hold := node.Engine().Epochs().Hold()
-			aerr := node.ApplyBatch(p.Muts)
-			if aerr == nil {
-				_, aerr = node.Logger().Log(&wal.Record{
-					Type:   wal.RecordTxnApplied,
-					TreeID: txn,
-					PageID: uint64(p.Coord),
-				})
-			}
-			hold.Release()
-			if aerr != nil {
-				return fmt.Errorf("shard %d resolve txn %d: %w", i, txn, aerr)
+			if _, err := applyPart(g.Leader(i), nil, txn, p.Coord, p.Muts); err != nil {
+				return fmt.Errorf("shard %d resolve txn %d: %w", i, txn, err)
 			}
 			g.txnReapply.Inc()
 		} else {
-			_, _ = node.Logger().Log(&wal.Record{
-				Type:   wal.RecordTxnAbort,
-				TreeID: txn,
-				PageID: uint64(p.Coord),
-			})
+			_, _ = g.Leader(i).Logger().Log(txnRecord(wal.RecordTxnAbort, txn, p.Coord, nil))
 		}
 		g.mgr.settle(txn, i)
 		g.txnResolved.Inc()

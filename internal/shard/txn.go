@@ -17,33 +17,47 @@ import (
 // Cross-shard two-phase commit (ISSUE 10).
 //
 // A multi-shard batch is decomposed by the Router and committed with a
-// lightweight 2PC layered on the per-shard group committers:
+// lightweight 2PC layered on the per-shard group committers. The
+// coordinator (the lowest touched shard) is the last agent: it does not
+// prepare, its commit is its vote. Three serial durable rounds, 2N−1
+// appends for N shards:
 //
-//  1. PREPARE: every participant logs one RecordTxnPrepare on its own
-//     stream whose Value is the TPC1 payload below — the participant's
-//     entire sub-batch as a logical redo intent plus the transaction's
-//     membership. The record rides the ordinary group-commit envelope
-//     (no extra fsync, full pipeline depth). Nothing is applied to
-//     memory, so an undecided prepare is invisible at every epoch by
-//     construction; an mvcc hold additionally freezes the shard's
-//     published read horizon across the window.
-//  2. DECIDE: once every prepare is durable the coordinator (the lowest
-//     touched shard) logs RecordTxnCommit on its stream. Any prepare
-//     failure decides abort instead (RecordTxnAbort, best effort — the
+//  1. PREPARE: every participant but the coordinator logs one
+//     RecordTxnPrepare on its own stream whose Value is the TPC1 payload
+//     below — the participant's entire sub-batch as a logical redo intent
+//     plus the transaction's membership. The record rides the ordinary
+//     group-commit envelope (no extra fsync, full pipeline depth). Nothing
+//     is applied to memory, so an undecided prepare is invisible at every
+//     epoch by construction; an mvcc hold on every participant, the
+//     coordinator included, additionally freezes the shard's published
+//     read horizon from before the first prepare until after the last
+//     apply.
+//  2. DECIDE: once every prepare is durable the coordinator runs one wave
+//     on its stream: RecordTxnCommit, whose Value is the TPC1 payload of
+//     the coordinator's own part, then that part through the normal data
+//     path, then its RecordTxnApplied marker, and one wait for all of them
+//     (replication.RWNode.ApplyWave). The commit record's durability is the
+//     decision. A prepare failure, a force-abort by a resolution pass, or
+//     a failover of the coordinator before the wave decides abort instead
+//     (RecordTxnAbort on each prepared participant, best effort — the
 //     protocol is presumed-abort, so a lost abort record is still an
 //     abort).
-//  3. APPLY: each participant re-applies its sub-batch through the
-//     normal data path (idempotent upserts/deletes) and logs a local
-//     RecordTxnApplied marker; only then is the client acked.
+//  3. APPLY: each other participant applies its sub-batch through the
+//     normal data path (idempotent upserts/deletes) and logs its local
+//     RecordTxnApplied marker after it, in one wave; only then is the
+//     client acked.
 //
-// In-doubt resolution: a durable prepare with no local Applied/Abort
-// marker is resolved by consulting, in order, the live transaction
-// manager (force-aborting transactions still preparing, waiting out
-// ones mid-decision) and the coordinator's durable WAL prefix — a
-// durable RecordTxnCommit means commit, anything else means abort.
-// Only the gapless prefix counts: a commit record stranded past a
-// pipeline hole is never delivered by recovery, matching the committer's
-// maybe-semantics for unacknowledged appends.
+// In-doubt resolution: a durable part with no local Applied/Abort marker —
+// a prepare, or a commit whose carried part has no marker after it — is
+// resolved by consulting, in order, the live transaction manager
+// (force-aborting transactions still preparing, waiting out ones
+// mid-decision) and the coordinator's durable WAL prefix — a durable
+// RecordTxnCommit means commit, anything else means abort — and a
+// committed part is re-applied. Only the gapless prefix counts: a commit
+// record stranded past a pipeline hole is never delivered by recovery,
+// matching the committer's maybe-semantics for unacknowledged appends. A
+// commit wave that failed leaves the coordinator's part in its failed
+// leader's memory, like any unacknowledged write, and never in its log.
 //
 // Every leader trims its WAL on its checkpoint cadence, and that evidence
 // must outlive the trim: the manager holds, per transaction, a floor on each
@@ -51,19 +65,20 @@ import (
 // transaction is settled on every shard — at its end, or for a committed one
 // a participant could not apply, once a resolution pass has applied it.
 
-// TxnPayload is the decoded TPC1 prepare payload: one participant's
-// sub-batch plus the transaction membership needed to resolve it.
+// TxnPayload is the decoded TPC1 payload of a prepare, or of the
+// coordinator's commit: one participant's sub-batch plus the transaction
+// membership needed to resolve it.
 type TxnPayload struct {
 	// Txn is the group-unique transaction id (nonzero). The carrying WAL
 	// record's TreeID field holds the same id for cheap scans.
 	Txn uint64
-	// Fence is the participant writer's WAL fence epoch at prepare time.
-	// It must match the carrying record's stamped epoch — a mismatch
-	// means the payload was spliced across leader tenures.
+	// Fence is the participant writer's WAL fence epoch when it logged the
+	// record. It must match the carrying record's stamped epoch — a
+	// mismatch means the payload was spliced across leader tenures.
 	Fence uint64
 	// Coord is the coordinator shard (always a participant).
 	Coord int
-	// Shard is the participant this prepare belongs to.
+	// Shard is the participant whose part this is (Coord on a commit).
 	Shard int
 	// Parts lists every participant shard, strictly ascending.
 	Parts []int
@@ -278,13 +293,16 @@ func decodeCanonicalProps(rest []byte, plen uint32, i uint32) (graph.Properties,
 	return props, rest[plen:], nil
 }
 
-// DecodePrepareRecord decodes a RecordTxnPrepare and cross-checks the
-// payload against the carrying record: the record's TreeID must equal
-// the payload's txn id and its stamped epoch the payload's fence epoch.
-// A mismatch means the payload was spliced from another transaction or
-// leader tenure and the record is rejected.
+// DecodePrepareRecord decodes the TPC1 payload a record carries — a
+// RecordTxnPrepare's, or the coordinator's own part on its RecordTxnCommit —
+// and cross-checks it against the record: the record's TreeID must equal
+// the payload's txn id and its stamped epoch the payload's fence epoch, and
+// a commit's payload must be the coordinator's part on the coordinator's log
+// (Shard == Coord == the record's PageID). A mismatch means the payload was
+// spliced from another transaction, leader tenure or shard and the record is
+// rejected.
 func DecodePrepareRecord(rec *wal.Record) (*TxnPayload, error) {
-	if rec.Type != wal.RecordTxnPrepare {
+	if rec.Type != wal.RecordTxnPrepare && rec.Type != wal.RecordTxnCommit {
 		return nil, fmt.Errorf("%w: record type %v", ErrBadPrepare, rec.Type)
 	}
 	p, err := DecodePreparePayload(rec.Value)
@@ -296,6 +314,10 @@ func DecodePrepareRecord(rec *wal.Record) (*TxnPayload, error) {
 	}
 	if p.Fence != rec.Epoch {
 		return nil, fmt.Errorf("%w: payload fence %d, record epoch %d", ErrBadPrepare, p.Fence, rec.Epoch)
+	}
+	if rec.Type == wal.RecordTxnCommit && (p.Shard != p.Coord || uint64(p.Coord) != rec.PageID) {
+		return nil, fmt.Errorf("%w: commit of coordinator %d carries shard %d's part of coordinator %d",
+			ErrBadPrepare, rec.PageID, p.Shard, p.Coord)
 	}
 	return p, nil
 }
@@ -469,7 +491,8 @@ func newTxnSalt() uint64 {
 // shardTxnState summarizes one shard's durable transaction records, as
 // recovery sees them: only the gapless WAL prefix counts.
 type shardTxnState struct {
-	// prepares maps txn id → decoded payload for every durable prepare.
+	// prepares maps txn id → decoded payload for every durable part of the
+	// shard's: a prepare, or the coordinator's own part its commit carries.
 	prepares map[uint64]*TxnPayload
 	// resolved holds txn ids with a local Applied or Abort marker.
 	resolved map[uint64]bool
@@ -478,8 +501,8 @@ type shardTxnState struct {
 	commits map[uint64]bool
 }
 
-// inDoubt returns the txn ids with a durable prepare and no local
-// resolution marker, i.e. the ones recovery must resolve.
+// inDoubt returns the txn ids with a durable part and no local resolution
+// marker, i.e. the ones recovery must resolve.
 func (s *shardTxnState) inDoubt() []uint64 {
 	var ids []uint64
 	for txn := range s.prepares {
@@ -496,7 +519,9 @@ func (s *shardTxnState) inDoubt() []uint64 {
 // stranded past it are never delivered by recovery (the reader bumps the
 // stream epoch over the debris), so they do not count as durable here
 // either. Undecodable prepare payloads are rejected fail-closed — the
-// transaction resolves as abort, never as a guess.
+// transaction resolves as abort, never as a guess. A commit is the decision
+// whatever its payload: one that does not decode only leaves the
+// coordinator's own part without a redo intent here.
 func scanShardTxns(st *storage.Store) (*shardTxnState, error) {
 	state := &shardTxnState{
 		prepares: make(map[uint64]*TxnPayload),
@@ -509,12 +534,13 @@ func scanShardTxns(st *storage.Store) (*shardTxnState, error) {
 		for _, grp := range groups {
 			for _, rec := range grp {
 				switch rec.Type {
-				case wal.RecordTxnPrepare:
+				case wal.RecordTxnPrepare, wal.RecordTxnCommit:
 					if p, derr := DecodePrepareRecord(rec); derr == nil {
 						state.prepares[rec.TreeID] = p
 					}
-				case wal.RecordTxnCommit:
-					state.commits[rec.TreeID] = true
+					if rec.Type == wal.RecordTxnCommit {
+						state.commits[rec.TreeID] = true
+					}
 				case wal.RecordTxnAbort, wal.RecordTxnApplied:
 					state.resolved[rec.TreeID] = true
 				}

@@ -9,10 +9,11 @@ import (
 	"bg3/internal/wal"
 )
 
-// FuzzDecodePrepareRecord fuzzes the TPC1 prepare-record decoder — the
-// bytes recovery trusts when resolving in-doubt transactions. The record
-// metadata (txn id, stamped epoch) fuzzes alongside the payload so the
-// cross-checks are exercised too. Properties:
+// FuzzDecodePrepareRecord fuzzes the TPC1 record decoder — the bytes
+// recovery trusts when resolving in-doubt transactions — on both carriers: a
+// prepare, and the coordinator's commit carrying its own part. The record
+// metadata (carrier, txn id, stamped epoch, coordinator page) fuzzes
+// alongside the payload so the cross-checks are exercised too. Properties:
 //
 //   - DecodePrepareRecord never panics, whatever the bytes;
 //   - every rejection wraps ErrBadPrepare (callers resolve fail-closed
@@ -21,12 +22,14 @@ import (
 //     reproduces the input byte for byte — and structurally sound: the
 //     payload's txn/fence match the carrying record, the participant
 //     list is strictly ascending with the coordinator and owning shard
-//     present, and the sub-batch is non-empty with known mutation kinds.
+//     present, the sub-batch is non-empty with known mutation kinds, and a
+//     commit's payload is the coordinator's part on the coordinator's log.
 //
 // The checked-in corpus under testdata/fuzz covers the interesting
-// shapes: a valid prepare, torn/truncated payloads, single-bit flips,
-// wrong-epoch and wrong-txn-id cross-check mismatches, and a duplicate
-// participant entry.
+// shapes: a valid prepare and a valid commit, torn/truncated payloads,
+// single-bit flips, wrong-epoch and wrong-txn-id cross-check mismatches, a
+// duplicate participant entry, a commit on another shard's log, and a
+// participant's part on a commit.
 func FuzzDecodePrepareRecord(f *testing.F) {
 	valid := EncodePrepare(&TxnPayload{
 		Txn: 7, Fence: 3, Coord: 0, Shard: 2, Parts: []int{0, 2},
@@ -37,27 +40,41 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 			}},
 		},
 	})
-	f.Add([]byte{}, uint64(7), uint64(3))
-	f.Add(valid, uint64(7), uint64(3))
-	f.Add(valid, uint64(7), uint64(4))                // wrong stamped epoch
-	f.Add(valid, uint64(8), uint64(3))                // wrong record txn id
-	f.Add(valid[:len(valid)-6], uint64(7), uint64(3)) // torn tail
-	f.Add(valid[:txnHeaderLen], uint64(7), uint64(3))
+	f.Add([]byte{}, uint64(7), uint64(3), false, uint64(0))
+	f.Add(valid, uint64(7), uint64(3), false, uint64(0))
+	f.Add(valid, uint64(7), uint64(4), false, uint64(0))                // wrong stamped epoch
+	f.Add(valid, uint64(8), uint64(3), false, uint64(0))                // wrong record txn id
+	f.Add(valid[:len(valid)-6], uint64(7), uint64(3), false, uint64(0)) // torn tail
+	f.Add(valid[:txnHeaderLen], uint64(7), uint64(3), false, uint64(0))
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0x40 // bit flip inside the txn id
-	f.Add(flipped, uint64(7), uint64(3))
+	f.Add(flipped, uint64(7), uint64(3), false, uint64(0))
 	dup := EncodePrepare(&TxnPayload{
 		Txn: 9, Fence: 1, Coord: 1, Shard: 1, Parts: []int{1, 1},
 		Muts: []graph.Mutation{
 			{Kind: graph.MutDeleteEdge, Edge: graph.Edge{Src: 5, Dst: 6, Type: 2}},
 		},
 	})
-	f.Add(dup, uint64(9), uint64(1)) // duplicate participant (not ascending)
+	f.Add(dup, uint64(9), uint64(1), false, uint64(1)) // duplicate participant (not ascending)
+	commit := EncodePrepare(&TxnPayload{
+		Txn: 7, Fence: 3, Coord: 0, Shard: 0, Parts: []int{0, 2},
+		Muts: []graph.Mutation{
+			{Kind: graph.MutAddEdge, Edge: graph.Edge{Src: 10, Dst: 22, Type: 1}},
+		},
+	})
+	f.Add(commit, uint64(7), uint64(3), true, uint64(0))
+	f.Add(commit, uint64(7), uint64(3), true, uint64(2)) // on another shard's log
+	f.Add(valid, uint64(7), uint64(3), true, uint64(0))  // a participant's part
 
-	f.Fuzz(func(t *testing.T, data []byte, recTxn, recEpoch uint64) {
+	f.Fuzz(func(t *testing.T, data []byte, recTxn, recEpoch uint64, onCommit bool, recPage uint64) {
+		typ := wal.RecordTxnPrepare
+		if onCommit {
+			typ = wal.RecordTxnCommit
+		}
 		rec := &wal.Record{
-			Type:   wal.RecordTxnPrepare,
+			Type:   typ,
 			TreeID: recTxn,
+			PageID: recPage,
 			Epoch:  recEpoch,
 			Value:  data,
 		}
@@ -97,19 +114,24 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 				t.Fatalf("accepted unknown mutation kind %d at %d", m.Kind, i)
 			}
 		}
+		if onCommit && (p.Shard != p.Coord || uint64(p.Coord) != recPage) {
+			t.Fatalf("commit on coordinator %d's log accepted shard %d's part of coordinator %d", recPage, p.Shard, p.Coord)
+		}
 		if re := EncodePrepare(p); !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload is not canonical:\n in  %x\n out %x", data, re)
 		}
 
 		// The same bytes under a wrong stamp must reject: a spliced
 		// payload never resolves.
-		wrong := &wal.Record{Type: wal.RecordTxnPrepare, TreeID: recTxn + 1, Epoch: recEpoch, Value: data}
-		if _, err := DecodePrepareRecord(wrong); !errors.Is(err, ErrBadPrepare) {
-			t.Fatalf("txn-id mismatch accepted: %v", err)
-		}
-		wrong = &wal.Record{Type: wal.RecordTxnPrepare, TreeID: recTxn, Epoch: recEpoch + 1, Value: data}
-		if _, err := DecodePrepareRecord(wrong); !errors.Is(err, ErrBadPrepare) {
-			t.Fatalf("epoch mismatch accepted: %v", err)
+		for _, wrong := range []wal.Record{
+			{Type: typ, TreeID: recTxn + 1, PageID: recPage, Epoch: recEpoch, Value: data},
+			{Type: typ, TreeID: recTxn, PageID: recPage, Epoch: recEpoch + 1, Value: data},
+			{Type: wal.RecordTxnCommit, TreeID: recTxn, PageID: uint64(p.Coord) + 1, Epoch: recEpoch, Value: data},
+		} {
+			if _, err := DecodePrepareRecord(&wrong); !errors.Is(err, ErrBadPrepare) {
+				t.Fatalf("mismatched %v record (txn %d, epoch %d, coordinator %d) accepted: %v",
+					wrong.Type, wrong.TreeID, wrong.Epoch, wrong.PageID, err)
+			}
 		}
 	})
 }

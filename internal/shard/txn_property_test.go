@@ -2,24 +2,30 @@ package shard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bg3/internal/mvcc"
 )
 
-// 2PC state-machine property test (ISSUE 10): random interleavings of
-// prepare / decide / failover / recover over a fake storage, driving the
-// real mvcc.Source epoch clocks and the real txnManager, and asserting
-// after every step that no shard's released epoch exposes an undecided
-// prepare — visible transaction data always belongs to a committed
+// 2PC state-machine property test: random interleavings of prepare /
+// decide / failover / recover over a fake storage, driving the real
+// mvcc.Source epoch clocks and the real txnManager, and asserting after
+// every step that no shard's released epoch exposes an undecided
+// transaction — visible transaction data always belongs to a committed
 // transaction and is visible completely or not at all per shard.
 //
 // The fake mirrors the real protocol's moving parts: one epoch clock and
 // append-only log per shard (every append is durable and releases a
-// group boundary), epoch holds spanning prepare → apply, a coordinator
-// commit record as the durable decision, and failovers that replace the
-// shard's clock with a fresh one at the durable horizon (old holds die
-// with the deposed leader) followed by an in-doubt resolution pass.
+// group boundary), epoch holds on every participant from before the first
+// prepare until after its apply, prepares on every participant but the
+// coordinator, the coordinator's commit wave (the commit record carrying
+// its part — the durable decision — then the part and its applied marker),
+// one apply wave per other participant, and failovers that replace the
+// shard's clock with a fresh one at the durable horizon (old holds die with
+// the deposed leader) followed by an in-doubt resolution pass. A commit
+// wave may be cut after its commit record by its leader's death: recovery
+// then re-applies the coordinator's part from the commit.
 
 type fakeKind uint8
 
@@ -53,6 +59,20 @@ func (s *fakeShard) append(k fakeKind, txn uint64, idx int) uint64 {
 	return s.nextLSN
 }
 
+// wave applies txn's part on s and logs its applied marker after it, after
+// the commit record when commit is set, under a hold of its own (applyPart).
+func (s *fakeShard) wave(txn uint64, commit bool) {
+	hold := s.src.Hold()
+	if commit {
+		s.append(fkCommit, txn, 0)
+	}
+	for idx := 0; idx < subSize; idx++ {
+		s.append(fkData, txn, idx)
+	}
+	s.append(fkApplied, txn, 0)
+	hold.Release()
+}
+
 // subSize is the number of data slots each participant applies per
 // transaction — two, so a torn apply is detectable.
 const subSize = 2
@@ -61,7 +81,9 @@ type ptxn struct {
 	id        uint64
 	parts     []int
 	coord     int
-	prepOrder int // next parts index to prepare
+	coordSrc  *mvcc.Source // the coordinator's clock when the transaction began
+	preps     []int        // the participants that prepare: all but the coordinator
+	prepOrder int          // next preps index to prepare
 	holds     map[int]*mvcc.Hold
 	decided   bool
 	committed bool
@@ -83,7 +105,7 @@ type pharness struct {
 	decisions map[uint64]bool
 
 	// coverage counters (aggregated across seeds by the caller)
-	commits, aborts, forceAborts, resolveApplies int
+	commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies int
 }
 
 func newPHarness(t *testing.T, rng *rand.Rand, nShards int) *pharness {
@@ -99,19 +121,15 @@ func newPHarness(t *testing.T, rng *rand.Rand, nShards int) *pharness {
 
 func (h *pharness) startTxn() {
 	n := 2 + h.rng.Intn(len(h.shards)-1)
-	perm := h.rng.Perm(len(h.shards))[:n]
-	parts := append([]int(nil), perm...)
-	for i := range parts { // ascending, like SplitBatch's output
-		for j := i + 1; j < len(parts); j++ {
-			if parts[j] < parts[i] {
-				parts[i], parts[j] = parts[j], parts[i]
-			}
-		}
-	}
+	parts := h.rng.Perm(len(h.shards))[:n]
+	slices.Sort(parts) // ascending, like SplitBatch's output
 	h.nextID++
 	t := &ptxn{
-		id: h.nextID, parts: parts, coord: parts[0],
+		id: h.nextID, parts: parts, coord: parts[0], coordSrc: h.shards[parts[0]].src, preps: parts[1:],
 		holds: make(map[int]*mvcc.Hold), appliedBy: make(map[int]bool),
+	}
+	for _, s := range parts { // every participant's clock, before anything is logged
+		t.holds[s] = h.shards[s].src.Hold()
 	}
 	h.mgr.begin(t.id, nil)
 	h.txns[t.id] = t
@@ -121,51 +139,59 @@ func (h *pharness) startTxn() {
 // stepTxn advances one transaction by one protocol step.
 func (h *pharness) stepTxn(t *ptxn) {
 	switch {
-	case t.prepOrder < len(t.parts):
-		// Prepare the next participant: hold its clock, log the intent.
-		s := t.parts[t.prepOrder]
+	case t.prepOrder < len(t.preps):
+		// Prepare the next participant: log the intent.
+		h.shards[t.preps[t.prepOrder]].append(fkPrepare, t.id, 0)
 		t.prepOrder++
-		t.holds[s] = h.shards[s].src.Hold()
-		h.shards[s].append(fkPrepare, t.id, 0)
 	case !t.decided:
 		t.decided = true
+		if h.shards[t.coord].src != t.coordSrc {
+			// The coordinator failed over while its participants prepared.
+			h.mgr.decide(t.id, false)
+			h.decisions[t.id] = false
+			h.coordAborts++
+			h.abortTxn(t)
+			return
+		}
 		if !h.mgr.tryDecide(t.id) {
 			// Force-aborted by a failover's resolution pass.
-			t.committed = false
 			h.decisions[t.id] = false
 			h.forceAborts++
 			h.abortTxn(t)
 			return
 		}
-		if h.rng.Intn(4) == 0 { // coordinator chooses abort
-			t.committed = false
+		if h.rng.Intn(4) == 0 { // the commit wave failed: nothing of it is durable
 			h.decisions[t.id] = false
 			h.mgr.decide(t.id, false)
 			h.aborts++
 			h.abortTxn(t)
 			return
 		}
-		h.shards[t.coord].append(fkCommit, t.id, 0)
+		sh := h.shards[t.coord]
+		torn := h.rng.Intn(3) == 0
+		if torn {
+			// The commit lands, the coordinator's leader dies before the
+			// rest of its wave.
+			sh.append(fkCommit, t.id, 0)
+		} else {
+			sh.wave(t.id, true)
+			t.appliedBy[t.coord] = true
+		}
 		h.decisions[t.id] = true
 		h.mgr.decide(t.id, true)
 		t.committed = true
 		h.commits++
+		if torn {
+			h.failover(t.coord)
+		}
 	default:
 		// Apply the next pending participant, or finish.
 		for _, s := range t.parts {
 			if t.appliedBy[s] {
 				continue
 			}
-			sh := h.shards[s]
-			hold := sh.src.Hold() // fresh hold: the leader may have changed
-			for idx := 0; idx < subSize; idx++ {
-				sh.append(fkData, t.id, idx)
-			}
-			sh.append(fkApplied, t.id, 0)
-			hold.Release()
-			if ph := t.holds[s]; ph != nil {
-				ph.Release()
-			}
+			h.shards[s].wave(t.id, false)
+			t.holds[s].Release()
 			t.appliedBy[s] = true
 			return
 		}
@@ -175,8 +201,8 @@ func (h *pharness) stepTxn(t *ptxn) {
 
 // abortTxn logs abort markers on every prepared participant and settles.
 func (h *pharness) abortTxn(t *ptxn) {
-	for i := 0; i < t.prepOrder; i++ {
-		h.shards[t.parts[i]].append(fkAbort, t.id, 0)
+	for _, s := range t.preps[:t.prepOrder] {
+		h.shards[s].append(fkAbort, t.id, 0)
 	}
 	h.finishTxn(t)
 }
@@ -197,11 +223,12 @@ func (h *pharness) finishTxn(t *ptxn) {
 
 // failover replaces shard s's epoch clock with a fresh one at the
 // durable horizon (the promoted leader's recovery point) and runs the
-// in-doubt resolution pass, exactly like Group.Failover.
+// in-doubt resolution pass, exactly like Group.Failover: every durable part
+// with no local outcome marker — a prepare, or a commit carrying the
+// coordinator's part — is re-applied if committed and aborted otherwise.
 func (h *pharness) failover(s int) {
 	sh := h.shards[s]
 	sh.src = mvcc.NewSource(mvcc.Epoch(sh.nextLSN))
-	// In-doubt scan: durable prepares with no local outcome marker.
 	resolved := make(map[uint64]bool)
 	var indoubt []uint64
 	for _, r := range sh.log {
@@ -211,16 +238,16 @@ func (h *pharness) failover(s int) {
 		}
 	}
 	for _, r := range sh.log {
-		if r.kind == fkPrepare && !resolved[r.txn] {
+		if (r.kind == fkPrepare || r.kind == fkCommit) && !resolved[r.txn] {
 			indoubt = append(indoubt, r.txn)
 			resolved[r.txn] = true // dedup
 		}
 	}
 	for _, id := range indoubt {
+		t := h.txns[id]
 		committed, known := h.mgr.resolveLive(id)
 		if !known {
 			// Consult the coordinator's durable prefix.
-			t := h.txns[id]
 			for _, r := range h.shards[t.coord].log {
 				if r.kind == fkCommit && r.txn == id {
 					committed = true
@@ -230,14 +257,12 @@ func (h *pharness) failover(s int) {
 			h.decisions[id] = false
 		}
 		if committed {
-			hold := sh.src.Hold()
-			for idx := 0; idx < subSize; idx++ {
-				sh.append(fkData, id, idx)
-			}
-			sh.append(fkApplied, id, 0)
-			hold.Release()
+			sh.wave(id, false)
 			h.resolveApplies++
-			if t := h.txns[id]; t != nil && !t.done {
+			if s == t.coord {
+				h.coordReapplies++
+			}
+			if !t.done {
 				t.appliedBy[s] = true
 			}
 		} else {
@@ -285,7 +310,7 @@ func TestTxnStateMachineProperty(t *testing.T) {
 	if testing.Short() {
 		seeds, actions = 10, 150
 	}
-	var commits, aborts, forceAborts, resolveApplies int
+	var commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies int
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		h := newPHarness(t, rng, 4)
@@ -332,11 +357,13 @@ func TestTxnStateMachineProperty(t *testing.T) {
 		commits += h.commits
 		aborts += h.aborts
 		forceAborts += h.forceAborts
+		coordAborts += h.coordAborts
 		resolveApplies += h.resolveApplies
+		coordReapplies += h.coordReapplies
 	}
 	// The interleavings must actually exercise every protocol path.
-	if commits == 0 || aborts == 0 || forceAborts == 0 || resolveApplies == 0 {
-		t.Fatalf("coverage too thin: commits=%d aborts=%d forceAborts=%d resolveApplies=%d",
-			commits, aborts, forceAborts, resolveApplies)
+	if commits == 0 || aborts == 0 || forceAborts == 0 || coordAborts == 0 || resolveApplies == 0 || coordReapplies == 0 {
+		t.Fatalf("coverage too thin: commits=%d aborts=%d forceAborts=%d coordAborts=%d resolveApplies=%d coordReapplies=%d",
+			commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies)
 	}
 }

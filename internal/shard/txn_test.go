@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bg3/internal/bwtree"
@@ -140,6 +141,22 @@ func TestDecodePrepareRecordCrossChecks(t *testing.T) {
 	if _, err := DecodePrepareRecord(wrongType); !errors.Is(err, ErrBadPrepare) {
 		t.Fatalf("type mismatch: err = %v, want ErrBadPrepare", err)
 	}
+	// A commit carries the coordinator's own part, on the coordinator's log.
+	own := testPayload()
+	own.Shard = own.Coord
+	commit := &wal.Record{Type: wal.RecordTxnCommit, TreeID: own.Txn, PageID: uint64(own.Coord), Epoch: own.Fence, Value: EncodePrepare(own)}
+	if _, err := DecodePrepareRecord(commit); err != nil {
+		t.Fatalf("the coordinator's commit rejected: %v", err)
+	}
+	elsewhere := *commit
+	elsewhere.PageID++
+	participants := *commit
+	participants.Value = buf // shard 2's part of coordinator 1
+	for name, rec := range map[string]*wal.Record{"on another shard's log": &elsewhere, "a participant's part": &participants} {
+		if _, err := DecodePrepareRecord(rec); !errors.Is(err, ErrBadPrepare) {
+			t.Fatalf("commit carrying %s: err = %v, want ErrBadPrepare", name, err)
+		}
+	}
 }
 
 // The manager's resolution rules: unknown transactions fall through to
@@ -208,11 +225,45 @@ func crossShardBatch(a, b graph.VertexID, tag string) []graph.Mutation {
 	}
 }
 
-// A committed multi-shard batch leaves the full 2PC record trail on the
-// durable prefix — prepares on both owners, the commit decision on the
-// coordinator, applied markers everywhere — and the data is readable.
-// Single-shard batches leave zero transaction records (the PR 9 fast
-// path is untouched).
+// trail is the part of shard st's retained log that belongs to transaction
+// txn of a crossShardBatch tagged tag, in LSN order: its control records and
+// the puts carrying tag.
+func trail(t *testing.T, st *storage.Store, txn uint64, tag string) []wal.RecordType {
+	t.Helper()
+	var out []wal.RecordType
+	reader := wal.NewReaderAtHead(st)
+	for {
+		groups, err := reader.PollGroups()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) == 0 {
+			return out
+		}
+		for _, grp := range groups {
+			for _, rec := range grp {
+				switch rec.Type {
+				case wal.RecordTxnPrepare, wal.RecordTxnCommit, wal.RecordTxnAbort, wal.RecordTxnApplied:
+					if rec.TreeID == txn {
+						out = append(out, rec.Type)
+					}
+				case wal.RecordPut:
+					if ps, err := graph.DecodeProps(rec.Value); err == nil {
+						if v, _ := ps.Get("t"); string(v) == tag {
+							out = append(out, rec.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A committed multi-shard batch leaves the 2PC record trail on the durable
+// prefix — a prepare on the participant, none on the coordinator, whose
+// commit carries its own part; on each shard its part's records, then its
+// one applied marker — and the data is readable. Single-shard batches leave
+// zero transaction records.
 func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 	g := openTestGroup(t, 4)
 	a, b := findCrossShardPair(g.Router())
@@ -240,36 +291,51 @@ func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 		states[s] = st
 	}
 	var txn uint64
-	for id := range states[sa].prepares {
+	for id := range states[sa].commits {
 		txn = id
 	}
 	if txn == 0 {
-		t.Fatalf("no prepare on shard %d", sa)
+		t.Fatalf("no commit on coordinator %d", sa)
 	}
+	batch := crossShardBatch(a, b, "x")
+	parts := map[int][]graph.Mutation{sa: batch[:1], sb: batch[1:]}
 	for _, s := range []int{sa, sb} {
 		st := states[s]
 		if len(st.prepares) != 1 {
-			t.Fatalf("shard %d has %d prepares, want 1 (single-shard batch leaked records?)", s, len(st.prepares))
+			t.Fatalf("shard %d carries %d parts, want 1 (single-shard batch leaked records?)", s, len(st.prepares))
 		}
 		p := st.prepares[txn]
 		if p == nil {
-			t.Fatalf("shard %d missing prepare for txn %d", s, txn)
+			t.Fatalf("shard %d carries no part of txn %d", s, txn)
 		}
 		if p.Coord != sa || p.Shard != s || !reflect.DeepEqual(p.Parts, []int{sa, sb}) {
 			t.Fatalf("shard %d payload membership = coord %d shard %d parts %v", s, p.Coord, p.Shard, p.Parts)
 		}
-		if !st.resolved[txn] {
-			t.Fatalf("shard %d has no applied marker for txn %d", s, txn)
+		if !reflect.DeepEqual(p.Muts, parts[s]) {
+			t.Fatalf("shard %d carries %v, want its part %v", s, p.Muts, parts[s])
 		}
 		if len(st.inDoubt()) != 0 {
 			t.Fatalf("shard %d still in doubt: %v", s, st.inDoubt())
 		}
 	}
-	if !states[sa].commits[txn] {
-		t.Fatalf("coordinator %d has no durable commit for txn %d", sa, txn)
-	}
 	if states[sb].commits[txn] {
 		t.Fatalf("participant %d logged a commit decision", sb)
+	}
+	want := map[int][]wal.RecordType{
+		sa: {wal.RecordTxnCommit, wal.RecordPut, wal.RecordTxnApplied},
+		sb: {wal.RecordTxnPrepare, wal.RecordPut, wal.RecordTxnApplied},
+	}
+	for s, w := range want {
+		if got := trail(t, g.Store(s), txn, "x"); !reflect.DeepEqual(got, w) {
+			t.Fatalf("shard %d logged %v, want %v", s, got, w)
+		}
+	}
+	// The group's registry times each stage of the one transaction.
+	snap := g.Metrics().Snapshot()
+	for _, stage := range []string{"shard.txn_prepare_us", "shard.txn_commit_us", "shard.txn_apply_us"} {
+		if h := snap[stage].Histogram; h == nil || h.Count != 1 {
+			t.Fatalf("%s: %+v, want one observation", stage, h)
+		}
 	}
 }
 
@@ -410,13 +476,15 @@ func TestApplyBatchExOutcomes(t *testing.T) {
 
 // TestTxnEvidenceSurvivesTrim: every leader trims its WAL on its checkpoint
 // cadence, and a transaction's records outlive the trim for as long as the
-// group holds the transaction. A coordinator is killed with the transaction in
-// doubt (StagePrepared) and, in a second group, decided (StageDecided); first,
-// every shard runs two rotations of checkpoints, which would trim its log past
-// where the transaction began and trim it as far as the transaction lets
-// them. The coordinator's retained log still holds its prepare and, decided,
-// its commit; the failover's resolution pass settles the prepare; and the
-// batch ends all-or-nothing.
+// group holds the transaction. The participant is killed with the transaction
+// in doubt (StagePrepared) and, in a second group, decided (StageDecided: the
+// coordinator's wave applied its own part); first, every shard runs two
+// rotations of checkpoints, which would trim its log past where the
+// transaction began and trim it as far as the transaction lets them. The
+// participant's retained log still holds its prepare; the coordinator's holds
+// nothing of the undecided transaction, and of the decided one its commit
+// carrying its part, then the part, then its marker; the failover's
+// resolution pass settles the prepare; and the batch ends all-or-nothing.
 func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 	for _, tc := range []struct {
 		stage  TxnStage
@@ -430,7 +498,7 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 			}
 			defer g.Close()
 			a, b := findCrossShardPair(g.Router())
-			coord := g.Router().Owner(a)
+			coord, part := g.Router().Owner(a), g.Router().Owner(b)
 			write := func(n int) {
 				t.Helper()
 				for i := 0; i < n; i++ {
@@ -467,15 +535,17 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 						t.Errorf("shard %d: two rotations left the trim at lsn %d", i, horizon)
 					}
 				}
-				st, err := scanShardTxns(g.Store(coord))
-				if err != nil {
-					t.Error(err)
+				if st, err := scanShardTxns(g.Store(part)); err != nil || st.prepares[txn] == nil {
+					t.Errorf("participant's retained log holds no prepare (%v)", err)
 				}
-				if st.prepares[txn] == nil || st.commits[txn] != tc.commit {
-					t.Errorf("coordinator's retained log: prepare %v, commit %v; want the prepare, commit %v",
-						st.prepares[txn] != nil, st.commits[txn], tc.commit)
+				want := []wal.RecordType(nil)
+				if tc.commit {
+					want = []wal.RecordType{wal.RecordTxnCommit, wal.RecordPut, wal.RecordTxnApplied}
 				}
-				if err := g.Failover(coord); err != nil {
+				if got := trail(t, g.Store(coord), txn, "held"); !reflect.DeepEqual(got, want) {
+					t.Errorf("coordinator's retained log: %v, want %v", got, want)
+				}
+				if err := g.Failover(part); err != nil {
 					t.Errorf("failover: %v", err)
 				}
 			})
@@ -493,5 +563,123 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A coordinator whose commit wave is cut short after the commit record — the
+// wave takes two groups and the node dies appending the second — has
+// committed: the other participant applies its part, and the failover's
+// resolution pass re-applies the coordinator's part from the payload its
+// commit carries, then marks it.
+func TestTxnCommitWaveCutShortReappliesTheCoordinatorsPart(t *testing.T) {
+	plan := storage.NewFaultPlan(storage.FaultConfig{Seed: 1})
+	g, err := Open(2, &storage.Options{Faults: plan}, replication.RWOptions{MaxBatch: 16, PipelineDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	a, b := findCrossShardPair(g.Router())
+	coord, part := g.Router().Owner(a), g.Router().Owner(b)
+	props := graph.Properties{{Name: "t", Value: []byte("cut")}}
+	var muts []graph.Mutation
+	for dst := graph.VertexID(1); dst <= 20; dst++ { // past one group of 16
+		muts = append(muts, graph.AddEdgeMut(graph.Edge{Src: a, Dst: dst, Type: graph.ETypeFollow, Props: props}))
+	}
+	muts = append(muts, graph.AddEdgeMut(graph.Edge{Src: b, Dst: 1, Type: graph.ETypeFollow, Props: props}))
+	g.SetTxnStageHook(func(stage TxnStage, _ uint64, _ []int) {
+		if stage == StagePrepared {
+			plan.ScheduleCrash(2) // the wave's second group
+		} else {
+			plan.ClearCrash()
+		}
+	})
+	outcomes, err := g.ApplyBatchEx(muts)
+	g.SetTxnStageHook(nil)
+	if err == nil || outcomes[coord].State != OutcomeUnknown || outcomes[part].State != OutcomeCommitted {
+		t.Fatalf("outcomes %v (%v), want the coordinator's part unknown and the participant's committed", outcomes, err)
+	}
+	st, err := scanShardTxns(g.Store(coord))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.commits) != 1 || len(st.inDoubt()) != 1 {
+		t.Fatalf("coordinator's log: %d commits, %d parts in doubt; want the one commit, in doubt", len(st.commits), len(st.inDoubt()))
+	}
+	reapplied := g.txnReapply.Load()
+	if err := g.Failover(coord); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.txnReapply.Load() - reapplied; got != 1 {
+		t.Fatalf("the failover re-applied %d parts, want the coordinator's", got)
+	}
+	for _, m := range muts {
+		if _, ok, err := g.GetEdge(m.Edge.Src, m.Edge.Type, m.Edge.Dst); err != nil || !ok {
+			t.Fatalf("edge %d->%d missing after the resolution (%v)", m.Edge.Src, m.Edge.Dst, err)
+		}
+	}
+	if st, err = scanShardTxns(g.Store(coord)); err != nil || len(st.inDoubt()) != 0 {
+		t.Fatalf("coordinator still in doubt after the resolution: %v (%v)", st.inDoubt(), err)
+	}
+}
+
+// nextLeader waits out the failover under way and hands back its leader; with
+// none under way it has nothing to wait for.
+func TestNextLeaderWaitsOutAFailover(t *testing.T) {
+	g := openTestGroup(t, 2)
+	old := g.Leader(1)
+	if next := g.nextLeader(1, old); next != nil {
+		t.Fatal("a next leader with no failover under way")
+	}
+	g.turnover(1, 1) // a failover of shard 1 is under way
+	got := make(chan *replication.RWNode)
+	go func() { got <- g.nextLeader(1, old) }()
+	if err := g.Failover(1); err != nil {
+		t.Fatal(err)
+	}
+	if next := <-got; next == nil || next != g.Leader(1) || next == old {
+		t.Fatalf("next leader %p, want the promoted %p", next, g.Leader(1))
+	}
+	g.turnover(1, -1)
+}
+
+// A participant's apply fenced by a racing failover waits for the failover
+// to end and applies on the promoted leader, instead of giving the part up to
+// the next resolution pass: the batch commits on every shard.
+func TestTxnApplyFollowsARacingFailover(t *testing.T) {
+	g := openTestGroup(t, 2)
+	a, b := findCrossShardPair(g.Router())
+	part := g.Router().Owner(b)
+	done := make(chan error, 1)
+	g.SetTxnStageHook(func(stage TxnStage, _ uint64, _ []int) {
+		if stage != StageDecided {
+			return
+		}
+		// A failover of the participant begins and fences its leader before
+		// the apply reaches it; it promotes once the apply was refused.
+		old := g.Leader(part)
+		g.turnover(part, 1)
+		if _, err := g.Store(part).AdvanceStreamEpoch(storage.StreamWAL); err != nil {
+			t.Error(err)
+		}
+		go func() {
+			defer g.turnover(part, -1)
+			for old.Writer().Err() == nil {
+				runtime.Gosched()
+			}
+			done <- g.Failover(part)
+		}()
+	})
+	outcomes, err := g.ApplyBatchEx(crossShardBatch(a, b, "raced"))
+	g.SetTxnStageHook(nil)
+	if ferr := <-done; ferr != nil {
+		t.Fatal(ferr)
+	}
+	if err != nil {
+		t.Fatalf("batch: %v (outcomes %v), want it committed on every shard", err, outcomes)
+	}
+	for _, id := range []graph.VertexID{a, b} {
+		if _, ok, err := g.GetEdge(id, graph.ETypeFollow, 1000); err != nil || !ok {
+			t.Fatalf("edge of %d missing (%v)", id, err)
+		}
 	}
 }

@@ -120,6 +120,7 @@ type GroupCommitter struct {
 	pending []commitReq
 	wake    chan struct{}
 	full    chan struct{}
+	quiet   int // open Quiet windows
 	stopped bool
 	poison  error // first failure; records admitted afterwards get it
 
@@ -204,19 +205,60 @@ func (c *GroupCommitter) LogAsync(rec *Record) (LSN, func() error) {
 	c.nextLSN++
 	c.pending = append(c.pending, req)
 	n := len(c.pending)
+	quiet := c.quiet > 0 && n < c.opts.MaxBatch
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
+	if quiet {
+		lsn := rec.LSN
+		return lsn, func() error { c.wakeFor(lsn); return <-req.done }
 	}
+	signal(c.wake)
 	if n >= c.opts.MaxBatch {
 		// Size trigger: cut the flush without waiting out the window.
-		select {
-		case c.full <- struct{}{}:
-		default:
-		}
+		signal(c.full)
 	}
 	return rec.LSN, func() error { return <-req.done }
+}
+
+// Quiet opens a window in which enqueuing a record does not wake the
+// committer, and returns the function that closes it. A caller about to
+// enqueue several records back to back — a batch, or a transaction's wave —
+// opens one so they land in one group instead of the first going out alone
+// while the rest are still being built. A quiet record wakes the committer
+// when its wait begins, when a group's worth is pending, or when the window
+// closes, whichever comes first, so nothing waits on a committer asleep.
+func (c *GroupCommitter) Quiet() (end func()) {
+	c.mu.Lock()
+	c.quiet++
+	c.mu.Unlock()
+	return func() {
+		c.mu.Lock()
+		c.quiet--
+		pending := len(c.pending) > 0
+		c.mu.Unlock()
+		if pending {
+			signal(c.wake)
+		}
+	}
+}
+
+// wakeFor wakes the committer if the record at lsn is still waiting to be
+// cut. A wake-up for a record already cut would linger in the channel and cut
+// the next window's records in two.
+func (c *GroupCommitter) wakeFor(lsn LSN) {
+	c.mu.Lock()
+	pending := len(c.pending) > 0 && lsn >= c.pending[0].rec.LSN
+	c.mu.Unlock()
+	if pending {
+		signal(c.wake)
+	}
+}
+
+// signal posts to a one-slot wake-up channel without blocking.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // Log implements bwtree.WALLogger: enqueue and wait for durability.

@@ -60,27 +60,34 @@ const (
 	// it is deleted from INIT, so replicas that switch routing at this
 	// record always observe a complete copy.
 	RecordOwnerAssign
-	// RecordTxnPrepare logs a cross-shard transaction prepare on a
-	// participant shard's stream: TreeID is the transaction id and Value the
-	// TPC1 payload (coordinator shard, participant set, and the sub-batch's
+	// RecordTxnPrepare logs a cross-shard transaction prepare on the
+	// stream of a participant other than the coordinator: TreeID is the
+	// transaction id, PageID the coordinator shard and Value the TPC1
+	// payload (coordinator shard, participant set, and the sub-batch's
 	// mutations as a logical redo intent). The payload is applied only once
 	// the coordinator's decision is known; an undecided prepare has no
 	// memory effect and is invisible at every released epoch.
 	RecordTxnPrepare
 	// RecordTxnCommit logs a cross-shard commit decision on the coordinator
-	// shard's stream (TreeID = transaction id). Once durable, every
-	// participant's prepared sub-batch must be applied; recovery treats a
-	// prepare whose coordinator holds a durable commit as committed.
+	// shard's stream (TreeID = transaction id, PageID = the coordinator),
+	// and Value is the TPC1 payload of the coordinator's own part: the
+	// coordinator does not prepare, and its part's records and its
+	// RecordTxnApplied follow the commit in the same wave. Once durable,
+	// every participant's part must be applied; recovery treats a prepare
+	// whose coordinator holds a durable commit as committed, and a commit
+	// with no marker after it on its own stream as the coordinator's
+	// committed prepare, which it re-applies.
 	RecordTxnCommit
-	// RecordTxnAbort logs an abort: on the coordinator's stream it is the
-	// decision, on a participant's stream a local resolution marker (the
-	// prepared payload was discarded). Absence of a durable commit on the
-	// coordinator also means abort (presumed abort).
+	// RecordTxnAbort logs a local resolution marker on a prepared
+	// participant's stream: the prepared payload was discarded. The decision
+	// to abort is logged nowhere: absence of a durable commit on the
+	// coordinator means abort (presumed abort).
 	RecordTxnAbort
 	// RecordTxnApplied logs a participant-local completion marker: the
-	// prepared sub-batch of transaction TreeID was applied through the
-	// normal data path, whose records all precede this one in the LSN
-	// sequence. Recovery treats such prepares as resolved.
+	// part of transaction TreeID this stream carries (its prepare's, or the
+	// coordinator's commit's) was applied through the normal data path,
+	// whose records all precede this one in the LSN sequence, logged in one
+	// wave with it. Recovery treats such parts as resolved.
 	RecordTxnApplied
 )
 
