@@ -71,9 +71,9 @@ type Options struct {
 
 	// Epochs is the MVCC epoch clock (set by the replication RW node whose
 	// group committer advances it). It is threaded into every Bw-tree (as
-	// the consolidation retention floor and snapshot-read horizon source)
-	// and into the GC reclaimers (as the pinned-extent gate). Nil disables
-	// snapshot reads: views see the latest state, exactly as before.
+	// the consolidation retention floor and snapshot-read horizon source).
+	// Nil disables snapshot reads: views see the latest state, exactly as
+	// before.
 	Epochs *mvcc.Source
 
 	// Metrics is the registry every subsystem registers into; nil creates
@@ -152,9 +152,6 @@ func assemble(st *storage.Store, m *bwtree.Mapping, f *forest.Forest, opts Optio
 	for _, stream := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
 		r := gc.NewReclaimer(st, stream, policy, m.Relocate)
 		r.TTL = opts.TTL
-		if opts.Epochs != nil {
-			r.Pins = opts.Epochs
-		}
 		if opts.Now != nil {
 			r.Now = opts.Now
 		}
@@ -182,7 +179,6 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	reg.RatioFunc("gc.write_amp", func() float64 { return e.store.Stats().GCWriteAmp() })
 	if e.opts.Epochs != nil {
 		e.opts.Epochs.RegisterMetrics(reg)
-		reg.CounterFunc("gc.pin_deferred", func() int64 { return e.GCStats().PinDeferred })
 		reg.GaugeFunc("bwtree.retained_bytes", func() int64 {
 			return e.mapping.RetainedBytes(wal.LSN(e.opts.Epochs.Floor()))
 		})
@@ -354,9 +350,20 @@ func (e *Engine) GCStats() gc.ReclaimerStats {
 		out.BytesMoved += s.BytesMoved
 		out.Runs += s.Runs
 		out.ExtentsExpired += s.ExtentsExpired
-		out.PinDeferred += s.PinDeferred
 	}
 	return out
+}
+
+// FenceGC stops background reclamation, waits out a cycle in flight and
+// fails every later RunGC with an error wrapping storage.ErrFenced. A failover
+// fences the leader it deposes before the successor takes over the store.
+func (e *Engine) FenceGC() {
+	for _, r := range e.reclaimers {
+		if e.opts.GCInterval > 0 {
+			r.Stop()
+		}
+		r.Fence()
+	}
 }
 
 // FlushDirty flushes async-mode dirty pages across the forest, returning

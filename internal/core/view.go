@@ -18,7 +18,8 @@ import (
 // behavior.
 //
 // A ReadView holds the MVCC retention floor down while open: close it
-// promptly, or consolidation and GC back up behind the pin.
+// promptly, or consolidation backs up behind the pin: the history above it
+// stays in delta records.
 type ReadView struct {
 	graphReads           // over the forest as of the pinned horizon
 	pin        *mvcc.Pin // nil without an epoch clock

@@ -1,7 +1,9 @@
 package gc
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -251,6 +253,48 @@ func TestReclaimerBackground(t *testing.T) {
 	r.Stop()
 	if r.Stats().Runs < 3 {
 		t.Fatalf("background runs = %d, want >= 3", r.Stats().Runs)
+	}
+}
+
+// TestReclaimerFence: Fence waits out the cycle in flight, and every cycle
+// after it fails ErrFenced without touching the store.
+func TestReclaimerFence(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 64})
+	var locs []storage.Loc
+	for i := 0; i < 32; i++ {
+		loc, _ := st.Append(storage.StreamBase, uint64(i), []byte("12345678"))
+		locs = append(locs, loc)
+	}
+	for i := 0; i < 32; i += 2 {
+		st.Invalidate(locs[i])
+	}
+	inCycle, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r := NewReclaimer(st, storage.StreamBase, DirtyRatio{}, func(uint64, storage.Loc, storage.Loc) bool {
+		once.Do(func() { close(inCycle); <-release })
+		return true
+	})
+	cycle := make(chan error)
+	go func() { _, err := r.RunOnce(2); cycle <- err }()
+	<-inCycle
+	fenced := make(chan struct{})
+	go func() { r.Fence(); close(fenced) }()
+	select {
+	case <-fenced:
+		t.Fatal("Fence returned while a cycle was in flight")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(release)
+	if err := <-cycle; err != nil {
+		t.Fatalf("the cycle in flight: %v", err)
+	}
+	<-fenced
+	before := st.Stats()
+	if moved, err := r.RunOnce(2); moved != 0 || !errors.Is(err, storage.ErrFenced) {
+		t.Fatalf("a cycle after the fence moved %d B, err %v; want 0, ErrFenced", moved, err)
+	}
+	if after := st.Stats(); after.WriteOps != before.WriteOps || after.ExtentsReclaimed != before.ExtentsReclaimed {
+		t.Fatalf("a fenced cycle touched the store: %+v after %+v", after, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -10,6 +11,15 @@ import (
 // Reclaimer drives a Policy against one stream of a store, either on
 // demand (RunOnce) or from a background goroutine (Start/Stop). It also
 // drives TTL expiry, the zero-cost reclamation path.
+//
+// It picks extents from what the workload did to them alone (§3.3), never
+// from what readers hold. A reader of the leader reaches storage through the
+// mapping, which relocate repoints under the page latch, and every record a
+// pinned snapshot still needs is live — consolidation keeps the history above
+// the retention floor as delta records — so it moves with the page. Readers
+// holding locations the mapping does not repoint (followers, a deposed
+// leader's open snapshots) hold the extents back through the store's release
+// rule instead (storage.Store.Follow).
 type Reclaimer struct {
 	store    *storage.Store
 	stream   storage.StreamID
@@ -22,20 +32,15 @@ type Reclaimer struct {
 	// Now supplies timestamps (tests inject a fake clock). Nil = time.Now.
 	Now func() time.Time
 
-	// Pins, when set, reports the wall-clock start of the oldest live MVCC
-	// pin (typically *mvcc.Source). Extents whose contents changed after
-	// that instant are skipped: their invalidated records may still back a
-	// pinned snapshot's stable images or retained deltas, and reclaiming
-	// them would drop history a reader at an older horizon needs.
-	Pins interface {
-		OldestPinTime() (time.Time, bool)
-	}
+	// cycle is held shared by every RunOnce and exclusively by Fence, which
+	// sets fenced under it.
+	cycle  sync.RWMutex
+	fenced bool
 
-	mu          sync.Mutex
-	bytesMoved  int64
-	runs        int64
-	expired     int64
-	pinDeferred int64
+	mu         sync.Mutex
+	bytesMoved int64
+	runs       int64
+	expired    int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -63,8 +68,14 @@ func (r *Reclaimer) now() time.Time {
 }
 
 // RunOnce expires TTL-dead extents, then reclaims up to n extents chosen
-// by the policy. It returns the bytes moved by this cycle.
+// by the policy. It returns the bytes moved by this cycle, or an error
+// wrapping storage.ErrFenced once the reclaimer is fenced.
 func (r *Reclaimer) RunOnce(n int) (int64, error) {
+	r.cycle.RLock()
+	defer r.cycle.RUnlock()
+	if r.fenced {
+		return 0, fmt.Errorf("gc: reclaimer of a deposed leader: %w", storage.ErrFenced)
+	}
 	now := r.now()
 	if r.TTL > 0 {
 		dropped := r.store.DropExpired(r.stream, now.Add(-r.TTL))
@@ -73,25 +84,6 @@ func (r *Reclaimer) RunOnce(n int) (int64, error) {
 		r.mu.Unlock()
 	}
 	usage := r.store.Usage(r.stream)
-	if r.Pins != nil {
-		if oldest, ok := r.Pins.OldestPinTime(); ok {
-			kept := usage[:0]
-			deferred := int64(0)
-			for _, u := range usage {
-				if u.LastUpdate.After(oldest) {
-					deferred++
-					continue
-				}
-				kept = append(kept, u)
-			}
-			usage = kept
-			if deferred > 0 {
-				r.mu.Lock()
-				r.pinDeferred += deferred
-				r.mu.Unlock()
-			}
-		}
-	}
 	// The policy's clock is read after the usage snapshot: an extent
 	// invalidated since the first read has LastUpdate > now, which a
 	// TTL-aware policy would take for "far from expiry" and relocate.
@@ -139,12 +131,21 @@ func (r *Reclaimer) Stop() {
 	<-r.done
 }
 
+// Fence waits out a cycle in flight and makes every later RunOnce fail with
+// storage.ErrFenced. A leader being deposed fences its reclaimers before its
+// successor takes over: a cycle after that would relocate pages into
+// locations the successor's mapping never learns of.
+func (r *Reclaimer) Fence() {
+	r.cycle.Lock()
+	r.fenced = true
+	r.cycle.Unlock()
+}
+
 // ReclaimerStats is a snapshot of a reclaimer's accounting.
 type ReclaimerStats struct {
 	BytesMoved     int64 // background bytes rewritten by reclamation
 	Runs           int64
 	ExtentsExpired int64 // extents dropped for free by TTL
-	PinDeferred    int64 // extent picks skipped because a pinned snapshot may need them
 	BlockPinned    int64 // always 0: edge blocks own no extents; the benchmark harness still reads the field
 }
 
@@ -152,5 +153,5 @@ type ReclaimerStats struct {
 func (r *Reclaimer) Stats() ReclaimerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return ReclaimerStats{BytesMoved: r.bytesMoved, Runs: r.runs, ExtentsExpired: r.expired, PinDeferred: r.pinDeferred}
+	return ReclaimerStats{BytesMoved: r.bytesMoved, Runs: r.runs, ExtentsExpired: r.expired}
 }

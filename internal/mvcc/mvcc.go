@@ -15,8 +15,9 @@
 // writer that saw its ApplyBatch return can immediately pin an epoch that
 // includes its own write). Readers call Pin to take a reference-counted
 // handle; the minimum pinned epoch is the *retention floor* below which
-// Bw-tree consolidation may fold history into page bases and the GC
-// reclaimer may drop invalidated extents.
+// Bw-tree consolidation may fold history into page bases. GC asks the
+// clock nothing: history above the floor is kept as live records, which
+// reclamation moves like any other.
 //
 // Unreplicated engines run without a Source (all ops are stamped LSN 0
 // and every reader sees the latest state), so the single-node fast path
@@ -29,7 +30,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bg3/internal/metrics"
 )
@@ -60,11 +60,11 @@ type Source struct {
 	current atomic.Uint64 // highest released epoch
 
 	mu       sync.Mutex
-	pins     map[Epoch]*pinState // live pins by epoch
-	bounds   []Epoch             // released group boundaries >= floor, ascending
-	holds    int                 // live epoch holds (cross-shard prepare windows)
-	deferred Epoch               // highest Advance deferred while held
-	unpinned []func()            // run when the last pin closes (WhenUnpinned)
+	pins     map[Epoch]int // live pin references by epoch
+	bounds   []Epoch       // released group boundaries >= floor, ascending
+	holds    int           // live epoch holds (cross-shard prepare windows)
+	deferred Epoch         // highest Advance deferred while held
+	unpinned []func()      // run when the last pin closes (WhenUnpinned)
 
 	// metrics
 	pinned     metrics.Gauge // live pin handles
@@ -74,15 +74,10 @@ type Source struct {
 	holdsTotal metrics.Counter
 }
 
-type pinState struct {
-	refs  int
-	since time.Time // when the oldest reference at this epoch was taken
-}
-
 // NewSource returns a Source whose epoch starts at start (the recovered
 // durable LSN on restart, 0 for a fresh engine).
 func NewSource(start Epoch) *Source {
-	s := &Source{pins: make(map[Epoch]*pinState)}
+	s := &Source{pins: make(map[Epoch]int)}
 	s.current.Store(uint64(start))
 	s.bounds = []Epoch{start}
 	return s
@@ -213,12 +208,7 @@ func (s *Source) Current() Epoch { return Epoch(s.current.Load()) }
 func (s *Source) Pin() *Pin {
 	s.mu.Lock()
 	e := Epoch(s.current.Load()) // read under mu so Floor can't miss us
-	st := s.pins[e]
-	if st == nil {
-		st = &pinState{since: time.Now()}
-		s.pins[e] = st
-	}
-	st.refs++
+	s.pins[e]++
 	s.mu.Unlock()
 	s.pinned.Add(1)
 	s.pinsTotal.Inc()
@@ -255,12 +245,7 @@ func (s *Source) PinAt(e Epoch) (*Pin, error) {
 		s.mu.Unlock()
 		return nil, ErrNotBoundary
 	}
-	st := s.pins[e]
-	if st == nil {
-		st = &pinState{since: time.Now()}
-		s.pins[e] = st
-	}
-	st.refs++
+	s.pins[e]++
 	s.mu.Unlock()
 	s.pinned.Add(1)
 	s.pinsTotal.Inc()
@@ -287,24 +272,6 @@ func (s *Source) floorLocked() Epoch {
 	return floor
 }
 
-// OldestPinTime returns the wall-clock time at which the oldest live pin
-// was taken, and true, or a zero time and false when nothing is pinned.
-// The GC reclaimer uses it to avoid reclaiming extents invalidated after
-// the oldest snapshot began (such extents may still back pinned reads).
-func (s *Source) OldestPinTime() (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var oldest time.Time
-	found := false
-	for _, st := range s.pins {
-		if !found || st.since.Before(oldest) {
-			oldest = st.since
-			found = true
-		}
-	}
-	return oldest, found
-}
-
 // PinnedCount returns the number of live pin handles.
 func (s *Source) PinnedCount() int64 { return s.pinned.Load() }
 
@@ -324,11 +291,8 @@ func (s *Source) WhenUnpinned(fn func()) {
 
 func (s *Source) unpin(e Epoch) {
 	s.mu.Lock()
-	if st := s.pins[e]; st != nil {
-		st.refs--
-		if st.refs <= 0 {
-			delete(s.pins, e)
-		}
+	if s.pins[e]--; s.pins[e] <= 0 {
+		delete(s.pins, e)
 	}
 	var idle []func()
 	if len(s.pins) == 0 {
@@ -361,7 +325,7 @@ type Stats struct {
 	// OldestPinned is the lowest pinned epoch (== Current when none).
 	OldestPinned Epoch
 	// Lag is Current - OldestPinned in LSN distance: how much history the
-	// oldest snapshot is holding back from consolidation and GC.
+	// oldest snapshot is holding back from consolidation.
 	Lag uint64
 	// PinsTotal counts Pin calls over the source's lifetime.
 	PinsTotal int64

@@ -29,8 +29,11 @@ func TestPinHoldsFloor(t *testing.T) {
 	if got := s.Floor(); got != 4 {
 		t.Fatalf("Floor = %d, want 4 while pin is live", got)
 	}
-	if _, ok := s.OldestPinTime(); !ok {
-		t.Fatal("OldestPinTime reported no pins while one is live")
+	if got := s.PinnedCount(); got != 1 {
+		t.Fatalf("PinnedCount = %d, want 1 while the pin is live", got)
+	}
+	if st := s.Stats(); st.Pinned != 1 || st.OldestPinned != 4 {
+		t.Fatalf("Stats = %+v, want one pin, oldest at 4", st)
 	}
 	p.Close()
 	p.Close() // idempotent
@@ -40,8 +43,8 @@ func TestPinHoldsFloor(t *testing.T) {
 	if got := s.PinnedCount(); got != 0 {
 		t.Fatalf("PinnedCount = %d, want 0", got)
 	}
-	if _, ok := s.OldestPinTime(); ok {
-		t.Fatal("OldestPinTime reported a pin after close")
+	if st := s.Stats(); st.Pinned != 0 || st.OldestPinned != 9 {
+		t.Fatalf("Stats = %+v, want no pin, oldest at current 9", st)
 	}
 }
 

@@ -120,8 +120,12 @@ func (n *RONode) promote(opts RWOptions) (*RWNode, error) {
 
 // Failover deposes old and installs a freshly promoted leader on the same
 // store — the one promotion sequence every deployment shape runs: attach a
-// follower, promote it, hand the new leader to swap, stop the old one, whose
-// open snapshots keep reading what it knew. swap
+// follower, fence old's GC, promote the follower, hand the new leader to swap,
+// stop the old one, whose open snapshots keep reading what it knew. The GC
+// fence comes before the promotion reinstates what no checkpoint stamped:
+// every extent old's GC condemned is then either stamped by old's own
+// checkpoint, which logged the relocations, or resident again for the
+// successor, whose mapping still points into it. swap
 // publishes the promoted leader wherever the owner routes from and reports
 // false when old is no longer the owner's leader (the owner closed, or
 // another failover won); the promoted node is then stopped and the error
@@ -134,6 +138,7 @@ func Failover(st *storage.Store, old *RWNode, swap func(promoted *RWNode) bool) 
 	if err != nil {
 		return fmt.Errorf("replication: failover: %w", err)
 	}
+	old.engine.FenceGC()
 	rw, err := ro.promote(old.opts)
 	if err != nil {
 		return fmt.Errorf("replication: failover: %w", err)

@@ -1,9 +1,13 @@
 package bg3
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
+
+	"bg3/internal/graph"
+	"bg3/internal/storage"
 )
 
 // releaseOpts makes small pages and extents that fill fast, so three passes
@@ -125,4 +129,118 @@ func TestStoppedFollowerDetaches(t *testing.T) {
 			t.Fatalf("%d of %d condemned extents still held after the only replica stopped", n, held)
 		}
 	})
+}
+
+// gcOpts makes pages of 16 entries that a two-page cache keeps evicting, in
+// 4 KiB extents that overwrites invalidate fast, with flusher and replicas
+// driven by hand.
+var gcOpts = Options{MaxPageEntries: 16, CacheCapacity: 2, ExtentSize: 4 << 10,
+	FlushInterval: time.Hour, ReplicaPollInterval: time.Hour}
+
+const gcSources, gcPerSource = 50, 20
+
+// overwriteRound writes every edge of gcSources × gcPerSource once more,
+// tagged with round, and checkpoints every leader.
+func overwriteRound(t *testing.T, db *DB, round int) {
+	t.Helper()
+	for i := 0; i < gcSources*gcPerSource; i++ {
+		if err := db.AddEdge(Edge{Src: VertexID(i%gcSources + 1), Dst: VertexID(1000 + i/gcSources), Type: ETypeFollow,
+			Props: Properties{{Name: "round", Value: []byte{byte(round)}}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkRound reads every source through r and wants each of its edges tagged
+// with round.
+func checkRound(t *testing.T, when string, r graph.Reader, round int) {
+	t.Helper()
+	for src := VertexID(1); src <= gcSources; src++ {
+		n := 0
+		err := r.Neighbors(src, ETypeFollow, 0, func(dst VertexID, p Properties) bool {
+			if v, _ := p.Get("round"); len(v) != 1 || int(v[0]) != round {
+				t.Errorf("%s: edge %d→%d is from round %v, want %d", when, src, dst, v, round)
+			}
+			n++
+			return true
+		})
+		if err != nil || n != gcPerSource {
+			t.Fatalf("%s: source %d: %d edges, err %v; want %d", when, src, n, err, gcPerSource)
+		}
+	}
+}
+
+// TestPinnedSnapshotDoesNotStallGC holds one Snapshot across six rounds of
+// overwrites, each checkpointed, reclaimed and checkpointed again. GC picks
+// extents by what the writes did to them, not by what the snapshot holds: it
+// reclaims under the pin, and every read through the pin still returns the
+// state from before it — its history is live records, which GC moves and
+// repoints like any other. Once the pin closes, a checkpoint and a replica's
+// sync release every condemned extent.
+func TestPinnedSnapshotDoesNotStallGC(t *testing.T) {
+	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
+		db := replicatedDB(t, gcOpts, shards)
+		rep, err := db.OpenReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Stop()
+		overwriteRound(t, db, 0)
+		s := db.Snapshot()
+		before := db.Stats().GC.ExtentsReclaimed
+		for round := 1; round <= 6; round++ {
+			overwriteRound(t, db, round)
+			gcAndCheckpoint(t, db)
+			checkRound(t, fmt.Sprintf("pinned read after round %d", round), s, 0)
+		}
+		n := db.Stats().GC.ExtentsReclaimed - before
+		if n == 0 {
+			t.Fatal("GC reclaimed no extent while the snapshot was open")
+		}
+		t.Logf("GC reclaimed %d extents under the pin", n)
+		checkRound(t, "latest read", db, 6)
+		s.Close()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := condemned(db); n != 0 {
+			t.Fatalf("%d condemned extents held after the pin closed, a checkpoint and a sync", n)
+		}
+	})
+}
+
+// TestDeposedLeaderGCIsFenced runs GC on a leader after a failover deposed
+// it, as a DB.RunGC that loaded the leader before the swap would. The
+// promotion reinstated every extent no checkpoint had stamped, for the
+// successor, whose mapping points into them; a reclaim by the deposed leader
+// would condemn them again behind its back, relocating pages only the deposed
+// leader's mapping learns of, and the successor's next checkpoints would
+// stamp and release them under it. The failover fences the deposed leader's
+// GC, so the cycle fails and every source stays readable.
+func TestDeposedLeaderGCIsFenced(t *testing.T) {
+	o := gcOpts
+	o.Replicated = true
+	db := openDB(t, &o)
+	for round := range 4 {
+		overwriteRound(t, db, round)
+	}
+	old := db.group.Leader(0)
+	if err := db.Failover(0); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := old.Engine().RunGC(64); !errors.Is(err, storage.ErrFenced) {
+		t.Errorf("GC on the deposed leader moved %d B, err %v; want ErrFenced", moved, err)
+	}
+	for range 3 {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRound(t, "after the deposed leader's GC", db, 3)
 }

@@ -19,8 +19,8 @@ import (
 // On a bare engine there is no WAL and no epoch clock, so the snapshot
 // degrades to latest-state reads.
 //
-// A Snapshot holds Bw-tree history and invalidated extents alive until
-// closed; close it promptly. Safe for concurrent use by multiple readers;
+// A Snapshot holds Bw-tree history alive in delta records until closed;
+// close it promptly. Safe for concurrent use by multiple readers;
 // Close is idempotent.
 type Snapshot struct {
 	reads                 // every read and traversal evaluates at the pinned epochs

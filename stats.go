@@ -114,9 +114,6 @@ type GCStats struct {
 	Runs             int64   `json:"runs"`
 	ExtentsReclaimed int64   `json:"extents_reclaimed"`
 	ExtentsExpired   int64   `json:"extents_expired"`
-	// PinDeferred counts extent picks the reclaimer skipped because a
-	// pinned snapshot may still read their invalidated records.
-	PinDeferred int64 `json:"pin_deferred"`
 	// BlockPinned is always 0: packed edge blocks own no extents. The
 	// benchmark harness still reads the field.
 	BlockPinned int64 `json:"block_pinned"`
@@ -249,9 +246,7 @@ func (db *DB) Stats() Stats {
 		s.GC.ExtentsReclaimed += ss.ExtentsReclaimed
 		s.GC.ExtentsExpired += ss.ExtentsExpired
 		s.Replication.FencedAppends += ss.FencedAppends
-		gcs := e.GCStats()
-		s.GC.Runs += gcs.Runs
-		s.GC.PinDeferred += gcs.PinDeferred
+		s.GC.Runs += e.GCStats().Runs
 
 		m, fs := e.Mapping(), e.Forest().Stats()
 		hits, misses := m.CacheStats()
