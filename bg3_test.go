@@ -659,6 +659,76 @@ func TestSnapshotVectorRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSnapshotSeesAckedWritesDuring2PC: a Snapshot taken after a write was
+// acknowledged holds it, however busy cross-shard batches keep the write's
+// shard. Six writers loop two-shard batches over a hub vertex and a source of
+// their own on another shard; an edge written from a probe vertex on the
+// hub's shard must be in the very next Snapshot, every time.
+func TestSnapshotSeesAckedWritesDuring2PC(t *testing.T) {
+	const writers, probes = 6, 300
+	db := openDB(t, &Options{Shards: 4, CommitPipelineDepth: 8})
+	router := db.Group().Router()
+	hub := VertexID(1)
+	var probe VertexID
+	var srcs []VertexID // one per writer, off the hub's shard
+	for v := hub + 1; probe == 0 || len(srcs) < writers; v++ {
+		if router.Owner(v) != router.Owner(hub) {
+			srcs = append(srcs, v)
+		} else if probe == 0 {
+			probe = v
+		}
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	for w, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := db.ApplyBatch([]Mutation{
+					AddEdgeMut(Edge{Src: hub, Dst: VertexID(1000*(w+1) + n%8), Type: ETypeFollow}),
+					AddEdgeMut(Edge{Src: src, Dst: VertexID(n % 8), Type: ETypeFollow}),
+				}); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+			}
+		}()
+	}
+	misses := 0
+	for i := range probes {
+		dst := VertexID(100_000 + i)
+		if err := db.AddEdge(Edge{Src: probe, Dst: dst, Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+		s := db.Snapshot()
+		_, ok, err := s.GetEdge(probe, ETypeFollow, dst)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			misses++
+		}
+	}
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if commits := db.Stats().Shards.TxnCommits; misses > 0 || commits == 0 {
+		t.Fatalf("%d of %d acknowledged writes missing from the next Snapshot (%d cross-shard batches committed meanwhile)",
+			misses, probes, commits)
+	}
+}
+
 func TestReplicationLagConverges(t *testing.T) {
 	db := openDB(t, &Options{Replicated: true, ReplicaPollInterval: time.Millisecond})
 	rep, err := db.OpenReplica()

@@ -19,6 +19,11 @@
 // clock nothing: history above the floor is kept as live records, which
 // reclamation moves like any other.
 //
+// A Source publishes every released group at once and knows one stream
+// only. Which epochs of several shards form a cut is the shard group's
+// decision: a cross-shard Snapshot samples every clock while no
+// transaction's apply is in flight (internal/shard, txnManager.cut).
+//
 // Unreplicated engines run without a Source (all ops are stamped LSN 0
 // and every reader sees the latest state), so the single-node fast path
 // is untouched.
@@ -62,16 +67,13 @@ type Source struct {
 	mu       sync.Mutex
 	pins     map[Epoch]int // live pin references by epoch
 	bounds   []Epoch       // released group boundaries >= floor, ascending
-	holds    int           // live epoch holds (cross-shard prepare windows)
-	deferred Epoch         // highest Advance deferred while held
 	unpinned []func()      // run when the last pin closes (WhenUnpinned)
 
 	// metrics
-	pinned     metrics.Gauge // live pin handles
-	oldestLag  metrics.Gauge // current - oldest pinned epoch (LSN distance)
-	advances   metrics.Counter
-	pinsTotal  metrics.Counter
-	holdsTotal metrics.Counter
+	pinned    metrics.Gauge // live pin handles
+	oldestLag metrics.Gauge // current - oldest pinned epoch (LSN distance)
+	advances  metrics.Counter
+	pinsTotal metrics.Counter
 }
 
 // NewSource returns a Source whose epoch starts at start (the recovered
@@ -92,26 +94,7 @@ const maxTrackedBoundaries = 1 << 16
 // Advance moves the released horizon up to e. The committer calls this
 // with the last LSN of each group just before acking the group's writers;
 // epochs only move forward, so late or duplicate calls are no-ops.
-//
-// While an epoch hold is live (see Hold) the boundary is still recorded —
-// so it stays re-pinnable later — but the published horizon does not move:
-// the deferred maximum is published in one jump when the last hold
-// releases. This is what keeps a cross-shard prepare window (and the
-// decided batch's own apply) invisible to every new Pin.
 func (s *Source) Advance(e Epoch) {
-	s.mu.Lock()
-	if s.holds > 0 {
-		if e > s.deferred {
-			s.deferred = e
-		}
-		if n := len(s.bounds); n == 0 || s.bounds[n-1] < e {
-			s.bounds = append(s.bounds, e)
-		}
-		s.pruneBoundsLocked()
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
 	for {
 		cur := s.current.Load()
 		if uint64(e) <= cur {
@@ -122,51 +105,6 @@ func (s *Source) Advance(e Epoch) {
 			s.recordBoundary(e)
 			return
 		}
-	}
-}
-
-// Hold pauses publication of new read epochs until Release. Group
-// boundaries released by the committer while held are remembered (and
-// remain valid PinAt targets once published) but Current does not move, so
-// no reader pins an epoch that could expose state logged inside the hold
-// window. Holds nest: the horizon resumes when the last one releases,
-// jumping straight to the highest deferred boundary.
-//
-// The cross-shard 2PC layer takes a hold on each participant before
-// logging its PREPARE and releases it only after the decision is fully
-// applied (or discarded), making the transaction's visibility atomic per
-// shard: readers see either no effect or the whole sub-batch.
-func (s *Source) Hold() *Hold {
-	s.mu.Lock()
-	s.holds++
-	s.mu.Unlock()
-	s.holdsTotal.Inc()
-	return &Hold{src: s}
-}
-
-// Hold is a handle pausing epoch publication on its Source. Release is
-// idempotent.
-type Hold struct {
-	src    *Source
-	closed atomic.Bool
-}
-
-// Release ends the hold. When it is the last live hold, the highest group
-// boundary deferred during the window is published immediately.
-func (h *Hold) Release() {
-	if h == nil || !h.closed.CompareAndSwap(false, true) {
-		return
-	}
-	s := h.src
-	s.mu.Lock()
-	s.holds--
-	var resume Epoch
-	if s.holds == 0 {
-		resume, s.deferred = s.deferred, 0
-	}
-	s.mu.Unlock()
-	if resume > 0 {
-		s.Advance(resume)
 	}
 }
 
@@ -331,9 +269,6 @@ type Stats struct {
 	PinsTotal int64
 	// Advances counts epoch advances (group releases observed).
 	Advances int64
-	// HoldsTotal counts Hold calls (cross-shard prepare windows) over the
-	// source's lifetime.
-	HoldsTotal int64
 }
 
 // Stats returns the current summary.
@@ -353,7 +288,6 @@ func (s *Source) Stats() Stats {
 		Lag:          lag,
 		PinsTotal:    s.pinsTotal.Load(),
 		Advances:     s.advances.Load(),
-		HoldsTotal:   s.holdsTotal.Load(),
 	}
 }
 
@@ -364,7 +298,6 @@ func (s *Source) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterGauge("mvcc.epoch_lag", &s.oldestLag)
 	r.RegisterCounter("mvcc.pins_total", &s.pinsTotal)
 	r.RegisterCounter("mvcc.advances", &s.advances)
-	r.RegisterCounter("mvcc.holds_total", &s.holdsTotal)
 }
 
 // Pin is a reference on one epoch. It is safe for concurrent use by

@@ -9,7 +9,6 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
-	"bg3/internal/mvcc"
 	"bg3/internal/replication"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
@@ -59,6 +58,8 @@ type Group struct {
 	txnPrepareLat metrics.Histogram // begin to every prepare durable
 	txnCommitLat  metrics.Histogram // prepared to the coordinator's wave durable
 	txnApplyLat   metrics.Histogram // decided to every other participant applied
+
+	snapshotWait metrics.Histogram // a Snapshot's wait for the apply phases in flight
 }
 
 // Open creates a group of n shards with identical options. storageOpts
@@ -110,6 +111,7 @@ func (g *Group) registerMetrics() {
 	r.RegisterHistogram("shard.txn_prepare_us", &g.txnPrepareLat)
 	r.RegisterHistogram("shard.txn_commit_us", &g.txnCommitLat)
 	r.RegisterHistogram("shard.txn_apply_us", &g.txnApplyLat)
+	r.RegisterHistogram("shard.snapshot_wait_us", &g.snapshotWait)
 	r.RegisterCounter("shard.failovers", &g.failovers)
 	r.GaugeFunc("shard.shards", func() int64 { return int64(g.router.Shards()) })
 }
@@ -343,7 +345,9 @@ const (
 // SetTxnStageHook installs a fault-injection hook called on the
 // transaction goroutine at each TxnStage. Install before issuing writes;
 // tests use it to kill coordinators and participants between prepare and
-// commit.
+// commit. At StageDecided the hook runs inside the transaction's cut window
+// (txnManager.cut) and must not call Snapshot, which waits for that window
+// to close; a Failover is safe there.
 func (g *Group) SetTxnStageHook(fn func(stage TxnStage, txn uint64, parts []int)) {
 	g.stageHook = fn
 }
@@ -451,23 +455,13 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	g.txns.Inc()
 	clock := metrics.StartStopwatch()
 	// Every record of the transaction is numbered above each participant's
-	// released horizon now, a new leader's included. An epoch hold taken on
-	// every participant before anything is logged freezes its published read
-	// horizon until the transaction settles, so no reader ever pins an epoch
-	// inside the window.
+	// released horizon now, a new leader's included.
 	nodes := make([]*replication.RWNode, len(parts))
 	floor := make(map[int]wal.LSN, len(members))
-	holds := make([]*mvcc.Hold, 0, len(members))
 	for _, i := range members {
 		nodes[i] = g.Leader(i)
 		floor[i] = wal.LSN(nodes[i].Engine().ReadEpoch()) + 1
-		holds = append(holds, nodes[i].Engine().Epochs().Hold())
 	}
-	defer func() {
-		for _, h := range holds {
-			h.Release()
-		}
-	}()
 	g.mgr.begin(txn, floor)
 	var owed []int // participants of a commit left for a resolution pass
 	defer func() { g.mgr.end(txn, owed) }()
@@ -502,6 +496,13 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	if cause == nil && g.stageHook != nil {
 		g.stageHook(StagePrepared, txn, members)
 	}
+
+	// Prepares change no memory, so no cut can see half of what came so far.
+	// From the coordinator's wave to the return every part is applied under
+	// a read hold of the cut lock: no Snapshot samples the shards while the
+	// batch is on some and not yet on others.
+	g.mgr.cut.RLock()
+	defer g.mgr.cut.RUnlock()
 
 	// Phase 2 — decide, and the coordinator's part with it. A failed prepare,
 	// a force-abort from a concurrent failover's resolution pass, and a
@@ -608,12 +609,10 @@ func txnRecord(typ wal.RecordType, txn uint64, coord int, p *TxnPayload) *wal.Re
 
 // applyPart is the one way a committed part reaches a shard: one wave on
 // node (replication.RWNode.ApplyWave) — head, when given, then the part's
-// records, then its applied marker — under an epoch hold of its own, so a
-// reader pins all of it or none even when the wave takes several groups or
-// runs on a leader the transaction's first holds did not cover.
+// records, then its applied marker. The wave returns once the shard's read
+// epoch is past all of its groups, so a cut sampled after it holds the
+// whole part.
 func applyPart(node *replication.RWNode, head *wal.Record, txn uint64, coord int, muts []graph.Mutation) (headErr, err error) {
-	hold := node.Engine().Epochs().Hold()
-	defer hold.Release()
 	return node.ApplyWave(head, muts, txnRecord(wal.RecordTxnApplied, txn, coord, nil))
 }
 
@@ -648,6 +647,13 @@ func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uin
 // transactions still preparing, waiting out one mid-decision), then the
 // coordinator's durable WAL prefix — a durable commit means commit, anything
 // else aborts (presumed abort).
+//
+// It takes no cut lock: Failover can run on a transaction's own goroutine
+// from its StageDecided hook, inside that transaction's read hold, where a
+// second read hold queued behind a waiting Snapshot would deadlock. A part it
+// applies for a transaction still in flight is covered by that transaction's
+// hold; one owed by a transaction that already returned (OutcomeUnknown) is
+// not, and a cut may miss it until it lands.
 func (g *Group) resolveInDoubt(i int) error {
 	state, err := scanShardTxns(g.Store(i))
 	if err != nil {
@@ -698,15 +704,22 @@ func (g *Group) ReadEpochs() Vector {
 // read epoch and pins that boundary on the shard, one shard at a time.
 // Component i is a gapless prefix of shard i's WAL ending at a group
 // boundary; the vector as a whole is the cut every subsequent hop routes
-// at. A failover racing the cut is harmless: a view pinned on a deposed
-// leader still reads its shard's released prefix exactly (fenced
-// in-flight writes were never released, so the pinned horizon excludes
-// them).
+// at. The samples are taken under the cut lock's write hold, when no
+// transaction's apply is in flight, so the cut holds every cross-shard
+// batch wholly or not at all; it waits for at most the apply phases
+// already running (shard.snapshot_wait_us). A failover racing the cut is
+// harmless: a view pinned on a deposed leader still reads its shard's
+// released prefix exactly (fenced in-flight writes were never released,
+// so the pinned horizon excludes them).
 func (g *Group) Snapshot() *Snapshot {
 	views := make([]*core.ReadView, g.Shards())
+	clock := metrics.StartStopwatch()
+	g.mgr.cut.Lock()
+	clock.Lap(&g.snapshotWait)
 	for i := range views {
 		views[i] = g.Leader(i).Engine().View()
 	}
+	g.mgr.cut.Unlock()
 	g.snapshots.Inc()
 	return newSnapshot(g.router, views)
 }

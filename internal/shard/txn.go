@@ -28,10 +28,7 @@ import (
 //     plus the transaction's membership. The record rides the ordinary
 //     group-commit envelope (no extra fsync, full pipeline depth). Nothing
 //     is applied to memory, so an undecided prepare is invisible at every
-//     epoch by construction; an mvcc hold on every participant, the
-//     coordinator included, additionally freezes the shard's published
-//     read horizon from before the first prepare until after the last
-//     apply.
+//     epoch by construction.
 //  2. DECIDE: once every prepare is durable the coordinator runs one wave
 //     on its stream: RecordTxnCommit, whose Value is the TPC1 payload of
 //     the coordinator's own part, then that part through the normal data
@@ -46,6 +43,12 @@ import (
 //     normal data path (idempotent upserts/deletes) and logs its local
 //     RecordTxnApplied marker after it, in one wave; only then is the
 //     client acked.
+//
+// Visibility is the group's decision, not each shard's: rounds 2 and 3 run
+// under a read hold of the manager's cut lock, and a cross-shard Snapshot
+// samples every shard's epoch under its write hold. With no apply wave in
+// flight, each shard's released epoch holds every batch wholly or not at
+// all, so the sampled cut does too.
 //
 // In-doubt resolution: a durable part with no local Applied/Abort marker —
 // a prepare, or a commit whose carried part has no marker after it — is
@@ -339,12 +342,19 @@ const (
 
 // txnManager tracks in-flight cross-shard transactions so a concurrent
 // failover's resolution pass never guesses against a decision that is
-// being made on another goroutine, and holds their records against the trim.
+// being made on another goroutine, holds their records against the trim,
+// and decides what a cut sees.
 type txnManager struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	txns  map[uint64]txnPhase
 	holds map[uint64]*txnHold
+
+	// cut is read-held by each transaction from its coordinator's wave to
+	// its return and write-held by a Snapshot while it samples the shards.
+	// An RWMutex queues new readers behind a waiting writer, so a Snapshot
+	// waits for the apply phases in flight only and is never starved.
+	cut sync.RWMutex
 }
 
 // txnHold keeps a transaction's records in the participants' logs: floor[i]

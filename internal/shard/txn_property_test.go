@@ -10,22 +10,25 @@ import (
 
 // 2PC state-machine property test: random interleavings of prepare /
 // decide / failover / recover over a fake storage, driving the real
-// mvcc.Source epoch clocks and the real txnManager, and asserting after
-// every step that no shard's released epoch exposes an undecided
-// transaction — visible transaction data always belongs to a committed
-// transaction and is visible completely or not at all per shard.
+// mvcc.Source epoch clocks and the real txnManager with its cut lock, and
+// asserting after every step that no shard's released epoch exposes an
+// undecided transaction — visible transaction data always belongs to a
+// committed transaction and is visible completely or not at all per shard —
+// and, whenever the cut lock can be write-held (a Snapshot could sample),
+// that the shards' released epochs together hold every transaction on all
+// of its participants or on none.
 //
 // The fake mirrors the real protocol's moving parts: one epoch clock and
 // append-only log per shard (every append is durable and releases a
-// group boundary), epoch holds on every participant from before the first
-// prepare until after its apply, prepares on every participant but the
-// coordinator, the coordinator's commit wave (the commit record carrying
-// its part — the durable decision — then the part and its applied marker),
-// one apply wave per other participant, and failovers that replace the
-// shard's clock with a fresh one at the durable horizon (old holds die with
-// the deposed leader) followed by an in-doubt resolution pass. A commit
-// wave may be cut after its commit record by its leader's death: recovery
-// then re-applies the coordinator's part from the commit.
+// group boundary), prepares on every participant but the coordinator, a
+// read hold of the cut lock from the decision until the transaction
+// finishes, the coordinator's commit wave (the commit record carrying its
+// part — the durable decision — then the part and its applied marker), one
+// apply wave per other participant, and failovers that replace the shard's
+// clock with a fresh one at the durable horizon followed by an in-doubt
+// resolution pass, which takes no lock. A commit wave may be cut after its
+// commit record by its leader's death: recovery then re-applies the
+// coordinator's part from the commit.
 
 type fakeKind uint8
 
@@ -51,7 +54,7 @@ type fakeShard struct {
 }
 
 // append durably logs one record and releases it as a group boundary
-// (the committer's OnRelease). While a hold is live the release defers.
+// (the committer's OnRelease).
 func (s *fakeShard) append(k fakeKind, txn uint64, idx int) uint64 {
 	s.nextLSN++
 	s.log = append(s.log, fakeRec{lsn: s.nextLSN, kind: k, txn: txn, idx: idx})
@@ -60,9 +63,8 @@ func (s *fakeShard) append(k fakeKind, txn uint64, idx int) uint64 {
 }
 
 // wave applies txn's part on s and logs its applied marker after it, after
-// the commit record when commit is set, under a hold of its own (applyPart).
+// the commit record when commit is set (applyPart).
 func (s *fakeShard) wave(txn uint64, commit bool) {
-	hold := s.src.Hold()
 	if commit {
 		s.append(fkCommit, txn, 0)
 	}
@@ -70,7 +72,6 @@ func (s *fakeShard) wave(txn uint64, commit bool) {
 		s.append(fkData, txn, idx)
 	}
 	s.append(fkApplied, txn, 0)
-	hold.Release()
 }
 
 // subSize is the number of data slots each participant applies per
@@ -84,7 +85,7 @@ type ptxn struct {
 	coordSrc  *mvcc.Source // the coordinator's clock when the transaction began
 	preps     []int        // the participants that prepare: all but the coordinator
 	prepOrder int          // next preps index to prepare
-	holds     map[int]*mvcc.Hold
+	cutHeld   bool         // read-holds the manager's cut lock
 	decided   bool
 	committed bool
 	appliedBy map[int]bool // participant fully applied (driver or resolution)
@@ -105,7 +106,7 @@ type pharness struct {
 	decisions map[uint64]bool
 
 	// coverage counters (aggregated across seeds by the caller)
-	commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies int
+	commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies, cuts int
 }
 
 func newPHarness(t *testing.T, rng *rand.Rand, nShards int) *pharness {
@@ -126,10 +127,7 @@ func (h *pharness) startTxn() {
 	h.nextID++
 	t := &ptxn{
 		id: h.nextID, parts: parts, coord: parts[0], coordSrc: h.shards[parts[0]].src, preps: parts[1:],
-		holds: make(map[int]*mvcc.Hold), appliedBy: make(map[int]bool),
-	}
-	for _, s := range parts { // every participant's clock, before anything is logged
-		t.holds[s] = h.shards[s].src.Hold()
+		appliedBy: make(map[int]bool),
 	}
 	h.mgr.begin(t.id, nil)
 	h.txns[t.id] = t
@@ -145,6 +143,8 @@ func (h *pharness) stepTxn(t *ptxn) {
 		t.prepOrder++
 	case !t.decided:
 		t.decided = true
+		h.mgr.cut.RLock() // the coordinator's wave begins the cut window
+		t.cutHeld = true
 		if h.shards[t.coord].src != t.coordSrc {
 			// The coordinator failed over while its participants prepared.
 			h.mgr.decide(t.id, false)
@@ -191,7 +191,6 @@ func (h *pharness) stepTxn(t *ptxn) {
 				continue
 			}
 			h.shards[s].wave(t.id, false)
-			t.holds[s].Release()
 			t.appliedBy[s] = true
 			return
 		}
@@ -208,8 +207,8 @@ func (h *pharness) abortTxn(t *ptxn) {
 }
 
 func (h *pharness) finishTxn(t *ptxn) {
-	for _, hold := range t.holds {
-		hold.Release()
+	if t.cutHeld {
+		h.mgr.cut.RUnlock()
 	}
 	h.mgr.end(t.id, nil)
 	t.done = true
@@ -302,6 +301,34 @@ func (h *pharness) checkInvariant(when string) {
 			}
 		}
 	}
+	if !h.mgr.cut.TryLock() {
+		return // a transaction is inside its cut window: no Snapshot samples now
+	}
+	defer h.mgr.cut.Unlock()
+	h.cuts++
+	for id, t := range h.txns {
+		var on []int
+		for _, s := range t.parts {
+			if h.visible(s, id) {
+				on = append(on, s)
+			}
+		}
+		if len(on) != 0 && len(on) != len(t.parts) {
+			h.t.Fatalf("%s: a cut would tear txn %d: visible on shards %v of %v", when, id, on, t.parts)
+		}
+	}
+}
+
+// visible reports whether shard s's released epoch shows data of txn.
+func (h *pharness) visible(s int, txn uint64) bool {
+	sh := h.shards[s]
+	e := uint64(sh.src.Current())
+	for _, r := range sh.log {
+		if r.kind == fkData && r.txn == txn && r.lsn <= e {
+			return true
+		}
+	}
+	return false
 }
 
 func TestTxnStateMachineProperty(t *testing.T) {
@@ -310,7 +337,7 @@ func TestTxnStateMachineProperty(t *testing.T) {
 	if testing.Short() {
 		seeds, actions = 10, 150
 	}
-	var commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies int
+	var commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies, cuts int
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(1000 + seed)))
 		h := newPHarness(t, rng, 4)
@@ -360,10 +387,12 @@ func TestTxnStateMachineProperty(t *testing.T) {
 		coordAborts += h.coordAborts
 		resolveApplies += h.resolveApplies
 		coordReapplies += h.coordReapplies
+		cuts += h.cuts
 	}
 	// The interleavings must actually exercise every protocol path.
-	if commits == 0 || aborts == 0 || forceAborts == 0 || coordAborts == 0 || resolveApplies == 0 || coordReapplies == 0 {
-		t.Fatalf("coverage too thin: commits=%d aborts=%d forceAborts=%d coordAborts=%d resolveApplies=%d coordReapplies=%d",
-			commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies)
+	if commits == 0 || aborts == 0 || forceAborts == 0 || coordAborts == 0 || resolveApplies == 0 || coordReapplies == 0 || cuts == 0 {
+		t.Fatalf("coverage too thin: commits=%d aborts=%d forceAborts=%d coordAborts=%d resolveApplies=%d coordReapplies=%d cuts=%d",
+			commits, aborts, forceAborts, coordAborts, resolveApplies, coordReapplies, cuts)
 	}
+	t.Logf("%d commits, %d cuts checked across shards", commits, cuts)
 }

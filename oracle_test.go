@@ -48,7 +48,7 @@ import (
 //	replica      a Replica reads exactly the log's state at AppliedLSN(i);
 //	             after Sync that is the end of every shard's log.
 //	all-or-none  a batch over several shards is wholly in a Snapshot's cut and
-//	             in the log, or not at all (the concurrent leg measures cuts).
+//	             in the log, or not at all, also under concurrent writers.
 //	traversal    KHop, MatchPattern and FindCycles on each reader return what
 //	             the same functions return on ref at that reader's state.
 //	scatter      a KHop moves shard.scatter_hops by one per hop and
@@ -1074,19 +1074,28 @@ func (r *oracleRun) fault() {
 }
 
 // txnKill kills the coordinator or a participant of a batch over several
-// shards between its 2PC stages, opening a Snapshot there too: the cut holds
-// none of the batch.
+// shards between its 2PC stages, opening a Snapshot there too. Once prepared
+// the cut holds none of the batch. Once decided the hook runs inside the
+// batch's cut window, where a Snapshot waits for the batch to return: it is
+// taken on a goroutine of its own and collected after the write, and holds
+// the whole batch or, had it aborted, none of it.
 func (r *oracleRun) txnKill() {
 	stage := []shard.TxnStage{shard.StagePrepared, shard.StageDecided}[r.rng.Intn(2)]
 	coord, fired := r.rng.Intn(2) == 0, false
+	var late chan *Snapshot
 	r.plan.SetEnabled(false)
 	r.db.group.SetTxnStageHook(func(s shard.TxnStage, _ uint64, members []int) {
 		if fired || s != stage {
 			return
 		}
 		fired = true
-		if len(r.snaps) < 3 {
+		switch {
+		case len(r.snaps) >= 3:
+		case s == shard.StagePrepared:
 			r.snaps = append(r.snaps, r.db.Snapshot())
+		default:
+			late = make(chan *Snapshot, 1)
+			go func() { late <- r.db.Snapshot() }()
 		}
 		target := members[len(members)-1]
 		if coord {
@@ -1096,6 +1105,9 @@ func (r *oracleRun) txnKill() {
 	})
 	r.write(r.batch(true, 2+r.rng.Intn(10)))
 	r.db.group.SetTxnStageHook(nil)
+	if late != nil {
+		r.snaps = append(r.snaps, <-late) // check holds it to all-or-none
+	}
 	r.plan.SetEnabled(true)
 }
 
@@ -1304,8 +1316,9 @@ func TestOracleSemantics(t *testing.T) {
 // a loop checkpoints, reclaims and builds blocks; failovers race them all.
 // Every pinned traversal must read exactly the log's state at its epochs,
 // every epoch a group boundary, no reader's epochs may run backwards, and a
-// batch over several shards is all or none at the log's end; how many cuts
-// tear such a batch is measured.
+// batch over several shards is all or none at the log's end and in every
+// cut. A Snapshot waits out the transactions applying, so the writers run
+// long enough for the readers to check a few hundred cuts.
 func oracleConcurrent(t *testing.T, shape string) {
 	o := oracleOptions(shape)
 	o.CacheCapacity, o.ReplicaCacheCapacity = 16, 0
@@ -1315,7 +1328,7 @@ func oracleConcurrent(t *testing.T, shape string) {
 	const (
 		hub            = VertexID(1)
 		writers        = 6
-		rounds, fan    = 20, 12
+		rounds, fan    = 200, 12
 		readers, perRd = 3, 300
 	)
 	srcs := []VertexID{hub}
@@ -1499,9 +1512,10 @@ func oracleConcurrent(t *testing.T, shape string) {
 		st.Replication.Failovers, skips, built)
 
 	// Each pinned traversal read exactly the log's state at its epoch vector,
-	// a group boundary of every shard.
+	// a group boundary of every shard, and its cut holds every batch over
+	// several shards wholly or not at all.
 	t.Run("snapshot-at-group-boundary", func(t *testing.T) {
-		checked, torn := 0, 0
+		checked := 0
 		for rd := range obs {
 			for _, ob := range obs[rd] {
 				full, err := stateAt(logs, ob.vec)
@@ -1512,20 +1526,26 @@ func oracleConcurrent(t *testing.T, shape string) {
 				if err := diff(ob.got, want); err != nil {
 					t.Fatalf("snapshot: reader %d at %v: %v", rd, ob.vec, err)
 				}
-				// Measured, not asserted: a shard publishes a batch's part once its
-				// own holds drain, and a promoted leader publishes what its
-				// predecessor held, so a cut can tear a batch that overlapping
-				// batches or a failover kept held elsewhere (ROADMAP, "Fix first").
-				if allOrNone(logs, multi, ob.vec) != nil {
-					torn++
+				if err := allOrNone(logs, multi, ob.vec); err != nil {
+					t.Fatalf("all-or-none: reader %d: %v", rd, err)
 				}
 				checked++
 			}
 		}
-		if checked == 0 {
-			t.Fatal("no traversal completed: the leg is vacuous")
+		wait := db.Metrics().Snapshot()["shard.snapshot_wait_us"].Histogram
+		if wait != nil {
+			t.Logf("%d pinned traversals checked, none tore a batch over several shards (of %d); snapshot wait p50 %dus p99 %dus",
+				checked, len(multi), wait.P50US, wait.P99US)
+		} else {
+			t.Logf("%d pinned traversals checked", checked)
 		}
-		t.Logf("%d pinned traversals checked, %d tore a batch over several shards (of %d)", checked, torn, len(multi))
+		want := 1
+		if db.Shards() > 1 {
+			want = 200 // the cuts a Snapshot took while transactions applied
+		}
+		if checked < want {
+			t.Fatalf("%d pinned traversals checked, want at least %d", checked, want)
+		}
 	})
 	// Under the write storm no reader saw an epoch move backwards, and every
 	// pin was released.
