@@ -64,37 +64,37 @@ func BenchmarkFigure10WriteBandwidth(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure11ForestScaling regenerates Fig. 11: write QPS and memory
-// as the number of Bw-trees grows.
+// BenchmarkFigure11ForestScaling regenerates Fig. 11: writes per virtual
+// second and memory as the number of Bw-trees grows.
 func BenchmarkFigure11ForestScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Fig11ForestScaling(experiments.Small, []int{1, 64, 4096}, io.Discard)
 		for _, r := range rows {
-			b.ReportMetric(r.WriteQPS/1000, fmt.Sprintf("trees%d-KQPS", r.Trees))
+			b.ReportMetric(r.WriteQPS/1000, fmt.Sprintf("trees%d-Kwrites/vsec", r.Trees))
 			b.ReportMetric(float64(r.MemoryBytes)/(1<<20), fmt.Sprintf("trees%d-MB", r.Trees))
 		}
 	}
 }
 
 // BenchmarkTable2Gradient regenerates Table 2 (left): background GC
-// bandwidth under FIFO / dirty-ratio / workload-aware on the follow-style
-// churn workload.
+// bandwidth per virtual second under FIFO / dirty-ratio / workload-aware on
+// the follow-style churn workload.
 func BenchmarkTable2Gradient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Table2SpaceReclamation(experiments.Small, io.Discard)
-		b.ReportMetric(rows[0].MBPerSec, "fifo-MBps")
-		b.ReportMetric(rows[1].MBPerSec, "dirty-ratio-MBps")
-		b.ReportMetric(rows[2].MBPerSec, "gradient-MBps")
+		b.ReportMetric(rows[0].MBPerSec, "fifo-MB/vsec")
+		b.ReportMetric(rows[1].MBPerSec, "dirty-ratio-MB/vsec")
+		b.ReportMetric(rows[2].MBPerSec, "gradient-MB/vsec")
 	}
 }
 
-// BenchmarkTable2TTL regenerates Table 2 (right): GC bandwidth with and
-// without the TTL bypass on the risk-control ingest.
+// BenchmarkTable2TTL regenerates Table 2 (right): GC bandwidth per virtual
+// second with and without the TTL bypass on the risk-control ingest.
 func BenchmarkTable2TTL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Table2SpaceReclamation(experiments.Small, io.Discard)
-		b.ReportMetric(rows[3].MBPerSec, "dirty-ratio-MBps")
-		b.ReportMetric(rows[4].MBPerSec, "ttl-MBps")
+		b.ReportMetric(rows[3].MBPerSec, "dirty-ratio-MB/vsec")
+		b.ReportMetric(rows[4].MBPerSec, "ttl-MB/vsec")
 		b.ReportMetric(float64(rows[4].Expired), "ttl-extents-expired")
 	}
 }

@@ -678,9 +678,10 @@ func TestSnapshotSeesAckedWritesDuring2PC(t *testing.T) {
 			probe = v
 		}
 	}
-	stop := make(chan struct{})
+	stop, committed := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, writers)
 	var wg sync.WaitGroup
+	var once sync.Once
 	defer func() { close(stop); wg.Wait() }()
 	for w, src := range srcs {
 		wg.Add(1)
@@ -699,8 +700,16 @@ func TestSnapshotSeesAckedWritesDuring2PC(t *testing.T) {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
+				once.Do(func() { close(committed) })
 			}
 		}()
+	}
+	// Probe only once the writers are committing: on a loaded host the
+	// probes could otherwise all finish before the first batch does.
+	select {
+	case <-committed:
+	case err := <-errs:
+		t.Fatal(err)
 	}
 	misses := 0
 	for i := range probes {

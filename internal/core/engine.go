@@ -80,9 +80,6 @@ type Options struct {
 	// a fresh one. Replicated setups pass the node-wide registry in so the
 	// WAL and replication gauges land next to the engine's.
 	Metrics *metrics.Registry
-
-	// Now overrides the clock for TTL tests.
-	Now func() time.Time
 }
 
 // Engine is a BG3 storage engine instance (the RW-node role when a Logger
@@ -103,14 +100,7 @@ var _ graph.Store = (*Engine)(nil)
 
 // New creates an engine with its own shared store.
 func New(opts Options) (*Engine, error) {
-	so := opts.Storage
-	if so == nil {
-		so = &storage.Options{}
-	}
-	if opts.Now != nil && so.Now == nil {
-		so.Now = opts.Now
-	}
-	st := storage.Open(so)
+	st := storage.Open(opts.Storage)
 	e, err := NewWithStore(st, opts)
 	if err != nil {
 		st.Close()
@@ -152,9 +142,6 @@ func assemble(st *storage.Store, m *bwtree.Mapping, f *forest.Forest, opts Optio
 	for _, stream := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
 		r := gc.NewReclaimer(st, stream, policy, m.Relocate)
 		r.TTL = opts.TTL
-		if opts.Now != nil {
-			r.Now = opts.Now
-		}
 		e.reclaimers = append(e.reclaimers, r)
 		if opts.GCInterval > 0 {
 			batch := opts.GCBatch

@@ -233,7 +233,6 @@ func TestEngineTTLExpiry(t *testing.T) {
 		Storage: &storage.Options{ExtentSize: 1 << 10, Now: clock},
 		Tree:    bwtree.Config{MaxPageEntries: 16},
 		TTL:     time.Minute,
-		Now:     clock,
 	})
 	for i := 0; i < 50; i++ {
 		if err := e.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i), Type: graph.ETypeTransfer}); err != nil {

@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/storage"
@@ -12,7 +15,8 @@ import (
 
 // The experiment smoke tests run every harness at Small scale and assert
 // the paper's qualitative shapes — who wins, which direction the deltas
-// point — not absolute numbers.
+// point. Where an experiment counts (storage traffic) or runs on virtual
+// time (Table 2, Fig. 11), its numbers are pinned exactly as well.
 
 func TestFig9Shape(t *testing.T) {
 	var buf bytes.Buffer
@@ -78,51 +82,68 @@ func TestFig9Fig10StorageCounts(t *testing.T) {
 	}
 }
 
+// TestFig11Shape pins Fig. 11 on virtual time: two runs give the same rows,
+// and their writes per virtual second, tree counts and memory are exact.
+// The paper's claim is the ordering — writes rise as the hot head gets
+// dedicated trees, and memory rises with the tree count.
 func TestFig11Shape(t *testing.T) {
-	if raceEnabled {
-		t.Skip("relative throughput is distorted by race-detector instrumentation")
-	}
 	rows := Fig11ForestScaling(Small, []int{1, 64, 8192}, nil)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if again := Fig11ForestScaling(Small, []int{1, 64, 8192}, nil); !slices.Equal(rows, again) {
+		t.Fatalf("two runs differ:\n%v\n%v", rows, again)
 	}
-	if rows[0].Trees != 1 {
-		t.Fatalf("first config trees = %d, want 1", rows[0].Trees)
+	type row struct {
+		trees  int
+		writes float64 // per virtual second, rounded
+		memory int64
 	}
-	if !(rows[1].WriteQPS > rows[0].WriteQPS) {
-		t.Fatalf("QPS did not grow when the hot head got dedicated trees: %v", rows)
+	want := []row{{1, 6006, 256812}, {64, 6565, 245500}, {8192, 7823, 1590808}}
+	var got []row
+	for _, r := range rows {
+		got = append(got, row{r.Trees, math.Round(r.WriteQPS), r.MemoryBytes})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rows = %v, want %v", got, want)
+	}
+	if !(rows[0].WriteQPS < rows[1].WriteQPS && rows[1].WriteQPS < rows[2].WriteQPS) {
+		t.Fatalf("writes did not rise with trees: %v", rows)
 	}
 	if !(rows[2].MemoryBytes > rows[0].MemoryBytes) {
 		t.Fatalf("memory did not grow with trees: %v", rows)
 	}
 }
 
+// TestTable2Shape pins Table 2 on virtual time: two runs give the same rows,
+// and their bytes moved and extents expired are exact. The paper's claims
+// are the orderings: the gradient policy clearly beats the traditional FIFO
+// queue, and +TTL moves nothing and expires extents for free while
+// dirty-ratio keeps moving doomed data. (Against dirty-ratio the gradient
+// policy moves 3.3% more here, where the paper has 16% less; see
+// EXPERIMENTS.md.)
 func TestTable2Shape(t *testing.T) {
 	rows := Table2SpaceReclamation(Small, nil)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
+	if again := Table2SpaceReclamation(Small, nil); !slices.Equal(rows, again) {
+		t.Fatalf("two runs differ:\n%v\n%v", rows, again)
 	}
-	fifoFollow, dirtyFollow, awareFollow := rows[0], rows[1], rows[2]
-	dirtyTTL, awareTTL := rows[3], rows[4]
-	// The robust orderings: the gradient policy clearly beats the
-	// traditional FIFO queue and stays comparable to the greedy
-	// dirty-ratio baseline (the paper's 16% edge over dirty-ratio is
-	// within run-to-run noise at laptop scale; see EXPERIMENTS.md).
+	type row struct{ moved, expired int64 }
+	want := []row{{2381824, 0}, {858112, 0}, {886784, 0}, {1147444, 0}, {0, 116}}
+	var got []row
+	for _, r := range rows {
+		got = append(got, row{r.MovedBytes, r.Expired})
+		if r.Duration != 1500*time.Millisecond {
+			t.Errorf("%s %s: ran %v of virtual time, want 1.5s", r.Workload, r.Policy, r.Duration)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("{moved expired} = %v, want %v", got, want)
+	}
+	fifoFollow, awareFollow := rows[0], rows[2]
 	if awareFollow.MBPerSec > 0.7*fifoFollow.MBPerSec {
-		t.Fatalf("workload-aware %.2f MB/s vs FIFO %.2f MB/s: expected a clear win",
+		t.Fatalf("workload-aware %.2f vs FIFO %.2f MB per virtual s: expected a clear win",
 			awareFollow.MBPerSec, fifoFollow.MBPerSec)
 	}
-	if awareFollow.MBPerSec > 1.4*dirtyFollow.MBPerSec {
-		t.Fatalf("workload-aware %.2f MB/s vs dirty-ratio %.2f MB/s: expected comparable",
-			awareFollow.MBPerSec, dirtyFollow.MBPerSec)
-	}
-	// The +TTL policy must move (almost) nothing and expire extents for
-	// free, while dirty-ratio keeps moving doomed data.
-	if awareTTL.MovedBytes > dirtyTTL.MovedBytes/4 {
-		t.Fatalf("+TTL moved %d bytes vs dirty-ratio %d", awareTTL.MovedBytes, dirtyTTL.MovedBytes)
-	}
-	if awareTTL.Expired == 0 {
-		t.Fatal("+TTL expired no extents")
+	if dirtyTTL, awareTTL := rows[3], rows[4]; awareTTL.MovedBytes != 0 || awareTTL.Expired == 0 || dirtyTTL.MovedBytes == 0 {
+		t.Fatalf("+TTL moved %d bytes and expired %d extents, dirty-ratio moved %d: want 0, > 0, > 0",
+			awareTTL.MovedBytes, awareTTL.Expired, dirtyTTL.MovedBytes)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"bg3/internal/gc"
@@ -30,9 +29,9 @@ import (
 // burning extents out and compacts plateaued ones, moving fewer bytes for
 // the same space reclaimed.
 type followGCDriver struct {
+	clock  virtualClock
 	store  *storage.Store
 	pages  []storage.Loc // current image location per page
-	mu     sync.Mutex    // guards pages against the relocation callback
 	img    []byte
 	rng    *rand.Rand
 	hotLo  int // current hot window [hotLo, hotLo+hotN)
@@ -44,13 +43,13 @@ const followPageSize = 1024
 
 func newFollowGCDriver(nPages, hotN int, seed int64) *followGCDriver {
 	d := &followGCDriver{
-		store:  storage.Open(&storage.Options{ExtentSize: 64 << 10, GradientDecay: 150 * time.Millisecond}),
 		pages:  make([]storage.Loc, nPages),
 		img:    make([]byte, followPageSize),
 		rng:    rand.New(rand.NewSource(seed)),
 		hotN:   hotN,
 		nPages: nPages,
 	}
+	d.store = storage.Open(&storage.Options{ExtentSize: 64 << 10, GradientDecay: 150 * time.Millisecond, Now: d.clock.now})
 	for i := range d.pages {
 		loc, err := d.store.Append(storage.StreamBase, uint64(i), d.img)
 		if err != nil {
@@ -67,17 +66,13 @@ func (d *followGCDriver) rewrite(i int) {
 	if err != nil {
 		panic(err)
 	}
-	d.mu.Lock()
 	old := d.pages[i]
 	d.pages[i] = loc
-	d.mu.Unlock()
 	d.store.Invalidate(old)
 }
 
 // relocate is the GC callback: repoint the page table.
 func (d *followGCDriver) relocate(tag uint64, old, new storage.Loc) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.pages[tag] != old {
 		return false
 	}
@@ -85,44 +80,18 @@ func (d *followGCDriver) relocate(tag uint64, old, new storage.Loc) bool {
 	return true
 }
 
-// run drives rotated hot rewrites for the given duration with a
+// run drives rotated hot rewrites for the given number of 1 ms slots with a
 // space-pressure reclaimer, returning bytes moved by GC.
-func (d *followGCDriver) run(policy gc.Policy, duration time.Duration, budget int) (int64, time.Duration) {
+func (d *followGCDriver) run(policy gc.Policy, slots, budget int) int64 {
 	r := gc.NewReclaimer(d.store, storage.StreamBase, policy, d.relocate)
-	gcStop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-gcStop:
-				return
-			default:
-			}
-			if len(d.store.Usage(storage.StreamBase)) > budget {
-				if _, err := r.RunOnce(2); err != nil {
-					return
-				}
-			} else {
-				time.Sleep(500 * time.Microsecond)
-			}
-		}
-	}()
-
 	const (
-		rotateEvery = 150 * time.Millisecond
-		slot        = time.Millisecond
-		hotPerSlot  = 8 // hot rewrites per ms (most traffic)
-		coldPerSlot = 1 // background cold rewrites per ms
+		rotateEvery = 150 // slots between hot-window rotations
+		hotPerSlot  = 8   // hot rewrites per slot (most traffic)
+		coldPerSlot = 1   // background cold rewrites per slot
 	)
-	start := time.Now()
-	lastRotate := start
-	for time.Since(start) < duration {
-		slotStart := time.Now()
-		if slotStart.Sub(lastRotate) >= rotateEvery {
+	for slot := 0; slot < slots; slot++ {
+		if slot > 0 && slot%rotateEvery == 0 {
 			d.hotLo = (d.hotLo + d.hotN) % d.nPages
-			lastRotate = slotStart
 		}
 		for k := 0; k < hotPerSlot; k++ {
 			d.rewrite(d.hotLo + d.rng.Intn(d.hotN))
@@ -130,34 +99,31 @@ func (d *followGCDriver) run(policy gc.Policy, duration time.Duration, budget in
 		for k := 0; k < coldPerSlot; k++ {
 			d.rewrite(d.rng.Intn(d.nPages))
 		}
-		if rem := slot - time.Since(slotStart); rem > 0 {
-			time.Sleep(rem)
-		}
+		d.clock.elapsed += time.Millisecond
+		reclaimToBudget(d.store, r, storage.StreamBase, budget, 2)
 	}
-	elapsed := time.Since(start)
-	close(gcStop)
-	wg.Wait()
-	return r.Stats().BytesMoved, elapsed
+	return r.Stats().BytesMoved
 }
 
 // runFollowGC executes the workload-1 half of Table 2 for one policy.
 func runFollowGC(policy gc.Policy, s Scale, seed int64) Table2Row {
 	nPages := pick(s, 1_500, 3_000, 6_000)
 	hotN := nPages / 10
-	duration := pick(s, 1500*time.Millisecond, 4*time.Second, 10*time.Second)
+	slots := pick(s, 1_500, 4_000, 10_000)
 	// Capacity: live data plus enough slack that extents can age through
 	// a few hotness rotations before pressure forces their reclamation.
 	liveExtents := nPages * followPageSize / (64 << 10)
 	budget := liveExtents + pick(s, 60, 80, 120)
 
 	d := newFollowGCDriver(nPages, hotN, seed)
-	moved, elapsed := d.run(policy, duration, budget)
+	moved := d.run(policy, slots, budget)
+	rate := float64(moved) / (1 << 20) / d.clock.elapsed.Seconds()
 	return Table2Row{
 		Workload:     "douyin-follow (workload 1)",
 		Policy:       policy.Name(),
 		MovedBytes:   moved,
-		Duration:     elapsed,
-		MBPerSec:     float64(moved) / (1 << 20) / elapsed.Seconds(),
-		BaseMBPerSec: float64(moved) / (1 << 20) / elapsed.Seconds(),
+		Duration:     d.clock.elapsed,
+		MBPerSec:     rate,
+		BaseMBPerSec: rate,
 	}
 }

@@ -165,7 +165,6 @@ func TestReclaimerTTLExpiry(t *testing.T) {
 	}
 	r := NewReclaimer(st, storage.StreamBase, WorkloadAware{TTL: 10 * time.Second}, nil)
 	r.TTL = 10 * time.Second
-	r.Now = clock
 
 	// Before expiry: nothing moved (extents are fully valid, policies skip
 	// clean extents) and nothing expired.
@@ -196,9 +195,20 @@ func TestReclaimerTTLExpiry(t *testing.T) {
 // of that read. With TTLBypassMargin = TTL (Table 2's +TTL row) every
 // extent is "about to expire", so nothing may move; handing the stale
 // read to the policy made exactly these extents look far from expiry.
+// The store's clock steps: the setup writes at t0+1ms, RunOnce's first
+// read returns t0 (as if taken before them) and every later read t0+2ms.
 func TestReclaimerTTLBypassClockAfterUsage(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	st := storage.Open(&storage.Options{ExtentSize: 64, Now: func() time.Time { return t0.Add(time.Millisecond) }})
+	running, reads := false, 0
+	st := storage.Open(&storage.Options{ExtentSize: 64, Now: func() time.Time {
+		if !running {
+			return t0.Add(time.Millisecond)
+		}
+		if reads++; reads == 1 {
+			return t0
+		}
+		return t0.Add(2 * time.Millisecond)
+	}})
 	var locs []storage.Loc
 	for i := 0; i < 16; i++ {
 		loc, err := st.Append(storage.StreamBase, uint64(i), []byte("12345678"))
@@ -214,14 +224,7 @@ func TestReclaimerTTLBypassClockAfterUsage(t *testing.T) {
 	r := NewReclaimer(st, storage.StreamBase, WorkloadAware{TTL: ttl, TTLBypassMargin: ttl},
 		func(uint64, storage.Loc, storage.Loc) bool { return true })
 	r.TTL = ttl
-	reads := 0
-	r.Now = func() time.Time {
-		reads++
-		if reads == 1 {
-			return t0 // before the invalidations above
-		}
-		return t0.Add(2 * time.Millisecond)
-	}
+	running = true
 	moved, err := r.RunOnce(4)
 	if err != nil {
 		t.Fatal(err)

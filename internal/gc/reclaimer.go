@@ -26,11 +26,9 @@ type Reclaimer struct {
 	policy   Policy
 	relocate storage.RelocateFunc
 
-	// TTL expires whole extents without moving data; zero disables it.
+	// TTL expires whole extents without moving data; zero disables it. Age
+	// is measured on the store's clock (storage.Store.Now).
 	TTL time.Duration
-
-	// Now supplies timestamps (tests inject a fake clock). Nil = time.Now.
-	Now func() time.Time
 
 	// cycle is held shared by every RunOnce and exclusively by Fence, which
 	// sets fenced under it.
@@ -60,13 +58,6 @@ func NewReclaimer(store *storage.Store, stream storage.StreamID, policy Policy, 
 	}
 }
 
-func (r *Reclaimer) now() time.Time {
-	if r.Now != nil {
-		return r.Now()
-	}
-	return time.Now()
-}
-
 // RunOnce expires TTL-dead extents, then reclaims up to n extents chosen
 // by the policy. It returns the bytes moved by this cycle, or an error
 // wrapping storage.ErrFenced once the reclaimer is fenced.
@@ -76,9 +67,8 @@ func (r *Reclaimer) RunOnce(n int) (int64, error) {
 	if r.fenced {
 		return 0, fmt.Errorf("gc: reclaimer of a deposed leader: %w", storage.ErrFenced)
 	}
-	now := r.now()
 	if r.TTL > 0 {
-		dropped := r.store.DropExpired(r.stream, now.Add(-r.TTL))
+		dropped := r.store.DropExpired(r.stream, r.store.Now().Add(-r.TTL))
 		r.mu.Lock()
 		r.expired += int64(len(dropped))
 		r.mu.Unlock()
@@ -87,7 +77,7 @@ func (r *Reclaimer) RunOnce(n int) (int64, error) {
 	// The policy's clock is read after the usage snapshot: an extent
 	// invalidated since the first read has LastUpdate > now, which a
 	// TTL-aware policy would take for "far from expiry" and relocate.
-	ids := r.policy.Pick(usage, n, r.now())
+	ids := r.policy.Pick(usage, n, r.store.Now())
 	var moved int64
 	for _, id := range ids {
 		m, err := r.store.Reclaim(r.stream, id, r.relocate)

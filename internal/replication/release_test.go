@@ -63,9 +63,7 @@ func TestFollowerHoldsCondemnedExtentsPastAnyClock(t *testing.T) {
 	clock := func() time.Time { return now }
 	st := storage.Open(&storage.Options{ExtentSize: 4 << 10, Now: clock})
 	defer st.Close()
-	opts := releaseOpts()
-	opts.Engine.Now = clock
-	rw, err := NewRWNode(st, opts)
+	rw, err := NewRWNode(st, releaseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

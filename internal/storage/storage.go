@@ -102,8 +102,9 @@ type Options struct {
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
 
-	// Now supplies timestamps for extent usage tracking. Tests inject a
-	// fake clock to exercise TTL expiry without sleeping. Nil means
+	// Now is the clock of everything built on the store: extent usage
+	// tracking, GC's policy and TTL decisions (Store.Now). Tests and the
+	// experiments inject a virtual clock to run without sleeping. Nil means
 	// time.Now.
 	Now func() time.Time
 
@@ -228,6 +229,9 @@ func (s *Store) Close() {
 	s.closed = true
 	s.mu.Unlock()
 }
+
+// Now reads the store's clock (Options.Now).
+func (s *Store) Now() time.Time { return s.opts.Now() }
 
 func (s *Store) isClosed() bool {
 	s.mu.Lock()
@@ -371,7 +375,7 @@ func (s *Store) Invalidate(loc Loc) {
 	if err != nil {
 		return
 	}
-	st.mark(loc, false, s.opts.Now())
+	st.mark(loc, false, s.Now())
 }
 
 // Revalidate marks the record at loc live again: a leader taking over holds
