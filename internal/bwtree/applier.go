@@ -103,7 +103,7 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 	}
 }
 
-// applySplit is splitPageLocked for a split the leader already decided: no
+// applySplit is splitPage for a split the leader already decided: no
 // materialization (the separator comes with the record, the halves stay as
 // resident as the page was), nothing dirty; a live count the applier kept is
 // halved as the leader halved it. The sibling reads e's records until a

@@ -76,9 +76,15 @@ import (
 //     op through a leaf: the writer holds the page latch until after its
 //     overlay append, so whoever found the op in a leaf took the latch when
 //     the op was already in the overlay.
-//   - During the first build, consolidation is clamped to fold nothing
-//     above S (buildClamp), so the content scan at S stays reconstructible
-//     even if every pin is released mid-build. A rebuild reads no leaf.
+//   - The first build seeds the overlay before it scans the content at S,
+//     and consolidation goes on meanwhile: pins may close and the floor rise
+//     to F > S. The floor only rises (Source.PinAt refuses epochs below it,
+//     and new pins are taken at the current epoch), so once a leaf folds at
+//     F no reader below F is left. An op above S folded before both walks is
+//     in the image alone, and every reader is above it; one folded between
+//     them is in the image and the seeded overlay (replay is idempotent); one
+//     folded after both is in the seeded overlay. A rebuild reads no leaf.
+//     Pinned by TestFirstBuildAtARisenFloor.
 //
 // Blocks are an RW-node read-path acceleration held in memory only: nothing
 // reads a block back from storage, so nothing is written there; after
@@ -107,7 +113,6 @@ type blockState struct {
 
 	blockBuildMu sync.Mutex    // serializes builds (TryLock)
 	buildSpawned atomic.Bool   // one background build goroutine at a time
-	buildClamp   atomic.Uint64 // seal+1 while a first build is in flight (0 = none)
 	lastSkipSeal atomic.Uint64 // seal+1 of the last pin-skipped build (0 = none)
 }
 
@@ -408,50 +413,12 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	var img leafImage
 	var ov []op // the overlay as a rebuild copied it: the ops in img if stamped at or below the seal
 	if old == nil {
-		// Clamp consolidation at the seal for the duration of the build: the
-		// content scan at the seal must stay reconstructible even if every
-		// pin is released mid-build.
-		if t.cfg.Epochs != nil {
-			t.blocks.buildClamp.Store(uint64(seal) + 1)
-			defer t.blocks.buildClamp.Store(0)
-		}
-		// Clear debris from any previously aborted capture, then turn
-		// capture on and drain the writers that entered before they could
-		// see it; from here every applied op lands in the overlay.
-		t.blocks.overlayMu.Lock()
-		t.blocks.runs = make([]blockRun, 1)
-		t.addOverlayLen(-t.blocks.overlayLen.Load())
-		t.blocks.overlayMu.Unlock()
-		t.blocks.blockCapture.Store(true)
-		for t.blocks.preGate.Load() != 0 {
-			runtime.Gosched()
-		}
-		// Seed the overlay with history already applied above the seal.
-		seeded := t.collectRetainedAbove(seal)
-		estimate := int(max(0, t.puts.Load()-t.deletes.Load())) // of the live entries
-		if len(seeded) >= t.blockRebuildThreshold(estimate) {
-			t.blocks.blockCapture.Store(false)
-			t.noteBlockSkip(seal, len(seeded))
+		estimate, ok := t.beginFirstBuild(seal)
+		if !ok {
 			return false, nil
 		}
-		t.blocks.overlayMu.Lock()
-		t.blocks.runs = cutRuns(nil, sortOps(append(seeded, flatten(t.blocks.runs)...)), t.blocks.takes)
-		t.blocks.overlayMu.Unlock()
-
-		// Content scan at the seal. MVCC makes this a consistent cut for
-		// epoch trees; for sync trees any op racing the scan is captured in
-		// the overlay, and replaying it over the block is idempotent. The
-		// pairs alias page memory, which is immutable, until the encode
-		// below has copied them.
-		content := make([]op, 0, estimate)
-		err := t.ScanAt(nil, nil, 0, seal, func(k, v []byte) bool {
-			content = append(content, op{key: k, val: v})
-			return true
-		})
-		if err == nil {
-			img, err = mergeEncode(emptyLeaf, content, nil, nil, horizonAll)
-		}
-		if err != nil {
+		var err error
+		if img, err = t.contentAt(seal, estimate); err != nil {
 			t.blocks.blockCapture.Store(false)
 			return false, err
 		}
@@ -482,14 +449,66 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 			return false, err
 		}
 	}
+	t.installBlock(old, seal, img, ov)
+	return true, nil
+}
 
-	// Install: swap the block in and cut the overlay down to the ops the
-	// new seal still needs — everything above it, plus everything that
-	// arrived once the image's content was taken (replaying one the image
-	// already has is idempotent). The runs hold ov's ops in ov's order with
-	// the later arrivals of a key behind them, so an op is one of ov's exactly
-	// when ov's next is of its key. The runs are cut afresh from what is kept:
-	// readers may hold the old ones.
+// beginFirstBuild starts the first build at seal: it clears debris from any
+// previously aborted capture, turns capture on and drains the writers that
+// entered before they could see it — from here every applied op lands in the
+// overlay — and seeds the overlay with the history the leaves retain above
+// seal. It returns the live-entry estimate, or ok=false when that history
+// already reaches the rebuild threshold (pins hold the floor down), with
+// capture off again.
+func (t *Tree) beginFirstBuild(seal wal.LSN) (estimate int, ok bool) {
+	t.blocks.overlayMu.Lock()
+	t.blocks.runs = make([]blockRun, 1)
+	t.addOverlayLen(-t.blocks.overlayLen.Load())
+	t.blocks.overlayMu.Unlock()
+	t.blocks.blockCapture.Store(true)
+	for t.blocks.preGate.Load() != 0 {
+		runtime.Gosched()
+	}
+	seeded := t.collectRetainedAbove(seal)
+	estimate = int(max(0, t.puts.Load()-t.deletes.Load()))
+	if len(seeded) >= t.blockRebuildThreshold(estimate) {
+		t.blocks.blockCapture.Store(false)
+		t.noteBlockSkip(seal, len(seeded))
+		return 0, false
+	}
+	t.blocks.overlayMu.Lock()
+	t.blocks.runs = cutRuns(nil, sortOps(append(seeded, flatten(t.blocks.runs)...)), t.blocks.takes)
+	t.blocks.overlayMu.Unlock()
+	return estimate, true
+}
+
+// contentAt is the first build's content scan: the tree at seal as one image.
+// MVCC makes this a consistent cut for epoch trees — consolidation may fold
+// ops above seal meanwhile, once the floor has risen past them, and then no
+// reader below the floor is left to tell (the correctness protocol at the top
+// of this file); for sync trees
+// any op racing the scan is captured in the overlay, and replaying it over the
+// block is idempotent. The pairs alias page memory, which is immutable, until
+// the encode has copied them.
+func (t *Tree) contentAt(seal wal.LSN, estimate int) (leafImage, error) {
+	content := make([]op, 0, estimate)
+	if err := t.ScanAt(nil, nil, 0, seal, func(k, v []byte) bool {
+		content = append(content, op{key: k, val: v})
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	return mergeEncode(emptyLeaf, content, nil, nil, horizonAll)
+}
+
+// installBlock swaps the block at seal in and cuts the overlay down to the
+// ops the new seal still needs — everything above it, plus everything that
+// arrived once the image's content was taken (replaying one the image already
+// has is idempotent). ov is the overlay a rebuild copied, nil for a first
+// build. The runs hold ov's ops in ov's order with the later arrivals of a key
+// behind them, so an op is one of ov's exactly when ov's next is of its key.
+// The runs are cut afresh from what is kept: readers may hold the old ones.
+func (t *Tree) installBlock(old *edgeBlock, seal wal.LSN, img leafImage, ov []op) {
 	t.blocks.overlayMu.Lock()
 	var kept []op
 	for _, run := range t.blocks.runs {
@@ -512,7 +531,6 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	if old != nil {
 		t.m.noteBlockDropped(old.image.count(), int64(len(old.image)))
 	}
-	return true, nil
 }
 
 // addOverlayLen moves the overlay's published size — what the build triggers

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 
+	"bg3/internal/mvcc"
+	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
@@ -335,4 +337,122 @@ func TestBlockRunDirectoryMatchesFlatOverlay(t *testing.T) {
 			t.Fatalf("seed %d: the directory ended with %d runs, want a populated one", seed, n)
 		}
 	}
+}
+
+// TestFirstBuildAtARisenFloor drives a first build by hand and lets the floor
+// rise under it: the build seals at the floor of three pins, the oldest closes
+// and a leaf consolidates at the risen floor before the seeding walk, the next
+// closes and another leaf consolidates between the seeding walk and the
+// content scan, and a third consolidates after both. Nothing clamps the floor
+// to the seal, so the image holds ops above the seal that the overlay may not;
+// no reader below the risen floor is left to see them. Block reads at every
+// live horizon and at ∞ equal the version map — after the build, after more
+// writes and after a rebuild.
+func TestFirstBuildAtARisenFloor(t *testing.T) {
+	vl := &versionLog{ref: refModel{}, src: mvcc.NewSource(0)}
+	cfg := Config{MaxPageEntries: 8, ConsolidateNum: 1, Epochs: vl.src,
+		// Above anything written: no build but the test's own.
+		EdgeBlockMinEntries: 1 << 20, EdgeBlockRebuildOps: 1 << 20}
+	tr, err := New(NewMapping(0, false), storage.Open(&storage.Options{ExtentSize: 1 << 16}), cfg, vl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round 0 writes every key, round r > 0 a third of them, so each round
+	// leaves some key's latest version in its own interval between pins.
+	round := func(r int) {
+		t.Helper()
+		for i := 0; i < 48; i++ {
+			if r > 0 && i%3 != r%3 {
+				continue
+			}
+			k := []byte(fmt.Sprintf("k%03d", i))
+			if (i+r)%4 == 0 {
+				err = tr.Delete(k)
+			} else {
+				err = tr.Put(k, []byte(fmt.Sprintf("v%d.%d", i, r)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round(0)
+	if _, err := tr.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	var pins []*mvcc.Pin
+	for r := 1; r <= 3; r++ {
+		pins = append(pins, vl.src.Pin())
+		round(r)
+	}
+	defer func() {
+		for _, p := range pins {
+			p.Close()
+		}
+	}()
+	leaves := leavesOf(tr)
+	if len(leaves) < 3 {
+		t.Fatalf("fixture: %d leaves, want 3", len(leaves))
+	}
+	// consolidate folds leaf i at the floor of the pins left open.
+	consolidate := func(i int) {
+		t.Helper()
+		before, e := tr.Stats().Consolidations, leaves[i]
+		pins[0].Close()
+		pins = pins[1:]
+		e.mu.Lock()
+		_, err := tr.flushPageLocked(e, nil)
+		e.mu.Unlock()
+		if err != nil || tr.Stats().Consolidations != before+1 {
+			t.Fatalf("fixture: leaf %d did not consolidate at floor %d (%v)", i, tr.retentionFloor(), err)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		horizons := []wal.LSN{horizonAll}
+		for _, p := range pins {
+			horizons = append(horizons, wal.LSN(p.Epoch()))
+		}
+		for _, h := range horizons {
+			hits := tr.m.BlockStatsSnapshot().Hits
+			var got []string
+			if err := tr.ScanAt(nil, nil, 0, h, func(k, v []byte) bool {
+				got = append(got, string(k)+"="+string(v))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if tr.m.BlockStatsSnapshot().Hits != hits+1 {
+				t.Fatalf("%s: the read at %d walked the leaves, not the block", stage, h)
+			}
+			if want := vl.ref.scan("", "", 0, h); !slices.Equal(got, want) {
+				t.Fatalf("%s: block read at %d = %v, want %v", stage, h, got, want)
+			}
+		}
+	}
+
+	seal := tr.retentionFloor()
+	consolidate(0) // folded before both walks: in the image alone
+	estimate, ok := tr.beginFirstBuild(seal)
+	if !ok {
+		t.Fatal("fixture: the first build skipped")
+	}
+	consolidate(1) // folded between the walks: in the image and the seeded overlay
+	img, err := tr.contentAt(seal, estimate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.installBlock(nil, seal, img, nil)
+	if tr.retentionFloor() <= seal {
+		t.Fatalf("fixture: the floor did not rise past the seal %d", seal)
+	}
+	pins = append(pins, vl.src.Pin())
+	check("built")
+	consolidate(2) // folded after both: in the seeded overlay
+	check("after a fold")
+	round(4)
+	pins = append(pins, vl.src.Pin())
+	check("after more writes")
+	mustBuildBlock(t, tr)
+	check("rebuilt")
 }

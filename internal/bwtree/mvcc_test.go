@@ -20,11 +20,6 @@ type stubAsyncLogger struct {
 	src *mvcc.Source
 }
 
-func (l *stubAsyncLogger) Log(rec *wal.Record) (wal.LSN, error) {
-	lsn, w := l.LogAsync(rec)
-	return lsn, w()
-}
-
 func (l *stubAsyncLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 	l.mu.Lock()
 	l.lsn++

@@ -21,18 +21,12 @@ const horizonAll = wal.LSN(math.MaxUint64)
 
 // retentionFloor returns the LSN at or below which history may be folded
 // into page bases: the oldest pinned epoch of the tree's clock, or
-// everything when no clock is wired (single-node / sync trees). An edge
-// block's first build in flight clamps the floor to its seal so the content
-// scan at the seal stays reconstructible even if every pin closes mid-build.
+// everything when no clock is wired (single-node / sync trees).
 func (t *Tree) retentionFloor() wal.LSN {
 	if t.cfg.Epochs == nil {
 		return horizonAll
 	}
-	f := wal.LSN(t.cfg.Epochs.Floor())
-	if c := t.blocks.buildClamp.Load(); c != 0 && wal.LSN(c-1) < f {
-		f = wal.LSN(c - 1)
-	}
-	return f
+	return wal.LSN(t.cfg.Epochs.Floor())
 }
 
 // gallopAfter is how many consecutive base entries scanPage compares with

@@ -149,33 +149,47 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 	}
 }
 
-// clockedPipe logs to a real WAL (so a Replica can be fed the same records)
-// and advances the epoch clock at every append, the way the RW node's
-// committer does at ack release. lastData is the stamp of the newest put or
-// delete — structural records a write triggers get later LSNs — and data
-// collects the stamps of all of them since the caller last emptied it.
+// clockedPipe logs to a real WAL through a group committer (so a Replica can
+// be fed the same records) whose releases advance the epoch clock, as the RW
+// node's do. lastData is the stamp of the newest put or delete — structural
+// records a write triggers get later LSNs — and data collects the stamps of all
+// of them since the caller last emptied it.
 type clockedPipe struct {
-	w        *wal.Writer
-	src      *mvcc.Source
+	c        *wal.GroupCommitter
 	last     wal.LSN
 	lastData wal.LSN
 	data     []wal.LSN
 }
 
-func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
-	lsn, err := p.w.Append(rec)
-	if err != nil {
-		return 0, err
+// newClockedPipe returns a pipe on st's WAL whose releases advance src (nil:
+// no clock), stopped with the test.
+func newClockedPipe(t *testing.T, st *storage.Store, src *mvcc.Source) *clockedPipe {
+	var opts wal.GroupCommitterOptions
+	if src != nil {
+		opts.OnRelease = func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) }
+	}
+	p := &clockedPipe{c: wal.NewGroupCommitter(wal.NewWriter(st), opts)}
+	t.Cleanup(p.c.Stop)
+	return p
+}
+
+func (p *clockedPipe) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
+	lsn, wait := p.c.LogAsync(rec)
+	if lsn == 0 {
+		return 0, wait
 	}
 	p.last = lsn
 	if rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete {
 		p.lastData = lsn
 		p.data = append(p.data, lsn)
 	}
-	if p.src != nil {
-		p.src.Advance(mvcc.Epoch(lsn))
-	}
-	return lsn, nil
+	return lsn, wait
+}
+
+// Log is LogAsync and its wait.
+func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
+	lsn, wait := p.LogAsync(rec)
+	return lsn, wait()
 }
 
 // TestDifferentialAgainstVersionMap is the one read-semantics oracle of the
@@ -235,7 +249,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		extent = 4 << 10
 	}
 	st := storage.Open(&storage.Options{ExtentSize: extent})
-	pipe := &clockedPipe{w: wal.NewWriter(st)}
 	cfg := Config{Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
 		// Puts outnumber deletes by 2 in 5 steps, so the write path's own
 		// trigger builds the block near step steps/2; a rebuild is due every
@@ -243,8 +256,11 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		EdgeBlockMinEntries: steps / 5, EdgeBlockRebuildOps: 24}
 	var logger WALLogger // none: no WAL, no follower, no hand-over
 	if async {
-		pipe.src = mvcc.NewSource(0)
-		cfg.Epochs, logger = pipe.src, pipe
+		cfg.Epochs = mvcc.NewSource(0)
+	}
+	pipe := newClockedPipe(t, st, cfg.Epochs)
+	if async {
+		logger = pipe
 	}
 	m := NewMapping(6, false)
 	tr, err := New(m, st, cfg, logger)
@@ -497,8 +513,8 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 			}
 			m.mu.RUnlock()
 		case r < 85:
-			if pipe.src != nil && len(pins) < 4 {
-				pins = append(pins, pipe.src.Pin())
+			if cfg.Epochs != nil && len(pins) < 4 {
+				pins = append(pins, cfg.Epochs.Pin())
 			}
 		case r < 90:
 			if len(pins) > 0 {

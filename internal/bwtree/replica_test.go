@@ -11,13 +11,13 @@ import (
 )
 
 // walPipe couples a Tree (RW side) to Replicas (RO side) through a real
-// wal.Writer on shared storage, mimicking the replication package's
+// group committer on shared storage, mimicking the replication package's
 // plumbing at unit-test scale.
-type walPipe struct {
-	w *wal.Writer
+func walPipe(t *testing.T, st *storage.Store) *wal.GroupCommitter {
+	c := wal.NewGroupCommitter(wal.NewWriter(st), wal.GroupCommitterOptions{})
+	t.Cleanup(c.Stop)
+	return c
 }
-
-func (p *walPipe) Log(rec *wal.Record) (wal.LSN, error) { return p.w.Append(rec) }
 
 // follower is the RO node at the scale of this package: an applier page
 // table, the trees its log created, and the LSN applied so far — the tree
@@ -57,12 +57,12 @@ func (f *follower) Scan(tree TreeID, from, to []byte, limit int, fn func(k, v []
 
 func (f *follower) BufferedRecords() int { return f.m.OverlayOps() }
 
-func newReplicatedTree(t *testing.T, cfg Config) (*Tree, *follower, *wal.Reader, *storage.Store, *wal.Writer) {
+func newReplicatedTree(t *testing.T, cfg Config) (*Tree, *follower, *wal.Reader, *storage.Store, *wal.GroupCommitter) {
 	t.Helper()
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
+	w := walPipe(t, st)
 	m := NewMapping(0, false)
-	tr, err := New(m, st, cfg, &walPipe{w: w})
+	tr, err := New(m, st, cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,12 @@ func TestReplicaCheckpointTruncatesBuffers(t *testing.T) {
 	}
 
 	// Flush dirty pages and emit the checkpoint (steps 7–8 of Figure 7).
-	ckptLSN := w.NextLSN() - 1
+	ckptLSN := w.LastLSN()
 	ups, err := tr.FlushDirty()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(&wal.Record{
+	if _, err := w.Log(&wal.Record{
 		Type: wal.RecordCheckpoint, CkptLSN: ckptLSN, Value: EncodeMappingUpdates(ups),
 	}); err != nil {
 		t.Fatal(err)
@@ -259,9 +259,9 @@ func TestReplicaScanMatchesTree(t *testing.T) {
 
 func TestReplicaCacheEviction(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
+	w := walPipe(t, st)
 	m := NewMapping(0, false)
-	tr, err := New(m, st, Config{MaxPageEntries: 4}, &walPipe{w: w})
+	tr, err := New(m, st, Config{MaxPageEntries: 4}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestReplicaCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(&wal.Record{
-		Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1, Value: EncodeMappingUpdates(ups),
+	if _, err := w.Log(&wal.Record{
+		Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(), Value: EncodeMappingUpdates(ups),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +364,8 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := w.Append(&wal.Record{
-					Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1,
+				if _, err := w.Log(&wal.Record{
+					Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(),
 					Value: EncodeMappingUpdates(ups),
 				}); err != nil {
 					t.Fatal(err)
@@ -402,7 +402,7 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 	tr, rep, rd, _, w := newReplicatedTree(t, Config{MaxPageEntries: 8})
 	checkpoint := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
-		if _, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)}); err != nil {
+		if _, err := w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)}); err != nil {
 			t.Fatal(err)
 		}
 		syncReplica(t, rep, rd)
@@ -420,10 +420,10 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkpoint(w.NextLSN()-1, ups)
+	checkpoint(w.LastLSN(), ups)
 
 	put(0, "v2")          // dirties L
-	h := w.NextLSN() - 1  // the cycle samples its horizon ...
+	h := w.LastLSN()      // the cycle samples its horizon ...
 	ids := tr.takeDirty() // ... and takes the dirty set: {L}
 	put(8, "v")           // a writer splits L before the flusher reaches it
 	if len(tr.LeafDirectory()) != 2 {
@@ -447,8 +447,8 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 // checkpoint whether or not the page is resident.
 func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
-	tr, err := New(NewMapping(0, false), st, Config{MaxPageEntries: 4}, &walPipe{w: w})
+	w := walPipe(t, st)
+	tr, err := New(NewMapping(0, false), st, Config{MaxPageEntries: 4}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 		tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	ups, _ := tr.FlushDirty()
-	w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1, Value: EncodeMappingUpdates(ups)})
+	w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(), Value: EncodeMappingUpdates(ups)})
 	syncReplica(t, rep, rd)
 	rep.Get(tr.ID(), []byte("k000")) // page of k000 resident on the replica
 	tr.Put([]byte("k000"), []byte("new"))
@@ -489,7 +489,7 @@ func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.NextLSN() - 1, Value: EncodeMappingUpdates(ups)}); err != nil {
+	if _, err := w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(), Value: EncodeMappingUpdates(ups)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 8; i < 24; i++ { // unflushed: the one durable leaf splits, and its sibling splits again

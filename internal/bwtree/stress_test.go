@@ -391,11 +391,6 @@ type versionLog struct {
 	src *mvcc.Source
 }
 
-func (l *versionLog) Log(rec *wal.Record) (wal.LSN, error) {
-	lsn, w := l.LogAsync(rec)
-	return lsn, w()
-}
-
 func (l *versionLog) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 	lsn := l.note(rec.Key, rec.Value, rec.Type == wal.RecordDelete, rec.Type == wal.RecordPut || rec.Type == wal.RecordDelete)
 	return lsn, func() error {

@@ -14,27 +14,26 @@ import (
 	"bg3/internal/wal"
 )
 
-// WALLogger receives the tree's write-ahead records. The RW node of §3.4
-// plugs a wal.Writer-backed implementation in; standalone trees leave it
-// nil, and flush every page they dirty at once.
+// WALLogger receives the tree's write-ahead records: the RW node of §3.4
+// plugs its group committer in; standalone trees leave it nil, and flush every
+// page they dirty at once. LogAsync assigns the record its LSN at once — the
+// caller's page latch is held only for that instant — and returns the wait
+// that blocks until the record is durable; LSN 0 means the record was refused
+// and nothing was enqueued, and the wait returns why. A write enqueues every
+// record it causes before it invokes the first wait (Tree.Apply), so
+// concurrent writers of one page, and a write's own records, share commit
+// round trips instead of serializing on them.
 type WALLogger interface {
-	Log(rec *wal.Record) (wal.LSN, error)
+	LogAsync(rec *wal.Record) (wal.LSN, func() error)
 }
+
+// AsyncWALLogger is WALLogger under its former name, which the benchmark
+// harness still uses.
+type AsyncWALLogger = WALLogger
 
 // existedKey is the AuxPage of a put or delete record whose key was live when
 // it applied.
 const existedKey = 1
-
-// AsyncWALLogger is an optional WALLogger extension for group commit: the
-// LSN is assigned immediately (so the caller's page latch is held only for
-// an instant) and the returned wait function blocks until the record is
-// durable. The tree invokes the wait after releasing the page latch, which
-// lets concurrent writers to the same page share one commit round trip
-// instead of serializing on it.
-type AsyncWALLogger interface {
-	WALLogger
-	LogAsync(rec *wal.Record) (wal.LSN, func() error)
-}
 
 // Stats is a snapshot of a tree's operation counters.
 type Stats struct {
@@ -77,8 +76,21 @@ type Tree struct {
 	blocks blockState
 }
 
-// New creates an empty tree registered in m, persisting to store.
+// New creates an empty tree registered in m, persisting to store, and waits
+// until its creation record is durable.
 func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree, error) {
+	var waits []func() error
+	t, err := NewDeferred(m, store, cfg, logger, &waits)
+	if werr := drain(waits); err == nil && werr != nil {
+		return nil, werr
+	}
+	return t, err
+}
+
+// NewDeferred is New inside a write that causes more records: the creation
+// record's durability wait is appended to waits, for the write to drain with
+// its others (Apply). The tree is usable at once.
+func NewDeferred(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, waits *[]func() error) (*Tree, error) {
 	t := &Tree{id: m.allocTreeID(), store: store, m: m}
 	if err := t.lead(cfg, logger); err != nil {
 		return nil, err
@@ -92,9 +104,9 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 	m.register(rootEntry)
 	t.root = rootEntry.id
 	if logger != nil {
-		if _, err := logger.Log(&wal.Record{
+		if _, err := t.log(&wal.Record{
 			Type: wal.RecordNewTree, TreeID: uint64(t.id), AuxPage: uint64(rootEntry.id),
-		}); err != nil {
+		}, waits); err != nil {
 			return nil, err
 		}
 	}
@@ -428,12 +440,12 @@ func (t *Tree) applyOne(w Write) (existed bool, err error) {
 // leaf touched, not per write; an unsorted batch degrades to shorter runs,
 // never to a different result.
 //
-// When the logger commits asynchronously every record's durability wait is
-// appended to waits instead of blocking — the batched-mutation path: the
-// caller drains them once, so every record is enqueued before the first wait
-// starts and the group shares storage appends. Nothing is durable until its
-// wait returned nil. A nil waits drains them here, after the last latch was
-// released, so concurrent writers of one page still share a commit round trip.
+// Every record the call causes — its writes' and its splits' — gets its
+// durability wait appended to waits instead of blocking: the caller drains
+// them once, after its own last record is enqueued, so the whole write shares
+// storage appends. Nothing is durable until its wait returned nil. A nil waits
+// drains them here, after the last latch was released, so concurrent writers
+// of one page still share a commit round trip.
 func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
 	var own []func() error
 	if waits == nil {
@@ -448,16 +460,25 @@ func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
 		if err == nil && needSplit {
 			// Splits take the structure lock, so one runs between two runs,
 			// and the rest of ws is routed through the halves.
-			err = t.splitPage(id)
+			err = t.splitPage(id, waits)
 		}
 	}
-	for _, wait := range own {
+	if werr := drain(own); err == nil {
+		err = werr
+	}
+	t.maybeSpawnEdgeBlockBuild()
+	return n, err
+}
+
+// drain invokes every wait and returns the first failure.
+func drain(waits []func() error) error {
+	var err error
+	for _, wait := range waits {
 		if werr := wait(); werr != nil && err == nil {
 			err = werr
 		}
 	}
-	t.maybeSpawnEdgeBlockBuild()
-	return n, err
+	return err
 }
 
 // applyRun is Algorithm 1 on a latched leaf, for a run instead of an op. It
@@ -643,42 +664,29 @@ func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h
 	return n, hi, stopped || ended || (owed > 0 && n >= owed), nil
 }
 
-// log appends a WAL record and returns its LSN, deferring the durability wait
-// into waits when the logger supports group commit — the page latch or the
-// structure lock is released before anyone blocks, so neither same-page
-// writers nor splits stall for a commit round trip.
+// log enqueues a WAL record and returns its LSN, deferring the durability
+// wait into waits — the page latch or the structure lock is released before
+// anyone blocks, so neither same-page writers nor splits stall for a commit
+// round trip.
 func (t *Tree) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
-	if async, ok := t.logger.(AsyncWALLogger); ok {
-		lsn, w := async.LogAsync(rec)
-		if lsn == 0 {
-			// Admission failed (stopped or poisoned committer, or an oversized
-			// record): no LSN exists and nothing was enqueued, so the caller
-			// must fail before any in-memory state changes. An op stamped 0
-			// would otherwise sit below every snapshot horizon and leak an
-			// unlogged write into pinned reads.
-			return 0, w()
-		}
-		*waits = append(*waits, w)
-		return lsn, nil
+	lsn, w := t.logger.LogAsync(rec)
+	if lsn == 0 {
+		// Admission failed (stopped or poisoned committer, or an oversized
+		// record): no LSN exists and nothing was enqueued, so the caller
+		// must fail before any in-memory state changes. An op stamped 0
+		// would otherwise sit below every snapshot horizon and leak an
+		// unlogged write into pinned reads.
+		return 0, w()
 	}
-	return t.logger.Log(rec)
+	*waits = append(*waits, w)
+	return lsn, nil
 }
 
 // splitPage splits the (oversized) leaf id, updating parents and, when the
-// root splits, growing the tree by one level. It re-checks the size under
-// the structure lock, so spurious calls are harmless.
-func (t *Tree) splitPage(id PageID) error {
-	var waits []func() error
-	err := t.splitPageLocked(id, &waits)
-	for _, w := range waits {
-		if werr := w(); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
-}
-
-func (t *Tree) splitPageLocked(id PageID, waits *[]func() error) error {
+// root splits, growing the tree by one level; the split record's durability
+// wait joins waits. It re-checks the size under the structure lock, so
+// spurious calls are harmless.
+func (t *Tree) splitPage(id PageID, waits *[]func() error) error {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	e := t.m.get(id)

@@ -862,7 +862,7 @@ func TestRunIntoOversizedLeafMakesProgress(t *testing.T) {
 	}
 }
 
-// gatedLogger is an AsyncWALLogger whose RecordSplit waits, once armed,
+// gatedLogger is a WALLogger whose RecordSplit waits, once armed,
 // announce themselves on started and block until release is closed — a group
 // committer's commit round trip, held open.
 type gatedLogger struct {
@@ -871,11 +871,6 @@ type gatedLogger struct {
 	once    sync.Once
 	started chan struct{}
 	release chan struct{}
-}
-
-func (l *gatedLogger) Log(rec *wal.Record) (wal.LSN, error) {
-	lsn, w := l.LogAsync(rec)
-	return lsn, w()
 }
 
 func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
@@ -892,7 +887,7 @@ func (l *gatedLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 
 // TestInnerRootSplitDoesNotWaitUnderStructMu: a split's one record, however
 // far up the split reaches — here it grows a root above an inner node — gets
-// its LSN under the structure lock and its durability wait after splitPage has
+// its LSN under the structure lock and its durability wait after Apply has
 // let go of that lock and the leaf latch, so a reader routes through the tree
 // while the wait is still blocked on its commit round trip.
 func TestInnerRootSplitDoesNotWaitUnderStructMu(t *testing.T) {

@@ -303,11 +303,10 @@ func (e *Engine) ApplyBatchBetween(head *wal.Record, muts []graph.Mutation, tail
 
 // enqueue logs rec with its durability wait deferred into waits.
 func (e *Engine) enqueue(rec *wal.Record, waits *[]func() error) error {
-	async, ok := e.opts.Logger.(bwtree.AsyncWALLogger)
-	if !ok {
-		return fmt.Errorf("core: %v record without a group-commit logger", rec.Type)
+	if e.opts.Logger == nil {
+		return fmt.Errorf("core: %v record without a logger", rec.Type)
 	}
-	lsn, wait := async.LogAsync(rec)
+	lsn, wait := e.opts.Logger.LogAsync(rec)
 	if lsn == 0 {
 		return wait() // refused: nothing was enqueued
 	}

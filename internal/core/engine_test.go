@@ -71,10 +71,9 @@ func TestEdgeRoundTrip(t *testing.T) {
 // on the read side (its keyspace holds vertex records, not edges).
 func TestReservedEdgeType(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
 		Tree:   bwtree.Config{},
-		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+		Logger: committer(t, wal.NewWriter(st)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +253,10 @@ func TestEngineTTLExpiry(t *testing.T) {
 
 func TestEngineReplicaEndToEnd(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
 		Tree:           bwtree.Config{MaxPageEntries: 16},
 		SplitThreshold: 32,
-		Logger:         loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+		Logger:         committer(t, wal.NewWriter(st)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +295,13 @@ func TestEngineReplicaEndToEnd(t *testing.T) {
 	}
 }
 
-type loggerFunc func(rec *wal.Record) (wal.LSN, error)
-
-func (f loggerFunc) Log(rec *wal.Record) (wal.LSN, error) { return f(rec) }
+// committer is a test engine's logger, the product's: a group committer over
+// w, stopped with the test.
+func committer(t *testing.T, w *wal.Writer) *wal.GroupCommitter {
+	c := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{})
+	t.Cleanup(c.Stop)
+	return c
+}
 
 func TestManyVerticesAndEdges(t *testing.T) {
 	e := newEngine(t, Options{
@@ -461,11 +463,10 @@ func TestEngineMixedStress(t *testing.T) {
 // with no log replayed, the hot owner's from its dedicated tree.
 func TestNamingRoundTrip(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
 		Tree:           bwtree.Config{MaxPageEntries: 16},
 		SplitThreshold: 20,
-		Logger:         loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+		Logger:         committer(t, wal.NewWriter(st)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -515,10 +516,9 @@ func TestNamingRoundTrip(t *testing.T) {
 
 func TestReplicaReaderSurface(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
 		Tree:   bwtree.Config{},
-		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+		Logger: committer(t, wal.NewWriter(st)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 		name string
 		// suffix runs the post-snapshot workload; the writer has retries
 		// disabled, so every injected fault is terminal for its append.
-		suffix func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan)
+		suffix func(t *testing.T, e *Engine, c *wal.GroupCommitter, plan *storage.FaultPlan)
 
 		wantPresent  []int   // dsts that must exist after recovery
 		wantAbsent   []int   // dsts that must not exist after recovery
@@ -57,7 +57,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 	}{
 		{
 			name: "clean tail",
-			suffix: func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan) {
+			suffix: func(t *testing.T, e *Engine, c *wal.GroupCommitter, plan *storage.FaultPlan) {
 				for dst := base + 1; dst <= base+3; dst++ {
 					if err := e.AddEdge(edge(dst)); err != nil {
 						t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 		},
 		{
 			name: "torn last record",
-			suffix: func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan) {
+			suffix: func(t *testing.T, e *Engine, c *wal.GroupCommitter, plan *storage.FaultPlan) {
 				for dst := base + 1; dst <= base+2; dst++ {
 					if err := e.AddEdge(edge(dst)); err != nil {
 						t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 		},
 		{
 			name: "torn checkpoint record",
-			suffix: func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan) {
+			suffix: func(t *testing.T, e *Engine, c *wal.GroupCommitter, plan *storage.FaultPlan) {
 				for dst := base + 1; dst <= base+3; dst++ {
 					if err := e.AddEdge(edge(dst)); err != nil {
 						t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 				// The flusher's checkpoint declaration is the record that
 				// dies mid-append: data must be unaffected.
 				plan.TearNext()
-				_, err := w.Append(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: base})
+				_, err := c.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: base})
 				if !errors.Is(err, storage.ErrTornWrite) {
 					t.Fatalf("torn checkpoint err = %v, want ErrTornWrite", err)
 				}
@@ -112,7 +112,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 			// page's through its range. The hand-over materializes it and
 			// owes it a base; both halves read back, before and after.
 			name: "split after the last checkpoint",
-			suffix: func(t *testing.T, e *Engine, w *wal.Writer, plan *storage.FaultPlan) {
+			suffix: func(t *testing.T, e *Engine, c *wal.GroupCommitter, plan *storage.FaultPlan) {
 				for dst := base + 1; dst <= base+6; dst++ { // the 9th entry splits the 8-entry leaf
 					if err := e.AddEdge(edge(dst)); err != nil {
 						t.Fatal(err)
@@ -136,10 +136,8 @@ func TestRecoverTornWALTable(t *testing.T) {
 			// No retries: a torn append stays torn, modelling a node that
 			// died inside the write instead of one that got to retry it.
 			w.SetRetry(storage.RetryPolicy{MaxAttempts: 1})
-			opts := Options{
-				Tree:   bwtree.Config{MaxPageEntries: 8},
-				Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
-			}
+			c := committer(t, w)
+			opts := Options{Tree: bwtree.Config{MaxPageEntries: 8}, Logger: c}
 			e, err := NewWithStore(st, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -153,9 +151,9 @@ func TestRecoverTornWALTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			pages := e.Forest().NameLeaves(0, 1)
-			horizon := w.NextLSN() - 1 // every record so far is covered by the flush
+			horizon := c.LastLSN() // every record so far is covered by the flush
 
-			tc.suffix(t, e, w, plan)
+			tc.suffix(t, e, c, plan)
 			e.Close() // the node dies; shared storage survives
 
 			rep := replicaOfPages(t, st, horizon, pages)
@@ -170,11 +168,8 @@ func TestRecoverTornWALTable(t *testing.T) {
 			if torn, _ := reader.Stats(); torn != tc.wantTorn {
 				t.Errorf("torn entries = %d, want %d", torn, tc.wantTorn)
 			}
-			next := wal.NewWriterFrom(st, reader.LastLSN()+1)
-			recovered, err := rep.TakeOver(st, Options{
-				Tree:   bwtree.Config{MaxPageEntries: 8},
-				Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return next.Append(rec) }),
-			})
+			next := committer(t, wal.NewWriterFromEpoch(st, reader.LastLSN()+1, st.StreamEpoch(storage.StreamWAL)))
+			recovered, err := rep.TakeOver(st, Options{Tree: bwtree.Config{MaxPageEntries: 8}, Logger: next})
 			if err != nil {
 				t.Fatalf("TakeOver: %v", err)
 			}
@@ -210,7 +205,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 			if _, err := recovered.FlushDirty(); err != nil {
 				t.Fatal(err)
 			}
-			cold := replicaOfPages(t, st, next.NextLSN()-1, recovered.Forest().NameLeaves(0, 1))
+			cold := replicaOfPages(t, st, next.LastLSN(), recovered.Forest().NameLeaves(0, 1))
 			verify("a replica of the recovered engine's pages", cold)
 			if _, ok, err := cold.GetEdge(src, typ, 100); err != nil || !ok {
 				t.Fatalf("the edge written after recovery is not in its pages: ok=%v err=%v", ok, err)
@@ -229,11 +224,7 @@ func TestRecoverTornWALTable(t *testing.T) {
 func TestDrainAbortsOnLogHole(t *testing.T) {
 	plan := storage.NewFaultPlan(storage.FaultConfig{})
 	st := storage.Open(&storage.Options{Faults: plan})
-	w := wal.NewWriter(st)
-	opts := Options{
-		Tree:   bwtree.Config{MaxPageEntries: 8},
-		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
-	}
+	opts := Options{Tree: bwtree.Config{MaxPageEntries: 8}, Logger: committer(t, wal.NewWriter(st))}
 	e, err := NewWithStore(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +244,12 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 	// models external log damage.)
 	for _, lsn := range []wal.LSN{3, 5} {
 		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(pages[0].Tree), PageID: uint64(root), Key: []byte("k")}
-		if err := wal.NewWriterFrom(st, lsn).AppendAssigned([]*wal.Record{rec}); err != nil {
+		w := wal.NewWriterFromEpoch(st, lsn, st.StreamEpoch(storage.StreamWAL))
+		groups, err := w.SealAssigned([]*wal.Record{rec})
+		if err == nil {
+			err = w.AppendSealed(groups[0])
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,10 +20,9 @@ import (
 func TestStressReplicaGroupAtomicity(t *testing.T) {
 	const pairs = 400
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 20})
-	w := wal.NewWriter(st)
 	e, err := NewWithStore(st, Options{
 		Tree:   bwtree.Config{MaxPageEntries: 8},
-		Logger: loggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) }),
+		Logger: committer(t, wal.NewWriter(st)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -244,22 +244,40 @@ func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
 // when that is the INIT tree — so a batch sorted by (owner, key) costs one
 // latch, one materialization and one persist per leaf it touches. It stops at
 // the first error; the writes before it are applied. waits collects the WAL
-// durability waits for the caller to drain once (nil: each tree drains its
-// own before returning, see bwtree.Tree.Apply). Migrations a write triggers
-// still commit synchronously — they are rare and structural, and replicas
-// must never route to a tree whose copy is not durable.
+// durability waits of every record the writes cause — splits' and migrations'
+// included — for the caller to drain once (bwtree.Tree.Apply); a nil waits
+// drains them here, once, after the last record. LSN order is commit order, so
+// no follower and no pinned reader reaches a migrated owner's new tree before
+// its copy is durable (ownerState.since).
 func (f *Forest) Apply(ws []Write, waits *[]func() error) error {
-	for len(ws) > 0 {
+	var own []func() error
+	if waits == nil {
+		waits = &own
+	}
+	var err error
+	for len(ws) > 0 && err == nil {
 		n := 1
 		for n < len(ws) && ws[n].Owner == ws[0].Owner {
 			n++
 		}
-		if err := f.applyOwner(ws[0].Owner, ws[:n], waits); err != nil {
-			return err
-		}
+		err = f.applyOwner(ws[0].Owner, ws[:n], waits)
 		ws = ws[n:]
 	}
-	return nil
+	if werr := drain(own); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// drain invokes every wait and returns the first failure.
+func drain(waits []func() error) error {
+	var err error
+	for _, wait := range waits {
+		if werr := wait(); werr != nil && err == nil {
+			err = werr
+		}
+	}
+	return err
 }
 
 // applyOwner applies one owner's writes to its tree and settles the owner
@@ -327,14 +345,14 @@ func (f *Forest) applyOwner(owner OwnerID, ws []Write, waits *[]func() error) er
 	f.migrateMu.Lock()
 	defer f.migrateMu.Unlock()
 	if needOwnerSplit {
-		return f.migrate(owner)
+		return f.migrate(owner, waits)
 	}
 	// Re-check under the migration lock: a concurrent migration may have
 	// already relieved the INIT pressure.
 	if f.initKeys.Load() <= int64(f.cfg.InitSizeThreshold) {
 		return nil
 	}
-	return f.migrate(f.largestInitOwner())
+	return f.migrate(f.largestInitOwner(), waits)
 }
 
 // Scan iterates owner's latest keys in [from, to) in order. from/to are
@@ -362,16 +380,18 @@ func (f *Forest) largestInitOwner() OwnerID {
 // per-owner latch; other owners proceed undisturbed. Readers switch over
 // when the tree pointer is published, which happens only after the copy is
 // complete and before the INIT originals are deleted, so every read sees a
-// complete view on either side of the switch. Replicas get the same
-// guarantee from the position of the owner-assignment record in the WAL.
-func (f *Forest) migrate(owner OwnerID) error {
+// complete view on either side of the switch. Replicas and pinned readers
+// get the same guarantee from the position of the owner-assignment record in
+// the WAL. Every record of the migration joins waits: the write that caused
+// it drains them with its own.
+func (f *Forest) migrate(owner OwnerID, waits *[]func() error) error {
 	st := f.ownerStateFor(owner)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.tree.Load() != nil {
 		return nil
 	}
-	tree, err := bwtree.New(f.m, f.store, f.cfg.Tree, f.logger)
+	tree, err := bwtree.NewDeferred(f.m, f.store, f.cfg.Tree, f.logger, waits)
 	if err != nil {
 		return err
 	}
@@ -393,13 +413,13 @@ func (f *Forest) migrate(owner OwnerID) error {
 		return true
 	})
 	if err == nil {
-		_, err = tree.Apply(puts, nil)
+		_, err = tree.Apply(puts, waits)
 	}
 	if err == nil && f.logger != nil {
-		ownerKey := binary.BigEndian.AppendUint64(nil, uint64(owner))
-		st.since, err = f.logger.Log(&wal.Record{
-			Type: wal.RecordOwnerAssign, TreeID: uint64(tree.ID()), Key: ownerKey,
-		})
+		st.since, err = f.log(&wal.Record{
+			Type: wal.RecordOwnerAssign, TreeID: uint64(tree.ID()),
+			Key: binary.BigEndian.AppendUint64(nil, uint64(owner)),
+		}, waits)
 	}
 	if err != nil {
 		// The owner stays in INIT, complete: forget the half-built tree, or
@@ -418,8 +438,20 @@ func (f *Forest) migrate(owner OwnerID) error {
 	st.count.Store(int64(len(puts)))
 	addToFloor(&f.initKeys, -int64(len(puts)))
 	f.migrations.Add(1)
-	_, err = f.init.Apply(dels, nil)
+	_, err = f.init.Apply(dels, waits)
 	return err
+}
+
+// log enqueues rec with its durability wait deferred into waits and returns
+// its LSN; a record the logger refused fails here, before anything depends on
+// it (bwtree.Tree.Apply).
+func (f *Forest) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
+	lsn, wait := f.logger.LogAsync(rec)
+	if lsn == 0 {
+		return 0, wait()
+	}
+	*waits = append(*waits, wait)
+	return lsn, nil
 }
 
 // Stats reports forest-level shape metrics (the Fig. 11 measurements).
@@ -552,9 +584,14 @@ func (f *Forest) OwnerAssignments() []OwnerAssignment {
 // the split threshold — operators pin known-hot users this way, and the
 // Fig. 11 experiment uses it to set an exact tree count.
 func (f *Forest) Dedicate(owner OwnerID) error {
+	var waits []func() error
 	f.migrateMu.Lock()
-	defer f.migrateMu.Unlock()
-	return f.migrate(owner)
+	err := f.migrate(owner, &waits)
+	f.migrateMu.Unlock()
+	if werr := drain(waits); err == nil {
+		err = werr
+	}
+	return err
 }
 
 // Rebuild puts an applier's forest together over its INIT tree and the

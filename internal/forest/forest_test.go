@@ -307,9 +307,8 @@ func TestPropertyForestMatchesModel(t *testing.T) {
 
 func TestForestReplicaFollowsMigration(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
 	m := bwtree.NewMapping(0, false)
-	logger := walLoggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) })
+	logger := committer(t, st)
 	fo, err := New(m, st, Config{
 		SplitThreshold: 5,
 		Tree:           bwtree.Config{},
@@ -389,8 +388,7 @@ func TestForestReplicaFollowsMigration(t *testing.T) {
 // reads run at — moves only at the end of a group, to the group's last LSN.
 func TestApplierPublishesLSNAtGroupEnd(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	w := wal.NewWriter(st)
-	logger := walLoggerFunc(func(rec *wal.Record) (wal.LSN, error) { return w.Append(rec) })
+	logger := committer(t, st)
 	fo, err := New(bwtree.NewMapping(0, false), st, Config{Tree: bwtree.Config{}}, logger)
 	if err != nil {
 		t.Fatal(err)
@@ -424,9 +422,13 @@ func TestApplierPublishesLSNAtGroupEnd(t *testing.T) {
 	}
 }
 
-type walLoggerFunc func(rec *wal.Record) (wal.LSN, error)
-
-func (f walLoggerFunc) Log(rec *wal.Record) (wal.LSN, error) { return f(rec) }
+// committer is a test forest's logger, the product's: a group committer over
+// st's WAL, stopped with the test.
+func committer(t *testing.T, st *storage.Store) *wal.GroupCommitter {
+	c := wal.NewGroupCommitter(wal.NewWriter(st), wal.GroupCommitterOptions{})
+	t.Cleanup(c.Stop)
+	return c
+}
 
 func TestCompositeKeyOrdering(t *testing.T) {
 	f := func(o1, o2 uint64, k1, k2 []byte) bool {
@@ -571,5 +573,91 @@ func TestBootstrapAdoptsATreeWithNoOwner(t *testing.T) {
 		if f.TreeByID(5) == nil || fmt.Sprint(f.OwnerAssignments()) != fmt.Sprint(tc.want) {
 			t.Fatalf("%s: tree 5 known %v, assignments %v; want %v", tc.name, f.TreeByID(5) != nil, f.OwnerAssignments(), tc.want)
 		}
+	}
+}
+
+// eventLogger is a WALLogger that records, in order, every record it is
+// handed and every invocation of a wait it handed out, and commits at once.
+type eventLogger struct {
+	mu     sync.Mutex
+	lsn    wal.LSN
+	events []string // a record's type, or "wait"
+}
+
+func (l *eventLogger) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lsn++
+	l.events = append(l.events, rec.Type.String())
+	return l.lsn, func() error {
+		l.mu.Lock()
+		l.events = append(l.events, "wait")
+		l.mu.Unlock()
+		return nil
+	}
+}
+
+// take returns the events since the last take, the serial durable rounds
+// they hold — the waits that follow a record — and how many records of type
+// typ they hold.
+func (l *eventLogger) take(typ wal.RecordType) (events []string, rounds, n int) {
+	l.mu.Lock()
+	events, l.events = l.events, nil
+	l.mu.Unlock()
+	for i, ev := range events {
+		if ev == "wait" && i > 0 && events[i-1] != "wait" {
+			rounds++
+		}
+		if ev == typ.String() {
+			n++
+		}
+	}
+	return events, rounds, n
+}
+
+// TestWriteDrainsOnce pins that a write waits on one durable round whatever
+// it causes: every record — the writes', a split's, and a migration's
+// new-tree record, put run, owner assignment and delete run — is handed to
+// the logger before the first wait is invoked.
+func TestWriteDrainsOnce(t *testing.T) {
+	l := &eventLogger{}
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
+	f, err := New(bwtree.NewMapping(0, false), st, Config{
+		SplitThreshold: 16, Tree: bwtree.Config{MaxPageEntries: 8},
+	}, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.take(0)
+	writes := func(owner OwnerID, from, to int) []Write {
+		var ws []Write
+		for i := from; i < to; i++ {
+			ws = append(ws, Write{Owner: owner, Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")})
+		}
+		return ws
+	}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+		typ   wal.RecordType // a record the write must have caused
+	}{
+		{"a batch that splits", func() error { return f.Apply(writes(1, 0, 12), nil) }, wal.RecordSplit},
+		{"a write that migrates its owner", func() error { return f.Apply(writes(1, 12, 17), nil) }, wal.RecordOwnerAssign},
+		{"a dedication", func() error { return f.Dedicate(2) }, wal.RecordNewTree},
+	} {
+		if err := tc.write(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		events, rounds, n := l.take(tc.typ)
+		t.Logf("%s: %d records and waits, %d durable round(s)", tc.name, len(events), rounds)
+		if n == 0 {
+			t.Fatalf("%s: no %v record among %v", tc.name, tc.typ, events)
+		}
+		if rounds != 1 {
+			t.Errorf("%s waits on %d durable rounds, want 1: %v", tc.name, rounds, events)
+		}
+	}
+	if s := f.Stats(); s.Migrations != 2 {
+		t.Fatalf("fixture: %d migrations, want owner 1's and owner 2's", s.Migrations)
 	}
 }

@@ -22,11 +22,6 @@ type clockLogger struct {
 	src *mvcc.Source
 }
 
-func (l *clockLogger) Log(rec *wal.Record) (wal.LSN, error) {
-	lsn, w := l.LogAsync(rec)
-	return lsn, w()
-}
-
 func (l *clockLogger) LogAsync(*wal.Record) (wal.LSN, func() error) {
 	l.mu.Lock()
 	l.lsn++

@@ -213,29 +213,29 @@ func TestWriterFailsStopOnFence(t *testing.T) {
 	defer st.Close()
 
 	old := NewWriter(st)
-	if _, err := old.Append(&Record{Type: RecordPut, Key: []byte("a"), Value: []byte("1")}); err != nil {
+	if _, err := appendNext(old, &Record{Type: RecordPut, Key: []byte("a"), Value: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.AdvanceStreamEpoch(storage.StreamWAL); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err := old.Append(&Record{Type: RecordPut, Key: []byte("b"), Value: []byte("2")})
+	_, err := appendNext(old, &Record{Type: RecordPut, Key: []byte("b"), Value: []byte("2")})
 	if !errors.Is(err, storage.ErrFenced) {
 		t.Fatalf("fenced append err = %v, want ErrFenced", err)
 	}
-	if _, err := old.Append(&Record{Type: RecordPut, Key: []byte("c"), Value: []byte("3")}); !errors.Is(err, ErrWriterFailed) {
+	if _, err := appendNext(old, &Record{Type: RecordPut, Key: []byte("c"), Value: []byte("3")}); !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("post-fence append err = %v, want ErrWriterFailed", err)
 	}
 	if old.Err() == nil {
 		t.Fatal("fenced writer not poisoned")
 	}
 
-	succ := NewWriterFrom(st, 2)
+	succ := NewWriterFromEpoch(st, 2, st.StreamEpoch(storage.StreamWAL))
 	if succ.Epoch() != 1 {
 		t.Fatalf("successor epoch = %d, want 1", succ.Epoch())
 	}
-	if _, err := succ.Append(&Record{Type: RecordPut, Key: []byte("b"), Value: []byte("2")}); err != nil {
+	if _, err := appendNext(succ, &Record{Type: RecordPut, Key: []byte("b"), Value: []byte("2")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -268,7 +268,7 @@ func TestNewWriterFromEpochRejectsLostRace(t *testing.T) {
 	}
 
 	w := NewWriterFromEpoch(st, 1, mine)
-	if _, err := w.Append(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}); !errors.Is(err, storage.ErrFenced) {
+	if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}); !errors.Is(err, storage.ErrFenced) {
 		t.Fatalf("loser's append err = %v, want ErrFenced", err)
 	}
 }

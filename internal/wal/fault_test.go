@@ -26,7 +26,7 @@ func TestWriterRetriesTransientAppend(t *testing.T) {
 	// Exactly one transient failure: the retry must absorb it and ack.
 	plan.SetEnabled(true)
 	plan.TearNext()
-	lsn, err := w.Append(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")})
+	lsn, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")})
 	if err != nil {
 		t.Fatalf("append with one torn write: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestWriterFailsStopAfterExhaustedRetries(t *testing.T) {
 	w := NewWriter(st)
 	w.SetRetry(noSleep(storage.RetryPolicy{MaxAttempts: 3}))
 
-	_, err := w.Append(&Record{Type: RecordPut, Key: []byte("k")})
+	_, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("k")})
 	if !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("err = %v, want ErrWriterFailed", err)
 	}
@@ -79,7 +79,7 @@ func TestWriterFailsStopAfterExhaustedRetries(t *testing.T) {
 	// Fail-stop: the plan is healthy again, but the writer must refuse to
 	// continue — a success here would leave LSN 1 as a permanent hole.
 	plan.SetEnabled(false)
-	if _, err := w.Append(&Record{Type: RecordPut}); !errors.Is(err, ErrWriterFailed) {
+	if _, err := appendNext(w, &Record{Type: RecordPut}); !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("poisoned writer accepted an append: %v", err)
 	}
 	if w.Err() == nil {
@@ -102,7 +102,7 @@ func TestReaderDropsTornBatchTailAndDedups(t *testing.T) {
 	// Tear the batch append: a prefix of the batch lands (some complete
 	// frames plus garbage), then the retry appends the whole batch again.
 	plan.TearNext()
-	if _, err := w.AppendBatch(recs); err != nil {
+	if _, err := appendNext(w, recs...); err != nil {
 		t.Fatalf("batch with torn first attempt: %v", err)
 	}
 
@@ -132,7 +132,7 @@ func TestReaderReportsGap(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
 	for i := 0; i < 3; i++ {
-		if _, err := w.Append(&Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestReaderSetBaseSkipsSnapshotPrefix(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
 	for i := 0; i < 6; i++ {
-		if _, err := w.Append(&Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,10 +225,10 @@ func TestWriterErrWrappingIsMatchable(t *testing.T) {
 	st := storage.Open(&storage.Options{Faults: plan})
 	w := NewWriter(st)
 	w.SetRetry(noSleep(storage.RetryPolicy{MaxAttempts: 2}))
-	_, err := w.AppendBatch([]*Record{
-		{Type: RecordPut, Key: []byte("a")},
-		{Type: RecordPut, Key: []byte("b")},
-	})
+	_, err := appendNext(w,
+		&Record{Type: RecordPut, Key: []byte("a")},
+		&Record{Type: RecordPut, Key: []byte("b")},
+	)
 	for _, target := range []error{ErrWriterFailed, storage.ErrTornWrite} {
 		if !errors.Is(err, target) {
 			t.Errorf("errors.Is(%v, %v) = false", err, target)

@@ -19,7 +19,7 @@ import (
 //   - LSNs are gapless and assigned in enqueue order;
 //   - the WAL's group envelopes partition the LSN space contiguously, in
 //     order, and no flush exceeds MaxBatch (flush boundaries are externally
-//     observable: one AppendAssigned group per storage entry).
+//     observable: one sealed group per storage entry).
 func TestGroupCommitterProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,13 +12,11 @@ import (
 // that cannot fit one storage append even as a group of its own. The
 // contract depends on whether an LSN exists yet:
 //
-//   - Append / AppendBatch reject it before assigning an LSN — plain
-//     ErrRecordTooLarge, writer stays healthy, no sequence hole;
-//   - AppendAssigned must fail-stop (ErrWriterFailed wrapping
+//   - the GroupCommitter rejects it at admission, before an LSN exists — plain
+//     ErrRecordTooLarge, so a caller mistake costs one write, not the log;
+//   - sealing an assigned record must fail-stop (ErrWriterFailed wrapping
 //     ErrRecordTooLarge): the LSN is already assigned, so skipping the
-//     record would punch a hole recovery can't tell from data loss;
-//   - the GroupCommitter rejects at admission, before an LSN exists, so a
-//     caller mistake costs one write, not the log.
+//     record would punch a hole recovery can't tell from data loss.
 
 func oversizedRecord(st *storage.Store) *Record {
 	return &Record{
@@ -28,58 +26,13 @@ func oversizedRecord(st *storage.Store) *Record {
 	}
 }
 
-func TestAppendRejectsOversizedRecordWithoutPoisoning(t *testing.T) {
-	st := storage.Open(&storage.Options{ExtentSize: 512})
-	w := NewWriter(st)
-
-	_, err := w.Append(oversizedRecord(st))
-	if !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
-	}
-	if errors.Is(err, ErrWriterFailed) {
-		t.Fatalf("oversized Append poisoned the writer: %v", err)
-	}
-
-	// No LSN was consumed: the next record must be LSN 1 and the log gapless.
-	lsn, err := w.Append(&Record{Type: RecordPut, Key: []byte("ok")})
-	if err != nil || lsn != 1 {
-		t.Fatalf("Append after rejection = (%d, %v), want (1, nil)", lsn, err)
-	}
-	recs, err := NewReader(st).Poll()
-	if err != nil || len(recs) != 1 || recs[0].LSN != 1 {
-		t.Fatalf("WAL = %d records (err %v), want exactly LSN 1", len(recs), err)
-	}
-}
-
-func TestAppendBatchRejectsOversizedRecordUpfront(t *testing.T) {
-	st := storage.Open(&storage.Options{ExtentSize: 512})
-	w := NewWriter(st)
-
-	batch := []*Record{
-		{Type: RecordPut, Key: []byte("a")},
-		oversizedRecord(st),
-		{Type: RecordPut, Key: []byte("b")},
-	}
-	if _, err := w.AppendBatch(batch); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
-	}
-
-	// Validation is up-front: nothing from the batch persisted, no LSN burned.
-	if recs, err := NewReader(st).Poll(); err != nil || len(recs) != 0 {
-		t.Fatalf("WAL = %d records (err %v), want empty after rejected batch", len(recs), err)
-	}
-	if lsn, err := w.Append(&Record{Type: RecordPut, Key: []byte("ok")}); err != nil || lsn != 1 {
-		t.Fatalf("Append after rejection = (%d, %v), want (1, nil)", lsn, err)
-	}
-}
-
 func TestAppendAssignedOversizedRecordFailsStop(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 512})
 	w := NewWriter(st)
 
 	huge := oversizedRecord(st)
 	huge.LSN = 1
-	err := w.AppendAssigned([]*Record{huge})
+	err := appendAssigned(w, huge)
 	if !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("err = %v, want ErrWriterFailed", err)
 	}
@@ -88,7 +41,7 @@ func TestAppendAssignedOversizedRecordFailsStop(t *testing.T) {
 	}
 
 	// Fail-stop: every later append reports the poisoning error.
-	if _, err := w.Append(&Record{Type: RecordPut, Key: []byte("x")}); !errors.Is(err, ErrWriterFailed) {
+	if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("x")}); !errors.Is(err, ErrWriterFailed) {
 		t.Fatalf("writer accepted a record after fail-stop: %v", err)
 	}
 	if recs, perr := NewReader(st).Poll(); perr != nil || len(recs) != 0 {
@@ -109,7 +62,7 @@ func TestAppendAssignedOversizedValidatesBeforePersisting(t *testing.T) {
 		{Type: RecordPut, LSN: 2, Key: []byte("b")},
 		huge,
 	}
-	if err := w.AppendAssigned(batch); !errors.Is(err, ErrWriterFailed) || !errors.Is(err, ErrRecordTooLarge) {
+	if err := appendAssigned(w, batch...); !errors.Is(err, ErrWriterFailed) || !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("err = %v, want ErrWriterFailed wrapping ErrRecordTooLarge", err)
 	}
 	if recs, err := NewReader(st).Poll(); err != nil || len(recs) != 0 {

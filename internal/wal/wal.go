@@ -198,11 +198,10 @@ func Decode(buf []byte) (*Record, error) {
 // so the writer fails stop — exactly like a log node losing its lease.
 var ErrWriterFailed = errors.New("wal: writer failed")
 
-// Writer appends WAL records to the shared store, assigning LSNs. It is
-// safe for concurrent use; LSN order equals storage append order because
-// both happen under one mutex (the paper's WAL writes are tiny and the
-// shared store guarantees low write latency, so serializing here models the
-// same commit point).
+// Writer seals WAL records into group envelopes and appends them to the
+// shared store. The LSNs are assigned above it, by the group committer, the
+// one LSN authority; the writer checks that they continue its sequence. It is
+// safe for concurrent use.
 //
 // Transient storage failures (including torn writes, whose checksummed
 // garbage prefix readers discard) are absorbed by a bounded
@@ -240,30 +239,17 @@ func walRetry() storage.RetryPolicy {
 // promotion fenced the stream appends at the new epoch, and a writer built
 // from a stale view is rejected on its first append.
 func NewWriter(store *storage.Store) *Writer {
-	return &Writer{store: store, retry: walRetry(), nextLSN: 1,
-		epoch: store.StreamEpoch(storage.StreamWAL)}
+	return NewWriterFromEpoch(store, 1, store.StreamEpoch(storage.StreamWAL))
 }
 
-// NewWriterFrom returns a writer whose next LSN is the given value —
-// recovery resumes the sequence past the highest LSN already in the WAL.
-// Like NewWriter, it adopts the WAL stream's current fence epoch.
-func NewWriterFrom(store *storage.Store, next LSN) *Writer {
-	if next < 1 {
-		next = 1
-	}
-	return &Writer{store: store, retry: walRetry(), nextLSN: next,
-		epoch: store.StreamEpoch(storage.StreamWAL)}
-}
-
-// NewWriterFromEpoch is NewWriterFrom with an explicit fence token — for a
-// promotion that must append at exactly the epoch it claimed. Adopting the
-// stream's current epoch instead would let a candidate that lost a
-// concurrent promotion race append under the winner's epoch; with the
+// NewWriterFromEpoch returns a writer whose next LSN is next — recovery and
+// promotion resume the sequence past the highest LSN already in the WAL — and
+// which appends under the fence token epoch, the one a promotion claimed.
+// Adopting the stream's current epoch instead would let a candidate that lost
+// a concurrent promotion race append under the winner's epoch; with the
 // explicit token, the loser's first append fails storage.ErrFenced.
 func NewWriterFromEpoch(store *storage.Store, next LSN, epoch uint64) *Writer {
-	w := NewWriterFrom(store, next)
-	w.epoch = epoch
-	return w
+	return &Writer{store: store, retry: walRetry(), nextLSN: max(next, 1), epoch: epoch}
 }
 
 // Epoch returns the fence token the writer appends under.
@@ -386,7 +372,7 @@ func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err err
 }
 
 // SealedGroup is one framed group envelope ready for a single storage
-// append: an immutable unit of durability. Sealing (LSN assignment, epoch
+// append: an immutable unit of durability. Sealing (LSN check, epoch
 // stamping, envelope framing) is separated from appending so the commit
 // pipeline can keep several sealed groups in flight concurrently while the
 // LSN sequence itself stays strictly serial.
@@ -427,76 +413,10 @@ func (w *Writer) MaxRecordSize() int {
 	return w.groupLimit() - groupHeader - metaHeader - recHeader
 }
 
-// Append assigns the next LSN to r, persists it as a group of one, and
-// returns the LSN.
-func (w *Writer) Append(r *Record) (LSN, error) {
-	if _, err := w.AppendBatch([]*Record{r}); err != nil {
-		return 0, err
-	}
-	return r.LSN, nil
-}
-
-// AppendBatch persists records as atomic groups with consecutive LSNs —
-// the group-commit path. A batch that fits one extent is a single storage
-// append and replays all-or-nothing; an oversized batch is split into
-// several sealed groups, each individually atomic. It returns the LSN of
-// the last record. If any single record exceeds the extent size the batch
-// fails with ErrRecordTooLarge before any LSN is consumed.
-func (w *Writer) AppendBatch(recs []*Record) (LSN, error) {
-	if len(recs) == 0 {
-		return 0, nil
-	}
-	w.mu.Lock()
-	if w.failed != nil {
-		err := w.failed
-		w.mu.Unlock()
-		return 0, err
-	}
-	max := w.MaxRecordSize()
-	for _, r := range recs {
-		if n := encodedSize(r); n > max {
-			// No LSN was consumed, so the sequence has no hole: the writer
-			// stays healthy and only this batch fails.
-			w.mu.Unlock()
-			return 0, fmt.Errorf("%w: %d bytes, extent limit %d", ErrRecordTooLarge, n, w.store.ExtentSize())
-		}
-	}
-	for _, r := range recs {
-		r.LSN = w.nextLSN
-		w.nextLSN++
-	}
-	groups := w.sealLocked(recs)
-	w.mu.Unlock()
-	for _, g := range groups {
-		if err := w.AppendSealed(g); err != nil {
-			return 0, err
-		}
-	}
-	return recs[len(recs)-1].LSN, nil
-}
-
-// AppendAssigned persists records whose LSNs were assigned by an external
-// authority (the group committer) as sealed groups, splitting at extent
-// boundaries. Records must continue the writer's LSN sequence in order; the
-// writer's own counter advances past them. It is SealAssigned followed by a
-// serial AppendSealed per group — the depth-1 commit path.
-func (w *Writer) AppendAssigned(recs []*Record) error {
-	groups, err := w.SealAssigned(recs)
-	if err != nil {
-		return err
-	}
-	for _, g := range groups {
-		if err := w.AppendSealed(g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SealAssigned validates records whose LSNs were assigned by an external
-// authority, stamps them with the writer's fence epoch, advances the
-// writer's LSN counter past them, and seals them into group envelopes —
-// splitting where a group would outgrow one storage append. It performs no
+// SealAssigned validates records whose LSNs the group committer assigned,
+// stamps them with the writer's fence epoch, advances the writer's LSN
+// counter past them, and seals them into group envelopes — splitting where a
+// group would outgrow one storage append. It performs no
 // I/O: the returned groups are persisted by AppendSealed, possibly
 // concurrently, which is how the commit pipeline keeps several appends in
 // flight while sealing stays strictly serial in LSN order.
@@ -531,14 +451,9 @@ func (w *Writer) SealAssigned(recs []*Record) ([]SealedGroup, error) {
 		}
 	}
 	w.nextLSN = next
-	return w.sealLocked(recs), nil
-}
 
-// sealLocked stamps records with the writer's epoch and seals them into
-// group envelopes, splitting where a group would outgrow one storage
-// append. Records must fit individually (callers validate) and carry their
-// final LSNs. Caller holds w.mu.
-func (w *Writer) sealLocked(recs []*Record) []SealedGroup {
+	// Stamp the epoch and seal, cutting a group where it would outgrow one
+	// storage append.
 	limit := w.groupLimit()
 	var groups []SealedGroup
 	var frames [][]byte
@@ -572,7 +487,7 @@ func (w *Writer) sealLocked(recs []*Record) []SealedGroup {
 		last = r.LSN
 	}
 	flush()
-	return groups
+	return groups, nil
 }
 
 // AppendSealed persists one sealed group with a single storage append,

@@ -67,11 +67,39 @@ func TestPropertyEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestWriterAssignsSequentialLSNs(t *testing.T) {
+// appendNext persists recs at the writer's next LSNs the way the group
+// committer does — SealAssigned, then one AppendSealed per group — and
+// returns the last LSN.
+func appendNext(w *Writer, recs ...*Record) (LSN, error) {
+	next := w.NextLSN()
+	for i, r := range recs {
+		r.LSN = next + LSN(i)
+	}
+	if err := appendAssigned(w, recs...); err != nil {
+		return 0, err
+	}
+	return next + LSN(len(recs)) - 1, nil
+}
+
+// appendAssigned persists records whose LSNs are set: SealAssigned, then one
+// AppendSealed per group.
+func appendAssigned(w *Writer, recs ...*Record) error {
+	groups, err := w.SealAssigned(recs)
+	for _, g := range groups {
+		if err == nil {
+			err = w.AppendSealed(g)
+		}
+	}
+	return err
+}
+
+func TestGroupCommitterAssignsSequentialLSNs(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
+	c := NewGroupCommitter(w, GroupCommitterOptions{})
+	defer c.Stop()
 	for i := 1; i <= 5; i++ {
-		lsn, err := w.Append(&Record{Type: RecordPut, Key: []byte{byte(i)}})
+		lsn, err := c.Log(&Record{Type: RecordPut, Key: []byte{byte(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +108,7 @@ func TestWriterAssignsSequentialLSNs(t *testing.T) {
 		}
 	}
 	if w.NextLSN() != 6 {
-		t.Fatalf("NextLSN = %d, want 6", w.NextLSN())
+		t.Fatalf("writer NextLSN = %d, want 6", w.NextLSN())
 	}
 }
 
@@ -89,7 +117,7 @@ func TestReaderTailsWriter(t *testing.T) {
 	w := NewWriter(st)
 	r := NewReader(st)
 
-	if _, err := w.Append(&Record{Type: RecordPut, PageID: 1, Key: []byte("a"), Value: []byte("1")}); err != nil {
+	if _, err := appendNext(w, &Record{Type: RecordPut, PageID: 1, Key: []byte("a"), Value: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := r.Poll()
@@ -100,11 +128,11 @@ func TestReaderTailsWriter(t *testing.T) {
 		t.Fatalf("poll 1 = %+v", recs)
 	}
 
-	if _, err := w.AppendBatch([]*Record{
-		{Type: RecordSplit, PageID: 2, AuxPage: 3},
-		{Type: RecordNewPage, PageID: 3},
-		{Type: RecordCheckpoint, CkptLSN: 3},
-	}); err != nil {
+	if _, err := appendNext(w,
+		&Record{Type: RecordSplit, PageID: 2, AuxPage: 3},
+		&Record{Type: RecordNewPage, PageID: 3},
+		&Record{Type: RecordCheckpoint, CkptLSN: 3},
+	); err != nil {
 		t.Fatal(err)
 	}
 	recs, err = r.Poll()
@@ -126,7 +154,8 @@ func TestReaderTailsWriter(t *testing.T) {
 
 func TestConcurrentWritersProduceDistinctOrderedLSNs(t *testing.T) {
 	st := storage.Open(nil)
-	w := NewWriter(st)
+	c := NewGroupCommitter(NewWriter(st), GroupCommitterOptions{})
+	defer c.Stop()
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for i := 0; i < workers; i++ {
@@ -134,7 +163,7 @@ func TestConcurrentWritersProduceDistinctOrderedLSNs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				if _, err := w.Append(&Record{Type: RecordPut, Key: []byte("k")}); err != nil {
+				if _, err := c.Log(&Record{Type: RecordPut, Key: []byte("k")}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -163,7 +192,7 @@ func TestMultipleIndependentReaders(t *testing.T) {
 	w := NewWriter(st)
 	r1, r2 := NewReader(st), NewReader(st)
 	for i := 0; i < 10; i++ {
-		if _, err := w.Append(&Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,14 +206,14 @@ func TestMultipleIndependentReaders(t *testing.T) {
 func TestAppendAssignedRejectsStaleLSN(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
-	if _, err := w.Append(&Record{Type: RecordPut}); err != nil {
+	if _, err := appendNext(w, &Record{Type: RecordPut}); err != nil {
 		t.Fatal(err)
 	}
 	// LSN 1 is already consumed; re-appending it must fail.
-	if err := w.AppendAssigned([]*Record{{Type: RecordPut, LSN: 1}}); err == nil {
+	if err := appendAssigned(w, &Record{Type: RecordPut, LSN: 1}); err == nil {
 		t.Fatal("stale assigned LSN accepted")
 	}
-	if err := w.AppendAssigned(nil); err != nil {
+	if err := appendAssigned(w); err != nil {
 		t.Fatalf("empty assigned batch: %v", err)
 	}
 }
@@ -196,7 +225,7 @@ func TestAppendAssignedSplitsOversizedBatches(t *testing.T) {
 	for i := range recs {
 		recs[i] = &Record{Type: RecordPut, LSN: LSN(i + 1), Key: bytes.Repeat([]byte("k"), 40)}
 	}
-	if err := w.AppendAssigned(recs); err != nil {
+	if err := appendAssigned(w, recs...); err != nil {
 		t.Fatal(err)
 	}
 	got, err := NewReader(st).Poll()
@@ -222,7 +251,7 @@ func TestTrimmedPrefixIsAGapAtOnce(t *testing.T) {
 	w := NewWriter(st)
 	appendOne := func() {
 		t.Helper()
-		if _, err := w.Append(&Record{Type: RecordPut, Key: bytes.Repeat([]byte("k"), 40)}); err != nil {
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: bytes.Repeat([]byte("k"), 40)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,12 +284,12 @@ func TestNewReaderAt(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append(&Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cur := st.TailCursor(storage.StreamWAL)
-	if _, err := w.Append(&Record{Type: RecordPut, Key: []byte("tail")}); err != nil {
+	if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("tail")}); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot bootstrap: the cursor says where to scan, the base says

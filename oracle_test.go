@@ -1009,9 +1009,12 @@ func (r *oracleRun) liveFailover(i int) {
 	zerr := old.AddEdge(Edge{Src: 1, Dst: 2, Type: ETypeFollow, Props: tagged(tag)})
 	st := r.db.group.Store(i)
 	written := st.Stats().BytesWritten
-	// Past the node, straight to the store under the deposed tenure's token.
+	// Past the node, straight to the store under the deposed tenure's token,
+	// through a fresh committer on the deposed writer.
 	key := append(binary.BigEndian.AppendUint64(nil, 1), graph.EdgeKey(ETypeFollow, 3)...)
-	_, werr := old.Writer().Append(&wal.Record{Type: wal.RecordPut, Key: key, Value: graph.EncodeProps(tagged(tag))})
+	raw := wal.NewGroupCommitter(old.Writer(), wal.GroupCommitterOptions{})
+	_, werr := raw.Log(&wal.Record{Type: wal.RecordPut, Key: key, Value: graph.EncodeProps(tagged(tag))})
+	raw.Stop()
 	switch {
 	case !errors.Is(zerr, storage.ErrFenced) && !errors.Is(zerr, wal.ErrWriterFailed) && !errors.Is(zerr, wal.ErrCommitterStopped):
 		r.fatalf("zombie", "write on deposed shard %d leader: %v", i, zerr)
