@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bg3/internal/storage"
+	"bg3/internal/wal"
 )
 
 // The allocation pins run without the race detector, whose instrumentation
@@ -16,8 +17,8 @@ import (
 
 // allocTree builds one sync-flushed, read-optimized leaf of 128 entries —
 // 10-byte keys, 24-byte values — under a 10-op delta record, and returns
-// the tree, its page and the encoded sizes of the two durable records.
-func allocTree(t *testing.T) (*Tree, *pageEntry, int) {
+// the tree and its page.
+func allocTree(t *testing.T) (*Tree, *pageEntry) {
 	t.Helper()
 	st := storage.Open(nil)
 	tr, err := New(NewMapping(0, false), st, Config{}, nil)
@@ -42,7 +43,16 @@ func allocTree(t *testing.T) (*Tree, *pageEntry, int) {
 	if len(tr.LeafDirectory()) != 1 || e.base.count() != 128 {
 		t.Fatalf("fixture: %d leaves, %d base entries", len(tr.LeafDirectory()), e.base.count())
 	}
-	return tr, e, int(e.baseLoc.Length + e.deltaLocs[0].Length)
+	return tr, e
+}
+
+// liveHeap reports the bytes of live heap objects after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // bytesPerRun reports the mean bytes one call of fn allocates.
@@ -57,12 +67,13 @@ func bytesPerRun(runs int, fn func()) int {
 }
 
 // TestColdScanAllocatesOnlyTheRecords: a cache-miss 12-entry scan out of a
-// 128-entry page with a 10-op delta costs the two record buffers storage
-// hands back plus a small constant (batch bookkeeping, the flight, the
-// in-range overlay ops) — the page is read where it lies, not decoded into
-// a []kv, re-merged and snapshotted (three page-sized copies, ~14 KiB here).
+// 128-entry page with a 10-op delta allocates a small constant (batch
+// bookkeeping, the in-range overlay ops) and nothing page-sized: storage hands
+// the base record back where it lies and the image is that record. Reads used
+// to copy the record (records + 2048 B), and before that the page was decoded
+// into a []kv, re-merged and snapshotted (three page-sized copies, ~14 KiB).
 func TestColdScanAllocatesOnlyTheRecords(t *testing.T) {
-	tr, e, records := allocTree(t)
+	tr, e := allocTree(t)
 	from, to := []byte("key-000040"), []byte("key-000052")
 	n := 0
 	got := bytesPerRun(200, func() {
@@ -76,8 +87,49 @@ func TestColdScanAllocatesOnlyTheRecords(t *testing.T) {
 	if n != 200*12 {
 		t.Fatalf("scans delivered %d pairs, want %d", n, 200*12)
 	}
-	if budget := records + 2048; got > budget {
-		t.Fatalf("cold 12-entry scan allocates %d B, want <= %d (records %d B + 2048)", got, budget, records)
+	if budget := 2048; got > budget {
+		t.Fatalf("cold 12-entry scan allocates %d B, want <= %d (a %d B base record is not copied)", got, budget, e.baseLoc.Length)
+	}
+}
+
+// TestColdHopCopiesNoRecord: a ScanManyAt over 128 cold leaves allocates per
+// leaf what its bookkeeping costs, whatever the leaves' records weigh: the
+// same tree with 10-byte and with 400-byte values costs the same per leaf. A
+// read that copied its record would cost the larger tree ~3 KiB more a leaf.
+func TestColdHopCopiesNoRecord(t *testing.T) {
+	perLeaf := func(valueLen int) int {
+		st := storage.Open(&storage.Options{ExtentSize: 4 << 20})
+		m := NewMapping(0, false)
+		tr, err := New(m, st, Config{MaxPageEntries: 16}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 128*12; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("%-*d", valueLen, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		leaves := leavesOf(tr)
+		if len(leaves) < 128 {
+			t.Fatalf("fixture: %d leaves, want >= 128", len(leaves))
+		}
+		leaves = leaves[:128]
+		scans := oneScanPerLeaf(tr, leaves)
+		n := 0
+		got := bytesPerRun(50, func() {
+			evict(leaves)
+			if err := m.ScanManyAt(scans, 0, horizonAll, func(int, []byte, []byte) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n == 0 || st.Stats().ReadOps < 50*128 {
+			t.Fatalf("fixture: %d pairs, %d storage reads for 50 cold hops over 128 leaves", n, st.Stats().ReadOps)
+		}
+		return got / 128
+	}
+	small, large := perLeaf(10), perLeaf(400)
+	if large > small+64 {
+		t.Fatalf("a cold hop allocates %d B per leaf with 400-byte values and %d B with 10-byte ones, want the same (a read copies no record)", large, small)
 	}
 }
 
@@ -87,7 +139,7 @@ func TestColdScanAllocatesOnlyTheRecords(t *testing.T) {
 // copied (640 B before, and a per-entry snapshot of the leaf, 4.8 KiB for 100
 // entries, before that).
 func TestHitScanAllocatesConstant(t *testing.T) {
-	tr, _, _ := allocTree(t)
+	tr, _ := allocTree(t)
 	from, to := []byte("key-000010"), []byte("key-000110")
 	n := 0
 	scan := func() {
@@ -195,8 +247,9 @@ func TestBlockWriteThenScanAllocatesBounded(t *testing.T) {
 // records of one extent group by group. Were a group one allocation handed
 // out as sub-slices, each image the cache keeps would pin the whole group's
 // buffer — 128 leaves of one extent loaded through an 8-page cache would
-// leave all 128 images live instead of 8. Every record is its own
-// allocation, so the live heap grows by about what the cache holds.
+// leave all 128 images live instead of 8. A record is read where it lies in
+// its extent, which the store holds anyway, so the live heap grows by about
+// what the cache holds (nothing, here, but the load's bookkeeping).
 func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 4 << 20})
 	m := NewMapping(8, false)
@@ -211,13 +264,6 @@ func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
 			t.Fatalf("fixture: leaves span extents %d and %d", leaves[0].baseLoc.Extent, e.baseLoc.Extent)
 		}
 		images += int64(e.baseLoc.Length)
-	}
-	liveHeap := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
 	}
 	before := liveHeap()
 	n := 0
@@ -237,4 +283,122 @@ func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
 	if budget := images / 128 * 24; grew > budget {
 		t.Fatalf("live heap grew %d B loading 128 leaves (%d B of images) into an 8-page cache, want <= %d (about 8 images, not 128)", grew, images, budget)
 	}
+}
+
+// TestReclaimedExtentIsNotPinnedByTheCache: a cached image of a cold-loaded
+// page is its base record where it lies, so it keeps that record's whole
+// extent in memory. Once GC has moved the record and the store let go of the
+// extent, the image must not be what keeps the extent alive: the sites that
+// move a resident page's base record give its image its own copy — Relocate on
+// a leader, the checkpoint that repoints the page on a follower. 128+ leaves
+// are cold-loaded from one 4 MiB extent into an unlimited cache (the rest of
+// the extent is dead records), the extent is reclaimed, and the live heap must
+// fall by at least three quarters of it.
+func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
+	const extentSize = 4 << 20
+	// fill pads extent ext of the base stream with dead records until the
+	// stream moves on to the next one, which the reclaim then moves the live
+	// records into.
+	fill := func(t *testing.T, st *storage.Store, ext storage.ExtentID) {
+		for {
+			loc, err := st.Append(storage.StreamBase, 0, make([]byte, 64<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Invalidate(loc)
+			if loc.Extent != ext {
+				return
+			}
+		}
+	}
+	// load cold-loads every leaf into m's cache: each image is its base
+	// record where it lies, and every record sits in one extent.
+	load := func(t *testing.T, m *Mapping, tr *Tree, leaves []*pageEntry) {
+		t.Helper()
+		evict(leaves)
+		n := 0
+		if err := m.ScanManyAt(oneScanPerLeaf(tr, leaves), 0, horizonAll, func(int, []byte, []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range leaves {
+			rec, err := tr.store.Read(e.baseLoc)
+			if err != nil || e.base == nil || &e.base[0] != &rec[0] || e.baseLoc.Extent != leaves[0].baseLoc.Extent {
+				t.Fatalf("fixture: leaf %d (extent %d, leaf 0's %d) resident %v, not its record in place (%v)",
+					e.id, e.baseLoc.Extent, leaves[0].baseLoc.Extent, e.base != nil, err)
+			}
+		}
+		if n != 128*12 || len(leaves) < 128 {
+			t.Fatalf("fixture: %d pairs from %d leaves", n, len(leaves))
+		}
+	}
+	fell := func(t *testing.T, before int64) {
+		t.Helper()
+		if got := before - liveHeap(); got < extentSize*3/4 {
+			t.Fatalf("live heap fell %d B after the cache's %d B extent was reclaimed, want >= %d: cached images still hold it",
+				got, extentSize, extentSize*3/4)
+		}
+	}
+
+	t.Run("leader", func(t *testing.T) {
+		st := storage.Open(&storage.Options{ExtentSize: extentSize})
+		m := NewMapping(0, false)
+		tr, leaves := leafTree(t, st, m, 128*12)
+		ext := leaves[0].baseLoc.Extent
+		fill(t, st, ext)
+		load(t, m, tr, leaves)
+		before := liveHeap()
+		if _, err := st.Reclaim(storage.StreamBase, ext, m.Relocate); err != nil {
+			t.Fatal(err)
+		}
+		fell(t, before)
+		load(t, m, tr, leaves) // the moved records read back whole
+	})
+
+	t.Run("follower", func(t *testing.T) {
+		st := storage.Open(&storage.Options{ExtentSize: extentSize})
+		w := walPipe(t, st)
+		lm := NewMapping(0, false)
+		tr, err := New(lm, st, Config{MaxPageEntries: 16}, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 128*12; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("%-100d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, rd := newFollower(st, 0), wal.NewReader(st)
+		checkpoint := func(ups []MappingUpdate) wal.LSN {
+			t.Helper()
+			lsn, err := w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(), Value: EncodeMappingUpdates(ups)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncReplica(t, rep, rd)
+			return lsn
+		}
+		ups, err := tr.FlushDirty() // every leaf's first flush: a base record alone
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpoint(ups)
+		ftr := rep.trees[tr.ID()]
+		leaves := leavesOf(ftr)
+		ext := leaves[0].baseLoc.Extent
+		fill(t, st, ext)
+		load(t, rep.m, ftr, leaves)
+		before := liveHeap()
+		if _, err := st.Reclaim(storage.StreamBase, ext, lm.Relocate); err != nil {
+			t.Fatal(err)
+		}
+		// The leader logs the moves; the follower repoints, and then nothing
+		// holds the condemned extent in the store.
+		mark := st.CondemnMark()
+		st.Stamp(mark, uint64(checkpoint(lm.TakeRelocated())))
+		if n := st.Stats().CondemnedExtents; n != 0 {
+			t.Fatalf("fixture: %d extents still condemned", n)
+		}
+		fell(t, before)
+		load(t, rep.m, ftr, leaves)
+	})
 }

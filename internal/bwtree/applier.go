@@ -3,6 +3,7 @@ package bwtree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bg3/internal/storage"
 	"bg3/internal/wal"
@@ -151,6 +152,9 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 		// A page this applier was never told of cannot be routed to either.
 		if e := m.get(up.Page); e != nil && e.isLeaf {
 			e.mu.Lock()
+			if up.Base != e.baseLoc { // as Relocate: the image may be the old record's view
+				e.base = slices.Clone(e.base)
+			}
 			e.baseLoc, e.deltaLocs, e.origin = up.Base, up.Deltas, 0
 			e.mu.Unlock()
 		}

@@ -446,7 +446,10 @@ func (m *Mapping) touch(e *pageEntry) {
 // Relocate is the storage.RelocateFunc for GC: it repoints the durable
 // location tag -> old to new in the owning leaf's entry. It returns false if
 // the page no longer references old (the record went stale mid-move).
-// Relocated pages are remembered for TakeRelocated.
+// Relocated pages are remembered for TakeRelocated. A resident image of a
+// moved base record may be that record where it lay (a storage read is a
+// view, DESIGN §8), so it takes its own copy: the cache keeps no reclaimed
+// extent in memory.
 func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
 	e := m.get(PageID(tag))
 	if e == nil || !e.isLeaf {
@@ -455,7 +458,7 @@ func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.baseLoc == old {
-		e.baseLoc = new
+		e.baseLoc, e.base = new, slices.Clone(e.base)
 	} else if i := slices.Index(e.deltaLocs, old); i >= 0 {
 		e.deltaLocs[i] = new
 	} else {

@@ -63,16 +63,20 @@ type manyScan struct {
 // stops the whole multi-scan, and no further round is issued. All trees
 // must share m and one store.
 func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i int, key, value []byte) bool) error {
+	load := min(len(scans), maxBatchLeaves) // what one load holds, sized once
 	var (
 		state   = make([]manyScan, len(scans))
 		queue   = make([]int, len(scans))
-		round   []int // scans resolved into the current load
-		leaves  []heldLeaf
-		index   = make(map[*pageEntry]int)
-		arena   []storage.Loc
-		cur     int // scan whose leaf is being walked
+		round   = make([]int, 0, load) // scans resolved into the current load
+		leaves  = make([]heldLeaf, 0, load)
+		index   = make(map[*pageEntry]int, load)
+		arena   []storage.Loc // delta chains, read only where no overlay mirrors them (locs)
+		cur     int           // scan whose leaf is being walked
 		stopped bool
 	)
+	if !m.mirrorsChain() {
+		arena = make([]storage.Loc, 0, load)
+	}
 	emit := func(k, v []byte) bool {
 		if !fn(cur, k, v) {
 			stopped = true

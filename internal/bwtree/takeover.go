@@ -101,6 +101,11 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config, logger WALLogger) error {
 		if err != nil {
 			return fmt.Errorf("bwtree: take over: read delta chains: %w", err)
 		}
+		// The chains' ops join overlays, which outlive the records' extents
+		// (a storage read is a view): they are decoded from copies.
+		for i, b := range bufs {
+			bufs[i] = bytes.Clone(b)
+		}
 		for _, e := range batch {
 			e.mu.Lock()
 			n := len(e.deltaLocs)

@@ -12,12 +12,12 @@ type batchGroup struct {
 	idx    []int // positions in the caller's loc slice
 }
 
-// ReadBatch reads every record in locs and returns their contents in the
-// same order. It is the concurrent multi-read API of the read path: Locs
-// that land in the same extent are coalesced into one extent access, and
-// distinct extents are fetched by parallel goroutines, so the caller pays
-// the simulated cloud-storage ReadLatency once per overlapping round trip
-// instead of once per Loc. The Bw-tree materialize path uses it to fetch a
+// ReadBatch reads every record in locs, in place like Read, and returns them
+// in the same order. It is the concurrent multi-read API of the read path:
+// Locs that land in the same extent are coalesced into one extent access,
+// and distinct extents are fetched by parallel goroutines, so the caller
+// pays the simulated cloud-storage ReadLatency once per overlapping round
+// trip instead of once per Loc. The Bw-tree materialize path uses it to fetch a
 // page's base image and delta chain in a single overlapped round trip.
 //
 // Like Read, ReadBatch works on a closed store so draining readers can
@@ -127,11 +127,11 @@ func groupLocs(locs []Loc) []batchGroup {
 const linearGroupLocs = 8
 
 // readGroup performs one coalesced round trip: fault decision and latency
-// are charged once for the group, then every record is copied out of the
-// extent under a single lock acquisition. ReadOps still counts one per
-// record — it is the logical read-amplification measure the Fig. 9
-// experiments compare policies with; the coalescing shows up in
-// BatchRoundTrips (and in wall time, via the single latency charge).
+// are charged once for the group, then every record is read under a single
+// lock acquisition. ReadOps still counts one per record — it is the logical
+// read-amplification measure the Fig. 9 experiments compare policies with;
+// the coalescing shows up in BatchRoundTrips (and in wall time, via the
+// single latency charge).
 func (s *Store) readGroup(locs []Loc, g batchGroup, out [][]byte) error {
 	st, err := s.stream(g.stream)
 	if err != nil {
@@ -154,12 +154,9 @@ func (s *Store) readGroup(locs []Loc, g batchGroup, out [][]byte) error {
 	return nil
 }
 
-// readMulti copies the records at locs[idx...] out of one extent under a
-// single lock acquisition. Each record gets its own allocation: a caller
-// that keeps one record of a hop-wide group (a leaf image installed in the
-// page cache) must not pin the buffers of the hundred others read with it.
-// Results land in out at the same positions; total accumulates the bytes
-// copied.
+// readMulti reads the records at locs[idx...] out of one extent, in place
+// (extent.view), under a single lock acquisition. Results land in out at the
+// same positions; total accumulates the bytes read.
 func (s *stream) readMulti(locs []Loc, idx []int, out [][]byte, total *int64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -168,14 +165,11 @@ func (s *stream) readMulti(locs []Loc, idx []int, out [][]byte, total *int64) er
 		return ErrReclaimed
 	}
 	for _, i := range idx {
-		loc := locs[i]
-		end := int(loc.Offset) + int(loc.Length)
-		if end > len(e.buf) {
-			return ErrNotFound
+		var err error
+		if out[i], err = e.view(locs[i]); err != nil {
+			return err
 		}
-		out[i] = make([]byte, loc.Length)
-		copy(out[i], e.buf[loc.Offset:end])
-		*total += int64(loc.Length)
+		*total += int64(locs[i].Length)
 	}
 	return nil
 }

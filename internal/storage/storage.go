@@ -341,10 +341,11 @@ func (s *Store) StreamEpoch(id StreamID) uint64 {
 	return st.currentEpoch()
 }
 
-// Read returns a copy of the record at loc. Reading an invalidated record
-// succeeds as long as its extent is still resident: BG3's RO nodes depend
-// on old page versions remaining readable until the mapping table advances
-// (§3.4); reclamation is what finally destroys them.
+// Read returns the record at loc in place: a read-only view into its extent
+// (extent.view), never a copy. Reading an invalidated record succeeds as long
+// as its extent is still resident: BG3's RO nodes depend on old page versions
+// remaining readable until the mapping table advances (§3.4); reclamation is
+// what finally makes them unreadable, not what invalidates a view taken before.
 func (s *Store) Read(loc Loc) ([]byte, error) {
 	st, err := s.stream(loc.Stream)
 	if err != nil {

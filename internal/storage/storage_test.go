@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 
 	"bg3/internal/metrics"
 	"fmt"
@@ -27,15 +29,117 @@ func TestAppendRead(t *testing.T) {
 	}
 }
 
-func TestReadReturnsCopy(t *testing.T) {
-	s := Open(nil)
-	loc, _ := s.Append(StreamBase, 1, []byte("abc"))
-	got, _ := s.Read(loc)
-	got[0] = 'X'
-	again, _ := s.Read(loc)
-	if string(again) != "abc" {
-		t.Fatalf("mutating a read buffer corrupted the store: %q", again)
+// TestReadIsAView pins the read contract: Read, ReadBatch and ReadBatchEach
+// return a record where it lies in its extent, capacity-clipped, so an append
+// to a result reallocates and leaves the store intact; and a result stays the
+// record it was after its extent is reclaimed, condemned and released, dropped
+// by TTL, and after the store closes.
+func TestReadIsAView(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := Open(&Options{ExtentSize: 32, Now: func() time.Time { return now }})
+	rec := func(i int) []byte { return []byte(fmt.Sprintf("record-%02d", i)) } // 9 bytes: 3 per extent
+	var locs []Loc
+	for i := 0; i < 12; i++ {
+		loc, err := s.Append(StreamBase, uint64(i), rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs = append(locs, loc)
 	}
+	if locs[0].Extent != locs[1].Extent {
+		t.Fatalf("fixture: records 0 and 1 in extents %d and %d", locs[0].Extent, locs[1].Extent)
+	}
+	one, err := s.Read(locs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := s.ReadBatch(locs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each, errs := s.ReadBatchEach(locs)
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	if &one[0] != &batch[0][0] || &one[0] != &each[0][0] {
+		t.Fatal("three reads of one record returned three buffers: reads copy")
+	}
+	// Every read result is exactly its record; appending to it must not
+	// reach the record beside it (record 1 follows record 0 in its extent).
+	views := append([][]byte{one}, append(batch, each...)...)
+	for i, v := range views {
+		if cap(v) != len(v) {
+			t.Fatalf("read result %d has cap %d, len %d: an append would write into its extent", i, cap(v), len(v))
+		}
+		_ = append(v, 'X')
+	}
+	for i, loc := range locs {
+		if got, _ := s.Read(loc); !bytes.Equal(got, rec(i)) {
+			t.Fatalf("after appends to read results, record %d reads %q, want %q", i, got, rec(i))
+		}
+	}
+	intact := func(when string) {
+		t.Helper()
+		runtime.GC()
+		for i, v := range batch {
+			if !bytes.Equal(v, rec(i)) {
+				t.Fatalf("%s: a view of record %d reads %q, want %q", when, i, v, rec(i))
+			}
+		}
+	}
+	gone := func(when string, loc Loc) {
+		t.Helper()
+		if _, err := s.Read(loc); !errors.Is(err, ErrReclaimed) {
+			t.Fatalf("%s: the extent still reads (%v): nothing was taken from under the view", when, err)
+		}
+		intact(when)
+	}
+
+	// A store with no log releases a reclaimed extent at once.
+	if _, err := s.Reclaim(StreamBase, locs[0].Extent, func(uint64, Loc, Loc) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	gone("after Reclaim", locs[0])
+
+	// TTL: the oldest extent left expires.
+	now = now.Add(time.Hour)
+	if _, err := s.Append(StreamBase, 99, rec(99)); err != nil {
+		t.Fatal(err)
+	}
+	if dropped := s.DropExpired(StreamBase, now.Add(-time.Minute)); len(dropped) == 0 {
+		t.Fatal("fixture: nothing expired")
+	}
+	gone("after DropExpired", locs[3])
+
+	// Once the log is written, a reclaimed extent is condemned (still
+	// readable) until a checkpoint stamps it and no follower holds it.
+	logged := Open(&Options{ExtentSize: 32})
+	if _, err := logged.Append(StreamWAL, 0, []byte("log")); err != nil {
+		t.Fatal(err)
+	}
+	var llocs []Loc
+	for i := 0; i < 4; i++ {
+		loc, err := logged.Append(StreamBase, uint64(i), rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		llocs = append(llocs, loc)
+	}
+	if batch, err = logged.ReadBatch(llocs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := logged.Reclaim(StreamBase, llocs[0].Extent, func(uint64, Loc, Loc) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := logged.Read(llocs[0]); err != nil {
+		t.Fatalf("a condemned extent no longer reads: %v", err)
+	}
+	logged.Stamp(logged.CondemnMark(), 1)
+	s = logged
+	gone("after condemn and release", llocs[0])
+
+	logged.Close()
+	intact("after Close")
 }
 
 func TestStreamsAreIndependent(t *testing.T) {

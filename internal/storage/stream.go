@@ -242,13 +242,18 @@ func (s *stream) read(loc Loc) ([]byte, error) {
 	if !ok {
 		return nil, ErrReclaimed
 	}
+	return e.view(loc)
+}
+
+// view returns the record at loc where it lies, capacity-clipped so an append
+// to it reallocates. Appended bytes never change and a view keeps its extent's
+// memory alive, so it stays the record after a reclaim, a release or a drop.
+func (e *extent) view(loc Loc) ([]byte, error) {
 	end := int(loc.Offset) + int(loc.Length)
 	if end > len(e.buf) {
 		return nil, ErrNotFound
 	}
-	out := make([]byte, loc.Length)
-	copy(out, e.buf[loc.Offset:end])
-	return out, nil
+	return e.buf[loc.Offset:end:end], nil
 }
 
 // findRecord locates the record starting at loc.Offset. Records are stored
@@ -347,7 +352,7 @@ type liveRecord struct {
 }
 
 func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int64, error) {
-	// Phase 1: snapshot the extent's live records under the lock.
+	// Phase 1: snapshot the extent's live records, as views, under the lock.
 	s.mu.Lock()
 	if _, dead := s.condemned[ext]; dead {
 		s.mu.Unlock()
@@ -365,9 +370,8 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 	live := make([]liveRecord, 0, e.validCount)
 	for _, r := range e.records {
 		if r.valid {
-			data := make([]byte, r.len)
-			copy(data, e.buf[r.off:r.off+r.len])
-			live = append(live, liveRecord{tag: r.tag, off: r.off, data: data})
+			end := r.off + r.len
+			live = append(live, liveRecord{tag: r.tag, off: r.off, data: e.buf[r.off:end:end]})
 		}
 	}
 	s.mu.Unlock()
