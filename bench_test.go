@@ -151,20 +151,32 @@ func BenchmarkStorageCost(b *testing.B) {
 // --- Engine-level micro-benchmarks (ablations) ---
 
 // BenchmarkBG3Put measures raw single-threaded edge-insert latency through
-// the public API.
+// the public API, per deployment shape: a bare engine, a one-shard leader
+// (every write waits on a WAL group commit) and four shards.
 func BenchmarkBG3Put(b *testing.B) {
-	db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 512})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.AddEdge(bg3.Edge{
-			Src: bg3.VertexID(i % 1000), Dst: bg3.VertexID(i), Type: bg3.ETypeFollow,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct {
+		name string
+		opts bg3.Options
+	}{
+		{"bare", bg3.Options{ForestSplitThreshold: 512}},
+		{"leader", bg3.Options{ForestSplitThreshold: 512, Replicated: true}},
+		{"shards-4", bg3.Options{ForestSplitThreshold: 512, Shards: 4}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			db, err := bg3.Open(&shape.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.AddEdge(bg3.Edge{
+					Src: bg3.VertexID(i % 1000), Dst: bg3.VertexID(i), Type: bg3.ETypeFollow,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -488,13 +488,12 @@ func (n *RWNode) ApplyBatch(muts []graph.Mutation) error {
 // before the batch's records, tail after them — and waits once for all of
 // them (core.Engine.ApplyBatchBetween, whose results it returns). The wave
 // holds the apply barrier once, so a checkpoint horizon never cuts it in half
-// between LSN assignment and memory apply, and the committer stays quiet
-// while it is enqueued (wal.GroupCommitter.Quiet), so it goes out as one
-// group when nothing else is being written.
+// between LSN assignment and memory apply. Nothing is cut before the wave's
+// drain begins, so it goes out as one group when nothing else is being
+// written.
 func (n *RWNode) ApplyWave(head *wal.Record, muts []graph.Mutation, tail *wal.Record) (headErr, err error) {
 	n.applyBarrier.RLock()
 	defer n.applyBarrier.RUnlock()
-	defer n.logger.Quiet()()
 	return n.engine.ApplyBatchBetween(head, muts, tail)
 }
 
@@ -711,6 +710,3 @@ func (n *RONode) WaitVisible(lsn wal.LSN, timeout time.Duration) bool {
 	}
 	return n.Replica().HighLSN() >= lsn
 }
-
-// LoggerStats exposes the group-commit batch counters (experiments).
-func (n *RWNode) LoggerStats() (batches, records int64) { return n.logger.BatchStats() }

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,18 +16,15 @@ var ErrCommitterStopped = errors.New("wal: group committer stopped")
 
 // GroupCommitterOptions tunes the coalescing triggers of a GroupCommitter.
 type GroupCommitterOptions struct {
-	// MaxBatch is the size trigger: a flush is cut as soon as this many
-	// records are pending, without waiting out MaxDelay. 0 means 64.
+	// MaxBatch is the size trigger and the largest group one cut takes: once
+	// this many records are queued a waiter cuts them without waiting out
+	// MaxDelay. 0 means 64.
 	MaxBatch int
-	// MaxDelay is the latency trigger: how long the committer lets a group
-	// accumulate after the first record arrives before flushing. 0 flushes
-	// as soon as the queue drains — every record still shares an append
-	// with whatever arrived while the previous flush was in flight.
+	// MaxDelay is the latency trigger: how long the head of the queue waits
+	// for company before a waiter cuts it. 0 cuts as soon as a waiter finds
+	// a free pipeline slot — every record still shares an append with
+	// whatever queued while the pipeline was full.
 	MaxDelay time.Duration
-	// QueueDepth bounds the pending queue. A writer that would overflow it
-	// blocks until a flush makes room (backpressure rather than unbounded
-	// memory); the stall is recorded in wal.group_stall_us. 0 means 4096.
-	QueueDepth int
 	// PipelineDepth is how many sealed group appends the committer keeps in
 	// flight concurrently (BtrLog-style commit pipelining). Storage
 	// completions may land out of order, but acks are released strictly in
@@ -39,20 +37,14 @@ type GroupCommitterOptions struct {
 	// the FIFO strictly in LSN order, successive calls carry strictly
 	// increasing LSNs and each marks a gapless durable prefix — the MVCC
 	// epoch source hangs off this hook to advance the global read epoch at
-	// group-commit boundaries. The callback runs on the release path and
-	// must not block.
+	// group-commit boundaries. The callback runs on the release path, under
+	// the committer's lock, and must not block.
 	OnRelease func(last LSN)
 }
 
 func (o GroupCommitterOptions) withDefaults() GroupCommitterOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4096
-	}
-	if o.QueueDepth < o.MaxBatch {
-		o.QueueDepth = o.MaxBatch
 	}
 	if o.PipelineDepth <= 0 {
 		o.PipelineDepth = 1
@@ -62,9 +54,8 @@ func (o GroupCommitterOptions) withDefaults() GroupCommitterOptions {
 
 // commitReq is one record awaiting group commit.
 type commitReq struct {
-	rec  *Record
-	at   time.Time // when the record was enqueued; commit latency base
-	done chan error
+	rec *Record
+	at  time.Time // when the record was enqueued; commit latency base
 }
 
 // sealedAppender is the slice of *Writer the committer drives: serial LSN
@@ -80,9 +71,9 @@ type sealedAppender interface {
 
 var _ sealedAppender = (*Writer)(nil)
 
-// flight is one sealed group dispatched to storage and not yet released.
-// Flights retire from the FIFO strictly in dispatch (= LSN) order, however
-// their storage appends complete.
+// flight is one sealed group cut from the queue and not yet released.
+// Flights retire from the FIFO strictly in cut (= LSN) order, however their
+// storage appends complete.
 type flight struct {
 	g      SealedGroup
 	reqs   []commitReq
@@ -94,63 +85,47 @@ type flight struct {
 // GroupCommitter batches WAL records into shared storage appends and is the
 // node's LSN authority — the paper's §3.4 write-side amortization: many
 // logical writes share one ms-latency storage round trip. It sits between
-// the forest's bwtree.WALLogger hook and the Writer.
+// the forest's bwtree.WALLogger hook and the Writer, and owns no goroutine.
 //
-// LogAsync assigns the LSN immediately — callers hold their page latch only
-// for that instant — and returns a wait function that blocks until the
-// record's group is durable; Log is the synchronous convenience wrapper.
-// A flush is cut when MaxBatch records are pending or the accumulation
-// window has passed since the flusher woke, whichever comes first.
+// LogAsync assigns the LSN and queues the record — callers hold their page
+// latch only for that instant — and returns a wait function that does the
+// committer's work: while its record is still queued and a pipeline slot is
+// free, the waiter cuts up to MaxBatch records off the head of the queue,
+// seals them and appends them itself; otherwise it sleeps until a release, a
+// freed slot or a failure wakes it. Nothing is cut before someone waits, so
+// whatever a write queues before its wait goes out as one group.
 //
-// With PipelineDepth > 1 the committer keeps several sealed groups in
-// flight at once. Completions may arrive out of order, but release is
-// strictly in order: a group acks its writers only when it reaches the head
-// of the flight FIFO and everything ahead of it is durable. A failed flight
-// partitions the LSN space exactly at the last gapless durable prefix —
-// every record before the failed group was acked durable, every record in
-// or after it (in flight, sealed, or still queued) fails, and the committer
-// fail-stops.
+// With PipelineDepth > 1 several waiters append at once. Completions may
+// arrive out of order, but release is strictly in order: the durable prefix
+// advances only over a gapless run of completed groups at the head of the
+// flight FIFO. A record's outcome follows from its LSN alone: inside the
+// released prefix it succeeded; at or after a failed group — or in the queue
+// when Stop lands — it failed, and the committer assigns no further LSN.
 type GroupCommitter struct {
 	a    sealedAppender
 	opts GroupCommitterOptions
 
-	mu      sync.Mutex
-	space   sync.Cond // signaled when a flush frees queue room
-	nextLSN LSN
-	pending []commitReq
-	wake    chan struct{}
-	full    chan struct{}
-	quiet   int // open Quiet windows
-	stopped bool
-	poison  error // first failure; records admitted afterwards get it
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-
-	// fmu guards the flight FIFO. Lock order is fmu -> mu -> statsMu;
-	// never the reverse.
-	fmu      sync.Mutex
-	slot     sync.Cond // signaled when a flight completes (slot frees)
-	flights  []*flight // dispatched, not yet released, FIFO in LSN order
-	inflight int       // dispatched flights whose append has not completed
-	pipeDead bool
-	pipeErr  error
-	wg       sync.WaitGroup
-
-	statsMu sync.Mutex
-	batches int64
-	records int64
+	mu       sync.Mutex
+	cond     sync.Cond // broadcast at every release, freed slot, failure and window end
+	nextLSN  LSN
+	pending  []commitReq // assigned, not yet cut, in LSN order
+	flights  []*flight   // cut, not yet released, FIFO in LSN order
+	inflight int         // flights whose append has not completed
+	durable  LSN         // last LSN of the released, gapless durable prefix
+	failAt   LSN         // every record from here on failed (0: healthy)
+	failErr  error
+	window   bool // a MaxDelay timer is armed
+	batches  int64
+	records  int64
 
 	commitLat    metrics.Histogram    // enqueue to durable, per record
 	groupSize    metrics.IntHistogram // records per flush
 	flushes      metrics.Counter      // storage flushes issued
-	stallLat     metrics.Histogram    // time writers spent blocked on a full queue
 	ackReorder   metrics.Histogram    // completion-to-release wait per group
 	inflightHist metrics.IntHistogram // in-flight appends observed at dispatch
 }
 
-// NewGroupCommitter starts the committer goroutine against w.
+// NewGroupCommitter returns a committer over w.
 func NewGroupCommitter(w *Writer, opts GroupCommitterOptions) *GroupCommitter {
 	return newGroupCommitterFor(w, opts)
 }
@@ -158,107 +133,36 @@ func NewGroupCommitter(w *Writer, opts GroupCommitterOptions) *GroupCommitter {
 // newGroupCommitterFor is NewGroupCommitter against any sealed appender
 // (property tests substitute a fake storage with controlled completions).
 func newGroupCommitterFor(a sealedAppender, opts GroupCommitterOptions) *GroupCommitter {
-	opts = opts.withDefaults()
-	c := &GroupCommitter{
-		a:       a,
-		opts:    opts,
-		nextLSN: a.NextLSN(),
-		wake:    make(chan struct{}, 1),
-		full:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	c.space.L = &c.mu
-	c.slot.L = &c.fmu
-	go c.run()
+	next := a.NextLSN()
+	c := &GroupCommitter{a: a, opts: opts.withDefaults(), nextLSN: next, durable: next - 1}
+	c.cond.L = &c.mu
 	return c
 }
 
-// LogAsync assigns the next LSN to rec, enqueues it for group commit, and
+// LogAsync assigns the next LSN to rec, queues it for group commit, and
 // returns the LSN plus a wait function that blocks until the record is
-// durable. Enqueue order equals LSN order, so acks release in LSN order
-// even when pipelined storage appends complete out of it. A record too
-// large to ever fit a storage append is rejected here, before an LSN
-// exists — the failure stays scoped to this one write instead of
-// fail-stopping the log.
+// durable. Queue order equals LSN order, so acks release in LSN order even
+// when pipelined storage appends complete out of it. A record too large to
+// ever fit a storage append is rejected here, before an LSN exists — the
+// failure stays scoped to this one write instead of fail-stopping the log.
 func (c *GroupCommitter) LogAsync(rec *Record) (LSN, func() error) {
 	if n := encodedSize(rec); n > c.a.MaxRecordSize() {
 		err := fmt.Errorf("%w: %d bytes, max %d", ErrRecordTooLarge, n, c.a.MaxRecordSize())
 		return 0, func() error { return err }
 	}
-	req := commitReq{rec: rec, at: time.Now(), done: make(chan error, 1)}
+	at := time.Now()
 	c.mu.Lock()
-	for !c.stopped && len(c.pending) >= c.opts.QueueDepth {
-		start := time.Now()
-		c.space.Wait()
-		c.stallLat.Observe(time.Since(start))
-	}
-	if c.stopped {
-		err := c.poison
-		if err == nil {
-			err = ErrCommitterStopped
-		}
+	if c.failAt != 0 {
+		err := c.failErr
 		c.mu.Unlock()
 		return 0, func() error { return err }
 	}
-	rec.LSN = c.nextLSN
+	lsn := c.nextLSN
+	rec.LSN = lsn
 	c.nextLSN++
-	c.pending = append(c.pending, req)
-	n := len(c.pending)
-	quiet := c.quiet > 0 && n < c.opts.MaxBatch
+	c.pending = append(c.pending, commitReq{rec: rec, at: at})
 	c.mu.Unlock()
-	if quiet {
-		lsn := rec.LSN
-		return lsn, func() error { c.wakeFor(lsn); return <-req.done }
-	}
-	signal(c.wake)
-	if n >= c.opts.MaxBatch {
-		// Size trigger: cut the flush without waiting out the window.
-		signal(c.full)
-	}
-	return rec.LSN, func() error { return <-req.done }
-}
-
-// Quiet opens a window in which enqueuing a record does not wake the
-// committer, and returns the function that closes it. A caller about to
-// enqueue several records back to back — a batch, or a transaction's wave —
-// opens one so they land in one group instead of the first going out alone
-// while the rest are still being built. A quiet record wakes the committer
-// when its wait begins, when a group's worth is pending, or when the window
-// closes, whichever comes first, so nothing waits on a committer asleep.
-func (c *GroupCommitter) Quiet() (end func()) {
-	c.mu.Lock()
-	c.quiet++
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.quiet--
-		pending := len(c.pending) > 0
-		c.mu.Unlock()
-		if pending {
-			signal(c.wake)
-		}
-	}
-}
-
-// wakeFor wakes the committer if the record at lsn is still waiting to be
-// cut. A wake-up for a record already cut would linger in the channel and cut
-// the next window's records in two.
-func (c *GroupCommitter) wakeFor(lsn LSN) {
-	c.mu.Lock()
-	pending := len(c.pending) > 0 && lsn >= c.pending[0].rec.LSN
-	c.mu.Unlock()
-	if pending {
-		signal(c.wake)
-	}
-}
-
-// signal posts to a one-slot wake-up channel without blocking.
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
+	return lsn, func() error { return c.wait(lsn) }
 }
 
 // Log implements bwtree.WALLogger: enqueue and wait for durability.
@@ -277,184 +181,118 @@ func (c *GroupCommitter) LastLSN() LSN {
 	return c.nextLSN - 1
 }
 
-func (c *GroupCommitter) run() {
-	defer close(c.done)
-	defer func() {
-		// Sealed flights always run to completion and release (ack or
-		// partition); only the unsealed queue — a suffix of the LSN space —
-		// fails on shutdown, so stopping never punches a hole into the acks.
-		c.failPending(ErrCommitterStopped)
-		c.wg.Wait()
-	}()
+// wait blocks until the record at lsn has an outcome, cutting and appending
+// the head of the queue itself whenever that is due.
+func (c *GroupCommitter) wait(lsn LSN) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.wake:
+		switch {
+		case lsn <= c.durable:
+			return nil
+		case c.failAt != 0 && lsn >= c.failAt:
+			return c.failErr
+		case c.due(lsn):
+			c.flushLocked()
+		default:
+			c.cond.Wait()
 		}
-		// Let a group accumulate for the window — or until the size trigger
-		// fires — then drain in MaxBatch flushes until the queue is empty.
-		if d := c.opts.MaxDelay; d > 0 {
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-c.full:
-				timer.Stop()
-			case <-c.stop:
-				timer.Stop()
-				return
-			}
-		}
-		for {
-			// Wait for a free pipeline slot BEFORE cutting the batch, so the
-			// queue keeps accumulating while every slot is busy. At depth 1
-			// this is exactly the serial committer's amortization — the
-			// in-flight append's round trip is the accumulation window — and
-			// at depth K the cut happens as late as admission allows.
-			c.waitSlot()
+	}
+}
+
+// due reports whether the waiter for lsn cuts now: its record is still
+// queued, a pipeline slot is free, and either MaxBatch records are queued or
+// the head has waited MaxDelay. A window still open arms one timer that wakes
+// the waiters when it closes. Caller holds c.mu.
+func (c *GroupCommitter) due(lsn LSN) bool {
+	if len(c.pending) == 0 || lsn < c.pending[0].rec.LSN || c.inflight >= c.opts.PipelineDepth {
+		return false
+	}
+	if c.opts.MaxDelay <= 0 || len(c.pending) >= c.opts.MaxBatch {
+		return true
+	}
+	left := c.opts.MaxDelay - time.Since(c.pending[0].at)
+	if left <= 0 {
+		return true
+	}
+	if !c.window {
+		c.window = true
+		time.AfterFunc(left, func() {
 			c.mu.Lock()
-			if c.stopped {
-				// The pipeline failed underneath us: everything is acked or
-				// failed already.
-				c.mu.Unlock()
-				return
-			}
-			n := len(c.pending)
-			if n == 0 {
-				c.mu.Unlock()
-				break
-			}
-			if n > c.opts.MaxBatch {
-				n = c.opts.MaxBatch
-			}
-			batch := make([]commitReq, n)
-			copy(batch, c.pending[:n])
-			c.pending = append(c.pending[:0], c.pending[n:]...)
-			c.space.Broadcast()
+			c.window = false
+			c.cond.Broadcast()
 			c.mu.Unlock()
+		})
+	}
+	return false
+}
 
-			recs := make([]*Record, n)
-			for i, req := range batch {
-				recs[i] = req.rec
-			}
-			groups, err := c.a.SealAssigned(recs)
-			if err != nil {
-				now := time.Now()
-				for _, req := range batch {
-					c.commitLat.Observe(now.Sub(req.at))
-					req.done <- err
-				}
-				c.failPending(err)
-				return
-			}
-			// One cut batch seals into one or more groups (extent splits);
-			// each becomes its own flight, dispatched in LSN order.
-			rest := batch
-			for _, g := range groups {
-				f := &flight{g: g, reqs: rest[:g.Count]}
-				rest = rest[g.Count:]
-				if perr := c.dispatch(f); perr != nil {
-					// The pipeline died while we waited for a slot; dispatch
-					// acked f's requests, fail the rest of the batch here.
-					now := time.Now()
-					for _, req := range rest {
-						c.commitLat.Observe(now.Sub(req.at))
-						req.done <- fmt.Errorf("wal: commit pipeline failed: %w", perr)
-					}
-					return
-				}
-			}
+// flushLocked cuts up to MaxBatch records off the head of the queue, seals
+// them, and appends the sealed groups (one, unless the batch outgrew an
+// extent) in order on the caller's goroutine, releasing c.mu around each
+// storage append. Sealing happens under c.mu, so groups are sealed in cut
+// order, which is LSN order. Caller holds c.mu.
+func (c *GroupCommitter) flushLocked() {
+	n := min(len(c.pending), c.opts.MaxBatch)
+	batch := c.pending[:n:n]
+	c.pending = c.pending[n:]
+	recs := make([]*Record, n)
+	for i, req := range batch {
+		recs[i] = req.rec
+	}
+	groups, err := c.a.SealAssigned(recs)
+	if err != nil {
+		c.failLocked(batch[0].rec.LSN, err)
+		return
+	}
+	fs := make([]*flight, len(groups))
+	for i, g := range groups {
+		fs[i] = &flight{g: g, reqs: batch[:g.Count]}
+		batch = batch[g.Count:]
+		c.inflight++
+		c.inflightHist.Observe(int64(c.inflight))
+	}
+	c.flights = append(c.flights, fs...)
+	for _, f := range fs {
+		// A group at or after a failure has failed already; Stop fails the
+		// queue alone, so the groups cut before it still go out.
+		f.err = c.failErr
+		if c.failAt == 0 || f.g.First < c.failAt {
+			c.mu.Unlock()
+			aerr := c.a.AppendSealed(f.g)
+			c.mu.Lock()
+			f.err = aerr
 		}
+		f.done, f.doneAt = true, time.Now()
+		c.inflight--
+		c.releaseLocked()
+		c.cond.Broadcast()
 	}
+	// Yield the processor once per append. The waiters just woken, and
+	// whatever else became runnable meanwhile, are queued behind this
+	// goroutine, which would otherwise go on with its caller's work and keep
+	// them parked until it blocks or is preempted.
+	c.mu.Unlock()
+	runtime.Gosched()
+	c.mu.Lock()
 }
 
-// waitSlot blocks until the pipeline has a free slot (or has died) without
-// admitting anything. The run loop calls it before cutting a batch so the
-// queue accumulates for the whole time the pipeline is saturated; dispatch
-// then admits without blocking (the run loop is the only dispatcher, so the
-// free slot cannot be stolen in between).
-func (c *GroupCommitter) waitSlot() {
-	c.fmu.Lock()
-	for c.inflight >= c.opts.PipelineDepth && !c.pipeDead {
-		c.slot.Wait()
-	}
-	c.fmu.Unlock()
-}
-
-// dispatch admits a flight into the pipeline, blocking while every slot is
-// taken, and starts its storage append. Returns the pipeline's poison error
-// if it died before the flight could be admitted (the flight's requests are
-// failed here).
-func (c *GroupCommitter) dispatch(f *flight) error {
-	c.fmu.Lock()
-	for c.inflight >= c.opts.PipelineDepth && !c.pipeDead {
-		c.slot.Wait()
-	}
-	if c.pipeDead {
-		err := c.pipeErr
-		c.fmu.Unlock()
-		now := time.Now()
-		for _, req := range f.reqs {
-			c.commitLat.Observe(now.Sub(req.at))
-			req.done <- fmt.Errorf("wal: commit pipeline failed: %w", err)
-		}
-		return err
-	}
-	c.flights = append(c.flights, f)
-	c.inflight++
-	c.inflightHist.Observe(int64(c.inflight))
-	c.fmu.Unlock()
-	c.wg.Add(1)
-	go c.runFlight(f)
-	return nil
-}
-
-// runFlight performs one flight's storage append and retires whatever
-// contiguous durable prefix of the FIFO its completion unlocked.
-func (c *GroupCommitter) runFlight(f *flight) {
-	defer c.wg.Done()
-	err := c.a.AppendSealed(f.g)
-	c.fmu.Lock()
-	f.err = err
-	f.done = true
-	f.doneAt = time.Now()
-	c.inflight--
-	c.releaseLocked()
-	c.slot.Broadcast()
-	c.fmu.Unlock()
-}
-
-// releaseLocked retires completed flights from the FIFO head, acking their
-// writers in LSN order. A failed head fail-stops the pipeline: its own
-// requests and those of every flight behind it — durable or not — fail, so
-// the set of acked records is exactly the gapless durable prefix. Caller
-// holds c.fmu.
+// releaseLocked retires completed flights from the FIFO head in LSN order,
+// advancing the durable prefix. A failed head fails every record from its
+// first LSN on — its own and those of every flight behind it, durable or
+// not — so the acked records are exactly the gapless durable prefix. Caller
+// holds c.mu.
 func (c *GroupCommitter) releaseLocked() {
 	now := time.Now()
 	for len(c.flights) > 0 && c.flights[0].done {
 		f := c.flights[0]
 		c.flights = c.flights[1:]
 		if f.err != nil {
-			c.pipeDead = true
-			c.pipeErr = f.err
-			trailing := c.flights
-			c.flights = nil
-			c.slot.Broadcast()
-			for _, req := range f.reqs {
-				c.commitLat.Observe(now.Sub(req.at))
-				req.done <- f.err
-			}
 			// Later flights may already be durable, but their predecessors
 			// are not: acking them would advertise a hole. They fail with
 			// maybe-semantics — recovery delivers only the gapless prefix.
-			for _, ff := range trailing {
-				for _, req := range ff.reqs {
-					c.commitLat.Observe(now.Sub(req.at))
-					req.done <- fmt.Errorf("wal: commit pipeline failed at lsn %d..%d: %w",
-						f.g.First, f.g.Last, f.err)
-				}
-			}
-			c.failPending(f.err)
+			c.flights = nil
+			c.failLocked(f.g.First, f.err)
 			return
 		}
 		c.ackReorder.Observe(now.Sub(f.doneAt))
@@ -464,48 +302,49 @@ func (c *GroupCommitter) releaseLocked() {
 			// own write.
 			c.opts.OnRelease(f.g.Last)
 		}
+		c.durable = f.g.Last
 		for _, req := range f.reqs {
 			c.commitLat.Observe(now.Sub(req.at))
-			req.done <- nil
 		}
 		c.groupSize.Observe(int64(len(f.reqs)))
 		c.flushes.Inc()
-		c.statsMu.Lock()
 		c.batches++
 		c.records += int64(len(f.reqs))
-		c.statsMu.Unlock()
 	}
 }
 
-func (c *GroupCommitter) failPending(err error) {
-	c.mu.Lock()
-	c.stopped = true
-	if c.poison == nil && !errors.Is(err, ErrCommitterStopped) {
-		// A real failure poisons the committer: records admitted after it
-		// keep reporting the original cause (fence, exhausted retries), not
-		// a generic shutdown.
-		c.poison = err
+// failLocked fails every record from LSN at on with err and drops the queue;
+// no LSN is assigned afterwards. The lowest failure wins, so a real failure
+// below a shutdown replaces ErrCommitterStopped as the cause later admissions
+// report. Caller holds c.mu.
+func (c *GroupCommitter) failLocked(at LSN, err error) {
+	if c.failAt == 0 || at < c.failAt {
+		c.failAt, c.failErr = at, err
 	}
-	pending := c.pending
 	c.pending = nil
-	c.space.Broadcast()
-	c.mu.Unlock()
-	for _, req := range pending {
-		req.done <- err
-	}
+	c.cond.Broadcast()
 }
 
-// Stop terminates the committer. Sealed flights complete and release
-// normally; records still queued fail with ErrCommitterStopped.
+// Stop terminates the committer: records still queued fail with
+// ErrCommitterStopped, and Stop returns once the appends in flight have
+// completed and released normally.
 func (c *GroupCommitter) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	at := c.nextLSN
+	if len(c.pending) > 0 {
+		at = c.pending[0].rec.LSN
+	}
+	c.failLocked(at, ErrCommitterStopped)
+	for c.inflight > 0 {
+		c.cond.Wait()
+	}
 }
 
 // BatchStats returns (flushes committed, records committed).
 func (c *GroupCommitter) BatchStats() (int64, int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.batches, c.records
 }
 
@@ -513,14 +352,10 @@ func (c *GroupCommitter) BatchStats() (int64, int64) {
 // write-side amortization factor (records acked per storage round trip).
 func (c *GroupCommitter) GroupSize() *metrics.IntHistogram { return &c.groupSize }
 
-// CommitLatency returns the enqueue-to-durable latency histogram. It covers
-// the full client-visible commit wait: the group window plus the storage
-// append (and its retries) plus any in-order release wait.
+// CommitLatency returns the enqueue-to-durable latency histogram of acked
+// records. It covers the full client-visible commit wait: the group window
+// plus the storage append (and its retries) plus any in-order release wait.
 func (c *GroupCommitter) CommitLatency() *metrics.Histogram { return &c.commitLat }
-
-// StallLatency returns the histogram of time writers spent blocked on a
-// full queue (backpressure).
-func (c *GroupCommitter) StallLatency() *metrics.Histogram { return &c.stallLat }
 
 // AckReorder returns the histogram of how long each durable group waited
 // for its predecessors before its acks could release — the price of
@@ -535,8 +370,8 @@ func (c *GroupCommitter) InflightUtilization() *metrics.IntHistogram { return &c
 
 // InflightGroups returns how many sealed groups are in flight right now.
 func (c *GroupCommitter) InflightGroups() int {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.inflight
 }
 
@@ -550,7 +385,6 @@ func (c *GroupCommitter) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterHistogram("wal.commit_us", &c.commitLat)
 	r.RegisterIntHistogram("wal.group_size", &c.groupSize)
 	r.RegisterCounter("wal.group_flushes", &c.flushes)
-	r.RegisterHistogram("wal.group_stall_us", &c.stallLat)
 	r.RegisterHistogram("wal.ack_reorder_us", &c.ackReorder)
 	r.RegisterIntHistogram("wal.inflight_groups", &c.inflightHist)
 	r.GaugeFunc("wal.pipeline_depth", func() int64 { return int64(c.PipelineDepth()) })

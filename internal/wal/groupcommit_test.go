@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,14 +31,12 @@ func TestGroupCommitterProperty(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			delay = time.Duration(rng.Intn(500)) * time.Microsecond
 		}
-		queueDepth := maxBatch + rng.Intn(64)
 
 		st := storage.Open(&storage.Options{WriteLatency: time.Duration(rng.Intn(300)) * time.Microsecond})
 		w := NewWriter(st)
 		c := NewGroupCommitter(w, GroupCommitterOptions{
-			MaxBatch:   maxBatch,
-			MaxDelay:   delay,
-			QueueDepth: queueDepth,
+			MaxBatch: maxBatch,
+			MaxDelay: delay,
 		})
 
 		total := writers * perWriter
@@ -211,47 +210,30 @@ func TestGroupCommitterSizeTriggerCutsDelay(t *testing.T) {
 	}
 }
 
-// TestGroupCommitterQueueDepthBackpressure checks that writers beyond
-// QueueDepth block instead of growing the queue without bound, and that the
-// stall is visible in the stall histogram.
-func TestGroupCommitterQueueDepthBackpressure(t *testing.T) {
-	st := storage.Open(&storage.Options{WriteLatency: 2 * time.Millisecond})
-	w := NewWriter(st)
-	c := NewGroupCommitter(w, GroupCommitterOptions{MaxBatch: 2, QueueDepth: 2})
-	defer c.Stop()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Log(&Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if recs, err := NewReader(st).Poll(); err != nil || len(recs) != 16 {
-		t.Fatalf("records = %d (err %v), want 16", len(recs), err)
-	}
-	// 16 writers against a depth-2 queue must have stalled at least once.
-	if c.StallLatency().Summary().Count == 0 {
-		t.Fatal("no stall recorded despite queue depth 2 and 16 writers")
-	}
-}
-
-// TestGroupCommitterStopFailsStalledWriters checks that Stop wakes writers
-// blocked on a full queue instead of leaving them waiting forever.
+// TestGroupCommitterStopFailsStalledWriters checks that Stop fails the
+// writers waiting behind a full pipeline with ErrCommitterStopped instead of
+// leaving them waiting forever, while the append in flight completes and
+// acks its writer.
 func TestGroupCommitterStopFailsStalledWriters(t *testing.T) {
-	plan := storage.NewFaultPlan(storage.FaultConfig{Seed: 11, AppendFailProb: 1})
-	st := storage.Open(&storage.Options{Faults: plan})
-	w := NewWriter(st)
-	w.SetRetry(noSleep(storage.RetryPolicy{MaxAttempts: 1}))
-	c := NewGroupCommitter(w, GroupCommitterOptions{MaxBatch: 1, QueueDepth: 1})
+	f := newFakeAppender()
+	c := newGroupCommitterFor(f, GroupCommitterOptions{MaxBatch: 1})
 
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Log(&Record{Type: RecordPut, Key: []byte{0}})
+		first <- err
+	}()
+	f.mu.Lock()
+	for len(f.blocked) == 0 {
+		f.cond.Wait() // the first append holds the only pipeline slot
+	}
+	f.mu.Unlock()
+
+	const stalled = 7
+	errs := make(chan error, stalled)
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	defer wg.Wait()
+	for i := 1; i <= stalled; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -259,16 +241,70 @@ func TestGroupCommitterStopFailsStalledWriters(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	time.Sleep(time.Millisecond)
-	c.Stop()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err == nil {
-			continue // landed (poisoned writer still acks the error path; a nil means pre-fault)
-		}
-		if !errors.Is(err, ErrCommitterStopped) && !errors.Is(err, ErrWriterFailed) {
-			t.Fatalf("unexpected error: %v", err)
+	for c.LastLSN() < stalled+1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	for i := 0; i < stalled; i++ {
+		if err := <-errs; !errors.Is(err, ErrCommitterStopped) {
+			t.Fatalf("stalled writer got %v, want ErrCommitterStopped", err)
 		}
 	}
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned with an append in flight")
+	default:
+	}
+	f.drained()
+	<-stopped
+	if err := <-first; err != nil {
+		t.Fatalf("in-flight record failed across Stop: %v", err)
+	}
+	if _, err := c.Log(&Record{Type: RecordPut}); !errors.Is(err, ErrCommitterStopped) {
+		t.Fatalf("Log after Stop: %v, want ErrCommitterStopped", err)
+	}
+}
+
+// TestCommitterOwnsNoGoroutine pins that the committer runs on its writers'
+// goroutines: constructing it and committing through it, serially or
+// pipelined, leaves the goroutine count where it was.
+func TestCommitterOwnsNoGoroutine(t *testing.T) {
+	for _, depth := range []int{1, 8} {
+		f := newFakeAppender()
+		f.drained() // every append completes at once
+		before := settledGoroutines()
+		c := newGroupCommitterFor(f, GroupCommitterOptions{PipelineDepth: depth})
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("depth %d: %d goroutines after NewGroupCommitter, %d before", depth, n, before)
+		}
+		for i := 0; i < 1000; i++ {
+			if _, err := c.Log(&Record{Type: RecordPut, Key: []byte("k")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("depth %d: %d goroutines after 1000 Logs, %d before", depth, n, before)
+		}
+		c.Stop()
+	}
+}
+
+// settledGoroutines returns the goroutine count once the goroutines earlier
+// tests left on their way out have exited: two readings a millisecond apart
+// agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

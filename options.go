@@ -107,7 +107,8 @@ type Options struct {
 	Shards int
 
 	// CommitWindow is the WAL group-commit accumulation window
-	// (replicated mode; 0: commit as soon as the queue drains).
+	// (replicated mode; 0: a waiting writer commits as soon as a pipeline
+	// slot is free).
 	CommitWindow time.Duration
 
 	// CommitMaxBatch caps a WAL commit group and doubles as the size

@@ -49,8 +49,6 @@ type WALStats struct {
 	// write-side amortization factor (records acked per storage round
 	// trip, §3.4).
 	GroupSize FanoutStats `json:"group_size"`
-	// GroupStall is the backpressure writers paid on a full commit queue.
-	GroupStall HistogramStats `json:"group_stall"`
 	// InflightGroups is the number of sealed WAL group appends in flight at
 	// the instant of the stats snapshot; PipelineDepth is how many one
 	// committer allows (Options.CommitPipelineDepth; 1 when unset).
@@ -227,7 +225,7 @@ func (db *DB) Stats() Stats {
 	s := Stats{Shards: ShardStats{Count: n, ReadEpochs: make([]uint64, n), LastLSNs: make([]uint64, n), Epochs: make([]uint64, n)}}
 	// Each distribution is merged over the shards and summarized once.
 	var fanout, groupSize, inflight metrics.IntHistogram
-	var materialize, appendLat, commitLat, stall, reorder metrics.Histogram
+	var materialize, appendLat, commitLat, reorder metrics.Histogram
 	for i := range n {
 		e := db.eng(i)
 		ss := e.Store().Stats()
@@ -281,14 +279,13 @@ func (db *DB) Stats() Stats {
 		}
 		if rw := db.leader(i); rw != nil {
 			l := rw.Logger()
-			batches, records := rw.LoggerStats()
+			batches, records := l.BatchStats()
 			s.WAL.Appends += rw.Writer().Appends()
 			appendLat.Merge(rw.Writer().AppendLatency())
 			s.WAL.CommitBatches += batches
 			s.WAL.CommitRecords += records
 			commitLat.Merge(l.CommitLatency())
 			groupSize.Merge(l.GroupSize())
-			stall.Merge(l.StallLatency())
 			s.WAL.InflightGroups += l.InflightGroups()
 			s.WAL.PipelineDepth = l.PipelineDepth()
 			reorder.Merge(l.AckReorder())
@@ -308,7 +305,7 @@ func (db *DB) Stats() Stats {
 		return s
 	}
 	s.WAL.AppendLatency, s.WAL.CommitLatency = histogramStats(&appendLat), histogramStats(&commitLat)
-	s.WAL.GroupSize, s.WAL.GroupStall = fanoutStats(&groupSize), histogramStats(&stall)
+	s.WAL.GroupSize = fanoutStats(&groupSize)
 	s.WAL.AckReorder, s.WAL.PipelineUtilization = histogramStats(&reorder), fanoutStats(&inflight)
 	s.Replication.Replicas = len(db.attached())
 	s.Replication.AppliedLSNLag = db.lag()
