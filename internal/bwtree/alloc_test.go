@@ -5,6 +5,7 @@ package bwtree
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"bg3/internal/storage"
@@ -92,44 +93,74 @@ func TestColdScanAllocatesOnlyTheRecords(t *testing.T) {
 	}
 }
 
+// coldHop builds 128+ leaves of 12 keys with valueLen-byte values, every
+// record in one 4 MiB extent, under an unlimited cache, and returns a cold hop
+// over the first 128: each call evicts them and runs one ScanManyAt with a
+// scan per leaf, counting the pairs it delivers in *pairs.
+func coldHop(t *testing.T, valueLen int) (hop func(), st *storage.Store, pairs *int) {
+	t.Helper()
+	st = storage.Open(&storage.Options{ExtentSize: 4 << 20})
+	m := NewMapping(0, false)
+	tr, err := New(m, st, Config{MaxPageEntries: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128*12; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("%-*d", valueLen, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := leavesOf(tr)
+	if len(leaves) < 128 {
+		t.Fatalf("fixture: %d leaves, want >= 128", len(leaves))
+	}
+	leaves = leaves[:128]
+	scans := oneScanPerLeaf(tr, leaves)
+	pairs = new(int)
+	return func() {
+		evict(leaves)
+		if err := m.ScanManyAt(scans, 0, horizonAll, func(int, []byte, []byte) bool { *pairs++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}, st, pairs
+}
+
 // TestColdHopCopiesNoRecord: a ScanManyAt over 128 cold leaves allocates per
 // leaf what its bookkeeping costs, whatever the leaves' records weigh: the
 // same tree with 10-byte and with 400-byte values costs the same per leaf. A
 // read that copied its record would cost the larger tree ~3 KiB more a leaf.
 func TestColdHopCopiesNoRecord(t *testing.T) {
 	perLeaf := func(valueLen int) int {
-		st := storage.Open(&storage.Options{ExtentSize: 4 << 20})
-		m := NewMapping(0, false)
-		tr, err := New(m, st, Config{MaxPageEntries: 16}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 128*12; i++ {
-			if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("%-*d", valueLen, i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		leaves := leavesOf(tr)
-		if len(leaves) < 128 {
-			t.Fatalf("fixture: %d leaves, want >= 128", len(leaves))
-		}
-		leaves = leaves[:128]
-		scans := oneScanPerLeaf(tr, leaves)
-		n := 0
-		got := bytesPerRun(50, func() {
-			evict(leaves)
-			if err := m.ScanManyAt(scans, 0, horizonAll, func(int, []byte, []byte) bool { n++; return true }); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n == 0 || st.Stats().ReadOps < 50*128 {
-			t.Fatalf("fixture: %d pairs, %d storage reads for 50 cold hops over 128 leaves", n, st.Stats().ReadOps)
+		hop, st, n := coldHop(t, valueLen)
+		got := bytesPerRun(50, hop)
+		if *n == 0 || st.Stats().ReadOps < 50*128 {
+			t.Fatalf("fixture: %d pairs, %d storage reads for 50 cold hops over 128 leaves", *n, st.Stats().ReadOps)
 		}
 		return got / 128
 	}
 	small, large := perLeaf(10), perLeaf(400)
 	if large > small+64 {
 		t.Fatalf("a cold hop allocates %d B per leaf with 400-byte values and %d B with 10-byte ones, want the same (a read copies no record)", large, small)
+	}
+}
+
+// TestColdHopAllocatesNoBookkeeping: once a first call has filled the pools, a
+// ScanManyAt over 128 cold leaves allocates almost nothing per leaf. The
+// scans' progress and queue, each load's leaves, index and loc lists, the
+// views storage hands back and its grouping of them are pooled scratch, and
+// the cache tracks a page through links in the page itself. A cold hop used
+// to allocate 281 B per leaf for all of that.
+func TestColdHopAllocatesNoBookkeeping(t *testing.T) {
+	hop, st, n := coldHop(t, 10)
+	hop() // warm-up: the pools' first scratch
+	pairs, reads := *n, st.Stats().ReadOps
+	got := bytesPerRun(50, hop) / 128
+	if pairs == 0 || *n != 51*pairs || st.Stats().ReadOps-reads != 50*128 {
+		t.Fatalf("fixture: %d pairs, %d storage reads for 50 cold hops over 128 leaves", *n, st.Stats().ReadOps-reads)
+	}
+	t.Logf("a cold hop allocates %d B per leaf", got)
+	if budget := 16; got > budget {
+		t.Fatalf("a cold hop allocates %d B per leaf, want <= %d (its bookkeeping is pooled)", got, budget)
 	}
 }
 
@@ -285,6 +316,23 @@ func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
 	}
 }
 
+// fillExtent pads extent ext of the base stream with dead records until the
+// stream moves on to the next one, which a reclaim of ext then moves the live
+// records into.
+func fillExtent(t *testing.T, st *storage.Store, ext storage.ExtentID) {
+	t.Helper()
+	for {
+		loc, err := st.Append(storage.StreamBase, 0, make([]byte, 64<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Invalidate(loc)
+		if loc.Extent != ext {
+			return
+		}
+	}
+}
+
 // TestReclaimedExtentIsNotPinnedByTheCache: a cached image of a cold-loaded
 // page is its base record where it lies, so it keeps that record's whole
 // extent in memory. Once GC has moved the record and the store let go of the
@@ -296,21 +344,6 @@ func TestBatchLoadedImagesDoNotPinTheirGroup(t *testing.T) {
 // fall by at least three quarters of it.
 func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 	const extentSize = 4 << 20
-	// fill pads extent ext of the base stream with dead records until the
-	// stream moves on to the next one, which the reclaim then moves the live
-	// records into.
-	fill := func(t *testing.T, st *storage.Store, ext storage.ExtentID) {
-		for {
-			loc, err := st.Append(storage.StreamBase, 0, make([]byte, 64<<10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.Invalidate(loc)
-			if loc.Extent != ext {
-				return
-			}
-		}
-	}
 	// load cold-loads every leaf into m's cache: each image is its base
 	// record where it lies, and every record sits in one extent.
 	load := func(t *testing.T, m *Mapping, tr *Tree, leaves []*pageEntry) {
@@ -344,7 +377,7 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 		m := NewMapping(0, false)
 		tr, leaves := leafTree(t, st, m, 128*12)
 		ext := leaves[0].baseLoc.Extent
-		fill(t, st, ext)
+		fillExtent(t, st, ext)
 		load(t, m, tr, leaves)
 		before := liveHeap()
 		if _, err := st.Reclaim(storage.StreamBase, ext, m.Relocate); err != nil {
@@ -385,7 +418,7 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 		ftr := rep.trees[tr.ID()]
 		leaves := leavesOf(ftr)
 		ext := leaves[0].baseLoc.Extent
-		fill(t, st, ext)
+		fillExtent(t, st, ext)
 		load(t, rep.m, ftr, leaves)
 		before := liveHeap()
 		if _, err := st.Reclaim(storage.StreamBase, ext, lm.Relocate); err != nil {
@@ -401,4 +434,54 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 		fell(t, before)
 		load(t, rep.m, ftr, leaves)
 	})
+}
+
+// TestHopScratchPinsNoExtent: what a hop leaves in its pooled scratch must not
+// keep a reclaimed extent in memory. 128 leaves are cold-loaded from one
+// 4 MiB extent through an 8-page cache, so all but 8 of the images the hop
+// held were its own; the extent is reclaimed, and after ONE collection — a
+// pool's victim cache survives one, which liveHeap's two would hide — the
+// live heap must have fallen by at least three quarters of the extent. A
+// scratch put back with its held images or views would still hold it.
+func TestHopScratchPinsNoExtent(t *testing.T) {
+	const extentSize = 4 << 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the one collection is the test's
+	st := storage.Open(&storage.Options{ExtentSize: extentSize})
+	m := NewMapping(8, false)
+	tr, leaves := leafTree(t, st, m, 128*12)
+	if len(leaves) < 128 {
+		t.Fatalf("fixture: %d leaves, want >= 128", len(leaves))
+	}
+	leaves = leaves[:128]
+	ext := leaves[0].baseLoc.Extent
+	for _, e := range leaves {
+		if e.baseLoc.Extent != ext {
+			t.Fatalf("fixture: leaves span extents %d and %d", ext, e.baseLoc.Extent)
+		}
+	}
+	fillExtent(t, st, ext)
+	before := liveHeap()
+	n := 0
+	if err := m.ScanManyAt(oneScanPerLeaf(tr, leaves), 0, horizonAll, func(int, []byte, []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	resident := 0
+	for _, e := range leaves {
+		if e.base != nil {
+			resident++
+		}
+	}
+	if n == 0 || resident == 0 || resident > 8 {
+		t.Fatalf("fixture: %d pairs delivered, %d of 128 leaves resident in an 8-page cache", n, resident)
+	}
+	if _, err := st.Reclaim(storage.StreamBase, ext, m.Relocate); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if fell := before - int64(ms.HeapAlloc); fell < extentSize*3/4 {
+		t.Fatalf("live heap fell %d B after the hop's %d B extent was reclaimed, want >= %d: the hop's pooled scratch still holds it",
+			fell, extentSize, extentSize*3/4)
+	}
 }

@@ -1,7 +1,6 @@
 package bwtree
 
 import (
-	"container/list"
 	"runtime"
 	"slices"
 	"sync"
@@ -44,8 +43,7 @@ type pageEntry struct {
 	id   PageID
 	tree *Tree
 
-	isLeaf bool
-	inner  *innerNode // inner pages only
+	inner *innerNode // inner pages only
 
 	// Durable state (leaf pages).
 	baseLoc   storage.Loc
@@ -62,9 +60,11 @@ type pageEntry struct {
 	// fresh slice clears the mark, halve hands it to both halves.
 	base    leafImage
 	overlay []op
-	shared  bool
 	live    int // live keys at horizon ∞ inside [lo, hi), resident or not; -1 = not counted
+	shared  bool
 
+	// The flags sit together: apart, each would pad out a word.
+	isLeaf       bool
 	dirty        bool // has changes no durable record holds yet (dirtied)
 	splitPending bool // the page split in memory; next flush must rewrite its base
 
@@ -75,17 +75,63 @@ type pageEntry struct {
 	// checkpoint has given durable records yet: the page it split off from,
 	// whose records it reads through its own range (locs).
 	origin PageID
+
+	// lruPrev and lruNext link the page into its cache shard's recency list
+	// while the shard tracks its content (cacheShard). They are guarded by
+	// the shard's mutex, not by mu.
+	lruPrev, lruNext *pageEntry
 }
 
 // cacheShard is one lock stripe of the leaf-content cache. Hashing pages
 // across shards replaces the old global cacheMu: cache touches on different
 // shards never contend, and each shard evicts independently against its
-// slice of the total capacity.
+// slice of the total capacity. Its recency list is intrusive — linked
+// through the pages' own lruPrev/lruNext — so tracking a page, touching it
+// and re-queueing a pinned victim allocate nothing.
 type cacheShard struct {
-	mu       sync.Mutex
-	lru      *list.List               // front = most recent
-	lruIndex map[PageID]*list.Element // page -> element
-	capacity int                      // per-shard slice of the budget; 0 = unlimited
+	mu         sync.Mutex
+	head, tail *pageEntry // head = most recent
+	n          int        // pages on the list
+	capacity   int        // per-shard slice of the budget; 0 = unlimited
+}
+
+// holds reports whether e is on the shard's list. s.mu must be held.
+func (s *cacheShard) holds(e *pageEntry) bool { return e.lruPrev != nil || s.head == e }
+
+// pushFront puts e, not on the list, at its front. s.mu must be held.
+func (s *cacheShard) pushFront(e *pageEntry) {
+	e.lruPrev, e.lruNext = nil, s.head
+	if s.head != nil {
+		s.head.lruPrev = e
+	} else {
+		s.tail = e
+	}
+	s.head = e
+	s.n++
+}
+
+// remove takes e off the list. s.mu must be held.
+func (s *cacheShard) remove(e *pageEntry) {
+	if e.lruPrev != nil {
+		e.lruPrev.lruNext = e.lruNext
+	} else {
+		s.head = e.lruNext
+	}
+	if e.lruNext != nil {
+		e.lruNext.lruPrev = e.lruPrev
+	} else {
+		s.tail = e.lruPrev
+	}
+	e.lruPrev, e.lruNext = nil, nil
+	s.n--
+}
+
+// moveToFront makes e, on the list, its most recent page. s.mu must be held.
+func (s *cacheShard) moveToFront(e *pageEntry) {
+	if s.head != e {
+		s.remove(e)
+		s.pushFront(e)
+	}
 }
 
 // Mapping is the shared mapping table: PageID -> page entry. A forest of
@@ -213,11 +259,7 @@ func NewMappingShards(capacity int, disabled bool, shards int) *Mapping {
 		perShard = (capacity + n - 1) / n
 	}
 	for i := range m.shards {
-		m.shards[i] = &cacheShard{
-			lru:      list.New(),
-			lruIndex: make(map[PageID]*list.Element),
-			capacity: perShard,
-		}
+		m.shards[i] = &cacheShard{capacity: perShard}
 	}
 	return m
 }
@@ -289,7 +331,7 @@ func (m *Mapping) MaterializeLatency() *metrics.Histogram { return &m.materializ
 func (m *Mapping) shardEntrySpread() (min, max int64) {
 	for i, s := range m.shards {
 		s.mu.Lock()
-		n := int64(s.lru.Len())
+		n := int64(s.n)
 		s.mu.Unlock()
 		if i == 0 || n < min {
 			min = n
@@ -380,29 +422,23 @@ func (m *Mapping) noteCached(e *pageEntry) {
 	s := m.shard(e.id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.lruIndex[e.id]; ok {
-		s.lru.MoveToFront(el)
+	if s.holds(e) {
+		s.moveToFront(e)
 	} else {
-		s.lruIndex[e.id] = s.lru.PushFront(e)
+		s.pushFront(e)
 	}
 	if s.capacity <= 0 {
 		return
 	}
 	// Bounded sweep: pinned (dirty or latch-busy) victims re-enter the
 	// front, so without a bound a fully pinned shard would spin here.
-	for attempts := s.lru.Len(); s.lru.Len() > s.capacity && attempts > 0; attempts-- {
-		el := s.lru.Back()
-		if el == nil {
-			break
-		}
-		victim := el.Value.(*pageEntry)
-		s.lru.Remove(el)
-		delete(s.lruIndex, victim.id)
+	for attempts := s.n; s.n > s.capacity && attempts > 0; attempts-- {
+		victim := s.tail
 		if victim == e {
 			// Never evict the page we just touched — but keep it tracked,
 			// or its content would stay resident yet invisible to every
 			// future sweep.
-			s.lruIndex[victim.id] = s.lru.PushFront(victim)
+			s.moveToFront(victim)
 			continue
 		}
 		if victim.mu.TryLock() {
@@ -411,18 +447,19 @@ func (m *Mapping) noteCached(e *pageEntry) {
 				// (Dirty pages — including unflushed split halves whose
 				// image is not yet durable — are never evicted.)
 				victim.base = nil
+				s.remove(victim)
 				m.evictions.Add(1)
 			} else {
-				// Dirty pages are pinned; re-insert at the front so they
-				// are not immediately re-considered.
-				s.lruIndex[victim.id] = s.lru.PushFront(victim)
+				// Dirty pages are pinned; re-queue them at the front so
+				// they are not immediately re-considered.
+				s.moveToFront(victim)
 			}
 			victim.mu.Unlock()
 		} else {
 			// The victim's latch is busy (a writer holds it): keep it
 			// tracked at the front — dropping it here would leave its
 			// content resident but invisible to future eviction.
-			s.lruIndex[victim.id] = s.lru.PushFront(victim)
+			s.moveToFront(victim)
 		}
 	}
 }
@@ -437,8 +474,8 @@ func (m *Mapping) touch(e *pageEntry) {
 		return
 	}
 	s.mu.Lock()
-	if el, ok := s.lruIndex[e.id]; ok {
-		s.lru.MoveToFront(el)
+	if s.holds(e) {
+		s.moveToFront(e)
 	}
 	s.mu.Unlock()
 }

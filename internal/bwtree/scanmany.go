@@ -2,6 +2,7 @@ package bwtree
 
 import (
 	"bytes"
+	"sync"
 	"time"
 
 	"bg3/internal/storage"
@@ -45,6 +46,63 @@ type manyScan struct {
 	leaf      int // index of the covering leaf in the current load
 }
 
+// hopScratch is every slice and map one ScanManyAt call works in — the
+// scans' progress and queue, a load's leaves, its index, its loc lists and
+// the views storage hands back — kept across calls in hopPool, so that a hop
+// allocates nothing of its own: what it costs is its scans. emit, the walk's
+// callback, is made once per scratch and reads the call's fn and cur from it.
+//
+// Whatever goes back to the pool goes back holding no pointer into a page
+// or a record (release): a held image and a view are records where they lie
+// in their extents, each pinning its whole extent (DESIGN §8), and a scan's
+// resume key can point into an image. A pool keeps what it holds across one
+// collection, so a scratch put back with its views would keep a reclaimed
+// extent in memory.
+type hopScratch struct {
+	state  []manyScan
+	queue  []int
+	round  []int      // scans resolved into the current load
+	leaves []heldLeaf // the current load's distinct leaves
+	index  map[*pageEntry]int
+	arena  []storage.Loc // delta chains, read only where no overlay mirrors them (locs)
+	locs   []storage.Loc // the load's batch (loadHeld)
+	bufs   [][]byte      // its views
+
+	fn      func(i int, key, value []byte) bool
+	cur     int // scan whose leaf is being walked
+	stopped bool
+	emit    func(k, v []byte) bool
+}
+
+var hopPool = sync.Pool{New: func() any {
+	sc := &hopScratch{index: make(map[*pageEntry]int)}
+	sc.emit = func(k, v []byte) bool {
+		if !sc.fn(sc.cur, k, v) {
+			sc.stopped = true
+		}
+		return !sc.stopped
+	}
+	return sc
+}}
+
+// newLoad empties the scratch for the next load, dropping the last one's
+// leaves and views.
+func (sc *hopScratch) newLoad() {
+	clear(sc.leaves)
+	clear(sc.bufs)
+	clear(sc.index)
+	sc.round, sc.leaves, sc.arena, sc.bufs = sc.round[:0], sc.leaves[:0], sc.arena[:0], sc.bufs[:0]
+}
+
+// release clears every pointer the call left in the scratch and puts it back.
+func (sc *hopScratch) release() {
+	sc.newLoad()
+	clear(sc.state)
+	sc.state, sc.queue = sc.state[:0], sc.queue[:0]
+	sc.fn, sc.stopped = nil, false
+	hopPool.Put(sc)
+}
+
 // ScanManyAt runs every scan as of horizon h, making the batch — not the
 // page — the unit of storage I/O: each round resolves the pending scans to
 // the leaves covering their resume keys (one leaf latched at a time, never
@@ -55,7 +113,7 @@ type manyScan struct {
 // traversal hop over N cold pages therefore waits on one overlapped
 // storage round (plus one per continuation depth) instead of N serial ones.
 // The records read per cold page are exactly the single-page path's
-// (pageEntry.locs).
+// (pageEntry.locs). Its bookkeeping lives in a pooled hopScratch.
 //
 // fn receives the index of the scan a pair belongs to. Each scan's pairs
 // arrive in key order and limit (<= 0: unlimited) applies per scan, but
@@ -63,57 +121,42 @@ type manyScan struct {
 // stops the whole multi-scan, and no further round is issued. All trees
 // must share m and one store.
 func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i int, key, value []byte) bool) error {
-	load := min(len(scans), maxBatchLeaves) // what one load holds, sized once
-	var (
-		state   = make([]manyScan, len(scans))
-		queue   = make([]int, len(scans))
-		round   = make([]int, 0, load) // scans resolved into the current load
-		leaves  = make([]heldLeaf, 0, load)
-		index   = make(map[*pageEntry]int, load)
-		arena   []storage.Loc // delta chains, read only where no overlay mirrors them (locs)
-		cur     int           // scan whose leaf is being walked
-		stopped bool
-	)
-	if !m.mirrorsChain() {
-		arena = make([]storage.Loc, 0, load)
-	}
-	emit := func(k, v []byte) bool {
-		if !fn(cur, k, v) {
-			stopped = true
-		}
-		return !stopped
-	}
+	sc := hopPool.Get().(*hopScratch)
+	defer sc.release()
+	sc.fn = fn
 	for i, s := range scans {
 		s.Tree.scans.Add(1)
-		queue[i] = i
-		if state[i].from = s.From; s.From == nil {
-			state[i].from = []byte{}
+		from := s.From
+		if from == nil {
+			from = []byte{}
 		}
+		sc.state = append(sc.state, manyScan{from: from})
+		sc.queue = append(sc.queue, i)
 	}
-	for len(queue) > 0 {
+	for len(sc.queue) > 0 {
 		// (1) Resolve: scans off the front of the queue until the load holds
 		// maxBatchLeaves distinct leaves.
-		round, leaves, arena = round[:0], leaves[:0], arena[:0]
-		clear(index)
+		sc.newLoad()
 		n := 0
-		for ; n < len(queue) && len(leaves) < maxBatchLeaves; n++ {
-			cur = queue[n]
-			s, t := &state[cur], scans[cur].Tree
+		for ; n < len(sc.queue) && len(sc.leaves) < maxBatchLeaves; n++ {
+			sc.cur = sc.queue[n]
+			s, t := &sc.state[sc.cur], scans[sc.cur].Tree
 			// A packed super-vertex tree answers from memory.
 			if blk, runs, ok := t.blockView(h); ok {
-				if blk.scan(runs, s.from, scans[cur].To, limit-s.delivered, h, emit); stopped {
+				if blk.scan(runs, s.from, scans[sc.cur].To, limit-s.delivered, h, sc.emit); sc.stopped {
 					return nil
 				}
 				continue
 			}
 			e := t.latchLeaf(s.from)
-			li, seen := index[e]
+			li, seen := sc.index[e]
 			if !seen {
-				li, index[e] = len(leaves), len(leaves)
+				li = len(sc.leaves)
+				sc.index[e] = li
 				base, deltas := e.locs()
-				start := len(arena)
-				arena = append(arena, deltas...)
-				leaves = append(leaves, heldLeaf{e: e, img: e.base, base: base, deltas: arena[start:len(arena):len(arena)]})
+				start := len(sc.arena)
+				sc.arena = append(sc.arena, deltas...)
+				sc.leaves = append(sc.leaves, heldLeaf{e: e, img: e.base, base: base, deltas: sc.arena[start:len(sc.arena):len(sc.arena)]})
 				// One cache lookup per distinct leaf: several scans on one
 				// leaf are one lookup, because that is what happens, and a
 				// leaf whose fetched image cannot be used is still this one.
@@ -127,29 +170,31 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			}
 			e.mu.Unlock()
 			s.leaf = li
-			round = append(round, cur)
+			sc.round = append(sc.round, sc.cur)
 		}
-		queue = queue[n:]
+		// The rest of the queue moves to its front; the continuations join
+		// it behind, in the room the resolved scans left.
+		sc.queue = sc.queue[:copy(sc.queue, sc.queue[n:])]
 
 		// (2) Fetch every cold leaf of the load in one storage round.
-		m.loadHeld(leaves)
+		m.loadHeld(sc)
 
 		// (3) Walk each scan over the images the load holds.
-		for _, cur = range round {
-			s, sc := &state[cur], scans[cur]
-			more, err := sc.Tree.scanHeld(&leaves[s.leaf], s, sc.To, limit, h, emit)
-			if err != nil || stopped {
+		for _, sc.cur = range sc.round {
+			s, rs := &sc.state[sc.cur], scans[sc.cur]
+			more, err := rs.Tree.scanHeld(&sc.leaves[s.leaf], s, rs.To, limit, h, sc.emit)
+			if err != nil || sc.stopped {
 				return err
 			}
 			if more {
-				queue = append(queue, cur)
+				sc.queue = append(sc.queue, sc.cur)
 			}
 		}
 	}
 	return nil
 }
 
-// loadHeld fetches the records locs named for every cold leaf among leaves
+// loadHeld fetches the records locs named for every cold leaf of the load
 // (the ones resolved without an image) in one storage.ReadBatchEach and
 // turns them into images (Mapping.image). It is the one load that runs
 // unlatched — a hop cannot hold every page's latch across its round trip —
@@ -158,15 +203,15 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 // whose round trip failed (its extent was reclaimed between the snapshot and
 // the read) or whose image does not decode is left without one: scanLeaf
 // materializes that page alone, which reads under the latch and reports.
-func (m *Mapping) loadHeld(leaves []heldLeaf) {
-	var locs []storage.Loc
+func (m *Mapping) loadHeld(sc *hopScratch) {
 	var store *storage.Store
+	sc.locs = sc.locs[:0]
 	cold := 0
-	for i := range leaves {
-		if h := &leaves[i]; h.img == nil {
+	for i := range sc.leaves {
+		if h := &sc.leaves[i]; h.img == nil {
 			cold++
 			store = h.e.tree.store
-			locs = appendPageLocs(locs, h.base, h.deltas)
+			sc.locs = appendPageLocs(sc.locs, h.base, h.deltas)
 		}
 	}
 	if cold == 0 {
@@ -174,10 +219,11 @@ func (m *Mapping) loadHeld(leaves []heldLeaf) {
 	}
 	m.batchLoadPages.Observe(int64(cold))
 	start := time.Now()
-	bufs, errs := store.ReadBatchEach(locs)
+	var errs []error
+	sc.bufs, errs = store.ReadBatchEach(sc.locs, sc.bufs)
 	off := 0
-	for i := range leaves {
-		h := &leaves[i]
+	for i := range sc.leaves {
+		h := &sc.leaves[i]
 		if h.img != nil {
 			continue
 		}
@@ -193,7 +239,7 @@ func (m *Mapping) loadHeld(leaves []heldLeaf) {
 			}
 		}
 		if !failed {
-			if img, err := m.image(bufs[off:off+n], !h.base.IsZero()); err == nil {
+			if img, err := m.image(sc.bufs[off:off+n], !h.base.IsZero()); err == nil {
 				h.img, h.fresh = img, true
 			}
 		}

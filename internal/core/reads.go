@@ -76,16 +76,13 @@ func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int,
 
 // NeighborsMany implements graph.FrontierReader: the whole frontier is one
 // ScanManyAt — every cold leaf it starts on is fetched in one storage round.
-// The walk decodes edge keys only.
+// The frontier's vertex IDs are its owners as they are. The walk decodes edge
+// keys only.
 func (g graphReads) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
 	lo, hi := graph.EdgeTypeBounds(typ)
-	owners := make([]forest.OwnerID, len(srcs))
-	for i, s := range srcs {
-		owners[i] = forest.OwnerID(s)
-	}
-	return g.forest.ScanManyAt(owners, lo, hi, limit, g.horizon, func(owner forest.OwnerID, k, _ []byte) bool {
+	return forest.ScanManyAt(g.forest, srcs, lo, hi, limit, g.horizon, func(src graph.VertexID, k, _ []byte) bool {
 		_, dst, err := graph.DecodeEdgeKey(k)
-		return err != nil || fn(graph.VertexID(owner), dst)
+		return err != nil || fn(src, dst)
 	})
 }
 

@@ -149,33 +149,32 @@ func (f *Forest) BuildEdgeBlocks() (int, error) {
 // InitTreeID returns the ID of the shared INIT tree.
 func (f *Forest) InitTreeID() bwtree.TreeID { return f.init.ID() }
 
-// compositeKey prefixes key with the big-endian owner ID, preserving
-// per-owner key order inside the INIT tree.
-func compositeKey(owner OwnerID, key []byte) []byte {
-	buf := make([]byte, 8+len(key))
-	binary.BigEndian.PutUint64(buf, uint64(owner))
-	copy(buf[8:], key)
-	return buf
+// appendCompositeKey appends owner's INIT-tree key for key to buf: the
+// big-endian owner ID, then key, which keeps each owner's keys together and
+// in order. It is the one builder of composite keys — a write run's, a point
+// read's, a range's bounds (appendOwnerRange) — so each caller decides where
+// they live: an arena, or a buffer on its stack.
+func appendCompositeKey(buf []byte, owner OwnerID, key []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(buf, uint64(owner)), key...)
 }
 
-// ownerUpperBound is the exclusive upper bound of an owner's INIT keyspace.
-func ownerUpperBound(owner OwnerID) []byte {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, uint64(owner)+1)
-	if owner == ^OwnerID(0) {
-		return nil // +inf
+// appendOwnerRange appends to buf the bounds of the INIT-tree range holding
+// [from, to) of owner's key space (nil: unbounded) and returns them as
+// capacity-clipped slices of the extended buf. An open to ends at the next
+// owner's first key; past the last owner, hi is nil (+inf).
+func appendOwnerRange(buf []byte, owner OwnerID, from, to []byte) (_, lo, hi []byte) {
+	start := len(buf)
+	buf = appendCompositeKey(buf, owner, from)
+	mid := len(buf)
+	switch {
+	case to != nil:
+		buf = appendCompositeKey(buf, owner, to)
+	case owner != ^OwnerID(0):
+		buf = appendCompositeKey(buf, owner+1, nil)
+	default:
+		return buf, buf[start:mid:mid], nil
 	}
-	return buf
-}
-
-// ownerRange maps [from, to) in an owner's key space (nil: unbounded) to
-// the composite-key range holding it in the INIT tree.
-func ownerRange(owner OwnerID, from, to []byte) (lo, hi []byte) {
-	lo = compositeKey(owner, from)
-	if to != nil {
-		return lo, compositeKey(owner, to)
-	}
-	return lo, ownerUpperBound(owner)
+	return buf, buf[start:mid:mid], buf[mid:len(buf):len(buf)]
 }
 
 // lookupOwner returns the owner's state or nil.
@@ -304,7 +303,7 @@ func (f *Forest) applyOwner(owner OwnerID, ws []Write, waits *[]func() error) er
 		}
 		keys := make([]byte, 0, size) // one arena for the run's composite keys
 		for i, w := range ws {
-			keys = append(binary.BigEndian.AppendUint64(keys, uint64(owner)), w.Key...)
+			keys = appendCompositeKey(keys, owner, w.Key)
 			run[i] = bwtree.Write{Key: keys[len(keys)-8-len(w.Key) : len(keys) : len(keys)], Value: w.Value, Delete: w.Delete}
 		}
 	} else {
@@ -405,7 +404,7 @@ func (f *Forest) migrate(owner OwnerID, waits *[]func() error) error {
 	// storage metrics. Each INIT key is copied once and serves both runs, the
 	// dedicated tree's key being the composite one without its owner prefix.
 	var puts, dels []bwtree.Write
-	lo, hi := ownerRange(owner, nil, nil)
+	_, lo, hi := appendOwnerRange(nil, owner, nil, nil)
 	err = f.init.Scan(lo, hi, 0, func(k, v []byte) bool {
 		k = append([]byte(nil), k...)
 		puts = append(puts, bwtree.Write{Key: k[8:], Value: append([]byte(nil), v...)})

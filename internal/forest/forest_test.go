@@ -432,8 +432,8 @@ func committer(t *testing.T, st *storage.Store) *wal.GroupCommitter {
 
 func TestCompositeKeyOrdering(t *testing.T) {
 	f := func(o1, o2 uint64, k1, k2 []byte) bool {
-		c1 := compositeKey(OwnerID(o1), k1)
-		c2 := compositeKey(OwnerID(o2), k2)
+		c1 := appendCompositeKey(nil, OwnerID(o1), k1)
+		c2 := appendCompositeKey(nil, OwnerID(o2), k2)
 		switch {
 		case o1 < o2:
 			return bytes.Compare(c1, c2) < 0
@@ -449,10 +449,10 @@ func TestCompositeKeyOrdering(t *testing.T) {
 }
 
 func TestOwnerUpperBound(t *testing.T) {
-	if ub := ownerUpperBound(5); binary.BigEndian.Uint64(ub) != 6 {
+	if _, _, ub := appendOwnerRange(nil, 5, nil, nil); len(ub) != 8 || binary.BigEndian.Uint64(ub) != 6 {
 		t.Fatalf("upper bound of 5 = %v", ub)
 	}
-	if ub := ownerUpperBound(^OwnerID(0)); ub != nil {
+	if _, _, ub := appendOwnerRange(nil, ^OwnerID(0), nil, nil); ub != nil {
 		t.Fatalf("upper bound of max owner should be nil (+inf), got %v", ub)
 	}
 }

@@ -259,7 +259,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 						}
 						var got []pair
 						last := map[OwnerID]string{}
-						if err := f.ScanManyAt(owners, from, to, limit, hz.h, func(o OwnerID, k, v []byte) bool {
+						if err := ScanManyAt(f, owners, from, to, limit, hz.h, func(o OwnerID, k, v []byte) bool {
 							if mentions[o] == 1 {
 								if prev, ok := last[o]; ok && prev >= string(k) {
 									t.Errorf("%s: owner %d key %q delivered after %q", hz.name, o, k, prev)

@@ -2,6 +2,8 @@ package forest
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/wal"
@@ -47,12 +49,18 @@ func (f *Forest) treeAt(owner OwnerID, h wal.LSN) *bwtree.Tree {
 	return tree
 }
 
+// keyBufSize is the stack buffer a point read or a range read on an INIT
+// owner builds its composite keys in: an edge key (graph.EdgeKey, 10 bytes)
+// and its owner prefix fit twice over. A longer key spills to the heap.
+const keyBufSize = 40
+
 // GetAt returns the value of key under owner as of horizon h.
 func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, error) {
 	if tree := f.treeAt(owner, h); tree != nil {
 		return tree.GetAt(key, h)
 	}
-	return f.init.GetAt(compositeKey(owner, key), h)
+	var buf [keyBufSize]byte
+	return f.init.GetAt(appendCompositeKey(buf[:0], owner, key), h)
 }
 
 // ScanAt iterates owner's keys in [from, to) as of horizon h, in order.
@@ -61,11 +69,22 @@ func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn
 	if tree := f.treeAt(owner, h); tree != nil {
 		return tree.ScanAt(from, to, limit, h, fn)
 	}
-	lo, hi := ownerRange(owner, from, to)
+	var buf [2 * keyBufSize]byte
+	_, lo, hi := appendOwnerRange(buf[:0], owner, from, to)
 	return f.init.ScanAt(lo, hi, limit, h, func(k, v []byte) bool {
 		return fn(k[8:], v) // strip the owner prefix
 	})
 }
+
+// scanScratch is one ScanManyAt's range list and the arena its INIT owners'
+// bounds are built in, kept across calls in scanPool. It goes back with no
+// tree and no bound in it.
+type scanScratch struct {
+	scans []bwtree.RangeScan
+	keys  []byte
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // ScanManyAt is ScanAt for a whole traversal frontier at one horizon, with
 // the frontier — not the owner — as the unit of storage I/O: every owner
@@ -76,18 +95,31 @@ func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn
 // returning false stops the whole multi-scan. Each owner's keys arrive in
 // order and a duplicate owner is scanned once per mention, but owners
 // interleave: cross-owner order is unspecified.
-func (f *Forest) ScanManyAt(owners []OwnerID, from, to []byte, limit int, h wal.LSN, fn func(owner OwnerID, key, value []byte) bool) error {
-	scans := make([]bwtree.RangeScan, len(owners))
-	for i, owner := range owners {
-		if tree := f.treeAt(owner, h); tree != nil {
-			scans[i] = bwtree.RangeScan{Tree: tree, From: from, To: to}
+//
+// owners may be of any ID type over uint64 (a graph's vertex IDs are owners
+// as they are), so a caller hands its frontier over without converting it;
+// the scans and their bounds live in a pooled scanScratch.
+func ScanManyAt[ID ~uint64](f *Forest, owners []ID, from, to []byte, limit int, h wal.LSN, fn func(owner ID, key, value []byte) bool) error {
+	sc := scanPool.Get().(*scanScratch)
+	defer func() {
+		clear(sc.scans)
+		sc.scans, sc.keys = sc.scans[:0], sc.keys[:0]
+		scanPool.Put(sc)
+	}()
+	// Room for every owner's bounds up front: the arena never moves while
+	// the scans point into it.
+	sc.keys = slices.Grow(sc.keys, len(owners)*(16+len(from)+len(to)))
+	for _, owner := range owners {
+		if tree := f.treeAt(OwnerID(owner), h); tree != nil {
+			sc.scans = append(sc.scans, bwtree.RangeScan{Tree: tree, From: from, To: to})
 			continue
 		}
-		lo, hi := ownerRange(owner, from, to)
-		scans[i] = bwtree.RangeScan{Tree: f.init, From: lo, To: hi}
+		var lo, hi []byte
+		sc.keys, lo, hi = appendOwnerRange(sc.keys, OwnerID(owner), from, to)
+		sc.scans = append(sc.scans, bwtree.RangeScan{Tree: f.init, From: lo, To: hi})
 	}
-	return f.m.ScanManyAt(scans, limit, h, func(i int, k, v []byte) bool {
-		if scans[i].Tree == f.init {
+	return f.m.ScanManyAt(sc.scans, limit, h, func(i int, k, v []byte) bool {
+		if sc.scans[i].Tree == f.init {
 			k = k[8:] // strip the owner prefix
 		}
 		return fn(owners[i], k, v)

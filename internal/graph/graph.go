@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // VertexID identifies a vertex.
@@ -374,33 +375,41 @@ func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map
 // source contributes at least one new vertex in the common case), so a
 // batching reader does not fetch a whole frontier it will not expand.
 func KHopBudget(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) (map[VertexID]struct{}, error) {
-	frontier := []VertexID{start}
+	fb := frontierPool.Get().(*frontiers)
+	defer frontierPool.Put(fb)
+	fb.cur, fb.next = append(fb.cur[:0], start), fb.next[:0]
 	reached := make(map[VertexID]struct{}) // the visited set is this plus start
-	var next []VertexID
 	visit := func(_, dst VertexID) bool {
 		if _, seen := reached[dst]; !seen && dst != start {
 			reached[dst] = struct{}{}
-			next = append(next, dst)
+			fb.next = append(fb.next, dst)
 		}
 		return budget <= 0 || len(reached) < budget
 	}
-	for h := 0; h < hops && len(frontier) > 0; h++ {
-		next = nil
-		for len(frontier) > 0 {
-			part := frontier
+	for h := 0; h < hops && len(fb.cur) > 0; h++ {
+		for rest := fb.cur; len(rest) > 0; {
+			part := rest
 			if budget > 0 {
 				open := budget - len(reached)
 				if open <= 0 {
 					return reached, nil
 				}
-				part = frontier[:min(open, len(frontier))]
+				part = rest[:min(open, len(rest))]
 			}
-			frontier = frontier[len(part):]
+			rest = rest[len(part):]
 			if err := NeighborsMany(s, part, typ, perVertexLimit, visit); err != nil {
 				return reached, err
 			}
 		}
-		frontier = next
+		fb.cur, fb.next = fb.next, fb.cur[:0]
 	}
 	return reached, nil
 }
+
+// frontiers is KHopBudget's double buffer: the hop being expanded and the
+// one it discovers, swapped at each hop and kept across calls in
+// frontierPool, so the reached set is the one thing a traversal allocates
+// that grows with it. Vertex IDs hold no pointers: it goes back as it is.
+type frontiers struct{ cur, next []VertexID }
+
+var frontierPool = sync.Pool{New: func() any { return new(frontiers) }}

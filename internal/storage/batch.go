@@ -1,6 +1,10 @@
 package storage
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // batchGroup is the unit of one storage round trip inside a ReadBatch: all
 // requested records that live in the same extent of the same stream. The
@@ -24,7 +28,7 @@ type batchGroup struct {
 // finish. An error on any round trip fails the whole batch; the first
 // failing group (in group order) wins.
 func (s *Store) ReadBatch(locs []Loc) ([][]byte, error) {
-	out, errs := s.ReadBatchEach(locs)
+	out, errs := s.ReadBatchEach(locs, nil)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -37,14 +41,20 @@ func (s *Store) ReadBatch(locs []Loc) ([][]byte, error) {
 // span many pages (a traversal hop): a round trip that fails — its extent
 // was reclaimed between the caller's location snapshot and the read, or a
 // fault hit it — fails only the records riding it, and every other record
-// is returned. errs is nil when every round trip succeeded; otherwise
-// errs[i] is the error of the round trip locs[i] rode (nil: bufs[i] holds).
-func (s *Store) ReadBatchEach(locs []Loc) (bufs [][]byte, errs []error) {
+// is returned. It appends one view per loc to out and returns the extended
+// slice, so a caller that reads batch after batch keeps one slice for all of
+// them; bufs[len(out)+i] is locs[i]'s record, nil where its round trip
+// failed. errs is nil when every round trip succeeded; otherwise errs[i] is
+// the error of the round trip locs[i] rode.
+func (s *Store) ReadBatchEach(locs []Loc, out [][]byte) (bufs [][]byte, errs []error) {
 	if len(locs) == 0 {
-		return nil, nil
+		return out, nil
 	}
-	out := make([][]byte, len(locs))
-	groups := groupLocs(locs)
+	bufs = slices.Grow(out, len(locs))[:len(out)+len(locs)]
+	out = bufs[len(out):]
+	b := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(b)
+	groups := b.group(locs)
 
 	s.batchReads.Add(1)
 	s.batchLocs.Add(int64(len(locs)))
@@ -67,7 +77,7 @@ func (s *Store) ReadBatchEach(locs []Loc) (bufs [][]byte, errs []error) {
 				fail(g, err)
 			}
 		}
-		return out, errs
+		return bufs, errs
 	}
 	// Each group is an independent round trip against the storage service;
 	// issuing them from separate goroutines overlaps their latency exactly
@@ -87,44 +97,48 @@ func (s *Store) ReadBatchEach(locs []Loc) (bufs [][]byte, errs []error) {
 			fail(groups[i], err)
 		}
 	}
-	return out, errs
+	return bufs, errs
 }
 
-// groupLocs buckets locs by (stream, extent), preserving first-appearance
-// order of the groups and input order within each group. A page's own
-// batch (base + delta chain) is a handful of locs in two extents, and its
-// group is found by scanning the groups seen so far — a map and its
-// allocation cost more than they save there (2% of a cache-bound load's
-// CPU, measured). A
-// traversal hop batches hundreds of locs, where that scan would be
-// O(locs x groups): past linearGroupLocs the group is found through a map.
-func groupLocs(locs []Loc) []batchGroup {
-	var byExtent map[extentKey]int
-	if len(locs) > linearGroupLocs {
-		byExtent = make(map[extentKey]int)
-	}
-	groups := make([]batchGroup, 0, 2) // a page's batch: the base stream's extent and the delta stream's
-	for i, l := range locs {
-		gi, ok := byExtent[extentKey{l.Stream, l.Extent}]
-		if byExtent == nil {
-			for gi = 0; gi < len(groups) && (groups[gi].stream != l.Stream || groups[gi].extent != l.Extent); gi++ {
-			}
-			ok = gi < len(groups)
-		}
-		if !ok {
-			gi = len(groups)
-			groups = append(groups, batchGroup{stream: l.Stream, extent: l.Extent})
-			if byExtent != nil {
-				byExtent[extentKey{l.Stream, l.Extent}] = gi
-			}
-		}
-		groups[gi].idx = append(groups[gi].idx, i)
-	}
-	return groups
+// batchScratch is the grouping of one ReadBatchEach, kept across calls in
+// batchPool: idx is the index arena — every position of the caller's locs,
+// ordered group by group — and each group's idx is its run of it. It holds
+// no pointer into the store, so it goes back to the pool as it is.
+type batchScratch struct {
+	idx    []int
+	groups []batchGroup
 }
 
-// linearGroupLocs is the largest batch groupLocs groups by linear scan.
-const linearGroupLocs = 8
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// group buckets locs by (stream, extent): groups in order of first
+// appearance, input order within each. It sorts the positions by (stream,
+// extent, position) and cuts the sorted arena into runs, one per group, so a
+// page's own batch (a base record and its delta chain, a handful of locs) and
+// a traversal hop's (hundreds, over a few extents) take the same O(n log n)
+// path, with no map and no per-group slice. A run's first position is the
+// group's first appearance, which orders the groups.
+func (b *batchScratch) group(locs []Loc) []batchGroup {
+	b.idx = b.idx[:0]
+	for i := range locs {
+		b.idx = append(b.idx, i)
+	}
+	slices.SortFunc(b.idx, func(i, j int) int {
+		return cmp.Or(cmp.Compare(locs[i].Stream, locs[j].Stream), cmp.Compare(locs[i].Extent, locs[j].Extent), cmp.Compare(i, j))
+	})
+	b.groups = b.groups[:0]
+	for lo := 0; lo < len(b.idx); {
+		l := locs[b.idx[lo]]
+		hi := lo + 1
+		for hi < len(b.idx) && locs[b.idx[hi]].Stream == l.Stream && locs[b.idx[hi]].Extent == l.Extent {
+			hi++
+		}
+		b.groups = append(b.groups, batchGroup{stream: l.Stream, extent: l.Extent, idx: b.idx[lo:hi:hi]})
+		lo = hi
+	}
+	slices.SortFunc(b.groups, func(x, y batchGroup) int { return cmp.Compare(x.idx[0], y.idx[0]) })
+	return b.groups
+}
 
 // readGroup performs one coalesced round trip: fault decision and latency
 // are charged once for the group, then every record is read under a single

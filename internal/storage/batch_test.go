@@ -136,7 +136,7 @@ func TestReadBatchEachFailsOnlyTheReclaimedGroup(t *testing.T) {
 		if _, err := s.Reclaim(StreamBase, victim, nil); err != nil {
 			t.Fatal(err)
 		}
-		bufs, errs := s.ReadBatchEach(locs)
+		bufs, errs := s.ReadBatchEach(locs, nil)
 		if len(bufs) != len(locs) || len(errs) != len(locs) {
 			t.Fatalf("latency %v: %d bufs, %d errs for %d locs", latency, len(bufs), len(errs), len(locs))
 		}
@@ -159,7 +159,7 @@ func TestReadBatchEachFailsOnlyTheReclaimedGroup(t *testing.T) {
 			t.Fatalf("latency %v: ReadBatch over a reclaimed extent = %v, want ErrReclaimed", latency, err)
 		}
 		// No failure, no error slice.
-		if _, errs := s.ReadBatchEach(locs[:1]); errs != nil {
+		if _, errs := s.ReadBatchEach(locs[:1], nil); errs != nil {
 			t.Fatalf("latency %v: clean batch reported %v", latency, errs)
 		}
 	}
@@ -172,7 +172,7 @@ func TestGroupLocsKeepsFirstAppearanceOrder(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		locs = append(locs, Loc{Stream: StreamID(i % 2), Extent: ExtentID((i * 7) % 13), Offset: uint32(i)})
 	}
-	groups := groupLocs(locs)
+	groups := new(batchScratch).group(locs)
 	if len(groups) != 26 {
 		t.Fatalf("%d groups, want 26", len(groups))
 	}

@@ -57,7 +57,7 @@ func TestReadIsAView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	each, errs := s.ReadBatchEach(locs)
+	each, errs := s.ReadBatchEach(locs, nil)
 	if errs != nil {
 		t.Fatal(errs)
 	}
