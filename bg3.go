@@ -133,7 +133,8 @@ func Open(opts *Options) (*DB, error) {
 }
 
 // open builds the shape o names from cfg, o translated for the layers below.
-// Tests set what Options does not expose (cfg.storage.Faults) in between.
+// Tests set what Options does not expose in between: cfg.storage.Faults,
+// cfg.rw.CommitWindow, cfg.rw.MaxBatch and cfg.followerCache.
 func open(o Options, cfg layers) (*DB, error) {
 	if !o.Replicated && o.Shards <= 1 {
 		co := cfg.rw.Engine

@@ -20,6 +20,20 @@ func openDB(t *testing.T, opts *Options) *DB {
 	return db
 }
 
+// openLayers opens o through the seam open has for what Options does not
+// expose: set adjusts o's layers first.
+func openLayers(t *testing.T, o Options, set func(*layers)) *DB {
+	t.Helper()
+	cfg := o.layers()
+	set(&cfg)
+	db, err := open(o, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	return db
+}
+
 func TestOpenDefaults(t *testing.T) {
 	db := openDB(t, nil)
 	if err := db.AddVertex(Vertex{ID: 1, Type: VTypeUser}); err != nil {

@@ -159,7 +159,7 @@ func TestLeaderColdLoadReadsBaseOnly(t *testing.T) {
 		t.Run(fmt.Sprintf("%v/nocache=%v", tc.policy, tc.noCache), func(t *testing.T) {
 			st := storage.Open(nil)
 			m := NewMapping(0, tc.noCache)
-			tr, err := New(m, st, Config{Policy: tc.policy, NoCache: tc.noCache, ConsolidateNum: 10}, nil)
+			tr, err := New(m, st, Config{Policy: tc.policy, ConsolidateNum: 10}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,11 +77,6 @@ type Config struct {
 	// inherit its sharding.
 	CacheShards int
 
-	// NoCache disables the page cache entirely so that every read hits
-	// storage — the configuration of the Fig. 9 read-amplification
-	// experiment.
-	NoCache bool
-
 	// DisableSplit prevents page splits ("we restricted BG3 from splitting
 	// the Bw-tree", §4.3.1). Pages grow without bound; use only in
 	// controlled experiments.

@@ -84,8 +84,9 @@ func (t *Tree) DirtyCount() int {
 }
 
 // FlushDirty persists every dirty page (the group commit of §3.4: "dirty
-// pages are flushed by a background thread once they reach a threshold")
-// and returns the mapping updates describing the new durable locations.
+// pages are flushed by a background thread once they reach a threshold";
+// this repository's flusher runs on its interval alone, FlushInterval) and
+// returns the mapping updates describing the new durable locations.
 // Safe for concurrent callers (the background flusher and a manual
 // checkpoint or snapshot may overlap).
 func (t *Tree) FlushDirty() ([]MappingUpdate, error) {

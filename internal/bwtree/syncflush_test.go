@@ -12,11 +12,11 @@ import (
 // flush must keep from the persistence routine a sync tree used to have of its
 // own: the failure contract, and a cache-disabled tree that splits.
 
-func newFaultyTree(t *testing.T, cfg Config) (*Tree, *storage.FaultPlan) {
+func newFaultyTree(t *testing.T, cfg Config, noCache bool) (*Tree, *storage.FaultPlan) {
 	t.Helper()
 	plan := storage.NewFaultPlan(storage.FaultConfig{})
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16, Faults: plan})
-	tr, err := New(NewMapping(0, cfg.NoCache), st, cfg, nil)
+	tr, err := New(NewMapping(0, noCache), st, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSyncWriteFailureLeavesThePage(t *testing.T) {
 	for _, policy := range []DeltaPolicy{ReadOptimized, Traditional} {
 		for _, noCache := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/nocache=%v", policy, noCache), func(t *testing.T) {
-				tr, plan := newFaultyTree(t, Config{Policy: policy, ConsolidateNum: 3, NoCache: noCache})
+				tr, plan := newFaultyTree(t, Config{Policy: policy, ConsolidateNum: 3}, noCache)
 				want := map[string]string{}
 				for i := 0; i < 12; i++ {
 					k, v := fmt.Sprintf("k%d", i%5), fmt.Sprintf("v%d", i)
@@ -77,7 +77,7 @@ func TestSyncWriteFailureLeavesThePage(t *testing.T) {
 func TestSyncSplitFailure(t *testing.T) {
 	for _, noCache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("nocache=%v", noCache), func(t *testing.T) {
-			tr, plan := newFaultyTree(t, Config{MaxPageEntries: 8, NoCache: noCache})
+			tr, plan := newFaultyTree(t, Config{MaxPageEntries: 8}, noCache)
 			want := map[string]string{}
 			put := func(k string) error {
 				err := tr.Put([]byte(k), []byte("v"+k))
@@ -134,7 +134,7 @@ func TestCacheDisabledSyncSplits(t *testing.T) {
 		{ReadOptimized, 4039, 2358, 301073},
 		{Traditional, 10275, 2358, 120657},
 	} {
-		tr, st := newTestTree(t, Config{Policy: c.policy, MaxPageEntries: 16, NoCache: true})
+		tr, st := newTreeOn(t, NewMapping(0, true), Config{Policy: c.policy, MaxPageEntries: 16})
 		want := map[string]string{}
 		for _, k := range rand.New(rand.NewSource(5)).Perm(2000) {
 			key, val := fmt.Sprintf("k%05d", k), fmt.Sprintf("v%d", k)

@@ -121,10 +121,10 @@ func (t *Tree) lead(cfg Config, logger WALLogger) error {
 }
 
 // SetLogger makes l the tree's WAL logger. A tree with one leaves its dirty
-// pages to the flusher, so it needs the page cache to keep them, and only its
-// epoch clock can advance as the log commits.
+// pages to the flusher, so it needs its mapping's page cache to keep them, and
+// only its epoch clock can advance as the log commits.
 func (t *Tree) SetLogger(l WALLogger) error {
-	if async := l != nil; async && t.cfg.NoCache || !async && t.cfg.Epochs != nil {
+	if async := l != nil; async && t.m.disabled || !async && t.cfg.Epochs != nil {
 		return fmt.Errorf("bwtree: a logger defers flushes, which needs the page cache and is what an epoch clock rides")
 	}
 	t.logger = l

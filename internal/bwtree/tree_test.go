@@ -16,8 +16,14 @@ import (
 
 func newTestTree(t *testing.T, cfg Config) (*Tree, *storage.Store) {
 	t.Helper()
+	return newTreeOn(t, NewMapping(cfg.CacheCapacity, false), cfg)
+}
+
+// newTreeOn is newTestTree registered in m; NewMapping(0, true) is a node
+// with its cache disabled.
+func newTreeOn(t *testing.T, m *Mapping, cfg Config) (*Tree, *storage.Store) {
+	t.Helper()
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
-	m := NewMapping(cfg.CacheCapacity, cfg.NoCache)
 	tr, err := New(m, st, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +504,7 @@ func TestAsyncFlushCycle(t *testing.T) {
 func TestAsyncRequiresCache(t *testing.T) {
 	st := storage.Open(nil)
 	m := NewMapping(0, true)
-	if _, err := New(m, st, Config{NoCache: true}, &stubAsyncLogger{}); err == nil {
+	if _, err := New(m, st, Config{}, &stubAsyncLogger{}); err == nil {
 		t.Fatal("a logger + no-cache should be rejected")
 	}
 }
@@ -690,16 +696,19 @@ func TestCacheEvictionFullyPinned(t *testing.T) {
 }
 
 func TestPutExDeleteExExistence(t *testing.T) {
-	configs := map[string]Config{
-		"read-optimized":  {Policy: ReadOptimized},
-		"traditional":     {Policy: Traditional},
-		"no-cache":        {Policy: ReadOptimized, NoCache: true},
-		"tiny-cache":      {Policy: Traditional, CacheCapacity: 1},
-		"low-consolidate": {Policy: Traditional, ConsolidateNum: 2},
+	configs := map[string]struct {
+		cfg      Config
+		disabled bool // the mapping's cache
+	}{
+		"read-optimized":  {Config{Policy: ReadOptimized}, false},
+		"traditional":     {Config{Policy: Traditional}, false},
+		"no-cache":        {Config{Policy: ReadOptimized}, true},
+		"tiny-cache":      {Config{Policy: Traditional, CacheCapacity: 1}, false},
+		"low-consolidate": {Config{Policy: Traditional, ConsolidateNum: 2}, false},
 	}
-	for name, cfg := range configs {
+	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
-			tr, _ := newTestTree(t, cfg)
+			tr, _ := newTreeOn(t, NewMapping(c.cfg.CacheCapacity, c.disabled), c.cfg)
 			if existed, err := tr.PutEx([]byte("k"), []byte("v1")); err != nil || existed {
 				t.Fatalf("first put: existed=%v err=%v, want false nil", existed, err)
 			}
@@ -726,7 +735,7 @@ func TestPutExDeleteExExistence(t *testing.T) {
 func TestPutExManyKeysAcrossConsolidations(t *testing.T) {
 	// Drive the page through delta appends and consolidations; existence
 	// answers must stay correct in every state of the chain.
-	tr, _ := newTestTree(t, Config{Policy: Traditional, ConsolidateNum: 3, NoCache: true})
+	tr, _ := newTreeOn(t, NewMapping(0, true), Config{Policy: Traditional, ConsolidateNum: 3})
 	for i := 0; i < 40; i++ {
 		key := []byte(fmt.Sprintf("k%02d", i%10))
 		wantExisted := i >= 10

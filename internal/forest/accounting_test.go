@@ -296,7 +296,7 @@ func TestForestRegisterMetrics(t *testing.T) {
 func TestForestAccountingNoCache(t *testing.T) {
 	st := newTestStoreForCfg(t)
 	m := bwtree.NewMapping(0, true)
-	f, err := New(m, st, Config{Tree: bwtree.Config{NoCache: true}}, nil)
+	f, err := New(m, st, Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			cfg := Config{
 				SplitThreshold: 48,
 				Tree: bwtree.Config{
-					MaxPageEntries: 16, ConsolidateNum: 4, NoCache: cc.disabled,
+					MaxPageEntries: 16, ConsolidateNum: 4,
 					EdgeBlockMinEntries: 200,
 				},
 			}

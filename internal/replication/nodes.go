@@ -49,14 +49,10 @@ type RWOptions struct {
 	// order (0 or 1: serial, one append at a time).
 	PipelineDepth int
 
-	// FlushInterval drives the background dirty-page flusher; 0 disables
-	// the background thread (call Checkpoint manually).
+	// FlushInterval drives the background dirty-page flusher: a cycle runs
+	// this long after the last one returned. 0 disables the background
+	// thread (call Checkpoint manually).
 	FlushInterval time.Duration
-
-	// FlushThreshold additionally triggers a flush when this many dirty
-	// pages accumulate (0: interval only) — the paper's "once the
-	// accumulated dirty pages reach a specific threshold".
-	FlushThreshold int
 }
 
 // engineOptions is the engine configuration every leader runs with: the
@@ -231,28 +227,17 @@ func (n *RWNode) Stop() {
 
 func (n *RWNode) flushLoop() {
 	defer close(n.done)
-	// Tick at a fraction of the flush interval so the dirty-page
-	// threshold is noticed promptly between interval flushes.
-	tick := n.opts.FlushInterval / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	last := time.Now()
+	timer := time.NewTimer(n.opts.FlushInterval)
+	defer timer.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
-		case <-ticker.C:
-			due := time.Since(last) >= n.opts.FlushInterval ||
-				(n.opts.FlushThreshold > 0 && n.engine.DirtyCount() >= n.opts.FlushThreshold)
-			if due {
-				// Errors mean the store is closing; the loop keeps
-				// ticking until stopped.
-				_ = n.Checkpoint()
-				last = time.Now()
-			}
+		case <-timer.C:
+			// Errors mean the store is closing; the loop keeps
+			// flushing until stopped.
+			_ = n.Checkpoint()
+			timer.Reset(n.opts.FlushInterval)
 		}
 	}
 }

@@ -182,10 +182,7 @@ func TestCheckpointTruncatesROBuffers(t *testing.T) {
 }
 
 func TestBackgroundFlusherCheckpoints(t *testing.T) {
-	rw, ro, _ := newPair(t, RWOptions{
-		FlushInterval:  2 * time.Millisecond,
-		FlushThreshold: 16,
-	}, time.Millisecond)
+	rw, ro, _ := newPair(t, RWOptions{FlushInterval: 2 * time.Millisecond}, time.Millisecond)
 	for i := 0; i < 300; i++ {
 		if err := rw.AddEdge(graph.Edge{Src: 3, Dst: graph.VertexID(i), Type: graph.ETypeFollow}); err != nil {
 			t.Fatal(err)

@@ -106,16 +106,6 @@ type Options struct {
 	// epoch clock, and a batch over several shards its two-phase commit.
 	Shards int
 
-	// CommitWindow is the WAL group-commit accumulation window
-	// (replicated mode; 0: a waiting writer commits as soon as a pipeline
-	// slot is free).
-	CommitWindow time.Duration
-
-	// CommitMaxBatch caps a WAL commit group and doubles as the size
-	// trigger that cuts a flush before CommitWindow elapses (replicated
-	// mode; 0: 64).
-	CommitMaxBatch int
-
 	// CommitPipelineDepth keeps up to this many WAL group appends in
 	// flight concurrently (BtrLog-style commit pipelining). Storage
 	// completions may land out of order, but commit acks always release in
@@ -124,32 +114,30 @@ type Options struct {
 	CommitPipelineDepth int
 
 	// FlushInterval drives the background dirty-page flusher (replicated
-	// mode; default 50ms). FlushThreshold additionally triggers a flush at
-	// that many dirty pages. Every flush publishes a checkpoint that also
+	// mode; default 50ms). Every flush publishes a checkpoint that also
 	// names a slice of the pages, and trims the WAL before the last rotation
 	// of them: that bounds both the log a new replica reads and the space the
 	// WAL occupies, with no snapshot to take.
-	FlushInterval  time.Duration
-	FlushThreshold int
+	FlushInterval time.Duration
 
 	// ReplicaPollInterval is how often replicas tail the WAL.
 	// Default 5ms.
 	ReplicaPollInterval time.Duration
-
-	// ReplicaCacheCapacity bounds each replica's page cache
-	// (0 = unlimited).
-	ReplicaCacheCapacity int
 }
 
 // layers is Options translated for the layers below the root API. Both
 // shapes Open builds start from it — a bare engine from rw.Engine over
 // storage, a leader set by handing storage and rw to the shard group — so
-// each knob is mapped, and each default stated, exactly once.
+// each knob is mapped, and each default stated, exactly once. A setting no
+// deployment makes has no Options field: the tests that need one set it here
+// and open through open — storage.Faults, rw.CommitWindow, rw.MaxBatch and
+// followerCache.
 type layers struct {
 	storage storage.Options
 	rw      replication.RWOptions
 
-	// followerPoll and followerCache configure attached read-only nodes.
+	// followerPoll and followerCache configure attached read-only nodes
+	// (followerCache 0: an unbounded page cache).
 	followerPoll  time.Duration
 	followerCache int
 }
@@ -206,13 +194,9 @@ func (o Options) layers() layers {
 				GCInterval:        o.GCInterval,
 				GCBatch:           o.GCBatch,
 			},
-			CommitWindow:   o.CommitWindow,
-			MaxBatch:       o.CommitMaxBatch,
-			PipelineDepth:  o.CommitPipelineDepth,
-			FlushInterval:  flush,
-			FlushThreshold: o.FlushThreshold,
+			PipelineDepth: o.CommitPipelineDepth,
+			FlushInterval: flush,
 		},
-		followerPoll:  poll,
-		followerCache: o.ReplicaCacheCapacity,
+		followerPoll: poll,
 	}
 }

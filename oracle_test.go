@@ -80,7 +80,7 @@ var oracleTypes = []EdgeType{ETypeFollow, ETypeLike}
 // migrate mostly because INIT outgrows its cap.
 func oracleOptions(shape string) Options {
 	o := Options{
-		MaxPageEntries: 16, CacheCapacity: 4, ReplicaCacheCapacity: 4, ExtentSize: 8 << 10,
+		MaxPageEntries: 16, CacheCapacity: 4, ExtentSize: 8 << 10,
 		ForestSplitThreshold: 32, ForestInitSizeThreshold: 24, EdgeBlockThreshold: 64,
 		FlushInterval: time.Hour, ReplicaPollInterval: time.Hour,
 	}
@@ -92,10 +92,15 @@ func oracleOptions(shape string) Options {
 	}
 	if o.Replicated || o.Shards > 1 {
 		// A batch's groups overlap in flight, so a crash can leave debris.
-		o.CommitPipelineDepth, o.CommitMaxBatch = 4, 4
+		o.CommitPipelineDepth = 4
 	}
 	return o
 }
+
+// oracleLayers sets what the step oracle needs below Options: followers cache
+// as few pages as leaders, and a commit group holds at most 4 records, so a
+// batch spans several groups.
+func oracleLayers(cfg *layers) { cfg.followerCache, cfg.rw.MaxBatch = 4, 4 }
 
 func TestOracle(t *testing.T) {
 	// Besides 1-4, seeds that found a defect: 8 (a promoted leader's GC
@@ -567,6 +572,7 @@ type oracleRun struct {
 func newOracleRun(t *testing.T, shape string, seed int64) *oracleRun {
 	o := oracleOptions(shape)
 	cfg := o.layers()
+	oracleLayers(&cfg)
 	r := &oracleRun{t: t, shape: shape, seed: seed, rng: rand.New(rand.NewSource(seed)),
 		truth: newTruth(), tags: map[string]bool{}, zombies: map[string]bool{}}
 	if o.Replicated || o.Shards > 1 {
@@ -1324,9 +1330,9 @@ func TestOracleSemantics(t *testing.T) {
 // long enough for the readers to check a few hundred cuts.
 func oracleConcurrent(t *testing.T, shape string) {
 	o := oracleOptions(shape)
-	o.CacheCapacity, o.ReplicaCacheCapacity = 16, 0
-	o.CommitPipelineDepth, o.CommitMaxBatch, o.CommitWindow = 8, 16, 100*time.Microsecond
-	db := openDB(t, &o)
+	o.CacheCapacity, o.CommitPipelineDepth = 16, 8
+	const maxBatch = 16
+	db := openLayers(t, o, func(cfg *layers) { cfg.rw.MaxBatch, cfg.rw.CommitWindow = maxBatch, 100*time.Microsecond })
 	logs := logsOf(db)
 	const (
 		hub            = VertexID(1)
@@ -1513,6 +1519,20 @@ func oracleConcurrent(t *testing.T, shape string) {
 	st := db.Stats()
 	t.Logf("%d failovers, %d fenced records skipped, %d blocks packed racing the readers",
 		st.Replication.Failovers, skips, built)
+
+	// The commit settings reached every leader, promoted ones included: a
+	// setting that fell back to its default would show here.
+	t.Run("commit-settings-on-every-leader", func(t *testing.T) {
+		for i := range db.Shards() {
+			snap := db.leader(i).Engine().Metrics().Snapshot()
+			if depth := snap["wal.pipeline_depth"].Value; depth != int64(o.CommitPipelineDepth) {
+				t.Errorf("shard %d: wal.pipeline_depth = %d, want %d", i, depth, o.CommitPipelineDepth)
+			}
+			if g := snap["wal.group_size"].IntHistogram; g == nil || g.Max > maxBatch {
+				t.Errorf("shard %d: wal.group_size = %+v, want a max of at most %d", i, g, maxBatch)
+			}
+		}
+	})
 
 	// Each pinned traversal read exactly the log's state at its epoch vector,
 	// a group boundary of every shard, and its cut holds every batch over

@@ -96,8 +96,8 @@ func TestReadersNeverWriteStorage(t *testing.T) {
 	for _, replicated := range []bool{false, true} {
 		t.Run(fmt.Sprintf("replicated=%v", replicated), func(t *testing.T) {
 			o := gcOpts
-			o.Replicated, o.ReplicaCacheCapacity = replicated, 2
-			db := openDB(t, &o)
+			o.Replicated = replicated
+			db := openLayers(t, o, func(cfg *layers) { cfg.followerCache = 2 })
 			readViewGraph(t, db, 0)
 			readViewGraph(t, db, 1)
 			held := holdRecords(t, db.eng(0).Store())

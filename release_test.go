@@ -14,12 +14,16 @@ import (
 // of overwrites leave GC work behind.
 var releaseOpts = Options{ExtentSize: 4 << 10, MaxPageEntries: 16}
 
-// eachReplicated runs fn on a leader set opened from o at 1 shard ("DB") and
-// at 2 and 4 ("shards=N").
-func eachReplicated(t *testing.T, o Options, fn func(t *testing.T, db *DB)) {
-	t.Run("DB", func(t *testing.T) { fn(t, replicatedDB(t, o, 1)) })
+// eachReplicated runs fn on a leader set opened from o, its layers adjusted by
+// set, at 1 shard ("DB") and at 2 and 4 ("shards=N").
+func eachReplicated(t *testing.T, o Options, set func(*layers), fn func(t *testing.T, db *DB)) {
+	openAt := func(t *testing.T, shards int) *DB {
+		o.Replicated, o.Shards = true, shards
+		return openLayers(t, o, set)
+	}
+	t.Run("DB", func(t *testing.T) { fn(t, openAt(t, 1)) })
 	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, replicatedDB(t, o, shards)) })
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fn(t, openAt(t, shards)) })
 	}
 }
 
@@ -73,9 +77,8 @@ func condemned(db *DB) (n int64) {
 // holds the condemned extents the same way: until the replica has applied the
 // checkpoint that names their records' new locations.
 func TestFollowerReadsThroughGC(t *testing.T) {
-	o := releaseOpts
-	o.ReplicaCacheCapacity = 1
-	eachReplicated(t, o, func(t *testing.T, db *DB) {
+	oneCachedPage := func(cfg *layers) { cfg.followerCache = 1 }
+	eachReplicated(t, releaseOpts, oneCachedPage, func(t *testing.T, db *DB) {
 		rep, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +107,7 @@ func TestFollowerReadsThroughGC(t *testing.T) {
 func TestStoppedFollowerDetaches(t *testing.T) {
 	o := releaseOpts
 	o.ReplicaPollInterval = time.Hour // the replica applies nothing on its own
-	eachReplicated(t, o, func(t *testing.T, db *DB) {
+	eachReplicated(t, o, func(*layers) {}, func(t *testing.T, db *DB) {
 		rep, err := db.OpenReplica()
 		if err != nil {
 			t.Fatal(err)

@@ -159,10 +159,10 @@ func TestFollowerKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 	// The counters below are the shared store's, and the leader's flusher and
 	// a follower's tailing loop use that store too: both are driven by hand
 	// here, Checkpoint and Sync.
-	db := loadFanOut(t, openDB(t, &Options{
-		Replicated: true, ForestSplitThreshold: 64, CacheCapacity: 64, ReplicaCacheCapacity: 64,
+	db := loadFanOut(t, openLayers(t, Options{
+		Replicated: true, ForestSplitThreshold: 64, CacheCapacity: 64,
 		FlushInterval: time.Hour, ReplicaPollInterval: time.Hour,
-	}))
+	}, func(cfg *layers) { cfg.followerCache = 64 }))
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
