@@ -1,0 +1,78 @@
+//go:build !race
+
+package bg3
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+)
+
+// The allocation pin runs without the race detector, whose instrumentation
+// changes what escapes and how much an allocation costs.
+
+var reachedSink map[VertexID]struct{}
+
+// bytesPerCall reports the mean bytes one call of fn allocates, with the
+// collector off so no pool is emptied mid-measurement.
+func bytesPerCall(runs int, fn func()) int {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestShardedKHopAllocatesItsAnswer: once the pools are warm, a 3-hop KHop
+// on four shards — every hop a scatter over all of them — allocates the
+// map it returns plus a constant per hop (the snapshot pin, one goroutine
+// per touched shard). The per-shard frontier parts and edge lists are
+// pooled; allocated per hop they cost about four times the answer.
+func TestShardedKHopAllocatesItsAnswer(t *testing.T) {
+	const vertices, hops = 2000, 3
+	db := openDB(t, &Options{Shards: 4, FlushInterval: time.Hour}) // no flush cycle allocates mid-measurement
+	for i := 0; i < vertices*16; i++ {
+		if err := db.AddEdge(Edge{Src: VertexID(i % vertices), Dst: VertexID((i/vertices*131 + i*7) % vertices), Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := db.KHop(1, ETypeFollow, hops, 16) // also warms the pools
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 500 {
+		t.Fatalf("fixture: %d hops reach %d vertices", hops, len(want))
+	}
+	ids := make([]VertexID, 0, len(want))
+	for v := range want {
+		ids = append(ids, v)
+	}
+	answer := bytesPerCall(50, func() {
+		m := make(map[VertexID]struct{}, len(ids))
+		for _, v := range ids {
+			m[v] = struct{}{}
+		}
+		reachedSink = m
+	})
+	// The least of five rounds: a hop's goroutines can move the traversal to
+	// another P, whose pool a call may still find empty.
+	got := math.MaxInt
+	for round := 0; round < 5; round++ {
+		got = min(got, bytesPerCall(20, func() {
+			reachedSink, err = db.KHop(1, ETypeFollow, hops, 16)
+		}))
+	}
+	if err != nil || len(reachedSink) != len(want) {
+		t.Fatalf("KHop reached %d (%v), want %d", len(reachedSink), err, len(want))
+	}
+	const perHop = 1024
+	t.Logf("%d-hop KHop on 4 shards reaching %d: %d B per call, its answer alone %d B", hops, len(want), got, answer)
+	if got > answer+hops*perHop {
+		t.Fatalf("%d-hop KHop on 4 shards reaching %d allocates %d B per call, want <= its answer's %d B + %d per hop", hops, len(want), got, answer, perHop)
+	}
+}

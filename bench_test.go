@@ -207,34 +207,46 @@ func BenchmarkBG3Neighbors(b *testing.B) {
 
 // BenchmarkBG3KHop measures 1-, 2- and 3-hop limit-16 traversals over a
 // graph that does not fit a 64-page cache, so every hop batch-loads cold
-// leaves (Table 1's recommendation read). B/op and allocs/op are the hop
-// path's bookkeeping beside the reached set it returns.
+// leaves (Table 1's recommendation read), on a bare engine and on four
+// shards (every hop a scatter). B/op is the reached set the traversal
+// returns, allocated once at its final size, plus the bookkeeping of each
+// hop; the hop's scratch is pooled.
 func BenchmarkBG3KHop(b *testing.B) {
 	const vertices = 2000
-	db, err := bg3.Open(&bg3.Options{CacheCapacity: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	for i := 0; i < vertices*32; i++ {
-		if err := db.AddEdge(bg3.Edge{
-			Src: bg3.VertexID(i % vertices), Dst: bg3.VertexID((i/vertices*131 + i*7) % vertices), Type: bg3.ETypeFollow,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, hops := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("hops-%d", hops), func(b *testing.B) {
-			b.ReportAllocs()
-			reached := 0
-			for i := 0; i < b.N; i++ {
-				got, err := db.KHop(bg3.VertexID(i*37%vertices), bg3.ETypeFollow, hops, 16)
-				if err != nil {
+	for _, shape := range []struct {
+		name string
+		opts bg3.Options
+	}{
+		{"bare", bg3.Options{CacheCapacity: 64}},
+		{"shards-4", bg3.Options{CacheCapacity: 64, Shards: 4}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			db, err := bg3.Open(&shape.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < vertices*32; i++ {
+				if err := db.AddEdge(bg3.Edge{
+					Src: bg3.VertexID(i % vertices), Dst: bg3.VertexID((i/vertices*131 + i*7) % vertices), Type: bg3.ETypeFollow,
+				}); err != nil {
 					b.Fatal(err)
 				}
-				reached += len(got)
 			}
-			b.ReportMetric(float64(reached)/float64(b.N), "reached/op")
+			for _, hops := range []int{1, 2, 3} {
+				b.Run(fmt.Sprintf("hops-%d", hops), func(b *testing.B) {
+					b.ReportAllocs()
+					reached := 0
+					for i := 0; i < b.N; i++ {
+						got, err := db.KHop(bg3.VertexID(i*37%vertices), bg3.ETypeFollow, hops, 16)
+						if err != nil {
+							b.Fatal(err)
+						}
+						reached += len(got)
+					}
+					b.ReportMetric(float64(reached)/float64(b.N), "reached/op")
+				})
+			}
 		})
 	}
 }

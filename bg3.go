@@ -263,7 +263,8 @@ func (db *DB) ApplyBatchEx(muts []Mutation) ([]ShardOutcome, error) {
 
 // KHop expands hops levels of out-neighbors from start, returning the set
 // of vertices reached (excluding start). perVertexLimit bounds per-vertex
-// fan-out (<= 0: unlimited).
+// fan-out (<= 0: unlimited). The map is freshly allocated, at its final
+// size, and belongs to the caller.
 //
 // The whole traversal runs against one Snapshot: every hop sees each shard
 // as of the same group-commit boundary, so concurrent batches cannot tear a

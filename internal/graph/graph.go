@@ -359,7 +359,7 @@ func NeighborsEach(s Reader, srcs []VertexID, typ EdgeType, limit int, fn func(s
 // given type, returning the set of vertices reached (excluding start).
 // perVertexLimit bounds the neighbors expanded per vertex (<= 0:
 // unlimited) — the multi-hop neighbor query of the Douyin-recommendation
-// workload.
+// workload. The map is freshly allocated and belongs to the caller.
 func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map[VertexID]struct{}, error) {
 	return KHopBudget(s, start, typ, hops, perVertexLimit, 0)
 }
@@ -374,42 +374,83 @@ func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map
 // budget a hop is fed in slices no larger than the budget still open (a
 // source contributes at least one new vertex in the common case), so a
 // batching reader does not fetch a whole frontier it will not expand.
+// The walk runs in pooled scratch; the map it returns, on every path (the
+// partial set on error), is allocated once, at its final size.
 func KHopBudget(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) (map[VertexID]struct{}, error) {
 	fb := frontierPool.Get().(*frontiers)
-	defer frontierPool.Put(fb)
-	fb.cur, fb.next = append(fb.cur[:0], start), fb.next[:0]
-	reached := make(map[VertexID]struct{}) // the visited set is this plus start
-	visit := func(_, dst VertexID) bool {
-		if _, seen := reached[dst]; !seen && dst != start {
-			reached[dst] = struct{}{}
-			fb.next = append(fb.next, dst)
-		}
-		return budget <= 0 || len(reached) < budget
-	}
-	for h := 0; h < hops && len(fb.cur) > 0; h++ {
-		for rest := fb.cur; len(rest) > 0; {
-			part := rest
-			if budget > 0 {
-				open := budget - len(reached)
-				if open <= 0 {
-					return reached, nil
-				}
-				part = rest[:min(open, len(rest))]
-			}
-			rest = rest[len(part):]
-			if err := NeighborsMany(s, part, typ, perVertexLimit, visit); err != nil {
-				return reached, err
-			}
-		}
-		fb.cur, fb.next = fb.next, fb.cur[:0]
-	}
-	return reached, nil
+	defer fb.release()
+	err := fb.expand(s, start, typ, hops, perVertexLimit, budget)
+	return fb.reached(), err
 }
 
-// frontiers is KHopBudget's double buffer: the hop being expanded and the
-// one it discovers, swapped at each hop and kept across calls in
-// frontierPool, so the reached set is the one thing a traversal allocates
-// that grows with it. Vertex IDs hold no pointers: it goes back as it is.
-type frontiers struct{ cur, next []VertexID }
+// frontiers is KHopBudget's scratch: the visited set (start and every
+// vertex reached) and the same vertices in discovery order, start first.
+// Every hop's frontier is the window of order the previous hop appended,
+// so the frontiers need no buffers of their own. Vertex IDs hold no
+// pointers, so nothing pooled pins an extent.
+type frontiers struct {
+	seen   map[VertexID]struct{}
+	order  []VertexID
+	budget int
+	visit  func(_, dst VertexID) bool // made once per scratch, reads budget
+}
 
-var frontierPool = sync.Pool{New: func() any { return new(frontiers) }}
+var frontierPool = sync.Pool{New: func() any {
+	fb := &frontiers{seen: make(map[VertexID]struct{})}
+	fb.visit = func(_, dst VertexID) bool {
+		n := len(fb.seen)
+		fb.seen[dst] = struct{}{} // one probe: the set grows only if dst is new
+		if len(fb.seen) > n {
+			fb.order = append(fb.order, dst)
+		}
+		return fb.budget <= 0 || len(fb.order)-1 < fb.budget
+	}
+	return fb
+}}
+
+// maxPooledVisits bounds the traversal whose scratch is pooled again:
+// clearing a map costs its capacity, so a huge visited set would tax
+// every small traversal after it.
+const maxPooledVisits = 1 << 16
+
+func (fb *frontiers) expand(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) error {
+	fb.seen[start] = struct{}{}
+	fb.order, fb.budget = append(fb.order, start), budget
+	for h, lo := 0, 0; h < hops && lo < len(fb.order); h++ {
+		for hi := len(fb.order); lo < hi; {
+			part := fb.order[lo:hi:hi] // visit appends past hi
+			if budget > 0 {
+				open := budget - (len(fb.order) - 1)
+				if open <= 0 {
+					return nil
+				}
+				part = part[:min(open, len(part))]
+			}
+			lo += len(part)
+			if err := NeighborsMany(s, part, typ, perVertexLimit, fb.visit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// reached returns the vertices reached, start excluded, in a map sized once.
+func (fb *frontiers) reached() map[VertexID]struct{} {
+	out := make(map[VertexID]struct{}, len(fb.order)-1)
+	for _, v := range fb.order[1:] {
+		out[v] = struct{}{}
+	}
+	return out
+}
+
+// release clears fb and pools it, unless its traversal outgrew
+// maxPooledVisits.
+func (fb *frontiers) release() {
+	if len(fb.order) > maxPooledVisits {
+		return
+	}
+	clear(fb.seen)
+	fb.order, fb.budget = fb.order[:0], 0
+	frontierPool.Put(fb)
+}

@@ -13,6 +13,7 @@
 package shard
 
 import (
+	"slices"
 	"sync"
 
 	"bg3/internal/graph"
@@ -92,27 +93,25 @@ func (r routed) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 // through its own reader's batched read (graph.NeighborsMany), in parallel
 // when more than one shard is touched; the per-shard edge lists are then
 // handed to fn shard by shard. A frontier on one shard streams straight
-// through.
+// through. The parts and edge lists are pooled scratch.
 func (r routed) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
 	r.router.scatterHops.Inc()
-	parts := r.router.SplitFrontier(srcs)
+	sc := scatterPool.Get().(*scatter)
+	defer sc.release()
+	sc.parts = r.router.SplitFrontier(srcs, sc.parts)
 	touched, last := 0, 0
-	for i, part := range parts {
+	for i, part := range sc.parts {
 		if len(part) > 0 {
 			touched, last = touched+1, i
 		}
 	}
 	r.router.shardReads.Add(int64(touched))
 	if touched == 1 {
-		return graph.NeighborsMany(r.at(last), parts[last], typ, limit, fn)
+		return graph.NeighborsMany(r.at(last), sc.parts[last], typ, limit, fn)
 	}
-	type shardEdges struct {
-		edges [][2]graph.VertexID // src, dst
-		err   error
-	}
-	results := make([]shardEdges, len(parts))
+	sc.results = slices.Grow(sc.results[:0], len(sc.parts))[:len(sc.parts)]
 	var wg sync.WaitGroup
-	for i, part := range parts {
+	for i, part := range sc.parts {
 		if len(part) == 0 {
 			continue
 		}
@@ -123,20 +122,42 @@ func (r routed) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit i
 				res.edges = append(res.edges, [2]graph.VertexID{src, dst})
 				return true
 			})
-		}(&results[i], r.at(i), part)
+		}(&sc.results[i], r.at(i), part)
 	}
 	wg.Wait()
-	for i := range results {
-		if results[i].err != nil {
-			return results[i].err
+	for _, res := range sc.results {
+		if res.err != nil {
+			return res.err
 		}
-		for _, e := range results[i].edges {
+		for _, e := range res.edges {
 			if !fn(e[0], e[1]) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// scatter is one scatter hop's scratch: the frontier split by owner and
+// each shard's gathered edges, kept across hops in scatterPool. It holds
+// vertex IDs only; release drops the errors and keeps the capacity.
+type scatter struct {
+	parts   [][]graph.VertexID
+	results []shardEdges
+}
+
+type shardEdges struct {
+	edges [][2]graph.VertexID // src, dst
+	err   error
+}
+
+var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
+
+func (sc *scatter) release() {
+	for i := range sc.results {
+		sc.results[i] = shardEdges{edges: sc.results[i].edges[:0]}
+	}
+	scatterPool.Put(sc)
 }
 
 // routeKey returns the vertex whose owner decides where a mutation
@@ -198,9 +219,14 @@ func (r *Router) Coordinator(parts [][]graph.Mutation) int {
 }
 
 // SplitFrontier groups a traversal frontier by owning shard, preserving
-// the input order within each group — the scatter half of one hop.
-func (r *Router) SplitFrontier(ids []graph.VertexID) [][]graph.VertexID {
-	parts := make([][]graph.VertexID, r.Shards())
+// the input order within each group — the scatter half of one hop. It
+// fills parts, reusing its groups' storage (nil: allocate), and returns
+// it with one group per shard, empty where the frontier has no vertex.
+func (r *Router) SplitFrontier(ids []graph.VertexID, parts [][]graph.VertexID) [][]graph.VertexID {
+	parts = slices.Grow(parts[:0], r.Shards())[:r.Shards()]
+	for i := range parts {
+		parts[i] = parts[i][:0]
+	}
 	for _, id := range ids {
 		s := r.Owner(id)
 		parts[s] = append(parts[s], id)

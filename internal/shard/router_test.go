@@ -30,6 +30,7 @@ func keyOf(m graph.Mutation) mutKey {
 // union is exactly the input — no duplicate, no drop.
 func TestRouterProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed9))
+	var fparts [][]graph.VertexID // reused across rounds of every shard count
 	for round := 0; round < 200; round++ {
 		n := 1 + rng.Intn(32)
 		r := NewRouter(n)
@@ -116,7 +117,10 @@ func TestRouterProperties(t *testing.T) {
 		}
 
 		// Frontier split mirrors the same properties for plain vertex sets.
-		fparts := r.SplitFrontier(ids)
+		fparts = r.SplitFrontier(ids, fparts)
+		if len(fparts) != n {
+			t.Fatalf("SplitFrontier returned %d groups, want %d", len(fparts), n)
+		}
 		count := 0
 		for s, part := range fparts {
 			for _, id := range part {

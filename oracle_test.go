@@ -521,7 +521,7 @@ type hopCount struct {
 
 func (h *hopCount) NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
 	h.scatters++
-	for _, part := range h.router.SplitFrontier(srcs) {
+	for _, part := range h.router.SplitFrontier(srcs, nil) {
 		if len(part) > 0 {
 			h.reads++
 		}
