@@ -274,6 +274,48 @@ func TestBlockWriteThenScanAllocatesBounded(t *testing.T) {
 	}
 }
 
+// TestFallbackReadCopiesNoRun: a read below a block's seal walks the leaves
+// and holds nothing of the overlay, so the write after it edits the overlay
+// run it lands in in place, as after no read at all. Were a fallback counted
+// as a take of the run directory, the next write would copy the directory and
+// a run of up to blockRunOps ops (8 KiB) for a reader that never held them.
+func TestFallbackReadCopiesNoRun(t *testing.T) {
+	tr, _, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 64, EdgeBlockRebuildOps: 1 << 20})
+	put := func(i int, v string) {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		put(i, "packed")
+	}
+	mustBuildBlock(t, tr)
+	info, _ := tr.EdgeBlock()
+	late := 0
+	write := func() { // an overwrite in the upper half: no split, and not the leaf the scan reads
+		put(1000+late*7919%1000, "late")
+		late++
+	}
+	for late < 500 {
+		write()
+	}
+	below := func() {
+		if err := tr.ScanAt(nil, nil, 16, info.Seal-1, func(k, v []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		write()
+	}
+	alone := bytesPerRun(200, write)
+	before := tr.m.BlockStatsSnapshot()
+	withRead := bytesPerRun(200, below)
+	if after := tr.m.BlockStatsSnapshot(); after.Fallbacks-before.Fallbacks != 200 || after.Hits != before.Hits {
+		t.Fatalf("fixture: the reads below the seal were not fallbacks: %+v, then %+v", before, after)
+	}
+	if withRead > alone+1024 {
+		t.Fatalf("a write costs %d B after a read below the seal and %d B alone, want within 1 KiB", withRead, alone)
+	}
+}
+
 // TestBatchLoadedImagesDoNotPinTheirGroup: a hop-wide ReadBatch returns the
 // records of one extent group by group. Were a group one allocation handed
 // out as sub-slices, each image the cache keeps would pin the whole group's

@@ -2,8 +2,6 @@ package bwtree
 
 import (
 	"bytes"
-	"log"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -14,8 +12,8 @@ import (
 
 // Packed edge blocks (ISSUE 8): the sequential-adjacency layout for
 // super-vertex dedicated trees. Once a tree's adjacency outgrows
-// EdgeBlockMinEntries, its whole content as of a sealed LSN (the MVCC
-// retention floor) is held as one resident leaf image (encode.go) — the
+// EdgeBlockMinEntries, its whole content as of a sealed LSN (the tree's write
+// horizon at the build) is held as one resident leaf image (encode.go) — the
 // format of every leaf, only as large as the tree — and read by the one
 // merge every leaf is read by (scanPage): a binary-search entry and a
 // sequential walk instead of page-at-a-time routing, latching and cache
@@ -52,39 +50,50 @@ import (
 //     TestStressOverlayReadersRaceWriters (-race) and
 //     TestBlockWriteThenScanAllocatesBounded.
 //
-// Correctness protocol (MVCC, PR 7 semantics preserved exactly):
+// Correctness protocol (MVCC). A block asks pins nothing: compaction never
+// waits on a reader, and a reader older than a build reads the older version,
+// the leaves, which keep every op above the retention floor.
 //
-//   - Seal S = retention floor at build time. Every live pin's horizon is
-//     >= the floor, so pinned readers never fall below the block; reads at
-//     h < S (defensive) walk the leaves instead (page.go). A tree without
-//     an epoch clock has no pins and folds every op into its leaves whatever
-//     its stamp: its floor, and so its seal, is "everything applied".
-//   - The overlay holds every op with LSN > S. The first build turns on
-//     capture, drains writers that entered before capture (preGate), and
-//     seeds the overlay from the leaf chains' retained history above S;
-//     rebuilds inherit the continuously captured overlay, filtered to the
-//     new seal.
-//   - A writer between LSN assignment and its overlay append is counted
-//     in blockWriters; a read at a pinned horizon observing a nonzero count
-//     walks the leaves instead, so an op can never be visible at a released
-//     epoch without being in the overlay (the committer may release the
-//     epoch before the writer reaches the overlay). A latest read (h = ∞)
-//     does not honour the gate. It owes the caller only the writes that
-//     were acknowledged before it began, and a writer appends to the
-//     overlay before it waits for its acknowledgement; an in-flight op it
-//     misses linearizes after it. Nor can it contradict a read that saw the
-//     op through a leaf: the writer holds the page latch until after its
-//     overlay append, so whoever found the op in a leaf took the latch when
-//     the op was already in the overlay.
-//   - The first build seeds the overlay before it scans the content at S,
-//     and consolidation goes on meanwhile: pins may close and the floor rise
-//     to F > S. The floor only rises (Source.PinAt refuses epochs below it,
-//     and new pins are taken at the current epoch), so once a leaf folds at
-//     F no reader below F is left. An op above S folded before both walks is
-//     in the image alone, and every reader is above it; one folded between
-//     them is in the image and the seeded overlay (replay is idempotent); one
-//     folded after both is in the seeded overlay. A rebuild reads no leaf.
-//     Pinned by TestFirstBuildAtARisenFloor.
+//   - Seal. Every build, first or rebuild, seals at the tree's write horizon
+//     (writeHorizon): the newer of the epoch clock's current epoch and the
+//     highest LSN a writer of the tree has stamped. A tree without an epoch
+//     clock has no pins and folds every op into its leaves whatever its stamp:
+//     its seal is "everything applied". A read at h >= the seal is served by
+//     the block; one below it (a reader pinned before the build) walks the
+//     leaves, and its pin holds the floor at or below h, so they are exact at
+//     h. Pinned by TestHeldPinHoldsNoBuildBack.
+//   - Invariant: the image holds every op stamped at or below the seal that
+//     the overlay does not, and the overlay every op stamped above it.
+//     Mechanism: every writer of a block-enabled tree is counted in
+//     blockWriters from blockWriteEnter, before its first LSN exists, to
+//     blockWriteExit, which raises stamped to its LSNs, then reads the capture
+//     flag and, if it is on, captures the writer's ops. The first build turns
+//     capture on, then reads the seal, then scans the leaves at it (contentAt):
+//     a writer that read the flag off is at or below the seal and in the scan,
+//     every other one in the overlay, whatever its stamp. Per key the overlay
+//     holds a suffix of the ops in LSN order (captured under the page latch),
+//     so replaying one the image has reads the same. A leaf may fold an op
+//     above the seal during the scan only once the retention floor has passed
+//     it (the floor only rises: Source.PinAt refuses epochs below it, new pins
+//     are taken at the current epoch), and then no reader below that op can
+//     exist. A rebuild folds the overlay it copied into the old image and
+//     reads no leaf. Pinned by TestFirstBuildCapturesEveryWriter.
+//   - Gate: a read at a pinned horizon observing a nonzero blockWriters walks
+//     the leaves instead, so an op can never be visible at a released epoch
+//     without being in the overlay (the committer may release the epoch before
+//     the writer reaches the overlay). A latest read (h = ∞) does not honour
+//     the gate. It owes the caller only the writes that were acknowledged
+//     before it began, and a writer appends to the overlay before it waits for
+//     its acknowledgement; an in-flight op it misses linearizes after it. Nor
+//     can it contradict a read that saw the op through a leaf: the writer holds
+//     the page latch until after its overlay append, so whoever found the op
+//     in a leaf took the latch when the op was already in the overlay. Pinned
+//     by TestStressOverlayReadersRaceWriters and
+//     TestStressLatestBlockReadsDoNotFallBack.
+//   - A first build that fails (a storage fault in the content scan) turns
+//     capture off and clears the overlay under overlayMu, where a writer
+//     re-checks the flag before it captures: no block, no overlay. Pinned by
+//     TestFailedFirstBuildLeavesNoOverlay.
 //
 // Blocks are an RW-node read-path acceleration held in memory only: nothing
 // reads a block back from storage, so nothing is written there; after
@@ -102,8 +111,8 @@ type edgeBlock struct {
 type blockState struct {
 	block        atomic.Pointer[edgeBlock]
 	blockCapture atomic.Bool
-	preGate      atomic.Int64 // writers that entered before capture was on
-	blockWriters atomic.Int64 // capturing writers between LSN assignment and overlay append
+	blockWriters atomic.Int64  // writers between blockWriteEnter and blockWriteExit
+	stamped      atomic.Uint64 // the highest LSN a writer of the tree has stamped
 
 	overlayMu  sync.Mutex
 	runs       []blockRun // the overlay: a directory of key-sorted runs (above)
@@ -111,9 +120,8 @@ type blockState struct {
 	runsBorn   uint64     // takes when the directory's array was built
 	overlayLen atomic.Int64
 
-	blockBuildMu sync.Mutex    // serializes builds (TryLock)
-	buildSpawned atomic.Bool   // one background build goroutine at a time
-	lastSkipSeal atomic.Uint64 // seal+1 of the last pin-skipped build (0 = none)
+	blockBuildMu sync.Mutex  // serializes builds (TryLock)
+	buildSpawned atomic.Bool // one background build goroutine at a time
 }
 
 // blockRun is one run of the overlay directory. born is blockState.takes when
@@ -133,29 +141,23 @@ const blockRunOps = 128
 
 // blockView returns the block and the overlay's run directory serving horizon
 // h — blk.scan(runs, ...) is the read — or ok=false when the read must walk
-// the leaves: no block, a pinned horizon with a writer mid-capture, or a
-// (defensive) horizon below the seal.
+// the leaves: no block, a horizon below the seal (a reader pinned before the
+// build), or a pinned horizon with a writer in flight. Only a read the block
+// serves takes the directory: a fallback holds nothing the next write must
+// copy.
 func (t *Tree) blockView(h wal.LSN) (*edgeBlock, []blockRun, bool) {
 	if t.blocks.block.Load() == nil {
 		return nil, nil, false
 	}
 	t.blocks.overlayMu.Lock()
-	if h != horizonAll && t.blocks.blockWriters.Load() != 0 {
+	blk, runs := t.blocks.block.Load(), t.blocks.runs // a block, once installed, stays
+	if h < blk.seal || (h != horizonAll && t.blocks.blockWriters.Load() != 0) {
 		t.blocks.overlayMu.Unlock()
 		t.m.blockFallbacks.Add(1)
 		return nil, nil, false
 	}
-	blk := t.blocks.block.Load()
-	runs := t.blocks.runs
 	t.blocks.takes++
 	t.blocks.overlayMu.Unlock()
-	if blk == nil {
-		return nil, nil, false
-	}
-	if h < blk.seal {
-		t.m.blockFallbacks.Add(1)
-		return nil, nil, false
-	}
 	t.m.blockHits.Add(1)
 	return blk, runs, true
 }
@@ -238,78 +240,41 @@ func (st *blockState) captureLocked(applied []op) {
 }
 
 // blockWriteEnter is called by applyRun before the run's first WAL record is
-// logged (before any of its LSNs exists). It returns which gate the writer
-// holds: 0 = none (blocks disabled), 1 = preGate, 2 = capturing. A run holds
-// one gate however many ops it carries: both counters are only ever compared
-// with zero.
-func (t *Tree) blockWriteEnter() int {
-	if t.cfg.EdgeBlockMinEntries <= 0 {
-		return 0
-	}
-	if t.blocks.blockCapture.Load() {
+// logged (before any of its LSNs exists): from here to blockWriteExit the
+// writer is counted in blockWriters. A run counts once however many ops it
+// carries: the count is only ever compared with zero.
+func (t *Tree) blockWriteEnter() {
+	if t.cfg.EdgeBlockMinEntries > 0 {
 		t.blocks.blockWriters.Add(1)
-		return 2
 	}
-	t.blocks.preGate.Add(1)
-	return 1
 }
 
 // blockWriteExit completes the capture protocol with the ops the run applied
-// to its leaf (none on error paths: the gate is released, nothing captured).
-// Called with the page latch still held, so per-key overlay order is per-key
-// latch order — LSN order.
-func (t *Tree) blockWriteExit(gate int, applied []op) {
-	switch gate {
-	case 1:
-		t.blocks.preGate.Add(-1)
-	case 2:
-		if len(applied) > 0 {
-			t.blocks.overlayMu.Lock()
-			t.blocks.captureLocked(applied)
-			t.addOverlayLen(int64(len(applied)))
-			t.blocks.overlayMu.Unlock()
-		}
-		t.blocks.blockWriters.Add(-1)
+// to its leaf (none on error paths: nothing captured). It raises stamped to
+// their LSNs before it reads the capture flag — so a writer that finds capture
+// off is at or below the seal of the build that turns it on — and captures
+// them if capture is on, re-checked under overlayMu, where a failed first
+// build turns it off. Called with the page latch still held, so per-key
+// overlay order is per-key latch order — LSN order.
+func (t *Tree) blockWriteExit(applied []op) {
+	if t.cfg.EdgeBlockMinEntries <= 0 {
+		return
 	}
-}
-
-// collectRetainedAbove walks the leaf chain (left to right, per-leaf
-// latch, structure read-locked) collecting every
-// overlay op with LSN above seal.
-func (t *Tree) collectRetainedAbove(seal wal.LSN) []op {
-	t.structMu.RLock()
-	defer t.structMu.RUnlock()
-	id := t.root
-	for {
-		e := t.m.get(id)
-		if e == nil {
-			return nil
+	st := &t.blocks
+	if len(applied) > 0 {
+		lsn := uint64(applied[len(applied)-1].lsn) // a run is stamped in order
+		for cur := st.stamped.Load(); lsn > cur && !st.stamped.CompareAndSwap(cur, lsn); cur = st.stamped.Load() {
 		}
-		e.mu.Lock()
-		if e.isLeaf {
-			e.mu.Unlock()
-			break
-		}
-		next := e.inner.children[0]
-		e.mu.Unlock()
-		id = next
-	}
-	var out []op
-	for id != 0 {
-		e := t.m.get(id)
-		if e == nil {
-			break
-		}
-		e.mu.Lock()
-		for _, o := range e.overlay {
-			if o.lsn > seal {
-				out = append(out, o)
+		if st.blockCapture.Load() {
+			st.overlayMu.Lock()
+			if st.blockCapture.Load() {
+				st.captureLocked(applied)
+				t.addOverlayLen(int64(len(applied)))
 			}
+			st.overlayMu.Unlock()
 		}
-		id = e.next
-		e.mu.Unlock()
 	}
-	return out
+	st.blockWriters.Add(-1)
 }
 
 // maybeBuildEdgeBlock is the flush-time build trigger: it checks the
@@ -360,15 +325,7 @@ func (t *Tree) edgeBlockWanted() bool {
 	}
 	blk := t.blocks.block.Load()
 	if blk == nil {
-		if t.puts.Load()-t.deletes.Load() < int64(t.cfg.EdgeBlockMinEntries) {
-			return false
-		}
-		// After a pin-skip, retry only once the floor has moved past the
-		// seal that was skipped — nothing changed until then.
-		if s := t.blocks.lastSkipSeal.Load(); s != 0 && t.retentionFloor() <= wal.LSN(s-1) {
-			return false
-		}
-		return true
+		return t.puts.Load()-t.deletes.Load() >= int64(t.cfg.EdgeBlockMinEntries)
 	}
 	return t.blocks.overlayLen.Load() >= int64(t.blockRebuildThreshold(blk.image.count()))
 }
@@ -401,97 +358,69 @@ func (t *Tree) BuildEdgeBlock() (bool, error) {
 
 func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	old := t.blocks.block.Load()
-
-	// Seal at the retention floor: the oldest pinned epoch, or — on a tree
-	// without an epoch clock, whose leaves fold every op whatever its stamp —
-	// everything applied.
-	seal := t.retentionFloor()
-	if old != nil && seal < old.seal {
-		seal = old.seal
-	}
-
-	var img leafImage
-	var ov []op // the overlay as a rebuild copied it: the ops in img if stamped at or below the seal
 	if old == nil {
-		estimate, ok := t.beginFirstBuild(seal)
-		if !ok {
-			return false, nil
-		}
-		var err error
-		if img, err = t.contentAt(seal, estimate); err != nil {
-			t.blocks.blockCapture.Store(false)
-			return false, err
-		}
-	} else {
-		// A rebuild is the block's consolidation: the old image with the
-		// overlay folded in at the new seal — exactly the content readers at
-		// that seal are being served already, so no leaf is read. An op
-		// captured after this copy stays in the overlay whatever its stamp
-		// (its writer may have been mid-capture).
-		t.blocks.overlayMu.Lock()
-		ov = flatten(t.blocks.runs)
-		t.blocks.overlayMu.Unlock()
-		// A rebuild that cannot shrink the overlay below the rebuild
-		// threshold (pins holding the floor down) would retrigger forever;
-		// skip it until the floor moves.
-		above := 0
-		for _, o := range ov {
-			if o.lsn > seal {
-				above++
-			}
-		}
-		if above >= t.blockRebuildThreshold(old.image.count()) {
-			t.noteBlockSkip(seal, above)
-			return false, nil
-		}
-		var err error
-		if img, err = mergeEncode(old.image, ov, nil, nil, seal); err != nil {
-			return false, err
-		}
+		return t.firstBuild()
+	}
+	// A rebuild is the block's consolidation: the old image with the overlay
+	// folded in at the new seal — exactly the content readers at that seal are
+	// being served already, so no leaf is read. An op captured after this copy
+	// stays in the overlay whatever its stamp (its writer may have been
+	// mid-capture).
+	seal := t.writeHorizon()
+	t.blocks.overlayMu.Lock()
+	ov := flatten(t.blocks.runs)
+	t.blocks.overlayMu.Unlock()
+	img, err := mergeEncode(old.image, ov, nil, nil, seal)
+	if err != nil {
+		return false, err
 	}
 	t.installBlock(old, seal, img, ov)
 	return true, nil
 }
 
-// beginFirstBuild starts the first build at seal: it clears debris from any
-// previously aborted capture, turns capture on and drains the writers that
-// entered before they could see it — from here every applied op lands in the
-// overlay — and seeds the overlay with the history the leaves retain above
-// seal. It returns the live-entry estimate, or ok=false when that history
-// already reaches the rebuild threshold (pins hold the floor down), with
+// firstBuild turns capture on, then reads the seal, then scans the content at
+// it (the correctness protocol at the top of this file). A failed scan turns
 // capture off again.
-func (t *Tree) beginFirstBuild(seal wal.LSN) (estimate int, ok bool) {
+func (t *Tree) firstBuild() (bool, error) {
+	t.resetCapture(true)
+	seal := t.writeHorizon()
+	img, err := t.contentAt(seal)
+	if err != nil {
+		t.resetCapture(false)
+		return false, err
+	}
+	t.installBlock(nil, seal, img, nil)
+	return true, nil
+}
+
+// writeHorizon is the LSN a build seals at: the newer of the epoch clock's
+// current epoch and the highest LSN the tree has stamped — or, on a tree
+// without an epoch clock, whose leaves fold every op whatever its stamp,
+// everything applied.
+func (t *Tree) writeHorizon() wal.LSN {
+	if t.cfg.Epochs == nil {
+		return horizonAll
+	}
+	return max(wal.LSN(t.cfg.Epochs.Current()), wal.LSN(t.blocks.stamped.Load()))
+}
+
+// resetCapture empties the overlay and turns capture on or off, under
+// overlayMu, where a writer re-checks the flag before it captures: a tree
+// whose first build failed holds no overlay.
+func (t *Tree) resetCapture(on bool) {
 	t.blocks.overlayMu.Lock()
 	t.blocks.runs = make([]blockRun, 1)
 	t.addOverlayLen(-t.blocks.overlayLen.Load())
+	t.blocks.blockCapture.Store(on)
 	t.blocks.overlayMu.Unlock()
-	t.blocks.blockCapture.Store(true)
-	for t.blocks.preGate.Load() != 0 {
-		runtime.Gosched()
-	}
-	seeded := t.collectRetainedAbove(seal)
-	estimate = int(max(0, t.puts.Load()-t.deletes.Load()))
-	if len(seeded) >= t.blockRebuildThreshold(estimate) {
-		t.blocks.blockCapture.Store(false)
-		t.noteBlockSkip(seal, len(seeded))
-		return 0, false
-	}
-	t.blocks.overlayMu.Lock()
-	t.blocks.runs = cutRuns(nil, sortOps(append(seeded, flatten(t.blocks.runs)...)), t.blocks.takes)
-	t.blocks.overlayMu.Unlock()
-	return estimate, true
 }
 
-// contentAt is the first build's content scan: the tree at seal as one image.
-// MVCC makes this a consistent cut for epoch trees — consolidation may fold
-// ops above seal meanwhile, once the floor has risen past them, and then no
-// reader below the floor is left to tell (the correctness protocol at the top
-// of this file); for sync trees
-// any op racing the scan is captured in the overlay, and replaying it over the
-// block is idempotent. The pairs alias page memory, which is immutable, until
-// the encode has copied them.
-func (t *Tree) contentAt(seal wal.LSN, estimate int) (leafImage, error) {
-	content := make([]op, 0, estimate)
+// contentAt is the first build's content scan: the tree at seal as one image
+// (the correctness protocol at the top of this file says why that is a cut).
+// The pairs alias page memory, which is immutable, until the encode has copied
+// them.
+func (t *Tree) contentAt(seal wal.LSN) (leafImage, error) {
+	content := make([]op, 0, max(0, t.puts.Load()-t.deletes.Load()))
 	if err := t.ScanAt(nil, nil, 0, seal, func(k, v []byte) bool {
 		content = append(content, op{key: k, val: v})
 		return true
@@ -525,7 +454,6 @@ func (t *Tree) installBlock(old *edgeBlock, seal wal.LSN, img leafImage, ov []op
 	t.addOverlayLen(int64(len(kept)) - t.blocks.overlayLen.Load())
 	t.blocks.block.Store(&edgeBlock{seal: seal, image: img})
 	t.blocks.overlayMu.Unlock()
-	t.blocks.lastSkipSeal.Store(0)
 
 	t.m.noteBlockBuilt(img.count(), int64(len(img)))
 	if old != nil {
@@ -538,16 +466,6 @@ func (t *Tree) installBlock(old *edgeBlock, seal wal.LSN, img leafImage, ov []op
 func (t *Tree) addOverlayLen(d int64) {
 	t.blocks.overlayLen.Add(d)
 	t.m.blockOverlay.Add(d)
-}
-
-// noteBlockSkip records a pin-skipped build: the metric always, the log
-// line once per distinct seal (a silent skip would mask why p99 never
-// improves while an old pin is held).
-func (t *Tree) noteBlockSkip(seal wal.LSN, retained int) {
-	t.m.blockSkips.Add(1)
-	if t.blocks.lastSkipSeal.Swap(uint64(seal)+1) != uint64(seal)+1 {
-		log.Printf("bwtree: tree %d: edge block build skipped: %d retained ops above floor %d (active pins hold the floor; will retry once it advances)", t.id, retained, seal)
-	}
 }
 
 // EdgeBlockInfo is a diagnostic snapshot of a tree's packed block.

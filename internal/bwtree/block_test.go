@@ -3,9 +3,11 @@ package bwtree
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"bg3/internal/mvcc"
@@ -129,9 +131,23 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	check("rebuilt")
 }
 
+// servedByBlock runs one scan and reports whether the block served it: it
+// fails unless exactly one of the block counters moved, by one.
+func servedByBlock(t *testing.T, tr *Tree, scan func()) bool {
+	t.Helper()
+	before := tr.m.BlockStatsSnapshot()
+	scan()
+	after := tr.m.BlockStatsSnapshot()
+	hits, fallbacks := after.Hits-before.Hits, after.Fallbacks-before.Fallbacks
+	if hits+fallbacks != 1 {
+		t.Fatalf("one scan moved the block counters by %d hits and %d fallbacks", hits, fallbacks)
+	}
+	return hits == 1
+}
+
 // TestEdgeBlockMVCCSnapshot pins an epoch before the block is built and
-// checks the pinned view reads the pre-block history exactly, while the
-// head sees the latest state through the overlay.
+// checks the pinned view reads the pre-block history exactly, through the
+// leaves, while the head sees the latest state through the block.
 func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 	// The threshold is above anything the test writes, so the write path
 	// never spawns a build of its own: one installed before the pin would
@@ -147,7 +163,7 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 	h := wal.LSN(p.Epoch())
 	want := collectAt(t, tr, h)
 
-	// Mutations past the pin: they must stay above the block's seal.
+	// Mutations past the pin.
 	if err := tr.Put([]byte("k05"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,21 +174,26 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pin holds the floor at h, so the build seals there and the three
-	// mutations land in the overlay.
+	// The build seals at the tree's write horizon, whatever the pin: at or
+	// above every stamped LSN, so the three mutations are in the image and
+	// the overlay is empty.
 	mustBuildBlock(t, tr)
 	info, ok := tr.EdgeBlock()
 	if !ok {
 		t.Fatal("no block after build")
 	}
-	if info.Seal != h {
-		t.Fatalf("seal = %d, want the pinned floor %d", info.Seal, h)
+	if stamped := tr.logger.(*stubAsyncLogger).lsn; info.Seal < stamped {
+		t.Fatalf("seal = %d, want at or above every stamped LSN (%d)", info.Seal, stamped)
 	}
-	if info.Overlay != 3 {
-		t.Fatalf("overlay = %d ops, want the 3 post-pin mutations", info.Overlay)
+	if info.Overlay != 0 {
+		t.Fatalf("overlay = %d ops, want none: every write is below the seal", info.Overlay)
 	}
 
-	got := collectAt(t, tr, h)
+	// The pinned reader is older than the build: it walks the leaves.
+	var got map[string]string
+	if servedByBlock(t, tr, func() { got = collectAt(t, tr, h) }) {
+		t.Fatalf("the read pinned at %d, below the seal %d, was served by the block", h, info.Seal)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("pinned view has %d keys, want %d", len(got), len(want))
 	}
@@ -182,7 +203,10 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 		}
 	}
 
-	head := collectAt(t, tr, horizonAll)
+	var head map[string]string
+	if !servedByBlock(t, tr, func() { head = collectAt(t, tr, horizonAll) }) {
+		t.Fatal("the latest read walked the leaves")
+	}
 	if head["k05"] != "new" || head["k99"] != "added" {
 		t.Fatalf("head view = %v, missing post-pin writes", head)
 	}
@@ -191,46 +215,65 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 	}
 }
 
-// TestEdgeBlockSkipOnOldPins holds a pin while many ops accumulate above
-// it: the build must refuse (the overlay would immediately exceed the
-// rebuild threshold) and record the skip.
-func TestEdgeBlockSkipOnOldPins(t *testing.T) {
-	// The threshold is crossed only well past the pin (write 24 of 30), so
-	// no write-path build can install a block before the pin, and any it
-	// spawns afterwards already has >= 8 ops above the pin and skips too.
+// TestHeldPinHoldsNoBuildBack holds a pin while the tree passes its build
+// threshold and, three times over, its rebuild threshold: every build seals
+// at the tree's write horizon and installs, pin or no pin. The pinned reader
+// is older than each of them: it walks the leaves, counted as a fallback, and
+// reads its epoch exactly. Latest reads, and reads pinned once the builds'
+// stamps are released, are block hits.
+func TestHeldPinHoldsNoBuildBack(t *testing.T) {
 	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 24, EdgeBlockRebuildOps: 8})
-	for i := 0; i < 10; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+	put := func(k string) {
+		t.Helper()
+		if err := tr.Put([]byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 10; i++ {
+		put(fmt.Sprintf("k%02d", i))
 	}
 	p := src.Pin()
 	defer p.Close()
-	for i := 0; i < 20; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("x%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+	h := wal.LSN(p.Epoch())
+	want := collectAt(t, tr, h)
+	for i := 0; i < 20; i++ { // the threshold is crossed at write 24
+		put(fmt.Sprintf("x%02d", i))
 	}
 	awaitSpawnedBuild(tr)
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || built {
-		t.Fatalf("build = %v, %v; want a pin skip", built, err)
+	if info, ok := tr.EdgeBlock(); !ok || info.Seal <= h {
+		t.Fatalf("block %+v ok=%v: the write path's build did not install past the pin at %d", info, ok, h)
 	}
-	if _, ok := tr.EdgeBlock(); ok {
-		t.Fatal("a block was installed despite the skip")
+	for round := 0; ; round++ {
+		var pinned, latest, fresh map[string]string
+		if servedByBlock(t, tr, func() { pinned = collectAt(t, tr, h) }) {
+			t.Fatalf("round %d: the read pinned before the build was served by the block", round)
+		}
+		if !maps.Equal(pinned, want) {
+			t.Fatalf("round %d: pinned view = %v, want %v", round, pinned, want)
+		}
+		if !servedByBlock(t, tr, func() { latest = collectAt(t, tr, horizonAll) }) {
+			t.Fatalf("round %d: the latest read walked the leaves", round)
+		}
+		q := src.Pin()
+		hit := servedByBlock(t, tr, func() { fresh = collectAt(t, tr, wal.LSN(q.Epoch())) })
+		q.Close()
+		if !hit || !maps.Equal(fresh, latest) {
+			t.Fatalf("round %d: a read pinned after the build: block hit %v, %d keys, want a hit and the %d latest", round, hit, len(fresh), len(latest))
+		}
+		if round == 3 {
+			break
+		}
+		// The overlay passes the rebuild threshold: the rebuild goes through
+		// with the pin still open.
+		for i := 0; i < 16; i++ {
+			put(fmt.Sprintf("y%d.%02d", round, i))
+		}
+		awaitSpawnedBuild(tr)
+		mustBuildBlock(t, tr)
 	}
-	if got := tr.m.BlockStatsSnapshot().SkippedPins; got == 0 {
-		t.Fatal("skip was not recorded in block stats")
+	if bs := tr.m.BlockStatsSnapshot(); bs.Builds < 4 {
+		t.Fatalf("block stats %+v: want the first build and three rebuilds", bs)
 	}
-	// The skip also suppresses retries until the floor advances.
-	if tr.edgeBlockWanted() {
-		t.Fatal("build still wanted at the same floor after a skip")
-	}
-	// Release the pin and advance the floor: the build goes through.
-	p.Close()
-	if err := tr.Put([]byte("zz"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	mustBuildBlock(t, tr)
 }
 
 // TestBlockRunDirectoryMatchesFlatOverlay drives the overlay's run directory
@@ -339,120 +382,244 @@ func TestBlockRunDirectoryMatchesFlatOverlay(t *testing.T) {
 	}
 }
 
-// TestFirstBuildAtARisenFloor drives a first build by hand and lets the floor
-// rise under it: the build seals at the floor of three pins, the oldest closes
-// and a leaf consolidates at the risen floor before the seeding walk, the next
-// closes and another leaf consolidates between the seeding walk and the
-// content scan, and a third consolidates after both. Nothing clamps the floor
-// to the seal, so the image holds ops above the seal that the overlay may not;
-// no reader below the risen floor is left to see them. Block reads at every
-// live horizon and at ∞ equal the version map — after the build, after more
-// writes and after a rebuild.
-func TestFirstBuildAtARisenFloor(t *testing.T) {
+// parkedLog is a versionLog that parks the next writer of one key, until the
+// test sends on release: before its record gets an LSN (the writer has
+// entered the capture protocol and holds its leaf's latch), or in its wait
+// (its op is in its leaf and it has left the protocol, but the clock has not
+// released it). It sends on parked once the writer is parked.
+type parkedLog struct {
+	*versionLog
+	mu      sync.Mutex
+	key     string
+	inWait  bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+// park arms the log for the next record of key.
+func (l *parkedLog) park(key []byte, inWait bool) {
+	l.mu.Lock()
+	l.key, l.inWait = string(key), inWait
+	l.mu.Unlock()
+}
+
+func (l *parkedLog) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
+	l.mu.Lock()
+	hit, inWait := l.key != "" && l.key == string(rec.Key), l.inWait
+	if hit {
+		l.key = ""
+	}
+	l.mu.Unlock()
+	hold := func() {
+		l.parked <- struct{}{}
+		<-l.release
+	}
+	if hit && !inWait {
+		hold()
+	}
+	lsn, wait := l.versionLog.LogAsync(rec)
+	if hit && inWait {
+		return lsn, func() error { hold(); return wait() }
+	}
+	return lsn, wait
+}
+
+// TestFirstBuildCapturesEveryWriter drives a first build by hand through each
+// way a write meets it. Writer A enters the capture protocol before capture is
+// switched on and is stamped and exits after: its op is above the seal, so in
+// the overlay alone. Writer B exits before, its stamp not yet released by the
+// clock: the seal is the write horizon, so B is at or below it and in the
+// content scan. A leaf folds an op above the seal before the content scan
+// reaches it, once every pin below that op is closed: the image has the op
+// and so does the overlay. Then a rebuild seals past two pins still open.
+// Every read, at ∞ and at every live pin, equals the version map, and is a
+// block hit exactly when its horizon is at or above the seal.
+func TestFirstBuildCapturesEveryWriter(t *testing.T) {
 	vl := &versionLog{ref: refModel{}, src: mvcc.NewSource(0)}
+	pl := &parkedLog{versionLog: vl, parked: make(chan struct{}), release: make(chan struct{})}
 	cfg := Config{MaxPageEntries: 8, ConsolidateNum: 1, Epochs: vl.src,
 		// Above anything written: no build but the test's own.
 		EdgeBlockMinEntries: 1 << 20, EdgeBlockRebuildOps: 1 << 20}
-	tr, err := New(NewMapping(0, false), storage.Open(&storage.Options{ExtentSize: 1 << 16}), cfg, vl)
+	tr, err := New(NewMapping(0, false), storage.Open(&storage.Options{ExtentSize: 1 << 16}), cfg, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round 0 writes every key, round r > 0 a third of them, so each round
-	// leaves some key's latest version in its own interval between pins.
-	round := func(r int) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+	put := func(i int, v string) {
 		t.Helper()
-		for i := 0; i < 48; i++ {
-			if r > 0 && i%3 != r%3 {
-				continue
-			}
-			k := []byte(fmt.Sprintf("k%03d", i))
-			if (i+r)%4 == 0 {
-				err = tr.Delete(k)
-			} else {
-				err = tr.Put(k, []byte(fmt.Sprintf("v%d.%d", i, r)))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+		if err := tr.Put(key(i), []byte(v)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	round(0)
+	putAsync := func(i int, v string) chan error {
+		done := make(chan error, 1)
+		go func() { done <- tr.Put(key(i), []byte(v)) }()
+		return done
+	}
+	for i := 0; i < 48; i++ {
+		put(i, "v0")
+	}
 	if _, err := tr.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
 	var pins []*mvcc.Pin
-	for r := 1; r <= 3; r++ {
+	for r := 1; r <= 2; r++ {
 		pins = append(pins, vl.src.Pin())
-		round(r)
+		for i := r; i < 48; i += 3 {
+			put(i, fmt.Sprintf("v%d", r))
+		}
 	}
 	defer func() {
 		for _, p := range pins {
 			p.Close()
 		}
 	}()
-	leaves := leavesOf(tr)
-	if len(leaves) < 3 {
-		t.Fatalf("fixture: %d leaves, want 3", len(leaves))
-	}
-	// consolidate folds leaf i at the floor of the pins left open.
-	consolidate := func(i int) {
-		t.Helper()
-		before, e := tr.Stats().Consolidations, leaves[i]
-		pins[0].Close()
-		pins = pins[1:]
-		e.mu.Lock()
-		_, err := tr.flushPageLocked(e, nil)
-		e.mu.Unlock()
-		if err != nil || tr.Stats().Consolidations != before+1 {
-			t.Fatalf("fixture: leaf %d did not consolidate at floor %d (%v)", i, tr.retentionFloor(), err)
-		}
-	}
 	check := func(stage string) {
 		t.Helper()
+		info, ok := tr.EdgeBlock()
+		if !ok {
+			t.Fatalf("%s: no block", stage)
+		}
 		horizons := []wal.LSN{horizonAll}
 		for _, p := range pins {
 			horizons = append(horizons, wal.LSN(p.Epoch()))
 		}
 		for _, h := range horizons {
-			hits := tr.m.BlockStatsSnapshot().Hits
 			var got []string
-			if err := tr.ScanAt(nil, nil, 0, h, func(k, v []byte) bool {
-				got = append(got, string(k)+"="+string(v))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if tr.m.BlockStatsSnapshot().Hits != hits+1 {
-				t.Fatalf("%s: the read at %d walked the leaves, not the block", stage, h)
+			hit := servedByBlock(t, tr, func() {
+				if err := tr.ScanAt(nil, nil, 0, h, func(k, v []byte) bool {
+					got = append(got, string(k)+"="+string(v))
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if hit != (h >= info.Seal) {
+				t.Fatalf("%s: the read at %d, seal %d: block hit %v", stage, h, info.Seal, hit)
 			}
 			if want := vl.ref.scan("", "", 0, h); !slices.Equal(got, want) {
-				t.Fatalf("%s: block read at %d = %v, want %v", stage, h, got, want)
+				t.Fatalf("%s: read at %d = %v, want %v", stage, h, got, want)
 			}
 		}
 	}
 
-	seal := tr.retentionFloor()
-	consolidate(0) // folded before both walks: in the image alone
-	estimate, ok := tr.beginFirstBuild(seal)
-	if !ok {
-		t.Fatal("fixture: the first build skipped")
+	pl.park(key(2), false) // A, parked before its LSN exists
+	doneA := putAsync(2, "a")
+	<-pl.parked
+	pl.park(key(45), true) // B, parked in its wait
+	doneB := putAsync(45, "b")
+	<-pl.parked
+
+	tr.resetCapture(true)
+	seal := tr.writeHorizon()
+	if stampB, cur := vl.last(), wal.LSN(vl.src.Current()); seal != stampB || cur >= seal {
+		t.Fatalf("seal %d, want the write horizon: B's stamp %d, above the clock's %d", seal, stampB, cur)
 	}
-	consolidate(1) // folded between the walks: in the image and the seeded overlay
-	img, err := tr.contentAt(seal, estimate)
+	pl.release <- struct{}{}
+	if err := <-doneA; err != nil {
+		t.Fatal(err)
+	}
+	pl.release <- struct{}{}
+	if err := <-doneB; err != nil {
+		t.Fatal(err)
+	}
+
+	// The fold: every pin closes, the floor passes an op above the seal, and
+	// the leaf holding it consolidates before the content scan reads it.
+	put(30, "c")
+	for _, p := range pins {
+		p.Close()
+	}
+	pins = nil
+	before, e := tr.Stats().Consolidations, tr.latchLeaf(key(30))
+	_, err = tr.flushPageLocked(e, nil)
+	e.mu.Unlock()
+	if err != nil || tr.Stats().Consolidations != before+1 || tr.retentionFloor() <= seal {
+		t.Fatalf("fixture: the leaf did not consolidate at a floor (%d) above the seal %d (%v)", tr.retentionFloor(), seal, err)
+	}
+	pins = append(pins, vl.src.Pin())
+	img, err := tr.contentAt(seal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.installBlock(nil, seal, img, nil)
-	if tr.retentionFloor() <= seal {
-		t.Fatalf("fixture: the floor did not rise past the seal %d", seal)
+	if info, _ := tr.EdgeBlock(); info.Overlay != 2 {
+		t.Fatalf("overlay = %d ops, want A's and the folded one", info.Overlay)
+	}
+	check("built")
+
+	for i := 0; i < 48; i += 5 {
+		put(i, "d")
 	}
 	pins = append(pins, vl.src.Pin())
-	check("built")
-	consolidate(2) // folded after both: in the seeded overlay
-	check("after a fold")
-	round(4)
+	for i := 1; i < 48; i += 7 {
+		put(i, "e")
+	}
 	pins = append(pins, vl.src.Pin())
-	check("after more writes")
-	mustBuildBlock(t, tr)
+	check("written on")
+	mustBuildBlock(t, tr) // sealed above both pins
 	check("rebuilt")
+	pins = append(pins, vl.src.Pin())
+	check("pinned after the rebuild")
+}
+
+// TestFailedFirstBuildLeavesNoOverlay faults a first build's content scan
+// with a write captured mid-build — made on the build's own goroutine when its
+// read of a cold leaf fails: the build returns the error and leaves no block
+// and no overlay behind, and a write after it captures nothing. The next build
+// packs everything.
+func TestFailedFirstBuildLeavesNoOverlay(t *testing.T) {
+	plan := storage.NewFaultPlan(storage.FaultConfig{ReadFailProb: 1})
+	plan.SetEnabled(false)
+	st := storage.Open(&storage.Options{ExtentSize: 1 << 16, Faults: plan})
+	// Above anything written: no build but the test's own.
+	tr, err := New(NewMapping(0, false), st, Config{MaxPageEntries: 8, EdgeBlockMinEntries: 1 << 20}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	put := func(k, v string) error {
+		want[k] = v
+		return tr.Put([]byte(k), []byte(v))
+	}
+	for i := 0; i < 48; i++ {
+		if err := put(fmt.Sprintf("k%03d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves := leavesOf(tr)
+	last := leaves[len(leaves)-1]
+	last.mu.Lock()
+	last.base, last.live = nil, -1 // cold: the content scan reads it, and fails
+	last.mu.Unlock()
+	wrote, midBuild := false, error(nil)
+	plan.OnInject = func(storage.FaultKind) {
+		plan.OnInject = nil
+		wrote, midBuild = true, put("k000", "mid-build") // a resident leaf, captured
+	}
+	plan.SetEnabled(true)
+	if built, err := tr.BuildEdgeBlock(); built || err == nil || !wrote || midBuild != nil {
+		t.Fatalf("build = %v, %v (a write mid-build: %v, %v), want the read fault after one", built, err, wrote, midBuild)
+	}
+	plan.SetEnabled(false)
+	if _, ok := tr.EdgeBlock(); ok {
+		t.Fatal("a failed build installed a block")
+	}
+	if got := tr.m.BlockStatsSnapshot().OverlayOps; got != 0 {
+		t.Fatalf("%d overlay ops on a tree with no block, want 0", got)
+	}
+	if err := put("k001", "after"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.m.BlockStatsSnapshot().OverlayOps; got != 0 {
+		t.Fatalf("a write after the failed build left %d overlay ops", got)
+	}
+	mustBuildBlock(t, tr)
+	if info, _ := tr.EdgeBlock(); info.Entries != 48 || info.Overlay != 0 {
+		t.Fatalf("block %+v, want 48 entries and no overlay", info)
+	}
+	got := collectAt(t, tr, horizonAll)
+	if !maps.Equal(got, want) {
+		t.Fatalf("block read = %v, want %v", got, want)
+	}
 }

@@ -193,12 +193,11 @@ type Mapping struct {
 	// Edge-block accounting (block.go): the block_* counters and gauges of
 	// the registry.
 	blockBuilds    atomic.Int64
-	blockSkips     atomic.Int64 // builds skipped: pins held the floor too low
 	blockHits      atomic.Int64
 	blockFallbacks atomic.Int64
 	blockEntries   atomic.Int64 // live packed entries across all blocks
 	blockBytes     atomic.Int64 // resident image bytes across all blocks
-	blockOverlay   atomic.Int64 // overlay ops above the seals across all blocks
+	blockOverlay   atomic.Int64 // overlay ops across all blocks
 }
 
 // defaultShardCount derives the lock-stripe count from the host's
@@ -366,7 +365,6 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("bwtree.pages", func() int64 { return int64(m.PageCount()) })
 	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)
 	r.CounterFunc("bwtree.block_builds", m.blockBuilds.Load)
-	r.CounterFunc("bwtree.block_build_skipped_pins", m.blockSkips.Load)
 	r.CounterFunc("bwtree.block_hits", m.blockHits.Load)
 	r.CounterFunc("bwtree.block_fallbacks", m.blockFallbacks.Load)
 	r.GaugeFunc("bwtree.block_entries", m.blockEntries.Load)
@@ -388,25 +386,23 @@ func (m *Mapping) noteBlockDropped(entries int, bytes int64) {
 // BlockStats is a snapshot of the edge-block counters shared by all trees
 // of the mapping.
 type BlockStats struct {
-	Builds      int64 // blocks built or rebuilt
-	SkippedPins int64 // builds skipped because pins held the floor too low
-	Hits        int64 // scans served from a packed block
-	Fallbacks   int64 // block-backed scans that walked the leaves instead
-	Entries     int64 // live packed entries
-	Bytes       int64 // resident image bytes
-	OverlayOps  int64 // ops above the seals: large for long, a rebuild is being held back
+	Builds     int64 // blocks built or rebuilt
+	Hits       int64 // scans served from a packed block
+	Fallbacks  int64 // block-backed scans that walked the leaves instead: pinned below the seal, or beside a writer in flight
+	Entries    int64 // live packed entries
+	Bytes      int64 // resident image bytes
+	OverlayOps int64 // ops captured since the seals
 }
 
 // BlockStatsSnapshot returns the current edge-block counters.
 func (m *Mapping) BlockStatsSnapshot() BlockStats {
 	return BlockStats{
-		Builds:      m.blockBuilds.Load(),
-		SkippedPins: m.blockSkips.Load(),
-		Hits:        m.blockHits.Load(),
-		Fallbacks:   m.blockFallbacks.Load(),
-		Entries:     m.blockEntries.Load(),
-		Bytes:       m.blockBytes.Load(),
-		OverlayOps:  m.blockOverlay.Load(),
+		Builds:     m.blockBuilds.Load(),
+		Hits:       m.blockHits.Load(),
+		Fallbacks:  m.blockFallbacks.Load(),
+		Entries:    m.blockEntries.Load(),
+		Bytes:      m.blockBytes.Load(),
+		OverlayOps: m.blockOverlay.Load(),
 	}
 }
 

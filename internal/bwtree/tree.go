@@ -509,7 +509,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 	// a block reader seeing no writer in flight knows every released op has
 	// reached the block's overlay, and closes after the leaf's overlay has the
 	// run, still under the page latch (block.go).
-	gate := t.blockWriteEnter()
+	t.blockWriteEnter()
 	var buf [8]op
 	run, dels := buf[:0], 0
 	for n < len(ws) && (n == 0 || live <= limit) {
@@ -563,7 +563,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int,
 			e.live, e.dirty, n, err = wasLive, wasDirty, 0, ferr
 		}
 	}
-	t.blockWriteExit(gate, run[:n])
+	t.blockWriteExit(run[:n])
 	if n == 0 {
 		return 0, false, err
 	}

@@ -91,16 +91,16 @@ type ForestStats struct {
 // EdgeBlockStats is the packed CSR edge-block accounting (§3.2.1
 // super-vertices): blocks built, scans served from a block (hits) versus
 // forced back to the merged delta path (fallbacks), the resident footprint
-// of the live blocks, and the ops written since they were sealed: an overlay
-// that stays large says a rebuild is being held back (an old pin).
+// of the live blocks, and the ops written since they were sealed. A fallback
+// is a read pinned below a block's seal (older than its build) or pinned
+// while a writer of the tree was in flight; no pin holds a build back.
 type EdgeBlockStats struct {
-	Builds      int64 `json:"builds"`
-	SkippedPins int64 `json:"skipped_pins"`
-	Hits        int64 `json:"hits"`
-	Fallbacks   int64 `json:"fallbacks"`
-	Entries     int64 `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	OverlayOps  int64 `json:"overlay_ops"`
+	Builds     int64 `json:"builds"`
+	Hits       int64 `json:"hits"`
+	Fallbacks  int64 `json:"fallbacks"`
+	Entries    int64 `json:"entries"`
+	Bytes      int64 `json:"bytes"`
+	OverlayOps int64 `json:"overlay_ops"`
 }
 
 // GCStats is the space-reclamation accounting. WriteAmp is bytes moved per
@@ -262,7 +262,6 @@ func (db *DB) Stats() Stats {
 		s.Forest.Migrations += fs.Migrations
 		bs := m.BlockStatsSnapshot()
 		s.EdgeBlocks.Builds += bs.Builds
-		s.EdgeBlocks.SkippedPins += bs.SkippedPins
 		s.EdgeBlocks.Hits += bs.Hits
 		s.EdgeBlocks.Fallbacks += bs.Fallbacks
 		s.EdgeBlocks.Entries += bs.Entries
