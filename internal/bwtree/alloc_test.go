@@ -3,6 +3,7 @@
 package bwtree
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -476,6 +477,74 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 		fell(t, before)
 		load(t, rep.m, ftr, leaves)
 	})
+}
+
+// TestEmptiedExtentIsFreedAtOnce: a sealed extent whose last record dies
+// leaves a store without a log at once, GC or no GC, and no cached image keeps
+// it in memory. 128+ leaves are cold-loaded from one 4 MiB extent into an
+// unlimited cache (the rest of the extent is dead records); inserts then
+// rewrite every leaf's base into the next extent, and the live heap must fall
+// by at least three quarters of the extent when the last base leaves it.
+func TestEmptiedExtentIsFreedAtOnce(t *testing.T) {
+	const extentSize = 4 << 20
+	st := storage.Open(&storage.Options{ExtentSize: extentSize})
+	m := NewMapping(0, false)
+	tr, leaves := leafTree(t, st, m, 128*12)
+	ext := leaves[0].baseLoc.Extent
+	fillExtent(t, st, ext)
+	if err := m.ScanManyAt(oneScanPerLeaf(tr, leaves), 0, horizonAll, func(int, []byte, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range leaves {
+		if e.base == nil || e.baseLoc.Extent != ext {
+			t.Fatalf("fixture: leaf %d resident %v in extent %d, want resident in %d", e.id, e.base != nil, e.baseLoc.Extent, ext)
+		}
+	}
+	// rewrite inserts keys just above e's low bound until a consolidation or
+	// a split has written its base elsewhere.
+	rewrite := func(e *pageEntry) {
+		t.Helper()
+		lo := string(e.lo)
+		if lo == "" {
+			lo = "key-!"
+		}
+		for i := 0; ; i++ {
+			e.mu.Lock()
+			moved := e.baseLoc.Extent != ext
+			e.mu.Unlock()
+			if moved {
+				return
+			}
+			if i == 64 {
+				t.Fatalf("fixture: leaf %d still based in extent %d after %d inserts", e.id, ext, i)
+			}
+			if err := tr.Put([]byte(fmt.Sprintf("%s~%03d", lo, i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	last := len(leaves) - 1
+	for _, e := range leaves[:last] {
+		rewrite(e)
+	}
+	before := liveHeap()
+	rewrite(leaves[last])
+	if got := st.Stats(); got.ExtentsEmptied != 1 || got.ExtentsReclaimed != 0 {
+		t.Fatalf("fixture: %d extents emptied, %d reclaimed, want 1 and 0", got.ExtentsEmptied, got.ExtentsReclaimed)
+	}
+	if got := before - liveHeap(); got < extentSize*3/4 {
+		t.Fatalf("live heap fell %d B after the last record of a %d B extent died, want >= %d", got, extentSize, extentSize*3/4)
+	}
+	// Every key reads back, which also keeps the tree alive through liveHeap.
+	n := 0
+	if err := tr.ScanAt(nil, nil, 0, horizonAll, func(k, _ []byte) bool {
+		if !bytes.Contains(k, []byte("~")) {
+			n++
+		}
+		return true
+	}); err != nil || n != 128*12 {
+		t.Fatalf("after the extent emptied, a scan read %d of %d keys (%v)", n, 128*12, err)
+	}
 }
 
 // TestHopScratchPinsNoExtent: what a hop leaves in its pooled scratch must not

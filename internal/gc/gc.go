@@ -148,12 +148,6 @@ func (p WorkloadAware) Pick(usage []storage.ExtentUsage, n int, now time.Time) [
 		filtered = append(filtered, u)
 	}
 	sort.Slice(filtered, func(i, j int) bool {
-		// Fully dead extents reclaim for free — no byte can be wasted on
-		// them — so they outrank every gradient consideration.
-		di, dj := filtered[i].ValidRecords == 0, filtered[j].ValidRecords == 0
-		if di != dj {
-			return di
-		}
 		bi, bj := gradientBucket(filtered[i].UpdateGradient), gradientBucket(filtered[j].UpdateGradient)
 		if bi != bj {
 			return bi < bj // coldest bucket first (line 2 of Algorithm 2)

@@ -32,7 +32,7 @@ func (f flatStore) NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn fu
 var sink map[VertexID]struct{}
 
 // bytesPerRun reports the mean bytes one call of fn allocates, with the
-// collector off so no pool is emptied mid-measurement.
+// collector off.
 func bytesPerRun(runs int, fn func()) int {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
@@ -44,7 +44,7 @@ func bytesPerRun(runs int, fn func()) int {
 	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestKHopAllocatesItsAnswerOnce: once the pool is warm, a 3-hop KHop over
+// TestKHopAllocatesItsAnswerOnce: once scratch is idle, a 3-hop KHop over
 // a FrontierReader allocates the map it returns, sized once — what
 // make(map, n) and n inserts cost, measured here so the pin does not
 // depend on the map implementation — plus a small constant. A reached set
@@ -60,7 +60,7 @@ func TestKHopAllocatesItsAnswerOnce(t *testing.T) {
 		}
 	}
 	s := flatStore{mem}
-	want, err := KHop(s, 0, 1, 3, 0) // also warms the pool
+	want, err := KHop(s, 0, 1, 3, 0) // also leaves its scratch idle
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // VertexID identifies a vertex.
@@ -377,7 +376,7 @@ func KHop(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit int) (map
 // The walk runs in pooled scratch; the map it returns, on every path (the
 // partial set on error), is allocated once, at its final size.
 func KHopBudget(s Reader, start VertexID, typ EdgeType, hops, perVertexLimit, budget int) (map[VertexID]struct{}, error) {
-	fb := frontierPool.Get().(*frontiers)
+	fb := takeFrontiers()
 	defer fb.release()
 	err := fb.expand(s, start, typ, hops, perVertexLimit, budget)
 	return fb.reached(), err
@@ -395,7 +394,19 @@ type frontiers struct {
 	visit  func(_, dst VertexID) bool // made once per scratch, reads budget
 }
 
-var frontierPool = sync.Pool{New: func() any {
+// idleFrontiers is a bounded free list of cleared scratch. It is not a
+// sync.Pool: a GC empties a pool, and the traversal after it grows its
+// visited set from empty again. Eight serves a few concurrent traversals
+// while bounding what idle scratch holds (each up to maxPooledVisits).
+var idleFrontiers = make(chan *frontiers, 8)
+
+// takeFrontiers returns idle scratch, or new scratch when none is idle.
+func takeFrontiers() *frontiers {
+	select {
+	case fb := <-idleFrontiers:
+		return fb
+	default:
+	}
 	fb := &frontiers{seen: make(map[VertexID]struct{})}
 	fb.visit = func(_, dst VertexID) bool {
 		n := len(fb.seen)
@@ -406,7 +417,7 @@ var frontierPool = sync.Pool{New: func() any {
 		return fb.budget <= 0 || len(fb.order)-1 < fb.budget
 	}
 	return fb
-}}
+}
 
 // maxPooledVisits bounds the traversal whose scratch is pooled again:
 // clearing a map costs its capacity, so a huge visited set would tax
@@ -444,13 +455,16 @@ func (fb *frontiers) reached() map[VertexID]struct{} {
 	return out
 }
 
-// release clears fb and pools it, unless its traversal outgrew
-// maxPooledVisits.
+// release clears fb and keeps it idle, unless its traversal outgrew
+// maxPooledVisits or the free list is full.
 func (fb *frontiers) release() {
 	if len(fb.order) > maxPooledVisits {
 		return
 	}
 	clear(fb.seen)
 	fb.order, fb.budget = fb.order[:0], 0
-	frontierPool.Put(fb)
+	select {
+	case idleFrontiers <- fb:
+	default:
+	}
 }

@@ -22,13 +22,9 @@ type Follower struct {
 	applied uint64 // under s.relMu
 }
 
-// logged reports whether anything was ever appended to the store's WAL.
-func (s *Store) logged() bool {
-	wal := s.streams[StreamWAL]
-	wal.mu.RLock()
-	defer wal.mu.RUnlock()
-	return wal.nextID > 0
-}
+// logged reports whether anything was ever appended to the store's WAL. It
+// takes no lock, so a stream decides under its own mu.
+func (s *Store) logged() bool { return s.walWritten.Load() }
 
 // condemn numbers the next condemnation. Caller holds the condemning stream's
 // mu, so a Stamp with a mark covering it finds it condemned.

@@ -83,11 +83,12 @@ func TestScanSkipsReclaimedExtents(t *testing.T) {
 		loc, _ := s.Append(StreamWAL, uint64(i), []byte("01234567")) // 2 per extent
 		locs = append(locs, loc)
 	}
-	// Reclaim the first extent (no valid data relocated — invalidate first).
+	// The first extent's last record dies: the extent is retired at once,
+	// which leaves GC nothing to reclaim.
 	s.Invalidate(locs[0])
 	s.Invalidate(locs[1])
-	if _, err := s.Reclaim(StreamWAL, locs[0].Extent, nil); err != nil {
-		t.Fatal(err)
+	if _, err := s.Reclaim(StreamWAL, locs[0].Extent, nil); err != ErrReclaimed {
+		t.Fatalf("reclaim of an emptied extent = %v, want ErrReclaimed", err)
 	}
 	entries, _, err := s.Scan(StreamWAL, Cursor{}, 0)
 	if err != nil {

@@ -154,6 +154,7 @@ type Metrics struct {
 	GCRecordsMoved   int64
 	ExtentsReclaimed int64
 	ExtentsExpired   int64 // extents dropped wholesale by TTL
+	ExtentsEmptied   int64 // sealed extents retired when their last record died
 	LiveBytes        int64 // valid record bytes currently stored
 	TotalBytes       int64 // capacity of all resident extents
 	ExtentCount      int64
@@ -180,8 +181,10 @@ type Store struct {
 	mu     sync.Mutex
 	closed bool
 
-	// The release rule (release.go): condemnSeq numbers condemnations, relMu
-	// serializes stamps and release passes and guards followers.
+	// The release rule (release.go): walWritten is set before the first WAL
+	// append lands, condemnSeq numbers condemnations, relMu serializes stamps
+	// and release passes and guards followers.
+	walWritten atomic.Bool
 	condemnSeq atomic.Uint64
 	relMu      sync.Mutex
 	followers  map[*Follower]struct{}
@@ -217,7 +220,7 @@ func Open(opts *Options) *Store {
 	o := opts.withDefaults()
 	s := &Store{opts: o, followers: make(map[*Follower]struct{})}
 	for i := range s.streams {
-		s.streams[i] = newStream(StreamID(i), o)
+		s.streams[i] = newStream(s, StreamID(i))
 	}
 	return s
 }
@@ -275,6 +278,9 @@ func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, e
 	if err := st.checkEpoch(epoch); err != nil {
 		s.fencedAppends.Add(1)
 		return Loc{}, err
+	}
+	if id == StreamWAL {
+		s.walWritten.Store(true)
 	}
 	if p := s.opts.Faults; p != nil {
 		out := p.appendDecision(id, len(data))
@@ -369,8 +375,9 @@ func (s *Store) Read(loc Loc) ([]byte, error) {
 }
 
 // Invalidate marks the record at loc dead, updating its extent's
-// fragmentation statistics and update-gradient samples. Invalidating a
-// record twice, or a record in an already reclaimed extent, is a no-op.
+// fragmentation statistics and update-gradient samples; a sealed extent it
+// leaves with no valid record is retired as a reclaim retires one. Invalidating
+// a record twice, or a record in an already reclaimed extent, is a no-op.
 func (s *Store) Invalidate(loc Loc) {
 	st, err := s.stream(loc.Stream)
 	if err != nil {
@@ -407,6 +414,7 @@ func (s *Store) Stats() Metrics {
 		m.GCRecordsMoved += sm.GCRecordsMoved
 		m.ExtentsReclaimed += sm.ExtentsReclaimed
 		m.ExtentsExpired += sm.ExtentsExpired
+		m.ExtentsEmptied += sm.ExtentsEmptied
 		m.LiveBytes += sm.LiveBytes
 		m.TotalBytes += sm.TotalBytes
 		m.ExtentCount += sm.ExtentCount
@@ -448,13 +456,14 @@ type RelocateFunc func(tag uint64, old, new Loc) bool
 // of its stream, then condemns the extent: it leaves usage and space
 // accounting at once and is released under the store's release rule
 // (release.go) — at once on a store without a log. It returns the number of bytes
-// relocated (the write amplification the GC experiments measure).
+// relocated (the write amplification the GC experiments measure), and
+// ErrReclaimed for an extent already retired, by a reclaim or by Invalidate.
 func (s *Store) Reclaim(id StreamID, ext ExtentID, relocate RelocateFunc) (movedBytes int64, err error) {
 	st, errs := s.stream(id)
 	if errs != nil {
 		return 0, errs
 	}
-	return st.reclaim(s, ext, relocate)
+	return st.reclaim(ext, relocate)
 }
 
 // DropExpired removes whole extents whose newest record is older than

@@ -528,6 +528,8 @@ func TestLocString(t *testing.T) {
 // a store without a log; otherwise it is condemned — readable, out of usage
 // and space accounting, not reclaimable twice — until a checkpoint stamps it
 // and every registered follower has applied that checkpoint. No clock is read.
+// A sealed extent whose last record dies is retired the same way at once,
+// without a reclaim.
 func TestReleaseRule(t *testing.T) {
 	open := func(logged bool) (*Store, []Loc) {
 		s := Open(&Options{ExtentSize: 64})
@@ -541,8 +543,10 @@ func TestReleaseRule(t *testing.T) {
 			loc, _ := s.Append(StreamBase, uint64(i), bytes.Repeat([]byte{byte(i)}, 8))
 			locs = append(locs, loc)
 		}
-		for _, loc := range locs[:24] { // the first three die: a reclaim moves nothing
-			s.Invalidate(loc)
+		for i, loc := range locs[:24] { // the first three keep one live record each
+			if i%8 != 0 {
+				s.Invalidate(loc)
+			}
 		}
 		return s, locs
 	}
@@ -645,6 +649,89 @@ func TestReleaseRule(t *testing.T) {
 		readable(t, s, a, false)
 		readable(t, s, b, true)
 	})
+
+	resident := func(s *Store, ext ExtentID) bool {
+		return slices.ContainsFunc(s.Usage(StreamBase), func(u ExtentUsage) bool { return u.Extent == ext })
+	}
+	// empty kills the last live record of loc's extent and checks that the
+	// extent left usage and space accounting at once, as no reclaim did.
+	empty := func(t *testing.T, s *Store, loc Loc) {
+		t.Helper()
+		before := s.Stats()
+		s.Invalidate(loc)
+		after := s.Stats()
+		if resident(s, loc.Extent) || after.TotalBytes != before.TotalBytes-64 || after.ExtentCount != before.ExtentCount-1 {
+			t.Fatalf("emptied extent %d: resident %v, %d bytes in %d extents, want gone and %d in %d", loc.Extent,
+				resident(s, loc.Extent), after.TotalBytes, after.ExtentCount, before.TotalBytes-64, before.ExtentCount-1)
+		}
+		if after.ExtentsEmptied != before.ExtentsEmptied+1 || after.ExtentsReclaimed != before.ExtentsReclaimed {
+			t.Fatalf("emptied %d, reclaimed %d extents, want %d and %d", after.ExtentsEmptied, after.ExtentsReclaimed,
+				before.ExtentsEmptied+1, before.ExtentsReclaimed)
+		}
+		if _, err := s.Reclaim(StreamBase, loc.Extent, nil); err != ErrReclaimed {
+			t.Fatalf("reclaim of emptied extent %d = %v, want ErrReclaimed", loc.Extent, err)
+		}
+	}
+
+	t.Run("empty no log", func(t *testing.T) {
+		s, locs := open(false)
+		view, err := s.Read(locs[8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty(t, s, locs[8])
+		readable(t, s, locs[8], false)
+		runtime.GC()
+		if !bytes.Equal(view, bytes.Repeat([]byte{8}, 8)) {
+			t.Fatalf("a view taken before the extent emptied reads %v", view)
+		}
+	})
+
+	t.Run("empty logged", func(t *testing.T) {
+		s, locs := open(true)
+		a, b := locs[0], locs[8]
+		f := s.Follow()
+		empty(t, s, a)
+		mark := s.CondemnMark()
+		empty(t, s, b) // condemned past the mark
+		if got := s.Stats().CondemnedExtents; got != 2 {
+			t.Fatalf("%d condemned extents, want 2", got)
+		}
+		readable(t, s, a, true)
+		s.Stamp(mark, 10)
+		f.Applied(9)
+		readable(t, s, a, true)
+		f.Applied(10)
+		readable(t, s, a, false)
+		// The hand-over makes the unstamped one resident again.
+		s.Reinstate()
+		readable(t, s, b, true)
+		if !resident(s, b.Extent) {
+			t.Fatalf("unstamped emptied extent %d not reinstated", b.Extent)
+		}
+	})
+
+	t.Run("empty active", func(t *testing.T) {
+		s, locs := open(false)
+		active := locs[32]
+		s.Invalidate(active)
+		for i := 0; i < 7; i++ { // fill it, and kill what fills it
+			loc, _ := s.Append(StreamBase, 99, bytes.Repeat([]byte{99}, 8))
+			s.Invalidate(loc)
+		}
+		if !resident(s, active.Extent) || s.Stats().ExtentsEmptied != 0 {
+			t.Fatalf("the active extent %d was retired before it sealed", active.Extent)
+		}
+		readable(t, s, active, true)
+		// Sealed by the append that overflows it, already empty: it retires
+		// at the seal.
+		next, _ := s.Append(StreamBase, 99, bytes.Repeat([]byte{99}, 8))
+		if next.Extent == active.Extent || resident(s, active.Extent) || s.Stats().ExtentsEmptied != 1 {
+			t.Fatalf("extent %d sealed empty by an append to %d: resident %v, %d emptied",
+				active.Extent, next.Extent, resident(s, active.Extent), s.Stats().ExtentsEmptied)
+		}
+		readable(t, s, active, false)
+	})
 }
 
 func TestGCBytesReclaimedAccounting(t *testing.T) {
@@ -726,7 +813,7 @@ func TestStoreRegisterMetrics(t *testing.T) {
 	for _, name := range []string{
 		"storage.read_ops", "storage.bytes_read", "storage.gc_bytes_moved",
 		"storage.gc_bytes_reclaimed", "storage.extents_reclaimed",
-		"storage.extents_expired", "storage.live_bytes", "storage.total_bytes",
+		"storage.extents_expired", "storage.extents_emptied", "storage.live_bytes", "storage.total_bytes",
 		"storage.extent_count", "storage.gc_write_amp",
 	} {
 		if _, ok := snap[name]; !ok {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -102,6 +103,7 @@ type streamStats struct {
 	GCRecordsMoved   int64
 	ExtentsReclaimed int64
 	ExtentsExpired   int64
+	ExtentsEmptied   int64
 	LiveBytes        int64
 	TotalBytes       int64
 	ExtentCount      int64
@@ -110,8 +112,9 @@ type streamStats struct {
 
 // stream is one append-only sequence of extents.
 type stream struct {
-	id   StreamID
-	opts Options
+	id    StreamID
+	opts  Options
+	store *Store // whose release rule retired extents go under
 
 	mu      sync.RWMutex
 	extents map[ExtentID]*extent
@@ -142,12 +145,14 @@ type stream struct {
 	gcRecordsMoved   int64
 	extentsReclaimed int64
 	extentsExpired   int64
+	extentsEmptied   int64
 }
 
-func newStream(id StreamID, opts Options) *stream {
+func newStream(store *Store, id StreamID) *stream {
 	return &stream{
 		id:        id,
-		opts:      opts,
+		opts:      store.opts,
+		store:     store,
 		extents:   make(map[ExtentID]*extent),
 		condemned: make(map[ExtentID]condemnation),
 	}
@@ -223,6 +228,7 @@ func (s *stream) append(epoch, tag uint64, data []byte) (Loc, error) {
 	if e == nil || len(e.buf)+len(data) > s.opts.ExtentSize {
 		if e != nil {
 			e.sealed = true
+			s.retireIfEmptyLocked(e)
 		}
 		e = s.newExtentLocked()
 	}
@@ -296,6 +302,34 @@ func (s *stream) mark(loc Loc, valid bool, now time.Time) {
 	}
 	e.validCount, e.invalidCount, e.validBytes = e.validCount-1, e.invalidCount+1, e.validBytes-int64(r.len)
 	e.noteUpdate(now)
+	s.retireIfEmptyLocked(e)
+}
+
+// retireIfEmptyLocked retires a sealed extent whose last record died: it costs
+// no movement, so it expires without waiting for a GC pick (§3.3). Caller
+// holds mu.
+func (s *stream) retireIfEmptyLocked(e *extent) {
+	if e.sealed && e.validCount == 0 && s.retireLocked(e.id) {
+		s.extentsEmptied++
+	}
+}
+
+// retireLocked takes a resident extent out of usage and space accounting and
+// hands it to the release rule (release.go): condemned on a logged store,
+// dropped otherwise. It reports false when the extent was not resident.
+// Caller holds mu.
+func (s *stream) retireLocked(id ExtentID) bool {
+	i := slices.Index(s.order, id)
+	if i < 0 {
+		return false
+	}
+	s.order = slices.Delete(s.order, i, i+1)
+	if s.store.logged() {
+		s.condemned[id] = s.store.condemn()
+	} else {
+		delete(s.extents, id)
+	}
+	return true
 }
 
 func (s *stream) usage() []ExtentUsage {
@@ -332,6 +366,7 @@ func (s *stream) stats() streamStats {
 		GCRecordsMoved:   s.gcRecordsMoved,
 		ExtentsReclaimed: s.extentsReclaimed,
 		ExtentsExpired:   s.extentsExpired,
+		ExtentsEmptied:   s.extentsEmptied,
 		ExtentCount:      int64(len(s.order)),
 		CondemnedExtents: int64(len(s.condemned)),
 	}
@@ -351,7 +386,7 @@ type liveRecord struct {
 	data []byte
 }
 
-func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int64, error) {
+func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
 	// Phase 1: snapshot the extent's live records, as views, under the lock.
 	s.mu.Lock()
 	if _, dead := s.condemned[ext]; dead {
@@ -382,7 +417,7 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 	// measures.
 	var moved int64
 	for _, lr := range live {
-		newLoc, err := store.Append(s.id, lr.tag, lr.data)
+		newLoc, err := s.store.Append(s.id, lr.tag, lr.data)
 		if err != nil {
 			return moved, err
 		}
@@ -399,26 +434,17 @@ func (s *stream) reclaim(store *Store, ext ExtentID, relocate RelocateFunc) (int
 	// Phase 3: retire the extent. On a store with a log it stays readable
 	// (condemned) until the release rule lets it go, so followers holding
 	// old locations until a checkpoint names the new ones do not break; its
-	// space no longer counts.
-	held := store.logged()
+	// space no longer counts. An extent whose last record died while its
+	// live ones moved was retired by that invalidation.
 	s.mu.Lock()
-	for i, id := range s.order {
-		if id == ext {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+	if s.retireLocked(ext) {
+		if freed := int64(len(e.buf)) - moved; freed > 0 {
+			s.gcBytesReclaimed += freed
 		}
-	}
-	if held {
-		s.condemned[ext] = store.condemn()
-	} else {
-		delete(s.extents, ext)
+		s.extentsReclaimed++
 	}
 	s.gcBytesMoved += moved
-	if freed := int64(len(e.buf)) - moved; freed > 0 {
-		s.gcBytesReclaimed += freed
-	}
 	s.gcRecordsMoved += int64(len(live))
-	s.extentsReclaimed++
 	s.mu.Unlock()
 	return moved, nil
 }
