@@ -273,19 +273,21 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 
 // BenchmarkAblationEdgeBlock prices the packed edge block (DESIGN §13): a
 // full Neighbors scan of one 100k-edge vertex, 2% of whose edges were
-// written after the block was sealed, with the block (default threshold)
+// written after the block was built, with the block (default threshold)
 // and with the leaves alone (threshold -1), under an unlimited and a
 // 1,024-page cache — the leaf walk's pages do not fit the bounded one, the
 // block is resident whatever the cache holds.
 //
 // The write-then-scan cases price a write into the packed tree by what the
 // next read pays for it: one AddEdge onto the vertex followed by one
-// Neighbors — limit 128, or the whole adjacency — under an overlay of 2k and
-// of 20k late edges. Run them with -benchtime 2000x: every iteration adds an
-// overlay op, and at 25k the block is rebuilt and the overlay starts over.
+// Neighbors — limit 128, or the whole adjacency — 2k and 20k late edges after
+// the build. The late edges land past the packed ones, so a full scan walks
+// the leaves they were written to and takes every other leaf from the block,
+// until those walks add up to the block's leaf count and have it rebuilt.
+// Run them with -benchtime 2000x.
 func BenchmarkAblationEdgeBlock(b *testing.B) {
 	const hub, edges = bg3.VertexID(1), 100_000
-	// open loads the hub's edges, packs them and writes late more past the seal.
+	// open loads the hub's edges, packs them and writes late more past them.
 	open := func(b *testing.B, threshold, pages, late int) *bg3.DB {
 		db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64, EdgeBlockThreshold: threshold, CacheCapacity: pages})
 		if err != nil {
@@ -347,9 +349,7 @@ func BenchmarkAblationEdgeBlock(b *testing.B) {
 		}{{"limit-128", 128}, {"full", 0}} {
 			b.Run(fmt.Sprintf("write-then-scan/overlay-%dk/%s", late/1000, read.name), func(b *testing.B) {
 				db := open(b, 0, 0, late)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				pair := func(i int) {
 					if err := db.AddEdge(bg3.Edge{Src: hub, Dst: bg3.VertexID(edges + late + i), Type: bg3.ETypeFollow}); err != nil {
 						b.Fatal(err)
 					}
@@ -361,9 +361,23 @@ func BenchmarkAblationEdgeBlock(b *testing.B) {
 						b.Fatalf("scan delivered %d edges, %v, want %d", n, err, want)
 					}
 				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pair(i)
+				}
 				b.StopTimer()
-				if s := db.Stats().EdgeBlocks; s.Fallbacks != 0 {
-					b.Fatalf("scans fell back to the leaves: %+v", s)
+				// One more pair after a build, counted: its scan walks the leaves
+				// written since the build — the last one and any split off it
+				// (the pages counted may hold an inner node a split grew).
+				if _, err := db.BuildEdgeBlocks(); err != nil {
+					b.Fatal(err)
+				}
+				pages, before := db.Stats().Cache.Pages, db.Stats().EdgeBlocks.Fallbacks
+				pair(b.N)
+				fallbacks, written := db.Stats().EdgeBlocks.Fallbacks-before, db.Stats().Cache.Pages-pages+1
+				if read.limit > 0 && fallbacks != 0 || read.limit == 0 && (fallbacks < written-written/64-1 || fallbacks > written) {
+					b.Fatalf("a scan walked %d leaves instead of the block, want the %d leaves written since the build", fallbacks, written)
 				}
 			})
 		}

@@ -558,7 +558,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, key := range []string{`"storage"`, `"wal"`, `"cache"`, `"forest"`, `"gc"`, `"replication"`, `"shards"`,
-			`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`, `"overlay_ops"`, `"read_epochs"`} {
+			`"read_fanout"`, `"write_amp"`, `"applied_lsn_lag"`, `"edge_blocks"`, `"read_epochs"`} {
 			if !strings.Contains(string(buf), key) {
 				t.Fatalf("Stats JSON missing %s:\n%s", key, buf)
 			}
@@ -575,7 +575,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 		}
 		names := []string{"replication.applied_lsn_lag", "replication.replicas"}
 		for _, name := range []string{"storage.read_ops", "wal.commit_us", "bwtree.read_fanout",
-			"forest.trees", "gc.write_amp", "bwtree.block_overlay_ops"} {
+			"forest.trees", "gc.write_amp", "bwtree.block_fallbacks"} {
 			if shards == 1 {
 				names = append(names, name)
 				continue

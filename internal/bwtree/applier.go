@@ -82,6 +82,7 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 		del := rec.Type == wal.RecordDelete
 		e.mu.Lock()
 		e.overlay = insertOp(e.ownOverlay(1), op{del: del, key: rec.Key, val: rec.Value, lsn: rec.LSN})
+		e.version++
 		// The live count moves as the leader's did: an insert of a new key up,
 		// the delete of a present one down.
 		if e.live >= 0 && (rec.AuxPage == existedKey) == del {

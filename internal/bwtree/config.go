@@ -92,17 +92,15 @@ type Config struct {
 	Epochs *mvcc.Source
 
 	// EdgeBlockMinEntries, when positive, enables the packed edge-block
-	// layout (block.go): once the tree's live-entry estimate crosses it,
-	// the whole tree is materialized into an immutable sorted array sealed
-	// at the retention floor and scans iterate it branch-free, with writes
-	// since the seal patched from a small overlay. 0 disables blocks (the
-	// forest keeps them off for the shared INIT tree; dedicated
+	// layout (block.go): once the tree holds that many live keys, each leaf's
+	// content is copied into an immutable chunk and scans walk the chunks in
+	// order, taking the leaf step only where a leaf changed since the build;
+	// the block is rebuilt after max(64, entries/4) writes, or once scans
+	// have walked as many leaves for stale chunks as it has chunks. 0
+	// disables blocks
+	// (the forest keeps them off for the shared INIT tree; dedicated
 	// super-vertex trees are the target).
 	EdgeBlockMinEntries int
-
-	// EdgeBlockRebuildOps is the overlay size that triggers rebuilding the
-	// block at a newer seal. Default max(64, EdgeBlockMinEntries/4).
-	EdgeBlockRebuildOps int
 }
 
 func (c Config) withDefaults() Config {
@@ -114,12 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInnerEntries <= 0 {
 		c.MaxInnerEntries = 128
-	}
-	if c.EdgeBlockMinEntries > 0 && c.EdgeBlockRebuildOps <= 0 {
-		c.EdgeBlockRebuildOps = c.EdgeBlockMinEntries / 4
-		if c.EdgeBlockRebuildOps < 64 {
-			c.EdgeBlockRebuildOps = 64
-		}
 	}
 	return c
 }

@@ -78,6 +78,9 @@ func (p leafImage) bound(to []byte) int {
 
 // search returns the index of the first entry at or after key.
 func (p leafImage) search(key []byte) int {
+	if len(key) == 0 {
+		return 0
+	}
 	return sort.Search(p.count(), func(i int) bool { return bytes.Compare(p.key(i), key) >= 0 })
 }
 

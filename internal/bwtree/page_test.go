@@ -203,11 +203,11 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 // under both delta policies, on a tree without a logger, which flushes every
 // page it dirties at once, and on one with a logger, whose pages a flusher
 // writes and whose WAL feeds a Replica. Extents are 2 KiB, so retained history
-// under a long pin regularly outgrows one delta record. The edge-block
-// threshold is crossed about half way: until then every scan walks the
-// leaves, from then on a scan at or above the block's seal reads the block
-// under its overlay, across the rebuilds that fold the one into the other, and
-// one below it (pinned before the build) walks the leaves. After each of those
+// under a long pin regularly outgrows one delta record. Once the tree holds
+// half the key space the write path builds the edge block, and from then on a
+// full scan takes every chunk that serves its horizon and walks the leaves of
+// every other, across the rebuilds that keep the clean chunks and re-read the
+// rest, and every serving chunk reads as the map (blockGap). After each of those
 // steps one leader leaf, a different one each time, is checked for the invariant its
 // cold load rests on: what its delta records hold, its overlay holds
 // (mirrorGap). With a logger, between an eighth and a quarter of the way the leader dies: the
@@ -251,10 +251,10 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	}
 	st := storage.Open(&storage.Options{ExtentSize: extent})
 	cfg := Config{Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
-		// Puts outnumber deletes by 2 in 5 steps, so the write path's own
-		// trigger builds the block near step steps/2; a rebuild is due every
-		// 24 overlay ops.
-		EdgeBlockMinEntries: steps / 5, EdgeBlockRebuildOps: 24}
+		// Half the key space: the write path's own trigger builds the block
+		// once the tree holds that many live keys, and a rebuild is due every
+		// 64 writes after.
+		EdgeBlockMinEntries: keySpace / 2}
 	var logger WALLogger // none: no WAL, no follower, no hand-over
 	if async {
 		cfg.Epochs = mvcc.NewSource(0)
@@ -279,46 +279,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		seq++
 		v.seq = seq
 		ref[k] = append(ref[k], v)
-	}
-	// The block's overlay owes its readers every op above the seal and, on a
-	// tree without an epoch clock, whose seal is "everything applied", every op
-	// since the last build. Nothing here writes during a build, so that is all
-	// it may hold: noteBuilds, called between any two writes, finds the LSN
-	// (without a logger, the version) below which the newest block has
-	// everything, and owedOverlay lists the versions above it.
-	var builds int64
-	var folded wal.LSN
-	var foldedSeq int
-	noteBuilds := func() {
-		if n := m.BlockStatsSnapshot().Builds; n != builds {
-			info, _ := tr.EdgeBlock()
-			builds, folded, foldedSeq = n, min(info.Seal, pipe.last), seq
-		}
-	}
-	owedOverlay := func() []op {
-		type owed struct {
-			key string
-			v   version
-		}
-		var want []owed
-		for k, vs := range ref {
-			for _, v := range vs {
-				if (async && v.lsn > folded) || (!async && v.seq > foldedSeq) {
-					want = append(want, owed{k, v})
-				}
-			}
-		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].key != want[j].key {
-				return want[i].key < want[j].key
-			}
-			return want[i].v.seq < want[j].v.seq
-		})
-		ops := []op{}
-		for _, o := range want {
-			ops = append(ops, op{key: []byte(o.key), val: []byte(o.v.val), del: o.v.del, lsn: o.v.lsn})
-		}
-		return ops
 	}
 	publish := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
@@ -365,26 +325,13 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 			from, to = to, from
 		}
 		for _, h := range horizons {
-			// Once the tree has a block, a read at or above its seal is a
-			// block hit, one below it (pinned before the build) a fallback.
-			scanAt := func(from, to []byte, limit int, dst *[]string) {
-				t.Helper()
-				read := func() {
-					if err := tr.ScanAt(from, to, limit, h, collect(dst)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				info, packed := tr.EdgeBlock()
-				if !packed {
-					read()
-				} else if hit := servedByBlock(t, tr, read); hit != (h >= info.Seal) {
-					t.Fatalf("step %d: a read at %d, seal %d: block hit %v", step, h, info.Seal, hit)
-				}
+			// Once the tree has a block, a full scan is served by a chunk
+			// exactly where that chunk serves h.
+			checkFullScan(t, tr, ref, h, fmt.Sprintf("step %d", step))
+			var part []string
+			if err := tr.ScanAt([]byte(from), []byte(to), limit, h, collect(&part)); err != nil {
+				t.Fatal(err)
 			}
-			var all, part []string
-			scanAt(nil, nil, 0, &all)
-			same(fmt.Sprintf("step %d: ScanAt(all, h=%d)", step, h), all, ref.scan("", "", 0, h))
-			scanAt([]byte(from), []byte(to), limit, &part)
 			same(fmt.Sprintf("step %d: ScanAt([%s,%s) limit %d, h=%d)", step, from, to, limit, h), part, ref.scan(from, to, limit, h))
 			for i := 0; i < 6; i++ {
 				k := key()
@@ -400,8 +347,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		if err := mirrorGap(st, m.get(dir[step%len(dir)].Page)); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		noteBuilds()
-		if err := blockRunsGap(tr, owedOverlay()); err != nil {
+		if err := blockGap(tr, ref, horizons); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if !async {
@@ -453,7 +399,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 			t.Fatal(err)
 		}
 		same("promoted table at ∞", got, ref.scan("", "", 0, horizonAll))
-		tr, m, builds, folded = next, rep.m, 0, 0
+		tr, m = next, rep.m
 		rep, rd = newFollower(st, 4), wal.NewReader(st)
 	}
 
@@ -461,7 +407,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		if step == handOver && async {
 			takeOver()
 		}
-		noteBuilds()
 		switch r := rng.Intn(100); {
 		case r < 8:
 			// Every other batch draws its keys from a 24-key window: three
@@ -550,7 +495,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 			if async {
 				publish(ckpt, nil)
 			}
-		case r < 97: // rebuild the edge block at the current floor, whatever its overlay holds
+		case r < 97: // rebuild the edge block, however few writes it is behind
 			if _, ok := tr.EdgeBlock(); ok {
 				if _, err := tr.BuildEdgeBlock(); err != nil {
 					t.Fatalf("step %d: rebuild edge block: %v", step, err)
@@ -571,9 +516,8 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	if runs := &m.writeRunOps; runs.Max() < 3 || runs.Count() < int64(steps)/2 {
 		t.Fatalf("stream never grouped a batch into leaf runs: %d runs, longest %d", runs.Count(), runs.Max())
 	}
-	// With an epoch clock, pins taken before a build read below its seal.
-	if bs := m.BlockStatsSnapshot(); bs.Builds < 3 || bs.Hits == 0 || async == (bs.Fallbacks == 0) {
-		t.Fatalf("stream never rebuilt its edge block, read from it or, with an epoch clock only, read below its seal: %+v", bs)
+	if bs := m.BlockStatsSnapshot(); bs.Builds < 3 || bs.Hits == 0 || bs.Fallbacks == 0 {
+		t.Fatalf("stream never rebuilt its edge block, read from it or walked a leaf written since a build: %+v", bs)
 	}
 }
 
@@ -599,57 +543,6 @@ func mirrorGap(st *storage.Store, e *pageEntry) error {
 		}) {
 			return fmt.Errorf("page %d: op {%s lsn %d del %v} is on the delta chain and not durable in the overlay (%d ops)",
 				e.id, o.key, o.lsn, o.del, len(e.overlay))
-		}
-	}
-	return nil
-}
-
-// blockRunsGap checks the invariant a block read rests on when it takes the
-// overlay's run directory as it stands: there is a run, none but the first is
-// empty, none is larger than blockRunOps but for one key's ops, they are
-// key-sorted with each key's ops in LSN order, no key is in two runs, and
-// together they are exactly want — the ops the overlay owes its readers, in
-// overlay order (nil: not checked). It returns the first violation. A tree
-// with no block has no readers of its runs.
-func blockRunsGap(tr *Tree, want []op) error {
-	st := &tr.blocks
-	if st.block.Load() == nil {
-		return nil
-	}
-	st.overlayMu.Lock()
-	defer st.overlayMu.Unlock()
-	if len(st.runs) == 0 {
-		return fmt.Errorf("block has an empty run directory")
-	}
-	for i, r := range st.runs {
-		if run := r.ops; (len(run) == 0 && i > 0) || (len(run) > blockRunOps && !bytes.Equal(run[blockRunOps-1].key, run[len(run)-1].key)) {
-			return fmt.Errorf("block run %d of %d holds %d ops", i, len(st.runs), len(run))
-		}
-	}
-	flat := flatten(st.runs)
-	for i := 1; i < len(flat); i++ {
-		if c := bytes.Compare(flat[i-1].key, flat[i].key); c > 0 || (c == 0 && flat[i-1].lsn > flat[i].lsn) {
-			return fmt.Errorf("block runs: op %d {%s lsn %d} follows {%s lsn %d}", i, flat[i].key, flat[i].lsn, flat[i-1].key, flat[i-1].lsn)
-		}
-	}
-	for i := 1; i < len(st.runs); i++ {
-		if prev := st.runs[i-1].ops; len(prev) > 0 && bytes.Equal(prev[len(prev)-1].key, st.runs[i].ops[0].key) {
-			return fmt.Errorf("block runs %d and %d share key %s", i-1, i, st.runs[i].ops[0].key)
-		}
-	}
-	if int64(len(flat)) != st.overlayLen.Load() {
-		return fmt.Errorf("block runs hold %d ops, %d published", len(flat), st.overlayLen.Load())
-	}
-	for i := 0; want != nil && (i < len(flat) || i < len(want)); i++ {
-		if i >= len(flat) || i >= len(want) || flat[i].lsn != want[i].lsn || flat[i].del != want[i].del ||
-			!bytes.Equal(flat[i].key, want[i].key) || !bytes.Equal(flat[i].val, want[i].val) {
-			stamp := func(ops []op) string {
-				if i >= len(ops) {
-					return "<end>"
-				}
-				return fmt.Sprintf("%s@%d", ops[i].key, ops[i].lsn)
-			}
-			return fmt.Errorf("block runs hold %d ops, owed %d: op %d is %s, owed %s", len(flat), len(want), i, stamp(flat), stamp(want))
 		}
 	}
 	return nil
@@ -760,8 +653,8 @@ func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
 // to TryLock like the background triggers, so when the build the write
 // path spawns at the threshold was still in flight it returned at once and
 // left that build's older block under everything written since. It now
-// waits the spawned build out and folds the rest: packed == live, overlay
-// empty, on the first call, whoever wins the race.
+// waits the spawned build out and re-reads the rest: packed == live, no chunk
+// stale, on the first call, whoever wins the race.
 func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		tr, _ := newTestTree(t, Config{EdgeBlockMinEntries: 64, MaxPageEntries: 16})
@@ -776,8 +669,8 @@ func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
 		}
 		awaitSpawnedBuild(tr)
 		info, ok := tr.EdgeBlock()
-		if !ok || info.Entries != n || info.Overlay != 0 {
-			t.Fatalf("round %d: block %+v ok=%v after the explicit build, want %d packed entries and an empty overlay", round, info, ok, n)
+		if !ok || info.Entries != n || len(staleChunks(tr)) != 0 {
+			t.Fatalf("round %d: block %+v ok=%v after the explicit build, want %d packed entries and no stale chunk", round, info, ok, n)
 		}
 	}
 }

@@ -123,6 +123,11 @@ func (sc *hopScratch) release() {
 func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i int, key, value []byte) bool) error {
 	sc := hopPool.Get().(*hopScratch)
 	defer sc.release()
+	defer func() { // the leaves it walked may have made a rebuild due
+		for i := range scans {
+			scans[i].Tree.maybeSpawnEdgeBlockBuild()
+		}
+	}()
 	sc.fn = fn
 	for i, s := range scans {
 		s.Tree.scans.Add(1)
@@ -141,11 +146,13 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 		for ; n < len(sc.queue) && len(sc.leaves) < maxBatchLeaves; n++ {
 			sc.cur = sc.queue[n]
 			s, t := &sc.state[sc.cur], scans[sc.cur].Tree
-			// A packed super-vertex tree answers from memory.
-			if blk, runs, ok := t.blockView(h); ok {
-				if blk.scan(runs, s.from, scans[sc.cur].To, limit-s.delivered, h, sc.emit); sc.stopped {
-					return nil
-				}
+			// A packed super-vertex tree answers what its clean chunks hold
+			// from memory; a leaf whose chunk cannot joins the load.
+			got, from, done := t.scanBlock(s.from, scans[sc.cur].To, limit-s.delivered, h, sc.emit)
+			if sc.stopped {
+				return nil
+			}
+			if s.from, s.delivered = from, s.delivered+got; done {
 				continue
 			}
 			e := t.latchLeaf(s.from)

@@ -36,7 +36,7 @@ import (
 //     skips the chain (mirrorsChain); an op left on a chain below the last
 //     checkpoint and in no overlay would be gone.
 //
-// Each tree's size estimate (puts − deletes, the edge-block trigger) starts at
+// Each tree's live-key count (Tree.Keys, the edge-block trigger) starts at
 // the sum of its leaves' live counts, which an applier keeps from a tree's
 // creation on (ApplyRecord); a leaf it never saw created (a bootstrap from a
 // trimmed log) counts as unknown (-1), and is counted at its first write. The
@@ -82,8 +82,7 @@ func (m *Mapping) TakeOver(cfg func(TreeID) Config, logger WALLogger) error {
 		e.mu.Unlock()
 	}
 	for t := range led {
-		t.puts.Store(sizes[t])
-		t.deletes.Store(0)
+		t.keys.Store(sizes[t])
 	}
 
 	// (2) and (3), the chains of maxBatchLeaves leaves in one storage round.
@@ -157,7 +156,7 @@ func (e *pageEntry) takeOver(chain [][]byte) error {
 		}
 		e.overlay = append(merged, ov[j:]...)
 	}
-	e.origin = 0
+	e.origin, e.version = 0, e.version+1
 	if !e.dirty && pending == 0 {
 		return nil
 	}

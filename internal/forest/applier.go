@@ -49,13 +49,12 @@ func (f *Forest) TakeOver(cfg Config, logger bwtree.WALLogger) error {
 	if err != nil {
 		return err
 	}
-	size := func(t *bwtree.Tree) int64 { s := t.Stats(); return s.Puts - s.Deletes }
 	for _, st := range f.owners {
 		if t := st.tree.Load(); t != nil {
-			st.count.Store(size(t))
+			st.count.Store(t.Keys())
 		}
 	}
-	f.initKeys.Store(size(f.init))
+	f.initKeys.Store(f.init.Keys())
 	f.applied.Store(uint64(horizonAll))
 	return nil
 }

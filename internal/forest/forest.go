@@ -53,7 +53,7 @@ type Config struct {
 // migrations, while blocks target large single-owner dedicated trees.
 func (c Config) initTree() bwtree.Config {
 	t := c.Tree
-	t.EdgeBlockMinEntries, t.EdgeBlockRebuildOps = 0, 0
+	t.EdgeBlockMinEntries = 0
 	return t
 }
 

@@ -68,9 +68,10 @@ type Options struct {
 	ForestInitSizeThreshold int
 
 	// EdgeBlockThreshold packs a dedicated tree's adjacency into a
-	// contiguous CSR-style edge block once its live entry count exceeds
-	// this value (§3.2.1 super-vertices). 0 uses the default (1024);
-	// negative disables edge blocks entirely.
+	// CSR-style edge block — one resident image per leaf, which serves
+	// scans while its leaf is unwritten — once the tree holds this many
+	// live edges (§3.2.1 super-vertices); overwrites do not count. 0 uses
+	// the default (1024); negative disables edge blocks entirely.
 	EdgeBlockThreshold int
 
 	// GC selects the reclamation policy. Default GCWorkloadAware.

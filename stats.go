@@ -89,18 +89,17 @@ type ForestStats struct {
 }
 
 // EdgeBlockStats is the packed CSR edge-block accounting (§3.2.1
-// super-vertices): blocks built, scans served from a block (hits) versus
-// forced back to the merged delta path (fallbacks), the resident footprint
-// of the live blocks, and the ops written since they were sealed. A fallback
-// is a read pinned below a block's seal (older than its build) or pinned
-// while a writer of the tree was in flight; no pin holds a build back.
+// super-vertices): blocks built, chunks served from a block (hits) versus
+// leaves a block-consulting scan walked instead (fallbacks), and the resident
+// footprint of the live blocks. A fallback is a leaf written since its block
+// was built, or read below the newest LSN its chunk holds (a read pinned
+// before the leaf's last write); no pin holds a build back.
 type EdgeBlockStats struct {
-	Builds     int64 `json:"builds"`
-	Hits       int64 `json:"hits"`
-	Fallbacks  int64 `json:"fallbacks"`
-	Entries    int64 `json:"entries"`
-	Bytes      int64 `json:"bytes"`
-	OverlayOps int64 `json:"overlay_ops"`
+	Builds    int64 `json:"builds"`
+	Hits      int64 `json:"hits"`
+	Fallbacks int64 `json:"fallbacks"`
+	Entries   int64 `json:"entries"`
+	Bytes     int64 `json:"bytes"`
 }
 
 // GCStats is the space-reclamation accounting. WriteAmp is bytes moved per
@@ -266,7 +265,6 @@ func (db *DB) Stats() Stats {
 		s.EdgeBlocks.Fallbacks += bs.Fallbacks
 		s.EdgeBlocks.Entries += bs.Entries
 		s.EdgeBlocks.Bytes += bs.Bytes
-		s.EdgeBlocks.OverlayOps += bs.OverlayOps
 
 		if src := e.Epochs(); src != nil {
 			es := src.Stats()
