@@ -83,8 +83,8 @@ const (
 )
 
 // ErrNotReplicated is returned by the calls that need a write-ahead log
-// (OpenReplica, Failover, WriteSnapshot, SnapshotAt, ApplyBatchEx) on a DB
-// that runs a bare engine.
+// (OpenReplica, Failover, WriteSnapshot, ApplyBatchEx) on a DB that runs a
+// bare engine.
 var ErrNotReplicated = errors.New("bg3: database opened without replication")
 
 // DB is a BG3 database handle. Open builds one of two shapes behind it, and

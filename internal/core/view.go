@@ -54,25 +54,6 @@ func (e *Engine) ReadEpoch() mvcc.Epoch {
 	return e.opts.Epochs.Current()
 }
 
-// ViewAt pins a specific past epoch and returns a snapshot read handle —
-// the re-attach half of a cross-shard consistent cut. It fails closed
-// with mvcc.ErrFutureEpoch / ErrRetiredEpoch / ErrNotBoundary when the
-// epoch cannot be pinned exactly. On an engine without an epoch clock
-// only epoch 0 (latest state) is accepted.
-func (e *Engine) ViewAt(epoch mvcc.Epoch) (*ReadView, error) {
-	if e.opts.Epochs == nil {
-		if epoch != 0 {
-			return nil, mvcc.ErrFutureEpoch
-		}
-		return e.newView(nil), nil
-	}
-	pin, err := e.opts.Epochs.PinAt(epoch)
-	if err != nil {
-		return nil, err
-	}
-	return e.newView(pin), nil
-}
-
 // Epoch returns the pinned group-commit boundary (0 when the engine has no
 // epoch clock and the view reads latest state).
 func (v *ReadView) Epoch() mvcc.Epoch {

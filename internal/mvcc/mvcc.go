@@ -1,5 +1,5 @@
 // Package mvcc implements the coarse multi-version read epochs that give
-// BG3 snapshot-isolated scans and traversals (ISSUE 7).
+// BG3 snapshot-isolated scans and traversals.
 //
 // The design piggybacks on the WAL group committer's ordering guarantee:
 // every mutation is assigned a WAL LSN under its page latch, and commit
@@ -11,16 +11,18 @@
 // of any later group, and never a partial group.
 //
 // A Source is the process-wide epoch clock for one writable engine. The
-// committer calls Advance just before it releases a group's acks (so a
-// writer that saw its ApplyBatch return can immediately pin an epoch that
-// includes its own write). Readers call Pin to take a reference-counted
-// handle; the minimum pinned epoch is the *retention floor* below which
-// Bw-tree consolidation may fold history into page bases. GC asks the
-// clock nothing: history above the floor is kept as live records, which
-// reclamation moves like any other.
+// writer that releases a group calls Advance just before it acks the
+// group's writers (so a writer that saw its ApplyBatch return can
+// immediately pin an epoch that includes its own write). Readers call Pin
+// to take a reference-counted handle; the minimum pinned epoch is the
+// *retention floor* below which Bw-tree consolidation may fold history
+// into page bases. GC asks the clock nothing: history above the floor is
+// kept as live records, which reclamation moves like any other.
 //
-// A Source publishes every released group at once and knows one stream
-// only. Which epochs of several shards form a cut is the shard group's
+// A pin is the only way to hold an epoch: there is no re-pinning of a
+// past epoch, so a cut is shared by sharing its handle. A Source
+// publishes every released group at once and knows one stream only.
+// Which epochs of several shards form a cut is the shard group's
 // decision: a cross-shard Snapshot samples every clock while no
 // transaction's apply is in flight (internal/shard, txnManager.cut).
 //
@@ -30,28 +32,11 @@
 package mvcc
 
 import (
-	"errors"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"bg3/internal/metrics"
-)
-
-// PinAt failure modes. Cross-shard snapshot vectors are re-attached with
-// PinAt, so each rejection must fail closed: a vector that cannot be
-// pinned exactly is refused rather than approximated.
-var (
-	// ErrFutureEpoch: the requested epoch is above the released horizon —
-	// it names a group that has not committed (or a forged LSN).
-	ErrFutureEpoch = errors.New("mvcc: epoch not yet released")
-	// ErrRetiredEpoch: the requested epoch is below the retention floor —
-	// history at it may already be folded into page bases or reclaimed.
-	ErrRetiredEpoch = errors.New("mvcc: epoch below retention floor")
-	// ErrNotBoundary: the requested epoch is inside a commit group — a
-	// read at it could observe a partial group, so it is never pinnable.
-	ErrNotBoundary = errors.New("mvcc: epoch is not a group-commit boundary")
 )
 
 // Epoch identifies one group-commit boundary: the LSN of the last record
@@ -66,12 +51,11 @@ type Source struct {
 
 	mu       sync.Mutex
 	pins     map[Epoch]int // live pin references by epoch
-	bounds   []Epoch       // released group boundaries >= floor, ascending
 	unpinned []func()      // run when the last pin closes (WhenUnpinned)
 
 	// metrics
 	pinned    metrics.Gauge // live pin handles
-	oldestLag metrics.Gauge // current - oldest pinned epoch (LSN distance)
+	oldestLag metrics.Gauge // current - oldest pinned epoch (LSN distance), set at pin and unpin
 	advances  metrics.Counter
 	pinsTotal metrics.Counter
 }
@@ -81,19 +65,13 @@ type Source struct {
 func NewSource(start Epoch) *Source {
 	s := &Source{pins: make(map[Epoch]int)}
 	s.current.Store(uint64(start))
-	s.bounds = []Epoch{start}
 	return s
 }
 
-// maxTrackedBoundaries caps the boundary history kept for PinAt
-// validation. When a pin lags the writer by more than this many groups,
-// the oldest tracked boundaries are dropped and PinAt for them fails
-// closed with ErrNotBoundary — never the other way around.
-const maxTrackedBoundaries = 1 << 16
-
-// Advance moves the released horizon up to e. The committer calls this
-// with the last LSN of each group just before acking the group's writers;
-// epochs only move forward, so late or duplicate calls are no-ops.
+// Advance moves the released horizon up to e. The writer that releases a
+// group calls it with the group's last LSN just before acking the group's
+// writers; epochs only move forward, so late or duplicate calls are
+// no-ops. It takes no lock.
 func (s *Source) Advance(e Epoch) {
 	for {
 		cur := s.current.Load()
@@ -102,40 +80,9 @@ func (s *Source) Advance(e Epoch) {
 		}
 		if s.current.CompareAndSwap(cur, uint64(e)) {
 			s.advances.Inc()
-			s.recordBoundary(e)
 			return
 		}
 	}
-}
-
-// recordBoundary remembers e as a released group boundary so PinAt can
-// later re-pin it. The committer releases acks (and therefore calls
-// Advance) strictly in LSN order, so appends stay sorted.
-func (s *Source) recordBoundary(e Epoch) {
-	s.mu.Lock()
-	if n := len(s.bounds); n == 0 || s.bounds[n-1] < e {
-		s.bounds = append(s.bounds, e)
-	}
-	s.pruneBoundsLocked()
-	s.mu.Unlock()
-}
-
-// pruneBoundsLocked drops boundaries below the retention floor (no pin
-// can ever land there again) and enforces the memory cap.
-func (s *Source) pruneBoundsLocked() {
-	floor := s.floorLocked()
-	i := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] >= floor })
-	if over := len(s.bounds) - i - maxTrackedBoundaries; over > 0 {
-		i += over // cap blown: sacrifice the oldest, PinAt on them fails closed
-	}
-	if i > 0 {
-		s.bounds = append(s.bounds[:0], s.bounds[i:]...)
-	}
-}
-
-func (s *Source) isBoundaryLocked(e Epoch) bool {
-	i := sort.Search(len(s.bounds), func(i int) bool { return s.bounds[i] >= e })
-	return i < len(s.bounds) && s.bounds[i] == e
 }
 
 // Current returns the latest released epoch.
@@ -147,48 +94,11 @@ func (s *Source) Pin() *Pin {
 	s.mu.Lock()
 	e := Epoch(s.current.Load()) // read under mu so Floor can't miss us
 	s.pins[e]++
+	s.setLagLocked()
 	s.mu.Unlock()
 	s.pinned.Add(1)
 	s.pinsTotal.Inc()
-	s.updateLag()
 	return &Pin{src: s, epoch: e}
-}
-
-// PinAt takes a reference on a specific past epoch — the re-attach half
-// of a cross-shard consistent cut: a coordinator samples each shard's
-// epoch with Pin, ships the vector, and every participant PinAts the
-// component for its shard. It fails closed:
-//
-//   - e above the released horizon → ErrFutureEpoch
-//   - e below the retention floor (history may be folded) → ErrRetiredEpoch
-//   - e inside a commit group (a read there would tear) → ErrNotBoundary
-//
-// Note the floor rule: once the last pin at or below e closes, the floor
-// advances and e is no longer re-pinnable. Holders transferring a cut
-// must keep the original pin open until the transfer lands.
-func (s *Source) PinAt(e Epoch) (*Pin, error) {
-	s.mu.Lock()
-	cur := Epoch(s.current.Load())
-	if e > cur {
-		s.mu.Unlock()
-		return nil, ErrFutureEpoch
-	}
-	if e < s.floorLocked() {
-		s.mu.Unlock()
-		return nil, ErrRetiredEpoch
-	}
-	// cur itself is always a boundary (Advance only ever publishes group
-	// boundaries); check the history ring for anything older.
-	if e != cur && !s.isBoundaryLocked(e) {
-		s.mu.Unlock()
-		return nil, ErrNotBoundary
-	}
-	s.pins[e]++
-	s.mu.Unlock()
-	s.pinned.Add(1)
-	s.pinsTotal.Inc()
-	s.updateLag()
-	return &Pin{src: s, epoch: e}, nil
 }
 
 // Floor returns the retention floor: the oldest pinned epoch, or the
@@ -236,20 +146,19 @@ func (s *Source) unpin(e Epoch) {
 	if len(s.pins) == 0 {
 		idle, s.unpinned = s.unpinned, nil
 	}
+	s.setLagLocked()
 	s.mu.Unlock()
 	s.pinned.Add(-1)
-	s.updateLag()
 	for _, fn := range idle {
 		fn()
 	}
 }
 
-func (s *Source) updateLag() {
-	s.mu.Lock()
+// setLagLocked refreshes the epoch_lag gauge from the floor the caller's
+// critical section just changed.
+func (s *Source) setLagLocked() {
 	floor := s.floorLocked()
-	s.mu.Unlock()
-	cur := Epoch(s.current.Load())
-	if cur >= floor {
+	if cur := Epoch(s.current.Load()); cur >= floor {
 		s.oldestLag.Set(int64(cur - floor))
 	}
 }

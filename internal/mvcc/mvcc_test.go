@@ -83,79 +83,3 @@ func TestConcurrentPinUnpin(t *testing.T) {
 		t.Fatalf("Stats = %+v, want no pins and floor at current", st)
 	}
 }
-
-func TestPinAtBoundaryRules(t *testing.T) {
-	s := NewSource(0)
-	s.Advance(10) // boundary
-	s.Advance(25) // boundary
-	s.Advance(40) // boundary
-
-	// Current epoch is always pinnable.
-	p, err := s.PinAt(40)
-	if err != nil {
-		t.Fatalf("PinAt(current): %v", err)
-	}
-	defer p.Close()
-
-	// A released boundary below the floor is retired: with only epoch 40
-	// pinned the floor sits at 40, so 25 is no longer re-pinnable.
-	hold := s.Pin() // pins 40, floor stays 40
-	q, err := s.PinAt(25)
-	if err == nil {
-		q.Close()
-		t.Fatalf("PinAt(25) below floor should fail, floor=%d", s.Floor())
-	}
-	if err != ErrRetiredEpoch {
-		t.Fatalf("PinAt(25) err = %v, want ErrRetiredEpoch", err)
-	}
-
-	// Future epochs fail closed.
-	if _, err := s.PinAt(41); err != ErrFutureEpoch {
-		t.Fatalf("PinAt(41) err = %v, want ErrFutureEpoch", err)
-	}
-	hold.Close()
-}
-
-func TestPinAtMidGroupFailsClosed(t *testing.T) {
-	s := NewSource(0)
-	keep := s.Pin() // pin 0 so boundaries 10/25 stay above the floor
-	defer keep.Close()
-	s.Advance(10)
-	s.Advance(25)
-
-	// 10 is a released boundary above the floor: pinnable.
-	p, err := s.PinAt(10)
-	if err != nil {
-		t.Fatalf("PinAt(10): %v", err)
-	}
-	defer p.Close()
-
-	// 17 is inside the (10,25] group: never pinnable.
-	if _, err := s.PinAt(17); err != ErrNotBoundary {
-		t.Fatalf("PinAt(17) err = %v, want ErrNotBoundary", err)
-	}
-}
-
-func TestPinAtTransfersCut(t *testing.T) {
-	// The consistent-cut handshake: sample with Pin, re-attach with
-	// PinAt while the original stays open, then release the original.
-	s := NewSource(0)
-	s.Advance(100)
-	orig := s.Pin()
-	s.Advance(200) // writer moves on
-
-	re, err := s.PinAt(orig.Epoch())
-	if err != nil {
-		t.Fatalf("PinAt(transfer): %v", err)
-	}
-	orig.Close()
-	if got := re.ReadHorizon(); got != 100 {
-		t.Fatalf("transferred horizon = %d, want 100", got)
-	}
-	re.Close()
-
-	// With every pin gone the floor snaps to current and 100 retires.
-	if _, err := s.PinAt(100); err != ErrRetiredEpoch {
-		t.Fatalf("PinAt(retired) err = %v, want ErrRetiredEpoch", err)
-	}
-}

@@ -425,8 +425,7 @@ func rotate(t *testing.T, rw *RWNode, rounds, n int) {
 // TestAttachReadsOneRotation pins what a follower attaching to a trimmed log
 // reads: the records past the trim's horizon — the rotation of checkpoints
 // that names every leaf, at most rotation of them, and the suffix after it —
-// in one storage scan, and nothing from the meta stream, which nothing
-// writes. It applies all of it before it serves a read, and reads the
+// in one storage scan. It applies all of it before it serves a read, and reads the
 // leader's state.
 func TestAttachReadsOneRotation(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
@@ -466,9 +465,6 @@ func TestAttachReadsOneRotation(t *testing.T) {
 	defer ro.Stop()
 	if reads := st.Stats().ReadOps - before; reads != 1 {
 		t.Fatalf("attaching took %d storage reads, want the one scan of the log", reads)
-	}
-	if meta := st.Usage(storage.StreamMeta); len(meta) != 0 {
-		t.Fatalf("the meta stream holds %d extents, want none", len(meta))
 	}
 	if ro.AppliedLSN() != rw.LastLSN() {
 		t.Fatalf("attached follower at LSN %d, the leader at %d", ro.AppliedLSN(), rw.LastLSN())

@@ -21,7 +21,7 @@ import (
 //
 // Reads through the Group's graph.Store methods are latest-state reads
 // on the owning shard's leader; consistent cross-shard reads go through
-// Snapshot / SnapshotAt.
+// Snapshot.
 type Group struct {
 	routed // latest-state reads, each on the owning shard's current leader
 
@@ -42,11 +42,10 @@ type Group struct {
 	failDone sync.Cond
 	failing  []int
 
-	failovers  metrics.Counter // shard leaders replaced
-	batches    metrics.Counter // ApplyBatch calls routed
-	fanout     metrics.IntHistogram
-	snapshots  metrics.Counter // consistent cuts taken
-	pinRejects metrics.Counter // SnapshotAt vectors refused (fail closed)
+	failovers metrics.Counter // shard leaders replaced
+	batches   metrics.Counter // ApplyBatch calls routed
+	fanout    metrics.IntHistogram
+	snapshots metrics.Counter // consistent cuts taken
 
 	txns        metrics.Counter // multi-shard 2PC transactions started
 	txnCommits  metrics.Counter // transactions decided commit
@@ -102,7 +101,6 @@ func (g *Group) registerMetrics() {
 	r.RegisterCounter("shard.scatter_hops", &g.router.scatterHops)
 	r.RegisterCounter("shard.scatter_shard_reads", &g.router.shardReads)
 	r.RegisterCounter("shard.snapshots", &g.snapshots)
-	r.RegisterCounter("shard.snapshot_rejects", &g.pinRejects)
 	r.RegisterCounter("shard.txns", &g.txns)
 	r.RegisterCounter("shard.txn_commits", &g.txnCommits)
 	r.RegisterCounter("shard.txn_aborts", &g.txnAborts)
@@ -722,30 +720,4 @@ func (g *Group) Snapshot() *Snapshot {
 	g.mgr.cut.Unlock()
 	g.snapshots.Inc()
 	return newSnapshot(g.router, views)
-}
-
-// SnapshotAt re-attaches a previously sampled cut, pinning each shard at
-// the vector's component. It fails closed — a structurally invalid
-// vector, a component ahead of its shard's released horizon, one whose
-// history has been folded past the retention floor, or one naming a
-// mid-group LSN all reject the whole cut with no pins leaked.
-func (g *Group) SnapshotAt(v Vector) (*Snapshot, error) {
-	if err := v.ValidateAgainst(g.ReadEpochs()); err != nil {
-		g.pinRejects.Inc()
-		return nil, err
-	}
-	views := make([]*core.ReadView, len(v))
-	for i, e := range v {
-		view, err := g.Leader(i).Engine().ViewAt(e)
-		if err != nil {
-			for _, pinned := range views[:i] {
-				pinned.Close()
-			}
-			g.pinRejects.Inc()
-			return nil, fmt.Errorf("shard %d epoch %d: %w", i, e, err)
-		}
-		views[i] = view
-	}
-	g.snapshots.Inc()
-	return newSnapshot(g.router, views), nil
 }

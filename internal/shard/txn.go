@@ -89,7 +89,7 @@ type TxnPayload struct {
 	Muts []graph.Mutation
 }
 
-// TPC1 wire format (little endian, like SSV1):
+// TPC1 wire format (little endian):
 //
 //	magic[4]="TPC1" version[1]=1
 //	txn[8] fence[8] coord[2] shard[2]
@@ -113,6 +113,10 @@ const (
 
 	txnHeaderLen  = 4 + 1 + 8 + 8 + 2 + 2 + 2
 	txnTrailerLen = 4
+
+	// MaxParticipants bounds a decoded payload's participant count; real
+	// deployments are orders of magnitude smaller.
+	MaxParticipants = 4096
 )
 
 // ErrBadPrepare reports an undecodable or inconsistent prepare payload.
@@ -187,7 +191,7 @@ func DecodePreparePayload(buf []byte) (*TxnPayload, error) {
 		return nil, fmt.Errorf("%w: zero txn id", ErrBadPrepare)
 	}
 	nparts := int(binary.LittleEndian.Uint16(body[25:]))
-	if nparts == 0 || nparts > MaxVectorShards {
+	if nparts == 0 || nparts > MaxParticipants {
 		return nil, fmt.Errorf("%w: %d participants", ErrBadPrepare, nparts)
 	}
 	rest := body[txnHeaderLen:]

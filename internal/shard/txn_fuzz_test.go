@@ -89,7 +89,7 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 			t.Fatalf("accepted payload fails cross-checks: txn=%d (rec %d) fence=%d (rec %d)",
 				p.Txn, recTxn, p.Fence, recEpoch)
 		}
-		if len(p.Parts) == 0 || len(p.Parts) > MaxVectorShards {
+		if len(p.Parts) == 0 || len(p.Parts) > MaxParticipants {
 			t.Fatalf("accepted payload with %d participants", len(p.Parts))
 		}
 		coordOK, shardOK := false, false

@@ -2,12 +2,12 @@
 // that BG3 persists to (the paper uses ByteDance's internal Pangu-like
 // service; see DESIGN.md §4 for the substitution).
 //
-// The store exposes several independent append-only streams (base pages,
-// delta pages, WAL, and a meta stream nothing writes any more). Each stream is divided into
-// uniformly sized extents, mirroring ArkDB's layout, and every extent tracks
-// the usage statistics that workload-aware space reclamation needs: latest
-// update time, valid/invalid record counts, and the update-gradient samples
-// of §3.3.
+// The store exposes three independent append-only streams (base pages,
+// delta pages and the WAL). Each stream is divided into uniformly sized
+// extents, mirroring ArkDB's layout, and every extent tracks the usage
+// statistics that workload-aware space reclamation needs: latest update
+// time, valid/invalid record counts, and the update-gradient samples of
+// §3.3.
 //
 // The store is strongly consistent: a record returned by Append is
 // immediately visible to every reader, which is the property the
@@ -33,7 +33,6 @@ const (
 	StreamBase StreamID = iota
 	StreamDelta
 	StreamWAL
-	StreamMeta
 	numStreams
 )
 
@@ -46,8 +45,6 @@ func (s StreamID) String() string {
 		return "delta"
 	case StreamWAL:
 		return "wal"
-	case StreamMeta:
-		return "meta"
 	default:
 		return fmt.Sprintf("stream(%d)", uint8(s))
 	}

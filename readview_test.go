@@ -41,7 +41,7 @@ type heldRecord struct {
 func holdRecords(t *testing.T, st *storage.Store) []heldRecord {
 	t.Helper()
 	var held []heldRecord
-	for _, id := range []storage.StreamID{storage.StreamBase, storage.StreamDelta, storage.StreamWAL, storage.StreamMeta} {
+	for _, id := range []storage.StreamID{storage.StreamBase, storage.StreamDelta, storage.StreamWAL} {
 		head, _, _ := st.Head(id)
 		entries, _, err := st.Scan(id, head, 0)
 		if err != nil {

@@ -157,6 +157,37 @@ func overwriteRound(t *testing.T, db *DB, round int) {
 	}
 }
 
+// The anchors give each round of TestPinnedSnapshotDoesNotStallGC a record
+// no later round kills: anchor(r) holds a page of edges past every source,
+// written before the pin, and round r rewrites only its last one. A leaf
+// holds at most MaxPageEntries keys, so no two rounds' anchor edges, and no
+// anchor edge and a source's, share a leaf: the delta round r flushes for it
+// stays live in an extent whose other records the next round kills, and GC
+// has that extent to reclaim wherever the extent boundaries fall.
+func anchor(round int) VertexID { return VertexID(gcSources + round) }
+
+// writeAnchors writes the anchors of rounds 1..rounds.
+func writeAnchors(t *testing.T, db *DB, rounds int) {
+	t.Helper()
+	for r := 1; r <= rounds; r++ {
+		for j := 0; j < gcOpts.MaxPageEntries; j++ {
+			if err := db.AddEdge(Edge{Src: anchor(r), Dst: VertexID(1000 + j), Type: ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// touchAnchor rewrites the last edge of round's anchor, for the round's
+// checkpoint to flush.
+func touchAnchor(t *testing.T, db *DB, round int) {
+	t.Helper()
+	if err := db.AddEdge(Edge{Src: anchor(round), Dst: VertexID(1000 + gcOpts.MaxPageEntries - 1), Type: ETypeFollow,
+		Props: Properties{{Name: "round", Value: []byte{byte(round)}}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // checkRound reads every source through r and wants each of its edges tagged
 // with round.
 func checkRound(t *testing.T, when string, r graph.Reader, round int) {
@@ -177,7 +208,8 @@ func checkRound(t *testing.T, when string, r graph.Reader, round int) {
 }
 
 // TestPinnedSnapshotDoesNotStallGC holds one Snapshot across six rounds of
-// overwrites, each checkpointed, reclaimed and checkpointed again. GC picks
+// overwrites, each checkpointed, reclaimed and checkpointed again; each round
+// also rewrites its anchor, a record no later round kills. GC picks
 // extents by what the writes did to them, not by what the snapshot holds: it
 // reclaims under the pin, and every read through the pin still returns the
 // state from before it — its history is live records, which GC moves and
@@ -191,10 +223,12 @@ func TestPinnedSnapshotDoesNotStallGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rep.Stop()
+		writeAnchors(t, db, 6)
 		overwriteRound(t, db, 0)
 		s := db.Snapshot()
 		before := db.Stats().GC.ExtentsReclaimed
 		for round := 1; round <= 6; round++ {
+			touchAnchor(t, db, round)
 			overwriteRound(t, db, round)
 			gcAndCheckpoint(t, db)
 			checkRound(t, fmt.Sprintf("pinned read after round %d", round), s, 0)

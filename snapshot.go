@@ -41,49 +41,20 @@ func (db *DB) Snapshot() *Snapshot {
 	return &Snapshot{reads: reads{cut}, cut: cut}
 }
 
-// SnapshotAt re-attaches a cut from an encoded epoch vector (see
-// Snapshot.Vector). It fails closed: truncated or corrupt vectors, wrong
-// shard counts, components ahead of a shard's released horizon, retired
-// below its retention floor, or naming mid-group LSNs are all rejected with
-// no pins leaked. The original snapshot must stay open until the re-attach
-// returns, or its epochs may retire.
-func (db *DB) SnapshotAt(vector []byte) (*Snapshot, error) {
-	if db.group == nil {
-		return nil, ErrNotReplicated
-	}
-	v, err := shard.DecodeVector(vector)
-	if err != nil {
-		return nil, err
-	}
-	cut, err := db.group.SnapshotAt(v)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{reads: reads{cut}, cut: cut}, nil
-}
-
-func (s *Snapshot) epochs() shard.Vector {
-	if s.cut == nil {
-		return shard.Vector{s.view.Epoch()}
-	}
-	return s.cut.Epochs()
-}
-
 // Epochs returns the pinned epoch vector: component i is shard i's
 // group-commit boundary, the WAL LSN of the last record in the last group
 // the snapshot observes (0 on a bare engine).
 func (s *Snapshot) Epochs() []uint64 {
-	v := s.epochs()
+	if s.cut == nil {
+		return []uint64{uint64(s.view.Epoch())}
+	}
+	v := s.cut.Epochs()
 	out := make([]uint64, len(v))
 	for i, e := range v {
 		out[i] = uint64(e)
 	}
 	return out
 }
-
-// Vector returns the cut as a checksummed wire-format vector that
-// SnapshotAt on a handle over the same shards can re-pin.
-func (s *Snapshot) Vector() []byte { return s.epochs().Encode() }
 
 // Close releases every shard's pin. Idempotent.
 func (s *Snapshot) Close() {

@@ -167,10 +167,8 @@ type ShardStats struct {
 	// the parallel per-shard reads they issued.
 	ScatterHops       int64 `json:"scatter_hops"`
 	ScatterShardReads int64 `json:"scatter_shard_reads"`
-	// Snapshots counts consistent cuts taken; SnapshotRejects counts
-	// vectors refused fail-closed by SnapshotAt.
-	Snapshots       int64 `json:"snapshots"`
-	SnapshotRejects int64 `json:"snapshot_rejects"`
+	// Snapshots counts consistent cuts taken.
+	Snapshots int64 `json:"snapshots"`
 	// Txns counts multi-shard transactions started (2PC path); TxnCommits
 	// and TxnAborts their decisions. TxnResolved counts in-doubt prepares
 	// settled by a failover's resolution pass, and TxnReapplied how many of
@@ -317,7 +315,6 @@ func (db *DB) Stats() Stats {
 	s.Shards.ScatterHops = g["shard.scatter_hops"].Value
 	s.Shards.ScatterShardReads = g["shard.scatter_shard_reads"].Value
 	s.Shards.Snapshots = g["shard.snapshots"].Value
-	s.Shards.SnapshotRejects = g["shard.snapshot_rejects"].Value
 	s.Shards.Txns = g["shard.txns"].Value
 	s.Shards.TxnCommits = g["shard.txn_commits"].Value
 	s.Shards.TxnAborts = g["shard.txn_aborts"].Value
