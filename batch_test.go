@@ -1,6 +1,10 @@
 package bg3
 
-import "testing"
+import (
+	"encoding/binary"
+	"math/rand"
+	"testing"
+)
 
 // TestBatchPersistsEachLeafOnce pins the leaf run by storage counters, no
 // wall clock. On a sync engine every write reaches storage before it
@@ -80,5 +84,45 @@ func TestBatchPersistsEachLeafOnce(t *testing.T) {
 		t.Fatalf("a batch of one key per leaf cost %+v, the single writes %+v: want the same, an append per key", batch, single)
 	} else if want := (cost{16, 768}); single != want {
 		t.Fatalf("16 scattered writes cost %+v, want exactly %+v", single, want)
+	}
+}
+
+// TestBatchLoadKeepsSpaceNearLive loads a bare engine the way a bulk load
+// does: 20k edges of Zipf-skewed sources in 1,024-mutation ApplyBatch calls,
+// into 64 KiB extents. Each batch rewrites the leaves it touches, so the
+// extents behind the load keep a few live records apiece; the writer compacts
+// each one it leaves with at most 1/32 of its bytes live, and resident space
+// stays within 3× the live records (~2.3× here; without compaction it is
+// ~3.7×). Compaction moves at most 1/31 of what it frees: an extent's
+// capacity, less the live bytes it moved.
+func TestBatchLoadKeepsSpaceNearLive(t *testing.T) {
+	const extent = 64 << 10
+	db := openDB(t, &Options{ExtentSize: extent, ForestSplitThreshold: 64})
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, 19999)
+	muts := make([]Mutation, 0, 1024)
+	for i := 0; i < 20000; i++ {
+		ts := make([]byte, 8)
+		binary.LittleEndian.PutUint64(ts, uint64(i))
+		muts = append(muts, AddEdgeMut(Edge{Src: VertexID(zipf.Uint64() + 1), Dst: VertexID(rng.Intn(20000) + 1),
+			Type: ETypeFollow, Props: Properties{{Name: "ts", Value: ts}}}))
+		if len(muts) == cap(muts) || i == 19999 {
+			if err := db.ApplyBatch(muts); err != nil {
+				t.Fatal(err)
+			}
+			muts = muts[:0]
+		}
+	}
+	st := db.Stats()
+	t.Logf("%d B resident for %d B live; %d extents compacted, %d B moved",
+		st.Storage.TotalBytes, st.Storage.LiveBytes, st.GC.ExtentsCompacted, st.GC.CompactBytesMoved)
+	if st.Storage.TotalBytes > 3*st.Storage.LiveBytes {
+		t.Errorf("%d B resident for %d B live: more than 3×", st.Storage.TotalBytes, st.Storage.LiveBytes)
+	}
+	if st.GC.ExtentsCompacted == 0 {
+		t.Fatal("no extent was compacted")
+	}
+	if freed := st.GC.ExtentsCompacted*extent - st.GC.CompactBytesMoved; 31*st.GC.CompactBytesMoved > freed {
+		t.Errorf("compaction moved %d B to free %d B: more than 1/31", st.GC.CompactBytesMoved, freed)
 	}
 }

@@ -304,9 +304,9 @@ func dispatch(db *bg3.DB, f []string) error {
 		s := db.Stats()
 		fmt.Printf("storage: %d reads, %d writes, %d B read, %d B written\n",
 			s.Storage.ReadOps, s.Storage.WriteOps, s.Storage.BytesRead, s.Storage.BytesWritten)
-		fmt.Printf("space:   %d B live / %d B total, GC moved %d B (amp %.2f), %d reclaimed, %d expired\n",
+		fmt.Printf("space:   %d B live / %d B total, GC moved %d B (amp %.2f), %d reclaimed, %d expired, %d compacted (%d B moved)\n",
 			s.Storage.LiveBytes, s.Storage.TotalBytes, s.GC.BytesMoved, s.GC.WriteAmp,
-			s.GC.ExtentsReclaimed, s.GC.ExtentsExpired)
+			s.GC.ExtentsReclaimed, s.GC.ExtentsExpired, s.GC.ExtentsCompacted, s.GC.CompactBytesMoved)
 		fmt.Printf("forest:  %d trees, %d owners, %d INIT keys, %d migrations\n",
 			s.Forest.Trees, s.Forest.Owners, s.Forest.InitKeys, s.Forest.Migrations)
 		fmt.Printf("cache:   %d hits / %d misses (ratio %.2f), read fan-out p99=%d max=%d\n",

@@ -95,8 +95,10 @@ func (t *Tree) FlushDirty() ([]MappingUpdate, error) {
 		return updates, err
 	}
 	// Consolidation time is also edge-block time: a dedicated tree that
-	// outgrew the block threshold (or whose overlay outgrew the rebuild
-	// threshold) is packed here, on the flusher's goroutine.
+	// outgrew the block threshold, or whose block is due a rebuild —
+	// max(64, entries/4) writes since the build, or scans that walked as many
+	// leaves for stale chunks as the block has chunks — is packed here, on
+	// the flusher's goroutine.
 	t.maybeBuildEdgeBlock()
 	return updates, nil
 }

@@ -196,7 +196,7 @@ func (e *Engine) Close() {
 
 // AddVertex implements graph.Store.
 func (e *Engine) AddVertex(v graph.Vertex) error {
-	return e.edges.Apply([]forest.Write{vertexWrite(v)}, nil)
+	return e.apply([]forest.Write{vertexWrite(v)}, nil)
 }
 
 // AddEdge implements graph.Store.
@@ -204,12 +204,24 @@ func (e *Engine) AddEdge(ed graph.Edge) error {
 	if ed.Type == vertexPrefix {
 		return errReservedEdgeType
 	}
-	return e.edges.Apply([]forest.Write{edgeWrite(ed, false)}, nil)
+	return e.apply([]forest.Write{edgeWrite(ed, false)}, nil)
 }
 
 // DeleteEdge implements graph.Store.
 func (e *Engine) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) error {
-	return e.edges.Apply([]forest.Write{edgeWrite(graph.Edge{Src: src, Type: typ, Dst: dst}, true)}, nil)
+	return e.apply([]forest.Write{edgeWrite(graph.Edge{Src: src, Type: typ, Dst: dst}, true)}, nil)
+}
+
+// apply applies ws to the forest. Without a logger the write persisted its
+// pages itself, so it then compacts the extents it left nearly empty (Compact),
+// holding no latch; a leader's flush cycle does that instead. A failed
+// compaction leaves its extents to RunGC and does not fail the write.
+func (e *Engine) apply(ws []forest.Write, waits *[]func() error) error {
+	err := e.edges.Apply(ws, waits)
+	if e.opts.Logger == nil {
+		_, _ = e.Compact()
+	}
+	return err
 }
 
 // vertexWrite and edgeWrite encode a mutation as the forest write it is. The
@@ -285,7 +297,7 @@ func (e *Engine) ApplyBatchBetween(head *wal.Record, muts []graph.Mutation, tail
 			return err, err
 		}
 	}
-	err = e.edges.Apply(ws, &waits)
+	err = e.apply(ws, &waits)
 	if err == nil && tail != nil {
 		err = e.enqueue(tail, &waits)
 	}
@@ -328,6 +340,21 @@ func (e *Engine) RunGC(batch int) (int64, error) {
 	return total, nil
 }
 
+// Compact relocates the extents that writes left sealed and nearly empty
+// (storage.Store.Compact) through both data streams' reclaimers and returns
+// the bytes moved, or an error wrapping storage.ErrFenced after FenceGC.
+func (e *Engine) Compact() (int64, error) {
+	var total int64
+	for _, r := range e.reclaimers {
+		n, err := r.Compact()
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
 // GCStats aggregates the reclaimers' accounting.
 func (e *Engine) GCStats() gc.ReclaimerStats {
 	var out gc.ReclaimerStats
@@ -340,9 +367,10 @@ func (e *Engine) GCStats() gc.ReclaimerStats {
 	return out
 }
 
-// FenceGC stops background reclamation, waits out a cycle in flight and
-// fails every later RunGC with an error wrapping storage.ErrFenced. A failover
-// fences the leader it deposes before the successor takes over the store.
+// FenceGC stops background reclamation, waits out a cycle in flight and fails
+// every later RunGC and Compact with an error wrapping storage.ErrFenced. A
+// failover fences the leader it deposes before the successor takes over the
+// store.
 func (e *Engine) FenceGC() {
 	for _, r := range e.reclaimers {
 		if e.opts.GCInterval > 0 {

@@ -11,6 +11,7 @@ import (
 
 	"bg3/internal/bwtree"
 	"bg3/internal/graph"
+	"bg3/internal/metrics"
 	"bg3/internal/storage"
 )
 
@@ -22,6 +23,29 @@ import (
 // must equal the reference BFS, and a relocation that invalidates part of a
 // hop's batch must never surface as an error. Run with -race.
 func TestStressHopBatchesRaceGCAndWriters(t *testing.T) {
+	snap := raceHops(t, true)
+	if snap["storage.extents_reclaimed"].Value == 0 {
+		t.Fatal("GC reclaimed no extent: the race was not exercised")
+	}
+}
+
+// TestStressHopBatchesRaceCompactingWriters is the same race with no GC loop:
+// the writers themselves relocate the extents their overwrites leave nearly
+// empty (Engine.Compact, after each write), under hops loading pages in
+// unlatched batches from the locations they moved.
+func TestStressHopBatchesRaceCompactingWriters(t *testing.T) {
+	snap := raceHops(t, false)
+	n := snap["storage.extents_compacted"].Value
+	if n == 0 {
+		t.Fatal("the writers compacted no extent: the race was not exercised")
+	}
+	t.Logf("the writers compacted %d extents", n)
+}
+
+// raceHops runs two readers' batched KHops against two overwriting writers
+// and, with gc, a loop of GC cycles, checks every traversal against the
+// reference BFS and returns the engine's metrics.
+func raceHops(t *testing.T, gc bool) metrics.Snapshot {
 	e := newEngine(t, Options{
 		Storage:        &storage.Options{ExtentSize: 8 << 10},
 		Tree:           bwtree.Config{MaxPageEntries: 16, ConsolidateNum: 4, CacheCapacity: 8},
@@ -88,16 +112,18 @@ func TestStressHopBatchesRaceGCAndWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for !stop.Load() {
-			if _, err := e.RunGC(8); err != nil {
-				t.Errorf("gc: %v", err)
-				return
+	if gc {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for !stop.Load() {
+				if _, err := e.RunGC(8); err != nil {
+					t.Errorf("gc: %v", err)
+					return
+				}
 			}
-		}
-	}()
+		}()
+	}
 
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -126,10 +152,8 @@ func TestStressHopBatchesRaceGCAndWriters(t *testing.T) {
 	bg.Wait()
 
 	snap := e.Metrics().Snapshot()
-	if snap["storage.extents_reclaimed"].Value == 0 {
-		t.Fatal("GC reclaimed no extent: the race was not exercised")
-	}
 	if b := snap["bwtree.batch_load_pages"].IntHistogram; b == nil || b.Max < 2 {
 		t.Fatalf("bwtree.batch_load_pages = %+v: no hop loaded several cold pages at once", b)
 	}
+	return snap
 }

@@ -93,6 +93,19 @@ func (r *Reclaimer) RunOnce(n int) (int64, error) {
 	return moved, nil
 }
 
+// Compact relocates the extents of the stream that writes left nearly empty
+// (storage.Store.Compact) and returns the bytes moved, or an error wrapping
+// storage.ErrFenced once the reclaimer is fenced. It picks nothing, so it
+// counts in the store's compaction counters, not in Stats.
+func (r *Reclaimer) Compact() (int64, error) {
+	r.cycle.RLock()
+	defer r.cycle.RUnlock()
+	if r.fenced {
+		return 0, fmt.Errorf("gc: compaction by a deposed leader: %w", storage.ErrFenced)
+	}
+	return r.store.Compact(r.stream, r.relocate)
+}
+
 // Start launches a background loop reclaiming batch extents every
 // interval until Stop is called.
 func (r *Reclaimer) Start(interval time.Duration, batch int) {
@@ -121,10 +134,10 @@ func (r *Reclaimer) Stop() {
 	<-r.done
 }
 
-// Fence waits out a cycle in flight and makes every later RunOnce fail with
-// storage.ErrFenced. A leader being deposed fences its reclaimers before its
-// successor takes over: a cycle after that would relocate pages into
-// locations the successor's mapping never learns of.
+// Fence waits out a cycle or a compaction in flight and makes every later
+// RunOnce and Compact fail with storage.ErrFenced. A leader being deposed
+// fences its reclaimers before its successor takes over: a cycle after that
+// would relocate pages into locations the successor's mapping never learns of.
 func (r *Reclaimer) Fence() {
 	r.cycle.Lock()
 	r.fenced = true

@@ -324,6 +324,11 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 		n.carried = updates
 		return 0, err
 	}
+	// The extents this flush, or a write since the last, left nearly empty
+	// move now, so their relocations ride this checkpoint and the release
+	// rule holds them as it holds GC's. A failed compaction leaves them to
+	// RunGC.
+	_, _ = n.engine.Compact()
 	// Pages GC relocated since the last checkpoint must also reach the
 	// replicas. A reclaim relocates before it condemns, so the live records of
 	// every extent condemned by mark are in what TakeRelocated returns now or

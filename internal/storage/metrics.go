@@ -20,6 +20,8 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("storage.extents_reclaimed", func() int64 { return s.Stats().ExtentsReclaimed })
 	r.CounterFunc("storage.extents_expired", func() int64 { return s.Stats().ExtentsExpired })
 	r.CounterFunc("storage.extents_emptied", func() int64 { return s.Stats().ExtentsEmptied })
+	r.CounterFunc("storage.extents_compacted", func() int64 { return s.Stats().ExtentsCompacted })
+	r.CounterFunc("storage.compact_bytes_moved", func() int64 { return s.Stats().CompactBytesMoved })
 	r.GaugeFunc("storage.live_bytes", func() int64 { return s.Stats().LiveBytes })
 	r.GaugeFunc("storage.total_bytes", func() int64 { return s.Stats().TotalBytes })
 	r.GaugeFunc("storage.extent_count", func() int64 { return s.Stats().ExtentCount })

@@ -139,24 +139,26 @@ func (o *Options) withDefaults() Options {
 // Metrics aggregates the store's I/O accounting. All fields are safe for
 // concurrent access through the Stats snapshot.
 type Metrics struct {
-	ReadOps          int64
-	WriteOps         int64
-	BytesRead        int64
-	BytesWritten     int64
-	BatchReads       int64 // ReadBatch calls
-	BatchLocs        int64 // records requested through ReadBatch
-	BatchRoundTrips  int64 // extent round trips those calls coalesced into
-	GCBytesMoved     int64 // bytes relocated by space reclamation
-	GCBytesReclaimed int64 // bytes freed by reclamation and TTL expiry
-	GCRecordsMoved   int64
-	ExtentsReclaimed int64
-	ExtentsExpired   int64 // extents dropped wholesale by TTL
-	ExtentsEmptied   int64 // sealed extents retired when their last record died
-	LiveBytes        int64 // valid record bytes currently stored
-	TotalBytes       int64 // capacity of all resident extents
-	ExtentCount      int64
-	CondemnedExtents int64 // reclaimed, not yet released: readable, outside TotalBytes
-	FencedAppends    int64 // appends rejected with ErrFenced
+	ReadOps           int64
+	WriteOps          int64
+	BytesRead         int64
+	BytesWritten      int64
+	BatchReads        int64 // ReadBatch calls
+	BatchLocs         int64 // records requested through ReadBatch
+	BatchRoundTrips   int64 // extent round trips those calls coalesced into
+	GCBytesMoved      int64 // bytes relocated by space reclamation
+	GCBytesReclaimed  int64 // bytes freed by reclamation and TTL expiry
+	GCRecordsMoved    int64
+	ExtentsReclaimed  int64
+	ExtentsExpired    int64 // extents dropped wholesale by TTL
+	ExtentsEmptied    int64 // sealed extents retired when their last record died
+	ExtentsCompacted  int64 // sparse extents Compact relocated and retired
+	CompactBytesMoved int64 // bytes Compact relocated
+	LiveBytes         int64 // valid record bytes currently stored
+	TotalBytes        int64 // capacity of all resident extents
+	ExtentCount       int64
+	CondemnedExtents  int64 // reclaimed, not yet released: readable, outside TotalBytes
+	FencedAppends     int64 // appends rejected with ErrFenced
 }
 
 // GCWriteAmp returns the write amplification of space reclamation: bytes
@@ -373,7 +375,8 @@ func (s *Store) Read(loc Loc) ([]byte, error) {
 
 // Invalidate marks the record at loc dead, updating its extent's
 // fragmentation statistics and update-gradient samples; a sealed extent it
-// leaves with no valid record is retired as a reclaim retires one. Invalidating
+// leaves with no valid record is retired as a reclaim retires one, and one it
+// leaves nearly empty is queued for Compact. Invalidating
 // a record twice, or a record in an already reclaimed extent, is a no-op.
 func (s *Store) Invalidate(loc Loc) {
 	st, err := s.stream(loc.Stream)
@@ -412,6 +415,8 @@ func (s *Store) Stats() Metrics {
 		m.ExtentsReclaimed += sm.ExtentsReclaimed
 		m.ExtentsExpired += sm.ExtentsExpired
 		m.ExtentsEmptied += sm.ExtentsEmptied
+		m.ExtentsCompacted += sm.ExtentsCompacted
+		m.CompactBytesMoved += sm.CompactBytesMoved
 		m.LiveBytes += sm.LiveBytes
 		m.TotalBytes += sm.TotalBytes
 		m.ExtentCount += sm.ExtentCount
@@ -460,7 +465,22 @@ func (s *Store) Reclaim(id StreamID, ext ExtentID, relocate RelocateFunc) (moved
 	if errs != nil {
 		return 0, errs
 	}
-	return st.reclaim(ext, relocate)
+	return st.reclaim(ext, relocate, false)
+}
+
+// Compact reclaims, as Reclaim does, the extents of the stream that a seal or
+// an invalidation left sealed with at most ExtentSize/32 live bytes: each is
+// queued once, when it gets there, and Compact takes the whole queue. An
+// extent that holds more by now (Revalidate) is left where it is, so Compact
+// moves at most 1/31 of the bytes it frees. It counts in ExtentsCompacted and
+// CompactBytesMoved, not in the GC counters of policy picks. On an error the
+// extents not yet moved stay resident, out of the queue, for a GC pick.
+func (s *Store) Compact(id StreamID, relocate RelocateFunc) (int64, error) {
+	st, err := s.stream(id)
+	if err != nil {
+		return 0, err
+	}
+	return st.compact(relocate)
 }
 
 // DropExpired removes whole extents whose newest record is older than

@@ -734,6 +734,110 @@ func TestReleaseRule(t *testing.T) {
 	})
 }
 
+// TestCompactQueue pins the compaction rule: a seal or an invalidation that
+// leaves a sealed data extent with 0 < live bytes <= ExtentSize/32 queues it,
+// once; Compact relocates what is still that sparse and counts apart from GC;
+// and a queue nobody drains drops every extent that stops being resident.
+func TestCompactQueue(t *testing.T) {
+	// 256-byte extents of 8-byte records: 32 records apiece, sparse at one.
+	open := func() (*Store, []Loc) {
+		s := Open(&Options{ExtentSize: 256})
+		var locs []Loc
+		for i := 0; i < 65; i++ { // two sealed extents, a third active
+			loc, _ := s.Append(StreamBase, uint64(i), bytes.Repeat([]byte{byte(i)}, 8))
+			locs = append(locs, loc)
+		}
+		return s, locs
+	}
+	// thin kills every record of locs' extent but the first.
+	thin := func(s *Store, locs []Loc) {
+		for _, loc := range locs[1:] {
+			s.Invalidate(loc)
+		}
+	}
+	queued := func(s *Store) []ExtentID {
+		st := s.streams[StreamBase]
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		return slices.Clone(st.sparse)
+	}
+	resident := func(s *Store, ext ExtentID) bool {
+		return slices.ContainsFunc(s.Usage(StreamBase), func(u ExtentUsage) bool { return u.Extent == ext })
+	}
+	relocate := func(uint64, Loc, Loc) bool { return true }
+
+	t.Run("invalidation", func(t *testing.T) {
+		s, locs := open()
+		thin(s, locs[:31])
+		if q := queued(s); len(q) != 0 {
+			t.Fatalf("queued %v with 16 live bytes", q)
+		}
+		s.Invalidate(locs[31])
+		s.Invalidate(locs[31])
+		if q := queued(s); !slices.Equal(q, []ExtentID{locs[0].Extent}) {
+			t.Fatalf("queue %v, want [%d] once", q, locs[0].Extent)
+		}
+		moved, err := s.Compact(StreamBase, relocate)
+		if err != nil || moved != 8 {
+			t.Fatalf("Compact moved %d B, err %v; want 8", moved, err)
+		}
+		st := s.Stats()
+		if resident(s, locs[0].Extent) || st.ExtentsCompacted != 1 || st.CompactBytesMoved != 8 {
+			t.Fatalf("after Compact: resident %v, %d compacted, %d B moved", resident(s, locs[0].Extent), st.ExtentsCompacted, st.CompactBytesMoved)
+		}
+		if st.ExtentsReclaimed != 0 || st.GCBytesMoved != 0 || st.GCRecordsMoved != 0 {
+			t.Fatalf("compaction counted as GC: %+v", st)
+		}
+		if moved, err := s.Compact(StreamBase, relocate); moved != 0 || err != nil {
+			t.Fatalf("second Compact moved %d B, err %v", moved, err)
+		}
+	})
+
+	t.Run("seal", func(t *testing.T) {
+		s, locs := open()
+		thin(s, locs[64:]) // the active extent holds one record
+		for i := 0; i < 31; i++ {
+			loc, _ := s.Append(StreamBase, 99, bytes.Repeat([]byte{99}, 8))
+			s.Invalidate(loc)
+		}
+		if q := queued(s); len(q) != 0 {
+			t.Fatalf("queued %v before the seal", q)
+		}
+		s.Append(StreamBase, 99, bytes.Repeat([]byte{99}, 8))
+		if q := queued(s); !slices.Equal(q, []ExtentID{locs[64].Extent}) {
+			t.Fatalf("queue %v after the seal, want [%d]", q, locs[64].Extent)
+		}
+	})
+
+	t.Run("undrained", func(t *testing.T) {
+		s, locs := open()
+		thin(s, locs[:32])
+		thin(s, locs[32:64])
+		if got := len(queued(s)); got != 2 {
+			t.Fatalf("%d queued, want 2", got)
+		}
+		// A GC pick and an emptying take their extents out of the queue.
+		if _, err := s.Reclaim(StreamBase, locs[0].Extent, relocate); err != nil {
+			t.Fatal(err)
+		}
+		s.Invalidate(locs[32])
+		if q := queued(s); len(q) != 0 {
+			t.Fatalf("queue %v holds extents no longer resident", q)
+		}
+	})
+
+	t.Run("revalidated", func(t *testing.T) {
+		s, locs := open()
+		thin(s, locs[:32])
+		s.Revalidate(locs[1])
+		moved, err := s.Compact(StreamBase, relocate)
+		if err != nil || moved != 0 || !resident(s, locs[0].Extent) {
+			t.Fatalf("Compact of an extent revalidated past the threshold moved %d B, err %v, resident %v",
+				moved, err, resident(s, locs[0].Extent))
+		}
+	})
+}
+
 func TestGCBytesReclaimedAccounting(t *testing.T) {
 	s := Open(&Options{ExtentSize: 64})
 	var locs []Loc

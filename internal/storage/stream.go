@@ -1,11 +1,18 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// compactShare sets the compaction threshold: a sealed data extent left with
+// at most ExtentSize/compactShare live bytes is queued for Store.Compact, so a
+// compaction moves at most 1/(compactShare-1) of the bytes it frees.
+const compactShare = 32
 
 // record tracks one appended record inside an extent.
 type record struct {
@@ -20,6 +27,8 @@ type extent struct {
 	id     ExtentID
 	buf    []byte
 	sealed bool
+	queued bool // in its stream's sparse queue since it got sparse (settleLocked)
+	moving bool // a reclaim is copying its live records out
 
 	records      []record
 	validCount   int
@@ -98,16 +107,18 @@ func (u ExtentUsage) FragmentationRate() float64 {
 }
 
 type streamStats struct {
-	GCBytesMoved     int64
-	GCBytesReclaimed int64
-	GCRecordsMoved   int64
-	ExtentsReclaimed int64
-	ExtentsExpired   int64
-	ExtentsEmptied   int64
-	LiveBytes        int64
-	TotalBytes       int64
-	ExtentCount      int64
-	CondemnedExtents int64
+	GCBytesMoved      int64
+	GCBytesReclaimed  int64
+	GCRecordsMoved    int64
+	ExtentsReclaimed  int64
+	ExtentsExpired    int64
+	ExtentsEmptied    int64
+	ExtentsCompacted  int64
+	CompactBytesMoved int64
+	LiveBytes         int64
+	TotalBytes        int64
+	ExtentCount       int64
+	CondemnedExtents  int64
 }
 
 // stream is one append-only sequence of extents.
@@ -132,6 +143,12 @@ type stream struct {
 	// (release.go).
 	condemned map[ExtentID]condemnation
 
+	// sparse queues the sealed extents writes left nearly empty, each once
+	// (settleLocked), until Compact takes them; nsparse is its length, read
+	// without mu so a write with nothing to compact takes no lock.
+	sparse  []ExtentID
+	nsparse atomic.Int32
+
 	// trimmed is the end of the newest extent DropBefore removed: a scan
 	// from before it has lost records (ErrTrimmed). horizon is what the
 	// trims declared survives, and headEpoch the fence epoch it was declared
@@ -146,6 +163,8 @@ type stream struct {
 	extentsReclaimed int64
 	extentsExpired   int64
 	extentsEmptied   int64
+	extentsCompacted int64
+	compactMoved     int64
 }
 
 func newStream(store *Store, id StreamID) *stream {
@@ -228,7 +247,7 @@ func (s *stream) append(epoch, tag uint64, data []byte) (Loc, error) {
 	if e == nil || len(e.buf)+len(data) > s.opts.ExtentSize {
 		if e != nil {
 			e.sealed = true
-			s.retireIfEmptyLocked(e)
+			s.settleLocked(e)
 		}
 		e = s.newExtentLocked()
 	}
@@ -302,15 +321,46 @@ func (s *stream) mark(loc Loc, valid bool, now time.Time) {
 	}
 	e.validCount, e.invalidCount, e.validBytes = e.validCount-1, e.invalidCount+1, e.validBytes-int64(r.len)
 	e.noteUpdate(now)
-	s.retireIfEmptyLocked(e)
+	s.settleLocked(e)
 }
 
-// retireIfEmptyLocked retires a sealed extent whose last record died: it costs
-// no movement, so it expires without waiting for a GC pick (§3.3). Caller
+// settleLocked acts on a sealed extent a seal or an invalidation left nearly
+// empty, without waiting for a GC pick (§3.3). One whose last record died costs
+// no movement and is retired at once. A resident data extent left with at most
+// ExtentSize/compactShare live bytes is queued, once, for Compact. Caller
 // holds mu.
-func (s *stream) retireIfEmptyLocked(e *extent) {
-	if e.sealed && e.validCount == 0 && s.retireLocked(e.id) {
-		s.extentsEmptied++
+func (s *stream) settleLocked(e *extent) {
+	if !e.sealed {
+		return
+	}
+	if e.validCount == 0 {
+		if s.retireLocked(e.id) {
+			s.extentsEmptied++
+		}
+		return
+	}
+	if _, dead := s.condemned[e.id]; dead || e.queued || s.id == StreamWAL || e.validBytes > s.compactLive() {
+		return
+	}
+	e.queued = true
+	s.sparse = append(s.sparse, e.id)
+	s.nsparse.Store(int32(len(s.sparse)))
+}
+
+// compactLive is the most live bytes an extent Compact moves may hold.
+func (s *stream) compactLive() int64 { return int64(s.opts.ExtentSize / compactShare) }
+
+// unqueueLocked takes an extent leaving residence out of the sparse queue, so
+// a queue nobody drains holds no more entries than there are resident
+// extents. Caller holds mu.
+func (s *stream) unqueueLocked(e *extent) {
+	if !e.queued {
+		return
+	}
+	e.queued = false
+	if i := slices.Index(s.sparse, e.id); i >= 0 {
+		s.sparse = slices.Delete(s.sparse, i, i+1)
+		s.nsparse.Store(int32(len(s.sparse)))
 	}
 }
 
@@ -324,6 +374,7 @@ func (s *stream) retireLocked(id ExtentID) bool {
 		return false
 	}
 	s.order = slices.Delete(s.order, i, i+1)
+	s.unqueueLocked(s.extents[id])
 	if s.store.logged() {
 		s.condemned[id] = s.store.condemn()
 	} else {
@@ -361,14 +412,16 @@ func (s *stream) stats() streamStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st := streamStats{
-		GCBytesMoved:     s.gcBytesMoved,
-		GCBytesReclaimed: s.gcBytesReclaimed,
-		GCRecordsMoved:   s.gcRecordsMoved,
-		ExtentsReclaimed: s.extentsReclaimed,
-		ExtentsExpired:   s.extentsExpired,
-		ExtentsEmptied:   s.extentsEmptied,
-		ExtentCount:      int64(len(s.order)),
-		CondemnedExtents: int64(len(s.condemned)),
+		GCBytesMoved:      s.gcBytesMoved,
+		GCBytesReclaimed:  s.gcBytesReclaimed,
+		GCRecordsMoved:    s.gcRecordsMoved,
+		ExtentsReclaimed:  s.extentsReclaimed,
+		ExtentsExpired:    s.extentsExpired,
+		ExtentsEmptied:    s.extentsEmptied,
+		ExtentsCompacted:  s.extentsCompacted,
+		CompactBytesMoved: s.compactMoved,
+		ExtentCount:       int64(len(s.order)),
+		CondemnedExtents:  int64(len(s.condemned)),
 	}
 	for _, id := range s.order {
 		if e, ok := s.extents[id]; ok {
@@ -386,7 +439,12 @@ type liveRecord struct {
 	data []byte
 }
 
-func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
+// reclaim moves the live records of an extent to the stream tail and retires
+// it. A compaction (compact) counts apart from policy picks and leaves an
+// extent that holds more than compactLive live bytes where it is. One reclaim
+// of an extent runs at a time; another meanwhile finds it ErrReclaimed, so the
+// bytes a reclaim moved are always those of the extent it retires.
+func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc, compact bool) (int64, error) {
 	// Phase 1: snapshot the extent's live records, as views, under the lock.
 	s.mu.Lock()
 	if _, dead := s.condemned[ext]; dead {
@@ -394,10 +452,15 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
 		return 0, ErrReclaimed
 	}
 	e, ok := s.extents[ext]
-	if !ok {
+	if !ok || e.moving {
 		s.mu.Unlock()
 		return 0, ErrReclaimed
 	}
+	if compact && e.validBytes > s.compactLive() {
+		s.mu.Unlock()
+		return 0, nil
+	}
+	e.moving = true
 	if e == s.active {
 		e.sealed = true
 		s.active = nil
@@ -419,6 +482,9 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
 	for _, lr := range live {
 		newLoc, err := s.store.Append(s.id, lr.tag, lr.data)
 		if err != nil {
+			s.mu.Lock()
+			e.moving = false
+			s.mu.Unlock()
 			return moved, err
 		}
 		oldLoc := Loc{Stream: s.id, Extent: ext, Offset: lr.off, Length: uint32(len(lr.data))}
@@ -437,7 +503,17 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
 	// space no longer counts. An extent whose last record died while its
 	// live ones moved was retired by that invalidation.
 	s.mu.Lock()
-	if s.retireLocked(ext) {
+	defer s.mu.Unlock()
+	e.moving = false
+	retired := s.retireLocked(ext)
+	if compact {
+		if retired {
+			s.extentsCompacted++
+		}
+		s.compactMoved += moved
+		return moved, nil
+	}
+	if retired {
 		if freed := int64(len(e.buf)) - moved; freed > 0 {
 			s.gcBytesReclaimed += freed
 		}
@@ -445,7 +521,28 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc) (int64, error) {
 	}
 	s.gcBytesMoved += moved
 	s.gcRecordsMoved += int64(len(live))
+	return moved, nil
+}
+
+// compact reclaims the extents the sparse queue holds, as Store.Compact
+// describes.
+func (s *stream) compact(relocate RelocateFunc) (int64, error) {
+	if s.nsparse.Load() == 0 {
+		return 0, nil
+	}
+	s.mu.Lock()
+	queued := s.sparse
+	s.sparse = nil
+	s.nsparse.Store(0)
 	s.mu.Unlock()
+	var moved int64
+	for _, ext := range queued {
+		m, err := s.reclaim(ext, relocate, true)
+		moved += m
+		if err != nil && !errors.Is(err, ErrReclaimed) {
+			return moved, err
+		}
+	}
 	return moved, nil
 }
 
@@ -457,6 +554,7 @@ func (s *stream) dropExpired(deadline time.Time) []ExtentID {
 	for _, id := range s.order {
 		e := s.extents[id]
 		if e != nil && e.sealed && e.lastUpdate.Before(deadline) {
+			s.unqueueLocked(e)
 			delete(s.extents, id)
 			dropped = append(dropped, id)
 			s.extentsExpired++

@@ -627,8 +627,24 @@ func (r *oracleRun) run(steps int) {
 	for _, l := range r.logs {
 		migrated = max(migrated, len(l.since)) // a promoted leader counts from zero
 	}
-	r.t.Logf("%d acked, %d failed, %d failovers (%d over debris), %d zombies, %d owners migrated, %d block builds, %d GC runs, faults %+v",
-		r.acked, r.failed, r.failovers, r.debris, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs, r.faults())
+	r.t.Logf("%d acked, %d failed, %d failovers (%d over debris), %d zombies, %d owners migrated, %d block builds, %d GC runs, %d extents compacted (%d B moved), faults %+v",
+		r.acked, r.failed, r.failovers, r.debris, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs,
+		st.GC.ExtentsCompacted, st.GC.CompactBytesMoved, r.faults())
+	// Compaction takes extents with at most 1/32 of their bytes live, so it
+	// moves at most 1/31 of what it frees; the counters are the stores' own.
+	var compacted, moved int64
+	for i := range r.db.Shards() {
+		snap := r.db.eng(i).Metrics().Snapshot()
+		compacted += snap["storage.extents_compacted"].Value
+		moved += snap["storage.compact_bytes_moved"].Value
+	}
+	if compacted != st.GC.ExtentsCompacted || moved != st.GC.CompactBytesMoved {
+		r.fatalf("stats", "Stats has %d extents compacted, %d B moved; the registries %d and %d",
+			st.GC.ExtentsCompacted, st.GC.CompactBytesMoved, compacted, moved)
+	}
+	if extent := int64(r.db.eng(0).Store().ExtentSize()); 32*moved > compacted*extent {
+		r.fatalf("stats", "compaction moved %d B out of %d extents of %d B: more than 1/32 of each", moved, compacted, extent)
+	}
 	if r.acked == 0 || migrated == 0 {
 		r.fatalf("latest", "vacuous stream: %d acked writes, %d owners migrated", r.acked, migrated)
 	}

@@ -281,3 +281,110 @@ func TestDeposedLeaderGCIsFenced(t *testing.T) {
 	}
 	checkRound(t, "after the deposed leader's GC", db, 3)
 }
+
+// sparseResident counts the resident sealed data extents of shard 0's store
+// that hold at most 1/32 of their bytes live: the ones a compaction takes.
+func sparseResident(db *DB) (n int) {
+	st := db.eng(0).Store()
+	for _, stream := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
+		for _, u := range st.Usage(stream) {
+			if u.Sealed && u.ValidRecords > 0 && u.ValidBytes <= u.CapacityBytes/32 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestFlushCycleCompactsBehindCheckpoint runs rounds of overwrites on a
+// one-shard leader with a replica attached; each round also rewrites its
+// anchor, a record no later round kills, so the round's extents end nearly
+// empty rather than empty. Each flush cycle compacts them before it samples
+// the condemn mark, so the relocations ride that cycle's checkpoint and the
+// extents wait on the release rule like GC's. Once the replica applied a
+// round's checkpoint no condemned extent is left, and the replica, whose
+// one-page cache sends every read to storage, reads every acked edge at its
+// new location.
+func TestFlushCycleCompactsBehindCheckpoint(t *testing.T) {
+	o := gcOpts
+	o.Replicated = true
+	db := openLayers(t, o, func(cfg *layers) { cfg.followerCache = 1 })
+	rep, err := db.OpenReplica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	const rounds = 6
+	writeAnchors(t, db, rounds)
+	overwriteRound(t, db, 0)
+	for round := 1; round <= rounds; round++ {
+		touchAnchor(t, db, round)
+		overwriteRound(t, db, round)
+		// The replica applies the checkpoint that stamped this round's
+		// compacted extents, which releases them: it must hold their records'
+		// new locations by then.
+		if err := rep.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := condemned(db); n != 0 {
+			t.Fatalf("round %d: %d condemned extents held after the replica synced", round, n)
+		}
+		when := fmt.Sprintf("follower read after round %d", round)
+		checkRound(t, when, rep, round)
+		for r := 1; r <= rounds; r++ {
+			if n, err := rep.Degree(anchor(r), ETypeFollow); err != nil || n != gcOpts.MaxPageEntries {
+				t.Fatalf("%s: anchor %d: %d edges, err %v; want %d", when, r, n, err, gcOpts.MaxPageEntries)
+			}
+		}
+	}
+	st := db.Stats()
+	if st.GC.ExtentsCompacted == 0 {
+		t.Fatal("no flush cycle compacted an extent")
+	}
+	t.Logf("%d extents compacted, %d B moved", st.GC.ExtentsCompacted, st.GC.CompactBytesMoved)
+}
+
+// TestDeposedLeaderCompactsNothing fences a leader's GC, as a failover does
+// to the leader it deposes, and then runs rounds through it: their flush
+// cycles leave extents nearly empty and queue them, and neither their
+// compactions nor a direct Compact move any of them, so they stay resident
+// for the successor. The successor's first flush cycle compacts them, and
+// every source reads back.
+func TestDeposedLeaderCompactsNothing(t *testing.T) {
+	o := gcOpts
+	o.Replicated = true
+	db := openDB(t, &o)
+	const rounds = 6
+	writeAnchors(t, db, rounds)
+	overwriteRound(t, db, 0)
+	old := db.group.Leader(0)
+	old.Engine().FenceGC()
+	before := db.Stats().GC.ExtentsCompacted
+	for round := 1; round <= rounds; round++ {
+		touchAnchor(t, db, round)
+		overwriteRound(t, db, round)
+	}
+	if n := db.Stats().GC.ExtentsCompacted; n != before {
+		t.Fatalf("the fenced leader compacted %d extents", n-before)
+	}
+	sparse := sparseResident(db)
+	if sparse == 0 {
+		t.Fatal("the round left no sparse extent: the test exercises no fence")
+	}
+	if moved, err := old.Engine().Compact(); !errors.Is(err, storage.ErrFenced) || moved != 0 {
+		t.Fatalf("Compact on the fenced leader moved %d B, err %v; want ErrFenced", moved, err)
+	}
+	if n := sparseResident(db); n != sparse {
+		t.Fatalf("%d of %d sparse extents resident after the fenced Compact", n, sparse)
+	}
+	if err := db.Failover(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Stats().GC.ExtentsCompacted; n == before {
+		t.Fatal("the successor's flush cycle compacted nothing")
+	}
+	checkRound(t, "after the successor compacted", db, rounds)
+}

@@ -104,13 +104,18 @@ type EdgeBlockStats struct {
 
 // GCStats is the space-reclamation accounting. WriteAmp is bytes moved per
 // byte freed — the cost metric the workload-aware policy of §3.3 minimizes.
+// The policy's picks (RunGC) count apart from compaction: the extents a write
+// left with at most 1/32 of their bytes live, which the writer (bare engine)
+// or the next flush cycle (leader) relocates without a pick.
 type GCStats struct {
-	BytesMoved       int64   `json:"bytes_moved"`
-	BytesReclaimed   int64   `json:"bytes_reclaimed"`
-	WriteAmp         float64 `json:"write_amp"`
-	Runs             int64   `json:"runs"`
-	ExtentsReclaimed int64   `json:"extents_reclaimed"`
-	ExtentsExpired   int64   `json:"extents_expired"`
+	BytesMoved        int64   `json:"bytes_moved"`
+	BytesReclaimed    int64   `json:"bytes_reclaimed"`
+	WriteAmp          float64 `json:"write_amp"`
+	Runs              int64   `json:"runs"`
+	ExtentsReclaimed  int64   `json:"extents_reclaimed"`
+	ExtentsExpired    int64   `json:"extents_expired"`
+	ExtentsCompacted  int64   `json:"extents_compacted"`
+	CompactBytesMoved int64   `json:"compact_bytes_moved"`
 	// BlockPinned is always 0: packed edge blocks own no extents. The
 	// benchmark harness still reads the field.
 	BlockPinned int64 `json:"block_pinned"`
@@ -240,6 +245,8 @@ func (db *DB) Stats() Stats {
 		s.GC.BytesReclaimed += ss.GCBytesReclaimed
 		s.GC.ExtentsReclaimed += ss.ExtentsReclaimed
 		s.GC.ExtentsExpired += ss.ExtentsExpired
+		s.GC.ExtentsCompacted += ss.ExtentsCompacted
+		s.GC.CompactBytesMoved += ss.CompactBytesMoved
 		s.Replication.FencedAppends += ss.FencedAppends
 		s.GC.Runs += e.GCStats().Runs
 
