@@ -167,8 +167,8 @@ func BenchmarkAblationCommitPipeline(b *testing.B) {
 		for _, writers := range []int{8, 32} {
 			for _, depth := range []int{1, 8} {
 				b.Run(fmt.Sprintf("shards-%d/writers-%d/depth-%d", shards, writers, depth), func(b *testing.B) {
-					db, err := bg3.Open(&bg3.Options{Replicated: true, Shards: shards,
-						StorageWriteLatency: time.Millisecond, CommitPipelineDepth: depth})
+					db, err := bg3.OpenWithWriteLatency(&bg3.Options{Replicated: true, Shards: shards,
+						CommitPipelineDepth: depth}, time.Millisecond)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -133,8 +133,7 @@ func Open(opts *Options) (*DB, error) {
 }
 
 // open builds the shape o names from cfg, o translated for the layers below.
-// Tests set what Options does not expose in between: cfg.storage.Faults,
-// cfg.rw.CommitWindow, cfg.rw.MaxBatch and cfg.followerCache.
+// Tests set what Options does not expose in between (see layers).
 func open(o Options, cfg layers) (*DB, error) {
 	if !o.Replicated && o.Shards <= 1 {
 		co := cfg.rw.Engine

@@ -219,8 +219,9 @@ func TestRecoverTornWALTable(t *testing.T) {
 // pipelined commit failed mid-flight, leaving never-acknowledged debris past
 // the gapless prefix. The drain a recovery or promotion runs must stop exactly
 // at the prefix and surface the parked debris so the new leader can fence it —
-// and where the hole is certain (reordering disabled, a lost extent), refuse
-// to proceed: a follower would resync and carry on, a leader-to-be must not.
+// and where the hole is certain (it outlasted the reader's stuck polls, or an
+// extent is lost), refuse to proceed: a follower would resync and carry on, a
+// leader-to-be must not.
 func TestDrainAbortsOnLogHole(t *testing.T) {
 	plan := storage.NewFaultPlan(storage.FaultConfig{})
 	st := storage.Open(&storage.Options{Faults: plan})
@@ -272,13 +273,14 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 		t.Fatalf("pending groups after the drain = %d, want the post-hole group parked", r.PendingGroups())
 	}
 
-	// With reordering disabled (strict depth-1 semantics) the hole aborts the
+	// A hole that stays open through the reader's stuck polls aborts the
 	// drain loudly, and so does an extent of the suffix that storage lost.
-	strict := wal.NewReader(st)
-	strict.SetReorderWindow(0)
+	for i := 0; i < 64 && err == nil; i++ {
+		err = rep.Drain(r)
+	}
 	var gap *wal.GapError
-	if _, err := drain(strict); !errors.As(err, &gap) {
-		t.Fatalf("strict drain over a hole returned %v, want *GapError", err)
+	if !errors.As(err, &gap) || gap.Expected != 4 || gap.Got != 5 {
+		t.Fatalf("drains over a persistent hole returned %v, want a gap at lsn 4", err)
 	}
 	plan.LoseExtent(storage.StreamWAL, st.Usage(storage.StreamWAL)[0].Extent)
 	if _, err := drain(wal.NewReader(st)); !errors.Is(err, storage.ErrExtentLost) {

@@ -283,3 +283,112 @@ func TestPromotedLeaderPacksAtFirstFlush(t *testing.T) {
 		t.Fatalf("degree = %d %v, want 190", deg, err)
 	}
 }
+
+// TestFollowerOfUntrimmedLogWaitsForItsFirstGroup pins where a follower of a
+// log never trimmed starts its sequence: at LSN 1. The log's first group
+// (LSNs 1-2: a new tree and edge 1→2) is sealed but still in flight when the
+// second (LSN 3: edge 1→3) lands, and stays so until the follower gives up on
+// the hole and re-attaches. The follower serves nothing of the second group
+// meanwhile. Once the first
+// group lands it serves both edges; if it never does, a promotion on top of
+// the debris serves neither, and then exactly what it acks itself.
+func TestFollowerOfUntrimmedLogWaitsForItsFirstGroup(t *testing.T) {
+	// The records a leader logs for a new tree and two edges, from a log of
+	// its own.
+	src := storage.Open(nil)
+	defer src.Close()
+	rw, err := NewRWNode(src, RWOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []graph.VertexID{2, 3} {
+		if err := rw.AddEdge(graph.Edge{Src: 1, Dst: dst, Type: graph.ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rw.Stop()
+	recs, err := wal.NewReader(src).Poll()
+	if err != nil || len(recs) != 3 || recs[0].Type != wal.RecordNewTree {
+		t.Fatalf("source log = %d records, %v; want a new tree and two puts", len(recs), err)
+	}
+
+	serves := func(t *testing.T, what string, r graph.Reader, want ...graph.VertexID) {
+		t.Helper()
+		var got []graph.VertexID
+		for dst := graph.VertexID(2); dst <= 4; dst++ {
+			if _, ok, err := r.GetEdge(1, graph.ETypeFollow, dst); err != nil {
+				t.Fatalf("%s: edge 1→%d: %v", what, dst, err)
+			} else if ok {
+				got = append(got, dst)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s serves edges from 1 to %v, want %v", what, got, want)
+		}
+	}
+
+	for _, lands := range []bool{true, false} {
+		t.Run(fmt.Sprintf("first group lands=%v", lands), func(t *testing.T) {
+			st := storage.Open(nil)
+			defer st.Close()
+			w := wal.NewWriter(st)
+			first, err := w.SealAssigned(recs[:2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := w.SealAssigned(recs[2:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendSealed(second[0]); err != nil {
+				t.Fatal(err)
+			}
+			ro, err := NewRONode(st, time.Hour, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ro.Stop()
+			// Poll until the follower gives up on the hole once: its reader
+			// reports a GapError past the stuck polls, and it re-attaches.
+			for i := 0; ro.Resyncs() == 0; i++ {
+				if i > 64 {
+					t.Fatal("the follower never gave up on the hole")
+				}
+				if err := ro.Poll(); err != nil {
+					t.Fatalf("poll %d: %v", i, err)
+				}
+				serves(t, fmt.Sprintf("the follower at poll %d", i), ro.Replica())
+			}
+
+			if lands {
+				if err := w.AppendSealed(first[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ro.Poll(); err != nil {
+					t.Fatal(err)
+				}
+				serves(t, "the follower after the first group landed", ro.Replica(), 2, 3)
+				return
+			}
+			promoted, err := Promote(ro, RWOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer promoted.Stop()
+			serves(t, "the leader promoted on top of the debris", promoted.Engine())
+			if err := promoted.AddEdge(graph.Edge{Src: 1, Dst: 4, Type: graph.ETypeFollow}); err != nil {
+				t.Fatal(err)
+			}
+			serves(t, "the promoted leader", promoted.Engine(), 4)
+			fresh, err := NewRONode(st, time.Hour, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Stop()
+			if err := fresh.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			serves(t, "a follower attached after the promotion", fresh.Replica(), 4)
+		})
+	}
+}

@@ -185,7 +185,6 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	// skips are legal here — they are exactly the post-gap debris groups the
 	// epoch bump retired — but the delivered sequence must not show a seam.
 	reader := wal.NewReader(st)
-	reader.SetBase(0)
 	groups, err := reader.PollGroups()
 	if err != nil {
 		t.Fatal(err)

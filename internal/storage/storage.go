@@ -483,11 +483,13 @@ func (s *Store) Compact(id StreamID, relocate RelocateFunc) (int64, error) {
 	return st.compact(relocate)
 }
 
-// DropExpired removes whole extents whose newest record is older than
+// DropExpired retires whole extents whose newest record is older than
 // deadline — the TTL fast path of §3.3 ("allow it to expire naturally"):
-// no data is moved, so expiry contributes zero write amplification.
-// It returns the IDs of the dropped extents. The active (unsealed) extent
-// is never dropped.
+// no data is moved, so expiry contributes zero write amplification. An
+// expired extent leaves usage and space accounting at once and then follows
+// the release rule, as a reclaimed one does: dropped on a store with no log,
+// condemned until released on a logged one. It returns the IDs of the
+// retired extents. The active (unsealed) extent is never dropped.
 func (s *Store) DropExpired(id StreamID, deadline time.Time) []ExtentID {
 	st, err := s.stream(id)
 	if err != nil {

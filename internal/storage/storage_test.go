@@ -711,6 +711,35 @@ func TestReleaseRule(t *testing.T) {
 		}
 	})
 
+	t.Run("expired logged", func(t *testing.T) {
+		s, locs := open(true)
+		before := s.Stats()
+		f := s.Follow()
+		dropped := s.DropExpired(StreamBase, s.Now().Add(time.Hour))
+		if len(dropped) != 4 {
+			t.Fatalf("expiry retired extents %v, want the four sealed ones", dropped)
+		}
+		after := s.Stats()
+		if after.TotalBytes != before.TotalBytes-4*64 || after.ExtentCount != before.ExtentCount-4 ||
+			after.ExtentsExpired != before.ExtentsExpired+4 || after.CondemnedExtents != 4 {
+			t.Fatalf("after expiry: %d bytes in %d extents, %d expired, %d condemned; want %d in %d, %d, 4",
+				after.TotalBytes, after.ExtentCount, after.ExtentsExpired, after.CondemnedExtents,
+				before.TotalBytes-4*64, before.ExtentCount-4, before.ExtentsExpired+4)
+		}
+		for _, loc := range []Loc{locs[0], locs[24]} {
+			if resident(s, loc.Extent) {
+				t.Fatalf("expired extent %d still in usage", loc.Extent)
+			}
+			readable(t, s, loc, true)
+		}
+		s.Stamp(s.CondemnMark(), 10)
+		f.Applied(9)
+		readable(t, s, locs[24], true)
+		f.Applied(10)
+		readable(t, s, locs[0], false)
+		readable(t, s, locs[24], false)
+	})
+
 	t.Run("empty active", func(t *testing.T) {
 		s, locs := open(false)
 		active := locs[32]

@@ -546,23 +546,19 @@ func (s *stream) compact(relocate RelocateFunc) (int64, error) {
 	return moved, nil
 }
 
+// dropExpired retires every sealed extent last updated before deadline, as
+// Store.DropExpired describes.
 func (s *stream) dropExpired(deadline time.Time) []ExtentID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var dropped []ExtentID
-	remaining := s.order[:0]
-	for _, id := range s.order {
+	for _, id := range slices.Clone(s.order) { // retireLocked edits s.order
 		e := s.extents[id]
-		if e != nil && e.sealed && e.lastUpdate.Before(deadline) {
-			s.unqueueLocked(e)
-			delete(s.extents, id)
+		if e != nil && e.sealed && e.lastUpdate.Before(deadline) && s.retireLocked(id) {
 			dropped = append(dropped, id)
 			s.extentsExpired++
 			s.gcBytesReclaimed += int64(len(e.buf))
-			continue
 		}
-		remaining = append(remaining, id)
 	}
-	s.order = remaining
 	return dropped
 }

@@ -8,29 +8,26 @@ import (
 )
 
 // epochEntry describes one storage append in a crafted WAL tail: a group
-// envelope of (lsn, epoch) put records, optionally torn (truncated
-// mid-envelope, as a crash or fenced-out flush leaves it).
+// envelope of put records with LSNs first..last sealed under epoch,
+// optionally torn (truncated mid-envelope, as a crash or fenced-out flush
+// leaves it).
 type epochEntry struct {
-	recs []struct{ lsn, epoch uint64 }
-	torn bool
+	epoch, first, last uint64
+	torn               bool
 }
 
-func env(pairs ...[2]uint64) epochEntry {
-	e := epochEntry{}
-	for _, p := range pairs {
-		e.recs = append(e.recs, struct{ lsn, epoch uint64 }{p[0], p[1]})
-	}
-	return e
+func env(epoch, first, last uint64) epochEntry {
+	return epochEntry{epoch: epoch, first: first, last: last}
 }
 
-func tornEnv(pairs ...[2]uint64) epochEntry {
-	e := env(pairs...)
+func tornEnv(epoch, first, last uint64) epochEntry {
+	e := env(epoch, first, last)
 	e.torn = true
 	return e
 }
 
 // TestReaderSkipsZombieTails pins the reader half of the fencing contract:
-// records stamped with a fence epoch below the highest one observed are
+// groups sealed under a fence epoch below the highest one observed are
 // zombies from a deposed leader and must be skipped — counted, invisible,
 // and without breaking the surviving epoch's LSN continuity. Epoch bumps
 // must not mask genuine holes either: a real LSN gap is still a GapError.
@@ -48,38 +45,28 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 	}{
 		{
 			name:    "clean epoch handoff",
-			entries: []epochEntry{env([2]uint64{1, 0}, [2]uint64{2, 0}), env([2]uint64{3, 1})},
+			entries: []epochEntry{env(0, 1, 2), env(1, 3, 3)},
 			want:    []uint64{1, 2, 3},
 			epoch:   1,
 		},
 		{
 			name: "zombie envelope after the fence",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}, [2]uint64{2, 0}),
-				env([2]uint64{3, 1}),
-				env([2]uint64{3, 0}, [2]uint64{4, 0}), // deposed leader's tail
-				env([2]uint64{4, 1}),
+				env(0, 1, 2),
+				env(1, 3, 3),
+				env(0, 3, 4), // deposed leader's tail
+				env(1, 4, 4),
 			},
 			want:   []uint64{1, 2, 3, 4},
 			fenced: 2,
 			epoch:  1,
 		},
 		{
-			name: "zombie record inside a group",
-			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				env([2]uint64{2, 1}, [2]uint64{999, 0}, [2]uint64{3, 1}),
-			},
-			want:   []uint64{1, 2, 3},
-			fenced: 1,
-			epoch:  1,
-		},
-		{
 			name: "torn flush then promoted leader reuses the LSN",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				tornEnv([2]uint64{2, 0}), // the kill landed mid-envelope
-				env([2]uint64{2, 1}),     // never durable, so the successor resumes at 2
+				env(0, 1, 1),
+				tornEnv(0, 2, 2), // the kill landed mid-envelope
+				env(1, 2, 2),     // never durable, so the successor resumes at 2
 			},
 			want:  []uint64{1, 2},
 			torn:  1,
@@ -88,10 +75,10 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 		{
 			name: "retry duplicate and zombie together",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				env([2]uint64{1, 0}), // torn-append retry duplicate
-				env([2]uint64{2, 1}),
-				env([2]uint64{2, 0}), // zombie reusing the promoted LSN
+				env(0, 1, 1),
+				env(0, 1, 1), // torn-append retry duplicate
+				env(1, 2, 2),
+				env(0, 2, 2), // zombie reusing the promoted LSN
 			},
 			want:   []uint64{1, 2},
 			fenced: 1,
@@ -101,10 +88,10 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 		{
 			name: "multiple failovers interleaved",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				env([2]uint64{2, 2}), // second failover's leader
-				env([2]uint64{2, 1}), // first failover's zombie, itself deposed
-				env([2]uint64{3, 2}),
+				env(0, 1, 1),
+				env(2, 2, 2), // second failover's leader
+				env(1, 2, 2), // first failover's zombie, itself deposed
+				env(2, 3, 3),
 			},
 			want:   []uint64{1, 2, 3},
 			fenced: 1,
@@ -113,8 +100,8 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 		{
 			name: "epoch bump does not mask a real hole",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				env([2]uint64{3, 1}), // LSN 2 is genuinely missing
+				env(0, 1, 1),
+				env(1, 3, 3), // LSN 2 is genuinely missing
 			},
 			// The hole could still be an in-flight pipelined append, so the
 			// first poll parks the group instead of erroring; only repeated
@@ -126,9 +113,9 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 		{
 			name: "fence purges a parked zombie group",
 			entries: []epochEntry{
-				env([2]uint64{1, 0}),
-				env([2]uint64{3, 0}, [2]uint64{4, 0}), // deposed pipeline debris past a hole
-				env([2]uint64{2, 1}),                  // the successor's tenure begins
+				env(0, 1, 1),
+				env(0, 3, 4), // deposed pipeline debris past a hole
+				env(1, 2, 2), // the successor's tenure begins
 			},
 			// Observing epoch 1 proves the parked epoch-0 group can never
 			// connect: the fence ordered it before any epoch-1 append.
@@ -144,21 +131,10 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 			defer st.Close()
 			for _, e := range tc.entries {
 				var frames [][]byte
-				var meta GroupMeta
-				for i, r := range e.recs {
-					if i == 0 {
-						meta.First = LSN(r.lsn)
-					}
-					if r.epoch > meta.Epoch {
-						meta.Epoch = r.epoch
-					}
-					frames = append(frames, Encode(&Record{
-						Type: RecordPut, LSN: LSN(r.lsn), Epoch: r.epoch,
-						Key: []byte("k"), Value: []byte("v"),
-					}))
+				for lsn := e.first; lsn <= e.last; lsn++ {
+					frames = append(frames, Encode(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}))
 				}
-				meta.Count = len(frames)
-				buf := frameGroup(meta, frames)
+				buf := frameGroup(GroupMeta{Epoch: e.epoch, First: LSN(e.first), Count: len(frames)}, frames)
 				if e.torn {
 					buf = buf[:len(buf)-3]
 				}
@@ -207,7 +183,7 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 // fenced, the next append fails with an error wrapping storage.ErrFenced
 // (never retried — the fence is permanent), the writer is poisoned, and
 // every subsequent append reports ErrWriterFailed. A writer built after
-// the fence adopts the new epoch and stamps it into its records.
+// the fence adopts the new epoch and seals its groups under it.
 func TestWriterFailsStopOnFence(t *testing.T) {
 	st := storage.Open(nil)
 	defer st.Close()

@@ -143,42 +143,21 @@ func TestReaderReportsGap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// With reordering disabled (strict depth-1 semantics) the hole is an
-	// immediate GapError.
-	strict := NewReader(st)
-	strict.SetReorderWindow(0)
-	recs, err := strict.Poll()
-	var gap *GapError
-	if !errors.As(err, &gap) {
-		t.Fatalf("err = %v, want *GapError", err)
-	}
-	if gap.Expected != 4 || gap.Got != 5 {
-		t.Fatalf("gap = %+v, want expected 4 got 5", gap)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("records before the hole = %d, want 3", len(recs))
-	}
-	// The cursor did not advance past the hole: a second poll re-reports
-	// the gap instead of silently skipping it.
-	if _, err := strict.Poll(); !errors.As(err, &gap) {
-		t.Fatalf("second poll err = %v, want the gap again", err)
-	}
-
-	// A windowed reader first parks the group — the hole could be a
-	// pipelined append still in flight — and only escalates to a GapError
-	// after repeated polls show no progress.
+	// The reader first parks the group — the hole could be a pipelined
+	// append still in flight — and only escalates to a GapError after
+	// repeated polls show no progress.
 	r := NewReader(st)
-	recs, err = r.Poll()
+	recs, err := r.Poll()
 	if err != nil {
-		t.Fatalf("windowed first poll: %v", err)
+		t.Fatalf("first poll: %v", err)
 	}
 	if len(recs) != 3 {
-		t.Fatalf("windowed poll delivered %d records, want 3", len(recs))
+		t.Fatalf("first poll delivered %d records, want the 3 before the hole", len(recs))
 	}
 	if r.PendingGroups() != 1 {
 		t.Fatalf("pending groups = %d, want the post-hole group parked", r.PendingGroups())
 	}
-	err = nil
+	var gap *GapError
 	for i := 0; i < defaultStuckPolls+2 && err == nil; i++ {
 		_, err = r.Poll()
 	}
@@ -187,6 +166,58 @@ func TestReaderReportsGap(t *testing.T) {
 	}
 	if gap.Expected != 4 || gap.Got != 5 {
 		t.Fatalf("escalated gap = %+v, want expected 4 got 5", gap)
+	}
+	// The hole stays reported: a later poll does not skip it.
+	if recs, err := r.Poll(); !errors.As(err, &gap) || len(recs) != 0 {
+		t.Fatalf("poll after the escalation = %d records, %v; want the gap again", len(recs), err)
+	}
+}
+
+// TestLateFirstGroupIsDeliveredNotDropped pins the reader's base on a log
+// never trimmed: the sequence starts at LSN 1, so a later group that lands
+// first is held — past the stuck polls too — and never taken for the log's
+// start. When the first group lands, every acknowledged record is delivered
+// once, in order.
+func TestLateFirstGroupIsDeliveredNotDropped(t *testing.T) {
+	st := storage.Open(nil)
+	w := NewWriter(st)
+	first, err := w.SealAssigned([]*Record{
+		{Type: RecordPut, LSN: 1, Key: []byte("a")},
+		{Type: RecordPut, LSN: 2, Key: []byte("b")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := w.SealAssigned([]*Record{{Type: RecordPut, LSN: 3, Key: []byte("c")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendSealed(second[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewReaderAtHead(st)
+	var got []LSN
+	for i := 0; i < defaultStuckPolls+1; i++ {
+		recs, err := r.Poll()
+		if gap := (*GapError)(nil); err != nil && !errors.As(err, &gap) {
+			t.Fatalf("poll %d before the first group landed: %v", i, err)
+		}
+		got = append(got, lsnsOf(recs)...)
+	}
+	if err := w.AppendSealed(first[0]); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.Poll()
+	if err != nil {
+		t.Fatalf("poll after the first group landed: %v", err)
+	}
+	got = append(got, lsnsOf(recs)...)
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("delivered LSNs %v, want [1 2 3]", got)
+	}
+	if _, dups := r.Stats(); dups != 0 {
+		t.Fatalf("dups = %d, want 0: no acknowledged record is a duplicate", dups)
 	}
 }
 

@@ -20,15 +20,16 @@ import (
 //     must drop the whole group, never surface as corruption;
 //   - every single-byte flip of a valid envelope reads as torn — the CRC
 //     covers the full payload and the header is length-checked;
-//   - parsed frames survive Record decoding without panicking.
+//   - parsed frames survive Record decoding without panicking, and a frame
+//     that decodes re-encodes byte for byte: a record has one encoding.
 //
 // Seed corpus: testdata/fuzz/FuzzUnframeGroup (checked in).
 func FuzzUnframeGroup(f *testing.F) {
 	// A group of one empty record, a multi-record group, and junk.
 	f.Add(frameGroup(GroupMeta{First: 1, Count: 1}, [][]byte{{}}))
 	f.Add(frameGroup(GroupMeta{Epoch: 3, First: 1, Count: 2}, [][]byte{
-		Encode(&Record{Type: RecordPut, LSN: 1, Key: []byte("k"), Value: []byte("v")}),
-		Encode(&Record{Type: RecordDelete, LSN: 2, Key: []byte("k")}),
+		Encode(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}),
+		Encode(&Record{Type: RecordDelete, Key: []byte("k")}),
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
@@ -52,9 +53,11 @@ func FuzzUnframeGroup(f *testing.F) {
 				len(frames), data, resealed)
 		}
 
-		// Record decoding must be total (error, never panic).
-		for _, fr := range frames {
-			_, _ = Decode(fr)
+		// Record decoding must be total (error, never panic) and canonical.
+		for i, fr := range frames {
+			if rec, err := Decode(fr); err == nil && !bytes.Equal(Encode(rec), fr) {
+				t.Fatalf("frame %d decodes but re-encodes differently:\n in: %x\nout: %x", i, fr, Encode(rec))
+			}
 		}
 
 		// Torn-tail property: a failed append persists a byte prefix; every
@@ -94,15 +97,18 @@ const (
 
 // FuzzReaderMultiGroupTail writes K pipelined group envelopes to raw
 // storage — an arbitrary subset torn, bit-flipped, or dropped entirely, as
-// a crashed pipelined leader would leave them — and checks the reader's
-// durable-prefix contract:
+// a crashed pipelined leader would leave them, or landing late, after the
+// reader gave up waiting — and checks the durable-prefix contract of the
+// reader a follower attaches with (NewReaderAtHead):
 //
 //   - exactly the records of the gapless intact prefix are delivered, in
 //     LSN order;
 //   - no record from a group at or past the first damaged group is ever
 //     delivered (no post-gap resurrection), on this poll or any later one;
 //   - intact post-gap groups are parked as pending, and a persistent gap
-//     escalates to GapError rather than silent loss.
+//     escalates to GapError rather than silent loss;
+//   - once the late groups land, the records of the gapless prefix they
+//     complete are delivered, each exactly once.
 //
 // Seed corpus: testdata/fuzz/FuzzReaderMultiGroupTail (checked in).
 func FuzzReaderMultiGroupTail(f *testing.F) {
@@ -131,6 +137,10 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 			prefixEnd LSN
 			inPrefix  = true
 			pending   int
+			// The same, once the late groups have landed.
+			lateEnd  LSN
+			inLate   = true
+			lateEnvs [][]byte
 		)
 		for i := 0; i < k; i++ {
 			n := 1 + int(at(1+i))%3
@@ -142,13 +152,18 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 			}
 			env := frameGroup(GroupMeta{First: first, Count: n}, frames)
 			action := int(at(1+k+i)) % 4
+			// A dropped group whose byte has bit 2 set is appended late.
+			late := action == tailDrop && at(1+k+i)&4 != 0
 			entropy := int(at(1 + 2*k + i))
-			switch action {
-			case tailTorn:
+			switch {
+			case late:
+				lateEnvs = append(lateEnvs, env)
+				env = nil
+			case action == tailTorn:
 				env = env[:1+entropy%(len(env)-1)]
-			case tailFlip:
+			case action == tailFlip:
 				env[entropy%len(env)] ^= 0x01
-			case tailDrop:
+			case action == tailDrop:
 				env = nil
 			}
 			if action == tailIntact {
@@ -160,6 +175,9 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 			} else {
 				inPrefix = false
 			}
+			if inLate = inLate && (action == tailIntact || late); inLate {
+				lateEnd = lsn - 1
+			}
 			if env != nil {
 				if _, err := st.Append(storage.StreamWAL, 0, env); err != nil {
 					t.Fatalf("raw append: %v", err)
@@ -167,11 +185,7 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 			}
 		}
 
-		// Recovery always declares its base (snapshot horizon, here stream
-		// birth), so the reader is anchored: it must never adopt a post-gap
-		// group as a new origin.
-		r := NewReader(st)
-		r.SetBase(0)
+		r := NewReaderAtHead(st)
 		recs, err := r.Poll()
 		if err != nil {
 			t.Fatalf("first poll: %v", err)
@@ -209,6 +223,28 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 		}
 		if pending > 0 && !sawGap {
 			t.Fatalf("%d groups parked behind a permanent gap but no GapError escalated", pending)
+		}
+
+		// The late groups land, the last first.
+		for i := len(lateEnvs) - 1; i >= 0; i-- {
+			if _, err := st.Append(storage.StreamWAL, 0, lateEnvs[i]); err != nil {
+				t.Fatalf("raw append: %v", err)
+			}
+		}
+		more, err := r.Poll()
+		if gap := (*GapError)(nil); err != nil && !errors.As(err, &gap) {
+			t.Fatalf("poll after the late groups: %v", err)
+		}
+		if want := int(lateEnd - prefixEnd); len(more) != want {
+			t.Fatalf("late groups delivered %d records, want %d", len(more), want)
+		}
+		for i, rec := range more {
+			if rec.LSN != prefixEnd+LSN(i+1) {
+				t.Fatalf("late record %d has LSN %d, want %d", i, rec.LSN, prefixEnd+LSN(i+1))
+			}
+		}
+		if _, dups := r.Stats(); dups != 0 {
+			t.Fatalf("%d records dropped as duplicates; every group was appended once", dups)
 		}
 	})
 }

@@ -123,7 +123,8 @@ func (t RecordType) String() string {
 	}
 }
 
-// Record is one WAL entry.
+// Record is one WAL entry. LSN and Epoch are not part of the encoded record:
+// the group envelope that carries it states both, and the reader fills them in.
 type Record struct {
 	LSN     LSN
 	Type    RecordType
@@ -140,43 +141,40 @@ type Record struct {
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // recFixed is the fixed header size of an encoded record.
-const recFixed = 1 + 8*6 + 4 + 4
+const recFixed = 1 + 8*4 + 4 + 4
 
 // Encode serializes r. Layout (little endian):
 //
-//	type[1] lsn[8] tree[8] page[8] aux[8] ckpt[8] epoch[8] klen[4] vlen[4] key value
+//	type[1] tree[8] page[8] aux[8] ckpt[8] klen[4] vlen[4] key value
 func Encode(r *Record) []byte {
 	buf := make([]byte, recFixed+len(r.Key)+len(r.Value))
 	buf[0] = byte(r.Type)
-	binary.LittleEndian.PutUint64(buf[1:], uint64(r.LSN))
-	binary.LittleEndian.PutUint64(buf[9:], r.TreeID)
-	binary.LittleEndian.PutUint64(buf[17:], r.PageID)
-	binary.LittleEndian.PutUint64(buf[25:], r.AuxPage)
-	binary.LittleEndian.PutUint64(buf[33:], uint64(r.CkptLSN))
-	binary.LittleEndian.PutUint64(buf[41:], r.Epoch)
-	binary.LittleEndian.PutUint32(buf[49:], uint32(len(r.Key)))
-	binary.LittleEndian.PutUint32(buf[53:], uint32(len(r.Value)))
+	binary.LittleEndian.PutUint64(buf[1:], r.TreeID)
+	binary.LittleEndian.PutUint64(buf[9:], r.PageID)
+	binary.LittleEndian.PutUint64(buf[17:], r.AuxPage)
+	binary.LittleEndian.PutUint64(buf[25:], uint64(r.CkptLSN))
+	binary.LittleEndian.PutUint32(buf[33:], uint32(len(r.Key)))
+	binary.LittleEndian.PutUint32(buf[37:], uint32(len(r.Value)))
 	copy(buf[recFixed:], r.Key)
 	copy(buf[recFixed+len(r.Key):], r.Value)
 	return buf
 }
 
-// Decode parses a record previously produced by Encode.
+// Decode parses a record previously produced by Encode. Its LSN and Epoch
+// are left zero: they belong to the group envelope.
 func Decode(buf []byte) (*Record, error) {
 	if len(buf) < recFixed {
 		return nil, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(buf))
 	}
 	r := &Record{
 		Type:    RecordType(buf[0]),
-		LSN:     LSN(binary.LittleEndian.Uint64(buf[1:])),
-		TreeID:  binary.LittleEndian.Uint64(buf[9:]),
-		PageID:  binary.LittleEndian.Uint64(buf[17:]),
-		AuxPage: binary.LittleEndian.Uint64(buf[25:]),
-		CkptLSN: LSN(binary.LittleEndian.Uint64(buf[33:])),
-		Epoch:   binary.LittleEndian.Uint64(buf[41:]),
+		TreeID:  binary.LittleEndian.Uint64(buf[1:]),
+		PageID:  binary.LittleEndian.Uint64(buf[9:]),
+		AuxPage: binary.LittleEndian.Uint64(buf[17:]),
+		CkptLSN: LSN(binary.LittleEndian.Uint64(buf[25:])),
 	}
-	klen := binary.LittleEndian.Uint32(buf[49:])
-	vlen := binary.LittleEndian.Uint32(buf[53:])
+	klen := binary.LittleEndian.Uint32(buf[33:])
+	vlen := binary.LittleEndian.Uint32(buf[37:])
 	if int(klen)+int(vlen)+recFixed != len(buf) {
 		return nil, fmt.Errorf("%w: length mismatch klen=%d vlen=%d total=%d", ErrCorrupt, klen, vlen, len(buf))
 	}
@@ -212,8 +210,8 @@ type Writer struct {
 	store *storage.Store
 	retry storage.RetryPolicy
 
-	// epoch is the fence token every append carries and every record is
-	// stamped with. It is captured from the store's WAL stream at
+	// epoch is the fence token every append carries and every group envelope
+	// states. It is captured from the store's WAL stream at
 	// construction and immutable afterwards: a writer IS one epoch's
 	// tenure, and losing the fence (storage.ErrFenced) poisons it for good.
 	epoch uint64
@@ -280,11 +278,12 @@ func (w *Writer) Err() error {
 // which is what makes a crash in the middle of a group-commit flush
 // recoverable: every record in the flush shares the envelope's fate.
 //
-// The meta block is what lets groups complete out of order under the commit
-// pipeline: (epoch, first, count) identify the group's place in the LSN
-// sequence and the fence tenure it was sealed under without decoding a
-// single record, so a reader can hold a group aside until its predecessors
-// land and discard a fenced tenure's stragglers wholesale.
+// The meta block is the log's only statement of its sequence: a group's
+// records hold LSNs first..first+count-1, in order, all sealed under epoch,
+// and the records themselves carry neither. It lets groups complete out of
+// order under the commit pipeline — a reader holds a group aside until its
+// predecessors land and discards a fenced tenure's stragglers wholesale,
+// without decoding a record.
 const (
 	// groupHeader is the envelope overhead: payload length plus CRC32.
 	groupHeader = 8
@@ -372,10 +371,10 @@ func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err err
 }
 
 // SealedGroup is one framed group envelope ready for a single storage
-// append: an immutable unit of durability. Sealing (LSN check, epoch
-// stamping, envelope framing) is separated from appending so the commit
-// pipeline can keep several sealed groups in flight concurrently while the
-// LSN sequence itself stays strictly serial.
+// append: an immutable unit of durability. Sealing (LSN check, envelope
+// framing) is separated from appending so the commit pipeline can keep
+// several sealed groups in flight concurrently while the LSN sequence itself
+// stays strictly serial.
 type SealedGroup struct {
 	Data  []byte // the envelope, as frameGroup produced it
 	First LSN    // first LSN in the group
@@ -414,12 +413,12 @@ func (w *Writer) MaxRecordSize() int {
 }
 
 // SealAssigned validates records whose LSNs the group committer assigned,
-// stamps them with the writer's fence epoch, advances the writer's LSN
-// counter past them, and seals them into group envelopes — splitting where a
-// group would outgrow one storage append. It performs no
-// I/O: the returned groups are persisted by AppendSealed, possibly
-// concurrently, which is how the commit pipeline keeps several appends in
-// flight while sealing stays strictly serial in LSN order.
+// advances the writer's LSN counter past them, and seals them into group
+// envelopes under the writer's fence epoch — cutting a group where it would
+// outgrow one storage append or where the LSNs skip, since a group's LSNs are
+// contiguous. It performs no I/O: the returned groups are persisted by
+// AppendSealed, possibly concurrently, which is how the commit pipeline keeps
+// several appends in flight while sealing stays strictly serial in LSN order.
 //
 // A record too large for an extent poisons the writer: its LSN is already
 // assigned, so skipping it would punch a permanent hole into the log that
@@ -452,8 +451,6 @@ func (w *Writer) SealAssigned(recs []*Record) ([]SealedGroup, error) {
 	}
 	w.nextLSN = next
 
-	// Stamp the epoch and seal, cutting a group where it would outgrow one
-	// storage append.
 	limit := w.groupLimit()
 	var groups []SealedGroup
 	var frames [][]byte
@@ -474,9 +471,8 @@ func (w *Writer) SealAssigned(recs []*Record) ([]SealedGroup, error) {
 		frames, size = nil, groupHeader+metaHeader
 	}
 	for _, r := range recs {
-		r.Epoch = w.epoch
 		encoded := Encode(r)
-		if len(frames) > 0 && size+recHeader+len(encoded) > limit {
+		if len(frames) > 0 && (r.LSN != last+1 || size+recHeader+len(encoded) > limit) {
 			flush()
 		}
 		if len(frames) == 0 {
@@ -564,8 +560,8 @@ func (e *GapError) Error() string {
 	return fmt.Sprintf("wal: gap in log: expected lsn %d, got %d", e.Expected, e.Got)
 }
 
-// Reorder-buffer defaults. Storage completion order may trail LSN order by
-// at most the commit pipeline's depth, so a small window suffices; the
+// Reorder-buffer bounds. Storage completion order may trail LSN order by at
+// most the commit pipeline's depth, so a small window suffices; the
 // stuck-poll limit bounds how long a reader waits for a hole to fill before
 // declaring it permanent.
 const (
@@ -573,20 +569,17 @@ const (
 	defaultStuckPolls    = 8
 )
 
-// pendingGroup is a decoded group envelope held aside because its first
-// LSN does not yet connect to the delivered prefix.
-type pendingGroup struct {
-	recs  []*Record
-	first LSN
-	epoch uint64
-}
-
 // Reader tails the WAL stream of a shared store. Each RO node owns one.
+//
+// Every reader starts from a declared base: the LSNs at or below it count as
+// consumed, and the sequence it delivers is base+1, base+2, ... gapless.
+// NewReader's base is 0; NewReaderAtHead's is the trim horizon, 0 when the log
+// was never trimmed.
 //
 // The reader tolerates the artifacts the write path leaves in an
 // append-only log: a checksummed-garbage tail from a torn write (dropped
 // and counted), duplicate records from a retried append (deduplicated by
-// LSN), and zombie groups stamped with a fence epoch lower than the highest
+// LSN), and zombie groups sealed under a fence epoch lower than the highest
 // epoch observed — left behind by a deposed leader that raced the fence.
 //
 // Because the commit pipeline keeps several group appends in flight,
@@ -597,71 +590,42 @@ type pendingGroup struct {
 // behind a trimmed prefix (storage.ErrTrimmed, on the first poll) is
 // surfaced as *GapError, which means acknowledged records are genuinely
 // missing and the consumer must re-attach from the retained head (followers)
-// or abort (crash recovery).
+// or abort (crash recovery). The held groups stay held: a group that lands
+// after the GapError still connects them.
 type Reader struct {
 	store *storage.Store
 	cur   storage.Cursor
-	last  LSN    // highest LSN returned; duplicates at or below are dropped
+	last  LSN    // the base, then the highest LSN returned; records at or below are dropped
 	epoch uint64 // highest fence epoch observed; lower-epoch groups are zombies
-	based bool   // sequence anchored (SetBase called) even while last == 0
+	stuck int    // consecutive polls with pending groups and no progress
 
-	window     int // max out-of-order groups held; 0 = immediate GapError
-	stuckLimit int // polls without progress before a hole is permanent
-	stuck      int // consecutive polls with pending groups and no progress
-
-	pending map[LSN]*pendingGroup // keyed by first LSN
+	pending map[LSN][]*Record // groups ahead of the delivered prefix, by first LSN
 
 	torn   int64 // storage entries with a torn tail encountered
 	dups   int64 // duplicate records dropped
 	fenced int64 // stale-epoch zombie records skipped
 }
 
-// NewReader returns a reader positioned at the beginning of the WAL.
+// NewReader returns a reader of the WAL from its beginning, based at LSN 0.
 func NewReader(store *storage.Store) *Reader {
-	return &Reader{store: store, window: defaultReorderWindow, stuckLimit: defaultStuckPolls}
+	return &Reader{store: store}
 }
 
-// NewReaderAt returns a reader positioned at the given cursor.
-func NewReaderAt(store *storage.Store, cur storage.Cursor) *Reader {
-	r := NewReader(store)
-	r.cur = cur
-	return r
-}
-
-// NewReaderAtHead returns a reader of everything the WAL retains: from its
-// beginning when it was never trimmed, else from the head past the trimmed
-// prefix with every LSN at or below the trim's horizon declared consumed
-// (SetBase). Every record above that horizon is still there; some below it
-// may not be, and only those may have landed in the extents dropped. It starts
-// at the epoch the horizon was declared under, which fences debris of earlier
-// tenures past the horizon: the groups that did so may be gone with the prefix.
+// NewReaderAtHead returns a reader of everything the WAL retains: from the
+// head past the trimmed prefix, based at the trim's horizon — 0, the log's
+// beginning, when it was never trimmed. Every record above that horizon is
+// still there; some below it may not be, and only those may have landed in the
+// extents dropped. It starts at the epoch the horizon was declared under, which
+// fences debris of earlier tenures past the horizon: the groups that did so
+// may be gone with the prefix.
 func NewReaderAtHead(store *storage.Store) *Reader {
 	cur, horizon, epoch := store.Head(storage.StreamWAL)
-	r := NewReaderAt(store, cur)
-	if horizon > 0 {
-		r.SetBase(LSN(horizon))
-		r.epoch = epoch
-	}
-	return r
+	return &Reader{store: store, cur: cur, last: LSN(horizon), epoch: epoch}
 }
 
 // SetBase declares every LSN at or below lsn already consumed: such records
 // are silently dropped and the sequence check starts at lsn+1.
-func (r *Reader) SetBase(lsn LSN) {
-	r.last = lsn
-	r.based = true
-}
-
-// SetReorderWindow bounds how many out-of-order groups the reader holds
-// aside waiting for a hole to fill. n = 0 disables reordering entirely: any
-// out-of-order group is an immediate GapError (the strict pre-pipeline
-// behaviour, for tests and depth-1 deployments).
-func (r *Reader) SetReorderWindow(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.window = n
-}
+func (r *Reader) SetBase(lsn LSN) { r.last = lsn }
 
 // LastLSN returns the highest LSN the reader has returned.
 func (r *Reader) LastLSN() LSN { return r.last }
@@ -695,10 +659,6 @@ func (r *Reader) Poll() ([]*Record, error) {
 	return recs, err
 }
 
-// anchored reports whether the reader knows where the LSN sequence starts:
-// either a base was declared or a record has been delivered.
-func (r *Reader) anchored() bool { return r.based || r.last > 0 }
-
 // smallestPending returns the lowest first LSN held in the reorder window
 // (0 when empty).
 func (r *Reader) smallestPending() LSN {
@@ -712,51 +672,20 @@ func (r *Reader) smallestPending() LSN {
 }
 
 // purgeFenced drops pending groups sealed under an epoch below the
-// reader's, returning how many it removed. Epochs are non-decreasing in
+// reader's, reporting whether it removed any. Epochs are non-decreasing in
 // storage order (the store re-checks the fence under the stream lock that
 // orders entries), so once a higher epoch is observed, lower-epoch holes
 // can never fill: the groups are debris from a fenced tenure.
-func (r *Reader) purgeFenced() int {
-	purged := 0
-	for first, pg := range r.pending {
-		if pg.epoch < r.epoch {
-			r.fenced += int64(len(pg.recs))
+func (r *Reader) purgeFenced() bool {
+	purged := false
+	for first, recs := range r.pending {
+		if recs[0].Epoch < r.epoch {
+			r.fenced += int64(len(recs))
 			delete(r.pending, first)
-			purged++
+			purged = true
 		}
 	}
 	return purged
-}
-
-// deliver appends the group's novel records to the delivered sequence,
-// dropping duplicates and fenced zombies. A hole inside a single group is
-// structurally impossible for a sealed envelope, so it is an immediate
-// GapError, never buffered.
-func (r *Reader) deliver(recs []*Record) ([]*Record, error) {
-	var grp []*Record
-	for _, rec := range recs {
-		if rec.Epoch < r.epoch {
-			// A zombie from a fenced epoch: the deposed leader's append
-			// raced the fence. Skip it without touching r.last so the
-			// surviving epoch's sequence stays gapless.
-			r.fenced++
-			continue
-		}
-		if rec.Epoch > r.epoch {
-			r.epoch = rec.Epoch
-			r.purgeFenced()
-		}
-		if rec.LSN <= r.last {
-			r.dups++
-			continue
-		}
-		if r.last > 0 && rec.LSN != r.last+1 {
-			return grp, &GapError{Expected: r.last + 1, Got: rec.LSN}
-		}
-		r.last = rec.LSN
-		grp = append(grp, rec)
-	}
-	return grp, nil
 }
 
 // PollGroups is Poll preserving commit-group boundaries: each inner slice
@@ -775,7 +704,7 @@ func (r *Reader) PollGroups() ([][]*Record, error) {
 		return nil, fmt.Errorf("wal: poll at extent %d: %w", r.cur.Extent, err)
 	}
 	var groups [][]*Record
-	progressed := false
+	base, purged := r.last, false
 	for _, e := range entries {
 		meta, frames, ok, ferr := unframeGroup(e.Data)
 		if ferr != nil {
@@ -789,113 +718,70 @@ func (r *Reader) PollGroups() ([][]*Record, error) {
 			r.torn++
 			continue
 		}
-		if meta.Epoch > r.epoch {
-			r.epoch = meta.Epoch
-			if r.purgeFenced() > 0 {
-				progressed = true
-			}
-		} else if meta.Epoch < r.epoch {
+		if meta.Epoch < r.epoch {
 			// The whole group was sealed under a fenced tenure: zombie.
 			r.fenced += int64(meta.Count)
 			continue
 		}
+		if meta.Epoch > r.epoch {
+			r.epoch = meta.Epoch
+			purged = r.purgeFenced() || purged
+		}
 		if meta.Count == 0 {
 			continue
 		}
-		recs := make([]*Record, 0, len(frames))
-		for _, f := range frames {
+		recs := make([]*Record, len(frames))
+		for i, f := range frames {
 			rec, derr := Decode(f)
 			if derr != nil {
 				return groups, fmt.Errorf("wal: entry at %v: %w", e.Loc, derr)
 			}
-			recs = append(recs, rec)
+			rec.LSN, rec.Epoch = meta.First+LSN(i), meta.Epoch
+			recs[i] = rec
 		}
-		switch {
-		case r.anchored() && meta.First <= r.last+1,
-			!r.anchored() && meta.First == 1:
-			grp, gerr := r.deliver(recs)
-			if len(grp) > 0 {
-				groups = append(groups, grp)
-				progressed = true
-			}
-			if gerr != nil {
-				return groups, gerr
-			}
-		default:
-			// Out of order: the group ran ahead of the delivered prefix
-			// (pipelined completion) or the log head is missing. Hold it.
-			if r.window == 0 {
-				return groups, &GapError{Expected: r.last + 1, Got: meta.First}
-			}
-			if r.pending == nil {
-				r.pending = make(map[LSN]*pendingGroup)
-			}
-			// A retried torn append can stash the same group twice; the
-			// copies are identical, so overwriting is idempotent.
-			r.pending[meta.First] = &pendingGroup{recs: recs, first: meta.First, epoch: meta.Epoch}
+		// Hold the group, then deliver every held group that connects to
+		// the delivered prefix. A retried append can hold the same group
+		// twice; the copies are identical, so overwriting is idempotent.
+		if r.pending == nil {
+			r.pending = make(map[LSN][]*Record)
 		}
-		// Drain every held group the delivery just connected.
-		if drained, gerr := r.drainPending(&groups); gerr != nil {
-			return groups, gerr
-		} else if drained {
-			progressed = true
-		}
+		r.pending[meta.First] = recs
+		r.drainPending(&groups)
 	}
 	r.cur = next
-	if len(r.pending) == 0 {
-		r.stuck = 0
-		return groups, nil
-	}
-	if progressed {
+	if len(r.pending) == 0 || r.last > base || purged {
 		r.stuck = 0
 	} else {
 		r.stuck++
 	}
-	if !r.anchored() && (len(r.pending) > r.window || r.stuck > r.stuckLimit) {
-		// Nothing ever connected to LSN 1 and the head never arrived: the
-		// log's prefix is genuinely gone (trimmed without a declared base).
-		// Adopt the smallest held group as the start of the sequence.
-		r.last = r.smallestPending() - 1
-		r.based = true
-		r.stuck = 0
-		if _, gerr := r.drainPending(&groups); gerr != nil {
-			return groups, gerr
-		}
-		if len(r.pending) == 0 {
-			return groups, nil
-		}
-	}
-	if len(r.pending) > r.window || r.stuck > r.stuckLimit {
+	if len(r.pending) > defaultReorderWindow || r.stuck > defaultStuckPolls {
 		return groups, &GapError{Expected: r.last + 1, Got: r.smallestPending()}
 	}
 	return groups, nil
 }
 
 // drainPending delivers held groups, in LSN order, for as long as the next
-// one connects to the delivered prefix. Reports whether anything left the
-// window.
-func (r *Reader) drainPending(groups *[][]*Record) (bool, error) {
-	drained := false
-	for r.anchored() {
-		var found *pendingGroup
-		for _, pg := range r.pending {
-			if pg.first <= r.last+1 {
-				found = pg
+// one connects to the delivered prefix. A group's records are contiguous, so
+// those at or below the prefix — a base's, a retried append's — are a prefix
+// of the group, dropped as duplicates.
+func (r *Reader) drainPending(groups *[][]*Record) {
+	for {
+		var recs []*Record
+		for first, g := range r.pending {
+			if first <= r.last+1 {
+				recs = g
+				delete(r.pending, first)
 				break
 			}
 		}
-		if found == nil {
-			return drained, nil
+		if recs == nil {
+			return
 		}
-		delete(r.pending, found.first)
-		drained = true
-		grp, gerr := r.deliver(found.recs)
-		if len(grp) > 0 {
-			*groups = append(*groups, grp)
-		}
-		if gerr != nil {
-			return drained, gerr
+		skip := min(int(r.last+1-recs[0].LSN), len(recs))
+		r.dups += int64(skip)
+		if recs = recs[skip:]; len(recs) > 0 {
+			r.last = recs[len(recs)-1].LSN
+			*groups = append(*groups, recs)
 		}
 	}
-	return drained, nil
 }

@@ -13,7 +13,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := &Record{
-		LSN: 30, Type: RecordSplit, TreeID: 7, PageID: 12, AuxPage: 13,
+		Type: RecordSplit, TreeID: 7, PageID: 12, AuxPage: 13,
 		Key: []byte("split-key"), Value: []byte("v"),
 	}
 	out, err := Decode(Encode(in))
@@ -26,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeEmptyKeyValue(t *testing.T) {
-	in := &Record{LSN: 1, Type: RecordCheckpoint, CkptLSN: 34}
+	in := &Record{Type: RecordCheckpoint, CkptLSN: 34}
 	out, err := Decode(Encode(in))
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestDecodeCorrupt(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
-		make([]byte, 49), // shorter than the fixed header
-		make([]byte, 57), // type 0
+		make([]byte, recFixed-1), // shorter than the fixed header
+		make([]byte, recFixed),   // type 0
 		append(Encode(&Record{Type: RecordPut, Key: []byte("k")}), 0xFF),
 	}
 	for i, buf := range cases {
@@ -280,29 +280,48 @@ func TestTrimmedPrefixIsAGapAtOnce(t *testing.T) {
 	}
 }
 
-func TestNewReaderAt(t *testing.T) {
-	st := storage.Open(nil)
+// TestNewReaderAtHead pins where the head reader's sequence starts: at LSN 1
+// on a log never trimmed, and past the trim's horizon on a trimmed one, at the
+// epoch the trim was declared under.
+func TestNewReaderAtHead(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 256})
 	w := NewWriter(st)
-	for i := 0; i < 5; i++ {
-		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+	appendOne := func() {
+		t.Helper()
+		if _, err := appendNext(w, &Record{Type: RecordPut, Key: bytes.Repeat([]byte("k"), 40)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur := st.TailCursor(storage.StreamWAL)
-	if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte("tail")}); err != nil {
-		t.Fatal(err)
+	appendOne()
+	first := st.TailCursor(storage.StreamWAL).Extent
+	for st.TailCursor(storage.StreamWAL).Extent == first {
+		appendOne()
 	}
-	// Snapshot bootstrap: the cursor says where to scan, the base says
-	// where the LSN sequence resumes (every follower declares it).
-	r := NewReaderAt(st, cur)
-	r.SetBase(5)
+	if got := lsnsOf(mustPoll(t, NewReaderAtHead(st))); len(got) != int(w.NextLSN()-1) || got[0] != 1 {
+		t.Fatalf("head reader of an untrimmed log delivered %v, want every LSN from 1", got)
+	}
+
+	// Trim the first extent, declaring the horizon its last record.
+	horizon := w.NextLSN() - 2
+	if dropped := st.DropBefore(storage.StreamWAL, first+1, uint64(horizon), w.Epoch()); len(dropped) != 1 {
+		t.Fatalf("trim dropped %v, want extent %d", dropped, first)
+	}
+	r := NewReaderAtHead(st)
+	if r.LastLSN() != horizon {
+		t.Fatalf("head reader based at %d, want the horizon %d", r.LastLSN(), horizon)
+	}
+	if got := lsnsOf(mustPoll(t, r)); len(got) != 1 || got[0] != horizon+1 {
+		t.Fatalf("head reader of a trimmed log delivered %v, want [%d]", got, horizon+1)
+	}
+}
+
+func mustPoll(t *testing.T, r *Reader) []*Record {
+	t.Helper()
 	recs, err := r.Poll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || string(recs[0].Key) != "tail" {
-		t.Fatalf("reader-at = %v", recs)
-	}
+	return recs
 }
 
 func TestRecordTypeStrings(t *testing.T) {

@@ -5,44 +5,13 @@ import (
 
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
-	"bg3/internal/gc"
 	"bg3/internal/replication"
 	"bg3/internal/storage"
-)
-
-// DeltaPolicy selects how the Bw-tree persists updates.
-type DeltaPolicy int
-
-// Delta policies.
-const (
-	// ReadOptimized keeps at most one merged delta per page, capping a
-	// cold read at two storage accesses (BG3's default, §3.2.2).
-	ReadOptimized DeltaPolicy = iota
-	// Traditional chains one delta per update (the classic Bw-tree / SLED
-	// behaviour), provided for comparison.
-	Traditional
-)
-
-// GCPolicy selects the space-reclamation policy.
-type GCPolicy int
-
-// Space reclamation policies (§3.3).
-const (
-	// GCWorkloadAware prefers cold extents (low update gradient), breaks
-	// ties by fragmentation, and skips extents TTL is about to free.
-	GCWorkloadAware GCPolicy = iota
-	// GCDirtyRatio always reclaims the most fragmented extent (ArkDB).
-	GCDirtyRatio
-	// GCFIFO reclaims the oldest extent (traditional Bw-tree systems).
-	GCFIFO
 )
 
 // Options configures a DB. The zero value is a usable single-node,
 // non-replicated database with BG3's defaults.
 type Options struct {
-	// DeltaPolicy selects the Bw-tree delta strategy. Default ReadOptimized.
-	DeltaPolicy DeltaPolicy
-
 	// ConsolidateNum is the delta count triggering page consolidation.
 	// Default 10.
 	ConsolidateNum int
@@ -63,19 +32,12 @@ type Options struct {
 	// INIT tree.
 	ForestSplitThreshold int
 
-	// ForestInitSizeThreshold caps the INIT tree's total key count,
-	// evicting the largest vertex beyond it. 0 disables.
-	ForestInitSizeThreshold int
-
 	// EdgeBlockThreshold packs a dedicated tree's adjacency into a
 	// CSR-style edge block — one resident image per leaf, which serves
 	// scans while its leaf is unwritten — once the tree holds this many
 	// live edges (§3.2.1 super-vertices); overwrites do not count. 0 uses
 	// the default (1024); negative disables edge blocks entirely.
 	EdgeBlockThreshold int
-
-	// GC selects the reclamation policy. Default GCWorkloadAware.
-	GC GCPolicy
 
 	// GCInterval runs background reclamation at this period (0: manual
 	// via RunGC only). GCBatch extents are reclaimed per cycle.
@@ -88,11 +50,6 @@ type Options struct {
 	// ExtentSize is the shared-store extent capacity in bytes.
 	// Default 1 MiB.
 	ExtentSize int
-
-	// StorageReadLatency / StorageWriteLatency simulate cloud-storage
-	// round trips (0: none).
-	StorageReadLatency  time.Duration
-	StorageWriteLatency time.Duration
 
 	// Replicated enables the WAL pipeline so read-only replicas can be
 	// attached with DB.OpenReplica. Writes are group-committed to the WAL
@@ -131,7 +88,8 @@ type Options struct {
 // storage, a leader set by handing storage and rw to the shard group — so
 // each knob is mapped, and each default stated, exactly once. A setting no
 // deployment makes has no Options field: the tests that need one set it here
-// and open through open — storage.Faults, rw.CommitWindow, rw.MaxBatch and
+// and open through open — storage.Faults and storage.WriteLatency,
+// rw.CommitWindow, rw.MaxBatch, rw.Engine.InitSizeThreshold and
 // followerCache.
 type layers struct {
 	storage storage.Options
@@ -144,25 +102,12 @@ type layers struct {
 }
 
 func (o Options) layers() layers {
-	policy := bwtree.ReadOptimized
-	if o.DeltaPolicy == Traditional {
-		policy = bwtree.Traditional
-	}
 	blockMin := o.EdgeBlockThreshold
 	if blockMin == 0 {
 		blockMin = 1024
 	}
 	if blockMin < 0 {
 		blockMin = 0 // disabled
-	}
-	var gcPolicy gc.Policy
-	switch o.GC {
-	case GCDirtyRatio:
-		gcPolicy = gc.DirtyRatio{}
-	case GCFIFO:
-		gcPolicy = gc.FIFO{}
-	default:
-		gcPolicy = gc.WorkloadAware{TTL: o.TTL}
 	}
 	flush := o.FlushInterval
 	if flush <= 0 {
@@ -173,27 +118,20 @@ func (o Options) layers() layers {
 		poll = 5 * time.Millisecond
 	}
 	return layers{
-		storage: storage.Options{
-			ExtentSize:   o.ExtentSize,
-			ReadLatency:  o.StorageReadLatency,
-			WriteLatency: o.StorageWriteLatency,
-		},
+		storage: storage.Options{ExtentSize: o.ExtentSize},
 		rw: replication.RWOptions{
 			Engine: core.Options{
 				Tree: bwtree.Config{
-					Policy:              policy,
 					ConsolidateNum:      o.ConsolidateNum,
 					MaxPageEntries:      o.MaxPageEntries,
 					CacheCapacity:       o.CacheCapacity,
 					CacheShards:         o.CacheShards,
 					EdgeBlockMinEntries: blockMin,
 				},
-				SplitThreshold:    o.ForestSplitThreshold,
-				InitSizeThreshold: o.ForestInitSizeThreshold,
-				GCPolicy:          gcPolicy,
-				TTL:               o.TTL,
-				GCInterval:        o.GCInterval,
-				GCBatch:           o.GCBatch,
+				SplitThreshold: o.ForestSplitThreshold,
+				TTL:            o.TTL,
+				GCInterval:     o.GCInterval,
+				GCBatch:        o.GCBatch,
 			},
 			PipelineDepth: o.CommitPipelineDepth,
 			FlushInterval: flush,

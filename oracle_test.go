@@ -81,7 +81,7 @@ var oracleTypes = []EdgeType{ETypeFollow, ETypeLike}
 func oracleOptions(shape string) Options {
 	o := Options{
 		MaxPageEntries: 16, CacheCapacity: 4, ExtentSize: 8 << 10,
-		ForestSplitThreshold: 32, ForestInitSizeThreshold: 24, EdgeBlockThreshold: 64,
+		ForestSplitThreshold: 32, EdgeBlockThreshold: 64,
 		FlushInterval: time.Hour, ReplicaPollInterval: time.Hour,
 	}
 	switch shape {
@@ -97,10 +97,14 @@ func oracleOptions(shape string) Options {
 	return o
 }
 
-// oracleLayers sets what the step oracle needs below Options: followers cache
-// as few pages as leaders, and a commit group holds at most 4 records, so a
-// batch spans several groups.
-func oracleLayers(cfg *layers) { cfg.followerCache, cfg.rw.MaxBatch = 4, 4 }
+// oracleLayers sets what the step oracle needs below Options: INIT's cap,
+// followers cache as few pages as leaders, and a commit group holds at most 4
+// records, so a batch spans several groups.
+func oracleLayers(cfg *layers) { oracleInitCap(cfg); cfg.followerCache, cfg.rw.MaxBatch = 4, 4 }
+
+// oracleInitCap caps the INIT tree at 24 keys, the limit oracleOptions'
+// owners outgrow.
+func oracleInitCap(cfg *layers) { cfg.rw.Engine.InitSizeThreshold = 24 }
 
 func TestOracle(t *testing.T) {
 	// Besides 1-4, seeds that found a defect: 8 (a promoted leader's GC
@@ -1348,7 +1352,10 @@ func oracleConcurrent(t *testing.T, shape string) {
 	o := oracleOptions(shape)
 	o.CacheCapacity, o.CommitPipelineDepth = 16, 8
 	const maxBatch = 16
-	db := openLayers(t, o, func(cfg *layers) { cfg.rw.MaxBatch, cfg.rw.CommitWindow = maxBatch, 100*time.Microsecond })
+	db := openLayers(t, o, func(cfg *layers) {
+		oracleInitCap(cfg)
+		cfg.rw.MaxBatch, cfg.rw.CommitWindow = maxBatch, 100*time.Microsecond
+	})
 	logs := logsOf(db)
 	const (
 		hub            = VertexID(1)
