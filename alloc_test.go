@@ -76,3 +76,41 @@ func TestShardedKHopAllocatesItsAnswer(t *testing.T) {
 		t.Fatalf("%d-hop KHop on 4 shards reaching %d allocates %d B per call, want <= its answer's %d B + %d per hop", hops, len(want), got, answer, perHop)
 	}
 }
+
+// TestLoggedAddEdgeAllocatesPerGroup: once warm, an AddEdge on a one-shard
+// leader and on four shards — every write waits on a WAL group commit —
+// allocates at most 7 objects. It allocates 5, as many as on a bare engine:
+// the edge's key, its composite key in the INIT tree, its WAL record and
+// durability wait, and a share of the leaf's overlay and splits. The group's
+// envelope, its flight, the queue entry and the wait list are recycled or
+// live on the stack; encoded per record into fresh buffers, the log cost 10
+// objects more.
+func TestLoggedAddEdgeAllocatesPerGroup(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		opts Options
+	}{
+		{"leader", Options{Replicated: true, FlushInterval: time.Hour}}, // no flush cycle allocates mid-measurement
+		{"shards-4", Options{Shards: 4, FlushInterval: time.Hour}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			db := openDB(t, &shape.opts)
+			i := 0
+			add := func() {
+				if err := db.AddEdge(Edge{Src: VertexID(i % 100), Dst: VertexID(i), Type: ETypeFollow}); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for range 2000 {
+				add()
+			}
+			const limit = 7
+			got := testing.AllocsPerRun(2000, add)
+			t.Logf("AddEdge on %s: %.2f allocations", shape.name, got)
+			if got > limit {
+				t.Fatalf("AddEdge on %s allocates %.2f objects, want <= %d", shape.name, got, limit)
+			}
+		})
+	}
+}

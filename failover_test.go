@@ -273,7 +273,7 @@ func TestFailoverReadsNoBasePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pages, chains int64
-	for _, lf := range db.eng(0).Mapping().NameLeaves(0, 1) {
+	for _, lf := range db.eng(0).Mapping().NameLeaves(nil, 0, 1) {
 		pages, chains = pages+1, chains+int64(len(lf.Deltas))
 	}
 	if pages < 4*64 || chains == 0 {

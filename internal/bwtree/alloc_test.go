@@ -500,7 +500,7 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 			syncReplica(t, rep, rd)
 			return lsn
 		}
-		ups, err := tr.FlushDirty() // every leaf's first flush: a base record alone
+		ups, err := tr.FlushDirty(nil) // every leaf's first flush: a base record alone
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func TestReclaimedExtentIsNotPinnedByTheCache(t *testing.T) {
 		// The leader logs the moves; the follower repoints, and then nothing
 		// holds the condemned extent in the store.
 		mark := st.CondemnMark()
-		st.Stamp(mark, uint64(checkpoint(lm.TakeRelocated())))
+		st.Stamp(mark, uint64(checkpoint(lm.TakeRelocated(nil))))
 		if n := st.Stats().CondemnedExtents; n != 0 {
 			t.Fatalf("fixture: %d extents still condemned", n)
 		}

@@ -445,7 +445,7 @@ func TestEachChangeStalesItsOwnChunk(t *testing.T) {
 		{"overwrite", func(_ *testing.T, tr *Tree, _ *storage.FaultPlan) error { return tr.Put(target, []byte("new")) }},
 		{"split", func(_ *testing.T, tr *Tree, _ *storage.FaultPlan) error {
 			tr.cfg.MaxPageEntries = 4
-			var waits []func() error
+			var waits wal.Waits
 			return tr.splitPage(tr.route(target).id, &waits)
 		}},
 		{"failed sync flush", func(t *testing.T, tr *Tree, plan *storage.FaultPlan) error {
@@ -568,7 +568,7 @@ func TestFirstBuildCapturesEveryWriter(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		put(i, "v0")
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	var pins []*mvcc.Pin
@@ -730,7 +730,7 @@ func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 	for _, i := range written {
 		put(i, "late")
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	leaves := leavesOf(tr)
@@ -746,7 +746,7 @@ func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 	for _, i := range written {
 		put(i, "later")
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, fallbacks := blockCounts(tr, func() {
@@ -761,7 +761,7 @@ func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ { // every leaf through the 16-page cache

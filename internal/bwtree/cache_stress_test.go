@@ -51,7 +51,7 @@ func TestStressShardedCache(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tr.FlushDirty(); err != nil {
+			if _, err := tr.FlushDirty(nil); err != nil {
 				t.Errorf("flush: %v", err)
 				return
 			}
@@ -151,7 +151,7 @@ func TestStressShardedCache(t *testing.T) {
 	}
 
 	// Drain async state, then check nothing dirty was lost to eviction.
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := tr.DirtyCount(); n != 0 {
@@ -215,7 +215,7 @@ func TestStressShardedCache(t *testing.T) {
 		if err := tr.Put([]byte(fmt.Sprintf("x-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.FlushDirty(); err != nil {
+		if _, err := tr.FlushDirty(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

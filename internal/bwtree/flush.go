@@ -52,8 +52,8 @@ type MappingUpdate struct {
 // — a split half, or a new tree's root, before its first flush — has nothing
 // durable to name; the record that created it is what a follower learns it
 // from. Any k consecutive buckets name every leaf that existed before the
-// first of them and was flushed since.
-func (m *Mapping) NameLeaves(bucket, k int) []MappingUpdate {
+// first of them and was flushed since. The updates are appended to dst.
+func (m *Mapping) NameLeaves(dst []MappingUpdate, bucket, k int) []MappingUpdate {
 	m.mu.RLock()
 	var named []*pageEntry
 	for id, e := range m.pages {
@@ -62,18 +62,17 @@ func (m *Mapping) NameLeaves(bucket, k int) []MappingUpdate {
 		}
 	}
 	m.mu.RUnlock()
-	out := make([]MappingUpdate, 0, len(named))
 	for _, e := range named {
 		e.mu.Lock()
 		if !e.baseLoc.IsZero() {
-			out = append(out, MappingUpdate{
+			dst = append(dst, MappingUpdate{
 				Tree: e.tree.id, Page: e.id, Base: e.baseLoc,
 				Deltas: slices.Clone(e.deltaLocs), Named: true, Lo: e.lo,
 			})
 		}
 		e.mu.Unlock()
 	}
-	return out
+	return dst
 }
 
 // DirtyCount returns the number of pages awaiting a flush.
@@ -86,11 +85,11 @@ func (t *Tree) DirtyCount() int {
 // FlushDirty persists every dirty page (the group commit of §3.4: "dirty
 // pages are flushed by a background thread once they reach a threshold";
 // this repository's flusher runs on its interval alone, FlushInterval) and
-// returns the mapping updates describing the new durable locations.
+// appends to dst the mapping updates describing the new durable locations.
 // Safe for concurrent callers (the background flusher and a manual
 // checkpoint or snapshot may overlap).
-func (t *Tree) FlushDirty() ([]MappingUpdate, error) {
-	updates, err := t.flushPages(t.takeDirty())
+func (t *Tree) FlushDirty(dst []MappingUpdate) ([]MappingUpdate, error) {
+	updates, err := t.flushPages(dst, t.takeDirty())
 	if err != nil {
 		return updates, err
 	}
@@ -115,8 +114,7 @@ func (t *Tree) takeDirty() []PageID {
 	return ids
 }
 
-func (t *Tree) flushPages(ids []PageID) ([]MappingUpdate, error) {
-	updates := make([]MappingUpdate, 0, len(ids))
+func (t *Tree) flushPages(updates []MappingUpdate, ids []PageID) ([]MappingUpdate, error) {
 	for i := 0; i < len(ids); i++ {
 		e := t.m.get(ids[i])
 		if e == nil {

@@ -503,10 +503,10 @@ func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
 }
 
 // TakeRelocated drains the set of pages GC has moved since the last call
-// and returns their current durable locations — the RW node folds them
-// into its next checkpoint so replicas repoint before the condemned
+// and appends their current durable locations to dst — the RW node folds
+// them into its next checkpoint so replicas repoint before the condemned
 // extents are released.
-func (m *Mapping) TakeRelocated() []MappingUpdate {
+func (m *Mapping) TakeRelocated(dst []MappingUpdate) []MappingUpdate {
 	m.relocMu.Lock()
 	ids := make([]PageID, 0, len(m.relocated))
 	for id := range m.relocated {
@@ -515,7 +515,6 @@ func (m *Mapping) TakeRelocated() []MappingUpdate {
 	m.relocated = make(map[PageID]struct{})
 	m.relocMu.Unlock()
 
-	out := make([]MappingUpdate, 0, len(ids))
 	for _, id := range ids {
 		e := m.get(id)
 		if e == nil || !e.isLeaf {
@@ -530,9 +529,9 @@ func (m *Mapping) TakeRelocated() []MappingUpdate {
 			up.Tree = e.tree.id
 		}
 		e.mu.Unlock()
-		out = append(out, up)
+		dst = append(dst, up)
 	}
-	return out
+	return dst
 }
 
 // leaves snapshots the registered leaf entries. Whoever walks the table

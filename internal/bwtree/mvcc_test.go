@@ -84,7 +84,7 @@ func TestFlushRetainsPinnedHistory(t *testing.T) {
 	}
 	// Consolidating flush under the pin: ops above the floor must stay on
 	// the delta chain.
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if rb := tr.m.RetainedBytes(h); rb == 0 {
@@ -108,7 +108,7 @@ func TestFlushRetainsPinnedHistory(t *testing.T) {
 	if err := tr.Put([]byte("k99"), []byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if rb := tr.m.RetainedBytes(h); rb != 0 {
@@ -166,7 +166,7 @@ func TestStressLenUnderSplits(t *testing.T) {
 					return
 				}
 				if i%40 == 0 {
-					if _, err := tr.FlushDirty(); err != nil {
+					if _, err := tr.FlushDirty(nil); err != nil {
 						t.Error(err)
 						return
 					}

@@ -282,7 +282,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	}
 	publish := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
-		ups = append(ups, m.TakeRelocated()...)
+		ups = m.TakeRelocated(ups)
 		for i := 0; i == 0 || i < len(ups); i++ { // one update per record: records must fit an extent
 			left := uint64(max(len(ups)-1-i, 0)) // the checkpoint's records still to come
 			if _, err := pipe.Log(&wal.Record{Type: wal.RecordCheckpoint, TreeID: left, CkptLSN: h, Value: EncodeMappingUpdates(ups[i:min(i+1, len(ups))])}); err != nil {
@@ -294,7 +294,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	checkpoint := func() {
 		t.Helper()
 		h := pipe.last
-		ups, err := tr.FlushDirty()
+		ups, err := tr.FlushDirty(nil)
 		if err != nil {
 			t.Fatalf("flush: %v", err)
 		}
@@ -578,7 +578,7 @@ func TestFlushSplitsOversizedRetainedDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatalf("flush of a page with %d retained bytes: %v", m.RetainedBytes(h), err)
 	}
@@ -629,7 +629,7 @@ func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
 				t.Fatalf("mode %d: put %d: %v", flush, i, err)
 			}
 		}
-		if _, err := tr.FlushDirty(); err != nil {
+		if _, err := tr.FlushDirty(nil); err != nil {
 			t.Fatalf("mode %d: flush: %v", flush, err)
 		}
 		leaves := tr.LeafDirectory()

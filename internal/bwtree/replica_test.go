@@ -124,7 +124,7 @@ func TestReplicaSplitScenario(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	// The insert of k4 splits the leaf (Put(5, V5) in the paper). Do NOT
@@ -164,7 +164,7 @@ func TestReplicaCheckpointTruncatesBuffers(t *testing.T) {
 
 	// Flush dirty pages and emit the checkpoint (steps 7–8 of Figure 7).
 	ckptLSN := w.LastLSN()
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestReplicaScanMatchesTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 200; i < 300; i++ { // some unflushed tail
@@ -273,7 +273,7 @@ func TestReplicaCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestReplicaChainedSplitOrigins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	// These inserts cause repeated splits, all unflushed.
@@ -360,7 +360,7 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 			}
 			model[k] = v
 			if i%37 == 0 {
-				ups, err := tr.FlushDirty()
+				ups, err := tr.FlushDirty(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -416,7 +416,7 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		put(i, "v")
 	}
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 	if len(tr.LeafDirectory()) != 2 {
 		t.Fatal("fixture: the ninth key did not split the leaf")
 	}
-	if ups, err = tr.flushPages(ids); err != nil {
+	if ups, err = tr.flushPages(nil, ids); err != nil {
 		t.Fatal(err)
 	}
 	checkpoint(h, ups)
@@ -456,7 +456,7 @@ func TestReplicaEvictionKeepsAppliedOps(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
-	ups, _ := tr.FlushDirty()
+	ups, _ := tr.FlushDirty(nil)
 	w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: w.LastLSN(), Value: EncodeMappingUpdates(ups)})
 	syncReplica(t, rep, rd)
 	rep.Get(tr.ID(), []byte("k000")) // page of k000 resident on the replica
@@ -485,7 +485,7 @@ func TestEvictedSiblingReloadsThroughEvictedOrigin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestStaleCheckpointChunkIsDroppedAtTheNextEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ups, err := tr.FlushDirty()
+	ups, err := tr.FlushDirty(nil)
 	if err != nil || len(ups) != 1 {
 		t.Fatalf("flush: %d updates, %v", len(ups), err)
 	}

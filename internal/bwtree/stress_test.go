@@ -205,7 +205,7 @@ func TestStressConcurrentFlushAsync(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tr.FlushDirty(); err != nil {
+			if _, err := tr.FlushDirty(nil); err != nil {
 				t.Errorf("flush: %v", err)
 				return
 			}
@@ -234,7 +234,7 @@ func TestStressConcurrentFlushAsync(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if tr.DirtyCount() != 0 {
@@ -284,7 +284,7 @@ func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := tr.FlushDirty(); err != nil { // clean pages are evictable: the cache bound holds
+			if _, err := tr.FlushDirty(nil); err != nil { // clean pages are evictable: the cache bound holds
 				t.Fatal(err)
 			}
 			if _, err := tr.BuildEdgeBlock(); err != nil {
@@ -320,7 +320,7 @@ func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
 							return
 						case <-time.After(200 * time.Microsecond):
 						}
-						if _, err := tr.FlushDirty(); err != nil {
+						if _, err := tr.FlushDirty(nil); err != nil {
 							t.Errorf("flush: %v", err)
 							return
 						}
@@ -594,7 +594,7 @@ func TestStressOverlayReadersRaceWriters(t *testing.T) {
 							return
 						default:
 						}
-						if _, err := tr.FlushDirty(); err != nil {
+						if _, err := tr.FlushDirty(nil); err != nil {
 							t.Errorf("flush: %v", err)
 							return
 						}

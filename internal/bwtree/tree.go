@@ -80,9 +80,9 @@ type Tree struct {
 // New creates an empty tree registered in m, persisting to store, and waits
 // until its creation record is durable.
 func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree, error) {
-	var waits []func() error
+	var waits wal.Waits
 	t, err := NewDeferred(m, store, cfg, logger, &waits)
-	if werr := drain(waits); err == nil && werr != nil {
+	if werr := waits.Drain(); err == nil && werr != nil {
 		return nil, werr
 	}
 	return t, err
@@ -91,7 +91,7 @@ func New(m *Mapping, store *storage.Store, cfg Config, logger WALLogger) (*Tree,
 // NewDeferred is New inside a write that causes more records: the creation
 // record's durability wait is appended to waits, for the write to drain with
 // its others (Apply). The tree is usable at once.
-func NewDeferred(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, waits *[]func() error) (*Tree, error) {
+func NewDeferred(m *Mapping, store *storage.Store, cfg Config, logger WALLogger, waits *wal.Waits) (*Tree, error) {
 	t := &Tree{id: m.allocTreeID(), store: store, m: m}
 	if err := t.lead(cfg, logger); err != nil {
 		return nil, err
@@ -452,8 +452,8 @@ func (t *Tree) applyOne(w Write) (existed bool, err error) {
 // storage appends. Nothing is durable until its wait returned nil. A nil waits
 // drains them here, after the last latch was released, so concurrent writers
 // of one page still share a commit round trip.
-func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
-	var own []func() error
+func (t *Tree) Apply(ws []Write, waits *wal.Waits) (n int, err error) {
+	var own wal.Waits
 	if waits == nil {
 		waits = &own
 	}
@@ -469,22 +469,11 @@ func (t *Tree) Apply(ws []Write, waits *[]func() error) (n int, err error) {
 			err = t.splitPage(id, waits)
 		}
 	}
-	if werr := drain(own); err == nil {
+	if werr := own.Drain(); err == nil {
 		err = werr
 	}
 	t.maybeSpawnEdgeBlockBuild()
 	return n, err
-}
-
-// drain invokes every wait and returns the first failure.
-func drain(waits []func() error) error {
-	var err error
-	for _, wait := range waits {
-		if werr := wait(); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	return err
 }
 
 // applyRun is Algorithm 1 on a latched leaf, for a run instead of an op. It
@@ -500,7 +489,7 @@ func drain(waits []func() error) error {
 //
 // An error leaves ws[:n] applied when the log refused the op after them, and
 // nothing applied (n = 0, the page unchanged) when the sync flush failed.
-func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *[]func() error) (n int, needSplit bool, err error) {
+func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, needSplit bool, err error) {
 	base, _, err := t.materialize(e, false)
 	if err != nil {
 		return 0, false, err
@@ -675,7 +664,7 @@ func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h
 // wait into waits — the page latch or the structure lock is released before
 // anyone blocks, so neither same-page writers nor splits stall for a commit
 // round trip.
-func (t *Tree) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
+func (t *Tree) log(rec *wal.Record, waits *wal.Waits) (wal.LSN, error) {
 	lsn, w := t.logger.LogAsync(rec)
 	if lsn == 0 {
 		// Admission failed (stopped or poisoned committer, or an oversized
@@ -685,7 +674,7 @@ func (t *Tree) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
 		// unlogged write into pinned reads.
 		return 0, w()
 	}
-	*waits = append(*waits, w)
+	waits.Add(w)
 	return lsn, nil
 }
 
@@ -693,7 +682,7 @@ func (t *Tree) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
 // root splits, growing the tree by one level; the split record's durability
 // wait joins waits. It re-checks the size under the structure lock, so
 // spurious calls are harmless.
-func (t *Tree) splitPage(id PageID, waits *[]func() error) error {
+func (t *Tree) splitPage(id PageID, waits *wal.Waits) error {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	e := t.m.get(id)

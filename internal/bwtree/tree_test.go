@@ -467,7 +467,7 @@ func TestAsyncFlushCycle(t *testing.T) {
 	if tr.DirtyCount() == 0 {
 		t.Fatal("expected dirty pages before flush")
 	}
-	updates, err := tr.FlushDirty()
+	updates, err := tr.FlushDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestConcurrentFlushersAndWriters(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if _, err := tr.FlushDirty(); err != nil {
+					if _, err := tr.FlushDirty(nil); err != nil {
 						t.Error(err)
 						return
 					}
@@ -653,7 +653,7 @@ func TestConcurrentFlushersAndWriters(t *testing.T) {
 	<-done
 	close(stop)
 	wg.Wait()
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := tr.Len(); n != 1600 {
@@ -684,7 +684,7 @@ func TestCacheEvictionFullyPinned(t *testing.T) {
 		}
 	}
 	// After a flush, eviction can finally make progress.
-	if _, err := tr.FlushDirty(); err != nil {
+	if _, err := tr.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Put([]byte("post"), []byte("v")); err != nil {

@@ -179,7 +179,7 @@ func TestApplyBatchEqualsSingleWrites(t *testing.T) {
 		if d := imageOf(t, batch, owners).diff(want); d != "" {
 			t.Fatalf("batched async load differs from single writes: %s", d)
 		}
-		if _, err := batch.FlushDirty(); err != nil {
+		if _, err := batch.FlushDirty(nil); err != nil {
 			t.Fatal(err)
 		}
 		if d := imageOf(t, batch, owners).diff(want); d != "" {

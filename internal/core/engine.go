@@ -216,7 +216,7 @@ func (e *Engine) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 // pages itself, so it then compacts the extents it left nearly empty (Compact),
 // holding no latch; a leader's flush cycle does that instead. A failed
 // compaction leaves its extents to RunGC and does not fail the write.
-func (e *Engine) apply(ws []forest.Write, waits *[]func() error) error {
+func (e *Engine) apply(ws []forest.Write, waits *wal.Waits) error {
 	err := e.edges.Apply(ws, waits)
 	if e.opts.Logger == nil {
 		_, _ = e.Compact()
@@ -291,39 +291,41 @@ func (e *Engine) ApplyBatchBetween(head *wal.Record, muts []graph.Mutation, tail
 		}
 		return bytes.Compare(a.Key, b.Key)
 	})
-	var waits []func() error
+	var headWait func() error
 	if head != nil {
-		if err := e.enqueue(head, &waits); err != nil {
+		if headWait, err = e.enqueue(head); err != nil {
 			return err, err
 		}
 	}
+	var waits wal.Waits
 	err = e.apply(ws, &waits)
 	if err == nil && tail != nil {
-		err = e.enqueue(tail, &waits)
+		var wait func() error
+		if wait, err = e.enqueue(tail); err == nil {
+			waits.Add(wait)
+		}
 	}
-	for i, wait := range waits {
-		werr := wait()
-		if i == 0 && head != nil {
-			headErr = werr
+	if headWait != nil {
+		if headErr = headWait(); err == nil {
+			err = headErr
 		}
-		if werr != nil && err == nil {
-			err = werr
-		}
+	}
+	if werr := waits.Drain(); err == nil {
+		err = werr
 	}
 	return headErr, err
 }
 
-// enqueue logs rec with its durability wait deferred into waits.
-func (e *Engine) enqueue(rec *wal.Record, waits *[]func() error) error {
+// enqueue logs rec and returns its durability wait.
+func (e *Engine) enqueue(rec *wal.Record) (func() error, error) {
 	if e.opts.Logger == nil {
-		return fmt.Errorf("core: %v record without a logger", rec.Type)
+		return nil, fmt.Errorf("core: %v record without a logger", rec.Type)
 	}
 	lsn, wait := e.opts.Logger.LogAsync(rec)
 	if lsn == 0 {
-		return wait() // refused: nothing was enqueued
+		return nil, wait() // refused: nothing was enqueued
 	}
-	*waits = append(*waits, wait)
-	return nil
+	return wait, nil
 }
 
 // RunGC triggers one synchronous reclamation cycle over both data streams
@@ -380,9 +382,11 @@ func (e *Engine) FenceGC() {
 	}
 }
 
-// FlushDirty flushes async-mode dirty pages across the forest, returning
-// the mapping updates for the checkpoint record.
-func (e *Engine) FlushDirty() ([]bwtree.MappingUpdate, error) { return e.edges.FlushDirty() }
+// FlushDirty flushes async-mode dirty pages across the forest, appending
+// the mapping updates for the checkpoint record to dst.
+func (e *Engine) FlushDirty(dst []bwtree.MappingUpdate) ([]bwtree.MappingUpdate, error) {
+	return e.edges.FlushDirty(dst)
+}
 
 // DirtyCount reports pages awaiting a flush (async mode).
 func (e *Engine) DirtyCount() int { return e.edges.DirtyCount() }

@@ -482,10 +482,10 @@ func TestNamingRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.FlushDirty(); err != nil {
+	if _, err := e.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
-	named := e.Forest().NameLeaves(0, 1)
+	named := e.Forest().NameLeaves(nil, 0, 1)
 	var inits, owned int
 	for _, up := range named {
 		if !up.Named || (up.Init == up.Owned) {

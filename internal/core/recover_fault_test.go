@@ -147,10 +147,10 @@ func TestRecoverTornWALTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := e.FlushDirty(); err != nil {
+			if _, err := e.FlushDirty(nil); err != nil {
 				t.Fatal(err)
 			}
-			pages := e.Forest().NameLeaves(0, 1)
+			pages := e.Forest().NameLeaves(nil, 0, 1)
 			horizon := c.LastLSN() // every record so far is covered by the flush
 
 			tc.suffix(t, e, c, plan)
@@ -202,10 +202,10 @@ func TestRecoverTornWALTable(t *testing.T) {
 			if err := recovered.AddEdge(edge(100)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := recovered.FlushDirty(); err != nil {
+			if _, err := recovered.FlushDirty(nil); err != nil {
 				t.Fatal(err)
 			}
-			cold := replicaOfPages(t, st, next.LastLSN(), recovered.Forest().NameLeaves(0, 1))
+			cold := replicaOfPages(t, st, next.LastLSN(), recovered.Forest().NameLeaves(nil, 0, 1))
 			verify("a replica of the recovered engine's pages", cold)
 			if _, ok, err := cold.GetEdge(src, typ, 100); err != nil || !ok {
 				t.Fatalf("the edge written after recovery is not in its pages: ok=%v err=%v", ok, err)
@@ -233,10 +233,10 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 	if err := e.AddEdge(graph.Edge{Src: 1, Dst: 1, Type: graph.ETypeFollow}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.FlushDirty(); err != nil {
+	if _, err := e.FlushDirty(nil); err != nil {
 		t.Fatal(err)
 	}
-	pages := e.Forest().NameLeaves(0, 1)
+	pages := e.Forest().NameLeaves(nil, 0, 1)
 	root := pages[0].Page
 	e.Close()
 
@@ -246,7 +246,7 @@ func TestDrainAbortsOnLogHole(t *testing.T) {
 	for _, lsn := range []wal.LSN{3, 5} {
 		rec := &wal.Record{Type: wal.RecordPut, LSN: lsn, TreeID: uint64(pages[0].Tree), PageID: uint64(root), Key: []byte("k")}
 		w := wal.NewWriterFromEpoch(st, lsn, st.StreamEpoch(storage.StreamWAL))
-		groups, err := w.SealAssigned([]*wal.Record{rec})
+		groups, err := w.SealAssigned(nil, []*wal.Record{rec}, nil)
 		if err == nil {
 			err = w.AppendSealed(groups[0])
 		}

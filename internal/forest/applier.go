@@ -64,12 +64,12 @@ func (f *Forest) TakeOver(cfg Config, logger bwtree.WALLogger) error {
 // — a tree whose owner assignment is not published (mid-migration, or a failed
 // migration's on a follower that saw it created). A tree the forest let go of
 // (a failed migration's, on its leader) is not named.
-func (f *Forest) NameLeaves(bucket, k int) []bwtree.MappingUpdate {
-	named := f.m.NameLeaves(bucket, k)
+func (f *Forest) NameLeaves(dst []bwtree.MappingUpdate, bucket, k int) []bwtree.MappingUpdate {
+	named := f.m.NameLeaves(dst, bucket, k)
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := named[:0]
-	for _, up := range named {
+	out := named[:len(dst)]
+	for _, up := range named[len(dst):] {
 		if f.trees[up.Tree] == nil {
 			continue
 		}

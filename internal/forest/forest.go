@@ -248,8 +248,8 @@ func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
 // drains them here, once, after the last record. LSN order is commit order, so
 // no follower and no pinned reader reaches a migrated owner's new tree before
 // its copy is durable (ownerState.since).
-func (f *Forest) Apply(ws []Write, waits *[]func() error) error {
-	var own []func() error
+func (f *Forest) Apply(ws []Write, waits *wal.Waits) error {
+	var own wal.Waits
 	if waits == nil {
 		waits = &own
 	}
@@ -262,19 +262,8 @@ func (f *Forest) Apply(ws []Write, waits *[]func() error) error {
 		err = f.applyOwner(ws[0].Owner, ws[:n], waits)
 		ws = ws[n:]
 	}
-	if werr := drain(own); err == nil {
+	if werr := own.Drain(); err == nil {
 		err = werr
-	}
-	return err
-}
-
-// drain invokes every wait and returns the first failure.
-func drain(waits []func() error) error {
-	var err error
-	for _, wait := range waits {
-		if werr := wait(); werr != nil && err == nil {
-			err = werr
-		}
 	}
 	return err
 }
@@ -285,7 +274,7 @@ func drain(waits []func() error) error {
 // above true owner size and trigger premature migrations — and the
 // thresholds are checked after the writes: a migration fires at most once,
 // on the counts all of them left behind.
-func (f *Forest) applyOwner(owner OwnerID, ws []Write, waits *[]func() error) error {
+func (f *Forest) applyOwner(owner OwnerID, ws []Write, waits *wal.Waits) error {
 	st := f.ownerStateFor(owner)
 	st.mu.RLock()
 	tree := st.tree.Load()
@@ -383,7 +372,7 @@ func (f *Forest) largestInitOwner() OwnerID {
 // get the same guarantee from the position of the owner-assignment record in
 // the WAL. Every record of the migration joins waits: the write that caused
 // it drains them with its own.
-func (f *Forest) migrate(owner OwnerID, waits *[]func() error) error {
+func (f *Forest) migrate(owner OwnerID, waits *wal.Waits) error {
 	st := f.ownerStateFor(owner)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -444,12 +433,12 @@ func (f *Forest) migrate(owner OwnerID, waits *[]func() error) error {
 // log enqueues rec with its durability wait deferred into waits and returns
 // its LSN; a record the logger refused fails here, before anything depends on
 // it (bwtree.Tree.Apply).
-func (f *Forest) log(rec *wal.Record, waits *[]func() error) (wal.LSN, error) {
+func (f *Forest) log(rec *wal.Record, waits *wal.Waits) (wal.LSN, error) {
 	lsn, wait := f.logger.LogAsync(rec)
 	if lsn == 0 {
 		return 0, wait()
 	}
-	*waits = append(*waits, wait)
+	waits.Add(wait)
 	return lsn, nil
 }
 
@@ -530,16 +519,16 @@ func (f *Forest) Trees(fn func(*bwtree.Tree) bool) {
 	}
 }
 
-// FlushDirty flushes every tree's dirty pages (async mode), returning the
-// combined mapping updates. On a failure it returns those of every page
+// FlushDirty flushes every tree's dirty pages (async mode), appending the
+// mapping updates to dst. On a failure it returns those of every page
 // written before it too: those pages are clean now, and no later flush names
 // them again.
-func (f *Forest) FlushDirty() ([]bwtree.MappingUpdate, error) {
-	var all []bwtree.MappingUpdate
+func (f *Forest) FlushDirty(dst []bwtree.MappingUpdate) ([]bwtree.MappingUpdate, error) {
+	all := dst
 	var firstErr error
 	f.Trees(func(t *bwtree.Tree) bool {
-		ups, err := t.FlushDirty()
-		all = append(all, ups...)
+		var err error
+		all, err = t.FlushDirty(all)
 		if err != nil {
 			firstErr = fmt.Errorf("forest: flush tree %d: %w", t.ID(), err)
 			return false
@@ -583,11 +572,11 @@ func (f *Forest) OwnerAssignments() []OwnerAssignment {
 // the split threshold — operators pin known-hot users this way, and the
 // Fig. 11 experiment uses it to set an exact tree count.
 func (f *Forest) Dedicate(owner OwnerID) error {
-	var waits []func() error
+	var waits wal.Waits
 	f.migrateMu.Lock()
 	err := f.migrate(owner, &waits)
 	f.migrateMu.Unlock()
-	if werr := drain(waits); err == nil {
+	if werr := waits.Drain(); err == nil {
 		err = werr
 	}
 	return err

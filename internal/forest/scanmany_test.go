@@ -215,7 +215,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 				// so an owner outside every frontier splits a few after the
 				// flush.
 				for pass := 0; pass < 2; pass++ {
-					if _, err := f.FlushDirty(); err != nil {
+					if _, err := f.FlushDirty(nil); err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; pass == 0 && i < 64; i++ {

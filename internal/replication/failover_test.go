@@ -310,11 +310,11 @@ func holeLog(t *testing.T) (st *storage.Store, w *wal.Writer, first wal.SealedGr
 
 	st = storage.Open(nil)
 	w = wal.NewWriter(st)
-	firsts, err := w.SealAssigned(recs[:2])
+	firsts, err := w.SealAssigned(nil, recs[:2], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := w.SealAssigned(recs[2:])
+	second, err := w.SealAssigned(nil, recs[2:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

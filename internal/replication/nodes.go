@@ -89,6 +89,7 @@ type RWNode struct {
 	ckptAll  bool    // its horizon covers every record logged before it; under flushMu
 	// carried holds the updates a failed cycle had already produced — pages
 	// it wrote, relocations it drained — for the next checkpoint; under flushMu.
+	// Every cycle gathers its updates after them, in this slice's array.
 	carried []bwtree.MappingUpdate
 
 	// The rotation, under flushMu: named counts the checkpoints logged (the
@@ -318,8 +319,7 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	cursor := n.store.TailCursor(storage.StreamWAL)
 	horizon := n.logger.LastLSN()
 	n.applyBarrier.Unlock()
-	updates, err := n.engine.FlushDirty()
-	updates, n.carried = append(n.carried, updates...), nil
+	updates, err := n.engine.FlushDirty(n.carried)
 	if err != nil {
 		n.carried = updates
 		return 0, err
@@ -337,7 +337,7 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	// names all of them: it is the LSN the extents are stamped with
 	// (storage.Store.Stamp).
 	mark := n.store.CondemnMark()
-	updates = append(updates, n.engine.Mapping().TakeRelocated()...)
+	updates = n.engine.Mapping().TakeRelocated(updates)
 	// Nothing is new when no page moved, the last record logged is the last
 	// checkpoint itself, and that checkpoint's horizon covers every record
 	// before its own: followers have cut everything there is. (The horizon
@@ -345,17 +345,21 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	// an idle leader would checkpoint its own checkpoints forever. Writes that
 	// raced the last cycle's flush need one more, if only to declare them.)
 	if !force && len(updates) == 0 && horizon == n.ckptTail && n.ckptAll {
+		n.carried = updates
 		n.store.Stamp(mark, uint64(n.ckptTail))
 		return horizon, nil
 	}
 	// The naming goes last: a page flushed or moved this cycle is named as it
 	// stood after both, and a follower applies a checkpoint's updates in order.
 	bucket := n.named % rotation
-	tail, records, err := n.appendCheckpoint(horizon, bucket, append(updates, n.engine.Forest().NameLeaves(bucket, rotation)...))
+	all := n.engine.Forest().NameLeaves(updates, bucket, rotation)
+	tail, records, err := n.appendCheckpoint(horizon, bucket, all)
 	if err != nil {
 		n.carried = updates
 		return 0, err
 	}
+	clear(all)
+	n.carried = all[:0]
 	n.ckptTail = tail
 	n.ckptAll = n.ckptTail-horizon == wal.LSN(records)
 	n.store.Stamp(mark, uint64(n.ckptTail))

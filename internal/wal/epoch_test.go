@@ -129,11 +129,11 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 			st := storage.Open(nil)
 			defer st.Close()
 			for _, e := range tc.entries {
-				var frames [][]byte
+				var recs []*Record
 				for lsn := e.first; lsn <= e.last; lsn++ {
-					frames = append(frames, Encode(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}))
+					recs = append(recs, &Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")})
 				}
-				buf := frameGroup(GroupMeta{Epoch: e.epoch, First: LSN(e.first), Count: len(frames)}, frames)
+				buf := sealGroup(nil, GroupMeta{Epoch: e.epoch, First: LSN(e.first), Count: len(recs)}, recs)
 				if e.torn {
 					buf = buf[:len(buf)-3]
 				}

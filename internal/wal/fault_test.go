@@ -141,11 +141,11 @@ func TestReaderParksPastAHoleAndWaits(t *testing.T) {
 		}
 	}
 	// LSN 4 is sealed but lands last; LSN 5 lands first.
-	fourth, err := w.SealAssigned([]*Record{{Type: RecordPut, LSN: 4, Key: []byte("y")}})
+	fourth, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 4, Key: []byte("y")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifth, err := w.SealAssigned([]*Record{{Type: RecordPut, LSN: 5, Key: []byte("z")}})
+	fifth, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 5, Key: []byte("z")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +181,14 @@ func TestReaderParksPastAHoleAndWaits(t *testing.T) {
 func TestLateFirstGroupIsDeliveredNotDropped(t *testing.T) {
 	st := storage.Open(nil)
 	w := NewWriter(st)
-	first, err := w.SealAssigned([]*Record{
+	first, err := w.SealAssigned(nil, []*Record{
 		{Type: RecordPut, LSN: 1, Key: []byte("a")},
 		{Type: RecordPut, LSN: 2, Key: []byte("b")},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := w.SealAssigned([]*Record{{Type: RecordPut, LSN: 3, Key: []byte("c")}})
+	second, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 3, Key: []byte("c")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@ import (
 // decoder and checks the recovery contract:
 //
 //   - never panics, on any input;
-//   - ok implies a canonical envelope: re-sealing the parsed frames
-//     reproduces the input byte for byte;
+//   - ok implies a canonical envelope: when every frame decodes, re-sealing
+//     the records through the writer's sealer reproduces the input byte for
+//     byte;
 //   - every strict prefix of a valid envelope reads as torn (ok=false,
 //     err=nil) — a crashed append can only leave a prefix, and a torn tail
 //     must drop the whole group, never surface as corruption;
@@ -25,10 +26,10 @@ import (
 // Seed corpus: testdata/fuzz/FuzzUnframeGroup (checked in).
 func FuzzUnframeGroup(f *testing.F) {
 	// A group of one empty record, a multi-record group, and junk.
-	f.Add(frameGroup(GroupMeta{First: 1, Count: 1}, [][]byte{{}}))
-	f.Add(frameGroup(GroupMeta{Epoch: 3, First: 1, Count: 2}, [][]byte{
-		Encode(&Record{Type: RecordPut, Key: []byte("k"), Value: []byte("v")}),
-		Encode(&Record{Type: RecordDelete, Key: []byte("k")}),
+	f.Add(sealGroup(nil, GroupMeta{First: 1, Count: 1}, []*Record{{Type: RecordCheckpoint}}))
+	f.Add(sealGroup(nil, GroupMeta{Epoch: 3, First: 1, Count: 2}, []*Record{
+		{Type: RecordPut, Key: []byte("k"), Value: []byte("v")},
+		{Type: RecordDelete, Key: []byte("k")},
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
@@ -45,17 +46,23 @@ func FuzzUnframeGroup(f *testing.F) {
 			t.Fatalf("ok envelope: %d frames but meta count %d", len(frames), meta.Count)
 		}
 
-		// Canonical round trip.
-		resealed := frameGroup(meta, frames)
-		if !bytes.Equal(resealed, data) {
-			t.Fatalf("re-sealing %d frames does not reproduce the envelope:\n in: %x\nout: %x",
-				len(frames), data, resealed)
-		}
-
-		// Record decoding must be total (error, never panic) and canonical.
+		// Record decoding must be total (error, never panic) and canonical,
+		// and an envelope of records re-seals to itself.
+		recs := make([]*Record, 0, len(frames))
 		for i, fr := range frames {
-			if rec, err := Decode(fr); err == nil && !bytes.Equal(Encode(rec), fr) {
-				t.Fatalf("frame %d decodes but re-encodes differently:\n in: %x\nout: %x", i, fr, Encode(rec))
+			rec, err := Decode(fr)
+			if err != nil {
+				continue
+			}
+			if enc := appendRecord(nil, rec); !bytes.Equal(enc, fr) {
+				t.Fatalf("frame %d decodes but re-encodes differently:\n in: %x\nout: %x", i, fr, enc)
+			}
+			recs = append(recs, rec)
+		}
+		if len(recs) == len(frames) {
+			if resealed := sealGroup(nil, meta, recs); !bytes.Equal(resealed, data) {
+				t.Fatalf("re-sealing %d records does not reproduce the envelope:\n in: %x\nout: %x",
+					len(recs), data, resealed)
 			}
 		}
 
@@ -145,12 +152,12 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 		for i := 0; i < k; i++ {
 			n := 1 + int(at(1+i))%3
 			first := lsn
-			frames := make([][]byte, n)
+			recs := make([]*Record, n)
 			for j := 0; j < n; j++ {
-				frames[j] = Encode(&Record{Type: RecordPut, LSN: lsn, Key: []byte{byte(lsn)}})
+				recs[j] = &Record{Type: RecordPut, LSN: lsn, Key: []byte{byte(lsn)}}
 				lsn++
 			}
-			env := frameGroup(GroupMeta{First: first, Count: n}, frames)
+			env := sealGroup(nil, GroupMeta{First: first, Count: n}, recs)
 			action := int(at(1+k+i)) % 4
 			// A dropped group whose byte has bit 2 set is appended late.
 			late := action == tailDrop && at(1+k+i)&4 != 0

@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,7 +67,7 @@ type commitReq struct {
 type sealedAppender interface {
 	MaxRecordSize() int
 	NextLSN() LSN
-	SealAssigned(recs []*Record) ([]SealedGroup, error)
+	SealAssigned(dst []SealedGroup, recs []*Record, frame func(size int) []byte) ([]SealedGroup, error)
 	AppendSealed(g SealedGroup) error
 }
 
@@ -73,14 +75,18 @@ var _ sealedAppender = (*Writer)(nil)
 
 // flight is one sealed group cut from the queue and not yet released.
 // Flights retire from the FIFO strictly in cut (= LSN) order, however their
-// storage appends complete.
+// storage appends complete. A released flight is reused by a later cut.
 type flight struct {
 	g      SealedGroup
-	reqs   []commitReq
+	at     []time.Time // when each of its records was enqueued
 	done   bool
 	err    error
 	doneAt time.Time // when the storage append completed
 }
+
+// maxKeptFrame is the largest envelope buffer the committer keeps for reuse;
+// a larger group's buffer is left to the collector.
+const maxKeptFrame = 64 << 10
 
 // GroupCommitter batches WAL records into shared storage appends and is the
 // node's LSN authority — the paper's §3.4 write-side amortization: many
@@ -118,6 +124,15 @@ type GroupCommitter struct {
 	batches  int64
 	records  int64
 
+	// Reused from cut to cut, so that a cut allocates nothing.
+	spare  []*flight     // released flights
+	frames [][]byte      // envelope buffers whose append returned, at most PipelineDepth+1
+	recs   []*Record     // a cut's records
+	groups []SealedGroup // a cut's sealed groups
+	// frame is takeFrame, bound once: a method value made at every cut would
+	// be allocated at every cut.
+	frame func(size int) []byte
+
 	commitLat    metrics.Histogram    // enqueue to durable, per record
 	groupSize    metrics.IntHistogram // records per flush
 	flushes      metrics.Counter      // storage flushes issued
@@ -136,6 +151,7 @@ func newGroupCommitterFor(a sealedAppender, opts GroupCommitterOptions) *GroupCo
 	next := a.NextLSN()
 	c := &GroupCommitter{a: a, opts: opts.withDefaults(), nextLSN: next, durable: next - 1}
 	c.cond.L = &c.mu
+	c.frame = c.takeFrame
 	return c
 }
 
@@ -163,6 +179,40 @@ func (c *GroupCommitter) LogAsync(rec *Record) (LSN, func() error) {
 	c.pending = append(c.pending, commitReq{rec: rec, at: at})
 	c.mu.Unlock()
 	return lsn, func() error { return c.wait(lsn) }
+}
+
+// Waits collects the durability waits of a write's records, as LogAsync
+// returned them, for the write to drain once, after its last record is
+// enqueued, so that all its records share storage appends. The first few are
+// held inline: a Waits declared by the writer keeps a short list off the heap.
+type Waits struct {
+	n      int
+	inline [4]func() error
+	more   []func() error
+}
+
+// Add appends wait to the list.
+func (ws *Waits) Add(wait func() error) {
+	if ws.n < len(ws.inline) {
+		ws.inline[ws.n] = wait
+		ws.n++
+		return
+	}
+	ws.more = append(ws.more, wait)
+}
+
+// Drain invokes every wait, in the order added, and returns the first
+// failure.
+func (ws *Waits) Drain() error {
+	var err error
+	for _, list := range [][]func() error{ws.inline[:ws.n], ws.more} {
+		for _, wait := range list {
+			if werr := wait(); werr != nil && err == nil {
+				err = werr
+			}
+		}
+	}
+	return err
 }
 
 // Log implements bwtree.WALLogger: enqueue and wait for durability.
@@ -231,27 +281,34 @@ func (c *GroupCommitter) due(lsn LSN) bool {
 // them, and appends the sealed groups (one, unless the batch outgrew an
 // extent) in order on the caller's goroutine, releasing c.mu around each
 // storage append. Sealing happens under c.mu, so groups are sealed in cut
-// order, which is LSN order. Caller holds c.mu.
+// order, which is LSN order. Each group is encoded once, into a frame from
+// the free list, and its frame goes back on the list once its append
+// returned: storage keeps a copy of what it persisted, and nothing else reads
+// the frame. Caller holds c.mu.
 func (c *GroupCommitter) flushLocked() {
 	n := min(len(c.pending), c.opts.MaxBatch)
-	batch := c.pending[:n:n]
-	c.pending = c.pending[n:]
-	recs := make([]*Record, n)
-	for i, req := range batch {
-		recs[i] = req.rec
+	for _, req := range c.pending[:n] {
+		c.recs = append(c.recs, req.rec)
 	}
-	groups, err := c.a.SealAssigned(recs)
+	groups, err := c.a.SealAssigned(c.groups, c.recs, c.frame)
+	clear(c.recs)
+	c.recs = c.recs[:0]
 	if err != nil {
-		c.failLocked(batch[0].rec.LSN, err)
+		c.failLocked(c.pending[0].rec.LSN, err)
 		return
 	}
-	fs := make([]*flight, len(groups))
-	for i, g := range groups {
-		fs[i] = &flight{g: g, reqs: batch[:g.Count]}
+	var cut [2]*flight // almost always one group, so the list stays on the stack
+	fs := cut[:0]
+	batch := c.pending[:n]
+	for _, g := range groups {
+		fs = append(fs, c.newFlight(g, batch[:g.Count]))
 		batch = batch[g.Count:]
 		c.inflight++
 		c.inflightHist.Observe(int64(c.inflight))
 	}
+	clear(groups)
+	c.groups = groups[:0]
+	c.pending = slices.Delete(c.pending, 0, n)
 	c.flights = append(c.flights, fs...)
 	for _, f := range fs {
 		// A group at or after a failure has failed already; Stop fails the
@@ -263,6 +320,8 @@ func (c *GroupCommitter) flushLocked() {
 			c.mu.Lock()
 			f.err = aerr
 		}
+		c.putFrame(f.g.Data)
+		f.g.Data = nil
 		f.done, f.doneAt = true, time.Now()
 		c.inflight--
 		c.releaseLocked()
@@ -277,6 +336,49 @@ func (c *GroupCommitter) flushLocked() {
 	c.mu.Lock()
 }
 
+// newFlight returns a flight for g, a spare one if there is, stamped with the
+// enqueue times of reqs, its records. Caller holds c.mu.
+func (c *GroupCommitter) newFlight(g SealedGroup, reqs []commitReq) *flight {
+	var f *flight
+	if k := len(c.spare); k > 0 {
+		f, c.spare = c.spare[k-1], c.spare[:k-1]
+	} else {
+		f = new(flight)
+	}
+	f.g = g
+	for _, req := range reqs {
+		f.at = append(f.at, req.at)
+	}
+	return f
+}
+
+// takeFrame is SealAssigned's frame source: the last buffer on the free list
+// when it holds size bytes, else a new one — rounded up to a power of two when
+// it will be kept, so that it serves the next groups of about that size too.
+// Caller holds c.mu.
+func (c *GroupCommitter) takeFrame(size int) []byte {
+	if k := len(c.frames); k > 0 {
+		b := c.frames[k-1]
+		c.frames[k-1] = nil
+		c.frames = c.frames[:k-1]
+		if cap(b) >= size {
+			return b
+		}
+	}
+	if size <= maxKeptFrame {
+		size = 1 << bits.Len(uint(size-1))
+	}
+	return make([]byte, 0, size)
+}
+
+// putFrame returns the buffer of a group whose append returned to the free
+// list, unless it is over maxKeptFrame or the list is full. Caller holds c.mu.
+func (c *GroupCommitter) putFrame(b []byte) {
+	if b != nil && cap(b) <= maxKeptFrame && len(c.frames) <= c.opts.PipelineDepth {
+		c.frames = append(c.frames, b[:0])
+	}
+}
+
 // releaseLocked retires completed flights from the FIFO head in LSN order,
 // advancing the durable prefix. A failed head fails every record from its
 // first LSN on — its own and those of every flight behind it, durable or
@@ -284,14 +386,17 @@ func (c *GroupCommitter) flushLocked() {
 // holds c.mu.
 func (c *GroupCommitter) releaseLocked() {
 	now := time.Now()
-	for len(c.flights) > 0 && c.flights[0].done {
-		f := c.flights[0]
-		c.flights = c.flights[1:]
+	k := 0
+	for ; k < len(c.flights) && c.flights[k].done; k++ {
+		f := c.flights[k]
 		if f.err != nil {
 			// Later flights may already be durable, but their predecessors
 			// are not: acking them would advertise a hole. They fail with
 			// maybe-semantics — recovery delivers only the gapless prefix.
-			c.flights = nil
+			// Flights still in the air belong to their appenders, so none of
+			// these is reused.
+			clear(c.flights)
+			c.flights = c.flights[:0]
 			c.failLocked(f.g.First, f.err)
 			return
 		}
@@ -303,14 +408,17 @@ func (c *GroupCommitter) releaseLocked() {
 			c.opts.OnRelease(f.g.Last)
 		}
 		c.durable = f.g.Last
-		for _, req := range f.reqs {
-			c.commitLat.Observe(now.Sub(req.at))
+		for _, at := range f.at {
+			c.commitLat.Observe(now.Sub(at))
 		}
-		c.groupSize.Observe(int64(len(f.reqs)))
+		c.groupSize.Observe(int64(f.g.Count))
 		c.flushes.Inc()
 		c.batches++
-		c.records += int64(len(f.reqs))
+		c.records += int64(f.g.Count)
+		*f = flight{at: f.at[:0]}
+		c.spare = append(c.spare, f)
 	}
+	c.flights = slices.Delete(c.flights, 0, k)
 }
 
 // failLocked fails every record from LSN at on with err and drops the queue;
@@ -321,7 +429,8 @@ func (c *GroupCommitter) failLocked(at LSN, err error) {
 	if c.failAt == 0 || at < c.failAt {
 		c.failAt, c.failErr = at, err
 	}
-	c.pending = nil
+	clear(c.pending)
+	c.pending = c.pending[:0]
 	c.cond.Broadcast()
 }
 

@@ -44,12 +44,12 @@ func (f *fakeAppender) NextLSN() LSN {
 
 // SealAssigned seals every batch into exactly one group (no extent
 // splitting in the fake).
-func (f *fakeAppender) SealAssigned(recs []*Record) ([]SealedGroup, error) {
+func (f *fakeAppender) SealAssigned(dst []SealedGroup, recs []*Record, _ func(int) []byte) ([]SealedGroup, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	first, last := recs[0].LSN, recs[len(recs)-1].LSN
 	f.next = last + 1
-	return []SealedGroup{{First: first, Last: last, Count: len(recs)}}, nil
+	return append(dst, SealedGroup{First: first, Last: last, Count: len(recs)}), nil
 }
 
 // AppendSealed parks the append until the scheduler releases it. A nil

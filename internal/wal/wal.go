@@ -143,25 +143,24 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // recFixed is the fixed header size of an encoded record.
 const recFixed = 1 + 8*4 + 4 + 4
 
-// Encode serializes r. Layout (little endian):
+// appendRecord appends r's encoding to buf — the log's one record encoder.
+// Layout (little endian):
 //
 //	type[1] tree[8] page[8] aux[8] ckpt[8] klen[4] vlen[4] key value
-func Encode(r *Record) []byte {
-	buf := make([]byte, recFixed+len(r.Key)+len(r.Value))
-	buf[0] = byte(r.Type)
-	binary.LittleEndian.PutUint64(buf[1:], r.TreeID)
-	binary.LittleEndian.PutUint64(buf[9:], r.PageID)
-	binary.LittleEndian.PutUint64(buf[17:], r.AuxPage)
-	binary.LittleEndian.PutUint64(buf[25:], uint64(r.CkptLSN))
-	binary.LittleEndian.PutUint32(buf[33:], uint32(len(r.Key)))
-	binary.LittleEndian.PutUint32(buf[37:], uint32(len(r.Value)))
-	copy(buf[recFixed:], r.Key)
-	copy(buf[recFixed+len(r.Key):], r.Value)
-	return buf
+func appendRecord(buf []byte, r *Record) []byte {
+	buf = append(buf, byte(r.Type))
+	buf = binary.LittleEndian.AppendUint64(buf, r.TreeID)
+	buf = binary.LittleEndian.AppendUint64(buf, r.PageID)
+	buf = binary.LittleEndian.AppendUint64(buf, r.AuxPage)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.CkptLSN))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Key)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Value)))
+	buf = append(buf, r.Key...)
+	return append(buf, r.Value...)
 }
 
-// Decode parses a record previously produced by Encode. Its LSN and Epoch
-// are left zero: they belong to the group envelope.
+// Decode parses a record appendRecord encoded. Its LSN and Epoch are left
+// zero: they belong to the group envelope.
 func Decode(buf []byte) (*Record, error) {
 	if len(buf) < recFixed {
 		return nil, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(buf))
@@ -305,24 +304,22 @@ type GroupMeta struct {
 	Count int    // records in the group
 }
 
-// frameGroup seals encoded records into one group envelope.
-func frameGroup(meta GroupMeta, encoded [][]byte) []byte {
-	size := groupHeader + metaHeader
-	for _, e := range encoded {
-		size += recHeader + len(e)
-	}
-	buf := make([]byte, groupHeader, size)
+// sealGroup appends to buf the envelope of recs sealed as meta, encoding each
+// record once, in place.
+func sealGroup(buf []byte, meta GroupMeta, recs []*Record) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // plen and pcrc, below
 	buf = append(buf, groupMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, meta.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(meta.First))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Count))
-	for _, e := range encoded {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e)))
-		buf = append(buf, e...)
+	for _, r := range recs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(encodedSize(r)))
+		buf = appendRecord(buf, r)
 	}
-	payload := buf[groupHeader:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
+	payload := buf[start+groupHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
@@ -376,7 +373,7 @@ func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err err
 // several sealed groups in flight concurrently while the LSN sequence itself
 // stays strictly serial.
 type SealedGroup struct {
-	Data  []byte // the envelope, as frameGroup produced it
+	Data  []byte // the envelope, as sealGroup produced it
 	First LSN    // first LSN in the group
 	Last  LSN    // last LSN in the group
 	Count int    // records sealed
@@ -388,7 +385,7 @@ type SealedGroup struct {
 // persist it.
 var ErrRecordTooLarge = errors.New("wal: record exceeds extent size")
 
-// encodedSize returns len(Encode(r)) without allocating.
+// encodedSize returns the length of r's encoding.
 func encodedSize(r *Record) int {
 	return recFixed + len(r.Key) + len(r.Value)
 }
@@ -403,7 +400,7 @@ func (w *Writer) groupLimit() int {
 	return limit
 }
 
-// MaxRecordSize returns the largest Encode(r) size a record may have and
+// MaxRecordSize returns the largest encoding a record may have and
 // still be appendable (in a group of its own if need be). Admission checks
 // above the writer (the group committer) reject larger records before an
 // LSN is assigned, so the failure is an error on one write instead of a
@@ -414,25 +411,28 @@ func (w *Writer) MaxRecordSize() int {
 
 // SealAssigned validates records whose LSNs the group committer assigned,
 // advances the writer's LSN counter past them, and seals them into group
-// envelopes under the writer's fence epoch — cutting a group where it would
-// outgrow one storage append or where the LSNs skip, since a group's LSNs are
-// contiguous. It performs no I/O: the returned groups are persisted by
-// AppendSealed, possibly concurrently, which is how the commit pipeline keeps
-// several appends in flight while sealing stays strictly serial in LSN order.
+// envelopes under the writer's fence epoch, appended to dst — cutting a group
+// where it would outgrow one storage append or where the LSNs skip, since a
+// group's LSNs are contiguous. Each envelope is encoded once, straight into
+// frame(size): an empty buffer with room for its size bytes, which the caller
+// may recycle once the group's AppendSealed returned (nil frame allocates).
+// It performs no I/O: the returned groups are persisted by AppendSealed,
+// possibly concurrently, which is how the commit pipeline keeps several
+// appends in flight while sealing stays strictly serial in LSN order.
 //
 // A record too large for an extent poisons the writer: its LSN is already
 // assigned, so skipping it would punch a permanent hole into the log that
 // recovery could not tell apart from acknowledged-write loss. The committer
 // prevents this case by rejecting such records at admission (MaxRecordSize)
 // before an LSN exists.
-func (w *Writer) SealAssigned(recs []*Record) ([]SealedGroup, error) {
+func (w *Writer) SealAssigned(dst []SealedGroup, recs []*Record, frame func(size int) []byte) ([]SealedGroup, error) {
 	if len(recs) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
-		return nil, w.failed
+		return dst, w.failed
 	}
 	// Validate the whole batch before sealing anything, so a poisoning
 	// record cannot leave a partially sealed batch behind it.
@@ -440,50 +440,44 @@ func (w *Writer) SealAssigned(recs []*Record) ([]SealedGroup, error) {
 	next := w.nextLSN
 	for _, r := range recs {
 		if r.LSN < next {
-			return nil, fmt.Errorf("wal: assigned LSN %d behind writer position %d", r.LSN, next)
+			return dst, fmt.Errorf("wal: assigned LSN %d behind writer position %d", r.LSN, next)
 		}
 		next = r.LSN + 1
 		if n := encodedSize(r); n > max {
 			w.failed = fmt.Errorf("%w: lsn %d: %w (%d bytes, extent limit %d)",
 				ErrWriterFailed, r.LSN, ErrRecordTooLarge, n, w.store.ExtentSize())
-			return nil, w.failed
+			return dst, w.failed
 		}
 	}
 	w.nextLSN = next
 
 	limit := w.groupLimit()
-	var groups []SealedGroup
-	var frames [][]byte
-	size := groupHeader + metaHeader
-	var first, last LSN
-	flush := func() {
-		if len(frames) == 0 {
-			return
+	for len(recs) > 0 {
+		n, size := 1, groupHeader+metaHeader+recHeader+encodedSize(recs[0])
+		for ; n < len(recs) && recs[n].LSN == recs[n-1].LSN+1; n++ {
+			more := recHeader + encodedSize(recs[n])
+			if size+more > limit {
+				break
+			}
+			size += more
 		}
-		meta := GroupMeta{Epoch: w.epoch, First: first, Count: len(frames)}
-		groups = append(groups, SealedGroup{
-			Data:  frameGroup(meta, frames),
-			First: first,
-			Last:  last,
-			Count: len(frames),
+		var buf []byte
+		if frame != nil {
+			buf = frame(size)
+		} else {
+			buf = make([]byte, 0, size)
+		}
+		meta := GroupMeta{Epoch: w.epoch, First: recs[0].LSN, Count: n}
+		dst = append(dst, SealedGroup{
+			Data:  sealGroup(buf, meta, recs[:n]),
+			First: meta.First,
+			Last:  recs[n-1].LSN,
+			Count: n,
 			Epoch: w.epoch,
 		})
-		frames, size = nil, groupHeader+metaHeader
+		recs = recs[n:]
 	}
-	for _, r := range recs {
-		encoded := Encode(r)
-		if len(frames) > 0 && (r.LSN != last+1 || size+recHeader+len(encoded) > limit) {
-			flush()
-		}
-		if len(frames) == 0 {
-			first = r.LSN
-		}
-		frames = append(frames, encoded)
-		size += recHeader + len(encoded)
-		last = r.LSN
-	}
-	flush()
-	return groups, nil
+	return dst, nil
 }
 
 // AppendSealed persists one sealed group with a single storage append,

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"sync"
@@ -16,7 +17,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Type: RecordSplit, TreeID: 7, PageID: 12, AuxPage: 13,
 		Key: []byte("split-key"), Value: []byte("v"),
 	}
-	out, err := Decode(Encode(in))
+	out, err := Decode(appendRecord(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeDecodeEmptyKeyValue(t *testing.T) {
 	in := &Record{Type: RecordCheckpoint, CkptLSN: 34}
-	out, err := Decode(Encode(in))
+	out, err := Decode(appendRecord(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{1, 2, 3},
 		make([]byte, recFixed-1), // shorter than the fixed header
 		make([]byte, recFixed),   // type 0
-		append(Encode(&Record{Type: RecordPut, Key: []byte("k")}), 0xFF),
+		append(appendRecord(nil, &Record{Type: RecordPut, Key: []byte("k")}), 0xFF),
 	}
 	for i, buf := range cases {
 		if _, err := Decode(buf); err == nil {
@@ -55,7 +56,7 @@ func TestPropertyEncodeDecode(t *testing.T) {
 	f := func(typ uint8, tree, page, aux uint64, key, value []byte) bool {
 		rt := RecordType(typ%7) + 1
 		in := &Record{Type: rt, TreeID: tree, PageID: page, AuxPage: aux, Key: key, Value: value}
-		out, err := Decode(Encode(in))
+		out, err := Decode(appendRecord(nil, in))
 		if err != nil {
 			return false
 		}
@@ -64,6 +65,44 @@ func TestPropertyEncodeDecode(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSealedEnvelopeIsGolden pins the bytes on storage: a fixed batch seals
+// to exactly the envelope the writer produced when every record was encoded
+// into a buffer of its own and then copied into the group, so a log written
+// before records were encoded in place reads the same after.
+func TestSealedEnvelopeIsGolden(t *testing.T) {
+	const golden = "e30000002bd9032eb603000000000000000700000000000000040000003b000000" +
+		"0101000000000000000200000000000000000000000000000000000000000000000f00000003000000" +
+		"7372633a34322f666f6c6c6f772f37703d312a000000020100000000000000020000000000000001000000" +
+		"00000000000000000000000001000000000000006b2c0000000305000000000000000900000000000000" +
+		"0a00000000000000000000000000000003000000000000007365702d000000060000000000000000030000" +
+		"0000000000100000000000000006000000000000000000000004000000000102ff"
+	// Sealed into a fresh buffer, and into a recycled one that still holds
+	// an older group's bytes.
+	dirty := func(size int) []byte { return bytes.Repeat([]byte{0xAA}, size+64)[:0] }
+	for _, frame := range []func(int) []byte{nil, dirty} {
+		w := NewWriterFromEpoch(storage.Open(nil), 7, 3)
+		groups, err := w.SealAssigned(nil, []*Record{
+			{LSN: 7, Type: RecordPut, TreeID: 1, PageID: 2, Key: []byte("src:42/follow/7"), Value: []byte("p=1")},
+			{LSN: 8, Type: RecordDelete, TreeID: 1, PageID: 2, AuxPage: 1, Key: []byte("k")},
+			{LSN: 9, Type: RecordSplit, TreeID: 5, PageID: 9, AuxPage: 10, Key: []byte("sep")},
+			{LSN: 10, Type: RecordCheckpoint, PageID: 3, AuxPage: 16, CkptLSN: 6, Value: []byte{0, 1, 2, 0xff}},
+		}, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != 1 {
+			t.Fatalf("sealed %d groups, want 1", len(groups))
+		}
+		g := groups[0]
+		if got := hex.EncodeToString(g.Data); got != golden {
+			t.Fatalf("envelope changed:\n got %s\nwant %s", got, golden)
+		}
+		if g.First != 7 || g.Last != 10 || g.Count != 4 || g.Epoch != 3 {
+			t.Fatalf("group = %d..%d count %d epoch %d, want 7..10 count 4 epoch 3", g.First, g.Last, g.Count, g.Epoch)
+		}
 	}
 }
 
@@ -84,7 +123,7 @@ func appendNext(w *Writer, recs ...*Record) (LSN, error) {
 // appendAssigned persists records whose LSNs are set: SealAssigned, then one
 // AppendSealed per group.
 func appendAssigned(w *Writer, recs ...*Record) error {
-	groups, err := w.SealAssigned(recs)
+	groups, err := w.SealAssigned(nil, recs, nil)
 	for _, g := range groups {
 		if err == nil {
 			err = w.AppendSealed(g)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -566,6 +567,7 @@ type oracleRun struct {
 	touched []okey // keys the step wrote
 
 	acked, failed, failovers, debris int
+	debrisFaults                     int // debrisFault injections
 }
 
 func newOracleRun(t *testing.T, shape string, seed int64) *oracleRun {
@@ -626,9 +628,12 @@ func (r *oracleRun) run(steps int) {
 	for _, l := range r.logs {
 		migrated = max(migrated, len(l.since)) // a promoted leader counts from zero
 	}
-	r.t.Logf("%d acked, %d failed, %d failovers (%d over debris), %d zombies, %d owners migrated, %d block builds, %d GC runs, %d extents compacted (%d B moved), faults %+v",
-		r.acked, r.failed, r.failovers, r.debris, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs,
+	r.t.Logf("%d acked, %d failed, %d failovers (%d over debris, %d debris faults), %d zombies, %d owners migrated, %d block builds, %d GC runs, %d extents compacted (%d B moved), faults %+v",
+		r.acked, r.failed, r.failovers, r.debris, r.debrisFaults, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs,
 		st.GC.ExtentsCompacted, st.GC.CompactBytesMoved, r.faults())
+	if r.debrisFaults > 0 && r.debris == 0 {
+		r.fatalf("epoch", "%d debris faults injected, and no failover found debris", r.debrisFaults)
+	}
 	// Compaction takes extents with at most 1/32 of their bytes live, so it
 	// moves at most 1/31 of what it frees; the counters are the stores' own.
 	var compacted, moved int64
@@ -779,20 +784,29 @@ func (r *oracleRun) batch(multi bool, n int) []mut {
 	return ms
 }
 
-// write sends ms — one call for one mutation, else one ApplyBatch — and
-// accounts for the outcome in the stream's truth.
+// write sends ms and accounts for the outcome.
 func (r *oracleRun) write(ms []mut) error {
-	var err error
+	err := r.send(ms)
+	r.account(ms, err)
+	return err
+}
+
+// send sends ms: one call for one mutation, else one ApplyBatch.
+func (r *oracleRun) send(ms []mut) error {
 	if len(ms) == 1 {
-		err = ms[0].apply(r.db)
-	} else {
-		batch := make([]Mutation, len(ms))
-		for i, m := range ms {
-			batch[i] = m.mutation()
-		}
-		err = r.db.ApplyBatch(batch)
-		r.noteMultiShard(ms)
+		return ms[0].apply(r.db)
 	}
+	batch := make([]Mutation, len(ms))
+	for i, m := range ms {
+		batch[i] = m.mutation()
+	}
+	err := r.db.ApplyBatch(batch)
+	r.noteMultiShard(ms)
+	return err
+}
+
+// account records the outcome err of sending ms in the stream's truth.
+func (r *oracleRun) account(ms []mut, err error) {
 	for _, m := range ms {
 		r.touched = append(r.touched, m.k)
 		if !m.del && len(m.k.key) == 10 {
@@ -817,7 +831,6 @@ func (r *oracleRun) write(ms []mut) error {
 	default:
 		r.failed++
 	}
-	return err
 }
 
 func (m mut) mutation() Mutation {
@@ -1077,11 +1090,7 @@ func (r *oracleRun) fault() {
 		r.plan.ScheduleCrash(int64(1 + r.rng.Intn(3)))
 		r.write(r.singleWrite())
 	case 1:
-		// The first flight tears and backs off, the next lands past it, and
-		// the crash fails the retry: the batch leaves debris.
-		r.plan.TearNext()
-		r.plan.ScheduleCrash(3)
-		r.write(r.batch(false, 16))
+		r.debrisFault()
 	case 2:
 		r.plan.ScheduleCrash(int64(2 + r.rng.Intn(3)))
 		_ = r.db.Checkpoint() // a failed cycle carries what it wrote into the next
@@ -1092,6 +1101,46 @@ func (r *oracleRun) fault() {
 		r.plan.TearNext()
 		r.write(r.singleWrite())
 	}
+}
+
+// debrisFault leaves debris on one shard's log: a durable group past a hole.
+// A batch's first group tears; while its append backs off, a second write,
+// sent from the retry's sleep on a goroutine of its own, cuts the batch's next
+// group and appends it — a second flight in the air, which lands past the
+// torn one — and the crash fails the retry. The plan injects nothing else
+// meanwhile, so the next failover of the shard promotes over that debris.
+func (r *oracleRun) debrisFault() {
+	ms := r.batch(false, 16)
+	src := ms[0].k.owner
+	late := []mut{{k: edgeKey(src, ETypeLike, 1), tag: r.tag(16)}}
+	for dst := VertexID(2); slices.ContainsFunc(ms, func(m mut) bool { return m.k == late[0].k }); dst++ {
+		late[0].k = edgeKey(src, ETypeLike, dst)
+	}
+	i := r.db.group.Router().Owner(src)
+	st := r.db.group.Store(i)
+	var sent atomic.Bool
+	lateErr := make(chan error, 1)
+	retry := storage.DefaultRetry
+	retry.Sleep = func(d time.Duration) {
+		if sent.CompareAndSwap(false, true) {
+			written := st.Stats().WriteOps
+			go func() { lateErr <- r.send(late) }()
+			for deadline := time.Now().Add(time.Second); st.Stats().WriteOps == written && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		time.Sleep(d)
+	}
+	r.db.group.Leader(i).Writer().SetRetry(retry)
+	r.plan.SetEnabled(false)
+	r.plan.TearNext()
+	r.plan.ScheduleCrash(3)
+	r.write(ms)
+	if sent.Load() { // else nothing tore: the retry never slept
+		r.account(late, <-lateErr)
+	}
+	r.plan.SetEnabled(true)
+	r.debrisFaults++
 }
 
 // txnKill kills the coordinator or a participant of a batch over several

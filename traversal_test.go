@@ -124,7 +124,7 @@ func TestKHopIssuesOneStorageRoundPerHop(t *testing.T) {
 func TestLeaderHopReadsOneRecordPerColdLeaf(t *testing.T) {
 	db := fanOutDB(t)
 	leaves, withDelta := 0, 0
-	for _, lf := range db.eng(0).Mapping().NameLeaves(0, 1) {
+	for _, lf := range db.eng(0).Mapping().NameLeaves(nil, 0, 1) {
 		if leaves++; len(lf.Deltas) > 0 {
 			withDelta++
 		}
