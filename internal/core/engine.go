@@ -195,21 +195,23 @@ func (e *Engine) Close() {
 }
 
 // AddVertex implements graph.Store.
-func (e *Engine) AddVertex(v graph.Vertex) error {
-	return e.apply([]forest.Write{vertexWrite(v)}, nil)
-}
+func (e *Engine) AddVertex(v graph.Vertex) error { return e.write(graph.AddVertexMut(v)) }
 
 // AddEdge implements graph.Store.
-func (e *Engine) AddEdge(ed graph.Edge) error {
-	if ed.Type == vertexPrefix {
-		return errReservedEdgeType
-	}
-	return e.apply([]forest.Write{edgeWrite(ed, false)}, nil)
-}
+func (e *Engine) AddEdge(ed graph.Edge) error { return e.write(graph.AddEdgeMut(ed)) }
 
 // DeleteEdge implements graph.Store.
 func (e *Engine) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) error {
-	return e.apply([]forest.Write{edgeWrite(graph.Edge{Src: src, Type: typ, Dst: dst}, true)}, nil)
+	return e.write(graph.DeleteEdgeMut(src, typ, dst))
+}
+
+// write applies one mutation as the forest write it is.
+func (e *Engine) write(m graph.Mutation) error {
+	w, err := encode(m)
+	if err != nil {
+		return err
+	}
+	return e.apply([]forest.Write{w}, nil)
 }
 
 // apply applies ws to the forest. Without a logger the write persisted its
@@ -224,67 +226,70 @@ func (e *Engine) apply(ws []forest.Write, waits *wal.Waits) error {
 	return err
 }
 
-// vertexWrite and edgeWrite encode a mutation as the forest write it is. The
-// key and value buffers are built here once and handed down: forest and tree
-// own them from then on, nothing below copies them.
-func vertexWrite(v graph.Vertex) forest.Write {
-	return forest.Write{Owner: forest.OwnerID(v.ID), Key: vertexKey(v.Type), Value: graph.EncodeProps(v.Props)}
+// Encode checks a batch and encodes it as the forest writes it is, in input
+// order. It is the one mutation → write step: what a leader stores and logs,
+// and what a cross-shard transaction's part carries, is its output. An
+// unknown kind or the reserved edge type fails the whole batch, before any of
+// it is applied or logged. The key and value buffers are built here once and
+// handed down: forest and tree own them from then on, nothing below copies
+// them.
+func Encode(muts []graph.Mutation) ([]forest.Write, error) {
+	ws := make([]forest.Write, len(muts))
+	for i, m := range muts {
+		w, err := encode(m)
+		if err != nil {
+			return nil, fmt.Errorf("core: batch mutation %d: %w", i, err)
+		}
+		ws[i] = w
+	}
+	return ws, nil
 }
 
-func edgeWrite(ed graph.Edge, del bool) forest.Write {
-	w := forest.Write{Owner: forest.OwnerID(ed.Src), Key: graph.EdgeKey(ed.Type, ed.Dst), Delete: del}
-	if !del {
-		w.Value = graph.EncodeProps(ed.Props)
+func encode(m graph.Mutation) (forest.Write, error) {
+	switch m.Kind {
+	case graph.MutAddVertex:
+		return forest.Write{Owner: forest.OwnerID(m.Vertex.ID), Key: vertexKey(m.Vertex.Type), Value: graph.EncodeProps(m.Vertex.Props)}, nil
+	case graph.MutAddEdge:
+		if m.Edge.Type == vertexPrefix {
+			return forest.Write{}, errReservedEdgeType
+		}
+		return forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Value: graph.EncodeProps(m.Edge.Props)}, nil
+	case graph.MutDeleteEdge:
+		return forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Delete: true}, nil
 	}
-	return w
+	return forest.Write{}, fmt.Errorf("core: unknown mutation kind %d", m.Kind)
 }
 
 // ApplyBatch implements graph.BatchStore, whose contract states the order
-// and failure semantics; this is where the order is made. The batch is
-// checked whole — an unknown kind or the reserved edge type fails it before
-// anything is applied — and stable-sorted by (owner, key), so the forest
-// hands each owner's writes to its tree together and the tree applies every
-// leaf run — the writes that land in one leaf — under one latch, with one
-// materialization and one persist (bwtree.Tree.Apply): a bulk load pays per
-// leaf touched, not per mutation.
-//
-// Records are logged with deferred WAL durability and every wait is drained
-// at the end: all records are enqueued on the group committer before the
-// first wait begins, so the batch coalesces into shared commit groups — one
-// storage round trip covers many mutations instead of one each — and no
-// enqueued record is abandoned when the apply fails midway.
+// and failure semantics: the batch is encoded (Encode), then applied
+// (ApplyWrites).
 func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
-	_, err := e.ApplyBatchBetween(nil, muts, nil)
+	ws, err := Encode(muts)
+	if err == nil {
+		_, err = e.ApplyWrites(nil, ws, nil)
+	}
 	return err
 }
 
-// ApplyBatchBetween is ApplyBatch between two records of the caller's own, as
-// one wave on the log: head is enqueued before the batch's records and tail
-// after them, once the whole batch applied, and the one drain at the end
-// covers all of them — a cross-shard transaction's decision, a participant's
-// part and its applied marker cost one commit round trip, not three. Either
-// record may be nil. headErr is head's own outcome, drained first: when it
-// failed nothing of the wave is durable (a group is durable whole or not at
-// all, and a failed group fails every record after it), and a head the log
-// refused leaves the batch unapplied. err is the wave's first failure, head's
-// included.
-func (e *Engine) ApplyBatchBetween(head *wal.Record, muts []graph.Mutation, tail *wal.Record) (headErr, err error) {
-	ws := make([]forest.Write, len(muts))
-	for i, m := range muts {
-		switch m.Kind {
-		case graph.MutAddVertex:
-			ws[i] = vertexWrite(m.Vertex)
-		case graph.MutAddEdge:
-			if m.Edge.Type == vertexPrefix {
-				return nil, errReservedEdgeType
-			}
-			ws[i] = edgeWrite(m.Edge, false)
-		case graph.MutDeleteEdge:
-			ws[i] = edgeWrite(m.Edge, true)
-		default:
-			return nil, fmt.Errorf("core: batch mutation %d: unknown kind %d", i, m.Kind)
-		}
-	}
+// ApplyWrites applies ws as one wave on the log, between two records of the
+// caller's own: head is enqueued before the writes' records and tail after
+// them, once every write applied, and the one drain at the end covers all of
+// them — a cross-shard transaction's decision, its part and its applied marker
+// cost one commit round trip, not three. Either record may be nil. headErr is
+// head's own outcome, drained first: when it failed nothing of the wave is
+// durable (a group is durable whole or not at all, and a failed group fails
+// every record after it), and a head the log refused leaves ws unapplied. err
+// is the wave's first failure, head's included.
+//
+// ws is stable-sorted by (owner, key) in place, so the forest hands each
+// owner's writes to its tree together and the tree applies every leaf run —
+// the writes that land in one leaf — under one latch, with one
+// materialization and one persist (bwtree.Tree.Apply): a bulk load pays per
+// leaf touched, not per write. Records are logged with deferred durability:
+// all are enqueued on the group committer before the first wait begins, so the
+// wave coalesces into shared commit groups, and no enqueued record is
+// abandoned when the apply fails midway.
+func (e *Engine) ApplyWrites(head *wal.Record, ws []forest.Write, tail *wal.Record) (headErr, err error) {
 	slices.SortStableFunc(ws, func(a, b forest.Write) int {
 		if c := cmp.Compare(a.Owner, b.Owner); c != 0 {
 			return c

@@ -24,6 +24,7 @@ import (
 
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 	"bg3/internal/mvcc"
@@ -474,21 +475,21 @@ func (n *RWNode) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 // ApplyBatch applies a group of mutations through the replicated pipeline,
 // committed as shared WAL groups (see core.Engine.ApplyBatch).
 func (n *RWNode) ApplyBatch(muts []graph.Mutation) error {
-	_, err := n.ApplyWave(nil, muts, nil)
-	return err
-}
-
-// ApplyWave applies muts between two records of the caller's own — head
-// before the batch's records, tail after them — and waits once for all of
-// them (core.Engine.ApplyBatchBetween, whose results it returns). The wave
-// holds the apply barrier once, so a checkpoint horizon never cuts it in half
-// between LSN assignment and memory apply. Nothing is cut before the wave's
-// drain begins, so it goes out as one group when nothing else is being
-// written.
-func (n *RWNode) ApplyWave(head *wal.Record, muts []graph.Mutation, tail *wal.Record) (headErr, err error) {
 	n.applyBarrier.RLock()
 	defer n.applyBarrier.RUnlock()
-	return n.engine.ApplyBatchBetween(head, muts, tail)
+	return n.engine.ApplyBatch(muts)
+}
+
+// ApplyWave applies ws between two records of the caller's own — head before
+// the writes' records, tail after them — and waits once for all of them
+// (core.Engine.ApplyWrites, whose results it returns). The wave holds the
+// apply barrier once, so a checkpoint horizon never cuts it in half between
+// LSN assignment and memory apply. Nothing is cut before the wave's drain
+// begins, so it goes out as one group when nothing else is being written.
+func (n *RWNode) ApplyWave(head *wal.Record, ws []forest.Write, tail *wal.Record) (headErr, err error) {
+	n.applyBarrier.RLock()
+	defer n.applyBarrier.RUnlock()
+	return n.engine.ApplyWrites(head, ws, tail)
 }
 
 var _ graph.Store = (*RWNode)(nil)

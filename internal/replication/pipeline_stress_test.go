@@ -18,21 +18,26 @@ import (
 // TestStressPipelinedCommitRacingPromote is the promotion-fence stress test
 // with the commit pipeline wide open: 32 writer goroutines hammer a leader
 // whose committer keeps up to 4 group appends in flight over slow storage,
-// and a follower is promoted mid-pipeline (run under -race). On top of the
-// serial test's contract, this pins the pipelined failure mode:
+// and a follower is promoted mid-pipeline (run under -race). One group's
+// append tears, and its retry backs off until groups cut after it have landed
+// and the promotion has fenced the log, so the old tenure always leaves a
+// hole with durable groups past it. On top of the serial test's contract,
+// this pins the pipelined failure mode:
 //
 //   - the pipeline genuinely overlapped appends (mean in-flight > 1), so
 //     the fence really did land with several groups outstanding;
 //   - groups that were durable behind the fence-rejected one (post-gap
 //     debris) are never resurrected — the promotion's fence puts them below
-//     the new tenure's epoch, whose first group purges them, and the
-//     delivered WAL stays a gapless LSN sequence;
+//     the new tenure's epoch, whose first group purges them (the reader
+//     skips them as fenced), and the delivered WAL stays a gapless LSN
+//     sequence;
 //   - a follower replaying the post-failover WAL matches the promoted
 //     leader exactly (model-oracle equivalence).
 func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	const writers = 32
 
-	st := storage.Open(&storage.Options{WriteLatency: 500 * time.Microsecond})
+	plan := storage.NewFaultPlan(storage.FaultConfig{Seed: 1})
+	st := storage.Open(&storage.Options{WriteLatency: 500 * time.Microsecond, Faults: plan})
 	defer st.Close()
 	opts := RWOptions{
 		Engine:        core.Options{Tree: bwtree.Config{MaxPageEntries: 32}},
@@ -48,6 +53,35 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	if _, err := old.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
+
+	// The debris. The torn group's retry sleeps until it is the only flight
+	// left in the air and a reader of the log finds a durable group parked
+	// past it — every other group cut so far has landed, so the torn one is
+	// the only hole — and then until the promotion has fenced the log, so
+	// the retry fails and the groups past it stay debris of the old tenure.
+	// The other writers keep cutting groups after the torn one until all of
+	// them wait on its ack.
+	torn, promoted := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(promoted) })
+	defer release()
+	var tore sync.Once
+	retry := storage.DefaultRetry
+	retry.Sleep = func(d time.Duration) {
+		tore.Do(func() {
+			log := wal.NewReader(st)
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+				if old.Logger().InflightGroups() == 1 {
+					if _, err := log.PollGroups(); err != nil || log.PendingGroups() > 0 {
+						break
+					}
+				}
+			}
+			close(torn)
+			<-promoted
+		})
+		time.Sleep(d)
+	}
+	old.Writer().SetRetry(retry)
 
 	edgeKey := func(src, dst graph.VertexID) string { return fmt.Sprintf("e|%d|%d", src, dst) }
 
@@ -83,9 +117,15 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		}(w)
 	}
 
-	// Let the pipeline fill, then promote a follower over the old leader
-	// while several group appends are in flight.
+	// Let the pipeline fill, tear a group, then promote a follower over the
+	// old leader while several group appends are in flight.
 	time.Sleep(10 * time.Millisecond)
+	plan.TearNext()
+	select {
+	case <-torn:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no torn group backed off")
+	}
 	ro, err := NewRONode(st, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +135,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		t.Fatalf("promote under pipelined write load: %v", err)
 	}
 	defer next.Stop()
+	release()
 	wg.Wait()
 
 	// One epoch for the promotion, whether or not the killed pipeline left
@@ -206,6 +247,9 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		t.Fatalf("log tail epoch = %d, want %d", reader.Epoch(), next.Epoch())
 	}
 	t.Logf("replayed %d records; %d fenced debris records skipped", lsn, reader.FencedSkips())
+	if reader.FencedSkips() == 0 {
+		t.Fatal("no fenced debris record skipped: the torn group left no durable group past it")
+	}
 
 	// Model-oracle replay: a follower bootstraps from the promotion's
 	// snapshot and drains the post-failover WAL tail; its state must match

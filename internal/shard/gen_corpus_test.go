@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"bg3/internal/graph"
 )
 
 // TestGenPrepareCorpus regenerates the checked-in fuzz corpus. Guarded.
@@ -18,36 +16,11 @@ func TestGenPrepareCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	valid := EncodePrepare(&TxnPayload{
-		Txn: 7, Fence: 3, Coord: 0, Shard: 2, Parts: []int{0, 2},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutAddEdge, Edge: graph.Edge{
-				Src: 11, Dst: 22, Type: 1,
-				Props: graph.Properties{{Name: "w", Value: []byte("x")}},
-			}},
-			{Kind: graph.MutAddVertex, Vertex: graph.Vertex{
-				ID: 11, Type: 4,
-				Props: graph.Properties{{Name: "name", Value: []byte("a")}},
-			}},
-		},
-	})
+	valid, dup, commit := seedPayloads(t)
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0x40
 	crcFlip := append([]byte(nil), valid...)
 	crcFlip[len(crcFlip)-2] ^= 0x01
-	dup := EncodePrepare(&TxnPayload{
-		Txn: 9, Fence: 1, Coord: 1, Shard: 1, Parts: []int{1, 1},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutDeleteEdge, Edge: graph.Edge{Src: 5, Dst: 6, Type: 2}},
-		},
-	})
-	commit := EncodePrepare(&TxnPayload{
-		Txn: 7, Fence: 3, Coord: 0, Shard: 0, Parts: []int{0, 2},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutAddEdge, Edge: graph.Edge{Src: 10, Dst: 22, Type: 1}},
-			{Kind: graph.MutDeleteEdge, Edge: graph.Edge{Src: 10, Dst: 23, Type: 1}},
-		},
-	})
 	cases := []struct {
 		name       string
 		data       []byte

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 	"bg3/internal/replication"
@@ -250,9 +251,9 @@ var (
 type OutcomeState uint8
 
 const (
-	// OutcomeSkipped: the batch had no mutations for this shard.
+	// OutcomeSkipped: the batch had no writes for this shard.
 	OutcomeSkipped OutcomeState = iota
-	// OutcomeCommitted: the shard's sub-batch is durable and applied.
+	// OutcomeCommitted: the shard's part is durable and applied.
 	OutcomeCommitted
 	// OutcomeAborted: the transaction aborted; nothing from this batch is
 	// (or will become) durable on the shard. Safe to retry the batch.
@@ -262,7 +263,7 @@ const (
 	OutcomeFenced
 	// OutcomeUnknown: the decision is commit but this shard's apply did
 	// not complete here — the post-failover resolution pass finishes it
-	// from the durable prepare. Reads may briefly miss the sub-batch.
+	// from the durable prepare. Reads may briefly miss the part.
 	OutcomeUnknown
 )
 
@@ -350,50 +351,52 @@ func (g *Group) SetTxnStageHook(fn func(stage TxnStage, txn uint64, parts []int)
 	g.stageHook = fn
 }
 
-// ApplyBatch commits the batch atomically across shards. Mutations are
-// decomposed by owner (SplitBatch); a batch touching one shard commits
-// as that shard's ordinary group-commit (no extra records), while a
-// multi-shard batch runs the 2PC protocol in txn.go: prepare on every
-// participant but the coordinator, the coordinator's commit wave (the
-// decision carrying its own part, the part, its marker), then one apply
-// wave per other participant — all riding the existing group-commit
-// envelopes. The batch is all-or-nothing across shards: after any crash
-// or failover, recovery resolves in-doubt prepares against the
-// coordinator's durable prefix, so no prefix of the shards can commit
-// alone. Failures return a *BatchError with per-shard outcomes.
+// ApplyBatch commits the batch atomically across shards. The batch is
+// checked and encoded once, up front (core.Encode): a malformed batch fails
+// before anything is logged on any shard. Its writes are split by owner
+// (SplitBatch); a batch touching one shard commits as that shard's ordinary
+// group-commit (no extra records), while a multi-shard batch runs the 2PC
+// protocol in txn.go: prepare on every participant but the coordinator, the
+// coordinator's commit wave (the decision carrying its own part, the part, its
+// marker), then one apply wave per other participant — all riding the existing
+// group-commit envelopes. The batch is all-or-nothing across shards: after any
+// crash or failover, recovery resolves in-doubt parts against the
+// coordinator's durable prefix, so no prefix of the shards can commit alone. A
+// failed transaction returns a *BatchError with per-shard outcomes.
 func (g *Group) ApplyBatch(muts []graph.Mutation) error {
-	if len(muts) == 0 {
-		return nil
-	}
-	parts, only := g.route(muts)
-	if only >= 0 {
-		return g.applyShard(only, parts[only])
-	}
-	_, err := g.applyTxn(parts)
+	_, err := g.ApplyBatchEx(muts)
 	return err
 }
 
 // ApplyBatchEx is ApplyBatch returning per-shard outcomes (one entry per
-// shard, index-aligned) even on success.
+// shard, index-aligned) even on success; a batch that failed its check
+// touched no shard.
 func (g *Group) ApplyBatchEx(muts []graph.Mutation) ([]ShardOutcome, error) {
-	if len(muts) == 0 {
-		return skipped(g.Shards()), nil
-	}
-	parts, only := g.route(muts)
-	if only < 0 {
+	parts, only, err := g.route(muts)
+	if parts != nil && only < 0 {
 		return g.applyTxn(parts)
 	}
 	outcomes := skipped(g.Shards())
-	err := g.applyShard(only, parts[only])
-	outcomes[only] = ShardOutcome{Shard: only, State: classifyShardErr(err), Err: err}
+	if only >= 0 {
+		err = g.applyShard(only, parts[only])
+		outcomes[only] = ShardOutcome{Shard: only, State: classifyShardErr(err), Err: err}
+	}
 	return outcomes, err
 }
 
-// route splits a batch by owner and counts it: the parts, and the one shard
-// they touch (-1: several).
-func (g *Group) route(muts []graph.Mutation) (parts [][]graph.Mutation, only int) {
+// route checks and encodes a batch, splits its writes by owner and counts it:
+// the parts (nil for an empty or a malformed batch), and the one shard they
+// touch (-1: several, or none).
+func (g *Group) route(muts []graph.Mutation) (parts [][]forest.Write, only int, err error) {
+	if len(muts) == 0 {
+		return nil, -1, nil
+	}
+	ws, err := core.Encode(muts)
+	if err != nil {
+		return nil, -1, err
+	}
 	g.batches.Inc()
-	parts, only = g.router.SplitBatch(muts), -1
+	parts, only = g.router.SplitBatch(ws), -1
 	touched := 0
 	for i, part := range parts {
 		if len(part) > 0 {
@@ -404,7 +407,7 @@ func (g *Group) route(muts []graph.Mutation) (parts [][]graph.Mutation, only int
 	if touched > 1 {
 		only = -1
 	}
-	return parts, only
+	return parts, only, nil
 }
 
 // skipped is the outcomes of a batch that touched none of n shards.
@@ -432,15 +435,16 @@ func isFenceErr(err error) bool {
 		errors.Is(err, wal.ErrCommitterStopped)
 }
 
-func (g *Group) applyShard(i int, part []graph.Mutation) error {
-	return g.Leader(i).ApplyBatch(part)
+func (g *Group) applyShard(i int, part []forest.Write) error {
+	_, err := g.Leader(i).ApplyWave(nil, part, nil)
+	return err
 }
 
 // applyTxn runs the cross-shard 2PC protocol for a batch split across
 // two or more shards (see the protocol comment in txn.go). It returns
 // one outcome per shard; the error is nil only when every participant
 // committed and applied.
-func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
+func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 	txn := g.txnSeq.Add(1)
 	var members []int
 	for i, part := range parts {
@@ -464,11 +468,11 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	var owed []int // participants of a commit left for a resolution pass
 	defer func() { g.mgr.end(txn, owed) }()
 	payload := func(i int) *TxnPayload {
-		return &TxnPayload{Txn: txn, Fence: nodes[i].Epoch(), Coord: coord, Shard: i, Parts: members, Muts: parts[i]}
+		return &TxnPayload{Txn: txn, Fence: nodes[i].Epoch(), Coord: coord, Shard: i, Parts: members, Writes: parts[i]}
 	}
 
-	// Phase 1 — prepare: every participant but the coordinator logs its
-	// sub-batch as a logical redo intent, in parallel, each riding its
+	// Phase 1 — prepare: every participant but the coordinator logs its part,
+	// in parallel, each riding its
 	// shard's ordinary group-commit pipeline. The coordinator's vote is its
 	// commit.
 	errs := make([]error, len(parts))
@@ -554,7 +558,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 	}
 	g.txnCommits.Inc()
 
-	// Phase 3 — apply: every other participant applies its sub-batch and logs
+	// Phase 3 — apply: every other participant applies its part and logs
 	// its applied marker in one wave, in parallel; so does the coordinator
 	// again if a racing failover fenced the rest of its wave.
 	for _, i := range members {
@@ -595,7 +599,7 @@ func (g *Group) applyTxn(parts [][]graph.Mutation) ([]ShardOutcome, error) {
 }
 
 // txnRecord is a 2PC control record of txn: PageID names the coordinator, and
-// the Value of a prepare, or of the coordinator's commit, is the TPC1 payload
+// the Value of a prepare, or of the coordinator's commit, is the TPC2 payload
 // of the part it carries.
 func txnRecord(typ wal.RecordType, txn uint64, coord int, p *TxnPayload) *wal.Record {
 	rec := &wal.Record{Type: typ, TreeID: txn, PageID: uint64(coord)}
@@ -610,8 +614,8 @@ func txnRecord(typ wal.RecordType, txn uint64, coord int, p *TxnPayload) *wal.Re
 // records, then its applied marker. The wave returns once the shard's read
 // epoch is past all of its groups, so a cut sampled after it holds the
 // whole part.
-func applyPart(node *replication.RWNode, head *wal.Record, txn uint64, coord int, muts []graph.Mutation) (headErr, err error) {
-	return node.ApplyWave(head, muts, txnRecord(wal.RecordTxnApplied, txn, coord, nil))
+func applyPart(node *replication.RWNode, head *wal.Record, txn uint64, coord int, ws []forest.Write) (headErr, err error) {
+	return node.ApplyWave(head, ws, txnRecord(wal.RecordTxnApplied, txn, coord, nil))
 }
 
 // applyDecided finishes shard i's part of committed txn (applyPart): err is
@@ -621,7 +625,7 @@ func applyPart(node *replication.RWNode, head *wal.Record, txn uint64, coord int
 // resolution pass may have applied the part already (applying it twice is
 // idempotent). With no failover under way a fence error is final, and the
 // part is left to the next one's resolution pass.
-func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uint64, coord int, muts []graph.Mutation) error {
+func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uint64, coord int, ws []forest.Write) error {
 	for {
 		if err != nil {
 			if !isFenceErr(err) {
@@ -633,7 +637,7 @@ func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uin
 			}
 			node = next
 		}
-		if _, err = applyPart(node, nil, txn, coord, muts); err == nil {
+		if _, err = applyPart(node, nil, txn, coord, ws); err == nil {
 			return nil
 		}
 	}
@@ -673,7 +677,7 @@ func (g *Group) resolveInDoubt(i int) error {
 			committed = cs.commits[txn]
 		}
 		if committed {
-			if _, err := applyPart(g.Leader(i), nil, txn, p.Coord, p.Muts); err != nil {
+			if _, err := applyPart(g.Leader(i), nil, txn, p.Coord, p.Writes); err != nil {
 				return fmt.Errorf("shard %d resolve txn %d: %w", i, txn, err)
 			}
 			g.txnReapply.Inc()

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sync"
 
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/metrics"
 )
@@ -160,46 +161,35 @@ func (sc *scatter) release() {
 	scatterPool.Put(sc)
 }
 
-// routeKey returns the vertex whose owner decides where a mutation
-// lives: vertices route by their own ID, edges by their source (edges
-// are stored in the source vertex's adjacency, so the edge and its
-// endpoint stay colocated).
-func routeKey(m graph.Mutation) graph.VertexID {
-	if m.Kind == graph.MutAddVertex {
-		return m.Vertex.ID
-	}
-	return m.Edge.Src
-}
-
-// SplitBatch decomposes a batch into per-shard groups, index-aligned
-// with the shard order; shards the batch does not touch get a nil slice.
-// Relative order within each group is the input order, and the
-// concatenation of the groups is a permutation of the input — no
-// mutation is duplicated or dropped (the router property test pins this
-// down). Each group commits as one atomic, durable WAL group on its
-// shard; the batch as a whole is NOT atomic across shards.
-func (r *Router) SplitBatch(muts []graph.Mutation) [][]graph.Mutation {
-	parts := make([][]graph.Mutation, r.Shards())
-	if len(muts) == 0 {
+// SplitBatch splits a batch's writes (core.Encode) into per-shard parts by
+// the shard owning each write's owner — an edge is written under its source,
+// so it lives with that vertex — index-aligned with the shard order; shards
+// the batch does not touch get a nil part. Relative order within each part is
+// the input order, and the concatenation of the parts is a permutation of the
+// input: no write is duplicated or dropped (the router property test pins
+// this down). A batch that touches one shard is passed through as it is.
+// Group.ApplyBatch commits the parts as one group-commit on a single shard,
+// or as one 2PC transaction over several (txn.go): all or nothing.
+func (r *Router) SplitBatch(ws []forest.Write) [][]forest.Write {
+	parts := make([][]forest.Write, r.Shards())
+	if len(ws) == 0 {
 		return parts
 	}
-	// Fast path: single-shard batches (the common case for workloads that
-	// batch around one entity) avoid any per-shard allocation.
-	first := r.Owner(routeKey(muts[0]))
+	first := r.Owner(graph.VertexID(ws[0].Owner))
 	single := true
-	for _, m := range muts[1:] {
-		if r.Owner(routeKey(m)) != first {
+	for _, w := range ws[1:] {
+		if r.Owner(graph.VertexID(w.Owner)) != first {
 			single = false
 			break
 		}
 	}
 	if single {
-		parts[first] = muts
+		parts[first] = ws
 		return parts
 	}
-	for _, m := range muts {
-		s := r.Owner(routeKey(m))
-		parts[s] = append(parts[s], m)
+	for _, w := range ws {
+		s := r.Owner(graph.VertexID(w.Owner))
+		parts[s] = append(parts[s], w)
 	}
 	return parts
 }
@@ -208,8 +198,8 @@ func (r *Router) SplitBatch(muts []graph.Mutation) [][]graph.Mutation {
 // lowest-index touched shard. The election is deterministic — any node
 // replaying the same split picks the same coordinator — and the
 // coordinator is always a participant, so its commit decision rides the
-// same stream as its own prepare.
-func (r *Router) Coordinator(parts [][]graph.Mutation) int {
+// same stream as its own part.
+func (r *Router) Coordinator(parts [][]forest.Write) int {
 	for i, part := range parts {
 		if len(part) > 0 {
 			return i

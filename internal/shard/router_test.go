@@ -4,24 +4,29 @@ import (
 	"math/rand"
 	"testing"
 
+	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 )
 
-// mutKey is a comparable identity for the test's mutations (none carry
-// properties, so kind + endpoints identify one).
-type mutKey struct {
-	kind graph.MutationKind
-	id   graph.VertexID
-	dst  graph.VertexID
-	et   graph.EdgeType
-	vt   graph.VertexType
+// writeKey is a comparable identity for the test's writes (none carry
+// properties, so owner, key and the delete flag identify one).
+type writeKey struct {
+	owner forest.OwnerID
+	key   string
+	del   bool
 }
 
-func keyOf(m graph.Mutation) mutKey {
-	if m.Kind == graph.MutAddVertex {
-		return mutKey{kind: m.Kind, id: m.Vertex.ID, vt: m.Vertex.Type}
+func keyOf(w forest.Write) writeKey { return writeKey{w.Owner, string(w.Key), w.Delete} }
+
+// encodeBatch is core.Encode of a batch the test knows to be well formed.
+func encodeBatch(t *testing.T, muts []graph.Mutation) []forest.Write {
+	t.Helper()
+	ws, err := core.Encode(muts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return mutKey{kind: m.Kind, id: m.Edge.Src, dst: m.Edge.Dst, et: m.Edge.Type}
+	return ws
 }
 
 // TestRouterProperties is the ISSUE 9 router property test: for random
@@ -76,26 +81,27 @@ func TestRouterProperties(t *testing.T) {
 				muts[i] = graph.DeleteEdgeMut(id, graph.ETypeFollow, graph.VertexID(rng.Uint64()))
 			}
 		}
-		parts := r.SplitBatch(muts)
+		ws := encodeBatch(t, muts)
+		parts := r.SplitBatch(ws)
 		if len(parts) != n {
 			t.Fatalf("SplitBatch returned %d groups, want %d", len(parts), n)
 		}
 		total := 0
-		seen := make(map[mutKey][]int) // mutation -> input indexes (multiset)
-		for i, m := range muts {
-			k := keyOf(m)
+		seen := make(map[writeKey][]int) // write -> input indexes (multiset)
+		for i, w := range ws {
+			k := keyOf(w)
 			seen[k] = append(seen[k], i)
 		}
 		for s, part := range parts {
 			prev := -1
-			for _, m := range part {
-				if r.Owner(routeKey(m)) != s {
-					t.Fatalf("shard %d group holds mutation owned by %d", s, r.Owner(routeKey(m)))
+			for _, w := range part {
+				if owner := r.Owner(graph.VertexID(w.Owner)); owner != s {
+					t.Fatalf("shard %d group holds a write owned by %d", s, owner)
 				}
-				k := keyOf(m)
+				k := keyOf(w)
 				idxs := seen[k]
 				if len(idxs) == 0 {
-					t.Fatalf("shard %d delivered a mutation not in the input (duplicate or fabricated): %+v", s, m)
+					t.Fatalf("shard %d delivered a write not in the input (duplicate or fabricated): %+v", s, w)
 				}
 				// Relative input order is preserved within a shard group:
 				// consume the earliest remaining index and require ascent.
@@ -107,12 +113,12 @@ func TestRouterProperties(t *testing.T) {
 				total++
 			}
 		}
-		if total != len(muts) {
-			t.Fatalf("groups deliver %d mutations, input had %d", total, len(muts))
+		if total != len(ws) {
+			t.Fatalf("groups deliver %d writes, input had %d", total, len(ws))
 		}
 		for k, idxs := range seen {
 			if len(idxs) != 0 {
-				t.Fatalf("mutation dropped by SplitBatch: %+v", k)
+				t.Fatalf("write dropped by SplitBatch: %+v", k)
 			}
 		}
 
@@ -157,16 +163,17 @@ func TestRouterSingleShardFastPath(t *testing.T) {
 		graph.AddEdgeMut(graph.Edge{Src: ids[1], Dst: 999, Type: graph.ETypeFollow}),
 		graph.DeleteEdgeMut(ids[2], graph.ETypeFollow, 999),
 	}
-	parts := r.SplitBatch(muts)
+	ws := encodeBatch(t, muts)
+	parts := r.SplitBatch(ws)
 	for s, part := range parts {
 		if s == want {
-			if len(part) != len(muts) || &part[0] != &muts[0] {
+			if len(part) != len(ws) || &part[0] != &ws[0] {
 				t.Fatalf("single-shard batch not passed through as-is")
 			}
 			continue
 		}
 		if len(part) != 0 {
-			t.Fatalf("shard %d unexpectedly received %d mutations", s, len(part))
+			t.Fatalf("shard %d unexpectedly received %d writes", s, len(part))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -9,68 +10,48 @@ import (
 	"math"
 	"sync"
 
-	"bg3/internal/graph"
+	"bg3/internal/forest"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
-// Cross-shard two-phase commit (ISSUE 10).
+// Cross-shard two-phase commit.
 //
-// A multi-shard batch is decomposed by the Router and committed with a
-// lightweight 2PC layered on the per-shard group committers. The
-// coordinator (the lowest touched shard) is the last agent: it does not
-// prepare, its commit is its vote. Three serial durable rounds, 2N−1
-// appends for N shards:
+// Group.ApplyBatch checks and encodes a batch once, before anything is logged
+// (core.Encode): a malformed batch fails there, on every shard alike. The
+// writes are split by owner (Router.SplitBatch); a part is the forest writes
+// one shard applies, and it is what a 2PC record carries — the TPC2 payload
+// below — and what a resolution pass re-applies. A batch over several shards
+// is a presumed-abort 2PC whose coordinator, the lowest touched shard, is the
+// last agent: it does not prepare, its commit is its vote. Three serial
+// durable rounds, 2N−1 appends for N shards:
 //
-//  1. PREPARE: every participant but the coordinator logs one
-//     RecordTxnPrepare on its own stream whose Value is the TPC1 payload
-//     below — the participant's entire sub-batch as a logical redo intent
-//     plus the transaction's membership. The record rides the ordinary
-//     group-commit envelope (no extra fsync, full pipeline depth). Nothing
-//     is applied to memory, so an undecided prepare is invisible at every
-//     epoch by construction.
+//  1. PREPARE: every participant but the coordinator logs a RecordTxnPrepare
+//     carrying its part and the membership, on its ordinary group-commit
+//     pipeline. Nothing is applied, so an undecided prepare is invisible.
 //  2. DECIDE: once every prepare is durable the coordinator runs one wave
-//     on its stream: RecordTxnCommit, whose Value is the TPC1 payload of
-//     the coordinator's own part, then that part through the normal data
-//     path, then its RecordTxnApplied marker, and one wait for all of them
-//     (replication.RWNode.ApplyWave). The commit record's durability is the
-//     decision. A prepare failure, a force-abort by a resolution pass, or
-//     a failover of the coordinator before the wave decides abort instead
-//     (RecordTxnAbort on each prepared participant, best effort — the
-//     protocol is presumed-abort, so a lost abort record is still an
-//     abort).
-//  3. APPLY: each other participant applies its sub-batch through the
-//     normal data path (idempotent upserts/deletes) and logs its local
-//     RecordTxnApplied marker after it, in one wave; only then is the
-//     client acked.
+//     (replication.RWNode.ApplyWave): a RecordTxnCommit carrying its own part,
+//     the part, its RecordTxnApplied marker, one wait. The commit record's
+//     durability is the decision. A failed prepare, a force-abort by a
+//     resolution pass or a failover of the coordinator decides abort instead
+//     (RecordTxnAbort on each prepared participant, best effort).
+//  3. APPLY: every other participant applies its part and logs its marker in
+//     one wave; only then is the client acked.
 //
-// Visibility is the group's decision, not each shard's: rounds 2 and 3 run
-// under a read hold of the manager's cut lock, and a cross-shard Snapshot
-// samples every shard's epoch under its write hold. With no apply wave in
-// flight, each shard's released epoch holds every batch wholly or not at
-// all, so the sampled cut does too.
+// Visibility is the group's decision: rounds 2 and 3 run under a read hold of
+// the manager's cut lock and a Snapshot samples every shard under its write
+// hold, so a cut holds every batch wholly or not at all.
 //
-// In-doubt resolution: a durable part with no local Applied/Abort marker —
-// a prepare, or a commit whose carried part has no marker after it — is
-// resolved by consulting, in order, the live transaction manager
-// (force-aborting transactions still preparing, waiting out ones
-// mid-decision) and the coordinator's durable WAL prefix — a durable
-// RecordTxnCommit means commit, anything else means abort — and a
-// committed part is re-applied. Only the gapless prefix counts: a commit
-// record stranded past a pipeline hole is never delivered by recovery,
-// matching the committer's maybe-semantics for unacknowledged appends. A
-// commit wave that failed leaves the coordinator's part in its failed
-// leader's memory, like any unacknowledged write, and never in its log.
-//
-// Every leader trims its WAL on its checkpoint cadence, and that evidence
-// must outlive the trim: the manager holds, per transaction, a floor on each
-// participant's log below every record of it (lowWater), from begin until the
-// transaction is settled on every shard — at its end, or for a committed one
-// a participant could not apply, once a resolution pass has applied it.
+// A durable part with no local Applied or Abort marker after it is in doubt. A
+// resolution pass asks the live manager, then the coordinator's gapless
+// durable prefix — a durable RecordTxnCommit means commit, anything else abort
+// — and re-applies a committed part from the writes its record carries. The
+// manager holds each participant's log from below the transaction's first
+// record (lowWater) until the transaction is settled on every shard, so the
+// trim keeps that evidence.
 
-// TxnPayload is the decoded TPC1 payload of a prepare, or of the
-// coordinator's commit: one participant's sub-batch plus the transaction
-// membership needed to resolve it.
+// TxnPayload is what a prepare, or the coordinator's commit, carries: one
+// participant's part plus the membership needed to resolve it.
 type TxnPayload struct {
 	// Txn is the group-unique transaction id (nonzero). The carrying WAL
 	// record's TreeID field holds the same id for cheap scans.
@@ -85,34 +66,33 @@ type TxnPayload struct {
 	Shard int
 	// Parts lists every participant shard, strictly ascending.
 	Parts []int
-	// Muts is this participant's sub-batch, in input order.
-	Muts []graph.Mutation
+	// Writes is this participant's part: the forest writes it applies.
+	Writes []forest.Write
 }
 
-// TPC1 wire format (little endian):
+// TPC2 wire format (little endian):
 //
-//	magic[4]="TPC1" version[1]=1
+//	magic[4]="TPC2" version[1]=2
 //	txn[8] fence[8] coord[2] shard[2]
-//	nparts[2] { part[2] }*        (strictly ascending; coord and shard present)
-//	nmuts[4]  { mut }*            (>= 1)
+//	nparts[2]  { part[2] }*       (strictly ascending; coord and shard present)
+//	nwrites[4] { write }*         (>= 1)
 //	crc32[4]LE over everything before it (IEEE)
 //
-// One mutation:
+// One write, a forest.Write as core.Encode built it:
 //
-//	kind[1]
-//	  add-vertex: id[8] vtype[2] plen[4] props
-//	  add-edge:   src[8] dst[8] etype[2] plen[4] props
-//	  del-edge:   src[8] dst[8] etype[2]
+//	owner[8] delete[1] klen[4] key vlen[4] value
 //
-// props is graph.EncodeProps output and must be canonical (re-encoding
-// the decoded list reproduces the bytes). Decoding fails closed on any
-// structural defect; an accepted payload re-encodes byte-identically.
+// The delete flag is 0 or 1, the key is not empty and a delete has no value.
+// Decoding fails closed on any structural defect; an accepted payload
+// re-encodes byte-identically. The writes are not checked again: core.Encode
+// checked them before the first record was logged, and the CRC keeps them so.
 const (
-	txnMagic   = "TPC1"
-	txnVersion = 1
+	txnMagic   = "TPC2"
+	txnVersion = 2
 
-	txnHeaderLen  = 4 + 1 + 8 + 8 + 2 + 2 + 2
-	txnTrailerLen = 4
+	txnHeaderLen   = 4 + 1 + 8 + 8 + 2 + 2 + 2
+	txnTrailerLen  = 4
+	writeHeaderLen = 8 + 1 + 4 + 4
 
 	// MaxParticipants bounds a decoded payload's participant count; real
 	// deployments are orders of magnitude smaller.
@@ -122,9 +102,13 @@ const (
 // ErrBadPrepare reports an undecodable or inconsistent prepare payload.
 var ErrBadPrepare = errors.New("shard: bad txn prepare payload")
 
-// EncodePrepare serializes the payload in the TPC1 wire format.
+// EncodePrepare serializes the payload in the TPC2 wire format.
 func EncodePrepare(p *TxnPayload) []byte {
-	buf := make([]byte, 0, txnHeaderLen+len(p.Parts)*2+len(p.Muts)*32+txnTrailerLen)
+	size := txnHeaderLen + 2*len(p.Parts) + 4 + txnTrailerLen
+	for _, w := range p.Writes {
+		size += writeHeaderLen + len(w.Key) + len(w.Value)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, txnMagic...)
 	buf = append(buf, txnVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, p.Txn)
@@ -135,37 +119,27 @@ func EncodePrepare(p *TxnPayload) []byte {
 	for _, s := range p.Parts {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(s))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Muts)))
-	for _, m := range p.Muts {
-		buf = append(buf, byte(m.Kind))
-		switch m.Kind {
-		case graph.MutAddVertex:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Vertex.ID))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Vertex.Type))
-			props := graph.EncodeProps(m.Vertex.Props)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(props)))
-			buf = append(buf, props...)
-		case graph.MutAddEdge:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Edge.Src))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Edge.Dst))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Edge.Type))
-			props := graph.EncodeProps(m.Edge.Props)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(props)))
-			buf = append(buf, props...)
-		case graph.MutDeleteEdge:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Edge.Src))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Edge.Dst))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(m.Edge.Type))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Writes)))
+	for _, w := range p.Writes {
+		value, del := w.Value, byte(0)
+		if w.Delete {
+			value, del = nil, 1
 		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.Owner))
+		buf = append(buf, del)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.Key)))
+		buf = append(buf, w.Key...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
+		buf = append(buf, value...)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// DecodePreparePayload parses and validates a TPC1 payload, failing
-// closed on truncation, trailing bytes, checksum mismatch, unknown
-// kinds, non-canonical property encodings, and any membership defect
-// (zero txn id, unsorted or duplicate participants, coordinator or
-// owning shard missing from the participant list).
+// DecodePreparePayload parses and validates a TPC2 payload, failing closed on
+// truncation, trailing bytes, checksum mismatch, a malformed write, and any
+// membership defect (zero txn id, unsorted or duplicate participants,
+// coordinator or owning shard missing from the participant list). The writes'
+// keys and values are copies: the forest owns what it is handed.
 func DecodePreparePayload(buf []byte) (*TxnPayload, error) {
 	if len(buf) < txnHeaderLen+4+txnTrailerLen {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadPrepare, len(buf))
@@ -216,65 +190,25 @@ func DecodePreparePayload(buf []byte) (*TxnPayload, error) {
 		return nil, fmt.Errorf("%w: shard %d not a participant", ErrBadPrepare, p.Shard)
 	}
 	rest = rest[nparts*2:]
-	nmuts := binary.LittleEndian.Uint32(rest)
+	nwrites := binary.LittleEndian.Uint32(rest)
 	rest = rest[4:]
-	if nmuts == 0 {
-		return nil, fmt.Errorf("%w: empty sub-batch", ErrBadPrepare)
+	if nwrites == 0 || uint64(nwrites) > uint64(len(rest)/writeHeaderLen) {
+		return nil, fmt.Errorf("%w: %d writes in %d bytes", ErrBadPrepare, nwrites, len(rest))
 	}
-	if uint64(nmuts) > uint64(len(rest)) { // every mutation is >= 1 byte
-		return nil, fmt.Errorf("%w: %d mutations in %d bytes", ErrBadPrepare, nmuts, len(rest))
-	}
-	p.Muts = make([]graph.Mutation, 0, nmuts)
-	for i := uint32(0); i < nmuts; i++ {
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("%w: truncated mutation %d", ErrBadPrepare, i)
+	p.Writes = make([]forest.Write, nwrites)
+	for i := range p.Writes {
+		w := &p.Writes[i]
+		ok := len(rest) >= 9 && rest[8] <= 1
+		if ok {
+			w.Owner, w.Delete = forest.OwnerID(binary.LittleEndian.Uint64(rest)), rest[8] == 1
+			w.Key, rest, ok = cutField(rest[9:])
 		}
-		kind := graph.MutationKind(rest[0])
-		rest = rest[1:]
-		var m graph.Mutation
-		m.Kind = kind
-		switch kind {
-		case graph.MutAddVertex:
-			if len(rest) < 14 {
-				return nil, fmt.Errorf("%w: truncated vertex mutation %d", ErrBadPrepare, i)
-			}
-			m.Vertex.ID = graph.VertexID(binary.LittleEndian.Uint64(rest))
-			m.Vertex.Type = graph.VertexType(binary.LittleEndian.Uint16(rest[8:]))
-			plen := binary.LittleEndian.Uint32(rest[10:])
-			rest = rest[14:]
-			props, rem, err := decodeCanonicalProps(rest, plen, i)
-			if err != nil {
-				return nil, err
-			}
-			m.Vertex.Props = props
-			rest = rem
-		case graph.MutAddEdge:
-			if len(rest) < 22 {
-				return nil, fmt.Errorf("%w: truncated edge mutation %d", ErrBadPrepare, i)
-			}
-			m.Edge.Src = graph.VertexID(binary.LittleEndian.Uint64(rest))
-			m.Edge.Dst = graph.VertexID(binary.LittleEndian.Uint64(rest[8:]))
-			m.Edge.Type = graph.EdgeType(binary.LittleEndian.Uint16(rest[16:]))
-			plen := binary.LittleEndian.Uint32(rest[18:])
-			rest = rest[22:]
-			props, rem, err := decodeCanonicalProps(rest, plen, i)
-			if err != nil {
-				return nil, err
-			}
-			m.Edge.Props = props
-			rest = rem
-		case graph.MutDeleteEdge:
-			if len(rest) < 18 {
-				return nil, fmt.Errorf("%w: truncated delete mutation %d", ErrBadPrepare, i)
-			}
-			m.Edge.Src = graph.VertexID(binary.LittleEndian.Uint64(rest))
-			m.Edge.Dst = graph.VertexID(binary.LittleEndian.Uint64(rest[8:]))
-			m.Edge.Type = graph.EdgeType(binary.LittleEndian.Uint16(rest[16:]))
-			rest = rest[18:]
-		default:
-			return nil, fmt.Errorf("%w: unknown mutation kind %d", ErrBadPrepare, kind)
+		if ok {
+			w.Value, rest, ok = cutField(rest)
 		}
-		p.Muts = append(p.Muts, m)
+		if !ok || len(w.Key) == 0 || w.Delete && w.Value != nil {
+			return nil, fmt.Errorf("%w: malformed write %d", ErrBadPrepare, i)
+		}
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPrepare, len(rest))
@@ -282,25 +216,20 @@ func DecodePreparePayload(buf []byte) (*TxnPayload, error) {
 	return p, nil
 }
 
-// decodeCanonicalProps decodes a length-prefixed property list and
-// insists on canonical encoding: the decoded list must re-encode to the
-// exact input bytes, so an accepted payload round-trips byte-identically.
-func decodeCanonicalProps(rest []byte, plen uint32, i uint32) (graph.Properties, []byte, error) {
-	if uint64(plen) > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: truncated properties in mutation %d", ErrBadPrepare, i)
+// cutField splits a length-prefixed field off the front of rest: a copy of its
+// bytes (nil when empty) and what follows it.
+func cutField(rest []byte) (field, after []byte, ok bool) {
+	if len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest)) > uint64(len(rest)-4) {
+		return nil, rest, false
 	}
-	raw := rest[:plen]
-	props, err := graph.DecodeProps(raw)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: mutation %d: %v", ErrBadPrepare, i, err)
+	n := 4 + int(binary.LittleEndian.Uint32(rest))
+	if n > 4 {
+		field = bytes.Clone(rest[4:n])
 	}
-	if enc := graph.EncodeProps(props); len(enc) != len(raw) || string(enc) != string(raw) {
-		return nil, nil, fmt.Errorf("%w: non-canonical properties in mutation %d", ErrBadPrepare, i)
-	}
-	return props, rest[plen:], nil
+	return field, rest[n:], true
 }
 
-// DecodePrepareRecord decodes the TPC1 payload a record carries — a
+// DecodePrepareRecord decodes the TPC2 payload a record carries — a
 // RecordTxnPrepare's, or the coordinator's own part on its RecordTxnCommit —
 // and cross-checks it against the record: the record's TreeID must equal
 // the payload's txn id and its stamped epoch the payload's fence epoch, and

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"testing"
 
+	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/wal"
 )
 
-// FuzzDecodePrepareRecord fuzzes the TPC1 record decoder — the bytes
+// FuzzDecodePrepareRecord fuzzes the TPC2 record decoder — the bytes
 // recovery trusts when resolving in-doubt transactions — on both carriers: a
 // prepare, and the coordinator's commit carrying its own part. The record
 // metadata (carrier, txn id, stamped epoch, coordinator page) fuzzes
@@ -22,24 +24,17 @@ import (
 //     reproduces the input byte for byte — and structurally sound: the
 //     payload's txn/fence match the carrying record, the participant
 //     list is strictly ascending with the coordinator and owning shard
-//     present, the sub-batch is non-empty with known mutation kinds, and a
-//     commit's payload is the coordinator's part on the coordinator's log.
+//     present, the part is non-empty, every write has a key and no delete
+//     has a value, and a commit's payload is the coordinator's part on the
+//     coordinator's log.
 //
 // The checked-in corpus under testdata/fuzz covers the interesting
 // shapes: a valid prepare and a valid commit, torn/truncated payloads,
 // single-bit flips, wrong-epoch and wrong-txn-id cross-check mismatches, a
 // duplicate participant entry, a commit on another shard's log, and a
-// participant's part on a commit.
+// participant's part on a commit (TestGenPrepareCorpus writes it).
 func FuzzDecodePrepareRecord(f *testing.F) {
-	valid := EncodePrepare(&TxnPayload{
-		Txn: 7, Fence: 3, Coord: 0, Shard: 2, Parts: []int{0, 2},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutAddEdge, Edge: graph.Edge{
-				Src: 11, Dst: 22, Type: 1,
-				Props: graph.Properties{{Name: "w", Value: []byte("x")}},
-			}},
-		},
-	})
+	valid, dup, commit := seedPayloads(f)
 	f.Add([]byte{}, uint64(7), uint64(3), false, uint64(0))
 	f.Add(valid, uint64(7), uint64(3), false, uint64(0))
 	f.Add(valid, uint64(7), uint64(4), false, uint64(0))                // wrong stamped epoch
@@ -49,19 +44,7 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0x40 // bit flip inside the txn id
 	f.Add(flipped, uint64(7), uint64(3), false, uint64(0))
-	dup := EncodePrepare(&TxnPayload{
-		Txn: 9, Fence: 1, Coord: 1, Shard: 1, Parts: []int{1, 1},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutDeleteEdge, Edge: graph.Edge{Src: 5, Dst: 6, Type: 2}},
-		},
-	})
 	f.Add(dup, uint64(9), uint64(1), false, uint64(1)) // duplicate participant (not ascending)
-	commit := EncodePrepare(&TxnPayload{
-		Txn: 7, Fence: 3, Coord: 0, Shard: 0, Parts: []int{0, 2},
-		Muts: []graph.Mutation{
-			{Kind: graph.MutAddEdge, Edge: graph.Edge{Src: 10, Dst: 22, Type: 1}},
-		},
-	})
 	f.Add(commit, uint64(7), uint64(3), true, uint64(0))
 	f.Add(commit, uint64(7), uint64(3), true, uint64(2)) // on another shard's log
 	f.Add(valid, uint64(7), uint64(3), true, uint64(0))  // a participant's part
@@ -104,14 +87,12 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 			t.Fatalf("accepted payload with coord/shard outside membership: coord=%d shard=%d parts=%v",
 				p.Coord, p.Shard, p.Parts)
 		}
-		if len(p.Muts) == 0 {
-			t.Fatal("accepted payload with empty sub-batch")
+		if len(p.Writes) == 0 {
+			t.Fatal("accepted payload with an empty part")
 		}
-		for i, m := range p.Muts {
-			switch m.Kind {
-			case graph.MutAddVertex, graph.MutAddEdge, graph.MutDeleteEdge:
-			default:
-				t.Fatalf("accepted unknown mutation kind %d at %d", m.Kind, i)
+		for i, w := range p.Writes {
+			if len(w.Key) == 0 || w.Delete && w.Value != nil {
+				t.Fatalf("accepted malformed write %d: %+v", i, w)
 			}
 		}
 		if onCommit && (p.Shard != p.Coord || uint64(p.Coord) != recPage) {
@@ -134,4 +115,34 @@ func FuzzDecodePrepareRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seedPayloads encodes the payloads the fuzz seeds and the checked-in corpus
+// are cut from: a shard's prepared part of an edge and a vertex, a delete-only
+// part whose membership lists a participant twice, and the coordinator's own
+// part of an edge and a delete, each part as core.Encode builds it.
+func seedPayloads(tb testing.TB) (valid, dup, commit []byte) {
+	part := func(muts ...graph.Mutation) []forest.Write {
+		ws, err := core.Encode(muts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return ws
+	}
+	valid = EncodePrepare(&TxnPayload{
+		Txn: 7, Fence: 3, Coord: 0, Shard: 2, Parts: []int{0, 2},
+		Writes: part(
+			graph.AddEdgeMut(graph.Edge{Src: 11, Dst: 22, Type: 1, Props: graph.Properties{{Name: "w", Value: []byte("x")}}}),
+			graph.AddVertexMut(graph.Vertex{ID: 11, Type: 4, Props: graph.Properties{{Name: "name", Value: []byte("a")}}}),
+		),
+	})
+	dup = EncodePrepare(&TxnPayload{
+		Txn: 9, Fence: 1, Coord: 1, Shard: 1, Parts: []int{1, 1},
+		Writes: part(graph.DeleteEdgeMut(5, 2, 6)),
+	})
+	commit = EncodePrepare(&TxnPayload{
+		Txn: 7, Fence: 3, Coord: 0, Shard: 0, Parts: []int{0, 2},
+		Writes: part(graph.AddEdgeMut(graph.Edge{Src: 10, Dst: 22, Type: 1}), graph.DeleteEdgeMut(10, 1, 23)),
+	})
+	return valid, dup, commit
 }

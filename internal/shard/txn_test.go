@@ -1,14 +1,17 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
+	"bg3/internal/forest"
 	"bg3/internal/graph"
 	"bg3/internal/replication"
 	"bg3/internal/storage"
@@ -16,28 +19,25 @@ import (
 )
 
 func testPayload() *TxnPayload {
-	return &TxnPayload{
-		Txn:   7,
-		Fence: 3,
-		Coord: 1,
-		Shard: 2,
-		Parts: []int{1, 2, 5},
-		Muts: []graph.Mutation{
-			graph.AddVertexMut(graph.Vertex{
-				ID: 11, Type: graph.VTypeUser,
-				Props: graph.Properties{{Name: "n", Value: []byte("alice")}},
-			}),
-			graph.AddEdgeMut(graph.Edge{
-				Src: 11, Dst: 22, Type: graph.ETypeFollow,
-				Props: graph.Properties{{Name: "w", Value: []byte{1, 2, 3}}},
-			}),
-			graph.DeleteEdgeMut(11, graph.ETypeLike, 33),
-		},
+	ws, err := core.Encode([]graph.Mutation{
+		graph.AddVertexMut(graph.Vertex{
+			ID: 11, Type: graph.VTypeUser,
+			Props: graph.Properties{{Name: "n", Value: []byte("alice")}},
+		}),
+		graph.AddEdgeMut(graph.Edge{
+			Src: 11, Dst: 22, Type: graph.ETypeFollow,
+			Props: graph.Properties{{Name: "w", Value: []byte{1, 2, 3}}},
+		}),
+		graph.DeleteEdgeMut(11, graph.ETypeLike, 33),
+	})
+	if err != nil {
+		panic(err)
 	}
+	return &TxnPayload{Txn: 7, Fence: 3, Coord: 1, Shard: 2, Parts: []int{1, 2, 5}, Writes: ws}
 }
 
-// The TPC1 codec round-trips every mutation kind and re-encodes
-// canonically.
+// The TPC2 codec round-trips the writes of every mutation kind and
+// re-encodes canonically.
 func TestPrepareCodecRoundTrip(t *testing.T) {
 	p := testPayload()
 	buf := EncodePrepare(p)
@@ -51,31 +51,31 @@ func TestPrepareCodecRoundTrip(t *testing.T) {
 	if re := EncodePrepare(got); string(re) != string(buf) {
 		t.Fatal("re-encode is not canonical")
 	}
-	// Edge case: mutations without properties.
+	// Edge case: a part of deletes only, none with a value.
 	p2 := &TxnPayload{
 		Txn: 1, Coord: 0, Shard: 0, Parts: []int{0, 3},
-		Muts: []graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: 1, Dst: 2, Type: 1})},
+		Writes: []forest.Write{{Owner: 1, Key: graph.EdgeKey(1, 2), Delete: true}},
 	}
 	got2, err := DecodePreparePayload(EncodePrepare(p2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p2, got2) {
-		t.Fatalf("no-props round trip mismatch: %+v vs %+v", p2, got2)
+		t.Fatalf("delete-only round trip mismatch: %+v vs %+v", p2, got2)
 	}
 }
 
 // Every structural defect is rejected fail-closed.
 func TestPrepareDecodeFailClosed(t *testing.T) {
 	valid := EncodePrepare(testPayload())
-	reseal := func(b []byte) []byte { // recompute the CRC after a mutation
-		p, err := DecodePreparePayload(b)
-		if err != nil {
-			return b
-		}
-		return EncodePrepare(p)
+	// flag sets the first write's delete flag (the vertex put's) and
+	// recomputes the CRC, so only the flag is wrong.
+	flag := func(f byte) []byte {
+		b := append([]byte(nil), valid...)
+		b[txnHeaderLen+2*len(testPayload().Parts)+4+8] = f
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
 	}
-	_ = reseal
 	cases := map[string][]byte{
 		"empty":     nil,
 		"torn":      valid[:len(valid)-7],
@@ -105,11 +105,13 @@ func TestPrepareDecodeFailClosed(t *testing.T) {
 	bad.Shard = 9
 	cases["shard not a participant"] = EncodePrepare(bad)
 	bad = testPayload()
-	bad.Muts = nil
-	cases["empty sub-batch"] = EncodePrepare(bad)
+	bad.Writes = nil
+	cases["empty part"] = EncodePrepare(bad)
 	bad = testPayload()
-	bad.Muts = []graph.Mutation{{Kind: 99}}
-	cases["unknown mutation kind"] = EncodePrepare(bad)
+	bad.Writes[1].Key = nil
+	cases["empty key"] = EncodePrepare(bad)
+	cases["bad delete flag"] = flag(2)
+	cases["delete with a value"] = flag(1)
 	for name, buf := range cases {
 		if _, err := DecodePreparePayload(buf); !errors.Is(err, ErrBadPrepare) {
 			t.Errorf("%s: err = %v, want ErrBadPrepare", name, err)
@@ -298,7 +300,7 @@ func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 		t.Fatalf("no commit on coordinator %d", sa)
 	}
 	batch := crossShardBatch(a, b, "x")
-	parts := map[int][]graph.Mutation{sa: batch[:1], sb: batch[1:]}
+	parts := map[int][]forest.Write{sa: encodeBatch(t, batch[:1]), sb: encodeBatch(t, batch[1:])}
 	for _, s := range []int{sa, sb} {
 		st := states[s]
 		if len(st.prepares) != 1 {
@@ -311,8 +313,8 @@ func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 		if p.Coord != sa || p.Shard != s || !reflect.DeepEqual(p.Parts, []int{sa, sb}) {
 			t.Fatalf("shard %d payload membership = coord %d shard %d parts %v", s, p.Coord, p.Shard, p.Parts)
 		}
-		if !reflect.DeepEqual(p.Muts, parts[s]) {
-			t.Fatalf("shard %d carries %v, want its part %v", s, p.Muts, parts[s])
+		if !reflect.DeepEqual(p.Writes, parts[s]) {
+			t.Fatalf("shard %d carries %v, want its part %v", s, p.Writes, parts[s])
 		}
 		if len(st.inDoubt()) != 0 {
 			t.Fatalf("shard %d still in doubt: %v", s, st.inDoubt())
@@ -681,5 +683,78 @@ func TestTxnApplyFollowsARacingFailover(t *testing.T) {
 		if _, ok, err := g.GetEdge(id, graph.ETypeFollow, 1000); err != nil || !ok {
 			t.Fatalf("edge of %d missing (%v)", id, err)
 		}
+	}
+}
+
+// A malformed batch over several shards fails whole, before its first
+// prepare. The bad mutation sits in the part of the shard that is not the
+// coordinator: checked where each part was applied, the coordinator's part
+// committed, the other failed its apply, every resolution pass failed on it
+// again, and the transaction's hold kept every trim back. Checked once up
+// front, no shard commits or logs anything of the batch, no reader sees it,
+// every shard fails over, and a rotation trims each log past it.
+func TestMalformedBatchFailsBeforeItsFirstPrepare(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(src graph.VertexID) graph.Mutation
+	}{
+		{"reserved-edge-type", func(src graph.VertexID) graph.Mutation {
+			return graph.AddEdgeMut(graph.Edge{Src: src, Dst: 1000, Type: 0xFFFF})
+		}},
+		{"unknown-kind", func(src graph.VertexID) graph.Mutation {
+			return graph.Mutation{Kind: 99, Edge: graph.Edge{Src: src, Dst: 1000, Type: graph.ETypeFollow}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Open(4, &storage.Options{ExtentSize: 4 << 10},
+				replication.RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 16}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			a, b := findCrossShardPair(g.Router())
+			batch := []graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: a, Dst: 1000, Type: graph.ETypeFollow}), tc.bad(b)}
+			outcomes, err := g.ApplyBatchEx(batch)
+			if err == nil {
+				t.Fatal("the malformed batch was accepted")
+			}
+			for _, o := range outcomes {
+				if o.State == OutcomeCommitted {
+					t.Errorf("shard %d committed its part of a malformed batch (%v)", o.Shard, err)
+				}
+			}
+			snap := g.Snapshot()
+			for name, rd := range map[string]graph.Reader{"leader": g, "snapshot": snap} {
+				if _, ok, _ := rd.GetEdge(a, graph.ETypeFollow, 1000); ok {
+					t.Errorf("the %s reads the coordinator's part of a malformed batch", name)
+				}
+			}
+			snap.Close()
+			logged := make([]wal.LSN, g.Shards())
+			for i := range logged {
+				logged[i] = g.Leader(i).LastLSN()
+				if st, err := scanShardTxns(g.Store(i)); err != nil || len(st.prepares)+len(st.commits) != 0 {
+					t.Errorf("shard %d logged %d parts and %d commits of the batch (%v)", i, len(st.prepares), len(st.commits), err)
+				}
+			}
+			for i := range logged {
+				if err := g.Failover(i); err != nil {
+					t.Fatalf("failover of shard %d: %v", i, err)
+				}
+			}
+			for i := 0; i < 1000; i++ { // a few extents of log on every shard
+				if err := g.AddEdge(graph.Edge{Src: graph.VertexID(10 + i%50), Dst: graph.VertexID(i), Type: graph.ETypeLike}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range logged {
+				if _, err := g.Leader(i).WriteSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+				if _, horizon, _ := g.Store(i).Head(storage.StreamWAL); wal.LSN(horizon) <= logged[i] {
+					t.Errorf("shard %d: a rotation trimmed its log to lsn %d, not past the batch at %d", i, horizon, logged[i])
+				}
+			}
+		})
 	}
 }

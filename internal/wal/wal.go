@@ -62,15 +62,15 @@ const (
 	RecordOwnerAssign
 	// RecordTxnPrepare logs a cross-shard transaction prepare on the
 	// stream of a participant other than the coordinator: TreeID is the
-	// transaction id, PageID the coordinator shard and Value the TPC1
-	// payload (coordinator shard, participant set, and the sub-batch's
-	// mutations as a logical redo intent). The payload is applied only once
+	// transaction id, PageID the coordinator shard and Value the TPC2
+	// payload (coordinator shard, participant set, and the forest writes of
+	// the participant's part). The payload is applied only once
 	// the coordinator's decision is known; an undecided prepare has no
 	// memory effect and is invisible at every released epoch.
 	RecordTxnPrepare
 	// RecordTxnCommit logs a cross-shard commit decision on the coordinator
 	// shard's stream (TreeID = transaction id, PageID = the coordinator),
-	// and Value is the TPC1 payload of the coordinator's own part: the
+	// and Value is the TPC2 payload of the coordinator's own part: the
 	// coordinator does not prepare, and its part's records and its
 	// RecordTxnApplied follow the commit in the same wave. Once durable,
 	// every participant's part must be applied; recovery treats a prepare
