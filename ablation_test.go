@@ -88,7 +88,7 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 					}
 					locs[uint64(k)] = loc
 				}
-				r := gc.NewReclaimer(st, storage.StreamBase, p, func(tag uint64, old, new storage.Loc) bool {
+				r := gc.NewReclaimer(st, storage.StreamBase, p, func(tag uint64, old, new storage.Loc, _, _ []byte) bool {
 					if locs[tag] != old {
 						return false
 					}

@@ -219,7 +219,8 @@ func (db *DB) AddVertex(v Vertex) error { return db.writes.AddVertex(v) }
 // AddEdge upserts a directed edge on its source's owning shard.
 func (db *DB) AddEdge(e Edge) error { return db.writes.AddEdge(e) }
 
-// DeleteEdge removes one edge.
+// DeleteEdge removes one edge; an absent one is not an error. The reserved
+// edge type 0xFFFF is rejected, on every shape, and nothing is logged for it.
 func (db *DB) DeleteEdge(src VertexID, typ EdgeType, dst VertexID) error {
 	return db.writes.DeleteEdge(src, typ, dst)
 }

@@ -765,3 +765,48 @@ func TestReplicationLagConverges(t *testing.T) {
 		t.Fatal("replica applied LSN is zero after applying 30 writes")
 	}
 }
+
+// TestReservedEdgeTypeDeleteLogsNothing: the reserved edge type is rejected
+// on a delete as on an add, single and in a batch, on every shape, and the
+// rejected write reaches neither the log nor the pages: no storage append
+// and no WAL append is made for it.
+func TestReservedEdgeTypeDeleteLogsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts *Options
+	}{
+		{"bare", nil},
+		{"leader", &Options{Replicated: true}},
+		{"shards-4", &Options{Shards: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, tc.opts)
+			appends := func() (storageOps, walOps int64) {
+				for i := range db.Shards() {
+					snap := db.eng(i).Metrics().Snapshot()
+					storageOps += snap["storage.write_ops"].Value
+					walOps += snap["wal.appends"].Value
+				}
+				return storageOps, walOps
+			}
+			st0, wal0 := appends()
+			if err := db.DeleteEdge(1, 0xFFFF, 2); err == nil {
+				t.Fatal("DeleteEdge of the reserved edge type accepted")
+			}
+			if err := db.ApplyBatch([]Mutation{DeleteEdgeMut(1, 0xFFFF, 3)}); err == nil {
+				t.Fatal("a batch deleting the reserved edge type accepted")
+			}
+			if st, w := appends(); st != st0 || w != wal0 {
+				t.Fatalf("rejected deletes made %d storage and %d WAL appends, want none", st-st0, w-wal0)
+			}
+			// The counts see a write: an accepted delete is logged, or
+			// persisted at once on a bare engine.
+			if err := db.DeleteEdge(1, ETypeFollow, 2); err != nil {
+				t.Fatal(err)
+			}
+			if st, w := appends(); st == st0 || (tc.opts != nil && w == wal0) {
+				t.Fatalf("fixture: an accepted delete made %d storage and %d WAL appends", st-st0, w-wal0)
+			}
+		})
+	}
+}

@@ -426,9 +426,9 @@ func fillExtent(t *testing.T, st *storage.Store, ext storage.ExtentID) {
 // TestReclaimedExtentIsNotPinnedByTheCache: a cached image of a cold-loaded
 // page is its base record where it lies, so it keeps that record's whole
 // extent in memory. Once GC has moved the record and the store let go of the
-// extent, the image must not be what keeps the extent alive: the sites that
-// move a resident page's base record give its image its own copy — Relocate on
-// a leader, the checkpoint that repoints the page on a follower. 128+ leaves
+// extent, the image must not be what keeps the extent alive: on a leader
+// Relocate makes the image the moved record, on a follower the checkpoint
+// that repoints the page gives the image its own copy. 128+ leaves
 // are cold-loaded from one 4 MiB extent into an unlimited cache (the rest of
 // the extent is dead records), the extent is reclaimed, and the live heap must
 // fall by at least three quarters of it.
@@ -641,5 +641,48 @@ func TestHopScratchPinsNoExtent(t *testing.T) {
 	if fell := before - int64(ms.HeapAlloc); fell < extentSize*3/4 {
 		t.Fatalf("live heap fell %d B after the hop's %d B extent was reclaimed, want >= %d: the hop's pooled scratch still holds it",
 			fell, extentSize, extentSize*3/4)
+	}
+}
+
+// TestFlushAllocatesNoImage: the consolidating flush of a warm resident page
+// encodes the next base into scratch from a free list, appends it and caches
+// the stored record, so it allocates nothing: an image allocated per flush
+// would be a second copy of the page beside the record storage holds. The
+// page is one 128-entry leaf of a logged tree, folding an 11-op overlay into
+// its base on each run.
+func TestFlushAllocatesNoImage(t *testing.T) {
+	st := storage.Open(nil)
+	tr, err := New(NewMapping(0, false), st, Config{}, &stubAsyncLogger{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("key-%06d", i)), []byte(fmt.Sprintf("%-24s", "base"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.FlushDirty(nil); err != nil {
+		t.Fatal(err)
+	}
+	e := tr.m.get(tr.LeafDirectory()[0].Page)
+	ov := make([]op, tr.cfg.ConsolidateNum+1)
+	for i := range ov {
+		ov[i] = op{pending: true, key: []byte(fmt.Sprintf("key-%06d", i*12)), val: []byte(fmt.Sprintf("%-24d", i))}
+	}
+	flush := func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.overlay, e.dirty = ov, true
+		if flushed, err := tr.flushPageLocked(e, nil); !flushed || err != nil || len(e.overlay) != 0 {
+			t.Fatalf("fixture: flushed %v (%v), %d ops left over the base", flushed, err, len(e.overlay))
+		}
+	}
+	before := tr.Stats().Consolidations
+	allocs := testing.AllocsPerRun(200, flush)
+	if got := tr.Stats().Consolidations - before; got != 201 || e.base.count() != 128 {
+		t.Fatalf("fixture: %d consolidations in 201 flushes, %d base entries", got, e.base.count())
+	}
+	if allocs > 0 {
+		t.Fatalf("a consolidating flush of a resident 128-entry page allocates %.0f objects, want none: the image is allocated again", allocs)
 	}
 }

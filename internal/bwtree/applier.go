@@ -153,7 +153,7 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 		// A page this applier was never told of cannot be routed to either.
 		if e := m.get(up.Page); e != nil && e.isLeaf {
 			e.mu.Lock()
-			if up.Base != e.baseLoc { // as Relocate: the image may be the old record's view
+			if up.Base != e.baseLoc { // the image may be the old record's view: a copy keeps no old extent
 				e.base = slices.Clone(e.base)
 			}
 			e.baseLoc, e.deltaLocs, e.origin = up.Base, up.Deltas, 0
@@ -165,7 +165,7 @@ func (m *Mapping) applyCheckpoint(rec *wal.Record) error {
 		e.mu.Lock()
 		if keep := opsAbove(e.overlay, rec.CkptLSN); len(keep) < len(e.overlay) {
 			if e.base != nil {
-				img, err := mergeEncode(e.base, e.overlay, e.lo, e.hi, rec.CkptLSN)
+				img, err := mergeEncode(nil, e.base, e.overlay, e.lo, e.hi, rec.CkptLSN)
 				if err != nil {
 					e.mu.Unlock()
 					return err

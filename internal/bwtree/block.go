@@ -285,7 +285,7 @@ func (t *Tree) readChunk(from []byte) (chunk, error) {
 	if err != nil {
 		return chunk{}, err
 	}
-	img, err := mergeEncode(base, e.overlay, e.lo, e.hi, horizonAll)
+	img, err := mergeEncode(nil, base, e.overlay, e.lo, e.hi, horizonAll)
 	if err != nil {
 		return chunk{}, err
 	}

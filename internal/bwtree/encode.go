@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bg3/internal/wal"
@@ -66,6 +67,12 @@ func (p leafImage) entry(i, n int) (k, v []byte) {
 		end = binary.LittleEndian.Uint32(p[12+8*i:])
 	}
 	return p[off:mid:mid], p[mid:end:end]
+}
+
+// is reports whether p is rec itself — the same bytes in the same place, not
+// an equal copy.
+func (p leafImage) is(rec []byte) bool {
+	return len(p) > 0 && len(p) == len(rec) && &p[0] == &rec[0]
 }
 
 // bound returns the index of the first entry at or after to; nil is open.
@@ -155,13 +162,14 @@ func decodeLeaf(buf []byte) (leafImage, error) {
 //	count[4]|flag { del[1] lsn[8] klen[4] vlen[4] key val }*
 //
 // Per-op LSN stamps survive the round trip so a rebuilt or replicated
-// delta chain keeps the visibility boundaries snapshot reads filter by.
-func encodeOps(ops []op) []byte {
+// delta chain keeps the visibility boundaries snapshot reads filter by. The
+// record is appended to buf.
+func encodeOps(buf []byte, ops []op) []byte {
 	size := 4
 	for _, o := range ops {
 		size += opHeader + len(o.key) + len(o.val)
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ops))|stampedOpsFlag)
 	for _, o := range ops {
 		if o.del {

@@ -18,7 +18,7 @@ func imageOf(puts ...op) leafImage {
 
 // mustEncode is mergeEncode for inputs that cannot outgrow the format.
 func mustEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImage {
-	img, err := mergeEncode(base, ov, lo, hi, floor)
+	img, err := mergeEncode(nil, base, ov, lo, hi, floor)
 	if err != nil {
 		panic(err)
 	}
@@ -102,7 +102,7 @@ func TestOpsEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			ops = append(ops, o)
 		}
-		out, err := decodeOps(encodeOps(ops))
+		out, err := decodeOps(encodeOps(nil, ops))
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestDecodeCorruptImages(t *testing.T) {
 		{1, 0, 0, 0x80, 1, 5, 0, 0, 0}, // truncated header
 		// klen = 0xFFFFFFFF, vlen = 1: the sum wraps in 32 bits.
 		{1, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 'k'},
-		append(encodeOps([]op{{key: []byte("k")}}), 0), // trailing byte
+		append(encodeOps(nil, []op{{key: []byte("k")}}), 0), // trailing byte
 	}
 	for i, buf := range opCases {
 		if _, err := decodeOps(buf); err == nil {

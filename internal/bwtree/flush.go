@@ -16,15 +16,49 @@ func flushRetry() storage.RetryPolicy {
 	return p
 }
 
-// flushAppend persists one record on the flush path with bounded retry.
-func (t *Tree) flushAppend(stream storage.StreamID, tag uint64, data []byte) (storage.Loc, error) {
+// flushAppend persists one record on the flush path with bounded retry and
+// returns where it lies and the stored record.
+func (t *Tree) flushAppend(stream storage.StreamID, tag uint64, data []byte) (storage.Loc, []byte, error) {
 	var loc storage.Loc
+	var rec []byte
 	err := flushRetry().Do("bwtree: flush append", func() error {
 		var aerr error
-		loc, aerr = t.store.Append(stream, tag, data)
+		loc, rec, aerr = t.store.AppendEpoch(stream, 0, tag, data)
 		return aerr
 	})
-	return loc, err
+	return loc, rec, err
+}
+
+// idleScratch is a bounded free list of the flush's encode buffers. A base
+// image or a delta record is encoded into one and appended, and the buffer
+// goes back: storage keeps its own copy, and the page keeps that
+// (persistBase). It is not a sync.Pool, for the reason idleFrontiers (graph)
+// gives; four serve the flusher beside a few sync writers, and a buffer past
+// maxKeptScratch is let go, as the WAL lets a large frame go.
+var idleScratch = make(chan []byte, 4)
+
+const maxKeptScratch = 64 << 10
+
+// takeScratch returns an idle encode buffer, or nil when none is idle.
+func takeScratch() []byte {
+	select {
+	case b := <-idleScratch:
+		return b
+	default:
+		return nil
+	}
+}
+
+// putScratch keeps b idle, unless it is over maxKeptScratch or the free list
+// is full. Nothing may read b afterwards.
+func putScratch(b []byte) {
+	if cap(b) == 0 || cap(b) > maxKeptScratch {
+		return
+	}
+	select {
+	case idleScratch <- b[:0]:
+	default:
+	}
 }
 
 // MappingUpdate describes the durable records of one leaf — where a flush or
@@ -195,13 +229,16 @@ func (t *Tree) markDirty(id PageID) {
 // first. Records already written are orphaned when a later one fails.
 func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
 	var locs []storage.Loc
+	buf := takeScratch()
+	defer func() { putScratch(buf) }()
 	for max := t.store.ExtentSize(); len(ops) > 0; {
 		n, size := 0, 4
 		for n < len(ops) && (n == 0 || size+opHeader+len(ops[n].key)+len(ops[n].val) <= max) {
 			size += opHeader + len(ops[n].key) + len(ops[n].val)
 			n++
 		}
-		loc, err := t.flushAppend(storage.StreamDelta, uint64(id), encodeOps(ops[:n]))
+		buf = encodeOps(buf[:0], ops[:n])
+		loc, _, err := t.flushAppend(storage.StreamDelta, uint64(id), buf)
 		if err != nil {
 			for _, l := range locs {
 				t.store.Invalidate(l)
@@ -215,27 +252,31 @@ func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
 
 // persistBase writes img as e's new base record and ops (overlay order,
 // all durable after this) as its whole delta chain, retires the records
-// they replace and installs both in memory. An image too large for one
-// extent (splits disabled, or huge values) keeps the leading entries that
-// fit and spills the rest into the chain as LSN-0 puts, which every
-// horizon sees. e.mu must be held; on error nothing changed.
+// they replace and installs both in memory: the base as the stored record,
+// so img is the caller's again afterwards (the flush's scratch). An image
+// too large for one extent (splits disabled, or huge values) keeps the
+// leading entries that fit and spills the rest into the chain as LSN-0 puts,
+// which every horizon sees; those join the overlay, so they point into a
+// copy of their own, and the leading entries are encoded over img. e.mu must
+// be held; on error nothing changed.
 func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	if max := t.store.ExtentSize(); len(img) > max {
+		full := leafImage(slices.Clone(img))
 		n := 0
-		for size := 4; size+8+len(img.key(n))+len(img.val(n)) <= max; n++ {
-			size += 8 + len(img.key(n)) + len(img.val(n))
+		for size := 4; size+8+len(full.key(n))+len(full.val(n)) <= max; n++ {
+			size += 8 + len(full.key(n)) + len(full.val(n))
 		}
-		spill := make([]op, 0, img.count()-n+len(ops))
-		for i := n; i < img.count(); i++ {
-			spill = append(spill, op{key: img.key(i), val: img.val(i)})
+		spill := make([]op, 0, full.count()-n+len(ops))
+		for i := n; i < full.count(); i++ {
+			spill = append(spill, op{key: full.key(i), val: full.val(i)})
 		}
 		var err error
-		if img, err = mergeEncode(img, nil, nil, img.key(n), horizonAll); err != nil {
+		if img, err = mergeEncode(img[:0], full, nil, nil, full.key(n), horizonAll); err != nil {
 			return err
 		}
 		ops = sortOps(append(spill, ops...))
 	}
-	loc, err := t.flushAppend(storage.StreamBase, uint64(e.id), img)
+	loc, rec, err := t.flushAppend(storage.StreamBase, uint64(e.id), img)
 	if err != nil {
 		return err
 	}
@@ -250,7 +291,7 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	for _, old := range e.deltaLocs {
 		t.store.Invalidate(old)
 	}
-	e.baseLoc, e.deltaLocs, e.base, e.overlay, e.shared = loc, dlocs, img, ops, false
+	e.baseLoc, e.deltaLocs, e.base, e.overlay, e.shared = loc, dlocs, rec, ops, false
 	return nil
 }
 
@@ -285,22 +326,25 @@ func (t *Tree) flushPageLocked(e *pageEntry, base leafImage) (bool, error) {
 	switch {
 	case e.splitPending || e.baseLoc.IsZero() ||
 		(len(e.overlay) > t.cfg.ConsolidateNum && len(retained) < len(e.overlay)):
-		// One merge-encode pass emits the next base: the storage record and
-		// the cached image at once. The retained suffix must be durable
-		// alongside it, or a crash would roll the page back past released
-		// commits. A page handed over dirty (TakeOver) may not be resident.
+		// One merge-encode pass, into scratch, emits the next base record,
+		// which the page then caches as stored. The retained suffix must be
+		// durable alongside it, or a crash would roll the page back past
+		// released commits. A page handed over dirty (TakeOver) may not be
+		// resident.
 		if base == nil {
 			var err error
 			if base, _, err = t.materialize(e, false); err != nil {
 				return false, err
 			}
 		}
-		img, err := mergeEncode(base, e.overlay, e.lo, e.hi, floor)
+		img, err := mergeEncode(takeScratch(), base, e.overlay, e.lo, e.hi, floor)
 		if err != nil {
 			return false, err
 		}
 		rewrite := !e.splitPending && !e.baseLoc.IsZero()
-		if err := t.persistBase(e, img, retained); err != nil {
+		err = t.persistBase(e, img, retained)
+		putScratch(img)
+		if err != nil {
 			return false, err
 		}
 		if rewrite {

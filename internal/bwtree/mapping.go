@@ -478,11 +478,12 @@ func (m *Mapping) touch(e *pageEntry) {
 // Relocate is the storage.RelocateFunc for GC: it repoints the durable
 // location tag -> old to new in the owning leaf's entry. It returns false if
 // the page no longer references old (the record went stale mid-move).
-// Relocated pages are remembered for TakeRelocated. A resident image of a
-// moved base record may be that record where it lay (a storage read is a
-// view, DESIGN §8), so it takes its own copy: the cache keeps no reclaimed
-// extent in memory.
-func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
+// Relocated pages are remembered for TakeRelocated. A resident image that is
+// the moved base record where it lay, was, becomes the record where it lies
+// now, rec (DESIGN §8), so the cache keeps no reclaimed extent in memory; an
+// image that is not that record — a base merged with its chain at load — is
+// content of its own and stays.
+func (m *Mapping) Relocate(tag uint64, old, new storage.Loc, was, rec []byte) bool {
 	e := m.get(PageID(tag))
 	if e == nil || !e.isLeaf {
 		return false
@@ -490,7 +491,10 @@ func (m *Mapping) Relocate(tag uint64, old, new storage.Loc) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.baseLoc == old {
-		e.baseLoc, e.base = new, slices.Clone(e.base)
+		e.baseLoc = new
+		if e.base.is(was) {
+			e.base = rec
+		}
 	} else if i := slices.Index(e.deltaLocs, old); i >= 0 {
 		e.deltaLocs[i] = new
 	} else {

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"bg3/internal/wal"
 )
 
 // A resident leaf is what the Bw-tree is on storage: an immutable base
-// image (the durable base record itself, aliased from the buffer storage
-// returned or the flush just encoded) plus one overlay of the ops not
+// image (the durable base record itself, aliased from the buffer a read or
+// the flush's append returned) plus one overlay of the ops not
 // folded into it — key-sorted, each key's ops in arrival (= LSN) order.
 // "Base + history = content" is the layout, so every read, latest or
 // pinned, is one bounded merge of the two at a horizon.
@@ -228,11 +229,11 @@ func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool
 }
 
 // mergeEncode folds the ops of ov stamped at or below floor into base,
-// clipped to [lo, hi), and returns the result as a fresh flat image — the
-// next durable base record and the next cached base in one, or the next
-// edge block. It is the only writer of the leaf layout, and fails only when
-// the result would outgrow the format (imageSize).
-func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
+// clipped to [lo, hi), appends the result to dst as a flat image and returns
+// the image — the next durable base record, the next edge block, or a load's
+// base merged with its chain. It is the only writer of the leaf layout, and
+// fails only when the result would outgrow the format (imageSize).
+func mergeEncode(dst []byte, base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
 	var n, payload uint64
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
 		n++
@@ -243,15 +244,16 @@ func mergeEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafIma
 	if err != nil {
 		return nil, err
 	}
-	img := make([]byte, 4+8*n, size)
-	binary.LittleEndian.PutUint32(img, uint32(n))
-	slot := 4
+	start := len(dst)
+	img := slices.Grow(dst, size)[:start+4+8*int(n)]
+	binary.LittleEndian.PutUint32(img[start:], uint32(n))
+	slot := start + 4
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
-		binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)))
+		binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)-start))
 		binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
 		slot += 8
 		img = append(append(img, k...), v...)
 		return true
 	})
-	return img, nil
+	return img[start:], nil
 }

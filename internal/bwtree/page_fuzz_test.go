@@ -44,8 +44,8 @@ func FuzzDecodeLeafPage(f *testing.F) {
 // FuzzDecodeOps is the same contract for delta records: ErrCorruptPage or
 // ops that re-encode byte for byte.
 func FuzzDecodeOps(f *testing.F) {
-	f.Add(encodeOps([]op{{key: []byte("a"), val: []byte("1"), lsn: 7}, {del: true, key: []byte("b"), lsn: 9}}))
-	f.Add(encodeOps(nil))
+	f.Add(encodeOps(nil, []op{{key: []byte("a"), val: []byte("1"), lsn: 7}, {del: true, key: []byte("b"), lsn: 9}}))
+	f.Add(encodeOps(nil, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeOps(data)
 		if err != nil {
@@ -54,7 +54,7 @@ func FuzzDecodeOps(f *testing.F) {
 			}
 			return
 		}
-		if again := encodeOps(ops); !bytes.Equal(again, data) {
+		if again := encodeOps(nil, ops); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(again))
 		}
 	})

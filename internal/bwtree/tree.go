@@ -345,7 +345,7 @@ func (m *Mapping) image(bufs [][]byte, hasBase bool) (img leafImage, err error) 
 	if err != nil {
 		return nil, err
 	}
-	return mergeEncode(img, ops, nil, nil, horizonAll)
+	return mergeEncode(nil, img, ops, nil, nil, horizonAll)
 }
 
 // materializeRead is materialize on behalf of a reader — GetAt and the scans'

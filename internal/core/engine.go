@@ -200,7 +200,9 @@ func (e *Engine) AddVertex(v graph.Vertex) error { return e.write(graph.AddVerte
 // AddEdge implements graph.Store.
 func (e *Engine) AddEdge(ed graph.Edge) error { return e.write(graph.AddEdgeMut(ed)) }
 
-// DeleteEdge implements graph.Store.
+// DeleteEdge implements graph.Store. Deleting an absent edge is not an error;
+// the reserved edge type 0xFFFF is (errReservedEdgeType), as it is on AddEdge
+// and GetEdge, and nothing is applied or logged for it.
 func (e *Engine) DeleteEdge(src graph.VertexID, typ graph.EdgeType, dst graph.VertexID) error {
 	return e.write(graph.DeleteEdgeMut(src, typ, dst))
 }
@@ -249,13 +251,15 @@ func encode(m graph.Mutation) (forest.Write, error) {
 	switch m.Kind {
 	case graph.MutAddVertex:
 		return forest.Write{Owner: forest.OwnerID(m.Vertex.ID), Key: vertexKey(m.Vertex.Type), Value: graph.EncodeProps(m.Vertex.Props)}, nil
-	case graph.MutAddEdge:
+	case graph.MutAddEdge, graph.MutDeleteEdge:
 		if m.Edge.Type == vertexPrefix {
 			return forest.Write{}, errReservedEdgeType
 		}
-		return forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Value: graph.EncodeProps(m.Edge.Props)}, nil
-	case graph.MutDeleteEdge:
-		return forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Delete: true}, nil
+		w := forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Delete: m.Kind == graph.MutDeleteEdge}
+		if !w.Delete {
+			w.Value = graph.EncodeProps(m.Edge.Props)
+		}
+		return w, nil
 	}
 	return forest.Write{}, fmt.Errorf("core: unknown mutation kind %d", m.Kind)
 }

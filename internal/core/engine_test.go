@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -83,6 +84,12 @@ func TestReservedEdgeType(t *testing.T) {
 	}
 	if err := e.ApplyBatch([]graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: 1, Dst: 2, Type: 0xFFFF})}); err == nil {
 		t.Fatal("reserved edge type accepted in a batch")
+	}
+	if err := e.DeleteEdge(1, 0xFFFF, 2); !errors.Is(err, errReservedEdgeType) {
+		t.Fatalf("DeleteEdge(reserved type) = %v, want errReservedEdgeType", err)
+	}
+	if err := e.ApplyBatch([]graph.Mutation{graph.DeleteEdgeMut(1, 0xFFFF, 3)}); !errors.Is(err, errReservedEdgeType) {
+		t.Fatalf("a batch deleting the reserved type = %v, want errReservedEdgeType", err)
 	}
 	if err := e.AddVertex(graph.Vertex{ID: 1, Type: graph.VTypeUser}); err != nil {
 		t.Fatal(err)

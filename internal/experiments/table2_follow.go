@@ -72,7 +72,7 @@ func (d *followGCDriver) rewrite(i int) {
 }
 
 // relocate is the GC callback: repoint the page table.
-func (d *followGCDriver) relocate(tag uint64, old, new storage.Loc) bool {
+func (d *followGCDriver) relocate(tag uint64, old, new storage.Loc, _, _ []byte) bool {
 	if d.pages[tag] != old {
 		return false
 	}

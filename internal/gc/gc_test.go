@@ -125,7 +125,7 @@ func TestReclaimerRunOnce(t *testing.T) {
 		st.Invalidate(locs[uint64(i)])
 		delete(locs, uint64(i))
 	}
-	r := NewReclaimer(st, storage.StreamBase, DirtyRatio{}, func(tag uint64, old, new storage.Loc) bool {
+	r := NewReclaimer(st, storage.StreamBase, DirtyRatio{}, func(tag uint64, old, new storage.Loc, _, _ []byte) bool {
 		if locs[tag] != old {
 			return false
 		}
@@ -222,7 +222,7 @@ func TestReclaimerTTLBypassClockAfterUsage(t *testing.T) {
 	}
 	const ttl = 10 * time.Second
 	r := NewReclaimer(st, storage.StreamBase, WorkloadAware{TTL: ttl, TTLBypassMargin: ttl},
-		func(uint64, storage.Loc, storage.Loc) bool { return true })
+		func(uint64, storage.Loc, storage.Loc, []byte, []byte) bool { return true })
 	r.TTL = ttl
 	running = true
 	moved, err := r.RunOnce(4)
@@ -244,7 +244,7 @@ func TestReclaimerBackground(t *testing.T) {
 	for i := 0; i < 32; i += 2 {
 		st.Invalidate(locs[i])
 	}
-	r := NewReclaimer(st, storage.StreamDelta, DirtyRatio{}, func(tag uint64, old, new storage.Loc) bool { return true })
+	r := NewReclaimer(st, storage.StreamDelta, DirtyRatio{}, func(tag uint64, old, new storage.Loc, _, _ []byte) bool { return true })
 	r.Start(time.Millisecond, 2)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -273,7 +273,7 @@ func TestReclaimerFence(t *testing.T) {
 	}
 	inCycle, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	r := NewReclaimer(st, storage.StreamBase, DirtyRatio{}, func(uint64, storage.Loc, storage.Loc) bool {
+	r := NewReclaimer(st, storage.StreamBase, DirtyRatio{}, func(uint64, storage.Loc, storage.Loc, []byte, []byte) bool {
 		once.Do(func() { close(inCycle); <-release })
 		return true
 	})

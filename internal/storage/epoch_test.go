@@ -37,7 +37,7 @@ func TestEpochFencingContract(t *testing.T) {
 		{2, true},  // current epoch
 		{3, false}, // unclaimed future epoch
 	} {
-		_, err := s.AppendEpoch(StreamWAL, tc.token, 0, []byte("x"))
+		_, _, err := s.AppendEpoch(StreamWAL, tc.token, 0, []byte("x"))
 		if tc.ok && err != nil {
 			t.Errorf("token %d: append failed: %v", tc.token, err)
 		}
@@ -114,7 +114,7 @@ func TestEpochMonotonicityProperty(t *testing.T) {
 			}
 			// Invariant after every step: exactly one token can append.
 			for tok := uint64(0); tok <= max+1; tok++ {
-				_, err := s.AppendEpoch(StreamWAL, tok, 0, []byte("probe"))
+				_, _, err := s.AppendEpoch(StreamWAL, tok, 0, []byte("probe"))
 				if (tok == max) != (err == nil) {
 					t.Fatalf("seed %d op %d: token %d at epoch %d: err = %v", seed, op, tok, max, err)
 				}
@@ -148,7 +148,7 @@ func TestEpochAdvanceConcurrent(t *testing.T) {
 			// Append under the claimed epoch: legal only while still the
 			// holder; a later claim turns this into ErrFenced. Either way it
 			// must never be a silent partial admission.
-			if _, err := s.AppendEpoch(StreamWAL, e, 0, []byte("tenure")); err != nil && !errors.Is(err, ErrFenced) {
+			if _, _, err := s.AppendEpoch(StreamWAL, e, 0, []byte("tenure")); err != nil && !errors.Is(err, ErrFenced) {
 				t.Errorf("promoter %d append: %v", i, err)
 			}
 		}(i)
@@ -167,7 +167,7 @@ func TestEpochAdvanceConcurrent(t *testing.T) {
 		t.Fatalf("final epoch %d, want %d", final, promoters)
 	}
 	for tok := uint64(0); tok <= promoters; tok++ {
-		_, err := s.AppendEpoch(StreamWAL, tok, 0, []byte("probe"))
+		_, _, err := s.AppendEpoch(StreamWAL, tok, 0, []byte("probe"))
 		if (tok == final) != (err == nil) {
 			t.Fatalf("token %d after the race: err = %v", tok, err)
 		}
@@ -194,10 +194,10 @@ func TestFencedAppendLeavesNoBytes(t *testing.T) {
 	// zombie append persists zero bytes and the tear stays armed for the
 	// next admitted append.
 	plan.TearNext()
-	if _, err := s.AppendEpoch(StreamWAL, 0, 7, []byte("zombie")); !errors.Is(err, ErrFenced) {
+	if _, _, err := s.AppendEpoch(StreamWAL, 0, 7, []byte("zombie")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced append err = %v", err)
 	}
-	if _, err := s.AppendEpoch(StreamWAL, 1, 0, []byte("post-fence")); !errors.Is(err, ErrTornWrite) {
+	if _, _, err := s.AppendEpoch(StreamWAL, 1, 0, []byte("post-fence")); !errors.Is(err, ErrTornWrite) {
 		t.Fatal("armed tear should have hit the first admitted append")
 	}
 

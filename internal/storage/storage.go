@@ -254,29 +254,33 @@ func (s *Store) stream(id StreamID) (*stream, error) {
 // token 0, so it works on any stream that has never been fenced and fails
 // ErrFenced afterwards.
 func (s *Store) Append(id StreamID, tag uint64, data []byte) (Loc, error) {
-	return s.AppendEpoch(id, 0, tag, data)
+	loc, _, err := s.AppendEpoch(id, 0, tag, data)
+	return loc, err
 }
 
-// AppendEpoch is Append carrying an explicit fence token. The append is
-// admitted iff epoch equals the stream's current epoch (see
-// OpenStreamEpoch); a mismatch fails ErrFenced and persists nothing — not
-// even a torn prefix, since the fence check precedes fault injection. This
-// is the BtrLog-style single-writer guarantee: a deposed leader's token is
-// rejected by the storage service itself, no cooperation required.
-func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, error) {
+// AppendEpoch is Append carrying an explicit fence token, and the one append
+// path: it also returns the stored record, a view as Read returns it, so a
+// writer that keeps what it wrote (a flushed page's base) keeps the stored
+// bytes and lets go of its own buffer, without a Read the counters would
+// see. The append is admitted iff epoch equals the stream's current epoch
+// (see OpenStreamEpoch); a mismatch fails ErrFenced and persists nothing —
+// not even a torn prefix, since the fence check precedes fault injection.
+// This is the BtrLog-style single-writer guarantee: a deposed leader's token
+// is rejected by the storage service itself, no cooperation required.
+func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, []byte, error) {
 	if s.isClosed() {
-		return Loc{}, ErrClosed
+		return Loc{}, nil, ErrClosed
 	}
 	st, err := s.stream(id)
 	if err != nil {
-		return Loc{}, err
+		return Loc{}, nil, err
 	}
 	if len(data) > s.opts.ExtentSize {
-		return Loc{}, fmt.Errorf("%w: %d > extent size %d (stream %v, tag %d)", ErrTooLarge, len(data), s.opts.ExtentSize, id, tag)
+		return Loc{}, nil, fmt.Errorf("%w: %d > extent size %d (stream %v, tag %d)", ErrTooLarge, len(data), s.opts.ExtentSize, id, tag)
 	}
 	if err := st.checkEpoch(epoch); err != nil {
 		s.fencedAppends.Add(1)
-		return Loc{}, err
+		return Loc{}, nil, err
 	}
 	if id == StreamWAL {
 		s.walWritten.Store(true)
@@ -291,25 +295,25 @@ func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, e
 				// prefix carries the same token, so an append that loses the
 				// fence race persists nothing at all.
 				pause(s.opts.WriteLatency)
-				if _, terr := st.append(epoch, tag, data[:out.torn]); terr == nil {
+				if _, _, terr := st.append(epoch, tag, data[:out.torn]); terr == nil {
 					s.writeOps.Add(1)
 					s.bytesWritten.Add(int64(out.torn))
 				}
 			}
-			return Loc{}, out.err
+			return Loc{}, nil, out.err
 		}
 	}
 	pause(s.opts.WriteLatency)
-	loc, err := st.append(epoch, tag, data)
+	loc, rec, err := st.append(epoch, tag, data)
 	if err != nil {
 		if errors.Is(err, ErrFenced) {
 			s.fencedAppends.Add(1)
 		}
-		return Loc{}, err
+		return Loc{}, nil, err
 	}
 	s.writeOps.Add(1)
 	s.bytesWritten.Add(int64(len(data)))
-	return loc, nil
+	return loc, rec, nil
 }
 
 // OpenStreamEpoch installs epoch as the stream's fence token, invalidating
@@ -448,11 +452,14 @@ func (s *Store) Usage(id StreamID) []ExtentUsage {
 }
 
 // RelocateFunc is invoked by Reclaim for every valid record moved out of a
-// reclaimed extent. The callback must atomically repoint the owner's
-// reference from old to new (BG3 updates the Bw-tree mapping table) and
-// report whether it did; returning false means the record went stale while
-// being moved, and the new copy is immediately invalidated.
-type RelocateFunc func(tag uint64, old, new Loc) bool
+// reclaimed extent: old and was are where the record lay and its bytes there,
+// new and rec where it lies now and the moved record, both views as Read
+// returns them. The callback must atomically repoint the owner's reference
+// from old to new (BG3 updates the Bw-tree mapping table) and report whether
+// it did; returning false means the record went stale while being moved, and
+// the new copy is immediately invalidated. An owner holding was itself takes
+// rec in its place, so it keeps no reclaimed extent in memory.
+type RelocateFunc func(tag uint64, old, new Loc, was, rec []byte) bool
 
 // Reclaim rewrites all still-valid records of the given extent to the tail
 // of its stream, then condemns the extent: it leaves usage and space

@@ -96,7 +96,7 @@ func TestReadIsAView(t *testing.T) {
 	}
 
 	// A store with no log releases a reclaimed extent at once.
-	if _, err := s.Reclaim(StreamBase, locs[0].Extent, func(uint64, Loc, Loc) bool { return true }); err != nil {
+	if _, err := s.Reclaim(StreamBase, locs[0].Extent, func(uint64, Loc, Loc, []byte, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	gone("after Reclaim", locs[0])
@@ -128,7 +128,7 @@ func TestReadIsAView(t *testing.T) {
 	if batch, err = logged.ReadBatch(llocs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := logged.Reclaim(StreamBase, llocs[0].Extent, func(uint64, Loc, Loc) bool { return true }); err != nil {
+	if _, err := logged.Reclaim(StreamBase, llocs[0].Extent, func(uint64, Loc, Loc, []byte, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := logged.Read(llocs[0]); err != nil {
@@ -233,6 +233,59 @@ func TestInvalidateTracking(t *testing.T) {
 	}
 }
 
+// TestAppendReturnsTheStoredRecord: AppendEpoch hands back the record it
+// stored as Read returns it — the same bytes in place, capacity-clipped —
+// without a read the counters see, and Reclaim hands its RelocateFunc the
+// moved record where it lay and where it lies now, likewise.
+func TestAppendReturnsTheStoredRecord(t *testing.T) {
+	s := Open(&Options{ExtentSize: 64})
+	loc, rec, err := s.AppendEpoch(StreamBase, 0, 7, []byte("record-7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Stats().ReadOps; n != 0 {
+		t.Fatalf("an append counted %d reads", n)
+	}
+	got, err := s.Read(loc)
+	if err != nil || &rec[0] != &got[0] || cap(rec) != len(rec) || string(rec) != "record-7" {
+		t.Fatalf("AppendEpoch returned %q (cap %d), not the record Read returns (%v)", rec, cap(rec), err)
+	}
+	var was, now []byte
+	var to Loc
+	if _, err := s.Reclaim(StreamBase, loc.Extent, func(_ uint64, _, new Loc, w, r []byte) bool {
+		was, now, to = w, r, new
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := s.Read(to)
+	if err != nil || &was[0] != &got[0] || &now[0] != &moved[0] || cap(now) != len(now) {
+		t.Fatalf("Reclaim handed over %q and %q, not the record where it lay and where it lies (%v)", was, now, err)
+	}
+}
+
+// TestExtentIndexSizedFromItsPredecessor: a new extent's record index is
+// sized from the records of the extent it follows, so a stream of same-size
+// records fills each index once instead of doubling it.
+func TestExtentIndexSizedFromItsPredecessor(t *testing.T) {
+	s := Open(&Options{ExtentSize: 1000})
+	for i := 0; i < 250; i++ { // 100 per extent
+		if _, err := s.Append(StreamBase, 0, make([]byte, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.streams[StreamBase]
+	for id := ExtentID(1); id <= 2; id++ {
+		e := st.extents[id]
+		if e == nil {
+			t.Fatalf("fixture: no extent %d", id)
+		}
+		if c := cap(e.records); c != 100 {
+			t.Fatalf("extent %d's record index has capacity %d, want 100", id, c)
+		}
+	}
+}
+
 func TestReclaimMovesOnlyValid(t *testing.T) {
 	s := Open(&Options{ExtentSize: 64})
 	var locs []Loc
@@ -254,7 +307,7 @@ func TestReclaimMovesOnlyValid(t *testing.T) {
 		}
 	}
 	moved := map[uint64]Loc{}
-	n, err := s.Reclaim(StreamBase, ext, func(tag uint64, old, new Loc) bool {
+	n, err := s.Reclaim(StreamBase, ext, func(tag uint64, old, new Loc, _, _ []byte) bool {
 		moved[tag] = new
 		return true
 	})
@@ -286,7 +339,7 @@ func TestReclaimMovesOnlyValid(t *testing.T) {
 func TestReclaimRejectedRelocation(t *testing.T) {
 	s := Open(&Options{ExtentSize: 64})
 	loc, _ := s.Append(StreamBase, 7, []byte("payload!"))
-	_, err := s.Reclaim(StreamBase, loc.Extent, func(tag uint64, old, new Loc) bool {
+	_, err := s.Reclaim(StreamBase, loc.Extent, func(tag uint64, old, new Loc, _, _ []byte) bool {
 		return false // owner says the record went stale
 	})
 	if err != nil {
@@ -552,7 +605,7 @@ func TestReleaseRule(t *testing.T) {
 	}
 	reclaim := func(t *testing.T, s *Store, ext ExtentID) {
 		t.Helper()
-		if _, err := s.Reclaim(StreamBase, ext, func(uint64, Loc, Loc) bool { return true }); err != nil {
+		if _, err := s.Reclaim(StreamBase, ext, func(uint64, Loc, Loc, []byte, []byte) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -793,7 +846,7 @@ func TestCompactQueue(t *testing.T) {
 	resident := func(s *Store, ext ExtentID) bool {
 		return slices.ContainsFunc(s.Usage(StreamBase), func(u ExtentUsage) bool { return u.Extent == ext })
 	}
-	relocate := func(uint64, Loc, Loc) bool { return true }
+	relocate := func(uint64, Loc, Loc, []byte, []byte) bool { return true }
 
 	t.Run("invalidation", func(t *testing.T) {
 		s, locs := open()
@@ -880,7 +933,7 @@ func TestGCBytesReclaimedAccounting(t *testing.T) {
 			s.Invalidate(loc)
 		}
 	}
-	moved, err := s.Reclaim(StreamBase, ext, func(tag uint64, old, new Loc) bool { return true })
+	moved, err := s.Reclaim(StreamBase, ext, func(tag uint64, old, new Loc, _, _ []byte) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

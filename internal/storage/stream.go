@@ -177,11 +177,19 @@ func newStream(store *Store, id StreamID) *stream {
 	}
 }
 
-// newExtentLocked opens a fresh active extent. Caller holds mu.
+// newExtentLocked opens a fresh active extent. Its record index is sized from
+// the one it follows, whose records the workload wrote just before: a stream
+// writing records of one shape fills the index once instead of doubling it
+// towards that count. Caller holds mu.
 func (s *stream) newExtentLocked() *extent {
+	var records []record
+	if s.active != nil {
+		records = make([]record, 0, len(s.active.records))
+	}
 	e := &extent{
 		id:         s.nextID,
 		buf:        make([]byte, 0, s.opts.ExtentSize),
+		records:    records,
 		lastUpdate: s.opts.Now(),
 	}
 	s.nextID++
@@ -234,14 +242,16 @@ func (s *stream) currentEpoch() uint64 {
 	return s.epoch
 }
 
-func (s *stream) append(epoch, tag uint64, data []byte) (Loc, error) {
+// append stores data at the stream's tail and returns its location and the
+// stored record, a view as extent.view returns it.
+func (s *stream) append(epoch, tag uint64, data []byte) (Loc, []byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The fence check shares the extent lock with the byte append: once
 	// OpenStreamEpoch returns, no stale-token append can land, not even one
 	// already past the store-level pre-checks.
 	if err := s.epochErrLocked(epoch); err != nil {
-		return Loc{}, err
+		return Loc{}, nil, err
 	}
 	e := s.active
 	if e == nil || len(e.buf)+len(data) > s.opts.ExtentSize {
@@ -257,7 +267,8 @@ func (s *stream) append(epoch, tag uint64, data []byte) (Loc, error) {
 	e.validCount++
 	e.validBytes += int64(len(data))
 	e.noteUpdate(s.opts.Now())
-	return Loc{Stream: s.id, Extent: e.id, Offset: off, Length: uint32(len(data))}, nil
+	end := len(e.buf)
+	return Loc{Stream: s.id, Extent: e.id, Offset: off, Length: uint32(len(data))}, e.buf[off:end:end], nil
 }
 
 func (s *stream) read(loc Loc) ([]byte, error) {
@@ -480,7 +491,7 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc, compact bool) (int
 	// measures.
 	var moved int64
 	for _, lr := range live {
-		newLoc, err := s.store.Append(s.id, lr.tag, lr.data)
+		newLoc, rec, err := s.store.AppendEpoch(s.id, 0, lr.tag, lr.data)
 		if err != nil {
 			s.mu.Lock()
 			e.moving = false
@@ -488,7 +499,7 @@ func (s *stream) reclaim(ext ExtentID, relocate RelocateFunc, compact bool) (int
 			return moved, err
 		}
 		oldLoc := Loc{Stream: s.id, Extent: ext, Offset: lr.off, Length: uint32(len(lr.data))}
-		if relocate == nil || !relocate(lr.tag, oldLoc, newLoc) {
+		if relocate == nil || !relocate(lr.tag, oldLoc, newLoc, lr.data, rec) {
 			// Owner no longer references the record (it was superseded
 			// while we copied); the fresh copy is garbage already.
 			s.mark(newLoc, false, s.opts.Now())

@@ -499,7 +499,7 @@ func (w *Writer) AppendSealed(g SealedGroup) error {
 	w.mu.Unlock()
 	start := time.Now()
 	err := retry.Do("wal: append", func() error {
-		_, aerr := w.store.AppendEpoch(storage.StreamWAL, g.Epoch, 0, g.Data)
+		_, _, aerr := w.store.AppendEpoch(storage.StreamWAL, g.Epoch, 0, g.Data)
 		return aerr
 	})
 	w.appendLat.Observe(time.Since(start))
