@@ -3,6 +3,7 @@ package bwtree
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"bg3/internal/storage"
@@ -16,8 +17,8 @@ import (
 // at L:
 //
 //   - Structural records are applied eagerly, they are tiny: a new tree
-//     registers its root leaf, a split is the leader's async split with the
-//     record's separator and sibling ID (halve, adopt, insertParent).
+//     registers its root leaf, a split is the leader's with the record's
+//     separator, sibling ID and left live count (halve, adopt, insertParent).
 //   - Data records are one insertOp into the named page's overlay under its
 //     latch — the paper's "lazy replay": stamped with their LSN, merged over
 //     the page's image by scanPage at read time, never replayed into a copy,
@@ -76,7 +77,11 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 			return fmt.Errorf("bwtree: apply: %v record for unknown page %d", rec.Type, rec.PageID)
 		}
 		if rec.Type == wal.RecordSplit {
-			e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage))
+			left, k := binary.Uvarint(rec.Value)
+			if k <= 0 {
+				left = math.MaxUint64 // not said: both halves' counts are unknown
+			}
+			e.tree.applySplit(e, rec.Key, PageID(rec.AuxPage), left)
 			return nil
 		}
 		del := rec.Type == wal.RecordDelete
@@ -105,20 +110,22 @@ func (m *Mapping) ApplyRecord(rec *wal.Record) error {
 	}
 }
 
-// applySplit is splitPage for a split the leader already decided: no
+// applySplit is split for a split the leader already decided: no
 // materialization (the separator comes with the record, the halves stay as
 // resident as the page was), nothing dirty; a live count the applier kept is
-// halved as the leader halved it. The sibling reads e's records until a
-// checkpoint gives it its own.
-func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID) {
+// divided as the record says the leader divided it, left keys staying on e.
+// The sibling reads e's records until a checkpoint gives it its own.
+func (t *Tree) applySplit(e *pageEntry, sep []byte, rightID PageID, left uint64) {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	right := e.halve(sep, rightID)
 	right.origin = e.id
-	if n := e.live; n >= 0 { // the leader's separator is its middle live key
-		e.live, right.live = n/2, n-n/2
+	if n := e.live; n >= 0 && left <= uint64(n) {
+		e.live, right.live = int(left), n-int(left)
+	} else {
+		e.live = -1
 	}
 	t.adopt(e, right)
 	t.insertParent(e.id, sep, rightID)

@@ -155,10 +155,10 @@ func (t *Tree) flushPages(updates []MappingUpdate, ids []PageID) ([]MappingUpdat
 			continue // a sibling not linked in yet: its page's flush chases it
 		}
 		e.mu.Lock()
-		if e.splitPending && e.next != 0 {
-			// This flush narrows the page's durable image to its own range,
-			// and replicas read the sibling it split off through that image
-			// until the sibling has one of its own. A sibling split off
+		if (e.splitPending || e.lends) && e.next != 0 {
+			// This flush narrows the page's durable records to its own
+			// range, and replicas read the sibling it split off through them
+			// until the sibling has records of its own. A sibling split off
 			// after ids was taken is not in this cycle: flush it with its
 			// parent (a no-op if it is clean or comes up anyway), or the
 			// checkpoint takes its range away from replicas for a cycle.
@@ -188,14 +188,16 @@ func (t *Tree) flushPages(updates []MappingUpdate, ids []PageID) ([]MappingUpdat
 }
 
 // dirtied is the one way a leaf changed under its latch heads for storage —
-// a write run (applyRun), either half of a split, a page handed over
+// a write run (applyRun), the halves a split changed, a page handed over
 // (TakeOver): it is marked dirty, and the logger decides only when
 // flushPageLocked writes it. A tree with one leaves it in the dirty set for the
 // flusher. A tree without one flushes it now, under the latch, from base — the image
 // the change was made over, which a cache-disabled tree keeps nowhere else
 // (nil: the page's own) — and caches a base it wrote as a load would
-// (noteCached). A failed sync flush leaves e dirty and out of the dirty set:
-// the caller undoes the change or files the page (markDirty).
+// (noteCached); a write run that overfills its leaf is the one change it does
+// not see, for the split's writes persist it (applyRun). A failed sync flush
+// leaves e dirty and out of the dirty set: the caller undoes the change or
+// files the page (markDirty).
 func (t *Tree) dirtied(e *pageEntry, base leafImage) error {
 	filed := e.dirty
 	e.dirty = true
@@ -209,9 +211,7 @@ func (t *Tree) dirtied(e *pageEntry, base leafImage) error {
 		t.m.noteCached(e)
 	}
 	if filed && err == nil {
-		t.dirtyMu.Lock()
-		delete(t.dirtySet, e.id)
-		t.dirtyMu.Unlock()
+		t.unfile(e.id)
 	}
 	return err
 }
@@ -220,6 +220,13 @@ func (t *Tree) dirtied(e *pageEntry, base leafImage) error {
 func (t *Tree) markDirty(id PageID) {
 	t.dirtyMu.Lock()
 	t.dirtySet[id] = struct{}{}
+	t.dirtyMu.Unlock()
+}
+
+// unfile takes page id out of the dirty set.
+func (t *Tree) unfile(id PageID) {
+	t.dirtyMu.Lock()
+	delete(t.dirtySet, id)
 	t.dirtyMu.Unlock()
 }
 
@@ -375,7 +382,6 @@ func (t *Tree) flushPageLocked(e *pageEntry, base leafImage) (bool, error) {
 	for i := range e.ownOverlay(0) {
 		e.overlay[i].pending = false
 	}
-	e.dirty = false
-	e.splitPending = false
+	e.dirty, e.splitPending, e.lends = false, false, false
 	return true, nil
 }

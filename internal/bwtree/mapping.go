@@ -68,6 +68,7 @@ type pageEntry struct {
 	isLeaf       bool
 	dirty        bool // has changes no durable record holds yet (dirtied)
 	splitPending bool // the page split in memory; next flush must rewrite its base
+	lends        bool // an append split gave the sibling ops its delta records or a taken dirty set still hold: flushPages takes the sibling along (Tree.split)
 	walked       bool // a scan walked it, or the leaf it split off, in place of a stale edge-block chunk (Tree.standsIn)
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf

@@ -440,6 +440,72 @@ func TestReplicaKeepsRangeSplitOffDuringFlushCycle(t *testing.T) {
 	}
 }
 
+// TestReplicaKeepsAppendSplitSiblingDuringFlushCycle: an append split hands
+// the sibling what the left half's records and pending ops held, and
+// followers read the sibling through the left half's records until its own
+// base is checkpointed. A flush cycle that took the left half before the
+// split must write the sibling too: when the ops it took are the sibling's
+// now, and when a later write has it replace the delta records that hold the
+// sibling's ops. Otherwise its checkpoint cuts the ops from the follower's
+// overlay, or names records without them, and the follower loses them.
+func TestReplicaKeepsAppendSplitSiblingDuringFlushCycle(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		base, more int  // keys k00.. in the first flush (a base), then in the second (a delta)
+		rewrite    bool // write the left half again before the flusher reaches it
+	}{
+		{"pending", 7, 0, false},
+		{"delta", 4, 3, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, rep, rd, _, w := newReplicatedTree(t, Config{MaxPageEntries: 8})
+			flush := func(h wal.LSN, ids []PageID) {
+				t.Helper()
+				ups, err := tr.flushPages(nil, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Log(&wal.Record{Type: wal.RecordCheckpoint, CkptLSN: h, Value: EncodeMappingUpdates(ups)}); err != nil {
+					t.Fatal(err)
+				}
+				syncReplica(t, rep, rd)
+			}
+			put := func(i int, v string) {
+				t.Helper()
+				if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < c.base; i++ {
+				put(i, "v")
+			}
+			flush(w.LastLSN(), tr.takeDirty())
+			for i := c.base; i < c.base+c.more; i++ {
+				put(i, "v")
+			}
+			flush(w.LastLSN(), tr.takeDirty())
+
+			put(7, "v")           // dirties L
+			h := w.LastLSN()      // the cycle samples its horizon ...
+			ids := tr.takeDirty() // ... and takes the dirty set: {L}
+			put(8, "v")           // a writer append-splits L before the flusher reaches it
+			if c.rewrite {
+				put(0, "v2")
+			}
+			sep := fmt.Sprintf("k%02d", c.base)
+			if leaves := leavesOf(tr); len(leaves) != 2 || string(leaves[1].lo) != sep {
+				t.Fatalf("fixture: the ninth key did not append-split the leaf at %s", sep)
+			}
+			flush(h, ids)
+			for i := 0; i < 9; i++ {
+				if _, ok, err := rep.Get(tr.ID(), []byte(fmt.Sprintf("k%02d", i))); err != nil || !ok {
+					t.Errorf("replica lost k%02d after the checkpoint: %v %v", i, ok, err)
+				}
+			}
+		})
+	}
+}
+
 // TestReplicaEvictionKeepsAppliedOps: a WAL op that arrived while its page
 // was resident used to be applied to the cached content only, so evicting
 // the page before the next checkpoint dropped it and the replica served the

@@ -158,7 +158,7 @@ func TestScanManyAtHoldsImagesPastEviction(t *testing.T) {
 func TestScanManyAtLoadsInChunksAndStopsEarly(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 20})
 	m := NewMapping(0, false)
-	tr, leaves := leafTree(t, st, m, 12*(maxBatchLeaves+40))
+	tr, leaves := leafTree(t, st, m, 16*(maxBatchLeaves+40))
 	if len(leaves) <= maxBatchLeaves || len(leaves) > 2*maxBatchLeaves {
 		t.Fatalf("fixture: %d leaves, want between one and two loads of %d", len(leaves), maxBatchLeaves)
 	}
@@ -178,7 +178,7 @@ func TestScanManyAtLoadsInChunksAndStopsEarly(t *testing.T) {
 	if err := m.ScanManyAt(scans, 0, horizonAll, func(int, []byte, []byte) bool { pairs++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if rounds := st.Stats().BatchReads - stopped.BatchReads; rounds != 2 || pairs != 12*(maxBatchLeaves+40) {
-		t.Fatalf("%d leaves: %d loads delivering %d pairs, want 2 loads and %d pairs", len(leaves), rounds, pairs, 12*(maxBatchLeaves+40))
+	if rounds := st.Stats().BatchReads - stopped.BatchReads; rounds != 2 || pairs != 16*(maxBatchLeaves+40) {
+		t.Fatalf("%d leaves: %d loads delivering %d pairs, want 2 loads and %d pairs", len(leaves), rounds, pairs, 16*(maxBatchLeaves+40))
 	}
 }

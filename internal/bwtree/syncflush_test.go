@@ -3,6 +3,7 @@ package bwtree
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"bg3/internal/storage"
@@ -70,69 +71,108 @@ func TestSyncWriteFailureLeavesThePage(t *testing.T) {
 	}
 }
 
-// TestSyncSplitFailure crashes a sync split's appends. The sibling's base is
-// written first, before anything can reach the sibling: when it fails the leaf
-// stays unsplit. When the narrowed page's base fails the split stands, the page
-// stays dirty on its old records, and its next write flushes it.
+// TestSyncSplitFailure crashes a sync split's appends. A write that overfills
+// its leaf is made durable by the split's writes, the sibling's first, before
+// anything can reach the sibling. When that append fails alone the leaf stays
+// unsplit and the page is flushed whole, so the write stands; when every
+// append fails the write is dropped, the page reads as before and nothing is
+// dirty, and the retry splits. When the narrowed page's base fails the split
+// stands, the page stays dirty on its old records, and its next write flushes
+// it.
 func TestSyncSplitFailure(t *testing.T) {
 	for _, noCache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("nocache=%v", noCache), func(t *testing.T) {
-			tr, plan := newFaultyTree(t, Config{MaxPageEntries: 8}, noCache)
+			plan := storage.NewFaultPlan(storage.FaultConfig{})
+			var alone atomic.Bool // the crash takes one append alone
+			plan.OnInject = func(k storage.FaultKind) {
+				if k == storage.FaultCrash && alone.Load() {
+					plan.ClearCrash()
+				}
+			}
+			st := storage.Open(&storage.Options{ExtentSize: 1 << 16, Faults: plan})
+			tr, err := New(NewMapping(0, noCache), st, Config{MaxPageEntries: 8}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := map[string]string{}
 			put := func(k string) error {
 				err := tr.Put([]byte(k), []byte("v"+k))
-				want[k] = "v" + k // the run's own flush precedes the split
+				if err == nil {
+					want[k] = "v" + k
+				}
 				return err
 			}
-			for i := 0; i < 8; i++ {
+			crash := func(n int64, oneAppend bool) {
+				alone.Store(oneAppend)
+				plan.ScheduleCrash(n)
+			}
+			expectSplits := func(what string, splits int64, dirty int) {
+				t.Helper()
+				if s, n := tr.Stats().Splits, tr.DirtyCount(); s != splits || n != dirty {
+					t.Fatalf("%s: splits = %d, dirty = %d, want %d and %d", what, s, n, splits, dirty)
+				}
+				expectValues(t, tr, want)
+			}
+			for i := 1; i <= 8; i++ {
 				if err := put(fmt.Sprintf("k%02d", i)); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			plan.ScheduleCrash(2) // the run's delta lands, the sibling's base fails
-			if err := put("k08"); err == nil {
+			crash(1, true) // the sibling's base fails, the whole page lands
+			if err := put("k09"); err == nil {
 				t.Fatal("a split whose sibling's append crashed returned no error")
 			}
-			if s := tr.Stats().Splits; s != 0 || tr.Height() != 1 {
-				t.Fatalf("splits = %d, height = %d after a failed sibling flush, want an unsplit leaf", s, tr.Height())
+			want["k09"] = "vk09" // flushed whole: the write stands
+			expectSplits("after a failed sibling flush", 0, 0)
+			if tr.Height() != 1 {
+				t.Fatalf("height %d after a failed sibling flush, want an unsplit leaf", tr.Height())
 			}
-			expectValues(t, tr, want)
-			plan.ClearCrash()
 
-			plan.ScheduleCrash(3) // delta and sibling land, the narrowed page's base fails
-			if err := put("k09"); err == nil {
+			crash(2, true) // the sibling lands, the narrowed page's base fails
+			if err := put("k00"); err == nil {
 				t.Fatal("a split whose narrowed page's append crashed returned no error")
 			}
-			if s, n := tr.Stats().Splits, tr.DirtyCount(); s != 1 || n != 1 {
-				t.Fatalf("splits = %d, dirty = %d after a failed narrowed-page flush, want 1 and 1", s, n)
-			}
-			expectValues(t, tr, want)
-			plan.ClearCrash()
+			want["k00"] = "vk00" // the split stands, the write with it
+			expectSplits("after a failed narrowed-page flush", 1, 1)
 
-			if err := put("k00"); err != nil { // a write to the narrowed page
+			if err := put("k02"); err != nil { // a write to the narrowed page
 				t.Fatal(err)
 			}
-			if n := tr.DirtyCount(); n != 0 {
-				t.Fatalf("%d dirty pages after the narrowed page's next write", n)
+			expectSplits("after the narrowed page's next write", 1, 0)
+
+			for i := 10; i <= 12; i++ { // the sibling, k05..k09, fills up
+				if err := put(fmt.Sprintf("k%02d", i)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			expectValues(t, tr, want)
+			crash(1, false) // every append of the overfilling write fails
+			if err := put("k13"); err == nil {
+				t.Fatal("a write whose every append crashed returned no error")
+			}
+			expectSplits("after an overfilling write failed", 1, 0)
+			plan.ClearCrash()
+			if err := put("k13"); err != nil {
+				t.Fatal(err)
+			}
+			expectSplits("after the retry", 2, 0)
 		})
 	}
 }
 
 // TestCacheDisabledSyncSplits splits a cache-disabled sync tree (Fig. 9's)
-// 179 times. Each write and split flushes from the image it read: the storage
-// traffic is pinned to its count from before a sync write was a flush, so a
-// flush that loaded the page a second time (a read per consolidation), or a
-// sibling loaded from no record of its own (empty), would show.
+// 179 times. Each write and split flushes from the image it read, and a write
+// that overfills its leaf is persisted by the split's two writes alone: the
+// storage traffic is pinned, so a flush that loaded the page a second time (a
+// read per consolidation), a sibling loaded from no record of its own
+// (empty), or a write flushed before its split would show.
 func TestCacheDisabledSyncSplits(t *testing.T) {
 	for _, c := range []struct {
 		policy               DeltaPolicy
 		reads, writes, bytes int64
 	}{
-		{ReadOptimized, 4039, 2358, 301073},
-		{Traditional, 10275, 2358, 120657},
+		{ReadOptimized, 4039, 2179, 258823},
+		{Traditional, 10096, 2179, 115028},
 	} {
 		tr, st := newTreeOn(t, NewMapping(0, true), Config{Policy: c.policy, MaxPageEntries: 16})
 		want := map[string]string{}

@@ -2,6 +2,7 @@ package bwtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -22,7 +23,8 @@ import (
 // and nothing was enqueued, and the wait returns why. A write enqueues every
 // record it causes before it invokes the first wait (Tree.Apply), so
 // concurrent writers of one page, and a write's own records, share commit
-// round trips instead of serializing on them.
+// round trips instead of serializing on them. A logger keeps no pointer to
+// rec once LogAsync returned: a write run reuses one record for its ops.
 type WALLogger interface {
 	LogAsync(rec *wal.Record) (wal.LSN, func() error)
 }
@@ -179,6 +181,11 @@ func (n *innerNode) childIndex(key []byte) int {
 func (t *Tree) route(key []byte) *pageEntry {
 	t.structMu.RLock()
 	defer t.structMu.RUnlock()
+	return t.descend(key)
+}
+
+// descend is route under a structure lock its caller holds.
+func (t *Tree) descend(key []byte) *pageEntry {
 	id := t.root
 	for {
 		e := t.m.get(id)
@@ -457,13 +464,29 @@ func (t *Tree) Apply(ws []Write, waits *wal.Waits) (n int, err error) {
 	if waits == nil {
 		waits = &own
 	}
-	for n < len(ws) && err == nil {
-		e := t.latchLeaf(ws[n].Key)
-		k, needSplit, rerr := t.applyRun(e, ws[n:], waits)
+	for locked := false; n < len(ws) && err == nil; {
+		var e *pageEntry
+		if locked {
+			e = t.descend(ws[n].Key) // no split can move the key meanwhile
+			e.mu.Lock()
+		} else {
+			e = t.latchLeaf(ws[n].Key)
+		}
+		k, needSplit, rerr := t.applyRun(e, ws[n:], waits, locked)
 		id := e.id
 		e.mu.Unlock()
-		n, err = n+k, rerr
-		if err == nil && needSplit {
+		if locked {
+			t.structMu.Unlock()
+		}
+		n, err, locked = n+k, rerr, false
+		switch {
+		case err != nil || !needSplit:
+		case k == 0:
+			// A sync run that overfills its leaf goes again under the
+			// structure lock, which its split needs (applyRun).
+			t.structMu.Lock()
+			locked = true
+		default:
 			// Splits take the structure lock, so one runs between two runs,
 			// and the rest of ws is routed through the halves.
 			err = t.splitPage(id, waits)
@@ -476,6 +499,32 @@ func (t *Tree) Apply(ws []Write, waits *wal.Waits) (n int, err error) {
 	return n, err
 }
 
+// idleRecords is a bounded free list of the WAL records write runs fill: a
+// run takes one and reuses it for each of its ops, since LogAsync keeps no
+// pointer to the record it is handed. It is not a sync.Pool, for the reason
+// idleScratch gives; four cover the writers a node typically runs at once,
+// and a run beyond them allocates one.
+var idleRecords = make(chan *wal.Record, 4)
+
+// takeRecord returns an idle record, or a new one when none is idle.
+func takeRecord() *wal.Record {
+	select {
+	case r := <-idleRecords:
+		return r
+	default:
+		return new(wal.Record)
+	}
+}
+
+// putRecord clears r and keeps it idle, unless the free list is full.
+func putRecord(r *wal.Record) {
+	*r = wal.Record{}
+	select {
+	case idleRecords <- r:
+	default:
+	}
+}
+
 // applyRun is Algorithm 1 on a latched leaf, for a run instead of an op. It
 // takes ws[:n]: the writes that follow each other in ascending key order
 // inside the leaf's range, until the leaf's live count passes MaxPageEntries —
@@ -484,12 +533,20 @@ func (t *Tree) Apply(ws []Write, waits *wal.Waits) (n int, err error) {
 // one materialization and one count of the live keys: each op gets its WAL
 // record and LSN, in run order, and its Existed; then the run is merged into
 // the overlay as pending ops and the page dirtied once — which, on a sync tree,
-// is one flush of it (dirtied). needSplit reports a leaf past MaxPageEntries;
-// the caller splits it once the latch is released.
+// is one flush of it (dirtied). On a logged tree needSplit reports a leaf past
+// MaxPageEntries; the caller splits it once the latch is released.
 //
-// An error leaves ws[:n] applied when the log refused the op after them, and
-// nothing applied (n = 0, the page unchanged) when the sync flush failed.
-func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, needSplit bool, err error) {
+// A sync run that leaves its leaf past the limit is not flushed: the leaf
+// splits under this latch and the writes of its halves persist the run
+// (split), or, if it does not split, the page is flushed whole. A split needs
+// structMu, taken before the latch: called without it (locked false), such a
+// run applies nothing and reports needSplit with n = 0, for the caller to
+// call again holding both.
+//
+// An error leaves ws[:n] applied when the log refused the op after them or
+// the split failed after the run was durable, and nothing applied (n = 0, the
+// page unchanged) when the sync flush failed.
+func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits, locked bool) (n int, needSplit bool, err error) {
 	base, _, err := t.materialize(e, false)
 	if err != nil {
 		return 0, false, err
@@ -499,6 +556,12 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, need
 		limit = math.MaxInt
 	}
 	wasLive, wasDirty := live, e.dirty
+	logged := t.logger != nil
+	var rec *wal.Record
+	if logged {
+		rec = takeRecord()
+		defer putRecord(rec)
+	}
 
 	var buf [8]op
 	run, dels := buf[:0], 0
@@ -517,11 +580,11 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, need
 		} else {
 			_, existed = lookup(base, e.overlay, o.key, horizonAll)
 		}
-		if t.logger != nil {
+		if logged {
 			// Write-ahead: the record enters the WAL (and receives its LSN)
 			// before any page state changes (§3.4 step 2). It says whether the
 			// key was live, so an applier counts live keys as this leaf does.
-			rec := &wal.Record{Type: wal.RecordPut, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val}
+			*rec = wal.Record{Type: wal.RecordPut, TreeID: uint64(t.id), PageID: uint64(e.id), Key: o.key, Value: o.val}
 			if o.del {
 				rec.Type = wal.RecordDelete
 			}
@@ -543,15 +606,28 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, need
 		}
 		run, n = append(run, o), n+1
 	}
+	overfull := live > limit
+	if n > 0 && overfull && !logged && !locked {
+		return 0, true, nil
+	}
 
 	if n > 0 {
 		e.overlay, e.live = insertOps(e.ownOverlay(len(run)), run), live
 		e.version++ // the leaf's edge-block chunk is stale (block.go)
-		if ferr := t.dirtied(e, base); ferr != nil {
-			// Only a sync flush fails here, and a sync tree's pending ops are
-			// this run's: dropping them puts the page back as it was.
-			e.overlay = slices.DeleteFunc(e.overlay, func(o op) bool { return o.pending })
-			e.live, e.dirty, n, err = wasLive, wasDirty, 0, ferr
+		split, serr := false, error(nil)
+		if overfull && !logged {
+			split, serr = t.split(e, base, waits)
+		}
+		if !split {
+			if ferr := t.dirtied(e, base); ferr != nil {
+				// Only a sync flush fails here, and a sync tree's pending ops are
+				// this run's: dropping them puts the page back as it was.
+				e.overlay = slices.DeleteFunc(e.overlay, func(o op) bool { return o.pending })
+				e.live, e.dirty, n, err, serr = wasLive, wasDirty, 0, ferr, nil
+			}
+		}
+		if err == nil {
+			err = serr
 		}
 	}
 	if n == 0 {
@@ -561,7 +637,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits) (n int, need
 	t.keys.Add(int64(live - wasLive))
 	t.puts.Add(int64(n - dels))
 	t.deletes.Add(int64(dels))
-	return n, live > limit, err
+	return n, overfull && logged, err
 }
 
 // Len returns the total number of live keys (walks every leaf; intended
@@ -678,10 +754,9 @@ func (t *Tree) log(rec *wal.Record, waits *wal.Waits) (wal.LSN, error) {
 	return lsn, nil
 }
 
-// splitPage splits the (oversized) leaf id, updating parents and, when the
-// root splits, growing the tree by one level; the split record's durability
-// wait joins waits. It re-checks the size under the structure lock, so
-// spurious calls are harmless.
+// splitPage splits the leaf id if it is past MaxPageEntries (split); the
+// split record's durability wait joins waits. It re-checks the size under the
+// structure lock, so spurious calls are harmless.
 func (t *Tree) splitPage(id PageID, waits *wal.Waits) error {
 	t.structMu.Lock()
 	defer t.structMu.Unlock()
@@ -696,70 +771,131 @@ func (t *Tree) splitPage(id PageID, waits *wal.Waits) error {
 	if err != nil {
 		return err
 	}
-	n := e.countLive(base)
-	if n <= t.cfg.MaxPageEntries {
+	if e.countLive(base) <= t.cfg.MaxPageEntries {
 		return nil // a concurrent split already handled it
 	}
+	_, err = t.split(e, base, waits)
+	return err
+}
 
-	// The separator is the middle live key of the page's latest content.
+// split is every split of a leader's leaf: latched leaf e, whose content is
+// base ⊕ e.overlay, hands the keys from a separator up to a new sibling, and
+// its parents are updated (insertParent). It reports whether the leaf split;
+// on a logged tree the split record's durability wait joins waits. structMu
+// must be held exclusively.
+//
+// A split writes the half that changed. A leaf that only grew at its right
+// end (appended) splits at its first overlay op: its left half is exactly its
+// durable base — same records, no overlay, not dirty — and only the sibling,
+// which holds the new keys, is dirtied splitPending, for its next flush to
+// write its base (§3.4 step 7). The left half's delta records then hold the
+// sibling's ops alone: a sync tree retires them once the sibling's base has
+// landed, a logged tree keeps them named until the left half's next flush —
+// every reader clips records to its range, and followers and recovery read
+// the sibling through them until its own base is checkpointed — which takes
+// the sibling along (lends, flushPages). Any other leaf splits at its middle
+// live key and both halves are dirtied splitPending.
+//
+// On a sync tree the halves are written now, from the image the split read,
+// and the sibling's first, before anyone can reach it: a failure there leaves
+// the leaf unsplit. A failed write of the narrowed page leaves the split
+// standing, and the page dirty until its next write.
+func (t *Tree) split(e *pageEntry, base leafImage, waits *wal.Waits) (bool, error) {
+	n := e.countLive(base)
+	left, appended := e.appended(base)
 	var sep []byte
-	scanPage(base, e.overlay, e.lo, e.hi, n/2+1, horizonAll, func(k, _ []byte) bool {
-		sep = k
-		return true
-	})
+	if appended {
+		sep = e.overlay[0].key
+	} else {
+		left = n / 2
+		scanPage(base, e.overlay, e.lo, e.hi, left+1, horizonAll, func(k, _ []byte) bool {
+			sep = k
+			return true
+		})
+	}
 	sep = append([]byte(nil), sep...)
 	rightID := t.m.allocPageID()
 
 	if t.logger != nil {
-		// The one record of a split: it names the sibling, and an applier
-		// grows its own parents from it (applySplit).
+		// The one record of a split: it names the sibling and the live keys
+		// left behind, and an applier grows its own parents from it
+		// (applySplit).
 		if _, err := t.log(&wal.Record{
-			Type: wal.RecordSplit, TreeID: uint64(t.id),
-			PageID: uint64(e.id), AuxPage: uint64(rightID), Key: sep,
+			Type: wal.RecordSplit, TreeID: uint64(t.id), PageID: uint64(e.id),
+			AuxPage: uint64(rightID), Key: sep, Value: binary.AppendUvarint(nil, uint64(left)),
 		}, waits); err != nil {
-			return err
+			return false, err
 		}
 	}
 
-	// Both halves are dirtied splitPending: their next flush writes each its
-	// own base (§3.4 step 7). On a sync tree that is now, from the image the
-	// split read, and the sibling's first, before anyone can reach it: a
-	// failure there leaves the leaf unsplit.
 	ov := e.overlay
 	right := e.halve(sep, rightID)
 	right.splitPending = true
 	if err := t.dirtied(right, base); err != nil {
 		e.overlay = ov
-		return err
+		return false, err
 	}
-	e.live, right.live = n/2, n-n/2
+	e.live, right.live = left, n-left
 	t.adopt(e, right)
 	t.insertParent(e.id, sep, right.id)
+	if appended {
+		if t.logger == nil {
+			for _, l := range e.deltaLocs {
+				t.store.Invalidate(l)
+			}
+			e.deltaLocs = nil
+		} else {
+			// A flush cycle that took e's pending ops, now the sibling's, or
+			// that replaces e's delta records must write the sibling too.
+			e.lends = e.dirty || len(e.deltaLocs) > 0
+		}
+		e.dirty = false
+		t.unfile(e.id)
+		return true, nil
+	}
 	e.splitPending = true
 	if err := t.dirtied(e, base); err != nil {
 		// Split, and dirty until its next flush: meanwhile its old records
 		// still cover its range, and every reader clips them to it.
 		t.markDirty(e.id)
-		return err
+		return true, err
 	}
-	return nil
+	return true, nil
+}
+
+// appended reports whether leaf e, whose content is base ⊕ e.overlay, only
+// grew at its right end — it has a durable base of its own, and every overlay
+// op lies above that base's last key in the leaf's range — and how many live
+// keys the base holds there: the left half of an append split, which must
+// hold at least one key and fit a leaf. e.mu must be held.
+func (e *pageEntry) appended(base leafImage) (int, bool) {
+	if e.splitPending || e.baseLoc.IsZero() || len(e.overlay) == 0 {
+		return 0, false
+	}
+	i, j := base.search(e.lo), base.bound(e.hi)
+	left := j - i
+	return left, left > 0 && left <= e.tree.cfg.MaxPageEntries &&
+		bytes.Compare(base.key(j-1), e.overlay[0].key) < 0
 }
 
 // halve is the in-memory body of every split — a leader's, whose flushes then
-// fold the halves, and an applier's of a RecordSplit: the right half
+// write the halves, and an applier's of a RecordSplit: the right half
 // shares the page's immutable image (nil when the page is not resident),
 // each half reading it through its own key range, and the overlay — stamps
 // intact, so a horizon still reconstructs pre-split versions of keys that
 // move right — is cut at the separator: the halves alias one array, so a scan
-// that holds it (shared) holds both. e's range narrows, so its edge-block
-// chunk is stale. The sibling is not linked in yet (adopt). e.mu must be held.
+// that holds it (shared) holds both; a left half left with no op holds none of
+// it. e's range narrows, so its edge-block chunk is stale. The sibling is not
+// linked in yet (adopt). e.mu must be held.
 func (e *pageEntry) halve(sep []byte, id PageID) *pageEntry {
 	cut := searchOps(e.overlay, sep)
 	right := &pageEntry{
 		id: id, tree: e.tree, isLeaf: true, lo: sep, hi: e.hi, next: e.next, live: -1,
 		base: e.base, overlay: e.overlay[cut:], shared: e.shared, walked: e.walked,
 	}
-	e.overlay = e.overlay[:cut:cut]
+	if e.overlay = e.overlay[:cut:cut]; cut == 0 {
+		e.overlay = nil
+	}
 	e.version++
 	return right
 }

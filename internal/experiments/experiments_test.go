@@ -54,18 +54,18 @@ func TestFig10Shape(t *testing.T) {
 
 // TestFig9Fig10StorageCounts pins, exactly, the storage traffic of the Fig. 9
 // tree (cache disabled, splitting, then power-law updates) and the Fig. 10
-// tree (write-only power law) at Small under both policies — the counts of
-// when a sync write still had a persistence routine of its own beside the
-// flush. Every sync write is now the flush of the page it dirtied: the same
-// records, the same order, and no second load on the cache-disabled tree.
+// tree (write-only power law) at Small under both policies. Every sync write
+// is the flush of the page it dirtied, with no second load on the
+// cache-disabled tree, except a write that overfills its leaf: the split's
+// writes persist it, one flush fewer per split.
 func TestFig9Fig10StorageCounts(t *testing.T) {
 	type io struct{ writes, bytes, reads int64 }
 	for _, c := range []struct {
 		policy      bwtree.DeltaPolicy
 		fig9, fig10 io
 	}{
-		{bwtree.Traditional, io{12246, 2697903, 71366}, io{10004, 25051133, 0}},
-		{bwtree.ReadOptimized, io{12246, 5475798, 23076}, io{10004, 28688652, 0}},
+		{bwtree.Traditional, io{12123, 2690400, 71243}, io{10002, 25050947, 0}},
+		{bwtree.ReadOptimized, io{12123, 5405253, 23076}, io{10002, 28687309, 0}},
 	} {
 		_, st9 := fig9TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 8_000, 0, 0), 42)
 		st10 := fig10TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 10_000, 0, 0))
@@ -96,7 +96,7 @@ func TestFig11Shape(t *testing.T) {
 		writes float64 // per virtual second, rounded
 		memory int64
 	}
-	want := []row{{1, 6006, 256812}, {64, 6565, 245500}, {8192, 7823, 1590808}}
+	want := []row{{1, 6205, 257660}, {64, 6704, 240636}, {8192, 7947, 1589120}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.Trees, math.Round(r.WriteQPS), r.MemoryBytes})
@@ -125,7 +125,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatalf("two runs differ:\n%v\n%v", rows, again)
 	}
 	type row struct{ moved, expired int64 }
-	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {1178464, 0}, {0, 84}}
+	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {666008, 0}, {0, 46}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.MovedBytes, r.Expired})

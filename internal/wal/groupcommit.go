@@ -54,9 +54,10 @@ func (o GroupCommitterOptions) withDefaults() GroupCommitterOptions {
 	return o
 }
 
-// commitReq is one record awaiting group commit.
+// commitReq is one record awaiting group commit: a copy of the one LogAsync
+// was handed, whose Key and Value it shares.
 type commitReq struct {
-	rec *Record
+	rec Record
 	at  time.Time // when the record was enqueued; commit latency base
 }
 
@@ -127,7 +128,7 @@ type GroupCommitter struct {
 	// Reused from cut to cut, so that a cut allocates nothing.
 	spare  []*flight     // released flights
 	frames [][]byte      // envelope buffers whose append returned, at most PipelineDepth+1
-	recs   []*Record     // a cut's records
+	recs   []*Record     // a cut's records: pointers into pending, under mu
 	groups []SealedGroup // a cut's sealed groups
 	// frame is takeFrame, bound once: a method value made at every cut would
 	// be allocated at every cut.
@@ -155,9 +156,11 @@ func newGroupCommitterFor(a sealedAppender, opts GroupCommitterOptions) *GroupCo
 	return c
 }
 
-// LogAsync assigns the next LSN to rec, queues it for group commit, and
-// returns the LSN plus a wait function that blocks until the record is
-// durable. Queue order equals LSN order, so acks release in LSN order even
+// LogAsync assigns the next LSN to rec, queues a copy of it for group commit,
+// and returns the LSN plus a wait function that blocks until the record is
+// durable. It keeps no pointer to rec, which the caller may reuse at once;
+// the copy shares rec's Key and Value, which must not change until the wait
+// returned. Queue order equals LSN order, so acks release in LSN order even
 // when pipelined storage appends complete out of it. A record too large to
 // ever fit a storage append is rejected here, before an LSN exists — the
 // failure stays scoped to this one write instead of fail-stopping the log.
@@ -176,7 +179,7 @@ func (c *GroupCommitter) LogAsync(rec *Record) (LSN, func() error) {
 	lsn := c.nextLSN
 	rec.LSN = lsn
 	c.nextLSN++
-	c.pending = append(c.pending, commitReq{rec: rec, at: at})
+	c.pending = append(c.pending, commitReq{rec: *rec, at: at})
 	c.mu.Unlock()
 	return lsn, func() error { return c.wait(lsn) }
 }
@@ -287,8 +290,8 @@ func (c *GroupCommitter) due(lsn LSN) bool {
 // the frame. Caller holds c.mu.
 func (c *GroupCommitter) flushLocked() {
 	n := min(len(c.pending), c.opts.MaxBatch)
-	for _, req := range c.pending[:n] {
-		c.recs = append(c.recs, req.rec)
+	for i := range c.pending[:n] {
+		c.recs = append(c.recs, &c.pending[i].rec)
 	}
 	groups, err := c.a.SealAssigned(c.groups, c.recs, c.frame)
 	clear(c.recs)

@@ -35,7 +35,8 @@ const (
 	// RecordDelete logs a logical key deletion applied to a page.
 	RecordDelete
 	// RecordSplit logs a structural split: page PageID moved all keys >=
-	// Key to the new page AuxPage.
+	// Key to the new page AuxPage, keeping the live keys Value counts
+	// (uvarint).
 	RecordSplit
 	// RecordNewPage and RecordNewRoot are reserved: nothing writes them and
 	// no applier accepts them. A split is its RecordSplit alone — it names the
