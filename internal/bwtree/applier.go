@@ -196,16 +196,16 @@ const (
 
 // EncodeMappingUpdates serializes mapping updates for a checkpoint record:
 //
-//	count[4] { flags[1] tree[8] page[8] base[17] ndeltas[2] deltas[17]*
-//	           [owner[8] if owned] [lolen[2] lo if named] }
+//	count { flags[1] tree page base ndeltas deltas* [owner if owned] [lolen lo if named] }
 //
-// where a Loc is stream[1] extent[8] offset[4] length[4].
+// where a Loc is stream[1] extent offset length, and every integer but the
+// flags and the stream a uvarint.
 func EncodeMappingUpdates(ups []MappingUpdate) []byte {
-	size := 4
+	size := wal.UvarintLen(uint64(len(ups)))
 	for _, up := range ups {
 		size += up.Size()
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ups)))
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(ups)))
 	for _, up := range ups {
 		var flags byte
 		if up.Named {
@@ -217,75 +217,83 @@ func EncodeMappingUpdates(ups []MappingUpdate) []byte {
 		if up.Owned {
 			flags |= updOwned
 		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Tree))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(up.Page))
-		buf = AppendLoc(buf, up.Base)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(up.Deltas)))
+		buf = binary.AppendUvarint(append(buf, flags), uint64(up.Tree))
+		buf = appendLoc(binary.AppendUvarint(buf, uint64(up.Page)), up.Base)
+		buf = binary.AppendUvarint(buf, uint64(len(up.Deltas)))
 		for _, d := range up.Deltas {
-			buf = AppendLoc(buf, d)
+			buf = appendLoc(buf, d)
 		}
 		if up.Owned {
-			buf = binary.LittleEndian.AppendUint64(buf, up.Owner)
+			buf = binary.AppendUvarint(buf, up.Owner)
 		}
 		if up.Named {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(up.Lo)))
-			buf = append(buf, up.Lo...)
+			buf = append(binary.AppendUvarint(buf, uint64(len(up.Lo))), up.Lo...)
 		}
 	}
 	return buf
 }
 
-// Size is the update's length in EncodeMappingUpdates' form.
+// Size is the update's exact length in EncodeMappingUpdates' form.
 func (up MappingUpdate) Size() int {
-	n := 1 + 8 + 8 + 17 + 2 + 17*len(up.Deltas)
+	n := 1 + wal.UvarintLen(uint64(up.Tree)) + wal.UvarintLen(uint64(up.Page)) + locSize(up.Base) +
+		wal.UvarintLen(uint64(len(up.Deltas)))
+	for _, d := range up.Deltas {
+		n += locSize(d)
+	}
 	if up.Owned {
-		n += 8
+		n += wal.UvarintLen(up.Owner)
 	}
 	if up.Named {
-		n += 2 + len(up.Lo)
+		n += wal.UvarintLen(uint64(len(up.Lo))) + len(up.Lo)
 	}
 	return n
 }
 
-// AppendLoc appends l's 17-byte wire form (stream[1] extent[8] offset[4]
-// length[4], little-endian), the form checkpoints ship page locations in.
-func AppendLoc(buf []byte, l storage.Loc) []byte {
-	buf = append(buf, byte(l.Stream))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Extent))
-	buf = binary.LittleEndian.AppendUint32(buf, l.Offset)
-	buf = binary.LittleEndian.AppendUint32(buf, l.Length)
-	return buf
+// minUpdateSize is the shortest encoded update: flags, one-byte tree and
+// page, a base of one byte per field and a zero delta count.
+const minUpdateSize = 1 + 2 + 4 + 1
+
+// locSize is the length of l's appendLoc form.
+func locSize(l storage.Loc) int {
+	return 1 + wal.UvarintLen(uint64(l.Extent)) + wal.UvarintLen(uint64(l.Offset)) + wal.UvarintLen(uint64(l.Length))
 }
 
-// ReadLoc parses one AppendLoc-encoded location off the front of buf and
+// appendLoc appends l's wire form, stream[1] then uvarint extent, offset and
+// length: the form checkpoints ship page locations in.
+func appendLoc(buf []byte, l storage.Loc) []byte {
+	buf = binary.AppendUvarint(append(buf, byte(l.Stream)), uint64(l.Extent))
+	buf = binary.AppendUvarint(buf, uint64(l.Offset))
+	return binary.AppendUvarint(buf, uint64(l.Length))
+}
+
+// readLoc parses one appendLoc-encoded location off the front of buf and
 // returns the remainder.
-func ReadLoc(buf []byte) (storage.Loc, []byte, error) {
-	if len(buf) < 17 {
+func readLoc(buf []byte) (storage.Loc, []byte, error) {
+	if len(buf) == 0 {
 		return storage.Loc{}, nil, fmt.Errorf("%w: truncated loc", ErrCorruptPage)
 	}
-	l := storage.Loc{
-		Stream: storage.StreamID(buf[0]),
-		Extent: storage.ExtentID(binary.LittleEndian.Uint64(buf[1:])),
-		Offset: binary.LittleEndian.Uint32(buf[9:]),
-		Length: binary.LittleEndian.Uint32(buf[13:]),
+	var off, length uint64
+	l := storage.Loc{Stream: storage.StreamID(buf[0])}
+	rest, ok := wal.ReadUvarints(buf[1:], (*uint64)(&l.Extent), &off, &length)
+	if !ok || off > math.MaxUint32 || length > math.MaxUint32 {
+		return storage.Loc{}, nil, fmt.Errorf("%w: loc", ErrCorruptPage)
 	}
-	return l, buf[17:], nil
+	l.Offset, l.Length = uint32(off), uint32(length)
+	return l, rest, nil
 }
 
 // DecodeMappingUpdates parses the payload of a checkpoint record.
 func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("%w: truncated mapping updates", ErrCorruptPage)
+	var n, nd, lo uint64
+	buf, ok := wal.ReadUvarints(buf, &n)
+	if !ok {
+		return nil, fmt.Errorf("%w: mapping update count", ErrCorruptPage)
 	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
 	// The count is off the wire: preallocate for no more updates than the
-	// bytes behind it can hold (flags, ids, base loc and delta count, 36 at
-	// least).
-	ups := make([]MappingUpdate, 0, min(int(n), len(buf)/36))
-	for i := uint32(0); i < n; i++ {
-		if len(buf) < 17 {
+	// bytes behind it can hold.
+	ups := make([]MappingUpdate, 0, min(n, uint64(len(buf)/minUpdateSize)))
+	for i := uint64(0); i < n; i++ {
+		if len(buf) == 0 {
 			return nil, fmt.Errorf("%w: truncated mapping update %d", ErrCorruptPage, i)
 		}
 		flags := buf[0]
@@ -293,47 +301,37 @@ func DecodeMappingUpdates(buf []byte) ([]MappingUpdate, error) {
 			flags&updInit != 0 && flags&updOwned != 0 {
 			return nil, fmt.Errorf("%w: mapping update %d flags %#x", ErrCorruptPage, i, flags)
 		}
-		up := MappingUpdate{
-			Tree:  TreeID(binary.LittleEndian.Uint64(buf[1:])),
-			Page:  PageID(binary.LittleEndian.Uint64(buf[9:])),
-			Named: flags&updNamed != 0,
-			Init:  flags&updInit != 0,
-			Owned: flags&updOwned != 0,
+		up := MappingUpdate{Named: flags&updNamed != 0, Init: flags&updInit != 0, Owned: flags&updOwned != 0}
+		if buf, ok = wal.ReadUvarints(buf[1:], (*uint64)(&up.Tree), (*uint64)(&up.Page)); !ok {
+			return nil, fmt.Errorf("%w: mapping update %d ids", ErrCorruptPage, i)
 		}
-		buf = buf[17:]
 		var err error
-		up.Base, buf, err = ReadLoc(buf)
-		if err != nil {
+		if up.Base, buf, err = readLoc(buf); err != nil {
 			return nil, err
 		}
-		if len(buf) < 2 {
-			return nil, fmt.Errorf("%w: truncated delta count %d", ErrCorruptPage, i)
+		if buf, ok = wal.ReadUvarints(buf, &nd); !ok {
+			return nil, fmt.Errorf("%w: delta count %d", ErrCorruptPage, i)
 		}
-		nd := binary.LittleEndian.Uint16(buf)
-		buf = buf[2:]
-		for j := uint16(0); j < nd; j++ {
+		for j := uint64(0); j < nd; j++ {
 			var d storage.Loc
-			d, buf, err = ReadLoc(buf)
-			if err != nil {
+			if d, buf, err = readLoc(buf); err != nil {
 				return nil, err
 			}
 			up.Deltas = append(up.Deltas, d)
 		}
 		if up.Owned {
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("%w: truncated owner %d", ErrCorruptPage, i)
+			if buf, ok = wal.ReadUvarints(buf, &up.Owner); !ok {
+				return nil, fmt.Errorf("%w: owner %d", ErrCorruptPage, i)
 			}
-			up.Owner, buf = binary.LittleEndian.Uint64(buf), buf[8:]
 		}
 		if up.Named {
-			if len(buf) < 2 || len(buf)-2 < int(binary.LittleEndian.Uint16(buf)) {
+			if buf, ok = wal.ReadUvarints(buf, &lo); !ok || lo > uint64(len(buf)) {
 				return nil, fmt.Errorf("%w: truncated low key %d", ErrCorruptPage, i)
 			}
-			lo := int(binary.LittleEndian.Uint16(buf))
 			if lo > 0 {
-				up.Lo = buf[2 : 2+lo : 2+lo]
+				up.Lo = buf[:lo:lo]
 			}
-			buf = buf[2+lo:]
+			buf = buf[lo:]
 		}
 		ups = append(ups, up)
 	}

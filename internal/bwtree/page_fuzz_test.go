@@ -2,6 +2,7 @@ package bwtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -62,7 +63,8 @@ func FuzzDecodeOps(f *testing.F) {
 
 // FuzzDecodeMappingUpdates drives the checkpoint payload decoder — the one
 // durable format only a follower decodes — with arbitrary bytes: a round trip
-// of EncodeMappingUpdates, its truncations, a count of 2^32-1 over no body.
+// of EncodeMappingUpdates, its truncations, a count of 2^32-1 over no body,
+// and a count that is not in its shortest form.
 // Every input either fails with ErrCorruptPage or yields updates that
 // re-encode to the bytes they were read from; never a panic, and never room
 // for more updates than the input could hold (the count is off the wire).
@@ -78,14 +80,17 @@ func FuzzDecodeMappingUpdates(f *testing.F) {
 	})
 	f.Add(valid)
 	f.Add(EncodeMappingUpdates(nil))
-	for _, cut := range []int{2, 4, 12, 21, 39, 41, len(valid) - 8, len(valid) - 1} {
+	// Cut after the count, in the first base, after the first update, in the
+	// second's deltas, before the third's low key length, before the owner,
+	// before the last delta count, in the last low key.
+	for _, cut := range []int{1, 5, 9, 19, 33, 42, len(valid) - 8, len(valid) - 1} {
 		f.Add(valid[:cut])
 	}
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add(append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, valid[4:]...))
+	f.Add(binary.AppendUvarint(nil, 1<<32-1))
+	f.Add(append([]byte{0x84, 0x00}, valid[1:]...)) // 4, not in its shortest form
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ups, err := DecodeMappingUpdates(data)
-		if cap(ups)*36 > len(data) {
+		if cap(ups)*minUpdateSize > len(data) {
 			t.Fatalf("%d input bytes made room for %d updates", len(data), cap(ups))
 		}
 		if err != nil {

@@ -341,6 +341,59 @@ func TestMappingUpdatesEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestMappingUpdateSizeIsExact: an encoded checkpoint payload is its count's
+// uvarint plus each update's Size, over updates whose every field ranges from
+// zero to its type's widest — the sum appendCheckpoint chunks a checkpoint by.
+func TestMappingUpdateSizeIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	wide := func() uint64 { return rng.Uint64() >> rng.Intn(65) } // every width, 0 included
+	loc := func() storage.Loc {
+		return storage.Loc{Stream: storage.StreamID(rng.Intn(256)), Extent: storage.ExtentID(wide()),
+			Offset: uint32(wide()), Length: uint32(wide())}
+	}
+	for i := 0; i < 500; i++ {
+		ups := make([]MappingUpdate, rng.Intn(200))
+		sum := 0
+		for j := range ups {
+			up := MappingUpdate{Tree: TreeID(wide()), Page: PageID(wide()), Base: loc(), Named: rng.Intn(2) == 0}
+			for range rng.Intn(4) {
+				up.Deltas = append(up.Deltas, loc())
+			}
+			if up.Named {
+				if n := rng.Intn(300); n > 0 { // a leftmost leaf's low key is nil
+					up.Lo = make([]byte, n)
+				}
+				up.Init = rng.Intn(3) == 0
+				up.Owned = !up.Init && rng.Intn(2) == 0
+			}
+			if up.Owned {
+				up.Owner = wide()
+			}
+			ups[j], sum = up, sum+up.Size()
+		}
+		buf := EncodeMappingUpdates(ups)
+		if want := wal.UvarintLen(uint64(len(ups))) + sum; len(buf) != want || cap(buf) != want {
+			t.Fatalf("%d updates encode in %d bytes (capacity %d), their sizes sum to %d", len(ups), len(buf), cap(buf), want)
+		}
+		if out, err := DecodeMappingUpdates(buf); err != nil || len(ups) > 0 && !reflect.DeepEqual(out, ups) {
+			t.Fatalf("%d updates do not round-trip: %v", len(ups), err)
+		}
+	}
+}
+
+// TestOneDeltaUpdateIsCompact pins what a checkpoint spends on a page flushed
+// as a base and one delta, with IDs, offsets and lengths below 2^14: at most
+// 24 bytes.
+func TestOneDeltaUpdateIsCompact(t *testing.T) {
+	const below = 1<<14 - 1
+	up := MappingUpdate{Tree: below, Page: below,
+		Base:   storage.Loc{Stream: storage.StreamBase, Extent: below, Offset: below, Length: below},
+		Deltas: []storage.Loc{{Stream: storage.StreamDelta, Extent: below, Offset: below, Length: below}}}
+	if n := len(EncodeMappingUpdates([]MappingUpdate{up})) - 1; n > 24 || n != up.Size() {
+		t.Fatalf("a one-delta update encodes in %d bytes (Size %d), want <= 24", n, up.Size())
+	}
+}
+
 func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 	// Fuzz the split-replay machinery: random keys force splits at random
 	// separators across checkpointed and unflushed states; the replica

@@ -426,9 +426,11 @@ func rotate(t *testing.T, rw *RWNode, rounds, n int) {
 // reads: the records past the trim's horizon — the rotation of checkpoints
 // that names every leaf, at most rotation of them, and the suffix after it —
 // in one storage scan. It applies all of it before it serves a read, and reads the
-// leader's state.
+// leader's state. A trim moves the floor only when it drops an extent
+// (storage.Store.DropBefore), so each round of the fixture must log more than
+// an extent: 60 edges do at 2 KiB extents.
 func TestAttachReadsOneRotation(t *testing.T) {
-	st := storage.Open(&storage.Options{ExtentSize: 4 << 10})
+	st := storage.Open(&storage.Options{ExtentSize: 2 << 10})
 	rw, err := NewRWNode(st, RWOptions{Engine: core.Options{Tree: bwtree.Config{MaxPageEntries: 8}}})
 	if err != nil {
 		t.Fatal(err)

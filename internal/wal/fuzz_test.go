@@ -69,7 +69,7 @@ func FuzzUnframeGroup(f *testing.F) {
 		// Torn-tail property: a failed append persists a byte prefix; every
 		// strict prefix must be rejected as torn, not parsed and not flagged
 		// as corruption.
-		for _, cut := range []int{0, 1, groupHeader - 1, groupHeader, groupHeader + metaHeader - 1, len(data) / 2, len(data) - 1} {
+		for _, cut := range []int{0, 1, groupHeader - 1, groupHeader, groupHeader + metaMin - 1, len(data) / 2, len(data) - 1} {
 			if cut < 0 || cut >= len(data) {
 				continue
 			}
@@ -80,7 +80,7 @@ func FuzzUnframeGroup(f *testing.F) {
 
 		// Bit-rot property: any single-byte flip breaks either the length
 		// check or the payload CRC — the meta block included.
-		for _, i := range []int{0, 4, groupHeader, groupHeader + 1, groupHeader + metaHeader, len(data) / 2, len(data) - 1} {
+		for _, i := range []int{0, 4, groupHeader, groupHeader + 1, groupHeader + metaMin, len(data) / 2, len(data) - 1} {
 			if i < 0 || i >= len(data) {
 				continue
 			}

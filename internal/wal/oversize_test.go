@@ -95,3 +95,45 @@ func TestGroupCommitterRejectsOversizedAtAdmission(t *testing.T) {
 		t.Fatalf("WAL = %d records (err %v), want exactly LSN 1", len(recs), err)
 	}
 }
+
+// TestMaxRecordSizeIsExact pins the admission bound at its edge: a record of
+// exactly MaxRecordSize bytes seals into a group of its own, under an epoch
+// and a first LSN of the widest uvarints, and appends within the group limit;
+// one byte more is refused at admission, before an LSN is assigned.
+func TestMaxRecordSizeIsExact(t *testing.T) {
+	st := storage.Open(&storage.Options{ExtentSize: 512})
+	const wide = 1 << 63 // an LSN and an epoch of the widest uvarints
+	if err := st.OpenStreamEpoch(storage.StreamWAL, wide); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriterFromEpoch(st, wide, wide)
+	c := NewGroupCommitter(w, GroupCommitterOptions{})
+	defer c.Stop()
+	record := func(size int) *Record {
+		r := &Record{Type: RecordPut, Key: []byte("edge")}
+		r.Value = make([]byte, size-encodedSize(r)-1) // the value's length stays one byte wide
+		if n := encodedSize(r); n != size {
+			t.Fatalf("fixture: record of %d bytes, want %d", n, size)
+		}
+		return r
+	}
+
+	max := w.MaxRecordSize()
+	if _, err := c.Log(record(max + 1)); !errors.Is(err, ErrRecordTooLarge) || errors.Is(err, ErrWriterFailed) {
+		t.Fatalf("a record of MaxRecordSize+1 = %d bytes: %v, want ErrRecordTooLarge at admission", max+1, err)
+	}
+	if got := c.LastLSN(); got != wide-1 {
+		t.Fatalf("the refused record took an LSN: last LSN %d", got)
+	}
+	lsn, err := c.Log(record(max))
+	if err != nil || lsn != wide {
+		t.Fatalf("a record of MaxRecordSize = %d bytes: lsn %d, %v; want %d appended", max, lsn, err, uint64(wide))
+	}
+	if appends := w.Appends(); appends != 1 {
+		t.Fatalf("%d appends, want the record alone in one", appends)
+	}
+	entries, _, err := st.Scan(storage.StreamWAL, storage.Cursor{}, 0)
+	if err != nil || len(entries) != 1 || len(entries[0].Data) > w.groupLimit() {
+		t.Fatalf("log: %d entries (%v), want one group within the %d-byte limit", len(entries), err, w.groupLimit())
+	}
+}

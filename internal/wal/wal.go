@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -141,21 +142,34 @@ type Record struct {
 // ErrCorrupt is returned when a WAL record fails to decode.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// recFixed is the fixed header size of an encoded record.
-const recFixed = 1 + 8*4 + 4 + 4
+// UvarintLen is the length of v's uvarint encoding, computed, not encoded.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// appendRecord appends r's encoding to buf — the log's one record encoder.
-// Layout (little endian):
+// ReadUvarints reads one uvarint into each of dst off the front of buf and
+// returns the rest. ok is false when one is truncated, overflows 64 bits or is
+// not in its shortest form: every integer of the log has one encoding, so a
+// frame that decodes re-encodes byte for byte.
+func ReadUvarints(buf []byte, dst ...*uint64) (rest []byte, ok bool) {
+	for _, d := range dst {
+		v, n := binary.Uvarint(buf)
+		if n <= 0 || n != UvarintLen(v) {
+			return nil, false
+		}
+		*d, buf = v, buf[n:]
+	}
+	return buf, true
+}
+
+// appendRecord appends r's encoding to buf — the log's one record encoder:
 //
-//	type[1] tree[8] page[8] aux[8] ckpt[8] klen[4] vlen[4] key value
+//	type[1] tree page aux ckpt klen vlen key value
+//
+// each integer after the type a uvarint.
 func appendRecord(buf []byte, r *Record) []byte {
 	buf = append(buf, byte(r.Type))
-	buf = binary.LittleEndian.AppendUint64(buf, r.TreeID)
-	buf = binary.LittleEndian.AppendUint64(buf, r.PageID)
-	buf = binary.LittleEndian.AppendUint64(buf, r.AuxPage)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.CkptLSN))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Key)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Value)))
+	for _, v := range [...]uint64{r.TreeID, r.PageID, r.AuxPage, uint64(r.CkptLSN), uint64(len(r.Key)), uint64(len(r.Value))} {
+		buf = binary.AppendUvarint(buf, v)
+	}
 	buf = append(buf, r.Key...)
 	return append(buf, r.Value...)
 }
@@ -163,29 +177,18 @@ func appendRecord(buf []byte, r *Record) []byte {
 // Decode parses a record appendRecord encoded. Its LSN and Epoch are left
 // zero: they belong to the group envelope.
 func Decode(buf []byte) (*Record, error) {
-	if len(buf) < recFixed {
-		return nil, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(buf))
+	r := &Record{}
+	var typ, klen, vlen uint64 // a valid type is one byte as a uvarint too
+	rest, ok := ReadUvarints(buf, &typ, &r.TreeID, &r.PageID, &r.AuxPage, (*uint64)(&r.CkptLSN), &klen, &vlen)
+	if !ok || typ == 0 || typ > uint64(RecordTxnApplied) || klen > uint64(len(rest)) || vlen != uint64(len(rest))-klen {
+		return nil, fmt.Errorf("%w: type %d klen=%d vlen=%d total=%d", ErrCorrupt, typ, klen, vlen, len(buf))
 	}
-	r := &Record{
-		Type:    RecordType(buf[0]),
-		TreeID:  binary.LittleEndian.Uint64(buf[1:]),
-		PageID:  binary.LittleEndian.Uint64(buf[9:]),
-		AuxPage: binary.LittleEndian.Uint64(buf[17:]),
-		CkptLSN: LSN(binary.LittleEndian.Uint64(buf[25:])),
-	}
-	klen := binary.LittleEndian.Uint32(buf[33:])
-	vlen := binary.LittleEndian.Uint32(buf[37:])
-	if int(klen)+int(vlen)+recFixed != len(buf) {
-		return nil, fmt.Errorf("%w: length mismatch klen=%d vlen=%d total=%d", ErrCorrupt, klen, vlen, len(buf))
-	}
+	r.Type = RecordType(typ)
 	if klen > 0 {
-		r.Key = append([]byte(nil), buf[recFixed:recFixed+klen]...)
+		r.Key = append([]byte(nil), rest[:klen]...)
 	}
 	if vlen > 0 {
-		r.Value = append([]byte(nil), buf[recFixed+klen:]...)
-	}
-	if r.Type == 0 || r.Type > RecordTxnApplied {
-		return nil, fmt.Errorf("%w: unknown type %d", ErrCorrupt, buf[0])
+		r.Value = append([]byte(nil), rest[klen:]...)
 	}
 	return r, nil
 }
@@ -270,13 +273,13 @@ func (w *Writer) Err() error {
 // Group envelope framing. One storage append carries exactly one sealed
 // group of records:
 //
-//	plen[4] pcrc[4] magic[1] epoch[8] first[8] count[4] { rlen[4] record }...
+//	plen[4] pcrc[4] magic[1] epoch first count { rlen record }...
 //
-// The CRC covers the whole payload — meta and records alike — so a torn
-// write, which persists some byte prefix of the envelope, invalidates the
-// entire group. Readers therefore replay a group completely or not at all,
-// which is what makes a crash in the middle of a group-commit flush
-// recoverable: every record in the flush shares the envelope's fate.
+// with epoch, first, count and each rlen uvarints. The CRC covers the whole
+// payload — meta and records alike — so a torn write, a byte prefix of the
+// envelope, invalidates the entire group. Readers therefore replay a group
+// completely or not at all, which is what makes a crash in the middle of a
+// group-commit flush recoverable: every record in the flush shares its fate.
 //
 // The meta block is the log's only statement of its sequence: a group's
 // records hold LSNs first..first+count-1, in order, all sealed under epoch,
@@ -287,11 +290,9 @@ func (w *Writer) Err() error {
 const (
 	// groupHeader is the envelope overhead: payload length plus CRC32.
 	groupHeader = 8
-	// metaHeader is the payload's leading meta block: magic, epoch, first
-	// LSN, record count.
-	metaHeader = 1 + 8 + 8 + 4
-	// recHeader is the per-record overhead inside the payload.
-	recHeader = 4
+	// metaMin and metaMax bound the leading meta block: magic, epoch, first, count.
+	metaMin = 1 + 3
+	metaMax = 1 + 3*binary.MaxVarintLen64
 	// groupMagic marks the envelope format; CRC-valid payloads with a
 	// different first byte are foreign data, reported as corruption.
 	groupMagic = 0xB6
@@ -311,11 +312,11 @@ func sealGroup(buf []byte, meta GroupMeta, recs []*Record) []byte {
 	start := len(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, 0) // plen and pcrc, below
 	buf = append(buf, groupMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, meta.Epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(meta.First))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.Count))
+	buf = binary.AppendUvarint(buf, meta.Epoch)
+	buf = binary.AppendUvarint(buf, uint64(meta.First))
+	buf = binary.AppendUvarint(buf, uint64(meta.Count))
 	for _, r := range recs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(encodedSize(r)))
+		buf = binary.AppendUvarint(buf, uint64(encodedSize(r)))
 		buf = appendRecord(buf, r)
 	}
 	payload := buf[start+groupHeader:]
@@ -330,7 +331,7 @@ func sealGroup(buf []byte, meta GroupMeta, recs []*Record) []byte {
 // error means the envelope checksum passed but the payload does not parse:
 // real corruption, not a torn tail.
 func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err error) {
-	if len(buf) < groupHeader+metaHeader {
+	if len(buf) < groupHeader+metaMin {
 		return meta, nil, false, nil
 	}
 	plen := binary.LittleEndian.Uint32(buf)
@@ -345,21 +346,17 @@ func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err err
 	if body[0] != groupMagic {
 		return meta, nil, false, fmt.Errorf("%w: sealed group magic %#x", ErrCorrupt, body[0])
 	}
-	meta.Epoch = binary.LittleEndian.Uint64(body[1:])
-	meta.First = LSN(binary.LittleEndian.Uint64(body[9:]))
-	meta.Count = int(binary.LittleEndian.Uint32(body[17:]))
-	body = body[metaHeader:]
+	var count, n uint64
+	if body, ok = ReadUvarints(body[1:], &meta.Epoch, (*uint64)(&meta.First), &count); !ok {
+		return meta, nil, false, fmt.Errorf("%w: sealed group meta", ErrCorrupt)
+	}
+	meta.Count = int(count)
 	for len(body) > 0 {
-		if len(body) < recHeader {
-			return meta, nil, false, fmt.Errorf("%w: truncated record header in sealed group", ErrCorrupt)
+		rest, ok := ReadUvarints(body, &n)
+		if !ok || n > uint64(len(rest)) {
+			return meta, nil, false, fmt.Errorf("%w: record length in sealed group", ErrCorrupt)
 		}
-		n := binary.LittleEndian.Uint32(body)
-		body = body[recHeader:]
-		if uint64(n) > uint64(len(body)) {
-			return meta, nil, false, fmt.Errorf("%w: record length %d exceeds group payload", ErrCorrupt, n)
-		}
-		frames = append(frames, body[:n])
-		body = body[n:]
+		frames, body = append(frames, rest[:n]), rest[n:]
 	}
 	if len(frames) != meta.Count {
 		return meta, nil, false, fmt.Errorf("%w: sealed group holds %d records, meta declares %d",
@@ -388,7 +385,9 @@ var ErrRecordTooLarge = errors.New("wal: record exceeds extent size")
 
 // encodedSize returns the length of r's encoding.
 func encodedSize(r *Record) int {
-	return recFixed + len(r.Key) + len(r.Value)
+	k, v := uint64(len(r.Key)), uint64(len(r.Value))
+	return 1 + UvarintLen(r.TreeID) + UvarintLen(r.PageID) + UvarintLen(r.AuxPage) +
+		UvarintLen(uint64(r.CkptLSN)) + UvarintLen(k) + UvarintLen(v) + int(k+v)
 }
 
 // groupLimit is the largest sealed group one storage append accepts, with
@@ -407,7 +406,7 @@ func (w *Writer) groupLimit() int {
 // LSN is assigned, so the failure is an error on one write instead of a
 // poisoned log.
 func (w *Writer) MaxRecordSize() int {
-	return w.groupLimit() - groupHeader - metaHeader - recHeader
+	return w.groupLimit() - groupHeader - metaMax - binary.MaxVarintLen32 // the widest meta and rlen
 }
 
 // SealAssigned validates records whose LSNs the group committer assigned,
@@ -454,10 +453,11 @@ func (w *Writer) SealAssigned(dst []SealedGroup, recs []*Record, frame func(size
 
 	limit := w.groupLimit()
 	for len(recs) > 0 {
-		n, size := 1, groupHeader+metaHeader+recHeader+encodedSize(recs[0])
-		for ; n < len(recs) && recs[n].LSN == recs[n-1].LSN+1; n++ {
-			more := recHeader + encodedSize(recs[n])
-			if size+more > limit {
+		n, size := 0, groupHeader+metaMax
+		for ; n < len(recs) && (n == 0 || recs[n].LSN == recs[n-1].LSN+1); n++ {
+			es := encodedSize(recs[n])
+			more := UvarintLen(uint64(es)) + es
+			if n > 0 && size+more > limit {
 				break
 			}
 			size += more

@@ -38,12 +38,17 @@ func TestEncodeDecodeEmptyKeyValue(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
+	valid := appendRecord(nil, &Record{Type: RecordPut, Key: []byte("k")})
 	cases := [][]byte{
 		nil,
-		{1, 2, 3},
-		make([]byte, recFixed-1), // shorter than the fixed header
-		make([]byte, recFixed),   // type 0
-		append(appendRecord(nil, &Record{Type: RecordPut, Key: []byte("k")}), 0xFF),
+		{1, 2, 3},                // header cut short
+		valid[:len(valid)-1],     // key cut short
+		make([]byte, len(valid)), // type 0
+		append(valid, 0xFF),      // a trailing byte
+		// tree in 11 bytes, the rest of an empty put behind it: overflows 64 bits
+		append([]byte{1}, append(bytes.Repeat([]byte{0xFF}, 10), 1, 0, 0, 0, 0, 0)...),
+		// tree 0 as the two bytes 0x80 0x00: not the shortest form
+		{1, 0x80, 0x00, 0, 0, 0, 1, 0, 'k'},
 	}
 	for i, buf := range cases {
 		if _, err := Decode(buf); err == nil {
@@ -69,16 +74,11 @@ func TestPropertyEncodeDecode(t *testing.T) {
 }
 
 // TestSealedEnvelopeIsGolden pins the bytes on storage: a fixed batch seals
-// to exactly the envelope the writer produced when every record was encoded
-// into a buffer of its own and then copied into the group, so a log written
-// before records were encoded in place reads the same after.
+// to exactly this envelope, its meta block, record lengths and record headers
+// uvarints, whether it is sealed into a fresh buffer or a recycled one.
 func TestSealedEnvelopeIsGolden(t *testing.T) {
-	const golden = "e30000002bd9032eb603000000000000000700000000000000040000003b000000" +
-		"0101000000000000000200000000000000000000000000000000000000000000000f00000003000000" +
-		"7372633a34322f666f6c6c6f772f37703d312a000000020100000000000000020000000000000001000000" +
-		"00000000000000000000000001000000000000006b2c0000000305000000000000000900000000000000" +
-		"0a00000000000000000000000000000003000000000000007365702d000000060000000000000000030000" +
-		"0000000000100000000000000006000000000000000000000004000000000102ff"
+	const golden = "3e00000095427b55b60307041901010200000f037372633a34322f666f6c6c6f772f37" +
+		"703d3108020102010001006b0a0305090a0003007365700b06000310060004000102ff"
 	// Sealed into a fresh buffer, and into a recycled one that still holds
 	// an older group's bytes.
 	dirty := func(size int) []byte { return bytes.Repeat([]byte{0xAA}, size+64)[:0] }
