@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bg3/internal/mvcc"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -90,7 +91,7 @@ func blockCounts(tr *Tree, scan func()) (hits, fallbacks int64) {
 
 // checkFullScan scans all of tr at h and fails unless it reads as ref there
 // and is served by a chunk exactly where that chunk serves h (blockExpect).
-func checkFullScan(t *testing.T, tr *Tree, ref refModel, h wal.LSN, what string) {
+func checkFullScan(t *testing.T, tr *Tree, ref refmodel.KV, h wal.LSN, what string) {
 	t.Helper()
 	awaitSpawnedBuild(tr) // one the last scan spawned
 	wantHits, wantFallbacks := blockExpect(tr, h)
@@ -106,7 +107,7 @@ func checkFullScan(t *testing.T, tr *Tree, ref refModel, h wal.LSN, what string)
 	if hits != wantHits || fallbacks != wantFallbacks {
 		t.Fatalf("%s: a full scan at %d counted %d hits and %d fallbacks, want %d and %d", what, h, hits, fallbacks, wantHits, wantFallbacks)
 	}
-	if want := ref.scan("", "", 0, h); !slices.Equal(got, want) {
+	if want := ref.Scan("", "", 0, uint64(h)); !slices.Equal(got, want) {
 		t.Fatalf("%s: a full scan at %d = %d pairs, want %d", what, h, len(got), len(want))
 	}
 }
@@ -115,7 +116,7 @@ func checkFullScan(t *testing.T, tr *Tree, ref refModel, h wal.LSN, what string)
 // serves a read at one of the horizons holds exactly what ref holds in its
 // range there. It returns the first chunk that does not. A tree with no block
 // has nothing to check.
-func blockGap(tr *Tree, ref refModel, horizons []wal.LSN) error {
+func blockGap(tr *Tree, ref refmodel.KV, horizons []wal.LSN) error {
 	awaitSpawnedBuild(tr)
 	blk := tr.blocks.block.Load()
 	if blk == nil {
@@ -126,7 +127,7 @@ func blockGap(tr *Tree, ref refModel, horizons []wal.LSN) error {
 		var live []string // ref's live keys at h, in order, and their pairs
 		var pairs []string
 		for _, k := range keys {
-			if v, ok := ref.at(k, h); ok {
+			if v, ok := ref.At(k, uint64(h)); ok {
 				live, pairs = append(live, k), append(pairs, k+"="+v)
 			}
 		}
@@ -479,9 +480,9 @@ func TestEachChangeStalesItsOwnChunk(t *testing.T) {
 			if stale := staleChunks(tr); !slices.Equal(stale, []int{own}) {
 				t.Fatalf("stale chunks %v of %d, want only %d, the changed leaf's", stale, len(blk.chunks), own)
 			}
-			ref := refModel{}
+			ref := refmodel.KV{}
 			if err := tr.Scan(nil, nil, 0, func(k, v []byte) bool {
-				ref[string(k)] = []version{{val: string(v)}}
+				ref.Add(string(k), refmodel.Version{Value: string(v)})
 				return true
 			}); err != nil {
 				t.Fatal(err)
@@ -545,7 +546,7 @@ func (l *parkedLog) LogAsync(rec *wal.Record) (wal.LSN, func() error) {
 // map and is served by a chunk exactly where the chunk serves its horizon, and
 // every chunk that serves a horizon holds what the version map holds there.
 func TestFirstBuildCapturesEveryWriter(t *testing.T) {
-	vl := &versionLog{ref: refModel{}, src: mvcc.NewSource(0)}
+	vl := &versionLog{ref: refmodel.KV{}, src: mvcc.NewSource(0)}
 	pl := &parkedLog{versionLog: vl, parked: make(chan struct{})}
 	cfg := Config{MaxPageEntries: 8, ConsolidateNum: 1, Epochs: vl.src,
 		EdgeBlockMinEntries: 1 << 20} // above anything written: no build but the test's own
@@ -668,10 +669,10 @@ func TestFailedBuildInstallsNoBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refModel{}
+	ref := refmodel.KV{}
 	put := func(k, v string) {
 		t.Helper()
-		ref[k] = append(ref[k], version{val: v})
+		ref.Add(k, refmodel.Version{Value: v})
 		if err := tr.Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}

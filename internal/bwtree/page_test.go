@@ -9,52 +9,10 @@ import (
 	"testing"
 
 	"bg3/internal/mvcc"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
-
-// version is one write in the reference model: the map-of-versions every
-// read path is compared against.
-type version struct {
-	lsn wal.LSN
-	val string
-	del bool
-	seq int // the order writes were made in, where they carry no LSN
-}
-
-type refModel map[string][]version
-
-func (m refModel) at(key string, h wal.LSN) (string, bool) {
-	vs := m[key]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].lsn <= h {
-			return vs[i].val, !vs[i].del
-		}
-	}
-	return "", false
-}
-
-// scan lists "key=value" for the live keys in [from, to) at h, at most
-// limit of them (limit <= 0: all).
-func (m refModel) scan(from, to string, limit int, h wal.LSN) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		if k >= from && (to == "" || k < to) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var out []string
-	for _, k := range keys {
-		if v, ok := m.at(k, h); ok {
-			out = append(out, k+"="+v)
-			if len(out) == limit {
-				break
-			}
-		}
-	}
-	return out
-}
 
 // TestScanPageMatchesNaiveMerge drives the one image iterator over random
 // images and overlays — repeated keys, deletes, stamps on both sides of the
@@ -82,12 +40,12 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			baseLo, ovHi = 20, 20
 		}
 		key := func() string { return keyIn(0, space) }
-		ref := refModel{}
+		ref := refmodel.KV{}
 		var pairs []op
 		for i := 0; i < baseN; i++ {
 			k, v := keyIn(baseLo, baseHi), fmt.Sprintf("b%d", i)
 			pairs = append(pairs, op{key: []byte(k), val: []byte(v)})
-			ref[k] = []version{{val: v}}
+			ref.Add(k, refmodel.Version{Value: v})
 		}
 		base := imageOf(pairs...)
 		var ov []op
@@ -98,7 +56,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 				o.val = []byte(fmt.Sprintf("o%d", i))
 			}
 			ov = insertOp(ov, o)
-			ref[k] = append(ref[k], version{lsn: lsn, val: string(o.val), del: o.del})
+			ref.Add(k, refmodel.Version{LSN: uint64(lsn), Value: string(o.val), Deleted: o.del})
 		}
 		for trial := 0; trial < 20; trial++ {
 			from, to, limit := key(), "", rng.Intn(12)
@@ -109,7 +67,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				h = horizonAll
 			}
-			want := ref.scan(from, to, 0, h)
+			want := ref.Scan(from, to, 0, uint64(h))
 			if limit > 0 && len(want) > limit {
 				want = want[:limit]
 			}
@@ -143,7 +101,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			got = append(got, string(k)+"="+string(v))
 			return true
 		})
-		if want := ref.scan("k010", "k030", 0, floor); fmt.Sprint(got) != fmt.Sprint(want) {
+		if want := ref.Scan("k010", "k030", 0, uint64(floor)); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("round %d: fold at %d = %v, want %v", round, floor, got, want)
 		}
 	}
@@ -227,8 +185,8 @@ func TestDifferentialAgainstVersionMap(t *testing.T) {
 		{"async/traditional", true, Traditional},
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
-			mode, seed := mode, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
+				t.Parallel() // independent streams: as many at once as -parallel allows
 				runDifferential(t, mode.async, mode.policy, seed)
 			})
 		}
@@ -269,17 +227,11 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		t.Fatal(err)
 	}
 	rep, rd := newFollower(st, 4), wal.NewReader(st)
-	ref := refModel{}
+	ref := refmodel.KV{}
 	var pins []*mvcc.Pin
 	var ckpt wal.LSN // horizon of the last published checkpoint
 
 	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(keySpace)) }
-	seq := 0 // versions made so far
-	write := func(k string, v version) {
-		seq++
-		v.seq = seq
-		ref[k] = append(ref[k], v)
-	}
 	publish := func(h wal.LSN, ups []MappingUpdate) {
 		t.Helper()
 		ups = m.TakeRelocated(ups)
@@ -332,11 +284,11 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 			if err := tr.ScanAt([]byte(from), []byte(to), limit, h, collect(&part)); err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("step %d: ScanAt([%s,%s) limit %d, h=%d)", step, from, to, limit, h), part, ref.scan(from, to, limit, h))
+			same(fmt.Sprintf("step %d: ScanAt([%s,%s) limit %d, h=%d)", step, from, to, limit, h), part, ref.Scan(from, to, limit, uint64(h)))
 			for i := 0; i < 6; i++ {
 				k := key()
 				v, ok, err := tr.GetAt([]byte(k), h)
-				if want, wok := ref.at(k, h); err != nil || ok != wok || string(v) != want {
+				if want, wok := ref.At(k, uint64(h)); err != nil || ok != wok || string(v) != want {
 					t.Fatalf("step %d: GetAt(%s, h=%d) = %q %v %v, want %q %v", step, k, h, v, ok, err, want, wok)
 				}
 			}
@@ -364,15 +316,15 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		if err := rep.Scan(tr.ID(), nil, nil, 0, collect(&all)); err != nil {
 			t.Fatal(err)
 		}
-		same(fmt.Sprintf("step %d: replica Scan(all)", step), all, ref.scan("", "", 0, horizonAll))
+		same(fmt.Sprintf("step %d: replica Scan(all)", step), all, ref.Scan("", "", 0, refmodel.Latest))
 		if err := rep.Scan(tr.ID(), []byte(from), []byte(to), limit, collect(&part)); err != nil {
 			t.Fatal(err)
 		}
-		same(fmt.Sprintf("step %d: replica Scan([%s,%s) limit %d)", step, from, to, limit), part, ref.scan(from, to, limit, horizonAll))
+		same(fmt.Sprintf("step %d: replica Scan([%s,%s) limit %d)", step, from, to, limit), part, ref.Scan(from, to, limit, refmodel.Latest))
 		for i := 0; i < 6; i++ {
 			k := key()
 			v, ok, err := rep.Get(tr.ID(), []byte(k))
-			if want, wok := ref.at(k, horizonAll); err != nil || ok != wok || string(v) != want {
+			if want, wok := ref.At(k, refmodel.Latest); err != nil || ok != wok || string(v) != want {
 				t.Fatalf("step %d: replica Get(%s) = %q %v %v, want %q %v", step, k, v, ok, err, want, wok)
 			}
 		}
@@ -398,7 +350,7 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 		if err := next.Scan(nil, nil, 0, func(k, v []byte) bool { got = append(got, string(k)+"="+string(v)); return true }); err != nil {
 			t.Fatal(err)
 		}
-		same("promoted table at ∞", got, ref.scan("", "", 0, horizonAll))
+		same("promoted table at ∞", got, ref.Scan("", "", 0, refmodel.Latest))
 		tr, m = next, rep.m
 		rep, rd = newFollower(st, 4), wal.NewReader(st)
 	}
@@ -428,34 +380,34 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 				t.Fatalf("step %d: Apply(%d writes) = %d %v, %d data records", step, len(ws), n, err, len(pipe.data))
 			}
 			for i, w := range ws {
-				if _, wasLive := ref.at(string(w.Key), horizonAll); w.Existed != wasLive {
+				if _, wasLive := ref.At(string(w.Key), refmodel.Latest); w.Existed != wasLive {
 					t.Fatalf("step %d: batch write %d (%s, delete=%v): existed=%v, want %v", step, i, w.Key, w.Delete, w.Existed, wasLive)
 				}
-				v := version{val: string(w.Value), del: w.Delete}
+				v := refmodel.Version{Value: string(w.Value), Deleted: w.Delete}
 				if async {
-					v.lsn = pipe.data[i]
+					v.LSN = uint64(pipe.data[i])
 				}
-				write(string(w.Key), v)
+				ref.Add(string(w.Key), v)
 			}
 			awaitSpawnedBuild(tr)
 		case r < 55:
 			k, v := key(), fmt.Sprintf("v%d-%s", step, bytes.Repeat([]byte{'x'}, rng.Intn(40)))
-			_, wasLive := ref.at(k, horizonAll)
+			_, wasLive := ref.At(k, refmodel.Latest)
 			existed, err := tr.PutEx([]byte(k), []byte(v))
 			if err != nil || existed != wasLive {
 				t.Fatalf("step %d: PutEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
-			write(k, version{lsn: pipe.lastData, val: v})
+			ref.Add(k, refmodel.Version{LSN: uint64(pipe.lastData), Value: v})
 			awaitSpawnedBuild(tr) // the stream stays deterministic
 			continue
 		case r < 70:
 			k := key()
-			_, wasLive := ref.at(k, horizonAll)
+			_, wasLive := ref.At(k, refmodel.Latest)
 			existed, err := tr.DeleteEx([]byte(k))
 			if err != nil || existed != wasLive {
 				t.Fatalf("step %d: DeleteEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
-			write(k, version{lsn: pipe.lastData, del: true})
+			ref.Add(k, refmodel.Version{LSN: uint64(pipe.lastData), Deleted: true})
 			awaitSpawnedBuild(tr)
 			continue
 		case r < 76:

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -404,14 +406,14 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 			MaxPageEntries: 4, MaxInnerEntries: 4,
 		})
 		rng := rand.New(rand.NewSource(seed))
-		model := map[string]string{}
+		model := refmodel.KV{}
 		for i := 0; i < 300; i++ {
 			k := fmt.Sprintf("%08x", rng.Uint32())
 			v := fmt.Sprintf("v%d", i)
 			if err := tr.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
-			model[k] = v
+			model.Add(k, refmodel.Version{Value: v})
 			if i%37 == 0 {
 				ups, err := tr.FlushDirty(nil)
 				if err != nil {
@@ -426,20 +428,15 @@ func TestReplicaDirectoryAfterManyRandomSplits(t *testing.T) {
 			}
 		}
 		syncReplica(t, rep, rd)
-		got := map[string]string{}
+		var got []string
 		if err := rep.Scan(tr.ID(), nil, nil, 0, func(k, v []byte) bool {
-			got[string(k)] = string(v)
+			got = append(got, string(k)+"="+string(v))
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(model) {
-			t.Fatalf("seed %d: replica has %d keys, model %d", seed, len(got), len(model))
-		}
-		for k, v := range model {
-			if got[k] != v {
-				t.Fatalf("seed %d: key %s = %q, want %q", seed, k, got[k], v)
-			}
+		if want := model.Scan("", "", 0, refmodel.Latest); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: replica has %d pairs, model %d: %v", seed, len(got), len(want), got)
 		}
 	}
 }

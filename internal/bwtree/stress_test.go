@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bg3/internal/mvcc"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -404,7 +405,7 @@ func TestStressLatestBlockReadsDoNotFallBack(t *testing.T) {
 type versionLog struct {
 	mu  sync.Mutex
 	lsn wal.LSN
-	ref refModel
+	ref refmodel.KV
 	src *mvcc.Source
 }
 
@@ -425,7 +426,7 @@ func (l *versionLog) note(key, val []byte, del, data bool) wal.LSN {
 	defer l.mu.Unlock()
 	l.lsn++
 	if data {
-		l.ref[string(key)] = append(l.ref[string(key)], version{lsn: l.lsn, val: string(val), del: del})
+		l.ref.Add(string(key), refmodel.Version{LSN: uint64(l.lsn), Value: string(val), Deleted: del})
 	}
 	return l.lsn
 }
@@ -436,35 +437,11 @@ func (l *versionLog) last() wal.LSN {
 	return l.lsn
 }
 
-// explain returns why got is not a scan of [from, to) at some horizon in
-// [h0, h1], key by key: each key's delivered state must be the one some
-// horizon of the window gives it. With h0 == h1 that is equality with the
-// version map at that horizon.
+// explain is the version map's refmodel.KV.Explain.
 func (l *versionLog) explain(got map[string]string, from, to string, h0, h1 wal.LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for k := range got {
-		if _, known := l.ref[k]; !known || k < from || (to != "" && k >= to) {
-			return fmt.Errorf("delivered %s, which is not a key of [%s, %s)", k, from, to)
-		}
-	}
-	for k, vs := range l.ref {
-		if k < from || (to != "" && k >= to) {
-			continue
-		}
-		v, live := got[k]
-		wv, wlive := l.ref.at(k, h0)
-		ok := live == wlive && v == wv
-		for _, ver := range vs {
-			if ver.lsn > h0 && ver.lsn <= h1 && live == !ver.del && (ver.del || v == ver.val) {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("%s = %q (live %v); at %d the version map has %q (live %v), and no version in (%d, %d] matches: %+v", k, v, live, h0, wv, wlive, h0, h1, vs)
-		}
-	}
-	return nil
+	return l.ref.Explain(got, from, to, uint64(h0), uint64(h1))
 }
 
 // TestStressOverlayReadersRaceWriters: an overlay is read by reference, so
@@ -495,7 +472,7 @@ func TestStressOverlayReadersRaceWriters(t *testing.T) {
 	}{{"async", true, 3}, {"sync", false, 1}} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := Config{MaxPageEntries: 8, MaxInnerEntries: 8, ConsolidateNum: 6, EdgeBlockMinEntries: 200}
-			vl := &versionLog{ref: refModel{}}
+			vl := &versionLog{ref: refmodel.KV{}}
 			var logger WALLogger
 			if mode.async {
 				vl.src = mvcc.NewSource(0)

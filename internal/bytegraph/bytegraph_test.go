@@ -9,6 +9,7 @@ import (
 
 	"bg3/internal/graph"
 	"bg3/internal/lsm"
+	"bg3/internal/refmodel"
 )
 
 func TestVertexRoundTrip(t *testing.T) {
@@ -164,44 +165,20 @@ func TestPropertyMatchesModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(Config{EdgesPerPage: 4})
-		model := map[graph.VertexID]map[graph.VertexID]bool{}
+		model := refmodel.Graph{}
 		for i := 0; i < 300; i++ {
-			src := graph.VertexID(rng.Intn(5))
-			dst := graph.VertexID(rng.Intn(40))
+			src, dst := graph.VertexID(rng.Intn(5)), graph.VertexID(rng.Intn(40))
+			muts := []graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeLike})}
 			if rng.Intn(4) == 0 {
-				if err := s.DeleteEdge(src, graph.ETypeLike, dst); err != nil {
-					return false
-				}
-				delete(model[src], dst)
-			} else {
-				if err := s.AddEdge(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeLike}); err != nil {
-					return false
-				}
-				if model[src] == nil {
-					model[src] = map[graph.VertexID]bool{}
-				}
-				model[src][dst] = true
+				muts[0] = graph.DeleteEdgeMut(src, graph.ETypeLike, dst)
 			}
-		}
-		for src := graph.VertexID(0); src < 5; src++ {
-			got := map[graph.VertexID]bool{}
-			if err := s.Neighbors(src, graph.ETypeLike, 0, func(d graph.VertexID, _ graph.Properties) bool {
-				got[d] = true
-				return true
-			}); err != nil {
+			if err := refmodel.Apply(s, muts); err != nil {
 				return false
 			}
-			want := model[src]
-			if len(got) != len(want) {
-				return false
-			}
-			for d := range want {
-				if !got[d] {
-					return false
-				}
-			}
+			_ = refmodel.Apply(model, muts) // a Graph's writes return no error
 		}
-		return true
+		got, err := refmodel.Observe(s, []graph.VertexID{0, 1, 2, 3, 4}, []graph.EdgeType{graph.ETypeLike})
+		return err == nil && refmodel.Diff(got, model) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

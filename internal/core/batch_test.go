@@ -11,6 +11,7 @@ import (
 	"bg3/internal/bwtree"
 	"bg3/internal/forest"
 	"bg3/internal/graph"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -131,7 +132,7 @@ func TestApplyBatchEqualsSingleWrites(t *testing.T) {
 					if batched {
 						errs[i] = e.ApplyBatch(muts[:n])
 					} else {
-						errs[i] = graph.ApplyMutations(struct{ graph.Store }{e}, muts[:n])
+						errs[i] = refmodel.Apply(e, muts[:n])
 					}
 					muts = muts[n:]
 				}

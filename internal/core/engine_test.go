@@ -10,6 +10,7 @@ import (
 
 	"bg3/internal/bwtree"
 	"bg3/internal/graph"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -386,8 +387,6 @@ func TestEngineMixedStress(t *testing.T) {
 	)
 	// Each worker owns a disjoint destination range per source so the
 	// final degree is deterministic: inserts minus deletes.
-	type stats struct{ ins, del int }
-	results := make([][sources]stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -419,11 +418,10 @@ func TestEngineMixedStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	_ = results
 
 	// Rebuild the expected state by replaying each worker's deterministic
 	// stream (same seeds), then compare against the engine.
-	model := map[graph.VertexID]map[graph.VertexID]bool{}
+	model := refmodel.Graph{}
 	for w := 0; w < workers; w++ {
 		rng := rand.New(rand.NewSource(int64(w) + 99))
 		for i := 0; i < perW; i++ {
@@ -431,37 +429,26 @@ func TestEngineMixedStress(t *testing.T) {
 			dst := graph.VertexID(w*100000 + rng.Intn(200))
 			switch rng.Intn(10) {
 			case 0:
-				delete(model[src], dst)
-			case 1, 2:
-			case 3:
+				_ = model.DeleteEdge(src, graph.ETypeLike, dst)
+			case 1, 2, 3:
 			default:
-				if model[src] == nil {
-					model[src] = map[graph.VertexID]bool{}
-				}
-				model[src][dst] = true
+				_ = model.AddEdge(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeLike})
 			}
 		}
 	}
 	// Caveat: concurrent add/delete of the SAME edge by one worker is
 	// sequential within that worker, and workers use disjoint dst ranges,
 	// so the replay is exact.
+	var srcs []graph.VertexID
 	for src := graph.VertexID(0); src < sources; src++ {
-		got := map[graph.VertexID]bool{}
-		if err := e.Neighbors(src, graph.ETypeLike, 0, func(d graph.VertexID, _ graph.Properties) bool {
-			got[d] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		want := model[src]
-		if len(got) != len(want) {
-			t.Fatalf("src %d: %d edges, want %d", src, len(got), len(want))
-		}
-		for d := range want {
-			if !got[d] {
-				t.Fatalf("src %d missing dst %d", src, d)
-			}
-		}
+		srcs = append(srcs, src)
+	}
+	got, err := refmodel.Observe(e, srcs, []graph.EdgeType{graph.ETypeLike})
+	if err == nil {
+		err = refmodel.Diff(got, model)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

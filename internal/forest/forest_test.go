@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"bg3/internal/bwtree"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -247,7 +249,8 @@ func TestForestConcurrentOwners(t *testing.T) {
 }
 
 // TestPropertyForestMatchesModel compares the forest against a per-owner
-// map model under random operations and random thresholds.
+// refmodel.KV under random operations and random thresholds: every owner's
+// full scan, and a Get of every key it wrote, deleted ones included.
 func TestPropertyForestMatchesModel(t *testing.T) {
 	f := func(seed int64, split, initCap uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,7 +259,10 @@ func TestPropertyForestMatchesModel(t *testing.T) {
 			InitSizeThreshold: int(initCap % 64),
 			Tree:              bwtree.Config{MaxPageEntries: 8, ConsolidateNum: 3},
 		})
-		model := map[OwnerID]map[string]string{}
+		model := map[OwnerID]refmodel.KV{}
+		for owner := OwnerID(1); owner <= 6; owner++ {
+			model[owner] = refmodel.KV{}
+		}
 		for i := 0; i < 300; i++ {
 			owner := OwnerID(rng.Intn(6) + 1)
 			key := fmt.Sprintf("k%02d", rng.Intn(20))
@@ -264,36 +270,26 @@ func TestPropertyForestMatchesModel(t *testing.T) {
 				if err := fo.Delete(owner, []byte(key)); err != nil {
 					return false
 				}
-				delete(model[owner], key)
+				model[owner].Add(key, refmodel.Version{Deleted: true})
 			} else {
 				val := fmt.Sprintf("v%d", i)
 				if err := fo.Put(owner, []byte(key), []byte(val)); err != nil {
 					return false
 				}
-				if model[owner] == nil {
-					model[owner] = map[string]string{}
-				}
-				model[owner][key] = val
+				model[owner].Add(key, refmodel.Version{Value: val})
 			}
 		}
-		for owner := OwnerID(1); owner <= 6; owner++ {
-			got := map[string]string{}
+		for owner, kv := range model {
+			var got []string
 			if err := fo.Scan(owner, nil, nil, 0, func(k, v []byte) bool {
-				got[string(k)] = string(v)
+				got = append(got, string(k)+"="+string(v))
 				return true
-			}); err != nil {
+			}); err != nil || !slices.Equal(got, kv.Scan("", "", 0, refmodel.Latest)) {
 				return false
 			}
-			want := model[owner]
-			if len(got) != len(want) {
-				return false
-			}
-			for k, v := range want {
-				if got[k] != v {
-					return false
-				}
-				gv, ok, err := fo.Get(owner, []byte(k))
-				if err != nil || !ok || string(gv) != v {
+			for key := range kv {
+				want, wok := kv.At(key, refmodel.Latest)
+				if gv, ok, err := fo.Get(owner, []byte(key)); err != nil || ok != wok || string(gv) != want {
 					return false
 				}
 			}

@@ -1,15 +1,16 @@
 package forest
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/mvcc"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -20,6 +21,13 @@ type clockLogger struct {
 	mu  sync.Mutex
 	lsn wal.LSN
 	src *mvcc.Source
+}
+
+// last is the newest LSN handed out.
+func (l *clockLogger) last() wal.LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lsn
 }
 
 func (l *clockLogger) LogAsync(*wal.Record) (wal.LSN, func() error) {
@@ -38,32 +46,13 @@ type pair struct {
 	k, v  string
 }
 
-// ownerModel is one owner's expected content: key -> value.
-type ownerModel map[string]string
-
-func copyModel(m map[OwnerID]ownerModel) map[OwnerID]ownerModel {
-	out := make(map[OwnerID]ownerModel, len(m))
-	for o, om := range m {
-		c := make(ownerModel, len(om))
-		for k, v := range om {
-			c[k] = v
-		}
-		out[o] = c
-	}
-	return out
-}
-
-// expect returns owner's pairs in [from, to), key-ordered, first limit.
-func (om ownerModel) expect(owner OwnerID, from, to []byte, limit int) []pair {
+// expect is owner's pairs in [from, to) at horizon h of its model kv,
+// key-ordered, the first limit.
+func expect(kv refmodel.KV, owner OwnerID, from, to []byte, limit int, h uint64) []pair {
 	var out []pair
-	for k, v := range om {
-		if bytes.Compare([]byte(k), from) >= 0 && (to == nil || bytes.Compare([]byte(k), to) < 0) {
-			out = append(out, pair{owner, k, v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	for _, s := range kv.Scan(string(from), string(to), limit, h) {
+		k, v, _ := strings.Cut(s, "=")
+		out = append(out, pair{owner, k, v})
 	}
 	return out
 }
@@ -115,27 +104,42 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			// Pins need the epoch clock, the clock needs async flushing, and
 			// async flushing needs the cache: the cache-less run reads at ∞ only.
 			var src *mvcc.Source
+			var clock *clockLogger
 			var logger bwtree.WALLogger
 			if !cc.disabled {
 				src = mvcc.NewSource(0)
 				cfg.Tree.Epochs = src
-				logger = &clockLogger{src: src}
+				clock = &clockLogger{src: src}
+				logger = clock
 			}
 			f, err := New(m, st, cfg, logger)
 			if err != nil {
 				t.Fatal(err)
 			}
-			model := map[OwnerID]ownerModel{}
+			// The model stamps each version with the newest LSN handed out
+			// once it is written (0 with no clock), so its state at the LSN
+			// a pin was taken at is every write before the pin.
+			now := func() uint64 {
+				if clock == nil {
+					return 0
+				}
+				return uint64(clock.last())
+			}
+			model := map[OwnerID]refmodel.KV{}
+			note := func(owner OwnerID, k string, v refmodel.Version) {
+				if model[owner] == nil {
+					model[owner] = refmodel.KV{}
+				}
+				v.LSN = now()
+				model[owner].Add(k, v)
+			}
 			put := func(owner OwnerID, i int, v string) {
 				t.Helper()
 				k := fmt.Sprintf("\x00\x01key-%04d", i) // inside the [\x00\x01, \x00\x02) "edge type" range
 				if err := f.Put(owner, []byte(k), []byte(v)); err != nil {
 					t.Fatal(err)
 				}
-				if model[owner] == nil {
-					model[owner] = ownerModel{}
-				}
-				model[owner][k] = v
+				note(owner, k, refmodel.Version{Value: v})
 			}
 			del := func(owner OwnerID, i int) {
 				t.Helper()
@@ -143,7 +147,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 				if err := f.Delete(owner, []byte(k)); err != nil {
 					t.Fatal(err)
 				}
-				delete(model[owner], k)
+				note(owner, k, refmodel.Version{Deleted: true})
 			}
 			// Owners 1-12 small (share INIT leaves), 13-16 span 2-3 INIT
 			// leaves, 17-19 dedicated by threshold, 20 the block-served hub,
@@ -175,9 +179,9 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			}
 
 			type horizon struct {
-				name  string
-				h     wal.LSN
-				model map[OwnerID]ownerModel
+				name string
+				h    wal.LSN // the tree's
+				at   uint64  // the model's
 			}
 			var horizons []horizon
 			pin := func(name string) {
@@ -186,7 +190,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 				}
 				p := src.Pin()
 				t.Cleanup(p.Close)
-				horizons = append(horizons, horizon{name, wal.LSN(p.Epoch()), copyModel(model)})
+				horizons = append(horizons, horizon{name, wal.LSN(p.Epoch()), now()})
 			}
 			pin("before migration")
 			if err := f.Dedicate(21); err != nil {
@@ -208,7 +212,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 					}
 				}
 			}
-			horizons = append(horizons, horizon{"latest", horizonAll, model})
+			horizons = append(horizons, horizon{"latest", horizonAll, refmodel.Latest})
 			if src != nil {
 				// Clean pages are what a bounded cache evicts and a miss
 				// reloads; the sweep runs when pages are installed or split,
@@ -247,7 +251,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 							}); err != nil {
 								t.Fatal(err)
 							}
-							want = append(want, hz.model[o].expect(o, from, to, limit)...)
+							want = append(want, expect(model[o], o, from, to, limit, hz.at)...)
 						}
 						if a, b := sortPairs(loop), sortPairs(want); fmt.Sprint(a) != fmt.Sprint(b) {
 							t.Fatalf("%s limit %d: ScanAt loop diverges from the model:\n got %v\nwant %v", hz.name, limit, a, b)
@@ -286,7 +290,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 							if n != 1 {
 								continue
 							}
-							exp := hz.model[o].expect(o, from, to, limit)
+							exp := expect(model[o], o, from, to, limit, hz.at)
 							i := 0
 							for _, p := range got {
 								if p.owner != o {

@@ -291,31 +291,6 @@ type BatchStore interface {
 	ApplyBatch(muts []Mutation) error
 }
 
-// ApplyMutations applies mutations through s, using the batched path when
-// the store offers one and falling back to one call per mutation.
-func ApplyMutations(s Store, muts []Mutation) error {
-	if bs, ok := s.(BatchStore); ok {
-		return bs.ApplyBatch(muts)
-	}
-	for i, m := range muts {
-		var err error
-		switch m.Kind {
-		case MutAddVertex:
-			err = s.AddVertex(m.Vertex)
-		case MutAddEdge:
-			err = s.AddEdge(m.Edge)
-		case MutDeleteEdge:
-			err = s.DeleteEdge(m.Edge.Src, m.Edge.Type, m.Edge.Dst)
-		default:
-			err = fmt.Errorf("graph: mutation %d: unknown kind %d", i, m.Kind)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FrontierReader is an optional Reader capability: the out-neighbors of a
 // whole traversal frontier in one call, so a store can make the hop — not
 // the vertex — its unit of I/O (the Bw-tree forest fetches every cold page

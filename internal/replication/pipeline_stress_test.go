@@ -1,9 +1,7 @@
 package replication
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +9,7 @@ import (
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
 	"bg3/internal/graph"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
@@ -83,36 +82,35 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	}
 	old.Writer().SetRetry(retry)
 
-	edgeKey := func(src, dst graph.VertexID) string { return fmt.Sprintf("e|%d|%d", src, dst) }
-
-	// Each writer owns src 200+w: its model slice is race-free. Writers run
-	// until the fence rejects them; the rejected op is in-doubt.
+	// Each writer owns src 200+w and a truth of its own: its acknowledged
+	// writes, and the one the fence rejected, which is in doubt (its data
+	// record may have been durable in the gapless prefix while a later
+	// record of the same op was cut off). Writers run until the fence
+	// rejects them.
 	type writerResult struct {
-		model      map[string][]byte
-		inDoubt    string
-		inDoubtVal []byte
-		err        error
+		truth *refmodel.Truth
+		acked int
+		err   error
 	}
 	results := make([]writerResult, writers)
+	srcs := make([]graph.VertexID, writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		results[w].model = make(map[string][]byte)
+		results[w].truth, srcs[w] = refmodel.NewTruth(), graph.VertexID(200+w)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			src := graph.VertexID(200 + w)
+			r := &results[w]
 			for i := 0; ; i++ {
-				dst := graph.VertexID(i % 64)
-				val := []byte{byte(w), byte(i), byte(i >> 8)}
-				err := old.AddEdge(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeFollow,
-					Props: graph.Properties{{Name: "p", Value: val}}})
-				if err != nil {
-					results[w].err = err
-					results[w].inDoubt = edgeKey(src, dst)
-					results[w].inDoubtVal = val
+				e := graph.Edge{Src: srcs[w], Dst: graph.VertexID(i % 64), Type: graph.ETypeFollow,
+					Props: graph.Properties{{Name: "p", Value: []byte{byte(w), byte(i), byte(i >> 8)}}}}
+				k := refmodel.EdgeKey(e.Src, e.Type, e.Dst)
+				if r.err = old.AddEdge(e); r.err != nil {
+					r.truth.FailPut(k, refmodel.Value(e.Props))
 					return
 				}
-				results[w].model[edgeKey(src, dst)] = val
+				r.truth.AckPut(k, refmodel.Value(e.Props))
+				r.acked++
 			}
 		}(w)
 	}
@@ -155,7 +153,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		if !errors.Is(r.err, storage.ErrFenced) && !errors.Is(r.err, wal.ErrWriterFailed) {
 			t.Fatalf("writer %d racing the fence got %v; want ErrFenced or ErrWriterFailed", w, r.err)
 		}
-		acked += len(r.model)
+		acked += r.acked
 	}
 	if acked == 0 {
 		t.Fatal("no write was ever acknowledged before the fence; the race is vacuous")
@@ -165,59 +163,28 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 
 	// Post-failover workload on the new leader, on dsts disjoint from the
 	// racing writes.
-	postModel := make(map[string][]byte)
 	for w := 0; w < writers; w++ {
-		src := graph.VertexID(200 + w)
 		for i := 0; i < 8; i++ {
-			dst := graph.VertexID(64 + i)
-			val := []byte{'n', byte(w), byte(i)}
-			if err := next.AddEdge(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeFollow,
-				Props: graph.Properties{{Name: "p", Value: val}}}); err != nil {
+			e := graph.Edge{Src: srcs[w], Dst: graph.VertexID(64 + i), Type: graph.ETypeFollow,
+				Props: graph.Properties{{Name: "p", Value: []byte{'n', byte(w), byte(i)}}}}
+			if err := next.AddEdge(e); err != nil {
 				t.Fatalf("post-failover write: %v", err)
 			}
-			postModel[edgeKey(src, dst)] = val
+			results[w].truth.AckPut(refmodel.EdgeKey(e.Src, e.Type, e.Dst), refmodel.Value(e.Props))
 		}
 	}
 
-	// Every acked write survives; the single fence-rejected op per writer is
-	// in-doubt (its data record may have been durable in the gapless prefix
-	// while a later record of the same op was cut off); anything else is a
-	// phantom — in particular, nothing from a fenced post-gap debris group
-	// may ever surface.
-	engine := next.Engine()
+	// Every acked write survives, the in-doubt op may or may not have
+	// landed, and anything else is a phantom — in particular, nothing from a
+	// fenced post-gap debris group may ever surface.
+	follows := []graph.EdgeType{graph.ETypeFollow}
+	leader, err := refmodel.Observe(next.Engine(), srcs, follows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for w := range results {
-		r := &results[w]
-		src := graph.VertexID(200 + w)
-		seen := make(map[string][]byte)
-		err := engine.Neighbors(src, graph.ETypeFollow, 0, func(dst graph.VertexID, ps graph.Properties) bool {
-			v, _ := ps.Get("p")
-			seen[edgeKey(src, dst)] = bytes.Clone(v)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, want := range r.model {
-			got, ok := seen[k]
-			if !ok {
-				t.Fatalf("writer %d: acked write %q lost across pipelined promotion", w, k)
-			}
-			if string(got) != string(want) &&
-				!(k == r.inDoubt && string(got) == string(r.inDoubtVal)) {
-				t.Fatalf("writer %d: acked write %q = %x, want %x", w, k, got, want)
-			}
-		}
-		for k, got := range seen {
-			if _, ok := r.model[k]; ok {
-				continue
-			}
-			if _, ok := postModel[k]; ok {
-				continue
-			}
-			if k == r.inDoubt && string(got) == string(r.inDoubtVal) {
-				continue // the in-doubt op landed in the gapless prefix; legal
-			}
-			t.Fatalf("writer %d: phantom edge %q = %x (debris resurrected or never acked)", w, k, got)
+		if err := results[w].truth.Agrees(refmodel.Graph{srcs[w]: leader[srcs[w]]}); err != nil {
+			t.Fatalf("writer %d across pipelined promotion: %v", w, err)
 		}
 	}
 
@@ -262,34 +229,11 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	if err := follower.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	replica := follower.Replica()
-	for w := 0; w < writers; w++ {
-		src := graph.VertexID(200 + w)
-		fromReplica := make(map[string][]byte)
-		err := replica.Neighbors(src, graph.ETypeFollow, 0, func(dst graph.VertexID, ps graph.Properties) bool {
-			v, _ := ps.Get("p")
-			fromReplica[edgeKey(src, dst)] = bytes.Clone(v)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromLeader := make(map[string][]byte)
-		err = engine.Neighbors(src, graph.ETypeFollow, 0, func(dst graph.VertexID, ps graph.Properties) bool {
-			v, _ := ps.Get("p")
-			fromLeader[edgeKey(src, dst)] = bytes.Clone(v)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fromReplica) != len(fromLeader) {
-			t.Fatalf("src %d: replay has %d edges, leader has %d", src, len(fromReplica), len(fromLeader))
-		}
-		for k, v := range fromLeader {
-			if string(fromReplica[k]) != string(v) {
-				t.Fatalf("src %d: replayed %q = %x, leader has %x", src, k, fromReplica[k], v)
-			}
-		}
+	replayed, err := refmodel.Observe(follower.Replica(), srcs, follows)
+	if err == nil {
+		err = refmodel.Diff(replayed, leader)
+	}
+	if err != nil {
+		t.Fatalf("replay against the promoted leader: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
 	"bg3/internal/graph"
+	"bg3/internal/refmodel"
 	"bg3/internal/storage"
 )
 
@@ -32,7 +33,7 @@ func TestPropertyReplicaEquivalence(t *testing.T) {
 		}
 		defer rw.Stop()
 
-		model := map[graph.VertexID]map[graph.VertexID]bool{}
+		model := refmodel.Graph{}
 		const vertices = 24
 		for i := 0; i < 400; i++ {
 			src := graph.VertexID(rng.Intn(vertices))
@@ -42,7 +43,7 @@ func TestPropertyReplicaEquivalence(t *testing.T) {
 				if err := rw.DeleteEdge(src, graph.ETypeLike, dst); err != nil {
 					return false
 				}
-				delete(model[src], dst)
+				_ = model.DeleteEdge(src, graph.ETypeLike, dst)
 			case 1:
 				if err := rw.Checkpoint(); err != nil {
 					return false
@@ -52,41 +53,31 @@ func TestPropertyReplicaEquivalence(t *testing.T) {
 					return false
 				}
 			default:
-				if err := rw.AddEdge(graph.Edge{Src: src, Dst: dst, Type: graph.ETypeLike}); err != nil {
+				e := graph.Edge{Src: src, Dst: dst, Type: graph.ETypeLike}
+				if err := rw.AddEdge(e); err != nil {
 					return false
 				}
-				if model[src] == nil {
-					model[src] = map[graph.VertexID]bool{}
-				}
-				model[src][dst] = true
+				_ = model.AddEdge(e)
 			}
 		}
 
+		var srcs []graph.VertexID
+		for src := graph.VertexID(0); src < vertices; src++ {
+			srcs = append(srcs, src)
+		}
 		check := func(ro *RONode) bool {
 			defer ro.Stop()
 			if !ro.WaitVisible(rw.LastLSN(), 5*time.Second) {
 				return false
 			}
-			for src := graph.VertexID(0); src < vertices; src++ {
-				got := map[graph.VertexID]bool{}
-				if err := ro.Replica().Neighbors(src, graph.ETypeLike, 0,
-					func(d graph.VertexID, _ graph.Properties) bool {
-						got[d] = true
-						return true
-					}); err != nil {
-					return false
-				}
-				want := model[src]
-				if len(got) != len(want) {
-					return false
-				}
-				for d := range want {
-					if !got[d] {
-						return false
-					}
-				}
+			got, err := refmodel.Observe(ro.Replica(), srcs, []graph.EdgeType{graph.ETypeLike})
+			if err == nil {
+				err = refmodel.Diff(got, model)
 			}
-			return true
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+			}
+			return err == nil
 		}
 
 		full := newRO(t, st, time.Millisecond, 0)

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,20 +14,22 @@ import (
 
 	"bg3/internal/graph"
 	"bg3/internal/pattern"
+	"bg3/internal/refmodel"
 	"bg3/internal/shard"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
 
 // The oracle. One seeded op stream runs through Open against a real DB and a
-// trivially correct reference graph (ref), on every shape — a bare engine, a
-// replicated leader, four shards — and after every step the invariants the
-// system claims are checked through every reader: the DB, the Snapshots the
-// stream holds open, its Replicas. There are two sources of truth:
+// trivially correct reference graph (refmodel.Graph), on every shape — a bare
+// engine, a replicated leader, four shards — and after every step the
+// invariants the system claims are checked through every reader: the DB, the
+// Snapshots the stream holds open, its Replicas. There are two sources of
+// truth:
 //
-//   - the stream's truth (truth): what the outcomes of the ops say. An
-//     acknowledged write is certain; a failed one leaves maybe-state, which
-//     the next acknowledged op of the same key clears.
+//   - the stream's truth (refmodel.Truth): what the outcomes of the ops say.
+//     An acknowledged write is certain; a failed one leaves maybe-state,
+//     which the next acknowledged op of the same key clears.
 //   - the log's truth (shardLog): each shard's WAL, read by a wal.Reader of
 //     the oracle's own and replayed group by group into every version each
 //     key had, so the state at any group boundary is at hand. A bare engine
@@ -49,8 +50,10 @@ import (
 //	             after Sync that is the end of every shard's log.
 //	all-or-none  a batch over several shards is wholly in a Snapshot's cut and
 //	             in the log, or not at all, also under concurrent writers.
-//	traversal    KHop, MatchPattern and FindCycles on each reader return what
-//	             the same functions return on ref at that reader's state.
+//	traversal    KHop on each reader reaches what the naive BFS
+//	             (refmodel.KHop) reaches on the reference graph at that
+//	             reader's state; MatchPattern and FindCycles return what
+//	             pattern's DFS returns on it.
 //	scatter      a KHop moves shard.scatter_hops by one per hop and
 //	             shard.scatter_shard_reads by the shards each hop touched.
 //	condemned    after a Checkpoint and a Sync of every replica, with no
@@ -127,216 +130,14 @@ func TestOracle(t *testing.T) {
 	}
 }
 
-// okey addresses one record of the graph: an edge in its source's keyspace
-// (key graph.EdgeKey) or a vertex (key: the reserved edge type, then the
-// vertex type — the engine's layout).
-type okey struct {
-	owner VertexID
-	key   string
-}
-
-func edgeKey(src VertexID, typ EdgeType, dst VertexID) okey {
-	return okey{src, string(graph.EdgeKey(typ, dst))}
-}
-
-func vertexKey(id VertexID, typ VertexType) okey {
-	return okey{id, string(binary.BigEndian.AppendUint16([]byte{0xff, 0xff}, uint16(typ)))}
-}
-
-func (k okey) String() string {
-	if typ, dst, err := graph.DecodeEdgeKey([]byte(k.key)); err == nil {
-		return fmt.Sprintf("%d-[%d]->%d", k.owner, typ, dst)
-	}
-	return fmt.Sprintf("vertex %d", k.owner)
-}
-
 // Every write carries a tag of its own as its one property, so a value read
 // back names the op that wrote it.
 func tagged(tag string) Properties { return Properties{{Name: tagProp, Value: []byte(tag)}} }
 
 func tagOf(ps Properties) string { v, _ := ps.Get(tagProp); return string(v) }
 
-// maybeState is what failed ops leave on a key. A write that was never
-// acknowledged may be present (the engine applies memory before the WAL wait
-// resolves, and a later checkpoint can make that durable) or absent.
-type maybeState struct {
-	tags   map[string]bool // tags a failed put may have left
-	absent bool            // a failed delete may have removed the key
-}
-
-// truth is the stream's truth: the last acknowledged tag per key, plus the
-// residue of failed ops, which the next acknowledged op of the key clears —
-// its LSN orders it after every earlier attempt, in replay and in memory.
-type truth struct {
-	acked map[okey]string
-	maybe map[okey]*maybeState
-}
-
-func newTruth() *truth {
-	return &truth{acked: map[okey]string{}, maybe: map[okey]*maybeState{}}
-}
-
-func (o *truth) ackPut(k okey, tag string) { o.acked[k] = tag; delete(o.maybe, k) }
-
-func (o *truth) ackDelete(k okey) { delete(o.acked, k); delete(o.maybe, k) }
-
-func (o *truth) maybeOf(k okey) *maybeState {
-	ms := o.maybe[k]
-	if ms == nil {
-		ms = &maybeState{tags: map[string]bool{}}
-		o.maybe[k] = ms
-	}
-	return ms
-}
-
-func (o *truth) failPut(k okey, tag string) { o.maybeOf(k).tags[tag] = true }
-
-func (o *truth) failDelete(k okey) { o.maybeOf(k).absent = true }
-
-// check validates one observation of k: with no residue it must be the
-// acknowledged state exactly; with residue, any state some subset of the
-// failed ops explains.
-func (o *truth) check(k okey, got string, found bool) error {
-	want, acked := o.acked[k]
-	ms := o.maybe[k]
-	switch {
-	case found && acked && got == want:
-		return nil
-	case found && ms != nil && ms.tags[got]:
-		return nil
-	case !found && (!acked || (ms != nil && ms.absent)):
-		return nil
-	case !found:
-		return fmt.Errorf("%v: acknowledged write %q lost", k, want)
-	case acked:
-		return fmt.Errorf("%v: read %q, acknowledged %q", k, got, want)
-	}
-	return fmt.Errorf("%v: phantom %q (never written, or deleted by an acknowledged op)", k, got)
-}
-
-// mustHave reports whether k must be present: acknowledged, and no failed
-// delete hangs over it.
-func (o *truth) mustHave(k okey) bool {
-	_, acked := o.acked[k]
-	return acked && (o.maybe[k] == nil || !o.maybe[k].absent)
-}
-
-// agrees checks a whole graph against the stream's truth.
-func (o *truth) agrees(got ref) error {
-	for owner, m := range got {
-		for key, tag := range m {
-			if err := o.check(okey{owner, key}, tag, true); err != nil {
-				return err
-			}
-		}
-	}
-	for k := range o.acked {
-		if _, ok := got[k.owner][k.key]; !ok && o.mustHave(k) {
-			return o.check(k, "", false)
-		}
-	}
-	return nil
-}
-
-// ref is the reference graph, owner → in-owner key → tag. It implements
-// graph.Reader, so graph.KHop, pattern.Match and pattern.FindCycles run on it
-// unchanged.
-type ref map[VertexID]map[string]string
-
-func (r ref) put(k okey, tag string) {
-	if r[k.owner] == nil {
-		r[k.owner] = map[string]string{}
-	}
-	r[k.owner][k.key] = tag
-}
-
-func (r ref) GetVertex(id VertexID, typ VertexType) (Vertex, bool, error) {
-	tag, ok := r[id][vertexKey(id, typ).key]
-	if !ok {
-		return Vertex{}, false, nil
-	}
-	return Vertex{ID: id, Type: typ, Props: tagged(tag)}, true, nil
-}
-
-func (r ref) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	tag, ok := r[src][edgeKey(src, typ, dst).key]
-	if !ok {
-		return Edge{}, false, nil
-	}
-	return Edge{Src: src, Dst: dst, Type: typ, Props: tagged(tag)}, true, nil
-}
-
-func (r ref) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	prefix := edgeKey(src, typ, 0).key[:2]
-	var keys []string
-	for k := range r[src] {
-		if len(k) == 10 && k[:2] == prefix {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		_, dst, _ := graph.DecodeEdgeKey([]byte(k))
-		if (limit > 0 && i >= limit) || !fn(dst, tagged(r[src][k])) {
-			break
-		}
-	}
-	return nil
-}
-
-func (r ref) Degree(src VertexID, typ EdgeType) (int, error) {
-	n := 0
-	err := r.Neighbors(src, typ, 0, func(VertexID, Properties) bool { n++; return true })
-	return n, err
-}
-
-// observe reads every record of owners through r: each one's vertex and its
-// adjacency of every edge type.
-func observe(r graph.Reader, owners []VertexID, types []EdgeType) (ref, error) {
-	got := ref{}
-	for _, o := range owners {
-		if v, ok, err := r.GetVertex(o, VTypeUser); err != nil {
-			return nil, fmt.Errorf("vertex %d: %w", o, err)
-		} else if ok {
-			got.put(vertexKey(o, VTypeUser), tagOf(v.Props))
-		}
-		for _, typ := range types {
-			if err := r.Neighbors(o, typ, 0, func(dst VertexID, ps Properties) bool {
-				got.put(edgeKey(o, typ, dst), tagOf(ps))
-				return true
-			}); err != nil {
-				return nil, fmt.Errorf("neighbors %d/%d: %w", o, typ, err)
-			}
-		}
-	}
-	return got, nil
-}
-
-// diff returns the first record got and want disagree on.
-func diff(got, want ref) error {
-	for owner, m := range want {
-		for key, tag := range m {
-			if g, ok := got[owner][key]; !ok || g != tag {
-				return fmt.Errorf("%v: read %q (present %v), want %q", okey{owner, key}, g, ok, tag)
-			}
-		}
-	}
-	for owner, m := range got {
-		for key, tag := range m {
-			if _, ok := want[owner][key]; !ok {
-				return fmt.Errorf("%v: read %q, want absent", okey{owner, key}, tag)
-			}
-		}
-	}
-	return nil
-}
-
-// version is one write of a key as the log holds it.
-type version struct {
-	lsn wal.LSN
-	tag string
-	del bool
-}
+// val is a tagged record's value in the reference model.
+func val(tag string) string { return refmodel.Value(tagged(tag)) }
 
 // shardLog is one shard's log's truth: a reader of the shard's WAL, polled
 // after every step — before any flush cycle can trim past it — and every
@@ -350,23 +151,19 @@ type shardLog struct {
 	last wal.LSN
 	ends map[wal.LSN]bool // group boundaries delivered, and 0
 
-	init, ded map[okey][]version
-	orphans   map[uint64][]orphan  // dedicated-tree records before their assignment
-	owner     map[uint64]VertexID  // dedicated tree → owner
-	since     map[VertexID]wal.LSN // owner → its assignment's LSN
-	first     map[string]wal.LSN   // tag → LSN of the first put carrying it
-}
-
-// orphan is a dedicated-tree key's version whose owner is not known yet.
-type orphan struct {
-	key string
-	v   version
+	// Every version of every key, under owner[8] and the in-owner key: INIT's
+	// and the dedicated trees'.
+	init, ded refmodel.KV
+	orphans   map[uint64]refmodel.KV // dedicated-tree records before their assignment
+	owner     map[uint64]VertexID    // dedicated tree → owner
+	since     map[VertexID]wal.LSN   // owner → its assignment's LSN
+	first     map[string]wal.LSN     // tag → LSN of the first put carrying it
 }
 
 func newShardLog(st *storage.Store) *shardLog {
 	return &shardLog{
 		rd: wal.NewReader(st), ends: map[wal.LSN]bool{0: true},
-		init: map[okey][]version{}, ded: map[okey][]version{}, orphans: map[uint64][]orphan{},
+		init: refmodel.KV{}, ded: refmodel.KV{}, orphans: map[uint64]refmodel.KV{},
 		owner: map[uint64]VertexID{}, since: map[VertexID]wal.LSN{}, first: map[string]wal.LSN{},
 	}
 }
@@ -397,8 +194,8 @@ func (l *shardLog) apply(rec *wal.Record) (string, error) {
 	case wal.RecordOwnerAssign:
 		o := VertexID(binary.BigEndian.Uint64(rec.Key))
 		l.owner[rec.TreeID], l.since[o] = o, rec.LSN
-		for _, p := range l.orphans[rec.TreeID] {
-			l.ded[okey{o, p.key}] = append(l.ded[okey{o, p.key}], p.v)
+		for k, vs := range l.orphans[rec.TreeID] {
+			l.ded[string(rec.Key)+k] = append(l.ded[string(rec.Key)+k], vs...)
 		}
 		delete(l.orphans, rec.TreeID)
 		return "", nil
@@ -406,61 +203,58 @@ func (l *shardLog) apply(rec *wal.Record) (string, error) {
 	default:
 		return "", nil
 	}
-	v := version{lsn: rec.LSN, del: rec.Type == wal.RecordDelete}
-	if !v.del {
+	var tag string
+	if rec.Type == wal.RecordPut {
 		ps, err := graph.DecodeProps(rec.Value)
 		if err != nil {
 			return "", err
 		}
-		if v.tag = tagOf(ps); v.tag == "" {
+		if tag = tagOf(ps); tag == "" {
 			return "", fmt.Errorf("put without a tag")
 		}
-		if _, ok := l.first[v.tag]; !ok {
-			l.first[v.tag] = rec.LSN
+		if _, ok := l.first[tag]; !ok {
+			l.first[tag] = rec.LSN
 		}
 	}
+	v := refmodel.Version{LSN: uint64(rec.LSN), Value: string(rec.Value), Deleted: rec.Type == wal.RecordDelete}
 	switch len(rec.Key) {
 	case 18, 12: // INIT: owner[8], then the in-owner key
-		k := okey{VertexID(binary.BigEndian.Uint64(rec.Key)), string(rec.Key[8:])}
-		l.init[k] = append(l.init[k], v)
+		l.init.Add(string(rec.Key), v)
 	case 10, 4: // a dedicated tree's
 		if o, ok := l.owner[rec.TreeID]; ok {
-			l.ded[okey{o, string(rec.Key)}] = append(l.ded[okey{o, string(rec.Key)}], v)
+			l.ded.Add(string(binary.BigEndian.AppendUint64(nil, uint64(o)))+string(rec.Key), v)
 		} else {
-			l.orphans[rec.TreeID] = append(l.orphans[rec.TreeID], orphan{string(rec.Key), v})
+			if l.orphans[rec.TreeID] == nil {
+				l.orphans[rec.TreeID] = refmodel.KV{}
+			}
+			l.orphans[rec.TreeID].Add(string(rec.Key), v)
 		}
 	default:
 		return "", fmt.Errorf("key of %d bytes", len(rec.Key))
 	}
-	return v.tag, nil
+	return tag, nil
 }
 
 // into adds the shard's state at boundary h to r: an owner reads INIT below
 // its assignment and its dedicated tree from it on (forest.treeAt).
-func (l *shardLog) into(r ref, h wal.LSN) error {
+func (l *shardLog) into(r refmodel.Graph, h wal.LSN) error {
 	if h > l.last || !l.ends[h] {
 		return fmt.Errorf("epoch %d is not a group boundary of the log (delivered to %d)", h, l.last)
 	}
-	add := func(k okey, vs []version) {
-		for i := len(vs) - 1; i >= 0; i-- {
-			if vs[i].lsn <= h {
-				if !vs[i].del {
-					r.put(k, vs[i].tag)
-				}
-				return
+	add := func(kv refmodel.KV, dedicated bool) {
+		for k := range kv {
+			o := VertexID(binary.BigEndian.Uint64([]byte(k)))
+			s, migrated := l.since[o]
+			if dedicated != (migrated && h >= s) {
+				continue
+			}
+			if v, ok := kv.At(k, uint64(h)); ok {
+				r.Put(refmodel.Key{Owner: o, Key: k[8:]}, v)
 			}
 		}
 	}
-	for k, vs := range l.init {
-		if s, ok := l.since[k.owner]; !ok || h < s {
-			add(k, vs)
-		}
-	}
-	for k, vs := range l.ded {
-		if h >= l.since[k.owner] {
-			add(k, vs)
-		}
-	}
+	add(l.init, false)
+	add(l.ded, true)
 	return nil
 }
 
@@ -477,8 +271,8 @@ func logsOf(db *DB) []*shardLog {
 }
 
 // stateAt is the union of every shard's state at its component of vec.
-func stateAt(logs []*shardLog, vec []uint64) (ref, error) {
-	r := ref{}
+func stateAt(logs []*shardLog, vec []uint64) (refmodel.Graph, error) {
+	r := refmodel.Graph{}
 	for i, l := range logs {
 		if err := l.into(r, wal.LSN(vec[i])); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -511,24 +305,6 @@ func allOrNone(logs []*shardLog, bs []multiShard, vec []uint64) error {
 	return nil
 }
 
-// hopCount counts what a KHop costs the router: one scatter per hop, one
-// shard read per shard the hop's frontier touches.
-type hopCount struct {
-	graph.Reader
-	router          *shard.Router
-	scatters, reads int64
-}
-
-func (h *hopCount) NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
-	h.scatters++
-	for _, part := range h.router.SplitFrontier(srcs, nil) {
-		if len(part) > 0 {
-			h.reads++
-		}
-	}
-	return graph.NeighborsEach(h.Reader, srcs, typ, limit, fn)
-}
-
 // traverser is what every root reader offers beside graph.Reader.
 type traverser interface {
 	graph.Reader
@@ -539,7 +315,7 @@ type traverser interface {
 
 // mut is one mutation as the stream accounts for it.
 type mut struct {
-	k   okey
+	k   refmodel.Key
 	tag string
 	del bool
 }
@@ -553,7 +329,7 @@ type oracleRun struct {
 	db    *DB
 	plan  *storage.FaultPlan // nil on a bare engine
 
-	truth   *truth
+	truth   *refmodel.Truth
 	logs    []*shardLog
 	tags    map[string]bool // every tag the stream wrote
 	zombies map[string]bool
@@ -562,9 +338,9 @@ type oracleRun struct {
 	snaps   []*Snapshot
 	reps    []*Replica
 	owners  []VertexID
-	edges   []okey // every edge a put was sent for
+	edges   []refmodel.Key // every edge a put was sent for
 	step    int
-	touched []okey // keys the step wrote
+	touched []refmodel.Key // keys the step wrote
 
 	acked, failed, failovers, debris int
 	debrisFaults                     int // debrisFault injections
@@ -575,7 +351,7 @@ func newOracleRun(t *testing.T, shape string, seed int64) *oracleRun {
 	cfg := o.layers()
 	oracleLayers(&cfg)
 	r := &oracleRun{t: t, shape: shape, seed: seed, rng: rand.New(rand.NewSource(seed)),
-		truth: newTruth(), tags: map[string]bool{}, zombies: map[string]bool{}}
+		truth: refmodel.NewTruth(), tags: map[string]bool{}, zombies: map[string]bool{}}
 	if o.Replicated || o.Shards > 1 {
 		r.plan = storage.NewFaultPlan(storage.FaultConfig{Seed: seed * 7919, AppendFailProb: 0.02, TornWriteProb: 0.005})
 		r.plan.SetEnabled(false) // quiet while the leaders bootstrap
@@ -727,12 +503,12 @@ func (r *oracleRun) owner() VertexID {
 // edgeTo draws an edge of src: a hot owner's reach 100 destinations, so it
 // outgrows the split and edge-block thresholds; the others stay among the
 // owners, so traversals find paths and cycles.
-func (r *oracleRun) edgeTo(src VertexID) okey {
+func (r *oracleRun) edgeTo(src VertexID) refmodel.Key {
 	n := oracleOwners + 8
 	if src <= oracleHot {
 		n = 100
 	}
-	return edgeKey(src, oracleTypes[r.rng.Intn(4)/3], VertexID(1+r.rng.Intn(n)))
+	return refmodel.EdgeKey(src, oracleTypes[r.rng.Intn(4)/3], VertexID(1+r.rng.Intn(n)))
 }
 
 // singleWrite is one AddEdge, DeleteEdge (of a written edge, mostly) or
@@ -740,7 +516,7 @@ func (r *oracleRun) edgeTo(src VertexID) okey {
 func (r *oracleRun) singleWrite() []mut {
 	switch n := r.rng.Intn(10); {
 	case n < 2:
-		return []mut{{k: vertexKey(r.owner(), VTypeUser), tag: r.tag(0)}}
+		return []mut{{k: refmodel.VertexKey(r.owner(), VTypeUser), tag: r.tag(0)}}
 	case n < 4:
 		k := r.edgeTo(r.owner())
 		if len(r.edges) > 0 && r.rng.Intn(3) > 0 {
@@ -764,18 +540,18 @@ func (r *oracleRun) batch(multi bool, n int) []mut {
 		}
 	}
 	var ms []mut
-	seen := map[okey]bool{}
+	seen := map[refmodel.Key]bool{}
 	for j := 0; j < n; j++ {
 		src := srcs[j%len(srcs)]
 		k := r.edgeTo(src)
 		if j == 1 {
-			k = vertexKey(src, VTypeUser)
+			k = refmodel.VertexKey(src, VTypeUser)
 		}
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		m := mut{k: k, del: len(k.key) == 10 && r.rng.Intn(5) == 0}
+		m := mut{k: k, del: !k.IsVertex() && r.rng.Intn(5) == 0}
 		if !m.del {
 			m.tag = r.tag(j)
 		}
@@ -809,18 +585,18 @@ func (r *oracleRun) send(ms []mut) error {
 func (r *oracleRun) account(ms []mut, err error) {
 	for _, m := range ms {
 		r.touched = append(r.touched, m.k)
-		if !m.del && len(m.k.key) == 10 {
+		if !m.del && !m.k.IsVertex() {
 			r.edges = append(r.edges, m.k)
 		}
 		switch {
 		case err == nil && m.del:
-			r.truth.ackDelete(m.k)
+			r.truth.AckDelete(m.k)
 		case err == nil:
-			r.truth.ackPut(m.k, m.tag)
+			r.truth.AckPut(m.k, val(m.tag))
 		case m.del:
-			r.truth.failDelete(m.k)
+			r.truth.FailDelete(m.k)
 		default:
-			r.truth.failPut(m.k, m.tag)
+			r.truth.FailPut(m.k, val(m.tag))
 		}
 	}
 	switch {
@@ -834,14 +610,14 @@ func (r *oracleRun) account(ms []mut, err error) {
 }
 
 func (m mut) mutation() Mutation {
-	if len(m.k.key) == 4 {
-		return AddVertexMut(Vertex{ID: m.k.owner, Type: VTypeUser, Props: tagged(m.tag)})
+	if m.k.IsVertex() {
+		return AddVertexMut(Vertex{ID: m.k.Owner, Type: VTypeUser, Props: tagged(m.tag)})
 	}
-	typ, dst, _ := graph.DecodeEdgeKey([]byte(m.k.key))
+	typ, dst, _ := graph.DecodeEdgeKey([]byte(m.k.Key))
 	if m.del {
-		return DeleteEdgeMut(m.k.owner, typ, dst)
+		return DeleteEdgeMut(m.k.Owner, typ, dst)
 	}
-	return AddEdgeMut(Edge{Src: m.k.owner, Dst: dst, Type: typ, Props: tagged(m.tag)})
+	return AddEdgeMut(Edge{Src: m.k.Owner, Dst: dst, Type: typ, Props: tagged(m.tag)})
 }
 
 // apply is m as a single call on s.
@@ -865,10 +641,10 @@ func (r *oracleRun) noteMultiShard(ms []mut) {
 	var b multiShard
 	shards := map[int]bool{}
 	for _, m := range ms {
-		shards[r.db.group.Router().Owner(m.k.owner)] = true
+		shards[r.db.group.Router().Owner(m.k.Owner)] = true
 		if !m.del {
 			b.tags = append(b.tags, m.tag)
-			b.shards = append(b.shards, r.db.group.Router().Owner(m.k.owner))
+			b.shards = append(b.shards, r.db.group.Router().Owner(m.k.Owner))
 		}
 	}
 	if len(shards) > 1 {
@@ -951,8 +727,8 @@ func (r *oracleRun) replicaOp() {
 	}
 }
 
-// traverse runs one traversal on one reader and compares it with the same
-// traversal on ref at that reader's state.
+// traverse runs one traversal on one reader and compares it with the
+// reference traversal of the reference graph at that reader's state.
 func (r *oracleRun) traverse() {
 	readers := []traverser{r.db}
 	for _, s := range r.snaps {
@@ -974,14 +750,20 @@ func (r *oracleRun) traverse() {
 	switch r.rng.Intn(3) {
 	case 0:
 		h, limit := 1+r.rng.Intn(4), 3*r.rng.Intn(2)
-		counted := &hopCount{Reader: want, router: shard.NewRouter(r.db.Shards())}
 		before := r.scatter()
-		got, gerr = rd.KHop(start, typ, h, limit)
-		exp, _ = graph.KHop(counted, start, typ, h, limit)
-		if after := r.scatter(); r.db.group != nil && (after[0]-before[0] != counted.scatters || after[1]-before[1] != counted.reads) {
-			r.fatalf("scatter", "reader %d KHop(%d, hops %d): %d scatters and %d shard reads, want %d and %d",
-				i, start, h, after[0]-before[0], after[1]-before[1], counted.scatters, counted.reads)
+		reached, err := rd.KHop(start, typ, h, limit)
+		if err == nil {
+			err = refmodel.CheckKHop(want, reached, start, typ, h, limit, 0, true)
 		}
+		if err != nil {
+			r.fatalf("traversal", "reader %d KHop(%d, hops %d, limit %d): %v", i, start, h, limit, err)
+		}
+		scatters, reads := r.hopCost(want, start, typ, h, limit)
+		if after := r.scatter(); r.db.group != nil && (after[0]-before[0] != scatters || after[1]-before[1] != reads) {
+			r.fatalf("scatter", "reader %d KHop(%d, hops %d): %d scatters and %d shard reads, want %d and %d",
+				i, start, h, after[0]-before[0], after[1]-before[1], scatters, reads)
+		}
+		return
 	case 1:
 		p := Pattern{N: 3, Edges: []PatternEdge{{From: 0, To: 1, Type: typ}, {From: 1, To: 2, Type: oracleTypes[r.rng.Intn(2)]}}}
 		seeds := []VertexID{start, VertexID(1 + r.rng.Intn(oracleOwners))}
@@ -998,6 +780,29 @@ func (r *oracleRun) traverse() {
 	}
 }
 
+// hopCost is what a KHop over g costs the router: one scatter per hop whose
+// frontier is not empty, one shard read per shard that frontier touches.
+func (r *oracleRun) hopCost(g refmodel.Graph, start VertexID, typ EdgeType, hops, limit int) (scatters, reads int64) {
+	level := refmodel.KHop(g, start, typ, hops, limit, 0)
+	router := shard.NewRouter(r.db.Shards())
+	frontier := []VertexID{start}
+	for h := 1; h <= hops && len(frontier) > 0; h++ {
+		scatters++
+		for _, part := range router.SplitFrontier(frontier, nil) {
+			if len(part) > 0 {
+				reads++
+			}
+		}
+		frontier = frontier[:0]
+		for v, l := range level {
+			if l == h {
+				frontier = append(frontier, v)
+			}
+		}
+	}
+	return scatters, reads
+}
+
 // scatter reads the router's two counters; zeros on a bare engine.
 func (r *oracleRun) scatter() [2]int64 {
 	if r.db.group == nil {
@@ -1010,13 +815,9 @@ func (r *oracleRun) scatter() [2]int64 {
 // stateOf is the state reader rd must read: the log's at its pinned epochs
 // (a Snapshot), its applied LSNs (a Replica) or the released read epochs (the
 // DB's traversals pin those); on a bare engine, the stream's truth.
-func (r *oracleRun) stateOf(rd traverser) (ref, []uint64, error) {
+func (r *oracleRun) stateOf(rd traverser) (refmodel.Graph, []uint64, error) {
 	if r.db.group == nil {
-		want := ref{}
-		for k, tag := range r.truth.acked {
-			want.put(k, tag)
-		}
-		return want, nil, nil
+		return r.truth.Acked(), nil, nil
 	}
 	var vec []uint64
 	switch rd := rd.(type) {
@@ -1111,10 +912,10 @@ func (r *oracleRun) fault() {
 // meanwhile, so the next failover of the shard promotes over that debris.
 func (r *oracleRun) debrisFault() {
 	ms := r.batch(false, 16)
-	src := ms[0].k.owner
-	late := []mut{{k: edgeKey(src, ETypeLike, 1), tag: r.tag(16)}}
+	src := ms[0].k.Owner
+	late := []mut{{k: refmodel.EdgeKey(src, ETypeLike, 1), tag: r.tag(16)}}
 	for dst := VertexID(2); slices.ContainsFunc(ms, func(m mut) bool { return m.k == late[0].k }); dst++ {
-		late[0].k = edgeKey(src, ETypeLike, dst)
+		late[0].k = refmodel.EdgeKey(src, ETypeLike, dst)
 	}
 	i := r.db.group.Router().Owner(src)
 	st := r.db.group.Store(i)
@@ -1218,17 +1019,17 @@ func (r *oracleRun) poll() {
 
 // check runs every check against every reader.
 func (r *oracleRun) check() {
-	got, err := observe(r.db, r.owners, oracleTypes)
+	got, err := refmodel.Observe(r.db, r.owners, oracleTypes)
 	if err == nil {
-		err = r.truth.agrees(got)
+		err = r.truth.Agrees(got)
 	}
 	for _, k := range r.touched {
 		if err != nil {
 			break
 		}
-		tag, found, rerr := pointRead(r.db, k)
+		v, found, rerr := refmodel.Read(r.db, k)
 		if err = rerr; err == nil {
-			err = r.truth.check(k, tag, found)
+			err = r.truth.Check(k, v, found)
 		}
 	}
 	if err != nil {
@@ -1249,7 +1050,7 @@ func (r *oracleRun) check() {
 	}
 	latest, err := stateAt(r.logs, end)
 	if err == nil {
-		err = r.truth.agrees(latest)
+		err = r.truth.Agrees(latest)
 	}
 	if err != nil {
 		r.fatalf("log-acked", "%v", err)
@@ -1272,18 +1073,18 @@ func (r *oracleRun) checkReader(what, check string, rd traverser) {
 	if err := allOrNone(r.logs, r.txns, vec); check == "snapshot" && vec != nil && err != nil {
 		r.fatalf("all-or-none", "%s: %v", what, err)
 	}
-	got, err := observe(rd, r.owners, oracleTypes)
+	got, err := refmodel.Observe(rd, r.owners, oracleTypes)
 	if err == nil {
-		err = diff(got, want)
+		err = refmodel.Diff(got, want)
 	}
 	for _, k := range r.touched {
 		if err != nil {
 			break
 		}
-		tag, found, rerr := pointRead(rd, k)
-		wtag, wfound := want[k.owner][k.key]
-		if err = rerr; err == nil && (found != wfound || tag != wtag) {
-			err = fmt.Errorf("%v: point read %q (present %v), want %q (present %v)", k, tag, found, wtag, wfound)
+		v, found, rerr := refmodel.Read(rd, k)
+		wv, wfound := want.Get(k)
+		if err = rerr; err == nil && (found != wfound || v != wv) {
+			err = fmt.Errorf("%v: point read %q (present %v), want %q (present %v)", k, v, found, wv, wfound)
 		}
 	}
 	if err != nil {
@@ -1291,38 +1092,28 @@ func (r *oracleRun) checkReader(what, check string, rd traverser) {
 	}
 }
 
-func pointRead(rd graph.Reader, k okey) (string, bool, error) {
-	if len(k.key) == 4 {
-		v, ok, err := rd.GetVertex(k.owner, VTypeUser)
-		return tagOf(v.Props), ok, err
-	}
-	typ, dst, _ := graph.DecodeEdgeKey([]byte(k.key))
-	e, ok, err := rd.GetEdge(k.owner, typ, dst)
-	return tagOf(e.Props), ok, err
-}
-
 // TestOracleSemantics pins the stream's truth itself.
 func TestOracleSemantics(t *testing.T) {
-	k := edgeKey(1, 2, 3)
+	k := refmodel.EdgeKey(1, 2, 3)
 
 	t.Run("acked write must survive", func(t *testing.T) {
-		o := newTruth()
-		o.ackPut(k, "a")
-		if err := o.check(k, "a", true); err != nil {
+		o := refmodel.NewTruth()
+		o.AckPut(k, "a")
+		if err := o.Check(k, "a", true); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.check(k, "", false); err == nil {
+		if err := o.Check(k, "", false); err == nil {
 			t.Fatal("lost acked write not detected")
 		}
-		if err := o.check(k, "b", true); err == nil {
+		if err := o.Check(k, "b", true); err == nil {
 			t.Fatal("wrong value not detected")
 		}
 	})
 
 	t.Run("failed put may land or not", func(t *testing.T) {
-		o := newTruth()
-		o.ackPut(k, "a")
-		o.failPut(k, "b")
+		o := refmodel.NewTruth()
+		o.AckPut(k, "a")
+		o.FailPut(k, "b")
 		for _, c := range []struct {
 			got   string
 			found bool
@@ -1333,41 +1124,41 @@ func TestOracleSemantics(t *testing.T) {
 			{"", false, false}, // acked value cannot vanish
 			{"c", true, false}, // value from nowhere
 		} {
-			if err := o.check(k, c.got, c.found); (err == nil) != c.ok {
+			if err := o.Check(k, c.got, c.found); (err == nil) != c.ok {
 				t.Errorf("check(%q, %v) = %v, want ok=%v", c.got, c.found, err, c.ok)
 			}
 		}
 	})
 
 	t.Run("failed delete allows absence", func(t *testing.T) {
-		o := newTruth()
-		o.ackPut(k, "a")
-		o.failDelete(k)
-		if err := o.check(k, "", false); err != nil {
+		o := refmodel.NewTruth()
+		o.AckPut(k, "a")
+		o.FailDelete(k)
+		if err := o.Check(k, "", false); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.check(k, "a", true); err != nil {
+		if err := o.Check(k, "a", true); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	t.Run("ack after failure restores certainty", func(t *testing.T) {
-		o := newTruth()
-		o.failPut(k, "b")
-		o.ackPut(k, "c")
-		if err := o.check(k, "b", true); err == nil {
+		o := refmodel.NewTruth()
+		o.FailPut(k, "b")
+		o.AckPut(k, "c")
+		if err := o.Check(k, "b", true); err == nil {
 			t.Fatal("stale failed candidate accepted after later ack")
 		}
-		if err := o.check(k, "c", true); err != nil {
+		if err := o.Check(k, "c", true); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	t.Run("phantom on untouched key", func(t *testing.T) {
-		o := newTruth()
-		o.failPut(k, "b")
-		o.ackDelete(k)
-		if err := o.check(k, "b", true); err == nil {
+		o := refmodel.NewTruth()
+		o.FailPut(k, "b")
+		o.AckDelete(k)
+		if err := o.Check(k, "b", true); err == nil {
 			t.Fatal("acked delete must clear failed candidates")
 		}
 	})
@@ -1464,7 +1255,7 @@ func oracleConcurrent(t *testing.T, shape string) {
 
 	type observation struct {
 		vec []uint64
-		got ref
+		got refmodel.Graph
 	}
 	obs := make([][]observation, readers)
 	for rd := range readers {
@@ -1480,7 +1271,7 @@ func oracleConcurrent(t *testing.T, shape string) {
 				}
 				s := db.Snapshot()
 				vec := s.Epochs()
-				got, err := observe(s, srcs, oracleTypes[:1])
+				got, err := refmodel.Observe(s, srcs, oracleTypes[:1])
 				s.Close()
 				if err != nil {
 					fail(err)
@@ -1602,8 +1393,8 @@ func oracleConcurrent(t *testing.T, shape string) {
 				if err != nil {
 					t.Fatalf("snapshot: reader %d at %v: %v", rd, ob.vec, err)
 				}
-				want, _ := observe(full, srcs, oracleTypes[:1]) // what the reader read of it
-				if err := diff(ob.got, want); err != nil {
+				want, _ := refmodel.Observe(full, srcs, oracleTypes[:1]) // what the reader read of it
+				if err := refmodel.Diff(ob.got, want); err != nil {
 					t.Fatalf("snapshot: reader %d at %v: %v", rd, ob.vec, err)
 				}
 				if err := allOrNone(logs, multi, ob.vec); err != nil {

@@ -1,15 +1,16 @@
 package bg3
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"bg3/internal/graph"
+	"bg3/internal/refmodel"
 )
 
 // perVertex hides a reader's graph.FrontierReader capability, so graph.KHop
@@ -335,75 +336,12 @@ func TestPinnedReadSkipsInitAfterMigration(t *testing.T) {
 	}
 }
 
-// adjGraph is an in-memory graph.Reader over one edge type: each vertex's
-// out-neighbors, sorted and distinct. It expands a frontier one vertex at
-// a time, in order.
-type adjGraph map[VertexID][]VertexID
-
-func (a adjGraph) GetVertex(VertexID, VertexType) (Vertex, bool, error) {
-	return Vertex{}, false, nil
-}
-
-func (a adjGraph) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, error) {
-	if _, ok := slices.BinarySearch(a[src], dst); !ok {
-		return Edge{}, false, nil
-	}
-	return Edge{Src: src, Dst: dst, Type: typ}, true, nil
-}
-
-func (a adjGraph) Neighbors(src VertexID, _ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
-	for i, dst := range a[src] {
-		if (limit > 0 && i >= limit) || !fn(dst, nil) {
-			break
-		}
-	}
-	return nil
-}
-
-func (a adjGraph) Degree(src VertexID, _ EdgeType) (int, error) { return len(a[src]), nil }
-
-// adjFrontier is adjGraph with the graph.FrontierReader capability.
-type adjFrontier struct{ adjGraph }
-
-func (a adjFrontier) NeighborsMany(srcs []VertexID, typ EdgeType, limit int, fn func(src, dst VertexID) bool) error {
-	return graph.NeighborsEach(a.adjGraph, srcs, typ, limit, fn)
-}
-
-// naiveKHop is the reference traversal: level by level, each frontier
-// vertex in order expanding its first limit neighbors in order, stopping
-// once budget vertices are reached (<= 0: unlimited). It returns each
-// reached vertex's level.
-func naiveKHop(a adjGraph, start VertexID, hops, limit, budget int) map[VertexID]int {
-	level := map[VertexID]int{}
-	frontier := []VertexID{start}
-	for h := 1; h <= hops; h++ {
-		var next []VertexID
-		for _, src := range frontier {
-			for i, dst := range a[src] {
-				if limit > 0 && i >= limit {
-					break
-				}
-				if _, seen := level[dst]; seen || dst == start {
-					continue
-				}
-				if budget > 0 && len(level) == budget {
-					return level
-				}
-				level[dst] = h
-				next = append(next, dst)
-			}
-		}
-		frontier = next
-	}
-	return level
-}
-
 // TestConcurrentKHopMatchesNaiveBFS: eight goroutines run KHop and
-// KHopBudget with random starts, hops, limits and budgets over an
-// in-memory reader, its FrontierReader variant and a 4-shard DB holding
-// the same graph (self-loops and cycles back to the start included), so
+// KHopBudget with random starts, hops, limits and budgets over the
+// reference graph read one vertex at a time, the same graph as a
+// FrontierReader and a 4-shard DB holding it (self-loops and cycles back to the start included), so
 // pooled traversal and scatter scratch is shared between concurrent calls.
-// Every result is the naive BFS's: the same set where the reader expands
+// Every result is the naive BFS's (refmodel.CheckKHop): the same set where the reader expands
 // in order, and where a budget meets the sharded scatter's unspecified
 // cross-source order, budget vertices made of every level before the last
 // one reached and part of that one. Each call returns a map of its own,
@@ -411,24 +349,18 @@ func naiveKHop(a adjGraph, start VertexID, hops, limit, budget int) map[VertexID
 func TestConcurrentKHopMatchesNaiveBFS(t *testing.T) {
 	const vertices = 300
 	rng := rand.New(rand.NewSource(39))
-	g := adjGraph{}
-	var edges []Edge
-	for v := VertexID(0); v < vertices; v++ {
-		for _, dst := range rng.Perm(vertices)[:rng.Intn(10)] {
-			g[v] = append(g[v], VertexID(dst))
-		}
-		if rng.Intn(8) == 0 {
-			g[v] = append(g[v], v) // a self-loop
-		}
-		slices.Sort(g[v])
-		for _, dst := range g[v] {
-			edges = append(edges, Edge{Src: v, Dst: dst, Type: ETypeFollow})
-		}
-	}
+	g := refmodel.Graph{}
 	db := openDB(t, &Options{Shards: 4})
-	for _, e := range edges {
-		if err := db.AddEdge(e); err != nil {
-			t.Fatal(err)
+	for v := VertexID(0); v < vertices; v++ {
+		dsts := rng.Perm(vertices)[:rng.Intn(10)]
+		if rng.Intn(8) == 0 {
+			dsts = append(dsts, int(v)) // a self-loop
+		}
+		for _, dst := range dsts {
+			e := Edge{Src: v, Dst: VertexID(dst), Type: ETypeFollow}
+			if err := errors.Join(g.AddEdge(e), db.AddEdge(e)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	const sentinel = VertexID(1 << 62) // never a vertex of g
@@ -451,10 +383,10 @@ func TestConcurrentKHopMatchesNaiveBFS(t *testing.T) {
 				var err error
 				switch rng.Intn(4) {
 				case 0:
-					got, err = graph.KHopBudget(g, start, ETypeFollow, hops, limit, budget)
+					got, err = graph.KHopBudget(perVertex{g}, start, ETypeFollow, hops, limit, budget)
 				case 1:
 					reader = "frontier"
-					got, err = graph.KHopBudget(adjFrontier{g}, start, ETypeFollow, hops, limit, budget)
+					got, err = graph.KHopBudget(g, start, ETypeFollow, hops, limit, budget)
 				case 2:
 					reader, budget, inOrder = "DB.KHop", 0, false
 					got, err = db.KHop(start, ETypeFollow, hops, limit)
@@ -469,7 +401,7 @@ func TestConcurrentKHopMatchesNaiveBFS(t *testing.T) {
 					t.Errorf("%s: %v", call, err)
 					return
 				}
-				if err := matchesNaive(g, got, start, hops, limit, budget, inOrder); err != nil {
+				if err := refmodel.CheckKHop(g, got, start, ETypeFollow, hops, limit, budget, inOrder); err != nil {
 					t.Errorf("%s: %v", call, err)
 					return
 				}
@@ -489,40 +421,4 @@ func TestConcurrentKHopMatchesNaiveBFS(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-}
-
-// matchesNaive checks got against naiveKHop: the same set when the reader
-// expands in order or no budget applies, else a budget-sized set made of
-// every level before the deepest one it reaches and part of that level.
-func matchesNaive(g adjGraph, got map[VertexID]struct{}, start VertexID, hops, limit, budget int, inOrder bool) error {
-	if inOrder || budget <= 0 {
-		want := naiveKHop(g, start, hops, limit, budget)
-		if len(got) != len(want) {
-			return fmt.Errorf("reached %d vertices, naive BFS %d", len(got), len(want))
-		}
-		for v := range got {
-			if _, ok := want[v]; !ok {
-				return fmt.Errorf("reached %d, which naive BFS does not", v)
-			}
-		}
-		return nil
-	}
-	full := naiveKHop(g, start, hops, limit, 0)
-	if len(got) != min(budget, len(full)) {
-		return fmt.Errorf("reached %d vertices, want min(budget, %d)", len(got), len(full))
-	}
-	deepest := 0
-	for v := range got {
-		l, ok := full[v]
-		if !ok {
-			return fmt.Errorf("reached %d, which naive BFS does not", v)
-		}
-		deepest = max(deepest, l)
-	}
-	for v, l := range full {
-		if _, ok := got[v]; !ok && l < deepest {
-			return fmt.Errorf("missed %d at level %d, short of the deepest level reached, %d", v, l, deepest)
-		}
-	}
-	return nil
 }
