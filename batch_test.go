@@ -74,10 +74,10 @@ func TestBatchPersistsEachLeafOnce(t *testing.T) {
 	if batch.appends*8 > single.appends || batch.bytes*2 > single.bytes {
 		t.Fatalf("one batch of 1,024 ascending edges cost %+v, the same edges one by one %+v: want <= 1/8 of the appends and <= 1/2 of the bytes", batch, single)
 	}
-	if want := (cost{1024, 436062}); single != want {
+	if want := (cost{1024, 327407}); single != want {
 		t.Fatalf("1,024 ascending single writes cost %+v, want exactly %+v", single, want)
 	}
-	if want := (cost{16, 39319}); batch != want {
+	if want := (cost{16, 31239}); batch != want {
 		t.Fatalf("one batch of 1,024 ascending edges cost %+v, want exactly %+v", batch, want)
 	}
 
@@ -87,7 +87,7 @@ func TestBatchPersistsEachLeafOnce(t *testing.T) {
 	}
 	if single, batch := run(scattered, false), run(scattered, true); batch != single || single.appends != int64(len(scattered)) {
 		t.Fatalf("a batch of one key per leaf cost %+v, the single writes %+v: want the same, an append per key", batch, single)
-	} else if want := (cost{16, 768}); single != want {
+	} else if want := (cost{16, 560}); single != want {
 		t.Fatalf("16 scattered writes cost %+v, want exactly %+v", single, want)
 	}
 }

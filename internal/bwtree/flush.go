@@ -240,8 +240,8 @@ func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
 	defer func() { putScratch(buf) }()
 	for max := t.store.ExtentSize(); len(ops) > 0; {
 		n, size := 0, 4
-		for n < len(ops) && (n == 0 || size+opHeader+len(ops[n].key)+len(ops[n].val) <= max) {
-			size += opHeader + len(ops[n].key) + len(ops[n].val)
+		for n < len(ops) && (n == 0 || size+ops[n].size() <= max) {
+			size += ops[n].size()
 			n++
 		}
 		buf = encodeOps(buf[:0], ops[:n])
@@ -269,12 +269,15 @@ func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
 func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	if max := t.store.ExtentSize(); len(img) > max {
 		full := leafImage(slices.Clone(img))
-		n := 0
-		for size := 4; size+8+len(full.key(n))+len(full.val(n)) <= max; n++ {
-			size += 8 + len(full.key(n)) + len(full.val(n))
+		n, count := 0, full.count()
+		for shape := (imageShape{}); ; n++ { // the whole image does not fit: this ends
+			shape.add(full.entry(n, count))
+			if size, err := imageSize(shape.n, shape.payload, shape.packed()); err != nil || size > max {
+				break
+			}
 		}
-		spill := make([]op, 0, full.count()-n+len(ops))
-		for i := n; i < full.count(); i++ {
+		spill := make([]op, 0, count-n+len(ops))
+		for i := n; i < count; i++ {
 			spill = append(spill, op{key: full.key(i), val: full.val(i)})
 		}
 		var err error

@@ -231,27 +231,35 @@ func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool
 // mergeEncode folds the ops of ov stamped at or below floor into base,
 // clipped to [lo, hi), appends the result to dst as a flat image and returns
 // the image — the next durable base record, the next edge block, or a load's
-// base merged with its chain. It is the only writer of the leaf layout, and
+// base merged with its chain. It is the only writer of leaf images: one pass
+// sizes the result and picks its layout (imageShape), the next writes it. It
 // fails only when the result would outgrow the format (imageSize).
 func mergeEncode(dst []byte, base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
-	var n, payload uint64
+	var shape imageShape
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
-		n++
-		payload += uint64(len(k) + len(v))
+		shape.add(k, v)
 		return true
 	})
-	size, err := imageSize(n, payload)
+	size, err := imageSize(shape.n, shape.payload, shape.packed())
 	if err != nil {
 		return nil, err
 	}
-	start := len(dst)
-	img := slices.Grow(dst, size)[:start+4+8*int(n)]
-	binary.LittleEndian.PutUint32(img[start:], uint32(n))
+	start, n := len(dst), int(shape.n)
+	img, packed := slices.Grow(dst, size), shape.packed()
+	if packed {
+		img = binary.LittleEndian.AppendUint32(img, uint32(n)|packedLeafFlag)
+		img = binary.LittleEndian.AppendUint32(img, uint32(shape.klen))
+		img = binary.LittleEndian.AppendUint32(img, uint32(shape.vlen))
+	} else {
+		img = binary.LittleEndian.AppendUint32(img, uint32(n))[:start+4+8*n]
+	}
 	slot := start + 4
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
-		binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)-start))
-		binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
-		slot += 8
+		if !packed {
+			binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)-start))
+			binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
+			slot += 8
+		}
 		img = append(append(img, k...), v...)
 		return true
 	})

@@ -10,14 +10,17 @@ import (
 )
 
 // FuzzDecodeLeafPage drives the leaf-image validator with arbitrary bytes
-// (seed corpus in testdata/fuzz: a valid image, each truncation class, a
-// flipped offset, unsorted keys, the 32-bit length overflow). Every input
-// either fails with ErrCorruptPage or is an image whose accessors stay
-// inside the record, whose keys ascend, and which re-encodes byte for byte
-// (the layout is canonical: table, then entries, no slack) — never a panic,
-// never an alias outside buf.
+// (seed corpus in testdata/fuzz: a valid image in each layout, each
+// truncation class, a flipped offset, unsorted keys, the 32-bit length
+// overflow, a packed image of no entries, a packed count × (klen+vlen) past 32
+// bits, uniform entries in the table layout). Every input either fails with
+// ErrCorruptPage or is an image whose accessors stay inside the record, whose
+// keys ascend, and which re-encodes byte for byte (the layout is canonical:
+// packed exactly when the entries are uniform, then header or table, then
+// entries, no slack) — never a panic, never an alias outside buf.
 func FuzzDecodeLeafPage(f *testing.F) {
 	f.Add([]byte(imageOf(op{key: []byte("a"), val: []byte("1")}, op{key: []byte("b")})))
+	f.Add([]byte(imageOf(op{key: []byte("a"), val: []byte("1")}, op{key: []byte("b"), val: []byte("2")})))
 	f.Add([]byte(emptyLeaf))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeLeaf(data)
@@ -43,7 +46,9 @@ func FuzzDecodeLeafPage(f *testing.F) {
 }
 
 // FuzzDecodeOps is the same contract for delta records: ErrCorruptPage or
-// ops that re-encode byte for byte.
+// ops that re-encode byte for byte (corpus: a valid record, each truncation
+// class, a bad del byte, a key length that wraps, an LSN not in its shortest
+// uvarint form and one past 64 bits).
 func FuzzDecodeOps(f *testing.F) {
 	f.Add(encodeOps(nil, []op{{key: []byte("a"), val: []byte("1"), lsn: 7}, {del: true, key: []byte("b"), lsn: 9}}))
 	f.Add(encodeOps(nil, nil))

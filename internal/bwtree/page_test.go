@@ -643,7 +643,7 @@ func TestMemoryUsageCountsResidentBytes(t *testing.T) {
 	img := len(e.base)
 	e.base, e.live = nil, -1
 	e.mu.Unlock()
-	if img < 100*(8+4+5) || before-tr.m.MemoryUsage() != int64(img) {
+	if least, _ := imageSize(100, 100*(4+5), true); img < least || before-tr.m.MemoryUsage() != int64(img) {
 		t.Fatalf("evicting a %d-byte image moved memory_bytes by %d", img, before-tr.m.MemoryUsage())
 	}
 }

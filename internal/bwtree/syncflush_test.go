@@ -171,8 +171,8 @@ func TestCacheDisabledSyncSplits(t *testing.T) {
 		policy               DeltaPolicy
 		reads, writes, bytes int64
 	}{
-		{ReadOptimized, 4039, 2179, 258823},
-		{Traditional, 10096, 2179, 115028},
+		{ReadOptimized, 4039, 2179, 146520},
+		{Traditional, 10096, 2179, 70845},
 	} {
 		tr, st := newTreeOn(t, NewMapping(0, true), Config{Policy: c.policy, MaxPageEntries: 16})
 		want := map[string]string{}

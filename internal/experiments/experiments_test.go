@@ -64,8 +64,8 @@ func TestFig9Fig10StorageCounts(t *testing.T) {
 		policy      bwtree.DeltaPolicy
 		fig9, fig10 io
 	}{
-		{bwtree.Traditional, io{12123, 2690400, 71243}, io{10002, 25050947, 0}},
-		{bwtree.ReadOptimized, io{12123, 5405253, 23076}, io{10002, 28687309, 0}},
+		{bwtree.Traditional, io{12123, 2221164, 71243}, io{10002, 22519868, 0}},
+		{bwtree.ReadOptimized, io{12123, 4316840, 23076}, io{10002, 25625076, 0}},
 	} {
 		_, st9 := fig9TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 8_000, 0, 0), 42)
 		st10 := fig10TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 10_000, 0, 0))
@@ -96,7 +96,7 @@ func TestFig11Shape(t *testing.T) {
 		writes float64 // per virtual second, rounded
 		memory int64
 	}
-	want := []row{{1, 6205, 257660}, {64, 6704, 240636}, {8192, 7947, 1589120}}
+	want := []row{{1, 6205, 214756}, {64, 6704, 199068}, {8192, 7947, 1565448}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.Trees, math.Round(r.WriteQPS), r.MemoryBytes})
@@ -125,7 +125,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatalf("two runs differ:\n%v\n%v", rows, again)
 	}
 	type row struct{ moved, expired int64 }
-	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {666008, 0}, {0, 46}}
+	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {335280, 0}, {0, 25}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.MovedBytes, r.Expired})

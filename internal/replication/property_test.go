@@ -17,7 +17,10 @@ import (
 // TestPropertyReplicaEquivalence drives a replicated RW node with random
 // operations interleaved with random checkpoints and snapshots, then
 // verifies that a WAL-replay replica AND a snapshot-bootstrapped replica
-// both agree exactly with the primary on every vertex's adjacency.
+// both agree exactly with the primary on every vertex's adjacency, and that
+// a point read of every pair finds exactly the model's edges: a deleted
+// edge must read as a tombstone (absent, no error), where an adjacency scan
+// skips an undecodable empty-valued put as well.
 func TestPropertyReplicaEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,6 +76,18 @@ func TestPropertyReplicaEquivalence(t *testing.T) {
 			got, err := refmodel.Observe(ro.Replica(), srcs, []graph.EdgeType{graph.ETypeLike})
 			if err == nil {
 				err = refmodel.Diff(got, model)
+			}
+			for _, src := range srcs {
+				for _, dst := range srcs {
+					if err != nil {
+						break
+					}
+					_, ok, gerr := ro.Replica().GetEdge(src, graph.ETypeLike, dst)
+					_, want := model.Get(refmodel.EdgeKey(src, graph.ETypeLike, dst))
+					if gerr != nil || ok != want {
+						err = fmt.Errorf("GetEdge(%d, %d) = %v, %v; want present %v", src, dst, ok, gerr, want)
+					}
+				}
 			}
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)

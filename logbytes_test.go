@@ -61,3 +61,51 @@ func TestLogBytesPerEdge(t *testing.T) {
 		})
 	}
 }
+
+// TestLeafBytesPerEdge pins what the page records cost a prop-less edge, by
+// the bytes on the base and delta streams after one consolidating flush: on a
+// one-shard leader with the flusher off, the checkpoint writes every leaf
+// once, as a base holding its whole content. A dedicated tree's entries are
+// one key length and one value length, so its leaves are packed and may cost
+// 14 bytes per edge; the INIT tree's carry the owner in the key too and may
+// cost 22.
+func TestLeafBytesPerEdge(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		split  int // ForestSplitThreshold: 0 keeps every vertex in INIT
+		owners int
+		limit  float64
+	}{
+		{"dedicated", 64, 1, 14},
+		{"INIT", 0, 100, 22},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := openDB(t, &Options{Replicated: true, FlushInterval: time.Hour, ForestSplitThreshold: c.split})
+			const edges = 4096
+			for i := 0; i < edges; i++ {
+				if err := db.AddEdge(Edge{Src: VertexID(i % c.owners), Dst: VertexID(i), Type: ETypeFollow}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			st := db.eng(0).Store()
+			stored, records := 0, 0
+			for _, s := range []storage.StreamID{storage.StreamBase, storage.StreamDelta} {
+				entries, _, err := st.Scan(s, storage.Cursor{}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					stored, records = stored+len(e.Data), records+1
+				}
+			}
+			per := float64(stored) / edges
+			t.Logf("%s: %d page bytes in %d records, %.1f per edge", c.name, stored, records, per)
+			if per > c.limit {
+				t.Fatalf("%s stores %.1f page bytes per edge, want <= %.0f", c.name, per, c.limit)
+			}
+		})
+	}
+}
