@@ -52,7 +52,9 @@ type (
 	Edge = graph.Edge
 	// Property is one named property value.
 	Property = graph.Property
-	// Properties is an ordered property list.
+	// Properties is an ordered property list: at most 65,535 properties,
+	// each name at most 255 bytes and each value under 4 GiB. A write
+	// carrying a longer list fails and logs nothing.
 	Properties = graph.Properties
 	// Store is the engine-neutral graph API.
 	Store = graph.Store

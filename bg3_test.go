@@ -2,12 +2,16 @@ package bg3
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"bg3/internal/forest"
+	"bg3/internal/graph"
 )
 
 func openDB(t *testing.T, opts *Options) *DB {
@@ -763,6 +767,113 @@ func TestReplicationLagConverges(t *testing.T) {
 	}
 	if rep.AppliedLSN(0) == 0 {
 		t.Fatal("replica applied LSN is zero after applying 30 writes")
+	}
+}
+
+// TestOversizedPropertiesLogNothing: a property list its encoding cannot hold
+// (a name over 255 bytes, more than 65,535 properties), which EncodeProps
+// would truncate into a record no read decodes, is rejected on every write
+// path and every shape before anything is logged or stored. A 255-byte name
+// round-trips.
+func TestOversizedPropertiesLogNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts *Options
+	}{
+		{"bare", nil},
+		{"leader", &Options{Replicated: true, FlushInterval: time.Hour}},
+		{"shards-4", &Options{Shards: 4, FlushInterval: time.Hour}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, tc.opts)
+			written := db.Stats().Storage.BytesWritten
+			for name, props := range map[string]Properties{
+				"a 256-byte name":   {{Name: strings.Repeat("n", 256), Value: []byte("v")}},
+				"65,536 properties": make(Properties, 1<<16),
+			} {
+				batch := make([]Mutation, 8)
+				for i := range batch {
+					batch[i] = AddEdgeMut(Edge{Src: VertexID(i), Dst: 9, Type: ETypeFollow, Props: props})
+				}
+				for path, err := range map[string]error{
+					"AddEdge":    db.AddEdge(Edge{Src: 1, Dst: 2, Type: ETypeFollow, Props: props}),
+					"AddVertex":  db.AddVertex(Vertex{ID: 1, Type: VTypeUser, Props: props}),
+					"ApplyBatch": db.ApplyBatch(batch),
+				} {
+					if !errors.Is(err, graph.ErrPropsTooLarge) {
+						t.Errorf("%s with %s: err = %v, want ErrPropsTooLarge", path, name, err)
+					}
+				}
+			}
+			if w := db.Stats().Storage.BytesWritten - written; w != 0 {
+				t.Fatalf("rejected writes wrote %d bytes, want none", w)
+			}
+			name := strings.Repeat("n", 255)
+			if err := db.AddEdge(Edge{Src: 1, Dst: 2, Type: ETypeFollow, Props: Properties{{Name: name, Value: []byte("v")}}}); err != nil {
+				t.Fatal(err)
+			}
+			e, ok, err := db.GetEdge(1, ETypeFollow, 2)
+			if v, _ := e.Props.Get(name); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("GetEdge of a 255-byte name = %+v, %v, %v", e.Props, ok, err)
+			}
+		})
+	}
+}
+
+// TestCorruptEdgeRecordFailsEveryRead: an adjacency entry that does not decode
+// — a value that is no property list, a key that is no edge key — is an error
+// on every read that meets it, point read, scan and traversal alike: no read
+// skips it. The reserved edge type is an error on every read too.
+func TestCorruptEdgeRecordFailsEveryRead(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts *Options
+	}{
+		{"bare", nil},
+		{"leader", &Options{Replicated: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, tc.opts)
+			// Vertex 1 holds a value that is no property list, vertex 2 a
+			// 3-byte key inside ETypeFollow's range; each has a good edge too.
+			for _, w := range []struct {
+				owner      forest.OwnerID
+				key, value []byte
+			}{
+				{1, graph.EdgeKey(ETypeFollow, 2), []byte{1}},
+				{1, graph.EdgeKey(ETypeFollow, 3), graph.EncodeProps(nil)},
+				{2, []byte{0, byte(ETypeFollow), 5}, graph.EncodeProps(nil)},
+				{2, graph.EdgeKey(ETypeFollow, 3), graph.EncodeProps(nil)},
+			} {
+				if err := db.eng(0).Forest().Put(w.owner, w.key, w.value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := db.GetEdge(1, ETypeFollow, 2); !errors.Is(err, graph.ErrCorrupt) {
+				t.Errorf("GetEdge of the bad value: %v, want ErrCorrupt", err)
+			}
+			for _, src := range []VertexID{1, 2} {
+				if err := db.Neighbors(src, ETypeFollow, 0, func(VertexID, Properties) bool { return true }); !errors.Is(err, graph.ErrCorrupt) {
+					t.Errorf("Neighbors(%d): %v, want ErrCorrupt", src, err)
+				}
+				if _, err := db.Degree(src, ETypeFollow); !errors.Is(err, graph.ErrCorrupt) {
+					t.Errorf("Degree(%d): %v, want ErrCorrupt", src, err)
+				}
+			}
+			// A traversal decodes keys only: the bad key fails it.
+			if _, err := db.KHop(2, ETypeFollow, 2, 0); !errors.Is(err, graph.ErrCorrupt) {
+				t.Errorf("KHop(2): %v, want ErrCorrupt", err)
+			}
+			if err := db.Neighbors(1, 0xFFFF, 0, func(VertexID, Properties) bool { return true }); err == nil {
+				t.Error("Neighbors of the reserved edge type accepted")
+			}
+			if _, err := db.Degree(1, 0xFFFF); err == nil {
+				t.Error("Degree of the reserved edge type accepted")
+			}
+			if _, err := db.KHop(1, 0xFFFF, 1, 0); err == nil {
+				t.Error("KHop over the reserved edge type accepted")
+			}
+		})
 	}
 }
 

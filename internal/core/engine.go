@@ -231,8 +231,9 @@ func (e *Engine) apply(ws []forest.Write, waits *wal.Waits) error {
 // Encode checks a batch and encodes it as the forest writes it is, in input
 // order. It is the one mutation → write step: what a leader stores and logs,
 // and what a cross-shard transaction's part carries, is its output. An
-// unknown kind or the reserved edge type fails the whole batch, before any of
-// it is applied or logged. The key and value buffers are built here once and
+// unknown kind, the reserved edge type or a property list its encoding cannot
+// hold (graph.CheckProps) fails the whole batch, before any of it is applied
+// or logged. The key and value buffers are built here once and
 // handed down: forest and tree own them from then on, nothing below copies
 // them.
 func Encode(muts []graph.Mutation) ([]forest.Write, error) {
@@ -250,6 +251,9 @@ func Encode(muts []graph.Mutation) ([]forest.Write, error) {
 func encode(m graph.Mutation) (forest.Write, error) {
 	switch m.Kind {
 	case graph.MutAddVertex:
+		if err := graph.CheckProps(m.Vertex.Props); err != nil {
+			return forest.Write{}, err
+		}
 		return forest.Write{Owner: forest.OwnerID(m.Vertex.ID), Key: vertexKey(m.Vertex.Type), Value: graph.EncodeProps(m.Vertex.Props)}, nil
 	case graph.MutAddEdge, graph.MutDeleteEdge:
 		if m.Edge.Type == vertexPrefix {
@@ -257,6 +261,9 @@ func encode(m graph.Mutation) (forest.Write, error) {
 		}
 		w := forest.Write{Owner: forest.OwnerID(m.Edge.Src), Key: graph.EdgeKey(m.Edge.Type, m.Edge.Dst), Delete: m.Kind == graph.MutDeleteEdge}
 		if !w.Delete {
+			if err := graph.CheckProps(m.Edge.Props); err != nil {
+				return forest.Write{}, err
+			}
 			w.Value = graph.EncodeProps(m.Edge.Props)
 		}
 		return w, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"bg3/internal/forest"
@@ -64,26 +65,43 @@ func (g graphReads) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 
 // Neighbors implements graph.Reader. The Properties passed to fn are valid
 // only for the duration of the callback (one decoder is reused across the
-// scan); copy values to retain them.
+// scan); copy values to retain them. An entry that does not decode ends the
+// scan with its error: a scan reports what a point read would, and hides
+// nothing.
 func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
+	if typ == vertexPrefix {
+		return errReservedEdgeType
+	}
 	lo, hi := graph.EdgeTypeBounds(typ)
 	var dec graph.PropDecoder
-	return g.scan(src, lo, hi, limit, func(k, v []byte) bool {
-		dst, props, ok := decodeEdge(&dec, k, v)
-		return !ok || fn(dst, props)
+	var bad error
+	err := g.scan(src, lo, hi, limit, func(k, v []byte) bool {
+		var dst graph.VertexID
+		var props graph.Properties
+		if _, dst, bad = graph.DecodeEdgeKey(k); bad == nil {
+			props, bad = dec.Decode(v)
+		}
+		return bad == nil && fn(dst, props)
 	})
+	return cmp.Or(err, bad)
 }
 
 // NeighborsMany implements graph.FrontierReader: the whole frontier is one
 // ScanManyAt — every cold leaf it starts on is fetched in one storage round.
 // The frontier's vertex IDs are its owners as they are. The walk decodes edge
-// keys only.
+// keys only; one that does not decode ends it with its error.
 func (g graphReads) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, limit int, fn func(src, dst graph.VertexID) bool) error {
+	if typ == vertexPrefix {
+		return errReservedEdgeType
+	}
 	lo, hi := graph.EdgeTypeBounds(typ)
-	return forest.ScanManyAt(g.forest, srcs, lo, hi, limit, g.horizon, func(src graph.VertexID, k, _ []byte) bool {
-		_, dst, err := graph.DecodeEdgeKey(k)
-		return err != nil || fn(src, dst)
+	var bad error
+	err := forest.ScanManyAt(g.forest, srcs, lo, hi, limit, g.horizon, func(src graph.VertexID, k, _ []byte) bool {
+		var dst graph.VertexID
+		_, dst, bad = graph.DecodeEdgeKey(k)
+		return bad == nil && fn(src, dst)
 	})
+	return cmp.Or(err, bad)
 }
 
 // Degree implements graph.Reader.
@@ -91,17 +109,6 @@ func (g graphReads) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) 
 	n := 0
 	err := g.Neighbors(src, typ, 0, func(graph.VertexID, graph.Properties) bool { n++; return true })
 	return n, err
-}
-
-// decodeEdge decodes one scanned adjacency entry; ok is false for foreign
-// or undecodable records, which scans skip defensively.
-func decodeEdge(dec *graph.PropDecoder, k, v []byte) (dst graph.VertexID, props graph.Properties, ok bool) {
-	_, dst, err := graph.DecodeEdgeKey(k)
-	if err != nil {
-		return 0, nil, false
-	}
-	props, err = dec.Decode(v)
-	return dst, props, err == nil
 }
 
 // errReservedEdgeType rejects the edge type whose keyspace holds vertex

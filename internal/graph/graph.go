@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // VertexID identifies a vertex.
@@ -69,9 +70,14 @@ type Edge struct {
 // ErrCorrupt reports an undecodable graph record.
 var ErrCorrupt = errors.New("graph: corrupt record")
 
+// ErrPropsTooLarge reports a property list its encoding cannot hold.
+var ErrPropsTooLarge = errors.New("graph: property list too large")
+
 // EncodeProps serializes a property list:
 //
 //	count[2] { nlen[1] name vlen[4] value }*
+//
+// A list CheckProps rejects does not fit these fields.
 func EncodeProps(ps Properties) []byte {
 	size := 2
 	for _, p := range ps {
@@ -88,37 +94,25 @@ func EncodeProps(ps Properties) []byte {
 	return buf
 }
 
-// DecodeProps parses a property list.
+// CheckProps reports whether EncodeProps can hold ps: at most 65,535
+// properties, each name at most 255 bytes and each value under 4 GiB.
+func CheckProps(ps Properties) error {
+	if len(ps) > math.MaxUint16 {
+		return fmt.Errorf("%w: %d properties", ErrPropsTooLarge, len(ps))
+	}
+	for i, p := range ps {
+		if len(p.Name) > math.MaxUint8 || uint64(len(p.Value)) > math.MaxUint32 {
+			return fmt.Errorf("%w: property %d has a %d-byte name and a %d-byte value", ErrPropsTooLarge, i, len(p.Name), len(p.Value))
+		}
+	}
+	return nil
+}
+
+// DecodeProps parses a property list into memory of its own: it is
+// PropDecoder.Decode on a fresh decoder.
 func DecodeProps(buf []byte) (Properties, error) {
-	if len(buf) < 2 {
-		return nil, fmt.Errorf("%w: short property list", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint16(buf)
-	buf = buf[2:]
-	if n == 0 {
-		return nil, nil
-	}
-	ps := make(Properties, 0, n)
-	for i := uint16(0); i < n; i++ {
-		if len(buf) < 1 {
-			return nil, fmt.Errorf("%w: truncated property %d", ErrCorrupt, i)
-		}
-		nlen := int(buf[0])
-		buf = buf[1:]
-		if len(buf) < nlen+4 {
-			return nil, fmt.Errorf("%w: truncated property name %d", ErrCorrupt, i)
-		}
-		name := string(buf[:nlen])
-		buf = buf[nlen:]
-		vlen := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		if uint32(len(buf)) < vlen {
-			return nil, fmt.Errorf("%w: truncated property value %d", ErrCorrupt, i)
-		}
-		ps = append(ps, Property{Name: name, Value: append([]byte(nil), buf[:vlen]...)})
-		buf = buf[vlen:]
-	}
-	return ps, nil
+	var d PropDecoder
+	return d.Decode(buf)
 }
 
 // PropDecoder decodes property lists for a scan without per-record
@@ -134,21 +128,22 @@ type PropDecoder struct {
 	arena   []byte
 }
 
-// Decode parses a property list with the same validation as DecodeProps.
-// The result aliases the decoder's internal buffers and is invalidated by
-// the next Decode call.
+// Decode parses a property list, failing closed on truncation and trailing
+// bytes, so that an accepted list re-encodes byte-identically. The result
+// aliases the decoder's internal buffers and is invalidated by the next
+// Decode call.
 func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("%w: short property list", ErrCorrupt)
 	}
-	n := binary.LittleEndian.Uint16(buf)
+	n := int(binary.LittleEndian.Uint16(buf))
 	buf = buf[2:]
-	if n == 0 {
+	if n == 0 && len(buf) == 0 {
 		return nil, nil
 	}
 	ps, prev := d.scratch[:0], d.scratch[:cap(d.scratch)]
 	d.arena = d.arena[:0]
-	for i := uint16(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if len(buf) < 1 {
 			return nil, fmt.Errorf("%w: truncated property %d", ErrCorrupt, i)
 		}
@@ -160,7 +155,7 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 		// prev[i] is read before the append below overwrites it; the
 		// comparison converts without allocating.
 		var name string
-		if int(i) < len(prev) && prev[i].Name == string(buf[:nlen]) {
+		if i < len(prev) && prev[i].Name == string(buf[:nlen]) {
 			name = prev[i].Name
 		} else {
 			name = string(buf[:nlen])
@@ -168,17 +163,24 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 		buf = buf[nlen:]
 		vlen := binary.LittleEndian.Uint32(buf)
 		buf = buf[4:]
-		if uint32(len(buf)) < vlen {
+		if uint64(vlen) > uint64(len(buf)) {
 			return nil, fmt.Errorf("%w: truncated property value %d", ErrCorrupt, i)
 		}
 		// Copy the value into the arena rather than aliasing buf: the
 		// source may be a latched page image whose lifetime ends with the
 		// scan step, while the arena stays valid until the next Decode.
 		// Growth mid-loop is fine — earlier values keep the old array.
-		off := len(d.arena)
-		d.arena = append(d.arena, buf[:vlen]...)
-		ps = append(ps, Property{Name: name, Value: d.arena[off:len(d.arena):len(d.arena)]})
+		var value []byte
+		if vlen > 0 {
+			off := len(d.arena)
+			d.arena = append(d.arena, buf[:vlen]...)
+			value = d.arena[off:len(d.arena):len(d.arena)]
+		}
+		ps = append(ps, Property{Name: name, Value: value})
 		buf = buf[vlen:]
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes trail the property list", ErrCorrupt, len(buf))
 	}
 	d.scratch = ps
 	return ps, nil

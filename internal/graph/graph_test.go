@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -106,5 +108,23 @@ func TestEdgeKeyOrdering(t *testing.T) {
 	}
 	if _, hi := EdgeTypeBounds(^EdgeType(0)); hi != nil {
 		t.Fatal("max edge type upper bound should be nil")
+	}
+}
+
+// CheckProps accepts exactly what EncodeProps's fields hold.
+func TestCheckProps(t *testing.T) {
+	for i, c := range []struct {
+		ps Properties
+		ok bool
+	}{
+		{nil, true},
+		{Properties{{Name: strings.Repeat("n", 255)}}, true},
+		{Properties{{Name: strings.Repeat("n", 256)}}, false},
+		{make(Properties, 1<<16-1), true},
+		{make(Properties, 1<<16), false},
+	} {
+		if err := CheckProps(c.ps); (err == nil) != c.ok || err != nil && !errors.Is(err, ErrPropsTooLarge) {
+			t.Errorf("CheckProps of case %d = %v, want ok %v", i, err, c.ok)
+		}
 	}
 }

@@ -467,9 +467,6 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 	g.mgr.begin(txn, floor)
 	var owed []int // participants of a commit left for a resolution pass
 	defer func() { g.mgr.end(txn, owed) }()
-	payload := func(i int) *TxnPayload {
-		return &TxnPayload{Txn: txn, Fence: nodes[i].Epoch(), Coord: coord, Shard: i, Parts: members, Writes: parts[i]}
-	}
 
 	// Phase 1 — prepare: every participant but the coordinator logs its part,
 	// in parallel, each riding its
@@ -484,7 +481,7 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = nodes[i].Logger().Log(txnRecord(wal.RecordTxnPrepare, txn, coord, payload(i)))
+			_, errs[i] = nodes[i].Logger().Log(txnRecord(wal.RecordTxnPrepare, txn, coord, parts[i]))
 		}(i)
 	}
 	wg.Wait()
@@ -510,7 +507,7 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 	// a force-abort from a concurrent failover's resolution pass, and a
 	// failover of the coordinator (which prepared nothing a resolution pass
 	// could find) all decide abort. Otherwise the coordinator runs its commit
-	// wave: the commit record carrying its own part's payload, the part, its
+	// wave: the commit record carrying its own part, the part, its
 	// applied marker, one wait. The decision is the commit record's fate: a
 	// failed commit append is an abort — fenced and torn appends are never
 	// durable, a record stranded past a pipeline hole is outside the gapless
@@ -522,7 +519,7 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 	committed := false
 	var coordErr error // the rest of the coordinator's wave, behind a durable commit
 	if cause == nil {
-		commit := txnRecord(wal.RecordTxnCommit, txn, coord, payload(coord))
+		commit := txnRecord(wal.RecordTxnCommit, txn, coord, parts[coord])
 		errs[coord], coordErr = applyPart(nodes[coord], commit, txn, coord, parts[coord])
 		if errs[coord] != nil {
 			cause = fmt.Errorf("shard %d commit decision: %w", coord, errs[coord])
@@ -599,12 +596,12 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 }
 
 // txnRecord is a 2PC control record of txn: PageID names the coordinator, and
-// the Value of a prepare, or of the coordinator's commit, is the TPC2 payload
-// of the part it carries.
-func txnRecord(typ wal.RecordType, txn uint64, coord int, p *TxnPayload) *wal.Record {
+// the Value of a prepare, or of the coordinator's commit, is the part it
+// carries (EncodePart).
+func txnRecord(typ wal.RecordType, txn uint64, coord int, part []forest.Write) *wal.Record {
 	rec := &wal.Record{Type: typ, TreeID: txn, PageID: uint64(coord)}
-	if p != nil {
-		rec.Value = EncodePrepare(p)
+	if part != nil {
+		rec.Value = EncodePart(part)
 	}
 	return rec
 }
@@ -648,7 +645,8 @@ func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uin
 // Authority order: the live transaction manager first (force-aborting
 // transactions still preparing, waiting out one mid-decision), then the
 // coordinator's durable WAL prefix — a durable commit means commit, anything
-// else aborts (presumed abort).
+// else aborts (presumed abort). A part whose record names a coordinator
+// outside the group has no such prefix and aborts.
 //
 // It takes no cut lock: Failover can run on a transaction's own goroutine
 // from its StageDecided hook, inside that transaction's read hold, where a
@@ -657,32 +655,32 @@ func (g *Group) applyDecided(i int, node *replication.RWNode, err error, txn uin
 // hold; one owed by a transaction that already returned (OutcomeUnknown) is
 // not, and a cut may miss it until it lands.
 func (g *Group) resolveInDoubt(i int) error {
-	state, err := scanShardTxns(g.Store(i))
+	state, err := scanShardTxns(g.Store(i), i)
 	if err != nil {
 		return err
 	}
-	coordScans := make(map[int]*shardTxnState)
-	coordScans[i] = state
+	coordScans := map[int]*shardTxnState{i: state}
 	for _, txn := range state.inDoubt() {
-		p := state.prepares[txn]
+		p := state.parts[txn]
+		coord := int(p.coord)
 		committed, known := g.mgr.resolveLive(txn)
-		if !known {
-			cs := coordScans[p.Coord]
+		if !known && p.coord < uint64(g.Shards()) {
+			cs := coordScans[coord]
 			if cs == nil {
-				if cs, err = scanShardTxns(g.Store(p.Coord)); err != nil {
+				if cs, err = scanShardTxns(g.Store(coord), coord); err != nil {
 					return err
 				}
-				coordScans[p.Coord] = cs
+				coordScans[coord] = cs
 			}
 			committed = cs.commits[txn]
 		}
 		if committed {
-			if _, err := applyPart(g.Leader(i), nil, txn, p.Coord, p.Writes); err != nil {
+			if _, err := applyPart(g.Leader(i), nil, txn, coord, p.writes); err != nil {
 				return fmt.Errorf("shard %d resolve txn %d: %w", i, txn, err)
 			}
 			g.txnReapply.Inc()
 		} else {
-			_, _ = g.Leader(i).Logger().Log(txnRecord(wal.RecordTxnAbort, txn, p.Coord, nil))
+			_, _ = g.Leader(i).Logger().Log(txnRecord(wal.RecordTxnAbort, txn, coord, nil))
 		}
 		g.mgr.settle(txn, i)
 		g.txnResolved.Inc()

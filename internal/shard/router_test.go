@@ -20,11 +20,11 @@ type writeKey struct {
 func keyOf(w forest.Write) writeKey { return writeKey{w.Owner, string(w.Key), w.Delete} }
 
 // encodeBatch is core.Encode of a batch the test knows to be well formed.
-func encodeBatch(t *testing.T, muts []graph.Mutation) []forest.Write {
-	t.Helper()
+func encodeBatch(tb testing.TB, muts []graph.Mutation) []forest.Write {
+	tb.Helper()
 	ws, err := core.Encode(muts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ws
 }

@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 
@@ -20,15 +18,15 @@ import (
 // Group.ApplyBatch checks and encodes a batch once, before anything is logged
 // (core.Encode): a malformed batch fails there, on every shard alike. The
 // writes are split by owner (Router.SplitBatch); a part is the forest writes
-// one shard applies, and it is what a 2PC record carries — the TPC2 payload
-// below — and what a resolution pass re-applies. A batch over several shards
-// is a presumed-abort 2PC whose coordinator, the lowest touched shard, is the
-// last agent: it does not prepare, its commit is its vote. Three serial
-// durable rounds, 2N−1 appends for N shards:
+// one shard applies, and it is what a 2PC record carries (EncodePart) and what
+// a resolution pass re-applies. A batch over several shards is a
+// presumed-abort 2PC whose coordinator, the lowest touched shard, is the last
+// agent: it does not prepare, its commit is its vote. Three serial durable
+// rounds, 2N−1 appends for N shards:
 //
 //  1. PREPARE: every participant but the coordinator logs a RecordTxnPrepare
-//     carrying its part and the membership, on its ordinary group-commit
-//     pipeline. Nothing is applied, so an undecided prepare is invisible.
+//     carrying its part, on its ordinary group-commit pipeline. Nothing is
+//     applied, so an undecided prepare is invisible.
 //  2. DECIDE: once every prepare is durable the coordinator runs one wave
 //     (replication.RWNode.ApplyWave): a RecordTxnCommit carrying its own part,
 //     the part, its RecordTxnApplied marker, one wait. The commit record's
@@ -50,212 +48,86 @@ import (
 // record (lowWater) until the transaction is settled on every shard, so the
 // trim keeps that evidence.
 
-// TxnPayload is what a prepare, or the coordinator's commit, carries: one
-// participant's part plus the membership needed to resolve it.
-type TxnPayload struct {
-	// Txn is the group-unique transaction id (nonzero). The carrying WAL
-	// record's TreeID field holds the same id for cheap scans.
-	Txn uint64
-	// Fence is the participant writer's WAL fence epoch when it logged the
-	// record. It must match the carrying record's stamped epoch — a
-	// mismatch means the payload was spliced across leader tenures.
-	Fence uint64
-	// Coord is the coordinator shard (always a participant).
-	Coord int
-	// Shard is the participant whose part this is (Coord on a commit).
-	Shard int
-	// Parts lists every participant shard, strictly ascending.
-	Parts []int
-	// Writes is this participant's part: the forest writes it applies.
-	Writes []forest.Write
-}
-
-// TPC2 wire format (little endian):
+// A 2PC record's Value is the part it carries, and nothing else: everything
+// else a resolution pass needs the record already says (TreeID is the
+// transaction id, PageID the coordinator), and the group envelope's CRC covers
+// every byte. A part is one or more forest writes, as core.Encode built them:
 //
-//	magic[4]="TPC2" version[1]=2
-//	txn[8] fence[8] coord[2] shard[2]
-//	nparts[2]  { part[2] }*       (strictly ascending; coord and shard present)
-//	nwrites[4] { write }*         (>= 1)
-//	crc32[4]LE over everything before it (IEEE)
+//	{ owner del[1] klen key vlen value }+
 //
-// One write, a forest.Write as core.Encode built it:
-//
-//	owner[8] delete[1] klen[4] key vlen[4] value
-//
+// owner, klen and vlen are uvarints in their shortest form (wal.ReadUvarints).
 // The delete flag is 0 or 1, the key is not empty and a delete has no value.
-// Decoding fails closed on any structural defect; an accepted payload
-// re-encodes byte-identically. The writes are not checked again: core.Encode
-// checked them before the first record was logged, and the CRC keeps them so.
-const (
-	txnMagic   = "TPC2"
-	txnVersion = 2
+// Decoding fails closed on any defect, and an accepted part re-encodes
+// byte-identically. The writes are not checked again: core.Encode checked
+// them before the first record was logged.
 
-	txnHeaderLen   = 4 + 1 + 8 + 8 + 2 + 2 + 2
-	txnTrailerLen  = 4
-	writeHeaderLen = 8 + 1 + 4 + 4
-
-	// MaxParticipants bounds a decoded payload's participant count; real
-	// deployments are orders of magnitude smaller.
-	MaxParticipants = 4096
-)
-
-// ErrBadPrepare reports an undecodable or inconsistent prepare payload.
+// ErrBadPrepare reports a 2PC record whose part does not decode.
 var ErrBadPrepare = errors.New("shard: bad txn prepare payload")
 
-// EncodePrepare serializes the payload in the TPC2 wire format.
-func EncodePrepare(p *TxnPayload) []byte {
-	size := txnHeaderLen + 2*len(p.Parts) + 4 + txnTrailerLen
-	for _, w := range p.Writes {
-		size += writeHeaderLen + len(w.Key) + len(w.Value)
+// EncodePart serializes a part in the form above.
+func EncodePart(ws []forest.Write) []byte {
+	size := 0
+	for _, w := range ws {
+		size += wal.UvarintLen(uint64(w.Owner)) + 1 + wal.UvarintLen(uint64(len(w.Key))) + len(w.Key) +
+			wal.UvarintLen(uint64(len(w.Value))) + len(w.Value)
 	}
 	buf := make([]byte, 0, size)
-	buf = append(buf, txnMagic...)
-	buf = append(buf, txnVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, p.Txn)
-	buf = binary.LittleEndian.AppendUint64(buf, p.Fence)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Coord))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Shard))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Parts)))
-	for _, s := range p.Parts {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(s))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Writes)))
-	for _, w := range p.Writes {
+	for _, w := range ws {
 		value, del := w.Value, byte(0)
 		if w.Delete {
 			value, del = nil, 1
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.Owner))
-		buf = append(buf, del)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.Key)))
-		buf = append(buf, w.Key...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(value)))
-		buf = append(buf, value...)
+		buf = append(binary.AppendUvarint(buf, uint64(w.Owner)), del)
+		buf = append(binary.AppendUvarint(buf, uint64(len(w.Key))), w.Key...)
+		buf = append(binary.AppendUvarint(buf, uint64(len(value))), value...)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return buf
 }
 
-// DecodePreparePayload parses and validates a TPC2 payload, failing closed on
-// truncation, trailing bytes, checksum mismatch, a malformed write, and any
-// membership defect (zero txn id, unsorted or duplicate participants,
-// coordinator or owning shard missing from the participant list). The writes'
-// keys and values are copies: the forest owns what it is handed.
-func DecodePreparePayload(buf []byte) (*TxnPayload, error) {
-	if len(buf) < txnHeaderLen+4+txnTrailerLen {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadPrepare, len(buf))
-	}
-	if string(buf[:4]) != txnMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadPrepare)
-	}
-	if buf[4] != txnVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrBadPrepare, buf[4])
-	}
-	body := buf[:len(buf)-txnTrailerLen]
-	sum := binary.LittleEndian.Uint32(buf[len(buf)-txnTrailerLen:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadPrepare)
-	}
-	p := &TxnPayload{
-		Txn:   binary.LittleEndian.Uint64(body[5:]),
-		Fence: binary.LittleEndian.Uint64(body[13:]),
-		Coord: int(binary.LittleEndian.Uint16(body[21:])),
-		Shard: int(binary.LittleEndian.Uint16(body[23:])),
-	}
-	if p.Txn == 0 {
-		return nil, fmt.Errorf("%w: zero txn id", ErrBadPrepare)
-	}
-	nparts := int(binary.LittleEndian.Uint16(body[25:]))
-	if nparts == 0 || nparts > MaxParticipants {
-		return nil, fmt.Errorf("%w: %d participants", ErrBadPrepare, nparts)
-	}
-	rest := body[txnHeaderLen:]
-	if len(rest) < nparts*2+4 {
-		return nil, fmt.Errorf("%w: truncated participant list", ErrBadPrepare)
-	}
-	p.Parts = make([]int, nparts)
-	coordOK, shardOK := false, false
-	for i := range p.Parts {
-		s := int(binary.LittleEndian.Uint16(rest[i*2:]))
-		if i > 0 && s <= p.Parts[i-1] {
-			return nil, fmt.Errorf("%w: participants not strictly ascending", ErrBadPrepare)
-		}
-		p.Parts[i] = s
-		coordOK = coordOK || s == p.Coord
-		shardOK = shardOK || s == p.Shard
-	}
-	if !coordOK {
-		return nil, fmt.Errorf("%w: coordinator %d not a participant", ErrBadPrepare, p.Coord)
-	}
-	if !shardOK {
-		return nil, fmt.Errorf("%w: shard %d not a participant", ErrBadPrepare, p.Shard)
-	}
-	rest = rest[nparts*2:]
-	nwrites := binary.LittleEndian.Uint32(rest)
-	rest = rest[4:]
-	if nwrites == 0 || uint64(nwrites) > uint64(len(rest)/writeHeaderLen) {
-		return nil, fmt.Errorf("%w: %d writes in %d bytes", ErrBadPrepare, nwrites, len(rest))
-	}
-	p.Writes = make([]forest.Write, nwrites)
-	for i := range p.Writes {
-		w := &p.Writes[i]
-		ok := len(rest) >= 9 && rest[8] <= 1
-		if ok {
-			w.Owner, w.Delete = forest.OwnerID(binary.LittleEndian.Uint64(rest)), rest[8] == 1
-			w.Key, rest, ok = cutField(rest[9:])
-		}
-		if ok {
-			w.Value, rest, ok = cutField(rest)
-		}
-		if !ok || len(w.Key) == 0 || w.Delete && w.Value != nil {
-			return nil, fmt.Errorf("%w: malformed write %d", ErrBadPrepare, i)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPrepare, len(rest))
-	}
-	return p, nil
-}
-
-// cutField splits a length-prefixed field off the front of rest: a copy of its
-// bytes (nil when empty) and what follows it.
-func cutField(rest []byte) (field, after []byte, ok bool) {
-	if len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest)) > uint64(len(rest)-4) {
-		return nil, rest, false
-	}
-	n := 4 + int(binary.LittleEndian.Uint32(rest))
-	if n > 4 {
-		field = bytes.Clone(rest[4:n])
-	}
-	return field, rest[n:], true
-}
-
-// DecodePrepareRecord decodes the TPC2 payload a record carries — a
-// RecordTxnPrepare's, or the coordinator's own part on its RecordTxnCommit —
-// and cross-checks it against the record: the record's TreeID must equal
-// the payload's txn id and its stamped epoch the payload's fence epoch, and
-// a commit's payload must be the coordinator's part on the coordinator's log
-// (Shard == Coord == the record's PageID). A mismatch means the payload was
-// spliced from another transaction, leader tenure or shard and the record is
-// rejected.
-func DecodePrepareRecord(rec *wal.Record) (*TxnPayload, error) {
+// DecodePrepareRecord decodes the part a record carries — a RecordTxnPrepare's,
+// or the coordinator's own part on its RecordTxnCommit. A record of another
+// type, of transaction 0 or with no writes is rejected. The writes alias
+// rec.Value, which the log reader decoded into a buffer of the record's own.
+func DecodePrepareRecord(rec *wal.Record) ([]forest.Write, error) {
 	if rec.Type != wal.RecordTxnPrepare && rec.Type != wal.RecordTxnCommit {
 		return nil, fmt.Errorf("%w: record type %v", ErrBadPrepare, rec.Type)
 	}
-	p, err := DecodePreparePayload(rec.Value)
-	if err != nil {
-		return nil, err
+	if rec.TreeID == 0 {
+		return nil, fmt.Errorf("%w: zero txn id", ErrBadPrepare)
 	}
-	if p.Txn != rec.TreeID {
-		return nil, fmt.Errorf("%w: payload txn %d, record txn %d", ErrBadPrepare, p.Txn, rec.TreeID)
+	if len(rec.Value) == 0 {
+		return nil, fmt.Errorf("%w: empty part", ErrBadPrepare)
 	}
-	if p.Fence != rec.Epoch {
-		return nil, fmt.Errorf("%w: payload fence %d, record epoch %d", ErrBadPrepare, p.Fence, rec.Epoch)
+	var ws []forest.Write
+	for buf := rec.Value; len(buf) > 0; {
+		w, rest, ok := cutWrite(buf)
+		if !ok {
+			return nil, fmt.Errorf("%w: malformed write %d", ErrBadPrepare, len(ws))
+		}
+		ws, buf = append(ws, w), rest
 	}
-	if rec.Type == wal.RecordTxnCommit && (p.Shard != p.Coord || uint64(p.Coord) != rec.PageID) {
-		return nil, fmt.Errorf("%w: commit of coordinator %d carries shard %d's part of coordinator %d",
-			ErrBadPrepare, rec.PageID, p.Shard, p.Coord)
+	return ws, nil
+}
+
+// cutWrite splits one write off the front of buf: the write and what follows
+// it, ok false when it is malformed.
+func cutWrite(buf []byte) (w forest.Write, rest []byte, ok bool) {
+	var owner, klen, vlen uint64
+	if rest, ok = wal.ReadUvarints(buf, &owner); !ok || len(rest) == 0 || rest[0] > 1 {
+		return w, nil, false
 	}
-	return p, nil
+	w.Owner, w.Delete = forest.OwnerID(owner), rest[0] == 1
+	if rest, ok = wal.ReadUvarints(rest[1:], &klen); !ok || klen == 0 || klen > uint64(len(rest)) {
+		return w, nil, false
+	}
+	w.Key, rest = rest[:klen:klen], rest[klen:]
+	if rest, ok = wal.ReadUvarints(rest, &vlen); !ok || vlen > uint64(len(rest)) || w.Delete && vlen > 0 {
+		return w, nil, false
+	}
+	if vlen > 0 {
+		w.Value = rest[:vlen:vlen]
+	}
+	return w, rest[vlen:], true
 }
 
 // txnPhase is a live transaction's protocol state in the group-level
@@ -431,12 +303,19 @@ func newTxnSalt() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
+// txnPart is a durable part as a scan found it: the coordinator its record
+// names and the writes it carries.
+type txnPart struct {
+	coord  uint64
+	writes []forest.Write
+}
+
 // shardTxnState summarizes one shard's durable transaction records, as
 // recovery sees them: only the gapless WAL prefix counts.
 type shardTxnState struct {
-	// prepares maps txn id → decoded payload for every durable part of the
-	// shard's: a prepare, or the coordinator's own part its commit carries.
-	prepares map[uint64]*TxnPayload
+	// parts maps txn id → every durable part of the shard's: a prepare, or
+	// the coordinator's own part its commit carries.
+	parts map[uint64]txnPart
 	// resolved holds txn ids with a local Applied or Abort marker.
 	resolved map[uint64]bool
 	// commits holds txn ids with a durable commit decision (this shard
@@ -448,7 +327,7 @@ type shardTxnState struct {
 // marker, i.e. the ones recovery must resolve.
 func (s *shardTxnState) inDoubt() []uint64 {
 	var ids []uint64
-	for txn := range s.prepares {
+	for txn := range s.parts {
 		if !s.resolved[txn] {
 			ids = append(ids, txn)
 		}
@@ -456,17 +335,18 @@ func (s *shardTxnState) inDoubt() []uint64 {
 	return ids
 }
 
-// scanShardTxns reads a shard's durable WAL from its retained head and
-// extracts its transaction control records: the trim keeps every record of a
+// scanShardTxns reads shard's durable WAL from its retained head and extracts
+// its transaction control records: the trim keeps every record of a
 // transaction the manager holds. A pipeline hole ends the prefix: records
 // stranded past it are never delivered (the next tenure's fence purges the
-// debris), so they do not count as durable here either. Undecodable prepare
-// payloads are rejected fail-closed — the transaction resolves as abort, never
-// as a guess. A commit is the decision whatever its payload: one that does not
-// decode only leaves the coordinator's own part without a redo intent here.
-func scanShardTxns(st *storage.Store) (*shardTxnState, error) {
+// debris), so they do not count as durable here either. A prepare whose part
+// does not decode is no part — the transaction resolves as abort, never as a
+// guess. A commit is the decision whatever its part: one that does not decode,
+// or whose PageID does not name this shard, only leaves no coordinator's part
+// to redo here.
+func scanShardTxns(st *storage.Store, shard int) (*shardTxnState, error) {
 	state := &shardTxnState{
-		prepares: make(map[uint64]*TxnPayload),
+		parts:    make(map[uint64]txnPart),
 		resolved: make(map[uint64]bool),
 		commits:  make(map[uint64]bool),
 	}
@@ -477,10 +357,12 @@ func scanShardTxns(st *storage.Store) (*shardTxnState, error) {
 			for _, rec := range grp {
 				switch rec.Type {
 				case wal.RecordTxnPrepare, wal.RecordTxnCommit:
-					if p, derr := DecodePrepareRecord(rec); derr == nil {
-						state.prepares[rec.TreeID] = p
+					commit := rec.Type == wal.RecordTxnCommit
+					ws, derr := DecodePrepareRecord(rec)
+					if derr == nil && (!commit || rec.PageID == uint64(shard)) {
+						state.parts[rec.TreeID] = txnPart{coord: rec.PageID, writes: ws}
 					}
-					if rec.Type == wal.RecordTxnCommit {
+					if commit {
 						state.commits[rec.TreeID] = true
 					}
 				case wal.RecordTxnAbort, wal.RecordTxnApplied:

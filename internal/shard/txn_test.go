@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,8 +16,9 @@ import (
 	"bg3/internal/wal"
 )
 
-func testPayload() *TxnPayload {
-	ws, err := core.Encode([]graph.Mutation{
+// testPart is a part with a write of every mutation kind.
+func testPart(tb testing.TB) []forest.Write {
+	return encodeBatch(tb, []graph.Mutation{
 		graph.AddVertexMut(graph.Vertex{
 			ID: 11, Type: graph.VTypeUser,
 			Props: graph.Properties{{Name: "n", Value: []byte("alice")}},
@@ -30,134 +29,114 @@ func testPayload() *TxnPayload {
 		}),
 		graph.DeleteEdgeMut(11, graph.ETypeLike, 33),
 	})
-	if err != nil {
-		panic(err)
-	}
-	return &TxnPayload{Txn: 7, Fence: 3, Coord: 1, Shard: 2, Parts: []int{1, 2, 5}, Writes: ws}
 }
 
-// The TPC2 codec round-trips the writes of every mutation kind and
+// A part round-trips the writes of every mutation kind, on both carriers, and
 // re-encodes canonically.
 func TestPrepareCodecRoundTrip(t *testing.T) {
-	p := testPayload()
-	buf := EncodePrepare(p)
-	got, err := DecodePreparePayload(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, got) {
-		t.Fatalf("round trip mismatch:\n in %+v\nout %+v", p, got)
-	}
-	if re := EncodePrepare(got); string(re) != string(buf) {
-		t.Fatal("re-encode is not canonical")
-	}
-	// Edge case: a part of deletes only, none with a value.
-	p2 := &TxnPayload{
-		Txn: 1, Coord: 0, Shard: 0, Parts: []int{0, 3},
-		Writes: []forest.Write{{Owner: 1, Key: graph.EdgeKey(1, 2), Delete: true}},
-	}
-	got2, err := DecodePreparePayload(EncodePrepare(p2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p2, got2) {
-		t.Fatalf("delete-only round trip mismatch: %+v vs %+v", p2, got2)
+	for _, part := range [][]forest.Write{
+		testPart(t),
+		{{Owner: 1, Key: graph.EdgeKey(1, 2), Delete: true}}, // deletes only, none with a value
+	} {
+		buf := EncodePart(part)
+		for _, typ := range []wal.RecordType{wal.RecordTxnPrepare, wal.RecordTxnCommit} {
+			got, err := DecodePrepareRecord(&wal.Record{Type: typ, TreeID: 7, PageID: 1, Value: buf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, part) {
+				t.Fatalf("%v round trip mismatch:\n in %+v\nout %+v", typ, part, got)
+			}
+			if re := EncodePart(got); string(re) != string(buf) {
+				t.Fatal("re-encode is not canonical")
+			}
+		}
 	}
 }
 
-// Every structural defect is rejected fail-closed.
+// Every structural defect is rejected fail-closed: each malformed fuzz seed,
+// a trailing byte, and every cut through a write.
 func TestPrepareDecodeFailClosed(t *testing.T) {
-	valid := EncodePrepare(testPayload())
-	// flag sets the first write's delete flag (the vertex put's) and
-	// recomputes the CRC, so only the flag is wrong.
-	flag := func(f byte) []byte {
-		b := append([]byte(nil), valid...)
-		b[txnHeaderLen+2*len(testPayload().Parts)+4+8] = f
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
-		return b
+	decode := func(buf []byte, txn uint64) error {
+		_, err := DecodePrepareRecord(&wal.Record{Type: wal.RecordTxnPrepare, TreeID: txn, Value: buf})
+		return err
 	}
-	cases := map[string][]byte{
-		"empty":     nil,
-		"torn":      valid[:len(valid)-7],
-		"bad magic": append([]byte("NOPE"), valid[4:]...),
-		"trailing":  append(append([]byte(nil), valid...), 0),
-	}
-	// Bit flips anywhere must be caught (CRC).
-	for _, off := range []int{0, 5, 9, 21, 30, len(valid) - 5} {
-		flipped := append([]byte(nil), valid...)
-		flipped[off] ^= 0x40
-		cases[fmt.Sprintf("bit flip @%d", off)] = flipped
-	}
-	// Semantic defects, CRC-valid: rebuild through the encoder.
-	bad := testPayload()
-	bad.Txn = 0
-	cases["zero txn id"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Parts = []int{2, 1, 5}
-	cases["unsorted participants"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Parts = []int{2, 2, 5}
-	cases["duplicate participant"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Coord = 9
-	cases["coordinator not a participant"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Shard = 9
-	cases["shard not a participant"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Writes = nil
-	cases["empty part"] = EncodePrepare(bad)
-	bad = testPayload()
-	bad.Writes[1].Key = nil
-	cases["empty key"] = EncodePrepare(bad)
-	cases["bad delete flag"] = flag(2)
-	cases["delete with a value"] = flag(1)
-	for name, buf := range cases {
-		if _, err := DecodePreparePayload(buf); !errors.Is(err, ErrBadPrepare) {
-			t.Errorf("%s: err = %v, want ErrBadPrepare", name, err)
+	for _, s := range prepareSeeds(t) {
+		err := decode(s.data, s.txn)
+		if valid := s.name == "valid" || s.name == "commit-valid"; valid != (err == nil) {
+			t.Errorf("%s: err = %v", s.name, err)
+		}
+		if err != nil && !errors.Is(err, ErrBadPrepare) {
+			t.Errorf("%s: err = %v, want ErrBadPrepare", s.name, err)
 		}
 	}
-	if _, err := DecodePreparePayload(valid); err != nil {
-		t.Fatalf("valid payload rejected: %v", err)
+	one := EncodePart(testPart(t)[:1])
+	if err := decode(append(one, 0), 7); !errors.Is(err, ErrBadPrepare) {
+		t.Errorf("trailing byte: err = %v, want ErrBadPrepare", err)
+	}
+	for n := 1; n < len(one); n++ {
+		if err := decode(one[:n], 7); !errors.Is(err, ErrBadPrepare) {
+			t.Errorf("write cut at %d of %d bytes: err = %v, want ErrBadPrepare", n, len(one), err)
+		}
 	}
 }
 
-// DecodePrepareRecord binds the payload to its carrying record: txn id
-// and fence epoch must match the record's TreeID and stamped epoch.
+// DecodePrepareRecord takes the part of a prepare or a commit of a nonzero
+// transaction, and nothing else, whatever the value.
 func TestDecodePrepareRecordCrossChecks(t *testing.T) {
-	p := testPayload()
-	buf := EncodePrepare(p)
-	rec := &wal.Record{Type: wal.RecordTxnPrepare, TreeID: p.Txn, Epoch: p.Fence, Value: buf}
-	if _, err := DecodePrepareRecord(rec); err != nil {
-		t.Fatalf("matching record rejected: %v", err)
-	}
-	wrongTxn := &wal.Record{Type: wal.RecordTxnPrepare, TreeID: p.Txn + 1, Epoch: p.Fence, Value: buf}
-	if _, err := DecodePrepareRecord(wrongTxn); !errors.Is(err, ErrBadPrepare) {
-		t.Fatalf("txn mismatch: err = %v, want ErrBadPrepare", err)
-	}
-	wrongEpoch := &wal.Record{Type: wal.RecordTxnPrepare, TreeID: p.Txn, Epoch: p.Fence + 1, Value: buf}
-	if _, err := DecodePrepareRecord(wrongEpoch); !errors.Is(err, ErrBadPrepare) {
-		t.Fatalf("epoch mismatch: err = %v, want ErrBadPrepare", err)
-	}
-	wrongType := &wal.Record{Type: wal.RecordPut, TreeID: p.Txn, Epoch: p.Fence, Value: buf}
-	if _, err := DecodePrepareRecord(wrongType); !errors.Is(err, ErrBadPrepare) {
-		t.Fatalf("type mismatch: err = %v, want ErrBadPrepare", err)
-	}
-	// A commit carries the coordinator's own part, on the coordinator's log.
-	own := testPayload()
-	own.Shard = own.Coord
-	commit := &wal.Record{Type: wal.RecordTxnCommit, TreeID: own.Txn, PageID: uint64(own.Coord), Epoch: own.Fence, Value: EncodePrepare(own)}
-	if _, err := DecodePrepareRecord(commit); err != nil {
-		t.Fatalf("the coordinator's commit rejected: %v", err)
-	}
-	elsewhere := *commit
-	elsewhere.PageID++
-	participants := *commit
-	participants.Value = buf // shard 2's part of coordinator 1
-	for name, rec := range map[string]*wal.Record{"on another shard's log": &elsewhere, "a participant's part": &participants} {
+	buf := EncodePart(testPart(t))
+	for name, rec := range map[string]*wal.Record{
+		"a put":         {Type: wal.RecordPut, TreeID: 7, Value: buf},
+		"an abort":      {Type: wal.RecordTxnAbort, TreeID: 7, Value: buf},
+		"transaction 0": {Type: wal.RecordTxnPrepare, TreeID: 0, Value: buf},
+	} {
 		if _, err := DecodePrepareRecord(rec); !errors.Is(err, ErrBadPrepare) {
-			t.Fatalf("commit carrying %s: err = %v, want ErrBadPrepare", name, err)
+			t.Fatalf("%s carrying a part: err = %v, want ErrBadPrepare", name, err)
 		}
+	}
+}
+
+// A part's record names its coordinator, and only two things about that name
+// can be wrong. A prepare whose coordinator is outside the group has no
+// decision anywhere: the resolution pass aborts it, and never indexes the
+// group's stores with it. A commit is the coordinator's own part only on the
+// coordinator's log: on another shard's it is no part to redo there.
+func TestTxnCoordinatorOutsideTheGroupAborts(t *testing.T) {
+	g := openTestGroup(t, 4)
+	const txn, commitTxn = 1 << 40, 1<<40 + 1
+	ws := encodeBatch(t, []graph.Mutation{graph.AddEdgeMut(graph.Edge{Src: 5, Dst: 6, Type: graph.ETypeFollow})})
+	for _, rec := range []*wal.Record{
+		{Type: wal.RecordTxnPrepare, TreeID: txn, PageID: 7, Value: EncodePart(ws)},
+		{Type: wal.RecordTxnCommit, TreeID: commitTxn, PageID: 1, Value: EncodePart(ws)},
+	} {
+		if _, err := g.Leader(2).Logger().Log(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := scanShardTxns(g.Store(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := st.parts[txn]; !ok || p.coord != 7 || !reflect.DeepEqual(p.writes, ws) {
+		t.Fatalf("the prepare's part: %+v (%v), want coordinator 7 and its writes", p, ok)
+	}
+	if _, ok := st.parts[commitTxn]; ok || !st.commits[commitTxn] {
+		t.Fatalf("a commit naming shard 1 on shard 2's log: part %v, decision %v; want a decision and no part", ok, st.commits[commitTxn])
+	}
+	if err := g.Failover(2); err != nil {
+		t.Fatal(err)
+	}
+	// One abort marker, for the prepare; the commit is a decision, not a part.
+	for id, want := range map[uint64][]wal.RecordType{
+		txn:       {wal.RecordTxnPrepare, wal.RecordTxnAbort},
+		commitTxn: {wal.RecordTxnCommit},
+	} {
+		if got := trail(t, g.Store(2), id, "none"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard 2 logged %v for txn %d, want %v", got, id, want)
+		}
+	}
+	if _, ok, err := g.Leader(2).GetEdge(5, graph.ETypeFollow, 6); err != nil || ok {
+		t.Fatalf("the aborted part is readable on shard 2 (%v)", err)
 	}
 }
 
@@ -286,7 +265,7 @@ func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 	}
 	states := make(map[int]*shardTxnState)
 	for _, s := range []int{sa, sb} {
-		st, err := scanShardTxns(g.Store(s))
+		st, err := scanShardTxns(g.Store(s), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,18 +282,18 @@ func TestApplyBatchTwoPhaseCommit(t *testing.T) {
 	parts := map[int][]forest.Write{sa: encodeBatch(t, batch[:1]), sb: encodeBatch(t, batch[1:])}
 	for _, s := range []int{sa, sb} {
 		st := states[s]
-		if len(st.prepares) != 1 {
-			t.Fatalf("shard %d carries %d parts, want 1 (single-shard batch leaked records?)", s, len(st.prepares))
+		if len(st.parts) != 1 {
+			t.Fatalf("shard %d carries %d parts, want 1 (single-shard batch leaked records?)", s, len(st.parts))
 		}
-		p := st.prepares[txn]
-		if p == nil {
+		p, ok := st.parts[txn]
+		if !ok {
 			t.Fatalf("shard %d carries no part of txn %d", s, txn)
 		}
-		if p.Coord != sa || p.Shard != s || !reflect.DeepEqual(p.Parts, []int{sa, sb}) {
-			t.Fatalf("shard %d payload membership = coord %d shard %d parts %v", s, p.Coord, p.Shard, p.Parts)
+		if p.coord != uint64(sa) {
+			t.Fatalf("shard %d's part names coordinator %d, want %d", s, p.coord, sa)
 		}
-		if !reflect.DeepEqual(p.Writes, parts[s]) {
-			t.Fatalf("shard %d carries %v, want its part %v", s, p.Writes, parts[s])
+		if !reflect.DeepEqual(p.writes, parts[s]) {
+			t.Fatalf("shard %d carries %v, want its part %v", s, p.writes, parts[s])
 		}
 		if len(st.inDoubt()) != 0 {
 			t.Fatalf("shard %d still in doubt: %v", s, st.inDoubt())
@@ -376,7 +355,7 @@ func TestTxnCoordinatorKilledBeforeCommitAborts(t *testing.T) {
 		}
 	}
 	for _, s := range []int{sa, sb} {
-		st, err := scanShardTxns(g.Store(s))
+		st, err := scanShardTxns(g.Store(s), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +405,7 @@ func TestTxnParticipantKilledAfterDecisionApplies(t *testing.T) {
 		}
 	}
 	for _, s := range []int{g.Router().Owner(a), sb} {
-		st, serr := scanShardTxns(g.Store(s))
+		st, serr := scanShardTxns(g.Store(s), s)
 		if serr != nil {
 			t.Fatal(serr)
 		}
@@ -537,7 +516,7 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 						t.Errorf("shard %d: two rotations left the trim at lsn %d", i, horizon)
 					}
 				}
-				if st, err := scanShardTxns(g.Store(part)); err != nil || st.prepares[txn] == nil {
+				if st, err := scanShardTxns(g.Store(part), part); err != nil || len(st.parts[txn].writes) == 0 {
 					t.Errorf("participant's retained log holds no prepare (%v)", err)
 				}
 				want := []wal.RecordType(nil)
@@ -600,7 +579,7 @@ func TestTxnCommitWaveCutShortReappliesTheCoordinatorsPart(t *testing.T) {
 	if err == nil || outcomes[coord].State != OutcomeUnknown || outcomes[part].State != OutcomeCommitted {
 		t.Fatalf("outcomes %v (%v), want the coordinator's part unknown and the participant's committed", outcomes, err)
 	}
-	st, err := scanShardTxns(g.Store(coord))
+	st, err := scanShardTxns(g.Store(coord), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +598,7 @@ func TestTxnCommitWaveCutShortReappliesTheCoordinatorsPart(t *testing.T) {
 			t.Fatalf("edge %d->%d missing after the resolution (%v)", m.Edge.Src, m.Edge.Dst, err)
 		}
 	}
-	if st, err = scanShardTxns(g.Store(coord)); err != nil || len(st.inDoubt()) != 0 {
+	if st, err = scanShardTxns(g.Store(coord), coord); err != nil || len(st.inDoubt()) != 0 {
 		t.Fatalf("coordinator still in doubt after the resolution: %v (%v)", st.inDoubt(), err)
 	}
 }
@@ -733,8 +712,8 @@ func TestMalformedBatchFailsBeforeItsFirstPrepare(t *testing.T) {
 			logged := make([]wal.LSN, g.Shards())
 			for i := range logged {
 				logged[i] = g.Leader(i).LastLSN()
-				if st, err := scanShardTxns(g.Store(i)); err != nil || len(st.prepares)+len(st.commits) != 0 {
-					t.Errorf("shard %d logged %d parts and %d commits of the batch (%v)", i, len(st.prepares), len(st.commits), err)
+				if st, err := scanShardTxns(g.Store(i), i); err != nil || len(st.parts)+len(st.commits) != 0 {
+					t.Errorf("shard %d logged %d parts and %d commits of the batch (%v)", i, len(st.parts), len(st.commits), err)
 				}
 			}
 			for i := range logged {

@@ -64,15 +64,14 @@ const (
 	RecordOwnerAssign
 	// RecordTxnPrepare logs a cross-shard transaction prepare on the
 	// stream of a participant other than the coordinator: TreeID is the
-	// transaction id, PageID the coordinator shard and Value the TPC2
-	// payload (coordinator shard, participant set, and the forest writes of
-	// the participant's part). The payload is applied only once
-	// the coordinator's decision is known; an undecided prepare has no
-	// memory effect and is invisible at every released epoch.
+	// transaction id, PageID the coordinator shard and Value the forest
+	// writes of the participant's part (shard.EncodePart). The part is
+	// applied only once the coordinator's decision is known; an undecided
+	// prepare has no memory effect and is invisible at every released epoch.
 	RecordTxnPrepare
 	// RecordTxnCommit logs a cross-shard commit decision on the coordinator
 	// shard's stream (TreeID = transaction id, PageID = the coordinator),
-	// and Value is the TPC2 payload of the coordinator's own part: the
+	// and Value is the coordinator's own part, as a prepare's is: the
 	// coordinator does not prepare, and its part's records and its
 	// RecordTxnApplied follow the commit in the same wave. Once durable,
 	// every participant's part must be applied; recovery treats a prepare

@@ -8,31 +8,47 @@ import (
 )
 
 // TestLogBytesPerEdge pins what the log costs a prop-less edge, by the bytes
-// of its WAL entries: on a one-shard leader with the flusher off only the log
-// writes. A single AddEdge is one group, its envelope and meta block included,
-// and may cost 50 bytes; an edge of an 8-edge ApplyBatch shares its group and
-// may cost 35.
+// of its WAL entries: on a leader with the flusher off only the log writes. A
+// single AddEdge on one shard is one group, its envelope and meta block
+// included, and may cost 50 bytes; an edge of an 8-edge ApplyBatch shares its
+// group and may cost 35. An 8-edge ApplyBatch over two sources on different
+// shards of four is a two-shard transaction: its prepare, its commit, both
+// parts' puts and both applied markers, counted over every shard's log, may
+// cost 60 bytes per edge.
 func TestLogBytesPerEdge(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		batch int
-		limit float64
+		name   string
+		shards int
+		batch  int
+		limit  float64
 	}{
-		{"AddEdge", 1, 50},
-		{"ApplyBatch-8", 8, 35},
+		{"AddEdge", 1, 1, 50},
+		{"ApplyBatch-8", 1, 8, 35},
+		{"CrossShard-ApplyBatch-8", 4, 8, 60},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			db := openDB(t, &Options{Replicated: true, FlushInterval: time.Hour})
-			st := db.eng(0).Store()
-			_, cur, err := st.Scan(storage.StreamWAL, storage.Cursor{}, 0)
-			if err != nil {
-				t.Fatal(err)
+			db := openDB(t, &Options{Replicated: true, Shards: c.shards, FlushInterval: time.Hour})
+			curs := make([]storage.Cursor, db.Shards())
+			for i := range curs {
+				var err error
+				if _, curs[i], err = db.eng(i).Store().Scan(storage.StreamWAL, storage.Cursor{}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			src := func(i int) VertexID { return VertexID(i % 100) }
+			if c.shards > 1 {
+				r, a, b := db.Group().Router(), VertexID(1), VertexID(2)
+				for r.Owner(b) == r.Owner(a) {
+					b++
+				}
+				src = func(i int) VertexID { return [2]VertexID{a, b}[i%2] }
 			}
 			written := db.Stats().Storage.BytesWritten
 			const edges = 4096
+			var err error
 			muts := make([]Mutation, 0, c.batch)
 			for i := 0; i < edges; i++ {
-				e := Edge{Src: VertexID(i % 100), Dst: VertexID(i), Type: ETypeFollow}
+				e := Edge{Src: src(i), Dst: VertexID(i), Type: ETypeFollow}
 				if c.batch == 1 {
 					err = db.AddEdge(e)
 				} else if muts = append(muts, AddEdgeMut(e)); len(muts) == c.batch {
@@ -42,19 +58,22 @@ func TestLogBytesPerEdge(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			entries, _, err := st.Scan(storage.StreamWAL, cur, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			logged := 0
-			for _, e := range entries {
-				logged += len(e.Data)
+			logged, appends := 0, 0
+			for i, cur := range curs {
+				entries, _, err := db.eng(i).Store().Scan(storage.StreamWAL, cur, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					logged += len(e.Data)
+				}
+				appends += len(entries)
 			}
 			if other := db.Stats().Storage.BytesWritten - written - int64(logged); other != 0 {
 				t.Fatalf("%d bytes written beside the log's %d: the flusher ran", other, logged)
 			}
 			per := float64(logged) / edges
-			t.Logf("%s: %d log bytes in %d appends, %.1f per edge", c.name, logged, len(entries), per)
+			t.Logf("%s: %d log bytes in %d appends, %.1f per edge", c.name, logged, appends, per)
 			if per > c.limit {
 				t.Fatalf("%s logs %.1f bytes per edge, want <= %.0f", c.name, per, c.limit)
 			}
