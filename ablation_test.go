@@ -20,6 +20,7 @@ import (
 	"bg3/internal/core"
 	"bg3/internal/forest"
 	"bg3/internal/gc"
+	"bg3/internal/metrics"
 	"bg3/internal/replication"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
@@ -129,6 +130,8 @@ func BenchmarkAblationCommitWindow(b *testing.B) {
 			w := wal.NewWriter(st)
 			l := wal.NewGroupCommitter(w, wal.GroupCommitterOptions{MaxDelay: window})
 			defer l.Stop()
+			reg := metrics.NewRegistry()
+			l.RegisterMetrics(reg)
 			const writers = 32
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -147,9 +150,8 @@ func BenchmarkAblationCommitWindow(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			batches, records := l.BatchStats()
-			if batches > 0 {
-				b.ReportMetric(float64(records)/float64(batches), "records/batch")
+			if g := reg.Snapshot()["wal.group_size"].IntHistogram; g.Count > 0 {
+				b.ReportMetric(g.Mean, "records/batch")
 			}
 		})
 	}

@@ -117,7 +117,7 @@ type DB struct {
 
 	engine *core.Engine // a bare engine; nil on a leader set
 	group  *shard.Group // a leader set; nil on a bare engine
-	cfg    layers       // OpenReplica reads the follower settings
+	cfg    layers       // OpenReplica reads the follower settings, Metrics the fault plan
 
 	mu       sync.Mutex // guards replicas
 	replicas []*Replica
@@ -137,6 +137,7 @@ func Open(opts *Options) (*DB, error) {
 // open builds the shape o names from cfg, o translated for the layers below.
 // Tests set what Options does not expose in between (see layers).
 func open(o Options, cfg layers) (*DB, error) {
+	db := &DB{cfg: cfg}
 	if !o.Replicated && o.Shards <= 1 {
 		co := cfg.rw.Engine
 		co.Storage = &cfg.storage
@@ -144,19 +145,21 @@ func open(o Options, cfg layers) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DB{reads: reads{engine}, writes: engine, reg: engine.Metrics(), engine: engine}, nil
+		db.reads, db.writes, db.reg, db.engine = reads{engine}, engine, engine.Metrics(), engine
+	} else {
+		// One shard keeps one registry for the DB's life, the group's
+		// instruments beside its leader's: a promoted leader registers its
+		// engine and WAL instruments over its predecessor's. More keep one
+		// per leader, and Metrics is the group's.
+		if o.Shards <= 1 {
+			cfg.rw.Engine.Metrics = metrics.NewRegistry()
+		}
+		g, err := shard.Open(max(o.Shards, 1), &cfg.storage, cfg.rw)
+		if err != nil {
+			return nil, fmt.Errorf("bg3: open: %w", err)
+		}
+		db.reads, db.writes, db.reg, db.group = reads{g}, g, g.Metrics(), g
 	}
-	// One shard keeps one registry for the DB's life: a promoted leader
-	// registers its engine and WAL instruments over its predecessor's. More
-	// keep one per leader, and Metrics is the group's.
-	if o.Shards <= 1 {
-		cfg.rw.Engine.Metrics = metrics.NewRegistry()
-	}
-	g, err := shard.Open(max(o.Shards, 1), &cfg.storage, cfg.rw)
-	if err != nil {
-		return nil, fmt.Errorf("bg3: open: %w", err)
-	}
-	db := &DB{reads: reads{g}, writes: g, reg: cmp.Or(cfg.rw.Engine.Metrics, g.Metrics()), group: g, cfg: cfg}
 	db.registerMetrics()
 	return db, nil
 }
@@ -346,24 +349,3 @@ func (db *DB) Checkpoint() error {
 // scatter-gather, snapshots, transactions, failovers, replicas) and each
 // leader keeps its own, Group().Leader(i).Engine().Metrics().
 func (db *DB) Metrics() *metrics.Registry { return db.reg }
-
-// StatsJSON renders the full metrics registry as stable, sorted JSON: Metrics
-// and, on more than one shard, every leader's registry beside it, each name
-// suffixed with its shard ("storage.read_ops{shard=2}").
-func (db *DB) StatsJSON() ([]byte, error) { return db.snapshot().JSON() }
-
-// StatsText renders what StatsJSON does as sorted, aligned text.
-func (db *DB) StatsText() string { return db.snapshot().Text() }
-
-func (db *DB) snapshot() metrics.Snapshot {
-	snap := db.reg.Snapshot()
-	if db.Shards() == 1 {
-		return snap
-	}
-	for i := range db.Shards() {
-		for name, v := range db.eng(i).Metrics().Snapshot() {
-			snap[fmt.Sprintf("%s{shard=%d}", name, i)] = v
-		}
-	}
-	return snap
-}

@@ -547,7 +547,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 		}
 		var appends int64
 		for i := range shards {
-			appends += db.leader(i).Writer().Appends()
+			appends += db.shardMetrics(i).Snapshot()["wal.appends"].Value
 			if s.Shards.LastLSNs[i] == 0 || s.Shards.ReadEpochs[i] == 0 {
 				t.Fatalf("shard %d at LSN %d, read epoch %d after its writes", i, s.Shards.LastLSNs[i], s.Shards.ReadEpochs[i])
 			}
@@ -579,7 +579,7 @@ func TestStatsNestedAndJSON(t *testing.T) {
 		}
 		names := []string{"replication.applied_lsn_lag", "replication.replicas"}
 		for _, name := range []string{"storage.read_ops", "wal.commit_us", "bwtree.read_fanout",
-			"forest.trees", "gc.write_amp", "bwtree.block_fallbacks"} {
+			"forest.trees", "storage.gc_write_amp", "bwtree.block_fallbacks"} {
 			if shards == 1 {
 				names = append(names, name)
 				continue

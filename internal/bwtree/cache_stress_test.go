@@ -22,8 +22,8 @@ func TestStressShardedCache(t *testing.T) {
 	}
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 12})
 	m := NewMappingShards(32, false, 8)
-	if m.ShardCount() != 8 {
-		t.Fatalf("shard count = %d, want 8", m.ShardCount())
+	if len(m.shards) != 8 {
+		t.Fatalf("shard count = %d, want 8", len(m.shards))
 	}
 	tr, err := New(m, st, Config{MaxPageEntries: 8, ConsolidateNum: 4}, &stubAsyncLogger{})
 	if err != nil {
@@ -177,7 +177,7 @@ func TestStressShardedCache(t *testing.T) {
 
 	// Quiesced read-only phase: with no structural changes racing, every Get
 	// is accounted exactly once as a hit or a miss.
-	h0, ms0 := m.CacheStats()
+	h0, ms0 := m.hits.Load(), m.misses.Load()
 	const roReaders, roGets = 4, 300
 	var ro sync.WaitGroup
 	for r := 0; r < roReaders; r++ {
@@ -198,7 +198,7 @@ func TestStressShardedCache(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	h1, ms1 := m.CacheStats()
+	h1, ms1 := m.hits.Load(), m.misses.Load()
 	if got, wantGets := (h1+ms1)-(h0+ms0), int64(roReaders*roGets); got != wantGets {
 		t.Fatalf("quiesced phase counted %d hits+misses for %d Gets", got, wantGets)
 	}
@@ -210,7 +210,7 @@ func TestStressShardedCache(t *testing.T) {
 	// sweep leaves its shard at its capacity of 4, and the leaves' consecutive
 	// IDs reach all 8 shards. At most 32 pages stay resident, so at least the
 	// leaves installed beyond 32 were evicted.
-	ev0, splits0 := m.Evictions(), tr.Stats().Splits
+	ev0, splits0 := m.evictions.Load(), tr.Stats().Splits
 	for i := 0; tr.Stats().Splits-splits0 < 64; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("x-%05d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestStressShardedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, min := m.Evictions()-ev0, tr.Stats().Splits-splits0-32; got < min {
+	if got, min := m.evictions.Load()-ev0, tr.Stats().Splits-splits0-32; got < min {
 		t.Fatalf("installing %d leaves into a 32-page cache evicted %d pages, want >= %d", min+32, got, min)
 	}
 }

@@ -182,7 +182,7 @@ func TestLeaderColdLoadReadsBaseOnly(t *testing.T) {
 			if reads := st.Stats().ReadOps - before; reads != tc.wantRead {
 				t.Fatalf("a cold Get cost %d storage reads, want %d", reads, tc.wantRead)
 			}
-			if f := m.ReadFanout(); f.Max() != tc.wantRead {
+			if f := &m.fanout; f.Max() != tc.wantRead {
 				t.Fatalf("bwtree.read_fanout max %d, want %d", f.Max(), tc.wantRead)
 			}
 		})

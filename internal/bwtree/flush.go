@@ -4,24 +4,16 @@ import (
 	"fmt"
 	"slices"
 
-	"bg3/internal/metrics"
 	"bg3/internal/storage"
 )
 
-// flushRetry bounds the retries a flush spends absorbing transient storage
-// failures before giving up and leaving the page dirty for the next cycle.
-func flushRetry() storage.RetryPolicy {
-	p := storage.DefaultRetry
-	p.OnRetry = func(int, error) { metrics.Faults.Retries.Inc() }
-	return p
-}
-
-// flushAppend persists one record on the flush path with bounded retry and
+// flushAppend persists one record on the flush path with the store's bounded
+// retry, leaving the page dirty for the next cycle when it gives up, and
 // returns where it lies and the stored record.
 func (t *Tree) flushAppend(stream storage.StreamID, tag uint64, data []byte) (storage.Loc, []byte, error) {
 	var loc storage.Loc
 	var rec []byte
-	err := flushRetry().Do("bwtree: flush append", func() error {
+	err := t.store.Retry().Do("bwtree: flush append", func() error {
 		var aerr error
 		loc, rec, aerr = t.store.AppendEpoch(stream, 0, tag, data)
 		return aerr

@@ -273,9 +273,6 @@ func (m *Mapping) shard(id PageID) *cacheShard {
 	return m.shards[(h>>32)&m.shardMask]
 }
 
-// ShardCount returns the number of cache lock stripes.
-func (m *Mapping) ShardCount() int { return len(m.shards) }
-
 // allocPageID reserves a fresh leaf page ID.
 func (m *Mapping) allocPageID() PageID {
 	return PageID(m.nextPage.Add(1))
@@ -304,28 +301,6 @@ func (m *Mapping) get(id PageID) *pageEntry {
 	return e
 }
 
-// PageCount returns the number of registered pages.
-func (m *Mapping) PageCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pages)
-}
-
-// CacheStats returns cache hit and miss counts.
-func (m *Mapping) CacheStats() (hits, misses int64) {
-	return m.hits.Load(), m.misses.Load()
-}
-
-// Evictions returns how many cached pages the LRU sweeps have dropped.
-func (m *Mapping) Evictions() int64 { return m.evictions.Load() }
-
-// ReadFanout returns the per-Get storage read fan-out histogram.
-func (m *Mapping) ReadFanout() *metrics.IntHistogram { return &m.fanout }
-
-// MaterializeLatency returns the cache-miss materialization latency
-// histogram.
-func (m *Mapping) MaterializeLatency() *metrics.Histogram { return &m.materializeLat }
-
 // shardEntrySpread returns the smallest and largest resident-entry counts
 // across shards — a live view of how evenly the hash spreads the working
 // set.
@@ -351,7 +326,7 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("bwtree.cache_misses", m.misses.Load)
 	r.CounterFunc("bwtree.cache_evictions", m.evictions.Load)
 	r.RatioFunc("bwtree.cache_hit_ratio", func() float64 {
-		h, ms := m.CacheStats()
+		h, ms := m.hits.Load(), m.misses.Load()
 		if h+ms == 0 {
 			return 0
 		}
@@ -364,7 +339,11 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
 	r.RegisterIntHistogram("bwtree.write_run_ops", &m.writeRunOps)
 	r.RegisterHistogram("bwtree.materialize_us", &m.materializeLat)
-	r.GaugeFunc("bwtree.pages", func() int64 { return int64(m.PageCount()) })
+	r.GaugeFunc("bwtree.pages", func() int64 {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return int64(len(m.pages))
+	})
 	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)
 	r.CounterFunc("bwtree.block_builds", m.blockBuilds.Load)
 	r.CounterFunc("bwtree.block_hits", m.blockHits.Load)

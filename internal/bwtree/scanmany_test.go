@@ -81,7 +81,7 @@ func TestScanManyAtRetriesOnlyReclaimedMembers(t *testing.T) {
 	}
 
 	before := st.Stats()
-	hits0, misses0 := m.CacheStats()
+	hits0, misses0 := m.hits.Load(), m.misses.Load()
 	reclaimed := make(chan error, 1)
 	go func() {
 		for st.Stats().BatchReads == before.BatchReads {
@@ -115,7 +115,7 @@ func TestScanManyAtRetriesOnlyReclaimedMembers(t *testing.T) {
 	if after.ExtentsReclaimed-before.ExtentsReclaimed != 1 {
 		t.Fatalf("extents reclaimed = %d, want 1", after.ExtentsReclaimed-before.ExtentsReclaimed)
 	}
-	if hits, misses := m.CacheStats(); hits+misses-hits0-misses0 != int64(len(leaves)) {
+	if hits, misses := m.hits.Load(), m.misses.Load(); hits+misses-hits0-misses0 != int64(len(leaves)) {
 		t.Fatalf("the round counted %d hits + %d misses over %d distinct leaves", hits-hits0, misses-misses0, len(leaves))
 	}
 }
@@ -146,7 +146,7 @@ func TestScanManyAtHoldsImagesPastEviction(t *testing.T) {
 	if after.BatchReads-before.BatchReads != 1 {
 		t.Fatalf("%d ReadBatch calls, want 1: an evicted leaf of the hop was read again", after.BatchReads-before.BatchReads)
 	}
-	if m.Evictions() == 0 {
+	if m.evictions.Load() == 0 {
 		t.Fatal("fixture: nothing was evicted during the hop")
 	}
 }

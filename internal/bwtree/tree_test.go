@@ -335,7 +335,7 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatalf("key %d unreadable after eviction", i)
 		}
 	}
-	hits, misses := m.CacheStats()
+	hits, misses := m.hits.Load(), m.misses.Load()
 	if misses == 0 {
 		t.Fatalf("expected cache misses, got hits=%d misses=%d", hits, misses)
 	}
@@ -769,7 +769,7 @@ func TestReadFanoutHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := m.ReadFanout()
+	f := &m.fanout
 	if f.Count() != 20 {
 		t.Fatalf("fanout observations = %d, want 20", f.Count())
 	}
@@ -790,7 +790,7 @@ func TestReadFanoutHistogram(t *testing.T) {
 	if _, _, err := tr2.Get([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if p50 := m2.ReadFanout().Quantile(0.5); p50 != 0 {
+	if p50 := m2.fanout.Quantile(0.5); p50 != 0 {
 		t.Fatalf("cached fanout p50 = %d, want 0", p50)
 	}
 }

@@ -160,17 +160,13 @@ func (e *Engine) registerMetrics(reg *metrics.Registry) {
 	e.store.RegisterMetrics(reg)
 	e.mapping.RegisterMetrics(reg)
 	e.edges.RegisterMetrics(reg)
-	reg.CounterFunc("gc.bytes_moved", func() int64 { return e.GCStats().BytesMoved })
 	reg.CounterFunc("gc.runs", func() int64 { return e.GCStats().Runs })
-	reg.CounterFunc("gc.extents_expired", func() int64 { return e.GCStats().ExtentsExpired })
-	reg.RatioFunc("gc.write_amp", func() float64 { return e.store.Stats().GCWriteAmp() })
 	if e.opts.Epochs != nil {
 		e.opts.Epochs.RegisterMetrics(reg)
 		reg.GaugeFunc("bwtree.retained_bytes", func() int64 {
 			return e.mapping.RetainedBytes(wal.LSN(e.opts.Epochs.Floor()))
 		})
 	}
-	metrics.Faults.Register(reg)
 }
 
 // AttachLogger makes l the WAL logger of the forest and every tree in it.

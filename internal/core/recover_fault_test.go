@@ -118,8 +118,8 @@ func TestRecoverTornWALTable(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if e.Mapping().PageCount() != 3 {
-					t.Fatalf("fixture: %d pages, want two leaves under a root", e.Mapping().PageCount())
+				if pages := e.Metrics().Snapshot()["bwtree.pages"].Value; pages != 3 {
+					t.Fatalf("fixture: %d pages, want two leaves under a root", pages)
 				}
 			},
 			wantPresent:  []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bg3/internal/bwtree"
+	"bg3/internal/metrics"
 	"bg3/internal/mvcc"
 	"bg3/internal/refmodel"
 	"bg3/internal/storage"
@@ -94,6 +95,8 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			st := storage.Open(&storage.Options{ExtentSize: 1 << 14})
 			m := bwtree.NewMapping(cc.capacity, cc.disabled)
+			reg := metrics.NewRegistry()
+			m.RegisterMetrics(reg)
 			cfg := Config{
 				SplitThreshold: 48,
 				Tree: bwtree.Config{
@@ -305,7 +308,8 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 					}
 				}
 			}
-			hits, misses := m.CacheStats()
+			cache := reg.Snapshot()
+			hits, misses := cache["bwtree.cache_hits"].Value, cache["bwtree.cache_misses"].Value
 			if (cc.capacity > 0 || cc.disabled) && misses == 0 {
 				t.Fatalf("no cache miss (hits %d): the cold path was not exercised", hits)
 			}

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -171,12 +170,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.max.Max(o.max.Load())
 }
 
-// Snapshot returns a human-readable one-line summary.
-func (h *Histogram) Snapshot() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
-}
-
 // HistogramSnapshot is the JSON-stable summary of a latency histogram, in
 // microseconds.
 type HistogramSnapshot struct {
@@ -299,23 +292,3 @@ func (h *IntHistogram) Summary() IntHistogramSnapshot {
 		Max:   h.Max(),
 	}
 }
-
-// FaultCounters aggregates the fault-injection and resilience accounting
-// shared across subsystems: faults injected by the storage fault plan,
-// bounded retries spent by the WAL and flush paths absorbing them, and
-// successful recoveries (crash recovery, follower resync).
-type FaultCounters struct {
-	FaultsInjected Counter
-	Retries        Counter
-	Recoveries     Counter
-}
-
-// Snapshot returns a one-line summary.
-func (c *FaultCounters) Snapshot() string {
-	return fmt.Sprintf("faults_injected=%d retries=%d recoveries=%d",
-		c.FaultsInjected.Load(), c.Retries.Load(), c.Recoveries.Load())
-}
-
-// Faults is the process-wide fault accounting instance. Counters are
-// monotonic, so concurrent tests sharing it stay correct.
-var Faults FaultCounters

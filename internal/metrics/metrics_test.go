@@ -84,7 +84,7 @@ func TestGaugeMaxConcurrent(t *testing.T) {
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatalf("empty histogram should report zeros: %s", h.Snapshot())
+		t.Fatalf("empty histogram should report zeros: %+v", h.Summary())
 	}
 }
 
@@ -313,20 +313,57 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-func TestRegistryFaultCounters(t *testing.T) {
-	r := NewRegistry()
-	var fc FaultCounters
-	fc.Register(r)
-	fc.FaultsInjected.Inc()
-	fc.Retries.Add(3)
-	snap := r.Snapshot()
-	if v := snap["faults.injected"]; v.Value != 1 {
-		t.Fatalf("faults.injected = %+v", v)
+// TestFoldMergesBucketWise: Fold reads several registries as one. Counters
+// and gauges add up, a name one registry lacks reads what the others hold,
+// histograms merge as if every observation had been made on one (a quantile
+// of the merged buckets, not of the summaries), and ratios are left out.
+func TestFoldMergesBucketWise(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("c").Add(3)
+	b.Counter("c").Add(4)
+	a.Gauge("g").Set(5)
+	b.Gauge("g").Set(-1)
+	b.Counter("only_b").Add(9)
+	a.RatioFunc("r", func() float64 { return 0.5 })
+	var one Histogram
+	var oneInt IntHistogram
+	ha, hb := a.Histogram("h"), b.Histogram("h")
+	for range 98 {
+		ha.Observe(5 * time.Microsecond)
+		one.Observe(5 * time.Microsecond)
 	}
-	if v := snap["faults.retries"]; v.Value != 3 {
-		t.Fatalf("faults.retries = %+v", v)
+	for range 2 {
+		hb.Observe(time.Second)
+		one.Observe(time.Second)
 	}
-	if v := snap["faults.recoveries"]; v.Value != 0 {
-		t.Fatalf("faults.recoveries = %+v", v)
+	ia, ib := a.IntHistogram("i"), b.IntHistogram("i")
+	for v := range int64(20) {
+		ia.Observe(v % 3)
+		ib.Observe(v)
+		oneInt.Observe(v % 3)
+		oneInt.Observe(v)
+	}
+
+	f := Fold(a, b)
+	if v := f["c"]; v.Kind != KindCounter || v.Value != 7 {
+		t.Fatalf("c = %+v, want counter 7", v)
+	}
+	if v := f["g"]; v.Kind != KindGauge || v.Value != 4 {
+		t.Fatalf("g = %+v, want gauge 4", v)
+	}
+	if v := f["only_b"]; v.Value != 9 {
+		t.Fatalf("only_b = %+v, want 9", v)
+	}
+	if _, ok := f["r"]; ok {
+		t.Fatalf("a ratio was folded: %+v", f["r"])
+	}
+	if got, want := *f["h"].Histogram, one.Summary(); got != want {
+		t.Fatalf("h = %+v, want %+v (observed on one histogram)", got, want)
+	}
+	if got := f["h"].Histogram.P99US; got < 250_000 {
+		t.Fatalf("h p99 = %dus: two 1 s observations in 100 are the 99th percentile", got)
+	}
+	if got, want := *f["i"].IntHistogram, oneInt.Summary(); got != want {
+		t.Fatalf("i = %+v, want %+v (observed on one histogram)", got, want)
 	}
 }

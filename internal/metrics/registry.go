@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -70,28 +71,54 @@ func (s Snapshot) Text() string {
 
 // Registry is the system-wide instrument directory. Subsystems register
 // their counters, gauges and histograms (or probe functions over state they
-// already maintain) under dotted names; Snapshot reads everything at once.
+// already maintain) under dotted names; Snapshot reads everything at once,
+// and Fold reads several registries as one.
 //
 // Registration is cheap and typically happens once at startup; reads of the
 // underlying instruments stay lock-free.
 type Registry struct {
 	mu     sync.RWMutex
-	probes map[string]func() Value
+	probes map[string]probe
+}
+
+// probe is one registered instrument: a histogram by reference, so a fold
+// can merge its buckets, anything else by the function that reads it.
+type probe struct {
+	kind  Kind
+	value func() int64   // KindCounter, KindGauge
+	ratio func() float64 // KindRatio
+	hist  *Histogram     // KindHistogram
+	ints  *IntHistogram  // KindIntHistogram
+}
+
+// read returns the probe's reading.
+func (p probe) read() Value {
+	switch p.kind {
+	case KindRatio:
+		return Value{Kind: KindRatio, Ratio: p.ratio()}
+	case KindHistogram:
+		s := p.hist.Summary()
+		return Value{Kind: KindHistogram, Histogram: &s}
+	case KindIntHistogram:
+		s := p.ints.Summary()
+		return Value{Kind: KindIntHistogram, IntHistogram: &s}
+	}
+	return Value{Kind: p.kind, Value: p.value()}
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{probes: make(map[string]func() Value)}
+	return &Registry{probes: make(map[string]probe)}
 }
 
 // register installs a probe, replacing any previous probe with that name.
-func (r *Registry) register(name string, probe func() Value) {
+func (r *Registry) register(name string, p probe) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.probes == nil {
-		r.probes = make(map[string]func() Value)
+		r.probes = make(map[string]probe)
 	}
-	r.probes[name] = probe
+	r.probes[name] = p
 }
 
 // Counter creates, registers and returns a counter.
@@ -102,11 +129,7 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // RegisterCounter adopts an existing counter.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	r.register(name, func() Value {
-		return Value{Kind: KindCounter, Value: c.Load()}
-	})
-}
+func (r *Registry) RegisterCounter(name string, c *Counter) { r.CounterFunc(name, c.Load) }
 
 // Gauge creates, registers and returns a gauge.
 func (r *Registry) Gauge(name string) *Gauge {
@@ -116,11 +139,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // RegisterGauge adopts an existing gauge.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	r.register(name, func() Value {
-		return Value{Kind: KindGauge, Value: g.Load()}
-	})
-}
+func (r *Registry) RegisterGauge(name string, g *Gauge) { r.GaugeFunc(name, g.Load) }
 
 // Histogram creates, registers and returns a latency histogram.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -131,10 +150,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // RegisterHistogram adopts an existing latency histogram.
 func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	r.register(name, func() Value {
-		s := h.Summary()
-		return Value{Kind: KindHistogram, Histogram: &s}
-	})
+	r.register(name, probe{kind: KindHistogram, hist: h})
 }
 
 // IntHistogram creates, registers and returns an integer histogram.
@@ -146,49 +162,90 @@ func (r *Registry) IntHistogram(name string) *IntHistogram {
 
 // RegisterIntHistogram adopts an existing integer histogram.
 func (r *Registry) RegisterIntHistogram(name string, h *IntHistogram) {
-	r.register(name, func() Value {
-		s := h.Summary()
-		return Value{Kind: KindIntHistogram, IntHistogram: &s}
-	})
+	r.register(name, probe{kind: KindIntHistogram, ints: h})
 }
 
 // CounterFunc registers a counter backed by a read function, for subsystems
 // that already maintain their own accounting.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
-	r.register(name, func() Value {
-		return Value{Kind: KindCounter, Value: fn()}
-	})
+	r.register(name, probe{kind: KindCounter, value: fn})
 }
 
 // GaugeFunc registers a gauge backed by a read function.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	r.register(name, func() Value {
-		return Value{Kind: KindGauge, Value: fn()}
-	})
+	r.register(name, probe{kind: KindGauge, value: fn})
 }
 
 // RatioFunc registers a derived ratio (hit rates, write amplification)
 // backed by a read function.
 func (r *Registry) RatioFunc(name string, fn func() float64) {
-	r.register(name, func() Value {
-		return Value{Kind: KindRatio, Ratio: fn()}
-	})
+	r.register(name, probe{kind: KindRatio, ratio: fn})
+}
+
+// probesCopy returns the registered probes, read under the lock.
+func (r *Registry) probesCopy() map[string]probe {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return maps.Clone(r.probes)
 }
 
 // Snapshot reads every registered instrument. Instruments are read without
 // a global pause, so the snapshot is per-instrument atomic rather than
 // globally consistent — fine for monitoring.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	probes := make(map[string]func() Value, len(r.probes))
-	for name, p := range r.probes {
-		probes[name] = p
-	}
-	r.mu.RUnlock()
-
+	probes := r.probesCopy()
 	out := make(Snapshot, len(probes))
 	for name, p := range probes {
-		out[name] = p()
+		out[name] = p.read()
+	}
+	return out
+}
+
+// Read returns the reading of the instrument registered as name, the zero
+// Value when there is none.
+func (r *Registry) Read(name string) Value {
+	r.mu.RLock()
+	p, ok := r.probes[name]
+	r.mu.RUnlock()
+	if !ok {
+		return Value{}
+	}
+	return p.read()
+}
+
+// Fold reads regs as one registry: where several register a name, their
+// counters and gauges add up and their histograms merge bucket-wise, as if
+// every observation had been made on one. A ratio does not add, so Fold
+// leaves ratios out; divide the folded counts instead.
+func Fold(regs ...*Registry) Snapshot {
+	out := make(Snapshot)
+	hists := make(map[string]*Histogram)
+	ints := make(map[string]*IntHistogram)
+	for _, r := range regs {
+		for name, p := range r.probesCopy() {
+			switch p.kind {
+			case KindRatio:
+			case KindHistogram:
+				if hists[name] == nil {
+					hists[name] = new(Histogram)
+				}
+				hists[name].Merge(p.hist)
+			case KindIntHistogram:
+				if ints[name] == nil {
+					ints[name] = new(IntHistogram)
+				}
+				ints[name].Merge(p.ints)
+			default:
+				v := out[name]
+				out[name] = Value{Kind: p.kind, Value: v.Value + p.value()}
+			}
+		}
+	}
+	for name, h := range hists {
+		out[name] = probe{kind: KindHistogram, hist: h}.read()
+	}
+	for name, h := range ints {
+		out[name] = probe{kind: KindIntHistogram, ints: h}.read()
 	}
 	return out
 }
@@ -203,11 +260,4 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Register exposes the fault counters under the "faults." prefix.
-func (c *FaultCounters) Register(r *Registry) {
-	r.RegisterCounter("faults.injected", &c.FaultsInjected)
-	r.RegisterCounter("faults.retries", &c.Retries)
-	r.RegisterCounter("faults.recoveries", &c.Recoveries)
 }

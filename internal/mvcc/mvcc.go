@@ -55,7 +55,6 @@ type Source struct {
 
 	// metrics
 	pinned    metrics.Gauge // live pin handles
-	oldestLag metrics.Gauge // current - oldest pinned epoch (LSN distance), set at pin and unpin
 	advances  metrics.Counter
 	pinsTotal metrics.Counter
 }
@@ -94,7 +93,6 @@ func (s *Source) Pin() *Pin {
 	s.mu.Lock()
 	e := Epoch(s.current.Load()) // read under mu so Floor can't miss us
 	s.pins[e]++
-	s.setLagLocked()
 	s.mu.Unlock()
 	s.pinned.Add(1)
 	s.pinsTotal.Inc()
@@ -146,20 +144,10 @@ func (s *Source) unpin(e Epoch) {
 	if len(s.pins) == 0 {
 		idle, s.unpinned = s.unpinned, nil
 	}
-	s.setLagLocked()
 	s.mu.Unlock()
 	s.pinned.Add(-1)
 	for _, fn := range idle {
 		fn()
-	}
-}
-
-// setLagLocked refreshes the epoch_lag gauge from the floor the caller's
-// critical section just changed.
-func (s *Source) setLagLocked() {
-	floor := s.floorLocked()
-	if cur := Epoch(s.current.Load()); cur >= floor {
-		s.oldestLag.Set(int64(cur - floor))
 	}
 }
 
@@ -204,7 +192,7 @@ func (s *Source) Stats() Stats {
 func (s *Source) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("mvcc.read_epoch", func() int64 { return int64(s.current.Load()) })
 	r.RegisterGauge("mvcc.pinned_epochs", &s.pinned)
-	r.RegisterGauge("mvcc.epoch_lag", &s.oldestLag)
+	r.GaugeFunc("mvcc.epoch_lag", func() int64 { return int64(s.Stats().Lag) })
 	r.RegisterCounter("mvcc.pins_total", &s.pinsTotal)
 	r.RegisterCounter("mvcc.advances", &s.advances)
 }

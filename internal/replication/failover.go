@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bg3/internal/core"
-	"bg3/internal/metrics"
 	"bg3/internal/mvcc"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
@@ -104,7 +103,6 @@ func (n *RONode) promote(opts RWOptions) (*RWNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replication: promote: %w", err)
 	}
-	metrics.Faults.Recoveries.Inc()
 	return rw, nil
 }
 

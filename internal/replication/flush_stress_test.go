@@ -87,7 +87,7 @@ func TestIdleLeaderStopsCheckpointing(t *testing.T) {
 		last        wal.LSN
 	}
 	state := func() walState {
-		return walState{rw.Checkpoints(), st.TailCursor(storage.StreamWAL), rw.LastLSN()}
+		return walState{rw.checkpoints.Load(), st.TailCursor(storage.StreamWAL), rw.LastLSN()}
 	}
 
 	add(10)

@@ -103,6 +103,8 @@ type RWNode struct {
 	lowWater func() wal.LSN
 	trimmed  metrics.Counter // WAL extents dropped
 
+	checkpoints metrics.Counter // checkpoints published
+
 	// applyBarrier serializes checkpoint horizon computation against
 	// in-flight writes: writers hold it shared across (WAL log + memory
 	// apply), the flusher takes it exclusively for an instant to establish
@@ -113,9 +115,8 @@ type RWNode struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	mu          sync.Mutex
-	checkpoints int64
-	lastCkpt    wal.LSN
+	mu       sync.Mutex
+	lastCkpt wal.LSN
 }
 
 // rotation is how many checkpoints it takes to name every leaf: each names
@@ -190,10 +191,9 @@ func assembleRWNode(st *storage.Store, opts RWOptions, writer *wal.Writer, src *
 func (n *RWNode) registerMetrics(r *metrics.Registry) {
 	n.writer.RegisterMetrics(r)
 	n.logger.RegisterMetrics(r)
-	r.CounterFunc("wal.checkpoints", n.Checkpoints)
+	r.RegisterCounter("wal.checkpoints", &n.checkpoints)
 	r.RegisterCounter("wal.extents_trimmed", &n.trimmed)
 	r.GaugeFunc("wal.last_checkpoint_lsn", func() int64 { return int64(n.lastCheckpoint()) })
-	r.GaugeFunc("replication.epoch", func() int64 { return int64(n.writer.Epoch()) })
 }
 
 // NeighborsMany implements graph.FrontierReader with the engine's batched
@@ -367,8 +367,8 @@ func (n *RWNode) flushCycle(force bool) (wal.LSN, error) {
 	n.named++
 	n.points = append(n.points, bootPoint{cursor, horizon})
 	n.trimLocked()
+	n.checkpoints.Inc()
 	n.mu.Lock()
-	n.checkpoints++
 	n.lastCkpt = horizon
 	n.mu.Unlock()
 	return horizon, nil
@@ -439,13 +439,6 @@ func (n *RWNode) lastCheckpoint() wal.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lastCkpt
-}
-
-// Checkpoints returns the number of checkpoints published.
-func (n *RWNode) Checkpoints() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.checkpoints
 }
 
 // Write-path wrappers: graph.Store's mutating half, wrapped in the apply
@@ -654,7 +647,6 @@ func (n *RONode) resyncLocked() error {
 	n.mu.Lock()
 	n.resyncs++
 	n.mu.Unlock()
-	metrics.Faults.Recoveries.Inc()
 	return nil
 }
 

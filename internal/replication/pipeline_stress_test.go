@@ -69,7 +69,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		tore.Do(func() {
 			log := wal.NewReader(st)
 			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
-				if old.Logger().InflightGroups() == 1 {
+				if old.Engine().Metrics().Snapshot()["wal.pipeline_inflight"].Value == 1 {
 					if _, err := log.PollGroups(); err != nil || log.PendingGroups() > 0 {
 						break
 					}
@@ -141,7 +141,8 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 	if e := next.Epoch(); e != 1 {
 		t.Fatalf("promoted epoch = %d, want 1", e)
 	}
-	if mean := old.Logger().InflightUtilization().Mean(); mean <= 1 {
+	inflight := old.Engine().Metrics().Snapshot()["wal.inflight_groups"].IntHistogram
+	if mean := inflight.Mean; mean <= 1 {
 		t.Errorf("old leader's mean in-flight groups = %.2f, want > 1: the promotion never raced a full pipeline", mean)
 	}
 	acked := 0
@@ -159,7 +160,7 @@ func TestStressPipelinedCommitRacingPromote(t *testing.T) {
 		t.Fatal("no write was ever acknowledged before the fence; the race is vacuous")
 	}
 	t.Logf("fence cut off %d writers after %d acked writes; epoch %d, mean in-flight %.2f",
-		writers, acked, next.Epoch(), old.Logger().InflightUtilization().Mean())
+		writers, acked, next.Epoch(), inflight.Mean)
 
 	// Post-failover workload on the new leader, on dsts disjoint from the
 	// racing writes.

@@ -8,10 +8,20 @@ import (
 	"bg3/internal/bwtree"
 	"bg3/internal/core"
 	"bg3/internal/graph"
+	"bg3/internal/metrics"
 	"bg3/internal/netsim"
 	"bg3/internal/storage"
 	"bg3/internal/wal"
 )
+
+// commitCounts reads the groups and records l released, as wal.commit_batches
+// and wal.commit_records.
+func commitCounts(l *wal.GroupCommitter) (batches, records int64) {
+	reg := metrics.NewRegistry()
+	l.RegisterMetrics(reg)
+	s := reg.Snapshot()
+	return s["wal.commit_batches"].Value, s["wal.commit_records"].Value
+}
 
 func TestGroupCommitAssignsAllLSNs(t *testing.T) {
 	st := storage.Open(nil)
@@ -81,7 +91,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	batches, records := l.BatchStats()
+	batches, records := commitCounts(l)
 	if records != n {
 		t.Fatalf("records = %d, want %d", records, n)
 	}
@@ -189,10 +199,10 @@ func TestBackgroundFlusherCheckpoints(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && rw.Checkpoints() == 0 {
+	for time.Now().Before(deadline) && rw.checkpoints.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if rw.Checkpoints() == 0 {
+	if rw.checkpoints.Load() == 0 {
 		t.Fatal("background flusher never checkpointed")
 	}
 	lsn := rw.LastLSN()
@@ -466,7 +476,7 @@ func TestGroupCommitWindowBatches(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	batches, records := l.BatchStats()
+	batches, records := commitCounts(l)
 	if records != writers {
 		t.Fatalf("records = %d", records)
 	}

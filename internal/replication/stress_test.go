@@ -154,7 +154,7 @@ func TestConcurrentWritersGroupCommitStress(t *testing.T) {
 	// group-size mean down; here 32 writers upsert their own vertex in
 	// lockstep — no migrations, no structural records — and the coalescing
 	// factor is measured over exactly this window via flush-counter deltas.
-	b1, r1 := node.Logger().BatchStats()
+	b1, r1 := commitCounts(node.Logger())
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -171,7 +171,7 @@ func TestConcurrentWritersGroupCommitStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	b2, r2 := node.Logger().BatchStats()
+	b2, r2 := commitCounts(node.Logger())
 	close(stopRead)
 	readWG.Wait()
 	if t.Failed() {

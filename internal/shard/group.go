@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,14 +64,16 @@ type Group struct {
 }
 
 // Open creates a group of n shards with identical options. storageOpts
-// may be nil for defaults; each shard opens its own store.
+// may be nil for defaults; each shard opens its own store. The group
+// registers its instruments in rw.Engine.Metrics when that is set (the
+// leaders register there too), else in a registry of its own.
 func Open(n int, storageOpts *storage.Options, rw replication.RWOptions) (*Group, error) {
 	router := NewRouter(n)
 	n = router.Shards()
 	g := &Group{
 		leaders: make([]atomic.Pointer[replication.RWNode], n),
 		stores:  make([]*storage.Store, n),
-		reg:     metrics.NewRegistry(),
+		reg:     cmp.Or(rw.Engine.Metrics, metrics.NewRegistry()),
 		mgr:     newTxnManager(),
 		failing: make([]int, n),
 	}
@@ -115,8 +118,8 @@ func (g *Group) registerMetrics() {
 	r.GaugeFunc("shard.shards", func() int64 { return int64(g.router.Shards()) })
 }
 
-// Metrics returns the group-level registry (per-shard engines and
-// committers keep their own registries, reachable via Leader).
+// Metrics returns the group's registry (per-shard engines and committers
+// keep their own, reachable via Leader, unless Open was given one for all).
 func (g *Group) Metrics() *metrics.Registry { return g.reg }
 
 // Router returns the vertex → shard mapping.

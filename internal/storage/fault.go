@@ -106,6 +106,11 @@ type FaultStats struct {
 	ExtentsLost      int64
 }
 
+// Total is the number of faults of every kind.
+func (s FaultStats) Total() int64 {
+	return s.TransientAppends + s.TransientReads + s.TornWrites + s.LatencySpikes + s.Crashes + s.ExtentsLost
+}
+
 // extentKey identifies an extent across streams for the lost set.
 type extentKey struct {
 	stream StreamID

@@ -26,4 +26,5 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("storage.total_bytes", func() int64 { return s.Stats().TotalBytes })
 	r.GaugeFunc("storage.extent_count", func() int64 { return s.Stats().ExtentCount })
 	r.RatioFunc("storage.gc_write_amp", func() float64 { return s.Stats().GCWriteAmp() })
+	r.CounterFunc("faults.retries", s.retries.Load)
 }

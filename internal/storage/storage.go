@@ -199,6 +199,9 @@ type Store struct {
 	batchLocs       atomic.Int64
 	batchRoundTrips atomic.Int64
 	fencedAppends   atomic.Int64
+
+	retry   RetryPolicy  // DefaultRetry, counting into retries
+	retries atomic.Int64 // transient failures retried under retry
 }
 
 // pause injects simulated storage latency by blocking the calling
@@ -217,12 +220,17 @@ func pause(d time.Duration) {
 // Open creates an empty store.
 func Open(opts *Options) *Store {
 	o := opts.withDefaults()
-	s := &Store{opts: o, followers: make(map[*Follower]struct{})}
+	s := &Store{opts: o, followers: make(map[*Follower]struct{}), retry: DefaultRetry}
+	s.retry.OnRetry = func(int, error) { s.retries.Add(1) }
 	for i := range s.streams {
 		s.streams[i] = newStream(s, StreamID(i))
 	}
 	return s
 }
+
+// Retry returns the policy WAL appends and page flushes on the store absorb
+// transient faults with: DefaultRetry, each retry counted as faults.retries.
+func (s *Store) Retry() RetryPolicy { return s.retry }
 
 // Close marks the store closed. Subsequent appends fail; reads of already
 // written data continue to work so that draining readers can finish.

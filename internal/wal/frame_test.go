@@ -165,7 +165,7 @@ func TestRecycledFramesNeverAliasAFlight(t *testing.T) {
 			if reused := a.groups - len(a.buffers); reused == 0 {
 				t.Errorf("%d groups in %d buffers: no envelope buffer was reused", a.groups, len(a.buffers))
 			}
-			if inflight := c.InflightUtilization().Mean(); tc.attempts > 2 && inflight <= 1 {
+			if inflight := c.inflightHist.Mean(); tc.attempts > 2 && inflight <= 1 {
 				t.Errorf("mean in-flight groups %.2f: the pipeline never overlapped appends", inflight)
 			}
 		})

@@ -122,8 +122,6 @@ type GroupCommitter struct {
 	failAt   LSN         // every record from here on failed (0: healthy)
 	failErr  error
 	window   bool // a MaxDelay timer is armed
-	batches  int64
-	records  int64
 
 	// Reused from cut to cut, so that a cut allocates nothing.
 	spare  []*flight     // released flights
@@ -134,9 +132,10 @@ type GroupCommitter struct {
 	// be allocated at every cut.
 	frame func(size int) []byte
 
+	batches      metrics.Counter      // groups released
+	records      metrics.Counter      // records released
 	commitLat    metrics.Histogram    // enqueue to durable, per record
-	groupSize    metrics.IntHistogram // records per flush
-	flushes      metrics.Counter      // storage flushes issued
+	groupSize    metrics.IntHistogram // records per released group
 	ackReorder   metrics.Histogram    // completion-to-release wait per group
 	inflightHist metrics.IntHistogram // in-flight appends observed at dispatch
 }
@@ -415,9 +414,8 @@ func (c *GroupCommitter) releaseLocked() {
 			c.commitLat.Observe(now.Sub(at))
 		}
 		c.groupSize.Observe(int64(f.g.Count))
-		c.flushes.Inc()
-		c.batches++
-		c.records += int64(f.g.Count)
+		c.batches.Inc()
+		c.records.Add(int64(f.g.Count))
 		*f = flight{at: f.at[:0]}
 		c.spare = append(c.spare, f)
 	}
@@ -453,55 +451,30 @@ func (c *GroupCommitter) Stop() {
 	}
 }
 
-// BatchStats returns (flushes committed, records committed).
-func (c *GroupCommitter) BatchStats() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches, c.records
-}
-
-// GroupSize returns the records-per-flush histogram: its mean is the
-// write-side amortization factor (records acked per storage round trip).
-func (c *GroupCommitter) GroupSize() *metrics.IntHistogram { return &c.groupSize }
-
-// CommitLatency returns the enqueue-to-durable latency histogram of acked
-// records. It covers the full client-visible commit wait: the group window
-// plus the storage append (and its retries) plus any in-order release wait.
-func (c *GroupCommitter) CommitLatency() *metrics.Histogram { return &c.commitLat }
-
-// AckReorder returns the histogram of how long each durable group waited
-// for its predecessors before its acks could release — the price of
-// in-order release under out-of-order completion (zero when completions
-// arrive in LSN order).
-func (c *GroupCommitter) AckReorder() *metrics.Histogram { return &c.ackReorder }
-
-// InflightUtilization returns the distribution of concurrently in-flight
-// appends observed at each dispatch; a mean above 1 means the pipeline is
-// actually overlapping storage round trips.
-func (c *GroupCommitter) InflightUtilization() *metrics.IntHistogram { return &c.inflightHist }
-
-// InflightGroups returns how many sealed groups are in flight right now.
-func (c *GroupCommitter) InflightGroups() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
-// PipelineDepth returns how many sealed group appends the committer keeps
-// in flight at once.
-func (c *GroupCommitter) PipelineDepth() int { return c.opts.PipelineDepth }
-
 // RegisterMetrics exposes the committer's accounting under the "wal."
 // prefix, next to the writer's per-append metrics.
+//
+// wal.commit_us is the enqueue-to-durable latency of acked records: the group
+// window, the storage append with its retries and any in-order release wait.
+// wal.group_size is records per released group, its mean the write-side
+// amortization factor (records acked per storage round trip, §3.4).
+// wal.ack_reorder_us is how long a durable group waited for its predecessors
+// before its acks could release in LSN order. wal.inflight_groups is the
+// appends in flight seen at each dispatch (a mean above 1: round trips
+// overlap), wal.pipeline_inflight those in flight now and wal.pipeline_depth
+// how many the committer allows.
 func (c *GroupCommitter) RegisterMetrics(r *metrics.Registry) {
+	r.RegisterCounter("wal.commit_batches", &c.batches)
+	r.RegisterCounter("wal.commit_records", &c.records)
 	r.RegisterHistogram("wal.commit_us", &c.commitLat)
 	r.RegisterIntHistogram("wal.group_size", &c.groupSize)
-	r.RegisterCounter("wal.group_flushes", &c.flushes)
 	r.RegisterHistogram("wal.ack_reorder_us", &c.ackReorder)
 	r.RegisterIntHistogram("wal.inflight_groups", &c.inflightHist)
-	r.GaugeFunc("wal.pipeline_depth", func() int64 { return int64(c.PipelineDepth()) })
-	r.GaugeFunc("wal.pipeline_inflight", func() int64 { return int64(c.InflightGroups()) })
-	r.CounterFunc("wal.commit_batches", func() int64 { b, _ := c.BatchStats(); return b })
-	r.CounterFunc("wal.commit_records", func() int64 { _, n := c.BatchStats(); return n })
+	r.GaugeFunc("wal.pipeline_depth", func() int64 { return int64(c.opts.PipelineDepth) })
+	r.GaugeFunc("wal.pipeline_inflight", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(c.inflight)
+	})
 	r.GaugeFunc("wal.last_lsn", func() int64 { return int64(c.LastLSN()) })
 }

@@ -105,13 +105,13 @@ func TestGroupCommitterProperty(t *testing.T) {
 			t.Fatalf("seed %d: WAL holds %d records, want %d", seed, next-1, total)
 		}
 
-		flushes, records := c.BatchStats()
+		flushes, records := c.batches.Load(), c.records.Load()
 		if records != int64(total) {
 			t.Fatalf("seed %d: committed records = %d, want %d", seed, records, total)
 		}
-		if c.GroupSize().Count() != flushes {
+		if c.groupSize.Count() != flushes {
 			t.Fatalf("seed %d: group_size observations = %d, flushes = %d",
-				seed, c.GroupSize().Count(), flushes)
+				seed, c.groupSize.Count(), flushes)
 		}
 	}
 }

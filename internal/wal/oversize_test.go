@@ -129,7 +129,7 @@ func TestMaxRecordSizeIsExact(t *testing.T) {
 	if err != nil || lsn != wide {
 		t.Fatalf("a record of MaxRecordSize = %d bytes: lsn %d, %v; want %d appended", max, lsn, err, uint64(wide))
 	}
-	if appends := w.Appends(); appends != 1 {
+	if appends := w.appends.Load(); appends != 1 {
 		t.Fatalf("%d appends, want the record alone in one", appends)
 	}
 	entries, _, err := st.Scan(storage.StreamWAL, storage.Cursor{}, 0)

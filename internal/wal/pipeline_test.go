@@ -298,10 +298,10 @@ func TestPipelineUtilizationOverlapsAppends(t *testing.T) {
 	wg.Wait()
 	c.Stop()
 
-	if mean := c.InflightUtilization().Mean(); mean <= 1 {
+	if mean := c.inflightHist.Mean(); mean <= 1 {
 		t.Errorf("mean in-flight = %.2f, want > 1 (pipeline never overlapped)", mean)
 	}
-	if c.AckReorder().Count() == 0 {
+	if c.ackReorder.Count() == 0 {
 		t.Error("no ack-reorder observations despite pipelined flushes")
 	}
 

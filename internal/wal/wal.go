@@ -226,14 +226,6 @@ type Writer struct {
 	appendLat metrics.Histogram // storage round-trip per append, retries included
 }
 
-// walRetry is the default policy for WAL appends; retries feed the shared
-// fault-accounting counters.
-func walRetry() storage.RetryPolicy {
-	p := storage.DefaultRetry
-	p.OnRetry = func(int, error) { metrics.Faults.Retries.Inc() }
-	return p
-}
-
 // NewWriter returns a writer that appends to the store's WAL stream. It
 // adopts the stream's current fence epoch, so a writer built after a
 // promotion fenced the stream appends at the new epoch, and a writer built
@@ -249,7 +241,7 @@ func NewWriter(store *storage.Store) *Writer {
 // a concurrent promotion race append under the winner's epoch; with the
 // explicit token, the loser's first append fails storage.ErrFenced.
 func NewWriterFromEpoch(store *storage.Store, next LSN, epoch uint64) *Writer {
-	return &Writer{store: store, retry: walRetry(), nextLSN: max(next, 1), epoch: epoch}
+	return &Writer{store: store, retry: store.Retry(), nextLSN: max(next, 1), epoch: epoch}
 }
 
 // Epoch returns the fence token the writer appends under.
@@ -524,14 +516,9 @@ func (w *Writer) NextLSN() LSN {
 	return w.nextLSN
 }
 
-// AppendLatency returns the writer's per-append storage latency histogram
-// (retries included — this is the cost a commit actually pays).
-func (w *Writer) AppendLatency() *metrics.Histogram { return &w.appendLat }
-
-// Appends returns the number of storage appends the writer has issued.
-func (w *Writer) Appends() int64 { return w.appends.Load() }
-
-// RegisterMetrics exposes the writer's accounting under the "wal." prefix.
+// RegisterMetrics exposes the writer's accounting under the "wal." prefix:
+// wal.append_us is the storage round trip per append, retries included (the
+// cost a commit actually pays).
 func (w *Writer) RegisterMetrics(r *metrics.Registry) {
 	r.RegisterCounter("wal.appends", &w.appends)
 	r.RegisterHistogram("wal.append_us", &w.appendLat)

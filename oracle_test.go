@@ -864,8 +864,8 @@ func (r *oracleRun) liveFailover(i int) {
 // epoch moves by one, whether or not the log the promotion drains ends in
 // debris.
 func (r *oracleRun) failover(i int) {
-	old := r.db.group.Leader(i)
-	for n := 0; old.Logger().InflightGroups() > 0 && n < 10000; n++ {
+	inflight := func() int64 { return r.db.shardMetrics(i).Snapshot()["wal.pipeline_inflight"].Value }
+	for n := 0; inflight() > 0 && n < 10000; n++ {
 		time.Sleep(100 * time.Microsecond) // a failed pipeline's flights still landing
 	}
 	r.poll()

@@ -110,11 +110,3 @@ func (db *DB) resyncs() int64 {
 	}
 	return n
 }
-
-// registerMetrics wires the replica and failover gauges into Metrics.
-func (db *DB) registerMetrics() {
-	db.reg.GaugeFunc("replication.replicas", func() int64 { return int64(len(db.attached())) })
-	db.reg.GaugeFunc("replication.applied_lsn_lag", func() int64 { return int64(db.lag()) })
-	db.reg.CounterFunc("replication.resyncs", db.resyncs)
-	db.reg.CounterFunc("replication.failovers", db.group.Failovers)
-}
