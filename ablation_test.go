@@ -1,15 +1,14 @@
 package bg3_test
 
 // Ablation benchmarks for the design choices DESIGN.md §3 calls out:
-// forest splitting on/off, GC policy, group-commit window, commit pipeline
-// depth, replica cache size, the packed edge block, the page cache's lock
-// stripes, and the leaf run of a batched write. Each reports the quantity the
+// forest splitting on/off, GC policy, group-commit window, replica cache
+// size, the packed edge block, the page cache's lock stripes, and the leaf
+// run of a batched write. Each reports the quantity the
 // choice trades off.
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,63 +156,6 @@ func BenchmarkAblationCommitWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCommitPipeline prices the pipelined commit (DESIGN §11,
-// BtrLog-style): Options.CommitPipelineDepth 1 — one WAL group append in
-// flight per shard — against 8, on one shard and on four, under 8 and 32
-// writers of single edges, with a 1 ms storage write latency. Without that
-// latency an append costs next to nothing and the depth changes nothing; the
-// round trip is what a pipeline overlaps. Reported: writes per second, p50 and
-// p99 write latency, and WAL appends per write (checkpoints included).
-func BenchmarkAblationCommitPipeline(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, writers := range []int{8, 32} {
-			for _, depth := range []int{1, 8} {
-				b.Run(fmt.Sprintf("shards-%d/writers-%d/depth-%d", shards, writers, depth), func(b *testing.B) {
-					db, err := bg3.OpenWithWriteLatency(&bg3.Options{Replicated: true, Shards: shards,
-						CommitPipelineDepth: depth}, time.Millisecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer db.Close()
-					appends := db.Stats().WAL.Appends
-					lat := make([][]time.Duration, writers)
-					per := b.N/writers + 1
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					for w := range writers {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := range per {
-								start := time.Now()
-								if err := db.AddEdge(bg3.Edge{
-									Src: bg3.VertexID(i%1024*writers + w), Dst: bg3.VertexID(i), Type: bg3.ETypeFollow,
-								}); err != nil {
-									b.Error(err)
-									return
-								}
-								lat[w] = append(lat[w], time.Since(start))
-							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					all := slices.Concat(lat...)
-					if len(all) == 0 {
-						return
-					}
-					slices.Sort(all)
-					n := float64(len(all))
-					b.ReportMetric(n/b.Elapsed().Seconds(), "writes/s")
-					b.ReportMetric(float64(all[len(all)/2].Microseconds()), "p50-us")
-					b.ReportMetric(float64(all[len(all)*99/100].Microseconds()), "p99-us")
-					b.ReportMetric(float64(db.Stats().WAL.Appends-appends)/n, "appends/write")
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkAblationReplicaCache sweeps the RO page-cache size against a
 // fixed working set: the miss rate (storage reads per query) is the price
 // of memory frugality on follower nodes.
@@ -273,7 +215,7 @@ func BenchmarkAblationReplicaCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEdgeBlock prices the packed edge block (DESIGN §13): a
+// BenchmarkAblationEdgeBlock prices the packed edge block (DESIGN §12): a
 // full Neighbors scan of one 100k-edge vertex, 2% of whose edges were
 // written after the block was built, with the block (default threshold)
 // and with the leaves alone (threshold -1), under an unlimited and a

@@ -676,7 +676,7 @@ func TestSnapshotHoldsItsCut(t *testing.T) {
 // hub's shard must be in the very next Snapshot, every time.
 func TestSnapshotSeesAckedWritesDuring2PC(t *testing.T) {
 	const writers, probes = 6, 300
-	db := openDB(t, &Options{Shards: 4, CommitPipelineDepth: 8})
+	db := openDB(t, &Options{Shards: 4})
 	router := db.Group().Router()
 	hub := VertexID(1)
 	var probe VertexID

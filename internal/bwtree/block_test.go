@@ -26,6 +26,16 @@ func awaitSpawnedBuild(tr *Tree) {
 	}
 }
 
+// holdSpawnedBuilds keeps the background build back: once no spawned build is
+// in flight it takes the flag a spawn sets, so no write or scan spawns one
+// until the release it returns.
+func holdSpawnedBuilds(tr *Tree) (release func()) {
+	for !tr.blocks.buildSpawned.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+	return func() { tr.blocks.buildSpawned.Store(false) }
+}
+
 // mustBuildBlock forces a build covering everything written so far.
 func mustBuildBlock(t *testing.T, tr *Tree) {
 	t.Helper()
@@ -211,14 +221,19 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	}
 	check("built")
 
-	// Writes after the build: their leaves read for themselves.
+	// Writes after the build: their leaves read for themselves. The scans
+	// that walk them would spawn a rebuild, held back until the stale chunks
+	// are counted.
+	release := holdSpawnedBuilds(blocked)
 	put("k000050", "patched")
 	put("a-before-all", "front")
 	put("k999999", "tail")
 	del("k000100")
 	del("a-before-all")
 	check("written")
-	if n := len(staleChunks(blocked)); n != 4 {
+	n := len(staleChunks(blocked))
+	release()
+	if n != 4 {
 		t.Fatalf("%d stale chunks, want the 4 leaves written: the first, the last, k000050's and k000100's", n)
 	}
 

@@ -104,11 +104,11 @@ func (r *Replica) ApplyAll(recs []*wal.Record) error {
 func (r *Replica) ApplyGroup(recs []*wal.Record) error { return r.forest.ApplyGroup(recs) }
 
 // ApplyFrom applies the commit groups rd yields beyond its cursor, each as a
-// unit, and reports how many there were. Torn entries, retry duplicates and
-// groups parked behind a hole are the reader's to absorb; records the log
-// lost (a trimmed prefix, a lost extent) come back as an error with what
-// preceded them applied, for the caller to judge: a follower re-attaches from
-// the retained head, a leader-to-be does not start.
+// unit, and reports how many there were. Torn entries and retry duplicates
+// are the reader's to absorb; records the log lost (a trimmed prefix, a lost
+// extent, a hole) come back as an error with what preceded them applied, for
+// the caller to judge: a follower re-attaches from the retained head past a
+// trim or a lost extent, a leader-to-be does not start.
 func (r *Replica) ApplyFrom(rd *wal.Reader) (groups int, err error) {
 	grps, err := rd.PollGroups()
 	for _, grp := range grps {

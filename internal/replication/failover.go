@@ -66,12 +66,8 @@ func Promote(ro *RONode, opts RWOptions) (*RWNode, error) {
 // record applied. The node stops being a follower: it polls no more, and reads
 // through its replica see the leader's state.
 //
-// Groups parked past a hole are the debris of the fenced writer's failed
-// commit, never acknowledged: they stay unapplied, sealed under an epoch below
-// the new tenure's, whose first group purges them on every reader. Records the
-// log lost (a trim past the follower, a lost extent) fail the hand-over, where
-// a follower's poll would resync and carry on; the node then stays the
-// follower it was.
+// Records the log lost (a trim past the follower, a lost extent) and a hole
+// fail the hand-over; the node then stays the follower it was.
 func (n *RONode) promote(opts RWOptions) (*RWNode, error) {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()

@@ -168,13 +168,12 @@ func TestFailoverSwapRefused(t *testing.T) {
 // straight through the committer (the 2PC control records) bypass the
 // apply barrier, so they keep landing while WriteSnapshot holds it. The
 // snapshot's WAL cursor must not pass any record above its horizon, or
-// the promotion that bootstraps from it reads a hole at horizon+1 and
-// discards every acked group behind it as fence debris.
+// the promotion that bootstraps from it meets a hole at horizon+1 and
+// fails.
 func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
 	st := storage.Open(nil)
 	defer st.Close()
 	opts := testRWOpts()
-	opts.PipelineDepth = 8
 	leader, err := NewRWNode(st, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -284,212 +283,76 @@ func TestPromotedLeaderPacksAtFirstFlush(t *testing.T) {
 	}
 }
 
-// holeLog is the log a leader leaves when its commit pipeline fails between
-// two groups: the records it logs for a new tree and two edges — the first
-// group, LSNs 1-2, the new tree and edge 1→2; the second, LSN 3, edge 1→3 —
-// sealed by w, of which only the second has landed. It returns the first, for
-// a test to land late.
-func holeLog(t *testing.T) (st *storage.Store, w *wal.Writer, first wal.SealedGroup) {
-	t.Helper()
-	src := storage.Open(nil)
-	defer src.Close()
-	rw, err := NewRWNode(src, RWOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dst := range []graph.VertexID{2, 3} {
-		if err := rw.AddEdge(graph.Edge{Src: 1, Dst: dst, Type: graph.ETypeFollow}); err != nil {
+// TestFollowerFailsClosedOnAHole: a group that does not connect to what a
+// follower read is log damage, never an append still in the air. A follower
+// of a log whose first group is missing applies nothing from it, and one
+// tailing a log that grows a hole applies what precedes it; either poll fails
+// with wal.ErrHole, which the polling loop reports through Err. The follower
+// does not re-attach — a fresh replica would meet the same hole — and is not
+// promoted over it.
+func TestFollowerFailsClosedOnAHole(t *testing.T) {
+	// forge appends one record at lsn, past the leader's sequence, under the
+	// log's current epoch.
+	forge := func(t *testing.T, st *storage.Store, lsn wal.LSN) {
+		t.Helper()
+		w := wal.NewWriterFromEpoch(st, lsn, st.StreamEpoch(storage.StreamWAL))
+		groups, err := w.SealAssigned(nil, []*wal.Record{{Type: wal.RecordTxnAbort, LSN: lsn, TreeID: 9}}, nil)
+		if err == nil {
+			err = w.AppendSealed(groups[0])
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	rw.Stop()
-	recs, err := wal.NewReader(src).Poll()
-	if err != nil || len(recs) != 3 || recs[0].Type != wal.RecordNewTree {
-		t.Fatalf("source log = %d records, %v; want a new tree and two puts", len(recs), err)
-	}
+	edge := graph.Edge{Src: 1, Dst: 2, Type: graph.ETypeFollow}
 
-	st = storage.Open(nil)
-	w = wal.NewWriter(st)
-	firsts, err := w.SealAssigned(nil, recs[:2], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := w.SealAssigned(nil, recs[2:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendSealed(second[0]); err != nil {
-		t.Fatal(err)
-	}
-	return st, w, firsts[0]
-}
-
-// serves checks that r holds exactly the edges from 1 to want among 1→2..1→4.
-func serves(t *testing.T, what string, r graph.Reader, want ...graph.VertexID) {
-	t.Helper()
-	var got []graph.VertexID
-	for dst := graph.VertexID(2); dst <= 4; dst++ {
-		if _, ok, err := r.GetEdge(1, graph.ETypeFollow, dst); err != nil {
-			t.Fatalf("%s: edge 1→%d: %v", what, dst, err)
-		} else if ok {
-			got = append(got, dst)
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s serves edges from 1 to %v, want %v", what, got, want)
-	}
-}
-
-// TestFollowerOfUntrimmedLogWaitsForItsFirstGroup pins where a follower of a
-// log never trimmed starts its sequence, LSN 1, and that it waits on a hole
-// nothing in the log calls final. The log's first group is sealed but still in
-// flight when the second lands. If the first group lands, a follower polled
-// 100 times meanwhile serves nothing, never re-attaches and reports the group
-// it parked, and then serves both edges. If it never does, the outcome of a
-// promotion over the hole and the parked group is a function of the log, not
-// of how often the follower polled it first: for every N in 0..16 a follower
-// polled N times is promoted behind one fence, serves none of the debris —
-// whose missing group can no longer land — and then exactly what it acks
-// itself, as does a follower attached afterwards.
-func TestFollowerOfUntrimmedLogWaitsForItsFirstGroup(t *testing.T) {
-	t.Run("first group lands=true", func(t *testing.T) {
-		st, w, first := holeLog(t)
+	t.Run("first group missing", func(t *testing.T) {
+		st := storage.Open(nil)
 		defer st.Close()
+		forge(t, st, 2)
 		ro := newRO(t, st, time.Hour, 0)
 		defer ro.Stop()
-		gauge := func(name string) int64 { return ro.Metrics().Snapshot()[name].Value }
-		for i := 0; i < 100; i++ {
-			if err := ro.Poll(); err != nil {
-				t.Fatalf("poll %d: %v", i, err)
+		if err := ro.Poll(); !errors.Is(err, wal.ErrHole) || ro.AppliedLSN() != 0 || ro.Resyncs() != 0 {
+			t.Fatalf("a poll of a log whose first group is missing: %v, at LSN %d with %d resyncs; want wal.ErrHole at 0 with none",
+				err, ro.AppliedLSN(), ro.Resyncs())
+		}
+	})
+
+	t.Run("tail", func(t *testing.T) {
+		st := storage.Open(nil)
+		defer st.Close()
+		rw, err := NewRWNode(st, testRWOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rw.Stop()
+		if err := rw.AddEdge(edge); err != nil {
+			t.Fatal(err)
+		}
+		ro := newRO(t, st, time.Millisecond, 0)
+		defer ro.Stop()
+		forge(t, st, rw.LastLSN()+2)
+		for deadline := time.Now().Add(10 * time.Second); ro.Err() == nil && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if err := ro.Err(); !errors.Is(err, wal.ErrHole) {
+			t.Fatalf("the follower's polling loop reports %v, want wal.ErrHole", err)
+		}
+		if err := ro.Poll(); !errors.Is(err, wal.ErrHole) {
+			t.Fatalf("a poll over the hole: %v, want wal.ErrHole", err)
+		}
+		if ro.AppliedLSN() != rw.LastLSN() || ro.Resyncs() != 0 {
+			t.Fatalf("the follower applied up to LSN %d with %d resyncs; want the leader's %d and none",
+				ro.AppliedLSN(), ro.Resyncs(), rw.LastLSN())
+		}
+		if _, ok, err := ro.Replica().GetEdge(edge.Src, edge.Type, edge.Dst); err != nil || !ok {
+			t.Fatalf("the edge before the hole: ok=%v err=%v", ok, err)
+		}
+		if next, err := Promote(ro, testRWOpts()); !errors.Is(err, wal.ErrHole) {
+			if next != nil {
+				next.Stop()
 			}
-			serves(t, fmt.Sprintf("the follower at poll %d", i), ro.Replica())
-		}
-		if ro.Resyncs() != 0 || gauge("replication.resyncs") != 0 || gauge("replication.parked_groups") != 1 {
-			t.Fatalf("after 100 polls over the hole: %d resyncs (gauge %d), %d groups parked; want 0 and the group past the hole",
-				ro.Resyncs(), gauge("replication.resyncs"), gauge("replication.parked_groups"))
-		}
-
-		if err := w.AppendSealed(first); err != nil {
-			t.Fatal(err)
-		}
-		if err := ro.Poll(); err != nil {
-			t.Fatal(err)
-		}
-		serves(t, "the follower after the first group landed", ro.Replica(), 2, 3)
-		if n := gauge("replication.parked_groups"); n != 0 || ro.Resyncs() != 0 {
-			t.Fatalf("after the hole filled: %d groups parked, %d resyncs; want 0 and 0", n, ro.Resyncs())
+			t.Fatalf("a promotion over the hole: %v, want wal.ErrHole", err)
 		}
 	})
-
-	t.Run("first group lands=false", func(t *testing.T) {
-		for polls := 0; polls <= 16; polls++ {
-			t.Run(fmt.Sprintf("polls=%d", polls), func(t *testing.T) {
-				st, w, first := holeLog(t)
-				defer st.Close()
-				ro := newRO(t, st, time.Hour, 0)
-				for i := 0; i < polls; i++ {
-					if err := ro.Poll(); err != nil {
-						t.Fatalf("poll %d: %v", i, err)
-					}
-				}
-				promoted, err := Promote(ro, RWOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer promoted.Stop()
-				if promoted.Epoch() != 1 {
-					t.Fatalf("promoted at epoch %d, want 1: one fence per tenure", promoted.Epoch())
-				}
-				serves(t, "the leader promoted on top of the debris", promoted.Engine())
-				if err := w.AppendSealed(first); !errors.Is(err, storage.ErrFenced) {
-					t.Fatalf("the missing group landing after the promotion: %v, want ErrFenced", err)
-				}
-				if err := promoted.AddEdge(graph.Edge{Src: 1, Dst: 4, Type: graph.ETypeFollow}); err != nil {
-					t.Fatal(err)
-				}
-				serves(t, "the promoted leader", promoted.Engine(), 4)
-				fresh := newRO(t, st, time.Hour, 0)
-				defer fresh.Stop()
-				if err := fresh.Poll(); err != nil {
-					t.Fatal(err)
-				}
-				serves(t, "a follower attached after the promotion", fresh.Replica(), 4)
-			})
-		}
-	})
-}
-
-// TestBystanderWaitsOnDebrisUntilTheNewLeaderWrites: a follower of the old
-// leader other than the one promoted waits out the debris too. Polled 100
-// times between a promotion over a hole and the new leader's first write, it
-// never re-attaches and serves nothing; that write's epoch fences the debris,
-// and it then serves the write and none of the debris.
-func TestBystanderWaitsOnDebrisUntilTheNewLeaderWrites(t *testing.T) {
-	st, _, _ := holeLog(t)
-	defer st.Close()
-	bystander := newRO(t, st, time.Hour, 0)
-	defer bystander.Stop()
-	if err := bystander.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	promoted, err := Promote(newRO(t, st, time.Hour, 0), RWOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer promoted.Stop()
-
-	for i := 0; i < 100; i++ {
-		if err := bystander.Poll(); err != nil {
-			t.Fatalf("poll %d before the new leader's first write: %v", i, err)
-		}
-		serves(t, fmt.Sprintf("the bystander at poll %d", i), bystander.Replica())
-	}
-	if bystander.Resyncs() != 0 {
-		t.Fatalf("the bystander re-attached %d times over the debris, want 0", bystander.Resyncs())
-	}
-
-	if err := promoted.AddEdge(graph.Edge{Src: 1, Dst: 4, Type: graph.ETypeFollow}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bystander.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	serves(t, "the bystander after the new leader's first write", bystander.Replica(), 4)
-	if bystander.Resyncs() != 0 || bystander.AppliedLSN() != promoted.LastLSN() {
-		t.Fatalf("the bystander after the first write: %d resyncs, at LSN %d; want 0 and the leader's %d",
-			bystander.Resyncs(), bystander.AppliedLSN(), promoted.LastLSN())
-	}
-}
-
-// TestRecoverOverDebrisFencesIt: a leader recovered over the debris of its
-// predecessor's failed commit claims an epoch of its own, like a promoted one.
-// Its records reuse the LSNs the debris holds, and a follower attached
-// afterwards reads them and none of the debris.
-func TestRecoverOverDebrisFencesIt(t *testing.T) {
-	st, _, _ := holeLog(t)
-	defer st.Close()
-	rec, err := RecoverRWNode(st, RWOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Stop()
-	if rec.Epoch() != 1 {
-		t.Fatalf("recovered at epoch %d, want 1: one fence per tenure", rec.Epoch())
-	}
-	serves(t, "the leader recovered on top of the debris", rec.Engine())
-	for _, dst := range []graph.VertexID{4, 5, 2} { // 1→2 at the debris' LSN 3
-		if err := rec.AddEdge(graph.Edge{Src: 1, Dst: dst, Type: graph.ETypeFollow}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rec.LastLSN() != 3 {
-		t.Fatalf("fixture: the recovered leader logged up to LSN %d, want 3", rec.LastLSN())
-	}
-	serves(t, "the recovered leader", rec.Engine(), 2, 4)
-	fresh := newRO(t, st, time.Hour, 0)
-	defer fresh.Stop()
-	if err := fresh.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	serves(t, "a follower attached after the recovery", fresh.Replica(), 2, 4)
 }

@@ -45,11 +45,6 @@ type RWOptions struct {
 	// cuts a flush before the window elapses (0: 64).
 	MaxBatch int
 
-	// PipelineDepth is how many sealed WAL group appends the committer
-	// keeps in flight concurrently; acks still release strictly in LSN
-	// order (0 or 1: serial, one append at a time).
-	PipelineDepth int
-
 	// FlushInterval drives the background dirty-page flusher: a cycle runs
 	// this long after the last one returned. 0 disables the background
 	// thread (call Checkpoint manually).
@@ -153,10 +148,9 @@ func assembleRWNode(st *storage.Store, opts RWOptions, writer *wal.Writer, src *
 	// that saw its commit return can immediately pin an epoch covering its
 	// own write.
 	logger := wal.NewGroupCommitter(writer, wal.GroupCommitterOptions{
-		MaxDelay:      opts.CommitWindow,
-		MaxBatch:      opts.MaxBatch,
-		PipelineDepth: opts.PipelineDepth,
-		OnRelease:     func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) },
+		MaxDelay:  opts.CommitWindow,
+		MaxBatch:  opts.MaxBatch,
+		OnRelease: func(last wal.LSN) { src.Advance(mvcc.Epoch(last)) },
 	})
 	// Everything below the writer's first LSN is released by definition
 	// (nothing on a fresh store, the drained durable horizon after a
@@ -219,7 +213,7 @@ func (n *RWNode) LastLSN() wal.LSN { return n.logger.LastLSN() }
 // store that never failed over).
 func (n *RWNode) Epoch() uint64 { return n.writer.Epoch() }
 
-// Stop halts the flusher and the commit pipeline.
+// Stop halts the flusher and the group committer.
 func (n *RWNode) Stop() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	<-n.done
@@ -555,7 +549,6 @@ func attach(st *storage.Store, cacheCapacity int) (*RONode, error) {
 	n.reg.GaugeFunc("replication.applied_lsn", func() int64 { return int64(n.AppliedLSN()) })
 	n.reg.GaugeFunc("replication.buffered_records", func() int64 { return int64(n.Replica().BufferedRecords()) })
 	n.reg.CounterFunc("replication.resyncs", n.Resyncs)
-	n.reg.GaugeFunc("replication.parked_groups", n.parkedGroups)
 	if err := n.bootstrap(); err != nil {
 		n.floor.Leave()
 		return nil, err
@@ -612,10 +605,12 @@ func (n *RONode) pollLoop(interval time.Duration) {
 // Poll synchronously drains the WAL into the replica, one commit group at
 // a time: each group is applied as a unit before the replica's high LSN
 // advances past it, so a reader gated on WaitVisible never observes part
-// of a leader batch. Torn entries, retry duplicates and groups parked behind
-// a hole are absorbed by the reader; when the log lost records (a trim past
-// the follower, a lost WAL extent) the node applies what it read and
-// re-attaches from the retained head, so one Poll catches up either way.
+// of a leader batch. Torn entries and retry duplicates are absorbed by the
+// reader; when the log lost records (a trim past the follower, a lost WAL
+// extent) the node applies what it read and re-attaches from the retained
+// head, so one Poll catches up either way. A hole (wal.ErrHole) is damage a
+// re-attach would meet again: the node applies what precedes it and returns
+// the error, which the polling loop reports through Err.
 func (n *RONode) Poll() error {
 	n.pollMu.Lock()
 	defer n.pollMu.Unlock()
@@ -660,18 +655,6 @@ func (n *RONode) Resyncs() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.resyncs
-}
-
-// parkedGroups reports the groups the follower's reader holds past a hole
-// (wal.Reader.PendingGroups): 0 on a follower that waits on nothing, and once
-// the node was promoted.
-func (n *RONode) parkedGroups() int64 {
-	n.pollMu.Lock()
-	defer n.pollMu.Unlock()
-	if n.reader == nil {
-		return 0
-	}
-	return int64(n.reader.PendingGroups())
 }
 
 // Err returns the last background polling error, if any.

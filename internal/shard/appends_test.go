@@ -33,7 +33,7 @@ func TestTxnAppendsPerShard(t *testing.T) {
 		{"growing", core.Options{Tree: bwtree.Config{MaxPageEntries: 8}, SplitThreshold: 40}, true, []float64{1.1, 3.1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := Open(4, nil, replication.RWOptions{Engine: tc.engine, PipelineDepth: 8})
+			g, err := Open(4, nil, replication.RWOptions{Engine: tc.engine})
 			if err != nil {
 				t.Fatal(err)
 			}

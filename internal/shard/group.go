@@ -513,9 +513,8 @@ func (g *Group) applyTxn(parts [][]forest.Write) ([]ShardOutcome, error) {
 	// wave: the commit record carrying its own part, the part, its
 	// applied marker, one wait. The decision is the commit record's fate: a
 	// failed commit append is an abort — fenced and torn appends are never
-	// durable, a record stranded past a pipeline hole is outside the gapless
-	// prefix recovery delivers, and a failed group fails every record after
-	// it, so nothing of the wave is durable.
+	// durable, and no group after a failed one is appended, so nothing of the
+	// wave is durable.
 	if cause == nil && (g.Leader(coord) != nodes[coord] || !g.mgr.tryDecide(txn)) {
 		cause = fmt.Errorf("txn %d: %w", txn, ErrTxnAborted)
 	}

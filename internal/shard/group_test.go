@@ -27,9 +27,8 @@ func openTestGroup(t *testing.T, shards int) *Group {
 				},
 				SplitThreshold: 0,
 			},
-			CommitWindow:  50 * time.Microsecond,
-			MaxBatch:      16,
-			PipelineDepth: 4,
+			CommitWindow: 50 * time.Microsecond,
+			MaxBatch:     16,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -26,8 +26,8 @@ import (
 //     at the durable boundary, never behind the released horizon);
 //   - after quiescing, every acked write is readable through the routed
 //     path, and each shard's durable WAL delivers a gapless LSN sequence
-//     1..LastLSN (zombie groups stranded by the fence mid-pipeline are
-//     purged by the reader, never delivered).
+//     1..LastLSN, and holds no zombie group: the fence rejects every
+//     append of the deposed tenure whole.
 func TestStressShardedWritersFailover(t *testing.T) {
 	const (
 		writers  = 32
@@ -190,13 +190,7 @@ func TestStressShardedWritersFailover(t *testing.T) {
 			t.Fatalf("shard %d: WAL holds %d records, committer assigned up to %d", i, lsn, last)
 		}
 		if skips := reader.FencedSkips(); skips != 0 {
-			// Expected with a pipelined committer: a later in-flight group
-			// can land durably while an earlier one is cut off by the
-			// fence. Those records are beyond the old epoch's contiguous
-			// prefix, so the reader purges them and the promoted leader
-			// reuses their LSNs — the gapless checks above prove none
-			// leaked into the delivered sequence.
-			t.Logf("shard %d: %d fence-purged zombie records (pipelined in-flight at failover)", i, skips)
+			t.Fatalf("shard %d: the reader skipped %d records of a fenced tenure", i, skips)
 		}
 		if i == victim && reader.Epoch() == 0 {
 			t.Fatalf("shard %d: log tail epoch 0 after a failover", i)

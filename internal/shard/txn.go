@@ -337,9 +337,8 @@ func (s *shardTxnState) inDoubt() []uint64 {
 
 // scanShardTxns reads shard's durable WAL from its retained head and extracts
 // its transaction control records: the trim keeps every record of a
-// transaction the manager holds. A pipeline hole ends the prefix: records
-// stranded past it are never delivered (the next tenure's fence purges the
-// debris), so they do not count as durable here either. A prepare whose part
+// transaction the manager holds. A hole in the log (wal.ErrHole) is damage
+// and fails the scan. A prepare whose part
 // does not decode is no part — the transaction resolves as abort, never as a
 // guess. A commit is the decision whatever its part: one that does not decode,
 // or whose PageID does not name this shard, only leaves no coordinator's part

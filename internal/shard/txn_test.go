@@ -554,7 +554,7 @@ func TestTxnEvidenceSurvivesTrim(t *testing.T) {
 // commit carries, then marks it.
 func TestTxnCommitWaveCutShortReappliesTheCoordinatorsPart(t *testing.T) {
 	plan := storage.NewFaultPlan(storage.FaultConfig{Seed: 1})
-	g, err := Open(2, &storage.Options{Faults: plan}, replication.RWOptions{MaxBatch: 16, PipelineDepth: 1})
+	g, err := Open(2, &storage.Options{Faults: plan}, replication.RWOptions{MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,9 @@ func (s *Store) TailCursor(id StreamID) Cursor {
 // from a cursor short of the end of one of them fails with ErrTrimmed.
 // horizon is the caller's word on what survives, kept as stream metadata
 // beside the fence epoch (Head): every record the stream's owner numbers above
-// it is at or after the new head, and epoch the fence epoch it is given under:
-// a record above it stamped lower is debris of a failed pipelined commit. Both
-// move forward only, and only with a drop.
+// it is at or after the new head, and epoch the fence epoch it is given under,
+// at which a reader of the head starts. Both move forward only, and only with
+// a drop.
 func (s *Store) DropBefore(id StreamID, bound ExtentID, horizon, epoch uint64) []ExtentID {
 	st, err := s.stream(id)
 	if err != nil {

@@ -30,8 +30,8 @@ func tornEnv(epoch, first, last uint64) epochEntry {
 // groups sealed under a fence epoch below the highest one observed are
 // zombies from a deposed leader and must be skipped — counted, invisible,
 // and without breaking the surviving epoch's LSN continuity. Epoch bumps
-// must not mask genuine holes either: a group past a hole under the highest
-// epoch stays parked.
+// must not mask genuine holes either: a group past a hole fails the poll with
+// ErrHole.
 func TestReaderSkipsZombieTails(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -41,7 +41,7 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 		torn    int64
 		dups    int64
 		epoch   uint64 // reader's final epoch
-		pending int    // groups parked past a hole
+		hole    bool   // the poll fails with ErrHole
 	}{
 		{
 			name:    "clean epoch handoff",
@@ -103,24 +103,8 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 				env(0, 1, 1),
 				env(1, 3, 3), // LSN 2 is genuinely missing
 			},
-			// The hole could still be an in-flight pipelined append, and
-			// no higher epoch fenced the group: it parks, with no error.
-			want:    []uint64{1},
-			epoch:   1,
-			pending: 1,
-		},
-		{
-			name: "fence purges a parked zombie group",
-			entries: []epochEntry{
-				env(0, 1, 1),
-				env(0, 3, 4), // deposed pipeline debris past a hole
-				env(1, 2, 2), // the successor's tenure begins
-			},
-			// Observing epoch 1 proves the parked epoch-0 group can never
-			// connect: the fence ordered it before any epoch-1 append.
-			want:   []uint64{1, 2},
-			fenced: 2,
-			epoch:  1,
+			want: []uint64{1},
+			hole: true,
 		},
 	}
 
@@ -144,8 +128,8 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 
 			r := NewReader(st)
 			recs, err := r.Poll()
-			if err != nil {
-				t.Fatalf("Poll: %v", err)
+			if errors.Is(err, ErrHole) != tc.hole || (err != nil && !tc.hole) {
+				t.Fatalf("Poll: %v, want a hole: %v", err, tc.hole)
 			}
 			var got []uint64
 			for _, rec := range recs {
@@ -166,9 +150,6 @@ func TestReaderSkipsZombieTails(t *testing.T) {
 			}
 			if r.Epoch() != tc.epoch {
 				t.Errorf("reader epoch = %d, want %d", r.Epoch(), tc.epoch)
-			}
-			if r.PendingGroups() != tc.pending {
-				t.Errorf("pending groups = %d, want %d", r.PendingGroups(), tc.pending)
 			}
 		})
 	}

@@ -128,96 +128,58 @@ func TestReaderDropsTornBatchTailAndDedups(t *testing.T) {
 	t.Logf("dedup absorbed %d duplicate records", dups)
 }
 
-// TestReaderParksPastAHoleAndWaits: a group past a hole is parked, not
-// reported — the hole is an append still in flight or the debris of a failed
-// writer, and only the log says which — for as many polls as it takes, and it
-// is delivered, in order, once the hole fills.
-func TestReaderParksPastAHoleAndWaits(t *testing.T) {
-	st := storage.Open(nil)
-	w := NewWriter(st)
-	for i := 0; i < 3; i++ {
-		if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// LSN 4 is sealed but lands last; LSN 5 lands first.
-	fourth, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 4, Key: []byte("y")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fifth, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 5, Key: []byte("z")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendSealed(fifth[0]); err != nil {
-		t.Fatal(err)
-	}
+// TestReaderFailsClosedOnAHole: a group that does not connect to the
+// delivered prefix — past a hole in the middle of the log, or past the base of
+// a log whose first group has not landed — is damage. The poll delivers the
+// groups before it and fails with ErrHole, and so does every later poll: the
+// reader stays at that group, also once the missing group lands behind it,
+// and delivers nothing past the hole.
+func TestReaderFailsClosedOnAHole(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before int // groups of one record each that land before the hole
+		open   func(*storage.Store) *Reader
+	}{
+		{"past the prefix", 3, NewReader},
+		{"past the base", 0, NewReaderAtHead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := storage.Open(nil)
+			w := NewWriter(st)
+			for i := 0; i < tc.before; i++ {
+				if _, err := appendNext(w, &Record{Type: RecordPut, Key: []byte{byte(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := LSN(tc.before + 1)
+			missing, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: next, Key: []byte("y")}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := appendAssigned(w, &Record{Type: RecordPut, LSN: next + 1, Key: []byte("z")}); err != nil {
+				t.Fatal(err)
+			}
 
-	r := NewReader(st)
-	recs, err := r.Poll()
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("first poll = %d records, %v; want the 3 before the hole", len(recs), err)
-	}
-	for i := 0; i < 100; i++ {
-		if recs, err := r.Poll(); err != nil || len(recs) != 0 || r.PendingGroups() != 1 {
-			t.Fatalf("poll %d over the hole = %d records, %v, %d parked; want nothing and the group past it parked",
-				i, len(recs), err, r.PendingGroups())
-		}
-	}
-	if err := w.AppendSealed(fourth[0]); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = r.Poll()
-	if err != nil || fmt.Sprint(lsnsOf(recs)) != "[4 5]" || r.PendingGroups() != 0 {
-		t.Fatalf("poll after the hole filled = %v, %v, %d parked; want [4 5]", lsnsOf(recs), err, r.PendingGroups())
-	}
-}
-
-// TestLateFirstGroupIsDeliveredNotDropped pins the reader's base on a log
-// never trimmed: the sequence starts at LSN 1, so a later group that lands
-// first is held, however many polls pass, and never taken for the log's
-// start. When the first group lands, every acknowledged record is delivered
-// once, in order.
-func TestLateFirstGroupIsDeliveredNotDropped(t *testing.T) {
-	st := storage.Open(nil)
-	w := NewWriter(st)
-	first, err := w.SealAssigned(nil, []*Record{
-		{Type: RecordPut, LSN: 1, Key: []byte("a")},
-		{Type: RecordPut, LSN: 2, Key: []byte("b")},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := w.SealAssigned(nil, []*Record{{Type: RecordPut, LSN: 3, Key: []byte("c")}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendSealed(second[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewReaderAtHead(st)
-	var got []LSN
-	for i := 0; i < 16; i++ {
-		recs, err := r.Poll()
-		if err != nil {
-			t.Fatalf("poll %d before the first group landed: %v", i, err)
-		}
-		got = append(got, lsnsOf(recs)...)
-	}
-	if err := w.AppendSealed(first[0]); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.Poll()
-	if err != nil {
-		t.Fatalf("poll after the first group landed: %v", err)
-	}
-	got = append(got, lsnsOf(recs)...)
-	if fmt.Sprint(got) != "[1 2 3]" {
-		t.Fatalf("delivered LSNs %v, want [1 2 3]", got)
-	}
-	if _, dups := r.Stats(); dups != 0 {
-		t.Fatalf("dups = %d, want 0: no acknowledged record is a duplicate", dups)
+			r := tc.open(st)
+			recs, err := r.Poll()
+			if !errors.Is(err, ErrHole) || len(recs) != tc.before {
+				t.Fatalf("first poll = %d records, %v; want the %d before the hole and ErrHole", len(recs), err, tc.before)
+			}
+			for i := 0; i < 16; i++ {
+				if i == 8 {
+					if err := w.AppendSealed(missing[0]); err != nil { // lands behind the hole
+						t.Fatal(err)
+					}
+				}
+				if recs, err := r.Poll(); !errors.Is(err, ErrHole) || len(recs) != 0 {
+					t.Fatalf("poll %d over the hole = %v, %v; want nothing and ErrHole", i, lsnsOf(recs), err)
+				}
+			}
+			if torn, dups := r.Stats(); torn != 0 || dups != 0 || r.LastLSN() != LSN(tc.before) {
+				t.Fatalf("after the polls: torn %d, dups %d, last LSN %d; want 0, 0, %d: the reader stays at the hole",
+					torn, dups, r.LastLSN(), tc.before)
+			}
+		})
 	}
 }
 

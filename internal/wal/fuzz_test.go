@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"bg3/internal/storage"
@@ -101,21 +103,19 @@ const (
 	tailDrop
 )
 
-// FuzzReaderMultiGroupTail writes K pipelined group envelopes to raw
-// storage — an arbitrary subset torn, bit-flipped, or dropped entirely, as
-// a crashed pipelined leader would leave them, or landing late, after the
-// reader polled over the gap — and checks the durable-prefix contract of the
-// reader a follower attaches with (NewReaderAtHead):
+// FuzzReaderMultiGroupTail writes K group envelopes to raw storage — an
+// arbitrary subset torn, bit-flipped, or dropped entirely, or landing late,
+// after the reader polled — and checks the reader a follower attaches with
+// (NewReaderAtHead) against the log as appended: intact groups are delivered
+// while each connects to the one before, damaged ones are skipped, and the
+// first intact group that does not connect is a hole:
 //
-//   - exactly the records of the gapless intact prefix are delivered, in
-//     LSN order;
-//   - no record from a group at or past the first damaged group is ever
-//     delivered (no post-gap resurrection), on this poll or any later one;
-//   - intact post-gap groups are parked as pending, and any number of polls
-//     over the gap deliver nothing past it and return no error: only the log
-//     says a hole is final (a trim, a later tenure's fence);
-//   - once the late groups land, the records of the gapless prefix they
-//     complete are delivered, each exactly once.
+//   - exactly the records of the gapless intact prefix are delivered, in LSN
+//     order, each once;
+//   - a poll fails with ErrHole exactly when an intact group lies past the
+//     prefix, and no record of it or past it is ever delivered, on this poll
+//     or any later one, also once the late groups land behind it;
+//   - with no hole, late groups that land deliver what connects of them.
 //
 // Seed corpus: testdata/fuzz/FuzzReaderMultiGroupTail (checked in).
 func FuzzReaderMultiGroupTail(f *testing.F) {
@@ -137,111 +137,88 @@ func FuzzReaderMultiGroupTail(f *testing.F) {
 		st := storage.Open(&storage.Options{})
 		defer st.Close()
 
-		// Build and append the damaged tail, tracking where the gapless
-		// intact prefix ends.
-		var (
-			lsn       LSN = 1
-			prefixEnd LSN
-			inPrefix  = true
-			pending   int
-			// The same, once the late groups have landed.
-			lateEnd  LSN
-			inLate   = true
-			lateEnvs [][]byte
-		)
+		// The log as appended: each entry's LSNs, and whether it is intact.
+		type entry struct {
+			first, last LSN
+			intact      bool
+		}
+		var log []entry
+		expect := func() (end LSN, hole bool) {
+			for _, e := range log {
+				switch {
+				case !e.intact:
+				case e.first != end+1:
+					return end, true
+				default:
+					end = e.last
+				}
+			}
+			return end, false
+		}
+		var late []entry
+		var lateEnvs [][]byte
+		lsn := LSN(1)
 		for i := 0; i < k; i++ {
 			n := 1 + int(at(1+i))%3
-			first := lsn
+			e := entry{first: lsn, last: lsn + LSN(n) - 1, intact: true}
 			recs := make([]*Record, n)
-			for j := 0; j < n; j++ {
+			for j := range recs {
 				recs[j] = &Record{Type: RecordPut, LSN: lsn, Key: []byte{byte(lsn)}}
 				lsn++
 			}
-			env := sealGroup(nil, GroupMeta{First: first, Count: n}, recs)
+			env := sealGroup(nil, GroupMeta{First: e.first, Count: n}, recs)
 			action := int(at(1+k+i)) % 4
-			// A dropped group whose byte has bit 2 set is appended late.
-			late := action == tailDrop && at(1+k+i)&4 != 0
 			entropy := int(at(1 + 2*k + i))
 			switch {
-			case late:
-				lateEnvs = append(lateEnvs, env)
-				env = nil
+			case action == tailDrop && at(1+k+i)&4 != 0: // lands late
+				late, lateEnvs = append(late, e), append(lateEnvs, env)
+				continue
+			case action == tailDrop:
+				continue
 			case action == tailTorn:
-				env = env[:1+entropy%(len(env)-1)]
+				env, e.intact = env[:1+entropy%(len(env)-1)], false
 			case action == tailFlip:
 				env[entropy%len(env)] ^= 0x01
-			case action == tailDrop:
-				env = nil
+				e.intact = false
 			}
-			if action == tailIntact {
-				if inPrefix {
-					prefixEnd = lsn - 1
-				} else {
-					pending++
-				}
-			} else {
-				inPrefix = false
+			if _, err := st.Append(storage.StreamWAL, 0, env); err != nil {
+				t.Fatalf("raw append: %v", err)
 			}
-			if inLate = inLate && (action == tailIntact || late); inLate {
-				lateEnd = lsn - 1
-			}
-			if env != nil {
-				if _, err := st.Append(storage.StreamWAL, 0, env); err != nil {
-					t.Fatalf("raw append: %v", err)
-				}
-			}
+			log = append(log, e)
 		}
 
 		r := NewReaderAtHead(st)
-		recs, err := r.Poll()
-		if err != nil {
-			t.Fatalf("first poll: %v", err)
-		}
-		if len(recs) != int(prefixEnd) {
-			t.Fatalf("delivered %d records, want gapless prefix of %d", len(recs), prefixEnd)
-		}
-		for i, rec := range recs {
-			if rec.LSN != LSN(i+1) {
-				t.Fatalf("record %d has LSN %d, want in-order prefix", i, rec.LSN)
+		var got []LSN
+		poll := func(what string) {
+			t.Helper()
+			end, hole := expect()
+			recs, err := r.Poll()
+			if errors.Is(err, ErrHole) != hole || (err != nil && !hole) {
+				t.Fatalf("%s: %v, want a hole: %v", what, err, hole)
+			}
+			got = append(got, lsnsOf(recs)...)
+			if len(got) != int(end) {
+				t.Fatalf("%s: delivered LSNs %v in all, want the gapless prefix 1..%d", what, got, end)
+			}
+			for i, l := range got {
+				if l != LSN(i+1) {
+					t.Fatalf("%s: delivered LSNs %v, want 1..%d in order", what, got, end)
+				}
 			}
 		}
-		if got := r.PendingGroups(); got != pending {
-			t.Fatalf("%d groups parked, want %d intact post-gap groups", got, pending)
-		}
-
-		// Later polls must hold the line: no post-gap resurrection, and no
-		// error — nothing in the log says the gap is final.
+		poll("first poll")
 		for i := 0; i < 16; i++ {
-			more, perr := r.Poll()
-			if len(more) != 0 {
-				t.Fatalf("poll %d resurrected %d post-gap records (first LSN %d)", i, len(more), more[0].LSN)
-			}
-			if perr != nil {
-				t.Fatalf("poll %d over the gap: %v", i, perr)
-			}
-		}
-		if got := r.PendingGroups(); got != pending {
-			t.Fatalf("%d groups parked after the polls over the gap, want %d", got, pending)
+			poll(fmt.Sprintf("poll %d", i))
 		}
 
 		// The late groups land, the last first.
-		for i := len(lateEnvs) - 1; i >= 0; i-- {
+		for i := len(late) - 1; i >= 0; i-- {
 			if _, err := st.Append(storage.StreamWAL, 0, lateEnvs[i]); err != nil {
 				t.Fatalf("raw append: %v", err)
 			}
+			log = append(log, late[i])
 		}
-		more, err := r.Poll()
-		if err != nil {
-			t.Fatalf("poll after the late groups: %v", err)
-		}
-		if want := int(lateEnd - prefixEnd); len(more) != want {
-			t.Fatalf("late groups delivered %d records, want %d", len(more), want)
-		}
-		for i, rec := range more {
-			if rec.LSN != prefixEnd+LSN(i+1) {
-				t.Fatalf("late record %d has LSN %d, want %d", i, rec.LSN, prefixEnd+LSN(i+1))
-			}
-		}
+		poll("poll after the late groups")
 		if _, dups := r.Stats(); dups != 0 {
 			t.Fatalf("%d records dropped as duplicates; every group was appended once", dups)
 		}

@@ -9,8 +9,8 @@ import (
 	"bg3/internal/storage"
 )
 
-// TestOnReleaseOrderedBeforeAck drives a pipelined committer with many
-// concurrent writers and asserts the OnRelease hook's contract: it fires
+// TestOnReleaseOrderedBeforeAck drives a committer with many concurrent
+// writers and asserts the OnRelease hook's contract: it fires
 // with strictly increasing group-boundary LSNs, and by the time any
 // writer's wait() returns, the hook has already covered that writer's LSN
 // (the read epoch includes the writer's own commit).
@@ -23,8 +23,7 @@ func TestOnReleaseOrderedBeforeAck(t *testing.T) {
 	var mu sync.Mutex
 	var releases []LSN
 	c := NewGroupCommitter(w, GroupCommitterOptions{
-		MaxBatch:      8,
-		PipelineDepth: 4,
+		MaxBatch: 8,
 		OnRelease: func(last LSN) {
 			mu.Lock()
 			releases = append(releases, last)

@@ -274,10 +274,9 @@ func (w *Writer) Err() error {
 //
 // The meta block is the log's only statement of its sequence: a group's
 // records hold LSNs first..first+count-1, in order, all sealed under epoch,
-// and the records themselves carry neither. It lets groups complete out of
-// order under the commit pipeline — a reader holds a group aside until its
-// predecessors land and discards a fenced tenure's stragglers wholesale,
-// without decoding a record.
+// and the records themselves carry neither. It lets a reader check that a
+// group continues the sequence, and discard a fenced tenure's stragglers
+// wholesale, without decoding a record.
 const (
 	// groupHeader is the envelope overhead: payload length plus CRC32.
 	groupHeader = 8
@@ -358,9 +357,8 @@ func unframeGroup(buf []byte) (meta GroupMeta, frames [][]byte, ok bool, err err
 
 // SealedGroup is one framed group envelope ready for a single storage
 // append: an immutable unit of durability. Sealing (LSN check, envelope
-// framing) is separated from appending so the commit pipeline can keep
-// several sealed groups in flight concurrently while the LSN sequence itself
-// stays strictly serial.
+// framing) is separated from appending so that the committer seals under its
+// lock and appends outside it.
 type SealedGroup struct {
 	Data  []byte // the envelope, as sealGroup produced it
 	First LSN    // first LSN in the group
@@ -407,9 +405,8 @@ func (w *Writer) MaxRecordSize() int {
 // group's LSNs are contiguous. Each envelope is encoded once, straight into
 // frame(size): an empty buffer with room for its size bytes, which the caller
 // may recycle once the group's AppendSealed returned (nil frame allocates).
-// It performs no I/O: the returned groups are persisted by AppendSealed,
-// possibly concurrently, which is how the commit pipeline keeps several
-// appends in flight while sealing stays strictly serial in LSN order.
+// It performs no I/O: the returned groups are persisted by AppendSealed, one
+// after another in LSN order.
 //
 // A record too large for an extent poisons the writer: its LSN is already
 // assigned, so skipping it would punch a permanent hole into the log that
@@ -474,12 +471,10 @@ func (w *Writer) SealAssigned(dst []SealedGroup, recs []*Record, frame func(size
 
 // AppendSealed persists one sealed group with a single storage append,
 // retrying transient failures and poisoning the writer when they exhaust.
-// It does not hold the writer's mutex across the storage round trip, so
-// several sealed groups may be in flight concurrently; the group carries
-// its own fence epoch, which storage checks on every append, so a fence
-// raised mid-flight fails every outstanding append without persisting a
-// byte. Storage completion order may differ from LSN order — readers park
-// a group until its predecessors land.
+// The group carries its own fence epoch, which storage checks on every
+// append, so a fence raised while the append is in the air fails it without
+// persisting a byte. The caller appends groups in LSN order, each once the
+// one before it returned: a reader takes a group past a hole for damage.
 func (w *Writer) AppendSealed(g SealedGroup) error {
 	w.mu.Lock()
 	if w.failed != nil {
@@ -540,6 +535,11 @@ func (e *GapError) Error() string {
 
 func (e *GapError) Unwrap() error { return storage.ErrTrimmed }
 
+// ErrHole reports a group whose first LSN lies past the next one the reader
+// expects. The committer appends its groups in LSN order, each once the one
+// before it returned, so no writer leaves one: a hole is log damage.
+var ErrHole = errors.New("wal: hole in log")
+
 // Reader tails the WAL stream of a shared store. Each RO node owns one.
 //
 // Every reader starts from a declared base: the LSNs at or below it count as
@@ -553,25 +553,18 @@ func (e *GapError) Unwrap() error { return storage.ErrTrimmed }
 // LSN), and zombie groups sealed under a fence epoch lower than the highest
 // epoch observed — left behind by a deposed leader that raced the fence.
 //
-// Because the commit pipeline keeps several group appends in flight,
-// storage completion order may differ from LSN order: a group whose first
-// LSN runs ahead of the delivered prefix is parked until a predecessor
-// lands, or until a group of a higher epoch shows that a later tenure fenced
-// it. A hole never ends a poll with an error by itself: the writer fails stop
-// and acks release only over the gapless prefix, so what lies past a hole is
-// an append still in flight or the unacked debris of a failed writer — at
-// most the committer's PipelineDepth flights of it, which the next tenure's
-// first group purges. Acknowledged records go missing only through a trim,
-// reported as *GapError on the first poll behind it, or a lost extent
-// (storage.ErrExtentLost); the consumer then re-attaches from the retained
-// head (followers) or aborts (crash recovery).
+// Groups land in LSN order (GroupCommitter), so a group that does not
+// connect to the delivered prefix is damage, never an append still in the
+// air: the poll fails with ErrHole and stays at that group. Acknowledged
+// records go missing only through a trim, reported as *GapError on the
+// first poll behind it, a lost extent (storage.ErrExtentLost) or such a
+// hole; the consumer then re-attaches from the retained head (followers, on
+// the first two) or aborts (crash recovery, a promotion).
 type Reader struct {
 	store *storage.Store
 	cur   storage.Cursor
 	last  LSN    // the base, then the highest LSN returned; records at or below are dropped
 	epoch uint64 // highest fence epoch observed; lower-epoch groups are zombies
-
-	pending map[LSN][]*Record // groups ahead of the delivered prefix, by first LSN
 
 	torn   int64 // storage entries with a torn tail encountered
 	dups   int64 // duplicate records dropped
@@ -587,9 +580,8 @@ func NewReader(store *storage.Store) *Reader {
 // head past the trimmed prefix, based at the trim's horizon — 0, the log's
 // beginning, when it was never trimmed. Every record above that horizon is
 // still there; some below it may not be, and only those may have landed in the
-// extents dropped. It starts at the epoch the horizon was declared under, which
-// fences debris of earlier tenures past the horizon: the groups that did so
-// may be gone with the prefix.
+// extents dropped. It starts at the epoch the horizon was declared under: a
+// group sealed under an earlier one is a zombie.
 func NewReaderAtHead(store *storage.Store) *Reader {
 	cur, horizon, epoch := store.Head(storage.StreamWAL)
 	return &Reader{store: store, cur: cur, last: LSN(horizon), epoch: epoch}
@@ -608,20 +600,13 @@ func (r *Reader) Stats() (torn, dups int64) { return r.torn, r.dups }
 // FencedSkips returns how many stale-epoch zombie records were discarded.
 func (r *Reader) FencedSkips() int64 { return r.fenced }
 
-// PendingGroups returns how many groups are parked ahead of the delivered
-// prefix — durable groups that cannot be delivered because an earlier LSN
-// has not been observed. Once the log's writer is fenced, a non-zero value
-// means its tail holds debris from a failed pipelined commit: groups past
-// the gapless durable prefix that were never acknowledged.
-func (r *Reader) PendingGroups() int { return len(r.pending) }
-
 // Epoch returns the highest fence epoch the reader has observed.
 func (r *Reader) Epoch() uint64 { return r.epoch }
 
 // Poll returns all records appended since the previous Poll, in LSN order.
 // Torn group envelopes are discarded whole and retry duplicates dropped. On a
-// trimmed prefix or a lost extent Poll returns the records before it together
-// with the error, so the caller decides how to resync.
+// trimmed prefix, a lost extent or a hole Poll returns the records before it
+// together with the error, so the caller decides how to resync.
 func (r *Reader) Poll() ([]*Record, error) {
 	groups, err := r.PollGroups()
 	var recs []*Record
@@ -631,25 +616,13 @@ func (r *Reader) Poll() ([]*Record, error) {
 	return recs, err
 }
 
-// purgeFenced drops pending groups sealed under an epoch below the reader's.
-// Epochs are non-decreasing in storage order (the store re-checks the fence
-// under the stream lock that orders entries), so once a higher epoch is
-// observed, lower-epoch holes can never fill: the groups are debris from a
-// fenced tenure.
-func (r *Reader) purgeFenced() {
-	for first, recs := range r.pending {
-		if recs[0].Epoch < r.epoch {
-			r.fenced += int64(len(recs))
-			delete(r.pending, first)
-		}
-	}
-}
-
 // PollGroups is Poll preserving commit-group boundaries: each inner slice
 // holds the records one storage append sealed together, so a follower can
 // replay a whole group before publishing its high LSN and never expose a
 // half-applied batch. Records already consumed (the base, retry
 // duplicates) are filtered from their group; groups left empty are elided.
+// A group that does not parse or does not connect ends the poll with an
+// error, and the next poll starts at it again.
 func (r *Reader) PollGroups() ([][]*Record, error) {
 	entries, next, err := r.store.Scan(storage.StreamWAL, r.cur, 0)
 	if errors.Is(err, storage.ErrTrimmed) {
@@ -661,74 +634,63 @@ func (r *Reader) PollGroups() ([][]*Record, error) {
 	}
 	var groups [][]*Record
 	for _, e := range entries {
-		meta, frames, ok, ferr := unframeGroup(e.Data)
-		if ferr != nil {
-			// The envelope passed its checksum but does not parse: real
-			// corruption, not a torn tail.
-			return groups, fmt.Errorf("wal: entry at %v: %w", e.Loc, ferr)
+		// The scan yields an extent's entries from the cursor on, the next
+		// extent's from its first: r.cur follows them to the entry at hand.
+		if e.Loc.Extent != r.cur.Extent {
+			r.cur = storage.Cursor{Extent: e.Loc.Extent}
 		}
-		if !ok {
-			// A torn append: the whole group is invalid, by construction —
-			// no record of a torn flush is ever replayed.
-			r.torn++
-			continue
+		recs, gerr := r.group(e.Data)
+		if gerr != nil {
+			return groups, fmt.Errorf("wal: entry at %v: %w", e.Loc, gerr)
 		}
-		if meta.Epoch < r.epoch {
-			// The whole group was sealed under a fenced tenure: zombie.
-			r.fenced += int64(meta.Count)
-			continue
+		if len(recs) > 0 {
+			groups = append(groups, recs)
 		}
-		if meta.Epoch > r.epoch {
-			r.epoch = meta.Epoch
-			r.purgeFenced()
-		}
-		if meta.Count == 0 {
-			continue
-		}
-		recs := make([]*Record, len(frames))
-		for i, f := range frames {
-			rec, derr := Decode(f)
-			if derr != nil {
-				return groups, fmt.Errorf("wal: entry at %v: %w", e.Loc, derr)
-			}
-			rec.LSN, rec.Epoch = meta.First+LSN(i), meta.Epoch
-			recs[i] = rec
-		}
-		// Hold the group, then deliver every held group that connects to
-		// the delivered prefix. A retried append can hold the same group
-		// twice; the copies are identical, so overwriting is idempotent.
-		if r.pending == nil {
-			r.pending = make(map[LSN][]*Record)
-		}
-		r.pending[meta.First] = recs
-		r.drainPending(&groups)
+		r.cur.Index++
 	}
 	r.cur = next
 	return groups, nil
 }
 
-// drainPending delivers held groups, in LSN order, for as long as the next
-// one connects to the delivered prefix. A group's records are contiguous, so
-// those at or below the prefix — a base's, a retried append's — are a prefix
-// of the group, dropped as duplicates.
-func (r *Reader) drainPending(groups *[][]*Record) {
-	for {
-		var recs []*Record
-		for first, g := range r.pending {
-			if first <= r.last+1 {
-				recs = g
-				delete(r.pending, first)
-				break
-			}
-		}
-		if recs == nil {
-			return
-		}
-		skip := min(int(r.last+1-recs[0].LSN), len(recs))
-		r.dups += int64(skip)
-		if recs = recs[skip:]; len(recs) > 0 {
-			r.last = recs[len(recs)-1].LSN
-			*groups = append(*groups, recs)
-		}
+// group opens one entry and returns the records of it to deliver: none of a
+// torn envelope (a failed append's prefix, counted) or of a zombie group
+// sealed under an epoch below the highest observed; of any other group, those
+// past the delivered prefix. A group's records are contiguous, so those at or
+// below the prefix (a base's, a retried append's) are a prefix of it, dropped
+// as duplicates; a group that starts past the prefix is a hole.
+func (r *Reader) group(data []byte) ([]*Record, error) {
+	meta, frames, ok, err := unframeGroup(data)
+	switch {
+	case err != nil:
+		// The envelope passed its checksum but does not parse: real
+		// corruption, not a torn tail.
+		return nil, err
+	case !ok:
+		r.torn++
+		return nil, nil
+	case meta.Epoch < r.epoch:
+		r.fenced += int64(meta.Count)
+		return nil, nil
+	case meta.Count > 0 && meta.First > r.last+1:
+		return nil, fmt.Errorf("%w: lsn %d..%d after %d", ErrHole, meta.First, meta.First+LSN(meta.Count)-1, r.last)
 	}
+	r.epoch = meta.Epoch
+	if meta.Count == 0 {
+		return nil, nil
+	}
+	skip := min(int(r.last+1-meta.First), meta.Count)
+	r.dups += int64(skip)
+	recs := make([]*Record, 0, meta.Count-skip)
+	for i, f := range frames[skip:] {
+		rec, err := Decode(f)
+		if err != nil {
+			return nil, err
+		}
+		rec.LSN, rec.Epoch = meta.First+LSN(skip+i), meta.Epoch
+		recs = append(recs, rec)
+	}
+	if len(recs) > 0 {
+		r.last = recs[len(recs)-1].LSN
+	}
+	return recs, nil
 }

@@ -64,11 +64,10 @@ type Options struct {
 	// epoch clock, and a batch over several shards its two-phase commit.
 	Shards int
 
-	// CommitPipelineDepth keeps up to this many WAL group appends in
-	// flight concurrently (BtrLog-style commit pipelining). Storage
-	// completions may land out of order, but commit acks always release in
-	// LSN order (replicated mode; 0 or 1: serial appends, today's
-	// behaviour).
+	// CommitPipelineDepth is ignored: a group committer keeps one WAL group
+	// append in the air.
+	//
+	// Deprecated: ignored.
 	CommitPipelineDepth int
 
 	// FlushInterval drives the background dirty-page flusher (replicated
@@ -133,7 +132,6 @@ func (o Options) layers() layers {
 				GCInterval:     o.GCInterval,
 				GCBatch:        o.GCBatch,
 			},
-			PipelineDepth: o.CommitPipelineDepth,
 			FlushInterval: flush,
 		},
 		followerPoll: poll,

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +59,7 @@ import (
 //	             Snapshot open, no extent GC condemned is still held.
 //	trim         a WriteSnapshot with no transaction open trims the WAL
 //	             before it.
-//	epoch        a failover costs exactly one fence epoch, also when the log
-//	             it drained ended in debris of a failed pipelined commit
-//	             (durable groups past a hole, never acknowledged).
+//	epoch        a failover costs exactly one fence epoch.
 //
 // The concurrent leg (oracleConcurrent) runs writers, pinned readers and a
 // checkpoint/GC/block-build loop together, racing failovers, and checks what
@@ -92,10 +89,6 @@ func oracleOptions(shape string) Options {
 		o.Replicated = true
 	case "4-shard":
 		o.Shards = 4
-	}
-	if o.Replicated || o.Shards > 1 {
-		// A batch's groups overlap in flight, so a crash can leave debris.
-		o.CommitPipelineDepth = 4
 	}
 	return o
 }
@@ -342,8 +335,7 @@ type oracleRun struct {
 	step    int
 	touched []refmodel.Key // keys the step wrote
 
-	acked, failed, failovers, debris int
-	debrisFaults                     int // debrisFault injections
+	acked, failed, failovers int
 }
 
 func newOracleRun(t *testing.T, shape string, seed int64) *oracleRun {
@@ -404,12 +396,9 @@ func (r *oracleRun) run(steps int) {
 	for _, l := range r.logs {
 		migrated = max(migrated, len(l.since)) // a promoted leader counts from zero
 	}
-	r.t.Logf("%d acked, %d failed, %d failovers (%d over debris, %d debris faults), %d zombies, %d owners migrated, %d block builds, %d GC runs, %d extents compacted (%d B moved), faults %+v",
-		r.acked, r.failed, r.failovers, r.debris, r.debrisFaults, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs,
+	r.t.Logf("%d acked, %d failed, %d failovers, %d zombies, %d owners migrated, %d block builds, %d GC runs, %d extents compacted (%d B moved), faults %+v",
+		r.acked, r.failed, r.failovers, len(r.zombies), migrated, st.EdgeBlocks.Builds, st.GC.Runs,
 		st.GC.ExtentsCompacted, st.GC.CompactBytesMoved, r.faults())
-	if r.debrisFaults > 0 && r.debris == 0 {
-		r.fatalf("epoch", "%d debris faults injected, and no failover found debris", r.debrisFaults)
-	}
 	// Compaction takes extents with at most 1/32 of their bytes live, so it
 	// moves at most 1/31 of what it frees; the counters are the stores' own.
 	var compacted, moved int64
@@ -861,17 +850,9 @@ func (r *oracleRun) liveFailover(i int) {
 }
 
 // failover promotes a new leader of shard i, failed writer or not: the fence
-// epoch moves by one, whether or not the log the promotion drains ends in
-// debris.
+// epoch moves by one.
 func (r *oracleRun) failover(i int) {
-	inflight := func() int64 { return r.db.shardMetrics(i).Snapshot()["wal.pipeline_inflight"].Value }
-	for n := 0; inflight() > 0 && n < 10000; n++ {
-		time.Sleep(100 * time.Microsecond) // a failed pipeline's flights still landing
-	}
 	r.poll()
-	if r.logs[i].rd.PendingGroups() > 0 {
-		r.debris++
-	}
 	before := r.db.group.Store(i).StreamEpoch(storage.StreamWAL)
 	if err := r.db.Failover(i); err != nil {
 		r.fatalf("latest", "failover of shard %d: %v", i, err)
@@ -883,65 +864,22 @@ func (r *oracleRun) failover(i int) {
 }
 
 // fault injects one storage fault under one op: a crash point under a write,
-// a batch whose pipelined groups a tear and a crash split, a checkpoint or a
-// GC run; or a torn append the writer retries.
+// a checkpoint or a GC run; or a torn append the writer retries.
 func (r *oracleRun) fault() {
-	switch r.rng.Intn(5) {
+	switch r.rng.Intn(4) {
 	case 0:
 		r.plan.ScheduleCrash(int64(1 + r.rng.Intn(3)))
 		r.write(r.singleWrite())
 	case 1:
-		r.debrisFault()
-	case 2:
 		r.plan.ScheduleCrash(int64(2 + r.rng.Intn(3)))
 		_ = r.db.Checkpoint() // a failed cycle carries what it wrote into the next
-	case 3:
+	case 2:
 		r.plan.ScheduleCrash(int64(1 + r.rng.Intn(2)))
 		_, _ = r.db.RunGC(4)
 	default:
 		r.plan.TearNext()
 		r.write(r.singleWrite())
 	}
-}
-
-// debrisFault leaves debris on one shard's log: a durable group past a hole.
-// A batch's first group tears; while its append backs off, a second write,
-// sent from the retry's sleep on a goroutine of its own, cuts the batch's next
-// group and appends it — a second flight in the air, which lands past the
-// torn one — and the crash fails the retry. The plan injects nothing else
-// meanwhile, so the next failover of the shard promotes over that debris.
-func (r *oracleRun) debrisFault() {
-	ms := r.batch(false, 16)
-	src := ms[0].k.Owner
-	late := []mut{{k: refmodel.EdgeKey(src, ETypeLike, 1), tag: r.tag(16)}}
-	for dst := VertexID(2); slices.ContainsFunc(ms, func(m mut) bool { return m.k == late[0].k }); dst++ {
-		late[0].k = refmodel.EdgeKey(src, ETypeLike, dst)
-	}
-	i := r.db.group.Router().Owner(src)
-	st := r.db.group.Store(i)
-	var sent atomic.Bool
-	lateErr := make(chan error, 1)
-	retry := storage.DefaultRetry
-	retry.Sleep = func(d time.Duration) {
-		if sent.CompareAndSwap(false, true) {
-			written := st.Stats().WriteOps
-			go func() { lateErr <- r.send(late) }()
-			for deadline := time.Now().Add(time.Second); st.Stats().WriteOps == written && time.Now().Before(deadline); {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-		time.Sleep(d)
-	}
-	r.db.group.Leader(i).Writer().SetRetry(retry)
-	r.plan.SetEnabled(false)
-	r.plan.TearNext()
-	r.plan.ScheduleCrash(3)
-	r.write(ms)
-	if sent.Load() { // else nothing tore: the retry never slept
-		r.account(late, <-lateErr)
-	}
-	r.plan.SetEnabled(true)
-	r.debrisFaults++
 }
 
 // txnKill kills the coordinator or a participant of a batch over several
@@ -998,8 +936,7 @@ func (r *oracleRun) settle() {
 	r.plan.SetEnabled(true)
 }
 
-// poll brings every shard's log up to date. Debris past a hole stays parked
-// until the next tenure's first record purges it.
+// poll brings every shard's log up to date.
 func (r *oracleRun) poll() {
 	for i, l := range r.logs {
 		tags, err := l.poll()
@@ -1175,7 +1112,7 @@ func TestOracleSemantics(t *testing.T) {
 // long enough for the readers to check a few hundred cuts.
 func oracleConcurrent(t *testing.T, shape string) {
 	o := oracleOptions(shape)
-	o.CacheCapacity, o.CommitPipelineDepth = 16, 8
+	o.CacheCapacity = 16
 	const maxBatch = 16
 	db := openLayers(t, o, func(cfg *layers) {
 		oracleInitCap(cfg)
@@ -1373,9 +1310,6 @@ func oracleConcurrent(t *testing.T, shape string) {
 	t.Run("commit-settings-on-every-leader", func(t *testing.T) {
 		for i := range db.Shards() {
 			snap := db.leader(i).Engine().Metrics().Snapshot()
-			if depth := snap["wal.pipeline_depth"].Value; depth != int64(o.CommitPipelineDepth) {
-				t.Errorf("shard %d: wal.pipeline_depth = %d, want %d", i, depth, o.CommitPipelineDepth)
-			}
 			if g := snap["wal.group_size"].IntHistogram; g == nil || g.Max > maxBatch {
 				t.Errorf("shard %d: wal.group_size = %+v, want a max of at most %d", i, g, maxBatch)
 			}

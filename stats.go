@@ -61,22 +61,8 @@ type WALStats struct {
 	// GroupSize is the records-per-flush distribution: its mean is the
 	// write-side amortization factor (records acked per storage round
 	// trip, §3.4).
-	GroupSize FanoutStats `json:"group_size" metric:"wal.group_size"`
-	// InflightGroups is the number of sealed WAL group appends in flight at
-	// the instant of the stats snapshot; PipelineDepth is how many one
-	// committer allows (Options.CommitPipelineDepth; 1 when unset), the same
-	// on every shard.
-	InflightGroups int `json:"inflight_groups" metric:"wal.pipeline_inflight"`
-	PipelineDepth  int `json:"pipeline_depth" metric:"wal.pipeline_depth,max"`
-	// AckReorder is how long durable groups waited for their predecessors
-	// before their acks could release in LSN order — the cost of in-order
-	// release under out-of-order pipelined completion.
-	AckReorder HistogramStats `json:"ack_reorder" metric:"wal.ack_reorder_us"`
-	// PipelineUtilization is the distribution of concurrently in-flight
-	// appends observed at each dispatch (mean > 1 means round trips
-	// actually overlap).
-	PipelineUtilization FanoutStats `json:"pipeline_utilization" metric:"wal.inflight_groups"`
-	Checkpoints         int64       `json:"checkpoints" metric:"wal.checkpoints"`
+	GroupSize   FanoutStats `json:"group_size" metric:"wal.group_size"`
+	Checkpoints int64       `json:"checkpoints" metric:"wal.checkpoints"`
 }
 
 // CacheStats is the page cache's hit accounting plus the per-read storage

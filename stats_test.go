@@ -31,7 +31,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			o := shape.o
 			o.ExtentSize, o.CacheCapacity, o.CacheShards, o.ForestSplitThreshold = 4<<10, 16, 4, 10
-			o.CommitPipelineDepth, o.EdgeBlockThreshold = 2, -1
+			o.EdgeBlockThreshold = -1
 			// A small cache, so reads miss. Nothing runs in the background (no
 			// flusher, no block builds, a replica that applies only at Sync),
 			// so the registries hold still once the writers stop.
@@ -270,7 +270,6 @@ func checkStatsIsTheRegistry(t *testing.T, db *DB, s Stats) {
 			own.MVCC.EpochLag = max(own.MVCC.EpochLag, es.Lag)
 			own.Shards.ReadEpochs[i] = uint64(es.Current)
 			own.Shards.LastLSNs[i] = uint64(rw.LastLSN())
-			own.WAL.PipelineDepth = 2
 			own.Replication.Replicas = len(db.attached())
 		}
 	}
@@ -293,7 +292,6 @@ func checkStatsIsTheRegistry(t *testing.T, db *DB, s Stats) {
 		{"Shards.ReadEpochs", s.Shards.ReadEpochs, own.Shards.ReadEpochs},
 		{"Shards.LastLSNs", s.Shards.LastLSNs, own.Shards.LastLSNs},
 		{"Cache.Shards", s.Cache.Shards, own.Cache.Shards},
-		{"WAL.PipelineDepth", s.WAL.PipelineDepth, own.WAL.PipelineDepth},
 		{"MVCC.EpochLag", s.MVCC.EpochLag, own.MVCC.EpochLag},
 		{"Replication.Replicas", s.Replication.Replicas, own.Replication.Replicas},
 	} {
