@@ -316,11 +316,11 @@ func (db *DB) RunGC(batch int) (int64, error) {
 	return moved, nil
 }
 
-// BuildEdgeBlocks eagerly packs every dedicated tree that is past the
-// edge-block threshold (Options.EdgeBlockThreshold) into its CSR-style
-// packed block, returning the number of blocks built. Blocks are normally
-// built opportunistically at flush/consolidation time; this forces the
-// work now — useful after a bulk load, before a read-heavy phase.
+// BuildEdgeBlocks packs every dedicated tree into its CSR-style edge block
+// now, whatever its size, and returns the number of blocks built. Otherwise
+// a tree's blocks are built by its scans alone: the first one once it holds
+// Options.EdgeBlockThreshold live edges. This is for after a bulk load,
+// before a read-heavy phase.
 func (db *DB) BuildEdgeBlocks() (int, error) {
 	built := 0
 	for i := range db.Shards() {

@@ -220,7 +220,6 @@ func TestBlockScanAllocatesConstant(t *testing.T) {
 	}
 	for settled := 0; ; settled++ {
 		scan()
-		awaitSpawnedBuild(tr)
 		if _, fallbacks := blockExpect(tr, horizonAll); fallbacks == 0 {
 			break
 		} else if settled == 100 {
@@ -285,8 +284,6 @@ func TestBlockWriteThenScanAllocatesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A rebuild is due max(64, entries/4) writes after the build: fewer are
-	// written here.
 	for i := 0; i < 12000; i++ {
 		put(i, "packed")
 	}
@@ -296,7 +293,6 @@ func TestBlockWriteThenScanAllocatesBounded(t *testing.T) {
 	pair := func() {
 		put(late*7919%24000, "late") // scattered: inside the block and past its end
 		late++
-		awaitSpawnedBuild(tr) // a rebuild the last scan's leaf walks made due
 		if tr.blocks.block.Load().chunks[0].clean() {
 			hits++
 		} else {
@@ -345,7 +341,7 @@ func TestBlockScanLeavesWritesUncopied(t *testing.T) {
 	}
 	mustBuildBlock(t, packed)
 	builds := packed.m.BlockStatsSnapshot().Builds
-	for late[0] < 100 { // fewer writes than a rebuild waits for (entries/4)
+	for late[0] < 100 { // into leaves the scans below never walk: nothing rebuilds
 		write(0, packed)
 		write(1, plain)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // Packed edge blocks: the sequential-adjacency layout of super-vertex
-// dedicated trees (§3.2.1). Once a tree holds EdgeBlockMinEntries live keys, a
-// build copies it into one chunk per leaf — the leaf's content at ∞ as one
-// resident leaf image (encode.go), read by the merge every leaf is read by
-// (scanPage) — and publishes the array at once. A scan walks the chunks in key
-// order: no routing, no page cache, no overlay to merge.
+// dedicated trees (§3.2.1). A build copies a tree into one chunk per leaf —
+// the leaf's content at ∞ as one resident leaf image (encode.go), read by the
+// merge every leaf is read by (scanPage) — and publishes the array at once. A
+// scan walks the chunks in key order: no routing, no page cache, no overlay to
+// merge.
 //
 // The block is a cache of its leaves, and writers touch nothing of it:
 //
@@ -32,29 +32,26 @@ import (
 //     so no op a reader's epoch covers can be on its way into a leaf the check
 //     finds clean. Any other chunk's range takes the ordinary leaf step, one
 //     leaf at a time (scanBlock's callers), each counted as a fallback.
-//   - Build (edgeBlockWanted says when): the current chunks are walked; a
-//     clean one is kept as it is, and the leaves that now cover a stale one's
-//     range (leaves only ever narrow) are re-read one latch at a time. The
-//     first build is one stale chunk over the whole tree. A clean leaf is
-//     never loaded.
-//   - Residency (standsIn): a leaf a scan walked in place of a stale chunk is
-//     marked, and so is each half it splits into. The page cache does not
-//     evict a marked leaf while it stands in for a stale chunk, so scans
-//     beside writers do not read it from storage again and the rebuild finds
-//     it resident; a leaf no scan walks is evicted like any other. The
-//     rebuild cadence bounds what that keeps resident.
+//   - Build: the scans that read the block are its one automatic trigger
+//     (maybeBuildEdgeBlock, edgeBlockWanted says when), on their own
+//     goroutine; beside them only BuildEdgeBlock packs a tree. The current
+//     chunks are walked; a clean one is kept as it is, and the leaves that now
+//     cover a stale one's range (leaves only ever narrow) are re-read one
+//     latch at a time. The first build is one stale chunk over the whole
+//     tree. A clean leaf is never loaded.
 //   - Pinned by TestDifferentialAgainstVersionMap (blockGap: every chunk clean
 //     at a live horizon reads as the version map there, and scans count a hit
 //     per clean chunk and a fallback per leaf of a stale one),
 //     TestEachChangeStalesItsOwnChunk, TestFirstBuildCapturesEveryWriter,
 //     TestScansRebuildAStaleBlock, TestRebuildLoadsNoCleanLeaf,
+//     TestWritesAndFlushesBuildNoBlock, TestTreeOwnsNoGoroutine,
 //     TestStressOverlayReadersRaceWriters and
 //     TestStressLatestBlockReadsDoNotFallBack (-race).
 //
 // Blocks are an RW-node read-path acceleration held in memory only: nothing
 // reads a block back from storage, so nothing is written there; after
-// recovery they are rebuilt lazily from the thresholds, and replicas (which
-// apply WAL records through their own page structures) never build them.
+// recovery a tree's first scans rebuild them, and replicas (which apply WAL
+// records through their own page structures) never build them.
 
 // chunk is one leaf as a build found it.
 type chunk struct {
@@ -76,28 +73,13 @@ func (c *chunk) clean() bool {
 // serves is the read rule: c answers a read at h.
 func (c *chunk) serves(h wal.LSN) bool { return h >= c.lsn && c.clean() }
 
-// standsIn reports whether leaf e stands in for a stale chunk of the tree's
-// block: it changed since the build, or split off a leaf since. Scans walk
-// such a leaf in the chunk's place until the next build re-reads it, so the
-// page cache keeps one they walked (e.walked) resident until then
-// (noteCached). e.mu must be held.
-func (t *Tree) standsIn(e *pageEntry) bool {
-	blk := t.blocks.block.Load()
-	if blk == nil {
-		return false
-	}
-	c := &blk.chunks[blk.chunkAt(e.lo)]
-	return c.e != e || c.version != e.version
-}
-
 // edgeBlock is a tree's packed adjacency: its chunks in key order, tiling the
 // key space. Immutable once published.
 type edgeBlock struct {
 	chunks  []chunk
 	entries int
 	bytes   int64
-	writes  int64        // the tree's puts and deletes when the build began
-	walked  atomic.Int64 // leaves scans walked for stale chunks since
+	walked  atomic.Int64 // leaves scans walked for stale chunks since the build
 }
 
 // chunkAt returns the index of the chunk whose range holds key.
@@ -108,8 +90,7 @@ func (b *edgeBlock) chunkAt(key []byte) int {
 // blockState is the per-tree edge-block machinery embedded in Tree.
 type blockState struct {
 	block        atomic.Pointer[edgeBlock]
-	blockBuildMu sync.Mutex  // serializes builds (TryLock)
-	buildSpawned atomic.Bool // one background build goroutine at a time
+	blockBuildMu sync.Mutex // serializes builds (TryLock)
 }
 
 // scanBlock is the block's part of a range read: from the chunk holding from
@@ -156,58 +137,33 @@ func (t *Tree) scanBlock(from, to []byte, owed int, h wal.LSN, fn func(k, v []by
 	}
 }
 
-// maybeBuildEdgeBlock is the flush-time build trigger: it checks the
-// thresholds cheaply and runs the build inline (the flusher's goroutine).
+// maybeBuildEdgeBlock is the build trigger every range read ends with, on
+// the reader's goroutine once its walk is done: when edgeBlockWanted says a
+// build is due and no other build is in flight, it builds.
 func (t *Tree) maybeBuildEdgeBlock() {
-	if !t.edgeBlockWanted() {
-		return
-	}
-	_, _ = t.TryBuildEdgeBlock()
-}
-
-// maybeSpawnEdgeBlockBuild is the trigger every write and range read ends
-// with. It fires on every tree — async-flushed ones too, beside their
-// flush-time trigger; a sync-flushed tree has no other: when the thresholds
-// say a build is due, it spawns at most one background build goroutine.
-func (t *Tree) maybeSpawnEdgeBlockBuild() {
-	if !t.edgeBlockWanted() {
-		return
-	}
-	if !t.blocks.buildSpawned.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer t.blocks.buildSpawned.Store(false)
+	if t.edgeBlockWanted() {
 		_, _ = t.TryBuildEdgeBlock()
-	}()
+	}
 }
 
 // edgeBlockWanted reports whether a build is due: no block yet and the tree
-// holds EdgeBlockMinEntries live keys, or a block that the tree has taken
-// max(64, entries/4) writes past — so rebuild work stays bounded at a few
-// entry copies per write on big trees — or whose stale chunks have cost
-// scans as many leaf walks as it has chunks: a rebuild re-reads each stale
-// leaf once, so it costs no more than the walks it saves. Without that,
-// writes scattered over a packed tree after its last build would leave it
-// read through its leaves until the next write-count rebuild, however long
-// reads go on.
+// holds EdgeBlockMinEntries live keys, or a block whose stale chunks have
+// cost scans as many leaf walks as it has chunks — a rebuild re-reads each
+// stale leaf once, so it costs no more than the walks it saves.
 func (t *Tree) edgeBlockWanted() bool {
 	if t.cfg.EdgeBlockMinEntries <= 0 {
 		return false
 	}
 	if blk := t.blocks.block.Load(); blk != nil {
-		return t.writes()-blk.writes >= int64(max(64, blk.entries/4)) || blk.walked.Load() >= int64(len(blk.chunks))
+		return blk.walked.Load() >= int64(len(blk.chunks))
 	}
 	return t.keys.Load() >= int64(t.cfg.EdgeBlockMinEntries)
 }
 
-// writes returns the puts and deletes the tree has applied.
-func (t *Tree) writes() int64 { return t.puts.Load() + t.deletes.Load() }
-
 // TryBuildEdgeBlock builds (or rebuilds) the tree's packed edge block if
-// no other build is in flight — the background triggers' entry point. It
-// returns whether a block was installed. Safe to call on any tree; trees
-// with blocks disabled return false.
+// no other build is in flight — the scans' trigger enters here. It returns
+// whether a block was installed. Safe to call on any tree; trees with blocks
+// disabled return false.
 func (t *Tree) TryBuildEdgeBlock() (bool, error) {
 	if t.cfg.EdgeBlockMinEntries <= 0 || !t.blocks.blockBuildMu.TryLock() {
 		return false, nil
@@ -217,9 +173,9 @@ func (t *Tree) TryBuildEdgeBlock() (bool, error) {
 }
 
 // BuildEdgeBlock is the explicit (operator, bulk-load) build: it waits out
-// a build in flight — the one the write path spawns at the threshold, which
-// may have walked the leaves before the latest writes — instead of skipping
-// the tree, so the caller's first call packs all of it.
+// a build in flight — a scan's, which may have walked the leaves before the
+// latest writes — instead of skipping the tree, so the caller's first call
+// packs all of it.
 func (t *Tree) BuildEdgeBlock() (bool, error) {
 	if t.cfg.EdgeBlockMinEntries <= 0 {
 		return false, nil
@@ -239,7 +195,6 @@ func (t *Tree) buildEdgeBlockLocked() (bool, error) {
 	}
 	blk := &edgeBlock{
 		chunks: make([]chunk, 0, max(len(stale), int(t.keys.Load())/t.cfg.MaxPageEntries)),
-		writes: t.writes(),
 	}
 	for _, c := range stale {
 		if c.e != nil && c.clean() {

@@ -16,30 +16,9 @@ import (
 	"bg3/internal/wal"
 )
 
-// awaitSpawnedBuild waits out a background build the write path spawned
-// (any tree past its threshold gets one): while in flight it holds the
-// build lock, turning TryBuildEdgeBlock into a no-op, and its block is not
-// yet visible.
-func awaitSpawnedBuild(tr *Tree) {
-	for tr.blocks.buildSpawned.Load() {
-		runtime.Gosched()
-	}
-}
-
-// holdSpawnedBuilds keeps the background build back: once no spawned build is
-// in flight it takes the flag a spawn sets, so no write or scan spawns one
-// until the release it returns.
-func holdSpawnedBuilds(tr *Tree) (release func()) {
-	for !tr.blocks.buildSpawned.CompareAndSwap(false, true) {
-		runtime.Gosched()
-	}
-	return func() { tr.blocks.buildSpawned.Store(false) }
-}
-
 // mustBuildBlock forces a build covering everything written so far.
 func mustBuildBlock(t *testing.T, tr *Tree) {
 	t.Helper()
-	awaitSpawnedBuild(tr)
 	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
 	}
@@ -103,7 +82,6 @@ func blockCounts(tr *Tree, scan func()) (hits, fallbacks int64) {
 // and is served by a chunk exactly where that chunk serves h (blockExpect).
 func checkFullScan(t *testing.T, tr *Tree, ref refmodel.KV, h wal.LSN, what string) {
 	t.Helper()
-	awaitSpawnedBuild(tr) // one the last scan spawned
 	wantHits, wantFallbacks := blockExpect(tr, h)
 	var got []string
 	hits, fallbacks := blockCounts(tr, func() {
@@ -127,7 +105,6 @@ func checkFullScan(t *testing.T, tr *Tree, ref refmodel.KV, h wal.LSN, what stri
 // range there. It returns the first chunk that does not. A tree with no block
 // has nothing to check.
 func blockGap(tr *Tree, ref refmodel.KV, horizons []wal.LSN) error {
-	awaitSpawnedBuild(tr)
 	blk := tr.blocks.block.Load()
 	if blk == nil {
 		return nil
@@ -221,21 +198,18 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	}
 	check("built")
 
-	// Writes after the build: their leaves read for themselves. The scans
-	// that walk them would spawn a rebuild, held back until the stale chunks
-	// are counted.
-	release := holdSpawnedBuilds(blocked)
+	// Writes after the build: their leaves read for themselves. They build
+	// nothing, so the stale chunks are counted before the scans that walk
+	// them (and may rebuild the block).
 	put("k000050", "patched")
 	put("a-before-all", "front")
 	put("k999999", "tail")
 	del("k000100")
 	del("a-before-all")
-	check("written")
-	n := len(staleChunks(blocked))
-	release()
-	if n != 4 {
+	if n := len(staleChunks(blocked)); n != 4 {
 		t.Fatalf("%d stale chunks, want the 4 leaves written: the first, the last, k000050's and k000100's", n)
 	}
+	check("written")
 
 	// A rebuild re-reads the stale chunks' leaves and keeps the rest.
 	mustBuildBlock(t, blocked)
@@ -274,7 +248,6 @@ func TestScansRebuildAStaleBlock(t *testing.T) {
 		if _, err := tr.Len(); err != nil { // a full scan
 			t.Fatal(err)
 		}
-		awaitSpawnedBuild(tr)
 		rebuilt := tr.m.BlockStatsSnapshot().Builds - builds
 		if due := 4*scans >= chunks; rebuilt != 0 || due {
 			if !due || rebuilt != 1 {
@@ -290,7 +263,7 @@ func TestScansRebuildAStaleBlock(t *testing.T) {
 
 // TestOverwritesDoNotPackATree: the build threshold counts the tree's live
 // keys, not its writes. 100 keys, each written 12 times, are 1,200 writes and
-// 100 keys — below a 1,024-key threshold — and no build is spawned. The
+// 100 keys — below a 1,024-key threshold — and a full scan packs nothing. The
 // trigger used to read puts − deletes, which counts every overwrite as a new
 // key.
 func TestOverwritesDoNotPackATree(t *testing.T) {
@@ -305,13 +278,119 @@ func TestOverwritesDoNotPackATree(t *testing.T) {
 	if err := tr.Delete([]byte("k000")); err != nil {
 		t.Fatal(err)
 	}
-	awaitSpawnedBuild(tr)
 	if n, s := tr.Keys(), tr.Stats(); n != 99 || s.Puts != 1200 || s.Deletes != 1 {
 		t.Fatalf("%d live keys after %d puts and %d deletes, want 99", n, s.Puts, s.Deletes)
+	}
+	if n, err := tr.Len(); err != nil || n != 99 { // a full scan
+		t.Fatalf("a full scan = %d keys, %v; want 99", n, err)
 	}
 	if info, ok := tr.EdgeBlock(); ok {
 		t.Fatalf("a 99-key tree written 1,201 times was packed: %+v", info)
 	}
+}
+
+// TestWritesAndFlushesBuildNoBlock: the scans that read a block are what
+// builds it. A tree written past its threshold and flushed has no block and
+// has built none; its first full scan returns with the block installed, and
+// a second full scan takes every chunk. On a bare tree (every write flushed at
+// once) and on an epoch tree (a logger, pages left to the flusher).
+func TestWritesAndFlushesBuildNoBlock(t *testing.T) {
+	cfg := Config{MaxPageEntries: 16, EdgeBlockMinEntries: 64}
+	for _, mode := range []string{"bare", "epochs"} {
+		t.Run(mode, func(t *testing.T) {
+			var tr *Tree
+			if mode == "epochs" {
+				tr, _, _ = newEpochTree(t, cfg)
+			} else {
+				tr, _ = newTestTree(t, cfg)
+			}
+			for i := 0; i < 200; i++ {
+				if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := tr.FlushDirty(nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := tr.EdgeBlock(); ok || tr.m.BlockStatsSnapshot().Builds != 0 {
+				t.Fatalf("a tree written and flushed past its threshold built a block: %+v", tr.m.BlockStatsSnapshot())
+			}
+			if n, err := tr.Len(); err != nil || n != 200 {
+				t.Fatalf("the first full scan = %d keys, %v; want 200", n, err)
+			}
+			if info, ok := tr.EdgeBlock(); !ok || info.Entries != 200 || tr.m.BlockStatsSnapshot().Builds != 1 {
+				t.Fatalf("after the first full scan: block %+v ok=%v, stats %+v; want one build of 200 entries", info, ok, tr.m.BlockStatsSnapshot())
+			}
+			chunks := int64(len(tr.blocks.block.Load().chunks))
+			if hits, fallbacks := blockCounts(tr, func() { _, _ = tr.Len() }); hits != chunks || fallbacks != 0 {
+				t.Fatalf("the second full scan: %d hits and %d fallbacks, want %d and none", hits, fallbacks, chunks)
+			}
+		})
+	}
+}
+
+// TestTreeOwnsNoGoroutine pins that a tree runs on its callers' goroutines:
+// writes past the block threshold, a flush, scans — single and many — that
+// build the block, writes that stale it, and the scans whose walks rebuild it
+// leave the goroutine count where it was.
+func TestTreeOwnsNoGoroutine(t *testing.T) {
+	before := settledGoroutines()
+	tr, _, _ := newEpochTree(t, Config{MaxPageEntries: 16, EdgeBlockMinEntries: 64})
+	same := func(after string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%d goroutines after %s, %d before", n, after, before)
+		}
+	}
+	put := func(i int, v string) {
+		t.Helper()
+		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		same("a write")
+	}
+	for i := 0; i < 200; i++ {
+		put(i, "v")
+	}
+	if _, err := tr.FlushDirty(nil); err != nil {
+		t.Fatal(err)
+	}
+	same("a flush")
+	if err := tr.m.ScanManyAt([]RangeScan{{Tree: tr}, {Tree: tr, From: []byte("k100")}}, 0, horizonAll, func(int, []byte, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	same("a ScanManyAt that builds the block")
+	if _, ok := tr.EdgeBlock(); !ok {
+		t.Fatal("fixture: the scans built no block")
+	}
+	for i := 0; i < 200; i += 40 {
+		put(i, "late")
+	}
+	for scans, builds := 0, tr.m.BlockStatsSnapshot().Builds; tr.m.BlockStatsSnapshot().Builds == builds; scans++ {
+		if scans == 100 {
+			t.Fatal("fixture: 100 full scans walked the stale leaves and rebuilt nothing")
+		}
+		if _, err := tr.Len(); err != nil {
+			t.Fatal(err)
+		}
+		same("a full scan")
+	}
+}
+
+// settledGoroutines returns the goroutine count once the goroutines earlier
+// tests left on their way out have exited: two readings a millisecond apart
+// agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // servedByBlock runs one scan of a one-leaf tree and reports whether the
@@ -330,8 +409,8 @@ func servedByBlock(t *testing.T, tr *Tree, scan func()) bool {
 // checks the pinned view reads the pre-block history exactly, through the
 // leaf, while the head sees the latest state through the block.
 func TestEdgeBlockMVCCSnapshot(t *testing.T) {
-	// The threshold is above anything the test writes, so the write path
-	// never spawns a build of its own.
+	// The threshold is above anything the test writes, so its scans build
+	// nothing of their own.
 	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 64})
 	for i := 0; i < 20; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
@@ -384,7 +463,8 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 }
 
 // TestHeldPinHoldsNoBuildBack holds a pin while the tree passes its build
-// threshold and is rebuilt three times: every build installs, pin or no pin.
+// threshold, is packed by a scan and is rebuilt three times: every build
+// installs, pin or no pin.
 // The pinned reader is below the chunk's LSN each time: it walks the leaf,
 // counted as a fallback, and reads its epoch exactly. Latest reads, and reads
 // pinned once the writes are released, are block hits.
@@ -406,11 +486,12 @@ func TestHeldPinHoldsNoBuildBack(t *testing.T) {
 	for i := 0; i < 20; i++ { // the threshold is crossed at write 24
 		put(fmt.Sprintf("x%02d", i))
 	}
-	awaitSpawnedBuild(tr)
-	if blk := tr.blocks.block.Load(); blk == nil || blk.chunks[0].lsn <= h {
-		t.Fatalf("block %+v: the write path's build did not install past the pin at %d", blk, h)
+	if _, err := tr.Len(); err != nil { // a latest scan: it builds
+		t.Fatal(err)
 	}
-	mustBuildBlock(t, tr) // the spawned build may predate the last writes
+	if blk := tr.blocks.block.Load(); blk == nil || blk.chunks[0].lsn <= h {
+		t.Fatalf("block %+v: the scan's build did not install past the pin at %d", blk, h)
+	}
 	for round := 0; ; round++ {
 		var pinned, latest, fresh map[string]string
 		if servedByBlock(t, tr, func() { pinned = collectAt(t, tr, h) }) {
@@ -727,9 +808,7 @@ func TestFailedBuildInstallsNoBlock(t *testing.T) {
 // TestRebuildLoadsNoCleanLeaf: a rebuild re-reads the leaves written since
 // the last build and no other, so on a bounded cache, after a flush and
 // eviction, it costs one storage read per written leaf — not a walk of the
-// tree. And the cache evicts no written leaf a scan walked, nor a half it
-// split into, before a build re-reads it: under the pressure of a read of
-// every leaf, the next rebuild reads nothing.
+// tree.
 func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 	tr, _, st := newEpochTree(t, Config{CacheCapacity: 16, MaxPageEntries: 16, EdgeBlockMinEntries: 1 << 20})
 	put := func(i int, v string) {
@@ -738,12 +817,11 @@ func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	written := []int{100, 1000, 1900}
 	for i := 0; i < 2000; i++ {
 		put(i, "v")
 	}
 	mustBuildBlock(t, tr)
-	for _, i := range written {
+	for _, i := range []int{100, 1000, 1900} {
 		put(i, "late")
 	}
 	if _, err := tr.FlushDirty(nil); err != nil {
@@ -757,41 +835,5 @@ func TestRebuildLoadsNoCleanLeaf(t *testing.T) {
 	if r, m := st.Stats().ReadOps-reads, tr.m.misses.Load()-misses; stale != 3 || r != 3 || m != 3 {
 		t.Fatalf("a rebuild over %d stale chunks of %d leaves read storage %d times and missed the cache %d times, want 3 and 3",
 			stale, len(leaves), r, m)
-	}
-
-	for _, i := range written {
-		put(i, "later")
-	}
-	if _, err := tr.FlushDirty(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, fallbacks := blockCounts(tr, func() {
-		if err := tr.Scan(nil, nil, 0, func(_, _ []byte) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	}); fallbacks != 3 {
-		t.Fatalf("a full scan walked %d leaves, want the 3 written since the build", fallbacks)
-	}
-	for j := 0; j < 10; j++ { // splits a walked leaf: both halves stay
-		if err := tr.Put([]byte(fmt.Sprintf("k001000-%d", j)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tr.FlushDirty(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ { // every leaf through the 16-page cache
-		if _, _, err := tr.Get([]byte(fmt.Sprintf("k%06d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if evictions := tr.m.evictions.Load(); evictions < int64(len(leaves)-16) {
-		t.Fatalf("fixture: %d evictions reading %d leaves through a 16-page cache", evictions, len(leaves))
-	}
-	reads, misses = st.Stats().ReadOps, tr.m.misses.Load()
-	mustBuildBlock(t, tr)
-	if r, m := st.Stats().ReadOps-reads, tr.m.misses.Load()-misses; r != 0 || m != 0 {
-		t.Fatalf("a rebuild over the leaves written since the last read %d records and missed the cache %d times, want none: the cache kept them",
-			r, m)
 	}
 }

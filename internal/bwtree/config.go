@@ -92,14 +92,13 @@ type Config struct {
 	Epochs *mvcc.Source
 
 	// EdgeBlockMinEntries, when positive, enables the packed edge-block
-	// layout (block.go): once the tree holds that many live keys, each leaf's
-	// content is copied into an immutable chunk and scans walk the chunks in
-	// order, taking the leaf step only where a leaf changed since the build;
-	// the block is rebuilt after max(64, entries/4) writes, or once scans
-	// have walked as many leaves for stale chunks as it has chunks. 0
-	// disables blocks
-	// (the forest keeps them off for the shared INIT tree; dedicated
-	// super-vertex trees are the target).
+	// layout (block.go): the first range read of a tree holding that many
+	// live keys copies each leaf's content into an immutable chunk, and scans
+	// walk the chunks in order, taking the leaf step only where a leaf
+	// changed since the build; a scan rebuilds the block once scans have
+	// walked as many leaves for stale chunks as it has chunks. Writes and
+	// flushes build nothing. 0 disables blocks (the forest keeps them off for
+	// the shared INIT tree; dedicated super-vertex trees are the target).
 	EdgeBlockMinEntries int
 }
 

@@ -115,17 +115,7 @@ func (t *Tree) DirtyCount() int {
 // Safe for concurrent callers (the background flusher and a manual
 // checkpoint or snapshot may overlap).
 func (t *Tree) FlushDirty(dst []MappingUpdate) ([]MappingUpdate, error) {
-	updates, err := t.flushPages(dst, t.takeDirty())
-	if err != nil {
-		return updates, err
-	}
-	// Consolidation time is also edge-block time: a dedicated tree that
-	// outgrew the block threshold, or whose block is due a rebuild —
-	// max(64, entries/4) writes since the build, or scans that walked as many
-	// leaves for stale chunks as the block has chunks — is packed here, on
-	// the flusher's goroutine.
-	t.maybeBuildEdgeBlock()
-	return updates, nil
+	return t.flushPages(dst, t.takeDirty())
 }
 
 // takeDirty empties the dirty set and returns the pages that were in it.

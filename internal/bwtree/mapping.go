@@ -69,7 +69,6 @@ type pageEntry struct {
 	dirty        bool // has changes no durable record holds yet (dirtied)
 	splitPending bool // the page split in memory; next flush must rewrite its base
 	lends        bool // an append split gave the sibling ops its delta records or a taken dirty set still hold: flushPages takes the sibling along (Tree.split)
-	walked       bool // a scan walked it, or the leaf it split off, in place of a stale edge-block chunk (Tree.standsIn)
 
 	lo, hi []byte // key range covered: [lo, hi), hi == nil means +inf
 	next   PageID // right sibling, 0 at the rightmost leaf
@@ -416,11 +415,10 @@ func (m *Mapping) noteCached(e *pageEntry) {
 			continue
 		}
 		if victim.mu.TryLock() {
-			if !victim.dirty && !(victim.walked && victim.tree.standsIn(victim)) {
+			if !victim.dirty {
 				// A clean page's image is the record at its base location.
 				// (Dirty pages — including unflushed split halves whose
-				// image is not yet durable — are never evicted, nor is a leaf
-				// scans walk in place of a stale edge-block chunk: block.go.)
+				// image is not yet durable — are never evicted.)
 				victim.base = nil
 				s.remove(victim)
 				m.evictions.Add(1)

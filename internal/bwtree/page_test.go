@@ -162,7 +162,7 @@ func (p *clockedPipe) Log(rec *wal.Record) (wal.LSN, error) {
 // page it dirties at once, and on one with a logger, whose pages a flusher
 // writes and whose WAL feeds a Replica. Extents are 2 KiB, so retained history
 // under a long pin regularly outgrows one delta record. Once the tree holds
-// half the key space the write path builds the edge block, and from then on a
+// half the key space its next scan builds the edge block, and from then on a
 // full scan takes every chunk that serves its horizon and walks the leaves of
 // every other, across the rebuilds that keep the clean chunks and re-read the
 // rest, and every serving chunk reads as the map (blockGap). After each of those
@@ -209,9 +209,9 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 	}
 	st := storage.Open(&storage.Options{ExtentSize: extent})
 	cfg := Config{Policy: policy, MaxPageEntries: 8, MaxInnerEntries: 4, ConsolidateNum: 4,
-		// Half the key space: the write path's own trigger builds the block
-		// once the tree holds that many live keys, and a rebuild is due every
-		// 64 writes after.
+		// Half the key space: the scans' own trigger builds the block once
+		// the tree holds that many live keys, and rebuilds it once they have
+		// walked as many stale leaves as it has chunks.
 		EdgeBlockMinEntries: keySpace / 2}
 	var logger WALLogger // none: no WAL, no follower, no hand-over
 	if async {
@@ -389,7 +389,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 				}
 				ref.Add(string(w.Key), v)
 			}
-			awaitSpawnedBuild(tr)
 		case r < 55:
 			k, v := key(), fmt.Sprintf("v%d-%s", step, bytes.Repeat([]byte{'x'}, rng.Intn(40)))
 			_, wasLive := ref.At(k, refmodel.Latest)
@@ -398,7 +397,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 				t.Fatalf("step %d: PutEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
 			ref.Add(k, refmodel.Version{LSN: uint64(pipe.lastData), Value: v})
-			awaitSpawnedBuild(tr) // the stream stays deterministic
 			continue
 		case r < 70:
 			k := key()
@@ -408,7 +406,6 @@ func runDifferential(t *testing.T, async bool, policy DeltaPolicy, seed int64) {
 				t.Fatalf("step %d: DeleteEx(%s) = %v %v, want existed=%v", step, k, existed, err, wasLive)
 			}
 			ref.Add(k, refmodel.Version{LSN: uint64(pipe.lastData), Deleted: true})
-			awaitSpawnedBuild(tr)
 			continue
 		case r < 76:
 			checkpoint()
@@ -602,16 +599,31 @@ func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
 }
 
 // TestExplicitBuildWaitsForSpawnedBuild: the explicit BuildEdgeBlock used
-// to TryLock like the background triggers, so when the build the write
-// path spawns at the threshold was still in flight it returned at once and
-// left that build's older block under everything written since. It now
-// waits the spawned build out and re-reads the rest: packed == live, no chunk
-// stale, on the first call, whoever wins the race.
+// to TryLock like the scans' trigger, so when a build a scan started before
+// the latest writes was still in flight it returned at once and left that
+// build's older block under everything written since. It now waits that
+// build out and re-reads the rest: packed == live, no chunk stale, on the
+// first call, whoever wins the race.
 func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		tr, _ := newTestTree(t, Config{EdgeBlockMinEntries: 64, MaxPageEntries: 16})
 		const n = 400
-		for i := 0; i < n; i++ { // crosses the threshold at 64: the write path spawns a build
+		stop, scanned := make(chan struct{}), make(chan error, 1)
+		go func() { // full scans beside the writes: they build past the threshold
+			for {
+				select {
+				case <-stop:
+					scanned <- nil
+					return
+				default:
+				}
+				if _, err := tr.Len(); err != nil {
+					scanned <- err
+					return
+				}
+			}
+		}()
+		for i := 0; i < n; i++ { // crosses the threshold at 64
 			if err := tr.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
@@ -619,7 +631,10 @@ func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
 		if _, err := tr.BuildEdgeBlock(); err != nil {
 			t.Fatal(err)
 		}
-		awaitSpawnedBuild(tr)
+		close(stop)
+		if err := <-scanned; err != nil {
+			t.Fatal(err)
+		}
 		info, ok := tr.EdgeBlock()
 		if !ok || info.Entries != n || len(staleChunks(tr)) != 0 {
 			t.Fatalf("round %d: block %+v ok=%v after the explicit build, want %d packed entries and no stale chunk", round, info, ok, n)

@@ -123,9 +123,9 @@ func (sc *hopScratch) release() {
 func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i int, key, value []byte) bool) error {
 	sc := hopPool.Get().(*hopScratch)
 	defer sc.release()
-	defer func() { // the leaves it walked may have made a rebuild due
+	defer func() { // the leaves it walked may have made a build due
 		for i := range scans {
-			scans[i].Tree.maybeSpawnEdgeBlockBuild()
+			scans[i].Tree.maybeBuildEdgeBlock()
 		}
 	}()
 	sc.fn = fn

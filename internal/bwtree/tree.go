@@ -495,7 +495,6 @@ func (t *Tree) Apply(ws []Write, waits *wal.Waits) (n int, err error) {
 	if werr := own.Drain(); err == nil {
 		err = werr
 	}
-	t.maybeSpawnEdgeBlockBuild()
 	return n, err
 }
 
@@ -672,7 +671,7 @@ func (t *Tree) Scan(from, to []byte, limit int, fn func(key, value []byte) bool)
 // group-commit boundary.
 func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
 	t.scans.Add(1)
-	defer t.maybeSpawnEdgeBlockBuild() // the leaves it walked may have made a rebuild due
+	defer t.maybeBuildEdgeBlock() // the leaves it walked may have made a build due
 	if from == nil {
 		from = []byte{}
 	}
@@ -725,9 +724,6 @@ func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h
 	if err != nil {
 		e.mu.Unlock()
 		return 0, nil, true, err
-	}
-	if t.standsIn(e) {
-		e.walked = true // resident while it stands in for a stale chunk
 	}
 	lo, hi, ov, ended := e.cut(img, from, to, owed)
 	e.mu.Unlock()
@@ -891,7 +887,7 @@ func (e *pageEntry) halve(sep []byte, id PageID) *pageEntry {
 	cut := searchOps(e.overlay, sep)
 	right := &pageEntry{
 		id: id, tree: e.tree, isLeaf: true, lo: sep, hi: e.hi, next: e.next, live: -1,
-		base: e.base, overlay: e.overlay[cut:], shared: e.shared, walked: e.walked,
+		base: e.base, overlay: e.overlay[cut:], shared: e.shared,
 	}
 	if e.overlay = e.overlay[:cut:cut]; cut == 0 {
 		e.overlay = nil

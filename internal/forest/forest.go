@@ -124,9 +124,9 @@ func New(m *bwtree.Mapping, store *storage.Store, cfg Config, logger bwtree.WALL
 
 // BuildEdgeBlocks synchronously builds (or rebuilds) the packed edge
 // block of every dedicated tree that has blocks enabled — the operator
-// path benchmarks and bulk loads use to pack super-vertices without
-// waiting for the background triggers. It returns how many blocks were
-// installed.
+// path benchmarks and bulk loads use to pack super-vertices before their
+// first scan, which would otherwise build them. It returns how many
+// blocks were installed.
 func (f *Forest) BuildEdgeBlocks() (int, error) {
 	built := 0
 	var firstErr error

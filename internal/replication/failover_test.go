@@ -221,14 +221,14 @@ func TestFailoverKeepsAckedWritesPastBarrierBypassingRecords(t *testing.T) {
 	}
 }
 
-// TestPromotedLeaderPacksAtFirstFlush: a tree's size survives a hand-over.
+// TestPromotedLeaderPacksAtFirstScan: a tree's size survives a hand-over.
 // A follower keeps every leaf's live count from the records it applies (each
-// says whether its key was live), the promotion seeds the tree's puts −
-// deletes estimate and its owner's count from those counts, and a dedicated
-// tree already past EdgeBlockMinEntries packs its edge block at the promoted
-// leader's first flush, with no write since. The estimate used to start at 0
-// after a promotion: the block waited for that many new writes.
-func TestPromotedLeaderPacksAtFirstFlush(t *testing.T) {
+// says whether its key was live), the promotion seeds the tree's live-key
+// count and its owner's count from those counts, and a dedicated tree already
+// past EdgeBlockMinEntries packs its edge block at the promoted leader's first
+// scan, with no write since; its first flush packs nothing. The count used to
+// start at 0 after a promotion: the block waited for that many new writes.
+func TestPromotedLeaderPacksAtFirstScan(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	defer st.Close()
 	opts := RWOptions{Engine: core.Options{SplitThreshold: 32,
@@ -269,17 +269,17 @@ func TestPromotedLeaderPacksAtFirstFlush(t *testing.T) {
 		t.Fatalf("promoted owner count = %d, want the 190 live edges", got)
 	}
 	blocks := func() bwtree.BlockStats { return rw.Engine().Mapping().BlockStatsSnapshot() }
-	if b := blocks(); b.Builds != 0 {
-		t.Fatalf("fixture: %d blocks built before the first flush", b.Builds)
-	}
 	if err := rw.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if b := blocks(); b.Builds != 1 || b.Entries != 190 {
-		t.Fatalf("after the promoted leader's first flush: %d blocks, %d entries; want the 190 edges packed", b.Builds, b.Entries)
+	if b := blocks(); b.Builds != 0 {
+		t.Fatalf("%d blocks built before the promoted leader's first scan", b.Builds)
 	}
-	if deg, err := rw.Degree(5, graph.ETypeFollow); err != nil || deg != 190 {
+	if deg, err := rw.Degree(5, graph.ETypeFollow); err != nil || deg != 190 { // a full scan
 		t.Fatalf("degree = %d %v, want 190", deg, err)
+	}
+	if b := blocks(); b.Builds != 1 || b.Entries != 190 {
+		t.Fatalf("after the promoted leader's first scan: %d blocks, %d entries; want the 190 edges packed", b.Builds, b.Entries)
 	}
 }
 

@@ -32,11 +32,11 @@ type Options struct {
 	// INIT tree.
 	ForestSplitThreshold int
 
-	// EdgeBlockThreshold packs a dedicated tree's adjacency into a
-	// CSR-style edge block — one resident image per leaf, which serves
-	// scans while its leaf is unwritten — once the tree holds this many
-	// live edges (§3.2.1 super-vertices); overwrites do not count. 0 uses
-	// the default (1024); negative disables edge blocks entirely.
+	// EdgeBlockThreshold: the first scan of a dedicated tree holding this
+	// many live edges (§3.2.1 super-vertices; overwrites do not count) packs
+	// its adjacency into a CSR-style edge block — one resident image per
+	// leaf, which serves scans while its leaf is unwritten. Writes build
+	// none. 0 uses the default (1024); negative disables edge blocks.
 	EdgeBlockThreshold int
 
 	// GCInterval runs background reclamation at this period (0: manual
