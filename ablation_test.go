@@ -2,15 +2,13 @@ package bg3_test
 
 // Ablation benchmarks for the design choices DESIGN.md §3 calls out:
 // forest splitting on/off, GC policy, group-commit window, replica cache
-// size, the packed edge block, the page cache's lock stripes, and the leaf
-// run of a batched write. Each reports the quantity the
-// choice trades off.
+// size, the packed edge block, and the leaf run of a batched write. Each
+// reports the quantity the choice trades off.
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,68 +323,6 @@ func BenchmarkAblationEdgeBlock(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAblationCacheShards prices the page cache's lock stripes (DESIGN
-// §8): Options.CacheShards 1 — one LRU under one mutex — against the
-// GOMAXPROCS-derived default, over recommend-cold's 64-page cache and
-// parallel readers alternating a cold 2-hop KHop with a limit-128
-// Neighbors. The stripes can only matter where readers contend for the LRU
-// lock, so run it with -cpu 2,4. The per-shard resident spread is reported
-// so that an uneven hash would show.
-func BenchmarkAblationCacheShards(b *testing.B) {
-	const vertices, edges = 4000, 40_000
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"shards-1", 1}, {"shards-default", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := bg3.Open(&bg3.Options{ForestSplitThreshold: 64, CacheCapacity: 64, CacheShards: mode.shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			rng := rand.New(rand.NewSource(1))
-			zipf := rand.NewZipf(rng, 1.1, 1, vertices-1)
-			batch := make([]bg3.Mutation, 0, 1024)
-			for i := 0; i < edges; i++ {
-				batch = append(batch, bg3.AddEdgeMut(bg3.Edge{
-					Src: bg3.VertexID(zipf.Uint64()), Dst: bg3.VertexID(rng.Intn(vertices)), Type: bg3.ETypeFollow,
-				}))
-				if len(batch) == cap(batch) || i == edges-1 {
-					if err := db.ApplyBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					batch = batch[:0]
-				}
-			}
-			var seed atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(100 + seed.Add(1)))
-				zipf := rand.NewZipf(rng, 1.1, 1, vertices-1)
-				for i := 0; pb.Next(); i++ {
-					src := bg3.VertexID(zipf.Uint64())
-					var err error
-					if i%2 == 0 {
-						_, err = db.KHop(src, bg3.ETypeFollow, 2, 16)
-					} else {
-						err = db.Neighbors(src, bg3.ETypeFollow, 128, func(bg3.VertexID, bg3.Properties) bool { return true })
-					}
-					if err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			snap := db.Metrics().Snapshot()
-			b.ReportMetric(float64(snap["bwtree.cache_shard_count"].Value), "shards")
-			b.ReportMetric(float64(snap["bwtree.cache_shard_entries_min"].Value), "shard-entries-min")
-			b.ReportMetric(float64(snap["bwtree.cache_shard_entries_max"].Value), "shard-entries-max")
-			b.ReportMetric(snap["bwtree.cache_hit_ratio"].Ratio, "hit-ratio")
-		})
 	}
 }
 

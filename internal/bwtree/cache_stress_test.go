@@ -10,21 +10,18 @@ import (
 	"bg3/internal/storage"
 )
 
-// TestStressShardedCache hammers the lock-striped page cache with concurrent
+// TestStressCache hammers the page cache's one LRU with concurrent
 // point reads, writes, deletes, async flushes, LRU evictions (capacity far
 // below the working set), and GC relocations. Run with -race. After the
 // storm it verifies that no dirty page content was lost to eviction, that
 // evictions actually happened, and — in a quiesced read-only phase — that
 // every Get counts exactly one cache hit or miss.
-func TestStressShardedCache(t *testing.T) {
+func TestStressCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
 	}
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 12})
-	m := NewMappingShards(32, false, 8)
-	if len(m.shards) != 8 {
-		t.Fatalf("shard count = %d, want 8", len(m.shards))
-	}
+	m := NewMapping(32, false)
 	tr, err := New(m, st, Config{MaxPageEntries: 8, ConsolidateNum: 4}, &stubAsyncLogger{})
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +200,11 @@ func TestStressShardedCache(t *testing.T) {
 		t.Fatalf("quiesced phase counted %d hits+misses for %d Gets", got, wantGets)
 	}
 
-	// Quiesced eviction phase. Whether the storm evicted depends on whether a
-	// shard overflowed while it held a clean page; here it must. Fresh keys
-	// split off 64 leaves, each noted in the cache, with a flush after every
-	// write, so no more than the two halves of a split are ever pinned: each
-	// sweep leaves its shard at its capacity of 4, and the leaves' consecutive
-	// IDs reach all 8 shards. At most 32 pages stay resident, so at least the
+	// Quiesced eviction phase. Whether the storm evicted depends on whether
+	// the cache overflowed while it held a clean page; here it must. Fresh
+	// keys split off 64 leaves, each noted in the cache, with a flush after
+	// every write, so no more than the two halves of a split are ever pinned:
+	// each sweep leaves the cache at its capacity of 32, so at least the
 	// leaves installed beyond 32 were evicted.
 	ev0, splits0 := m.evictions.Load(), tr.Stats().Splits
 	for i := 0; tr.Stats().Splits-splits0 < 64; i++ {

@@ -70,11 +70,9 @@ type Config struct {
 	// 0 means unlimited.
 	CacheCapacity int
 
-	// CacheShards is the number of lock stripes the page cache is split
-	// into (rounded up to a power of two). 0 derives the count from
-	// GOMAXPROCS — see NewMappingShards. Only consulted by whoever builds
-	// the shared Mapping (the engine); trees joining an existing mapping
-	// inherit its sharding.
+	// CacheShards is ignored: the page cache is one LRU.
+	//
+	// Deprecated: ignored.
 	CacheShards int
 
 	// DisableSplit prevents page splits ("we restricted BG3 from splitting

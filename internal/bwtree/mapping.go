@@ -1,7 +1,6 @@
 package bwtree
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -78,61 +77,58 @@ type pageEntry struct {
 	// whose records it reads through its own range (locs).
 	origin PageID
 
-	// lruPrev and lruNext link the page into its cache shard's recency list
-	// while the shard tracks its content (cacheShard). They are guarded by
-	// the shard's mutex, not by mu.
+	// lruPrev and lruNext link the page into the recency list of a bounded
+	// cache while the cache tracks its content (lruList). They are guarded by
+	// the list's mutex, not by mu.
 	lruPrev, lruNext *pageEntry
 }
 
-// cacheShard is one lock stripe of the leaf-content cache. Hashing pages
-// across shards replaces the old global cacheMu: cache touches on different
-// shards never contend, and each shard evicts independently against its
-// slice of the total capacity. Its recency list is intrusive — linked
-// through the pages' own lruPrev/lruNext — so tracking a page, touching it
-// and re-queueing a pinned victim allocate nothing.
-type cacheShard struct {
+// lruList is the recency list of a bounded leaf-content cache, one for the
+// whole mapping. It is intrusive — linked through the pages' own
+// lruPrev/lruNext — so tracking a page, touching it and re-queueing a pinned
+// victim allocate nothing.
+type lruList struct {
 	mu         sync.Mutex
 	head, tail *pageEntry // head = most recent
 	n          int        // pages on the list
-	capacity   int        // per-shard slice of the budget; 0 = unlimited
 }
 
-// holds reports whether e is on the shard's list. s.mu must be held.
-func (s *cacheShard) holds(e *pageEntry) bool { return e.lruPrev != nil || s.head == e }
+// holds reports whether e is on the list. l.mu must be held.
+func (l *lruList) holds(e *pageEntry) bool { return e.lruPrev != nil || l.head == e }
 
-// pushFront puts e, not on the list, at its front. s.mu must be held.
-func (s *cacheShard) pushFront(e *pageEntry) {
-	e.lruPrev, e.lruNext = nil, s.head
-	if s.head != nil {
-		s.head.lruPrev = e
+// pushFront puts e, not on the list, at its front. l.mu must be held.
+func (l *lruList) pushFront(e *pageEntry) {
+	e.lruPrev, e.lruNext = nil, l.head
+	if l.head != nil {
+		l.head.lruPrev = e
 	} else {
-		s.tail = e
+		l.tail = e
 	}
-	s.head = e
-	s.n++
+	l.head = e
+	l.n++
 }
 
-// remove takes e off the list. s.mu must be held.
-func (s *cacheShard) remove(e *pageEntry) {
+// remove takes e off the list. l.mu must be held.
+func (l *lruList) remove(e *pageEntry) {
 	if e.lruPrev != nil {
 		e.lruPrev.lruNext = e.lruNext
 	} else {
-		s.head = e.lruNext
+		l.head = e.lruNext
 	}
 	if e.lruNext != nil {
 		e.lruNext.lruPrev = e.lruPrev
 	} else {
-		s.tail = e.lruPrev
+		l.tail = e.lruPrev
 	}
 	e.lruPrev, e.lruNext = nil, nil
-	s.n--
+	l.n--
 }
 
-// moveToFront makes e, on the list, its most recent page. s.mu must be held.
-func (s *cacheShard) moveToFront(e *pageEntry) {
-	if s.head != e {
-		s.remove(e)
-		s.pushFront(e)
+// moveToFront makes e, on the list, its most recent page. l.mu must be held.
+func (l *lruList) moveToFront(e *pageEntry) {
+	if l.head != e {
+		l.remove(e)
+		l.pushFront(e)
 	}
 }
 
@@ -147,11 +143,12 @@ type Mapping struct {
 	nextInner atomic.Uint64 // inner IDs, above innerPageBase
 	nextTree  atomic.Uint64
 
-	// Leaf-content cache, lock-striped by page ID. Entries hold their
-	// content in pageEntry.base; the shards only track recency.
-	shards    []*cacheShard
-	shardMask uint64
-	disabled  bool
+	// Leaf-content cache. Entries hold their content in pageEntry.base; a
+	// bounded cache (capacity > 0) tracks their recency in lru and evicts
+	// beyond capacity, an unbounded one tracks nothing.
+	capacity int
+	disabled bool
+	lru      lruList
 
 	// applier marks the page table of an RO node (applier.go): its entries
 	// are written by WAL records instead of Tree.Apply, and nothing in it
@@ -201,75 +198,23 @@ type Mapping struct {
 	blockBytes     atomic.Int64 // resident image bytes across all blocks
 }
 
-// defaultShardCount derives the lock-stripe count from the host's
-// parallelism: the next power of two at or above 2×GOMAXPROCS, clamped to
-// [2, 64]. Twice the core count keeps collision probability low when every
-// core runs a reader; the power-of-two lets shard selection mask instead of
-// divide.
-func defaultShardCount() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	if n > 64 {
-		n = 64
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// NewMapping returns an empty mapping table with the shard count derived
-// from GOMAXPROCS. capacity bounds the number of leaf pages with resident
-// content (0 = unlimited); disabled turns the cache off entirely.
+// NewMapping returns an empty mapping table. capacity bounds the number of
+// leaf pages with resident content (0 = unlimited); disabled turns the cache
+// off entirely.
 func NewMapping(capacity int, disabled bool) *Mapping {
-	return NewMappingShards(capacity, disabled, 0)
-}
-
-// NewMappingShards is NewMapping with an explicit cache shard count.
-// shards is rounded up to a power of two; <= 0 selects the GOMAXPROCS
-// heuristic. The capacity budget is split evenly across shards.
-func NewMappingShards(capacity int, disabled bool, shards int) *Mapping {
-	if shards <= 0 {
-		shards = defaultShardCount()
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	// A shard needs a capacity slice of at least 2: page splits note both
-	// halves while the left one is latched, and a single-slot shard has no
-	// headroom to absorb that without overflowing its budget. Tiny caches
-	// therefore collapse to fewer shards (capacity 2 = one shard = the
-	// classic single LRU).
-	for capacity > 0 && n > 1 && capacity/n < 2 {
-		n >>= 1
-	}
-	m := &Mapping{
+	return &Mapping{
 		pages:     make(map[PageID]*pageEntry),
-		shards:    make([]*cacheShard, n),
-		shardMask: uint64(n - 1),
+		capacity:  capacity,
 		disabled:  disabled,
 		relocated: make(map[PageID]struct{}),
 	}
-	perShard := 0
-	if capacity > 0 {
-		perShard = (capacity + n - 1) / n
-	}
-	for i := range m.shards {
-		m.shards[i] = &cacheShard{capacity: perShard}
-	}
-	return m
 }
 
-// shard selects the stripe for a page. The Fibonacci multiplier spreads the
-// sequential IDs the allocator hands out; the high bits feed the mask
-// because the low bits of the product mix poorly.
-func (m *Mapping) shard(id PageID) *cacheShard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return m.shards[(h>>32)&m.shardMask]
+// NewMappingShards is NewMapping: the page cache is one LRU.
+//
+// Deprecated: shards is ignored; use NewMapping.
+func NewMappingShards(capacity int, disabled bool, shards int) *Mapping {
+	return NewMapping(capacity, disabled)
 }
 
 // allocPageID reserves a fresh leaf page ID.
@@ -300,24 +245,6 @@ func (m *Mapping) get(id PageID) *pageEntry {
 	return e
 }
 
-// shardEntrySpread returns the smallest and largest resident-entry counts
-// across shards — a live view of how evenly the hash spreads the working
-// set.
-func (m *Mapping) shardEntrySpread() (min, max int64) {
-	for i, s := range m.shards {
-		s.mu.Lock()
-		n := int64(s.n)
-		s.mu.Unlock()
-		if i == 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return min, max
-}
-
 // RegisterMetrics exposes the mapping table's cache and fan-out accounting
 // under the "bwtree." prefix.
 func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
@@ -331,9 +258,17 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 		}
 		return float64(h) / float64(h+ms)
 	})
-	r.GaugeFunc("bwtree.cache_shard_count", func() int64 { return int64(len(m.shards)) })
-	r.GaugeFunc("bwtree.cache_shard_entries_min", func() int64 { min, _ := m.shardEntrySpread(); return min })
-	r.GaugeFunc("bwtree.cache_shard_entries_max", func() int64 { _, max := m.shardEntrySpread(); return max })
+	r.GaugeFunc("bwtree.cache_resident_pages", func() int64 {
+		var n int64
+		for _, e := range m.leaves() {
+			e.mu.Lock()
+			if e.base != nil {
+				n++
+			}
+			e.mu.Unlock()
+		}
+		return n
+	})
 	r.RegisterIntHistogram("bwtree.read_fanout", &m.fanout)
 	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
 	r.RegisterIntHistogram("bwtree.write_run_ops", &m.writeRunOps)
@@ -344,6 +279,9 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 		return int64(len(m.pages))
 	})
 	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)
+	r.GaugeFunc("bwtree.memory_base_bytes", func() int64 { return m.memory().base })
+	r.GaugeFunc("bwtree.memory_overlay_bytes", func() int64 { return m.memory().overlay })
+	r.GaugeFunc("bwtree.memory_inner_bytes", func() int64 { return m.memory().inner })
 	r.CounterFunc("bwtree.block_builds", m.blockBuilds.Load)
 	r.CounterFunc("bwtree.block_hits", m.blockHits.Load)
 	r.CounterFunc("bwtree.block_fallbacks", m.blockFallbacks.Load)
@@ -383,35 +321,35 @@ func (m *Mapping) BlockStatsSnapshot() BlockStats {
 	}
 }
 
-// noteCached records that e's content is resident and evicts LRU victims
-// beyond the shard's capacity. Caller must NOT hold e.mu of potential
-// victims — we only evict entries whose latch we can take without blocking,
-// skipping busy or dirty pages.
+// noteCached records that e's content is resident and, in a bounded cache,
+// evicts least recently used victims beyond its capacity. Caller must NOT hold
+// e.mu of potential victims — we only evict entries whose latch we can take
+// without blocking, skipping busy or dirty pages.
 func (m *Mapping) noteCached(e *pageEntry) {
 	if m.disabled {
 		e.base = nil // caller materialized transiently; drop content
 		return
 	}
-	s := m.shard(e.id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holds(e) {
-		s.moveToFront(e)
-	} else {
-		s.pushFront(e)
+	if m.capacity <= 0 {
+		return // never evicts, so tracks nothing
 	}
-	if s.capacity <= 0 {
-		return
+	l := &m.lru
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.holds(e) {
+		l.moveToFront(e)
+	} else {
+		l.pushFront(e)
 	}
 	// Bounded sweep: pinned (dirty or latch-busy) victims re-enter the
-	// front, so without a bound a fully pinned shard would spin here.
-	for attempts := s.n; s.n > s.capacity && attempts > 0; attempts-- {
-		victim := s.tail
+	// front, so without a bound a fully pinned cache would spin here.
+	for attempts := l.n; l.n > m.capacity && attempts > 0; attempts-- {
+		victim := l.tail
 		if victim == e {
 			// Never evict the page we just touched — but keep it tracked,
 			// or its content would stay resident yet invisible to every
 			// future sweep.
-			s.moveToFront(victim)
+			l.moveToFront(victim)
 			continue
 		}
 		if victim.mu.TryLock() {
@@ -420,37 +358,34 @@ func (m *Mapping) noteCached(e *pageEntry) {
 				// (Dirty pages — including unflushed split halves whose
 				// image is not yet durable — are never evicted.)
 				victim.base = nil
-				s.remove(victim)
+				l.remove(victim)
 				m.evictions.Add(1)
 			} else {
 				// Pinned pages are re-queued at the front so they are not
 				// immediately re-considered.
-				s.moveToFront(victim)
+				l.moveToFront(victim)
 			}
 			victim.mu.Unlock()
 		} else {
 			// The victim's latch is busy (a writer holds it): keep it
 			// tracked at the front — dropping it here would leave its
 			// content resident but invisible to future eviction.
-			s.moveToFront(victim)
+			l.moveToFront(victim)
 		}
 	}
 }
 
-// touch moves a page to its shard's LRU front on access.
+// touch moves a page to the LRU front on access.
 func (m *Mapping) touch(e *pageEntry) {
-	if m.disabled {
+	if m.disabled || m.capacity <= 0 {
 		return
 	}
-	s := m.shard(e.id)
-	if s.capacity <= 0 {
-		return
+	l := &m.lru
+	l.mu.Lock()
+	if l.holds(e) {
+		l.moveToFront(e)
 	}
-	s.mu.Lock()
-	if s.holds(e) {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
+	l.mu.Unlock()
 }
 
 // Relocate is the storage.RelocateFunc for GC: it repoints the durable
@@ -562,11 +497,16 @@ func (m *Mapping) OverlayOps() int {
 	return n
 }
 
-// MemoryUsage sums the resident bytes of the mapping table and all cached
-// page content — each resident base image as stored (offset table
-// included) plus the overlay ops — the space measurement of the Fig. 11
-// experiment.
-func (m *Mapping) MemoryUsage() int64 {
+// memoryKinds is the resident bytes of the mapping table by kind.
+type memoryKinds struct {
+	base    int64 // leaves' base images, as stored (offset table included)
+	overlay int64 // leaves' overlay ops
+	inner   int64 // inner nodes' keys and children
+	entries int64 // every entry's own overhead: struct, map slot, latch, key range, durable locations
+}
+
+// memory walks the table once and sums its resident bytes by kind.
+func (m *Mapping) memory() memoryKinds {
 	const entryOverhead = 160 // struct, map slot, latch
 	// Same lock-order discipline as leaves: never m.mu across a page latch.
 	m.mu.RLock()
@@ -575,22 +515,30 @@ func (m *Mapping) MemoryUsage() int64 {
 		pages = append(pages, e)
 	}
 	m.mu.RUnlock()
-	var total int64
+	var k memoryKinds
 	for _, e := range pages {
-		total += entryOverhead
 		e.mu.Lock()
-		total += int64(len(e.base))
+		k.base += int64(len(e.base))
 		for _, o := range e.overlay {
-			total += int64(len(o.key)+len(o.val)) + opOverhead
+			k.overlay += int64(len(o.key)+len(o.val)) + opOverhead
 		}
-		total += int64(len(e.lo) + len(e.hi) + 16*len(e.deltaLocs))
+		k.entries += entryOverhead + int64(len(e.lo)+len(e.hi)+16*len(e.deltaLocs))
 		if e.inner != nil {
-			total += int64(8 * len(e.inner.children))
-			for _, k := range e.inner.keys {
-				total += int64(len(k) + 24)
+			k.inner += int64(8 * len(e.inner.children))
+			for _, key := range e.inner.keys {
+				k.inner += int64(len(key) + 24)
 			}
 		}
 		e.mu.Unlock()
 	}
-	return total
+	return k
+}
+
+// MemoryUsage sums the resident bytes of the mapping table and all cached
+// page content — each resident base image as stored (offset table
+// included) plus the overlay ops — the space measurement of the Fig. 11
+// experiment.
+func (m *Mapping) MemoryUsage() int64 {
+	k := m.memory()
+	return k.base + k.overlay + k.inner + k.entries
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"bg3/internal/metrics"
 	"bg3/internal/mvcc"
 	"bg3/internal/refmodel"
 	"bg3/internal/storage"
@@ -660,6 +661,42 @@ func TestMemoryUsageCountsResidentBytes(t *testing.T) {
 	e.mu.Unlock()
 	if least, _ := imageSize(100, 100*(4+5), true); img < least || before-tr.m.MemoryUsage() != int64(img) {
 		t.Fatalf("evicting a %d-byte image moved memory_bytes by %d", img, before-tr.m.MemoryUsage())
+	}
+}
+
+// TestMemoryBytesByKind: bwtree.memory_bytes is the base images, the overlays
+// and the inner nodes the kind gauges count plus each entry's own overhead,
+// and evicting an image moves the base kind alone.
+func TestMemoryBytesByKind(t *testing.T) {
+	tr, _ := newTestTree(t, Config{MaxPageEntries: 8, MaxInnerEntries: 4})
+	for i := 0; i < 400; i++ { // enough leaves for inner nodes; overwrites leave overlay ops
+		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i%300)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := metrics.NewRegistry()
+	tr.m.RegisterMetrics(r)
+	kinds := func() (base, overlay, inner, total int64) {
+		snap := r.Snapshot()
+		return snap["bwtree.memory_base_bytes"].Value, snap["bwtree.memory_overlay_bytes"].Value,
+			snap["bwtree.memory_inner_bytes"].Value, snap["bwtree.memory_bytes"].Value
+	}
+	base, overlay, inner, total := kinds()
+	var overhead int64
+	for _, e := range tr.m.pages {
+		overhead += 160 + int64(len(e.lo)+len(e.hi)+16*len(e.deltaLocs))
+	}
+	if base == 0 || overlay == 0 || inner == 0 || base+overlay+inner+overhead != total {
+		t.Fatalf("base %d + overlay %d + inner %d + entries %d, memory_bytes %d", base, overlay, inner, overhead, total)
+	}
+	e := tr.m.get(tr.LeafDirectory()[0].Page)
+	e.mu.Lock()
+	img := int64(len(e.base))
+	e.base, e.live = nil, -1
+	e.mu.Unlock()
+	if b, o, i, tot := kinds(); img == 0 || b != base-img || o != overlay || i != inner || tot != total-img {
+		t.Fatalf("evicting a %d-byte image: base %d -> %d, overlay %d -> %d, inner %d -> %d, memory_bytes %d -> %d",
+			img, base, b, overlay, o, inner, i, total, tot)
 	}
 }
 

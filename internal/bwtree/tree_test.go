@@ -341,6 +341,58 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestCacheEvictsLeastRecentlyUsedLeaf: the cache is one LRU. Eight clean
+// leaves fill a cache of 8, read in order; a read of the oldest makes the
+// second the least recently used, and loading a ninth leaf evicts exactly
+// that one, wherever in the cache it sits.
+func TestCacheEvictsLeastRecentlyUsedLeaf(t *testing.T) {
+	m := NewMapping(8, false)
+	tr, _ := newTreeOn(t, m, Config{MaxPageEntries: 4})
+	for i := 0; i < 64; i++ { // sync writes: every leaf is clean
+		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := tr.LeafDirectory()
+	// Leaves 1..8 fill the cache, leaf 9 comes last. The pages are picked so
+	// that a cache striped 4 ways by page ID, which evicts within the ninth
+	// leaf's stripe, fails here: leaf 2, the victim, is on another stripe.
+	var leaves []*pageEntry
+	for _, i := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11} {
+		leaves = append(leaves, m.get(dir[i].Page))
+	}
+	read := func(e *pageEntry) {
+		t.Helper()
+		if _, ok, err := tr.Get(e.lo); err != nil || !ok {
+			t.Fatalf("get %q: %v %v", e.lo, ok, err)
+		}
+	}
+	resident := func(e *pageEntry) bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.base != nil
+	}
+	for _, e := range leaves[:8] {
+		read(e)
+	}
+	for i, e := range leaves[:8] {
+		if !resident(e) {
+			t.Fatalf("leaf %d of the 8 just read is not resident", i+1)
+		}
+	}
+	read(leaves[0]) // the oldest becomes the most recent: leaf 2 is the LRU
+	ev := m.evictions.Load()
+	read(leaves[8])
+	if got := m.evictions.Load() - ev; got != 1 {
+		t.Fatalf("loading a ninth leaf into a full cache of 8 evicted %d leaves, want 1", got)
+	}
+	for i, e := range leaves {
+		if want := i != 1; resident(e) != want {
+			t.Fatalf("leaf %d resident = %v, want %v: the evicted leaf must be leaf 2, the least recently used", i+1, !want, want)
+		}
+	}
+}
+
 func TestNoCacheEveryReadHitsStorage(t *testing.T) {
 	st := storage.Open(&storage.Options{ExtentSize: 1 << 16})
 	m := NewMapping(0, true)

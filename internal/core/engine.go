@@ -114,7 +114,7 @@ func New(opts Options) (*Engine, error) {
 // RW and RO nodes share one store, and by multi-engine cluster setups).
 func NewWithStore(st *storage.Store, opts Options) (*Engine, error) {
 	opts.Tree.Epochs = opts.Epochs
-	m := bwtree.NewMappingShards(opts.Tree.CacheCapacity, false, opts.Tree.CacheShards)
+	m := bwtree.NewMapping(opts.Tree.CacheCapacity, false)
 	f, err := forest.New(m, st, opts.forestConfig(), opts.Logger)
 	if err != nil {
 		return nil, fmt.Errorf("core: create forest: %w", err)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bg3/internal/bwtree"
 	"bg3/internal/graph"
@@ -43,8 +44,9 @@ func TestStressHopBatchesRaceCompactingWriters(t *testing.T) {
 }
 
 // raceHops runs two readers' batched KHops against two overwriting writers
-// and, with gc, a loop of GC cycles, checks every traversal against the
-// reference BFS and returns the engine's metrics.
+// and, with gc, a loop of GC cycles, until the race the caller checks for has
+// happened or 30 s passed, checks every traversal against the reference BFS
+// and returns the engine's metrics.
 func raceHops(t *testing.T, gc bool) metrics.Snapshot {
 	e := newEngine(t, Options{
 		Storage:        &storage.Options{ExtentSize: 8 << 10},
@@ -125,13 +127,21 @@ func raceHops(t *testing.T, gc bool) metrics.Snapshot {
 		}()
 	}
 
+	// The readers run 150 traversals each and then keep on until the race
+	// their leg is about has happened — GC reclaimed an extent, or a writer
+	// compacted one — or the deadline passed, which the caller reports.
+	raced := func() bool {
+		st := e.Store().Stats()
+		return gc && st.ExtentsReclaimed > 0 || !gc && st.ExtentsCompacted > 0
+	}
+	deadline := time.Now().Add(30 * time.Second)
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(int64(200 + r)))
-			for i := 0; i < 150; i++ {
+			for i := 0; i < 150 || !raced() && time.Now().Before(deadline); i++ {
 				start, hops, limit := graph.VertexID(1+rng.Intn(vertices)), 2+rng.Intn(3), 2+rng.Intn(3)
 				view := e.View()
 				got, err := graph.KHop(view, start, graph.ETypeTransfer, hops, limit)

@@ -72,7 +72,7 @@ func TestFollowerReplayBacklogBoundedByCheckpoints(t *testing.T) {
 	if pages, evictions := gauge("bwtree.pages"), gauge("bwtree.cache_evictions"); pages < 200 || evictions == 0 {
 		t.Fatalf("fixture: %d pages, %d evictions: want more than 200 pages behind a cache of 2", pages, evictions)
 	}
-	if resident := gauge("bwtree.cache_shard_entries_max"); resident > 2 {
+	if resident := gauge("bwtree.cache_resident_pages"); resident > 2 {
 		t.Fatalf("%d pages resident, capacity 2", resident)
 	}
 	for src := 0; src < sources; src++ {

@@ -10,6 +10,9 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("storage.write_ops", s.writeOps.Load)
 	r.CounterFunc("storage.bytes_read", s.bytesRead.Load)
 	r.CounterFunc("storage.bytes_written", s.bytesWritten.Load)
+	r.CounterFunc("storage.bytes_written_base", s.streamBytes[StreamBase].Load)
+	r.CounterFunc("storage.bytes_written_delta", s.streamBytes[StreamDelta].Load)
+	r.CounterFunc("storage.bytes_written_wal", s.streamBytes[StreamWAL].Load)
 	r.CounterFunc("storage.batch_reads", s.batchReads.Load)
 	r.CounterFunc("storage.batch_locs", s.batchLocs.Load)
 	r.CounterFunc("storage.batch_round_trips", s.batchRoundTrips.Load)

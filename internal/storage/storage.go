@@ -195,6 +195,7 @@ type Store struct {
 	writeOps        atomic.Int64
 	bytesRead       atomic.Int64
 	bytesWritten    atomic.Int64
+	streamBytes     [numStreams]atomic.Int64 // bytesWritten by stream
 	batchReads      atomic.Int64
 	batchLocs       atomic.Int64
 	batchRoundTrips atomic.Int64
@@ -306,6 +307,7 @@ func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, [
 				if _, _, terr := st.append(epoch, tag, data[:out.torn]); terr == nil {
 					s.writeOps.Add(1)
 					s.bytesWritten.Add(int64(out.torn))
+					s.streamBytes[id].Add(int64(out.torn))
 				}
 			}
 			return Loc{}, nil, out.err
@@ -321,6 +323,7 @@ func (s *Store) AppendEpoch(id StreamID, epoch, tag uint64, data []byte) (Loc, [
 	}
 	s.writeOps.Add(1)
 	s.bytesWritten.Add(int64(len(data)))
+	s.streamBytes[id].Add(int64(len(data)))
 	return loc, rec, nil
 }
 
@@ -443,6 +446,7 @@ func (s *Store) Stats() Metrics {
 func (s *Store) ResetIOStats() {
 	for _, c := range []*atomic.Int64{
 		&s.readOps, &s.writeOps, &s.bytesRead, &s.bytesWritten,
+		&s.streamBytes[StreamBase], &s.streamBytes[StreamDelta], &s.streamBytes[StreamWAL],
 		&s.batchReads, &s.batchLocs, &s.batchRoundTrips,
 	} {
 		c.Store(0)

@@ -982,6 +982,38 @@ func TestGCBytesReclaimedOnExpiry(t *testing.T) {
 	}
 }
 
+// TestBytesWrittenByStream: storage.bytes_written_base, _delta and _wal count
+// the bytes each stream took, a torn prefix included, and sum to
+// storage.bytes_written.
+func TestBytesWrittenByStream(t *testing.T) {
+	plan := NewFaultPlan(FaultConfig{Seed: 7})
+	s := Open(&Options{ExtentSize: 64, Faults: plan})
+	r := metrics.NewRegistry()
+	s.RegisterMetrics(r)
+	for id, data := range map[StreamID]string{StreamBase: "base", StreamDelta: "delta!", StreamWAL: "wal"} {
+		if _, err := s.Append(id, 1, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan.TearNext()
+	if _, err := s.Append(StreamWAL, 0, []byte("0123456789")); !errors.Is(err, ErrTornWrite) {
+		t.Fatalf("err = %v, want ErrTornWrite", err)
+	}
+	entries, _, err := s.Scan(StreamWAL, Cursor{}, 0)
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("WAL entries = %d %v, want the record and the torn prefix", len(entries), err)
+	}
+	torn := int64(len(entries[1].Data))
+	snap := r.Snapshot()
+	base, delta, wal := snap["storage.bytes_written_base"].Value, snap["storage.bytes_written_delta"].Value, snap["storage.bytes_written_wal"].Value
+	if base != 4 || delta != 6 || wal != 3+torn {
+		t.Fatalf("bytes written base/delta/wal = %d/%d/%d, want 4/6/%d", base, delta, wal, 3+torn)
+	}
+	if all := snap["storage.bytes_written"].Value; base+delta+wal != all {
+		t.Fatalf("streams sum to %d bytes, storage.bytes_written %d", base+delta+wal, all)
+	}
+}
+
 func TestStoreRegisterMetrics(t *testing.T) {
 	s := Open(&Options{ExtentSize: 64})
 	r := metrics.NewRegistry()

@@ -23,8 +23,9 @@ type Options struct {
 	// (0 = unlimited).
 	CacheCapacity int
 
-	// CacheShards is the number of lock stripes in the page cache (rounded
-	// up to a power of two). 0 derives the count from GOMAXPROCS.
+	// CacheShards is ignored: the page cache is one LRU.
+	//
+	// Deprecated: ignored.
 	CacheShards int
 
 	// ForestSplitThreshold moves a vertex to a dedicated Bw-tree once its
@@ -124,7 +125,6 @@ func (o Options) layers() layers {
 					ConsolidateNum:      o.ConsolidateNum,
 					MaxPageEntries:      o.MaxPageEntries,
 					CacheCapacity:       o.CacheCapacity,
-					CacheShards:         o.CacheShards,
 					EdgeBlockMinEntries: blockMin,
 				},
 				SplitThreshold: o.ForestSplitThreshold,

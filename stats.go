@@ -33,21 +33,26 @@ type Stats struct {
 // FaultsInjected counts the faults the storage fault plan injected (every
 // shard's store shares it); FaultRetries the transient failures WAL appends
 // and page flushes retried; FaultRecoveries the leader promotions and
-// replica resyncs that recovered from a fault.
+// replica resyncs that recovered from a fault. BytesWrittenBase,
+// BytesWrittenDelta and BytesWrittenWAL split BytesWritten by the stream the
+// bytes went to.
 type StorageStats struct {
-	ReadOps         int64 `json:"read_ops" metric:"storage.read_ops"`
-	WriteOps        int64 `json:"write_ops" metric:"storage.write_ops"`
-	BytesRead       int64 `json:"bytes_read" metric:"storage.bytes_read"`
-	BytesWritten    int64 `json:"bytes_written" metric:"storage.bytes_written"`
-	BatchReads      int64 `json:"batch_reads" metric:"storage.batch_reads"`
-	BatchLocs       int64 `json:"batch_locs" metric:"storage.batch_locs"`
-	BatchRoundTrips int64 `json:"batch_round_trips" metric:"storage.batch_round_trips"`
-	LiveBytes       int64 `json:"live_bytes" metric:"storage.live_bytes"`
-	TotalBytes      int64 `json:"total_bytes" metric:"storage.total_bytes"`
-	ExtentCount     int64 `json:"extent_count" metric:"storage.extent_count"`
-	FaultsInjected  int64 `json:"faults_injected" metric:"faults.injected"`
-	FaultRetries    int64 `json:"fault_retries" metric:"faults.retries"`
-	FaultRecoveries int64 `json:"fault_recoveries" metric:"faults.recoveries"`
+	ReadOps           int64 `json:"read_ops" metric:"storage.read_ops"`
+	WriteOps          int64 `json:"write_ops" metric:"storage.write_ops"`
+	BytesRead         int64 `json:"bytes_read" metric:"storage.bytes_read"`
+	BytesWritten      int64 `json:"bytes_written" metric:"storage.bytes_written"`
+	BytesWrittenBase  int64 `json:"bytes_written_base" metric:"storage.bytes_written_base"`
+	BytesWrittenDelta int64 `json:"bytes_written_delta" metric:"storage.bytes_written_delta"`
+	BytesWrittenWAL   int64 `json:"bytes_written_wal" metric:"storage.bytes_written_wal"`
+	BatchReads        int64 `json:"batch_reads" metric:"storage.batch_reads"`
+	BatchLocs         int64 `json:"batch_locs" metric:"storage.batch_locs"`
+	BatchRoundTrips   int64 `json:"batch_round_trips" metric:"storage.batch_round_trips"`
+	LiveBytes         int64 `json:"live_bytes" metric:"storage.live_bytes"`
+	TotalBytes        int64 `json:"total_bytes" metric:"storage.total_bytes"`
+	ExtentCount       int64 `json:"extent_count" metric:"storage.extent_count"`
+	FaultsInjected    int64 `json:"faults_injected" metric:"faults.injected"`
+	FaultRetries      int64 `json:"fault_retries" metric:"faults.retries"`
+	FaultRecoveries   int64 `json:"fault_recoveries" metric:"faults.recoveries"`
 }
 
 // WALStats covers the append and group-commit pipelines. All zero on a bare
@@ -67,18 +72,22 @@ type WALStats struct {
 
 // CacheStats is the page cache's hit accounting plus the per-read storage
 // fan-out distribution (Fig. 9: at most 2 under the read-optimized policy).
-// Shards is the lock-stripe count of one cache, the same on every shard;
-// HitRatio is Hits / (Hits + Misses).
+// HitRatio is Hits / (Hits + Misses). MemoryBytes is the mapping tables'
+// resident bytes: BaseBytes of leaves' base images, OverlayBytes of their
+// overlay ops and InnerBytes of inner nodes, plus each entry's own overhead
+// (edge-block chunk images are EdgeBlocks.Bytes).
 type CacheStats struct {
 	Hits           int64          `json:"hits" metric:"bwtree.cache_hits"`
 	Misses         int64          `json:"misses" metric:"bwtree.cache_misses"`
 	HitRatio       float64        `json:"hit_ratio"`
-	Shards         int            `json:"shards" metric:"bwtree.cache_shard_count,max"`
 	Evictions      int64          `json:"evictions" metric:"bwtree.cache_evictions"`
 	ReadFanout     FanoutStats    `json:"read_fanout" metric:"bwtree.read_fanout"`
 	MaterializeLat HistogramStats `json:"materialize_latency" metric:"bwtree.materialize_us"`
 	Pages          int64          `json:"pages" metric:"bwtree.pages"`
 	MemoryBytes    int64          `json:"memory_bytes" metric:"bwtree.memory_bytes"`
+	BaseBytes      int64          `json:"base_bytes" metric:"bwtree.memory_base_bytes"`
+	OverlayBytes   int64          `json:"overlay_bytes" metric:"bwtree.memory_overlay_bytes"`
+	InnerBytes     int64          `json:"inner_bytes" metric:"bwtree.memory_inner_bytes"`
 }
 
 // ForestStats is the Bw-tree forest's shape (Fig. 11).

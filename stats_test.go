@@ -30,7 +30,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			o := shape.o
-			o.ExtentSize, o.CacheCapacity, o.CacheShards, o.ForestSplitThreshold = 4<<10, 16, 4, 10
+			o.ExtentSize, o.CacheCapacity, o.ForestSplitThreshold = 4<<10, 16, 10
 			o.EdgeBlockThreshold = -1
 			// A small cache, so reads miss. Nothing runs in the background (no
 			// flusher, no block builds, a replica that applies only at Sync),
@@ -152,6 +152,54 @@ func TestStatsIsTheRegistry(t *testing.T) {
 	}
 }
 
+// TestBytesWrittenPerStream: on every shape, after writes, a checkpoint and a
+// GC run, the bytes written to the base, delta and WAL streams sum to
+// Storage.BytesWritten; a bare engine writes no WAL bytes, a leader does.
+func TestBytesWrittenPerStream(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		o    Options
+	}{
+		{"bare", Options{}},
+		{"leader", Options{Replicated: true}},
+		{"shards-4", Options{Shards: 4}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			o := shape.o
+			o.ExtentSize, o.MaxPageEntries = 4<<10, 16
+			db := openLayers(t, o, func(cfg *layers) { cfg.rw.FlushInterval = 0 })
+			for round := range 2 { // the second round overwrites: garbage for GC
+				for i := range 400 {
+					e := Edge{Src: VertexID(1 + i%8), Dst: VertexID(i), Type: ETypeLike,
+						Props: Properties{{Name: "round", Value: []byte{byte(round)}}}}
+					if err := db.AddEdge(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.RunGC(8); err != nil {
+				t.Fatal(err)
+			}
+			s := db.Stats()
+			st := s.Storage
+			if sum := st.BytesWrittenBase + st.BytesWrittenDelta + st.BytesWrittenWAL; sum != st.BytesWritten {
+				t.Fatalf("base %d + delta %d + WAL %d = %d bytes, BytesWritten %d",
+					st.BytesWrittenBase, st.BytesWrittenDelta, st.BytesWrittenWAL, sum, st.BytesWritten)
+			}
+			if st.BytesWrittenBase == 0 || st.BytesWrittenDelta == 0 || s.GC.BytesMoved == 0 {
+				t.Fatalf("base %d, delta %d bytes written, GC moved %d: want all three moved",
+					st.BytesWrittenBase, st.BytesWrittenDelta, s.GC.BytesMoved)
+			}
+			if replicated := db.group != nil; replicated != (st.BytesWrittenWAL > 0) {
+				t.Fatalf("replicated = %v, WAL bytes written %d", replicated, st.BytesWrittenWAL)
+			}
+		})
+	}
+}
+
 // checkStatsIsTheRegistry compares every tagged field of s with the
 // registries read one by one: a sum (a histogram's count and maximum) over
 // all of them, the largest per-shard reading, or one per shard. It checks the
@@ -260,7 +308,6 @@ func checkStatsIsTheRegistry(t *testing.T, db *DB, s Stats) {
 		own.GC.Runs += e.GCStats().Runs
 		own.Forest.Trees += e.Forest().Stats().Trees
 		own.EdgeBlocks.Builds += e.Mapping().BlockStatsSnapshot().Builds
-		own.Cache.Shards = 4
 		own.Shards.Epochs = append(own.Shards.Epochs, db.Epoch(i))
 		own.Shards.ReadEpochs = append(own.Shards.ReadEpochs, 0)
 		own.Shards.LastLSNs = append(own.Shards.LastLSNs, 0)
@@ -291,7 +338,6 @@ func checkStatsIsTheRegistry(t *testing.T, db *DB, s Stats) {
 		{"Shards.Epochs", s.Shards.Epochs, own.Shards.Epochs},
 		{"Shards.ReadEpochs", s.Shards.ReadEpochs, own.Shards.ReadEpochs},
 		{"Shards.LastLSNs", s.Shards.LastLSNs, own.Shards.LastLSNs},
-		{"Cache.Shards", s.Cache.Shards, own.Cache.Shards},
 		{"MVCC.EpochLag", s.MVCC.EpochLag, own.MVCC.EpochLag},
 		{"Replication.Replicas", s.Replication.Replicas, own.Replication.Replicas},
 	} {
