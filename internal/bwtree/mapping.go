@@ -196,6 +196,8 @@ type Mapping struct {
 	blockFallbacks atomic.Int64
 	blockEntries   atomic.Int64 // live packed entries across all blocks
 	blockBytes     atomic.Int64 // resident image bytes across all blocks
+
+	walks atomic.Int64 // memory's walks of the table, each taking every page latch
 }
 
 // NewMapping returns an empty mapping table. capacity bounds the number of
@@ -246,8 +248,10 @@ func (m *Mapping) get(id PageID) *pageEntry {
 }
 
 // RegisterMetrics exposes the mapping table's cache and fan-out accounting
-// under the "bwtree." prefix.
-func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
+// under the "bwtree." prefix. The gauges that walk the page table — memory
+// by kind, resident leaves, and with a retention floor the history retained
+// above it (bwtree.retained_bytes) — are fed by one walk per Snapshot.
+func (m *Mapping) RegisterMetrics(r *metrics.Registry, floor func() wal.LSN) {
 	r.CounterFunc("bwtree.cache_hits", m.hits.Load)
 	r.CounterFunc("bwtree.cache_misses", m.misses.Load)
 	r.CounterFunc("bwtree.cache_evictions", m.evictions.Load)
@@ -258,17 +262,6 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 		}
 		return float64(h) / float64(h+ms)
 	})
-	r.GaugeFunc("bwtree.cache_resident_pages", func() int64 {
-		var n int64
-		for _, e := range m.leaves() {
-			e.mu.Lock()
-			if e.base != nil {
-				n++
-			}
-			e.mu.Unlock()
-		}
-		return n
-	})
 	r.RegisterIntHistogram("bwtree.read_fanout", &m.fanout)
 	r.RegisterIntHistogram("bwtree.batch_load_pages", &m.batchLoadPages)
 	r.RegisterIntHistogram("bwtree.write_run_ops", &m.writeRunOps)
@@ -278,10 +271,15 @@ func (m *Mapping) RegisterMetrics(r *metrics.Registry) {
 		defer m.mu.RUnlock()
 		return int64(len(m.pages))
 	})
-	r.GaugeFunc("bwtree.memory_bytes", m.MemoryUsage)
-	r.GaugeFunc("bwtree.memory_base_bytes", func() int64 { return m.memory().base })
-	r.GaugeFunc("bwtree.memory_overlay_bytes", func() int64 { return m.memory().overlay })
-	r.GaugeFunc("bwtree.memory_inner_bytes", func() int64 { return m.memory().inner })
+	walked := []string{"bwtree.memory_bytes", "bwtree.memory_base_bytes", "bwtree.memory_overlay_bytes",
+		"bwtree.memory_inner_bytes", "bwtree.cache_resident_pages", "bwtree.retained_bytes"}
+	if floor == nil {
+		walked, floor = walked[:len(walked)-1], func() wal.LSN { return horizonAll }
+	}
+	r.GaugesFunc(walked, func() []int64 {
+		k := m.memory(floor())
+		return []int64{k.total(), k.base, k.overlay, k.inner, k.resident, k.retained}
+	})
 	r.CounterFunc("bwtree.block_builds", m.blockBuilds.Load)
 	r.CounterFunc("bwtree.block_hits", m.blockHits.Load)
 	r.CounterFunc("bwtree.block_fallbacks", m.blockFallbacks.Load)
@@ -470,19 +468,7 @@ func (m *Mapping) leaves() []*pageEntry {
 // RetainedBytes sums the bytes of history ops stamped above h — the delta
 // memory the retention floor is holding back from consolidation for the
 // benefit of pinned snapshots. O(pages); intended for metrics snapshots.
-func (m *Mapping) RetainedBytes(h wal.LSN) int64 {
-	var total int64
-	for _, e := range m.leaves() {
-		e.mu.Lock()
-		for _, o := range e.overlay {
-			if o.lsn > h {
-				total += int64(len(o.key)+len(o.val)) + opOverhead
-			}
-		}
-		e.mu.Unlock()
-	}
-	return total
-}
+func (m *Mapping) RetainedBytes(h wal.LSN) int64 { return m.memory(h).retained }
 
 // OverlayOps counts the ops in every leaf's overlay. On an applier that is
 // the lazy-replay backlog — the WAL records no checkpoint has covered yet,
@@ -497,17 +483,26 @@ func (m *Mapping) OverlayOps() int {
 	return n
 }
 
-// memoryKinds is the resident bytes of the mapping table by kind.
+// memoryKinds is the resident bytes of the mapping table by kind, and what
+// the same walk counts besides.
 type memoryKinds struct {
 	base    int64 // leaves' base images, as stored (offset table included)
 	overlay int64 // leaves' overlay ops
 	inner   int64 // inner nodes' keys and children
 	entries int64 // every entry's own overhead: struct, map slot, latch, key range, durable locations
+
+	resident int64 // leaves whose base image is cached
+	retained int64 // the bytes of the overlay ops stamped above the walk's horizon
 }
 
-// memory walks the table once and sums its resident bytes by kind.
-func (m *Mapping) memory() memoryKinds {
+// total is every resident byte.
+func (k memoryKinds) total() int64 { return k.base + k.overlay + k.inner + k.entries }
+
+// memory walks the table once and sums its resident bytes by kind, counting
+// the history retained above h on the way.
+func (m *Mapping) memory(h wal.LSN) memoryKinds {
 	const entryOverhead = 160 // struct, map slot, latch
+	m.walks.Add(1)
 	// Same lock-order discipline as leaves: never m.mu across a page latch.
 	m.mu.RLock()
 	pages := make([]*pageEntry, 0, len(m.pages))
@@ -519,8 +514,15 @@ func (m *Mapping) memory() memoryKinds {
 	for _, e := range pages {
 		e.mu.Lock()
 		k.base += int64(len(e.base))
+		if e.isLeaf && e.base != nil {
+			k.resident++
+		}
 		for _, o := range e.overlay {
-			k.overlay += int64(len(o.key)+len(o.val)) + opOverhead
+			size := int64(len(o.key)+len(o.val)) + opOverhead
+			k.overlay += size
+			if o.lsn > h {
+				k.retained += size
+			}
 		}
 		k.entries += entryOverhead + int64(len(e.lo)+len(e.hi)+16*len(e.deltaLocs))
 		if e.inner != nil {
@@ -538,7 +540,4 @@ func (m *Mapping) memory() memoryKinds {
 // page content — each resident base image as stored (offset table
 // included) plus the overlay ops — the space measurement of the Fig. 11
 // experiment.
-func (m *Mapping) MemoryUsage() int64 {
-	k := m.memory()
-	return k.base + k.overlay + k.inner + k.entries
-}
+func (m *Mapping) MemoryUsage() int64 { return m.memory(horizonAll).total() }

@@ -31,12 +31,14 @@ import (
 // record is stored in its keyspace.
 const vertexPrefix = graph.EdgeType(0xFFFF)
 
-// vertexKey builds the in-owner key of a vertex record.
-func vertexKey(typ graph.VertexType) []byte {
-	buf := make([]byte, 4)
-	binary.BigEndian.PutUint16(buf, uint16(vertexPrefix))
-	binary.BigEndian.PutUint16(buf[2:], uint16(typ))
-	return buf
+// vertexKeyLen is the length of a vertex record's key.
+const vertexKeyLen = 4
+
+// appendVertexKey appends the in-owner key of a vertex record to dst:
+// vertexPrefix[2] type[2].
+func appendVertexKey(dst []byte, typ graph.VertexType) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(vertexPrefix))
+	return binary.BigEndian.AppendUint16(dst, uint16(typ))
 }
 
 // Options configures a BG3 engine.
@@ -157,16 +159,15 @@ func assemble(st *storage.Store, m *bwtree.Mapping, f *forest.Forest, opts Optio
 
 // registerMetrics wires every subsystem into the engine's registry.
 func (e *Engine) registerMetrics(reg *metrics.Registry) {
-	e.store.RegisterMetrics(reg)
-	e.mapping.RegisterMetrics(reg)
-	e.edges.RegisterMetrics(reg)
-	reg.CounterFunc("gc.runs", func() int64 { return e.GCStats().Runs })
+	var floor func() wal.LSN // bwtree.retained_bytes's horizon, with an epoch clock
 	if e.opts.Epochs != nil {
 		e.opts.Epochs.RegisterMetrics(reg)
-		reg.GaugeFunc("bwtree.retained_bytes", func() int64 {
-			return e.mapping.RetainedBytes(wal.LSN(e.opts.Epochs.Floor()))
-		})
+		floor = func() wal.LSN { return wal.LSN(e.opts.Epochs.Floor()) }
 	}
+	e.store.RegisterMetrics(reg)
+	e.mapping.RegisterMetrics(reg, floor)
+	e.edges.RegisterMetrics(reg)
+	reg.CounterFunc("gc.runs", func() int64 { return e.GCStats().Runs })
 }
 
 // AttachLogger makes l the WAL logger of the forest and every tree in it.
@@ -250,7 +251,7 @@ func encode(m graph.Mutation) (forest.Write, error) {
 		if err := graph.CheckProps(m.Vertex.Props); err != nil {
 			return forest.Write{}, err
 		}
-		return forest.Write{Owner: forest.OwnerID(m.Vertex.ID), Key: vertexKey(m.Vertex.Type), Value: graph.EncodeProps(m.Vertex.Props)}, nil
+		return forest.Write{Owner: forest.OwnerID(m.Vertex.ID), Key: appendVertexKey(make([]byte, 0, vertexKeyLen), m.Vertex.Type), Value: graph.EncodeProps(m.Vertex.Props)}, nil
 	case graph.MutAddEdge, graph.MutDeleteEdge:
 		if m.Edge.Type == vertexPrefix {
 			return forest.Write{}, errReservedEdgeType
@@ -290,9 +291,10 @@ func (e *Engine) ApplyBatch(muts []graph.Mutation) error {
 //
 // ws is stable-sorted by (owner, key) in place, so the forest hands each
 // owner's writes to its tree together and the tree applies every leaf run —
-// the writes that land in one leaf — under one latch, with one
+// the writes of one owner that land in one leaf — under one latch, with one
 // materialization and one persist (bwtree.Tree.Apply): a bulk load pays per
-// leaf touched, not per write. Records are logged with deferred durability:
+// leaf each owner touches, not per write. An INIT leaf shared by several
+// owners of the wave is persisted once per owner (forest.Forest.Apply). Records are logged with deferred durability:
 // all are enqueued on the group committer before the first wait begins, so the
 // wave coalesces into shared commit groups, and no enqueued record is
 // abandoned when the apply fails midway.

@@ -31,19 +31,22 @@ func (g graphReads) scan(owner graph.VertexID, from, to []byte, limit int, fn fu
 	return g.forest.ScanAt(forest.OwnerID(owner), from, to, limit, g.horizon, fn)
 }
 
-// props fetches and decodes the property record stored under owner/key.
+// props fetches and decodes the property record stored under owner/key. The
+// forest returns a copy of the record, so the values alias it: the answer is
+// that copy, the property slice and the names.
 func (g graphReads) props(owner graph.VertexID, key []byte) (graph.Properties, bool, error) {
 	val, ok, err := g.get(owner, key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	props, err := graph.DecodeProps(val)
+	props, err := graph.DecodeOwnedProps(val)
 	return props, err == nil, err
 }
 
 // GetVertex implements graph.Reader.
 func (g graphReads) GetVertex(id graph.VertexID, typ graph.VertexType) (graph.Vertex, bool, error) {
-	props, ok, err := g.props(id, vertexKey(typ))
+	var buf [vertexKeyLen]byte
+	props, ok, err := g.props(id, appendVertexKey(buf[:0], typ))
 	if !ok {
 		return graph.Vertex{}, false, err
 	}
@@ -56,7 +59,8 @@ func (g graphReads) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 	if typ == vertexPrefix {
 		return graph.Edge{}, false, errReservedEdgeType
 	}
-	props, ok, err := g.props(src, graph.EdgeKey(typ, dst))
+	var buf [graph.EdgeKeyLen]byte
+	props, ok, err := g.props(src, graph.AppendEdgeKey(buf[:0], typ, dst))
 	if !ok {
 		return graph.Edge{}, false, err
 	}
@@ -64,16 +68,19 @@ func (g graphReads) GetEdge(src graph.VertexID, typ graph.EdgeType, dst graph.Ve
 }
 
 // Neighbors implements graph.Reader. The Properties passed to fn are valid
-// only for the duration of the callback (one decoder is reused across the
-// scan); copy values to retain them. An entry that does not decode ends the
-// scan with its error: a scan reports what a point read would, and hides
-// nothing.
+// only for the duration of the callback: the scan decodes every record into
+// one decoder borrowed from graph's free list, and the next holder of that
+// decoder, on any goroutine, overwrites them once the scan returns it. Copy
+// values to retain them. A callback may read again: its reads borrow decoders
+// of their own. An entry that does not decode ends the scan with its error: a
+// scan reports what a point read would, and hides nothing.
 func (g graphReads) Neighbors(src graph.VertexID, typ graph.EdgeType, limit int, fn func(graph.VertexID, graph.Properties) bool) error {
 	if typ == vertexPrefix {
 		return errReservedEdgeType
 	}
 	lo, hi := graph.EdgeTypeBounds(typ)
-	var dec graph.PropDecoder
+	dec := graph.TakeDecoder()
+	defer dec.Release()
 	var bad error
 	err := g.scan(src, lo, hi, limit, func(k, v []byte) bool {
 		var dst graph.VertexID
@@ -104,7 +111,8 @@ func (g graphReads) NeighborsMany(srcs []graph.VertexID, typ graph.EdgeType, lim
 	return cmp.Or(err, bad)
 }
 
-// Degree implements graph.Reader.
+// Degree implements graph.Reader. It decodes what Neighbors does, so a
+// record that does not decode fails it too.
 func (g graphReads) Degree(src graph.VertexID, typ graph.EdgeType) (int, error) {
 	n := 0
 	err := g.Neighbors(src, typ, 0, func(graph.VertexID, graph.Properties) bool { n++; return true })

@@ -134,7 +134,7 @@ func (r *Replica) BufferedRecords() int { return r.mapping.OverlayOps() }
 
 // RegisterMetrics exposes the replica's page-table accounting — the leader's
 // own bwtree.* read metrics, measured on this node.
-func (r *Replica) RegisterMetrics(reg *metrics.Registry) { r.mapping.RegisterMetrics(reg) }
+func (r *Replica) RegisterMetrics(reg *metrics.Registry) { r.mapping.RegisterMetrics(reg, nil) }
 
 // at is the read handle of this instant: the forest as of the applied LSN.
 func (r *Replica) at() graphReads { return graphReads{forest: r.forest, horizon: r.HighLSN()} }

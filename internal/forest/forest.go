@@ -241,7 +241,9 @@ func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
 // Apply applies ws in order: every stretch of consecutive writes of one owner
 // goes to the tree holding that owner as one bwtree.Apply — composite-keyed
 // when that is the INIT tree — so a batch sorted by (owner, key) costs one
-// latch, one materialization and one persist per leaf it touches. It stops at
+// latch, one materialization and one persist per leaf each owner touches. An
+// INIT leaf that k owners of the batch share is persisted k times, once per
+// owner's bwtree.Apply. It stops at
 // the first error; the writes before it are applied. waits collects the WAL
 // durability waits of every record the writes cause — splits' and migrations'
 // included — for the caller to drain once (bwtree.Tree.Apply); a nil waits

@@ -96,7 +96,7 @@ func TestStressScanManyAtMatchesScanAtLoop(t *testing.T) {
 			st := storage.Open(&storage.Options{ExtentSize: 1 << 14})
 			m := bwtree.NewMapping(cc.capacity, cc.disabled)
 			reg := metrics.NewRegistry()
-			m.RegisterMetrics(reg)
+			m.RegisterMetrics(reg, nil)
 			cfg := Config{
 				SplitThreshold: 48,
 				Tree: bwtree.Config{

@@ -54,7 +54,8 @@ func (f *Forest) treeAt(owner OwnerID, h wal.LSN) *bwtree.Tree {
 // and its owner prefix fit twice over. A longer key spills to the heap.
 const keyBufSize = 40
 
-// GetAt returns the value of key under owner as of horizon h.
+// GetAt returns the value of key under owner as of horizon h, in a copy the
+// caller owns.
 func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, error) {
 	if tree := f.treeAt(owner, h); tree != nil {
 		return tree.GetAt(key, h)

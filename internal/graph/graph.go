@@ -112,7 +112,15 @@ func CheckProps(ps Properties) error {
 // PropDecoder.Decode on a fresh decoder.
 func DecodeProps(buf []byte) (Properties, error) {
 	var d PropDecoder
-	return d.Decode(buf)
+	return d.decode(buf, false)
+}
+
+// DecodeOwnedProps is DecodeProps for a buffer the caller hands over, such as
+// a point read's copy of its record: the values alias buf rather than copies
+// of it, so the answer costs the slice and the names alone.
+func DecodeOwnedProps(buf []byte) (Properties, error) {
+	var d PropDecoder
+	return d.decode(buf, true)
 }
 
 // PropDecoder decodes property lists for a scan without per-record
@@ -122,10 +130,53 @@ func DecodeProps(buf []byte) (Properties, error) {
 // position, which is the same string for every record of one schema. The
 // returned Properties are valid only until the next Decode — scan paths hand
 // them to a callback and must document that the callback copies anything it
-// retains. The zero value is ready to use.
+// retains. The zero value is ready to use; a scan borrows one from the free
+// list (TakeDecoder), so a warm read path decodes into recycled memory.
 type PropDecoder struct {
 	scratch Properties
 	arena   []byte
+}
+
+// idleDecoders is a bounded free list of property decoders, so that a scan
+// borrows one rather than growing a fresh one per call. It is a channel, not
+// a sync.Pool: a GC empties a pool, and the scans after it grow their
+// decoders again. Eight serves a few concurrent scans while bounding what
+// idle decoders hold (each up to maxPooledArena). A decoder's arena holds
+// copies of the values it decoded, never views of a page, so nothing idle
+// pins an extent.
+var idleDecoders = make(chan *PropDecoder, 8)
+
+// maxPooledArena and maxPooledProps bound the decoder that goes back on the
+// free list: one that decoded a huge record would hold its memory for every
+// small scan after it.
+const (
+	maxPooledArena = 64 << 10
+	maxPooledProps = 1024
+)
+
+// TakeDecoder returns an idle decoder, or a new one when none is idle. Its
+// holder has it to itself until Release: Properties it decodes stay valid
+// however many other scans run meanwhile, on any goroutine.
+func TakeDecoder() *PropDecoder {
+	select {
+	case d := <-idleDecoders:
+		return d
+	default:
+		return new(PropDecoder)
+	}
+}
+
+// Release makes d idle, unless it outgrew maxPooledArena or maxPooledProps or
+// the free list is full. Properties it decoded are invalid from here on: the
+// next holder overwrites them.
+func (d *PropDecoder) Release() {
+	if cap(d.arena) > maxPooledArena || cap(d.scratch) > maxPooledProps {
+		return
+	}
+	select {
+	case idleDecoders <- d:
+	default:
+	}
 }
 
 // Decode parses a property list, failing closed on truncation and trailing
@@ -133,6 +184,11 @@ type PropDecoder struct {
 // aliases the decoder's internal buffers and is invalidated by the next
 // Decode call.
 func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
+	return d.decode(buf, false)
+}
+
+// decode is Decode, with the values aliasing buf when alias is set.
+func (d *PropDecoder) decode(buf []byte, alias bool) (Properties, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("%w: short property list", ErrCorrupt)
 	}
@@ -166,12 +222,15 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 		if uint64(vlen) > uint64(len(buf)) {
 			return nil, fmt.Errorf("%w: truncated property value %d", ErrCorrupt, i)
 		}
-		// Copy the value into the arena rather than aliasing buf: the
-		// source may be a latched page image whose lifetime ends with the
-		// scan step, while the arena stays valid until the next Decode.
-		// Growth mid-loop is fine — earlier values keep the old array.
+		// Unless the caller handed buf over, copy the value into the arena
+		// rather than aliasing buf: the source may be a latched page image
+		// whose lifetime ends with the scan step, while the arena stays
+		// valid until the next Decode. Growth mid-loop is fine — earlier
+		// values keep the old array.
 		var value []byte
-		if vlen > 0 {
+		if alias && vlen > 0 {
+			value = buf[:vlen:vlen]
+		} else if vlen > 0 {
 			off := len(d.arena)
 			d.arena = append(d.arena, buf[:vlen]...)
 			value = d.arena[off:len(d.arena):len(d.arena)]
@@ -190,15 +249,22 @@ func (d *PropDecoder) Decode(buf []byte) (Properties, error) {
 // space: etype[2] dst[8]. Big-endian keeps edges of one type contiguous
 // and ordered by destination.
 func EdgeKey(typ EdgeType, dst VertexID) []byte {
-	buf := make([]byte, 10)
-	binary.BigEndian.PutUint16(buf, uint16(typ))
-	binary.BigEndian.PutUint64(buf[2:], uint64(dst))
-	return buf
+	return AppendEdgeKey(make([]byte, 0, EdgeKeyLen), typ, dst)
+}
+
+// EdgeKeyLen is the length of an edge key.
+const EdgeKeyLen = 10
+
+// AppendEdgeKey appends the key EdgeKey returns to dst: a point read builds
+// it in a stack buffer.
+func AppendEdgeKey(dst []byte, typ EdgeType, v VertexID) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(typ))
+	return binary.BigEndian.AppendUint64(dst, uint64(v))
 }
 
 // DecodeEdgeKey parses a key produced by EdgeKey.
 func DecodeEdgeKey(key []byte) (EdgeType, VertexID, error) {
-	if len(key) != 10 {
+	if len(key) != EdgeKeyLen {
 		return 0, 0, fmt.Errorf("%w: edge key length %d", ErrCorrupt, len(key))
 	}
 	return EdgeType(binary.BigEndian.Uint16(key)), VertexID(binary.BigEndian.Uint64(key[2:])), nil
@@ -282,7 +348,7 @@ type BatchStore interface {
 	Store
 	// ApplyBatch applies the mutations of one key — one vertex record, one
 	// edge — in call order, and everything else in (owner, key) order: the
-	// order in which a store writes every page the batch touches once. No
+	// order in which a store writes each page an owner's writes touch once. No
 	// reader can tell the difference from call order, because a read sees,
 	// per key, the newest mutation at its horizon and nothing of how keys
 	// interleaved. It returns the first error. A failed batch may have

@@ -139,6 +139,63 @@ func TestPropDecoderInternsByPosition(t *testing.T) {
 	}
 }
 
+// TestDecodeOwnedPropsAliases: DecodeOwnedProps decodes what DecodeProps
+// does, its values are views of the buffer it was handed, and it allocates the
+// property slice and the names alone.
+func TestDecodeOwnedPropsAliases(t *testing.T) {
+	buf := EncodeProps(Properties{{Name: "ts", Value: []byte("12345678")}, {Name: "w", Value: nil}})
+	want, err := DecodeProps(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeOwnedProps(buf)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeOwnedProps = %+v (%v), want %+v", got, err, want)
+	}
+	buf[bytes.Index(buf, []byte("1234"))] = 'X'
+	if string(got[0].Value) != "X2345678" {
+		t.Fatalf("value %q does not alias its buffer", got[0].Value)
+	}
+	one := EncodeProps(Properties{{Name: "ts", Value: []byte("12345678")}})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeOwnedProps(one); err != nil {
+			panic(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("DecodeOwnedProps of one property allocates %.1f times, want <= 2 (the slice, the name)", allocs)
+	}
+}
+
+// TestIdleDecodersAreBounded: a released decoder is the next one taken, and a
+// decoder whose arena outgrew maxPooledArena, or whose slice outgrew
+// maxPooledProps, is dropped rather than kept idle.
+func TestIdleDecodersAreBounded(t *testing.T) {
+	for len(idleDecoders) > 0 {
+		<-idleDecoders
+	}
+	d := TakeDecoder()
+	if _, err := d.Decode(EncodeProps(Properties{{Name: "ts", Value: []byte("1")}})); err != nil {
+		t.Fatal(err)
+	}
+	d.Release()
+	if got := TakeDecoder(); got != d {
+		t.Fatal("the released decoder is not the next one taken")
+	}
+	for _, big := range []Properties{
+		{{Name: "blob", Value: make([]byte, maxPooledArena+1)}},
+		make(Properties, maxPooledProps+1),
+	} {
+		d := TakeDecoder()
+		if _, err := d.Decode(EncodeProps(big)); err != nil {
+			t.Fatal(err)
+		}
+		d.Release()
+		if n := len(idleDecoders); n != 0 {
+			t.Fatalf("a decoder of %d properties and a %d-byte arena was kept idle", cap(d.scratch), cap(d.arena))
+		}
+	}
+}
+
 func BenchmarkDecodeProps(b *testing.B) {
 	buf := EncodeProps(Properties{{Name: "ts", Value: []byte{0, 0, 0, 0}}})
 	b.Run("alloc", func(b *testing.B) {
@@ -165,8 +222,8 @@ func BenchmarkDecodeProps(b *testing.B) {
 //   - nothing panics, whatever the bytes;
 //   - every rejection wraps ErrCorrupt;
 //   - an accepted list re-encodes byte-identically;
-//   - PropDecoder.Decode on a decoder that decoded a list before and
-//     DecodeProps agree, on the error and on the list.
+//   - PropDecoder.Decode on a decoder that decoded a list before,
+//     DecodeProps and DecodeOwnedProps agree, on the error and on the list.
 //
 // The checked-in corpus under testdata/fuzz covers a valid list, an empty one,
 // a 255-byte name, trailing bytes, a zero count followed by garbage, a
@@ -183,6 +240,10 @@ func FuzzDecodeProps(f *testing.F) {
 		want, werr := DecodeProps(data)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("PropDecoder.Decode: %v, DecodeProps: %v", err, werr)
+		}
+		owned, oerr := DecodeOwnedProps(bytes.Clone(data))
+		if (oerr == nil) != (werr == nil) || (oerr == nil && !reflect.DeepEqual(owned, want)) {
+			t.Fatalf("DecodeOwnedProps %+v (%v), DecodeProps %+v (%v)", owned, oerr, want, werr)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) || !errors.Is(werr, ErrCorrupt) {

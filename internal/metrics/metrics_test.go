@@ -367,3 +367,26 @@ func TestFoldMergesBucketWise(t *testing.T) {
 		t.Fatalf("i = %+v, want %+v (observed on one histogram)", got, want)
 	}
 }
+
+// TestGaugesFuncReadsOncePerPass: the gauges of a GaugesFunc take one call of
+// its function per Snapshot and per Fold, however many of them the pass reads,
+// and a Read of one of them takes one call of its own. Each gauge reads its
+// own element, and a Fold sums a group over the registries like any gauge.
+func TestGaugesFuncReadsOncePerPass(t *testing.T) {
+	calls := 0
+	r := NewRegistry()
+	r.GaugesFunc([]string{"g.a", "g.b", "g.c"}, func() []int64 { calls++; return []int64{1, 2, 3} })
+	snap := r.Snapshot()
+	if calls != 1 || snap["g.a"].Value != 1 || snap["g.b"].Value != 2 || snap["g.c"].Value != 3 || snap["g.c"].Kind != KindGauge {
+		t.Fatalf("Snapshot: %d calls, %+v", calls, snap)
+	}
+	if v := r.Read("g.b"); calls != 2 || v.Value != 2 {
+		t.Fatalf("Read: %d calls, %+v", calls, v)
+	}
+	other := NewRegistry()
+	other.GaugesFunc([]string{"g.a", "g.b", "g.c"}, func() []int64 { calls++; return []int64{10, 20, 30} })
+	fold := Fold(r, other)
+	if calls != 4 || fold["g.a"].Value != 11 || fold["g.b"].Value != 22 || fold["g.c"].Value != 33 {
+		t.Fatalf("Fold: %d calls, %+v", calls, fold)
+	}
+}

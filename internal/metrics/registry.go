@@ -89,10 +89,20 @@ type probe struct {
 	ratio func() float64 // KindRatio
 	hist  *Histogram     // KindHistogram
 	ints  *IntHistogram  // KindIntHistogram
+	group *gaugeGroup    // a KindGauge of a GaugesFunc, and
+	at    int            // its index in the group's read
 }
 
+// gaugeGroup is the one read behind the gauges of a GaugesFunc.
+type gaugeGroup struct{ read func() []int64 }
+
+// reading is one pass over probes — a Snapshot, a Fold, a Read — in which
+// each gauge group is read once, whatever number of its gauges the pass
+// reads. A nil reading reads every group afresh.
+type reading map[*gaugeGroup][]int64
+
 // read returns the probe's reading.
-func (p probe) read() Value {
+func (rd reading) read(p probe) Value {
 	switch p.kind {
 	case KindRatio:
 		return Value{Kind: KindRatio, Ratio: p.ratio()}
@@ -103,7 +113,22 @@ func (p probe) read() Value {
 		s := p.ints.Summary()
 		return Value{Kind: KindIntHistogram, IntHistogram: &s}
 	}
-	return Value{Kind: p.kind, Value: p.value()}
+	return Value{Kind: p.kind, Value: rd.value(p)}
+}
+
+// value returns a counter's or a gauge's reading.
+func (rd reading) value(p probe) int64 {
+	if p.group == nil {
+		return p.value()
+	}
+	vals, ok := rd[p.group]
+	if !ok {
+		vals = p.group.read()
+		if rd != nil {
+			rd[p.group] = vals
+		}
+	}
+	return vals[p.at]
 }
 
 // NewRegistry returns an empty registry.
@@ -176,6 +201,16 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.register(name, probe{kind: KindGauge, value: fn})
 }
 
+// GaugesFunc registers a gauge under each of names, all fed by one call of
+// fn, which returns their values in the order of names: state that takes one
+// walk to read is walked once per Snapshot or Fold, not once per gauge.
+func (r *Registry) GaugesFunc(names []string, fn func() []int64) {
+	g := &gaugeGroup{read: fn}
+	for i, name := range names {
+		r.register(name, probe{kind: KindGauge, group: g, at: i})
+	}
+}
+
 // RatioFunc registers a derived ratio (hit rates, write amplification)
 // backed by a read function.
 func (r *Registry) RatioFunc(name string, fn func() float64) {
@@ -195,8 +230,9 @@ func (r *Registry) probesCopy() map[string]probe {
 func (r *Registry) Snapshot() Snapshot {
 	probes := r.probesCopy()
 	out := make(Snapshot, len(probes))
+	rd := reading{}
 	for name, p := range probes {
-		out[name] = p.read()
+		out[name] = rd.read(p)
 	}
 	return out
 }
@@ -210,7 +246,7 @@ func (r *Registry) Read(name string) Value {
 	if !ok {
 		return Value{}
 	}
-	return p.read()
+	return reading(nil).read(p)
 }
 
 // Fold reads regs as one registry: where several register a name, their
@@ -221,6 +257,7 @@ func Fold(regs ...*Registry) Snapshot {
 	out := make(Snapshot)
 	hists := make(map[string]*Histogram)
 	ints := make(map[string]*IntHistogram)
+	rd := reading{}
 	for _, r := range regs {
 		for name, p := range r.probesCopy() {
 			switch p.kind {
@@ -237,15 +274,15 @@ func Fold(regs ...*Registry) Snapshot {
 				ints[name].Merge(p.ints)
 			default:
 				v := out[name]
-				out[name] = Value{Kind: p.kind, Value: v.Value + p.value()}
+				out[name] = Value{Kind: p.kind, Value: v.Value + rd.value(p)}
 			}
 		}
 	}
 	for name, h := range hists {
-		out[name] = probe{kind: KindHistogram, hist: h}.read()
+		out[name] = rd.read(probe{kind: KindHistogram, hist: h})
 	}
 	for name, h := range ints {
-		out[name] = probe{kind: KindIntHistogram, ints: h}.read()
+		out[name] = rd.read(probe{kind: KindIntHistogram, ints: h})
 	}
 	return out
 }

@@ -27,7 +27,10 @@ func (s reads) GetEdge(src VertexID, typ EdgeType, dst VertexID) (Edge, bool, er
 // Neighbors streams src's out-neighbors of the given edge type in
 // destination order until fn returns false or limit edges are delivered
 // (limit <= 0: unlimited). The Properties passed to fn are only valid for
-// the duration of the callback; copy values to retain them.
+// the duration of the callback; copy values to retain them. Their memory is
+// recycled: once the callback returns, the scan's next record, or a later
+// read on any goroutine, may decode into it. A callback may read again, Neighbors included: those reads
+// decode into memory of their own and leave its Properties intact.
 func (s reads) Neighbors(src VertexID, typ EdgeType, limit int, fn func(VertexID, Properties) bool) error {
 	return s.r.Neighbors(src, typ, limit, fn)
 }
