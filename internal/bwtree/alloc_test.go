@@ -167,9 +167,9 @@ func TestColdHopAllocatesNoBookkeeping(t *testing.T) {
 
 // TestHitScanAllocatesConstant: a cache-hit 100-entry scan allocates nothing
 // that grows with the page or its overlay — the image is read where it lies
-// and the overlay ops in range, here ten, are taken by reference (cut), not
-// copied (640 B before, and a per-entry snapshot of the leaf, 4.8 KiB for 100
-// entries, before that).
+// and the overlay ops in range, here ten, are copied onto the scan's stack
+// (cut), not into the heap (640 B before, and a per-entry snapshot of the
+// leaf, 4.8 KiB for 100 entries, before that).
 func TestHitScanAllocatesConstant(t *testing.T) {
 	tr, _ := allocTree(t)
 	from, to := []byte("key-000010"), []byte("key-000110")

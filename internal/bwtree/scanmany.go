@@ -270,16 +270,27 @@ func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.L
 	return !done, err
 }
 
+// scanCopyOps is how many overlay ops a scan copies out of a latched leaf
+// into its own buffer (scanLeaf's, on its stack) rather than share: a
+// leaf's overlay in range is mostly the few ops since its last flush, and a
+// writer then edits it in place instead of copying it (ownOverlay).
+const scanCopyOps = 16
+
 // cut is what a scan takes from a latched leaf before walking it unlatched:
-// the range [from, to) clipped to the page, the overlay ops inside it — the
-// overlay itself, by reference: the page is marked shared, and whoever edits
-// the overlay in place next takes a copy first (ownOverlay) — and whether the
-// scan ends in this leaf — its bound does, or, as far as can be told without
-// walking, the limit will: the base entries in range outnumber the owed pairs
-// (<= 0: unlimited) even if every overlay op in range deleted one.
-func (e *pageEntry) cut(base leafImage, from, to []byte, owed int) (lo, hi []byte, ov []op, ended bool) {
+// the range [from, to) clipped to the page, the overlay ops inside it — up
+// to cap(buf) of them copied into buf, more by reference: the page is then
+// marked shared, and whoever edits the overlay in place next takes a copy
+// first (ownOverlay) — and whether the scan ends in this leaf — its bound
+// does, or, as far as can be told without walking, the limit will: the base
+// entries in range outnumber the owed pairs (<= 0: unlimited) even if every
+// overlay op in range deleted one.
+func (e *pageEntry) cut(base leafImage, from, to []byte, owed int, buf []op) (lo, hi []byte, ov []op, ended bool) {
 	lo, hi = clipBounds(from, to, e.lo, e.hi)
-	ov, e.shared = opsInRange(e.overlay, lo, hi), true
+	if ov = opsInRange(e.overlay, lo, hi); len(ov) <= cap(buf) {
+		ov = append(buf[:0], ov...)
+	} else {
+		e.shared = true
+	}
 	ended = e.next == 0 || (to != nil && bytes.Equal(hi, to))
 	if !ended && owed > 0 {
 		ended = base.bound(hi)-base.search(lo)-len(ov) > owed

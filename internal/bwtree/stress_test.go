@@ -443,8 +443,9 @@ func (l *versionLog) explain(got map[string]string, from, to string, h0, h1 wal.
 	return l.ref.Explain(got, from, to, uint64(h0), uint64(h1))
 }
 
-// TestStressOverlayReadersRaceWriters: an overlay is read by reference, so
-// the readers here hold on to what they took. Scanners stall inside their
+// TestStressOverlayReadersRaceWriters: an overlay run longer than
+// scanCopyOps is read by reference, a shorter one from a copy, and the
+// readers here hold on to what they took. Scanners stall inside their
 // callback — on the first pair of a scan, until the writers have moved on —
 // holding a leaf's aliased overlay or a block's chunk while writers put,
 // delete and apply key-sorted runs into the same leaves, leaves split
