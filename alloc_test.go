@@ -238,3 +238,66 @@ func allocsPerCall(fn func()) (objects, bytes float64) {
 	}
 	return objects, bytes
 }
+
+// TestNeighborsManyAllocatesNothing: once warm, a 1-hop NeighborsMany — one
+// batched read of a frontier of 64 sources, through the DB, a snapshot and a
+// replica — allocates nothing on one shard: its bounds, its callbacks and
+// its error stay on the stack, and its bookkeeping is pooled scratch. Over
+// four shards the scatter's goroutines allocate up to 4 objects per shard.
+func TestNeighborsManyAllocatesNothing(t *testing.T) {
+	for _, shape := range []struct {
+		name    string
+		opts    Options
+		objects float64
+	}{
+		{"bare", Options{}, 0},
+		{"leader", Options{Replicated: true}, 0},
+		{"shards-4", Options{Shards: 4}, 16},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			o := shape.opts
+			o.ForestSplitThreshold, o.FlushInterval, o.ReplicaPollInterval = 64, time.Hour, time.Hour
+			db := openDB(t, &o)
+			srcs := make([]VertexID, 64)
+			for i := range srcs {
+				srcs[i] = VertexID(1 + i)
+			}
+			loadTSGraph(t, db, 20, srcs...)
+			snap := db.Snapshot()
+			defer snap.Close()
+			readers := map[string]graph.Reader{"db": db.r, "snapshot": snap.r}
+			if db.group != nil {
+				rep, err := db.OpenReplica()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rep.Stop()
+				if err := rep.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				readers["replica"] = rep.r
+			}
+			// The callback is made once: a closure made per call would be the
+			// test's own allocation.
+			var n int
+			var err error
+			count := func(_, _ VertexID) bool { n++; return true }
+			for name, r := range readers {
+				hop := func() {
+					n = 0
+					err = graph.NeighborsMany(r, srcs, ETypeFollow, 16, count)
+				}
+				for range 3 {
+					hop() // warms the free lists
+				}
+				objects, bytes := allocsPerCall(hop)
+				if err != nil || n != 16*len(srcs) {
+					t.Fatalf("%s: NeighborsMany read %d edges (%v), want %d", name, n, err, 16*len(srcs))
+				}
+				if objects > shape.objects {
+					t.Errorf("%s: NeighborsMany allocates %.2f objects, %.0f B per call, want <= %.0f", name, objects, bytes, shape.objects)
+				}
+			}
+		})
+	}
+}

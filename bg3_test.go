@@ -184,7 +184,7 @@ func TestStatsSnapshot(t *testing.T) {
 func TestTTLViaPublicAPI(t *testing.T) {
 	forShards(t, []int{1, 4}, func(t *testing.T, shards int) {
 		db := openDB(t, &Options{Shards: shards, TTL: time.Millisecond, ExtentSize: 1 << 10, MaxPageEntries: 16})
-		for i := 0; i < 100*shards; i++ {
+		for i := 0; i < 400*shards; i++ { // enough to seal extents: leaves store their keys' common prefix once
 			if err := db.AddEdge(Edge{Src: VertexID(1 + i%shards), Dst: VertexID(i), Type: ETypeTransfer}); err != nil {
 				t.Fatal(err)
 			}

@@ -748,8 +748,9 @@ func TestFirstBuildCapturesEveryWriter(t *testing.T) {
 
 // lookupString returns key's value in img, "" when absent.
 func lookupString(img leafImage, key []byte) string {
-	v, _ := lookup(img, nil, key, horizonAll)
-	return string(v)
+	var v string
+	lookup(img, nil, key, horizonAll, func(val []byte) { v = string(val) })
+	return v
 }
 
 // TestFailedBuildInstallsNoBlock faults a build's read of a cold leaf, first

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"bg3/internal/wal"
 )
@@ -31,55 +30,66 @@ const opOverhead = 64
 var ErrCorruptPage = errors.New("bwtree: corrupt page image")
 
 // leafImage is a leaf page as storage holds it, read in place, in one of two
-// layouts:
+// layouts. Both store the longest common prefix of the entries' keys (kp) and
+// that of their values (vp) once, and each entry only its suffixes (prefix
+// truncation, on both columns):
 //
-//	count[4] { off[4] klen[4] }*count  { key val }*count
-//	count[4]|packedLeafFlag klen[4] vlen[4] { key val }*count
+//	count[4] kpl[4] vpl[4] { off[4] klen[4] }*count kp vp { ksuf vsuf }*count
+//	count[4]|packedLeafFlag kpl[4] vpl[4] klen[4] vlen[4] kp vp { ksuf vsuf }*count
 //
-// off is the absolute offset of entry i's key; its value runs to the next
-// off (the image's end for the last one). Invariant: an image is packed — no
-// byte per entry — exactly when it has entries all of one key length and one
-// value length (mergeEncode picks, decodeLeaf checks), so each content has one
-// encoding (FuzzDecodeLeafPage, TestSpillBoundaryIsExact, root
+// off is the absolute offset of entry i's key suffix; its value suffix runs
+// to the next off (the image's end for the last one). Invariant: the prefixes
+// are maximal — the suffixes do not all start with one byte, so a one-entry
+// image's are its entry whole — and an image is packed exactly when its
+// suffixes share one key length and one value length (mergeEncode picks,
+// decodeLeaf checks), so each content has one encoding (FuzzDecodeLeafPage,
+// TestDecodeLeafRejectsAShortPrefix, TestSpillBoundaryIsExact, root
 // TestLeafBytesPerEdge). Entries are strictly key-ascending. An image is
-// immutable once built: readers walk it without the page latch and sub-slices
-// are capacity-capped. nil means "not resident"; an empty page is emptyLeaf.
+// immutable once built: readers walk it without the page latch, and a walk
+// hands its entries out as copies (joiner). nil means "not resident"; an
+// empty page is emptyLeaf.
 type leafImage []byte
 
 const packedLeafFlag = 0x8000_0000
 
-var emptyLeaf = leafImage{0, 0, 0, 0}
+var emptyLeaf = leafImage{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 
 func (p leafImage) count() int { return int(binary.LittleEndian.Uint32(p) &^ packedLeafFlag) }
 
 func (p leafImage) packed() bool { return p[3]&0x80 != 0 }
 
-// key returns entry i's key; entry's n bounds only a table entry's value.
-func (p leafImage) key(i int) []byte {
+// prefixes returns the key and the value prefix every entry shares.
+func (p leafImage) prefixes() (kp, vp []byte) {
+	at, pre := 12+8*p.count(), binary.LittleEndian.Uint64(p[4:]) // kpl, vpl
+	if p.packed() {
+		at = 20
+	}
+	k, v := at+int(uint32(pre)), at+int(uint32(pre))+int(pre>>32)
+	return p[at:k:k], p[k:v:v]
+}
+
+// suffix returns entry i's key suffix (n bounds only a value: see entry).
+func (p leafImage) suffix(i int) []byte {
 	k, _ := p.entry(i, 0)
 	return k
 }
 
-func (p leafImage) val(i int) []byte {
-	_, v := p.entry(i, p.count())
-	return v
-}
-
-// entry returns entry i's key and value from one read of its table slot or
-// header; n is p.count(), which a walk over many entries reads once.
+// entry returns entry i's key and value suffixes, uncapped, from one read of
+// its table slot or the packed header; n is p.count(), read once per walk.
 func (p leafImage) entry(i, n int) (k, v []byte) {
 	if p.packed() {
-		kl, vl := int(binary.LittleEndian.Uint32(p[4:])), int(binary.LittleEndian.Uint32(p[8:]))
-		off := 12 + i*(kl+vl)
-		return p[off : off+kl : off+kl], p[off+kl : off+kl+vl : off+kl+vl]
+		pre, lens := binary.LittleEndian.Uint64(p[4:]), binary.LittleEndian.Uint64(p[12:]) // kpl vpl, klen vlen
+		kl, vl := int(uint32(lens)), int(lens>>32)
+		off := 20 + int(uint32(pre)) + int(pre>>32) + i*(kl+vl)
+		return p[off : off+kl], p[off+kl : off+kl+vl]
 	}
-	slot := binary.LittleEndian.Uint64(p[4+8*i:]) // off, klen
+	slot := binary.LittleEndian.Uint64(p[12+8*i:]) // off, klen
 	off, end := uint32(slot), uint32(len(p))
 	mid := off + uint32(slot>>32)
 	if i+1 < n {
-		end = binary.LittleEndian.Uint32(p[12+8*i:])
+		end = binary.LittleEndian.Uint32(p[20+8*i:])
 	}
-	return p[off:mid:mid], p[mid:end:end]
+	return p[off:mid], p[mid:end]
 }
 
 // is reports whether p is rec itself — the same bytes in the same place, not
@@ -96,30 +106,45 @@ func (p leafImage) bound(to []byte) int {
 	return p.search(to)
 }
 
+// within compares key with the key prefix once: key's suffix past it, and the
+// part of [i, n) left to search, none if key is at or below every entry or above.
+func (p leafImage) within(key []byte, i, n int) ([]byte, int, int) {
+	kp, _ := p.prefixes()
+	if key, ok := bytes.CutPrefix(key, kp); ok && len(key) > 0 {
+		return key, i, n
+	} else if ok || bytes.Compare(key, kp) < 0 {
+		return nil, i, i
+	}
+	return nil, n, n
+}
+
 // search returns the index of the first entry at or after key.
 func (p leafImage) search(key []byte) int {
-	if len(key) == 0 {
-		return 0
-	}
-	return sort.Search(p.count(), func(i int) bool { return bytes.Compare(p.key(i), key) >= 0 })
+	key, i, n := p.within(key, 0, p.count())
+	return p.bisect(i, n, key)
 }
 
 // gallop returns the index of the first entry in [i, n) at or after key, n
 // when there is none. It probes at doubling distances from i before it
 // bisects, so finding the end of a run of r entries costs O(log r) however
 // large the image is: a leaf-sized image and a 100k-entry edge block pay the
-// same for an overlay key that lands a few entries ahead. The bisection is
-// written out because this sits inside every scan's merge loop, where a
-// sort.Search closure call per probe costs more than the probe.
+// same for an overlay key that lands a few entries ahead. Past the prefix
+// test it compares suffixes alone.
 func (p leafImage) gallop(i, n int, key []byte) int {
+	key, i, n = p.within(key, i, n)
 	step := 1
-	for i+step <= n && bytes.Compare(p.key(i+step-1), key) < 0 {
+	for i+step <= n && bytes.Compare(p.suffix(i+step-1), key) < 0 {
 		i += step // sorted: everything up to the probe is below key too
 		step <<= 1
 	}
-	hi := min(i+step-1, n) // the probe that ended the loop, if any, is at or after key
+	return p.bisect(i, min(i+step-1, n), key) // the probe that ended the loop, if any, is at or after key
+}
+
+// bisect is search over [i, hi) by suffix, written out: a sort.Search closure
+// call per probe would cost more than the probe, in every scan's merge loop.
+func (p leafImage) bisect(i, hi int, key []byte) int {
 	for i < hi {
-		if mid := int(uint(i+hi) >> 1); bytes.Compare(p.key(mid), key) < 0 {
+		if mid := int(uint(i+hi) >> 1); bytes.Compare(p.suffix(mid), key) < 0 {
 			i = mid + 1
 		} else {
 			hi = mid
@@ -128,35 +153,48 @@ func (p leafImage) gallop(i, n int, key []byte) int {
 	return i
 }
 
-// imageShape is what an image's size and layout depend on, gathered entry by
-// entry: mergeEncode, persistBase's spill and decodeLeaf all size by it.
+// imageShape is what an image's size, layout and prefixes depend on, gathered
+// from whole entries (mergeEncode, persistBase's spill): each prefix is the
+// running common prefix with the first entry, which add copies into k0, v0.
 type imageShape struct {
-	n, payload uint64
-	klen, vlen int
+	n, payload uint64 // entries, and their whole key and value bytes
+	k0, v0     []byte
+	kp, vp     int
 	mixed      bool // entries differ in key or value length
 }
 
 func (s *imageShape) add(k, v []byte) {
 	if s.n == 0 {
-		s.klen, s.vlen = len(k), len(v)
+		s.k0, s.v0, s.kp, s.vp = append(s.k0[:0], k...), append(s.v0[:0], v...), len(k), len(v)
 	}
-	s.mixed = s.mixed || len(k) != s.klen || len(v) != s.vlen
+	for s.kp > 0 && !bytes.HasPrefix(k, s.k0[:s.kp]) { // shrinks len(k0) times at most in all
+		s.kp--
+	}
+	for s.vp > 0 && !bytes.HasPrefix(v, s.v0[:s.vp]) {
+		s.vp--
+	}
+	s.mixed = s.mixed || len(k) != len(s.k0) || len(v) != len(s.v0)
 	s.n, s.payload = s.n+1, s.payload+uint64(len(k)+len(v))
 }
 
 func (s *imageShape) packed() bool { return s.n > 0 && !s.mixed }
 
+// size is imageSize of the entries added so far.
+func (s *imageShape) size() (int, error) {
+	return imageSize(s.n, s.payload-s.n*uint64(s.kp+s.vp)+uint64(s.kp+s.vp), s.packed())
+}
+
 // imageSize returns the encoded length of an image of n entries carrying
-// payload key and value bytes in the given layout. Offsets in the table are
-// uint32 (and a slice length an int), so the sum is taken in 64 bits and an
-// image they could not address, or whose count would reach the packed flag,
-// is an error — a leaf is bounded by its split threshold, an edge block only
-// by its tree.
+// payload prefix and suffix bytes in the given layout. Offsets in the table
+// are uint32 (and a slice length an int), so the sum is taken in 64 bits and
+// an image they could not address, or whose count would reach the packed
+// flag, is an error — a leaf is bounded by its split threshold, an edge block
+// only by its tree.
 func imageSize(n, payload uint64, packed bool) (int, error) {
 	const limit = min(math.MaxUint32, math.MaxInt)
-	head, slot := uint64(4), uint64(8)
+	head, slot := uint64(12), uint64(8)
 	if packed {
-		head, slot = 12, 0
+		head, slot = 20, 0
 	}
 	if n >= packedLeafFlag || payload > limit || head+slot*n+payload > limit {
 		return 0, fmt.Errorf("bwtree: image of %d entries and %d payload bytes exceeds the leaf format's 4 GiB", n, payload)
@@ -166,42 +204,49 @@ func imageSize(n, payload uint64, packed bool) (int, error) {
 
 // decodeLeaf validates buf as a leaf image and returns it aliased, never
 // copied: every offset is checked in 64 bits against its neighbours and the
-// record's end, keys must ascend and the layout must be the one mergeEncode
-// picks for the entries, so the accessors above cannot panic or reach
-// outside buf, and a valid image re-encodes byte-identically.
+// record's end, keys must ascend and the prefixes and the layout must be the
+// ones mergeEncode picks for the entries, so the accessors above cannot panic
+// or reach outside buf, and a valid image re-encodes byte-identically.
 func decodeLeaf(buf []byte) (leafImage, error) {
-	if len(buf) < 4 {
+	if len(buf) < 12 {
 		return nil, fmt.Errorf("%w: short leaf", ErrCorruptPage)
 	}
 	p := leafImage(buf)
 	n := uint64(p.count())
-	min := 4 + 8*n // entry i's key starts at or after entry i-1's key end
+	pre := uint64(binary.LittleEndian.Uint32(buf[4:])) + uint64(binary.LittleEndian.Uint32(buf[8:]))
+	min := 12 + 8*n + pre // entry i's key starts at or after entry i-1's key end
 	if p.packed() {
 		// n < 2^31 and klen+vlen < 2^33: the product cannot wrap.
-		if len(buf) < 12 || 12+n*(uint64(binary.LittleEndian.Uint32(buf[4:]))+uint64(binary.LittleEndian.Uint32(buf[8:]))) != uint64(len(buf)) {
+		if len(buf) < 20 || 20+pre+n*(uint64(binary.LittleEndian.Uint32(buf[12:]))+uint64(binary.LittleEndian.Uint32(buf[16:]))) != uint64(len(buf)) {
 			return nil, fmt.Errorf("%w: packed leaf of %d entries in %d bytes", ErrCorruptPage, n, len(buf))
 		}
-	} else if min > uint64(len(buf)) || (n == 0 && len(buf) != 4) {
+	} else if min > uint64(len(buf)) || (n == 0 && len(buf) != 12) {
 		return nil, fmt.Errorf("%w: leaf table of %d entries in %d bytes", ErrCorruptPage, n, len(buf))
 	}
 	for i := uint64(0); i < n && !p.packed(); i++ {
-		s := buf[4+8*i:]
+		s := buf[12+8*i:]
 		off, klen := uint64(binary.LittleEndian.Uint32(s)), uint64(binary.LittleEndian.Uint32(s[4:]))
 		if off < min || (i == 0 && off != min) || off+klen > uint64(len(buf)) {
 			return nil, fmt.Errorf("%w: leaf entry %d out of bounds", ErrCorruptPage, i)
 		}
 		min = off + klen
 	}
-	var shape imageShape
+	var k0, v0, k []byte
+	mixed, vshared := false, n > 0 // the value suffixes so far share a first byte
 	for i := 0; i < int(n); i++ {
-		k, v := p.entry(i, int(n))
-		if i > 0 && bytes.Compare(p.key(i-1), k) >= 0 {
+		prev, v := k, []byte(nil)
+		if k, v = p.entry(i, int(n)); i == 0 {
+			k0, v0 = k, v
+		} else if bytes.Compare(prev, k) >= 0 {
 			return nil, fmt.Errorf("%w: leaf keys out of order at %d", ErrCorruptPage, i)
 		}
-		shape.add(k, v)
+		mixed = mixed || len(k) != len(k0) || len(v) != len(v0)
+		vshared = vshared && len(v) > 0 && v[0] == v0[0]
 	}
-	if shape.packed() != p.packed() {
-		return nil, fmt.Errorf("%w: leaf of %d entries in the wrong layout", ErrCorruptPage, n)
+	// A prefix is short when every suffix starts with one byte: of sorted
+	// keys, when the first and the last do.
+	if kshared := n > 0 && len(k0) > 0 && k0[0] == k[0]; kshared || vshared || (n > 0 && !mixed) != p.packed() {
+		return nil, fmt.Errorf("%w: leaf of %d entries under a short prefix or in the wrong layout", ErrCorruptPage, n)
 	}
 	return p, nil
 }

@@ -2,9 +2,12 @@ package bwtree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,10 +30,19 @@ func mustEncode(base leafImage, ov []op, lo, hi []byte, floor wal.LSN) leafImage
 	return img
 }
 
+// pairAt returns entry i of p whole: its suffixes behind the image's
+// prefixes, copied.
+func pairAt(p leafImage, i int) (k, v []byte) {
+	kp, vp := p.prefixes()
+	ks, vs := p.entry(i, p.count())
+	return slices.Concat(kp, ks), slices.Concat(vp, vs)
+}
+
 // TestLeafEncodeDecodeRoundTrip: an encoded image validates, reads back
 // every pair in key order through the in-place accessors and the binary
 // search, is packed exactly when its entries are uniform, and is no larger
-// than the former length-prefixed layout (4 + Σ(8 + klen + vlen)).
+// than a length-prefixed layout behind the prefix header (12 + Σ(8 + klen +
+// vlen)).
 func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(keys [][]byte, vals [][]byte) bool {
 		want := map[string][]byte{}
@@ -44,7 +56,7 @@ func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 			want[string(k)] = v
 		}
 		img := imageOf(pairs...)
-		size, uniform := 4, true
+		size, uniform := 12, true
 		for k, v := range want {
 			size += 8 + len(k) + len(v)
 			uniform = uniform && len(k) == len(pairs[0].key) && len(v) == len(want[string(pairs[0].key)])
@@ -53,16 +65,19 @@ func TestLeafEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil || out.count() != len(want) || len(img) > size || out.packed() != (uniform && len(want) > 0) {
 			return false
 		}
+		var prev []byte
 		for i := 0; i < out.count(); i++ {
-			if v, ok := want[string(out.key(i))]; !ok || !bytes.Equal(out.val(i), v) {
+			k, v := pairAt(out, i)
+			if w, ok := want[string(k)]; !ok || !bytes.Equal(v, w) {
 				return false
 			}
-			if i > 0 && bytes.Compare(out.key(i-1), out.key(i)) >= 0 {
+			if i > 0 && bytes.Compare(prev, k) >= 0 {
 				return false
 			}
-			if out.search(out.key(i)) != i {
+			if out.search(k) != i {
 				return false
 			}
+			prev = k
 		}
 		return bytes.Equal(mustEncode(out, nil, nil, nil, horizonAll), img)
 	}
@@ -80,24 +95,95 @@ func TestImageSizeLimit(t *testing.T) {
 		packed     bool
 		want       int // 0: refused
 	}{
-		{0, 0, false, 4},
-		{3, 30, false, 4 + 24 + 30},
-		{1, math.MaxUint32 - 12, false, math.MaxUint32},
-		{1, math.MaxUint32 - 11, false, 0},
+		{0, 0, false, 12},
+		{3, 30, false, 12 + 24 + 30},
+		{1, math.MaxUint32 - 20, false, math.MaxUint32},
+		{1, math.MaxUint32 - 19, false, 0},
 		{1 << 29, 0, false, 0}, // the table alone is 4 GiB
 		{1 << 61, 0, false, 0}, // 8n wraps to 0
 		{2, math.MaxUint64 - 19, false, 0},
 		{math.MaxUint64, math.MaxUint64, false, 0},
-		{3, 30, true, 12 + 30},
-		{1 << 29, 1 << 30, true, 12 + 1<<30}, // no table: the count alone is no limit
-		{1, math.MaxUint32 - 12, true, math.MaxUint32},
-		{1, math.MaxUint32 - 11, true, 0},
+		{3, 30, true, 20 + 30},
+		{1 << 29, 1 << 30, true, 20 + 1<<30}, // no table: the count alone is no limit
+		{1, math.MaxUint32 - 20, true, math.MaxUint32},
+		{1, math.MaxUint32 - 19, true, 0},
 		{1 << 31, 1 << 31, true, 0}, // the count would set the packed flag
 		{2, math.MaxUint64 - 11, true, 0},
 	} {
 		if got, err := imageSize(c.n, c.payload, c.packed); got != c.want || (err == nil) != (c.want != 0) {
 			t.Fatalf("imageSize(%d, %d, %v) = %d, %v; want %d", c.n, c.payload, c.packed, got, err, c.want)
 		}
+	}
+}
+
+// encodeUnder encodes puts (key-ascending) in the leaf format under a key and
+// a value prefix of the given lengths chosen by hand, in the layout their
+// suffixes pick.
+func encodeUnder(puts []op, kpl, vpl int) []byte {
+	count := uint32(len(puts))
+	for i, o := range puts {
+		if len(o.key) != len(puts[0].key) || len(o.val) != len(puts[0].val) {
+			break
+		} else if i == len(puts)-1 {
+			count |= packedLeafFlag
+		}
+	}
+	buf := binary.LittleEndian.AppendUint32(nil, count)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(kpl))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(vpl))
+	if count&packedLeafFlag != 0 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(puts[0].key)-kpl))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(puts[0].val)-vpl))
+	} else {
+		off := len(buf) + 8*len(puts) + kpl + vpl
+		for _, o := range puts {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.key)-kpl))
+			off += len(o.key) + len(o.val) - kpl - vpl
+		}
+	}
+	if len(puts) > 0 {
+		buf = append(append(buf, puts[0].key[:kpl]...), puts[0].val[:vpl]...)
+	}
+	for _, o := range puts {
+		buf = append(append(buf, o.key[kpl:]...), o.val[vpl:]...)
+	}
+	return buf
+}
+
+// TestDecodeLeafRejectsAShortPrefix: an image has one encoding — under the
+// longest prefixes its keys and its values share, which is what mergeEncode
+// writes — and decodeLeaf refuses the same entries under any shorter key or
+// value prefix, in either layout and for a single entry, whose prefixes are
+// its key and value whole.
+func TestDecodeLeafRejectsAShortPrefix(t *testing.T) {
+	edge := func(dst uint64, ts byte, extra int) op { // a dedicated tree's edge: type, dst -> one ts property
+		k := binary.BigEndian.AppendUint64([]byte{0, 1}, dst)
+		return op{key: k, val: append([]byte{1, 0, 2, 't', 's', 8, 0, 0, 0, 7, 7, 7, 7, 7, 7, 7, ts}, make([]byte, extra)...)}
+	}
+	for _, c := range []struct {
+		name   string
+		puts   []op
+		kp, vp int // the longest prefixes
+	}{
+		{"packed", []op{edge(300, 1, 0), edge(301, 2, 0), edge(9000, 3, 0)}, 8, 16},
+		{"table", []op{edge(300, 1, 0), edge(301, 2, 1), edge(9000, 3, 0)}, 8, 16},
+		{"one entry", []op{edge(300, 1, 0)}, 10, 17},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if img := encodeUnder(c.puts, c.kp, c.vp); !bytes.Equal(img, imageOf(c.puts...)) {
+				t.Fatalf("mergeEncode does not write the entries under prefixes of %d and %d bytes", c.kp, c.vp)
+			} else if _, err := decodeLeaf(img); err != nil {
+				t.Fatal(err)
+			}
+			for kp := 0; kp <= c.kp; kp++ {
+				for vp := 0; vp <= c.vp; vp++ {
+					if _, err := decodeLeaf(encodeUnder(c.puts, kp, vp)); (kp < c.kp || vp < c.vp) && !errors.Is(err, ErrCorruptPage) {
+						t.Fatalf("prefixes of %d and %d bytes (longest %d and %d) decode: %v", kp, vp, c.kp, c.vp, err)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -123,7 +209,7 @@ func TestSpillBoundaryIsExact(t *testing.T) {
 					shape.add(puts[i].key, puts[i].val)
 				}
 			}
-			extent, err := imageSize(shape.n, shape.payload, shape.packed())
+			extent, err := shape.size()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,21 +318,37 @@ func TestOpsEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCorruptImages(t *testing.T) {
+	var none [8]byte // kpl and vpl of an image with no prefixes
+	head := func(count uint32, rest ...byte) []byte {
+		return append(append(binary.LittleEndian.AppendUint32(nil, count), none[:]...), rest...)
+	}
+	const packed = packedLeafFlag
 	leafCases := [][]byte{
 		nil,
 		{1, 2},
-		{5, 0, 0, 0},                    // claims 5 entries, no table
-		{1, 0, 0, 0, 10, 0, 0, 0, 0, 0}, // truncated table
-		{0, 0, 0, 0, 0xFF},              // bytes trail an empty page
-		{1, 0, 0, 0, 12, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 'k'}, // klen wraps a 32-bit sum
-		{1, 0, 0, 0, 13, 0, 0, 0, 0, 0, 0, 0, 'k'},             // first key not at the table's end
-		{1, 0, 0, 0, 12, 0, 0, 0, 1, 0, 0, 0, 'k'},             // one entry, uniform: packed is its layout
-		{0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0},                // packed and empty
-		{1, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0},                   // truncated packed header
-		{2, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 'a'},           // packed entries past the end
-		{2, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 'a', 'b', 'c'}, // bytes trail packed entries
-		{2, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 'b', 'a'},      // packed keys out of order
-		{2, 0, 0, 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 'a'},     // count × (klen+vlen) wraps 32 bits
+		head(0)[:8],                // truncated header
+		head(5),                    // claims 5 entries, no table
+		head(1, 20, 0, 0, 0, 0, 0), // truncated table
+		head(0, 0xFF),              // bytes trail an empty page
+		{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},                                        // an empty page under a prefix
+		{1, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'k'}, // key prefix past the end
+		// Two entries, a→"" and b→"1": the table below is valid but for one field.
+		head(2, 29, 0, 0, 0, 1, 0, 0, 0, 29, 0, 0, 0, 1, 0, 0, 0, 'a', 'b', '1'),             // first key not at the table's end
+		head(2, 28, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 29, 0, 0, 0, 1, 0, 0, 0, 'a', 'b', '1'), // klen wraps a 32-bit sum
+		head(1, 20, 0, 0, 0, 0, 0, 0, 0),                                                     // one entry, uniform: packed is its layout
+		head(packed, 0, 0, 0, 0, 0, 0, 0, 0),                                                 // packed and empty
+		head(packed|1, 0, 0, 0, 0, 0, 0, 0),                                                  // truncated packed header
+		head(packed|2, 1, 0, 0, 0, 0, 0, 0, 0, 'a'),                                          // packed entries past the end
+		head(packed|2, 1, 0, 0, 0, 0, 0, 0, 0, 'a', 'b', 'c'),                                // bytes trail packed entries
+		head(packed|2, 1, 0, 0, 0, 0, 0, 0, 0, 'b', 'a'),                                     // packed keys out of order
+		head(packed|2, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 'a'),                                    // count × (klen+vlen) wraps 32 bits
+		head(packed|2, 2, 0, 0, 0, 0, 0, 0, 0, 'k', 'a', 'k', 'b'),                           // keys ka, kb: a short key prefix
+		head(packed|2, 1, 0, 0, 0, 1, 0, 0, 0, 'a', 'v', 'b', 'v'),                           // values v, v: a short value prefix
+		// One entry kx→"" under the key prefix k: its prefix is short of the key.
+		{1, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 'k', 'x'},
+	}
+	if _, err := decodeLeaf(head(2, 28, 0, 0, 0, 1, 0, 0, 0, 29, 0, 0, 0, 1, 0, 0, 0, 'a', 'b', '1')); err != nil {
+		t.Fatalf("the table two cases corrupt does not decode: %v", err)
 	}
 	for i, buf := range leafCases {
 		if _, err := decodeLeaf(buf); err == nil {

@@ -1,6 +1,7 @@
 package bwtree
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -245,25 +246,25 @@ func (t *Tree) appendDeltas(id PageID, ops []op) ([]storage.Loc, error) {
 // so img is the caller's again afterwards (the flush's scratch). An image
 // too large for one extent (splits disabled, or huge values) keeps the
 // leading entries that fit and spills the rest into the chain as LSN-0 puts,
-// which every horizon sees; those join the overlay, so they point into a
-// copy of their own, and the leading entries are encoded over img. e.mu must
+// which every horizon sees; those join the overlay, so they are copies of
+// their own, and the leading entries are encoded over img. e.mu must
 // be held; on error nothing changed.
 func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	if max := t.store.ExtentSize(); len(img) > max {
 		full := leafImage(slices.Clone(img))
-		n, count := 0, full.count()
-		for shape := (imageShape{}); ; n++ { // the whole image does not fit: this ends
-			shape.add(full.entry(n, count))
-			if size, err := imageSize(shape.n, shape.payload, shape.packed()); err != nil || size > max {
-				break
+		shape, spill := imageShape{}, []op(nil)
+		scanPage(full, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+			if spill == nil {
+				shape.add(k, v)
+				if size, err := shape.size(); err == nil && size <= max {
+					return true
+				}
 			}
-		}
-		spill := make([]op, 0, count-n+len(ops))
-		for i := n; i < count; i++ {
-			spill = append(spill, op{key: full.key(i), val: full.val(i)})
-		}
+			spill = append(spill, op{key: bytes.Clone(k), val: bytes.Clone(v)}) // the whole image does not fit: one does
+			return true
+		})
 		var err error
-		if img, err = mergeEncode(img[:0], full, nil, nil, full.key(n), horizonAll); err != nil {
+		if img, err = mergeEncode(img[:0], full, nil, nil, spill[0].key, horizonAll); err != nil {
 			return err
 		}
 		ops = sortOps(append(spill, ops...))

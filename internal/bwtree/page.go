@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"bg3/internal/wal"
 )
@@ -136,6 +137,76 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 	return from, to
 }
 
+// joiner walks one image for scanPage and hands out its entries whole: its
+// prefixes, then an entry's suffixes copied behind them — where they fit, in a
+// packed image, one block per column (read past the entry, never the image).
+// Each entry is valid until the next; the walk's end recycles the joiner.
+type joiner struct {
+	k, v, kw, vw      []byte // k, v: kp, vp, an entry's suffixes, room for a block; kw, vw: cut to a packed entry
+	p                 leafImage
+	kpl, vpl, blocks  int             // entries [0, blocks) are block-copied into kb, vb
+	kb, vb            *[blockLen]byte // and go out as kw, vw
+	first, kl, stride int             // a packed image's entry 0, entries a stride apart, keys kl long
+}
+
+// idleJoiners is a bounded free list, for a few concurrent and nested walks:
+// a sync.Pool's per-P caches allocate afresh as a goroutine moves between Ps,
+// and a channel's lock costs a short walk more than its copies.
+var idleJoiners [8]atomic.Pointer[joiner]
+
+const blockLen = 16 // an edge key's suffix, or a small property record's
+
+// takeJoiner returns a recycled joiner set to walk p.
+func takeJoiner(p leafImage) *joiner {
+	var j *joiner
+	for i := 0; j == nil && i < len(idleJoiners); i++ {
+		j = idleJoiners[i].Swap(nil)
+	}
+	if j == nil {
+		j = new(joiner)
+	}
+	kp, vp := p.prefixes()
+	j.p, j.kpl, j.vpl, j.blocks = p, len(kp), len(vp), 0
+	j.k = append(slices.Grow(j.k[:0], len(kp)+blockLen), kp...)[:len(kp)+blockLen]
+	j.v = append(slices.Grow(j.v[:0], len(vp)+blockLen), vp...)[:len(vp)+blockLen]
+	if p.packed() {
+		lens := binary.LittleEndian.Uint64(p[12:]) // klen, vlen
+		j.kl, j.stride, j.first = int(uint32(lens)), int(uint32(lens))+int(lens>>32), 20+len(kp)+len(vp)
+		if room := len(p) - j.first - j.kl - blockLen; j.kl <= blockLen && j.stride-j.kl <= blockLen && room >= 0 {
+			j.blocks = min(p.count(), room/j.stride+1) // room >= 0: the entries are not empty
+			j.kb, j.vb = (*[blockLen]byte)(j.k[len(kp):]), (*[blockLen]byte)(j.v[len(vp):])
+			j.kw, j.vw = j.k[:len(kp)+j.kl:len(kp)+j.kl], j.v[:len(vp)+j.stride-j.kl:len(vp)+j.stride-j.kl]
+		}
+	}
+	return j
+}
+
+// block is entry for an entry below blocks, and costs one copy per column.
+func (j *joiner) block(i int) (k, v []byte) {
+	e := j.p[j.first+i*j.stride:]
+	*j.kb, *j.vb = [blockLen]byte(e), [blockLen]byte(e[j.kl:])
+	return j.kw, j.vw
+}
+
+// entry returns entry i whole.
+func (j *joiner) entry(i int) (k, v []byte) {
+	ks, vs := j.p.entry(i, j.p.count())
+	k, v = append(j.k[:j.kpl], ks...), append(j.v[:j.vpl], vs...)
+	j.k, j.v = k[:cap(k)], v[:cap(v)] // what grew, with a block's room at least
+	return k[:len(k):len(k)], v[:len(v):len(v)]
+}
+
+// release recycles j, unless it outgrew maxKeptScratch, with no pointer into
+// the image: a pooled view would keep its extent in memory.
+func (j *joiner) release() {
+	j.p = nil
+	for i := 0; cap(j.k)+cap(j.v) <= maxKeptScratch && i < len(idleJoiners); i++ {
+		if idleJoiners[i].Load() == nil && idleJoiners[i].CompareAndSwap(nil, j) {
+			return
+		}
+	}
+}
+
 // scanPage is the one read of an image under an overlay — a leaf's, or an
 // edge block's. It merges base with ov as of horizon h — per key, the newest
 // overlay op stamped at or below h decides, else the base entry stands —
@@ -151,11 +222,16 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 // scan is: the keys going out are compared, nothing else is touched); a run
 // that outlasts gallopAfter entries finds its end by a galloping search and
 // goes out uncompared (a block under late writes: a comparison per overlay
-// key, not per base entry).
+// key, not per base entry). A base entry goes out in a joiner: fn must not
+// retain it.
 func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
-	count := base.count()
 	i, n := base.search(from), base.bound(to)
 	ov = opsInRange(ov, from, to)
+	var jn *joiner
+	if i < n {
+		jn = takeJoiner(base)
+		defer jn.release()
+	}
 	j, delivered := 0, 0
 	for {
 		end := n
@@ -168,7 +244,12 @@ func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn
 			next, below = ov[j].key, i
 		}
 		for checked := 0; i < end; i++ {
-			k, v := base.entry(i, count)
+			var k, v []byte
+			if i < jn.blocks {
+				k, v = jn.block(i) // most entries of a packed image, inlined
+			} else {
+				k, v = jn.entry(i)
+			}
 			if i >= below {
 				if bytes.Compare(k, next) >= 0 {
 					break
@@ -194,12 +275,12 @@ func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn
 			}
 		}
 		var v []byte
-		same := i < n && bytes.Equal(base.key(i), k)
+		same := i < n && bytes.HasPrefix(k, jn.k[:jn.kpl]) && bytes.Equal(base.suffix(i), k[jn.kpl:])
 		live := vis >= 0 && !ov[vis].del
 		if live {
 			v = ov[vis].val
 		} else if vis < 0 && same {
-			k, v = base.entry(i, count)
+			k, v = jn.entry(i)
 			live = true
 		}
 		if same {
@@ -217,44 +298,52 @@ func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn
 	}
 }
 
-// lookup returns key's value in base ⊕ ov as of h, aliasing page memory.
-func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val []byte, ok bool) {
+// lookup reports whether key is live in base ⊕ ov as of h and hands its
+// value to fn, when there is one, valid for the call alone.
+func lookup(base leafImage, ov []op, key []byte, h wal.LSN, fn func(v []byte)) (ok bool) {
 	var buf [64]byte
 	succ := append(append(buf[:0], key...), 0) // [key, key\x00) holds key alone
 	scanPage(base, ov, key, succ, 1, h, func(_, v []byte) bool {
-		val, ok = v, true
+		ok = true
+		fn(v)
 		return false
 	})
-	return val, ok
+	return ok
 }
 
 // mergeEncode folds the ops of ov stamped at or below floor into base,
 // clipped to [lo, hi), appends the result to dst as a flat image and returns
 // the image — the next durable base record, the next edge block, or a load's
 // base merged with its chain. It is the only writer of leaf images: one pass
-// sizes the result and picks its layout (imageShape), the next writes it. It
-// fails only when the result would outgrow the format (imageSize).
+// sizes the result and picks its prefixes and layout (imageShape), the next
+// writes each entry's suffixes. It fails only when the result would outgrow
+// the format (imageSize).
 func mergeEncode(dst []byte, base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
-	var shape imageShape
+	first := takeJoiner(emptyLeaf) // its buffers hold the shape's copy of the first entry
+	defer first.release()
+	shape := imageShape{k0: first.k, v0: first.v}
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
 		shape.add(k, v)
 		return true
 	})
-	size, err := imageSize(shape.n, shape.payload, shape.packed())
+	size, err := shape.size()
 	if err != nil {
 		return nil, err
 	}
-	start, n := len(dst), int(shape.n)
-	img, packed := slices.Grow(dst, size), shape.packed()
+	kp, vp := shape.k0[:shape.kp], shape.v0[:shape.vp]
+	start, n, packed := len(dst), int(shape.n), shape.packed()
+	img := binary.LittleEndian.AppendUint32(slices.Grow(dst, size), uint32(n))
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(kp))|uint64(len(vp))<<32) // kpl, vpl
+	slot := len(img)
 	if packed {
-		img = binary.LittleEndian.AppendUint32(img, uint32(n)|packedLeafFlag)
-		img = binary.LittleEndian.AppendUint32(img, uint32(shape.klen))
-		img = binary.LittleEndian.AppendUint32(img, uint32(shape.vlen))
+		img[start+3] |= packedLeafFlag >> 24
+		img = binary.LittleEndian.AppendUint64(img, uint64(len(shape.k0)-len(kp))|uint64(len(shape.v0)-len(vp))<<32) // klen, vlen
 	} else {
-		img = binary.LittleEndian.AppendUint32(img, uint32(n))[:start+4+8*n]
+		img = img[:slot+8*n]
 	}
-	slot := start + 4
+	img = append(append(img, kp...), vp...)
 	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
+		k, v = k[len(kp):], v[len(vp):]
 		if !packed {
 			binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)-start))
 			binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))

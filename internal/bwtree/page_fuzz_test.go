@@ -10,18 +10,33 @@ import (
 )
 
 // FuzzDecodeLeafPage drives the leaf-image validator with arbitrary bytes
-// (seed corpus in testdata/fuzz: a valid image in each layout, each
-// truncation class, a flipped offset, unsorted keys, the 32-bit length
-// overflow, a packed image of no entries, a packed count × (klen+vlen) past 32
-// bits, uniform entries in the table layout). Every input either fails with
-// ErrCorruptPage or is an image whose accessors stay inside the record, whose
-// keys ascend, and which re-encodes byte for byte (the layout is canonical:
-// packed exactly when the entries are uniform, then header or table, then
-// entries, no slack) — never a panic, never an alias outside buf.
+// (seeds: each layout under a key prefix, a value prefix, both and neither, a
+// one-entry image, whose prefixes are its entry whole, and the empty image;
+// corpus in testdata/fuzz: each truncation class, a flipped offset, unsorted
+// keys, the 32-bit length overflow, a packed image of no entries, a packed
+// count × (klen+vlen) past 32 bits, uniform entries in the table layout, a
+// prefix length past the end and a short prefix). Every input either fails
+// with ErrCorruptPage or is an image whose accessors stay inside the record,
+// whose keys ascend, and which re-encodes byte for byte (the format is
+// canonical: maximal prefixes, packed exactly when the suffixes are uniform,
+// then header or table, then entries, no slack) — never a panic, never an
+// alias outside buf.
 func FuzzDecodeLeafPage(f *testing.F) {
-	f.Add([]byte(imageOf(op{key: []byte("a"), val: []byte("1")}, op{key: []byte("b")})))
-	f.Add([]byte(imageOf(op{key: []byte("a"), val: []byte("1")}, op{key: []byte("b"), val: []byte("2")})))
-	f.Add([]byte(emptyLeaf))
+	pair := func(k, v string) op { return op{key: []byte(k), val: []byte(v)} }
+	for _, puts := range [][]op{
+		{pair("a", "1"), pair("b", "")},        // table, no prefix
+		{pair("a", "1"), pair("b", "2")},       // packed, no prefix
+		{pair("k1", "1"), pair("k22", "2")},    // table under a key prefix
+		{pair("k1", "1"), pair("k2", "2")},     // packed under a key prefix
+		{pair("a", "ts1"), pair("b", "ts22")},  // table under a value prefix
+		{pair("a", "ts1"), pair("b", "ts2")},   // packed under a value prefix
+		{pair("k1", "ts1"), pair("k22", "ts")}, // table under both
+		{pair("k1", "ts1"), pair("k2", "ts2")}, // packed under both
+		{pair("key", "value")},                 // one entry: its prefixes are the entry
+		nil,
+	} {
+		f.Add([]byte(imageOf(puts...)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeLeaf(data)
 		if err != nil {
@@ -30,14 +45,25 @@ func FuzzDecodeLeafPage(f *testing.F) {
 			}
 			return
 		}
-		for i := 0; i < img.count(); i++ {
-			k, v := img.key(i), img.val(i)
-			if i > 0 && bytes.Compare(img.key(i-1), k) >= 0 {
+		// A walk hands out every entry whole, in order, capacity-capped.
+		var prev []byte
+		i := 0
+		scanPage(img, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+			wk, wv := pairAt(img, i)
+			if !bytes.Equal(k, wk) || !bytes.Equal(v, wv) || cap(k) != len(k) || cap(v) != len(v) {
+				t.Fatalf("entry %d: %q=%q (caps %d, %d), want %q=%q", i, k, v, cap(k), cap(v), wk, wv)
+			}
+			if i > 0 && bytes.Compare(prev, k) >= 0 {
 				t.Fatalf("decoded keys unsorted at %d", i)
 			}
-			if img.search(k) != i || cap(k) != len(k) || cap(v) != len(v) {
-				t.Fatalf("entry %d: search = %d, key cap %d/%d, val cap %d/%d", i, img.search(k), cap(k), len(k), cap(v), len(v))
+			if img.search(k) != i {
+				t.Fatalf("entry %d: search = %d", i, img.search(k))
 			}
+			prev, i = append(prev[:0], k...), i+1
+			return true
+		})
+		if i != img.count() {
+			t.Fatalf("a walk delivered %d of %d entries", i, img.count())
 		}
 		if again := mustEncode(img, nil, nil, nil, horizonAll); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %d bytes in, %d out", len(data), len(again))

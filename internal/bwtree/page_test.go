@@ -573,8 +573,8 @@ func TestOversizedImageSpillsIntoDeltaChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		val := bytes.Repeat([]byte{'v'}, 50)
-		for i := 0; i < 60; i++ { // ~4 KiB of content in one leaf
+		for i := 0; i < 60; i++ { // ~4 KiB of content in one leaf, values of no common prefix
+			val := append([]byte{byte(i)}, bytes.Repeat([]byte{'v'}, 49)...)
 			if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), val); err != nil {
 				t.Fatalf("mode %d: put %d: %v", flush, i, err)
 			}
@@ -648,8 +648,10 @@ func TestExplicitBuildWaitsForSpawnedBuild(t *testing.T) {
 // so evicting a page's image takes exactly its length off the gauge.
 func TestMemoryUsageCountsResidentBytes(t *testing.T) {
 	tr, _ := newTestTree(t, Config{})
+	var puts []op
 	for i := 0; i < 100; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("value")); err != nil {
+		puts = append(puts, op{key: []byte(fmt.Sprintf("k%03d", i)), val: []byte("value")})
+		if err := tr.Put(puts[i].key, puts[i].val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -659,7 +661,7 @@ func TestMemoryUsageCountsResidentBytes(t *testing.T) {
 	img := len(e.base)
 	e.base, e.live = nil, -1
 	e.mu.Unlock()
-	if least, _ := imageSize(100, 100*(4+5), true); img < least || before-tr.m.MemoryUsage() != int64(img) {
+	if img != len(imageOf(puts...)) || before-tr.m.MemoryUsage() != int64(img) {
 		t.Fatalf("evicting a %d-byte image moved memory_bytes by %d", img, before-tr.m.MemoryUsage())
 	}
 }

@@ -49,8 +49,7 @@ type manyScan struct {
 // hopScratch is every slice and map one ScanManyAt call works in — the
 // scans' progress and queue, a load's leaves, its index, its loc lists and
 // the views storage hands back — kept across calls in hopPool, so that a hop
-// allocates nothing of its own: what it costs is its scans. emit, the walk's
-// callback, is made once per scratch and reads the call's fn and cur from it.
+// allocates nothing of its own: what it costs is its scans.
 //
 // Whatever goes back to the pool goes back holding no pointer into a page
 // or a record (release): a held image and a view are records where they lie
@@ -67,23 +66,9 @@ type hopScratch struct {
 	arena  []storage.Loc // delta chains, read only where no overlay mirrors them (locs)
 	locs   []storage.Loc // the load's batch (loadHeld)
 	bufs   [][]byte      // its views
-
-	fn      func(i int, key, value []byte) bool
-	cur     int // scan whose leaf is being walked
-	stopped bool
-	emit    func(k, v []byte) bool
 }
 
-var hopPool = sync.Pool{New: func() any {
-	sc := &hopScratch{index: make(map[*pageEntry]int)}
-	sc.emit = func(k, v []byte) bool {
-		if !sc.fn(sc.cur, k, v) {
-			sc.stopped = true
-		}
-		return !sc.stopped
-	}
-	return sc
-}}
+var hopPool = sync.Pool{New: func() any { return &hopScratch{index: make(map[*pageEntry]int)} }}
 
 // newLoad empties the scratch for the next load, dropping the last one's
 // leaves and views.
@@ -99,7 +84,6 @@ func (sc *hopScratch) release() {
 	sc.newLoad()
 	clear(sc.state)
 	sc.state, sc.queue = sc.state[:0], sc.queue[:0]
-	sc.fn, sc.stopped = nil, false
 	hopPool.Put(sc)
 }
 
@@ -128,7 +112,12 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			scans[i].Tree.maybeBuildEdgeBlock()
 		}
 	}()
-	sc.fn = fn
+	// The walk's callback, on the stack: fn does not escape with it.
+	cur, stopped := 0, false // the scan whose leaf is being walked; fn stopped the walk
+	emit := func(k, v []byte) bool {
+		stopped = stopped || !fn(cur, k, v)
+		return !stopped
+	}
 	for i, s := range scans {
 		s.Tree.scans.Add(1)
 		from := s.From
@@ -144,12 +133,12 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 		sc.newLoad()
 		n := 0
 		for ; n < len(sc.queue) && len(sc.leaves) < maxBatchLeaves; n++ {
-			sc.cur = sc.queue[n]
-			s, t := &sc.state[sc.cur], scans[sc.cur].Tree
+			cur = sc.queue[n]
+			s, t := &sc.state[cur], scans[cur].Tree
 			// A packed super-vertex tree answers what its clean chunks hold
 			// from memory; a leaf whose chunk cannot joins the load.
-			got, from, done := t.scanBlock(s.from, scans[sc.cur].To, limit-s.delivered, h, sc.emit)
-			if sc.stopped {
+			got, from, done := t.scanBlock(s.from, scans[cur].To, limit-s.delivered, h, emit)
+			if stopped {
 				return nil
 			}
 			if s.from, s.delivered = from, s.delivered+got; done {
@@ -177,7 +166,7 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			}
 			e.mu.Unlock()
 			s.leaf = li
-			sc.round = append(sc.round, sc.cur)
+			sc.round = append(sc.round, cur)
 		}
 		// The rest of the queue moves to its front; the continuations join
 		// it behind, in the room the resolved scans left.
@@ -187,14 +176,14 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 		m.loadHeld(sc)
 
 		// (3) Walk each scan over the images the load holds.
-		for _, sc.cur = range sc.round {
-			s, rs := &sc.state[sc.cur], scans[sc.cur]
-			more, err := rs.Tree.scanHeld(&sc.leaves[s.leaf], s, rs.To, limit, h, sc.emit)
-			if err != nil || sc.stopped {
+		for _, cur = range sc.round {
+			s, rs := &sc.state[cur], scans[cur]
+			more, err := rs.Tree.scanHeld(&sc.leaves[s.leaf], s, rs.To, limit, h, emit)
+			if err != nil || stopped {
 				return err
 			}
 			if more {
-				sc.queue = append(sc.queue, sc.cur)
+				sc.queue = append(sc.queue, cur)
 			}
 		}
 	}

@@ -171,8 +171,8 @@ func TestCacheDisabledSyncSplits(t *testing.T) {
 		policy               DeltaPolicy
 		reads, writes, bytes int64
 	}{
-		{ReadOptimized, 4039, 2179, 146520},
-		{Traditional, 10096, 2179, 70845},
+		{ReadOptimized, 4039, 2179, 133370},
+		{Traditional, 10096, 2179, 57695},
 	} {
 		tr, st := newTreeOn(t, NewMapping(0, true), Config{Policy: c.policy, MaxPageEntries: 16})
 		want := map[string]string{}

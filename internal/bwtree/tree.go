@@ -397,10 +397,8 @@ func (t *Tree) GetAt(key []byte, h wal.LSN) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	v, found := lookup(base, e.overlay, key, h)
-	if found {
-		v = append([]byte(nil), v...)
-	}
+	var v []byte
+	found := lookup(base, e.overlay, key, h, func(val []byte) { v = append([]byte(nil), val...) })
 	return v, found, nil
 }
 
@@ -578,7 +576,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits, locked bool)
 		if order == 0 {
 			existed = !run[n-1].del // the run's previous op decided this key
 		} else {
-			_, existed = lookup(base, e.overlay, o.key, horizonAll)
+			existed = lookup(base, e.overlay, o.key, horizonAll, func([]byte) {})
 		}
 		if logged {
 			// Write-ahead: the record enters the WAL (and receives its LSN)
@@ -803,15 +801,14 @@ func (t *Tree) split(e *pageEntry, base leafImage, waits *wal.Waits) (bool, erro
 	left, appended := e.appended(base)
 	var sep []byte
 	if appended {
-		sep = e.overlay[0].key
+		sep = bytes.Clone(e.overlay[0].key)
 	} else {
 		left = n / 2
 		scanPage(base, e.overlay, e.lo, e.hi, left+1, horizonAll, func(k, _ []byte) bool {
-			sep = k
+			sep = append(sep[:0], k...) // the last key delivered; the walk reuses k
 			return true
 		})
 	}
-	sep = append([]byte(nil), sep...)
 	rightID := t.m.allocPageID()
 
 	if t.logger != nil {
@@ -871,9 +868,8 @@ func (e *pageEntry) appended(base leafImage) (int, bool) {
 		return 0, false
 	}
 	i, j := base.search(e.lo), base.bound(e.hi)
-	left := j - i
-	return left, left > 0 && left <= e.tree.cfg.MaxPageEntries &&
-		bytes.Compare(base.key(j-1), e.overlay[0].key) < 0
+	left := j - i // the overlay's first key is in range: at or past every entry below j
+	return left, left > 0 && left <= e.tree.cfg.MaxPageEntries && base.search(e.overlay[0].key) == j
 }
 
 // halve is the in-memory body of every split — a leader's, whose flushes then

@@ -241,7 +241,7 @@ func TestEngineTTLExpiry(t *testing.T) {
 		Tree:    bwtree.Config{MaxPageEntries: 16},
 		TTL:     time.Minute,
 	})
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 200; i++ { // enough to seal an extent: leaves store their keys' common prefix once
 		if err := e.AddEdge(graph.Edge{Src: 1, Dst: graph.VertexID(i), Type: graph.ETypeTransfer}); err != nil {
 			t.Fatal(err)
 		}

@@ -126,10 +126,14 @@ func fig10TreeSetup(policy bwtree.DeltaPolicy, keys, writes int) *storage.Store 
 	if err != nil {
 		panic(err)
 	}
-	val := make([]byte, 64)
 	rng := rand.New(rand.NewSource(21))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
 	for i := 0; i < writes; i++ {
+		// Each value is 64 bytes that lead with its write's sequence number:
+		// values that were all alike would be stored once per leaf, and the
+		// consolidations whose bytes the figure compares would shrink to
+		// their keys.
+		val := binary.BigEndian.AppendUint64(make([]byte, 0, 64), uint64(i))[:64]
 		if err := tr.Put(key64(zipf.Uint64()), val); err != nil {
 			panic(err)
 		}

@@ -108,11 +108,17 @@ func ScanManyAt[ID ~uint64](f *Forest, owners []ID, from, to []byte, limit int, 
 		scanPool.Put(sc)
 	}()
 	// Room for every owner's bounds up front: the arena never moves while
-	// the scans point into it.
-	sc.keys = slices.Grow(sc.keys, len(owners)*(16+len(from)+len(to)))
+	// the scans point into it. The dedicated trees' scans share one copy of
+	// from and to, so the caller's bounds stay where they are (a stack).
+	n := len(from) + len(to)
+	sc.keys = append(append(slices.Grow(sc.keys, n+len(owners)*(16+n)), from...), to...)
+	dfrom, dto := sc.keys[:len(from):len(from)], sc.keys[len(from):n:n]
+	if to == nil {
+		dto = nil // open
+	}
 	for _, owner := range owners {
 		if tree := f.treeAt(OwnerID(owner), h); tree != nil {
-			sc.scans = append(sc.scans, bwtree.RangeScan{Tree: tree, From: from, To: to})
+			sc.scans = append(sc.scans, bwtree.RangeScan{Tree: tree, From: dfrom, To: dto})
 			continue
 		}
 		var lo, hi []byte

@@ -1,6 +1,8 @@
 package bg3
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -81,28 +83,38 @@ func TestLogBytesPerEdge(t *testing.T) {
 	}
 }
 
-// TestLeafBytesPerEdge pins what the page records cost a prop-less edge, by
-// the bytes on the base and delta streams after one consolidating flush: on a
-// one-shard leader with the flusher off, the checkpoint writes every leaf
-// once, as a base holding its whole content. A dedicated tree's entries are
-// one key length and one value length, so its leaves are packed and may cost
-// 14 bytes per edge; the INIT tree's carry the owner in the key too and may
-// cost 22.
+// TestLeafBytesPerEdge pins what the page records cost an edge, by the bytes
+// on the base and delta streams after one consolidating flush: on a one-shard
+// leader with the flusher off, the checkpoint writes every leaf once, as a
+// base holding its whole content. A leaf stores its keys' common prefix and
+// its values' once, and each entry only its suffixes. A dedicated tree's
+// prop-less entries are then the last bytes of their dsts (a packed leaf),
+// and may cost 2 bytes per edge; the INIT tree's carry their owners' low
+// bytes too and may cost 12. An edge with one 8-byte ts property, as the
+// benchmark's edges have, adds its 8 random bytes: 10 and 20.
 func TestLeafBytesPerEdge(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		split  int // ForestSplitThreshold: 0 keeps every vertex in INIT
 		owners int
+		ts     bool
 		limit  float64
 	}{
-		{"dedicated", 64, 1, 14},
-		{"INIT", 0, 100, 22},
+		{"dedicated", 64, 1, false, 2},
+		{"INIT", 0, 100, false, 12},
+		{"dedicated-ts", 64, 1, true, 10},
+		{"INIT-ts", 0, 100, true, 20},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := openDB(t, &Options{Replicated: true, FlushInterval: time.Hour, ForestSplitThreshold: c.split})
 			const edges = 4096
+			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < edges; i++ {
-				if err := db.AddEdge(Edge{Src: VertexID(i % c.owners), Dst: VertexID(i), Type: ETypeFollow}); err != nil {
+				e := Edge{Src: VertexID(i % c.owners), Dst: VertexID(i), Type: ETypeFollow}
+				if c.ts {
+					e.Props = Properties{{Name: "ts", Value: binary.BigEndian.AppendUint64(nil, rng.Uint64())}}
+				}
+				if err := db.AddEdge(e); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -12,7 +12,7 @@ import (
 
 // releaseOpts makes small pages and extents that fill fast, so three passes
 // of overwrites leave GC work behind.
-var releaseOpts = Options{ExtentSize: 4 << 10, MaxPageEntries: 16}
+var releaseOpts = Options{ExtentSize: 2 << 10, MaxPageEntries: 16}
 
 // eachReplicated runs fn on a leader set opened from o, its layers adjusted by
 // set, at 1 shard ("DB") and at 2 and 4 ("shards=N").

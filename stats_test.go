@@ -166,7 +166,7 @@ func TestBytesWrittenPerStream(t *testing.T) {
 	} {
 		t.Run(shape.name, func(t *testing.T) {
 			o := shape.o
-			o.ExtentSize, o.MaxPageEntries = 4<<10, 16
+			o.ExtentSize, o.MaxPageEntries = 1<<10, 16
 			db := openLayers(t, o, func(cfg *layers) { cfg.rw.FlushInterval = 0 })
 			for round := range 2 { // the second round overwrites: garbage for GC
 				for i := range 400 {
