@@ -99,7 +99,7 @@ type blockState struct {
 // stopped it, the limit or to was reached. Otherwise it stopped at a chunk
 // that does not serve h, from resume on, and the caller walks that leaf. A
 // tree with no block serves nothing.
-func (t *Tree) scanBlock(from, to []byte, owed int, h wal.LSN, fn func(k, v []byte) bool) (n int, resume []byte, done bool) {
+func (t *Tree) scanBlock(jn *joiner, from, to []byte, owed int, h wal.LSN, fn func(k, v []byte) bool) (n int, resume []byte, done bool) {
 	blk := t.blocks.block.Load()
 	if blk == nil {
 		return 0, from, false
@@ -130,7 +130,7 @@ func (t *Tree) scanBlock(from, to []byte, owed int, h wal.LSN, fn func(k, v []by
 		if last {
 			hi = to
 		}
-		k, stopped := scanPage(c.image, nil, lo, hi, owed-n, horizonAll, fn)
+		k, stopped := scanPage(jn, c.image, nil, lo, hi, owed-n, horizonAll, fn)
 		if n += k; stopped || last || (owed > 0 && n >= owed) {
 			return n, nil, true
 		}

@@ -128,7 +128,7 @@ func blockGap(tr *Tree, ref refmodel.KV, horizons []wal.LSN) error {
 				hi = sort.SearchStrings(live, string(c.hi))
 			}
 			var img []string
-			scanPage(c.image, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+			scanPage(new(joiner), c.image, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
 				img = append(img, string(k)+"="+string(v))
 				return true
 			})
@@ -748,9 +748,8 @@ func TestFirstBuildCapturesEveryWriter(t *testing.T) {
 
 // lookupString returns key's value in img, "" when absent.
 func lookupString(img leafImage, key []byte) string {
-	var v string
-	lookup(img, nil, key, horizonAll, func(val []byte) { v = string(val) })
-	return v
+	v, _ := lookup(img, nil, key, horizonAll)
+	return string(v.bytes())
 }
 
 // TestFailedBuildInstallsNoBlock faults a build's read of a cold leaf, first

@@ -74,14 +74,14 @@ func (p leafImage) suffix(i int) []byte {
 	return k
 }
 
-// entry returns entry i's key and value suffixes, uncapped, from one read of
-// its table slot or the packed header; n is p.count(), read once per walk.
+// entry returns entry i's key and value suffixes, capped at the image's end,
+// from one read of its table slot or the packed header; n is p.count(), read
+// once per walk.
 func (p leafImage) entry(i, n int) (k, v []byte) {
 	if p.packed() {
-		pre, lens := binary.LittleEndian.Uint64(p[4:]), binary.LittleEndian.Uint64(p[12:]) // kpl vpl, klen vlen
-		kl, vl := int(uint32(lens)), int(lens>>32)
-		off := 20 + int(uint32(pre)) + int(pre>>32) + i*(kl+vl)
-		return p[off : off+kl], p[off+kl : off+kl+vl]
+		first, kl, stride := p.grid()
+		off := first + i*stride
+		return p[off : off+kl : len(p)], p[off+kl : off+stride : len(p)]
 	}
 	slot := binary.LittleEndian.Uint64(p[12+8*i:]) // off, klen
 	off, end := uint32(slot), uint32(len(p))
@@ -89,7 +89,15 @@ func (p leafImage) entry(i, n int) (k, v []byte) {
 	if i+1 < n {
 		end = binary.LittleEndian.Uint32(p[20+8*i:])
 	}
-	return p[off:mid], p[mid:end]
+	return p[off:mid:len(p)], p[mid:end:len(p)]
+}
+
+// grid returns where a packed image's entries lie: entry i's key suffix, kl
+// bytes long, at first+i*stride, and its value suffix behind it.
+func (p leafImage) grid() (first, kl, stride int) {
+	pre, lens := binary.LittleEndian.Uint64(p[4:]), binary.LittleEndian.Uint64(p[12:]) // kpl vpl, klen vlen
+	kl = int(uint32(lens))
+	return 20 + int(uint32(pre)) + int(pre>>32), kl, kl + int(lens>>32)
 }
 
 // is reports whether p is rec itself — the same bytes in the same place, not
@@ -116,6 +124,13 @@ func (p leafImage) within(key []byte, i, n int) ([]byte, int, int) {
 		return nil, i, i
 	}
 	return nil, n, n
+}
+
+// holds reports whether entry i's key is key.
+func (p leafImage) holds(i int, key []byte) bool {
+	kp, _ := p.prefixes()
+	rest, ok := bytes.CutPrefix(key, kp)
+	return ok && bytes.Equal(p.suffix(i), rest)
 }
 
 // search returns the index of the first entry at or after key.
@@ -153,35 +168,97 @@ func (p leafImage) bisect(i, hi int, key []byte) int {
 	return i
 }
 
+// split is a key or a value in two parts, in place: a base entry's image
+// prefix and suffix, or an overlay op's whole bytes in s.
+type split struct{ p, s []byte }
+
+// splitOf returns what a walk handed out as parts: k and v whole, or, for a
+// base entry (in), as suffixes under the prefixes kp and vp (walkPage).
+func splitOf(kp, vp, k, v []byte, in bool) (split, split) {
+	if !in {
+		kp, vp = nil, nil
+	}
+	return split{kp, k}, split{vp, v}
+}
+
+func (x split) len() int { return len(x.p) + len(x.s) }
+
+// at returns x's byte i.
+func (x split) at(i int) byte {
+	if i < len(x.p) {
+		return x.p[i]
+	}
+	return x.s[i-len(x.p)]
+}
+
+// appendTo appends x's bytes [i, j) to dst.
+func (x split) appendTo(dst []byte, i, j int) []byte {
+	p := len(x.p)
+	return append(append(dst, x.p[min(i, p):min(j, p)]...), x.s[max(i-p, 0):max(j-p, 0)]...)
+}
+
+// bytes returns x whole in memory of its own, nil when it is empty.
+func (x split) bytes() []byte {
+	if x.len() == 0 {
+		return nil
+	}
+	return x.appendTo(make([]byte, 0, x.len()), 0, x.len())
+}
+
+// common returns the length of x's and y's longest common prefix, at most m.
+func common(x, y split, m int) int {
+	i, m := 0, min(m, x.len(), y.len())
+	for i < m && x.at(i) == y.at(i) {
+		i++
+	}
+	return i
+}
+
 // imageShape is what an image's size, layout and prefixes depend on, gathered
-// from whole entries (mergeEncode, persistBase's spill): each prefix is the
-// running common prefix with the first entry, which add copies into k0, v0.
+// from the entries of a walk in key order (mergeEncode, persistBase's spill):
+// the key prefix is the first and the last key's, the value prefix a running
+// one. It holds the parts the walk handed out, which stay put while it runs.
 type imageShape struct {
+	kb, vb     []byte // the walked image's prefixes
 	n, payload uint64 // entries, and their whole key and value bytes
-	k0, v0     []byte
-	kp, vp     int
+	k0, v0     split  // the first entry
+	kn         []byte // the last key, a suffix under kb if knIn
+	knIn       bool
+	vp         int
 	mixed      bool // entries differ in key or value length
 }
 
-func (s *imageShape) add(k, v []byte) {
+// add adds the entry a walk handed out as k, v and in (a split is built only
+// where a prefix needs one: it costs more than the rest of an entry).
+func (s *imageShape) add(k, v []byte, in bool) {
+	kl, vl := len(k), len(v)
+	if in {
+		kl, vl = kl+len(s.kb), vl+len(s.vb)
+	}
 	if s.n == 0 {
-		s.k0, s.v0, s.kp, s.vp = append(s.k0[:0], k...), append(s.v0[:0], v...), len(k), len(v)
+		s.k0, s.v0 = splitOf(s.kb, s.vb, k, v, in)
+		s.vp = vl
+	} else if !in || len(s.v0.p) == 0 || s.vp > len(s.vb) { // else both lead with vb, which holds the prefix
+		_, vs := splitOf(s.kb, s.vb, nil, v, in)
+		s.vp = common(s.v0, vs, s.vp)
 	}
-	for s.kp > 0 && !bytes.HasPrefix(k, s.k0[:s.kp]) { // shrinks len(k0) times at most in all
-		s.kp--
-	}
-	for s.vp > 0 && !bytes.HasPrefix(v, s.v0[:s.vp]) {
-		s.vp--
-	}
-	s.mixed = s.mixed || len(k) != len(s.k0) || len(v) != len(s.v0)
-	s.n, s.payload = s.n+1, s.payload+uint64(len(k)+len(v))
+	s.mixed = s.mixed || kl != s.k0.len() || vl != s.v0.len()
+	s.kn, s.knIn, s.n, s.payload = k, in, s.n+1, s.payload+uint64(kl+vl)
 }
 
 func (s *imageShape) packed() bool { return s.n > 0 && !s.mixed }
 
+// kp is the key prefix's length: keys ascend, so the first and the last
+// key's common prefix is every key's.
+func (s *imageShape) kp() int {
+	kn, _ := splitOf(s.kb, nil, s.kn, nil, s.knIn)
+	return common(s.k0, kn, s.k0.len())
+}
+
 // size is imageSize of the entries added so far.
 func (s *imageShape) size() (int, error) {
-	return imageSize(s.n, s.payload-s.n*uint64(s.kp+s.vp)+uint64(s.kp+s.vp), s.packed())
+	pre := uint64(s.kp() + s.vp)
+	return imageSize(s.n, s.payload-s.n*pre+pre, s.packed())
 }
 
 // imageSize returns the encoded length of an image of n entries carrying

@@ -206,7 +206,7 @@ func TestSpillBoundaryIsExact(t *testing.T) {
 			for i := 0; i <= fit; i++ {
 				puts = append(puts, op{key: []byte(fmt.Sprintf("k%02d", i)), val: bytes.Repeat([]byte{'v'}, c.vlen(i))})
 				if i < fit {
-					shape.add(puts[i].key, puts[i].val)
+					shape.add(puts[i].key, puts[i].val, false)
 				}
 			}
 			extent, err := shape.size()

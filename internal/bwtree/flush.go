@@ -1,7 +1,6 @@
 package bwtree
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -253,14 +252,17 @@ func (t *Tree) persistBase(e *pageEntry, img leafImage, ops []op) error {
 	if max := t.store.ExtentSize(); len(img) > max {
 		full := leafImage(slices.Clone(img))
 		shape, spill := imageShape{}, []op(nil)
-		scanPage(full, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+		shape.kb, shape.vb = full.prefixes()
+		jn := joiner{raw: true}
+		scanPage(&jn, full, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
 			if spill == nil {
-				shape.add(k, v)
+				shape.add(k, v, jn.in)
 				if size, err := shape.size(); err == nil && size <= max {
 					return true
 				}
 			}
-			spill = append(spill, op{key: bytes.Clone(k), val: bytes.Clone(v)}) // the whole image does not fit: one does
+			ks, vs := splitOf(shape.kb, shape.vb, k, v, jn.in) // the whole image does not fit: one does
+			spill = append(spill, op{key: ks.bytes(), val: vs.bytes()})
 			return true
 		})
 		var err error

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"bg3/internal/wal"
 )
@@ -137,74 +136,36 @@ func clipBounds(from, to, lo, hi []byte) ([]byte, []byte) {
 	return from, to
 }
 
-// joiner walks one image for scanPage and hands out its entries whole: its
-// prefixes, then an entry's suffixes copied behind them — where they fit, in a
-// packed image, one block per column (read past the entry, never the image).
-// Each entry is valid until the next; the walk's end recycles the joiner.
+// joiner is where a walk rebuilds each base entry whole for its callback
+// (scanPage): the image's prefixes once, then an entry's suffixes behind
+// them. A reader's lives in its scan's recycled scratch (hopScratch) and holds
+// no pointer into an image. A raw joiner rebuilds nothing: a walk that writes
+// suffixes (mergeEncode) or keeps them takes a base entry's in place, told by
+// in, under its image's prefixes.
 type joiner struct {
-	k, v, kw, vw      []byte // k, v: kp, vp, an entry's suffixes, room for a block; kw, vw: cut to a packed entry
-	p                 leafImage
-	kpl, vpl, blocks  int             // entries [0, blocks) are block-copied into kb, vb
-	kb, vb            *[blockLen]byte // and go out as kw, vw
-	first, kl, stride int             // a packed image's entry 0, entries a stride apart, keys kl long
+	k, v    []byte
+	raw, in bool // in: the pair going out is a base entry
 }
 
-// idleJoiners is a bounded free list, for a few concurrent and nested walks:
-// a sync.Pool's per-P caches allocate afresh as a goroutine moves between Ps,
-// and a channel's lock costs a short walk more than its copies.
-var idleJoiners [8]atomic.Pointer[joiner]
+// blockLen is the longest suffix join moves as one block: an edge key's, or
+// a small property record's.
+const blockLen = 16
 
-const blockLen = 16 // an edge key's suffix, or a small property record's
-
-// takeJoiner returns a recycled joiner set to walk p.
-func takeJoiner(p leafImage) *joiner {
-	var j *joiner
-	for i := 0; j == nil && i < len(idleJoiners); i++ {
-		j = idleJoiners[i].Swap(nil)
+// join returns an entry's suffix s whole and capped, rebuilt in *buf, whose
+// first p bytes hold its prefix, until the next join; with no prefix, s itself.
+func join(buf *[]byte, p int, s []byte) []byte {
+	if p == 0 {
+		return s[:len(s):len(s)]
 	}
-	if j == nil {
-		j = new(joiner)
-	}
-	kp, vp := p.prefixes()
-	j.p, j.kpl, j.vpl, j.blocks = p, len(kp), len(vp), 0
-	j.k = append(slices.Grow(j.k[:0], len(kp)+blockLen), kp...)[:len(kp)+blockLen]
-	j.v = append(slices.Grow(j.v[:0], len(vp)+blockLen), vp...)[:len(vp)+blockLen]
-	if p.packed() {
-		lens := binary.LittleEndian.Uint64(p[12:]) // klen, vlen
-		j.kl, j.stride, j.first = int(uint32(lens)), int(uint32(lens))+int(lens>>32), 20+len(kp)+len(vp)
-		if room := len(p) - j.first - j.kl - blockLen; j.kl <= blockLen && j.stride-j.kl <= blockLen && room >= 0 {
-			j.blocks = min(p.count(), room/j.stride+1) // room >= 0: the entries are not empty
-			j.kb, j.vb = (*[blockLen]byte)(j.k[len(kp):]), (*[blockLen]byte)(j.v[len(vp):])
-			j.kw, j.vw = j.k[:len(kp)+j.kl:len(kp)+j.kl], j.v[:len(vp)+j.stride-j.kl:len(vp)+j.stride-j.kl]
-		}
-	}
-	return j
+	b := append((*buf)[:p], s...)
+	*buf = b[:cap(b)]
+	return b[:len(b):len(b)]
 }
 
-// block is entry for an entry below blocks, and costs one copy per column.
-func (j *joiner) block(i int) (k, v []byte) {
-	e := j.p[j.first+i*j.stride:]
-	*j.kb, *j.vb = [blockLen]byte(e), [blockLen]byte(e[j.kl:])
-	return j.kw, j.vw
-}
-
-// entry returns entry i whole.
-func (j *joiner) entry(i int) (k, v []byte) {
-	ks, vs := j.p.entry(i, j.p.count())
-	k, v = append(j.k[:j.kpl], ks...), append(j.v[:j.vpl], vs...)
-	j.k, j.v = k[:cap(k)], v[:cap(v)] // what grew, with a block's room at least
-	return k[:len(k):len(k)], v[:len(v):len(v)]
-}
-
-// release recycles j, unless it outgrew maxKeptScratch, with no pointer into
-// the image: a pooled view would keep its extent in memory.
-func (j *joiner) release() {
-	j.p = nil
-	for i := 0; cap(j.k)+cap(j.v) <= maxKeptScratch && i < len(idleJoiners); i++ {
-		if idleJoiners[i].Load() == nil && idleJoiners[i].CompareAndSwap(nil, j) {
-			return
-		}
-	}
+// holding returns buf holding prefix, with a block's room behind it.
+func holding(buf, prefix []byte) []byte {
+	buf = append(slices.Grow(buf[:0], len(prefix)+blockLen), prefix...)
+	return buf[:cap(buf)]
 }
 
 // scanPage is the one read of an image under an overlay — a leaf's, or an
@@ -213,53 +174,77 @@ func (j *joiner) release() {
 // over keys in [from, to) (a nil to is open), calling fn for each live pair
 // until it returns false or limit pairs (limit <= 0: unlimited) went out. It
 // returns how many pairs were delivered and whether fn stopped the walk.
-// Nothing is materialized; base may be walked unlatched, ov must not change
-// meanwhile.
+// Nothing is materialized: a base entry goes out rebuilt in jn, valid for the
+// call alone, or in place (a raw jn); an overlay op's pair goes out as it is.
+// base may be walked unlatched, ov must not change meanwhile.
 //
 // The base entries below the overlay's next key go out as one run, each
-// entry one table read. A short run ends at the first key that compares at or
-// above the overlay's (a leaf, or a block whose overlay is dense where the
-// scan is: the keys going out are compared, nothing else is touched); a run
-// that outlasts gallopAfter entries finds its end by a galloping search and
-// goes out uncompared (a block under late writes: a comparison per overlay
-// key, not per base entry). A base entry goes out in a joiner: fn must not
-// retain it.
-func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
+// entry one table read. A short run ends at the first suffix that compares at
+// or above the overlay key's (a leaf, or a block whose overlay is dense where
+// the scan is: the entries going out are compared, nothing else is touched);
+// a run that outlasts gallopAfter entries finds its end by a galloping search
+// and goes out uncompared (a block under late writes: a comparison per
+// overlay key, not per base entry).
+func scanPage(jn *joiner, base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn func(k, v []byte) bool) (int, bool) {
+	count, kpl, vpl, packed := base.count(), 0, 0, base.packed()
+	first, kl, stride := 0, 0, 0
+	if packed {
+		first, kl, stride = base.grid()
+	}
+	blocks, kw, vw := 0, []byte(nil), []byte(nil) // entries below blocks go out as kw, vw, moved into kb, vb
+	var kb, vb *[blockLen]byte
+	if !jn.raw {
+		kp, vp := base.prefixes()
+		kpl, vpl, jn.k, jn.v = len(kp), len(vp), holding(jn.k, kp), holding(jn.v, vp)
+		// A packed entry's suffixes move as one block each while a value's
+		// block stays inside the image, into a pair cut once per walk.
+		if room := len(base) - first - kl - blockLen; packed && stride > 0 && kl <= blockLen && stride-kl <= blockLen && room >= 0 {
+			blocks = min(count, room/stride+1)
+			kw, vw = jn.k[:kpl+kl:kpl+kl], jn.v[:vpl+stride-kl:vpl+stride-kl]
+			kb, vb = (*[blockLen]byte)(jn.k[kpl:]), (*[blockLen]byte)(jn.v[vpl:])
+		}
+	}
 	i, n := base.search(from), base.bound(to)
 	ov = opsInRange(ov, from, to)
-	var jn *joiner
-	if i < n {
-		jn = takeJoiner(base)
-		defer jn.release()
-	}
 	j, delivered := 0, 0
 	for {
 		end := n
 		if limit > 0 && end-i > limit-delivered {
 			end = i + limit - delivered
 		}
-		var next []byte // the overlay's next key
+		var next []byte // the overlay's next key past the key prefix
 		below := end    // entries before this index are known to lie below it
 		if j < len(ov) {
-			next, below = ov[j].key, i
+			next, below, end = base.within(ov[j].key, i, end)
 		}
 		for checked := 0; i < end; i++ {
-			var k, v []byte
-			if i < jn.blocks {
-				k, v = jn.block(i) // most entries of a packed image, inlined
-			} else {
-				k, v = jn.entry(i)
+			var ks, vs []byte
+			o := first + i*stride
+			switch {
+			case i < blocks:
+				*kb, *vb = *(*[blockLen]byte)(base[o:]), *(*[blockLen]byte)(base[o+kl:])
+			case packed:
+				ks, vs = base[o:o+kl:len(base)], base[o+kl:o+stride:len(base)]
+			default:
+				ks, vs = base.entry(i, count)
 			}
 			if i >= below {
-				if bytes.Compare(k, next) >= 0 {
+				if i < blocks {
+					ks = kw[kpl:]
+				}
+				if bytes.Compare(ks, next) >= 0 {
 					break
 				}
 				if checked++; checked == gallopAfter {
-					below = base.gallop(i+1, end, next)
+					below = base.gallop(i+1, end, ov[j].key)
 				}
 			}
 			delivered++
-			if !fn(k, v) {
+			k, v := kw, vw
+			if i >= blocks {
+				k, v = join(&jn.k, kpl, ks), join(&jn.v, vpl, vs)
+			}
+			if jn.in = true; !fn(k, v) {
 				return delivered, true
 			}
 		}
@@ -274,41 +259,43 @@ func scanPage(base leafImage, ov []op, from, to []byte, limit int, h wal.LSN, fn
 				vis = j
 			}
 		}
-		var v []byte
-		same := i < n && bytes.HasPrefix(k, jn.k[:jn.kpl]) && bytes.Equal(base.suffix(i), k[jn.kpl:])
-		live := vis >= 0 && !ov[vis].del
-		if live {
-			v = ov[vis].val
-		} else if vis < 0 && same {
-			k, v = jn.entry(i)
-			live = true
-		}
+		same := i < n && base.holds(i, k)
 		if same {
 			i++
 		}
-		if live {
-			delivered++
-			if !fn(k, v) {
-				return delivered, true
-			}
-			if delivered == limit {
-				return delivered, false
-			}
+		var v []byte
+		switch jn.in = vis < 0 && same; {
+		case vis >= 0 && !ov[vis].del:
+			v = ov[vis].val
+		case jn.in:
+			ks, vs := base.entry(i-1, count)
+			k, v = join(&jn.k, kpl, ks), join(&jn.v, vpl, vs)
+		default:
+			continue
+		}
+		delivered++
+		if !fn(k, v) {
+			return delivered, true
+		}
+		if delivered == limit {
+			return delivered, false
 		}
 	}
 }
 
-// lookup reports whether key is live in base ⊕ ov as of h and hands its
-// value to fn, when there is one, valid for the call alone.
-func lookup(base leafImage, ov []op, key []byte, h wal.LSN, fn func(v []byte)) (ok bool) {
+// lookup reports whether key is live in base ⊕ ov as of h, and returns its
+// value in parts aliasing page memory.
+func lookup(base leafImage, ov []op, key []byte, h wal.LSN) (val split, ok bool) {
 	var buf [64]byte
 	succ := append(append(buf[:0], key...), 0) // [key, key\x00) holds key alone
-	scanPage(base, ov, key, succ, 1, h, func(_, v []byte) bool {
+	_, vp := base.prefixes()
+	jn := joiner{raw: true}
+	scanPage(&jn, base, ov, key, succ, 1, h, func(_, v []byte) bool {
+		_, val = splitOf(nil, vp, nil, v, jn.in)
 		ok = true
-		fn(v)
 		return false
 	})
-	return ok
+	return val, ok
 }
 
 // mergeEncode folds the ops of ov stamped at or below floor into base,
@@ -319,37 +306,45 @@ func lookup(base leafImage, ov []op, key []byte, h wal.LSN, fn func(v []byte)) (
 // writes each entry's suffixes. It fails only when the result would outgrow
 // the format (imageSize).
 func mergeEncode(dst []byte, base leafImage, ov []op, lo, hi []byte, floor wal.LSN) (leafImage, error) {
-	first := takeJoiner(emptyLeaf) // its buffers hold the shape's copy of the first entry
-	defer first.release()
-	shape := imageShape{k0: first.k, v0: first.v}
-	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
-		shape.add(k, v)
+	var shape imageShape
+	shape.kb, shape.vb = base.prefixes()
+	jn := joiner{raw: true}
+	scanPage(&jn, base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
+		shape.add(k, v, jn.in)
 		return true
 	})
 	size, err := shape.size()
 	if err != nil {
 		return nil, err
 	}
-	kp, vp := shape.k0[:shape.kp], shape.v0[:shape.vp]
+	kp, vp := shape.kp(), shape.vp
 	start, n, packed := len(dst), int(shape.n), shape.packed()
 	img := binary.LittleEndian.AppendUint32(slices.Grow(dst, size), uint32(n))
-	img = binary.LittleEndian.AppendUint64(img, uint64(len(kp))|uint64(len(vp))<<32) // kpl, vpl
+	img = binary.LittleEndian.AppendUint64(img, uint64(kp)|uint64(vp)<<32) // kpl, vpl
 	slot := len(img)
 	if packed {
 		img[start+3] |= packedLeafFlag >> 24
-		img = binary.LittleEndian.AppendUint64(img, uint64(len(shape.k0)-len(kp))|uint64(len(shape.v0)-len(vp))<<32) // klen, vlen
+		img = binary.LittleEndian.AppendUint64(img, uint64(shape.k0.len()-kp)|uint64(shape.v0.len()-vp)<<32) // klen, vlen
 	} else {
 		img = img[:slot+8*n]
 	}
-	img = append(append(img, kp...), vp...)
-	scanPage(base, ov, lo, hi, 0, floor, func(k, v []byte) bool {
-		k, v = k[len(kp):], v[len(vp):]
+	img = shape.v0.appendTo(shape.k0.appendTo(img, 0, kp), 0, vp)
+	scanPage(&jn, base, ov, lo, hi, 0, floor, func(kw, vw []byte) bool {
+		kl := len(kw)
+		if jn.in {
+			kl += len(shape.kb)
+		}
 		if !packed {
 			binary.LittleEndian.PutUint32(img[slot:], uint32(len(img)-start))
-			binary.LittleEndian.PutUint32(img[slot+4:], uint32(len(k)))
+			binary.LittleEndian.PutUint32(img[slot+4:], uint32(kl-kp))
 			slot += 8
 		}
-		img = append(append(img, k...), v...)
+		if jn.in && kp == len(shape.kb) && vp == len(shape.vb) { // the walked image's suffixes are the new image's
+			img = append(append(img, kw...), vw...)
+		} else {
+			k, v := splitOf(shape.kb, shape.vb, kw, vw, jn.in)
+			img = v.appendTo(k.appendTo(img, kp, k.len()), vp, v.len())
+		}
 		return true
 	})
 	return img[start:], nil

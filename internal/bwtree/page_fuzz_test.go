@@ -48,7 +48,7 @@ func FuzzDecodeLeafPage(f *testing.F) {
 		// A walk hands out every entry whole, in order, capacity-capped.
 		var prev []byte
 		i := 0
-		scanPage(img, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+		scanPage(new(joiner), img, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
 			wk, wv := pairAt(img, i)
 			if !bytes.Equal(k, wk) || !bytes.Equal(v, wv) || cap(k) != len(k) || cap(v) != len(v) {
 				t.Fatalf("entry %d: %q=%q (caps %d, %d), want %q=%q", i, k, v, cap(k), cap(v), wk, wv)

@@ -82,7 +82,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 				want = want[:stopAt]
 			}
 			var got []string
-			n, stopped := scanPage(base, ov, []byte(from), toB, limit, h, func(k, v []byte) bool {
+			n, stopped := scanPage(new(joiner), base, ov, []byte(from), toB, limit, h, func(k, v []byte) bool {
 				got = append(got, string(k)+"="+string(v))
 				return len(got) != stopAt
 			})
@@ -98,7 +98,7 @@ func TestScanPageMatchesNaiveMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		scanPage(img, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
+		scanPage(new(joiner), img, nil, nil, nil, 0, horizonAll, func(k, v []byte) bool {
 			got = append(got, string(k)+"="+string(v))
 			return true
 		})
@@ -757,7 +757,7 @@ func BenchmarkScanPageLargeImage(b *testing.B) {
 	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scanPage(img, ov, []byte{}, nil, 0, horizonAll, func(k, v []byte) bool { n += len(k) + len(v); return true })
+		scanPage(new(joiner), img, ov, []byte{}, nil, 0, horizonAll, func(k, v []byte) bool { n += len(k) + len(v); return true })
 	}
 	if n != b.N*102_000*27 {
 		b.Fatalf("scans delivered %d bytes, want %d", n, b.N*102_000*27)

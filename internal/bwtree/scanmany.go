@@ -66,6 +66,7 @@ type hopScratch struct {
 	arena  []storage.Loc // delta chains, read only where no overlay mirrors them (locs)
 	locs   []storage.Loc // the load's batch (loadHeld)
 	bufs   [][]byte      // its views
+	jn     joiner        // where its walks rebuild entries, ScanAt's too
 }
 
 var hopPool = sync.Pool{New: func() any { return &hopScratch{index: make(map[*pageEntry]int)} }}
@@ -84,6 +85,9 @@ func (sc *hopScratch) release() {
 	sc.newLoad()
 	clear(sc.state)
 	sc.state, sc.queue = sc.state[:0], sc.queue[:0]
+	if cap(sc.jn.k)+cap(sc.jn.v) > maxKeptScratch {
+		sc.jn = joiner{}
+	}
 	hopPool.Put(sc)
 }
 
@@ -137,7 +141,7 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 			s, t := &sc.state[cur], scans[cur].Tree
 			// A packed super-vertex tree answers what its clean chunks hold
 			// from memory; a leaf whose chunk cannot joins the load.
-			got, from, done := t.scanBlock(s.from, scans[cur].To, limit-s.delivered, h, emit)
+			got, from, done := t.scanBlock(&sc.jn, s.from, scans[cur].To, limit-s.delivered, h, emit)
 			if stopped {
 				return nil
 			}
@@ -178,7 +182,7 @@ func (m *Mapping) ScanManyAt(scans []RangeScan, limit int, h wal.LSN, fn func(i 
 		// (3) Walk each scan over the images the load holds.
 		for _, cur = range sc.round {
 			s, rs := &sc.state[cur], scans[cur]
-			more, err := rs.Tree.scanHeld(&sc.leaves[s.leaf], s, rs.To, limit, h, emit)
+			more, err := rs.Tree.scanHeld(&sc.jn, &sc.leaves[s.leaf], s, rs.To, limit, h, emit)
 			if err != nil || stopped {
 				return err
 			}
@@ -246,7 +250,7 @@ func (m *Mapping) loadHeld(sc *hopScratch) {
 
 // scanHeld walks one scan over its leaf of the current load and reports
 // whether the scan continues past it (s.from then names the resume key).
-func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.LSN, emit func(k, v []byte) bool) (more bool, err error) {
+func (t *Tree) scanHeld(jn *joiner, hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.LSN, emit func(k, v []byte) bool) (more bool, err error) {
 	e := hl.e
 	e.mu.Lock()
 	if !e.covers(s.from) {
@@ -254,7 +258,7 @@ func (t *Tree) scanHeld(hl *heldLeaf, s *manyScan, to []byte, limit int, h wal.L
 		e.mu.Unlock()
 		return true, nil
 	}
-	n, resume, done, err := t.scanLeaf(e, hl, s.from, to, limit-s.delivered, h, emit)
+	n, resume, done, err := t.scanLeaf(jn, e, hl, s.from, to, limit-s.delivered, h, emit)
 	s.from, s.delivered = resume, s.delivered+n
 	return !done, err
 }

@@ -239,7 +239,7 @@ func (t *Tree) install(e *pageEntry, img leafImage) leafImage {
 // and unaffected by eviction, which drops the image and not the content.
 func (e *pageEntry) countLive(base leafImage) int {
 	if e.live < 0 {
-		e.live, _ = scanPage(base, e.overlay, e.lo, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
+		e.live, _ = scanPage(&joiner{raw: true}, base, e.overlay, e.lo, e.hi, 0, horizonAll, func(_, _ []byte) bool { return true })
 	}
 	return e.live
 }
@@ -397,9 +397,8 @@ func (t *Tree) GetAt(key []byte, h wal.LSN) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var v []byte
-	found := lookup(base, e.overlay, key, h, func(val []byte) { v = append([]byte(nil), val...) })
-	return v, found, nil
+	v, found := lookup(base, e.overlay, key, h)
+	return v.bytes(), found, nil
 }
 
 // Write is one mutation handed to Tree.Apply: an upsert of Key=Value, or the
@@ -576,7 +575,7 @@ func (t *Tree) applyRun(e *pageEntry, ws []Write, waits *wal.Waits, locked bool)
 		if order == 0 {
 			existed = !run[n-1].del // the run's previous op decided this key
 		} else {
-			existed = lookup(base, e.overlay, o.key, horizonAll, func([]byte) {})
+			_, existed = lookup(base, e.overlay, o.key, horizonAll)
 		}
 		if logged {
 			// Write-ahead: the record enters the WAL (and receives its LSN)
@@ -674,15 +673,17 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 	if from == nil {
 		from = []byte{}
 	}
+	sc := hopPool.Get().(*hopScratch) // for its joiner
+	defer sc.release()
 	// A packed super-vertex tree serves what its clean chunks hold from
 	// memory (block.go); a leaf whose chunk cannot is walked.
 	for delivered := 0; ; {
-		n, resume, done := t.scanBlock(from, to, limit-delivered, h, fn)
+		n, resume, done := t.scanBlock(&sc.jn, from, to, limit-delivered, h, fn)
 		if done {
 			return nil
 		}
 		delivered += n
-		n, resume, done, err := t.scanLeaf(t.latchLeaf(resume), nil, resume, to, limit-delivered, h, fn)
+		n, resume, done, err := t.scanLeaf(&sc.jn, t.latchLeaf(resume), nil, resume, to, limit-delivered, h, fn)
 		if done || err != nil {
 			return err
 		}
@@ -705,7 +706,7 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 // round's hands after the cache evicted it again — provided the page still
 // sits at the locations that image was read at. A page that moved, or whose
 // extent was reclaimed under the round's read, alone is materialized here.
-func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h wal.LSN, fn func(k, v []byte) bool) (n int, resume []byte, done bool, err error) {
+func (t *Tree) scanLeaf(jn *joiner, e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h wal.LSN, fn func(k, v []byte) bool) (n int, resume []byte, done bool, err error) {
 	img := e.base
 	switch {
 	case hl == nil:
@@ -728,7 +729,7 @@ func (t *Tree) scanLeaf(e *pageEntry, hl *heldLeaf, from, to []byte, owed int, h
 	lo, hi, ov, ended := e.cut(img, from, to, owed, buf[:0])
 	e.mu.Unlock()
 
-	n, stopped := scanPage(img, ov, lo, hi, owed, h, fn)
+	n, stopped := scanPage(jn, img, ov, lo, hi, owed, h, fn)
 	return n, hi, stopped || ended || (owed > 0 && n >= owed), nil
 }
 
@@ -804,7 +805,7 @@ func (t *Tree) split(e *pageEntry, base leafImage, waits *wal.Waits) (bool, erro
 		sep = bytes.Clone(e.overlay[0].key)
 	} else {
 		left = n / 2
-		scanPage(base, e.overlay, e.lo, e.hi, left+1, horizonAll, func(k, _ []byte) bool {
+		scanPage(new(joiner), base, e.overlay, e.lo, e.hi, left+1, horizonAll, func(k, _ []byte) bool {
 			sep = append(sep[:0], k...) // the last key delivered; the walk reuses k
 			return true
 		})

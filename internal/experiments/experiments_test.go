@@ -64,8 +64,8 @@ func TestFig9Fig10StorageCounts(t *testing.T) {
 		policy      bwtree.DeltaPolicy
 		fig9, fig10 io
 	}{
-		{bwtree.Traditional, io{12123, 638803, 71243}, io{10002, 18906436, 0}},
-		{bwtree.ReadOptimized, io{12123, 2734479, 23076}, io{10002, 22011644, 0}},
+		{bwtree.Traditional, io{12123, 1683357, 71243}, io{10002, 18906436, 0}},
+		{bwtree.ReadOptimized, io{12123, 3779033, 23076}, io{10002, 22011644, 0}},
 	} {
 		_, st9 := fig9TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 8_000, 0, 0), 42)
 		st10 := fig10TreeSetup(c.policy, pick(Small, 4_000, 0, 0), pick(Small, 10_000, 0, 0))
@@ -96,7 +96,7 @@ func TestFig11Shape(t *testing.T) {
 		writes float64 // per virtual second, rounded
 		memory int64
 	}
-	want := []row{{1, 6205, 127015}, {64, 6704, 123275}, {8192, 7947, 1587014}}
+	want := []row{{1, 6205, 137741}, {64, 6704, 133667}, {8192, 7947, 1592924}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.Trees, math.Round(r.WriteQPS), r.MemoryBytes})
@@ -125,7 +125,7 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatalf("two runs differ:\n%v\n%v", rows, again)
 	}
 	type row struct{ moved, expired int64 }
-	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {120584, 0}, {0, 14}}
+	want := []row{{2372608, 0}, {858112, 0}, {910336, 0}, {236898, 0}, {0, 22}}
 	var got []row
 	for _, r := range rows {
 		got = append(got, row{r.MovedBytes, r.Expired})

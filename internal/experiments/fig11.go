@@ -102,7 +102,6 @@ func Fig11ForestScaling(s Scale, treeCounts []int, out io.Writer) []Fig11Row {
 			tails[i] = st.TailCursor(stream)
 		}
 		freeAt := make(map[uint64]time.Duration) // page ID -> latch release
-		val := make([]byte, 8)
 		var end time.Duration
 		for n := 0; n < per*workers; n++ {
 			var wk *fig11Worker
@@ -114,7 +113,7 @@ func Fig11ForestScaling(s Scale, treeCounts []int, out io.Writer) []Fig11Row {
 			wk.left--
 			owner := forest.OwnerID(wk.zipf.Uint64()*workers + wk.id)
 			seq[owner]++
-			if err := fo.Put(owner, key64(seq[owner]), val); err != nil {
+			if err := fo.Put(owner, key64(seq[owner]), record(uint64(n), 8)); err != nil {
 				panic(err)
 			}
 			for i, stream := range streams {

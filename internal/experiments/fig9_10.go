@@ -36,9 +36,8 @@ func fig9TreeSetup(policy bwtree.DeltaPolicy, keys, updates int, seed int64) (*b
 		panic(err)
 	}
 	// Load phase: insert all data (sequential keys split into many pages).
-	val := make([]byte, 32)
 	for i := 0; i < keys; i++ {
-		if err := tr.Put(key64(uint64(i)), val); err != nil {
+		if err := tr.Put(key64(uint64(i)), record(uint64(i), 32)); err != nil {
 			panic(err)
 		}
 	}
@@ -46,7 +45,7 @@ func fig9TreeSetup(policy bwtree.DeltaPolicy, keys, updates int, seed int64) (*b
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
 	for i := 0; i < updates; i++ {
-		if err := tr.Put(key64(zipf.Uint64()), val); err != nil {
+		if err := tr.Put(key64(zipf.Uint64()), record(uint64(keys+i), 32)); err != nil {
 			panic(err)
 		}
 	}
@@ -57,6 +56,14 @@ func key64(v uint64) []byte {
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint64(buf, v)
 	return buf
+}
+
+// record is the n-byte value of an experiment's seq-th write: seq, then
+// zeros. Values are distinct, as a real workload's are; values that were all
+// alike would be stored once per leaf (its value prefix), and the bytes a
+// figure compares would shrink to the keys'.
+func record(seq uint64, n int) []byte {
+	return binary.BigEndian.AppendUint64(make([]byte, 0, n), seq)[:n]
 }
 
 // Fig9ReadAmplification measures storage reads per client read for the
@@ -129,12 +136,7 @@ func fig10TreeSetup(policy bwtree.DeltaPolicy, keys, writes int) *storage.Store 
 	rng := rand.New(rand.NewSource(21))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
 	for i := 0; i < writes; i++ {
-		// Each value is 64 bytes that lead with its write's sequence number:
-		// values that were all alike would be stored once per leaf, and the
-		// consolidations whose bytes the figure compares would shrink to
-		// their keys.
-		val := binary.BigEndian.AppendUint64(make([]byte, 0, 64), uint64(i))[:64]
-		if err := tr.Put(key64(zipf.Uint64()), val); err != nil {
+		if err := tr.Put(key64(zipf.Uint64()), record(uint64(i), 64)); err != nil {
 			panic(err)
 		}
 	}
